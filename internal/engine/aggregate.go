@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"gisnav/internal/cancel"
@@ -50,13 +49,14 @@ func (pc *PointCloud) Aggregate(rows []int, fn AggFunc, column string, ex *Expla
 	return pc.AggregateRun(nil, rows, fn, column, ex)
 }
 
-// AggregateRun is Aggregate under a query lifecycle. Min and max over
-// large inputs fan across the resident worker set (morsel.go): strict
-// folds merged in ascending-partition order are bit-identical to the
-// serial ascending fold. Sum and avg always run serial — float addition
-// is not associative, and sums are pinned bit-identical to the
-// row-at-a-time loop — and so does count, which reads no values at all.
-// A nil run behaves exactly like Aggregate.
+// AggregateRun is Aggregate under a query lifecycle: one fused
+// sum/min/max pass (aggPass, morsel.go) folds the selection in scanChunk
+// blocks, polling the run's token at every block boundary. Min and max
+// over large inputs fan across the resident worker set — strict folds
+// merged in ascending-partition order are bit-identical at every degree.
+// Sum and avg pin degree 1 — float addition is not associative, and sums
+// are pinned bit-identical to the row-at-a-time loop — and count reads no
+// values at all. A nil run behaves exactly like Aggregate.
 func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column string, ex *Explain) (float64, error) {
 	start := time.Now()
 	n := len(rows)
@@ -78,18 +78,12 @@ func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column stri
 	if fn == AggMin || fn == AggMax {
 		deg = pc.morselDegree(run, n)
 	}
-	var sum, lo, hi float64
-	if deg > 1 {
-		var err error
-		lo, hi, err = aggMorsel(run, col, rows, all, n, deg)
-		if err != nil {
-			return 0, err
-		}
-		if run.Cancelled() {
-			return 0, cancel.ErrCancelled
-		}
-	} else {
-		sum, lo, hi = aggColumn(col, rows, all)
+	sum, lo, hi, err := runAggPass(run, col, rows, all, n, deg)
+	if err != nil {
+		return 0, err
+	}
+	if run.Cancelled() {
+		return 0, cancel.ErrCancelled
 	}
 	var res float64
 	switch fn {
@@ -114,46 +108,36 @@ func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column stri
 		return 0, fmt.Errorf("engine: unknown aggregate %d", fn)
 	}
 	if ex != nil {
-		detail := fmt.Sprintf("%s(%s)", fn, column)
-		if deg > 1 {
-			detail = fmt.Sprintf("%s [par %d]", detail, deg)
-		}
-		ex.Add(opAggregate, detail, n, 1, time.Since(start))
+		ex.Add(opAggregate, parDetail(fmt.Sprintf("%s(%s)", fn, column), deg), n, 1, time.Since(start))
 	}
 	return res, nil
 }
 
-// aggColumn dispatches to the typed fused sum/min/max kernel for col's
-// concrete type. all selects the full-column path; otherwise rows drives a
-// selection-vector gather.
-func aggColumn(col colstore.Column, rows []int, all bool) (sum, lo, hi float64) {
+// aggColumn continues the fused sum/min/max fold (sum, lo, hi) over the
+// span [start, end) of the selection, dispatching to the typed kernel for
+// col's concrete type. all scans the column span directly; otherwise
+// rows[start:end] drives a selection-vector gather.
+func aggColumn(col colstore.Column, rows []int, all bool, start, end int, sum, lo, hi float64) (float64, float64, float64) {
+	if !all {
+		rows = rows[start:end]
+	}
 	switch t := col.(type) {
 	case *colstore.F64Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(colSpan(t.Values(), all, start, end), rows, all, sum, lo, hi)
 	case *colstore.I64Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(colSpan(t.Values(), all, start, end), rows, all, sum, lo, hi)
 	case *colstore.I32Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(colSpan(t.Values(), all, start, end), rows, all, sum, lo, hi)
 	case *colstore.U16Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(colSpan(t.Values(), all, start, end), rows, all, sum, lo, hi)
 	case *colstore.U8Column:
-		return aggVals(t.Values(), rows, all)
+		return aggVals(colSpan(t.Values(), all, start, end), rows, all, sum, lo, hi)
 	default:
-		lo, hi = math.Inf(1), math.Inf(-1)
-		if all {
-			for i, n := 0, col.Len(); i < n; i++ {
-				v := col.Value(i)
-				sum += v
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
+		for i := start; i < end; i++ {
+			r := i
+			if !all {
+				r = rows[i-start]
 			}
-			return sum, lo, hi
-		}
-		for _, r := range rows {
 			v := col.Value(r)
 			sum += v
 			if v < lo {
@@ -167,11 +151,10 @@ func aggColumn(col colstore.Column, rows []int, all bool) (sum, lo, hi float64) 
 	}
 }
 
-// aggVals is the monomorphic fused sum/min/max loop. Values widen to
-// float64 exactly as the generic Value() path does; for an empty input the
-// min/max stay at ±Inf (callers gate on n == 0 before using them).
-func aggVals[T number](vals []T, rows []int, all bool) (sum, lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
+// aggVals is the monomorphic fused sum/min/max loop, continuing the
+// caller's accumulators. Values widen to float64 exactly as the generic
+// Value() path does.
+func aggVals[T number](vals []T, rows []int, all bool, sum, lo, hi float64) (float64, float64, float64) {
 	if all {
 		for _, t := range vals {
 			v := float64(t)

@@ -90,26 +90,16 @@ func (pc *PointCloud) FilterRangeIndexed(name string, lo, hi float64, ex *Explai
 	k := pc.compileRangeCached(col, name)
 	a := k.Bind(lo, hi)
 	// The imprint estimate bounds the match count, so the vector is sized
-	// once and the block drive (serial or merged) appends without growth.
-	rows := getRowBuf(est)
+	// once and the block drive appends without growth at every degree.
 	deg := pc.morselDegree(nil, colstore.RangesLen(cand))
-	if deg > 1 {
-		rows, err = filterBlocksMorsel(k, a, cand, deg, rows)
-		if err != nil {
-			RecycleRows(rows)
-			return nil, err
-		}
-	} else {
-		for _, r := range cand {
-			rows = k.FilterBlock(a, r.Start, r.End, rows)
-		}
+	rows, err := filterRanges(k, a, cand, deg, getRowBuf(est))
+	if err != nil {
+		RecycleRows(rows)
+		return nil, err
 	}
 	if ex != nil {
-		detail := fmt.Sprintf("exact tests on %s", name)
-		if deg > 1 {
-			detail = fmt.Sprintf("%s [par %d]", detail, deg)
-		}
-		ex.Add(opRefineRange, detail, colstore.RangesLen(cand), len(rows), time.Since(start))
+		ex.Add(opRefineRange, parDetail(fmt.Sprintf("exact tests on %s", name), deg),
+			colstore.RangesLen(cand), len(rows), time.Since(start))
 	}
 	return rows, nil
 }

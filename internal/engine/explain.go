@@ -48,11 +48,13 @@ func (e *Explain) Add(op, detail string, inRows, outRows int, d time.Duration) {
 	e.Steps = append(e.Steps, Step{Op: op, Detail: detail, InRows: inRows, OutRows: outRows, Duration: d})
 }
 
-// Timed runs fn and records it as a step; fn returns the output row count.
-func (e *Explain) Timed(op, detail string, inRows int, fn func() int) {
-	start := time.Now()
-	out := fn()
-	e.Add(op, detail, inRows, out, time.Since(start))
+// parDetail tags an operator's step detail with its fan-out degree;
+// degree 1 — the whole input as partition 0 — leaves it untouched.
+func parDetail(detail string, deg int) string {
+	if deg > 1 {
+		return fmt.Sprintf("%s [par %d]", detail, deg)
+	}
+	return detail
 }
 
 // Total returns the summed operator time.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gisnav/internal/cancel"
+	"gisnav/internal/colstore"
 	"gisnav/internal/faultpoint"
 )
 
@@ -134,33 +135,26 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 		start := time.Now()
 		switch {
 		case rows == nil:
-			// First predicate over the whole table: run the block kernel
-			// directly instead of materialising an identity vector. The
-			// buffer is tracked before the call (a panic mid-kernel must
-			// not strand it) and swapped for the final slice after —
-			// FilterBlock may grow (and so reallocate) what it was handed.
-			// Large tables fan the kernel across the resident worker set
+			// First predicate over the whole table: drive the block kernel
+			// over the full column instead of materialising an identity
+			// vector. The buffer is tracked before the call (a panic
+			// mid-kernel must not strand it) and swapped for the final
+			// slice after — the drive may grow (and so reallocate) what it
+			// was handed. Large tables fan across the resident worker set
 			// (morsel.go); the imprint estimate pre-sizes the vector so the
-			// parallel merge appends without growth in the common case.
+			// ascending merge appends without growth in the common case.
 			buf := run.TrackRows(getRowBuf(pc.predHint(pred)))
 			deg := pc.morselDegree(run, pc.Len())
-			if deg > 1 {
-				res, ferr := filterFullMorsel(k, a, pc.Len(), deg, buf)
-				rows = run.SwapRows(buf, res)
-				if ferr != nil {
-					run.RecycleRows(rows)
-					return nil, ferr
-				}
-			} else {
-				rows = run.SwapRows(buf, k.FilterBlock(a, 0, pc.Len(), buf))
+			full := [1]colstore.Range{{End: pc.Len()}}
+			res, ferr := filterRanges(k, a, full[:], deg, buf)
+			rows = run.SwapRows(buf, res)
+			if ferr != nil {
+				run.RecycleRows(rows)
+				return nil, ferr
 			}
 			owned = true
 			if ex != nil {
-				detail := pred.String()
-				if deg > 1 {
-					detail = fmt.Sprintf("%s [par %d]", detail, deg)
-				}
-				ex.Add(opFilterColumn, detail, pc.Len(), len(rows), time.Since(start))
+				ex.Add(opFilterColumn, parDetail(pred.String(), deg), pc.Len(), len(rows), time.Since(start))
 			}
 		case !owned:
 			// Copy-on-first-write: the caller keeps its slice untouched.

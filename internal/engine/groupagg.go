@@ -120,11 +120,12 @@ func (pc *PointCloud) GroupedAggregate(rows []int, key string, specs []GroupedAg
 	return pc.GroupedAggregateRun(nil, rows, key, specs, res, ex)
 }
 
-// groupPassCheckpoint is the block boundary between grouped-aggregation
-// passes (this layer executes operator-at-a-time, so "block" here is one
-// full accumulate pass): a fault-injection point plus one cancellation
-// poll. Pooled scratch is recycled by the caller before the error
-// propagates.
+// groupPassCheckpoint is the checkpoint every grouped driver (dense, hash,
+// tile) crosses before its accumulate passes fan out, with the run-scoped
+// slab already tracked: a fault-injection point plus one cancellation
+// poll. Inside a partition this layer executes operator-at-a-time — one
+// full accumulate pass is its "block" — and the token is polled between
+// passes.
 func groupPassCheckpoint(run *Run) error {
 	if err := faultpoint.Hit("engine.groupagg.pass"); err != nil {
 		return err
@@ -166,71 +167,40 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, spec
 	}
 	res.reset(len(specs))
 
-	// Strategy choice is independent of parallelism (so the recorded
-	// strategy and the output match the serial path exactly); within a
+	// Strategy choice is independent of the degree (so the recorded
+	// strategy and the output are the same at every degree); within a
 	// strategy, large inputs fan across the resident worker set when every
 	// spec merges exactly across partitions (specsMergeExact — sum/avg
-	// plans stay serial to keep sums bit-identical to the ascending fold).
-	par := 1
+	// plans pin degree 1 to keep sums bit-identical to the ascending fold).
+	deg := 1
 	if specsMergeExact(specs) {
-		par = pc.morselDegree(run, n)
+		deg = pc.morselDegree(run, n)
 	}
-
+	var err error
 	switch k := keyCol.(type) {
 	case *colstore.U8Column:
-		if err := groupDense8(run, pc, k.Values(), rows, all, n, specs, res, par); err != nil {
-			return err
-		}
 		res.Strategy = GroupDense
+		err = runDensePass(run, pc, k.Values(), nil, 1<<8, rows, all, n, specs, res, deg)
 	case *colstore.U16Column:
 		if n >= (1<<16)/denseMinRowsPerSlot {
-			if err := groupDense16(run, pc, k.Values(), rows, all, n, specs, res, par); err != nil {
-				return err
-			}
 			res.Strategy = GroupDense
+			err = runDensePass(run, pc, nil, k.Values(), 1<<16, rows, all, n, specs, res, deg)
 			break
 		}
-		if err := groupHashed(run, pc, keyCol, rows, all, n, specs, res, par); err != nil {
-			return err
-		}
 		res.Strategy = GroupHash
+		err = runHashPass(run, pc, keyCol, rows, all, n, specs, res, deg)
 	default:
-		if err := groupHashed(run, pc, keyCol, rows, all, n, specs, res, par); err != nil {
-			return err
-		}
 		res.Strategy = GroupHash
+		err = runHashPass(run, pc, keyCol, rows, all, n, specs, res, deg)
+	}
+	if err != nil {
+		return err
 	}
 	if ex != nil {
 		detail := fmt.Sprintf("%s key %s, %d aggs", res.Strategy, key, len(specs))
-		if par > 1 {
-			detail = fmt.Sprintf("%s [par %d]", detail, par)
-		}
-		ex.Add(opGroupAgg, detail, n, len(res.Keys), time.Since(start))
+		ex.Add(opGroupAgg, parDetail(detail, deg), n, len(res.Keys), time.Since(start))
 	}
 	return nil
-}
-
-// groupDense8 / groupDense16 / groupHashed pick the parallel or serial
-// arm of their strategy by degree.
-func groupDense8(run *Run, pc *PointCloud, keys []uint8, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, par int) error {
-	if par > 1 {
-		return denseGroupedMorsel(run, pc, keys, nil, 1<<8, rows, all, n, specs, res, par)
-	}
-	return denseGrouped(run, pc, keys, 1<<8, rows, all, n, specs, res)
-}
-
-func groupDense16(run *Run, pc *PointCloud, keys []uint16, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, par int) error {
-	if par > 1 {
-		return denseGroupedMorsel(run, pc, nil, keys, 1<<16, rows, all, n, specs, res, par)
-	}
-	return denseGrouped(run, pc, keys, 1<<16, rows, all, n, specs, res)
-}
-
-func groupHashed(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, par int) error {
-	if par > 1 {
-		return hashGroupedMorsel(run, pc, keyCol, rows, all, n, specs, res, par)
-	}
-	return hashGrouped(run, pc, keyCol, rows, all, n, specs, res)
 }
 
 // --- dense path ----------------------------------------------------------------
@@ -240,101 +210,59 @@ type denseKey interface {
 	~uint8 | ~uint16
 }
 
-// denseGrouped is the array-indexed strategy: one pooled bank of dom slots
-// per aggregate (plus the shared count bank), one column-at-a-time pass per
-// aggregate, then an ascending domain scan emits the non-empty groups — the
-// keys therefore come out already in FloatOrderKey order.
-func denseGrouped[K denseKey](run *Run, pc *PointCloud, keys []K, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult) error {
-	banks := run.trackF64(getF64Buf(dom * (1 + len(specs))))[:dom*(1+len(specs))]
-	if err := groupPassCheckpoint(run); err != nil {
-		run.recycleF64(banks)
-		return err
+// colSpan narrows a column's backing slice to a partition span: the
+// all-rows form scans vals[start:end] directly, the selection form gathers
+// through rows[start:end] and keeps the whole column addressable.
+func colSpan[V any](vals []V, all bool, start, end int) []V {
+	if all {
+		return vals[start:end]
 	}
-	cnt := banks[:dom]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	denseCount(keys, rows, all, cnt)
-	for j, s := range specs {
-		if err := groupPassCheckpoint(run); err != nil {
-			run.recycleF64(banks)
-			return err
-		}
-		bank := banks[(1+j)*dom : (2+j)*dom]
-		switch s.Fn {
-		case AggCount:
-			// Served from the shared count bank at emit time.
-		case AggMin:
-			for i := range bank {
-				bank[i] = math.Inf(1)
-			}
-			denseAccumCol(keys, pc.Column(s.Column), rows, all, AggMin, bank)
-		case AggMax:
-			for i := range bank {
-				bank[i] = math.Inf(-1)
-			}
-			denseAccumCol(keys, pc.Column(s.Column), rows, all, AggMax, bank)
-		default: // AggSum, AggAvg
-			for i := range bank {
-				bank[i] = 0
-			}
-			denseAccumCol(keys, pc.Column(s.Column), rows, all, AggSum, bank)
-		}
-	}
-	for k := 0; k < dom; k++ {
-		c := cnt[k]
-		if c == 0 {
-			continue
-		}
-		res.Keys = append(res.Keys, float64(k))
-		for j, s := range specs {
-			v := banks[(1+j)*dom+k]
-			switch s.Fn {
-			case AggCount:
-				v = c
-			case AggAvg:
-				v /= c
-			}
-			res.Cols[j] = append(res.Cols[j], v)
-		}
-	}
-	run.recycleF64(banks)
-	return nil
+	return vals
 }
 
-// denseCount is the group-size pass: one increment per selected row into the
-// key-indexed count bank.
-func denseCount[K denseKey](keys []K, rows []int, all bool, cnt []float64) {
+// denseCount is the group-size pass over the span [start, end) of the
+// selection: one increment per selected row into the key-indexed count bank.
+// Kept out of line: inlined into the partition body its loop inherits that
+// function's register pressure and reloads a spilled value on every row
+// (measured ~2x on this pass, ~5% on a whole dense grouped run).
+//
+//go:noinline
+func denseCount[K denseKey](keys []K, rows []int, all bool, start, end int, cnt []float64) {
 	if all {
-		for _, k := range keys {
+		for _, k := range keys[start:end] {
 			cnt[k]++
 		}
 		return
 	}
-	for _, r := range rows {
+	for _, r := range rows[start:end] {
 		cnt[keys[r]]++
 	}
 }
 
-// denseAccumCol dispatches one accumulate pass to the value column's
-// concrete type; the default arm preserves Column.Value semantics for types
-// without a typed fast path.
-func denseAccumCol[K denseKey](keys []K, col colstore.Column, rows []int, all bool, fn AggFunc, bank []float64) {
+// denseAccumCol dispatches one accumulate pass over the span [start, end)
+// of the selection to the value column's concrete type; the default arm
+// preserves Column.Value semantics for types without a typed fast path.
+func denseAccumCol[K denseKey](keys []K, col colstore.Column, rows []int, all bool, start, end int, fn AggFunc, bank []float64) {
+	if all {
+		keys = keys[start:end]
+	} else {
+		rows = rows[start:end]
+	}
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
 	case *colstore.I64Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
 	case *colstore.I32Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
 	case *colstore.U16Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
 	case *colstore.U8Column:
-		denseAccum(keys, c.Values(), rows, all, fn, bank)
+		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
 	default:
 		if all {
-			for i := range keys {
-				accumOne(fn, bank, int(keys[i]), col.Value(i))
+			for i, k := range keys {
+				accumOne(fn, bank, int(k), col.Value(start+i))
 			}
 			return
 		}
@@ -410,6 +338,50 @@ func accumOne(fn AggFunc, bank []float64, k int, v float64) {
 	}
 }
 
+// aggSeed is fn's fold identity: ±Inf for min/max (strict compares, so NaN
+// never wins and an empty group keeps the seed), zero for count/sum/avg.
+func aggSeed(fn AggFunc) float64 {
+	switch fn {
+	case AggMin:
+		return math.Inf(1)
+	case AggMax:
+		return math.Inf(-1)
+	}
+	return 0
+}
+
+// seedBank initialises a fold bank to fn's identity (pooled banks carry
+// stale contents).
+func seedBank(bank []float64, fn AggFunc) {
+	seed := aggSeed(fn)
+	for i := range bank {
+		bank[i] = seed
+	}
+}
+
+// foldBank folds a later partition's bank into partition 0's, slot for
+// slot: strict min/max compares, exact integer addition for counts.
+func foldBank(dst, src []float64, fn AggFunc) {
+	switch fn {
+	case AggMin:
+		for i, v := range src {
+			if v < dst[i] {
+				dst[i] = v
+			}
+		}
+	case AggMax:
+		for i, v := range src {
+			if v > dst[i] {
+				dst[i] = v
+			}
+		}
+	default:
+		for i, v := range src {
+			dst[i] += v
+		}
+	}
+}
+
 // --- hash path -----------------------------------------------------------------
 
 // groupHash is the open-addressed group table of the hash strategy. All
@@ -474,124 +446,27 @@ func (g *groupHash) grow() {
 	RecycleRows(old)
 }
 
-// hashGrouped is the general-key strategy: pass 0 assigns a group slot to
-// every selected row (recorded in a selection-aligned slot vector) while
-// counting group sizes; each aggregate then runs one re-hash-free
-// scatter-accumulate pass over the slot vector. Groups are emitted in
-// first-appearance order and sorted into FloatOrderKey order at the end.
-func hashGrouped(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult) error {
-	tabSize := 1 << 10
-	for tabSize < 4*n && tabSize < 1<<20 {
-		tabSize <<= 1
+// hashKeyCol dispatches pass 0 over the span [start, end) of the selection
+// to the key column's concrete type; slots is span-aligned (slots[i]
+// belongs to the span's i-th row).
+func hashKeyCol(col colstore.Column, rows []int, all bool, start, end int, g *groupHash, slots []int) {
+	if !all {
+		rows = rows[start:end]
 	}
-	// table, keys and cnt all grow during pass 0 (table through grow(),
-	// keys/cnt through slotOf's appends), which reallocates their backing
-	// arrays — so they register in the release list only after the pass
-	// (track-after-production). slots has a fixed bound and tracks at
-	// acquisition.
-	g := groupHash{
-		table: getRowBuf(tabSize)[:tabSize],
-		keys:  getF64Buf(64),
-		cnt:   getF64Buf(64),
-	}
-	for i := range g.table {
-		g.table[i] = 0
-	}
-	slots := run.TrackRows(getRowBuf(n))[:n]
-	hashKeyCol(keyCol, rows, all, &g, slots)
-	run.TrackRows(g.table)
-	run.trackF64(g.keys)
-	run.trackF64(g.cnt)
-
-	groups := len(g.keys)
-	// 2× groups: a fused min/max pair accumulates its lo and hi banks in
-	// one gather pass over the shared value column.
-	bank := run.trackF64(getF64Buf(2 * groups))
-	var fusedDone uint64
-	for j, s := range specs {
-		if j < 64 && fusedDone&(1<<uint(j)) != 0 {
-			continue // emitted by an earlier partner's fused pass
-		}
-		if err := groupPassCheckpoint(run); err != nil {
-			run.recycleF64(bank)
-			run.recycleF64(g.keys)
-			run.recycleF64(g.cnt)
-			run.RecycleRows(g.table)
-			run.RecycleRows(slots)
-			return err
-		}
-		if s.Fn == AggCount {
-			res.Cols[j] = append(res.Cols[j], g.cnt...)
-			continue
-		}
-		if s.Fn == AggMin || s.Fn == AggMax {
-			if k := fusePartner(specs, j); k >= 0 {
-				lo := bank[:groups]
-				hi := bank[groups : 2*groups]
-				for i := range lo {
-					lo[i] = math.Inf(1)
-					hi[i] = math.Inf(-1)
-				}
-				hashAccumMinMaxCol(pc.Column(s.Column), rows, all, slots, lo, hi)
-				jMin, jMax := j, k
-				if s.Fn == AggMax {
-					jMin, jMax = k, j
-				}
-				res.Cols[jMin] = append(res.Cols[jMin], lo...)
-				res.Cols[jMax] = append(res.Cols[jMax], hi...)
-				fusedDone |= 1 << uint(k)
-				continue
-			}
-		}
-		b := bank[:groups]
-		switch s.Fn {
-		case AggMin:
-			for i := range b {
-				b[i] = math.Inf(1)
-			}
-		case AggMax:
-			for i := range b {
-				b[i] = math.Inf(-1)
-			}
-		default:
-			for i := range b {
-				b[i] = 0
-			}
-		}
-		hashAccumCol(pc.Column(s.Column), rows, all, slots, s.Fn, b)
-		if s.Fn == AggAvg {
-			for i := range b {
-				b[i] /= g.cnt[i]
-			}
-		}
-		res.Cols[j] = append(res.Cols[j], b...)
-	}
-	res.Keys = append(res.Keys, g.keys...)
-	run.recycleF64(bank)
-	run.recycleF64(g.keys)
-	run.recycleF64(g.cnt)
-	run.RecycleRows(g.table)
-	run.RecycleRows(slots)
-	sortGrouped(res)
-	return nil
-}
-
-// hashKeyCol dispatches pass 0 to the key column's concrete type.
-func hashKeyCol(col colstore.Column, rows []int, all bool, g *groupHash, slots []int) {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(colSpan(c.Values(), all, start, end), rows, all, g, slots)
 	case *colstore.I64Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(colSpan(c.Values(), all, start, end), rows, all, g, slots)
 	case *colstore.I32Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(colSpan(c.Values(), all, start, end), rows, all, g, slots)
 	case *colstore.U16Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(colSpan(c.Values(), all, start, end), rows, all, g, slots)
 	case *colstore.U8Column:
-		hashKeys(c.Values(), rows, all, g, slots)
+		hashKeys(colSpan(c.Values(), all, start, end), rows, all, g, slots)
 	default:
 		for i := range slots {
-			r := i
+			r := start + i
 			if !all {
 				r = rows[i]
 			}
@@ -639,22 +514,27 @@ func fusePartner(specs []GroupedAggSpec, j int) int {
 	return -1
 }
 
-// hashAccumCol dispatches one accumulate pass to the value column type.
-func hashAccumCol(col colstore.Column, rows []int, all bool, slots []int, fn AggFunc, bank []float64) {
+// hashAccumCol dispatches one accumulate pass over the span [start, end)
+// of the selection, with its span-aligned slot vector, to the value column
+// type.
+func hashAccumCol(col colstore.Column, rows []int, all bool, start, end int, slots []int, fn AggFunc, bank []float64) {
+	if !all {
+		rows = rows[start:end]
+	}
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
 	case *colstore.I64Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
 	case *colstore.I32Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
 	case *colstore.U16Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
 	case *colstore.U8Column:
-		hashAccum(c.Values(), rows, all, slots, fn, bank)
+		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
 	default:
 		for i, s := range slots {
-			r := i
+			r := start + i
 			if !all {
 				r = rows[i]
 			}
@@ -699,23 +579,26 @@ func hashAccum[V number](vals []V, rows []int, all bool, slots []int, fn AggFunc
 	}
 }
 
-// hashAccumMinMaxCol dispatches one fused min+max gather pass to the
-// value column type.
-func hashAccumMinMaxCol(col colstore.Column, rows []int, all bool, slots []int, lo, hi []float64) {
+// hashAccumMinMaxCol dispatches one fused min+max gather pass over the
+// span [start, end) of the selection to the value column type.
+func hashAccumMinMaxCol(col colstore.Column, rows []int, all bool, start, end int, slots []int, lo, hi []float64) {
+	if !all {
+		rows = rows[start:end]
+	}
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
 	case *colstore.I64Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
 	case *colstore.I32Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
 	case *colstore.U16Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
 	case *colstore.U8Column:
-		hashAccumMinMax(c.Values(), rows, all, slots, lo, hi)
+		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
 	default:
 		for i, s := range slots {
-			r := i
+			r := start + i
 			if !all {
 				r = rows[i]
 			}

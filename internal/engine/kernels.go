@@ -139,12 +139,6 @@ func CompileFilter(col colstore.Column, pred ColumnPred) *BoundKernel {
 	return &BoundKernel{k: k, a: k.Bind(pred.Value, pred.Value2)}
 }
 
-// CompileRange compiles the inclusive range predicate lo <= v <= hi — the
-// shape produced by the imprint filter path — with the bounds pre-bound.
-func CompileRange(col colstore.Column, name string, lo, hi float64) *BoundKernel {
-	return CompileFilter(col, ColumnPred{Column: name, Op: CmpBetween, Value: lo, Value2: hi})
-}
-
 // --- scan machinery -----------------------------------------------------------
 
 // number covers the element types with typed kernel instantiations.

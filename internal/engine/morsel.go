@@ -1,39 +1,48 @@
-// Morsel-driven parallel execution (PR 8): the compiled filter kernels,
-// the fused min/max aggregate and the grouped-aggregate strategies fan
-// cache-sized partitions ("morsels") across the shared resident worker
-// set in internal/morsel — the pool promoted out of grid/parallel.go —
-// instead of running on a single core.
+// Morsel execution: every engine operator — block filter, fused
+// aggregate, dense and hash grouped aggregate, tile scatter — is ONE
+// partition body over a span [start, end) of its input plus one driver.
+// The driver picks a degree, runs the body once per partition through
+// morsel.Pass (which executes a single partition inline on the caller, so
+// serial execution is simply degree 1 of the same code), and folds
+// partitions 1..deg-1 into partition 0 in ascending order — a loop of zero
+// iterations at degree 1.
 //
-// Determinism contract: parallel output is bit-identical to the serial
-// path. That is cheap for filters (partitions are disjoint ascending row
-// ranges; concatenating partials in ascending-partition order IS the
-// serial order) and provable for count/min/max (counts are exact integers
-// in float64; min/max use strict compares seeded at ±Inf, so folding
-// per-partition results in ascending-partition order reproduces the
-// serial ascending fold bit-for-bit — equal-valued ties keep their
-// earliest winner and NaN never wins). It is NOT true for sum/avg: float
-// addition is not associative, and the aggregate-semantics invariant pins
-// sums bit-identical to the ascending row-at-a-time loop — so sum/avg
-// always run serial, and grouped plans containing them take the serial
-// strategy (specsMergeExact).
+// Partition 0 is the output: it appends into the caller's selection
+// vector, accumulates in the caller's tile banks, the dense base slab, the
+// hash table that becomes the global table and the result columns
+// themselves. Only partitions >= 1 draw scratch, so degree 1 pays no copy
+// and no merge.
 //
-// Degree selection: SetMaxParallel on the run caps the fan-out (the SQL
-// layer sets it per run; 0 defers to PointCloud.Parallel); morselDegree
-// then clamps by the driving row count so each partition carries at least
-// morselMinRows rows — small selections stay serial, where fan-out costs
-// more than it saves.
+// Determinism contract: output is bit-identical at every degree. That is
+// cheap for filters (partitions are disjoint ascending row ranges;
+// concatenating partials in ascending-partition order IS row order) and
+// provable for count/min/max (counts are exact integers in float64;
+// min/max use strict compares seeded at ±Inf, so folding per-partition
+// results in ascending-partition order reproduces the ascending row fold
+// bit-for-bit — equal-valued ties keep their earliest winner and NaN never
+// wins). It is NOT true for sum/avg: float addition is not associative,
+// and the aggregate-semantics invariant pins sums bit-identical to the
+// ascending row-at-a-time loop — so an operator carrying a sum or avg runs
+// at degree 1 (specsMergeExact), where one running accumulator crosses
+// every block boundary and nothing is ever reassociated.
 //
-// Lifecycle contract (PR 6): per-worker scratch is pooled and registered
-// on a per-worker release path — each RunPartition drains exactly the
-// buffers it acquired before letting a panic escape, the pass machinery
-// parks per-slot panics until every partition settles, and the driver
-// recycles all surviving partials before re-raising the first panic for
-// the query layer's recovery. Workers poll the run's cancel token at
-// block boundaries (scanChunk blocks in the fold loops, one accumulate
-// pass in the grouped strategies); a fired token surfaces from the driver
-// with every buffer back in its pool. The engine.morsel.worker and
+// Degree selection lives in morselDegree alone: SetMaxParallel on the run
+// caps the fan-out (the SQL layer sets it per run; 0 defers to
+// PointCloud.Parallel), clamped by the driving row count so each partition
+// carries at least morselMinRows rows — small inputs stay at degree 1,
+// where fan-out costs more than it saves.
+//
+// Lifecycle contract (PR 6): partition scratch is pooled and owned by the
+// pass — a partition either recycles what it drew before letting a panic
+// escape or parks it in its pass slot, the pass machinery holds per-slot
+// panics until every partition settles, and the driver recycles every
+// surviving partial before re-raising the first panic for the query
+// layer's recovery. Partitions poll the run's cancel token at block
+// boundaries (scanChunk blocks in the fold loops, one accumulate pass in
+// the grouped strategies); a fired token surfaces from the driver with
+// every buffer back in its pool. The engine.morsel.worker and
 // engine.morsel.merge faultpoints prove both paths under -tags
-// faultinject.
+// faultinject; they fire only when a pass actually fans out (deg > 1).
 package engine
 
 import (
@@ -48,14 +57,15 @@ import (
 )
 
 // morselMinRows is the minimum row count per partition: below two
-// partitions' worth the serial path wins (this reproduces the old 1<<17
-// parallel crossover of the indexed range filter at degree 2).
+// partitions' worth degree 1 wins (this reproduces the old 1<<17 parallel
+// crossover of the indexed range filter and of grid refinement).
 const morselMinRows = 1 << 16
 
 // morselDegree picks the fan-out degree for an operator driving rows
 // rows: the run's explicit cap (SetMaxParallel), else the resident worker
 // count when the table opted into auto-parallel execution, clamped so
-// every partition carries at least morselMinRows rows. 1 means serial.
+// every partition carries at least morselMinRows rows. 1 means the whole
+// input is partition 0, executed on the caller.
 func (pc *PointCloud) morselDegree(run *Run, rows int) int {
 	limit := run.MaxParallel()
 	if limit == 0 {
@@ -75,6 +85,42 @@ func (pc *PointCloud) morselDegree(run *Run, rows int) int {
 		d = limit
 	}
 	return d
+}
+
+// specsMergeExact reports whether every requested aggregate merges
+// exactly across partitions: count (exact integer arithmetic in float64)
+// and min/max (strict folds, order-associative). Sum and avg are
+// excluded — float addition is not associative, and the aggregate
+// semantics contract pins sums bit-identical to the ascending
+// row-at-a-time fold — so plans containing them run at degree 1.
+func specsMergeExact(specs []GroupedAggSpec) bool {
+	for _, s := range specs {
+		switch s.Fn {
+		case AggCount, AggMin, AggMax:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// hitMorselWorker is the top-of-partition fault point. It fires only when
+// the pass fans out: a degree-1 run must never look like a worker.
+func hitMorselWorker(deg int) {
+	if deg > 1 {
+		if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// hitMorselMerge is the fault point ahead of the ascending fold; like the
+// worker point it exists only when there is something to fold.
+func hitMorselMerge(deg int) error {
+	if deg > 1 {
+		return faultpoint.Hit("engine.morsel.merge")
+	}
+	return nil
 }
 
 // passFree is the mutex-backed free list behind the pooled operator pass
@@ -106,11 +152,12 @@ func (p *passFree[T]) put(t *T) {
 	}
 }
 
-// --- parallel block filter ------------------------------------------------------
+// --- block filter ---------------------------------------------------------------
 
-// filterPass is the pooled fan-out scaffolding of one parallel
-// block-filter pass: the partition storage, the compiled kernel with its
-// bound constant record, and the per-partition result slots.
+// filterPass is the pooled scaffolding of one block-filter pass: the
+// partition storage, the compiled kernel with its bound constant record,
+// the caller's output vector (partition 0) and the result slots of
+// partitions >= 1.
 type filterPass struct {
 	pass    morsel.Pass
 	partBuf []colstore.Range
@@ -119,252 +166,152 @@ type filterPass struct {
 	results [][]int
 	k       *Kernel
 	a       KernelArgs
-	full    [1]colstore.Range // candidate storage for the full-column drive
+	out     []int
 }
 
 var filterPasses passFree[filterPass]
 
-// RunPartition drives the block kernel over one partition's ranges into a
-// pooled per-worker selection vector — this slot's release entry. On a
-// panic the buffer goes straight back to its pool and the result slot is
-// cleared before the panic re-raises into the morsel recovery.
+// RunPartition drives the block kernel over one partition's ranges.
+// Partition 0 appends straight into the caller's vector; later partitions
+// fill a pooled vector of their own — that slot's release entry, which
+// goes back to its pool before a panic re-raises into the morsel recovery.
 // Cancellation is polled inside FilterBlock per scanChunk block (the
 // token rides in the bound args), so a fired token leaves a partial
-// vector the driver discards.
+// vector the caller discards.
 func (fp *filterPass) RunPartition(slot int) {
-	part := fp.parts[slot]
-	buf := getRowBuf(colstore.RangesLen(part))
-	defer func() {
-		if p := recover(); p != nil {
-			fp.results[slot] = nil
-			rowPool.Put(buf)
-			panic(p)
-		}
-	}()
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
+	buf := fp.out
+	if slot > 0 {
+		buf = getRowBuf(colstore.RangesLen(fp.parts[slot]))
+		defer func() {
+			if p := recover(); p != nil {
+				fp.results[slot] = nil
+				rowPool.Put(buf)
+				panic(p)
+			}
+		}()
 	}
-	for _, r := range part {
+	hitMorselWorker(len(fp.parts))
+	for _, r := range fp.parts[slot] {
 		buf = fp.k.FilterBlock(fp.a, r.Start, r.End, buf)
 	}
 	fp.results[slot] = buf
 }
 
-// drain recycles every surviving per-partition result.
-func (fp *filterPass) drain() {
-	for i := range fp.results {
-		if fp.results[i] != nil {
-			rowPool.Put(fp.results[i])
-			fp.results[i] = nil
-		}
-	}
-}
-
-func (fp *filterPass) release() {
-	fp.k = nil
-	fp.a = KernelArgs{}
-}
-
-// filterFullMorsel fans the block kernel over the whole column [0, n) in
-// deg partitions — the first-predicate fast path, which needs no
-// candidate ranges.
-func filterFullMorsel(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
-	fp := filterPasses.get()
-	fp.full[0] = colstore.Range{End: n}
-	return runFilterPass(fp, k, a, fp.full[:1], deg, out)
-}
-
-// filterBlocksMorsel fans the block kernel over the candidate ranges in
-// deg partitions, appending matches to out.
-func filterBlocksMorsel(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
-	return runFilterPass(filterPasses.get(), k, a, cand, deg, out)
-}
-
-// runFilterPass splits cand (via the shared grid partitioner), fans the
-// partitions across the resident worker set and concatenates the partial
-// vectors in ascending-partition order — partitions are disjoint
-// ascending row ranges, so the result is bit-identical to the serial
-// block drive. A partition panic re-raises here after all partitions
+// filterRanges drives the block kernel over the candidate ranges in deg
+// partitions (split by the shared grid partitioner), appending matches to
+// out. Partitions are disjoint ascending row ranges, so concatenating
+// partitions 1.. behind partition 0 in ascending order is row order at
+// every degree. A partition panic re-raises here after all partitions
 // settle, with every surviving partial already recycled; the merge
 // faultpoint's error path proves the same accounting without a panic.
-func runFilterPass(fp *filterPass, k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
-	fp.k, fp.a = k, a
+func filterRanges(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
+	fp := filterPasses.get()
+	fp.k, fp.a, fp.out = k, a, out
 	fp.partBuf, fp.cuts, fp.parts = grid.SplitRangesInto(cand, deg, fp.partBuf, fp.cuts, fp.parts)
 	n := len(fp.parts)
 	if cap(fp.results) < n {
 		fp.results = make([][]int, n)
 	}
 	fp.results = fp.results[:n]
-	if p := fp.pass.Run(n, fp); p != nil {
-		fp.drain()
-		fp.release()
-		filterPasses.put(fp)
+	p := fp.pass.Run(n, fp)
+	var err error
+	if p == nil {
+		err = hitMorselMerge(n)
+	}
+	if n > 0 {
+		out = fp.results[0]
+	}
+	for i := 1; i < n; i++ {
+		if p == nil && err == nil {
+			out = append(out, fp.results[i]...)
+		}
+		rowPool.Put(fp.results[i])
+	}
+	clear(fp.results)
+	fp.k, fp.a, fp.out = nil, KernelArgs{}, nil
+	filterPasses.put(fp)
+	if p != nil {
 		panic(p)
 	}
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
-		fp.drain()
-		fp.release()
-		filterPasses.put(fp)
-		return out, err
-	}
-	for i := range fp.results {
-		if fp.results[i] != nil {
-			out = append(out, fp.results[i]...)
-			rowPool.Put(fp.results[i])
-			fp.results[i] = nil
-		}
-	}
-	fp.release()
-	filterPasses.put(fp)
-	return out, nil
+	return out, err
 }
 
-// --- parallel fused min/max aggregate -------------------------------------------
+// --- fused sum/min/max aggregate ------------------------------------------------
 
-// aggPass is the pooled fan-out scaffolding of one parallel min/max
-// aggregate: partition bounds are computed from (n, deg) per slot, and
-// the per-slot partial folds land in preallocated banks — workers own no
-// pooled buffers, so a partition panic has nothing to drain.
+// aggFold is one partition's fused fold result.
+type aggFold struct{ sum, lo, hi float64 }
+
+// aggPass is the pooled scaffolding of one fused aggregate pass. Partition
+// bounds derive from (n, len(folds)) per slot and the folds land in
+// preallocated slots — partitions own no pooled buffers, so a partition
+// panic has nothing to drain.
 type aggPass struct {
-	pass     morsel.Pass
-	col      colstore.Column
-	rows     []int
-	all      bool
-	n, deg   int
-	los, his []float64
-	tok      *cancel.Token
+	pass  morsel.Pass
+	col   colstore.Column
+	rows  []int
+	all   bool
+	n     int
+	folds []aggFold
+	tok   *cancel.Token
 }
 
 var aggPasses passFree[aggPass]
 
-// RunPartition folds one partition's min/max in scanChunk blocks,
-// polling the run's token at every block boundary. Strict folds in
-// ascending block order reproduce the serial ascending fold bit-for-bit.
+// RunPartition folds one partition's sum/min/max in scanChunk blocks,
+// polling the run's token at every block boundary. The accumulators are
+// carried ACROSS blocks (never sum += blockSum, which would reassociate),
+// so the fold is the ascending row-at-a-time fold whatever the block size.
 func (ap *aggPass) RunPartition(slot int) {
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	start := slot * ap.n / ap.deg
-	end := (slot + 1) * ap.n / ap.deg
-	for b := start; b < end; b += scanChunk {
+	deg := len(ap.folds)
+	hitMorselWorker(deg)
+	sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+	end := (slot + 1) * ap.n / deg
+	for b := slot * ap.n / deg; b < end; b += scanChunk {
 		if ap.tok.Cancelled() {
 			break
 		}
-		be := min(b+scanChunk, end)
-		var blo, bhi float64
-		if ap.all {
-			_, blo, bhi = aggColumnSpan(ap.col, b, be)
-		} else {
-			_, blo, bhi = aggColumn(ap.col, ap.rows[b:be], false)
-		}
-		if blo < lo {
-			lo = blo
-		}
-		if bhi > hi {
-			hi = bhi
-		}
+		sum, lo, hi = aggColumn(ap.col, ap.rows, ap.all, b, min(b+scanChunk, end), sum, lo, hi)
 	}
-	ap.los[slot], ap.his[slot] = lo, hi
+	ap.folds[slot] = aggFold{sum, lo, hi}
 }
 
-func (ap *aggPass) release() {
-	ap.col = nil
-	ap.rows = nil
-	ap.tok = nil
-}
-
-// aggMorsel computes the fused min/max over the selection in deg
-// partitions and folds the partials in ascending-partition order —
-// bit-identical to the serial fold (see the package comment).
-func aggMorsel(run *Run, col colstore.Column, rows []int, all bool, n, deg int) (lo, hi float64, err error) {
+// runAggPass computes the fused sum/min/max over the selection in deg
+// partitions and folds min/max of partitions 1.. into partition 0 in
+// ascending order. The sum is partition 0's alone: callers that read it
+// pass deg == 1 (sum/avg pin the degree), where partition 0 is the whole
+// selection.
+func runAggPass(run *Run, col colstore.Column, rows []int, all bool, n, deg int) (sum, lo, hi float64, err error) {
 	ap := aggPasses.get()
-	ap.col, ap.rows, ap.all = col, rows, all
-	ap.n, ap.deg = n, deg
+	ap.col, ap.rows, ap.all, ap.n = col, rows, all, n
 	ap.tok = run.Token()
-	if cap(ap.los) < deg {
-		ap.los = make([]float64, deg)
-		ap.his = make([]float64, deg)
+	if cap(ap.folds) < deg {
+		ap.folds = make([]aggFold, deg)
 	}
-	ap.los, ap.his = ap.los[:deg], ap.his[:deg]
-	if p := ap.pass.Run(deg, ap); p != nil {
-		ap.release()
-		aggPasses.put(ap)
+	ap.folds = ap.folds[:deg]
+	p := ap.pass.Run(deg, ap)
+	f := ap.folds[0]
+	for _, w := range ap.folds[1:] {
+		if w.lo < f.lo {
+			f.lo = w.lo
+		}
+		if w.hi > f.hi {
+			f.hi = w.hi
+		}
+	}
+	ap.col, ap.rows, ap.tok = nil, nil, nil
+	aggPasses.put(ap)
+	if p != nil {
 		panic(p)
 	}
-	if ferr := faultpoint.Hit("engine.morsel.merge"); ferr != nil {
-		ap.release()
-		aggPasses.put(ap)
-		return 0, 0, ferr
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for s := 0; s < deg; s++ {
-		if ap.los[s] < lo {
-			lo = ap.los[s]
-		}
-		if ap.his[s] > hi {
-			hi = ap.his[s]
-		}
-	}
-	ap.release()
-	aggPasses.put(ap)
-	return lo, hi, nil
+	return f.sum, f.lo, f.hi, hitMorselMerge(deg)
 }
 
-// aggColumnSpan is aggColumn over the index span [lo, hi) of the full
-// column — the all-rows partition arm.
-func aggColumnSpan(col colstore.Column, lo, hi int) (sum, l, h float64) {
-	switch t := col.(type) {
-	case *colstore.F64Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.I64Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.I32Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.U16Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	case *colstore.U8Column:
-		return aggVals(t.Values()[lo:hi], nil, true)
-	default:
-		l, h = math.Inf(1), math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			v := col.Value(i)
-			sum += v
-			if v < l {
-				l = v
-			}
-			if v > h {
-				h = v
-			}
-		}
-		return sum, l, h
-	}
-}
+// --- dense grouped aggregation --------------------------------------------------
 
-// --- parallel grouped aggregation -----------------------------------------------
-
-// specsMergeExact reports whether every requested aggregate merges
-// exactly across partitions: count (exact integer arithmetic in float64)
-// and min/max (strict folds, order-associative). Sum and avg are
-// excluded — float addition is not associative, and the aggregate
-// semantics contract pins sums bit-identical to the ascending
-// row-at-a-time fold — so plans containing them run the serial strategy.
-func specsMergeExact(specs []GroupedAggSpec) bool {
-	for _, s := range specs {
-		switch s.Fn {
-		case AggCount, AggMin, AggMax:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// densePass is the pooled fan-out scaffolding of one parallel dense
-// grouped pass. Per-worker accumulator banks are disjoint slabs of one
-// run-tracked buffer (banks), so workers own no pooled buffers and a
-// partition panic has nothing to drain — the driver recycles the slab.
-// Exactly one of keys8/keys16 is set.
+// densePass is the pooled scaffolding of one dense grouped pass. Partition
+// banks are disjoint slabs of one run-tracked buffer — slab 0 is the base
+// the emit reads — so partitions own no pooled buffers and a partition
+// panic has nothing to drain. Exactly one of keys8/keys16 is set.
 type densePass struct {
 	pass        morsel.Pass
 	keys8       []uint8
@@ -372,8 +319,7 @@ type densePass struct {
 	pc          *PointCloud
 	rows        []int
 	all         bool
-	n, deg      int
-	dom, stride int
+	n, deg, dom int
 	specs       []GroupedAggSpec
 	banks       []float64
 	tok         *cancel.Token
@@ -389,159 +335,97 @@ func (dp *densePass) RunPartition(slot int) {
 	densePartition(dp, dp.keys16, slot)
 }
 
-func (dp *densePass) release() {
-	dp.keys8, dp.keys16 = nil, nil
-	dp.pc, dp.rows = nil, nil
-	dp.specs, dp.banks = nil, nil
-	dp.tok = nil
-}
-
 // densePartition runs the dense count + accumulate passes over one
-// partition into this slot's bank slab. One accumulate pass is this
-// layer's block (as in groupPassCheckpoint), so the token is polled
-// between passes.
+// partition into this slot's bank slab: one column-at-a-time pass per
+// aggregate. One accumulate pass is this layer's block, so the token is
+// polled between passes.
 func densePartition[K denseKey](dp *densePass, keys []K, slot int) {
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
-	bank := dp.banks[slot*dp.stride : (slot+1)*dp.stride]
-	cnt := bank[:dp.dom]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	start := slot * dp.n / dp.deg
-	end := (slot + 1) * dp.n / dp.deg
-	if dp.all {
-		denseCount(keys[start:end], nil, true, cnt)
-	} else {
-		denseCount(keys, dp.rows[start:end], false, cnt)
-	}
+	hitMorselWorker(dp.deg)
+	stride := dp.dom * (1 + len(dp.specs))
+	bank := dp.banks[slot*stride : (slot+1)*stride]
+	start, end := slot*dp.n/dp.deg, (slot+1)*dp.n/dp.deg
+	seedBank(bank[:dp.dom], AggCount)
+	denseCount(keys, dp.rows, dp.all, start, end, bank[:dp.dom])
 	for j, s := range dp.specs {
+		if s.Fn == AggCount {
+			continue // served from the shared count bank at emit time
+		}
 		if dp.tok.Cancelled() {
 			return
 		}
 		b := bank[(1+j)*dp.dom : (2+j)*dp.dom]
-		switch s.Fn {
-		case AggCount:
-			// Served from the shared count bank at emit time.
-		case AggMin:
-			for i := range b {
-				b[i] = math.Inf(1)
-			}
-			denseAccumPart(keys, dp.pc.Column(s.Column), dp.rows, dp.all, start, end, AggMin, b)
-		case AggMax:
-			for i := range b {
-				b[i] = math.Inf(-1)
-			}
-			denseAccumPart(keys, dp.pc.Column(s.Column), dp.rows, dp.all, start, end, AggMax, b)
-		}
+		seedBank(b, s.Fn)
+		denseAccumCol(keys, dp.pc.Column(s.Column), dp.rows, dp.all, start, end, s.Fn, b)
 	}
 }
 
-// denseAccumPart is denseAccumCol restricted to the partition span
-// [start, end) of the selection (or of the full column when all).
-func denseAccumPart[K denseKey](keys []K, col colstore.Column, rows []int, all bool, start, end int, fn AggFunc, bank []float64) {
-	if !all {
-		denseAccumCol(keys, col, rows[start:end], false, fn, bank)
-		return
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.I64Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.I32Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.U16Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	case *colstore.U8Column:
-		denseAccum(keys[start:end], c.Values()[start:end], nil, true, fn, bank)
-	default:
-		for i := start; i < end; i++ {
-			accumOne(fn, bank, int(keys[i]), col.Value(i))
-		}
-	}
-}
-
-// denseGroupedMorsel is the parallel dense strategy: per-worker bank
-// slabs over one run-tracked buffer, merged in ascending-partition order
-// (counts sum exactly; min/max fold strictly), then the serial ascending
-// domain emit. Output is bit-identical to denseGrouped. Exactly one of
-// keys8/keys16 is non-nil; every spec is count/min/max (specsMergeExact).
-func denseGroupedMorsel(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
+// runDensePass is the array-indexed strategy: per-partition slabs of dom
+// slots per aggregate (plus the shared count bank), slabs 1.. folded into
+// the base slab in ascending order (counts sum exactly; min/max fold
+// strictly; sum/avg only ever see degree 1), then an ascending domain
+// scan emits the non-empty groups — the keys therefore come out already
+// in FloatOrderKey order. Exactly one of keys8/keys16 is non-nil.
+func runDensePass(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
 	stride := dom * (1 + len(specs))
 	banks := run.trackF64(getF64Buf(deg * stride))[:deg*stride]
+	defer run.recycleF64(banks)
+	if err := groupPassCheckpoint(run); err != nil {
+		return err
+	}
 	dp := densePasses.get()
 	dp.keys8, dp.keys16 = keys8, keys16
 	dp.pc, dp.rows, dp.all = pc, rows, all
-	dp.n, dp.deg, dp.dom, dp.stride = n, deg, dom, stride
+	dp.n, dp.deg, dp.dom = n, deg, dom
 	dp.specs, dp.banks = specs, banks
 	dp.tok = run.Token()
-	if p := dp.pass.Run(deg, dp); p != nil {
-		dp.release()
-		densePasses.put(dp)
-		run.recycleF64(banks)
+	p := dp.pass.Run(deg, dp)
+	dp.keys8, dp.keys16, dp.pc, dp.rows, dp.specs, dp.banks, dp.tok = nil, nil, nil, nil, nil, nil, nil
+	densePasses.put(dp)
+	if p != nil {
 		panic(p)
 	}
-	dp.release()
-	densePasses.put(dp)
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
-		run.recycleF64(banks)
+	if err := hitMorselMerge(deg); err != nil {
 		return err
 	}
 	if run.Cancelled() {
-		run.recycleF64(banks)
 		return cancel.ErrCancelled
 	}
 	base := banks[:stride]
 	for w := 1; w < deg; w++ {
 		wb := banks[w*stride : (w+1)*stride]
-		for k := 0; k < dom; k++ {
-			base[k] += wb[k]
-		}
+		foldBank(base[:dom], wb[:dom], AggCount)
 		for j, s := range specs {
-			bb := base[(1+j)*dom : (2+j)*dom]
-			sb := wb[(1+j)*dom : (2+j)*dom]
-			switch s.Fn {
-			case AggMin:
-				for k := range bb {
-					if sb[k] < bb[k] {
-						bb[k] = sb[k]
-					}
-				}
-			case AggMax:
-				for k := range bb {
-					if sb[k] > bb[k] {
-						bb[k] = sb[k]
-					}
-				}
+			if s.Fn != AggCount {
+				foldBank(base[(1+j)*dom:(2+j)*dom], wb[(1+j)*dom:(2+j)*dom], s.Fn)
 			}
 		}
 	}
-	cnt := base[:dom]
-	for k := 0; k < dom; k++ {
-		c := cnt[k]
+	for k, c := range base[:dom] {
 		if c == 0 {
 			continue
 		}
 		res.Keys = append(res.Keys, float64(k))
 		for j, s := range specs {
 			v := base[(1+j)*dom+k]
-			if s.Fn == AggCount {
+			switch s.Fn {
+			case AggCount:
 				v = c
+			case AggAvg:
+				v /= c
 			}
 			res.Cols[j] = append(res.Cols[j], v)
 		}
 	}
-	run.recycleF64(banks)
 	return nil
 }
 
-// hashPass is the pooled fan-out scaffolding of one parallel hash
-// grouped pass. Each worker builds a local group table, slot vector and
-// accumulator bank over its partition — the per-worker release list: the
-// slot's deferred recover drains exactly what the partition acquired
-// before a panic re-raises, and the driver drains every surviving slot.
+// --- hash grouped aggregation ---------------------------------------------------
+
+// hashPass is the pooled scaffolding of one hash grouped pass. Each
+// partition builds a local group table, a span-aligned slot vector and
+// (partitions >= 1) an accumulator bank, published in its pass slot as
+// they are drawn — so whichever way a partition ends, the driver's finish
+// recycles exactly what was acquired.
 type hashPass struct {
 	pass   morsel.Pass
 	keyCol colstore.Column
@@ -549,8 +433,8 @@ type hashPass struct {
 	pc     *PointCloud
 	rows   []int
 	all    bool
-	n, deg int
-	nacc   int // min/max specs; count folds from the local group counts
+	n      int
+	res    *GroupedResult
 	gs     []groupHash
 	slotsv [][]int
 	banks  [][]float64
@@ -559,350 +443,172 @@ type hashPass struct {
 
 var hashPasses passFree[hashPass]
 
-// RunPartition builds this partition's local groups: pass 0 assigns local
-// slots while counting, then one accumulate pass per min/max spec (the
-// block boundary, polled like groupPassCheckpoint). Results park in the
-// per-slot fields for the ascending merge.
+// RunPartition builds this partition's groups: pass 0 assigns a local
+// group slot to every row of the span (recorded in the slot vector) while
+// counting group sizes; each aggregate then runs one re-hash-free
+// scatter-accumulate pass over the slot vector (the block boundary, where
+// the token is polled), a min/max pair over one column sharing a single
+// fused gather pass.
 func (hp *hashPass) RunPartition(slot int) {
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
-	start := slot * hp.n / hp.deg
-	end := (slot + 1) * hp.n / hp.deg
+	deg := len(hp.gs)
+	hitMorselWorker(deg)
+	start, end := slot*hp.n/deg, (slot+1)*hp.n/deg
 	pn := end - start
 	tabSize := 1 << 10
 	for tabSize < 4*pn && tabSize < 1<<20 {
 		tabSize <<= 1
 	}
-	g := groupHash{
+	hp.gs[slot] = groupHash{
 		table: getRowBuf(tabSize)[:tabSize],
 		keys:  getF64Buf(64),
 		cnt:   getF64Buf(64),
 	}
-	var slots []int
-	var bank []float64
-	defer func() {
-		if p := recover(); p != nil {
-			rowPool.Put(g.table)
-			f64Pool.Put(g.keys)
-			f64Pool.Put(g.cnt)
-			if slots != nil {
-				rowPool.Put(slots)
-			}
-			if bank != nil {
-				f64Pool.Put(bank)
-			}
-			hp.gs[slot] = groupHash{}
-			hp.slotsv[slot] = nil
-			hp.banks[slot] = nil
-			panic(p)
-		}
-	}()
-	for i := range g.table {
-		g.table[i] = 0
-	}
-	slots = getRowBuf(pn)[:pn]
-	hashKeysPart(hp.keyCol, hp.rows, hp.all, start, end, &g, slots)
-	if hp.nacc > 0 {
-		groups := len(g.keys)
-		bank = getF64Buf(hp.nacc * groups)[:hp.nacc*groups]
-		ai := 0
-		var fusedDone uint64
-		for j, s := range hp.specs {
-			if s.Fn != AggMin && s.Fn != AggMax {
-				continue
-			}
-			if j < 64 && fusedDone&(1<<uint(j)) != 0 {
-				ai++ // segment filled by an earlier partner's fused pass
-				continue
-			}
-			if hp.tok.Cancelled() {
-				break
-			}
-			b := bank[ai*groups : (ai+1)*groups]
-			if k := fusePartner(hp.specs, j); k >= 0 {
-				// The partner's bank segment sits at its own min/max
-				// ordinal; the layout is unchanged, so the driver's
-				// ascending merge needs no fusion awareness.
-				pai := ai + 1
-				for m := j + 1; m < k; m++ {
-					if hp.specs[m].Fn == AggMin || hp.specs[m].Fn == AggMax {
-						pai++
-					}
-				}
-				pb := bank[pai*groups : (pai+1)*groups]
-				lo, hi := b, pb
-				if s.Fn == AggMax {
-					lo, hi = pb, b
-				}
-				for i := range lo {
-					lo[i] = math.Inf(1)
-					hi[i] = math.Inf(-1)
-				}
-				hashAccumMinMaxPart(hp.pc.Column(s.Column), hp.rows, hp.all, start, end, slots, lo, hi)
-				fusedDone |= 1 << uint(k)
-				ai++
-				continue
-			}
-			seed := math.Inf(1)
-			if s.Fn == AggMax {
-				seed = math.Inf(-1)
-			}
-			for i := range b {
-				b[i] = seed
-			}
-			hashAccumPart(hp.pc.Column(s.Column), hp.rows, hp.all, start, end, slots, s.Fn, b)
-			ai++
-		}
-	}
-	hp.gs[slot] = g
+	g := &hp.gs[slot]
+	clear(g.table)
+	slots := getRowBuf(pn)[:pn]
 	hp.slotsv[slot] = slots
-	hp.banks[slot] = bank
+	hashKeyCol(hp.keyCol, hp.rows, hp.all, start, end, g, slots)
+	groups := len(g.keys)
+	if slot > 0 {
+		hp.banks[slot] = getF64Buf(len(hp.specs) * groups)[:len(hp.specs)*groups]
+	}
+	var fused uint64
+	for j, s := range hp.specs {
+		if s.Fn == AggCount || (j < 64 && fused&(1<<uint(j)) != 0) {
+			continue // served from the group counts / an earlier partner's fused pass
+		}
+		if hp.tok.Cancelled() {
+			return
+		}
+		b := hp.segment(slot, j, groups)
+		col := hp.pc.Column(s.Column)
+		if s.Fn == AggMin || s.Fn == AggMax {
+			if k := fusePartner(hp.specs, j); k >= 0 {
+				lo, hi := b, hp.segment(slot, k, groups)
+				if s.Fn == AggMax {
+					lo, hi = hi, lo
+				}
+				seedBank(lo, AggMin)
+				seedBank(hi, AggMax)
+				hashAccumMinMaxCol(col, hp.rows, hp.all, start, end, slots, lo, hi)
+				fused |= 1 << uint(k)
+				continue
+			}
+		}
+		seedBank(b, s.Fn)
+		hashAccumCol(col, hp.rows, hp.all, start, end, slots, s.Fn, b)
+	}
 }
 
-// drain recycles every surviving per-worker buffer (slots that panicked
-// already drained their own and cleared their fields).
-func (hp *hashPass) drain() {
+// segment returns spec j's groups-long accumulator for a partition:
+// partition 0 accumulates straight into the result column, later
+// partitions into their scratch bank.
+func (hp *hashPass) segment(slot, j, groups int) []float64 {
+	if slot > 0 {
+		return hp.banks[slot][j*groups : (j+1)*groups]
+	}
+	col := hp.res.Cols[j]
+	if cap(col) < groups {
+		col = make([]float64, groups)
+	}
+	hp.res.Cols[j] = col[:groups]
+	return hp.res.Cols[j]
+}
+
+// finish recycles every partition buffer and returns the pass to its free
+// list; deferred by the driver so it runs on every exit path, the
+// re-raised partition panic included.
+func (hp *hashPass) finish() {
 	for w := range hp.gs {
-		if hp.gs[w].table != nil {
-			rowPool.Put(hp.gs[w].table)
-			f64Pool.Put(hp.gs[w].keys)
-			f64Pool.Put(hp.gs[w].cnt)
-			hp.gs[w] = groupHash{}
-		}
-		if hp.slotsv[w] != nil {
-			rowPool.Put(hp.slotsv[w])
-			hp.slotsv[w] = nil
-		}
-		if hp.banks[w] != nil {
-			f64Pool.Put(hp.banks[w])
-			hp.banks[w] = nil
-		}
+		rowPool.Put(hp.gs[w].table)
+		f64Pool.Put(hp.gs[w].keys)
+		f64Pool.Put(hp.gs[w].cnt)
+		rowPool.Put(hp.slotsv[w])
+		f64Pool.Put(hp.banks[w])
 	}
+	clear(hp.gs)
+	clear(hp.slotsv)
+	clear(hp.banks)
+	hp.keyCol, hp.specs, hp.pc, hp.rows, hp.res, hp.tok = nil, nil, nil, nil, nil, nil
+	hashPasses.put(hp)
 }
 
-func (hp *hashPass) release() {
-	hp.keyCol = nil
-	hp.specs = nil
-	hp.pc = nil
-	hp.rows = nil
-	hp.tok = nil
-}
-
-// hashKeysPart is hashKeyCol restricted to the partition span [start,
-// end): local slot assignment only needs the key VALUES, so the all-rows
-// arm subslices the column and the selection arm subslices rows.
-func hashKeysPart(col colstore.Column, rows []int, all bool, start, end int, g *groupHash, slots []int) {
-	if !all {
-		hashKeyCol(col, rows[start:end], false, g, slots)
-		return
+// runHashPass is the general-key strategy: per-partition group tables
+// over disjoint spans, partitions 1.. merged into partition 0's table in
+// ascending order. Ascending merge makes the global first-appearance
+// order the row order (partition w's rows all precede partition w+1's),
+// so the stored key value of every group — NaN payload included — is its
+// first-seen value at every degree; counts sum exactly and min/max fold
+// strictly, and the final FloatOrderKey sort orders the emitted record.
+func runHashPass(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
+	if err := groupPassCheckpoint(run); err != nil {
+		return err
 	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.I64Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.I32Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.U16Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	case *colstore.U8Column:
-		hashKeys(c.Values()[start:end], nil, true, g, slots)
-	default:
-		for i := range slots {
-			s := g.slotOf(col.Value(start + i))
-			g.cnt[s]++
-			slots[i] = s
-		}
-	}
-}
-
-// hashAccumPart is hashAccumCol restricted to the partition span.
-func hashAccumPart(col colstore.Column, rows []int, all bool, start, end int, slots []int, fn AggFunc, bank []float64) {
-	if !all {
-		hashAccumCol(col, rows[start:end], false, slots, fn, bank)
-		return
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I32Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U16Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U8Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	default:
-		for i, s := range slots {
-			accumOne(fn, bank, s, col.Value(start+i))
-		}
-	}
-}
-
-// hashAccumMinMaxPart is hashAccumMinMaxCol restricted to the partition
-// span.
-func hashAccumMinMaxPart(col colstore.Column, rows []int, all bool, start, end int, slots []int, lo, hi []float64) {
-	if !all {
-		hashAccumMinMaxCol(col, rows[start:end], false, slots, lo, hi)
-		return
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.I64Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.I32Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.U16Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	case *colstore.U8Column:
-		hashAccumMinMax(c.Values()[start:end], nil, true, slots, lo, hi)
-	default:
-		for i, s := range slots {
-			v := col.Value(start + i)
-			if v < lo[s] {
-				lo[s] = v
-			}
-			if v > hi[s] {
-				hi[s] = v
-			}
-		}
-	}
-}
-
-// hashGroupedMorsel is the parallel hash strategy: per-worker local group
-// tables over disjoint partitions, merged in ascending-partition order
-// into a global table. Ascending merge makes the global first-appearance
-// order equal the serial one (partition w's rows all precede partition
-// w+1's), so the stored key value of every group — NaN payload included —
-// matches the serial path's first-seen value; counts sum exactly and
-// min/max fold strictly, and the final FloatOrderKey sort makes the
-// emitted record bit-identical to hashGrouped. Every spec is
-// count/min/max (specsMergeExact).
-func hashGroupedMorsel(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
 	hp := hashPasses.get()
 	hp.keyCol, hp.specs, hp.pc = keyCol, specs, pc
-	hp.rows, hp.all, hp.n, hp.deg = rows, all, n, deg
-	hp.nacc = 0
-	for _, s := range specs {
-		if s.Fn == AggMin || s.Fn == AggMax {
-			hp.nacc++
-		}
-	}
+	hp.rows, hp.all, hp.n, hp.res = rows, all, n, res
 	hp.tok = run.Token()
 	if cap(hp.gs) < deg {
 		hp.gs = make([]groupHash, deg)
 		hp.slotsv = make([][]int, deg)
 		hp.banks = make([][]float64, deg)
 	}
-	hp.gs = hp.gs[:deg]
-	hp.slotsv = hp.slotsv[:deg]
-	hp.banks = hp.banks[:deg]
+	hp.gs, hp.slotsv, hp.banks = hp.gs[:deg], hp.slotsv[:deg], hp.banks[:deg]
+	defer hp.finish()
 	if p := hp.pass.Run(deg, hp); p != nil {
-		hp.drain()
-		hp.release()
-		hashPasses.put(hp)
 		panic(p)
 	}
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
-		hp.drain()
-		hp.release()
-		hashPasses.put(hp)
+	if err := hitMorselMerge(deg); err != nil {
 		return err
 	}
 	if run.Cancelled() {
-		hp.drain()
-		hp.release()
-		hashPasses.put(hp)
 		return cancel.ErrCancelled
 	}
 
-	// Sweep 1, ascending partitions: assign global slots and sum counts.
-	// The global table, key store and count store grow during the sweep,
-	// so they register in the release list after it (track-after-
-	// production, as in the serial hash path).
-	total := 0
-	for w := 0; w < deg; w++ {
-		total += len(hp.gs[w].keys)
-	}
-	tabSize := 1 << 10
-	for tabSize < 4*total && tabSize < 1<<20 {
-		tabSize <<= 1
-	}
-	g := groupHash{
-		table: getRowBuf(tabSize)[:tabSize],
-		keys:  getF64Buf(64),
-		cnt:   getF64Buf(64),
-	}
-	for i := range g.table {
-		g.table[i] = 0
-	}
-	for w := 0; w < deg; w++ {
+	g := &hp.gs[0]
+	for w := 1; w < deg; w++ {
 		lg := &hp.gs[w]
+		lgroups := len(lg.keys)
+		// The partition's slot vector is dead once its accumulate passes
+		// ran; its head becomes the local→global slot map, so the bank
+		// folds below never re-hash.
+		remap := hp.slotsv[w][:lgroups]
 		for l, key := range lg.keys {
 			s := g.slotOf(key)
 			g.cnt[s] += lg.cnt[l]
+			remap[l] = s
 		}
-	}
-	run.TrackRows(g.table)
-	run.trackF64(g.keys)
-	run.trackF64(g.cnt)
-	groups := len(g.keys)
-
-	// Sweep 2, per min/max spec: fold the worker banks in ascending-
-	// partition order into the global bank.
-	bank := run.trackF64(getF64Buf(hp.nacc * groups))[:hp.nacc*groups]
-	ai := 0
-	for _, s := range specs {
-		if s.Fn != AggMin && s.Fn != AggMax {
-			continue
-		}
-		gb := bank[ai*groups : (ai+1)*groups]
-		seed := math.Inf(1)
-		if s.Fn == AggMax {
-			seed = math.Inf(-1)
-		}
-		for i := range gb {
-			gb[i] = seed
-		}
-		for w := 0; w < deg; w++ {
-			lg := &hp.gs[w]
-			lgroups := len(lg.keys)
-			wb := hp.banks[w][ai*lgroups : (ai+1)*lgroups]
-			for l, key := range lg.keys {
-				gs := g.slotOf(key)
+		for j, s := range specs {
+			if s.Fn != AggMin && s.Fn != AggMax {
+				continue
+			}
+			col := res.Cols[j]
+			for len(col) < len(g.keys) {
+				col = append(col, aggSeed(s.Fn)) // groups first seen in partition w
+			}
+			res.Cols[j] = col
+			for l, v := range hp.banks[w][j*lgroups : (j+1)*lgroups] {
 				if s.Fn == AggMin {
-					if wb[l] < gb[gs] {
-						gb[gs] = wb[l]
+					if v < col[remap[l]] {
+						col[remap[l]] = v
 					}
-				} else if wb[l] > gb[gs] {
-					gb[gs] = wb[l]
+				} else if v > col[remap[l]] {
+					col[remap[l]] = v
 				}
 			}
 		}
-		ai++
 	}
-
 	res.Keys = append(res.Keys, g.keys...)
-	ai = 0
 	for j, s := range specs {
 		switch s.Fn {
 		case AggCount:
 			res.Cols[j] = append(res.Cols[j], g.cnt...)
-		case AggMin, AggMax:
-			res.Cols[j] = append(res.Cols[j], bank[ai*groups:(ai+1)*groups]...)
-			ai++
+		case AggAvg:
+			for i := range res.Cols[j] {
+				res.Cols[j][i] /= g.cnt[i]
+			}
 		}
 	}
-	run.recycleF64(bank)
-	run.recycleF64(g.keys)
-	run.recycleF64(g.cnt)
-	run.RecycleRows(g.table)
-	hp.drain()
-	hp.release()
-	hashPasses.put(hp)
 	sortGrouped(res)
 	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"gisnav/internal/faultpoint"
+	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 )
 
 // Armed-build tests for the morsel drivers: a panic in any worker
@@ -17,12 +19,6 @@ import (
 // the resident worker set must serve the next pass correctly.
 
 var errMorselInjected = errors.New("injected morsel fault")
-
-// morselPoolSnapshot sums the Outstanding counters of every pool the
-// parallel paths draw from.
-func morselPoolSnapshot() int64 {
-	return SelectionPoolStats().Outstanding + RangePoolStats().Outstanding + F64PoolStats().Outstanding
-}
 
 func TestFaultMorselWorkerPanicZeroDrift(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
@@ -169,5 +165,29 @@ func TestFaultMorselMergeErrorZeroDrift(t *testing.T) {
 				t.Fatalf("pass after recovery: %v", err)
 			}
 		})
+	}
+}
+
+// TestFaultRefineDegreeFollowsRunCap pins the one-place degree rule for
+// grid refinement: with the table opted into auto-parallel execution, a
+// run capped at 1 must never reach a refine partition (the cap used to be
+// ignored — refinement consulted pc.Parallel directly), while a cap of 2
+// over a large candidate set fans out like every other operator.
+func TestFaultRefineDegreeFollowsRunCap(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	pc := groupTestCloud(t, morselCloudRows)
+	pc.Parallel = true
+	everything := grid.GeometryRegion{G: geom.NewEnvelope(-1, -1, 1001, 1001).ToPolygon()}
+	for _, c := range []struct{ cap, hits int }{{1, 0}, {2, 2}} {
+		faultpoint.Arm("grid.refine.partition", faultpoint.Action{}) // count hits, do nothing
+		run := parRun(c.cap)
+		rows := pc.SelectRegionRowsRun(run, everything)
+		if len(rows) != pc.Len() {
+			t.Fatalf("cap %d: selected %d of %d rows", c.cap, len(rows), pc.Len())
+		}
+		run.RecycleRows(rows)
+		if got := faultpoint.HitCount("grid.refine.partition"); got != c.hits {
+			t.Fatalf("cap %d: %d refine partitions ran, want %d", c.cap, got, c.hits)
+		}
 	}
 }

@@ -3,15 +3,31 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"gisnav/internal/cancel"
+	"gisnav/internal/colstore"
+	"gisnav/internal/geom"
+	"gisnav/internal/grid"
+	"gisnav/internal/las"
+	"gisnav/internal/morsel"
+	"gisnav/internal/sfc"
 )
 
+// Every operator is one partition body run at some degree, so comparing a
+// degree-4 run with a degree-1 run would compare the code with itself.
+// The property tests below instead pin EVERY degree — 1 included — to the
+// row-at-a-time references (naiveFilterAll/Sel, naiveAggregate,
+// refGrouped, refTileScatter), two ways: through the public entry points
+// on a table large enough for morselDegree to fan out, and through the
+// drivers directly on small adversarial tables (empty, single row, NaN,
+// ±Inf, -0) at degrees past the row count and past the worker count.
+
 // morselCloudRows is sized so morselDegree yields up to 4 partitions
-// (rows / morselMinRows = 4) — large enough that every parallel arm
-// actually fans out, small enough to build per test.
+// (rows / morselMinRows = 4) — large enough that every operator actually
+// fans out, small enough to build per test.
 const morselCloudRows = 4 << 16
 
 // parRun returns a Run forcing the given fan-out cap.
@@ -21,16 +37,45 @@ func parRun(deg int) *Run {
 	return run
 }
 
-// TestMorselFilterMatchesSerial pins FilterRowsRun's parallel block arm to
-// the serial path over random predicate chains — including predicates over
-// the NaN-bearing z column — at several degrees (degrees past the
-// partition bound clamp; excess over the resident set queues).
-func TestMorselFilterMatchesSerial(t *testing.T) {
+// selLen is the row count a (rows, nil = all) selection drives.
+func selLen(pc *PointCloud, rows []int) int {
+	if rows == nil {
+		return pc.Len()
+	}
+	return len(rows)
+}
+
+// morselPoolSnapshot sums the Outstanding counters of every pool the
+// operator passes draw from.
+func morselPoolSnapshot() int64 {
+	return SelectionPoolStats().Outstanding + RangePoolStats().Outstanding + F64PoolStats().Outstanding
+}
+
+// driverDegrees are the degrees the drivers are exercised at directly:
+// the whole input as partition 0, small fan-outs, and one past the
+// resident worker count (excess partitions queue for a free worker).
+func driverDegrees() []int { return []int{1, 2, 4, morsel.Workers() + 3} }
+
+// smallClouds are the adversarial tables of the direct-driver tests.
+func smallClouds(t *testing.T) map[string]*PointCloud {
+	return map[string]*PointCloud{
+		"empty":  groupTestCloud(t, 0),
+		"single": groupTestCloud(t, 1),
+		"group":  groupTestCloud(t, 3000), // NaN values; NaN/±0/+Inf keys
+		"random": randomTestCloud(2500, 31),
+	}
+}
+
+// TestMorselFilterMatchesNaive pins the block filter to the per-row
+// Matches loop: FilterRowsRun over random predicate chains (NaN-bearing z
+// included) at degrees 1..5, and the driver over random candidate ranges
+// of the small tables at driverDegrees.
+func TestMorselFilterMatchesNaive(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	rng := rand.New(rand.NewSource(8))
 	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE, CmpBetween}
 	cols := []string{ColZ, ColIntensity, ColClassification, ColGPSTime}
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		var preds []ColumnPred
 		for np := 1 + rng.Intn(2); np > 0; np-- {
 			p := ColumnPred{
@@ -41,66 +86,61 @@ func TestMorselFilterMatchesSerial(t *testing.T) {
 			p.Value2 = p.Value + rng.Float64()*100
 			preds = append(preds, p)
 		}
-		want, err := pc.FilterRows(nil, preds, nil)
-		if err != nil {
-			t.Fatal(err)
+		want := naiveFilterAll(pc.Column(preds[0].Column), preds[0])
+		for _, p := range preds[1:] {
+			want = naiveFilterSel(pc.Column(p.Column), want, p)
 		}
-		for _, deg := range []int{2, 3, 5} {
+		for _, deg := range []int{1, 2, 3, 5} {
 			run := parRun(deg)
 			got, err := pc.FilterRowsRun(run, nil, preds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d deg %d preds %v: %d rows, serial %d", trial, deg, preds, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d deg %d: row[%d] = %d, serial %d", trial, deg, i, got[i], want[i])
-				}
+			if !equalRows(got, want) {
+				t.Fatalf("trial %d deg %d preds %v: %d rows, naive %d", trial, deg, preds, len(got), len(want))
 			}
 			run.RecycleRows(got)
 			if run.Live() != 0 {
 				t.Fatalf("run still owns %d buffers after recycle", run.Live())
 			}
 		}
-		RecycleRows(want)
 	}
-}
 
-// TestMorselFilterBlocksMatchesSerial drives the range-kernel morsel
-// driver directly against the serial block loop over imprint candidates.
-func TestMorselFilterBlocksMatchesSerial(t *testing.T) {
-	pc := groupTestCloud(t, morselCloudRows)
-	if _, err := pc.EnsureColumnImprint(ColZ); err != nil {
-		t.Fatal(err)
-	}
-	im := pc.columnImprintIfBuilt(ColZ)
-	k := pc.compileRangeCached(pc.Column(ColZ), ColZ)
-	for _, bounds := range [][2]float64{{0, 10}, {-60, 160}, {40, 41}, {-1e9, 1e9}} {
-		a := k.Bind(bounds[0], bounds[1])
-		cand := im.CandidateRangesInto(bounds[0], bounds[1], getRangeBuf(0))
-		want := getRowBuf(0)
-		for _, r := range cand {
-			want = k.FilterBlock(a, r.Start, r.End, want)
-		}
-		for _, deg := range []int{2, 4, 7} {
-			got, err := filterBlocksMorsel(k, a, cand, deg, getRowBuf(0))
-			if err != nil {
-				t.Fatal(err)
+	for name, pc := range smallClouds(t) {
+		n := pc.Len()
+		for trial := 0; trial < 30; trial++ {
+			col := cols[rng.Intn(len(cols))]
+			pred := randomPred(rng, col)
+			// Random ascending disjoint candidate ranges, possibly none.
+			var cand []colstore.Range
+			for at := 0; at < n; {
+				at += rng.Intn(200)
+				end := min(at+1+rng.Intn(300), n)
+				if at < end {
+					cand = append(cand, colstore.Range{Start: at, End: end})
+				}
+				at = end
 			}
-			if len(got) != len(want) {
-				t.Fatalf("bounds %v deg %d: %d rows, serial %d", bounds, deg, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("bounds %v deg %d: row[%d] = %d, serial %d", bounds, deg, i, got[i], want[i])
+			var want []int
+			for _, r := range cand {
+				for i := r.Start; i < r.End; i++ {
+					if pred.Matches(pc.Column(col).Value(i)) {
+						want = append(want, i)
+					}
 				}
 			}
-			RecycleRows(got)
+			k := CompileFilterKernel(pc.Column(col), pred.Op)
+			for _, deg := range driverDegrees() {
+				got, err := filterRanges(k, k.Bind(pred.Value, pred.Value2), cand, deg, getRowBuf(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalRows(got, want) {
+					t.Fatalf("%s deg %d pred %v: %d rows, naive %d", name, deg, pred, len(got), len(want))
+				}
+				RecycleRows(got)
+			}
 		}
-		RecycleRows(want)
-		RecycleRanges(cand)
 	}
 }
 
@@ -121,41 +161,66 @@ func TestWideSelectivitySkipsCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(indexed) != len(scanned) {
+		if !equalRows(indexed, scanned) {
 			t.Fatalf("bounds %v: indexed %d rows, scan %d", bounds, len(indexed), len(scanned))
-		}
-		for i := range scanned {
-			if indexed[i] != scanned[i] {
-				t.Fatalf("bounds %v: row[%d] = %d, scan %d", bounds, i, indexed[i], scanned[i])
-			}
 		}
 		RecycleRows(indexed)
 		RecycleRows(scanned)
 	}
 }
 
-// TestMorselAggregateMatchesSerial pins AggregateRun's parallel min/max to
-// the serial fold bit-for-bit — NaN values and all-rows vs selection paths
-// included — and checks sum/avg (always serial) are undisturbed.
-func TestMorselAggregateMatchesSerial(t *testing.T) {
+// sameBits reports bit identity, the contract every degree is held to.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestMorselAggregateMatchesNaive pins the fused aggregate to the naive
+// closure bit-for-bit: AggregateRun at degrees 1..5 over all-rows and
+// selection inputs (sum/avg pin degree 1 whatever the cap), and the
+// driver on the small tables at driverDegrees — min/max at every degree,
+// the sum at degree 1, where partition 0 is the whole selection.
+func TestMorselAggregateMatchesNaive(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	rng := rand.New(rand.NewSource(17))
 	sel := randomSelection(rng, pc.Len(), 0.8)
-	for _, col := range []string{ColZ, ColIntensity, ColGPSTime} {
+	for _, name := range []string{ColZ, ColIntensity, ColGPSTime} {
 		for _, rows := range [][]int{nil, sel} {
-			for _, fn := range []AggFunc{AggMin, AggMax, AggSum, AggAvg, AggCount} {
-				want, err := pc.Aggregate(rows, fn, col, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, deg := range []int{2, 4, 5} {
-					got, err := pc.AggregateRun(parRun(deg), rows, fn, col, nil)
+			n := selLen(pc, rows)
+			for _, fn := range []AggFunc{AggMin, AggMax, AggSum, AggAvg} {
+				want, _ := naiveAggregate(pc.Column(name), rows, rows == nil, fn, n)
+				for _, deg := range []int{1, 2, 4, 5} {
+					got, err := pc.AggregateRun(parRun(deg), rows, fn, name, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s(%s) deg %d over %v rows = %x, serial %x",
-							fn, col, deg, len(rows), math.Float64bits(got), math.Float64bits(want))
+					if !sameBits(got, want) {
+						t.Fatalf("%s(%s) deg %d over %d rows = %v, naive %v", fn, name, deg, n, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	for cname, pc := range smallClouds(t) {
+		sel := randomSelection(rng, pc.Len(), 0.5)
+		for _, name := range []string{ColZ, ColGPSTime, ColIntensity, ColClassification, ColScanAngle, ColWaveOffset} {
+			col := pc.Column(name)
+			for _, rows := range [][]int{nil, sel} {
+				all, n := rows == nil, selLen(pc, rows)
+				wantSum, _ := naiveAggregate(col, rows, all, AggSum, n)
+				for _, deg := range driverDegrees() {
+					sum, lo, hi, err := runAggPass(nil, col, rows, all, n, deg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantLo, wantHi := math.Inf(1), math.Inf(-1)
+					if n > 0 {
+						wantLo, _ = naiveAggregate(col, rows, all, AggMin, n)
+						wantHi, _ = naiveAggregate(col, rows, all, AggMax, n)
+					}
+					if !sameBits(lo, wantLo) || !sameBits(hi, wantHi) {
+						t.Fatalf("%s %s deg %d: min/max = %v/%v, naive %v/%v", cname, name, deg, lo, hi, wantLo, wantHi)
+					}
+					if deg == 1 && !sameBits(sum, wantSum) {
+						t.Fatalf("%s %s: sum = %v, naive %v", cname, name, sum, wantSum)
 					}
 				}
 			}
@@ -163,35 +228,113 @@ func TestMorselAggregateMatchesSerial(t *testing.T) {
 	}
 }
 
-// sameGrouped asserts two grouped results are bit-identical.
-func sameGrouped(t *testing.T, label string, got, want *GroupedResult) {
-	t.Helper()
-	if got.Strategy != want.Strategy {
-		t.Fatalf("%s: strategy %s, serial %s", label, got.Strategy, want.Strategy)
+// TestAggregateSumCarriesAcrossBlocks fails if the fold ever restarts its
+// sum at a block boundary (sum += blockSum): with 1e16 heading block 0
+// and -1e16 heading block 1, the row-at-a-time fold absorbs block 0's
+// ones into 1e16 and keeps block 1's, while per-block sums absorb both.
+func TestAggregateSumCarriesAcrossBlocks(t *testing.T) {
+	n := 2*scanChunk + 100
+	pts := make([]las.Point, n)
+	for i := range pts {
+		pts[i].Z = 1
 	}
-	if len(got.Keys) != len(want.Keys) {
-		t.Fatalf("%s: %d groups, serial %d", label, len(got.Keys), len(want.Keys))
+	pts[0].Z, pts[scanChunk].Z = 1e16, -1e16
+	pc := NewPointCloud()
+	pc.AppendLAS(pts)
+
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
 	}
-	for i := range want.Keys {
-		if math.Float64bits(got.Keys[i]) != math.Float64bits(want.Keys[i]) {
-			t.Fatalf("%s: key[%d] = %x, serial %x", label, i, math.Float64bits(got.Keys[i]), math.Float64bits(want.Keys[i]))
+	var thinned []int // drops two ones of block 1: a true gather, blocks cut by selection index
+	for i := 0; i < n; i++ {
+		if i != scanChunk+1 && i != scanChunk+2 {
+			thinned = append(thinned, i)
 		}
 	}
-	for j := range want.Cols {
-		for i := range want.Cols[j] {
-			if math.Float64bits(got.Cols[j][i]) != math.Float64bits(want.Cols[j][i]) {
-				t.Fatalf("%s: col %d group %d = %x, serial %x",
-					label, j, i, math.Float64bits(got.Cols[j][i]), math.Float64bits(want.Cols[j][i]))
+	for _, rows := range [][]int{nil, identity, thinned} {
+		all, cnt := rows == nil, selLen(pc, rows)
+		// The reassociated fold this test exists to catch.
+		var blocked float64
+		for b := 0; b < cnt; b += scanChunk {
+			var bs float64
+			for i := b; i < min(b+scanChunk, cnt); i++ {
+				r := i
+				if !all {
+					r = rows[i]
+				}
+				bs += pts[r].Z
+			}
+			blocked += bs
+		}
+		for _, fn := range []AggFunc{AggSum, AggAvg} {
+			want, _ := naiveAggregate(pc.Column(ColZ), rows, all, fn, cnt)
+			got, err := pc.Aggregate(rows, fn, ColZ, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%s over %d rows = %v, row-at-a-time %v", fn, cnt, got, want)
+			}
+			if fn == AggSum && sameBits(want, blocked) {
+				t.Fatalf("data does not discriminate: per-block sum %v equals the running sum", blocked)
 			}
 		}
 	}
 }
 
-// TestMorselGroupedMatchesSerial pins the parallel dense (u8, u16) and
-// hash (f64 keys with NaN/±0/±Inf) grouped strategies to the serial paths
-// bit-for-bit, over all-rows and selection inputs. Plans containing sum
-// or avg must stay serial-identical too (they route around the fan-out).
-func TestMorselGroupedMatchesSerial(t *testing.T) {
+// TestAggregateSumCancelledAtBlockBoundary: a fired token stops the
+// degree-1 sum/avg fold at its next block boundary — ErrCancelled, never a
+// partial sum — with nothing left outstanding in any pool.
+func TestAggregateSumCancelledAtBlockBoundary(t *testing.T) {
+	pc := groupTestCloud(t, 8*scanChunk)
+	done := make(chan struct{})
+	close(done)
+	run := new(Run)
+	run.Bind(done)
+	before := morselPoolSnapshot()
+	sel := randomSelection(rand.New(rand.NewSource(5)), pc.Len(), 0.5)
+	for _, rows := range [][]int{nil, sel} {
+		for _, fn := range []AggFunc{AggSum, AggAvg} {
+			if _, err := pc.AggregateRun(run, rows, fn, ColZ, nil); err != cancel.ErrCancelled {
+				t.Fatalf("%s err = %v, want ErrCancelled", fn, err)
+			}
+		}
+	}
+	if run.Live() != 0 {
+		t.Fatalf("cancelled aggregate left %d buffers on the run", run.Live())
+	}
+	if d := morselPoolSnapshot() - before; d != 0 {
+		t.Fatalf("cancelled aggregate drifted pools by %d", d)
+	}
+}
+
+// sameGroupedRef asserts a grouped result is bit-identical to the
+// row-at-a-time reference (NaN keys and NaN sums compare as equal NaNs:
+// the reference keeps its first-seen payload, as the kernels must).
+func sameGroupedRef(t *testing.T, label string, got *GroupedResult, wantKeys []float64, wantCols [][]float64) {
+	t.Helper()
+	if len(got.Keys) != len(wantKeys) {
+		t.Fatalf("%s: %d groups, reference %d", label, len(got.Keys), len(wantKeys))
+	}
+	for i := range wantKeys {
+		if !sameBits(got.Keys[i], wantKeys[i]) {
+			t.Fatalf("%s: key[%d] = %v, reference %v", label, i, got.Keys[i], wantKeys[i])
+		}
+		for j := range wantCols {
+			if !sameBits(got.Cols[j][i], wantCols[j][i]) && !(got.Cols[j][i] != got.Cols[j][i] && wantCols[j][i] != wantCols[j][i]) {
+				t.Fatalf("%s: col %d group %d = %v, reference %v", label, j, i, got.Cols[j][i], wantCols[j][i])
+			}
+		}
+	}
+}
+
+// TestMorselGroupedMatchesReference pins the dense (u8, u16) and hash
+// (f64 keys with NaN/±0/+Inf) strategies to refGrouped at every degree,
+// over all-rows and selection inputs: GroupedAggregateRun at caps 1..4
+// (plans with sum/avg pin degree 1), and the drivers on the small tables
+// at driverDegrees.
+func TestMorselGroupedMatchesReference(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	rng := rand.New(rand.NewSource(23))
 	sel := randomSelection(rng, pc.Len(), 0.85)
@@ -199,20 +342,19 @@ func TestMorselGroupedMatchesSerial(t *testing.T) {
 		{Fn: AggCount},
 		{Fn: AggMin, Column: ColZ},
 		{Fn: AggMax, Column: ColGPSTime},
+		{Fn: AggMax, Column: ColZ}, // fuses with the min over z on the hash path
 	}
 	withSum := []GroupedAggSpec{
 		{Fn: AggSum, Column: ColZ},
 		{Fn: AggCount},
 		{Fn: AggAvg, Column: ColIntensity},
 	}
-	var want, got GroupedResult
+	var got GroupedResult
 	for _, key := range []string{ColClassification, ColIntensity, ColGPSTime} {
 		for _, rows := range [][]int{nil, sel} {
 			for _, specs := range [][]GroupedAggSpec{exact, withSum} {
-				if err := pc.GroupedAggregate(rows, key, specs, &want, nil); err != nil {
-					t.Fatal(err)
-				}
-				for _, deg := range []int{2, 3, 4} {
+				wantKeys, wantCols := refGrouped(pc, rows, key, specs)
+				for _, deg := range []int{1, 2, 3, 4} {
 					run := parRun(deg)
 					if err := pc.GroupedAggregateRun(run, rows, key, specs, &got, nil); err != nil {
 						t.Fatal(err)
@@ -220,16 +362,131 @@ func TestMorselGroupedMatchesSerial(t *testing.T) {
 					if run.Live() != 0 {
 						t.Fatalf("grouped run still owns %d buffers", run.Live())
 					}
-					sameGrouped(t, key, &got, &want)
+					sameGroupedRef(t, key, &got, wantKeys, wantCols)
+				}
+			}
+		}
+	}
+
+	for cname, pc := range smallClouds(t) {
+		n := pc.Len()
+		sel := randomSelection(rng, n, 0.5)
+		for _, rows := range [][]int{nil, sel} {
+			all, cnt := rows == nil, selLen(pc, rows)
+			for _, deg := range driverDegrees() {
+				wantKeys, wantCols := refGrouped(pc, rows, ColClassification, exact)
+				got.reset(len(exact))
+				keys8 := pc.Column(ColClassification).(*colstore.U8Column).Values()
+				if err := runDensePass(nil, pc, keys8, nil, 1<<8, rows, all, cnt, exact, &got, deg); err != nil {
+					t.Fatal(err)
+				}
+				sameGroupedRef(t, cname+" dense", &got, wantKeys, wantCols)
+				for _, key := range []string{ColGPSTime, ColIntensity, ColScanAngle} {
+					wantKeys, wantCols = refGrouped(pc, rows, key, exact)
+					got.reset(len(exact))
+					if err := runHashPass(nil, pc, pc.Column(key), rows, all, cnt, exact, &got, deg); err != nil {
+						t.Fatal(err)
+					}
+					sameGroupedRef(t, cname+" hash "+key, &got, wantKeys, wantCols)
 				}
 			}
 		}
 	}
 }
 
-// TestMorselCancelledMidPass proves a token firing during a parallel pass
-// surfaces as ErrCancelled with zero pool drift: workers bail at their
-// next block boundary and the driver discards every partial.
+// refTileScatter is the row-at-a-time tile scatter: every row folds into
+// its (tile, class) slot in ascending row order.
+func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslots int) (cnt []float64, banks [][]float64) {
+	cnt = make([]float64, nslots)
+	banks = make([][]float64, len(specs))
+	for j, s := range specs {
+		banks[j] = make([]float64, nslots)
+		seedBank(banks[j], s.Fn)
+	}
+	keys := pc.Column(ColClassification)
+	for r := 0; r < pc.Len(); r++ {
+		cx, cy := tiler.Cell(pc.X()[r], pc.Y()[r])
+		slot := (int(cy)<<tiler.Order|int(cx))*tileDom + int(keys.Value(r))
+		cnt[slot]++
+		for j, s := range specs {
+			if s.Fn != AggCount {
+				accumOne(s.Fn, banks[j], slot, pc.Column(s.Column).Value(r))
+			}
+		}
+	}
+	return cnt, banks
+}
+
+// TestMorselTileScatterMatchesNaive pins the tile scatter to the
+// row-at-a-time reference at every degree: TileGroupedAggregateRun at
+// caps 1..4 on the large table (the sum shape pins degree 1), and the
+// driver on the small tables at driverDegrees. Banks arrive stale, as
+// pooled buffers do.
+func TestMorselTileScatterMatchesNaive(t *testing.T) {
+	exact := []GroupedAggSpec{{Fn: AggMin, Column: ColZ}, {Fn: AggCount}, {Fn: AggMax, Column: ColIntensity}}
+	withSum := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
+	const order = 3
+	nslots := (1 << (2 * order)) * tileDom
+	check := func(label string, pc *PointCloud, specs []GroupedAggSpec, scatter func(tiler sfc.Grid, cnt []float64, banks [][]float64) error) {
+		t.Helper()
+		tiler := sfc.NewGrid(geom.NewEnvelope(0, 0, 1000, 1000), order)
+		wantCnt, wantBanks := refTileScatter(pc, tiler, specs, nslots)
+		cnt := make([]float64, nslots)
+		banks := make([][]float64, len(specs))
+		for j := range banks {
+			banks[j] = make([]float64, nslots)
+			for i := range banks[j] {
+				banks[j][i], cnt[i] = -7, -7 // stale pooled contents
+			}
+		}
+		if err := scatter(tiler, cnt, banks); err != nil {
+			t.Fatal(err)
+		}
+		for s := range wantCnt {
+			if cnt[s] != wantCnt[s] {
+				t.Fatalf("%s: count[%d] = %v, reference %v", label, s, cnt[s], wantCnt[s])
+			}
+			for j, sp := range specs {
+				same := sameBits(banks[j][s], wantBanks[j][s]) || (banks[j][s] != banks[j][s] && wantBanks[j][s] != wantBanks[j][s])
+				if sp.Fn != AggCount && !same {
+					t.Fatalf("%s: bank %d slot %d = %v, reference %v", label, j, s, banks[j][s], wantBanks[j][s])
+				}
+			}
+		}
+	}
+
+	big := groupTestCloud(t, morselCloudRows)
+	for _, specs := range [][]GroupedAggSpec{exact, withSum} {
+		for _, deg := range []int{1, 2, 4} {
+			run := parRun(deg)
+			check("entry", big, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
+				return big.TileGroupedAggregateRun(run, tiler, ColClassification, specs, cnt, banks, nil)
+			})
+			if run.Live() != 0 {
+				t.Fatalf("tile run still owns %d buffers", run.Live())
+			}
+		}
+	}
+	for cname, pc := range smallClouds(t) {
+		if cname == "random" {
+			continue // full-domain coordinates: nothing the tiler adds over the grouped clouds
+		}
+		keys := pc.Column(ColClassification).(*colstore.U8Column).Values()
+		for _, deg := range driverDegrees() {
+			check(cname, pc, exact, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
+				seedBank(cnt, AggCount)
+				for j, s := range exact {
+					seedBank(banks[j], s.Fn)
+				}
+				return pc.runTilePass(nil, tiler, keys, exact, cnt, banks, nslots, pc.Len(), deg)
+			})
+		}
+	}
+}
+
+// TestMorselCancelledMidPass proves a token firing during a fanned-out
+// pass surfaces as ErrCancelled with zero pool drift: partitions bail at
+// their next block boundary and the driver discards every partial.
 func TestMorselCancelledMidPass(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	done := make(chan struct{})
@@ -258,16 +515,17 @@ func TestMorselCancelledMidPass(t *testing.T) {
 	run.Drain()
 
 	if d := SelectionPoolStats().Outstanding - rowsBefore; d != 0 {
-		t.Fatalf("cancelled parallel passes drifted selection pool by %d", d)
+		t.Fatalf("cancelled passes drifted selection pool by %d", d)
 	}
 	if d := F64PoolStats().Outstanding - f64Before; d != 0 {
-		t.Fatalf("cancelled parallel passes drifted f64 pool by %d", d)
+		t.Fatalf("cancelled passes drifted f64 pool by %d", d)
 	}
 }
 
 // TestMorselConcurrentParallelQueries is the engine-level -race stress:
-// many goroutines run parallel filters, aggregates and grouped passes at
-// mixed degrees over one table, against serially-computed references.
+// many goroutines run filters, aggregates and grouped passes at mixed
+// degrees over one table; every result must equal the degree-1 answer
+// (itself pinned to the references above).
 func TestMorselConcurrentParallelQueries(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	preds := []ColumnPred{{Column: ColZ, Op: CmpBetween, Value: 0, Value2: 80}}
@@ -308,8 +566,8 @@ func TestMorselConcurrentParallelQueries(t *testing.T) {
 					errs <- err.Error()
 					return
 				}
-				if math.Float64bits(lo) != math.Float64bits(wantMin) {
-					errs <- "parallel min diverged under concurrency"
+				if !sameBits(lo, wantMin) {
+					errs <- "min diverged under concurrency"
 				}
 				if err := pc.GroupedAggregateRun(run, nil, ColClassification, specs, &res, nil); err != nil {
 					errs <- err.Error()
@@ -380,7 +638,7 @@ func TestMorselSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestMorselDegreeHeuristic pins the degree rule: explicit caps are
-// honoured, small inputs stay serial, 1 forces serial, and the unset
+// honoured, small inputs stay at degree 1, 1 forces it, and the unset
 // default defers to the table's auto-parallel flag.
 func TestMorselDegreeHeuristic(t *testing.T) {
 	pc := NewPointCloud()
@@ -405,8 +663,11 @@ func TestMorselDegreeHeuristic(t *testing.T) {
 	}
 }
 
-// TestMorselExplainRecordsDegree checks the EXPLAIN plumbing: parallel
-// operators tag their step detail with the effective degree.
+// TestMorselExplainRecordsDegree checks the EXPLAIN plumbing: operators
+// that fanned out tag their step detail with the effective degree —
+// grid refinement included, which takes its degree from the run's cap
+// like every other operator even when the table opted into auto-parallel
+// execution.
 func TestMorselExplainRecordsDegree(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	run := parRun(4)
@@ -427,5 +688,27 @@ func TestMorselExplainRecordsDegree(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no filter step in trace")
+	}
+
+	pc.Parallel = true
+	everything := grid.GeometryRegion{G: geom.NewEnvelope(-1, -1, 1001, 1001).ToPolygon()}
+	for _, c := range []struct {
+		cap  int
+		want string
+	}{{1, ""}, {2, " [par 2]"}} {
+		run := parRun(c.cap)
+		sel := pc.SelectRegionRun(run, everything)
+		if len(sel.Rows) != pc.Len() {
+			t.Fatalf("cap %d: region over the whole extent selected %d of %d rows", c.cap, len(sel.Rows), pc.Len())
+		}
+		run.RecycleRows(sel.Rows)
+		for _, s := range sel.Explain.Steps {
+			if s.Op != opGridRefine {
+				continue
+			}
+			if !strings.HasSuffix(s.Detail, c.want) || (c.want == "" && strings.Contains(s.Detail, "[par")) {
+				t.Fatalf("cap %d: refine detail = %q, want degree tag %q", c.cap, s.Detail, c.want)
+			}
+		}
 	}
 }

@@ -29,8 +29,10 @@ type PointCloud struct {
 	// imprints when the first range query arrives (§3.2).
 	ImprintOpts imprints.Options
 	GridOpts    grid.Options
-	// Parallel enables multi-core refinement for large candidate sets
-	// (MonetDB executes operators in parallel; results are identical).
+	// Parallel lets large operators (filter, min/max, grouped count/min/max,
+	// grid refinement) fan across the resident worker set when the run sets
+	// no degree cap of its own (MonetDB executes operators in parallel;
+	// results are identical).
 	Parallel bool
 
 	mu          sync.Mutex
@@ -263,11 +265,11 @@ func (pc *PointCloud) SelectRegionRun(run *Run, region grid.Region) Selection {
 // SelectRegionRows is the steady-state navigation entry point: SelectRegion
 // without the operator trace. With imprints built and the candidate-range,
 // selection-vector and grid-state buffers all pooled, a repeated query
-// through this path performs zero heap allocations on the serial
-// refinement arm. (With Parallel set and a large candidate set, the
-// fan-out still pays O(workers) bookkeeping per query — partial match
-// vectors are pooled, goroutine scaffolding is not.) The returned vector
-// is pooled; hand it back with RecycleRows when done.
+// through this path performs zero heap allocations at refinement degree
+// 1. (With Parallel set and a large candidate set, the fan-out still pays
+// O(workers) bookkeeping per query — partial match vectors are pooled,
+// goroutine scaffolding is not.) The returned vector is pooled; hand it
+// back with RecycleRows when done.
 func (pc *PointCloud) SelectRegionRows(region grid.Region) []int {
 	rows, _ := pc.selectRegionRows(nil, region, nil)
 	return rows
@@ -318,17 +320,14 @@ func (pc *PointCloud) selectRegionRows(run *Run, region grid.Region, ex *Explain
 	// copy of the grid options; pc.GridOpts itself stays run-independent.
 	opts := pc.GridOpts
 	opts.Cancel = run.Token()
-	var st grid.Stats
-	if pc.Parallel {
-		rows, st = grid.RefineAutoInto(pc.xs.Values(), pc.ys.Values(), cand, region, opts, rows)
-	} else {
-		rows, st = grid.RefineInto(pc.xs.Values(), pc.ys.Values(), cand, region, opts, rows)
-	}
+	// Refinement takes its degree from the same rule as every other
+	// operator; at degree 1 RefineParallelInto is RefineInto, inline.
+	deg := pc.morselDegree(run, colstore.RangesLen(cand))
+	rows, st := grid.RefineParallelInto(pc.xs.Values(), pc.ys.Values(), cand, region, opts, deg, rows)
 	run.recycleRanges(cand)
 	if ex != nil {
-		ex.Add(opGridRefine,
-			fmt.Sprintf("%dx%d cells, %d boundary", st.GridCellsX, st.GridCellsY, st.BoundaryCells),
-			st.CandidateRows, len(rows), time.Since(start))
+		detail := fmt.Sprintf("%dx%d cells, %d boundary", st.GridCellsX, st.GridCellsY, st.BoundaryCells)
+		ex.Add(opGridRefine, parDetail(detail, deg), st.CandidateRows, len(rows), time.Since(start))
 	}
 	return rows, st
 }

@@ -1,12 +1,13 @@
 // Tile-grouped pre-aggregation (PR 10): the engine entry points the
 // pyramid builds on. TileGroupedAggregateRun scatters the whole table
 // into per-(tile, class) banks — a grouped-aggregate pass whose composite
-// slot is the row's quantised tile times the 256-class domain — fanned
-// across the morsel worker set exactly like the dense grouped strategy:
-// per-worker bank slabs merged in ascending-partition order, which is
-// exact for count/min/max. Sum banks force the serial arm: per-tile sums
-// are pinned to the ascending row-order fold by the float-determinism
-// invariant, and partition merging would reassociate them.
+// slot is the row's quantised tile times the 256-class domain — run as a
+// morsel pass (tilePass below; see morsel.go) exactly like the dense grouped
+// strategy: partition 0 scatters into the caller's banks, later
+// partitions into slabs folded in ascending order, which is exact for
+// count/min/max. Sum banks pin degree 1: per-tile sums are pinned to the
+// ascending row-order fold by the float-determinism invariant, and
+// partition merging would reassociate them.
 // GroupedAccumulateRows is the query-time counterpart: it folds the same
 // compiled kernels over an explicit row list into 256-slot class banks —
 // the boundary-tile refinement of a pyramid lookup.
@@ -14,12 +15,10 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/colstore"
-	"gisnav/internal/faultpoint"
 	"gisnav/internal/morsel"
 	"gisnav/internal/sfc"
 )
@@ -52,9 +51,9 @@ func validateTileSpecs(specs []GroupedAggSpec) error {
 // which are served from cnt. All banks are (re)seeded here: callers pass
 // pooled buffers with stale contents.
 //
-// Parallelism follows the grouped kernels' merge contract: count/min/max
+// The degree follows the grouped kernels' merge contract: count/min/max
 // shapes fan across the morsel worker set at the run's degree, sum shapes
-// run serial so each tile's sum folds rows in ascending row order.
+// run at degree 1 so each tile's sum folds rows in ascending row order.
 func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64, ex *Explain) error {
 	start := time.Now()
 	if err := validateTileSpecs(specs); err != nil {
@@ -93,13 +92,7 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 	if specsMergeExact(specs) {
 		deg = pc.morselDegree(run, n)
 	}
-	var err error
-	if deg > 1 {
-		err = pc.tileGroupedMorsel(run, tiler, u8.Values(), specs, cnt, banks, nslots, n, deg)
-	} else {
-		err = pc.tileGroupedSerial(run, tiler, u8.Values(), specs, cnt, banks)
-	}
-	if err != nil {
+	if err := pc.runTilePass(run, tiler, u8.Values(), specs, cnt, banks, nslots, n, deg); err != nil {
 		return err
 	}
 	if ex != nil {
@@ -107,20 +100,6 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 			n, nslots, time.Since(start))
 	}
 	return nil
-}
-
-// seedBank initialises a fold bank to fn's identity.
-func seedBank(bank []float64, fn AggFunc) {
-	seed := 0.0
-	switch fn {
-	case AggMin:
-		seed = math.Inf(1)
-	case AggMax:
-		seed = math.Inf(-1)
-	}
-	for i := range bank {
-		bank[i] = seed
-	}
 }
 
 // tileSlots quantises rows [start, end) into composite (tile, class)
@@ -134,118 +113,72 @@ func tileSlots(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, s
 	}
 }
 
-// tileAccumCol dispatches one scatter-accumulate pass over global rows
-// [start, end) with their partition-local slot vector to the value
-// column's concrete type — the same monomorphic loops as the grouped hash
-// strategy, driven by the composite tile slot.
-func tileAccumCol(col colstore.Column, start, end int, slots []int, fn AggFunc, bank []float64) {
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I64Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.I32Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U16Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	case *colstore.U8Column:
-		hashAccum(c.Values()[start:end], nil, true, slots, fn, bank)
-	default:
-		for i, s := range slots {
-			accumOne(fn, bank, s, col.Value(start+i))
-		}
-	}
-}
-
-// tileGroupedSerial is the single-core scatter: one slot pass, one count
-// pass, one accumulate pass per non-count spec, polling the cancel token
-// between passes like the serial grouped strategies.
-func (pc *PointCloud) tileGroupedSerial(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64) error {
-	n := len(keys)
-	slots := run.TrackRows(getRowBuf(n))[:n]
-	tileSlots(pc.xs.Values(), pc.ys.Values(), keys, tiler, 0, n, slots)
-	for _, s := range slots {
-		cnt[s]++
-	}
-	for j, s := range specs {
-		if err := groupPassCheckpoint(run); err != nil {
-			run.RecycleRows(slots)
-			return err
-		}
-		if s.Fn == AggCount {
-			continue
-		}
-		tileAccumCol(pc.Column(s.Column), 0, n, slots, s.Fn, banks[j])
-	}
-	run.RecycleRows(slots)
-	return nil
-}
-
-// tilePass is the pooled fan-out scaffolding of one parallel tile scatter.
-// Per-worker banks are disjoint slabs of one run-tracked buffer (the dense
-// grouped layout); the per-worker slot vector is this slot's pooled
-// buffer, recycled on every exit path including panic.
+// tilePass is the pooled scaffolding of one tile scatter. Partition 0
+// scatters into the caller's banks; partitions >= 1 into disjoint slabs of
+// one run-tracked buffer (the dense grouped layout: count bank, then one
+// bank per non-count spec). The per-partition slot vector is that
+// partition's pooled buffer, recycled on every exit path including panic.
 type tilePass struct {
 	pass   morsel.Pass
-	xs, ys []float64
+	pc     *PointCloud
 	keys   []uint8
 	tiler  sfc.Grid
-	pc     *PointCloud
 	specs  []GroupedAggSpec
 	n, deg int
 	nslots int
-	stride int
-	accIdx []int // per spec: 1-based slab bank index; 0 for count
-	banks  []float64
+	stride int // slab length: nslots * (1 + non-count specs)
+	cnt    []float64
+	banks  [][]float64
+	slabs  []float64
 	tok    *cancel.Token
 }
 
 var tilePasses passFree[tilePass]
 
-func (tp *tilePass) release() {
-	tp.xs, tp.ys, tp.keys = nil, nil, nil
-	tp.pc, tp.specs, tp.banks = nil, nil, nil
-	tp.tok = nil
-}
-
-// RunPartition quantises and scatters one partition into its bank slab.
-// One accumulate pass is this layer's block (as in groupPassCheckpoint),
-// so the token is polled between passes.
+// RunPartition quantises one partition's rows into composite (tile,
+// class) slots, counts them, then runs one scatter-accumulate pass per
+// non-count spec — the grouped hash strategy's monomorphic loops, driven
+// by the composite slot. One accumulate pass is this layer's block, so
+// the token is polled between passes.
 func (tp *tilePass) RunPartition(slot int) {
-	start := slot * tp.n / tp.deg
-	end := (slot + 1) * tp.n / tp.deg
+	start, end := slot*tp.n/tp.deg, (slot+1)*tp.n/tp.deg
 	slots := getRowBuf(end - start)[:end-start]
 	defer rowPool.Put(slots)
-	if err := faultpoint.Hit("engine.morsel.worker"); err != nil {
-		panic(err)
-	}
-	tileSlots(tp.xs, tp.ys, tp.keys, tp.tiler, start, end, slots)
-	bank := tp.banks[slot*tp.stride : (slot+1)*tp.stride]
-	cnt := bank[:tp.nslots]
-	for i := range cnt {
-		cnt[i] = 0
+	hitMorselWorker(tp.deg)
+	tileSlots(tp.pc.xs.Values(), tp.pc.ys.Values(), tp.keys, tp.tiler, start, end, slots)
+	cnt := tp.cnt
+	var slab []float64
+	if slot > 0 {
+		slab = tp.slabs[(slot-1)*tp.stride : slot*tp.stride]
+		cnt = slab[:tp.nslots]
+		seedBank(cnt, AggCount)
 	}
 	for _, s := range slots {
 		cnt[s]++
 	}
+	ai := 0
 	for j, sp := range tp.specs {
-		if tp.tok.Cancelled() {
-			return
-		}
 		if sp.Fn == AggCount {
 			continue
 		}
-		b := bank[tp.accIdx[j]*tp.nslots : (tp.accIdx[j]+1)*tp.nslots]
-		seedBank(b, sp.Fn)
-		tileAccumCol(tp.pc.Column(sp.Column), start, end, slots, sp.Fn, b)
+		ai++
+		if tp.tok.Cancelled() {
+			return
+		}
+		b := tp.banks[j]
+		if slot > 0 {
+			b = slab[ai*tp.nslots : (ai+1)*tp.nslots]
+			seedBank(b, sp.Fn)
+		}
+		hashAccumCol(tp.pc.Column(sp.Column), nil, true, start, end, slots, sp.Fn, b)
 	}
 }
 
-// tileGroupedMorsel fans the tile scatter over deg partitions and merges
-// the per-worker slabs in ascending-partition order — exact for
-// count/min/max (specsMergeExact holds on this path), so the merged banks
-// are bit-identical to the serial scatter.
-func (pc *PointCloud) tileGroupedMorsel(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, nslots, n, deg int) error {
+// runTilePass scatters the table into the caller's seeded banks in deg
+// partitions and folds the slabs of partitions 1.. into them in ascending
+// order — exact for count/min/max; a sum spec pins deg to 1, where every
+// tile's sum is the ascending row-order fold.
+func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, nslots, n, deg int) error {
 	nacc := 0
 	for _, s := range specs {
 		if s.Fn != AggCount {
@@ -253,70 +186,42 @@ func (pc *PointCloud) tileGroupedMorsel(run *Run, tiler sfc.Grid, keys []uint8, 
 		}
 	}
 	stride := nslots * (1 + nacc)
-	wb := run.trackF64(getF64Buf(deg * stride))[:deg*stride]
+	var slabs []float64
+	if deg > 1 {
+		slabs = run.trackF64(getF64Buf((deg - 1) * stride))[:(deg-1)*stride]
+		defer run.recycleF64(slabs)
+	}
+	if err := groupPassCheckpoint(run); err != nil {
+		return err
+	}
 	tp := tilePasses.get()
-	tp.xs, tp.ys, tp.keys = pc.xs.Values(), pc.ys.Values(), keys
-	tp.tiler, tp.pc, tp.specs = tiler, pc, specs
+	tp.pc, tp.keys, tp.tiler, tp.specs = pc, keys, tiler, specs
 	tp.n, tp.deg, tp.nslots, tp.stride = n, deg, nslots, stride
-	tp.banks = wb
+	tp.cnt, tp.banks, tp.slabs = cnt, banks, slabs
 	tp.tok = run.Token()
-	if cap(tp.accIdx) < len(specs) {
-		tp.accIdx = make([]int, len(specs))
-	}
-	tp.accIdx = tp.accIdx[:len(specs)]
-	ai := 0
-	for j, s := range specs {
-		tp.accIdx[j] = 0
-		if s.Fn != AggCount {
-			ai++
-			tp.accIdx[j] = ai
-		}
-	}
-	if p := tp.pass.Run(deg, tp); p != nil {
-		tp.release()
-		tilePasses.put(tp)
-		run.recycleF64(wb)
+	p := tp.pass.Run(deg, tp)
+	tp.pc, tp.keys, tp.specs, tp.cnt, tp.banks, tp.slabs, tp.tok = nil, nil, nil, nil, nil, nil, nil
+	tilePasses.put(tp)
+	if p != nil {
 		panic(p)
 	}
-	accIdx := tp.accIdx
-	tp.release()
-	tilePasses.put(tp)
-	if err := faultpoint.Hit("engine.morsel.merge"); err != nil {
-		run.recycleF64(wb)
+	if err := hitMorselMerge(deg); err != nil {
 		return err
 	}
 	if run.Cancelled() {
-		run.recycleF64(wb)
 		return cancel.ErrCancelled
 	}
-	for w := 0; w < deg; w++ {
-		slab := wb[w*stride : (w+1)*stride]
-		for s, c := range slab[:nslots] {
-			cnt[s] += c
-		}
+	for w := 1; w < deg; w++ {
+		slab := slabs[(w-1)*stride : w*stride]
+		foldBank(cnt[:nslots], slab[:nslots], AggCount)
+		ai := 0
 		for j, sp := range specs {
-			if sp.Fn == AggCount {
-				continue
-			}
-			sb := slab[accIdx[j]*nslots : (accIdx[j]+1)*nslots]
-			b := banks[j]
-			switch sp.Fn {
-			case AggMin:
-				for s, v := range sb {
-					if v < b[s] {
-						b[s] = v
-					}
-				}
-			case AggMax:
-				for s, v := range sb {
-					if v > b[s] {
-						b[s] = v
-					}
-				}
+			if sp.Fn != AggCount {
+				ai++
+				foldBank(banks[j][:nslots], slab[ai*nslots:(ai+1)*nslots], sp.Fn)
 			}
 		}
 	}
-	run.recycleF64(wb)
 	return nil
 }
 
@@ -345,7 +250,7 @@ func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []G
 			len(bank), len(specs))
 	}
 	keys := u8.Values()
-	denseCount(keys, rows, false, bank[:tileDom])
+	denseCount(keys, rows, false, 0, len(rows), bank[:tileDom])
 	for j, s := range specs {
 		if s.Fn == AggCount {
 			continue
@@ -354,7 +259,7 @@ func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []G
 		if col == nil {
 			return fmt.Errorf("engine: unknown column %q", s.Column)
 		}
-		denseAccumCol(keys, col, rows, false, s.Fn, bank[(1+j)*tileDom:(2+j)*tileDom])
+		denseAccumCol(keys, col, rows, false, 0, len(rows), s.Fn, bank[(1+j)*tileDom:(2+j)*tileDom])
 	}
 	return nil
 }

@@ -13,9 +13,9 @@
 //
 //	engine.filter.block    — FilterRows, before each predicate kernel
 //	engine.kernel.chunk    — chunkKernel, once per scanChunk block
-//	engine.groupagg.pass   — GroupedAggregate, before each accumulate pass
-//	engine.morsel.worker   — morsel drivers, at the top of each partition
-//	engine.morsel.merge    — morsel drivers, before the ascending merge
+//	engine.groupagg.pass   — grouped drivers, before the accumulate passes
+//	engine.morsel.worker   — morsel passes, top of each partition (deg > 1)
+//	engine.morsel.merge    — morsel drivers, before the ascending fold (deg > 1)
 //	engine.select.refine   — selectRegionRows, before grid refinement
 //	grid.refine.partition  — parallel refinement, per worker partition
 //	sql.run.filter         — finishPointCloud, before the filter phases

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -304,13 +305,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, Code(err), err)
 		return
 	}
-	s.queriesOK.Add(1)
-	s.sessions.touch(r.RemoteAddr, time.Now())
-	s.writeJSON(w, http.StatusOK, &queryResponse{
+	// Marshal before any counter or header moves: a result the encoder
+	// rejects is an internal error with a body, never a bare 500 already
+	// counted as a success.
+	data, err := json.Marshal(&queryResponse{
 		Columns:   res.Columns,
 		Rows:      encodeRows(res.Rows),
 		ElapsedUs: elapsed.Microseconds(),
 	})
+	if err != nil {
+		s.writeError(w, CodeInternal, fmt.Errorf("server: encoding result: %w", err))
+		return
+	}
+	s.queriesOK.Add(1)
+	s.sessions.touch(r.RemoteAddr, time.Now())
+	s.writeJSON(w, http.StatusOK, data)
 }
 
 // parseQueryRequest extracts the statement and effective timeout: GET reads
@@ -362,7 +371,9 @@ func (s *Server) parseQueryRequest(r *http.Request) (src string, timeout time.Du
 
 // encodeRows converts result values into their JSON-native forms: numbers
 // as numbers, strings as strings, booleans as booleans, NULL as null, and
-// geometries as WKT strings.
+// geometries as WKT strings. JSON has no literal for a non-finite number
+// (json.Marshal rejects them), so ±Inf and NaN travel as the strings
+// "Infinity", "-Infinity" and "NaN".
 func encodeRows(rows [][]sql.Value) [][]any {
 	out := make([][]any, len(rows))
 	for i, row := range rows {
@@ -370,7 +381,16 @@ func encodeRows(rows [][]sql.Value) [][]any {
 		for j, v := range row {
 			switch v.Kind {
 			case sql.KindNum:
-				enc[j] = v.Num
+				switch {
+				case math.IsNaN(v.Num):
+					enc[j] = "NaN"
+				case math.IsInf(v.Num, 1):
+					enc[j] = "Infinity"
+				case math.IsInf(v.Num, -1):
+					enc[j] = "-Infinity"
+				default:
+					enc[j] = v.Num
+				}
 			case sql.KindStr:
 				enc[j] = v.Str
 			case sql.KindBool:
@@ -444,20 +464,17 @@ func (s *Server) writeError(w http.ResponseWriter, code string, err error) {
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 		w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(resp.RetryAfterMs, 10))
 	}
-	s.writeJSON(w, HTTPStatus(code), &resp)
+	data, _ := json.Marshal(&resp) // strings and integers only: cannot fail
+	s.writeJSON(w, HTTPStatus(code), data)
 }
 
-// writeJSON writes one JSON response. The response-write faultpoint sits
-// between status and body so the chaos tests can stall or fail the write
-// path itself; a write error past WriteHeader is unreportable to the
-// client and only counted.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
+// writeJSON writes one already-marshalled JSON response: callers marshal
+// first, so by the time a header moves the body is known to exist. The
+// response-write faultpoint sits between status and body so the chaos
+// tests can stall or fail the write path itself; a write error past
+// WriteHeader is unreportable to the client and only counted.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	data, err := json.Marshal(body)
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
 	w.WriteHeader(status)
 	if err := faultpoint.Hit("server.response.write"); err != nil {
 		return

@@ -329,6 +329,42 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestNonFiniteNumbersOnTheWire pins the wire encoding of numbers JSON
+// cannot spell: ±Inf and NaN answer 200 as the strings "Infinity",
+// "-Infinity" and "NaN" (they used to fail json.Marshal after the success
+// counter had moved, producing a body-less 500 counted as queries_ok),
+// and the exactly-once accounting identity holds afterwards.
+func TestNonFiniteNumbersOnTheWire(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	h := srv.Handler()
+	inf := "(z+1000)*1e308*1e308"
+	for expr, want := range map[string]string{
+		inf:             "Infinity",
+		"0-" + inf:      "-Infinity",
+		inf + "-" + inf: "NaN",
+	} {
+		rec := doQuery(h, "SELECT "+expr+" FROM ahn2 LIMIT 1")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %q", expr, rec.Code, rec.Body.String())
+		}
+		var qr queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+			t.Fatalf("%s body %q: %v", expr, rec.Body.String(), err)
+		}
+		if len(qr.Rows) != 1 || qr.Rows[0][0] != want {
+			t.Fatalf("%s rows = %v, want [[%q]]", expr, qr.Rows, want)
+		}
+	}
+	st := srv.Stats()
+	var errs uint64
+	for _, n := range st.Errors {
+		errs += n
+	}
+	if st.Requests != 3 || st.Requests != st.QueriesOK+errs {
+		t.Fatalf("request accounting: %d requests, %d ok + %d errors", st.Requests, st.QueriesOK, errs)
+	}
+}
+
 // TestSessionCacheBound pins the drop-and-rebuild bound of the session
 // table: an unbounded stream of distinct client addresses must never grow
 // the map past its bound.

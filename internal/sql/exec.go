@@ -125,16 +125,6 @@ func (e *Executor) query(ctx context.Context, src string, ex *engine.Explain) (*
 	return pq.lifecycleRun(ctx, ex, params, originPlanned)
 }
 
-// Exec plans and executes a parsed statement, bypassing the statement
-// cache (there is no reliable shape key for an externally built AST).
-func (e *Executor) Exec(stmt *SelectStmt) (*Result, error) {
-	pq, err := e.PrepareStmt(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return pq.RunTraced()
-}
-
 // --- statement cache --------------------------------------------------------
 
 // maxCachedStmts bounds the statement cache. With literals normalised out

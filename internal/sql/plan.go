@@ -196,14 +196,6 @@ func (e *Executor) Prepare(src string) (*PreparedQuery, error) {
 	return e.prepareBound(stmt, params)
 }
 
-// PrepareStmt plans an already-parsed statement. The statement must not be
-// mutated afterwards; the prepared query keeps it for epoch replans.
-// Externally built ASTs carry their constants as literal nodes, so they
-// plan with an empty literal vector.
-func (e *Executor) PrepareStmt(stmt *SelectStmt) (*PreparedQuery, error) {
-	return e.prepareBound(stmt, nil)
-}
-
 // prepareBound plans stmt against the literal vector params.
 func (e *Executor) prepareBound(stmt *SelectStmt, params []Value) (*PreparedQuery, error) {
 	plan, err := e.buildPlan(stmt, params)
