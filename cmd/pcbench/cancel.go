@@ -45,7 +45,7 @@ func expCancel(env *benchEnv, w io.Writer, repeats int) {
 		fmt.Fprintln(w, "E15:", err)
 		return
 	}
-	matches := int(res.Rows[0][0].Num)
+	matches := int(res.Cols[0].Nums[0])
 
 	dPlain := bench.MeasureN(reps, func() { pq.Run() })
 	allocsPlain := testing.AllocsPerRun(20, func() { pq.Run() })

@@ -187,7 +187,7 @@ func expGrouped(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E14:", err)
 			return
 		}
-		lastGroups = len(r.Rows)
+		lastGroups = r.Len()
 		coldStep++
 	})
 
@@ -205,7 +205,7 @@ func expGrouped(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E14:", err)
 			return
 		}
-		lastGroups = len(r.Rows)
+		lastGroups = r.Len()
 		step++
 	})
 	steadyAllocs := testing.AllocsPerRun(20, func() {
@@ -233,18 +233,7 @@ func expGrouped(env *benchEnv, w io.Writer, repeats int) {
 		fmt.Fprintln(w, "E14:", err)
 		return
 	}
-	reboundOK := len(rebound.Rows) == len(freshRes.Rows)
-	if reboundOK {
-	cmp:
-		for i := range rebound.Rows {
-			for j := range rebound.Rows[i] {
-				if rebound.Rows[i][j].String() != freshRes.Rows[i][j].String() {
-					reboundOK = false
-					break cmp
-				}
-			}
-		}
-	}
+	reboundOK := sameRendering(rebound, freshRes)
 	if !reboundOK {
 		fmt.Fprintln(w, "E14 MISMATCH: rebound grouped plan diverged from a fresh Prepare")
 	}

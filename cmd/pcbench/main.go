@@ -511,8 +511,8 @@ func expAdhoc(env *benchEnv, w io.Writer, repeats int) {
 				result = "error: " + err.Error()
 				return
 			}
-			if len(res.Rows) > 0 {
-				result = res.Rows[0][0].String()
+			if res.Len() > 0 {
+				result = res.Cols[0].Value(0).String()
 			}
 		})
 		supported := "no (needs DBMS)"

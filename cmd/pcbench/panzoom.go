@@ -93,7 +93,7 @@ func expPanZoom(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E13:", err)
 			return
 		}
-		lastRows = res.Rows[0][0].Num
+		lastRows = res.Cols[0].Nums[0]
 		coldStep++
 	})
 
@@ -117,7 +117,7 @@ func expPanZoom(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E13:", err)
 			return
 		}
-		lastRows = res.Rows[0][0].Num
+		lastRows = res.Cols[0].Nums[0]
 		step++
 	})
 	shapeAllocs := testing.AllocsPerRun(20, func() {
@@ -151,7 +151,7 @@ func expPanZoom(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E13:", err)
 			return
 		}
-		lastRows = res.Rows[0][0].Num
+		lastRows = res.Cols[0].Nums[0]
 		fixedStep++
 	})
 

@@ -201,18 +201,7 @@ func expParallel(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E16:", err)
 			return
 		}
-		match := len(got.Rows) == len(want.Rows)
-		if match {
-		cmp:
-			for i := range want.Rows {
-				for j := range want.Rows[i] {
-					if got.Rows[i][j].String() != want.Rows[i][j].String() {
-						match = false
-						break cmp
-					}
-				}
-			}
-		}
+		match := sameRendering(got, want)
 		if !match {
 			fmt.Fprintf(w, "E16 MISMATCH: %s parallel result diverged from serial\n", q.name)
 		}
@@ -227,8 +216,8 @@ func expParallel(env *benchEnv, w io.Writer, repeats int) {
 			}
 		})
 		tb.AddRow(q.name, dSerial, dPar, fmt.Sprintf("%.0f", allocs), match)
-		env.report.add("parallel", q.name, "serial", pc.Len(), len(want.Rows), dSerial, 1)
-		env.report.addFull("parallel", q.name, "steady", pc.Len(), len(got.Rows),
+		env.report.add("parallel", q.name, "serial", pc.Len(), want.Len(), dSerial, 1)
+		env.report.addFull("parallel", q.name, "steady", pc.Len(), got.Len(),
 			dPar, float64(dSerial)/float64(dPar), allocs)
 	}
 	tb.WriteTo(w)

@@ -127,18 +127,8 @@ func expPyramid(env *benchEnv, w io.Writer, repeats int) {
 
 		// Bit-identity: count/min/max merge exactly, so the routed rows
 		// must match the exact arm's rendering verbatim.
-		if len(resPyr.Rows) != len(resExact.Rows) {
+		if !sameRendering(resPyr, resExact) {
 			identical = false
-		} else {
-		cmp:
-			for i := range resPyr.Rows {
-				for j := range resPyr.Rows[i] {
-					if resPyr.Rows[i][j].String() != resExact.Rows[i][j].String() {
-						identical = false
-						break cmp
-					}
-				}
-			}
 		}
 
 		// Engine-level warm query: the 0 allocs/op contract, measured under
@@ -166,11 +156,11 @@ func expPyramid(env *benchEnv, w io.Writer, repeats int) {
 		run.Drain()
 
 		times[mult] = armTimes{exact: dExact, pyr: dPyr}
-		tbl.AddRow(label, "exact (kernels)", dExact, "-", len(resExact.Rows))
-		tbl.AddRow(label, "pyramid steady", dPyr, fmt.Sprintf("%.0f", warmAllocs), len(resPyr.Rows))
+		tbl.AddRow(label, "exact (kernels)", dExact, "-", resExact.Len())
+		tbl.AddRow(label, "pyramid steady", dPyr, fmt.Sprintf("%.0f", warmAllocs), resPyr.Len())
 		name := fmt.Sprintf("sql_pyramid_%dx", mult)
-		env.report.add("pyramid", name, "exact", pc.Len(), len(resExact.Rows), dExact, 1)
-		env.report.addFull("pyramid", name, "pyramid_steady", pc.Len(), len(resPyr.Rows),
+		env.report.add("pyramid", name, "exact", pc.Len(), resExact.Len(), dExact, 1)
+		env.report.addFull("pyramid", name, "pyramid_steady", pc.Len(), resPyr.Len(),
 			dPyr, float64(dExact)/float64(dPyr), warmAllocs)
 		if warmAllocs != 0 {
 			fmt.Fprintf(w, "E18 WARNING: warm pyramid query allocates %.0f objects/op at %s (contract: 0)\n",

@@ -120,7 +120,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E12 sql:", err)
 			return
 		}
-		sqlRows = res.Rows[0][0].Num
+		sqlRows = res.Cols[0].Nums[0]
 	})
 	// The prepared steady arm measures latency and allocations on the SAME
 	// path (untraced PreparedQuery.Run on a reusable plan); the query
@@ -137,7 +137,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E12 sql:", err)
 			return
 		}
-		sqlRows = res.Rows[0][0].Num
+		sqlRows = res.Cols[0].Nums[0]
 	})
 	sqlAllocs := testing.AllocsPerRun(20, func() {
 		if _, err := pqSteady.Run(); err != nil {
@@ -150,7 +150,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E12 sql:", err)
 			return
 		}
-		sqlRows = res.Rows[0][0].Num
+		sqlRows = res.Cols[0].Nums[0]
 	})
 	coldVsSteady := float64(dSQLCold) / float64(dSQLSteady)
 	tbl.AddRow("sql bbox+range count", "cold (prepare per query)", dSQLCold, "-", int(sqlRows))
@@ -176,7 +176,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 	}
 	var sqlBboxRows float64
 	if res, err := pqBbox.Run(); err == nil {
-		sqlBboxRows = res.Rows[0][0].Num
+		sqlBboxRows = res.Cols[0].Nums[0]
 	}
 	dSQLBbox := bench.MeasureN(sqlReps, func() {
 		res, err := pqBbox.Run()
@@ -184,7 +184,7 @@ func expRepeated(env *benchEnv, w io.Writer, repeats int) {
 			fmt.Fprintln(w, "E12 sql:", err)
 			return
 		}
-		sqlBboxRows = res.Rows[0][0].Num
+		sqlBboxRows = res.Cols[0].Nums[0]
 	})
 	gap := float64(dSQLBbox) / float64(dSteady)
 	tbl.AddRow("sql bbox count", "prepared steady (vs engine)", dSQLBbox, "-", int(sqlBboxRows))

@@ -154,3 +154,21 @@ func (r *jsonReport) write(path string) error {
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
+
+// sameRendering reports whether two results print identically, cell for
+// cell — the equivalence the self-checking experiments (rebound vs fresh,
+// parallel vs serial, pyramid vs exact) assert before publishing a timing.
+func sameRendering(a, b *sql.Result) bool {
+	ra, rb := a.Rows(), b.Rows()
+	if len(ra) != len(rb) {
+		return false
+	}
+	for i := range ra {
+		for j := range ra[i] {
+			if ra[i][j].String() != rb[i][j].String() {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -95,23 +95,19 @@ func runOne(exec *sql.Executor, q string, explain bool, maxRows int, timeout tim
 	elapsed := time.Since(start)
 
 	tbl := bench.NewTable("", res.Columns...)
-	shown := 0
-	for _, row := range res.Rows {
-		if shown >= maxRows {
-			break
-		}
-		cells := make([]any, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
+	shown := max(0, min(res.Len(), maxRows))
+	for i := 0; i < shown; i++ {
+		cells := make([]any, len(res.Cols))
+		for j := range res.Cols {
+			cells[j] = res.Cols[j].Value(i).String()
 		}
 		tbl.AddRow(cells...)
-		shown++
 	}
 	tbl.WriteTo(os.Stdout)
-	if len(res.Rows) > shown {
-		fmt.Printf("... %d more rows\n", len(res.Rows)-shown)
+	if res.Len() > shown {
+		fmt.Printf("... %d more rows\n", res.Len()-shown)
 	}
-	fmt.Printf("%d row(s) in %s\n", len(res.Rows), elapsed.Round(time.Microsecond))
+	fmt.Printf("%d row(s) in %s\n", res.Len(), elapsed.Round(time.Microsecond))
 	if explain {
 		fmt.Println("\nplan:")
 		fmt.Print(res.Explain.String())

@@ -116,6 +116,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n  ground returns within 40 m of a river: %s\n", res.Rows[0][0])
+	fmt.Printf("\n  ground returns within 40 m of a river: %s\n", res.Rows()[0][0])
 	fmt.Println("  (no LAStools pipeline expresses this without custom code)")
 }

@@ -68,7 +68,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nSQL: n=%s mean_z=%s max_z=%s\n",
-		res.Rows[0][0], res.Rows[0][1], res.Rows[0][2])
+		res.Cols[0].Value(0), res.Cols[1].Value(0), res.Cols[2].Value(0))
 
 	// 5. A thematic + spatial combination: buildings only.
 	res2, err := exec.Query(`
@@ -78,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("of which building returns: %s\n", res2.Rows[0][0])
+	fmt.Printf("of which building returns: %s\n", res2.Rows()[0][0])
 
 	// 6. Imprint statistics — the secondary index the paper champions.
 	sx, sy := pc.ImprintStats()

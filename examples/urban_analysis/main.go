@@ -109,7 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("Q%d: %v", i+1, err)
 		}
-		for _, row := range res.Rows {
+		for _, row := range res.Rows() {
 			for j, col := range res.Columns {
 				if j > 0 {
 					fmt.Print("  ")

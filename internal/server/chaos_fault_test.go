@@ -75,8 +75,9 @@ func TestServerChaos(t *testing.T) {
 
 	// Phase 4: the response-write faultpoint fails after the status line.
 	// Unreportable to the client by construction; the server must not
-	// panic, and the query still counts as answered.
-	okBefore := srv.Stats().QueriesOK
+	// panic, the query still counts as answered, and the lost body is
+	// counted — once, outside the accounting identity checked at the end.
+	okBefore, lostBefore := srv.Stats().QueriesOK, srv.Stats().ResponseWriteErrors
 	faultpoint.Arm("server.response.write", faultpoint.Action{Err: context.Canceled})
 	rec = doQuery(h, testQuery)
 	faultpoint.Disarm("server.response.write")
@@ -85,6 +86,9 @@ func TestServerChaos(t *testing.T) {
 	}
 	if got := srv.Stats().QueriesOK; got != okBefore+1 {
 		t.Fatalf("QueriesOK = %d, want %d", got, okBefore+1)
+	}
+	if got := srv.Stats().ResponseWriteErrors; got != lostBefore+1 {
+		t.Fatalf("ResponseWriteErrors = %d, want %d", got, lostBefore+1)
 	}
 
 	// Phase 5: saturation and drain. A two-slot gate under kernels slowed
@@ -178,6 +182,9 @@ func TestServerChaos(t *testing.T) {
 	}
 	if st.Requests != st.QueriesOK+errs {
 		t.Fatalf("request accounting: %d requests, %d ok + %d errors", st.Requests, st.QueriesOK, errs)
+	}
+	if st.ResponseWriteErrors != lostBefore+1 {
+		t.Fatalf("ResponseWriteErrors = %d after the drain, want %d: only phase 4 lost a body", st.ResponseWriteErrors, lostBefore+1)
 	}
 	if drift := poolOutstanding() - before; drift != 0 {
 		t.Fatalf("pool drift across chaos: %d buffers outstanding", drift)

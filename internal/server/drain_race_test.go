@@ -89,7 +89,7 @@ func TestDrainRaceEpochBumps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(res.Rows[0][0].Num); got != pc.Len() {
+	if got := int(res.Rows()[0][0].Num); got != pc.Len() {
 		t.Fatalf("post-append count(*) = %d, table has %d rows (stale plan?)", got, pc.Len())
 	}
 

@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -108,6 +107,11 @@ type Server struct {
 	queriesOK     atomic.Uint64
 	drainRejected atomic.Uint64
 	errCounts     [5]atomic.Uint64 // indexed by codeIndex
+
+	// Replies whose body write failed, fell short or was aborted by the
+	// response-write faultpoint. Outside the accounting identity
+	// requests == queries_ok + Σ errors: each such request is in it already.
+	responseWriteErrors atomic.Uint64
 }
 
 // New builds a Server over cfg, applying defaults.
@@ -247,13 +251,6 @@ type queryRequest struct {
 	TimeoutMs int64  `json:"timeout_ms,omitempty"`
 }
 
-// queryResponse is the success body of /query.
-type queryResponse struct {
-	Columns   []string `json:"columns"`
-	Rows      [][]any  `json:"rows"`
-	ElapsedUs int64    `json:"elapsed_us"`
-}
-
 // errorResponse is the failure body of /query; Code is one of the stable
 // taxonomy codes and RetryAfterMs rides along on overload sheds.
 type errorResponse struct {
@@ -305,21 +302,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, Code(err), err)
 		return
 	}
-	// Marshal before any counter or header moves: a result the encoder
-	// rejects is an internal error with a body, never a bare 500 already
-	// counted as a success.
-	data, err := json.Marshal(&queryResponse{
-		Columns:   res.Columns,
-		Rows:      encodeRows(res.Rows),
-		ElapsedUs: elapsed.Microseconds(),
-	})
-	if err != nil {
-		s.writeError(w, CodeInternal, fmt.Errorf("server: encoding result: %w", err))
-		return
-	}
+	// Encode the whole body before any counter or header moves, so a reply
+	// is counted as a success only once it exists (a panic in the encoder
+	// lands in the recover above as an internal error with a body).
+	bp := replyBufs.Get().(*[]byte)
+	data := appendReply((*bp)[:0], res, elapsed.Microseconds())
 	s.queriesOK.Add(1)
 	s.sessions.touch(r.RemoteAddr, time.Now())
 	s.writeJSON(w, http.StatusOK, data)
+	if cap(data) <= maxPooledReply {
+		*bp = data
+		replyBufs.Put(bp)
+	}
 }
 
 // parseQueryRequest extracts the statement and effective timeout: GET reads
@@ -367,43 +361,6 @@ func (s *Server) parseQueryRequest(r *http.Request) (src string, timeout time.Du
 		}
 	}
 	return src, timeout, nil
-}
-
-// encodeRows converts result values into their JSON-native forms: numbers
-// as numbers, strings as strings, booleans as booleans, NULL as null, and
-// geometries as WKT strings. JSON has no literal for a non-finite number
-// (json.Marshal rejects them), so ±Inf and NaN travel as the strings
-// "Infinity", "-Infinity" and "NaN".
-func encodeRows(rows [][]sql.Value) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		enc := make([]any, len(row))
-		for j, v := range row {
-			switch v.Kind {
-			case sql.KindNum:
-				switch {
-				case math.IsNaN(v.Num):
-					enc[j] = "NaN"
-				case math.IsInf(v.Num, 1):
-					enc[j] = "Infinity"
-				case math.IsInf(v.Num, -1):
-					enc[j] = "-Infinity"
-				default:
-					enc[j] = v.Num
-				}
-			case sql.KindStr:
-				enc[j] = v.Str
-			case sql.KindBool:
-				enc[j] = v.Bool
-			case sql.KindNull:
-				enc[j] = nil
-			default:
-				enc[j] = v.String()
-			}
-		}
-		out[i] = enc
-	}
-	return out
 }
 
 // retryAfter derives the overload backoff hint: one typical run (by then a
@@ -465,21 +422,28 @@ func (s *Server) writeError(w http.ResponseWriter, code string, err error) {
 		w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(resp.RetryAfterMs, 10))
 	}
 	data, _ := json.Marshal(&resp) // strings and integers only: cannot fail
-	s.writeJSON(w, HTTPStatus(code), data)
+	s.writeJSON(w, HTTPStatus(code), append(data, '\n'))
 }
 
-// writeJSON writes one already-marshalled JSON response: callers marshal
-// first, so by the time a header moves the body is known to exist. The
-// response-write faultpoint sits between status and body so the chaos
-// tests can stall or fail the write path itself; a write error past
-// WriteHeader is unreportable to the client and only counted.
+// writeJSON writes one already-encoded JSON response in a single Write
+// under an explicit Content-Length: callers encode first, so by the time a
+// header moves the body is known to exist, and net/http never chunks it.
+// The response-write faultpoint sits between status and body so the chaos
+// tests can stall or fail the write path itself; a failed or short write
+// past WriteHeader is unreportable to the client and only counted
+// (response_write_errors — the request itself was already counted once, as
+// a success or under its error code).
 func (s *Server) writeJSON(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(status)
 	if err := faultpoint.Hit("server.response.write"); err != nil {
+		s.responseWriteErrors.Add(1)
 		return
 	}
-	w.Write(append(data, '\n'))
+	if n, err := w.Write(data); err != nil || n < len(data) {
+		s.responseWriteErrors.Add(1)
+	}
 }
 
 // --- observability endpoints ------------------------------------------------
@@ -507,7 +471,10 @@ type Stats struct {
 	QueriesOK     uint64            `json:"queries_ok"`
 	DrainRejected uint64            `json:"drain_rejected"`
 	Errors        map[string]uint64 `json:"errors"`
-	Sessions      SessionStats      `json:"sessions"`
+	// ResponseWriteErrors counts replies whose body never fully reached the
+	// socket; it stands outside requests == queries_ok + Σ errors.
+	ResponseWriteErrors uint64       `json:"response_write_errors"`
+	Sessions            SessionStats `json:"sessions"`
 
 	Exec       sql.ExecStats                    `json:"exec"`
 	StmtCache  sql.StmtCacheStats               `json:"stmt_cache"`
@@ -519,10 +486,11 @@ type Stats struct {
 // Stats snapshots the server.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Draining:      s.Draining(),
-		Requests:      s.requests.Load(),
-		QueriesOK:     s.queriesOK.Load(),
-		DrainRejected: s.drainRejected.Load(),
+		Draining:            s.Draining(),
+		Requests:            s.requests.Load(),
+		QueriesOK:           s.queriesOK.Load(),
+		DrainRejected:       s.drainRejected.Load(),
+		ResponseWriteErrors: s.responseWriteErrors.Load(),
 		Errors: map[string]uint64{
 			CodeOverloaded: s.errCounts[0].Load(),
 			CodeDeadline:   s.errCounts[1].Load(),

@@ -365,6 +365,55 @@ func TestNonFiniteNumbersOnTheWire(t *testing.T) {
 	}
 }
 
+// brokenWriter is a client connection that dies mid-reply: Write accepts at
+// most limit bytes of the body, then fails.
+type brokenWriter struct {
+	*httptest.ResponseRecorder
+	limit int
+}
+
+func (w *brokenWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n, _ := w.ResponseRecorder.Write(p[:w.limit])
+		return n, errors.New("connection reset by peer")
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestResponseWriteErrorsCounted: a reply whose body write fails or falls
+// short used to vanish without a trace. It is counted in
+// response_write_errors, for success and error replies alike, and stays
+// outside the identity requests == queries_ok + Σ errors — the request was
+// already counted once when its body was built.
+func TestResponseWriteErrorsCounted(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	h := srv.Handler()
+	if rec := doQuery(h, testQuery); rec.Code != http.StatusOK {
+		t.Fatalf("query = %d", rec.Code)
+	}
+	if got := srv.Stats().ResponseWriteErrors; got != 0 {
+		t.Fatalf("ResponseWriteErrors = %d after a delivered reply, want 0", got)
+	}
+	for i, q := range []string{testQuery, "SELECT FROM nothing"} {
+		w := &brokenWriter{ResponseRecorder: httptest.NewRecorder(), limit: 10}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape(q), nil))
+		if w.Body.Len() != 10 {
+			t.Fatalf("%q: %d body bytes reached the client, want the 10 before the reset", q, w.Body.Len())
+		}
+		if got := srv.Stats().ResponseWriteErrors; got != uint64(i+1) {
+			t.Fatalf("%q: ResponseWriteErrors = %d, want %d", q, got, i+1)
+		}
+	}
+	st := srv.Stats()
+	var errs uint64
+	for _, n := range st.Errors {
+		errs += n
+	}
+	if st.Requests != 3 || st.QueriesOK != 2 || st.Requests != st.QueriesOK+errs {
+		t.Fatalf("request accounting: %d requests, %d ok + %d errors", st.Requests, st.QueriesOK, errs)
+	}
+}
+
 // TestSessionCacheBound pins the drop-and-rebuild bound of the session
 // table: an unbounded stream of distinct client addresses must never grow
 // the map past its bound.

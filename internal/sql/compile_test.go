@@ -223,8 +223,8 @@ func TestCompiledFilterInQueryExplain(t *testing.T) {
 
 	// st_x(st_point(x,y)) forces the interpreter on an equivalent predicate.
 	slow := mustQuery(t, e, "SELECT count(*) FROM ahn2 WHERE st_x(st_point(z - 2*intensity, 0)) > -500")
-	if res.Rows[0][0].Num != slow.Rows[0][0].Num {
-		t.Fatalf("compiled count %v != interpreter count %v", res.Rows[0][0].Num, slow.Rows[0][0].Num)
+	if res.Rows()[0][0].Num != slow.Rows()[0][0].Num {
+		t.Fatalf("compiled count %v != interpreter count %v", res.Rows()[0][0].Num, slow.Rows()[0][0].Num)
 	}
 }
 
@@ -281,12 +281,79 @@ func TestAggregateNaNParityAcrossRoutes(t *testing.T) {
 	for _, fn := range []string{"min", "max"} {
 		kernel := mustQuery(t, e, "SELECT "+fn+"(z) FROM ahn2")
 		interp := mustQuery(t, e, "SELECT "+fn+"(z + 0) FROM ahn2")
-		k, i := kernel.Rows[0][0].Num, interp.Rows[0][0].Num
+		k, i := kernel.Rows()[0][0].Num, interp.Rows()[0][0].Num
 		if k != i && !(math.IsNaN(k) && math.IsNaN(i)) {
 			t.Fatalf("%s(z) = %v via kernel but %v via interpreter on NaN-polluted data", fn, k, i)
 		}
 		if math.IsNaN(k) || math.IsInf(k, 0) {
 			t.Fatalf("%s(z) = %v; NaN rows should be skipped, not poison the result", fn, k)
+		}
+	}
+}
+
+// TestCompiledProjectionMatchesInterpreter is the projection's differential
+// property: every SELECT item compileNum takes must fill its float vector
+// with exactly the bits the row-at-a-time interpreter boxes for the same
+// rows — NaN, ±Inf, −0 and the division/modulo errors included — and items
+// it declines must land in Value vectors beside them. The interpreter arm
+// is the same plan with its compiled kernels removed.
+func TestCompiledProjectionMatchesInterpreter(t *testing.T) {
+	e, _ := nanDB(t, 5000) // > 4 expression chunks; NaN z, NaN/−0/+Inf gps_time
+	for _, tc := range []struct {
+		list     string
+		compiled []bool // per item: expected to compile; nil = every item
+	}{
+		{"*", nil},
+		{"x, y, z, classification, intensity", []bool{true, true, true, true, true}},
+		{"z - 2*intensity, abs(z - 40) / 4, gps_time * 0, 7, intensity % 7", []bool{true, true, true, true, true}},
+		{"z * 1e308 * 1e308, 0 - z * 1e308 * 1e308, gps_time - gps_time", []bool{true, true, true}},
+		{"z, st_x(st_point(z, 0)), st_point(x, y), x > 500, 'k'", []bool{true, false, false, false, false}},
+		{"z / (classification - 2)", []bool{true}},
+		{"intensity % (classification - 2)", []bool{true}},
+		{"z, intensity % 0.5", []bool{true, true}},
+	} {
+		q := "SELECT " + tc.list + " FROM cloud WHERE x < 700"
+		pq, err := e.Prepare(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		compiled := tc.compiled
+		if compiled == nil {
+			compiled = make([]bool, len(pq.plan.proj))
+			for i := range compiled {
+				compiled[i] = true
+			}
+		}
+		if len(pq.plan.proj) != len(compiled) {
+			t.Fatalf("%s: %d projected items, want %d", q, len(pq.plan.proj), len(compiled))
+		}
+		for i, want := range compiled {
+			if (pq.plan.proj[i] != nil) != want {
+				t.Fatalf("%s: item %d compiled = %v, want %v", q, i, !want, want)
+			}
+		}
+		got, gerr := pq.Run()
+		clear(pq.plan.proj) // every item through the interpreter
+		want, werr := pq.Run()
+		if (gerr != nil) != (werr != nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("%s: compiled err %v, interpreter err %v", q, gerr, werr)
+		}
+		if gerr != nil {
+			continue
+		}
+		if got.Len() < 3*exprChunk || got.Len() != want.Len() {
+			t.Fatalf("%s: %d rows compiled, %d interpreted; want the same, over 3 chunks", q, got.Len(), want.Len())
+		}
+		for j := range got.Cols {
+			if numeric := got.Cols[j].Nums != nil; numeric != compiled[j] {
+				t.Fatalf("%s: column %d numeric vector = %v, want %v", q, j, numeric, compiled[j])
+			}
+			for i := 0; i < got.Len(); i++ {
+				g, w := got.Cols[j].Value(i), want.Cols[j].Value(i)
+				if g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.String() != w.String() {
+					t.Fatalf("%s: row %d col %d: compiled %v, interpreter %v", q, i, j, g, w)
+				}
+			}
 		}
 	}
 }

@@ -47,15 +47,6 @@ func (e *Executor) SetParallelism(n int) {
 	e.parallel.Store(int32(n))
 }
 
-// Result is a completed query: column names, value rows, and the operator
-// trace (the demo's per-operator EXPLAIN view; nil for untraced runs).
-// Columns is shared with the statement's plan — treat it as read-only.
-type Result struct {
-	Columns []string
-	Rows    [][]Value
-	Explain *engine.Explain
-}
-
 // Query executes one SELECT statement through the two-level lookup: the
 // statement text is normalised into (shape, literal vector); a shape hit
 // re-binds the cached plan skeleton to the new literals and runs (no parse

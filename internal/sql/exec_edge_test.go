@@ -11,11 +11,11 @@ func TestOrderByOnPointCloud(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e,
 		"SELECT z FROM ahn2 WHERE ST_Contains(ST_MakeEnvelope(0, 0, 300, 300), ST_Point(x, y)) ORDER BY z DESC LIMIT 10")
-	if len(res.Rows) == 0 {
+	if res.Len() == 0 {
 		t.Fatal("no rows")
 	}
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].Num < res.Rows[i][0].Num {
+	for i := 1; i < res.Len(); i++ {
+		if res.Cols[0].Nums[i-1] < res.Cols[0].Nums[i] {
 			t.Fatal("descending order violated")
 		}
 	}
@@ -27,8 +27,8 @@ func TestStarOnPointCloud(t *testing.T) {
 	if len(res.Columns) != len(pc.Schema().Fields) {
 		t.Fatalf("star expanded to %d columns", len(res.Columns))
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("limit ignored: %d", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("limit ignored: %d", res.Len())
 	}
 }
 
@@ -45,8 +45,8 @@ func TestSpatialPredicateVariants(t *testing.T) {
 	}
 	for _, q := range variants {
 		res := mustQuery(t, e, q)
-		if int(res.Rows[0][0].Num) != want {
-			t.Fatalf("%s: %v, want %d", q, res.Rows[0][0].Num, want)
+		if int(res.Rows()[0][0].Num) != want {
+			t.Fatalf("%s: %v, want %d", q, res.Rows()[0][0].Num, want)
 		}
 	}
 }
@@ -59,9 +59,9 @@ func TestJoinContainmentVariants(t *testing.T) {
 		WHERE ua.class = '11100' AND ST_Within(ST_Point(ahn2.x, ahn2.y), ua.geom)`)
 	c := mustQuery(t, e, `SELECT count(*) FROM ahn2, ua
 		WHERE ua.class = '11100' AND ST_Intersects(ua.geom, ST_Point(ahn2.x, ahn2.y))`)
-	if a.Rows[0][0].Num != b.Rows[0][0].Num || a.Rows[0][0].Num != c.Rows[0][0].Num {
+	if a.Rows()[0][0].Num != b.Rows()[0][0].Num || a.Rows()[0][0].Num != c.Rows()[0][0].Num {
 		t.Fatalf("containment variants disagree: %v %v %v",
-			a.Rows[0][0].Num, b.Rows[0][0].Num, c.Rows[0][0].Num)
+			a.Rows()[0][0].Num, b.Rows()[0][0].Num, c.Rows()[0][0].Num)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestStringComparisons(t *testing.T) {
 	res := mustQuery(t, e, "SELECT count(*) FROM osm WHERE class >= 'r'")
 	res2 := mustQuery(t, e, "SELECT count(*) FROM osm WHERE class < 'r'")
 	all := mustQuery(t, e, "SELECT count(*) FROM osm")
-	if res.Rows[0][0].Num+res2.Rows[0][0].Num != all.Rows[0][0].Num {
+	if res.Rows()[0][0].Num+res2.Rows()[0][0].Num != all.Rows()[0][0].Num {
 		t.Fatal("string comparison partition broken")
 	}
 }
@@ -94,8 +94,8 @@ func TestStringComparisons(t *testing.T) {
 func TestModuloAndUnaryMinus(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e, "SELECT 7 % 3, -4 + 1 FROM osm LIMIT 1")
-	if res.Rows[0][0].Num != 1 || res.Rows[0][1].Num != -3 {
-		t.Fatalf("arithmetic = %v", res.Rows[0])
+	if res.Rows()[0][0].Num != 1 || res.Rows()[0][1].Num != -3 {
+		t.Fatalf("arithmetic = %v", res.Rows()[0])
 	}
 }
 
@@ -103,15 +103,15 @@ func TestBooleanLiterals(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e, "SELECT count(*) FROM osm WHERE TRUE")
 	all := mustQuery(t, e, "SELECT count(*) FROM osm")
-	if res.Rows[0][0].Num != all.Rows[0][0].Num {
+	if res.Rows()[0][0].Num != all.Rows()[0][0].Num {
 		t.Fatal("WHERE TRUE should keep everything")
 	}
 	res2 := mustQuery(t, e, "SELECT count(*) FROM osm WHERE FALSE")
-	if res2.Rows[0][0].Num != 0 {
+	if res2.Rows()[0][0].Num != 0 {
 		t.Fatal("WHERE FALSE should keep nothing")
 	}
 	res3 := mustQuery(t, e, "SELECT TRUE = TRUE, TRUE <> FALSE FROM osm LIMIT 1")
-	if !res3.Rows[0][0].Bool || !res3.Rows[0][1].Bool {
+	if !res3.Rows()[0][0].Bool || !res3.Rows()[0][1].Bool {
 		t.Fatal("boolean comparisons wrong")
 	}
 }
@@ -119,12 +119,12 @@ func TestBooleanLiterals(t *testing.T) {
 func TestQualifiedColumnsAndAliases(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e, "SELECT a.z FROM ahn2 AS a WHERE a.z > 0 LIMIT 1")
-	if len(res.Rows) != 1 || res.Rows[0][0].Num <= 0 {
-		t.Fatalf("qualified select = %v", res.Rows)
+	if res.Len() != 1 || res.Rows()[0][0].Num <= 0 {
+		t.Fatalf("qualified select = %v", res.Rows())
 	}
 	// Bare alias (no AS).
 	res2 := mustQuery(t, e, "SELECT b.class FROM osm b LIMIT 1")
-	if len(res2.Rows) != 1 {
+	if res2.Len() != 1 {
 		t.Fatal("bare alias failed")
 	}
 	// Unknown qualifier.
@@ -141,7 +141,7 @@ func TestCountRequiresArgument(t *testing.T) {
 	// count(column) counts rows with numeric values.
 	res := mustQuery(t, e, "SELECT count(z) FROM ahn2")
 	all := mustQuery(t, e, "SELECT count(*) FROM ahn2")
-	if res.Rows[0][0].Num != all.Rows[0][0].Num {
+	if res.Rows()[0][0].Num != all.Rows()[0][0].Num {
 		t.Fatal("count(z) should equal count(*) on a dense column")
 	}
 }
@@ -161,8 +161,8 @@ func TestExplainSurfacesAcceleratedJoin(t *testing.T) {
 func TestVectorOrderByNumericAttr(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e, "SELECT pop_density FROM ua ORDER BY pop_density LIMIT 5")
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].Num > res.Rows[i][0].Num {
+	for i := 1; i < res.Len(); i++ {
+		if res.Cols[0].Value(i-1).Num > res.Cols[0].Value(i).Num {
 			t.Fatal("ascending order violated")
 		}
 	}

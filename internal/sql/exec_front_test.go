@@ -26,8 +26,8 @@ func TestFrontCacheHitsOnRepeatedText(t *testing.T) {
 	if st.FrontEntries == 0 {
 		t.Fatal("no front entries interned")
 	}
-	if first.Rows[0][0].Num != second.Rows[0][0].Num {
-		t.Fatalf("front-cache hit changed the result: %v vs %v", first.Rows[0][0], second.Rows[0][0])
+	if first.Rows()[0][0].Num != second.Rows()[0][0].Num {
+		t.Fatalf("front-cache hit changed the result: %v vs %v", first.Rows()[0][0], second.Rows()[0][0])
 	}
 	// A different text of the same shape must not front-hit (the front cache
 	// is exact-text), but still shape-hits the statement cache.
@@ -48,7 +48,7 @@ func TestFrontCacheHitsOnRepeatedText(t *testing.T) {
 func TestFrontCacheObservesAppends(t *testing.T) {
 	e, pc, _, _ := testDB(t)
 	q := "SELECT count(*) FROM ahn2"
-	before := mustQuery(t, e, q).Rows[0][0].Num
+	before := mustQuery(t, e, q).Rows()[0][0].Num
 	mustQuery(t, e, q) // intern + warm
 
 	region := geom.NewEnvelope(0, 0, 2000, 2000)
@@ -57,7 +57,7 @@ func TestFrontCacheObservesAppends(t *testing.T) {
 	pc.AppendLAS(extra)
 
 	invBefore := e.StmtCacheStats().Invalidations
-	after := mustQuery(t, e, q).Rows[0][0].Num
+	after := mustQuery(t, e, q).Rows()[0][0].Num
 	if after != before+float64(len(extra)) {
 		t.Fatalf("front-hit query missed the append: %v -> %v (+%d points)", before, after, len(extra))
 	}

@@ -111,9 +111,9 @@ func TestJoinVTIntersectsFastPath(t *testing.T) {
 	flipped := mustQuery(t, e, `SELECT count(*) FROM ahn2, ua
 	      WHERE ST_Intersects(ST_MakeEnvelope(0, 0, 900, 900), ua.geom)
 	        AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 25)`)
-	if res.Rows[0][0].Num != flipped.Rows[0][0].Num {
+	if res.Rows()[0][0].Num != flipped.Rows()[0][0].Num {
 		t.Fatalf("flipped argument order changed the count: %v vs %v",
-			res.Rows[0][0].Num, flipped.Rows[0][0].Num)
+			res.Rows()[0][0].Num, flipped.Rows()[0][0].Num)
 	}
 }
 
@@ -128,14 +128,14 @@ func TestSQLDWithinBadDistances(t *testing.T) {
 		q := `SELECT count(*) FROM ahn2
 		      WHERE ST_DWithin(ST_GeomFromText('LINESTRING (0 1000, 2000 1000)'), ST_Point(x, y), ` + d + `)`
 		res := mustQuery(t, e, q)
-		if got := res.Rows[0][0].Num; got != 0 {
+		if got := res.Rows()[0][0].Num; got != 0 {
 			t.Fatalf("pc DWithin d=%s matched %g rows, want 0", d, got)
 		}
 
 		jq := `SELECT count(*) FROM ahn2, ua
 		       WHERE ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), ` + d + `)`
 		res = mustQuery(t, e, jq)
-		if got := res.Rows[0][0].Num; got != 0 {
+		if got := res.Rows()[0][0].Num; got != 0 {
 			t.Fatalf("join DWithin d=%s matched %g rows, want 0", d, got)
 		}
 	}
@@ -143,14 +143,14 @@ func TestSQLDWithinBadDistances(t *testing.T) {
 	// Double-check the overflow trick produced the infinity the loop above
 	// claims to exercise.
 	v := mustQuery(t, e, "SELECT 1e308 * 10 FROM ua LIMIT 1")
-	if !math.IsInf(v.Rows[0][0].Num, 1) {
-		t.Fatalf("1e308 * 10 evaluated to %v, want +Inf", v.Rows[0][0].Num)
+	if !math.IsInf(v.Rows()[0][0].Num, 1) {
+		t.Fatalf("1e308 * 10 evaluated to %v, want +Inf", v.Rows()[0][0].Num)
 	}
 
 	// Empty geometry through WKT: zero matches, no error.
 	res := mustQuery(t, e, `SELECT count(*) FROM ahn2
 	      WHERE ST_DWithin(ST_GeomFromText('POLYGON EMPTY'), ST_Point(x, y), 100)`)
-	if got := res.Rows[0][0].Num; got != 0 {
+	if got := res.Rows()[0][0].Num; got != 0 {
 		t.Fatalf("empty geometry DWithin matched %g rows, want 0", got)
 	}
 }

@@ -72,7 +72,7 @@ func TestFaultPanicIsolation(t *testing.T) {
 	for point, q := range panicPoints {
 		t.Run(point, func(t *testing.T) {
 			t.Cleanup(faultpoint.Reset)
-			want := mustQuery(t, e, q).Rows // pre-panic truth
+			want := mustQuery(t, e, q).Rows() // pre-panic truth
 			before := e.ExecStats().Panicked
 
 			faultpoint.Arm(point, faultpoint.Action{Panic: "kernel fault at " + point})
@@ -106,13 +106,13 @@ func TestFaultPanicIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("post-panic run: %v", err)
 			}
-			if len(res.Rows) != len(want) {
-				t.Fatalf("post-panic run: %d rows, want %d", len(res.Rows), len(want))
+			if res.Len() != len(want) {
+				t.Fatalf("post-panic run: %d rows, want %d", res.Len(), len(want))
 			}
 			for i := range want {
 				for j := range want[i] {
-					if res.Rows[i][j].Num != want[i][j].Num {
-						t.Fatalf("post-panic row %d col %d = %v, want %v", i, j, res.Rows[i][j].Num, want[i][j].Num)
+					if got := res.Cols[j].Value(i).Num; got != want[i][j].Num {
+						t.Fatalf("post-panic row %d col %d = %v, want %v", i, j, got, want[i][j].Num)
 					}
 				}
 			}
@@ -167,8 +167,8 @@ func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if poisonedRes.Rows[0][0].Num != freshRes.Rows[0][0].Num {
-		t.Fatalf("post-panic run = %v, fresh prepare = %v", poisonedRes.Rows[0][0].Num, freshRes.Rows[0][0].Num)
+	if poisonedRes.Rows()[0][0].Num != freshRes.Rows()[0][0].Num {
+		t.Fatalf("post-panic run = %v, fresh prepare = %v", poisonedRes.Rows()[0][0].Num, freshRes.Rows()[0][0].Num)
 	}
 	// Poison is consumed by the successful replan: the run after it is a
 	// plain cached run again.

@@ -13,7 +13,7 @@ func TestMeasureFunctions(t *testing.T) {
 		       ST_AsText(ST_Centroid(ST_MakeEnvelope(0, 0, 10, 10))),
 		       ST_AsText(ST_Envelope(ST_GeomFromText('LINESTRING (1 2, 5 7)')))
 		FROM osm LIMIT 1`)
-	r := res.Rows[0]
+	r := res.Rows()[0]
 	if r[0].Num != 5 {
 		t.Fatalf("st_length = %v", r[0])
 	}
@@ -32,12 +32,12 @@ func TestTotalRoadLengthByClass(t *testing.T) {
 	e, _, osm, _ := testDB(t)
 	res := mustQuery(t, e,
 		"SELECT class, sum(ST_Length(geom)) AS total FROM osm GROUP BY class ORDER BY total DESC")
-	if len(res.Rows) < 3 {
-		t.Fatalf("groups = %d", len(res.Rows))
+	if res.Len() < 3 {
+		t.Fatalf("groups = %d", res.Len())
 	}
 	// Sanity: totals are positive for line classes and ordered.
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][1].Num < res.Rows[i][1].Num {
+	for i := 1; i < res.Len(); i++ {
+		if res.Cols[1].Nums[i-1] < res.Cols[1].Nums[i] {
 			t.Fatal("order by total desc violated")
 		}
 	}
@@ -49,8 +49,8 @@ func TestConvexHullFunction(t *testing.T) {
 	res := mustQuery(t, e, `
 		SELECT ST_Area(ST_ConvexHull(ST_GeomFromText('MULTIPOINT (0 0, 10 0, 10 10, 0 10, 5 5)')))
 		FROM osm LIMIT 1`)
-	if res.Rows[0][0].Num != 100 {
-		t.Fatalf("hull area = %v", res.Rows[0][0])
+	if res.Rows()[0][0].Num != 100 {
+		t.Fatalf("hull area = %v", res.Rows()[0][0])
 	}
 }
 
@@ -81,7 +81,7 @@ func TestAvgZNearRiverWithMeasures(t *testing.T) {
 		GROUP BY classification
 		ORDER BY n DESC`)
 	total := 0.0
-	for _, row := range res.Rows {
+	for _, row := range res.Rows() {
 		total += row[1].Num
 		if row[2].Kind == KindNum && math.IsNaN(row[2].Num) {
 			t.Fatal("NaN average")
@@ -91,7 +91,7 @@ func TestAvgZNearRiverWithMeasures(t *testing.T) {
 		SELECT count(*) FROM ahn2, osm
 		WHERE osm.class = 'river'
 		  AND ST_DWithin(osm.geom, ST_Point(ahn2.x, ahn2.y), 60)`)
-	if total != resFlat.Rows[0][0].Num {
-		t.Fatalf("grouped total %v != flat count %v", total, resFlat.Rows[0][0].Num)
+	if total != resFlat.Rows()[0][0].Num {
+		t.Fatalf("grouped total %v != flat count %v", total, resFlat.Rows()[0][0].Num)
 	}
 }

@@ -235,7 +235,7 @@ func (gp *groupedPlan) vectorize(b *binding, mode planMode) {
 func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
 	gp := p.grouped
 	start := time.Now()
-	res := &Result{Columns: gp.cols, Explain: ex}
+	var res *Result
 	strategy := "interpreter"
 	if gp.keyCol != "" && !isVector {
 		// ex lands the engine's group.agg step (kernel strategy + timing)
@@ -244,16 +244,17 @@ func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isV
 			return nil, err
 		}
 		strategy = gp.scratch.Strategy
-		materialiseGrouped(gp, res)
 		// Engine results arrive already in FloatOrderKey order.
+		res = materialiseGrouped(gp, ex)
 	} else {
-		if err := interpretGrouped(rs, p, gp, rows, isVector, res); err != nil {
+		var err error
+		if res, err = interpretGrouped(rs, p, gp, rows, isVector, ex); err != nil {
 			return nil, err
 		}
 	}
 	if ex != nil { // the Sprintf below must not run on untraced steady-state runs
-		ex.Add("group", fmt.Sprintf("%s: %d groups over %d keys", strategy, len(res.Rows), len(gp.groupBy)),
-			len(rows), len(res.Rows), time.Since(start))
+		ex.Add("group", fmt.Sprintf("%s: %d groups over %d keys", strategy, res.Len(), len(gp.groupBy)),
+			len(rows), res.Len(), time.Since(start))
 	}
 	if err := groupedTail(p, stmt, gp, res); err != nil {
 		return nil, err
@@ -261,53 +262,65 @@ func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isV
 	return res, nil
 }
 
-// materialiseGrouped expands the engine's column-shaped grouped result
-// (gp.scratch) into Value rows in select-item order — shared by the exact
-// vectorized arm and the pyramid arm, so both emit identical rows for
-// identical scratch contents.
-func materialiseGrouped(gp *groupedPlan, res *Result) {
-	ks := gp.scratch.Keys
-	res.Rows = make([][]Value, 0, len(ks))
-	for i := range ks {
-		row := make([]Value, len(gp.items))
-		ai := 0
-		for j, ip := range gp.items {
-			if ip.keyIndex >= 0 {
-				row[j] = numVal(ks[i])
-			} else {
-				row[j] = numVal(gp.scratch.Cols[ai][i])
-				ai++
-			}
+// materialiseGrouped copies the engine's column-shaped grouped result
+// (gp.scratch, which the statement's next run overwrites) into result
+// columns in select-item order — shared by the exact vectorized arm and the
+// pyramid arm, so both emit identical columns for identical scratch
+// contents.
+func materialiseGrouped(gp *groupedPlan, ex *engine.Explain) *Result {
+	res := numericResult(gp.cols, len(gp.scratch.Keys), ex)
+	ai := 0
+	for j, ip := range gp.items {
+		if ip.keyIndex >= 0 {
+			copy(res.Cols[j].Nums, gp.scratch.Keys)
+		} else {
+			copy(res.Cols[j].Nums, gp.scratch.Cols[ai])
+			ai++
 		}
-		res.Rows = append(res.Rows, row)
 	}
+	return res
 }
 
 // groupedTail applies ORDER BY over an output column (by alias or
-// expression text) and LIMIT — the shared tail of every grouped arm.
+// expression text) and LIMIT — the shared tail of every grouped arm. Both go
+// through one row permutation: the sort orders it by the key column, the
+// limit cuts it, and every column gathers what is left of it.
 func groupedTail(p *queryPlan, stmt *SelectStmt, gp *groupedPlan, res *Result) error {
+	var key *Column
 	if stmt.Order != nil {
-		col := -1
 		want := stmt.Order.Expr.exprString()
 		for i, ip := range gp.items {
 			if ip.name == want || stmt.Items[i].Expr.exprString() == want {
-				col = i
+				key = &res.Cols[i]
 				break
 			}
 		}
-		if col < 0 {
+		if key == nil {
 			return fmt.Errorf("sql: ORDER BY %q must name a select item in grouped queries", want)
 		}
+	}
+	limit := res.Len()
+	if p.limit >= 0 && p.limit < limit {
+		limit = p.limit
+	}
+	if key == nil && limit == res.Len() {
+		return nil
+	}
+	idx := make([]int, res.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	if key != nil {
 		desc := stmt.Order.Desc
-		sort.SliceStable(res.Rows, func(a, c int) bool {
+		sort.SliceStable(idx, func(a, c int) bool {
 			if desc {
-				return valueLess(res.Rows[c][col], res.Rows[a][col])
+				a, c = c, a
 			}
-			return valueLess(res.Rows[a][col], res.Rows[c][col])
+			return valueLess(key.Value(idx[a]), key.Value(idx[c]))
 		})
 	}
-	if p.limit >= 0 && len(res.Rows) > p.limit {
-		res.Rows = res.Rows[:p.limit]
+	for j := range res.Cols {
+		res.Cols[j] = res.Cols[j].gather(idx[:limit])
 	}
 	return nil
 }
@@ -339,12 +352,11 @@ func (pq *PreparedQuery) tryPyramid(rs *engine.Run, p *queryPlan, ex *engine.Exp
 	if err != nil || !served {
 		return nil, false, err
 	}
-	res = &Result{Columns: gp.cols, Explain: ex}
-	materialiseGrouped(gp, res)
+	res = materialiseGrouped(gp, ex)
 	if ex != nil { // Sprintf stays off the untraced steady-state path
 		ex.Add("group", fmt.Sprintf("pyramid(level %d, interior %d, boundary %d): %d groups over %d keys",
-			qs.Level, qs.Interior, qs.Boundary, len(res.Rows), len(gp.groupBy)),
-			qs.BoundaryRows, len(res.Rows), time.Since(start))
+			qs.Level, qs.Interior, qs.Boundary, res.Len(), len(gp.groupBy)),
+			qs.BoundaryRows, res.Len(), time.Since(start))
 	}
 	if err := groupedTail(p, pq.stmt, gp, res); err != nil {
 		return nil, true, err
@@ -356,7 +368,7 @@ func (pq *PreparedQuery) tryPyramid(rs *engine.Run, p *queryPlan, ex *engine.Exp
 // expressions and aggregate arguments per row, accumulate into a map keyed
 // by the rendered key tuple, then emit groups sorted into the same
 // canonical key order the engine kernels produce.
-func interpretGrouped(rs *engine.Run, p *queryPlan, gp *groupedPlan, rows []int, isVector bool, res *Result) error {
+func interpretGrouped(rs *engine.Run, p *queryPlan, gp *groupedPlan, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
 	groups := map[string]*group{}
 	ctx := &evalCtx{b: p.b, ps: p.params, pcRow: -1, vtRow: -1}
 	var keyBuf strings.Builder
@@ -366,14 +378,14 @@ func interpretGrouped(rs *engine.Run, p *queryPlan, gp *groupedPlan, rows []int,
 	keyScratch := make([]Value, len(gp.groupBy))
 	for n, r := range rows {
 		if n%exprChunk == 0 && rs.Cancelled() {
-			return cancel.ErrCancelled
+			return nil, cancel.ErrCancelled
 		}
 		setRow(ctx, isVector, r)
 		keyBuf.Reset()
 		for k, gexpr := range gp.groupBy {
 			v, err := evalExpr(ctx, gexpr)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			keyScratch[k] = v
 			keyBuf.WriteString(v.String())
@@ -394,20 +406,21 @@ func interpretGrouped(rs *engine.Run, p *queryPlan, gp *groupedPlan, rows []int,
 				}
 			}
 			if len(f.Args) != 1 {
-				return fmt.Errorf("sql: %s expects one argument", f.Name)
+				return nil, fmt.Errorf("sql: %s expects one argument", f.Name)
 			}
 			v, err := evalExpr(ctx, f.Args[0])
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if v.Kind != KindNum {
-				return fmt.Errorf("sql: %s needs numeric input", f.Name)
+				return nil, fmt.Errorf("sql: %s needs numeric input", f.Name)
 			}
 			acc.add(v.Num)
 		}
 	}
 
-	// Emit one row per group in canonical key order.
+	// Emit one row per group in canonical key order. Aggregates are numbers
+	// or NULL; a key column promotes itself on its first non-numeric value.
 	ordered := make([]*group, 0, len(groups))
 	for _, grp := range groups {
 		ordered = append(ordered, grp)
@@ -415,21 +428,19 @@ func interpretGrouped(rs *engine.Run, p *queryPlan, gp *groupedPlan, rows []int,
 	sort.Slice(ordered, func(a, c int) bool {
 		return groupKeyLess(ordered[a].keyVals, ordered[c].keyVals)
 	})
-	res.Rows = make([][]Value, 0, len(ordered))
-	for _, grp := range ordered {
-		row := make([]Value, len(gp.items))
+	res := numericResult(gp.cols, len(ordered), ex)
+	for r, grp := range ordered {
 		ai := 0
 		for i, ip := range gp.items {
 			if ip.keyIndex >= 0 {
-				row[i] = grp.keyVals[ip.keyIndex]
+				res.Cols[i].put(r, grp.keyVals[ip.keyIndex])
 			} else {
-				row[i] = grp.accs[ai].result(ip.agg.Name)
+				res.Cols[i].put(r, grp.accs[ai].result(ip.agg.Name))
 				ai++
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
-	return nil
+	return res, nil
 }
 
 // newGroup seeds a group's accumulators (±Inf min/max, see aggAcc.add).

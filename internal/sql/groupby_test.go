@@ -23,11 +23,11 @@ func TestGroupByClassification(t *testing.T) {
 		counts[c]++
 		sums[c] += pc.Z()[i]
 	}
-	if len(res.Rows) != len(counts) {
-		t.Fatalf("groups = %d, want %d", len(res.Rows), len(counts))
+	if res.Len() != len(counts) {
+		t.Fatalf("groups = %d, want %d", res.Len(), len(counts))
 	}
 	total := 0
-	for _, row := range res.Rows {
+	for _, row := range res.Rows() {
 		c := row[0].Num
 		n := int(row[1].Num)
 		if counts[c] != n {
@@ -44,8 +44,8 @@ func TestGroupByClassification(t *testing.T) {
 	}
 	// Output is ordered by key value (ascending numeric since PR 5; the
 	// pre-vectorization tail sorted by key STRING, which put 10 before 2).
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].Num >= res.Rows[i][0].Num {
+	for i := 1; i < res.Len(); i++ {
+		if res.Cols[0].Nums[i-1] >= res.Cols[0].Nums[i] {
 			t.Fatal("groups not key-ordered")
 		}
 	}
@@ -60,11 +60,11 @@ func TestGroupByWithWhereAndOrderLimit(t *testing.T) {
 		GROUP BY classification
 		ORDER BY n DESC
 		LIMIT 3`)
-	if len(res.Rows) > 3 {
-		t.Fatalf("limit ignored: %d rows", len(res.Rows))
+	if res.Len() > 3 {
+		t.Fatalf("limit ignored: %d rows", res.Len())
 	}
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][1].Num < res.Rows[i][1].Num {
+	for i := 1; i < res.Len(); i++ {
+		if res.Cols[1].Nums[i-1] < res.Cols[1].Nums[i] {
 			t.Fatal("order by n desc violated")
 		}
 	}
@@ -79,10 +79,10 @@ func TestGroupByVectorTable(t *testing.T) {
 	for i := 0; i < ua.Len(); i++ {
 		counts[ua.Class(i)]++
 	}
-	if len(res.Rows) != len(counts) {
-		t.Fatalf("groups = %d, want %d", len(res.Rows), len(counts))
+	if res.Len() != len(counts) {
+		t.Fatalf("groups = %d, want %d", res.Len(), len(counts))
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.Rows() {
 		if counts[row[0].Str] != int(row[1].Num) {
 			t.Fatalf("class %s: %v vs %d", row[0].Str, row[1].Num, counts[row[0].Str])
 		}
@@ -95,20 +95,20 @@ func TestGroupByExpressionsAndAliases(t *testing.T) {
 	// available; use z-range buckets through comparison-free arithmetic).
 	res := mustQuery(t, e,
 		"SELECT number_of_returns, max(z) FROM ahn2 GROUP BY number_of_returns")
-	if len(res.Rows) < 1 {
+	if res.Len() < 1 {
 		t.Fatal("no groups")
 	}
 	// Alias used in GROUP BY.
 	res2 := mustQuery(t, e,
 		"SELECT classification AS cls, count(*) FROM ahn2 GROUP BY cls")
-	if len(res2.Rows) < 2 {
+	if res2.Len() < 2 {
 		t.Fatal("alias grouping failed")
 	}
 	// A bare item naming the underlying column of an aliased key must
 	// classify as that key (select items match the RESOLVED key list).
 	res3 := mustQuery(t, e,
 		"SELECT classification AS cls, classification, count(*) FROM ahn2 GROUP BY cls")
-	for _, row := range res3.Rows {
+	for _, row := range res3.Rows() {
 		if row[0].Num != row[1].Num {
 			t.Fatalf("aliased and bare key diverge: %v vs %v", row[0], row[1])
 		}
@@ -150,11 +150,11 @@ func TestGroupByJoin(t *testing.T) {
 		WHERE ua.class = '12210'
 		  AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 30)`)
 	sum := 0.0
-	for _, row := range res.Rows {
+	for _, row := range res.Rows() {
 		sum += row[1].Num
 	}
-	if sum != resTotal.Rows[0][0].Num {
-		t.Fatalf("grouped sum %v != total %v", sum, resTotal.Rows[0][0].Num)
+	if sum != resTotal.Rows()[0][0].Num {
+		t.Fatalf("grouped sum %v != total %v", sum, resTotal.Rows()[0][0].Num)
 	}
 	_ = pc
 	_ = ua

@@ -46,14 +46,13 @@ func resultRowsEqual(t *testing.T, label string, got, want *Result) {
 	if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
 		t.Fatalf("%s: columns %v vs %v", label, got.Columns, want.Columns)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: %d rows vs %d", label, len(got.Rows), len(want.Rows))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows vs %d", label, got.Len(), want.Len())
 	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if got.Rows[i][j].String() != want.Rows[i][j].String() {
-				t.Fatalf("%s: row %d col %d: %s vs %s",
-					label, i, j, got.Rows[i][j].String(), want.Rows[i][j].String())
+	for j := range got.Cols {
+		for i := 0; i < got.Len(); i++ {
+			if g, w := got.Cols[j].Value(i).String(), want.Cols[j].Value(i).String(); g != w {
+				t.Fatalf("%s: row %d col %d: %s vs %s", label, i, j, g, w)
 			}
 		}
 	}

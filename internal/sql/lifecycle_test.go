@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -77,8 +78,8 @@ func TestRunContextMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Rows[0][0].Num != ctxed.Rows[0][0].Num {
-		t.Fatalf("RunContext = %v, Run = %v", ctxed.Rows[0][0].Num, plain.Rows[0][0].Num)
+	if plain.Rows()[0][0].Num != ctxed.Rows()[0][0].Num {
+		t.Fatalf("RunContext = %v, Run = %v", ctxed.Rows()[0][0].Num, plain.Rows()[0][0].Num)
 	}
 	// nil context degrades to Background instead of panicking.
 	if _, err := pq.RunContext(nil); err != nil { //nolint:staticcheck
@@ -236,7 +237,7 @@ func TestConcurrentCancelInvalidateStress(t *testing.T) {
 	if pc.Len() == rows {
 		t.Fatal("append added no rows; the staleness check is vacuous")
 	}
-	afterCount := mustQuery(t, e, `SELECT count(*) FROM ahn2`).Rows[0][0].Num
+	afterCount := mustQuery(t, e, `SELECT count(*) FROM ahn2`).Rows()[0][0].Num
 	if int(afterCount) != pc.Len() {
 		t.Fatalf("post-append count(*) = %v, table has %d rows (stale plan?)", afterCount, pc.Len())
 	}
@@ -264,5 +265,72 @@ func TestRunContextSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Fatalf("RunContext steady state allocates %.1f objects/op, want <= 3 (result only)", allocs)
+	}
+}
+
+// TestCancelMidProjection fires the context from inside the projection's
+// second expression chunk: the compiled items poll the token once per
+// block, so the run must stop at the next block boundary — no further
+// kernel call, context.Canceled to the caller, no result, pool level —
+// rather than gathering the rest of the selection. The same statement then
+// completes under a live context, and its fallible item
+// z / (classification - 2) still raises the interpreter's error once a
+// ground return is let through.
+func TestCancelMidProjection(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	const q = `SELECT x, z - 2*intensity, z / (classification - 2) FROM ahn2
+		WHERE ST_Contains(ST_MakeEnvelope(150, 150, 1700, 1620), ST_Point(x, y)) AND classification <> 2`
+	pq, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := pq.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Len() < 4*exprChunk {
+		t.Fatalf("projection selects %d rows; need over 4 chunks for a mid-run cancel", full.Len())
+	}
+	for i, ev := range pq.plan.proj {
+		if ev == nil {
+			t.Fatalf("item %d did not compile; the test would cancel the interpreter arm", i)
+		}
+	}
+
+	ctx, cancelCtx := context.WithCancel(context.Background())
+	defer cancelCtx()
+	blocks := 0
+	gather := pq.plan.proj[0]
+	pq.plan.proj[0] = func(rows []int, dst []float64) error {
+		if blocks++; blocks == 2 {
+			cancelCtx()
+		}
+		return gather(rows, dst)
+	}
+	before := e.ExecStats().Cancelled
+	delta := outstandingDelta(t, func() {
+		res, err := pq.RunContext(ctx)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("RunContext = %v, %v; want nil, context.Canceled", res, err)
+		}
+	})
+	if blocks != 2 {
+		t.Fatalf("projection ran %d blocks after a cancel in block 2", blocks)
+	}
+	if delta != 0 {
+		t.Fatalf("cancelled projection drifted pool by %d", delta)
+	}
+	if got := e.ExecStats().Cancelled; got != before+1 {
+		t.Fatalf("Cancelled = %d, want %d", got, before+1)
+	}
+
+	pq.plan.proj[0] = gather
+	again, err := pq.RunContext(context.Background())
+	if err != nil || !resultsEqual(again, full) {
+		t.Fatalf("run after the cancelled one: err %v, equal to the first run: %v", err, err == nil && resultsEqual(again, full))
+	}
+	_, err = e.Query(strings.Replace(q, "classification <> 2", "classification <> 3", 1))
+	if err == nil || err.Error() != "sql: division by zero" {
+		t.Fatalf("ground returns through z / (classification - 2): err = %v, want division by zero", err)
 	}
 }

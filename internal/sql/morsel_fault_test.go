@@ -64,7 +64,7 @@ func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
 	for name, q := range morselQueries {
 		t.Run(name, func(t *testing.T) {
 			t.Cleanup(faultpoint.Reset)
-			want := mustQuery(t, e, q).Rows // pre-panic truth
+			want := mustQuery(t, e, q).Rows() // pre-panic truth
 			before := e.ExecStats().Panicked
 
 			// After: 1 lets one partition through so siblings hold partial
@@ -100,14 +100,13 @@ func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("post-panic run: %v", err)
 			}
-			if len(res.Rows) != len(want) {
-				t.Fatalf("post-panic run: %d rows, want %d", len(res.Rows), len(want))
+			if res.Len() != len(want) {
+				t.Fatalf("post-panic run: %d rows, want %d", res.Len(), len(want))
 			}
 			for i := range want {
 				for j := range want[i] {
-					if res.Rows[i][j].String() != want[i][j].String() {
-						t.Fatalf("post-panic row %d col %d = %s, want %s",
-							i, j, res.Rows[i][j].String(), want[i][j].String())
+					if got := res.Cols[j].Value(i).String(); got != want[i][j].String() {
+						t.Fatalf("post-panic row %d col %d = %s, want %s", i, j, got, want[i][j].String())
 					}
 				}
 			}

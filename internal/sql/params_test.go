@@ -77,8 +77,8 @@ func TestShapeCacheRebinds(t *testing.T) {
 	for i := 1; i <= steps; i++ {
 		res := mustQuery(t, e, q(float64(i)*90, float64(i)*60))
 		fresh, _, _ := testDBQuery(t, q(float64(i)*90, float64(i)*60))
-		if res.Rows[0][0].Num != fresh {
-			t.Fatalf("step %d: rebound count %v, cold count %v", i, res.Rows[0][0].Num, fresh)
+		if res.Rows()[0][0].Num != fresh {
+			t.Fatalf("step %d: rebound count %v, cold count %v", i, res.Rows()[0][0].Num, fresh)
 		}
 	}
 
@@ -103,7 +103,7 @@ func testDBQuery(t *testing.T, q string) (float64, *Executor, *Result) {
 	t.Helper()
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e, q)
-	return res.Rows[0][0].Num, e, res
+	return res.Rows()[0][0].Num, e, res
 }
 
 // TestExplainMarksPlanOrigin: the trace's leading "plan" step must say
@@ -141,8 +141,8 @@ func TestLimitRebind(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	r2 := mustQuery(t, e, "SELECT x FROM ahn2 WHERE z > -1e18 LIMIT 2")
 	r5 := mustQuery(t, e, "SELECT x FROM ahn2 WHERE z > -1e18 LIMIT 5")
-	if len(r2.Rows) != 2 || len(r5.Rows) != 5 {
-		t.Fatalf("limits = %d, %d; want 2, 5", len(r2.Rows), len(r5.Rows))
+	if r2.Len() != 2 || r5.Len() != 5 {
+		t.Fatalf("limits = %d, %d; want 2, 5", r2.Len(), r5.Len())
 	}
 	if e.StmtCacheStats().Entries != 1 {
 		t.Fatal("LIMIT variants should share one shape")
@@ -158,10 +158,10 @@ func TestStringParamReroute(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	m := mustQuery(t, e, "SELECT count(*) FROM osm WHERE class = 'motorway'")
 	r := mustQuery(t, e, "SELECT count(*) FROM osm WHERE class = 'residential'")
-	if m.Rows[0][0].Num == 0 {
+	if m.Rows()[0][0].Num == 0 {
 		t.Fatal("no motorways in demo data; test is vacuous")
 	}
-	if m.Rows[0][0].Num == r.Rows[0][0].Num {
+	if m.Rows()[0][0].Num == r.Rows()[0][0].Num {
 		t.Fatal("rebinding the class constant did not change the result")
 	}
 	st := e.StmtCacheStats()
@@ -208,14 +208,14 @@ func TestRebindFailureLeavesPlanConsistent(t *testing.T) {
 	bad := `SELECT count(*) FROM ahn2, ua
 		WHERE ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 40/0)`
 
-	want := mustQuery(t, e, good).Rows[0][0].Num
+	want := mustQuery(t, e, good).Rows()[0][0].Num
 	for i := 0; i < 2; i++ {
 		if _, err := e.Query(bad); err == nil {
 			t.Fatalf("attempt %d: 40/0 join distance should error, got success", i+1)
 		}
 	}
 	// The cached skeleton still serves the good vector correctly.
-	if got := mustQuery(t, e, good).Rows[0][0].Num; got != want {
+	if got := mustQuery(t, e, good).Rows()[0][0].Num; got != want {
 		t.Fatalf("plan corrupted after failed rebind: count %v, want %v", got, want)
 	}
 }
@@ -240,15 +240,12 @@ func valueEq(a, b Value) bool {
 }
 
 func resultsEqual(a, b *Result) bool {
-	if len(a.Rows) != len(b.Rows) {
+	if a.Len() != b.Len() || len(a.Cols) != len(b.Cols) {
 		return false
 	}
-	for i := range a.Rows {
-		if len(a.Rows[i]) != len(b.Rows[i]) {
-			return false
-		}
-		for j := range a.Rows[i] {
-			if !valueEq(a.Rows[i][j], b.Rows[i][j]) {
+	for j := range a.Cols {
+		for i := 0; i < a.Len(); i++ {
+			if !valueEq(a.Cols[j].Value(i), b.Cols[j].Value(i)) {
 				return false
 			}
 		}
@@ -298,6 +295,17 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 		}
 	}
 
+	// Select lists: the one-row aggregates, and two projections whose items
+	// compile to vector kernels at plan time (SELECT-list literals stay
+	// inline, so they add no slots) — the second with a fallible item that
+	// must raise "division by zero" on the rebound and the fresh plan alike
+	// whenever the bound WHERE lets a classification-2 row through.
+	heads := []string{
+		"SELECT count(*), min(z), max(intensity)",
+		"SELECT x, z - 2*intensity, abs(z) / 4, intensity % 7, gps_time",
+		"SELECT y, z / (classification - 2)",
+	}
+
 	for trial := 0; trial < 60; trial++ {
 		// Assemble a random conjunction with finite seed literals.
 		n := 1 + rng.Intn(3)
@@ -312,7 +320,7 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 			conjs = append(conjs, fmt.Sprintf(tpl.text, args...))
 			slots += tpl.slots
 		}
-		src := "SELECT count(*), min(z), max(intensity) FROM ahn2 WHERE " + strings.Join(conjs, " AND ")
+		src := heads[trial%len(heads)] + " FROM ahn2 WHERE " + strings.Join(conjs, " AND ")
 
 		_, toks, seed, err := parameterize(src)
 		if err != nil {
@@ -356,7 +364,7 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 				continue
 			}
 			if !resultsEqual(rebound, want) {
-				t.Fatalf("%q params %v:\nrebound %v\nfresh   %v", src, params, rebound.Rows, want.Rows)
+				t.Fatalf("%q params %v:\nrebound %v\nfresh   %v", src, params, rebound.Rows(), want.Rows())
 			}
 		}
 	}

@@ -143,10 +143,13 @@ type queryPlan struct {
 	// is the prepare-time GROUP BY classification (groupby.go), present only
 	// for outGrouped plans; it derives nothing from the literal vector
 	// (GROUP BY/SELECT-list literals stay inline by policy), so rebind
-	// leaves it untouched.
+	// leaves it untouched. proj parallels exprs: the compiled vector kernel
+	// of each projected item, nil where compileNum declined the shape and
+	// the interpreter evaluates the expression instead.
 	out     outMode
 	cols    []string
 	exprs   []Expr
+	proj    []numEval
 	limit   int
 	grouped *groupedPlan
 }
@@ -509,6 +512,14 @@ func (p *queryPlan) planOutput(stmt *SelectStmt) error {
 	}
 	p.out = outProject
 	p.cols, p.exprs = expandItems(stmt.Items, p.b, p.mode == planVector)
+	p.proj = make([]numEval, len(p.exprs))
+	for i, e := range p.exprs {
+		// A projected item is evaluated for every output row, so a fallible
+		// kernel (runtime-checked division) is as good as the interpreter.
+		if ev, _, ok := compileNum(p.b, p.slots, e); ok {
+			p.proj[i] = ev
+		}
+	}
 	return nil
 }
 

@@ -54,7 +54,7 @@ func TestPreparedQueryMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := int(res.Rows[0][0].Num); got != pc.Len() {
+		if got := int(res.Rows()[0][0].Num); got != pc.Len() {
 			t.Fatalf("run %d: count = %d, want %d", i, got, pc.Len())
 		}
 		if res.Explain != nil {
@@ -83,7 +83,7 @@ func TestPreparedQueryObservesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := int(res.Rows[0][0].Num)
+	before := int(res.Rows()[0][0].Num)
 	if before != pc.Len() {
 		t.Fatalf("pre-append count = %d, want %d", before, pc.Len())
 	}
@@ -94,7 +94,7 @@ func TestPreparedQueryObservesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(res.Rows[0][0].Num); got != before+added {
+	if got := int(res.Rows()[0][0].Num); got != before+added {
 		t.Fatalf("post-append count = %d, want %d (stale plan served?)", got, before+added)
 	}
 }
@@ -109,14 +109,14 @@ func TestStmtCacheEpochInvalidation(t *testing.T) {
 	e, pc, _, _ := testDB(t)
 
 	res := mustQuery(t, e, countQuery)
-	before := int(res.Rows[0][0].Num)
+	before := int(res.Rows()[0][0].Num)
 	s0 := e.StmtCacheStats()
 	if s0.Entries == 0 || s0.Misses == 0 {
 		t.Fatalf("first query should miss and populate the cache: %+v", s0)
 	}
 
 	res = mustQuery(t, e, countQuery)
-	if int(res.Rows[0][0].Num) != before {
+	if int(res.Rows()[0][0].Num) != before {
 		t.Fatal("repeat of cached statement changed the count without an append")
 	}
 	s1 := e.StmtCacheStats()
@@ -131,7 +131,7 @@ func TestStmtCacheEpochInvalidation(t *testing.T) {
 	engineMisses := pc.PlanCacheStats().Misses
 
 	res = mustQuery(t, e, countQuery)
-	if got := int(res.Rows[0][0].Num); got != before+added {
+	if got := int(res.Rows()[0][0].Num); got != before+added {
 		t.Fatalf("cached statement after append = %d, want %d", got, before+added)
 	}
 	s2 := e.StmtCacheStats()
@@ -188,14 +188,14 @@ func TestVectorEpochObservesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := int(res.Rows[0][0].Num)
+	before := int(res.Rows()[0][0].Num)
 	osm.Append(424242, "motorway", "appended road",
 		geom.MustParseWKT("LINESTRING (0 0, 10 10)"), nil)
 	res, err = pq.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(res.Rows[0][0].Num); got != before+1 {
+	if got := int(res.Rows()[0][0].Num); got != before+1 {
 		t.Fatalf("post-append vector count = %d, want %d", got, before+1)
 	}
 }
@@ -227,7 +227,7 @@ func TestConcurrentSameStatement(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := res.Rows[0][0].Num; got != want {
+				if got := res.Rows()[0][0].Num; got != want {
 					errs <- fmt.Errorf("concurrent count = %g, want %g", got, want)
 					return
 				}
@@ -279,15 +279,15 @@ func TestPreparedJoinAndVectorReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s run %d: %v", q, i, err)
 			}
-			if res.Rows[0][0].Num != first.Rows[0][0].Num {
+			if res.Rows()[0][0].Num != first.Rows()[0][0].Num {
 				t.Fatalf("%s: run %d count %v, first run %v",
-					q, i, res.Rows[0][0].Num, first.Rows[0][0].Num)
+					q, i, res.Rows()[0][0].Num, first.Rows()[0][0].Num)
 			}
 		}
 		// The reference interpreter-era answer via the traced path.
 		traced := mustQuery(t, e, q)
-		if traced.Rows[0][0].Num != first.Rows[0][0].Num {
-			t.Fatalf("%s: traced %v, untraced %v", q, traced.Rows[0][0].Num, first.Rows[0][0].Num)
+		if traced.Rows()[0][0].Num != first.Rows()[0][0].Num {
+			t.Fatalf("%s: traced %v, untraced %v", q, traced.Rows()[0][0].Num, first.Rows()[0][0].Num)
 		}
 	}
 }

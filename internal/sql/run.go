@@ -348,12 +348,13 @@ func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explai
 
 // --- output phase ---------------------------------------------------------------
 
-// output materialises the SELECT list over the selected rows. Result
-// columns are the plan's (shared across runs); rows index the point cloud
-// or the vector table according to the plan mode. The materialisation
-// loops poll the run's cancellation token once per expression chunk, so a
-// query cancelled during a large projection stops without building the
-// whole result.
+// output materialises the SELECT list over the selected rows, column-major.
+// Result column names are the plan's (shared across runs); rows index the
+// point cloud or the vector table according to the plan mode. Each output
+// column is an exactly-sized heap vector — never pool-tracked, it outlives
+// the run's drain — filled in exprChunk blocks with one cancellation poll
+// per block: compiled items gather straight into their float vector, the
+// rest evaluate through the interpreter into a Value vector.
 func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explain) (*Result, error) {
 	if err := faultpoint.Hit("sql.run.output"); err != nil {
 		return nil, err
@@ -405,25 +406,49 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, ex *en
 	}
 
 	start := time.Now()
-	res := &Result{Columns: p.cols, Explain: ex}
+	n := len(rows)
+	res := &Result{Columns: p.cols, Cols: make([]Column, len(p.exprs)), Explain: ex}
+	compiled := 0
+	for _, ev := range p.proj {
+		if ev != nil {
+			compiled++
+		}
+	}
+	slab := make([]float64, compiled*n)
+	for i, ev := range p.proj {
+		if ev != nil {
+			res.Cols[i].Nums, slab = slab[:n:n], slab[n:]
+		} else {
+			res.Cols[i].Vals = make([]Value, n)
+		}
+	}
 	ctx := &evalCtx{b: p.b, ps: p.params, pcRow: -1, vtRow: -1}
-	for n, r := range rows {
-		if n%exprChunk == 0 && rs.Cancelled() {
+	for base := 0; base < n; base += exprChunk {
+		if rs.Cancelled() {
 			return nil, cancel.ErrCancelled
 		}
-		setRow(ctx, isVector, r)
-		out := make([]Value, len(p.exprs))
-		for i, ee := range p.exprs {
-			v, err := evalExpr(ctx, ee)
-			if err != nil {
-				return nil, err
+		end := min(base+exprChunk, n)
+		chunk := rows[base:end]
+		for i, ev := range p.proj {
+			if ev != nil {
+				if err := ev(chunk, res.Cols[i].Nums[base:end]); err != nil {
+					return nil, err
+				}
+				continue
 			}
-			out[i] = v
+			vals := res.Cols[i].Vals[base:end]
+			for j, r := range chunk {
+				setRow(ctx, isVector, r)
+				v, err := evalExpr(ctx, p.exprs[i])
+				if err != nil {
+					return nil, err
+				}
+				vals[j] = v
+			}
 		}
-		res.Rows = append(res.Rows, out)
 	}
 	if ex != nil {
-		ex.Add("project", strings.Join(p.cols, ","), len(rows), len(res.Rows), time.Since(start))
+		ex.Add("project", strings.Join(p.cols, ","), n, n, time.Since(start))
 	}
 	return res, nil
 }
@@ -451,17 +476,15 @@ func valueLess(a, b Value) bool {
 // outputAggregates computes one result row of aggregates.
 func outputAggregates(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
 	start := time.Now()
-	res := &Result{Columns: p.cols, Explain: ex}
-	out := make([]Value, len(stmt.Items))
+	res := numericResult(p.cols, 1, ex)
 	for i, item := range stmt.Items {
 		f, _ := isAggregate(item.Expr)
 		v, err := computeAggregate(rs, p.b, p.params, f, rows, isVector)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		res.Cols[i].put(0, v)
 	}
-	res.Rows = append(res.Rows, out)
 	if ex != nil {
 		ex.Add("aggregate", "select list", len(rows), 1, time.Since(start))
 	}

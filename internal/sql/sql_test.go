@@ -142,8 +142,8 @@ func TestSelectBoxSQLMatchesEngine(t *testing.T) {
 	q := "SELECT x, y, z FROM ahn2 WHERE ST_Contains(ST_MakeEnvelope(200, 200, 700, 600), ST_Point(x, y))"
 	res := mustQuery(t, e, q)
 	sel := pc.SelectBox(geom.NewEnvelope(200, 200, 700, 600))
-	if len(res.Rows) != len(sel.Rows) {
-		t.Fatalf("sql %d rows, engine %d rows", len(res.Rows), len(sel.Rows))
+	if res.Len() != len(sel.Rows) {
+		t.Fatalf("sql %d rows, engine %d rows", res.Len(), len(sel.Rows))
 	}
 	if len(res.Columns) != 3 || res.Columns[0] != "x" {
 		t.Fatalf("columns = %v", res.Columns)
@@ -161,7 +161,7 @@ func TestSelectDWithinSQL(t *testing.T) {
 	res := mustQuery(t, e, q)
 	road := geom.MustParseWKT("LINESTRING (0 1000, 2000 1000)")
 	sel := pc.SelectDWithin(road, 50)
-	if got := res.Rows[0][0].Num; int(got) != len(sel.Rows) {
+	if got := res.Rows()[0][0].Num; int(got) != len(sel.Rows) {
 		t.Fatalf("sql count %v, engine %d", got, len(sel.Rows))
 	}
 }
@@ -176,12 +176,12 @@ func TestThematicFilterSQL(t *testing.T) {
 			want++
 		}
 	}
-	if int(res.Rows[0][0].Num) != want {
-		t.Fatalf("water points = %v, want %d", res.Rows[0][0].Num, want)
+	if int(res.Rows()[0][0].Num) != want {
+		t.Fatalf("water points = %v, want %d", res.Rows()[0][0].Num, want)
 	}
 	// Reversed operand order and BETWEEN.
 	res2 := mustQuery(t, e, "SELECT count(*) FROM ahn2 WHERE 9 = classification")
-	if res2.Rows[0][0].Num != res.Rows[0][0].Num {
+	if res2.Rows()[0][0].Num != res.Rows()[0][0].Num {
 		t.Fatal("reversed equality differs")
 	}
 	res3 := mustQuery(t, e, "SELECT count(*) FROM ahn2 WHERE z BETWEEN 0 AND 5")
@@ -191,8 +191,8 @@ func TestThematicFilterSQL(t *testing.T) {
 			want3++
 		}
 	}
-	if int(res3.Rows[0][0].Num) != want3 {
-		t.Fatalf("between = %v, want %d", res3.Rows[0][0].Num, want3)
+	if int(res3.Rows()[0][0].Num) != want3 {
+		t.Fatalf("between = %v, want %d", res3.Rows()[0][0].Num, want3)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestAggregatesSQL(t *testing.T) {
 	if res.Columns[0] != "n" || res.Columns[1] != "mean_z" {
 		t.Fatalf("columns = %v", res.Columns)
 	}
-	if int(res.Rows[0][0].Num) != pc.Len() {
+	if int(res.Rows()[0][0].Num) != pc.Len() {
 		t.Fatal("count wrong")
 	}
 	var sum, lo, hi float64
@@ -212,19 +212,19 @@ func TestAggregatesSQL(t *testing.T) {
 		lo = math.Min(lo, z)
 		hi = math.Max(hi, z)
 	}
-	if math.Abs(res.Rows[0][1].Num-sum/float64(pc.Len())) > 1e-9 {
+	if math.Abs(res.Rows()[0][1].Num-sum/float64(pc.Len())) > 1e-9 {
 		t.Fatal("avg wrong")
 	}
-	if res.Rows[0][2].Num != lo || res.Rows[0][3].Num != hi {
+	if res.Rows()[0][2].Num != lo || res.Rows()[0][3].Num != hi {
 		t.Fatal("min/max wrong")
 	}
-	if math.Abs(res.Rows[0][4].Num-sum) > 1e-6 {
+	if math.Abs(res.Rows()[0][4].Num-sum) > 1e-6 {
 		t.Fatal("sum wrong")
 	}
 	// Aggregates over empty selections are NULL (except count).
 	res2 := mustQuery(t, e, "SELECT count(*), avg(z) FROM ahn2 WHERE z > 100000")
-	if res2.Rows[0][0].Num != 0 || res2.Rows[0][1].Kind != KindNull {
-		t.Fatalf("empty aggregates = %v", res2.Rows[0])
+	if res2.Rows()[0][0].Num != 0 || res2.Rows()[0][1].Kind != KindNull {
+		t.Fatalf("empty aggregates = %v", res2.Rows()[0])
 	}
 	// Mixing aggregates and columns fails.
 	if _, err := e.Query("SELECT z, count(*) FROM ahn2"); err == nil {
@@ -235,10 +235,10 @@ func TestAggregatesSQL(t *testing.T) {
 func TestVectorQueries(t *testing.T) {
 	e, _, osm, _ := testDB(t)
 	res := mustQuery(t, e, "SELECT name, class FROM osm WHERE class = 'motorway'")
-	if len(res.Rows) != 5 {
-		t.Fatalf("motorways = %d, want 5", len(res.Rows))
+	if res.Len() != 5 {
+		t.Fatalf("motorways = %d, want 5", res.Len())
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		if r[1].Str != "motorway" {
 			t.Fatal("class filter leaked")
 		}
@@ -246,23 +246,23 @@ func TestVectorQueries(t *testing.T) {
 	// Spatial filter on vector geometry.
 	res2 := mustQuery(t, e,
 		"SELECT count(*) FROM osm WHERE ST_Intersects(geom, ST_MakeEnvelope(0, 0, 2000, 2000))")
-	if int(res2.Rows[0][0].Num) != osm.Len() {
-		t.Fatalf("everything intersects the region: %v vs %d", res2.Rows[0][0].Num, osm.Len())
+	if int(res2.Rows()[0][0].Num) != osm.Len() {
+		t.Fatalf("everything intersects the region: %v vs %d", res2.Rows()[0][0].Num, osm.Len())
 	}
 	// ORDER BY + LIMIT.
 	res3 := mustQuery(t, e, "SELECT name FROM osm WHERE class = 'motorway' ORDER BY name LIMIT 3")
-	if len(res3.Rows) != 3 {
-		t.Fatalf("limit = %d rows", len(res3.Rows))
+	if res3.Len() != 3 {
+		t.Fatalf("limit = %d rows", res3.Len())
 	}
-	for i := 1; i < len(res3.Rows); i++ {
-		if res3.Rows[i-1][0].Str > res3.Rows[i][0].Str {
+	for i := 1; i < res3.Len(); i++ {
+		if res3.Rows()[i-1][0].Str > res3.Rows()[i][0].Str {
 			t.Fatal("order by name violated")
 		}
 	}
 	// DESC.
 	res4 := mustQuery(t, e, "SELECT name FROM osm WHERE class = 'motorway' ORDER BY name DESC LIMIT 1")
 	res5 := mustQuery(t, e, "SELECT name FROM osm WHERE class = 'motorway' ORDER BY name ASC")
-	if res4.Rows[0][0].Str != res5.Rows[len(res5.Rows)-1][0].Str {
+	if res4.Rows()[0][0].Str != res5.Rows()[res5.Len()-1][0].Str {
 		t.Fatal("desc should mirror asc")
 	}
 	// Star expansion for vector tables.
@@ -292,11 +292,11 @@ func TestScenario2JoinSQL(t *testing.T) {
 			sum += pc.Z()[i]
 		}
 	}
-	if int(res.Rows[0][0].Num) != want {
-		t.Fatalf("join count = %v, want %d", res.Rows[0][0].Num, want)
+	if int(res.Rows()[0][0].Num) != want {
+		t.Fatalf("join count = %v, want %d", res.Rows()[0][0].Num, want)
 	}
-	if want > 0 && math.Abs(res.Rows[0][1].Num-sum/float64(want)) > 1e-9 {
-		t.Fatalf("join avg = %v", res.Rows[0][1].Num)
+	if want > 0 && math.Abs(res.Rows()[0][1].Num-sum/float64(want)) > 1e-9 {
+		t.Fatalf("join avg = %v", res.Rows()[0][1].Num)
 	}
 	// Trace shows the pipeline.
 	if len(res.Explain.Steps) < 3 {
@@ -308,7 +308,7 @@ func TestScenario2JoinSQL(t *testing.T) {
 	         AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 30)
 	         AND classification = 2`
 	res2 := mustQuery(t, e, q2)
-	if res2.Rows[0][0].Num > res.Rows[0][0].Num {
+	if res2.Rows()[0][0].Num > res.Rows()[0][0].Num {
 		t.Fatal("extra filter must narrow")
 	}
 }
@@ -341,12 +341,12 @@ func TestGenericFallbackPredicates(t *testing.T) {
 			want++
 		}
 	}
-	if int(res.Rows[0][0].Num) != want {
-		t.Fatalf("or filter = %v, want %d", res.Rows[0][0].Num, want)
+	if int(res.Rows()[0][0].Num) != want {
+		t.Fatalf("or filter = %v, want %d", res.Rows()[0][0].Num, want)
 	}
 	// Arithmetic in predicates and projections.
 	res2 := mustQuery(t, e, "SELECT z * 2 AS zz FROM ahn2 WHERE z + 1 > 100 LIMIT 5")
-	for _, r := range res2.Rows {
+	for _, r := range res2.Rows() {
 		if r[0].Num <= 198 {
 			t.Fatal("arithmetic predicate wrong")
 		}
@@ -354,7 +354,7 @@ func TestGenericFallbackPredicates(t *testing.T) {
 	// NOT.
 	res3 := mustQuery(t, e, "SELECT count(*) FROM ahn2 WHERE NOT classification = 9")
 	res4 := mustQuery(t, e, "SELECT count(*) FROM ahn2 WHERE classification <> 9")
-	if res3.Rows[0][0].Num != res4.Rows[0][0].Num {
+	if res3.Rows()[0][0].Num != res4.Rows()[0][0].Num {
 		t.Fatal("NOT and <> disagree")
 	}
 }
@@ -362,16 +362,16 @@ func TestGenericFallbackPredicates(t *testing.T) {
 func TestScalarFunctions(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e, "SELECT ST_X(ST_Point(3, 4)), ST_Y(ST_Point(3, 4)), ST_Area(ST_MakeEnvelope(0, 0, 2, 3)), abs(-5) FROM osm LIMIT 1")
-	r := res.Rows[0]
+	r := res.Rows()[0]
 	if r[0].Num != 3 || r[1].Num != 4 || r[2].Num != 6 || r[3].Num != 5 {
 		t.Fatalf("scalar functions = %v", r)
 	}
 	res2 := mustQuery(t, e, "SELECT ST_AsText(ST_Point(1, 2)) FROM osm LIMIT 1")
-	if res2.Rows[0][0].Str != "POINT (1 2)" {
-		t.Fatalf("st_astext = %q", res2.Rows[0][0].Str)
+	if res2.Rows()[0][0].Str != "POINT (1 2)" {
+		t.Fatalf("st_astext = %q", res2.Rows()[0][0].Str)
 	}
 	res3 := mustQuery(t, e, "SELECT ST_Distance(ST_Point(0, 0), ST_Point(3, 4)) FROM osm LIMIT 1")
-	if res3.Rows[0][0].Num != 5 {
+	if res3.Rows()[0][0].Num != 5 {
 		t.Fatal("st_distance wrong")
 	}
 	if _, err := e.Query("SELECT nosuchfunc(1) FROM osm"); err == nil {
@@ -399,13 +399,13 @@ func TestJoinWithNoMatchingFeaturesIsEmpty(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	res := mustQuery(t, e, `SELECT count(*) FROM ahn2, ua
 		WHERE ua.class = 'no_such_class' AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 20)`)
-	if n := res.Rows[0][0].Num; n != 0 {
+	if n := res.Rows()[0][0].Num; n != 0 {
 		t.Fatalf("join over zero features matched %v points, want 0", n)
 	}
 	// Same shape through the containment join.
 	res = mustQuery(t, e, `SELECT count(*) FROM ahn2, ua
 		WHERE ua.class = 'no_such_class' AND ST_Contains(ua.geom, ST_Point(ahn2.x, ahn2.y))`)
-	if n := res.Rows[0][0].Num; n != 0 {
+	if n := res.Rows()[0][0].Num; n != 0 {
 		t.Fatalf("containment join over zero features matched %v points, want 0", n)
 	}
 }

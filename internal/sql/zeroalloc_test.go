@@ -7,8 +7,10 @@ import (
 // Steady-state allocation enforcement for the prepared-statement pipeline,
 // the SQL-layer extension of internal/engine/zeroalloc_test.go: once a
 // statement is prepared and the engine caches are warm, a repeated run may
-// allocate only its result materialisation — the Result struct, its row
-// list and one []Value per output row. Selection vectors, imprint
+// allocate only its column-shaped result — the Result header, its column
+// list and one exactly-sized slab the numeric columns are cut from (plus
+// one Value vector per interpreter-evaluated column): a small constant
+// that does not grow with the row count. Selection vectors, imprint
 // candidate ranges, grid scratch, kernel compilation and the vector-table
 // row sets are all pooled or hoisted into the plan. Treat a failure here
 // as a fast-path regression, not a flaky test (AllocsPerRun runs the
@@ -26,7 +28,7 @@ func runSteady(t *testing.T, e *Executor, q string) (allocs float64, rows int) {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	rows = len(res.Rows)
+	rows = res.Len()
 	allocs = testing.AllocsPerRun(50, func() {
 		if _, err := pq.Run(); err != nil {
 			t.Fatal(err)
@@ -38,7 +40,7 @@ func runSteady(t *testing.T, e *Executor, q string) (allocs float64, rows int) {
 // TestPreparedAggregateSteadyStateAllocs covers the navigation shape the
 // paper's workload repeats: bbox region + thematic kernel predicates +
 // one compiled generic conjunct, aggregated. The whole pipeline above the
-// result row must be allocation-free: 1 Result + 1 row list + 1 row.
+// result must be allocation-free: 1 Result + 1 column list + 1 slab.
 func TestPreparedAggregateSteadyStateAllocs(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	q := `SELECT count(*) FROM ahn2
@@ -68,8 +70,9 @@ func TestPreparedVectorSteadyStateAllocs(t *testing.T) {
 // TestPreparedGroupedSteadyStateAllocs pins the vectorized dense-path
 // grouped run (PR 5) to its result materialisation: the engine side —
 // grouped kernels, pooled accumulator banks, the plan-held result record —
-// allocates nothing, so a steady run may allocate only the Result, its row
-// list, and one []Value per group.
+// allocates nothing, so a steady run may allocate only the Result, its
+// column list and the slab the engine's scratch columns are copied into,
+// however many groups there are.
 func TestPreparedGroupedSteadyStateAllocs(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	q := `SELECT classification, count(*) AS n, avg(z) AS mean_z, min(z), max(intensity) FROM ahn2
@@ -86,30 +89,30 @@ func TestPreparedGroupedSteadyStateAllocs(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("grouped query matched no groups; the measurement is vacuous")
 	}
-	// Budget: Result + row-list + one []Value per group row.
-	budget := float64(2 + rows)
-	if allocs > budget {
-		t.Fatalf("prepared dense grouped run allocates %.1f objects/op for %d groups, budget %.0f (result only)",
-			allocs, rows, budget)
+	if allocs > 3 {
+		t.Fatalf("prepared dense grouped run allocates %.1f objects/op for %d groups, want <= 3 (result only)",
+			allocs, rows)
 	}
 }
 
-// TestPreparedProjectionSteadyStateAllocs pins the projection path to its
-// result materialisation: one Result, one []Value per emitted row, and the
-// logarithmic growth appends of the row list.
+// TestPreparedProjectionSteadyStateAllocs pins the projection path — the
+// navigation session's big-reply step, five compiled columns — to its
+// column-shaped result: Result + column list + one slab, the same three
+// objects whether the run emits 20 rows or 2000.
 func TestPreparedProjectionSteadyStateAllocs(t *testing.T) {
 	e, _, _, _ := testDB(t)
-	q := `SELECT x, y FROM ahn2
-		WHERE ST_Contains(ST_MakeEnvelope(150, 150, 400, 400), ST_Point(x, y))
-		  AND classification = 2 LIMIT 4`
-	allocs, rows := runSteady(t, e, q)
-	if rows == 0 {
-		t.Fatal("projection matched no rows; the measurement is vacuous")
+	q := `SELECT x, y, z, classification, intensity FROM ahn2
+		WHERE ST_Contains(ST_MakeEnvelope(150, 150, 1700, 1620), ST_Point(x, y)) LIMIT `
+	small, rows := runSteady(t, e, q+"20")
+	if rows != 20 {
+		t.Fatalf("projection emitted %d rows, want 20", rows)
 	}
-	// Budget: Result + per-row []Value + row-list growth (≤ log2(rows)+1).
-	budget := float64(1 + rows + rows)
-	if allocs > budget {
-		t.Fatalf("prepared projection allocates %.1f objects/op for %d rows, budget %.0f (result rows only)",
-			allocs, rows, budget)
+	large, rows := runSteady(t, e, q+"2000")
+	if rows != 2000 {
+		t.Fatalf("projection emitted %d rows, want 2000; the measurement is vacuous", rows)
+	}
+	if large > 3 || large != small {
+		t.Fatalf("prepared projection allocates %.1f objects/op for 2000 rows and %.1f for 20, want the same <= 3 (result header, column list, slab)",
+			large, small)
 	}
 }
