@@ -12,8 +12,11 @@
 //     call at the acquisition site (run.TrackRows(getRowBuf(n)),
 //     run.trackRanges(im.CandidateRangesInto(..., getRangeBuf(0)))), or —
 //     the track-after-production pattern for buffers a call may still
-//     grow — be bound to a variable/field that a later TrackRows/SwapRows/
-//     trackRanges/trackF64 call in the same function registers;
+//     grow, e.g. the region select's single candidate list
+//     (cand := getRangeBuf(0); cand, ... = imprints.ConjunctiveRangesInto(
+//     terms, cand); run.trackRanges(cand)) — be bound to a variable/field
+//     that a later TrackRows/SwapRows/trackRanges/trackF64 call in the
+//     same function registers;
 //   - recycling must go through the run (run.RecycleRows), never the bare
 //     package-level RecycleRows/RecycleRanges, which would leave a stale
 //     entry in the release list and double-recycle on unwind.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -169,9 +170,10 @@ func TestImprintFilterIsSelective(t *testing.T) {
 	// The filter step must pass far fewer candidates than the table size:
 	// this is the memory-traffic reduction claim (§2.1.1).
 	var filterOut int
+	var detail string
 	for _, s := range sel.Explain.Steps {
 		if s.Op == "imprints.filter" {
-			filterOut = s.OutRows
+			filterOut, detail = s.OutRows, s.Detail
 		}
 	}
 	if filterOut == 0 {
@@ -179,6 +181,14 @@ func TestImprintFilterIsSelective(t *testing.T) {
 	}
 	if float64(filterOut) > 0.5*float64(len(pts)) {
 		t.Fatalf("filter passed %d of %d rows; imprints ineffective", filterOut, len(pts))
+	}
+	// The trace shows the pruning: the walk opened only some of the zones.
+	var hit, total int
+	if _, err := fmt.Sscanf(detail, "zones %d/%d,", &hit, &total); err != nil {
+		t.Fatalf("filter detail %q does not lead with zones hit/total: %v", detail, err)
+	}
+	if want := (pc.Len()/8 + 63) / 64; total < want || hit == 0 || hit >= total {
+		t.Fatalf("filter opened %d of %d zones over %d rows", hit, total, pc.Len())
 	}
 }
 

@@ -243,8 +243,8 @@ func (pc *PointCloud) SelectDWithin(g geom.Geometry, d float64) Selection {
 }
 
 // SelectRegion runs the two-step query model over an arbitrary region:
-//  1. filter — imprints on X and Y flag candidate cache lines for the
-//     region's bounding box; the candidate sets intersect.
+//  1. filter — one zone-skipping walk over the X and Y imprints flags the
+//     cache lines that may hold a point of the region's bounding box.
 //  2. refine — the regular grid classifies cells against the region and
 //     only boundary cells fall back to exact point tests.
 func (pc *PointCloud) SelectRegion(region grid.Region) Selection {
@@ -303,10 +303,9 @@ func (pc *PointCloud) selectRegionRows(run *Run, region grid.Region, ex *Explain
 	imX, imY := pc.imprintsXY()
 
 	start := time.Now()
-	cand := candidateRangesXY(run, imX, imY, env)
+	cand, zones := candidateRangesXY(run, imX, imY, env)
 	if ex != nil {
-		ex.Add(opImprintsFilter,
-			fmt.Sprintf("bbox %s", env.String()),
+		ex.Add(opImprintsFilter, xyFilterDetail(zones, env),
 			pc.Len(), colstore.RangesLen(cand), time.Since(start))
 	}
 
@@ -333,19 +332,33 @@ func (pc *PointCloud) selectRegionRows(run *Run, region grid.Region, ex *Explain
 }
 
 // candidateRangesXY runs the imprint filter step for env's bounding box:
-// the X and Y candidate cacheline lists intersect into one pooled range
-// list (~170KB/query at small scale if it were allocated instead). The
-// intermediate lists go straight back to the pool; the caller owns the
-// returned list and must hand it back with run.recycleRanges (or
-// RecycleRanges when run is nil). Each list registers in the release list
-// only after the call that grows it returns (track-after-production).
-func candidateRangesXY(run *Run, imX, imY *imprints.Imprints, env geom.Envelope) []colstore.Range {
-	candX := run.trackRanges(imX.CandidateRangesInto(env.MinX, env.MaxX, getRangeBuf(0)))
-	candY := run.trackRanges(imY.CandidateRangesInto(env.MinY, env.MaxY, getRangeBuf(0)))
-	cand := run.trackRanges(colstore.IntersectRangesInto(candX, candY, getRangeBuf(0)))
-	run.recycleRanges(candX)
-	run.recycleRanges(candY)
-	return cand
+// one zone-skipping walk over both coordinate imprints appends the lines
+// flagged on X and on Y straight into one pooled range list (~170KB/query
+// at small scale if it were allocated instead). The caller owns the list
+// and must hand it back with run.recycleRanges (or RecycleRanges when run
+// is nil); it registers in the release list only after the walk that grows
+// it returns (track-after-production).
+func candidateRangesXY(run *Run, imX, imY *imprints.Imprints, env geom.Envelope) ([]colstore.Range, imprints.ZoneStats) {
+	terms := [...]imprints.Term{
+		{Im: imX, Lo: env.MinX, Hi: env.MaxX},
+		{Im: imY, Lo: env.MinY, Hi: env.MaxY},
+	}
+	cand := getRangeBuf(0)
+	cand, zones, err := imprints.ConjunctiveRangesInto(terms[:], cand)
+	cand = run.trackRanges(cand)
+	if err != nil {
+		// Both imprints are built over one table under one lock with one
+		// set of options; a shape mismatch is a bug.
+		panic(fmt.Sprintf("engine: x/y imprint walk: %v", err))
+	}
+	return cand, zones
+}
+
+// xyFilterDetail is the imprints.filter step's EXPLAIN detail: how many of
+// the index's zones the walk had to open, then the box. Zones lead because
+// the rendered table truncates long details.
+func xyFilterDetail(zones imprints.ZoneStats, env geom.Envelope) string {
+	return fmt.Sprintf("zones %d/%d, bbox %s", zones.Hit, zones.Total, env.String())
 }
 
 // SelectRegionScan is the no-index baseline: every row refines exhaustively.
@@ -371,8 +384,8 @@ func (pc *PointCloud) SelectRegionImprintsOnly(region grid.Region) Selection {
 	pc.EnsureImprints()
 	imX, imY := pc.imprintsXY()
 	start := time.Now()
-	cand := candidateRangesXY(nil, imX, imY, env)
-	ex.Add(opImprintsFilter, env.String(), pc.Len(), colstore.RangesLen(cand), time.Since(start))
+	cand, zones := candidateRangesXY(nil, imX, imY, env)
+	ex.Add(opImprintsFilter, xyFilterDetail(zones, env), pc.Len(), colstore.RangesLen(cand), time.Since(start))
 	start = time.Now()
 	rows, st := grid.RefineExhaustiveInto(pc.xs.Values(), pc.ys.Values(), cand, region,
 		getRowBuf(colstore.RangesLen(cand)))

@@ -62,8 +62,9 @@ func AcquireF64(capHint int) []float64 { return getF64Buf(capHint) }
 func RecycleF64(b []float64) { f64Pool.Put(b) }
 
 // RecycleRanges returns a candidate-range buffer drawn from the engine's
-// pool (imprint CandidateRangesInto / IntersectRangesInto output routed
-// through the query path). The caller must not touch rs afterwards.
+// pool: the one list per query an imprint walk (ConjunctiveRangesInto for a
+// region select, CandidateRangesInto for a thematic range) appends into.
+// The caller must not touch rs afterwards.
 func RecycleRanges(rs []colstore.Range) { rangePool.Put(rs) }
 
 // PoolStats is a snapshot of one buffer pool, for diagnostics and the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gisnav/internal/cancel"
+	"gisnav/internal/colstore"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
 	"gisnav/internal/synth"
@@ -154,6 +155,57 @@ func TestSelectRegionRunCancelled(t *testing.T) {
 	})
 	if drift != 0 {
 		t.Fatalf("cancelled selection drifted pool by %d", drift)
+	}
+}
+
+// TestSelectRegionDrawsOneRangeList pins the filter step's pool traffic: the
+// X and Y imprints are walked together straight into the one candidate list
+// refinement consumes, so a select draws a single buffer from the range
+// pool — observable as the single buffer it leaves behind in an emptied
+// pool — and on the cancel path the pool's balance still returns to its
+// start once the run drains.
+func TestSelectRegionDrawsOneRangeList(t *testing.T) {
+	pc := testCloudForRun(t)
+	region := grid.GeometryRegion{G: geom.NewEnvelope(300, 300, 1500, 1400).ToPolygon()}
+	pc.EnsureImprints()
+
+	// Empty the range pool, holding what it retained until the test ends.
+	var held [][]colstore.Range
+	for i := 0; RangePoolStats().Free > 0; i++ {
+		if i > 1024 {
+			t.Fatal("range pool does not drain")
+		}
+		held = append(held, getRangeBuf(0))
+	}
+	defer func() {
+		for _, b := range held {
+			RecycleRanges(b)
+		}
+	}()
+	start := RangePoolStats().Outstanding
+
+	var rs Run
+	rows := pc.SelectRegionRowsRun(&rs, region)
+	if len(rows) == 0 {
+		t.Fatal("selection matched no rows; the measurement is vacuous")
+	}
+	rs.RecycleRows(rows)
+	if got := RangePoolStats(); got.Free != 1 || got.Outstanding != start {
+		t.Fatalf("after one select the range pool holds %d buffers (balance %+d), want 1 (+0)",
+			got.Free, got.Outstanding-start)
+	}
+
+	done := make(chan struct{})
+	close(done)
+	rs.Bind(done)
+	pc.SelectRegionRowsRun(&rs, region)
+	if !rs.Cancelled() {
+		t.Fatal("run not cancelled")
+	}
+	rs.Drain()
+	if got := RangePoolStats(); got.Free != 1 || got.Outstanding != start {
+		t.Fatalf("after a cancelled select the range pool holds %d buffers (balance %+d), want 1 (+0)",
+			got.Free, got.Outstanding-start)
 	}
 }
 

@@ -37,6 +37,34 @@ func TestSteadyStateSpatialQueryZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSteadyStateSpatialQueryRunZeroAllocs is the same query under a query
+// lifecycle — the form the SQL layer and the server run: the conjunctive
+// imprint walk orders its terms on the stack and appends into one pooled
+// range list, and the release list reuses its slots, so a warm run still
+// allocates nothing.
+func TestSteadyStateSpatialQueryRunZeroAllocs(t *testing.T) {
+	pc, _ := buildCloud(t, 0.05)
+	var region grid.Region = grid.GeometryRegion{G: geom.NewEnvelope(150, 150, 700, 620).ToPolygon()}
+	pc.EnsureImprints()
+
+	var run Run
+	var got int
+	allocs := testing.AllocsPerRun(50, func() {
+		rows := pc.SelectRegionRowsRun(&run, region)
+		got = len(rows)
+		run.RecycleRows(rows)
+	})
+	if got == 0 {
+		t.Fatal("query matched no rows; the measurement is vacuous")
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state SelectRegionRowsRun allocates %.1f objects/op, want 0", allocs)
+	}
+	if run.Live() != 0 {
+		t.Fatalf("run still tracks %d buffers after recycling its result", run.Live())
+	}
+}
+
 // TestSteadyStateThematicQueryZeroAllocs covers the indexed range filter:
 // cached range kernel, pooled candidate ranges, pooled selection vector.
 func TestSteadyStateThematicQueryZeroAllocs(t *testing.T) {

@@ -17,11 +17,19 @@
 // cacheline dictionary: a list of (count, repeat) entries where a repeat
 // entry says "the next count cache lines all share the following single
 // imprint vector". Storage is typically a few percent of the indexed column.
+//
+// Above the dictionary sits a zone level: per zone of 64 cache lines, the OR
+// of the zone's vectors plus the dictionary position of its first line. A
+// query rejects a whole zone on the OR before it touches the dictionary, so
+// the filter costs O(zones) + O(candidate zones) instead of O(lines); every
+// candidate query — one column or a conjunction of several (zone.go) — runs
+// through that one walk.
 package imprints
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"gisnav/internal/colstore"
@@ -93,6 +101,12 @@ type Imprints struct {
 	repeats []bool
 	lines   int // total cache lines covered
 
+	// Zone level (zone.go): zone z summarises lines [64z, 64z+64). zoneOr[z]
+	// is the OR of their vectors, zoneCur[z] where the dictionary stands at
+	// the zone's first line. Written once by Build, like the dictionary.
+	zoneOr  []uint64
+	zoneCur []zoneCursor
+
 	// binCounts is the value histogram over bins, filled during
 	// construction. Query operators use it as a selectivity estimate to
 	// size result vectors before scanning (every value matching a range
@@ -116,6 +130,7 @@ func Build(vals []float64, opts Options) (*Imprints, error) {
 	}
 	im.bounds = sampleBounds(vals, opts.Bits, opts.SampleSize)
 	im.buildVectors(vals)
+	im.buildZones()
 	return im, nil
 }
 
@@ -260,14 +275,16 @@ func (im *Imprints) VectorCount() int { return len(im.vectors) }
 func (im *Imprints) DictEntries() int { return len(im.counts) }
 
 // Bytes reports the index storage footprint: stored vectors at the bin
-// width plus dictionary entries (count + repeat bit packed in 4 bytes), plus
-// the boundary array.
+// width plus dictionary entries (count + repeat bit packed in 4 bytes), the
+// boundary array, the bin histogram and the zone level (an OR vector and a
+// 12-byte cursor per 64 lines).
 func (im *Imprints) Bytes() int {
 	vecBytes := len(im.vectors) * im.bits / 8
 	dictBytes := len(im.counts) * 4
 	boundBytes := len(im.bounds) * 8
 	histBytes := len(im.binCounts) * 4
-	return vecBytes + dictBytes + boundBytes + histBytes
+	zoneBytes := len(im.zoneOr)*8 + len(im.zoneCur)*12
+	return vecBytes + dictBytes + boundBytes + histBytes + zoneBytes
 }
 
 // EstimateRows bounds from above (up to histogram resolution) the number of
@@ -304,34 +321,15 @@ func (im *Imprints) queryMask(lo, hi float64) uint64 {
 }
 
 // CandidateLines returns the indices of cache lines that may contain values
-// in [lo, hi], in ascending order, by scanning the compressed dictionary.
-// Repeat entries are tested once regardless of run length.
+// in [lo, hi], in ascending order. Zones whose OR misses the query mask are
+// skipped whole; within a zone a repeat entry is tested once regardless of
+// run length.
 func (im *Imprints) CandidateLines(lo, hi float64) []int {
-	mask := im.queryMask(lo, hi)
-	if mask == 0 || im.lines == 0 {
-		return nil
-	}
+	w := newZoneWalk(im.term(lo, hi))
 	var out []int
-	line := 0
-	vec := 0
-	for e := range im.counts {
-		cnt := int(im.counts[e])
-		if im.repeats[e] {
-			if im.vectors[vec]&mask != 0 {
-				for i := 0; i < cnt; i++ {
-					out = append(out, line+i)
-				}
-			}
-			vec++
-			line += cnt
-			continue
-		}
-		for i := 0; i < cnt; i++ {
-			if im.vectors[vec]&mask != 0 {
-				out = append(out, line)
-			}
-			vec++
-			line++
+	for z, hits, ok := w.next(); ok; z, hits, ok = w.next() {
+		for ; hits != 0; hits &= hits - 1 {
+			out = append(out, z*zoneLines+bits.TrailingZeros64(hits))
 		}
 	}
 	return out
@@ -348,45 +346,11 @@ func (im *Imprints) CandidateRanges(lo, hi float64) []colstore.Range {
 // buffer, so the repeated-query path can draw the candidate list from a
 // pool instead of re-allocating it (~tens-to-hundreds of KB per query on
 // fragmented candidate sets). out's existing elements are preserved and
-// assumed to end before the first candidate row.
+// assumed to end before the first candidate row. It is the one-term case
+// of ConjunctiveRangesInto.
 func (im *Imprints) CandidateRangesInto(lo, hi float64, out []colstore.Range) []colstore.Range {
-	mask := im.queryMask(lo, hi)
-	if mask == 0 || im.lines == 0 {
-		return out
-	}
-	emit := func(firstLine, numLines int) {
-		start := firstLine * im.vpl
-		end := (firstLine + numLines) * im.vpl
-		if end > im.n {
-			end = im.n
-		}
-		if len(out) > 0 && out[len(out)-1].End == start {
-			out[len(out)-1].End = end
-			return
-		}
-		out = append(out, colstore.Range{Start: start, End: end})
-	}
-	line := 0
-	vec := 0
-	for e := range im.counts {
-		cnt := int(im.counts[e])
-		if im.repeats[e] {
-			if im.vectors[vec]&mask != 0 {
-				emit(line, cnt)
-			}
-			vec++
-			line += cnt
-			continue
-		}
-		for i := 0; i < cnt; i++ {
-			if im.vectors[vec]&mask != 0 {
-				emit(line, 1)
-			}
-			vec++
-			line++
-		}
-	}
-	return out
+	w := newZoneWalk(im.term(lo, hi))
+	return w.appendRanges(out)
 }
 
 // CandidateFraction returns the fraction of cache lines flagged for
@@ -395,27 +359,10 @@ func (im *Imprints) CandidateFraction(lo, hi float64) float64 {
 	if im.lines == 0 {
 		return 0
 	}
-	mask := im.queryMask(lo, hi)
-	if mask == 0 {
-		return 0
-	}
+	w := newZoneWalk(im.term(lo, hi))
 	flagged := 0
-	vec := 0
-	for e := range im.counts {
-		cnt := int(im.counts[e])
-		if im.repeats[e] {
-			if im.vectors[vec]&mask != 0 {
-				flagged += cnt
-			}
-			vec++
-			continue
-		}
-		for i := 0; i < cnt; i++ {
-			if im.vectors[vec]&mask != 0 {
-				flagged++
-			}
-			vec++
-		}
+	for _, hits, ok := w.next(); ok; _, hits, ok = w.next() {
+		flagged += bits.OnesCount64(hits)
 	}
 	return float64(flagged) / float64(im.lines)
 }
