@@ -1,6 +1,7 @@
 // Grouped-aggregation kernels: GROUP BY over one key column with typed
 // accumulate passes over the value columns, executed column-at-a-time in the
-// MonetDB style the paper's performance case rests on (§2.1.1). The paper's
+// MonetDB style the paper's performance case rests on (§2.1.1) — one pass
+// per value column, every accumulator of that column in one loop. The paper's
 // navigation workload re-aggregates the viewport on every pan/zoom step
 // (class histograms, per-class elevation stats), so this layer is built for
 // the repeated case: accumulator scratch comes from the striped pools and
@@ -13,11 +14,11 @@
 //   - dense: small-domain integer keys (u8/u16 class-style columns). The
 //     accumulator is an array bank indexed directly by key value — the same
 //     insight as the vector table's per-class posting lists: a class-coded
-//     column IS its own perfect hash. One gather-free pass per aggregate.
+//     column IS its own perfect hash.
 //   - hash: general keys (f64/i64/i32, or u16 selections too small to repay
 //     clearing a 64K bank). Open-addressed table over the float64-widened
 //     key bits, group slots assigned on first appearance; a slot vector
-//     aligned with the selection lets every aggregate pass run without
+//     aligned with the selection lets every value column's pass run without
 //     re-hashing.
 //
 // Semantics contract (shared with Aggregate and the SQL layer's interpreter
@@ -123,9 +124,8 @@ func (pc *PointCloud) GroupedAggregate(rows []int, key string, specs []GroupedAg
 // groupPassCheckpoint is the checkpoint every grouped driver (dense, hash,
 // tile) crosses before its accumulate passes fan out, with the run-scoped
 // slab already tracked: a fault-injection point plus one cancellation
-// poll. Inside a partition this layer executes operator-at-a-time — one
-// full accumulate pass is its "block" — and the token is polled between
-// passes.
+// poll. Inside a partition the fold passes poll the token once per
+// foldBlock.
 func groupPassCheckpoint(run *Run) error {
 	if err := faultpoint.Hit("engine.groupagg.pass"); err != nil {
 		return err
@@ -138,8 +138,8 @@ func groupPassCheckpoint(run *Run) error {
 
 // GroupedAggregateRun is GroupedAggregate under a query lifecycle: the
 // pooled accumulator banks and hash scratch register in run's release
-// list, and the pass boundaries poll the run's cancellation token — a
-// fired context stops the aggregation between passes with every buffer
+// list, and the fold passes poll the run's cancellation token per block — a
+// fired context stops the aggregation within one block with every buffer
 // back in its pool and res in an unspecified (but safe to reuse) state.
 func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, specs []GroupedAggSpec, res *GroupedResult, ex *Explain) error {
 	start := time.Now()
@@ -180,11 +180,11 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, spec
 	switch k := keyCol.(type) {
 	case *colstore.U8Column:
 		res.Strategy = GroupDense
-		err = runDensePass(run, pc, k.Values(), nil, 1<<8, rows, all, n, specs, res, deg)
+		err = runDensePass(run, pc, foldSrc{keys8: k.Values()}, 1<<8, rows, all, n, specs, res, deg)
 	case *colstore.U16Column:
 		if n >= (1<<16)/denseMinRowsPerSlot {
 			res.Strategy = GroupDense
-			err = runDensePass(run, pc, nil, k.Values(), 1<<16, rows, all, n, specs, res, deg)
+			err = runDensePass(run, pc, foldSrc{keys16: k.Values()}, 1<<16, rows, all, n, specs, res, deg)
 			break
 		}
 		res.Strategy = GroupHash
@@ -197,22 +197,186 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, spec
 		return err
 	}
 	if ex != nil {
-		detail := fmt.Sprintf("%s key %s, %d aggs", res.Strategy, key, len(specs))
+		// The pass count makes a regression to one pass per aggregate
+		// visible from EXPLAIN (the hash strategy's slot-assignment pass
+		// is not an accumulate pass and is not counted); it leads the
+		// detail because the rendered table truncates at 34 characters.
+		passes, plural := foldPasses(specs), "es"
+		if passes == 1 {
+			plural = ""
+		}
+		detail := fmt.Sprintf("%s, %d pass%s, %d aggs, key %s", res.Strategy, passes, plural, len(specs), key)
 		ex.Add(opGroupAgg, parDetail(detail, deg), n, len(res.Keys), time.Since(start))
 	}
 	return nil
 }
 
-// --- dense path ----------------------------------------------------------------
+// --- the fold kernel -----------------------------------------------------------
+//
+// Every grouped consumer — the dense and hash strategies, the pyramid's tile
+// scatter and its boundary refinement — accumulates through foldSpecs: one
+// pass per distinct value column, every accumulator of that column updated
+// in one loop. A scatter-accumulate pass is bound by the read-modify-write
+// latency chain through the bank slot a run of rows keeps hitting, not by
+// bandwidth, so the chains of count, sum, min and max overlap in one loop
+// where one pass per aggregate would serialise them.
+
+// foldBlock is the row count of one block of a fold pass: the token is
+// polled once per block. Accumulators live in the banks, so a block
+// boundary never reassociates — each slot's sum stays one running
+// accumulator over ascending rows.
+const foldBlock = 8 * scanChunk
 
 // denseKey covers the key column element types with array-indexable domains.
 type denseKey interface {
 	~uint8 | ~uint16
 }
 
-// colSpan narrows a column's backing slice to a partition span: the
-// all-rows form scans vals[start:end] directly, the selection form gathers
-// through rows[start:end] and keeps the whole column addressable.
+// foldSrc is the slot source of a fold pass; exactly one field is set.
+// Dense keys are gathered by row id (the key value IS the slot); a slot
+// vector is aligned with the partition span (slots[i] belongs to the
+// span's i-th row).
+type foldSrc struct {
+	keys8  []uint8
+	keys16 []uint16
+	slots  []int
+}
+
+// Accumulator roles of one value column (sum and avg share the sum bank;
+// avg divides at emit).
+const (
+	roleSum = iota
+	roleMin
+	roleMax
+)
+
+func foldRole(fn AggFunc) int {
+	switch fn {
+	case AggMin:
+		return roleMin
+	case AggMax:
+		return roleMax
+	}
+	return roleSum
+}
+
+// foldAcc is the accumulator set of one value column's pass: the count bank
+// and one bank per role, all indexed by slot. Accumulators the plan did not
+// ask for point at the pass's sink, which keeps the loop body free of
+// branches on shape.
+type foldAcc struct {
+	cnt []float64
+	v   [3][]float64
+}
+
+// foldBanks locates the per-spec accumulator banks of one partition: the
+// one bank per spec in segs or, when segs is nil, the n-slot segments of a
+// flat slab laid out [spec 0 | spec 1 | ...].
+type foldBanks struct {
+	segs [][]float64
+	flat []float64
+	n    int
+}
+
+func (fb foldBanks) segment(j int) []float64 {
+	if fb.segs != nil {
+		return fb.segs[j]
+	}
+	return fb.flat[j*fb.n : (j+1)*fb.n]
+}
+
+// firstLike returns the index of the first spec folding specs[k]'s value
+// column — with role set, into the same accumulator.
+func firstLike(specs []GroupedAggSpec, k int, role bool) int {
+	for i, s := range specs[:k] {
+		if s.Fn != AggCount && s.Column == specs[k].Column && (!role || foldRole(s.Fn) == foldRole(specs[k].Fn)) {
+			return i
+		}
+	}
+	return k
+}
+
+// foldPasses is the number of accumulate passes foldSpecs runs for specs:
+// one per distinct value column, or the count-only loop when there is no
+// column to carry the count.
+func foldPasses(specs []GroupedAggSpec) int {
+	n := 0
+	for j, s := range specs {
+		if s.Fn != AggCount && firstLike(specs, j, false) == j {
+			n++
+		}
+	}
+	return max(n, 1)
+}
+
+// foldSpecs executes the fold plan of specs over the span [start, end) of
+// the selection: the distinct value columns in first-appearance order, one
+// pass each. cnt is the group-size bank: the count rides the first
+// column's pass (a plan with no value column keeps a count-only loop) and
+// later columns send theirs to the sink. A repeated spec (min(z) twice;
+// sum(z) beside avg(z)) folds once and its bank is copied, so every spec
+// position still owns a filled segment. seed initialises each bank to its
+// fold identity first; without it the fold lands on top of the banks'
+// contents (repeated specs must then start from equal contents).
+//
+// sink is n+1 floats of scratch for the unrequested accumulators. Its NaN
+// seed survives every update — NaN+v is NaN, and nothing compares below or
+// above NaN, so the min/max stores never fire — and a sunk count and a sunk
+// sum take views one slot apart, so a run of rows hitting one slot drives
+// two independent add chains instead of one chain through a shared address.
+//
+// A fired token stops the pass at the next block boundary, leaving the
+// banks partial; the driver reports the cancellation.
+func foldSpecs(src foldSrc, pc *PointCloud, specs []GroupedAggSpec, rows []int, all bool, start, end int, cnt []float64, fb foldBanks, sink []float64, seed bool, tok *cancel.Token) {
+	for i := range sink {
+		sink[i] = math.NaN()
+	}
+	sinkA, sinkB := sink[:len(sink)-1], sink[1:]
+	for j, s := range specs {
+		if s.Fn == AggCount || firstLike(specs, j, false) != j {
+			continue
+		}
+		acc := foldAcc{cnt: sinkA, v: [3][]float64{sinkB, sinkA, sinkA}}
+		if cnt != nil {
+			acc.cnt, cnt = cnt, nil // counted by this pass
+		}
+		for k := j; k < len(specs); k++ {
+			if t := specs[k]; t.Fn != AggCount && t.Column == s.Column && firstLike(specs, k, true) == k {
+				b := fb.segment(k)
+				if seed {
+					seedBank(b, t.Fn)
+				}
+				acc.v[foldRole(t.Fn)] = b
+			}
+		}
+		col := pc.Column(s.Column)
+		for b := start; b < end; b += foldBlock {
+			if tok.Cancelled() {
+				return
+			}
+			foldColumn(src, col, rows, all, start, b, min(b+foldBlock, end), acc)
+		}
+		for k := j + 1; k < len(specs); k++ {
+			if t := specs[k]; t.Fn != AggCount && t.Column == s.Column {
+				if f := firstLike(specs, k, true); f != k {
+					copy(fb.segment(k), fb.segment(f))
+				}
+			}
+		}
+	}
+	if cnt != nil {
+		for b := start; b < end; b += foldBlock {
+			if tok.Cancelled() {
+				return
+			}
+			foldCount(src, rows, all, start, b, min(b+foldBlock, end), cnt)
+		}
+	}
+}
+
+// colSpan narrows a column's backing slice to a span: the all-rows form
+// scans vals[start:end] directly, the selection form gathers through
+// rows[start:end] and keeps the whole column addressable.
 func colSpan[V any](vals []V, all bool, start, end int) []V {
 	if all {
 		return vals[start:end]
@@ -220,121 +384,164 @@ func colSpan[V any](vals []V, all bool, start, end int) []V {
 	return vals
 }
 
-// denseCount is the group-size pass over the span [start, end) of the
-// selection: one increment per selected row into the key-indexed count bank.
-// Kept out of line: inlined into the partition body its loop inherits that
-// function's register pressure and reloads a spilled value on every row
-// (measured ~2x on this pass, ~5% on a whole dense grouped run).
+// foldCount is the count-only pass over the block [b, e) of the span that
+// starts at start.
+func foldCount(src foldSrc, rows []int, all bool, start, b, e int, cnt []float64) {
+	switch {
+	case src.slots != nil:
+		for _, s := range src.slots[b-start : e-start] {
+			cnt[s]++
+		}
+	case src.keys8 != nil:
+		countKeys(src.keys8, rows, all, b, e, cnt)
+	default:
+		countKeys(src.keys16, rows, all, b, e, cnt)
+	}
+}
+
+// countKeys is one increment per selected row into the key-indexed count
+// bank. Kept out of line: inlined, its loop inherits the caller's register
+// pressure and reloads a spilled value on every row (measured ~2x).
 //
 //go:noinline
-func denseCount[K denseKey](keys []K, rows []int, all bool, start, end int, cnt []float64) {
+func countKeys[K denseKey](keys []K, rows []int, all bool, b, e int, cnt []float64) {
 	if all {
-		for _, k := range keys[start:end] {
+		for _, k := range keys[b:e] {
 			cnt[k]++
 		}
 		return
 	}
-	for _, r := range rows[start:end] {
+	for _, r := range rows[b:e] {
 		cnt[keys[r]]++
 	}
 }
 
-// denseAccumCol dispatches one accumulate pass over the span [start, end)
-// of the selection to the value column's concrete type; the default arm
-// preserves Column.Value semantics for types without a typed fast path.
-func denseAccumCol[K denseKey](keys []K, col colstore.Column, rows []int, all bool, start, end int, fn AggFunc, bank []float64) {
-	if all {
-		keys = keys[start:end]
-	} else {
-		rows = rows[start:end]
-	}
+// foldColumn dispatches one block [b, e) of a value column's pass to the
+// column's concrete type; the default arm preserves Column.Value semantics
+// for types without a typed fast path.
+func foldColumn(src foldSrc, col colstore.Column, rows []int, all bool, start, b, e int, a foldAcc) {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
+		foldVals(src, c.Values(), rows, all, start, b, e, a)
 	case *colstore.I64Column:
-		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
+		foldVals(src, c.Values(), rows, all, start, b, e, a)
 	case *colstore.I32Column:
-		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
+		foldVals(src, c.Values(), rows, all, start, b, e, a)
 	case *colstore.U16Column:
-		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
+		foldVals(src, c.Values(), rows, all, start, b, e, a)
 	case *colstore.U8Column:
-		denseAccum(keys, colSpan(c.Values(), all, start, end), rows, all, fn, bank)
+		foldVals(src, c.Values(), rows, all, start, b, e, a)
 	default:
-		if all {
-			for i, k := range keys {
-				accumOne(fn, bank, int(k), col.Value(start+i))
+		cnt, sum, lo, hi := a.cnt, a.v[roleSum], a.v[roleMin], a.v[roleMax]
+		for i := b; i < e; i++ {
+			r := i
+			if !all {
+				r = rows[i]
 			}
-			return
-		}
-		for _, r := range rows {
-			accumOne(fn, bank, int(keys[r]), col.Value(r))
+			var s int
+			switch {
+			case src.slots != nil:
+				s = src.slots[i-start]
+			case src.keys8 != nil:
+				s = int(src.keys8[r])
+			default:
+				s = int(src.keys16[r])
+			}
+			f := col.Value(r)
+			cnt[s]++
+			sum[s] += f
+			if f < lo[s] {
+				lo[s] = f
+			}
+			if f > hi[s] {
+				hi[s] = f
+			}
 		}
 	}
 }
 
-// denseAccum is the monomorphic scatter-accumulate loop: for each selected
-// row, fold the float64-widened value into the key-indexed slot. The fn
-// switch is hoisted above the loops so each shape scans branch-predictably.
-func denseAccum[K denseKey, V number](keys []K, vals []V, rows []int, all bool, fn AggFunc, bank []float64) {
-	switch fn {
-	case AggMin:
-		if all {
-			for i, v := range vals {
-				f := float64(v)
-				if f < bank[keys[i]] {
-					bank[keys[i]] = f
-				}
+// foldVals narrows one typed value column to the block and picks the loop
+// of the slot source. The loops it instantiates contain no calls, so they
+// compile to fully specialised bodies even from generic code (the closure
+// kernels CompileFilterKernel warns about do not).
+func foldVals[V number](src foldSrc, vals []V, rows []int, all bool, start, b, e int, a foldAcc) {
+	vals = colSpan(vals, all, b, e)
+	if !all {
+		rows = rows[b:e]
+	}
+	switch {
+	case src.slots != nil:
+		foldSlots(src.slots[b-start:e-start], vals, rows, all, a)
+	case src.keys8 != nil:
+		foldKeys(colSpan(src.keys8, all, b, e), vals, rows, all, a)
+	default:
+		foldKeys(colSpan(src.keys16, all, b, e), vals, rows, all, a)
+	}
+}
+
+// foldKeys is the fused scatter-accumulate loop over dense keys: each
+// selected row reads its id, its key and its value once and updates all
+// four accumulators of the slot. Strict compares against ±Inf seeds keep
+// min/max bit-identical to their own single passes (NaN loses both).
+func foldKeys[K denseKey, V number](keys []K, vals []V, rows []int, all bool, a foldAcc) {
+	cnt, sum, lo, hi := a.cnt, a.v[roleSum], a.v[roleMin], a.v[roleMax]
+	if all {
+		keys = keys[:len(vals)]
+		for i, v := range vals {
+			s, f := keys[i], float64(v)
+			cnt[s]++
+			sum[s] += f
+			if f < lo[s] {
+				lo[s] = f
 			}
-			return
-		}
-		for _, r := range rows {
-			f := float64(vals[r])
-			if f < bank[keys[r]] {
-				bank[keys[r]] = f
+			if f > hi[s] {
+				hi[s] = f
 			}
 		}
-	case AggMax:
-		if all {
-			for i, v := range vals {
-				f := float64(v)
-				if f > bank[keys[i]] {
-					bank[keys[i]] = f
-				}
-			}
-			return
+		return
+	}
+	for _, r := range rows {
+		s, f := keys[r], float64(vals[r])
+		cnt[s]++
+		sum[s] += f
+		if f < lo[s] {
+			lo[s] = f
 		}
-		for _, r := range rows {
-			f := float64(vals[r])
-			if f > bank[keys[r]] {
-				bank[keys[r]] = f
-			}
-		}
-	default: // AggSum (AggAvg divides at emit)
-		if all {
-			for i, v := range vals {
-				bank[keys[i]] += float64(v)
-			}
-			return
-		}
-		for _, r := range rows {
-			bank[keys[r]] += float64(vals[r])
+		if f > hi[s] {
+			hi[s] = f
 		}
 	}
 }
 
-// accumOne is the generic-column fallback of one accumulate step.
-func accumOne(fn AggFunc, bank []float64, k int, v float64) {
-	switch fn {
-	case AggMin:
-		if v < bank[k] {
-			bank[k] = v
+// foldSlots is the same loop driven by a span-aligned slot vector.
+func foldSlots[V number](slots []int, vals []V, rows []int, all bool, a foldAcc) {
+	cnt, sum, lo, hi := a.cnt, a.v[roleSum], a.v[roleMin], a.v[roleMax]
+	if all {
+		vals = vals[:len(slots)]
+		for i, s := range slots {
+			f := float64(vals[i])
+			cnt[s]++
+			sum[s] += f
+			if f < lo[s] {
+				lo[s] = f
+			}
+			if f > hi[s] {
+				hi[s] = f
+			}
 		}
-	case AggMax:
-		if v > bank[k] {
-			bank[k] = v
+		return
+	}
+	rows = rows[:len(slots)]
+	for i, s := range slots {
+		f := float64(vals[rows[i]])
+		cnt[s]++
+		sum[s] += f
+		if f < lo[s] {
+			lo[s] = f
 		}
-	default:
-		bank[k] += v
+		if f > hi[s] {
+			hi[s] = f
+		}
 	}
 }
 
@@ -448,7 +655,8 @@ func (g *groupHash) grow() {
 
 // hashKeyCol dispatches pass 0 over the span [start, end) of the selection
 // to the key column's concrete type; slots is span-aligned (slots[i]
-// belongs to the span's i-th row).
+// belongs to the span's i-th row). Group sizes are counted by the fold
+// plan, not here.
 func hashKeyCol(col colstore.Column, rows []int, all bool, start, end int, g *groupHash, slots []int) {
 	if !all {
 		rows = rows[start:end]
@@ -470,9 +678,7 @@ func hashKeyCol(col colstore.Column, rows []int, all bool, start, end int, g *gr
 			if !all {
 				r = rows[i]
 			}
-			s := g.slotOf(col.Value(r))
-			g.cnt[s]++
-			slots[i] = s
+			slots[i] = g.slotOf(col.Value(r))
 		}
 	}
 }
@@ -486,151 +692,7 @@ func hashKeys[K number](vals []K, rows []int, all bool, g *groupHash, slots []in
 		if !all {
 			r = rows[i]
 		}
-		s := g.slotOf(float64(vals[r]))
-		g.cnt[s]++
-		slots[i] = s
-	}
-}
-
-// fusePartner returns the index k > j of the first spec forming a fused
-// min/max pair with specs[j] — the opposite extreme over the same value
-// column — or -1. A fused pair shares one gather pass over the column
-// (hashAccumMinMax) instead of two. Sum/avg never fuse (their pass shape
-// differs and sums stay pinned to the ascending fold); indices cap at 64
-// so the caller's done-bitmask covers every fusable spec.
-func fusePartner(specs []GroupedAggSpec, j int) int {
-	if j >= 64 {
-		return -1
-	}
-	want := AggMin
-	if specs[j].Fn == AggMin {
-		want = AggMax
-	}
-	for k := j + 1; k < len(specs) && k < 64; k++ {
-		if specs[k].Fn == want && specs[k].Column == specs[j].Column {
-			return k
-		}
-	}
-	return -1
-}
-
-// hashAccumCol dispatches one accumulate pass over the span [start, end)
-// of the selection, with its span-aligned slot vector, to the value column
-// type.
-func hashAccumCol(col colstore.Column, rows []int, all bool, start, end int, slots []int, fn AggFunc, bank []float64) {
-	if !all {
-		rows = rows[start:end]
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
-	case *colstore.I64Column:
-		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
-	case *colstore.I32Column:
-		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
-	case *colstore.U16Column:
-		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
-	case *colstore.U8Column:
-		hashAccum(colSpan(c.Values(), all, start, end), rows, all, slots, fn, bank)
-	default:
-		for i, s := range slots {
-			r := start + i
-			if !all {
-				r = rows[i]
-			}
-			accumOne(fn, bank, s, col.Value(r))
-		}
-	}
-}
-
-// hashAccum is the slot-vector scatter-accumulate loop of the hash path.
-func hashAccum[V number](vals []V, rows []int, all bool, slots []int, fn AggFunc, bank []float64) {
-	switch fn {
-	case AggMin:
-		for i, s := range slots {
-			r := i
-			if !all {
-				r = rows[i]
-			}
-			f := float64(vals[r])
-			if f < bank[s] {
-				bank[s] = f
-			}
-		}
-	case AggMax:
-		for i, s := range slots {
-			r := i
-			if !all {
-				r = rows[i]
-			}
-			f := float64(vals[r])
-			if f > bank[s] {
-				bank[s] = f
-			}
-		}
-	default: // AggSum / AggAvg
-		for i, s := range slots {
-			r := i
-			if !all {
-				r = rows[i]
-			}
-			bank[s] += float64(vals[r])
-		}
-	}
-}
-
-// hashAccumMinMaxCol dispatches one fused min+max gather pass over the
-// span [start, end) of the selection to the value column type.
-func hashAccumMinMaxCol(col colstore.Column, rows []int, all bool, start, end int, slots []int, lo, hi []float64) {
-	if !all {
-		rows = rows[start:end]
-	}
-	switch c := col.(type) {
-	case *colstore.F64Column:
-		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
-	case *colstore.I64Column:
-		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
-	case *colstore.I32Column:
-		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
-	case *colstore.U16Column:
-		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
-	case *colstore.U8Column:
-		hashAccumMinMax(colSpan(c.Values(), all, start, end), rows, all, slots, lo, hi)
-	default:
-		for i, s := range slots {
-			r := start + i
-			if !all {
-				r = rows[i]
-			}
-			v := col.Value(r)
-			if v < lo[s] {
-				lo[s] = v
-			}
-			if v > hi[s] {
-				hi[s] = v
-			}
-		}
-	}
-}
-
-// hashAccumMinMax is the fused gather loop of a min/max pair: one read of
-// the value column feeds two independent strict compares, so each bank is
-// bit-identical to its own single-spec hashAccum pass — NaN loses both
-// compares, ±Inf seeds survive empty groups, and the fold order over rows
-// is unchanged.
-func hashAccumMinMax[V number](vals []V, rows []int, all bool, slots []int, lo, hi []float64) {
-	for i, s := range slots {
-		r := i
-		if !all {
-			r = rows[i]
-		}
-		f := float64(vals[r])
-		if f < lo[s] {
-			lo[s] = f
-		}
-		if f > hi[s] {
-			hi[s] = f
-		}
+		slots[i] = g.slotOf(float64(vals[r]))
 	}
 }
 

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"gisnav/internal/colstore"
 	"gisnav/internal/las"
 )
 
@@ -191,54 +193,138 @@ func TestGroupedAggregateMatchesReference(t *testing.T) {
 	checkGrouped(t, pc, small, ColIntensity, specs, GroupHash)
 }
 
-// TestGroupedAggregateFusedMinMax pins the fused min+max gather pass
-// (PR 10: a min/max pair over one value column shares a single pass) to
-// the row-at-a-time reference AND to the unfused single-spec runs,
-// bit-for-bit, on the hash path — serial and morsel-parallel, NaN values,
-// NaN/±0/+Inf keys, empty groups and the empty selection included.
-func TestGroupedAggregateFusedMinMax(t *testing.T) {
-	pc := groupTestCloud(t, 4<<16)
-	rng := rand.New(rand.NewSource(11))
-	specs := []GroupedAggSpec{
-		{Fn: AggCount},
-		{Fn: AggMin, Column: ColZ},
-		{Fn: AggMax, Column: ColZ},
-		{Fn: AggMax, Column: ColIntensity},
-		{Fn: AggMin, Column: ColIntensity},
-		{Fn: AggMin, Column: ColZ}, // duplicate: its partner is already paired
+// opaqueColumn hides a column's concrete type, so every typed dispatch
+// takes its generic Column.Value fallback arm; onValue, when set, observes
+// each access.
+type opaqueColumn struct {
+	colstore.Column
+	onValue func(i int)
+}
+
+func (c opaqueColumn) Value(i int) float64 {
+	if c.onValue != nil {
+		c.onValue(i)
 	}
-	sels := [][]int{nil, {}, randomSelection(rng, pc.Len(), 0.6)}
-	for _, rows := range sels {
-		// Against the reference, on the fused hash arm and the (unfused)
-		// dense arm.
-		checkGrouped(t, pc, rows, ColGPSTime, specs, GroupHash)
-		checkGrouped(t, pc, rows, ColClassification, specs, GroupDense)
-		// Fused ≡ unfused: every spec alone must reproduce its column of
-		// the combined run exactly, at serial and fan-out degrees.
-		for _, deg := range []int{1, 4} {
-			var combined GroupedResult
-			if err := pc.GroupedAggregateRun(parRun(deg), rows, ColGPSTime, specs, &combined, nil); err != nil {
-				t.Fatal(err)
-			}
-			for j, s := range specs {
-				var solo GroupedResult
-				if err := pc.GroupedAggregateRun(parRun(deg), rows, ColGPSTime, []GroupedAggSpec{s}, &solo, nil); err != nil {
+	return c.Column.Value(i)
+}
+
+// hideColumn swaps the named column for an opaque wrapper of itself.
+func hideColumn(pc *PointCloud, name string, onValue func(i int)) {
+	i := pc.schema.FieldIndex(name)
+	pc.cols[i] = opaqueColumn{Column: pc.cols[i], onValue: onValue}
+}
+
+// foldOpaque is the value column foldTestCloud hides behind opaqueColumn.
+const foldOpaque = ColWaveReturnPoint
+
+// foldTestCloud is the fold-plan property table: every column carries
+// random values of its type (f64 columns with NaN and ±Inf, z with -0
+// too), the u8 key has nine classes, the u16 key (point_source_id) a
+// thousand, the f64 key (gps_time) NaN, ±0 and +Inf, and one f64 value
+// column is reachable only through Column.Value.
+func foldTestCloud(n int) *PointCloud {
+	pc := randomTestCloud(n, 77)
+	rng := rand.New(rand.NewSource(78))
+	class := pc.Column(ColClassification).(*colstore.U8Column).Values()
+	source := pc.Column(ColPointSourceID).(*colstore.U16Column).Values()
+	gps := pc.Column(ColGPSTime).(*colstore.F64Column).Values()
+	z := pc.Z()
+	palette := []float64{math.NaN(), math.Copysign(0, -1), 0, -12.5, 3.25, 1e9, math.Inf(1)}
+	for i := range class {
+		class[i] = uint8(rng.Intn(9))
+		source[i] = uint16(rng.Intn(1000))
+		gps[i] = palette[rng.Intn(len(palette))]
+		if rng.Intn(41) == 0 {
+			z[i] = math.Copysign(0, -1)
+		}
+	}
+	hideColumn(pc, foldOpaque, nil)
+	return pc
+}
+
+// foldPlanConfig is one spec list of the fold-plan property table.
+type foldPlanConfig struct {
+	name  string
+	specs []GroupedAggSpec
+}
+
+// foldPlanConfigs enumerates the plan shapes the fold compiles: several
+// distinct value columns, every function on one column, repeated specs
+// (each must still fill its own column), count-only and count-free lists,
+// the min/max pairs of the former fused pass, every value type including
+// the Column.Value fallback, and a list longer than 64 specs.
+func foldPlanConfigs() []foldPlanConfig {
+	wide := []GroupedAggSpec{{Fn: AggCount}}
+	for i := 0; i < 35; i++ {
+		wide = append(wide, GroupedAggSpec{Fn: AggMin, Column: ColZ}, GroupedAggSpec{Fn: AggMax, Column: ColIntensity})
+	}
+	wide = append(wide, GroupedAggSpec{Fn: AggMax, Column: ColScanAngle})
+	return []foldPlanConfig{
+		{"two-columns", []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColIntensity},
+			{Fn: AggAvg, Column: ColScanAngle}, {Fn: AggMin, Column: ColZ}}},
+		{"all-on-one", []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggAvg, Column: ColZ},
+			{Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}}},
+		{"duplicates", []GroupedAggSpec{{Fn: AggMin, Column: ColZ}, {Fn: AggMin, Column: ColZ}, {Fn: AggSum, Column: ColZ},
+			{Fn: AggAvg, Column: ColZ}, {Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColZ},
+			{Fn: AggCount}, {Fn: AggMax, Column: ColZ}}},
+		{"count-only", []GroupedAggSpec{{Fn: AggCount}}},
+		{"no-count", []GroupedAggSpec{{Fn: AggAvg, Column: ColZ}, {Fn: AggMin, Column: ColWaveOffset}}},
+		{"min-max-pairs", []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ},
+			{Fn: AggMax, Column: ColIntensity}, {Fn: AggMin, Column: ColIntensity}, {Fn: AggMin, Column: ColZ}}},
+		{"every-type", []GroupedAggSpec{{Fn: AggSum, Column: ColUserData}, {Fn: AggMin, Column: ColIntensity},
+			{Fn: AggMax, Column: ColScanAngle}, {Fn: AggAvg, Column: ColWaveOffset}, {Fn: AggSum, Column: ColZ},
+			{Fn: AggMax, Column: foldOpaque}, {Fn: AggSum, Column: foldOpaque}, {Fn: AggMin, Column: foldOpaque},
+			{Fn: AggCount}}},
+		{"exact-types", []GroupedAggSpec{{Fn: AggMax, Column: ColUserData}, {Fn: AggMin, Column: ColWaveOffset},
+			{Fn: AggCount}, {Fn: AggMin, Column: foldOpaque}, {Fn: AggMax, Column: foldOpaque}}},
+		{"wide", wide},
+	}
+}
+
+// foldSelections are the selections every configuration runs over: all
+// rows, empty, a single row, and a dense and a sparse random subset.
+func foldSelections(rng *rand.Rand, n int) [][]int {
+	return [][]int{nil, {}, {0}, randomSelection(rng, n, 0.5), randomSelection(rng, n, 0.01)}
+}
+
+// TestGroupedFoldPlanMatchesReference pins the fold plan to the
+// row-at-a-time reference on the dense-u8, dense-u16 and hash paths, over
+// every configuration and selection shape — and every spec folded alone
+// must reproduce its column of the combined run bit for bit, so sharing a
+// pass (or a copied bank) never changes an answer.
+func TestGroupedFoldPlanMatchesReference(t *testing.T) {
+	pc := foldTestCloud(20000)
+	rng := rand.New(rand.NewSource(11))
+	sels := foldSelections(rng, pc.Len())
+	keys := []struct{ col, strategy string }{
+		{ColClassification, GroupDense},
+		{ColPointSourceID, ""}, // dense over all rows, hash under small selections
+		{ColGPSTime, GroupHash},
+	}
+	for _, cfg := range foldPlanConfigs() {
+		for _, key := range keys {
+			for si, rows := range sels {
+				checkGrouped(t, pc, rows, key.col, cfg.specs, key.strategy)
+				if len(cfg.specs) > 10 {
+					continue // the wide list repeats three specs; the solo check adds nothing
+				}
+				var combined, solo GroupedResult
+				if err := pc.GroupedAggregate(rows, key.col, cfg.specs, &combined, nil); err != nil {
 					t.Fatal(err)
 				}
-				if len(solo.Keys) != len(combined.Keys) {
-					t.Fatalf("deg %d spec %d: %d groups solo, %d combined", deg, j, len(solo.Keys), len(combined.Keys))
-				}
-				for i := range solo.Keys {
-					if math.Float64bits(solo.Keys[i]) != math.Float64bits(combined.Keys[i]) {
-						t.Fatalf("deg %d spec %d group %d: key %v solo, %v combined", deg, j, i, solo.Keys[i], combined.Keys[i])
+				for j, s := range cfg.specs {
+					label := fmt.Sprintf("%s key %s sel %d spec %d alone", cfg.name, key.col, si, j)
+					if err := pc.GroupedAggregate(rows, key.col, []GroupedAggSpec{s}, &solo, nil); err != nil {
+						t.Fatal(err)
 					}
-					if math.Float64bits(solo.Cols[0][i]) != math.Float64bits(combined.Cols[j][i]) {
-						t.Fatalf("deg %d spec %d group %d: fused %v, unfused %v",
-							deg, j, i, combined.Cols[j][i], solo.Cols[0][i])
-					}
+					sameGroupedRef(t, label, &solo, combined.Keys, combined.Cols[j:j+1])
 				}
 			}
 		}
+	}
+	var res GroupedResult
+	if err := pc.GroupedAggregate(nil, ColPointSourceID, nil, &res, nil); err != nil || res.Strategy != GroupDense {
+		t.Fatalf("u16 key over all rows: strategy %q, err %v; the dense-u16 arm went untested", res.Strategy, err)
 	}
 }
 
@@ -270,6 +356,27 @@ func TestGroupedAggregateExplain(t *testing.T) {
 	}
 	if len(ex.Steps) != 1 || ex.Steps[0].Op != opGroupAgg {
 		t.Fatalf("explain steps = %+v", ex.Steps)
+	}
+	// The detail carries the accumulate-pass count, so a regression to one
+	// pass per aggregate shows in EXPLAIN: one pass per distinct value
+	// column, the count riding along.
+	for _, c := range []struct {
+		key   string
+		specs []GroupedAggSpec
+		want  string
+	}{
+		{ColClassification, []GroupedAggSpec{{Fn: AggCount}}, "dense, 1 pass, 1 aggs, key classification"},
+		{ColClassification, []GroupedAggSpec{{Fn: AggCount}, {Fn: AggAvg, Column: ColZ}}, "dense, 1 pass, 2 aggs, key classification"},
+		{ColClassification, []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}}, "dense, 1 pass, 3 aggs, key classification"},
+		{ColGPSTime, []GroupedAggSpec{{Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColIntensity}, {Fn: AggAvg, Column: ColZ}}, "hash, 2 passes, 3 aggs, key gps_time"},
+	} {
+		ex := &Explain{}
+		if err := pc.GroupedAggregate(nil, c.key, c.specs, &res, ex); err != nil {
+			t.Fatal(err)
+		}
+		if got := ex.Steps[0].Detail; got != c.want {
+			t.Fatalf("group.agg detail = %q, want %q", got, c.want)
+		}
 	}
 }
 

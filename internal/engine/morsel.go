@@ -38,9 +38,10 @@
 // panics until every partition settles, and the driver recycles every
 // surviving partial before re-raising the first panic for the query
 // layer's recovery. Partitions poll the run's cancel token at block
-// boundaries (scanChunk blocks in the fold loops, one accumulate pass in
-// the grouped strategies); a fired token surfaces from the driver with
-// every buffer back in its pool. The engine.morsel.worker and
+// boundaries (scanChunk blocks in the filter and fused-aggregate loops,
+// foldBlock blocks in the grouped fold passes — one pass per value column,
+// every accumulator of that column in one loop; groupagg.go); a fired
+// token surfaces from the driver with every buffer back in its pool. The engine.morsel.worker and
 // engine.morsel.merge faultpoints prove both paths under -tags
 // faultinject; they fire only when a pass actually fans out (deg > 1).
 package engine
@@ -309,13 +310,13 @@ func runAggPass(run *Run, col colstore.Column, rows []int, all bool, n, deg int)
 // --- dense grouped aggregation --------------------------------------------------
 
 // densePass is the pooled scaffolding of one dense grouped pass. Partition
-// banks are disjoint slabs of one run-tracked buffer — slab 0 is the base
-// the emit reads — so partitions own no pooled buffers and a partition
-// panic has nothing to drain. Exactly one of keys8/keys16 is set.
+// slabs are disjoint stretches of one run-tracked buffer, each laid out
+// [count | spec 0 | spec 1 | ... | sink] — slab 0 is the base the emit
+// reads — so partitions own no pooled buffers and a partition panic has
+// nothing to drain.
 type densePass struct {
 	pass        morsel.Pass
-	keys8       []uint8
-	keys16      []uint16
+	src         foldSrc
 	pc          *PointCloud
 	rows        []int
 	all         bool
@@ -327,36 +328,21 @@ type densePass struct {
 
 var densePasses passFree[densePass]
 
-func (dp *densePass) RunPartition(slot int) {
-	if dp.keys8 != nil {
-		densePartition(dp, dp.keys8, slot)
-		return
-	}
-	densePartition(dp, dp.keys16, slot)
-}
+// denseStride is the slab length of one dense partition: the count bank,
+// one bank per spec, and the fold sink.
+func denseStride(dom, nspecs int) int { return dom*(2+nspecs) + 1 }
 
-// densePartition runs the dense count + accumulate passes over one
-// partition into this slot's bank slab: one column-at-a-time pass per
-// aggregate. One accumulate pass is this layer's block, so the token is
-// polled between passes.
-func densePartition[K denseKey](dp *densePass, keys []K, slot int) {
+// RunPartition folds one partition into this slot's slab through the
+// shared fold plan: one pass per value column, the count riding the first.
+func (dp *densePass) RunPartition(slot int) {
 	hitMorselWorker(dp.deg)
-	stride := dp.dom * (1 + len(dp.specs))
-	bank := dp.banks[slot*stride : (slot+1)*stride]
+	stride := denseStride(dp.dom, len(dp.specs))
+	slab := dp.banks[slot*stride : (slot+1)*stride]
+	cnt, sink := slab[:dp.dom], slab[stride-dp.dom-1:]
+	seedBank(cnt, AggCount)
+	fb := foldBanks{flat: slab[dp.dom:], n: dp.dom}
 	start, end := slot*dp.n/dp.deg, (slot+1)*dp.n/dp.deg
-	seedBank(bank[:dp.dom], AggCount)
-	denseCount(keys, dp.rows, dp.all, start, end, bank[:dp.dom])
-	for j, s := range dp.specs {
-		if s.Fn == AggCount {
-			continue // served from the shared count bank at emit time
-		}
-		if dp.tok.Cancelled() {
-			return
-		}
-		b := bank[(1+j)*dp.dom : (2+j)*dp.dom]
-		seedBank(b, s.Fn)
-		denseAccumCol(keys, dp.pc.Column(s.Column), dp.rows, dp.all, start, end, s.Fn, b)
-	}
+	foldSpecs(dp.src, dp.pc, dp.specs, dp.rows, dp.all, start, end, cnt, fb, sink, true, dp.tok)
 }
 
 // runDensePass is the array-indexed strategy: per-partition slabs of dom
@@ -364,22 +350,21 @@ func densePartition[K denseKey](dp *densePass, keys []K, slot int) {
 // the base slab in ascending order (counts sum exactly; min/max fold
 // strictly; sum/avg only ever see degree 1), then an ascending domain
 // scan emits the non-empty groups — the keys therefore come out already
-// in FloatOrderKey order. Exactly one of keys8/keys16 is non-nil.
-func runDensePass(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
-	stride := dom * (1 + len(specs))
+// in FloatOrderKey order. src carries the u8 or u16 key slice.
+func runDensePass(run *Run, pc *PointCloud, src foldSrc, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
+	stride := denseStride(dom, len(specs))
 	banks := run.trackF64(getF64Buf(deg * stride))[:deg*stride]
 	defer run.recycleF64(banks)
 	if err := groupPassCheckpoint(run); err != nil {
 		return err
 	}
 	dp := densePasses.get()
-	dp.keys8, dp.keys16 = keys8, keys16
-	dp.pc, dp.rows, dp.all = pc, rows, all
+	dp.src, dp.pc, dp.rows, dp.all = src, pc, rows, all
 	dp.n, dp.deg, dp.dom = n, deg, dom
 	dp.specs, dp.banks = specs, banks
 	dp.tok = run.Token()
 	p := dp.pass.Run(deg, dp)
-	dp.keys8, dp.keys16, dp.pc, dp.rows, dp.specs, dp.banks, dp.tok = nil, nil, nil, nil, nil, nil, nil
+	dp.src, dp.pc, dp.rows, dp.specs, dp.banks, dp.tok = foldSrc{}, nil, nil, nil, nil, nil
 	densePasses.put(dp)
 	if p != nil {
 		panic(p)
@@ -422,9 +407,9 @@ func runDensePass(run *Run, pc *PointCloud, keys8 []uint8, keys16 []uint16, dom 
 // --- hash grouped aggregation ---------------------------------------------------
 
 // hashPass is the pooled scaffolding of one hash grouped pass. Each
-// partition builds a local group table, a span-aligned slot vector and
-// (partitions >= 1) an accumulator bank, published in its pass slot as
-// they are drawn — so whichever way a partition ends, the driver's finish
+// partition builds a local group table, a span-aligned slot vector and a
+// scratch bank (the fold sink; for partitions >= 1 the accumulators too),
+// published in its pass slot as they are drawn — so whichever way a partition ends, the driver's finish
 // recycles exactly what was acquired.
 type hashPass struct {
 	pass   morsel.Pass
@@ -444,11 +429,12 @@ type hashPass struct {
 var hashPasses passFree[hashPass]
 
 // RunPartition builds this partition's groups: pass 0 assigns a local
-// group slot to every row of the span (recorded in the slot vector) while
-// counting group sizes; each aggregate then runs one re-hash-free
-// scatter-accumulate pass over the slot vector (the block boundary, where
-// the token is polled), a min/max pair over one column sharing a single
-// fused gather pass.
+// group slot to every row of the span (recorded in the slot vector); the
+// shared fold plan then runs one re-hash-free pass per value column over
+// the slot vector, the group sizes riding the first. The partition's
+// scratch bank is the fold sink followed, for partitions >= 1, by one
+// groups-long segment per spec; partition 0 accumulates straight into the
+// result columns.
 func (hp *hashPass) RunPartition(slot int) {
 	deg := len(hp.gs)
 	hitMorselWorker(deg)
@@ -469,50 +455,26 @@ func (hp *hashPass) RunPartition(slot int) {
 	hp.slotsv[slot] = slots
 	hashKeyCol(hp.keyCol, hp.rows, hp.all, start, end, g, slots)
 	groups := len(g.keys)
+	size := groups + 1
 	if slot > 0 {
-		hp.banks[slot] = getF64Buf(len(hp.specs) * groups)[:len(hp.specs)*groups]
+		size += len(hp.specs) * groups
 	}
-	var fused uint64
-	for j, s := range hp.specs {
-		if s.Fn == AggCount || (j < 64 && fused&(1<<uint(j)) != 0) {
-			continue // served from the group counts / an earlier partner's fused pass
-		}
-		if hp.tok.Cancelled() {
-			return
-		}
-		b := hp.segment(slot, j, groups)
-		col := hp.pc.Column(s.Column)
-		if s.Fn == AggMin || s.Fn == AggMax {
-			if k := fusePartner(hp.specs, j); k >= 0 {
-				lo, hi := b, hp.segment(slot, k, groups)
-				if s.Fn == AggMax {
-					lo, hi = hi, lo
-				}
-				seedBank(lo, AggMin)
-				seedBank(hi, AggMax)
-				hashAccumMinMaxCol(col, hp.rows, hp.all, start, end, slots, lo, hi)
-				fused |= 1 << uint(k)
-				continue
+	bank := getF64Buf(size)[:size]
+	hp.banks[slot] = bank
+	fb := foldBanks{flat: bank[groups+1:], n: groups}
+	if slot == 0 {
+		fb = foldBanks{segs: hp.res.Cols}
+		for j, s := range hp.specs {
+			if s.Fn == AggCount {
+				continue // appended from the group counts at emit
 			}
+			if cap(fb.segs[j]) < groups {
+				fb.segs[j] = make([]float64, groups)
+			}
+			fb.segs[j] = fb.segs[j][:groups]
 		}
-		seedBank(b, s.Fn)
-		hashAccumCol(col, hp.rows, hp.all, start, end, slots, s.Fn, b)
 	}
-}
-
-// segment returns spec j's groups-long accumulator for a partition:
-// partition 0 accumulates straight into the result column, later
-// partitions into their scratch bank.
-func (hp *hashPass) segment(slot, j, groups int) []float64 {
-	if slot > 0 {
-		return hp.banks[slot][j*groups : (j+1)*groups]
-	}
-	col := hp.res.Cols[j]
-	if cap(col) < groups {
-		col = make([]float64, groups)
-	}
-	hp.res.Cols[j] = col[:groups]
-	return hp.res.Cols[j]
+	foldSpecs(foldSrc{slots: slots}, hp.pc, hp.specs, hp.rows, hp.all, start, end, g.cnt, fb, bank[:groups+1], true, hp.tok)
 }
 
 // finish recycles every partition buffer and returns the pass to its free
@@ -587,7 +549,7 @@ func runHashPass(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, a
 				col = append(col, aggSeed(s.Fn)) // groups first seen in partition w
 			}
 			res.Cols[j] = col
-			for l, v := range hp.banks[w][j*lgroups : (j+1)*lgroups] {
+			for l, v := range hp.banks[w][lgroups+1:][j*lgroups : (j+1)*lgroups] {
 				if s.Fn == AggMin {
 					if v < col[remap[l]] {
 						col[remap[l]] = v

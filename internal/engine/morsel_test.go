@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -309,6 +310,119 @@ func TestAggregateSumCancelledAtBlockBoundary(t *testing.T) {
 	}
 }
 
+// TestGroupedSumCarriesAcrossBlocks is TestAggregateSumCarriesAcrossBlocks
+// for the grouped fold: selections whose lengths straddle the fold's block
+// boundary by one row either way must produce per-group sums bit-equal to
+// the row-at-a-time loop on the dense and hash paths. With 1e16 heading
+// block 0 and -1e16 heading block 1 of one group, a fold that restarted its
+// sum per block (bank[s] += blockSum) would absorb both blocks' ones.
+func TestGroupedSumCarriesAcrossBlocks(t *testing.T) {
+	n := 2*foldBlock + 100
+	pts := make([]las.Point, n)
+	for i := range pts {
+		pts[i] = las.Point{Z: 1, Classification: 2, GPSTime: 2}
+		if i%5 == 4 {
+			pts[i].Classification, pts[i].GPSTime = 6, 6
+		}
+	}
+	pts[0].Z, pts[foldBlock].Z = 1e16, -1e16
+	pc := NewPointCloud()
+	pc.AppendLAS(pts)
+
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
+	}
+	var thinned []int // drops two ones of block 1: a true gather, blocks cut by selection index
+	for i := 0; i < n; i++ {
+		if i != foldBlock+1 && i != foldBlock+2 {
+			thinned = append(thinned, i)
+		}
+	}
+	sels := [][]int{nil, identity, thinned}
+	for _, cut := range []int{foldBlock - 1, foldBlock, foldBlock + 1, 2*foldBlock - 1, 2*foldBlock + 1} {
+		sels = append(sels, identity[:cut])
+	}
+	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggAvg, Column: ColZ}}
+	var got GroupedResult
+	for _, rows := range sels {
+		cnt := selLen(pc, rows)
+		// Group 2's sum as a per-block fold would compute it.
+		var blocked float64
+		for b := 0; b < cnt; b += foldBlock {
+			var bs float64
+			for i := b; i < min(b+foldBlock, cnt); i++ {
+				r := i
+				if rows != nil {
+					r = rows[i]
+				}
+				if pts[r].Classification == 2 {
+					bs += pts[r].Z
+				}
+			}
+			blocked += bs
+		}
+		for _, key := range []string{ColClassification, ColGPSTime} {
+			wantKeys, wantCols := refGrouped(pc, rows, key, specs)
+			if err := pc.GroupedAggregate(rows, key, specs, &got, nil); err != nil {
+				t.Fatal(err)
+			}
+			sameGroupedRef(t, fmt.Sprintf("%s over %d rows", key, cnt), &got, wantKeys, wantCols)
+			if cnt > foldBlock+1 && sameBits(wantCols[1][0], blocked) {
+				t.Fatalf("data does not discriminate: per-block sum %v equals the running sum", blocked)
+			}
+		}
+	}
+}
+
+// TestGroupedCancelledAtBlockBoundary fires the token from inside the
+// first block of a fold pass — the value column is opaque and its first
+// access closes the run's done channel. The dense and hash folds must stop
+// at the next block boundary (no row past the first block is read),
+// surface cancel.ErrCancelled and leave both pools balanced.
+func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
+	pc := groupTestCloud(t, 4*foldBlock)
+	var done chan struct{}
+	reads, last := 0, 0
+	hideColumn(pc, ColRed, func(i int) {
+		if reads == 0 {
+			close(done)
+		}
+		reads++
+		last = max(last, i)
+	})
+	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColRed}, {Fn: AggMax, Column: ColZ}}
+	sel := randomSelection(rand.New(rand.NewSource(13)), pc.Len(), 0.9)
+	var res GroupedResult
+	for _, key := range []string{ColClassification, ColGPSTime} {
+		for _, rows := range [][]int{nil, sel} {
+			done = make(chan struct{})
+			reads, last = 0, 0
+			run := new(Run)
+			run.Bind(done)
+			before := morselPoolSnapshot()
+			err := pc.GroupedAggregateRun(run, rows, key, specs, &res, nil)
+			if err != cancel.ErrCancelled {
+				t.Fatalf("key %s: err = %v, want ErrCancelled", key, err)
+			}
+			lastOfBlock := foldBlock - 1
+			if rows != nil {
+				lastOfBlock = rows[foldBlock-1]
+			}
+			if reads != foldBlock || last != lastOfBlock {
+				t.Fatalf("key %s: fold read %d values up to row %d after the token fired, want exactly the first block (%d values up to row %d)",
+					key, reads, last, foldBlock, lastOfBlock)
+			}
+			if run.Live() != 0 {
+				t.Fatalf("key %s: cancelled fold left %d buffers on the run", key, run.Live())
+			}
+			if d := morselPoolSnapshot() - before; d != 0 {
+				t.Fatalf("key %s: cancelled fold drifted pools by %d", key, d)
+			}
+		}
+	}
+}
+
 // sameGroupedRef asserts a grouped result is bit-identical to the
 // row-at-a-time reference (NaN keys and NaN sums compare as equal NaNs:
 // the reference keeps its first-seen payload, as the kernels must).
@@ -342,7 +456,7 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 		{Fn: AggCount},
 		{Fn: AggMin, Column: ColZ},
 		{Fn: AggMax, Column: ColGPSTime},
-		{Fn: AggMax, Column: ColZ}, // fuses with the min over z on the hash path
+		{Fn: AggMax, Column: ColZ}, // shares the min's pass over z
 	}
 	withSum := []GroupedAggSpec{
 		{Fn: AggSum, Column: ColZ},
@@ -377,7 +491,7 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 				wantKeys, wantCols := refGrouped(pc, rows, ColClassification, exact)
 				got.reset(len(exact))
 				keys8 := pc.Column(ColClassification).(*colstore.U8Column).Values()
-				if err := runDensePass(nil, pc, keys8, nil, 1<<8, rows, all, cnt, exact, &got, deg); err != nil {
+				if err := runDensePass(nil, pc, foldSrc{keys8: keys8}, 1<<8, rows, all, cnt, exact, &got, deg); err != nil {
 					t.Fatal(err)
 				}
 				sameGroupedRef(t, cname+" dense", &got, wantKeys, wantCols)
@@ -388,6 +502,84 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameGroupedRef(t, cname+" hash "+key, &got, wantKeys, wantCols)
+				}
+			}
+		}
+	}
+}
+
+// TestMorselFoldPlanEveryDegree runs the fold-plan property table
+// (foldPlanConfigs) at every degree: through GroupedAggregateRun on a
+// table large enough to fan out, and through the dense-u8, dense-u16 and
+// hash drivers directly on empty, single-row and small tables at
+// driverDegrees. Plans carrying a sum or avg are driven at degree 1 only —
+// the public entry point pins them there whatever the cap.
+func TestMorselFoldPlanEveryDegree(t *testing.T) {
+	var got GroupedResult
+	big := foldTestCloud(morselCloudRows)
+	rng := rand.New(rand.NewSource(29))
+	sel := randomSelection(rng, big.Len(), 0.7)
+	for _, cfg := range foldPlanConfigs() {
+		switch cfg.name {
+		case "all-on-one", "min-max-pairs", "exact-types":
+		default:
+			continue // the small tables below cover every configuration
+		}
+		for _, key := range []string{ColClassification, ColPointSourceID, ColGPSTime} {
+			wantKeys, wantCols := refGrouped(big, sel, key, cfg.specs)
+			for _, deg := range []int{1, 2, 3, 4} {
+				run := parRun(deg)
+				if err := big.GroupedAggregateRun(run, sel, key, cfg.specs, &got, nil); err != nil {
+					t.Fatal(err)
+				}
+				if run.Live() != 0 {
+					t.Fatalf("%s: grouped run still owns %d buffers", cfg.name, run.Live())
+				}
+				sameGroupedRef(t, fmt.Sprintf("%s key %s cap %d", cfg.name, key, deg), &got, wantKeys, wantCols)
+			}
+		}
+	}
+
+	for _, n := range []int{0, 1, 2000} {
+		pc := foldTestCloud(n)
+		keys8 := pc.Column(ColClassification).(*colstore.U8Column).Values()
+		keys16 := pc.Column(ColPointSourceID).(*colstore.U16Column).Values()
+		for _, cfg := range foldPlanConfigs() {
+			degs := []int{1}
+			if specsMergeExact(cfg.specs) {
+				degs = driverDegrees()
+			}
+			for _, rows := range foldSelections(rng, n) {
+				if len(rows) > n {
+					continue // the single-row selection of the empty table
+				}
+				all, cnt := rows == nil, selLen(pc, rows)
+				arms := []struct {
+					name, key string
+					run       func(deg int) error
+				}{
+					{"dense-u8", ColClassification, func(deg int) error {
+						return runDensePass(nil, pc, foldSrc{keys8: keys8}, 1<<8, rows, all, cnt, cfg.specs, &got, deg)
+					}},
+					{"dense-u16", ColPointSourceID, func(deg int) error {
+						return runDensePass(nil, pc, foldSrc{keys16: keys16}, 1<<16, rows, all, cnt, cfg.specs, &got, deg)
+					}},
+					{"hash", ColGPSTime, func(deg int) error {
+						return runHashPass(nil, pc, pc.Column(ColGPSTime), rows, all, cnt, cfg.specs, &got, deg)
+					}},
+				}
+				for _, arm := range arms {
+					if arm.name == "dense-u16" && len(cfg.specs) > 10 {
+						continue // 64K slots x 72 banks per partition: all seeding, no new coverage
+					}
+					wantKeys, wantCols := refGrouped(pc, rows, arm.key, cfg.specs)
+					for _, deg := range degs {
+						got.reset(len(cfg.specs))
+						if err := arm.run(deg); err != nil {
+							t.Fatal(err)
+						}
+						sameGroupedRef(t, fmt.Sprintf("%s %s n=%d sel=%d deg %d", cfg.name, arm.name, n, cnt, deg), &got, wantKeys, wantCols)
+					}
 				}
 			}
 		}
@@ -409,8 +601,15 @@ func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslo
 		slot := (int(cy)<<tiler.Order|int(cx))*tileDom + int(keys.Value(r))
 		cnt[slot]++
 		for j, s := range specs {
-			if s.Fn != AggCount {
-				accumOne(s.Fn, banks[j], slot, pc.Column(s.Column).Value(r))
+			if s.Fn == AggCount {
+				continue
+			}
+			v := pc.Column(s.Column).Value(r)
+			switch {
+			case s.Fn == AggSum:
+				banks[j][slot] += v
+			case s.Fn == AggMin && v < banks[j][slot], s.Fn == AggMax && v > banks[j][slot]:
+				banks[j][slot] = v
 			}
 		}
 	}
@@ -425,6 +624,18 @@ func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslo
 func TestMorselTileScatterMatchesNaive(t *testing.T) {
 	exact := []GroupedAggSpec{{Fn: AggMin, Column: ColZ}, {Fn: AggCount}, {Fn: AggMax, Column: ColIntensity}}
 	withSum := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
+	// The fold plan's shapes on the tile path: a min/max pair sharing one
+	// pass with repeats and a second column, a count-only list, a list
+	// without a count, and sums repeated beside min/max over three types.
+	exactPlans := [][]GroupedAggSpec{
+		exact,
+		{{Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}, {Fn: AggMin, Column: ColZ}, {Fn: AggCount},
+			{Fn: AggMax, Column: ColGPSTime}, {Fn: AggCount}, {Fn: AggMin, Column: ColRed}},
+		{{Fn: AggCount}},
+		{{Fn: AggMax, Column: ColClassification}},
+	}
+	sumPlan := []GroupedAggSpec{{Fn: AggSum, Column: ColZ}, {Fn: AggSum, Column: ColZ}, {Fn: AggMin, Column: ColZ},
+		{Fn: AggSum, Column: ColIntensity}, {Fn: AggMax, Column: ColClassification}}
 	const order = 3
 	nslots := (1 << (2 * order)) * tileDom
 	check := func(label string, pc *PointCloud, specs []GroupedAggSpec, scatter func(tiler sfc.Grid, cnt []float64, banks [][]float64) error) {
@@ -456,7 +667,7 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 	}
 
 	big := groupTestCloud(t, morselCloudRows)
-	for _, specs := range [][]GroupedAggSpec{exact, withSum} {
+	for _, specs := range append([][]GroupedAggSpec{withSum, sumPlan}, exactPlans...) {
 		for _, deg := range []int{1, 2, 4} {
 			run := parRun(deg)
 			check("entry", big, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
@@ -472,14 +683,80 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 			continue // full-domain coordinates: nothing the tiler adds over the grouped clouds
 		}
 		keys := pc.Column(ColClassification).(*colstore.U8Column).Values()
-		for _, deg := range driverDegrees() {
-			check(cname, pc, exact, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
-				seedBank(cnt, AggCount)
-				for j, s := range exact {
-					seedBank(banks[j], s.Fn)
+		for _, specs := range append([][]GroupedAggSpec{sumPlan}, exactPlans...) {
+			degs := []int{1}
+			if specsMergeExact(specs) {
+				degs = driverDegrees()
+			}
+			for _, deg := range degs {
+				check(cname, pc, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
+					seedBank(cnt, AggCount)
+					for j, s := range specs {
+						seedBank(banks[j], s.Fn)
+					}
+					return pc.runTilePass(nil, tiler, keys, specs, cnt, banks, nslots, pc.Len(), deg)
+				})
+			}
+		}
+	}
+}
+
+// TestGroupedAccumulateRowsMatchesReference pins the pyramid's boundary
+// fold to the row-at-a-time reference: two calls landing on top of one
+// seeded slab equal one reference run over the concatenated row lists (in
+// slice order), for plans with several columns, repeats, every value-type
+// arm, a count-only list and a list without a count.
+func TestGroupedAccumulateRowsMatchesReference(t *testing.T) {
+	pc := foldTestCloud(5000)
+	rng := rand.New(rand.NewSource(41))
+	first, second := randomSelection(rng, pc.Len(), 0.3), randomSelection(rng, pc.Len(), 0.2)
+	both := append(append([]int{}, first...), second...)
+	for _, specs := range [][]GroupedAggSpec{
+		{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ},
+			{Fn: AggMin, Column: ColZ}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: foldOpaque},
+			{Fn: AggSum, Column: ColUserData}, {Fn: AggMin, Column: ColScanAngle}, {Fn: AggMax, Column: ColWaveOffset}},
+		{{Fn: AggCount}},
+		{{Fn: AggMax, Column: ColIntensity}},
+	} {
+		slab := make([]float64, (1+len(specs))*tileDom)
+		for j, s := range specs {
+			seedBank(slab[(1+j)*tileDom:(2+j)*tileDom], s.Fn)
+		}
+		for _, rows := range [][]int{first, {}, second} {
+			if err := pc.GroupedAccumulateRows(rows, ColClassification, specs, slab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantKeys, wantCols := refGrouped(pc, both, ColClassification, specs)
+		groups := 0
+		for k, c := range slab[:tileDom] {
+			if c == 0 {
+				continue
+			}
+			if groups >= len(wantKeys) || wantKeys[groups] != float64(k) {
+				t.Fatalf("%d specs: unexpected class %d in the count bank", len(specs), k)
+			}
+			for j, s := range specs {
+				got, want := slab[(1+j)*tileDom+k], wantCols[j][groups]
+				if s.Fn == AggCount {
+					got = c
 				}
-				return pc.runTilePass(nil, tiler, keys, exact, cnt, banks, nslots, pc.Len(), deg)
-			})
+				if !sameBits(got, want) && !(got != got && want != want) {
+					t.Fatalf("%d specs: class %d spec %d = %v, reference %v", len(specs), k, j, got, want)
+				}
+			}
+			groups++
+		}
+		if groups != len(wantKeys) {
+			t.Fatalf("%d specs: %d classes in the count bank, reference %d", len(specs), groups, len(wantKeys))
+		}
+		// The pyramid's warm query path: the sink lives on the stack.
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := pc.GroupedAccumulateRows(first, ColClassification, specs, slab); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%d specs: GroupedAccumulateRows allocates %.1f objects/op, want 0", len(specs), allocs)
 		}
 	}
 }

@@ -3,14 +3,16 @@
 // into per-(tile, class) banks — a grouped-aggregate pass whose composite
 // slot is the row's quantised tile times the 256-class domain — run as a
 // morsel pass (tilePass below; see morsel.go) exactly like the dense grouped
-// strategy: partition 0 scatters into the caller's banks, later
+// strategy, through the same fold plan (one pass per value column, every
+// accumulator of that column in one loop): partition 0 scatters into the
+// caller's banks, later
 // partitions into slabs folded in ascending order, which is exact for
 // count/min/max. Sum banks pin degree 1: per-tile sums are pinned to the
 // ascending row-order fold by the float-determinism invariant, and
 // partition merging would reassociate them.
-// GroupedAccumulateRows is the query-time counterpart: it folds the same
-// compiled kernels over an explicit row list into 256-slot class banks —
-// the boundary-tile refinement of a pyramid lookup.
+// GroupedAccumulateRows is the query-time counterpart: it runs the same
+// fold plan over an explicit row list into 256-slot class banks — the
+// boundary-tile refinement of a pyramid lookup.
 package engine
 
 import (
@@ -115,9 +117,10 @@ func tileSlots(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, s
 
 // tilePass is the pooled scaffolding of one tile scatter. Partition 0
 // scatters into the caller's banks; partitions >= 1 into disjoint slabs of
-// one run-tracked buffer (the dense grouped layout: count bank, then one
-// bank per non-count spec). The per-partition slot vector is that
-// partition's pooled buffer, recycled on every exit path including panic.
+// one run-tracked buffer in the dense grouped layout [count | spec 0 |
+// spec 1 | ...]; behind the slabs sits one fold sink per partition. The
+// per-partition slot vector is that partition's pooled buffer, recycled on
+// every exit path including panic.
 type tilePass struct {
 	pass   morsel.Pass
 	pc     *PointCloud
@@ -126,7 +129,7 @@ type tilePass struct {
 	specs  []GroupedAggSpec
 	n, deg int
 	nslots int
-	stride int // slab length: nslots * (1 + non-count specs)
+	stride int // slab length: nslots * (1 + specs)
 	cnt    []float64
 	banks  [][]float64
 	slabs  []float64
@@ -136,42 +139,22 @@ type tilePass struct {
 var tilePasses passFree[tilePass]
 
 // RunPartition quantises one partition's rows into composite (tile,
-// class) slots, counts them, then runs one scatter-accumulate pass per
-// non-count spec — the grouped hash strategy's monomorphic loops, driven
-// by the composite slot. One accumulate pass is this layer's block, so
-// the token is polled between passes.
+// class) slots, then runs the shared fold plan over the slot vector: one
+// pass per value column, the count riding the first.
 func (tp *tilePass) RunPartition(slot int) {
 	start, end := slot*tp.n/tp.deg, (slot+1)*tp.n/tp.deg
 	slots := getRowBuf(end - start)[:end-start]
 	defer rowPool.Put(slots)
 	hitMorselWorker(tp.deg)
 	tileSlots(tp.pc.xs.Values(), tp.pc.ys.Values(), tp.keys, tp.tiler, start, end, slots)
-	cnt := tp.cnt
-	var slab []float64
+	cnt, fb := tp.cnt, foldBanks{segs: tp.banks}
 	if slot > 0 {
-		slab = tp.slabs[(slot-1)*tp.stride : slot*tp.stride]
-		cnt = slab[:tp.nslots]
+		slab := tp.slabs[(slot-1)*tp.stride : slot*tp.stride]
+		cnt, fb = slab[:tp.nslots], foldBanks{flat: slab[tp.nslots:], n: tp.nslots}
 		seedBank(cnt, AggCount)
 	}
-	for _, s := range slots {
-		cnt[s]++
-	}
-	ai := 0
-	for j, sp := range tp.specs {
-		if sp.Fn == AggCount {
-			continue
-		}
-		ai++
-		if tp.tok.Cancelled() {
-			return
-		}
-		b := tp.banks[j]
-		if slot > 0 {
-			b = slab[ai*tp.nslots : (ai+1)*tp.nslots]
-			seedBank(b, sp.Fn)
-		}
-		hashAccumCol(tp.pc.Column(sp.Column), nil, true, start, end, slots, sp.Fn, b)
-	}
+	sink := tp.slabs[(tp.deg-1)*tp.stride:][slot*(tp.nslots+1) : (slot+1)*(tp.nslots+1)]
+	foldSpecs(foldSrc{slots: slots}, tp.pc, tp.specs, nil, true, start, end, cnt, fb, sink, slot > 0, tp.tok)
 }
 
 // runTilePass scatters the table into the caller's seeded banks in deg
@@ -179,18 +162,10 @@ func (tp *tilePass) RunPartition(slot int) {
 // order — exact for count/min/max; a sum spec pins deg to 1, where every
 // tile's sum is the ascending row-order fold.
 func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, nslots, n, deg int) error {
-	nacc := 0
-	for _, s := range specs {
-		if s.Fn != AggCount {
-			nacc++
-		}
-	}
-	stride := nslots * (1 + nacc)
-	var slabs []float64
-	if deg > 1 {
-		slabs = run.trackF64(getF64Buf((deg - 1) * stride))[:(deg-1)*stride]
-		defer run.recycleF64(slabs)
-	}
+	stride := nslots * (1 + len(specs))
+	size := (deg-1)*stride + deg*(nslots+1)
+	slabs := run.trackF64(getF64Buf(size))[:size]
+	defer run.recycleF64(slabs)
 	if err := groupPassCheckpoint(run); err != nil {
 		return err
 	}
@@ -214,11 +189,9 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 	for w := 1; w < deg; w++ {
 		slab := slabs[(w-1)*stride : w*stride]
 		foldBank(cnt[:nslots], slab[:nslots], AggCount)
-		ai := 0
 		for j, sp := range specs {
 			if sp.Fn != AggCount {
-				ai++
-				foldBank(banks[j][:nslots], slab[ai*nslots:(ai+1)*nslots], sp.Fn)
+				foldBank(banks[j][:nslots], slab[(1+j)*nslots:(2+j)*nslots], sp.Fn)
 			}
 		}
 	}
@@ -226,17 +199,17 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 }
 
 // GroupedAccumulateRows folds specs over an explicit row list into
-// 256-slot class-indexed banks, running the same compiled dense kernels
-// as the exact grouped arm — the pyramid's boundary-tile refinement entry
-// point. bank is one flat slab laid out [count | spec 0 | spec 1 | ...]:
+// 256-slot class-indexed banks, running the same fold plan as the exact
+// grouped arm — the pyramid's boundary-tile refinement entry point. bank is one flat slab laid out [count | spec 0 | spec 1 | ...]:
 // 256 count slots followed by one 256-slot segment per spec (count specs'
 // segments are unused — the shared count slots serve them). The flat
 // layout keeps the warm query path free of per-call slice-header
 // allocation. All slots accumulate ON TOP of their existing contents (the
 // caller seeds them once per fold sequence: zero for count/sum, ±Inf for
-// min/max — or folds interior pre-aggregates in first). Rows are folded
-// in slice order, so a deterministic rows order yields deterministic
-// sums.
+// min/max — or folds interior pre-aggregates in first; a repeated spec is
+// folded once and copied, so its segments must start out equal). Rows are
+// folded in slice order, so a deterministic rows order yields
+// deterministic sums.
 func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []GroupedAggSpec, bank []float64) error {
 	if err := validateTileSpecs(specs); err != nil {
 		return err
@@ -249,17 +222,13 @@ func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []G
 		return fmt.Errorf("engine: class bank slab too small: %d slots for %d specs",
 			len(bank), len(specs))
 	}
-	keys := u8.Values()
-	denseCount(keys, rows, false, 0, len(rows), bank[:tileDom])
-	for j, s := range specs {
-		if s.Fn == AggCount {
-			continue
-		}
-		col := pc.Column(s.Column)
-		if col == nil {
+	for _, s := range specs {
+		if s.Fn != AggCount && pc.Column(s.Column) == nil {
 			return fmt.Errorf("engine: unknown column %q", s.Column)
 		}
-		denseAccumCol(keys, col, rows, false, 0, len(rows), s.Fn, bank[(1+j)*tileDom:(2+j)*tileDom])
 	}
+	var sink [tileDom + 1]float64
+	fb := foldBanks{flat: bank[tileDom:], n: tileDom}
+	foldSpecs(foldSrc{keys8: u8.Values()}, pc, specs, rows, false, 0, len(rows), bank[:tileDom], fb, sink[:], false, nil)
 	return nil
 }

@@ -232,6 +232,8 @@ func (gp *groupedPlan) vectorize(b *binding, mode planMode) {
 // the strategy fixed at Prepare: engine grouped kernels when the plan
 // vectorized, the row-at-a-time interpreter otherwise. Both arms emit
 // groups in the same canonical key order and share the ORDER BY/LIMIT tail.
+// A nil rows means all rows and reaches only the engine arm
+// (finishPointCloud hands it over when there is nothing to filter).
 func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
 	gp := p.grouped
 	start := time.Now()
@@ -253,8 +255,12 @@ func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isV
 		}
 	}
 	if ex != nil { // the Sprintf below must not run on untraced steady-state runs
+		in := len(rows)
+		if rows == nil { // the unfiltered vectorized arm: all rows
+			in = p.b.pc.Len()
+		}
 		ex.Add("group", fmt.Sprintf("%s: %d groups over %d keys", strategy, res.Len(), len(gp.groupBy)),
-			len(rows), res.Len(), time.Since(start))
+			in, res.Len(), time.Since(start))
 	}
 	if err := groupedTail(p, stmt, gp, res); err != nil {
 		return nil, err

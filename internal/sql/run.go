@@ -181,6 +181,13 @@ func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []i
 		}
 		return nil, err
 	}
+	if rows == nil && len(p.preds) == 0 && len(p.generic) == 0 &&
+		p.out == outGrouped && p.grouped.keyCol != "" && p.mode != planVector {
+		// Nothing to filter ahead of a vectorized GROUP BY: nil reaches the
+		// engine's gather-free all-rows arm instead of an identity vector
+		// it would gather through.
+		return pq.output(rs, p, nil, ex)
+	}
 	filtered, err := p.b.pc.FilterRowsRun(rs, rows, p.preds, ex)
 	if err != nil {
 		if rows != nil {

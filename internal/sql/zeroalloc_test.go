@@ -1,7 +1,10 @@
 package sql
 
 import (
+	"math"
 	"testing"
+
+	"gisnav/internal/engine"
 )
 
 // Steady-state allocation enforcement for the prepared-statement pipeline,
@@ -92,6 +95,49 @@ func TestPreparedGroupedSteadyStateAllocs(t *testing.T) {
 	if allocs > 3 {
 		t.Fatalf("prepared dense grouped run allocates %.1f objects/op for %d groups, want <= 3 (result only)",
 			allocs, rows)
+	}
+}
+
+// TestUnfilteredGroupedTakesAllRowsArm pins the no-region, no-predicate
+// GROUP BY to the engine's gather-free all-rows arm: same answer as the
+// filtered arm under an always-true predicate, result-only allocations, and
+// no selection vector drawn — with every pooled vector big enough for an
+// identity selection held by the test, materialising one would have to park
+// a fresh table-sized buffer in the pool.
+func TestUnfilteredGroupedTakesAllRowsArm(t *testing.T) {
+	e, pc, _, _ := testDB(t)
+	q := `SELECT classification, count(*), avg(z) FROM ahn2 GROUP BY classification`
+	want := mustQuery(t, e, `SELECT classification, count(*), avg(z) FROM ahn2 WHERE z > -1e300 GROUP BY classification`)
+	got := mustQuery(t, e, q)
+	if got.Len() == 0 || got.Len() != want.Len() {
+		t.Fatalf("unfiltered grouped: %d groups, filtered arm %d", got.Len(), want.Len())
+	}
+	for j := range want.Cols {
+		for i, w := range want.Cols[j].Nums {
+			if math.Float64bits(got.Cols[j].Nums[i]) != math.Float64bits(w) {
+				t.Fatalf("col %d group %d = %v, filtered arm %v", j, i, got.Cols[j].Nums[i], w)
+			}
+		}
+	}
+	if allocs, _ := runSteady(t, e, q); allocs > 3 {
+		t.Fatalf("unfiltered grouped run allocates %.1f objects/op, want <= 3 (result only)", allocs)
+	}
+
+	var held [][]int
+	for {
+		free := engine.SelectionPoolStats().FreeElts
+		held = append(held, engine.AcquireRows(pc.Len()))
+		if engine.SelectionPoolStats().FreeElts == free {
+			break // the pool had nothing that large left: this one was allocated
+		}
+	}
+	before := engine.SelectionPoolStats()
+	mustQuery(t, e, q)
+	if after := engine.SelectionPoolStats(); after != before {
+		t.Fatalf("unfiltered grouped run touched the selection pool: %+v -> %+v", before, after)
+	}
+	for _, b := range held {
+		engine.RecycleRows(b)
 	}
 }
 
