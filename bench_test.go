@@ -1,10 +1,11 @@
 // Package gisnav's root benchmark suite: one testing.B benchmark per
-// experiment in DESIGN.md's index (E1–E10), runnable with
+// experiment in the paper's index (E1–E10, README.md "Benchmarks") plus the
+// E11 kernel-vs-legacy microbenchmarks, runnable with
 //
 //	go test -bench=. -benchmem
 //
 // The fixtures are generated once per process at a laptop-friendly scale;
-// cmd/pcbench runs the same experiments with richer reporting.
+// cmd/pcbench prints E1–E10 as the paper's tables, arms cross-checked.
 package gisnav
 
 import (

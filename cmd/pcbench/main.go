@@ -1,10 +1,15 @@
 // Command pcbench regenerates the paper's quantitative claims (the
-// experiment index E1–E10 in DESIGN.md): bulk-loading throughput, storage
-// footprints and imprint overhead, selection performance of the
-// filter–refine pipeline against the file-based and block-based baselines,
-// vector and ad-hoc multi-dataset queries, the per-operator EXPLAIN view,
-// imprint anatomy, and the design-choice ablations. Figures 1 and 2 are
-// regenerated by cmd/pcviz.
+// experiment index E1–E10 in README.md, "Benchmarks"): bulk-loading
+// throughput, storage footprints and imprint overhead, selection
+// performance of the filter–refine pipeline against the file-based and
+// block-based baselines, vector and ad-hoc multi-dataset queries, the
+// per-operator EXPLAIN view, imprint anatomy, and the design-choice
+// ablations. Figures 1 and 2 are regenerated by cmd/pcviz.
+//
+// The tables are self-checking: arms that answer the same question must
+// report the same match count and no arm may error, or the process exits 1
+// after the tables print. Performance gating is not pcbench's job — that
+// is benchmark/run.sh.
 //
 // Usage:
 //
@@ -19,13 +24,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"gisnav/internal/bench"
 	"gisnav/internal/blockstore"
-	"gisnav/internal/colstore"
 	"gisnav/internal/dataset"
 	"gisnav/internal/engine"
 	"gisnav/internal/geom"
@@ -53,64 +57,132 @@ type benchEnv struct {
 	store   *blockstore.Store
 	points  []las.Point
 	rng     *rand.Rand
-	report  jsonReport
+}
+
+// experiment is one entry of the paper's index. The -e help text, -e all
+// and the CI smoke are all derived from the experiments slice.
+type experiment struct {
+	name string
+	run  func(env *benchEnv, out *output, repeats int)
+}
+
+var experiments = []experiment{
+	{"load", expLoad},
+	{"storage", expStorage},
+	{"select", expSelect},
+	{"vector", expVector},
+	{"adhoc", expAdhoc},
+	{"explain", expExplain},
+	{"imprints", expImprints},
+	{"ablation", expAblation},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ",")
+}
+
+// selectExperiments resolves an -e value ("all" or a comma list) to
+// registered experiments, in registration order.
+func selectExperiments(spec string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		known := slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == name })
+		if name != "all" && !known {
+			return nil, fmt.Errorf("unknown experiment %q (registered: all,%s)", name, experimentNames())
+		}
+		want[name] = true
+	}
+	var picked []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			picked = append(picked, e)
+		}
+	}
+	return picked, nil
+}
+
+// output is where an experiment prints its tables and the runner's one
+// check path: every arm error and every disagreement between arms that
+// answer the same question lands in failures.
+type output struct {
+	io.Writer
+	failures int
+}
+
+func (o *output) failf(format string, args ...any) {
+	o.failures++
+	fmt.Fprintf(o, "CHECK FAILED: "+format+"\n", args...)
+}
+
+// check reports a non-nil arm error as a failure; true means the arm ran.
+func (o *output) check(arm string, err error) bool {
+	if err != nil {
+		o.failf("%s: %v", arm, err)
+	}
+	return err == nil
+}
+
+// group starts one row group: arms that answer the same question and must
+// therefore report the same match count.
+func (o *output) group(name string) *group { return &group{out: o, name: name} }
+
+type group struct {
+	out   *output
+	name  string
+	first string // the arm every later one is held to
+	want  int
+}
+
+func (g *group) arm(arm string, matches int) {
+	if g.first == "" {
+		g.first, g.want = arm, matches
+	} else if matches != g.want {
+		g.out.failf("%s: %q found %d matches, %q found %d", g.name, arm, matches, g.first, g.want)
+	}
 }
 
 func main() {
 	var (
-		dir      = flag.String("data", "", "existing dataset dir (generated when empty)")
-		exps     = flag.String("e", "all", "experiments: all or comma list of load,storage,select,vector,adhoc,explain,imprints,kernels,repeated,panzoom,grouped,cancel,parallel,serve,pyramid,ablation")
-		scale    = flag.String("scale", "small", "generated dataset scale: small, medium, large")
-		seed     = flag.Uint64("seed", 2015, "generator seed")
-		repeats  = flag.Int("repeats", 3, "query repetitions per measurement")
-		jsonPath = flag.String("json", "BENCH_filter.json", "machine-readable results file (empty disables)")
+		dir     = flag.String("data", "", "existing dataset dir (generated when empty)")
+		exps    = flag.String("e", "all", "experiments: all or comma list of "+experimentNames())
+		scale   = flag.String("scale", "small", "generated dataset scale: small, medium, large")
+		seed    = flag.Uint64("seed", 2015, "generator seed")
+		repeats = flag.Int("repeats", 3, "query repetitions per measurement")
 	)
 	flag.Parse()
 
+	picked, err := selectExperiments(*exps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pcbench:", err)
+		os.Exit(2)
+	}
 	env, err := setup(*dir, *scale, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pcbench:", err)
 		os.Exit(1)
 	}
-	env.report.Dataset.Points = env.pc.Len()
-	env.report.Dataset.Scale = *scale
-	env.report.Dataset.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	run := func(name string, fn func(*benchEnv, io.Writer, int)) {
-		if all || want[name] {
-			fn(env, os.Stdout, *repeats)
-			fmt.Println()
-		}
-	}
 	fmt.Printf("dataset: %d points, region %s, %d tiles\n\n",
 		env.pc.Len(), env.region, len(env.repo.Files()))
-	run("load", expLoad)
-	run("storage", expStorage)
-	run("select", expSelect)
-	run("vector", expVector)
-	run("adhoc", expAdhoc)
-	run("explain", expExplain)
-	run("imprints", expImprints)
-	run("kernels", expKernels)
-	run("repeated", expRepeated)
-	run("panzoom", expPanZoom)
-	run("grouped", expGrouped)
-	run("cancel", expCancel)
-	run("parallel", expParallel)
-	run("serve", expServe)
-	run("pyramid", expPyramid)
-	run("ablation", expAblation)
-	if *jsonPath != "" && len(env.report.Records) > 0 {
-		if err := env.report.write(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "pcbench: writing", *jsonPath, ":", err)
-			os.Exit(1)
-		}
-		fmt.Printf("machine-readable results: %s (%d records)\n", *jsonPath, len(env.report.Records))
+	if failures := runExperiments(env, os.Stdout, picked, *repeats); failures > 0 {
+		fmt.Fprintf(os.Stderr, "pcbench: %d check(s) failed\n", failures)
+		os.Exit(1)
 	}
+}
+
+// runExperiments prints the picked experiments' tables to w and returns
+// the number of failed checks; the process exits 1 unless it is zero.
+func runExperiments(env *benchEnv, w io.Writer, picked []experiment, repeats int) int {
+	out := &output{Writer: w}
+	for _, e := range picked {
+		e.run(env, out, repeats)
+		fmt.Fprintln(out)
+	}
+	return out.failures
 }
 
 // scaleParams maps a scale name to generation parameters.
@@ -225,59 +297,53 @@ func setup(dir, scale string, seed uint64) (*benchEnv, error) {
 
 // --- E1: loading --------------------------------------------------------------
 
-func expLoad(env *benchEnv, w io.Writer, _ int) {
+func expLoad(env *benchEnv, out *output, _ int) {
 	tbl := bench.NewTable("E1 load: binary COPY vs CSV vs baselines (§3.2)",
 		"method", "points", "convert", "append", "total", "throughput")
 
-	pcBin := engine.NewPointCloud()
-	stBin, err := engine.LoadBinary(pcBin, env.repo)
-	if err != nil {
-		fmt.Fprintln(w, "load/binary:", err)
+	stBin, err := engine.LoadBinary(engine.NewPointCloud(), env.repo)
+	if !out.check("E1 binary loader", err) {
 		return
 	}
 	tbl.AddRow("flat table, binary loader", stBin.Points, stBin.ConvertTime, stBin.AppendTime,
 		stBin.Total(), bench.Throughput(stBin.Points, stBin.Total()))
 
-	pcCSV := engine.NewPointCloud()
-	stCSV, err := engine.LoadCSV(pcCSV, env.repo)
-	if err != nil {
-		fmt.Fprintln(w, "load/csv:", err)
+	stCSV, err := engine.LoadCSV(engine.NewPointCloud(), env.repo)
+	if !out.check("E1 CSV loader", err) {
 		return
 	}
 	tbl.AddRow("flat table, CSV loader", stCSV.Points, stCSV.ConvertTime, stCSV.AppendTime,
 		stCSV.Total(), bench.Throughput(stCSV.Points, stCSV.Total()))
 
 	blockTime := bench.Measure(func() {
-		if _, err := blockstore.Build(env.points, blockstore.Options{}); err != nil {
-			fmt.Fprintln(w, "load/blocks:", err)
-		}
+		_, err = blockstore.Build(env.points, blockstore.Options{})
 	})
+	out.check("E1 block store build", err)
 	tbl.AddRow("block store (sort+compress)", len(env.points), "-", "-",
 		blockTime, bench.Throughput(len(env.points), blockTime))
 
 	tbl.AddRow("file-based ETL (lassort+lasindex)", len(env.points), "-", "-",
 		env.etlTime, bench.Throughput(len(env.points), env.etlTime))
 
-	tbl.WriteTo(w)
-	fmt.Fprintf(w, "csv/binary slowdown: %.1fx (paper: ~7x — one day vs almost a week)\n",
+	tbl.WriteTo(out)
+	fmt.Fprintf(out, "csv/binary slowdown: %.1fx (paper: ~7x — one day vs almost a week)\n",
 		float64(stCSV.Total())/float64(stBin.Total()))
 }
 
 // --- E2: storage ----------------------------------------------------------------
 
-func expStorage(env *benchEnv, w io.Writer, _ int) {
+func expStorage(env *benchEnv, out *output, _ int) {
 	var lasBytes int64
 	for _, f := range env.repo.Files() {
-		if fi, err := os.Stat(f); err == nil {
+		fi, err := os.Stat(f)
+		if out.check("E2 stat "+f, err) {
 			lasBytes += fi.Size()
 		}
 	}
-	var lazBytes int64
 	cw := &countWriter{}
-	if err := las.WriteLAZ(cw, 3, 0.01, 0.01, 0.01,
-		env.region.MinX, env.region.MinY, 0, env.points); err == nil {
-		lazBytes = cw.n
-	}
+	out.check("E2 LAZ-sim encode", las.WriteLAZ(cw, 3, 0.01, 0.01, 0.01,
+		env.region.MinX, env.region.MinY, 0, env.points))
+	lazBytes := cw.n
 
 	env.pc.EnsureImprints()
 	sx, sy := env.pc.ImprintStats()
@@ -295,8 +361,8 @@ func expStorage(env *benchEnv, w io.Writer, _ int) {
 		fmt.Sprintf("%.1f%% / %.1f%% of coord columns", sx.OverheadPercent, sy.OverheadPercent))
 	tbl.AddRow("block store patches", bench.HumanBytes(int64(env.store.Bytes())),
 		per(int64(env.store.Bytes())), fmt.Sprintf("%d patches", env.store.Blocks()))
-	tbl.WriteTo(w)
-	fmt.Fprintf(w, "imprint overhead within the paper's 5-12%% band: x=%.1f%%, y=%.1f%%\n",
+	tbl.WriteTo(out)
+	fmt.Fprintf(out, "imprint overhead within the paper's 5-12%% band: x=%.1f%%, y=%.1f%%\n",
 		sx.OverheadPercent, sy.OverheadPercent)
 }
 
@@ -334,62 +400,62 @@ func sqrt(v float64) float64 {
 	return x
 }
 
-func expSelect(env *benchEnv, w io.Writer, repeats int) {
+func expSelect(env *benchEnv, out *output, repeats int) {
 	tbl := bench.NewTable("E5 spatial selection: DBMS filter-refine vs baselines (§3.3, §4.1)",
 		"selectivity", "method", "mean time", "matches", "rows touched")
 	env.pc.EnsureImprints()
+	// Each arm answers one box with (matches, rows touched).
+	arms := []struct {
+		name string
+		run  func(geom.Envelope) (int, int, error)
+	}{
+		{"column store: imprints+grid", func(b geom.Envelope) (int, int, error) {
+			sel := env.pc.SelectBox(b)
+			return len(sel.Rows), sel.Refine.CandidateRows, nil
+		}},
+		{"column store: full scan", func(b geom.Envelope) (int, int, error) {
+			sel := env.pc.SelectRegionScan(grid.GeometryRegion{G: b.ToPolygon()})
+			return len(sel.Rows), env.pc.Len(), nil
+		}},
+		{"file-based: header prune", func(b geom.Envelope) (int, int, error) {
+			pts, st, err := env.repo.ClipBox(b)
+			return len(pts), st.PointsRead, err
+		}},
+		{"file-based: lasindex", func(b geom.Envelope) (int, int, error) {
+			pts, st, err := env.repoIdx.ClipBox(b)
+			return len(pts), st.PointsRead, err
+		}},
+		{"block store: patches", func(b geom.Envelope) (int, int, error) {
+			pts, st, err := env.store.QueryBox(b)
+			return len(pts), st.PointsDecompressed, err
+		}},
+	}
 	for _, selectivity := range []float64{0.0001, 0.001, 0.01, 0.1} {
 		boxes := env.queryBoxes(selectivity, 3)
-		type arm struct {
-			name string
-			run  func(geom.Envelope) (int, int)
-		}
-		arms := []arm{
-			{"column store: imprints+grid", func(b geom.Envelope) (int, int) {
-				sel := env.pc.SelectBox(b)
-				return len(sel.Rows), sel.Refine.CandidateRows
-			}},
-			{"column store: full scan", func(b geom.Envelope) (int, int) {
-				sel := env.pc.SelectRegionScan(grid.GeometryRegion{G: b.ToPolygon()})
-				return len(sel.Rows), env.pc.Len()
-			}},
-			{"file-based: header prune", func(b geom.Envelope) (int, int) {
-				pts, st, err := env.repo.ClipBox(b)
-				if err != nil {
-					return -1, 0
-				}
-				return len(pts), st.PointsRead
-			}},
-			{"file-based: lasindex", func(b geom.Envelope) (int, int) {
-				pts, st, err := env.repoIdx.ClipBox(b)
-				if err != nil {
-					return -1, 0
-				}
-				return len(pts), st.PointsRead
-			}},
-			{"block store: patches", func(b geom.Envelope) (int, int) {
-				pts, st, err := env.store.QueryBox(b)
-				if err != nil {
-					return -1, 0
-				}
-				return len(pts), st.PointsDecompressed
-			}},
-		}
+		label := fmt.Sprintf("%.2f%%", selectivity*100)
+		agree := out.group("E5 " + label)
 		for _, a := range arms {
 			var matches, touched int
+			var err error
 			d := bench.MeasureN(repeats, func() {
 				matches, touched = 0, 0
 				for _, b := range boxes {
-					m, t := a.run(b)
+					m, t, e := a.run(b)
+					if e != nil {
+						err = e
+					}
 					matches += m
 					touched += t
 				}
 			})
-			tbl.AddRow(fmt.Sprintf("%.2f%%", selectivity*100), a.name,
-				d/time.Duration(len(boxes)), matches/len(boxes), touched/len(boxes))
+			if !out.check("E5 "+label+" "+a.name, err) {
+				continue
+			}
+			agree.arm(a.name, matches)
+			tbl.AddRow(label, a.name, d/time.Duration(len(boxes)), matches/len(boxes), touched/len(boxes))
 		}
 	}
-	tbl.WriteTo(w)
+	tbl.WriteTo(out)
 
 	// Polygon selection, same pipeline (scenario 1's "points within region").
 	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
@@ -399,51 +465,59 @@ func expSelect(env *benchEnv, w io.Writer, repeats int) {
 		{X: env.region.MinX + env.region.Width()*0.35, Y: env.region.MinY + env.region.Height()*0.8},
 	}}}
 	tp := bench.NewTable("E5b polygon selection", "method", "mean time", "matches")
-	dDB := bench.MeasureN(repeats, func() { env.pc.SelectGeometry(poly) })
-	selDB := env.pc.SelectGeometry(poly)
-	tp.AddRow("column store: imprints+grid", dDB, len(selDB.Rows))
-	dFile := bench.MeasureN(repeats, func() {
-		if _, _, err := env.repoIdx.ClipGeometry(poly); err != nil {
-			fmt.Fprintln(w, "clip:", err)
+	agree := out.group("E5b polygon")
+	for _, a := range []struct {
+		name string
+		run  func() (int, error)
+	}{
+		{"column store: imprints+grid", func() (int, error) {
+			return len(env.pc.SelectGeometry(poly).Rows), nil
+		}},
+		{"file-based: lasindex", func() (int, error) {
+			pts, _, err := env.repoIdx.ClipGeometry(poly)
+			return len(pts), err
+		}},
+		{"block store: patches", func() (int, error) {
+			pts, _, err := env.store.QueryGeometry(poly)
+			return len(pts), err
+		}},
+	} {
+		var matches int
+		var err error
+		d := bench.MeasureN(repeats, func() { matches, err = a.run() })
+		if out.check("E5b "+a.name, err) {
+			agree.arm(a.name, matches)
+			tp.AddRow(a.name, d, matches)
 		}
-	})
-	ptsFile, _, _ := env.repoIdx.ClipGeometry(poly)
-	tp.AddRow("file-based: lasindex", dFile, len(ptsFile))
-	dBlock := bench.MeasureN(repeats, func() {
-		if _, _, err := env.store.QueryGeometry(poly); err != nil {
-			fmt.Fprintln(w, "block query:", err)
-		}
-	})
-	ptsBlock, _, _ := env.store.QueryGeometry(poly)
-	tp.AddRow("block store: patches", dBlock, len(ptsBlock))
-	tp.WriteTo(w)
+	}
+	tp.WriteTo(out)
 }
 
 // --- E6: vector selection ---------------------------------------------------------
 
-func expVector(env *benchEnv, w io.Writer, repeats int) {
+func expVector(env *benchEnv, out *output, repeats int) {
 	c := env.region.Center()
 	q := geom.NewEnvelope(c.X-env.region.Width()*0.2, c.Y-env.region.Height()*0.2,
 		c.X+env.region.Width()*0.2, c.Y+env.region.Height()*0.2).ToPolygon()
 
 	tbl := bench.NewTable("E6 vector selection: roads intersecting a region (§4.1)",
 		"method", "mean time", "matches")
+	agree := out.group("E6 roads")
 	var dbRows int
 	dDB := bench.MeasureN(repeats, func() {
 		ex := &engine.Explain{}
 		dbRows = len(env.osm.SelectIntersects(q, ex))
 	})
+	agree.arm("vector table", dbRows)
 	tbl.AddRow("vector table (envelope cache)", dDB, dbRows)
 
 	// File-based comparator: re-read and re-parse the TSV per query, the
 	// cost a file workflow pays without a database.
 	var fileRows int
+	var err error
 	dFile := bench.MeasureN(repeats, func() {
-		feats, err := synth.ReadOSMFile(filepath.Join(env.dir, dataset.OSMFile))
-		if err != nil {
-			fmt.Fprintln(w, "osm read:", err)
-			return
-		}
+		var feats []synth.Feature
+		feats, err = synth.ReadOSMFile(filepath.Join(env.dir, dataset.OSMFile))
 		fileRows = 0
 		for _, f := range feats {
 			if geom.Intersects(f.Geom, q) {
@@ -451,8 +525,11 @@ func expVector(env *benchEnv, w io.Writer, repeats int) {
 			}
 		}
 	})
-	tbl.AddRow("file-based (parse + filter)", dFile, fileRows)
-	tbl.WriteTo(w)
+	if out.check("E6 file-based", err) {
+		agree.arm("file-based", fileRows)
+		tbl.AddRow("file-based (parse + filter)", dFile, fileRows)
+	}
+	tbl.WriteTo(out)
 }
 
 // --- E7: ad-hoc multi-dataset queries ----------------------------------------------
@@ -491,7 +568,7 @@ var demoQueries = []struct {
 	},
 }
 
-func expAdhoc(env *benchEnv, w io.Writer, repeats int) {
+func expAdhoc(env *benchEnv, out *output, repeats int) {
 	exec := sql.New(env.db)
 	c := env.region.Center()
 	half := env.region.Width() * 0.15
@@ -504,45 +581,43 @@ func expAdhoc(env *benchEnv, w io.Writer, repeats int) {
 		if strings.Contains(stmt, "%f") {
 			stmt = fmt.Sprintf(stmt, box[0], box[1], box[2], box[3])
 		}
+		var res *sql.Result
+		var err error
+		d := bench.MeasureN(repeats, func() { res, err = exec.Query(stmt) })
+		if !out.check("E7 "+q.desc, err) {
+			continue
+		}
 		var result string
-		d := bench.MeasureN(repeats, func() {
-			res, err := exec.Query(stmt)
-			if err != nil {
-				result = "error: " + err.Error()
-				return
-			}
-			if res.Len() > 0 {
-				result = res.Cols[0].Value(0).String()
-			}
-		})
+		if res.Len() > 0 {
+			result = res.Cols[0].Value(0).String()
+		}
 		supported := "no (needs DBMS)"
 		if q.fileableLAS {
 			supported = "yes (lasclip)"
 		}
 		tbl.AddRow(q.desc, supported, d, result)
 	}
-	tbl.WriteTo(w)
+	tbl.WriteTo(out)
 }
 
 // --- E8: per-operator explain --------------------------------------------------------
 
-func expExplain(env *benchEnv, w io.Writer, _ int) {
+func expExplain(env *benchEnv, out *output, _ int) {
 	exec := sql.New(env.db)
 	stmt := `SELECT count(*) AS n, avg(z) AS mean_z FROM ahn2, ua
 	         WHERE ua.class = '12210' AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 25)`
 	res, err := exec.Query(stmt)
-	if err != nil {
-		fmt.Fprintln(w, "explain:", err)
+	if !out.check("E8 explain", err) {
 		return
 	}
-	fmt.Fprintln(w, "E8 per-operator execution trace (§4.2)")
-	fmt.Fprintln(w, "query:", strings.Join(strings.Fields(stmt), " "))
-	fmt.Fprint(w, res.Explain.String())
+	fmt.Fprintln(out, "== E8 per-operator execution trace (§4.2) ==")
+	fmt.Fprintln(out, "query:", strings.Join(strings.Fields(stmt), " "))
+	fmt.Fprint(out, res.Explain.String())
 }
 
 // --- E9: imprint anatomy ---------------------------------------------------------------
 
-func expImprints(env *benchEnv, w io.Writer, _ int) {
+func expImprints(env *benchEnv, out *output, _ int) {
 	// The scanner sweeps X within Y swaths, so Y is near-sorted in file
 	// order (strong clustering) while X oscillates per swath (weak
 	// clustering). A shuffled copy is the adversarial case.
@@ -564,172 +639,24 @@ func expImprints(env *benchEnv, w io.Writer, _ int) {
 		{"y shuffled (adversarial)", shuffled},
 	} {
 		var im *imprints.Imprints
-		d := bench.Measure(func() {
-			var err error
-			im, err = imprints.Build(c.vals, imprints.Options{})
-			if err != nil {
-				fmt.Fprintln(w, "imprints:", err)
-			}
-		})
+		var err error
+		d := bench.Measure(func() { im, err = imprints.Build(c.vals, imprints.Options{}) })
+		if !out.check("E9 "+c.name, err) {
+			continue
+		}
 		tbl.AddRow(c.name, d, im.VectorCount(),
 			fmt.Sprintf("%.1fx", im.CompressionRatio()),
 			fmt.Sprintf("%.2f%%", im.OverheadPercent()),
 			fmt.Sprintf("%.3f", im.CandidateFraction(lo, lo+width)))
 	}
-	tbl.WriteTo(w)
-	fmt.Fprintln(w, "note: shuffled imprints stay correct (superset invariant) but lose compression —")
-	fmt.Fprintln(w, "the robustness the paper claims for unclustered data.")
-}
-
-// --- E11: vectorized kernels -------------------------------------------------------------
-
-// expKernels compares the old execution styles against the compiled kernel
-// layer on the dataset's thematic columns: (a) the fully generic
-// interface-dispatch scan (Column.Value per row), (b) the pre-refactor
-// typed loop that still re-dispatched the operator through
-// ColumnPred.Matches and widened every value to float64, and (c) the
-// compiled type- and op-specialised kernels. Results feed the JSON report
-// so later PRs can track the trajectory.
-func expKernels(env *benchEnv, w io.Writer, repeats int) {
-	tbl := bench.NewTable("E11 predicate kernels: interface scan vs Matches loop vs compiled kernel",
-		"predicate", "arm", "mean time", "matches", "speedup")
-	reps := repeats * 5 // sub-millisecond arms; extra reps stabilise the mean
-	preds := []engine.ColumnPred{
-		{Column: engine.ColClassification, Op: engine.CmpEQ, Value: 6},
-		{Column: engine.ColIntensity, Op: engine.CmpGT, Value: 700},
-		{Column: engine.ColScanAngle, Op: engine.CmpBetween, Value: -10, Value2: 10},
-		{Column: engine.ColZ, Op: engine.CmpBetween, Value: 0, Value2: 10},
-	}
-	for _, pred := range preds {
-		col := env.pc.Column(pred.Column)
-		n := col.Len()
-
-		// (a) generic interface scan, materialising the selection vector
-		// like the other arms.
-		var nGeneric int
-		var genericOut []int
-		dGeneric := bench.MeasureN(reps, func() {
-			genericOut = genericOut[:0]
-			for i := 0; i < n; i++ {
-				if pred.Matches(col.Value(i)) {
-					genericOut = append(genericOut, i)
-				}
-			}
-			nGeneric = len(genericOut)
-		})
-
-		// (b) typed loop, per-row operator dispatch through Matches.
-		var nMatches int
-		dMatches := bench.MeasureN(reps, func() {
-			nMatches = len(matchesLoop(col, pred))
-		})
-
-		// (c) compiled kernel, pooled output.
-		k := engine.CompileFilter(col, pred)
-		var nKernel int
-		dKernel := bench.MeasureN(reps, func() {
-			rows := k.FilterBlock(0, n, nil)
-			nKernel = len(rows)
-			engine.RecycleRows(rows)
-		})
-
-		if nGeneric != nMatches || nMatches != nKernel {
-			fmt.Fprintf(w, "E11 MISMATCH on %s: %d / %d / %d\n", pred, nGeneric, nMatches, nKernel)
-		}
-		speedup := func(base, d time.Duration) float64 {
-			if d <= 0 {
-				return 0
-			}
-			return float64(base) / float64(d)
-		}
-		tbl.AddRow(pred.String(), "interface scan", dGeneric, nGeneric, "1.0x")
-		tbl.AddRow(pred.String(), "typed Matches loop", dMatches, nMatches,
-			fmt.Sprintf("%.1fx", speedup(dGeneric, dMatches)))
-		tbl.AddRow(pred.String(), "compiled kernel", dKernel, nKernel,
-			fmt.Sprintf("%.1fx", speedup(dGeneric, dKernel)))
-		env.report.add("kernels", pred.String(), "interface_scan", n, nGeneric, dGeneric, 1)
-		env.report.add("kernels", pred.String(), "matches_loop", n, nMatches, dMatches, speedup(dGeneric, dMatches))
-		env.report.add("kernels", pred.String(), "compiled_kernel", n, nKernel, dKernel, speedup(dGeneric, dKernel))
-	}
-	tbl.WriteTo(w)
-
-	// Aggregate kernels: fused sum/min/max vs a per-value closure.
-	ta := bench.NewTable("E11b aggregate kernels: closure vs fused typed pass",
-		"aggregate", "arm", "mean time", "speedup")
-	for _, name := range []string{engine.ColZ, engine.ColIntensity} {
-		col := env.pc.Column(name)
-		var closureSum float64
-		dClosure := bench.MeasureN(reps, func() {
-			sum := 0.0
-			acc := func(v float64) { sum += v }
-			for i := 0; i < col.Len(); i++ {
-				acc(col.Value(i))
-			}
-			closureSum = sum
-		})
-		var kernelSum float64
-		dKernel := bench.MeasureN(reps, func() {
-			v, err := env.pc.Aggregate(nil, engine.AggSum, name, nil)
-			if err != nil {
-				fmt.Fprintln(w, "E11b:", err)
-				return
-			}
-			kernelSum = v
-		})
-		if closureSum != kernelSum {
-			fmt.Fprintf(w, "E11b MISMATCH on sum(%s): %g vs %g\n", name, closureSum, kernelSum)
-		}
-		sp := float64(dClosure) / float64(dKernel)
-		ta.AddRow("sum("+name+")", "closure", dClosure, "1.0x")
-		ta.AddRow("sum("+name+")", "fused kernel", dKernel, fmt.Sprintf("%.1fx", sp))
-		env.report.add("kernels", "sum("+name+")", "closure", col.Len(), 0, dClosure, 1)
-		env.report.add("kernels", "sum("+name+")", "fused_kernel", col.Len(), 0, dKernel, sp)
-	}
-	ta.WriteTo(w)
-}
-
-// matchesLoop is the pre-refactor typed filter loop: concrete column
-// access, but operator re-dispatch and float64 widening per row.
-func matchesLoop(col colstore.Column, pred engine.ColumnPred) []int {
-	var out []int
-	switch t := col.(type) {
-	case *colstore.F64Column:
-		for i, v := range t.Values() {
-			if pred.Matches(v) {
-				out = append(out, i)
-			}
-		}
-	case *colstore.U8Column:
-		for i, v := range t.Values() {
-			if pred.Matches(float64(v)) {
-				out = append(out, i)
-			}
-		}
-	case *colstore.U16Column:
-		for i, v := range t.Values() {
-			if pred.Matches(float64(v)) {
-				out = append(out, i)
-			}
-		}
-	case *colstore.I32Column:
-		for i, v := range t.Values() {
-			if pred.Matches(float64(v)) {
-				out = append(out, i)
-			}
-		}
-	default:
-		for i := 0; i < col.Len(); i++ {
-			if pred.Matches(col.Value(i)) {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
+	tbl.WriteTo(out)
+	fmt.Fprintln(out, "note: shuffled imprints stay correct (superset invariant) but lose compression —")
+	fmt.Fprintln(out, "the robustness the paper claims for unclustered data.")
 }
 
 // --- E10: ablations ---------------------------------------------------------------------
 
-func expAblation(env *benchEnv, w io.Writer, repeats int) {
+func expAblation(env *benchEnv, out *output, repeats int) {
 	env.pc.EnsureImprints()
 	region := grid.GeometryRegion{G: geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
 		{X: env.region.MinX + env.region.Width()*0.3, Y: env.region.MinY + env.region.Height()*0.3},
@@ -739,13 +666,16 @@ func expAblation(env *benchEnv, w io.Writer, repeats int) {
 
 	t1 := bench.NewTable("E10a refinement: regular grid vs exhaustive (§3.3)",
 		"refinement", "mean time", "exact tests", "matches")
+	agree := out.group("E10a refinement")
 	selGrid := env.pc.SelectRegion(region)
 	dGrid := bench.MeasureN(repeats, func() { env.pc.SelectRegion(region) })
+	agree.arm("grid", len(selGrid.Rows))
 	t1.AddRow("grid (accept/reject cells)", dGrid, selGrid.Refine.ExactTests, len(selGrid.Rows))
 	selEx := env.pc.SelectRegionImprintsOnly(region)
 	dEx := bench.MeasureN(repeats, func() { env.pc.SelectRegionImprintsOnly(region) })
+	agree.arm("exhaustive", len(selEx.Rows))
 	t1.AddRow("exhaustive per-point tests", dEx, selEx.Refine.ExactTests, len(selEx.Rows))
-	t1.WriteTo(w)
+	t1.WriteTo(out)
 
 	// Bin count sweep.
 	t2 := bench.NewTable("E10b imprint bins: candidate fraction vs storage",
@@ -754,28 +684,26 @@ func expAblation(env *benchEnv, w io.Writer, repeats int) {
 	lo := env.region.MinX + env.region.Width()*0.4
 	for _, bits := range []int{8, 16, 32, 64} {
 		im, err := imprints.Build(env.pc.X(), imprints.Options{Bits: bits})
-		if err != nil {
-			fmt.Fprintln(w, "bins:", err)
+		if !out.check(fmt.Sprintf("E10b %d bins", bits), err) {
 			continue
 		}
 		t2.AddRow(bits, fmt.Sprintf("%.2f%%", im.OverheadPercent()),
 			fmt.Sprintf("%.3f", im.CandidateFraction(lo, lo+width)))
 	}
-	t2.WriteTo(w)
+	t2.WriteTo(out)
 
 	// Cacheline width sweep.
 	t3 := bench.NewTable("E10c values per cache line",
 		"values/line", "lines", "overhead", "cand. frac (1% range)")
 	for _, vpl := range []int{8, 16, 32, 64} {
 		im, err := imprints.Build(env.pc.X(), imprints.Options{ValuesPerLine: vpl})
-		if err != nil {
-			fmt.Fprintln(w, "vpl:", err)
+		if !out.check(fmt.Sprintf("E10c %d values/line", vpl), err) {
 			continue
 		}
 		t3.AddRow(vpl, im.Lines(), fmt.Sprintf("%.2f%%", im.OverheadPercent()),
 			fmt.Sprintf("%.3f", im.CandidateFraction(lo, lo+width)))
 	}
-	t3.WriteTo(w)
+	t3.WriteTo(out)
 
 	// Thematic imprints: range filter on a non-coordinate column.
 	t5 := bench.NewTable("E10e thematic range filter: column imprint vs scan",
@@ -790,38 +718,31 @@ func expAblation(env *benchEnv, w io.Writer, repeats int) {
 		{"z (terrain band)", zlo, zwin},
 		{"gps_time (1% window)", gpsLo, gpsHi},
 	} {
-		exI := &engine.Explain{}
 		// Warm the column imprint so measurements cover queries, not the
 		// one-time index build (which E2/E9 account for separately).
-		if _, err := env.pc.EnsureColumnImprint(columnOf(c.name)); err != nil {
-			fmt.Fprintln(w, "range:", err)
+		_, err := env.pc.EnsureColumnImprint(columnOf(c.name))
+		if !out.check("E10e "+c.name, err) {
 			continue
 		}
-		var nIdx int
-		dIdx := bench.MeasureN(repeats, func() {
-			rows, err := env.pc.FilterRangeIndexed(columnOf(c.name), c.lo, c.hi, exI)
-			if err != nil {
-				fmt.Fprintln(w, "range:", err)
-				return
+		agree := out.group("E10e " + c.name)
+		for _, a := range []struct {
+			name   string
+			filter func(col string, lo, hi float64, ex *engine.Explain) ([]int, error)
+		}{
+			{"imprint + refine", env.pc.FilterRangeIndexed},
+			{"full scan", env.pc.FilterRangeScan},
+		} {
+			var rows []int
+			d := bench.MeasureN(repeats, func() {
+				rows, err = a.filter(columnOf(c.name), c.lo, c.hi, &engine.Explain{})
+			})
+			if out.check("E10e "+c.name+" "+a.name, err) {
+				agree.arm(a.name, len(rows))
+				t5.AddRow(c.name, a.name, d, len(rows))
 			}
-			nIdx = len(rows)
-		})
-		t5.AddRow(c.name, "imprint + refine", dIdx, nIdx)
-		var nScan int
-		dScan := bench.MeasureN(repeats, func() {
-			rows, err := env.pc.FilterRangeScan(columnOf(c.name), c.lo, c.hi, exI)
-			if err != nil {
-				fmt.Fprintln(w, "range:", err)
-				return
-			}
-			nScan = len(rows)
-		})
-		t5.AddRow(c.name, "full scan", dScan, nScan)
-		if nIdx != nScan {
-			fmt.Fprintf(w, "E10e MISMATCH: %d vs %d\n", nIdx, nScan)
 		}
 	}
-	t5.WriteTo(w)
+	t5.WriteTo(out)
 
 	// Parallel refinement.
 	t6 := bench.NewTable("E10f parallel refinement",
@@ -832,15 +753,18 @@ func expAblation(env *benchEnv, w io.Writer, repeats int) {
 		{X: env.region.MaxX - 50, Y: env.region.MaxY - 10},
 		{X: env.region.MinX + 50, Y: env.region.MaxY - 50},
 	}}}}
+	agree = out.group("E10f parallel refinement")
 	selSer := env.pc.SelectRegion(bigRegion)
 	dSer := bench.MeasureN(repeats, func() { env.pc.SelectRegion(bigRegion) })
+	agree.arm("serial", len(selSer.Rows))
 	t6.AddRow("serial", dSer, len(selSer.Rows))
 	env.pc.Parallel = true
 	selPar := env.pc.SelectRegion(bigRegion)
 	dPar := bench.MeasureN(repeats, func() { env.pc.SelectRegion(bigRegion) })
 	env.pc.Parallel = false
+	agree.arm("parallel", len(selPar.Rows))
 	t6.AddRow("parallel (auto workers)", dPar, len(selPar.Rows))
-	t6.WriteTo(w)
+	t6.WriteTo(out)
 
 	// Block-store curve sweep.
 	t4 := bench.NewTable("E10d block sort curve (§2.3)",
@@ -848,23 +772,25 @@ func expAblation(env *benchEnv, w io.Writer, repeats int) {
 	qb := env.queryBoxes(0.01, 3)
 	for _, curve := range []sfc.Curve{sfc.Morton, sfc.Hilbert} {
 		st, err := blockstore.Build(env.points, blockstore.Options{Curve: curve})
-		if err != nil {
-			fmt.Fprintln(w, "blocks:", err)
+		if !out.check("E10d build "+curve.String(), err) {
 			continue
 		}
 		var dec int
 		d := bench.MeasureN(repeats, func() {
 			dec = 0
 			for _, b := range qb {
-				_, qs, err := st.QueryBox(b)
-				if err == nil {
-					dec += qs.BlocksDecompressed
+				_, qs, e := st.QueryBox(b)
+				if e != nil {
+					err = e
 				}
+				dec += qs.BlocksDecompressed
 			}
 		})
-		t4.AddRow(curve.String(), d/time.Duration(len(qb)), dec/len(qb))
+		if out.check("E10d query "+curve.String(), err) {
+			t4.AddRow(curve.String(), d/time.Duration(len(qb)), dec/len(qb))
+		}
 	}
-	t4.WriteTo(w)
+	t4.WriteTo(out)
 }
 
 // columnOf maps an E10e display label to its column name.

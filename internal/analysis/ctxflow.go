@@ -33,8 +33,7 @@ var CtxFlowAnalyzer = &Analyzer{
 // *Context variant a handler must use instead.
 var ctxlessQueryMethods = map[string]map[string]string{
 	"Executor": {
-		"Query":         "QueryContext",
-		"QueryUntraced": "QueryUntracedContext",
+		"Query": "QueryContext",
 	},
 	"PreparedQuery": {
 		"Run":       "RunContext",

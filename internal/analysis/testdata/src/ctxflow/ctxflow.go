@@ -23,7 +23,6 @@ type Executor struct{}
 
 func (e *Executor) Query(src string) (*Result, error)                      { return nil, nil }
 func (e *Executor) QueryContext(ctx *Context, src string) (*Result, error) { return nil, nil }
-func (e *Executor) QueryUntraced(src string) (*Result, error)              { return nil, nil }
 func (e *Executor) QueryUntracedContext(ctx *Context, src string) (*Result, error) {
 	return nil, nil
 }
@@ -48,11 +47,6 @@ func (s *server) badHandlerMethod(w *ResponseWriter, r *Request) {
 	s.exec.Query("SELECT count(*) FROM ahn2") // want `handler calls Executor.Query without a context`
 }
 
-// badUntraced: the untraced fast path still needs the context variant.
-func (s *server) badUntraced(w *ResponseWriter, r *Request) {
-	s.exec.QueryUntraced("SELECT count(*) FROM ahn2") // want `handler calls Executor.QueryUntraced without a context`
-}
-
 // badPrepared: prepared statements are request-scoped work too.
 func (s *server) badPrepared(w *ResponseWriter, r *Request) {
 	s.pq.Run()       // want `handler calls PreparedQuery.Run without a context`
@@ -72,7 +66,7 @@ func (s *server) badNestedClosure(w *ResponseWriter, r *Request) {
 // checked like a named handler.
 var badHandlerFunc = func(w *ResponseWriter, r *Request) {
 	e := &Executor{}
-	e.QueryUntraced("SELECT 1") // want `handler calls Executor.QueryUntraced without a context`
+	e.Query("SELECT 1") // want `handler calls Executor.Query without a context`
 }
 
 // goodHandler threads the request context through; nothing to flag.
@@ -85,7 +79,6 @@ func (s *server) goodHandler(w *ResponseWriter, r *Request) {
 // callers may use the plain variants.
 func goodREPL(e *Executor, pq *PreparedQuery) {
 	e.Query("SELECT count(*) FROM ahn2")
-	e.QueryUntraced("SELECT count(*) FROM ahn2")
 	pq.Run()
 	pq.RunTraced()
 }

@@ -1,6 +1,6 @@
 // Package bench provides the small experiment-harness utilities shared by
-// cmd/pcbench and the testing.B benchmarks: wall-clock measurement and
-// aligned result tables matching the rows reported in EXPERIMENTS.md.
+// cmd/pcbench, the other command-line tools and the examples: wall-clock
+// measurement and aligned result tables.
 package bench
 
 import (

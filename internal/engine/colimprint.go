@@ -51,7 +51,7 @@ func (pc *PointCloud) columnImprintIfBuilt(name string) *imprints.Imprints {
 // fraction of the table that imprint candidate pruning cannot pay for its
 // own dispatch: at half the rows or more, nearly every cacheline survives
 // pruning anyway, and per-range dispatch plus selection-vector growth made
-// the wide-BETWEEN arm of BENCH_filter slower than a plain interface scan.
+// a wide BETWEEN slower than a plain interface scan.
 // Such predicates drive the block kernel over the full column instead.
 func wideSelectivity(est, n int) bool { return n > 0 && 2*est >= n }
 

@@ -68,8 +68,8 @@ func countQuery(qs *QueryStats) {
 // Enabled reports whether pyramid routing is on (default true).
 func Enabled() bool { return !disabled.Load() }
 
-// SetEnabled toggles pyramid routing globally — the bench harness uses it
-// to time the exact arm over identical plans.
+// SetEnabled toggles pyramid routing globally — tests use it to run the
+// exact arm over identical plans.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
 // lookup returns the resident pyramid for (pc, sig) pinned for the

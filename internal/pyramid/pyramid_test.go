@@ -148,7 +148,7 @@ func TestPyramidMatchesExact(t *testing.T) {
 		sameGrouped(t, "trial", &res, want)
 		if trial%5 == 2 && qs.Boundary != 0 {
 			// A viewport strictly containing every data bbox must be all
-			// interior — the O(visible tiles) case E18 measures.
+			// interior — O(visible tiles), whatever the row count.
 			t.Fatalf("containing viewport refined %d boundary tiles", qs.Boundary)
 		}
 	}

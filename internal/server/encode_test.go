@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -256,7 +257,7 @@ func TestWireDifferentialOverHTTP(t *testing.T) {
 		"SELECT class, count(*) AS n FROM osm GROUP BY class ORDER BY n DESC LIMIT 3",
 		"SELECT x FROM ahn2 WHERE z > 1e9",
 	} {
-		res, err := srv.Exec().QueryUntraced(q)
+		res, err := srv.Exec().QueryUntracedContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}

@@ -283,6 +283,37 @@ func TestReadyzFlipAndDrainReject(t *testing.T) {
 	}
 }
 
+// TestRetryAfterTracksRunEstimate pins what makes the overload hint worth
+// honouring: it lasts one to two typical runs — [est, 2·est) of the gate's
+// run-latency estimate, floored at 1 ms, with 25 ms standing in on a cold
+// gate — so shed clients that sleep it re-arrive spread out, after a slot
+// has likely freed, and see fewer 503s than clients that retry at once.
+func TestRetryAfterTracksRunEstimate(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	within := func(est time.Duration) {
+		t.Helper()
+		lo, hi := max(est, time.Millisecond), max(2*est, time.Millisecond)
+		for i := 0; i < 50; i++ {
+			if d := srv.retryAfter(); d < lo || d > hi {
+				t.Fatalf("hint %v outside [%v, %v] for a run estimate of %v", d, lo, hi, est)
+			}
+		}
+	}
+	within(25 * time.Millisecond)
+
+	heavy := `SELECT avg(z) FROM ahn2, ua WHERE ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 25)`
+	for i := 0; i < 4; i++ {
+		if rec := doQuery(srv.Handler(), heavy); rec.Code != http.StatusOK {
+			t.Fatalf("query = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	est := time.Duration(srv.Exec().ExecStats().EWMARunNanos)
+	if est <= 0 {
+		t.Fatal("four runs left no run-latency estimate")
+	}
+	within(est)
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	h := srv.Handler()

@@ -67,20 +67,15 @@ func (e *Executor) QueryContext(ctx context.Context, src string) (*Result, error
 	return e.query(ctx, src, &engine.Explain{})
 }
 
-// QueryUntraced is Query without the per-operator EXPLAIN trace: the same
-// two-level shape lookup and rebind fast path, but the run allocates
-// nothing for tracing — the entry point for latency-critical callers (the
-// pan/zoom benchmark measures this surface against the prepared Run path).
-func (e *Executor) QueryUntraced(src string) (*Result, error) {
-	return e.query(context.Background(), src, nil)
-}
-
-// QueryUntracedContext is QueryUntraced under a context (see QueryContext).
+// QueryUntracedContext is QueryContext without the per-operator EXPLAIN
+// trace: the same two-level shape lookup and rebind fast path, but the run
+// allocates nothing for tracing — the entry point for latency-critical
+// callers (what pcserve's /query handler and navbench drive).
 func (e *Executor) QueryUntracedContext(ctx context.Context, src string) (*Result, error) {
 	return e.query(ctx, src, nil)
 }
 
-// query is the shared two-level lookup behind Query and QueryUntraced, with
+// query is the shared two-level lookup behind Query and QueryUntracedContext, with
 // a front cache short-circuiting the lexer: parameterize is a pure function
 // of the statement text, so an exact text seen before maps straight to its
 // interned (shape key, literal vector) without re-lexing — the remaining

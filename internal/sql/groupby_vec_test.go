@@ -9,6 +9,7 @@ import (
 
 	"gisnav/internal/engine"
 	"gisnav/internal/las"
+	"gisnav/internal/pyramid"
 )
 
 // nanDB builds a database whose point cloud holds the adversarial grouped
@@ -188,4 +189,32 @@ func TestGroupedReboundMatchesFreshPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultRowsEqual(t, "rebound vs fresh", rebound, want)
+}
+
+// TestPyramidRouteMatchesExact pins the SQL end of the pre-aggregation
+// pyramid: a viewport histogram whose only filter is a region is answered
+// by the pyramid (EXPLAIN says so), and its rows equal the exact selection +
+// grouped-kernel arm the same statement takes with routing switched off —
+// over NaN values, for a viewport cutting through tiles and one containing
+// the whole extent.
+func TestPyramidRouteMatchesExact(t *testing.T) {
+	e, _ := nanDB(t, 50000)
+	template := "SELECT classification, count(*) AS n, min(z) AS lo, max(z) AS hi FROM cloud WHERE ST_Contains(ST_MakeEnvelope(%g, %g, %g, %g), ST_Point(x, y)) GROUP BY classification"
+	for _, box := range [][4]float64{{130, 210, 770, 905}, {-1, -1, 1001, 1001}} {
+		q := fmt.Sprintf(template, box[0], box[1], box[2], box[3])
+		routed := mustQuery(t, e, q)
+		if !strings.Contains(routed.Explain.String(), "pyramid(") {
+			t.Fatalf("viewport histogram not routed through the pyramid:\n%s", routed.Explain)
+		}
+		pyramid.SetEnabled(false)
+		exact, err := e.Query(q)
+		pyramid.SetEnabled(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(exact.Explain.String(), "pyramid(") {
+			t.Fatalf("routing off, yet the pyramid answered:\n%s", exact.Explain)
+		}
+		resultRowsEqual(t, "pyramid vs exact", routed, exact)
+	}
 }

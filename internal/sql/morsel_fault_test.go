@@ -8,32 +8,14 @@ import (
 
 	"gisnav/internal/engine"
 	"gisnav/internal/faultpoint"
-	"gisnav/internal/geom"
-	"gisnav/internal/synth"
 )
 
 // Armed-build tests for the morsel fan-out behind the SQL layer: with a
-// table past the parallel crossover and an executor degree cap set, a
-// worker panic must surface as a *QueryError with the statement poisoned
-// (next run replans), and a merge error as a plain error — both with the
-// pool accounting at pre-query values. The small testDB cloud stays under
-// the crossover, so these tests build their own.
-
-// morselTestDB registers a cloud big enough that a degree-4 cap actually
-// fans out (~280k points; the crossover is 2×65536 rows).
-func morselTestDB(t *testing.T) *Executor {
-	t.Helper()
-	region := geom.NewEnvelope(0, 0, 2000, 2000)
-	terrain := synth.NewTerrain(81, region)
-	pts := synth.GenerateTile(terrain, synth.TileSpec{Env: region, Density: 0.07, Seed: 11})
-	pc := engine.NewPointCloud()
-	pc.AppendLAS(pts)
-	db := engine.NewDB()
-	db.RegisterPointCloud("big", pc)
-	e := New(db)
-	e.SetParallelism(4)
-	return e
-}
+// table past the parallel crossover and an executor degree cap set
+// (morselTestDB, morsel_test.go), a worker panic must surface as a
+// *QueryError with the statement poisoned (next run replans), and a merge
+// error as a plain error — both with the pool accounting at pre-query
+// values.
 
 // morselDrift runs fn and returns the summed drift of every pool the
 // parallel paths draw from (selection vectors, candidate ranges, f64
@@ -47,16 +29,6 @@ func morselDrift(t *testing.T, fn func()) int64 {
 	return engine.SelectionPoolStats().Outstanding +
 		engine.RangePoolStats().Outstanding +
 		engine.F64PoolStats().Outstanding - before
-}
-
-// morselQueries routes each parallel driver through a real statement: the
-// filter fan-out behind a thematic predicate, the min/max fused-aggregate
-// fan-out, and the grouped fan-out (count/min/max specs only — a sum in
-// the list keeps grouping serial by design).
-var morselQueries = map[string]string{
-	"filter":  "SELECT count(*) FROM big WHERE z > 5",
-	"agg":     "SELECT max(z) FROM big",
-	"grouped": "SELECT classification, count(*), min(z) FROM big GROUP BY classification",
 }
 
 func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
