@@ -17,7 +17,7 @@ type Kernel struct {
 // KernelArgs mirrors the per-run constant record; reading it inside a
 // kernel is the sanctioned way to get at constants.
 type KernelArgs struct {
-	f1 float64
+	lo, hi float64
 }
 
 var packageCut float64 // package state is pools/config, never flagged
@@ -65,9 +65,9 @@ func badReturned(c float64) numEval {
 // state captured freely.
 func goodArgs(n int) blockFn {
 	return func(lo, hi int, out []int) []int {
-		args := KernelArgs{f1: packageCut}
+		args := KernelArgs{lo: packageCut}
 		for i := lo; i < hi; i++ {
-			if float64(i) > args.f1 && i < n { // n is int: not a predicate constant
+			if float64(i) > args.lo && i < n { // n is int: not a predicate constant
 				out = append(out, i)
 			}
 		}

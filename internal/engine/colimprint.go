@@ -87,7 +87,7 @@ func (pc *PointCloud) FilterRangeIndexed(name string, lo, hi float64, ex *Explai
 	}
 
 	start = time.Now()
-	k := pc.compileRangeCached(col, name)
+	k := pc.compileFilterCached(col, name, CmpBetween)
 	a := k.Bind(lo, hi)
 	// The imprint estimate bounds the match count, so the vector is sized
 	// once and the block drive appends without growth at every degree.
@@ -113,7 +113,7 @@ func (pc *PointCloud) FilterRangeScan(name string, lo, hi float64, ex *Explain) 
 		return nil, fmt.Errorf("engine: unknown column %q", name)
 	}
 	start := time.Now()
-	k := pc.compileRangeCached(col, name)
+	k := pc.compileFilterCached(col, name, CmpBetween)
 	rows := k.FilterBlock(k.Bind(lo, hi), 0, col.Len(), getRowBuf(col.Len()))
 	if ex != nil {
 		ex.Add(opScanRange, fmt.Sprintf("%s in [%g, %g]", name, lo, hi),

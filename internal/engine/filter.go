@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"gisnav/internal/cancel"
@@ -200,24 +199,16 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 // predHint estimates the result cardinality of pred for selection-vector
 // sizing. When the column already carries an imprint, the bin histogram
 // bounds how many values can fall inside the predicate's range; otherwise
-// the full column length is the only safe bound.
+// the full column length is the only safe bound (and the only one a
+// complement interval has).
 func (pc *PointCloud) predHint(pred ColumnPred) int {
 	n := pc.Len()
 	im := pc.columnImprintIfBuilt(pred.Column)
 	if im == nil {
 		return n
 	}
-	var lo, hi float64
-	switch pred.Op {
-	case CmpEQ:
-		lo, hi = pred.Value, pred.Value
-	case CmpLT, CmpLE:
-		lo, hi = math.Inf(-1), pred.Value
-	case CmpGT, CmpGE:
-		lo, hi = pred.Value, math.Inf(1)
-	case CmpBetween:
-		lo, hi = pred.Value, pred.Value2
-	default:
+	lo, hi, inv := bindInterval(pred.Op, pred.Value, pred.Value2)
+	if inv {
 		return n
 	}
 	if est := im.EstimateRows(lo, hi); est < n {

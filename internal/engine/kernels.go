@@ -1,10 +1,28 @@
 // Vectorized execution kernels: a predicate is compiled ONCE per
-// (column, operator) into a typed, op-specialised filter kernel, then applied
+// (column, operator) into a typed filter kernel, then applied
 // block-at-a-time over candidate ranges or selection vectors. This is the
 // MonetDB-style operator-at-a-time execution the paper's performance case
 // rests on (§2.1.1): the per-row cost is a monomorphic compare plus a
 // branchless selection-vector write, with no interface dispatch, no operator
 // re-dispatch, and no float64 widening on integer columns.
+//
+// One interval, one loop per value domain. Every operator binds to one
+// closed interval [lo, hi] plus a complement flag (bindInterval, the only
+// place an operator is interpreted): `=` is [c, c], `<` is
+// [-Inf, nextDown(c)], `<>` is the complement of [c, c], and so on. The
+// kernels then run exactly two loop pairs, one block loop and one selection
+// loop per domain:
+//
+//   - float-compare (f64, widened i64): j += (v >= lo & v <= hi) ^ inv, with
+//     ColumnPred.Matches' NaN semantics falling out of IEEE compares;
+//   - native integer (u8, u16, i32): the bounds are ceil(lo)/floor(hi)
+//     clamped to the type, tested with one 64-bit modular compare
+//     uint64(v-lo) <= uint64(hi-lo); the complement is folded into the
+//     bounds as the wrapped interval [hi+1, lo-1], so this loop has no
+//     XOR. These types embed exactly in float64, so the result is
+//     bit-identical to the float-widening scan.
+//
+// Never re-add a per-operator loop without a navbench workload that needs it.
 //
 // Constant-slot invariant: compiled kernels do NOT close over predicate
 // constants. The constants live in a KernelArgs record the caller binds once
@@ -13,21 +31,7 @@
 // one compiled kernel serves every constant vector — the paper's pan/zoom
 // workload slides its bbox on every step, and with constants out of the
 // kernel the plan cache hits on every one of them (plancache.go keys on
-// (column, op) alone; NaN constants need no cache bypass anymore because they
-// never reach a map key). Binding is cheap: floats are stored as-is, integer
-// domains run constant normalisation (normalizeIntPred) once per run, never
-// per row.
-//
-// Integer columns (u8, u16, i32) are filtered in their native integer
-// domain. The predicate's float64 constant is normalised at bind time into an
-// inclusive integer interval [lo, hi] clamped to the column type's range —
-// non-integral constants, out-of-range constants, NaN and ±Inf all reduce
-// to trivially-true / trivially-false shapes or a tightened bound, so the
-// per-value loop never sees a conversion. Every value of these types is
-// exactly representable in float64, which makes the integer-domain result
-// bit-identical to the naive float-widening scan. i64 columns keep the
-// float64-compare semantics of the naive path (their widening is lossy, and
-// equivalence with the scan arms takes priority over shaving the cast).
+// (column, op) alone; NaN constants never reach a map key).
 package engine
 
 import (
@@ -38,12 +42,12 @@ import (
 	"gisnav/internal/faultpoint"
 )
 
-// KernelArgs is the per-run constant-slot record of one compiled kernel:
-// float-domain constants for the float kernels, plus the bind-time
-// normalised integer shape and bounds for the integer-domain kernels. It is
-// produced by Kernel.Bind and passed BY VALUE through the filter entry
-// points — no pointer, so per-query binding never escapes to the heap and
-// the zero-allocation steady state survives.
+// KernelArgs is the per-run constant-slot record of one compiled kernel: the
+// predicate's bind-time interval [lo, hi] and complement flag. The integer
+// kernels' bounds are integers whose interval wraps (hi < lo) in place of
+// the flag (see bindInt). It is produced by Kernel.Bind and passed BY VALUE
+// through the filter entry points — no pointer, so per-query binding never
+// escapes to the heap and the zero-allocation steady state survives.
 //
 // tok is the run's cooperative cancellation token, set by the filter entry
 // points after Bind (Bind itself stays a pure function of the constants).
@@ -51,10 +55,51 @@ import (
 // relaxed atomic load on the uncancellable paths — so a fired context stops
 // a scan within one block without per-row cost.
 type KernelArgs struct {
-	f1, f2 float64  // float-domain predicate constants
-	i1, i2 int64    // normalised integer bounds [i1, i2] (bind-time)
-	shape  intShape // normalised integer-domain shape (bind-time)
+	lo, hi float64 // inclusive bounds
+	inv    int     // 1: the predicate is the interval's complement (float kernels)
 	tok    *cancel.Token
+}
+
+// matches is the float kernels' interval test for one value.
+func (a KernelArgs) matches(f float64) bool {
+	return (f >= a.lo && f <= a.hi) != (a.inv == 1)
+}
+
+// bindInterval maps (op, v1, v2) to the closed interval [lo, hi] plus
+// complement flag the kernels test: a value v satisfies the predicate under
+// ColumnPred.Matches iff (lo <= v && v <= hi) != inv. This is the only
+// function that interprets an operator; the float bind, the integer bind
+// and predHint all read it.
+//
+// NaN needs no special case: a NaN bound (or value) fails both ordered
+// compares, so every ordered test is false and `<>` — the complement — is
+// true, exactly as in Matches. An empty interval is [+Inf, -Inf].
+func bindInterval(op CmpOp, v1, v2 float64) (lo, hi float64, inv bool) {
+	inf := math.Inf(1)
+	switch op {
+	case CmpEQ:
+		return v1, v1, false
+	case CmpNE:
+		return v1, v1, true
+	case CmpLT:
+		if v1 == -inf {
+			break
+		}
+		return -inf, math.Nextafter(v1, -inf), false
+	case CmpLE:
+		return -inf, v1, false
+	case CmpGT:
+		if v1 == inf {
+			break
+		}
+		return math.Nextafter(v1, inf), inf, false
+	case CmpGE:
+		return v1, inf, false
+	case CmpBetween:
+		return v1, v2, false
+	}
+	// Unknown operators (and < -Inf, > +Inf) match nothing.
+	return inf, -inf, false
 }
 
 // blockFn appends the row ids in [lo, hi) that satisfy the compiled
@@ -87,56 +132,29 @@ type Kernel struct {
 }
 
 // CompileFilterKernel compiles the (column, op) pair into a kernel
-// specialised for col's concrete type and the operator. Columns without a
-// typed fast path (dictionary strings) fall back to a generic Value() loop
-// with semantics identical to ColumnPred.Matches.
-// Each arm below dispatches through a concrete-typed helper rather than a
-// shared generic one: instantiating the per-op generic loops from inside
-// another generic function would leave them on the compiler's gcshape
-// dictionary path, which costs ~4x in the inner loop. One level of
-// genericity, instantiated from non-generic code, compiles to fully
-// specialised loops.
+// specialised for col's concrete type; the operator only selects the bind.
+// Columns without a typed fast path (dictionary strings) fall back to a
+// generic Value() loop with semantics identical to ColumnPred.Matches.
+// Each arm instantiates a generic kernel directly from this non-generic
+// function: nesting the instantiation inside another generic function would
+// leave the loops on the compiler's gcshape dictionary path, which costs ~4x
+// in the inner loop.
 func CompileFilterKernel(col colstore.Column, op CmpOp) *Kernel {
 	switch t := col.(type) {
 	case *colstore.F64Column:
-		return floatKernelF64(t.Values(), op)
+		return floatKernel(t.Values(), op)
 	case *colstore.U8Column:
-		return intKernelU8(t.Values(), op)
+		return intKernel[uint8](t.Values(), op, 0, math.MaxUint8)
 	case *colstore.U16Column:
-		return intKernelU16(t.Values(), op)
+		return intKernel[uint16](t.Values(), op, 0, math.MaxUint16)
 	case *colstore.I32Column:
-		return intKernelI32(t.Values(), op)
+		return intKernel[int32](t.Values(), op, math.MinInt32, math.MaxInt32)
 	case *colstore.I64Column:
 		// Lossy widening: keep float64-compare semantics, but monomorphic.
-		return floatKernelI64(t.Values(), op)
+		return floatKernel(t.Values(), op)
 	default:
 		return genericKernel(col, op)
 	}
-}
-
-// BoundKernel pairs a compiled kernel with one bound constant record — the
-// one-shot convenience for callers outside the plan-cache fast path (tests,
-// benchmarks, ad-hoc tooling) that still think in terms of a fully
-// constant-specialised kernel.
-type BoundKernel struct {
-	k *Kernel
-	a KernelArgs
-}
-
-// FilterBlock scans rows [lo, hi) under the bound constants.
-func (b *BoundKernel) FilterBlock(lo, hi int, out []int) []int {
-	return b.k.FilterBlock(b.a, lo, hi, out)
-}
-
-// FilterSel narrows rows under the bound constants.
-func (b *BoundKernel) FilterSel(rows, out []int) []int {
-	return b.k.FilterSel(b.a, rows, out)
-}
-
-// CompileFilter compiles pred into a kernel with its constants pre-bound.
-func CompileFilter(col colstore.Column, pred ColumnPred) *BoundKernel {
-	k := CompileFilterKernel(col, pred.Op)
-	return &BoundKernel{k: k, a: k.Bind(pred.Value, pred.Value2)}
 }
 
 // --- scan machinery -----------------------------------------------------------
@@ -154,8 +172,8 @@ const scanChunk = 1024
 // chunkBlockFn writes the row ids in [lo, hi) (at most scanChunk rows)
 // matching the compiled predicate under args a into buf and returns how many
 // matched. buf must have room for hi-lo ids: the inner loops write every
-// candidate unconditionally and advance the write index only on a match, so
-// random selectivities pay no data-dependent branches.
+// candidate unconditionally and advance the write index only on a match,
+// so random selectivities pay no data-dependent branches.
 type chunkBlockFn func(a KernelArgs, lo, hi int, buf []int) int
 
 // chunkSelFn is the selection-vector counterpart: it writes the surviving
@@ -163,15 +181,14 @@ type chunkBlockFn func(a KernelArgs, lo, hi int, buf []int) int
 type chunkSelFn func(a KernelArgs, rows, buf []int) int
 
 // The inner loops below materialise each comparison as a 0/1 increment
-// written out longhand (`inc := 0; if cond { inc = 1 }; j += inc`) instead
-// of through a helper: the compiler lowers the longhand shape to a
-// branch-free SETcc, whereas a call to a tiny bool→int helper is NOT
-// inlined inside gcshape-stenciled generic instantiations and costs a real
-// CALL per row (measured ~4x on the u8 kernel). Compound predicates combine
-// two flags with & — a && would reintroduce a data-dependent short-circuit
-// branch that mispredicts at mid selectivities. The predicate constants are
-// hoisted from the args record once per chunk call, so the row loops see
-// plain locals.
+// written out longhand (`inc := 0; if cond { inc = 1 }`) instead of through
+// a helper: the compiler lowers the longhand shape to a branch-free SETcc,
+// whereas a call to a tiny bool→int helper is NOT inlined inside
+// gcshape-stenciled generic instantiations and costs a real CALL per row
+// (measured ~4x on the u8 kernel). The float loop combines its two flags
+// with & — a && would reintroduce a data-dependent short-circuit branch
+// that mispredicts at mid selectivities. The bound args are hoisted once
+// per chunk call, so the row loops see plain locals.
 
 // growRows extends out's capacity to hold n more elements.
 func growRows(out []int, n int) []int {
@@ -188,12 +205,7 @@ func growRows(out []int, n int) []int {
 	return grown
 }
 
-// bindFloat stores the raw float-domain constants; the float kernels apply
-// ColumnPred.Matches semantics (including NaN failing every operator except
-// <>) directly in their compare loops.
-func bindFloat(v1, v2 float64) KernelArgs { return KernelArgs{f1: v1, f2: v2} }
-
-// chunkKernel wraps per-op chunk filters into a Kernel: it reserves output
+// chunkKernel wraps a pair of chunk filters into a Kernel: it reserves output
 // capacity per chunk and drives the monomorphic inner loops. n bounds block
 // scans to the column length. The per-chunk indirect call amortises over
 // scanChunk rows; the row-level loops stay direct.
@@ -246,197 +258,30 @@ func chunkKernel(n int, bind bindFn, cb chunkBlockFn, cs chunkSelFn) *Kernel {
 	}
 }
 
-// --- float-domain kernels (f64 and widened i64) ------------------------------
+// --- float-compare domain (f64 and widened i64) -------------------------------
 
-// The float-domain loops compare float64-widened values against the
-// predicate constants, exactly as ColumnPred.Matches does — including its
-// NaN behaviour (NaN fails every operator except <>). One generic function
-// per operator keeps the comparison in the function body, so every
-// (type × op) pair stencils into a direct branch-free loop.
-
-func feqKernel[T number](vals []T) *Kernel {
-	return chunkKernel(len(vals), bindFloat, func(a KernelArgs, lo, hi int, buf []int) int {
-		c := a.f1
-		j := 0
-		for k, v := range vals[lo:hi] {
-			buf[j] = lo + k
-			inc := 0
-			if float64(v) == c {
-				inc = 1
-			}
-			j += inc
+// bindFloat binds op's interval as-is: the float loop compares
+// float64-widened values against it exactly as ColumnPred.Matches does.
+func bindFloat(op CmpOp) bindFn {
+	return func(v1, v2 float64) KernelArgs {
+		lo, hi, inv := bindInterval(op, v1, v2)
+		a := KernelArgs{lo: lo, hi: hi}
+		if inv {
+			a.inv = 1
 		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			c := a.f1
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if float64(vals[r]) == c {
-					inc = 1
-				}
-				j += inc
-			}
-			return j
-		})
+		return a
+	}
 }
 
-func fneKernel[T number](vals []T) *Kernel {
-	return chunkKernel(len(vals), bindFloat, func(a KernelArgs, lo, hi int, buf []int) int {
-		c := a.f1
-		j := 0
-		for k, v := range vals[lo:hi] {
-			buf[j] = lo + k
-			inc := 0
-			if float64(v) != c {
-				inc = 1
-			}
-			j += inc
-		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			c := a.f1
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if float64(vals[r]) != c {
-					inc = 1
-				}
-				j += inc
-			}
-			return j
-		})
-}
-
-func fltKernel[T number](vals []T) *Kernel {
-	return chunkKernel(len(vals), bindFloat, func(a KernelArgs, lo, hi int, buf []int) int {
-		c := a.f1
-		j := 0
-		for k, v := range vals[lo:hi] {
-			buf[j] = lo + k
-			inc := 0
-			if float64(v) < c {
-				inc = 1
-			}
-			j += inc
-		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			c := a.f1
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if float64(vals[r]) < c {
-					inc = 1
-				}
-				j += inc
-			}
-			return j
-		})
-}
-
-func fleKernel[T number](vals []T) *Kernel {
-	return chunkKernel(len(vals), bindFloat, func(a KernelArgs, lo, hi int, buf []int) int {
-		c := a.f1
-		j := 0
-		for k, v := range vals[lo:hi] {
-			buf[j] = lo + k
-			inc := 0
-			if float64(v) <= c {
-				inc = 1
-			}
-			j += inc
-		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			c := a.f1
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if float64(vals[r]) <= c {
-					inc = 1
-				}
-				j += inc
-			}
-			return j
-		})
-}
-
-func fgtKernel[T number](vals []T) *Kernel {
-	return chunkKernel(len(vals), bindFloat, func(a KernelArgs, lo, hi int, buf []int) int {
-		c := a.f1
-		j := 0
-		for k, v := range vals[lo:hi] {
-			buf[j] = lo + k
-			inc := 0
-			if float64(v) > c {
-				inc = 1
-			}
-			j += inc
-		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			c := a.f1
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if float64(vals[r]) > c {
-					inc = 1
-				}
-				j += inc
-			}
-			return j
-		})
-}
-
-func fgeKernel[T number](vals []T) *Kernel {
-	return chunkKernel(len(vals), bindFloat, func(a KernelArgs, lo, hi int, buf []int) int {
-		c := a.f1
-		j := 0
-		for k, v := range vals[lo:hi] {
-			buf[j] = lo + k
-			inc := 0
-			if float64(v) >= c {
-				inc = 1
-			}
-			j += inc
-		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			c := a.f1
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if float64(vals[r]) >= c {
-					inc = 1
-				}
-				j += inc
-			}
-			return j
-		})
-}
-
-func frangeKernel[T number](vals []T) *Kernel {
-	return chunkKernel(len(vals), bindFloat, func(a KernelArgs, b0, b1 int, buf []int) int {
-		lo, hi := a.f1, a.f2
+// floatKernel is the float-compare kernel: one block loop, one selection
+// loop, every operator.
+func floatKernel[T number](vals []T, op CmpOp) *Kernel {
+	return chunkKernel(len(vals), bindFloat(op), func(a KernelArgs, b0, b1 int, buf []int) int {
+		lo, hi, inv := a.lo, a.hi, a.inv
 		j := 0
 		for k, v := range vals[b0:b1] {
 			buf[j] = b0 + k
 			f := float64(v)
-			// Two independent flags combined with & — a && here would
-			// reintroduce a data-dependent short-circuit branch.
 			ge, le := 0, 0
 			if f >= lo {
 				ge = 1
@@ -444,12 +289,12 @@ func frangeKernel[T number](vals []T) *Kernel {
 			if f <= hi {
 				le = 1
 			}
-			j += ge & le
+			j += (ge & le) ^ inv
 		}
 		return j
 	},
 		func(a KernelArgs, rows, buf []int) int {
-			lo, hi := a.f1, a.f2
+			lo, hi, inv := a.lo, a.hi, a.inv
 			j := 0
 			for _, r := range rows {
 				buf[j] = r
@@ -461,340 +306,85 @@ func frangeKernel[T number](vals []T) *Kernel {
 				if f <= hi {
 					le = 1
 				}
-				j += ge & le
+				j += (ge & le) ^ inv
 			}
 			return j
 		})
 }
 
-// floatKernelF64 builds the op-specialised float-domain kernel over a
-// float64 column. It is deliberately concrete (see CompileFilterKernel): the
-// generic per-op constructors instantiate here at a concrete type.
-func floatKernelF64(vals []float64, op CmpOp) *Kernel {
-	switch op {
-	case CmpEQ:
-		return feqKernel(vals)
-	case CmpNE:
-		return fneKernel(vals)
-	case CmpLT:
-		return fltKernel(vals)
-	case CmpLE:
-		return fleKernel(vals)
-	case CmpGT:
-		return fgtKernel(vals)
-	case CmpGE:
-		return fgeKernel(vals)
-	case CmpBetween:
-		return frangeKernel(vals)
-	default:
-		// Unknown operators match nothing, as in ColumnPred.Matches.
-		return noneKernel()
-	}
-}
-
-// floatKernelI64 is the float-compare kernel over an int64 column (lossy
-// widening, identical to the naive arm's semantics).
-func floatKernelI64(vals []int64, op CmpOp) *Kernel {
-	switch op {
-	case CmpEQ:
-		return feqKernel(vals)
-	case CmpNE:
-		return fneKernel(vals)
-	case CmpLT:
-		return fltKernel(vals)
-	case CmpLE:
-		return fleKernel(vals)
-	case CmpGT:
-		return fgtKernel(vals)
-	case CmpGE:
-		return fgeKernel(vals)
-	case CmpBetween:
-		return frangeKernel(vals)
-	default:
-		return noneKernel()
-	}
-}
-
-// --- integer-domain kernels ---------------------------------------------------
+// --- native-integer domain (u8, u16, i32) -------------------------------------
 
 // integer covers the exactly-representable integer column element types.
 type integer interface {
 	~int32 | ~uint16 | ~uint8
 }
 
-// unsigned is the same-width unsigned counterpart used by the modular range
-// trick (see intChunks).
-type unsigned interface {
-	~uint32 | ~uint16 | ~uint8
-}
-
-// intShape is the normalised form of a predicate over an integer domain.
-// With constants bound per run, the shape is per-run state (KernelArgs), not
-// compile-time structure: the chunk loops dispatch on it once per chunk.
-type intShape uint8
-
-const (
-	shapeNone  intShape = iota // matches no value
-	shapeAll                   // matches every value
-	shapeNE                    // v != lo
-	shapeEQ                    // v == lo (lo == hi)
-	shapeLE                    // v <= hi (lo is the type minimum)
-	shapeGE                    // v >= lo (hi is the type maximum)
-	shapeRange                 // lo <= v <= hi
-)
-
-// normalizeIntPred reduces the float64 constants of (op, v1, v2) to an
-// inclusive integer interval [lo, hi] over the type domain [tmin, tmax], or
-// to one of the degenerate shapes. The reduction is exact: a value v in
-// [tmin, tmax] satisfies the original float-domain predicate iff it
-// satisfies the returned shape. It runs once per bind, never per row.
-func normalizeIntPred(op CmpOp, v1, v2 float64, tmin, tmax int64) (shape intShape, lo, hi int64) {
-	c := v1
-	if op == CmpNE {
-		// v != c holds for every integer v unless c is an integral value
-		// inside the domain.
-		if math.IsNaN(c) || c != math.Trunc(c) || c < float64(tmin) || c > float64(tmax) {
-			return shapeAll, 0, 0
-		}
-		return shapeNE, int64(c), int64(c)
-	}
-	// Express the operator as a float-domain inclusive interval [flo, fhi].
-	flo, fhi := math.Inf(-1), math.Inf(1)
-	switch op {
-	case CmpEQ:
-		// ceil/floor cross for non-integral constants, yielding the empty
-		// interval; for integral constants both equal c.
-		flo, fhi = math.Ceil(c), math.Floor(c)
-	case CmpLT:
-		fhi = math.Ceil(c) - 1 // v < c  ⇔  v <= ceil(c)-1 for integer v
-	case CmpLE:
-		fhi = math.Floor(c)
-	case CmpGT:
-		flo = math.Floor(c) + 1
-	case CmpGE:
-		flo = math.Ceil(c)
-	case CmpBetween:
-		flo, fhi = math.Ceil(c), math.Floor(v2)
-	default:
-		return shapeNone, 0, 0
-	}
-	// NaN constants fail every ordered comparison.
-	if math.IsNaN(flo) || math.IsNaN(fhi) {
-		return shapeNone, 0, 0
-	}
-	// Clamp to the type domain in the float domain first, so ±Inf and
-	// constants beyond int64 never reach an integer conversion.
-	if flo > float64(tmax) || fhi < float64(tmin) {
-		return shapeNone, 0, 0
-	}
-	lo, hi = tmin, tmax
-	if flo > float64(tmin) {
-		lo = int64(flo)
-	}
-	if fhi < float64(tmax) {
-		hi = int64(fhi)
-	}
-	switch {
-	case lo > hi:
-		return shapeNone, 0, 0
-	case lo == tmin && hi == tmax:
-		return shapeAll, lo, hi
-	case lo == hi:
-		return shapeEQ, lo, hi
-	case lo == tmin:
-		return shapeLE, lo, hi
-	case hi == tmax:
-		return shapeGE, lo, hi
-	default:
-		return shapeRange, lo, hi
-	}
-}
-
-// bindInt builds the bind step of an integer-domain kernel: it normalises
-// the run's constants into the shape + bounds the chunk loops dispatch on.
-func bindInt(op CmpOp, tmin, tmax int64) bindFn {
+// bindInt narrows op's float interval to the integers of the type domain
+// [tmin, tmax] and folds its complement flag away, so the integer loop never
+// reads inv. An integer v lies in [lo, hi] iff it lies in
+// [ceil(lo), floor(hi)], which is exact because every value of these types
+// embeds in float64; an interval that empties (a non-integral `=`, crossed,
+// out-of-range or NaN bounds) is the complement of the whole domain. The
+// complement of [lo, hi] is the wrapped interval [hi+1, lo-1] of the 64-bit
+// ring the loop compares in (see intKernel) — for the whole domain,
+// [tmax+1, tmin-1], which holds no value of the type.
+func bindInt(op CmpOp, tmin, tmax float64) bindFn {
 	return func(v1, v2 float64) KernelArgs {
-		shape, lo, hi := normalizeIntPred(op, v1, v2, tmin, tmax)
-		return KernelArgs{shape: shape, i1: lo, i2: hi}
+		lo, hi, inv := bindInterval(op, v1, v2)
+		lo, hi = max(math.Ceil(lo), tmin), min(math.Floor(hi), tmax)
+		if !(lo <= hi) {
+			lo, hi, inv = tmin, tmax, !inv
+		}
+		if inv {
+			lo, hi = hi+1, lo-1
+		}
+		return KernelArgs{lo: lo, hi: hi}
 	}
 }
 
-// intChunks builds the shape-dispatching native-integer-domain chunk loops
-// over one column. The dispatch runs once per chunk (1024 rows), the
-// per-shape loops are written out longhand so each stays a direct
-// branch-free scan; the range shape tests lo <= v <= hi with one compare
-// via modular arithmetic (for lo <= hi, v ∈ [lo, hi] iff U(v-lo) <= U(hi-lo)
-// in the same-width unsigned domain U — two's-complement wraparound makes
-// this exact for signed T as well).
-func intChunks[T integer, U unsigned](vals []T) (chunkBlockFn, chunkSelFn) {
-	block := func(a KernelArgs, b0, b1 int, buf []int) int {
+// intKernel is the native-integer-domain kernel: one block loop, one
+// selection loop, every operator. lo <= v <= hi is one compare in modular
+// arithmetic: v ∈ [lo, hi] iff uint64(v-lo) <= uint64(hi-lo). Widening to 64
+// bits (sign-extending i32) lets the bound interval wrap past the type's
+// range, which is how bindInt expresses a complement without a flag.
+func intKernel[T integer](vals []T, op CmpOp, tmin, tmax float64) *Kernel {
+	return chunkKernel(len(vals), bindInt(op, tmin, tmax), func(a KernelArgs, b0, b1 int, buf []int) int {
+		lo := uint64(int64(a.lo))
+		span := uint64(int64(a.hi)) - lo
 		j := 0
-		switch a.shape {
-		case shapeNone:
-		case shapeAll:
-			for k := range vals[b0:b1] {
-				buf[j] = b0 + k
-				j++
+		for k, v := range vals[b0:b1] {
+			buf[j] = b0 + k
+			inc := 0
+			if uint64(v)-lo <= span {
+				inc = 1
 			}
-		case shapeEQ:
-			c := T(a.i1)
-			for k, v := range vals[b0:b1] {
-				buf[j] = b0 + k
-				inc := 0
-				if v == c {
-					inc = 1
-				}
-				j += inc
-			}
-		case shapeNE:
-			c := T(a.i1)
-			for k, v := range vals[b0:b1] {
-				buf[j] = b0 + k
-				inc := 0
-				if v != c {
-					inc = 1
-				}
-				j += inc
-			}
-		case shapeLE:
-			c := T(a.i2)
-			for k, v := range vals[b0:b1] {
-				buf[j] = b0 + k
-				inc := 0
-				if v <= c {
-					inc = 1
-				}
-				j += inc
-			}
-		case shapeGE:
-			c := T(a.i1)
-			for k, v := range vals[b0:b1] {
-				buf[j] = b0 + k
-				inc := 0
-				if v >= c {
-					inc = 1
-				}
-				j += inc
-			}
-		default: // shapeRange
-			lo := T(a.i1)
-			span := U(T(a.i2)) - U(lo)
-			for k, v := range vals[b0:b1] {
-				buf[j] = b0 + k
-				inc := 0
-				if U(v)-U(lo) <= span {
-					inc = 1
-				}
-				j += inc
-			}
+			j += inc
 		}
 		return j
-	}
-	sel := func(a KernelArgs, rows, buf []int) int {
-		j := 0
-		switch a.shape {
-		case shapeNone:
-		case shapeAll:
-			for _, r := range rows {
-				buf[j] = r
-				j++
-			}
-		case shapeEQ:
-			c := T(a.i1)
+	},
+		func(a KernelArgs, rows, buf []int) int {
+			lo := uint64(int64(a.lo))
+			span := uint64(int64(a.hi)) - lo
+			j := 0
 			for _, r := range rows {
 				buf[j] = r
 				inc := 0
-				if vals[r] == c {
+				if uint64(vals[r])-lo <= span {
 					inc = 1
 				}
 				j += inc
 			}
-		case shapeNE:
-			c := T(a.i1)
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if vals[r] != c {
-					inc = 1
-				}
-				j += inc
-			}
-		case shapeLE:
-			c := T(a.i2)
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if vals[r] <= c {
-					inc = 1
-				}
-				j += inc
-			}
-		case shapeGE:
-			c := T(a.i1)
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if vals[r] >= c {
-					inc = 1
-				}
-				j += inc
-			}
-		default: // shapeRange
-			lo := T(a.i1)
-			span := U(T(a.i2)) - U(lo)
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if U(vals[r])-U(lo) <= span {
-					inc = 1
-				}
-				j += inc
-			}
-		}
-		return j
-	}
-	return block, sel
-}
-
-// intKernelU8 builds the native-integer-domain kernel over a u8 column. The
-// three intKernel* helpers are concrete clones of one instantiation: routing
-// them through a shared generic dispatcher would nest the chunk-loop
-// instantiations onto the slow gcshape dictionary path (see
-// CompileFilterKernel).
-func intKernelU8(vals []uint8, op CmpOp) *Kernel {
-	cb, cs := intChunks[uint8, uint8](vals)
-	return chunkKernel(len(vals), bindInt(op, 0, math.MaxUint8), cb, cs)
-}
-
-// intKernelU16 is the u16 instantiation of the integer-domain kernel.
-func intKernelU16(vals []uint16, op CmpOp) *Kernel {
-	cb, cs := intChunks[uint16, uint16](vals)
-	return chunkKernel(len(vals), bindInt(op, 0, math.MaxUint16), cb, cs)
-}
-
-// intKernelI32 is the i32 instantiation of the integer-domain kernel.
-func intKernelI32(vals []int32, op CmpOp) *Kernel {
-	cb, cs := intChunks[int32, uint32](vals)
-	return chunkKernel(len(vals), bindInt(op, math.MinInt32, math.MaxInt32), cb, cs)
-}
-
-// noneKernel rejects every row (unknown operators, as ColumnPred.Matches).
-func noneKernel() *Kernel {
-	return &Kernel{
-		Bind:        bindFloat,
-		FilterBlock: func(_ KernelArgs, _, _ int, out []int) []int { return out },
-		FilterSel:   func(_ KernelArgs, _, out []int) []int { return out },
-	}
+			return j
+		})
 }
 
 // genericKernel is the interface-dispatch fallback for columns without a
-// typed fast path; it preserves ColumnPred.Matches semantics exactly by
-// rebuilding the predicate from the args record per call.
+// typed fast path; it applies the bound interval to each Value(), which is
+// ColumnPred.Matches by construction of bindInterval.
 func genericKernel(col colstore.Column, op CmpOp) *Kernel {
 	return &Kernel{
-		Bind: bindFloat,
+		Bind: bindFloat(op),
 		FilterBlock: func(a KernelArgs, lo, hi int, out []int) []int {
-			pred := ColumnPred{Op: op, Value: a.f1, Value2: a.f2}
 			if n := col.Len(); hi > n {
 				hi = n
 			}
@@ -804,19 +394,18 @@ func genericKernel(col colstore.Column, op CmpOp) *Kernel {
 				if (i-lo)%scanChunk == 0 && a.tok.Cancelled() {
 					return out
 				}
-				if pred.Matches(col.Value(i)) {
+				if a.matches(col.Value(i)) {
 					out = append(out, i)
 				}
 			}
 			return out
 		},
 		FilterSel: func(a KernelArgs, rows, out []int) []int {
-			pred := ColumnPred{Op: op, Value: a.f1, Value2: a.f2}
 			for i, r := range rows {
 				if i%scanChunk == 0 && a.tok.Cancelled() {
 					return out
 				}
-				if pred.Matches(col.Value(r)) {
+				if a.matches(col.Value(r)) {
 					out = append(out, r)
 				}
 			}

@@ -56,13 +56,15 @@ func legacyFilterRowsOne(col colstore.Column, rows []int, pred ColumnPred) []int
 const benchRows = 1 << 20 // 1M
 
 var (
-	benchOnce  sync.Once
-	benchCloud *PointCloud
-	benchIdent []int
+	benchOnce    sync.Once
+	benchCloud   *PointCloud
+	benchIdent   []int
+	benchScatter []int
 )
 
 // benchFixture builds a 1M-row cloud with random values in every kernel
-// benchmark column, plus a reusable identity selection vector.
+// benchmark column, a reusable identity selection vector and a 40 %
+// scattered one.
 func benchFixture(b *testing.B) (*PointCloud, []int) {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -98,63 +100,97 @@ func benchFixture(b *testing.B) (*PointCloud, []int) {
 		benchIdent = make([]int, benchRows)
 		for i := range benchIdent {
 			benchIdent[i] = i
+			if rng.Float64() < 0.4 {
+				benchScatter = append(benchScatter, i)
+			}
 		}
 	})
 	return benchCloud, benchIdent
 }
 
-// benchLegacy measures the pre-refactor arm: per-row Matches over an
-// identity selection vector (scratch is reused, so allocations measure the
-// dispatch loop only, as in the old FilterRows).
-func benchLegacy(b *testing.B, column string, pred ColumnPred) {
-	pc, ident := benchFixture(b)
-	col := pc.Column(column)
-	scratch := make([]int, len(ident))
-	b.ReportAllocs()
-	b.SetBytes(int64(benchRows) * int64(col.DType().Size()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, ident)
-		legacyFilterRowsOne(col, scratch, pred)
+// kernelBenchCol is one row of the kernel benchmark table: a column per
+// typed kernel instantiation (u8, u16, i32, f64) with its constants for the
+// operators =, <>, < and BETWEEN, the range shapes at mid selectivity.
+type kernelBenchCol struct {
+	typ, column    string
+	eq, lt, lo, hi float64 // = and <> constant, < constant, BETWEEN bounds
+}
+
+var kernelBenchCols = []kernelBenchCol{
+	{"u8", ColClassification, 6, 8, 3, 8},
+	{"u16", ColIntensity, 30000, 26214, 20000, 40000},
+	{"i32", ColScanAngle, 0, -6000, -5000, 5000},
+	{"f64", ColZ, 100, 120, 100, 130},
+}
+
+// preds lists the row's four predicates.
+func (c kernelBenchCol) preds() []ColumnPred {
+	return []ColumnPred{
+		{Column: c.column, Op: CmpEQ, Value: c.eq},
+		{Column: c.column, Op: CmpNE, Value: c.eq},
+		{Column: c.column, Op: CmpLT, Value: c.lt},
+		{Column: c.column, Op: CmpBetween, Value: c.lo, Value2: c.hi},
 	}
 }
 
-// benchKernel measures the compiled block kernel over the full column with
-// a pooled result vector — the steady-state query path.
-func benchKernel(b *testing.B, column string, pred ColumnPred) {
+// benchOpName names an operator in a sub-benchmark path.
+func benchOpName(op CmpOp) string {
+	return map[CmpOp]string{CmpEQ: "eq", CmpNE: "ne", CmpLT: "lt", CmpBetween: "between"}[op]
+}
+
+// BenchmarkFilterKernel runs the kernel table on both paths: block (the
+// whole column, as a predicate over no prior selection) and sel (narrowing
+// a 40 % scattered selection vector), each into a pooled result vector —
+// the steady-state query path.
+func BenchmarkFilterKernel(b *testing.B) {
 	pc, _ := benchFixture(b)
-	col := pc.Column(column)
-	k := CompileFilter(col, pred)
-	b.ReportAllocs()
-	b.SetBytes(int64(benchRows) * int64(col.DType().Size()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := k.FilterBlock(0, col.Len(), getRowBuf(col.Len()))
-		RecycleRows(rows)
+	for _, c := range kernelBenchCols {
+		col := pc.Column(c.column)
+		for _, pred := range c.preds() {
+			k := CompileFilterKernel(col, pred.Op)
+			a := k.Bind(pred.Value, pred.Value2)
+			b.Run(c.typ+"/"+benchOpName(pred.Op)+"/block", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					RecycleRows(k.FilterBlock(a, 0, col.Len(), getRowBuf(col.Len())))
+				}
+			})
+			b.Run(c.typ+"/"+benchOpName(pred.Op)+"/sel", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					RecycleRows(k.FilterSel(a, benchScatter, getRowBuf(len(benchScatter))))
+				}
+			})
+		}
 	}
 }
 
-var (
-	predU8  = ColumnPred{Column: ColClassification, Op: CmpEQ, Value: 6}
-	predU16 = ColumnPred{Column: ColIntensity, Op: CmpGT, Value: 60000}
-	predI32 = ColumnPred{Column: ColScanAngle, Op: CmpBetween, Value: -5000, Value2: 5000}
-	predF64 = ColumnPred{Column: ColZ, Op: CmpBetween, Value: 100, Value2: 130}
-)
-
-func BenchmarkFilterLegacyU8_1M(b *testing.B)  { benchLegacy(b, ColClassification, predU8) }
-func BenchmarkFilterKernelU8_1M(b *testing.B)  { benchKernel(b, ColClassification, predU8) }
-func BenchmarkFilterLegacyU16_1M(b *testing.B) { benchLegacy(b, ColIntensity, predU16) }
-func BenchmarkFilterKernelU16_1M(b *testing.B) { benchKernel(b, ColIntensity, predU16) }
-func BenchmarkFilterLegacyI32_1M(b *testing.B) { benchLegacy(b, ColScanAngle, predI32) }
-func BenchmarkFilterKernelI32_1M(b *testing.B) { benchKernel(b, ColScanAngle, predI32) }
-func BenchmarkFilterLegacyF64_1M(b *testing.B) { benchLegacy(b, ColZ, predF64) }
-func BenchmarkFilterKernelF64_1M(b *testing.B) { benchKernel(b, ColZ, predF64) }
+// BenchmarkFilterLegacy measures the pre-kernel arm over the same table:
+// per-row Matches over an identity selection vector (scratch is reused, so
+// allocations measure the dispatch loop only, as in the old FilterRows).
+// Compare it with BenchmarkFilterKernel's block path.
+func BenchmarkFilterLegacy(b *testing.B) {
+	pc, ident := benchFixture(b)
+	scratch := make([]int, len(ident))
+	for _, c := range kernelBenchCols {
+		col := pc.Column(c.column)
+		for _, pred := range c.preds() {
+			b.Run(c.typ+"/"+benchOpName(pred.Op), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(scratch, ident)
+					legacyFilterRowsOne(col, scratch, pred)
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkFilterRowsKernel_1M measures the public FilterRows entry point
 // end-to-end on the steady-state pooled path.
 func BenchmarkFilterRowsKernel_1M(b *testing.B) {
 	pc, _ := benchFixture(b)
-	preds := []ColumnPred{predU8}
+	preds := []ColumnPred{{Column: ColClassification, Op: CmpEQ, Value: 6}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -111,7 +111,7 @@ func TestMorselFilterMatchesNaive(t *testing.T) {
 		n := pc.Len()
 		for trial := 0; trial < 30; trial++ {
 			col := cols[rng.Intn(len(cols))]
-			pred := randomPred(rng, col)
+			pred := randomPred(rng, pc.Column(col), col)
 			// Random ascending disjoint candidate ranges, possibly none.
 			var cand []colstore.Range
 			for at := 0; at < n; {

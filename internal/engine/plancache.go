@@ -6,9 +6,9 @@
 // from the per-run KernelArgs record the caller binds (kernels.go). That
 // makes (column, op) a complete cache key: a pan/zoom sweep whose bbox (and
 // therefore whose x/y range constants) changes on every step still hits the
-// same two compiled range kernels, paying only the per-run bind — a few
-// float normalisations, never a compile. NaN constants need no cache bypass
-// anymore: they live in the args record, never in a map key.
+// same two compiled range kernels, paying only the per-run bind — one
+// operator-to-interval mapping, never a compile. NaN constants need no cache
+// bypass anymore: they live in the args record, never in a map key.
 //
 // Invalidation contract: appends may grow or MOVE a column's backing array,
 // so a cached kernel bound to the old array would silently serve stale (or
@@ -98,12 +98,6 @@ func (pc *PointCloud) compileFilterCached(col colstore.Column, name string, op C
 	k := CompileFilterKernel(col, op)
 	pc.plans.insert(key, k)
 	return k
-}
-
-// compileRangeCached is compileFilterCached for the inclusive range shape
-// the imprint filter path produces.
-func (pc *PointCloud) compileRangeCached(col colstore.Column, name string) *Kernel {
-	return pc.compileFilterCached(col, name, CmpBetween)
 }
 
 // PlanCacheStats reports the number of cached kernels and the hit/miss
