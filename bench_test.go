@@ -9,6 +9,7 @@
 package gisnav
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"sync"
@@ -291,7 +292,7 @@ func BenchmarkAdhocScenario2SQL(b *testing.B) {
 	      WHERE ua.class = '12210' AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 25)`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.exec.Query(q); err != nil {
+		if _, err := f.exec.QueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

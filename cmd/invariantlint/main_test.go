@@ -34,10 +34,12 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestViolationPackages: every golden violation package makes the driver
-// exit non-zero, and -json emits parseable diagnostics for it.
+// TestViolationPackages: the golden violation package of every analyzer in
+// the suite makes invariantlint exit non-zero, and -json emits parseable
+// diagnostics for it.
 func TestViolationPackages(t *testing.T) {
-	for _, name := range []string{"constslot", "releaselist", "cancelpoll", "epochguard", "boundedcache"} {
+	for _, a := range analysis.All() {
+		name := a.Name
 		t.Run(name, func(t *testing.T) {
 			dir := "../../internal/analysis/testdata/src/" + name
 			var out, errb bytes.Buffer

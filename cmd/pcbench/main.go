@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -583,7 +584,7 @@ func expAdhoc(env *benchEnv, out *output, repeats int) {
 		}
 		var res *sql.Result
 		var err error
-		d := bench.MeasureN(repeats, func() { res, err = exec.Query(stmt) })
+		d := bench.MeasureN(repeats, func() { res, err = exec.QueryContext(context.Background(), stmt) })
 		if !out.check("E7 "+q.desc, err) {
 			continue
 		}
@@ -606,7 +607,7 @@ func expExplain(env *benchEnv, out *output, _ int) {
 	exec := sql.New(env.db)
 	stmt := `SELECT count(*) AS n, avg(z) AS mean_z FROM ahn2, ua
 	         WHERE ua.class = '12210' AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 25)`
-	res, err := exec.Query(stmt)
+	res, err := exec.QueryContext(context.Background(), stmt)
 	if !out.check("E8 explain", err) {
 		return
 	}

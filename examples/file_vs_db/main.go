@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -112,7 +113,7 @@ func main() {
 	      WHERE osm.class = 'river'
 	        AND ST_DWithin(osm.geom, ST_Point(ahn2.x, ahn2.y), 40)
 	        AND classification = 2`
-	res, err := exec.Query(q)
+	res, err := exec.QueryContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -60,7 +61,8 @@ func main() {
 
 	// 4. The same through SQL, plus an aggregate.
 	exec := sql.New(db)
-	res, err := exec.Query(`
+	ctx := context.Background()
+	res, err := exec.QueryContext(ctx, `
 		SELECT count(*) AS n, avg(z) AS mean_z, max(z) AS max_z
 		FROM ahn2
 		WHERE ST_Contains(ST_MakeEnvelope(200, 200, 450, 400), ST_Point(x, y))`)
@@ -71,7 +73,7 @@ func main() {
 		res.Cols[0].Value(0), res.Cols[1].Value(0), res.Cols[2].Value(0))
 
 	// 5. A thematic + spatial combination: buildings only.
-	res2, err := exec.Query(`
+	res2, err := exec.QueryContext(ctx, `
 		SELECT count(*) FROM ahn2
 		WHERE ST_Contains(ST_MakeEnvelope(200, 200, 450, 400), ST_Point(x, y))
 		  AND classification = 6`)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -44,6 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	exec := sql.New(db)
+	ctx := context.Background()
 
 	queries := []struct {
 		title string
@@ -105,7 +107,7 @@ func main() {
 
 	for i, q := range queries {
 		fmt.Printf("-- Q%d: %s\n", i+1, q.title)
-		res, err := exec.Query(q.sql)
+		res, err := exec.QueryContext(ctx, q.sql)
 		if err != nil {
 			log.Fatalf("Q%d: %v", i+1, err)
 		}
@@ -123,7 +125,7 @@ func main() {
 
 	// The per-operator trace of the headline query — what the demo lets the
 	// audience inspect.
-	res, err := exec.Query(queries[1].sql)
+	res, err := exec.QueryContext(ctx, queries[1].sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func main() {
 	fmt.Print(res.Explain.String())
 
 	// Panning the viewport histogram: the same GROUP BY statement with a
-	// slid bbox goes through Executor.Query, so the second step is a
+	// slid bbox goes through Executor.QueryContext, so the second step is a
 	// shape-cache hit that re-binds the cached grouped plan instead of
 	// re-planning — the trace's leading "plan" step says "rebound" and the
 	// "group" step reports the vectorized strategy (dense: the class column
@@ -142,7 +144,7 @@ func main() {
 	        FROM ahn2
 	        WHERE ST_Contains(ST_MakeEnvelope(600, 500, 1600, 1500), ST_Point(x, y))
 	        GROUP BY classification`
-	res, err = exec.Query(pan)
+	res, err = exec.QueryContext(ctx, pan)
 	if err != nil {
 		log.Fatal(err)
 	}

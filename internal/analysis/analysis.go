@@ -1,8 +1,8 @@
 // Package analysis is the repo's custom static-analysis suite: a minimal
 // AST/type-driven analyzer framework (stdlib only — go/parser, go/types and
 // the source importer; the module has no dependencies and must stay
-// offline-buildable) plus the six analyzers that mechanically enforce the
-// ROADMAP's architecture invariants:
+// offline-buildable) plus the four analyzers that mechanically enforce the
+// ROADMAP's architecture invariants the type system cannot:
 //
 //	constslot    — kernel closures must not capture predicate constants;
 //	               constants flow through KernelArgs / paramStore slots.
@@ -13,10 +13,11 @@
 //	epochguard   — table-owned backing slices mutate only inside the
 //	               epoch-bumping mutation paths, and plan constructors
 //	               capture epochs before reading table state.
-//	boundedcache — cache maps show a bound/eviction check and surface a
-//	               stats counter.
-//	ctxflow      — HTTP handlers run queries through the *Context executor
-//	               variants, so deadlines and drain cancellation propagate.
+//
+// Two conventions need no analyzer because the code makes them impossible
+// to break: every executor entry point takes a context (there is no
+// ctx-less variant to call), and every drop-and-rebuild cache is a
+// bounded.Map, which carries its bound and its counters.
 //
 // The analyzers are example-driven, not sound: each one encodes the shape
 // the invariant takes in THIS codebase (the golden tests under testdata pin
@@ -225,8 +226,6 @@ func All() []*Analyzer {
 		ReleaseListAnalyzer,
 		CancelPollAnalyzer,
 		EpochGuardAnalyzer,
-		BoundedCacheAnalyzer,
-		CtxFlowAnalyzer,
 	}
 }
 

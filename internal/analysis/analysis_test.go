@@ -4,17 +4,18 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// TestAllAnalyzers pins the suite's one list, All(): every analyzer is
+// complete, named once and has its golden fixture under testdata/src/<name>,
+// and every fixture directory but the suppression one names an analyzer.
 func TestAllAnalyzers(t *testing.T) {
-	all := All()
-	if len(all) != 6 {
-		t.Fatalf("All() = %d analyzers, want 6", len(all))
-	}
 	seen := map[string]bool{}
-	for _, a := range all {
+	for _, a := range All() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %+v incomplete", a)
 		}
@@ -25,9 +26,21 @@ func TestAllAnalyzers(t *testing.T) {
 		if ByName(a.Name) != a {
 			t.Errorf("ByName(%q) did not round-trip", a.Name)
 		}
+		if fi, err := os.Stat(filepath.Join("testdata", "src", a.Name)); err != nil || !fi.IsDir() {
+			t.Errorf("analyzer %q has no fixture directory testdata/src/%s", a.Name, a.Name)
+		}
 	}
 	if ByName("nosuch") != nil {
 		t.Error("ByName(nosuch) = non-nil")
+	}
+	dirs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && d.Name() != suppressFixture && ByName(d.Name()) == nil {
+			t.Errorf("fixture directory testdata/src/%s names no analyzer", d.Name())
+		}
 	}
 }
 

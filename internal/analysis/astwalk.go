@@ -109,11 +109,6 @@ func namedFieldType(e ast.Expr) string {
 	return ""
 }
 
-// containsName reports whether s contains sub, ignoring case.
-func containsName(s, sub string) bool {
-	return strings.Contains(strings.ToLower(s), strings.ToLower(sub))
-}
-
 // isChunkConstName reports whether an identifier names a block/chunk size
 // constant (scanChunk, exprChunk, refineBlock, ...).
 func isChunkConstName(name string) bool {

@@ -91,41 +91,33 @@ func runGolden(t *testing.T, loader *Loader, dir string, analyzers []*Analyzer) 
 	}
 }
 
-// TestGolden pins each analyzer's behaviour against its violation package,
-// and the suppression directive against the suppress package. Subtests run
-// in parallel against one shared loader — the same concurrency shape the
-// driver uses.
+// suppressFixture is the one fixture directory not named after an
+// analyzer: it pins the //lint:ignore directive, under releaselist — each
+// directive must silence exactly one of its diagnostics.
+const suppressFixture = "suppress"
+
+// TestGolden pins each analyzer of All() against its violation package
+// testdata/src/<name>, and the suppression directive against the suppress
+// package. Subtests run in parallel against one shared loader — the same
+// concurrency shape invariantlint uses.
 func TestGolden(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	type golden struct {
 		dir       string
-		analyzers []string
-	}{
-		{"constslot", []string{"constslot"}},
-		{"releaselist", []string{"releaselist"}},
-		{"cancelpoll", []string{"cancelpoll"}},
-		{"epochguard", []string{"epochguard"}},
-		{"boundedcache", []string{"boundedcache"}},
-		{"ctxflow", []string{"ctxflow"}},
-		// The suppression fixture runs under releaselist: each //lint:ignore
-		// must silence exactly one of its diagnostics.
-		{"suppress", []string{"releaselist"}},
+		analyzers []*Analyzer
 	}
+	var cases []golden
+	for _, a := range All() {
+		cases = append(cases, golden{a.Name, []*Analyzer{a}})
+	}
+	cases = append(cases, golden{suppressFixture, []*Analyzer{ReleaseListAnalyzer}})
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			t.Parallel()
-			var as []*Analyzer
-			for _, name := range tc.analyzers {
-				a := ByName(name)
-				if a == nil {
-					t.Fatalf("unknown analyzer %q", name)
-				}
-				as = append(as, a)
-			}
-			runGolden(t, loader, tc.dir, as)
+			runGolden(t, loader, tc.dir, tc.analyzers)
 		})
 	}
 }

@@ -20,9 +20,7 @@
 package engine
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"gisnav/internal/bounded"
 	"gisnav/internal/colstore"
 )
 
@@ -39,79 +37,27 @@ type planKey struct {
 // working set.
 const maxCachedPlans = 512
 
-// planCache memoises CompileFilterKernel results until the next
-// invalidation.
-type planCache struct {
-	mu      sync.RWMutex
-	kernels map[planKey]*Kernel
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-}
-
-// lookup returns the cached kernel for key, or nil.
-func (c *planCache) lookup(key planKey) *Kernel {
-	c.mu.RLock()
-	k := c.kernels[key]
-	c.mu.RUnlock()
-	if k != nil {
-		c.hits.Add(1)
-	}
-	return k
-}
-
-// insert stores k under key, resetting the cache when it outgrew its bound.
-func (c *planCache) insert(key planKey, k *Kernel) {
-	c.misses.Add(1)
-	c.mu.Lock()
-	if c.kernels == nil || len(c.kernels) >= maxCachedPlans {
-		c.kernels = make(map[planKey]*Kernel, 16)
-	}
-	c.kernels[key] = k
-	c.mu.Unlock()
-}
-
-// invalidate drops every cached kernel; pc.mu ordering is the caller's
-// concern (the cache has its own lock and never calls back into PointCloud).
-func (c *planCache) invalidate() {
-	c.mu.Lock()
-	c.kernels = nil
-	c.mu.Unlock()
-}
-
-// stats reports cache effectiveness counters.
-func (c *planCache) stats() (entries int, hits, misses uint64) {
-	c.mu.RLock()
-	entries = len(c.kernels)
-	c.mu.RUnlock()
-	return entries, c.hits.Load(), c.misses.Load()
-}
-
 // compileFilterCached returns the compiled (unbound) kernel for (col, op),
 // served from the table's plan cache when the same pair was compiled since
 // the last invalidation. The caller binds the run's constants via
 // Kernel.Bind — constants (including NaN) never touch the cache key.
 func (pc *PointCloud) compileFilterCached(col colstore.Column, name string, op CmpOp) *Kernel {
 	key := planKey{column: name, op: op}
-	if k := pc.plans.lookup(key); k != nil {
+	if k, ok := pc.plans.Get(key); ok {
 		return k
 	}
 	k := CompileFilterKernel(col, op)
-	pc.plans.insert(key, k)
+	pc.plans.Put(key, k)
 	return k
 }
 
 // PlanCacheStats reports the number of cached kernels and the hit/miss
-// counters since the last invalidation — the observability hook for the
-// repeated-query experiments and the invalidation tests. With the
+// counters since the table was created — the observability hook for the
+// repeated-query experiments and the invalidation tests. The counters are
+// cumulative: InvalidateIndexes empties the cache but never resets them, so
+// the misses across an append are a difference of two readings. With the
 // (column, op) key, a pan/zoom sweep must keep Misses flat after warmup.
-type PlanCacheStats struct {
-	Entries int
-	Hits    uint64
-	Misses  uint64
-}
+type PlanCacheStats = bounded.Stats
 
 // PlanCacheStats snapshots the table's plan cache.
-func (pc *PointCloud) PlanCacheStats() PlanCacheStats {
-	entries, hits, misses := pc.plans.stats()
-	return PlanCacheStats{Entries: entries, Hits: hits, Misses: misses}
-}
+func (pc *PointCloud) PlanCacheStats() PlanCacheStats { return pc.plans.Stats() }

@@ -73,6 +73,36 @@ func TestPlanCacheInvalidationOnAppend(t *testing.T) {
 	}
 }
 
+// TestPlanCacheCountersSurviveInvalidation pins what navbench's
+// plan_cache_misses relies on: InvalidateIndexes empties the cache but the
+// hit and miss counters are cumulative, so the recompile after an
+// invalidation adds one miss to the earlier count instead of restarting it.
+func TestPlanCacheCountersSurviveInvalidation(t *testing.T) {
+	pc, _ := buildCloud(t, 0.02)
+	filter := func(op CmpOp) {
+		t.Helper()
+		rows, err := pc.FilterRows(nil, []ColumnPred{{Column: ColZ, Op: op, Value: 10}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RecycleRows(rows)
+	}
+	filter(CmpGT)
+	filter(CmpLT)
+	filter(CmpGT)
+	if st := pc.PlanCacheStats(); st != (PlanCacheStats{Entries: 2, Hits: 1, Misses: 2}) {
+		t.Fatalf("before invalidation: %+v, want 2 entries, 1 hit, 2 misses", st)
+	}
+	pc.InvalidateIndexes()
+	if st := pc.PlanCacheStats(); st != (PlanCacheStats{Entries: 0, Hits: 1, Misses: 2}) {
+		t.Fatalf("after invalidation: %+v, want 0 entries and the counters unchanged", st)
+	}
+	filter(CmpGT)
+	if st := pc.PlanCacheStats(); st != (PlanCacheStats{Entries: 1, Hits: 1, Misses: 3}) {
+		t.Fatalf("after the recompile: %+v, want 1 entry, 1 hit, 3 misses", st)
+	}
+}
+
 // TestPlanCacheNaNConstants: with constants out of the cache key they are
 // per-run bind state, so NaN predicates cache and hit like any other —
 // the old NaN map-key bypass is gone — while still matching no rows.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gisnav/internal/bounded"
 	"gisnav/internal/colstore"
 	"gisnav/internal/faultpoint"
 	"gisnav/internal/geom"
@@ -40,10 +41,10 @@ type PointCloud struct {
 	imprintY    *imprints.Imprints
 	colImprints map[string]*imprints.Imprints
 
-	// plans memoises compiled filter kernels per (column, op, constants);
-	// dropped together with the imprints on InvalidateIndexes, because both
-	// bind to column backing arrays that appends may move.
-	plans planCache
+	// plans memoises compiled filter kernels per (column, op); dropped
+	// together with the imprints on InvalidateIndexes, because both bind to
+	// column backing arrays that appends may move.
+	plans *bounded.Map[planKey, *Kernel]
 
 	// epoch counts index invalidations. Everything that binds to a column's
 	// backing array across calls — compiled kernels, the SQL layer's
@@ -63,6 +64,7 @@ func NewPointCloud() *PointCloud {
 		xs:     cols[0].(*colstore.F64Column),
 		ys:     cols[1].(*colstore.F64Column),
 		zs:     cols[2].(*colstore.F64Column),
+		plans:  bounded.New[planKey, *Kernel](maxCachedPlans),
 	}
 }
 
@@ -126,7 +128,7 @@ func (pc *PointCloud) InvalidateIndexes() {
 	pc.imprintX, pc.imprintY = nil, nil
 	pc.colImprints = nil
 	pc.mu.Unlock()
-	pc.plans.invalidate()
+	pc.plans.Reset()
 }
 
 // Epoch returns the table's invalidation epoch: a monotonic counter bumped

@@ -11,8 +11,9 @@ import (
 )
 
 // maxPyramids bounds the resident pyramid set: one pyramid per
-// (table, shape) up to this many, the same bounded-cache discipline the
-// imprint and refiner caches follow.
+// (table, shape) up to this many. The set is not a bounded.Map: past the
+// bound it evicts one entry rather than dropping all, and every drop must
+// release the entry's banks once no pinned query still reads them.
 const maxPyramids = 8
 
 // refCount is the pyramid lifetime: the cache holds one reference while

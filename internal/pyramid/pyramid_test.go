@@ -340,3 +340,94 @@ func TestPyramidPoolBalance(t *testing.T) {
 		t.Fatalf("f64 pool drifted by %d buffers", d)
 	}
 }
+
+// dropResident empties the shared resident set, releasing the cache's own
+// reference on every entry, so a test starts and ends from no residents.
+func dropResident() {
+	shared.mu.Lock()
+	resident := shared.pyramids
+	shared.pyramids = map[cacheKey]*Pyramid{}
+	shared.mu.Unlock()
+	for _, p := range resident {
+		p.Release()
+	}
+}
+
+// TestPyramidCacheEvictsAtBound pins the bound of the resident set — the one
+// cache map that is not a bounded.Map, because eviction must release banks a
+// pinned query may still be reading. maxPyramids+1 distinct shapes on one
+// table evict at least one entry; an evicted pyramid still answers exactly
+// while pinned; and once every pin is released the pools are back where
+// they started.
+func TestPyramidCacheEvictsAtBound(t *testing.T) {
+	dropResident()
+	defer dropResident()
+	pc := testCloud(20_000, 17)
+	rowsBefore := engine.SelectionPoolStats().Outstanding
+	f64Before := engine.F64PoolStats().Outstanding
+	before := Snapshot()
+
+	// Count alone, then count plus one min or max bank per value column:
+	// each is its own signature.
+	shapes := [][]engine.GroupedAggSpec{{{Fn: engine.AggCount}}}
+	for _, col := range []string{engine.ColZ, engine.ColX, engine.ColY, engine.ColIntensity, engine.ColGPSTime} {
+		for _, fn := range []engine.AggFunc{engine.AggMin, engine.AggMax} {
+			shapes = append(shapes, []engine.GroupedAggSpec{{Fn: engine.AggCount}, {Fn: fn, Column: col}})
+		}
+	}
+	shapes = shapes[:maxPyramids+1]
+
+	run := new(engine.Run)
+	pinned := make([]*Pyramid, len(shapes))
+	for i, specs := range shapes {
+		sig, ok := Shape(pc, engine.ColClassification, specs)
+		if !ok {
+			t.Fatalf("shape %d should be pyramid-eligible", i)
+		}
+		p, err := For(run, pc, engine.ColClassification, specs, sig, nil)
+		if err != nil || p == nil {
+			t.Fatalf("shape %d: For = %v, %v", i, p, err)
+		}
+		pinned[i] = p
+	}
+	st := Snapshot()
+	if st.Pyramids > maxPyramids || st.Evictions-before.Evictions < 1 {
+		t.Fatalf("after %d builds: %d resident, %d evictions; want <= %d resident and >= 1 eviction",
+			len(shapes), st.Pyramids, st.Evictions-before.Evictions, maxPyramids)
+	}
+
+	shared.mu.Lock()
+	resident := map[*Pyramid]bool{}
+	for _, p := range shared.pyramids {
+		resident[p] = true
+	}
+	shared.mu.Unlock()
+	region := grid.GeometryRegion{G: geom.NewEnvelope(150, 120, 830, 910).ToPolygon()}
+	evicted := 0
+	for i, p := range pinned {
+		if resident[p] {
+			continue
+		}
+		evicted++
+		var res engine.GroupedResult
+		if _, ok, err := p.QueryRegionRun(run, region, shapes[i], &res); err != nil || !ok {
+			t.Fatalf("evicted pyramid %d: ok=%v err=%v", i, ok, err)
+		}
+		sameGrouped(t, "evicted while pinned", &res, exactGrouped(t, pc, region, shapes[i]))
+	}
+	if evicted == 0 {
+		t.Fatal("every pinned pyramid is still resident; nothing was evicted")
+	}
+
+	for _, p := range pinned {
+		p.Release()
+	}
+	run.Drain()
+	dropResident()
+	if d := engine.SelectionPoolStats().Outstanding - rowsBefore; d != 0 {
+		t.Fatalf("selection pool drifted by %d buffers", d)
+	}
+	if d := engine.F64PoolStats().Outstanding - f64Before; d != 0 {
+		t.Fatalf("f64 pool drifted by %d buffers", d)
+	}
+}

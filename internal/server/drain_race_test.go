@@ -85,7 +85,7 @@ func TestDrainRaceEpochBumps(t *testing.T) {
 	if pc.Len() == rows {
 		t.Fatal("append added no rows; the staleness check is vacuous")
 	}
-	res, err := srv.Exec().Query(`SELECT count(*) FROM ahn2`)
+	res, err := srv.Exec().QueryContext(context.Background(), `SELECT count(*) FROM ahn2`)
 	if err != nil {
 		t.Fatal(err)
 	}

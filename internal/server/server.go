@@ -20,12 +20,10 @@
 //     every pooled buffer returns (the lifecycle drain below guarantees
 //     the latter; the chaos test proves both).
 //   - Slow-client and abuse protection: HTTPServer configures read/
-//     header/write timeouts, request bodies are size-bounded, and the
-//     per-connection session table is bounded with drop-and-rebuild
-//     (session.go).
+//     header/write timeouts, and request bodies are size-bounded.
 //   - Observability: /healthz (process liveness), /readyz (accepting
 //     queries), /stats (lifecycle counters, statement/plan/pool caches,
-//     session table, per-code error counts) as JSON.
+//     per-code error counts) as JSON.
 package server
 
 import (
@@ -65,8 +63,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxRequestBytes bounds the request body (default 1 MiB).
 	MaxRequestBytes int64
-	// MaxSessions bounds the per-connection session table (default 1024).
-	MaxSessions int
 	// ReadTimeout / ReadHeaderTimeout / IdleTimeout configure the
 	// slow-client protection of HTTPServer (defaults 15s / 5s / 60s). The
 	// write timeout derives from MaxTimeout so a legitimate long query is
@@ -101,8 +97,6 @@ type Server struct {
 	idleClosed bool
 	idle       chan struct{}
 
-	sessions sessionCache
-
 	requests      atomic.Uint64
 	queriesOK     atomic.Uint64
 	drainRejected atomic.Uint64
@@ -128,9 +122,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = 1 << 20
 	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 1024
-	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 15 * time.Second
 	}
@@ -150,7 +141,6 @@ func New(cfg Config) *Server {
 		exec: exec,
 		idle: make(chan struct{}),
 	}
-	s.sessions.max = cfg.MaxSessions
 	s.runCtx, s.cancelRuns = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/query", s.handleQuery)
@@ -308,7 +298,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	bp := replyBufs.Get().(*[]byte)
 	data := appendReply((*bp)[:0], res, elapsed.Microseconds())
 	s.queriesOK.Add(1)
-	s.sessions.touch(r.RemoteAddr, time.Now())
 	s.writeJSON(w, http.StatusOK, data)
 	if cap(data) <= maxPooledReply {
 		*bp = data
@@ -473,8 +462,7 @@ type Stats struct {
 	Errors        map[string]uint64 `json:"errors"`
 	// ResponseWriteErrors counts replies whose body never fully reached the
 	// socket; it stands outside requests == queries_ok + Σ errors.
-	ResponseWriteErrors uint64       `json:"response_write_errors"`
-	Sessions            SessionStats `json:"sessions"`
+	ResponseWriteErrors uint64 `json:"response_write_errors"`
 
 	Exec       sql.ExecStats                    `json:"exec"`
 	StmtCache  sql.StmtCacheStats               `json:"stmt_cache"`
@@ -498,7 +486,6 @@ func (s *Server) Stats() Stats {
 			CodeParse:      s.errCounts[3].Load(),
 			CodeInternal:   s.errCounts[4].Load(),
 		},
-		Sessions:   s.sessions.stats(),
 		Exec:       s.exec.ExecStats(),
 		StmtCache:  s.exec.StmtCacheStats(),
 		PlanCaches: map[string]engine.PlanCacheStats{},

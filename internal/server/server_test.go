@@ -355,9 +355,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if _, ok := st.PlanCaches["ahn2"]; !ok {
 		t.Fatal("plan cache stats missing for ahn2")
 	}
-	if st.Sessions.Total < 1 {
-		t.Fatalf("session table never touched: %+v", st.Sessions)
-	}
 }
 
 // TestNonFiniteNumbersOnTheWire pins the wire encoding of numbers JSON
@@ -442,27 +439,6 @@ func TestResponseWriteErrorsCounted(t *testing.T) {
 	}
 	if st.Requests != 3 || st.QueriesOK != 2 || st.Requests != st.QueriesOK+errs {
 		t.Fatalf("request accounting: %d requests, %d ok + %d errors", st.Requests, st.QueriesOK, errs)
-	}
-}
-
-// TestSessionCacheBound pins the drop-and-rebuild bound of the session
-// table: an unbounded stream of distinct client addresses must never grow
-// the map past its bound.
-func TestSessionCacheBound(t *testing.T) {
-	c := sessionCache{max: 4}
-	now := time.Now()
-	for i := 0; i < 40; i++ {
-		c.touch("10.0.0."+string(rune('a'+i%26))+":123", now)
-	}
-	st := c.stats()
-	if st.Entries > 4 {
-		t.Fatalf("entries = %d, want <= 4", st.Entries)
-	}
-	if st.Total != 40 {
-		t.Fatalf("total = %d, want 40", st.Total)
-	}
-	if st.Drops == 0 {
-		t.Fatal("bound never dropped the table")
 	}
 }
 

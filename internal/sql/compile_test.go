@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -231,11 +232,11 @@ func TestCompiledFilterInQueryExplain(t *testing.T) {
 // TestCompiledDivisionByZeroError pins the runtime error contract.
 func TestCompiledDivisionByZeroError(t *testing.T) {
 	e, _, _, _ := testDB(t)
-	_, err := e.Query("SELECT count(*) FROM ahn2 WHERE z / (classification - classification) > 1")
+	_, err := e.QueryContext(context.Background(), "SELECT count(*) FROM ahn2 WHERE z / (classification - classification) > 1")
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("want division-by-zero error, got %v", err)
 	}
-	_, err = e.Query("SELECT count(*) FROM ahn2 WHERE intensity % (classification - classification) = 1")
+	_, err = e.QueryContext(context.Background(), "SELECT count(*) FROM ahn2 WHERE intensity % (classification - classification) = 1")
 	if err == nil || !strings.Contains(err.Error(), "modulo by zero") {
 		t.Fatalf("want modulo-by-zero error, got %v", err)
 	}
@@ -256,7 +257,7 @@ func TestModuloFractionalDenominator(t *testing.T) {
 		// Runtime-evaluated fractional denominator.
 		"SELECT count(*) FROM ahn2 WHERE intensity % (classification / 1000) = 0",
 	} {
-		_, err := e.Query(q)
+		_, err := e.QueryContext(context.Background(), q)
 		if err == nil || !strings.Contains(err.Error(), "modulo by zero") {
 			t.Fatalf("%s: want modulo-by-zero error, got %v", q, err)
 		}
@@ -332,9 +333,9 @@ func TestCompiledProjectionMatchesInterpreter(t *testing.T) {
 				t.Fatalf("%s: item %d compiled = %v, want %v", q, i, !want, want)
 			}
 		}
-		got, gerr := pq.Run()
+		got, gerr := pq.RunContext(context.Background())
 		clear(pq.plan.proj) // every item through the interpreter
-		want, werr := pq.Run()
+		want, werr := pq.RunContext(context.Background())
 		if (gerr != nil) != (werr != nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 			t.Fatalf("%s: compiled err %v, interpreter err %v", q, gerr, werr)
 		}

@@ -1,7 +1,9 @@
 // The SQL front door. The heavy lifting lives in the prepare/execute
 // split: plan.go builds an immutable queryPlan per statement, run.go
-// executes it. This file holds the Executor itself and its bounded
-// statement cache, which memoises PreparedQuery objects by statement SHAPE —
+// executes it. This file holds the Executor itself — two context-first
+// entry points and nothing ctx-less, so a caller's deadline and
+// cancellation always reach the kernels — and its statement cache (a
+// bounded.Map), which memoises PreparedQuery objects by statement SHAPE —
 // the auto-parameterised text plus literal type signature (params.go) — so
 // the interactive workload's repeated statements skip parsing, binding,
 // conjunct classification and kernel compilation even when every step
@@ -13,22 +15,36 @@ package sql
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
+	"gisnav/internal/bounded"
 	"gisnav/internal/engine"
 )
 
-// Executor runs SQL statements against an engine catalog.
+// Executor runs SQL statements against an engine catalog. Every entry
+// point takes a context: QueryContext and QueryUntracedContext here,
+// PreparedQuery.RunContext for a statement prepared once.
 type Executor struct {
 	db       *engine.DB
-	stmts    stmtCache
+	stmts    *bounded.Map[string, *PreparedQuery]
+	front    *bounded.Map[string, frontEntry]
 	gate     gate
 	parallel atomic.Int32
+
+	// Statement-cache counters the two maps cannot see (StmtCacheStats).
+	shapeHits     atomic.Uint64
+	rebinds       atomic.Uint64
+	invalidations atomic.Uint64
 }
 
 // New returns an executor over db.
-func New(db *engine.DB) *Executor { return &Executor{db: db} }
+func New(db *engine.DB) *Executor {
+	return &Executor{
+		db:    db,
+		stmts: bounded.New[string, *PreparedQuery](maxCachedStmts),
+		front: bounded.New[string, frontEntry](maxFrontEntries),
+	}
+}
 
 // SetParallelism caps the morsel fan-out degree of this executor's runs:
 // n partitions at most per operator, 1 forcing every operator serial, and
@@ -47,22 +63,17 @@ func (e *Executor) SetParallelism(n int) {
 	e.parallel.Store(int32(n))
 }
 
-// Query executes one SELECT statement through the two-level lookup: the
-// statement text is normalised into (shape, literal vector); a shape hit
-// re-binds the cached plan skeleton to the new literals and runs (no parse
-// beyond the lexer, no classification, no kernel compile — the EXPLAIN
-// trace's "plan" step says "rebound"); a miss parses, plans, inserts and
-// runs ("planned"). Epoch revalidation inside run guarantees an append
-// between two calls is observed by the second.
-func (e *Executor) Query(src string) (*Result, error) {
-	return e.query(context.Background(), src, &engine.Explain{})
-}
-
-// QueryContext is Query under a context: the run passes the admission
-// gate (lifecycle.go), kernel loops poll ctx's done channel at block
+// QueryContext executes one SELECT statement through the two-level lookup,
+// with the per-operator EXPLAIN trace in Result.Explain. The statement text
+// is normalised into (shape, literal vector); a shape hit re-binds the
+// cached plan skeleton to the new literals and runs (no parse beyond the
+// lexer, no classification, no kernel compile — the trace's "plan" step
+// says "rebound"); a miss parses, plans, inserts and runs ("planned").
+// Epoch revalidation inside run guarantees an append between two calls is
+// observed by the second. The run passes the admission gate
+// (lifecycle.go), kernel loops poll ctx's done channel at block
 // boundaries, and a fired context surfaces as ctx.Err() with every pooled
-// buffer already recycled. A context without deadline or cancel behaves
-// exactly like Query.
+// buffer already recycled.
 func (e *Executor) QueryContext(ctx context.Context, src string) (*Result, error) {
 	return e.query(ctx, src, &engine.Explain{})
 }
@@ -75,40 +86,50 @@ func (e *Executor) QueryUntracedContext(ctx context.Context, src string) (*Resul
 	return e.query(ctx, src, nil)
 }
 
-// query is the shared two-level lookup behind Query and QueryUntracedContext, with
-// a front cache short-circuiting the lexer: parameterize is a pure function
+// query is the shared two-level lookup behind both entry points, with a
+// front cache short-circuiting the lexer: parameterize is a pure function
 // of the statement text, so an exact text seen before maps straight to its
 // interned (shape key, literal vector) without re-lexing — the remaining
 // per-step overhead for very small viewports where the scan no longer
 // dominates. The interned vector is shared across calls and must therefore
 // never be mutated downstream (rebind copies out of it; plans copy it).
+// The two caches drop independently, so an interned text may name a
+// statement that was evicted: it is re-lexed for the parser, exactly like
+// a brand-new text, and counts one statement-cache miss.
 func (e *Executor) query(ctx context.Context, src string, ex *engine.Explain) (*Result, error) {
-	if key, params, ok := e.stmts.frontLookup(src); ok {
-		if pq := e.stmts.lookup(key); pq != nil {
-			return pq.lifecycleRun(ctx, ex, params, originCached)
+	fe, interned := e.front.Get(src)
+	var toks []token
+	if !interned {
+		var err error
+		if fe.key, toks, fe.params, err = parameterize(src); err != nil {
+			return nil, err
 		}
-		// Interned text whose statement was evicted: fall through and
-		// re-lex, the same path as a brand-new text.
 	}
-	key, toks, params, err := parameterize(src)
-	if err != nil {
-		return nil, err
+	if pq, ok := e.stmts.Get(fe.key); ok {
+		if !interned {
+			e.front.Put(src, fe)
+		}
+		return pq.lifecycleRun(ctx, ex, fe.params, originCached)
 	}
-	if pq := e.stmts.lookup(key); pq != nil {
-		e.stmts.frontInsert(src, key, params)
-		return pq.lifecycleRun(ctx, ex, params, originCached)
+	if interned {
+		var err error
+		if _, toks, _, err = parameterize(src); err != nil {
+			return nil, err
+		}
 	}
 	stmt, err := parseTokens(toks)
 	if err != nil {
 		return nil, err
 	}
-	pq, err := e.prepareBound(stmt, params)
+	pq, err := e.prepareBound(stmt, fe.params)
 	if err != nil {
 		return nil, err
 	}
-	e.stmts.insert(key, pq)
-	e.stmts.frontInsert(src, key, params)
-	return pq.lifecycleRun(ctx, ex, params, originPlanned)
+	e.stmts.Put(fe.key, pq)
+	if !interned {
+		e.front.Put(src, fe)
+	}
+	return pq.lifecycleRun(ctx, ex, fe.params, originPlanned)
 }
 
 // --- statement cache --------------------------------------------------------
@@ -135,71 +156,6 @@ type frontEntry struct {
 	params []Value
 }
 
-// stmtCache memoises PreparedQuery objects by statement shape, fronted by
-// the text→shape intern map (see Executor.query).
-type stmtCache struct {
-	mu    sync.Mutex
-	stmts map[string]*PreparedQuery
-	front map[string]frontEntry
-
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	shapeHits     atomic.Uint64
-	rebinds       atomic.Uint64
-	invalidations atomic.Uint64
-	frontHits     atomic.Uint64
-}
-
-// frontLookup returns the interned shape of an exact statement text.
-func (c *stmtCache) frontLookup(src string) (key string, params []Value, ok bool) {
-	c.mu.Lock()
-	fe, ok := c.front[src]
-	c.mu.Unlock()
-	if ok {
-		c.frontHits.Add(1)
-	}
-	return fe.key, fe.params, ok
-}
-
-// frontInsert interns one text's parameterization, resetting the map past
-// its bound. Only successfully parameterized texts reach here, so errors
-// are never interned.
-func (c *stmtCache) frontInsert(src, key string, params []Value) {
-	c.mu.Lock()
-	if c.front == nil || len(c.front) >= maxFrontEntries {
-		c.front = make(map[string]frontEntry, 16)
-	}
-	c.front[src] = frontEntry{key: key, params: params}
-	c.mu.Unlock()
-}
-
-// lookup returns the cached statement for the shape key, counting hit/miss.
-func (c *stmtCache) lookup(key string) *PreparedQuery {
-	c.mu.Lock()
-	pq := c.stmts[key]
-	c.mu.Unlock()
-	if pq != nil {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return pq
-}
-
-// insert stores pq under the shape key, resetting the cache when it outgrew
-// its bound. Parse and plan errors are never cached. The front cache drops
-// with the statement cache: its entries stay valid (parameterize is pure),
-// but texts whose statements were evicted would otherwise pin dead interns.
-func (c *stmtCache) insert(key string, pq *PreparedQuery) {
-	c.mu.Lock()
-	if c.stmts == nil || len(c.stmts) >= maxCachedStmts {
-		c.stmts = make(map[string]*PreparedQuery, 16)
-		c.front = nil
-	}
-	c.stmts[key] = pq
-	c.mu.Unlock()
-}
-
 // StmtCacheStats reports the statement cache's effectiveness counters.
 //
 // Hits counts shape-cache hits of any kind; ShapeHits is the subset whose
@@ -210,7 +166,8 @@ func (c *stmtCache) insert(key string, pq *PreparedQuery) {
 // Invalidations counts epoch-forced replans of this executor's prepared
 // statements (cached or standalone): each one is an append observed by the
 // SQL layer, the signal the invalidation tests assert on. FrontHits counts
-// exact-text front-cache hits — queries that skipped the lexer entirely.
+// exact-text front-cache hits — queries that skipped the lexer, unless
+// their statement had been evicted since.
 type StmtCacheStats struct {
 	Entries       int
 	FrontEntries  int
@@ -224,19 +181,15 @@ type StmtCacheStats struct {
 
 // StmtCacheStats snapshots the executor's statement cache.
 func (e *Executor) StmtCacheStats() StmtCacheStats {
-	c := &e.stmts
-	c.mu.Lock()
-	entries := len(c.stmts)
-	frontEntries := len(c.front)
-	c.mu.Unlock()
+	stmts, front := e.stmts.Stats(), e.front.Stats()
 	return StmtCacheStats{
-		Entries:       entries,
-		FrontEntries:  frontEntries,
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		ShapeHits:     c.shapeHits.Load(),
-		Rebinds:       c.rebinds.Load(),
-		Invalidations: c.invalidations.Load(),
-		FrontHits:     c.frontHits.Load(),
+		Entries:       stmts.Entries,
+		FrontEntries:  front.Entries,
+		Hits:          stmts.Hits,
+		Misses:        stmts.Misses,
+		ShapeHits:     e.shapeHits.Load(),
+		Rebinds:       e.rebinds.Load(),
+		Invalidations: e.invalidations.Load(),
+		FrontHits:     front.Hits,
 	}
 }

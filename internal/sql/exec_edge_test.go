@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -67,16 +68,16 @@ func TestJoinContainmentVariants(t *testing.T) {
 
 func TestArithmeticErrors(t *testing.T) {
 	e, _, _, _ := testDB(t)
-	if _, err := e.Query("SELECT 1/0 FROM osm LIMIT 1"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT 1/0 FROM osm LIMIT 1"); err == nil {
 		t.Fatal("division by zero should fail")
 	}
-	if _, err := e.Query("SELECT 1 % 0 FROM osm LIMIT 1"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT 1 % 0 FROM osm LIMIT 1"); err == nil {
 		t.Fatal("modulo by zero should fail")
 	}
-	if _, err := e.Query("SELECT 'a' + 1 FROM osm LIMIT 1"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT 'a' + 1 FROM osm LIMIT 1"); err == nil {
 		t.Fatal("string arithmetic should fail")
 	}
-	if _, err := e.Query("SELECT name FROM osm WHERE name BETWEEN 1 AND 2"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT name FROM osm WHERE name BETWEEN 1 AND 2"); err == nil {
 		t.Fatal("string BETWEEN should fail")
 	}
 }
@@ -128,14 +129,14 @@ func TestQualifiedColumnsAndAliases(t *testing.T) {
 		t.Fatal("bare alias failed")
 	}
 	// Unknown qualifier.
-	if _, err := e.Query("SELECT nosuch.z FROM ahn2 LIMIT 1"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT nosuch.z FROM ahn2 LIMIT 1"); err == nil {
 		t.Fatal("unknown qualifier should fail")
 	}
 }
 
 func TestCountRequiresArgument(t *testing.T) {
 	e, _, _, _ := testDB(t)
-	if _, err := e.Query("SELECT count() FROM ahn2"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT count() FROM ahn2"); err == nil {
 		t.Fatal("count() should fail")
 	}
 	// count(column) counts rows with numeric values.

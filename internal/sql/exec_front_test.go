@@ -9,8 +9,8 @@ import (
 )
 
 // TestFrontCacheHitsOnRepeatedText checks the text→shape front cache: the
-// second Query of an identical text skips the lexer (FrontHits moves) and
-// returns identical results through the cached plan.
+// second QueryContext of an identical text skips the lexer (FrontHits
+// moves) and returns identical results through the cached plan.
 func TestFrontCacheHitsOnRepeatedText(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	q := "SELECT count(*) FROM ahn2 WHERE z > 10 AND classification = 2"
@@ -75,5 +75,34 @@ func TestFrontCacheBounded(t *testing.T) {
 	}
 	if n := e.StmtCacheStats().FrontEntries; n > maxFrontEntries {
 		t.Fatalf("front cache grew to %d entries past its bound %d", n, maxFrontEntries)
+	}
+}
+
+// TestFrontHitOnEvictedStatement: the front and statement caches drop
+// independently, so an interned text can outlive its statement. Re-issuing
+// such a text re-lexes and re-plans it: one front hit, one statement-cache
+// miss, and the result a fresh executor gives.
+func TestFrontHitOnEvictedStatement(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	// The alias is part of the shape, so every text is a distinct statement.
+	text := func(i int) string { return fmt.Sprintf("SELECT count(*) AS n%d FROM osm WHERE id > 3", i) }
+	for i := 0; i < maxCachedStmts+10; i++ {
+		mustQuery(t, e, text(i))
+	}
+	before := e.StmtCacheStats()
+	if before.Entries >= maxCachedStmts || before.FrontEntries <= maxCachedStmts {
+		t.Fatalf("setup: %+v, want the statement cache dropped and the front cache intact", before)
+	}
+	got := mustQuery(t, e, text(0))
+	st := e.StmtCacheStats()
+	if st.FrontHits != before.FrontHits+1 || st.Misses != before.Misses+1 || st.Hits != before.Hits {
+		t.Fatalf("re-issued evicted text: %+v -> %+v, want one front hit and one statement miss", before, st)
+	}
+	if st.FrontEntries > maxFrontEntries {
+		t.Fatalf("front cache grew to %d entries past its bound %d", st.FrontEntries, maxFrontEntries)
+	}
+	want := mustQuery(t, New(e.db), text(0))
+	if !resultsEqual(got, want) {
+		t.Fatalf("evicted-statement result %v, fresh executor %v", got.Rows(), want.Rows())
 	}
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func TestNoVectorLeakOnGenericFilterError(t *testing.T) {
 	      WHERE ST_Contains(ST_MakeEnvelope(0, 0, 1500, 1500), ST_Point(x, y))
 	        AND nosuchcol > 1`
 	delta := outstandingDelta(t, func() {
-		if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "unknown column") {
+		if _, err := e.QueryContext(context.Background(), q); err == nil || !strings.Contains(err.Error(), "unknown column") {
 			t.Fatalf("want unknown-column error, got %v", err)
 		}
 	})
@@ -45,7 +46,7 @@ func TestNoVectorLeakOnCompiledFilterError(t *testing.T) {
 	      WHERE ST_Contains(ST_MakeEnvelope(0, 0, 1500, 1500), ST_Point(x, y))
 	        AND z / (classification - classification) > 1`
 	delta := outstandingDelta(t, func() {
-		if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		if _, err := e.QueryContext(context.Background(), q); err == nil || !strings.Contains(err.Error(), "division by zero") {
 			t.Fatalf("want division-by-zero error, got %v", err)
 		}
 	})
@@ -62,7 +63,7 @@ func TestNoVectorLeakOnJoinGenericError(t *testing.T) {
 	      WHERE ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 30)
 	        AND st_x(ST_Point(ahn2.x, ahn2.y)) / (ahn2.classification - ahn2.classification) > 1`
 	delta := outstandingDelta(t, func() {
-		if _, err := e.Query(q); err == nil {
+		if _, err := e.QueryContext(context.Background(), q); err == nil {
 			t.Fatal("want an error from the point-side conjunct")
 		}
 	})

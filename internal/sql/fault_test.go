@@ -38,7 +38,7 @@ func TestFaultInjectedErrors(t *testing.T) {
 			mustQuery(t, e, q) // warm: plan cached, pools primed
 			faultpoint.Arm(point, faultpoint.Action{Err: errInjected})
 			delta := outstandingDelta(t, func() {
-				_, err := e.Query(q)
+				_, err := e.QueryContext(context.Background(), q)
 				if !errors.Is(err, errInjected) {
 					t.Fatalf("err = %v, want the injected fault", err)
 				}
@@ -77,7 +77,7 @@ func TestFaultPanicIsolation(t *testing.T) {
 
 			faultpoint.Arm(point, faultpoint.Action{Panic: "kernel fault at " + point})
 			delta := outstandingDelta(t, func() {
-				res, err := e.Query(q)
+				res, err := e.QueryContext(context.Background(), q)
 				if res != nil {
 					t.Fatal("panicked query returned a result")
 				}
@@ -102,7 +102,7 @@ func TestFaultPanicIsolation(t *testing.T) {
 			// The process survived; disarmed, the poisoned statement
 			// replans and the result matches the pre-panic run exactly.
 			faultpoint.Disarm(point)
-			res, err := e.Query(q)
+			res, err := e.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("post-panic run: %v", err)
 			}
@@ -131,7 +131,7 @@ func TestFaultPanicIsolation(t *testing.T) {
 
 // TestFaultPostPanicEqualsFreshPrepare pins the replan-after-panic
 // contract at the PreparedQuery level: after a recovered panic, the next
-// Run must behave exactly like a freshly prepared statement.
+// run must behave exactly like a freshly prepared statement.
 func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	e, _, _, _ := testDB(t)
@@ -139,12 +139,12 @@ func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pq.Run(); err != nil {
+	if _, err := pq.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	faultpoint.Arm("sql.run.filter", faultpoint.Action{Panic: errInjected})
-	_, perr := pq.Run()
+	_, perr := pq.RunContext(context.Background())
 	var qe *QueryError
 	if !errors.As(perr, &qe) {
 		t.Fatalf("err = %v, want *QueryError", perr)
@@ -155,7 +155,7 @@ func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	}
 	faultpoint.Disarm("sql.run.filter")
 
-	poisonedRes, err := pq.RunTraced()
+	poisonedRes, err := runTraced(pq)
 	if err != nil {
 		t.Fatalf("post-panic run: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshRes, err := fresh.RunTraced()
+	freshRes, err := runTraced(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	}
 	// Poison is consumed by the successful replan: the run after it is a
 	// plain cached run again.
-	again, err := pq.RunTraced()
+	again, err := runTraced(pq)
 	if err != nil {
 		t.Fatal(err)
 	}

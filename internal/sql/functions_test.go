@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestFunctionArgValidation(t *testing.T) {
 		"SELECT ST_X(ST_MakeEnvelope(0,0,1,1)) FROM osm LIMIT 1",
 	}
 	for _, q := range bad {
-		if _, err := e.Query(q); err == nil {
+		if _, err := e.QueryContext(context.Background(), q); err == nil {
 			t.Errorf("query %q should fail", q)
 		}
 	}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -118,15 +119,15 @@ func TestGroupByExpressionsAndAliases(t *testing.T) {
 func TestGroupByErrors(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	// Non-grouped bare column.
-	if _, err := e.Query("SELECT z, count(*) FROM ahn2 GROUP BY classification"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT z, count(*) FROM ahn2 GROUP BY classification"); err == nil {
 		t.Fatal("bare non-key column should fail")
 	}
 	// ORDER BY something that is not a select item.
-	if _, err := e.Query("SELECT classification, count(*) FROM ahn2 GROUP BY classification ORDER BY z"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT classification, count(*) FROM ahn2 GROUP BY classification ORDER BY z"); err == nil {
 		t.Fatal("order by non-item should fail")
 	}
 	// Aggregate of a string.
-	if _, err := e.Query("SELECT class, sum(name) FROM ua GROUP BY class"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT class, sum(name) FROM ua GROUP BY class"); err == nil {
 		t.Fatal("sum of string should fail")
 	}
 	// Parser: GROUP without BY.

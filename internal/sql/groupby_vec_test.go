@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -103,12 +104,12 @@ func TestGroupedVectorizedMatchesInterpreter(t *testing.T) {
 		if pq.plan.grouped.keyCol == "" {
 			t.Fatalf("%s: did not vectorize; the equivalence check is vacuous", q)
 		}
-		vec, err := pq.Run()
+		vec, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s (vectorized): %v", q, err)
 		}
 		pq.plan.grouped.keyCol = "" // disable the engine route on the same plan
-		interp, err := pq.Run()
+		interp, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s (interpreter): %v", q, err)
 		}
@@ -123,7 +124,7 @@ func TestGroupedStrategyExplain(t *testing.T) {
 	e, _ := nanDB(t, 20000)
 	groupDetail := func(q string) string {
 		t.Helper()
-		res, err := e.Query(q)
+		res, err := e.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -166,11 +167,11 @@ func TestGroupedReboundMatchesFreshPrepare(t *testing.T) {
 	qA := fmt.Sprintf(template, 100.0, 100.0, 600.0, 700.0, 50.0)
 	qB := fmt.Sprintf(template, 250.0, 180.0, 900.0, 860.0, 325.0)
 
-	if _, err := e.Query(qA); err != nil {
+	if _, err := e.QueryContext(context.Background(), qA); err != nil {
 		t.Fatal(err)
 	}
 	before := e.StmtCacheStats()
-	rebound, err := e.Query(qB)
+	rebound, err := e.QueryContext(context.Background(), qB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestGroupedReboundMatchesFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pq.RunTraced()
+	want, err := runTraced(pq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestPyramidRouteMatchesExact(t *testing.T) {
 			t.Fatalf("viewport histogram not routed through the pyramid:\n%s", routed.Explain)
 		}
 		pyramid.SetEnabled(false)
-		exact, err := e.Query(q)
+		exact, err := e.QueryContext(context.Background(), q)
 		pyramid.SetEnabled(true)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 // Query lifecycle: the layer between the public entry points and the
-// plan/execute machinery. Every external run — Query, QueryContext,
-// PreparedQuery.Run/RunContext — funnels through lifecycleRun, which
+// plan/execute machinery. Every external run — QueryContext,
+// QueryUntracedContext, PreparedQuery.RunContext, each taking the caller's
+// context — funnels through lifecycleRun, which
 //
 //  1. passes the executor's admission gate (bounded in-flight queries,
 //     deadline-aware shedding against an EWMA of recent run latency),

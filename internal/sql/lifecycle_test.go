@@ -70,7 +70,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := pq.Run()
+	plain, err := pq.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCancelMidProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := pq.Run()
+	full, err := pq.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestCancelMidProjection(t *testing.T) {
 	if err != nil || !resultsEqual(again, full) {
 		t.Fatalf("run after the cancelled one: err %v, equal to the first run: %v", err, err == nil && resultsEqual(again, full))
 	}
-	_, err = e.Query(strings.Replace(q, "classification <> 2", "classification <> 3", 1))
+	_, err = e.QueryContext(context.Background(), strings.Replace(q, "classification <> 2", "classification <> 3", 1))
 	if err == nil || err.Error() != "sql: division by zero" {
 		t.Fatalf("ground returns through z / (classification - 2): err = %v, want division by zero", err)
 	}

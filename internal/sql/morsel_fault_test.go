@@ -3,6 +3,7 @@
 package sql
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
 			// buffers when the panic fires.
 			faultpoint.Arm("engine.morsel.worker", faultpoint.Action{Panic: "morsel fault", After: 1})
 			delta := morselDrift(t, func() {
-				res, err := e.Query(q)
+				res, err := e.QueryContext(context.Background(), q)
 				if res != nil {
 					t.Fatal("panicked query returned a result")
 				}
@@ -68,7 +69,7 @@ func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
 			// Poisoned statement: the next run replans and matches the
 			// pre-panic truth exactly.
 			faultpoint.Disarm("engine.morsel.worker")
-			res, err := e.Query(q)
+			res, err := e.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("post-panic run: %v", err)
 			}
@@ -103,7 +104,7 @@ func TestFaultMorselMergeErrorSurfaces(t *testing.T) {
 			mustQuery(t, e, q) // warm: plan cached, pools primed
 			faultpoint.Arm("engine.morsel.merge", faultpoint.Action{Err: errInjected})
 			delta := morselDrift(t, func() {
-				_, err := e.Query(q)
+				_, err := e.QueryContext(context.Background(), q)
 				if !errors.Is(err, errInjected) {
 					t.Fatalf("err = %v, want the injected merge fault", err)
 				}

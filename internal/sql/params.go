@@ -4,7 +4,7 @@
 // bbox literals. parameterize normalises those literals out of the statement
 // text into an ordered literal vector and produces the statement's SHAPE
 // key: the token-normalised text with each extracted literal replaced by a
-// typed placeholder. Executor.Query keys its statement cache on the shape,
+// typed placeholder. The executor keys its statement cache on the shape,
 // so a new bbox re-uses the compiled plan skeleton of every earlier step —
 // it re-binds constants (plan.go rebind) instead of re-planning.
 //

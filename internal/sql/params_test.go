@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -147,7 +148,7 @@ func TestLimitRebind(t *testing.T) {
 	if e.StmtCacheStats().Entries != 1 {
 		t.Fatal("LIMIT variants should share one shape")
 	}
-	if _, err := e.Query("SELECT x FROM ahn2 LIMIT 3.5"); err == nil || !strings.Contains(err.Error(), "LIMIT") {
+	if _, err := e.QueryContext(context.Background(), "SELECT x FROM ahn2 LIMIT 3.5"); err == nil || !strings.Contains(err.Error(), "LIMIT") {
 		t.Fatalf("fractional LIMIT should error, got %v", err)
 	}
 }
@@ -170,7 +171,7 @@ func TestStringParamReroute(t *testing.T) {
 	}
 	// Numeric literal in the class slot: separate shape, interpreter route —
 	// which rejects the string/number comparison exactly as it always did.
-	if _, err := e.Query("SELECT count(*) FROM osm WHERE class = 5"); err == nil ||
+	if _, err := e.QueryContext(context.Background(), "SELECT count(*) FROM osm WHERE class = 5"); err == nil ||
 		!strings.Contains(err.Error(), "cannot compare") {
 		t.Fatalf("class = 5 should keep the interpreter's type error, got %v", err)
 	}
@@ -210,7 +211,7 @@ func TestRebindFailureLeavesPlanConsistent(t *testing.T) {
 
 	want := mustQuery(t, e, good).Rows()[0][0].Num
 	for i := 0; i < 2; i++ {
-		if _, err := e.Query(bad); err == nil {
+		if _, err := e.QueryContext(context.Background(), bad); err == nil {
 			t.Fatalf("attempt %d: 40/0 join distance should error, got success", i+1)
 		}
 	}
@@ -352,7 +353,7 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 			if ferr != nil {
 				werr = ferr
 			} else {
-				want, werr = fresh.Run()
+				want, werr = fresh.RunContext(context.Background())
 			}
 			if (rerr != nil) != (werr != nil) {
 				t.Fatalf("%q params %v: rebound err %v, fresh err %v", src, params, rerr, werr)

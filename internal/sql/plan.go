@@ -6,16 +6,16 @@
 // generic arithmetic conjuncts, interpreter expressions for the rest — and
 // fixes the physical strategy (point-cloud scan / vector-table scan /
 // spatial join). The product is an immutable queryPlan that
-// PreparedQuery.Run executes with none of that per-call work; the paper's
-// navigation workload re-issues near-identical statements on every pan and
-// zoom, so everything above the scan layer is hoisted here.
+// PreparedQuery.RunContext executes with none of that per-call work; the
+// paper's navigation workload re-issues near-identical statements on every
+// pan and zoom, so everything above the scan layer is hoisted here.
 //
 // Invalidation contract (the SQL-layer extension of the engine plan cache
 // contract in ROADMAP.md): compiled generic kernels close over column
 // backing arrays, and star expansion and conjunct classification read the
 // table schema, so a plan is valid only for the table epochs it was built
 // against. buildPlan captures each bound table's epoch BEFORE reading any
-// table state; Run revalidates the captured epochs and replans on
+// table state; every run revalidates the captured epochs and replans on
 // mismatch. Appends bump the epoch (PointCloud.InvalidateIndexes,
 // VectorTable.Append), so a cached statement can never serve a plan bound
 // to moved arrays. Re-registering a different table under the same catalog
@@ -156,7 +156,7 @@ type queryPlan struct {
 
 // PreparedQuery is a statement prepared for repeated execution: parse,
 // binding, conjunct classification, kernel compilation and strategy choice
-// all happened once, at Prepare time. Run executes the captured plan,
+// all happened once, at Prepare time. RunContext executes the captured plan,
 // replanning transparently when a bound table's epoch moved.
 //
 // A PreparedQuery is safe for concurrent use: one run at a time executes
@@ -169,7 +169,7 @@ type PreparedQuery struct {
 
 	// init is the literal vector captured at Prepare time; immutable. The
 	// plan's bound vector may advance past it through shape-cache rebinds
-	// (Executor.Query); Run/RunTraced always re-present init, which is a
+	// (Executor.QueryContext); RunContext always re-presents init, which is a
 	// no-op for a standalone prepared statement.
 	init []Value
 

@@ -1,12 +1,14 @@
 package sql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
+	"gisnav/internal/engine"
 	"gisnav/internal/geom"
 	"gisnav/internal/synth"
 )
@@ -43,6 +45,12 @@ func appendMorePoints(t *testing.T, e *Executor) int {
 	return len(pts)
 }
 
+// runTraced runs a prepared statement with the per-operator EXPLAIN trace
+// QueryContext carries, for tests that compare traces or need them.
+func runTraced(pq *PreparedQuery) (*Result, error) {
+	return pq.lifecycleRun(context.Background(), &engine.Explain{}, pq.init, originPrepared)
+}
+
 func TestPreparedQueryMatchesQuery(t *testing.T) {
 	e, pc, _, _ := testDB(t)
 	pq, err := e.Prepare(countQuery)
@@ -50,7 +58,7 @@ func TestPreparedQueryMatchesQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		res, err := pq.Run()
+		res, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,20 +66,20 @@ func TestPreparedQueryMatchesQuery(t *testing.T) {
 			t.Fatalf("run %d: count = %d, want %d", i, got, pc.Len())
 		}
 		if res.Explain != nil {
-			t.Fatal("untraced Run should carry no explain")
+			t.Fatal("untraced RunContext should carry no explain")
 		}
 	}
-	res, err := pq.RunTraced()
+	res, err := runTraced(pq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Explain == nil || len(res.Explain.Steps) == 0 {
-		t.Fatal("RunTraced should carry the operator trace")
+		t.Fatal("a traced run should carry the operator trace")
 	}
 }
 
 // TestPreparedQueryObservesAppend is the acceptance-criterion test: an
-// append between two Run calls of the same prepared statement is observed
+// append between two RunContext calls of the same prepared statement is observed
 // by the second call.
 func TestPreparedQueryObservesAppend(t *testing.T) {
 	e, pc, _, _ := testDB(t)
@@ -79,7 +87,7 @@ func TestPreparedQueryObservesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pq.Run()
+	res, err := pq.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestPreparedQueryObservesAppend(t *testing.T) {
 
 	added := appendMorePoints(t, e)
 
-	res, err = pq.Run()
+	res, err = pq.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +108,7 @@ func TestPreparedQueryObservesAppend(t *testing.T) {
 }
 
 // TestStmtCacheEpochInvalidation drives the same contract through
-// Executor.Query's statement cache and checks the observability counters:
+// Executor.QueryContext's statement cache and checks the observability counters:
 // the second identical query is a cache hit, and the append forces both an
 // SQL-layer plan invalidation and an engine-layer kernel recompile
 // (PlanCacheStats misses move, because InvalidateIndexes dropped the
@@ -184,14 +192,14 @@ func TestVectorEpochObservesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pq.Run()
+	res, err := pq.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := int(res.Rows()[0][0].Num)
 	osm.Append(424242, "motorway", "appended road",
 		geom.MustParseWKT("LINESTRING (0 0, 10 10)"), nil)
-	res, err = pq.Run()
+	res, err = pq.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +208,7 @@ func TestVectorEpochObservesAppend(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameStatement: concurrent Query calls with the identical
+// TestConcurrentSameStatement: concurrent QueryContext calls with the identical
 // text share one cache entry but must not corrupt each other's results
 // (overlapping runs execute a transient plan instead of sharing the cached
 // plan's kernel scratch). Meaningful under -race.
@@ -214,7 +222,7 @@ func TestConcurrentSameStatement(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				res, err := e.Query(countQuery)
+				res, err := e.QueryContext(context.Background(), countQuery)
 				if errors.Is(err, ErrOverloaded) {
 					// The admission gate (2×GOMAXPROCS slots) sheds the
 					// burst on small machines; this test is about result
@@ -270,12 +278,12 @@ func TestPreparedJoinAndVectorReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		first, err := pq.Run()
+		first, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		for i := 0; i < 3; i++ {
-			res, err := pq.Run()
+			res, err := pq.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("%s run %d: %v", q, i, err)
 			}

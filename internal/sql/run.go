@@ -34,28 +34,15 @@ const (
 	originPoisoned  = "replanned (post-panic)"      // a recovered panic poisoned the plan
 )
 
-// Run executes the prepared statement against the current table state,
-// without an operator trace: the steady-state path. Result.Explain is nil;
-// use RunTraced when the per-operator EXPLAIN view matters. If a bound
-// table's epoch moved since planning, Run replans first, so an append
-// between two runs is always observed by the second.
-func (pq *PreparedQuery) Run() (*Result, error) {
-	return pq.lifecycleRun(context.Background(), nil, pq.init, originPrepared)
-}
-
-// RunContext is Run under a context: the run passes the executor's
-// admission gate, kernel loops poll ctx's done channel at block
-// boundaries, and a fired context surfaces as ctx.Err() with every
-// pooled buffer already recycled (see lifecycle.go).
+// RunContext executes the prepared statement against the current table
+// state, without an operator trace: the steady-state path (Result.Explain
+// is nil). If a bound table's epoch moved since planning, it replans first,
+// so an append between two runs is always observed by the second. The run
+// passes the executor's admission gate, kernel loops poll ctx's done
+// channel at block boundaries, and a fired context surfaces as ctx.Err()
+// with every pooled buffer already recycled (see lifecycle.go).
 func (pq *PreparedQuery) RunContext(ctx context.Context) (*Result, error) {
 	return pq.lifecycleRun(ctx, nil, pq.init, originPrepared)
-}
-
-// RunTraced is Run with the per-operator EXPLAIN trace Executor.Query
-// exposes. Tracing formats operator details per step and therefore
-// allocates; keep the plain Run on latency-critical paths.
-func (pq *PreparedQuery) RunTraced() (*Result, error) {
-	return pq.lifecycleRun(context.Background(), &engine.Explain{}, pq.init, originPrepared)
 }
 
 // run executes the statement with the literal vector params, re-binding or
@@ -83,7 +70,7 @@ func (pq *PreparedQuery) run(rs *engine.Run, ex *engine.Explain, params []Value,
 	// query the exact-text cache would have missed.
 	newLits := !equalParams(pq.plan.params, params)
 	if origin == originCached && newLits {
-		pq.ex.stmts.shapeHits.Add(1)
+		pq.ex.shapeHits.Add(1)
 		origin = originRebound
 	}
 	switch {
@@ -100,7 +87,7 @@ func (pq *PreparedQuery) run(rs *engine.Run, ex *engine.Explain, params []Value,
 		}
 		pq.plan = plan
 		if stale {
-			pq.ex.stmts.invalidations.Add(1)
+			pq.ex.invalidations.Add(1)
 			origin = originReplanned
 		} else {
 			origin = originPoisoned
@@ -114,7 +101,7 @@ func (pq *PreparedQuery) run(rs *engine.Run, ex *engine.Explain, params []Value,
 		// plan consistently bound to its previous vector even if the
 		// replan below errors too.
 		if pq.plan.rebind(pq.stmt, params) {
-			pq.ex.stmts.rebinds.Add(1)
+			pq.ex.rebinds.Add(1)
 		} else {
 			plan, err := pq.ex.buildPlan(pq.stmt, params)
 			if err != nil {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func testDB(t *testing.T) (*Executor, *engine.PointCloud, *engine.VectorTable, *
 
 func mustQuery(t *testing.T, e *Executor, q string) *Result {
 	t.Helper()
-	res, err := e.Query(q)
+	res, err := e.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -227,7 +228,7 @@ func TestAggregatesSQL(t *testing.T) {
 		t.Fatalf("empty aggregates = %v", res2.Rows()[0])
 	}
 	// Mixing aggregates and columns fails.
-	if _, err := e.Query("SELECT z, count(*) FROM ahn2"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT z, count(*) FROM ahn2"); err == nil {
 		t.Fatal("mixed select should fail")
 	}
 }
@@ -316,15 +317,15 @@ func TestScenario2JoinSQL(t *testing.T) {
 func TestJoinErrors(t *testing.T) {
 	e, _, _, _ := testDB(t)
 	// Join without spatial predicate.
-	if _, err := e.Query("SELECT count(*) FROM ahn2, ua WHERE ua.class = 'x'"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT count(*) FROM ahn2, ua WHERE ua.class = 'x'"); err == nil {
 		t.Fatal("join without spatial predicate should fail")
 	}
 	// Three tables.
-	if _, err := e.Query("SELECT count(*) FROM ahn2, ua, osm"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT count(*) FROM ahn2, ua, osm"); err == nil {
 		t.Fatal("three tables should fail")
 	}
 	// Unknown table.
-	if _, err := e.Query("SELECT * FROM nope"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT * FROM nope"); err == nil {
 		t.Fatal("unknown table should fail")
 	}
 }
@@ -374,7 +375,7 @@ func TestScalarFunctions(t *testing.T) {
 	if res3.Rows()[0][0].Num != 5 {
 		t.Fatal("st_distance wrong")
 	}
-	if _, err := e.Query("SELECT nosuchfunc(1) FROM osm"); err == nil {
+	if _, err := e.QueryContext(context.Background(), "SELECT nosuchfunc(1) FROM osm"); err == nil {
 		t.Fatal("unknown function should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,13 +28,13 @@ func runSteady(t *testing.T, e *Executor, q string) (allocs float64, rows int) {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	res, err := pq.Run()
+	res, err := pq.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
 	rows = res.Len()
 	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := pq.Run(); err != nil {
+		if _, err := pq.RunContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	})
