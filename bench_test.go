@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"gisnav/internal/ablate"
 	"gisnav/internal/blockstore"
 	"gisnav/internal/dataset"
 	"gisnav/internal/engine"
@@ -223,21 +224,25 @@ func benchSelect(b *testing.B, selectivity float64, run func(f *fixture, box geo
 	b.ReportMetric(float64(matches), "matches")
 }
 
+// selectBox runs the production selector over box and recycles its vector.
+func selectBox(f *fixture, box geom.Envelope) int {
+	rows := f.pc.SelectRegionRows(grid.GeometryRegion{G: box.ToPolygon()})
+	engine.RecycleRows(rows)
+	return len(rows)
+}
+
 func BenchmarkSelectImprintsGrid_0_1pct(b *testing.B) {
-	benchSelect(b, 0.001, func(f *fixture, box geom.Envelope) int {
-		return len(f.pc.SelectBox(box).Rows)
-	})
+	benchSelect(b, 0.001, selectBox)
 }
 
 func BenchmarkSelectImprintsGrid_10pct(b *testing.B) {
-	benchSelect(b, 0.1, func(f *fixture, box geom.Envelope) int {
-		return len(f.pc.SelectBox(box).Rows)
-	})
+	benchSelect(b, 0.1, selectBox)
 }
 
 func BenchmarkSelectFullScan_0_1pct(b *testing.B) {
 	benchSelect(b, 0.001, func(f *fixture, box geom.Envelope) int {
-		return len(f.pc.SelectRegionScan(grid.GeometryRegion{G: box.ToPolygon()}).Rows)
+		rows, _ := ablate.SelectRegionScan(f.pc, grid.GeometryRegion{G: box.ToPolygon()})
+		return len(rows)
 	})
 }
 
@@ -266,9 +271,10 @@ func BenchmarkSelectPolygon(b *testing.B) {
 	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
 		{X: 300, Y: 450}, {X: 900, Y: 380}, {X: 1050, Y: 1050}, {X: 500, Y: 1200},
 	}}}
+	region := grid.GeometryRegion{G: poly}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.pc.SelectGeometry(poly)
+		engine.RecycleRows(f.pc.SelectRegionRows(region))
 	}
 }
 
@@ -316,16 +322,24 @@ func BenchmarkAblationRefineGrid(b *testing.B) {
 	region := grid.GeometryRegion{G: f.queryBox(0.05, 11).ToPolygon()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.pc.SelectRegion(region)
+		engine.RecycleRows(f.pc.SelectRegionRows(region))
 	}
 }
 
 func BenchmarkAblationRefineExhaustive(b *testing.B) {
 	f := getFixture(b)
 	region := grid.GeometryRegion{G: f.queryBox(0.05, 11).ToPolygon()}
+	imX, err := imprints.Build(f.pc.X(), f.pc.ImprintOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	imY, err := imprints.Build(f.pc.Y(), f.pc.ImprintOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.pc.SelectRegionImprintsOnly(region)
+		ablate.SelectRegionImprintsOnly(f.pc, imX, imY, region)
 	}
 }
 
@@ -393,22 +407,21 @@ func BenchmarkFilterRowsKernel(b *testing.B) {
 }
 
 // BenchmarkFilterRangeIndexedKernel runs the imprint-pruned range filter
-// through the block kernels over candidate ranges.
+// (the E10e ablation arm) through the block kernels over candidate ranges.
 func BenchmarkFilterRangeIndexedKernel(b *testing.B) {
 	f := getFixture(b)
 	lo, hi, _ := f.pc.Column(engine.ColZ).MinMax()
 	hi = lo + (hi-lo)*0.1
-	if _, err := f.pc.EnsureColumnImprint(engine.ColZ); err != nil {
+	im, err := ablate.EnsureColumnImprint(f.pc, engine.ColZ)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := f.pc.FilterRangeIndexed(engine.ColZ, lo, hi, nil)
-		if err != nil {
+		if _, err := ablate.FilterRangeIndexed(f.pc, im, engine.ColZ, lo, hi); err != nil {
 			b.Fatal(err)
 		}
-		engine.RecycleRows(rows)
 	}
 }
 

@@ -29,8 +29,10 @@ import (
 	"strings"
 	"time"
 
+	"gisnav/internal/ablate"
 	"gisnav/internal/bench"
 	"gisnav/internal/blockstore"
+	"gisnav/internal/colstore"
 	"gisnav/internal/dataset"
 	"gisnav/internal/engine"
 	"gisnav/internal/geom"
@@ -411,12 +413,14 @@ func expSelect(env *benchEnv, out *output, repeats int) {
 		run  func(geom.Envelope) (int, int, error)
 	}{
 		{"column store: imprints+grid", func(b geom.Envelope) (int, int, error) {
-			sel := env.pc.SelectBox(b)
-			return len(sel.Rows), sel.Refine.CandidateRows, nil
+			var ex engine.Explain
+			rows := env.pc.SelectRegionRowsRun(nil, grid.GeometryRegion{G: b.ToPolygon()}, &ex)
+			engine.RecycleRows(rows)
+			return len(rows), refinedRows(&ex), nil
 		}},
 		{"column store: full scan", func(b geom.Envelope) (int, int, error) {
-			sel := env.pc.SelectRegionScan(grid.GeometryRegion{G: b.ToPolygon()})
-			return len(sel.Rows), env.pc.Len(), nil
+			rows, _ := ablate.SelectRegionScan(env.pc, grid.GeometryRegion{G: b.ToPolygon()})
+			return len(rows), env.pc.Len(), nil
 		}},
 		{"file-based: header prune", func(b geom.Envelope) (int, int, error) {
 			pts, st, err := env.repo.ClipBox(b)
@@ -472,7 +476,9 @@ func expSelect(env *benchEnv, out *output, repeats int) {
 		run  func() (int, error)
 	}{
 		{"column store: imprints+grid", func() (int, error) {
-			return len(env.pc.SelectGeometry(poly).Rows), nil
+			rows := env.pc.SelectRegionRows(grid.GeometryRegion{G: poly})
+			engine.RecycleRows(rows)
+			return len(rows), nil
 		}},
 		{"file-based: lasindex", func() (int, error) {
 			pts, _, err := env.repoIdx.ClipGeometry(poly)
@@ -665,17 +671,31 @@ func expAblation(env *benchEnv, out *output, repeats int) {
 		{X: env.region.MinX + env.region.Width()*0.6, Y: env.region.MinY + env.region.Height()*0.7},
 	}}}}
 
+	// Both arms refine one imprint candidate list, so the table times the
+	// refinement step alone.
 	t1 := bench.NewTable("E10a refinement: regular grid vs exhaustive (§3.3)",
 		"refinement", "mean time", "exact tests", "matches")
 	agree := out.group("E10a refinement")
-	selGrid := env.pc.SelectRegion(region)
-	dGrid := bench.MeasureN(repeats, func() { env.pc.SelectRegion(region) })
-	agree.arm("grid", len(selGrid.Rows))
-	t1.AddRow("grid (accept/reject cells)", dGrid, selGrid.Refine.ExactTests, len(selGrid.Rows))
-	selEx := env.pc.SelectRegionImprintsOnly(region)
-	dEx := bench.MeasureN(repeats, func() { env.pc.SelectRegionImprintsOnly(region) })
-	agree.arm("exhaustive", len(selEx.Rows))
-	t1.AddRow("exhaustive per-point tests", dEx, selEx.Refine.ExactTests, len(selEx.Rows))
+	cand, err := xyCandidates(env.pc, region.Envelope())
+	if out.check("E10a candidates", err) {
+		xs, ys := env.pc.X(), env.pc.Y()
+		for _, a := range []struct {
+			name   string
+			refine func() ([]int, grid.Stats)
+		}{
+			{"grid (accept/reject cells)", func() ([]int, grid.Stats) {
+				return grid.RefineInto(xs, ys, cand, region, env.pc.GridOpts, nil)
+			}},
+			{"exhaustive per-point tests", func() ([]int, grid.Stats) {
+				return grid.RefineExhaustiveInto(xs, ys, cand, region, nil)
+			}},
+		} {
+			rows, st := a.refine()
+			d := bench.MeasureN(repeats, func() { a.refine() })
+			agree.arm(a.name, len(rows))
+			t1.AddRow(a.name, d, st.ExactTests, len(rows))
+		}
+	}
 	t1.WriteTo(out)
 
 	// Bin count sweep.
@@ -719,24 +739,23 @@ func expAblation(env *benchEnv, out *output, repeats int) {
 		{"z (terrain band)", zlo, zwin},
 		{"gps_time (1% window)", gpsLo, gpsHi},
 	} {
-		// Warm the column imprint so measurements cover queries, not the
-		// one-time index build (which E2/E9 account for separately).
-		_, err := env.pc.EnsureColumnImprint(columnOf(c.name))
+		// Build the column imprint once so measurements cover queries, not
+		// the one-time index build (which E2/E9 account for separately).
+		col := columnOf(c.name)
+		im, err := ablate.EnsureColumnImprint(env.pc, col)
 		if !out.check("E10e "+c.name, err) {
 			continue
 		}
 		agree := out.group("E10e " + c.name)
 		for _, a := range []struct {
 			name   string
-			filter func(col string, lo, hi float64, ex *engine.Explain) ([]int, error)
+			filter func() ([]int, error)
 		}{
-			{"imprint + refine", env.pc.FilterRangeIndexed},
-			{"full scan", env.pc.FilterRangeScan},
+			{"imprint + refine", func() ([]int, error) { return ablate.FilterRangeIndexed(env.pc, im, col, c.lo, c.hi) }},
+			{"full scan", func() ([]int, error) { return ablate.FilterRangeScan(env.pc, col, c.lo, c.hi) }},
 		} {
 			var rows []int
-			d := bench.MeasureN(repeats, func() {
-				rows, err = a.filter(columnOf(c.name), c.lo, c.hi, &engine.Explain{})
-			})
+			d := bench.MeasureN(repeats, func() { rows, err = a.filter() })
 			if out.check("E10e "+c.name+" "+a.name, err) {
 				agree.arm(a.name, len(rows))
 				t5.AddRow(c.name, a.name, d, len(rows))
@@ -755,16 +774,21 @@ func expAblation(env *benchEnv, out *output, repeats int) {
 		{X: env.region.MinX + 50, Y: env.region.MaxY - 50},
 	}}}}
 	agree = out.group("E10f parallel refinement")
-	selSer := env.pc.SelectRegion(bigRegion)
-	dSer := bench.MeasureN(repeats, func() { env.pc.SelectRegion(bigRegion) })
-	agree.arm("serial", len(selSer.Rows))
-	t6.AddRow("serial", dSer, len(selSer.Rows))
-	env.pc.Parallel = true
-	selPar := env.pc.SelectRegion(bigRegion)
-	dPar := bench.MeasureN(repeats, func() { env.pc.SelectRegion(bigRegion) })
+	for _, m := range []struct {
+		name     string
+		parallel bool
+	}{{"serial", false}, {"parallel (auto workers)", true}} {
+		env.pc.Parallel = m.parallel
+		var matches int
+		d := bench.MeasureN(repeats, func() {
+			rows := env.pc.SelectRegionRows(bigRegion)
+			matches = len(rows)
+			engine.RecycleRows(rows)
+		})
+		agree.arm(m.name, matches)
+		t6.AddRow(m.name, d, matches)
+	}
 	env.pc.Parallel = false
-	agree.arm("parallel", len(selPar.Rows))
-	t6.AddRow("parallel (auto workers)", dPar, len(selPar.Rows))
 	t6.WriteTo(out)
 
 	// Block-store curve sweep.
@@ -792,6 +816,36 @@ func expAblation(env *benchEnv, out *output, repeats int) {
 		}
 	}
 	t4.WriteTo(out)
+}
+
+// refinedRows is the candidate count a traced selection handed to grid
+// refinement (0 when the region was empty).
+func refinedRows(ex *engine.Explain) int {
+	for _, s := range ex.Steps {
+		if s.Op == "grid.refine" {
+			return s.InRows
+		}
+	}
+	return 0
+}
+
+// xyCandidates is the imprint filter step over the coordinate columns: the
+// cache-line ranges that may hold a point of env, from imprints built
+// with the table's options.
+func xyCandidates(pc *engine.PointCloud, env geom.Envelope) ([]colstore.Range, error) {
+	imX, err := imprints.Build(pc.X(), pc.ImprintOpts)
+	if err != nil {
+		return nil, err
+	}
+	imY, err := imprints.Build(pc.Y(), pc.ImprintOpts)
+	if err != nil {
+		return nil, err
+	}
+	cand, _, err := imprints.ConjunctiveRangesInto([]imprints.Term{
+		{Im: imX, Lo: env.MinX, Hi: env.MaxX},
+		{Im: imY, Lo: env.MinY, Hi: env.MaxY},
+	}, nil)
+	return cand, err
 }
 
 // columnOf maps an E10e display label to its column name.

@@ -18,7 +18,9 @@ import (
 
 	"gisnav/internal/bench"
 	"gisnav/internal/dataset"
+	"gisnav/internal/engine"
 	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 	"gisnav/internal/lastools"
 	"gisnav/internal/sfc"
 	"gisnav/internal/sql"
@@ -94,7 +96,9 @@ func main() {
 		})
 		var dbMatches int
 		dDB := bench.MeasureN(5, func() {
-			dbMatches = len(pc.SelectBox(box).Rows)
+			rows := pc.SelectRegionRows(grid.GeometryRegion{G: box.ToPolygon()})
+			dbMatches = len(rows)
+			engine.RecycleRows(rows)
 		})
 		if fileMatches != dbMatches {
 			log.Fatalf("result mismatch: file %d vs db %d", fileMatches, dbMatches)

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"gisnav/internal/dataset"
+	"gisnav/internal/engine"
 	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 	"gisnav/internal/sql"
 )
 
@@ -54,10 +56,12 @@ func main() {
 		log.Fatal(err)
 	}
 	box := geom.NewEnvelope(200, 200, 450, 400)
-	sel := pc.SelectBox(box)
-	fmt.Printf("\npoints in %s: %d\n", box, len(sel.Rows))
+	var ex engine.Explain
+	rows := pc.SelectRegionRowsRun(nil, grid.GeometryRegion{G: box.ToPolygon()}, &ex)
+	fmt.Printf("\npoints in %s: %d\n", box, len(rows))
+	engine.RecycleRows(rows)
 	fmt.Println("operator trace of the first query (imprints build included):")
-	fmt.Print(sel.Explain.String())
+	fmt.Print(ex.String())
 
 	// 4. The same through SQL, plus an aggregate.
 	exec := sql.New(db)

@@ -18,7 +18,7 @@
 //     that a later TrackRows/SwapRows/trackRanges/trackF64 call in the
 //     same function registers;
 //   - recycling must go through the run (run.RecycleRows), never the bare
-//     package-level RecycleRows/RecycleRanges, which would leave a stale
+//     package-level RecycleRows/RecycleF64, which would leave a stale
 //     entry in the release list and double-recycle on unwind.
 //
 // Functions with no run in scope (legacy nil-run paths, benchmarks, the
@@ -61,10 +61,9 @@ var trackMethodNames = map[string]bool{
 // bareRecycleNames are the package-level recycle functions that bypass the
 // release list.
 var bareRecycleNames = map[string]bool{
-	"RecycleRows":   true,
-	"RecycleRanges": true,
-	"recycleF64":    true,
-	"RecycleF64":    true,
+	"RecycleRows": true,
+	"recycleF64":  true,
+	"RecycleF64":  true,
 }
 
 // ReleaseListAnalyzer enforces the release-list discipline.

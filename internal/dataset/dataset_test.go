@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 )
 
 func TestGenerateAndLoad(t *testing.T) {
@@ -42,8 +43,8 @@ func TestGenerateAndLoad(t *testing.T) {
 		t.Fatal("ua table missing")
 	}
 	// A selection touches real data.
-	sel := pc.SelectBox(geom.NewEnvelope(50, 50, 200, 200))
-	if len(sel.Rows) == 0 {
+	sel := pc.SelectRegionRows(grid.GeometryRegion{G: geom.NewEnvelope(50, 50, 200, 200).ToPolygon()})
+	if len(sel) == 0 {
 		t.Fatal("selection found nothing")
 	}
 }

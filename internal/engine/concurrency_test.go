@@ -23,7 +23,7 @@ func TestConcurrentQueries(t *testing.T) {
 	twin, _ := buildCloud(t, 0.05)
 	want := make([]int, len(boxes))
 	for i, b := range boxes {
-		want[i] = len(twin.SelectBox(b).Rows)
+		want[i] = len(twin.SelectRegionRows(boxRegion(b)))
 	}
 
 	const goroutines = 16
@@ -34,7 +34,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, b := range boxes {
-				got := len(pc.SelectBox(b).Rows)
+				got := len(pc.SelectRegionRows(boxRegion(b)))
 				if got != want[i] {
 					errs <- "box result mismatch under concurrency"
 				}

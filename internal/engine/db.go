@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gisnav/internal/geom"
@@ -17,6 +18,12 @@ type DB struct {
 	mu     sync.RWMutex
 	clouds map[string]*PointCloud
 	vector map[string]*VectorTable
+
+	// gen counts registrations. Plans bind table pointers, not names, so a
+	// table re-registered under a name its plans resolved is invisible to
+	// the tables' own epochs; plans capture gen beside them and replan when
+	// it moves.
+	gen atomic.Uint64
 }
 
 // NewDB returns an empty catalog.
@@ -27,19 +34,28 @@ func NewDB() *DB {
 	}
 }
 
-// RegisterPointCloud installs a point-cloud table under name.
+// RegisterPointCloud installs a point-cloud table under name, replacing
+// any table of that name, and bumps the catalog generation.
 func (db *DB) RegisterPointCloud(name string, pc *PointCloud) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.clouds[name] = pc
+	db.gen.Add(1)
 }
 
-// RegisterVector installs a vector table under name.
+// RegisterVector installs a vector table under name, replacing any table
+// of that name, and bumps the catalog generation.
 func (db *DB) RegisterVector(name string, vt *VectorTable) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.vector[name] = vt
+	db.gen.Add(1)
 }
+
+// Generation returns the catalog generation: a monotonic counter bumped by
+// every Register call. Capture it before resolving table names; a later
+// mismatch means a name may now resolve to a different table.
+func (db *DB) Generation() uint64 { return db.gen.Load() }
 
 // PointCloud looks up a point-cloud table.
 func (db *DB) PointCloud(name string) (*PointCloud, error) {
@@ -87,63 +103,33 @@ func (db *DB) IsPointCloud(name string) bool {
 	return ok
 }
 
-// PointsNearFeatures is the scenario-2 spatial join: rows of the point
+// PointsNearFeaturesRun is the scenario-2 spatial join: rows of the point
 // cloud within distance d of any geometry in the vector row set ("LIDAR
 // points near an area characterised as fast transit road", §4.2). The
 // feature geometries fuse into one region so the imprint filter and the
-// refinement grid run a single pass.
-func (db *DB) PointsNearFeatures(pc *PointCloud, vt *VectorTable, featRows []int, d float64) Selection {
-	return db.PointsNearFeaturesRun(nil, pc, vt, featRows, d)
-}
-
-// PointsNearFeaturesRun is PointsNearFeatures under a query lifecycle:
-// the selection spatial pass registers its pooled buffers in run's
-// release list and honours the run's cancellation token (see
-// SelectRegionRun).
-func (db *DB) PointsNearFeaturesRun(run *Run, pc *PointCloud, vt *VectorTable, featRows []int, d float64) Selection {
-	ex := &Explain{}
+// refinement grid run a single pass; rows, run and ex are
+// SelectRegionRowsRun's. No features (or a bad distance) is an empty
+// region: an empty non-nil selection.
+func (db *DB) PointsNearFeaturesRun(run *Run, pc *PointCloud, vt *VectorTable, featRows []int, d float64, ex *Explain) []int {
 	start := time.Now()
 	coll := vt.CollectGeometries(featRows)
-	region := grid.NewMultiBuffer(coll.Geometries, d)
-	ex.Add("join.collect", fmt.Sprintf("%d feature geometries, buffer %g", len(featRows), d),
-		len(featRows), len(coll.Geometries), time.Since(start))
-	if len(coll.Geometries) == 0 {
-		// Empty but non-nil: a nil Rows means "all rows" to FilterRows and
-		// the SQL executor, which would turn a no-feature join into a
-		// full-table match.
-		return Selection{Rows: []int{}, Explain: ex}
+	if ex != nil {
+		ex.Add(opJoinCollect, fmt.Sprintf("%d feature geometries, buffer %g", len(featRows), d),
+			len(featRows), len(coll.Geometries), time.Since(start))
 	}
-	sel := pc.SelectRegionRun(run, region)
-	ex.Steps = append(ex.Steps, sel.Explain.Steps...)
-	sel.Explain = ex
-	return sel
+	return pc.SelectRegionRowsRun(run, grid.NewMultiBuffer(coll.Geometries, d), ex)
 }
 
-// PointsInFeatures selects point-cloud rows inside any geometry of the
-// vector row set (containment join).
-func (db *DB) PointsInFeatures(pc *PointCloud, vt *VectorTable, featRows []int) Selection {
-	return db.PointsInFeaturesRun(nil, pc, vt, featRows)
-}
-
-// PointsInFeaturesRun is PointsInFeatures under a query lifecycle (see
-// PointsNearFeaturesRun).
-func (db *DB) PointsInFeaturesRun(run *Run, pc *PointCloud, vt *VectorTable, featRows []int) Selection {
-	ex := &Explain{}
+// PointsInFeaturesRun selects point-cloud rows inside any geometry of the
+// vector row set (containment join); see PointsNearFeaturesRun.
+func (db *DB) PointsInFeaturesRun(run *Run, pc *PointCloud, vt *VectorTable, featRows []int, ex *Explain) []int {
 	start := time.Now()
 	coll := vt.CollectGeometries(featRows)
-	region := grid.NewMultiRegion(coll.Geometries)
-	ex.Add("join.collect", fmt.Sprintf("%d feature geometries", len(featRows)),
-		len(featRows), len(coll.Geometries), time.Since(start))
-	if len(coll.Geometries) == 0 {
-		// Empty but non-nil: a nil Rows means "all rows" to FilterRows and
-		// the SQL executor, which would turn a no-feature join into a
-		// full-table match.
-		return Selection{Rows: []int{}, Explain: ex}
+	if ex != nil {
+		ex.Add(opJoinCollect, fmt.Sprintf("%d feature geometries", len(featRows)),
+			len(featRows), len(coll.Geometries), time.Since(start))
 	}
-	sel := pc.SelectRegionRun(run, region)
-	ex.Steps = append(ex.Steps, sel.Explain.Steps...)
-	sel.Explain = ex
-	return sel
+	return pc.SelectRegionRowsRun(run, grid.NewMultiRegion(coll.Geometries), ex)
 }
 
 // StorageReport summarises the footprint of everything in the catalog.

@@ -112,8 +112,9 @@ func TestScenario2Queries(t *testing.T) {
 		t.Fatal("no fast transit zones in demo data")
 	}
 	// Query A: points near fast transit roads.
-	sel := db.PointsNearFeatures(pc, ua, fast, 25)
-	if len(sel.Rows) == 0 {
+	joinEx := &Explain{}
+	rows := db.PointsNearFeaturesRun(nil, pc, ua, fast, 25, joinEx)
+	if len(rows) == 0 {
 		t.Fatal("no points near fast transit zones")
 	}
 	// Cross-check against the naive evaluator.
@@ -124,38 +125,38 @@ func TestScenario2Queries(t *testing.T) {
 			want++
 		}
 	}
-	if len(sel.Rows) != want {
-		t.Fatalf("join rows = %d, want %d", len(sel.Rows), want)
+	if len(rows) != want {
+		t.Fatalf("join rows = %d, want %d", len(rows), want)
 	}
 	// Query B: average elevation of those points.
-	avg, err := pc.Aggregate(sel.Rows, AggAvg, ColZ, sel.Explain)
+	avg, err := pc.Aggregate(rows, AggAvg, ColZ, joinEx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, r := range sel.Rows {
+	for _, r := range rows {
 		sum += pc.Z()[r]
 	}
-	if wantAvg := sum / float64(len(sel.Rows)); avg != wantAvg {
+	if wantAvg := sum / float64(len(rows)); avg != wantAvg {
 		t.Fatalf("avg = %v, want %v", avg, wantAvg)
 	}
 	// The explain trace must show the operator pipeline.
-	if len(sel.Explain.Steps) < 3 {
-		t.Fatalf("expected multi-operator trace, got %d steps", len(sel.Explain.Steps))
+	if len(joinEx.Steps) < 3 {
+		t.Fatalf("expected multi-operator trace, got %d steps", len(joinEx.Steps))
 	}
 	// Containment join variant.
-	selIn := db.PointsInFeatures(pc, ua, fast)
+	rowsIn := db.PointsInFeaturesRun(nil, pc, ua, fast, nil)
 	wantIn := 0
 	for i := 0; i < pc.Len(); i++ {
 		if geom.ContainsPoint(region, pc.X()[i], pc.Y()[i]) {
 			wantIn++
 		}
 	}
-	if len(selIn.Rows) != wantIn {
-		t.Fatalf("containment join = %d, want %d", len(selIn.Rows), wantIn)
+	if len(rowsIn) != wantIn {
+		t.Fatalf("containment join = %d, want %d", len(rowsIn), wantIn)
 	}
 	// Empty feature set short-circuits.
-	if got := db.PointsNearFeatures(pc, ua, nil, 25); len(got.Rows) != 0 {
+	if got := db.PointsNearFeaturesRun(nil, pc, ua, nil, 25, nil); len(got) != 0 {
 		t.Fatal("empty feature set should match nothing")
 	}
 }

@@ -13,14 +13,19 @@ import (
 // empty but non-nil selection — nil means "all rows" downstream, and a
 // non-finite distance must never reach grid sizing via Envelope.Buffer.
 
-func assertEmptySelection(t *testing.T, name string, sel Selection) {
+func assertEmptySelection(t *testing.T, name string, rows []int) {
 	t.Helper()
-	if sel.Rows == nil {
-		t.Fatalf("%s: Rows is nil (reads as \"all rows\" downstream)", name)
+	if rows == nil {
+		t.Fatalf("%s: rows are nil (reads as \"all rows\" downstream)", name)
 	}
-	if len(sel.Rows) != 0 {
-		t.Fatalf("%s: got %d rows, want 0", name, len(sel.Rows))
+	if len(rows) != 0 {
+		t.Fatalf("%s: got %d rows, want 0", name, len(rows))
 	}
+}
+
+// selectDWithin selects the rows within d of g.
+func selectDWithin(pc *PointCloud, g geom.Geometry, d float64) []int {
+	return pc.SelectRegionRows(grid.BufferRegion{G: g, D: d})
 }
 
 func TestSelectDWithinBadDistances(t *testing.T) {
@@ -36,23 +41,23 @@ func TestSelectDWithinBadDistances(t *testing.T) {
 		{"plus-inf", math.Inf(1)},
 		{"minus-inf", math.Inf(-1)},
 	} {
-		assertEmptySelection(t, "SelectDWithin "+tc.name, pc.SelectDWithin(road, tc.d))
+		assertEmptySelection(t, "DWithin "+tc.name, selectDWithin(pc, road, tc.d))
 	}
 
 	// Sanity: a valid distance over the same geometry does select rows.
-	ok := pc.SelectDWithin(road, 50)
-	if len(ok.Rows) == 0 {
+	ok := selectDWithin(pc, road, 50)
+	if len(ok) == 0 {
 		t.Fatal("valid DWithin selected nothing; edge-case tests are vacuous")
 	}
-	ok.Release()
+	RecycleRows(ok)
 
 	// Zero distance is valid: only points exactly on the geometry match
 	// (possibly none), and it must not be rejected as "negative".
-	zero := pc.SelectDWithin(road, 0)
-	if zero.Rows == nil {
+	zero := selectDWithin(pc, road, 0)
+	if zero == nil {
 		t.Fatal("d=0 returned nil rows")
 	}
-	zero.Release()
+	RecycleRows(zero)
 }
 
 func TestSelectDWithinEmptyGeometries(t *testing.T) {
@@ -65,8 +70,8 @@ func TestSelectDWithinEmptyGeometries(t *testing.T) {
 		{"empty collection", geom.Collection{}},
 		{"empty linestring", geom.LineString{}},
 	} {
-		assertEmptySelection(t, "SelectDWithin "+tc.name, pc.SelectDWithin(tc.g, 100))
-		assertEmptySelection(t, "SelectGeometry "+tc.name, pc.SelectGeometry(tc.g))
+		assertEmptySelection(t, "DWithin "+tc.name, selectDWithin(pc, tc.g, 100))
+		assertEmptySelection(t, "geometry "+tc.name, pc.SelectRegionRows(grid.GeometryRegion{G: tc.g}))
 	}
 }
 
@@ -79,10 +84,10 @@ func TestPointsNearFeaturesBadDistance(t *testing.T) {
 	db.RegisterVector("vt", vt)
 
 	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
-		assertEmptySelection(t, "PointsNearFeatures bad distance", db.PointsNearFeatures(pc, vt, []int{0}, d))
+		assertEmptySelection(t, "PointsNearFeatures bad distance", db.PointsNearFeaturesRun(nil, pc, vt, []int{0}, d, nil))
 	}
 	// Empty feature row set stays empty non-nil regardless of distance.
-	assertEmptySelection(t, "PointsNearFeatures no features", db.PointsNearFeatures(pc, vt, nil, 25))
+	assertEmptySelection(t, "PointsNearFeatures no features", db.PointsNearFeaturesRun(nil, pc, vt, nil, 25, nil))
 }
 
 // TestBufferRegionGuards exercises the region interface directly, the layer

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"gisnav/internal/colstore"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
 	"gisnav/internal/las"
@@ -20,6 +21,22 @@ func buildCloud(t *testing.T, density float64) (*PointCloud, []las.Point) {
 	pc := NewPointCloud()
 	pc.AppendLAS(pts)
 	return pc, pts
+}
+
+// boxRegion is the region of an axis-aligned envelope.
+func boxRegion(env geom.Envelope) grid.Region { return grid.GeometryRegion{G: env.ToPolygon()} }
+
+// scanRegion is the spatial reference: every row tested with the exact
+// predicate — no index, no grid.
+func scanRegion(pc *PointCloud, region grid.Region) []int {
+	rows, _ := grid.RefineExhaustiveInto(pc.X(), pc.Y(), colstore.FullRange(pc.Len()), region, []int{})
+	return rows
+}
+
+// selectTraced runs the selector with an operator trace.
+func selectTraced(pc *PointCloud, region grid.Region) ([]int, *Explain) {
+	ex := &Explain{}
+	return pc.SelectRegionRowsRun(nil, region, ex), ex
 }
 
 func TestSchemaShape(t *testing.T) {
@@ -73,13 +90,13 @@ func TestImprintsLazyBuild(t *testing.T) {
 	if pc.HasImprints() {
 		t.Fatal("imprints must not exist before first query")
 	}
-	sel := pc.SelectBox(geom.NewEnvelope(100, 100, 200, 200))
+	_, ex := selectTraced(pc, boxRegion(geom.NewEnvelope(100, 100, 200, 200)))
 	if !pc.HasImprints() {
 		t.Fatal("first query must build imprints")
 	}
 	// The explain trace of the first query includes the build step.
 	foundBuild := false
-	for _, s := range sel.Explain.Steps {
+	for _, s := range ex.Steps {
 		if s.Op == "imprints.build" {
 			foundBuild = true
 		}
@@ -88,8 +105,8 @@ func TestImprintsLazyBuild(t *testing.T) {
 		t.Fatal("explain should record the index build")
 	}
 	// Second query must not rebuild.
-	sel2 := pc.SelectBox(geom.NewEnvelope(100, 100, 200, 200))
-	for _, s := range sel2.Explain.Steps {
+	_, ex2 := selectTraced(pc, boxRegion(geom.NewEnvelope(100, 100, 200, 200)))
+	for _, s := range ex2.Steps {
 		if s.Op == "imprints.build" {
 			t.Fatal("second query must reuse imprints")
 		}
@@ -111,17 +128,13 @@ func TestSelectBoxMatchesScan(t *testing.T) {
 		geom.NewEnvelope(500, 500, 500.5, 500.5),
 	}
 	for _, box := range boxes {
-		region := grid.GeometryRegion{G: box.ToPolygon()}
-		fast := pc.SelectRegion(region)
-		slow := pc.SelectRegionScan(region)
-		if len(fast.Rows) != len(slow.Rows) {
-			t.Fatalf("box %v: filter-refine %d rows, scan %d rows", box, len(fast.Rows), len(slow.Rows))
+		region := boxRegion(box)
+		fast := pc.SelectRegionRows(region)
+		slow := scanRegion(pc, region)
+		if !equalRows(fast, slow) {
+			t.Fatalf("box %v: filter-refine %d rows, scan %d rows", box, len(fast), len(slow))
 		}
-		for i := range fast.Rows {
-			if fast.Rows[i] != slow.Rows[i] {
-				t.Fatalf("box %v: row %d differs", box, i)
-			}
-		}
+		RecycleRows(fast)
 	}
 }
 
@@ -130,33 +143,27 @@ func TestSelectGeometryAndDWithinMatchScan(t *testing.T) {
 	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
 		{X: 100, Y: 150}, {X: 700, Y: 100}, {X: 850, Y: 700}, {X: 300, Y: 880},
 	}}}
-	fast := pc.SelectGeometry(poly)
-	slow := pc.SelectRegionScan(grid.GeometryRegion{G: poly})
-	if len(fast.Rows) != len(slow.Rows) {
-		t.Fatalf("polygon: %d vs %d", len(fast.Rows), len(slow.Rows))
+	fast := pc.SelectRegionRows(grid.GeometryRegion{G: poly})
+	slow := scanRegion(pc, grid.GeometryRegion{G: poly})
+	if !equalRows(fast, slow) {
+		t.Fatalf("polygon: %d vs %d", len(fast), len(slow))
 	}
 
 	road := geom.LineString{Points: []geom.Point{{X: 0, Y: 480}, {X: 1000, Y: 520}}}
-	fastD := pc.SelectDWithin(road, 40)
-	slowD := pc.SelectRegionScan(grid.BufferRegion{G: road, D: 40})
-	if len(fastD.Rows) != len(slowD.Rows) {
-		t.Fatalf("dwithin: %d vs %d", len(fastD.Rows), len(slowD.Rows))
+	fastD := pc.SelectRegionRows(grid.BufferRegion{G: road, D: 40})
+	slowD := scanRegion(pc, grid.BufferRegion{G: road, D: 40})
+	if !equalRows(fastD, slowD) {
+		t.Fatalf("dwithin: %d vs %d", len(fastD), len(slowD))
 	}
-	if len(fastD.Rows) == 0 {
+	if len(fastD) == 0 {
 		t.Fatal("dwithin should match points near the road")
-	}
-
-	imprOnly := pc.SelectRegionImprintsOnly(grid.GeometryRegion{G: poly})
-	if len(imprOnly.Rows) != len(fast.Rows) {
-		t.Fatalf("imprints-only ablation differs: %d vs %d", len(imprOnly.Rows), len(fast.Rows))
 	}
 }
 
 func TestSelectionOnEmptyTable(t *testing.T) {
 	pc := NewPointCloud()
-	sel := pc.SelectBox(geom.NewEnvelope(0, 0, 1, 1))
-	if len(sel.Rows) != 0 {
-		t.Fatal("empty table should match nothing")
+	if rows := pc.SelectRegionRows(boxRegion(geom.NewEnvelope(0, 0, 1, 1))); rows == nil || len(rows) != 0 {
+		t.Fatalf("empty table selected %v, want empty non-nil", rows)
 	}
 	if ext := pc.Extent(); !ext.IsEmpty() {
 		t.Fatal("empty table extent should be empty")
@@ -166,12 +173,12 @@ func TestSelectionOnEmptyTable(t *testing.T) {
 func TestImprintFilterIsSelective(t *testing.T) {
 	pc, pts := buildCloud(t, 0.1)
 	box := geom.NewEnvelope(100, 100, 160, 160)
-	sel := pc.SelectBox(box)
+	_, ex := selectTraced(pc, boxRegion(box))
 	// The filter step must pass far fewer candidates than the table size:
 	// this is the memory-traffic reduction claim (§2.1.1).
 	var filterOut int
 	var detail string
-	for _, s := range sel.Explain.Steps {
+	for _, s := range ex.Steps {
 		if s.Op == "imprints.filter" {
 			filterOut, detail = s.OutRows, s.Detail
 		}
@@ -325,12 +332,12 @@ func TestStorageAndImprintOverhead(t *testing.T) {
 
 func TestExplainString(t *testing.T) {
 	pc, _ := buildCloud(t, 0.02)
-	sel := pc.SelectBox(geom.NewEnvelope(0, 0, 500, 500))
-	s := sel.Explain.String()
+	_, ex := selectTraced(pc, boxRegion(geom.NewEnvelope(0, 0, 500, 500)))
+	s := ex.String()
 	if s == "" || s == "(empty plan)" {
 		t.Fatal("explain should render")
 	}
-	if sel.Explain.Total() <= 0 {
+	if ex.Total() <= 0 {
 		t.Fatal("total time should be positive")
 	}
 	var empty *Explain

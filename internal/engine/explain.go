@@ -10,18 +10,15 @@ import (
 // operators all run through the compiled kernel layer (kernels.go); the
 // names identify the plan stage, not the implementation strategy.
 const (
-	opFilterColumn     = "filter.column"     // thematic predicate kernel over a selection
-	opImprintsFilter   = "imprints.filter"   // imprint candidate-range generation
-	opRefineRange      = "refine.range"      // exact range kernel over candidate blocks
-	opScanRange        = "scan.range"        // full-column range kernel (no index)
-	opAggregate        = "aggregate"         // typed aggregate kernel
-	opGroupAgg         = "group.agg"         // grouped-aggregate kernel (dense/hash)
-	opTileAgg          = "tile.agg"          // pyramid tile pre-aggregation build
-	opGridRefine       = "grid.refine"       // spatial refinement over candidates
-	opSelectRegion     = "select.region"     // spatial selection driver
-	opImprintsBuild    = "imprints.build"    // one-time index construction
-	opScanExhaustive   = "scan.exhaustive"   // no-index spatial baseline
-	opRefineExhaustive = "refine.exhaustive" // per-point refinement baseline
+	opFilterColumn   = "filter.column"   // thematic predicate kernel over a selection
+	opImprintsFilter = "imprints.filter" // imprint candidate-range generation
+	opAggregate      = "aggregate"       // typed aggregate kernel
+	opGroupAgg       = "group.agg"       // grouped-aggregate kernel (dense/hash)
+	opTileAgg        = "tile.agg"        // pyramid tile pre-aggregation build
+	opGridRefine     = "grid.refine"     // spatial refinement over candidates
+	opSelectRegion   = "select.region"   // spatial selection driver
+	opImprintsBuild  = "imprints.build"  // one-time index construction
+	opJoinCollect    = "join.collect"    // feature geometries of a spatial join
 )
 
 // Step is one operator's entry in an EXPLAIN trace.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gisnav/internal/cancel"
-	"gisnav/internal/colstore"
 	"gisnav/internal/faultpoint"
 )
 
@@ -140,12 +139,11 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 			// mid-kernel must not strand it) and swapped for the final
 			// slice after — the drive may grow (and so reallocate) what it
 			// was handed. Large tables fan across the resident worker set
-			// (morsel.go); the imprint estimate pre-sizes the vector so the
-			// ascending merge appends without growth in the common case.
-			buf := run.TrackRows(getRowBuf(pc.predHint(pred)))
+			// (morsel.go); the vector is sized for the whole table, so the
+			// ascending merge appends without growth.
+			buf := run.TrackRows(getRowBuf(pc.Len()))
 			deg := pc.morselDegree(run, pc.Len())
-			full := [1]colstore.Range{{End: pc.Len()}}
-			res, ferr := filterRanges(k, a, full[:], deg, buf)
+			res, ferr := filterAll(k, a, pc.Len(), deg, buf)
 			rows = run.SwapRows(buf, res)
 			if ferr != nil {
 				run.RecycleRows(rows)
@@ -194,25 +192,4 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 		}
 	}
 	return rows, nil
-}
-
-// predHint estimates the result cardinality of pred for selection-vector
-// sizing. When the column already carries an imprint, the bin histogram
-// bounds how many values can fall inside the predicate's range; otherwise
-// the full column length is the only safe bound (and the only one a
-// complement interval has).
-func (pc *PointCloud) predHint(pred ColumnPred) int {
-	n := pc.Len()
-	im := pc.columnImprintIfBuilt(pred.Column)
-	if im == nil {
-		return n
-	}
-	lo, hi, inv := bindInterval(pred.Op, pred.Value, pred.Value2)
-	if inv {
-		return n
-	}
-	if est := im.EstimateRows(lo, hi); est < n {
-		return est
-	}
-	return n
 }

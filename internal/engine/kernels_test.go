@@ -200,49 +200,18 @@ func TestKernelBlockSubranges(t *testing.T) {
 	}
 }
 
-// TestFilterRangeIndexedMatchesNaive covers the whole indexed path —
-// imprint candidates + block kernels — against both the kernel full scan
-// and the naive reference, over random ranges on every imprintable type.
-func TestFilterRangeIndexedMatchesNaive(t *testing.T) {
-	pc := randomTestCloud(4000, 5)
-	rng := rand.New(rand.NewSource(6))
-	for _, name := range []string{ColZ, ColIntensity, ColClassification, ColScanAngle} {
-		col := pc.Column(name)
-		for trial := 0; trial < 60; trial++ {
-			lo := (rng.Float64() - 0.5) * 150000
-			hi := lo + rng.Float64()*80000
-			ex := &Explain{}
-			indexed, err := pc.FilterRangeIndexed(name, lo, hi, ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scanned, err := pc.FilterRangeScan(name, lo, hi, ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			naive := naiveFilterAll(col, ColumnPred{Column: name, Op: CmpBetween, Value: lo, Value2: hi})
-			if !equalRows(indexed, scanned) || !equalRows(scanned, naive) {
-				t.Fatalf("%s in [%g,%g]: indexed %d, scan %d, naive %d rows",
-					name, lo, hi, len(indexed), len(scanned), len(naive))
-			}
-			RecycleRows(indexed)
-			RecycleRows(scanned)
-		}
-	}
-}
-
-// TestFilterRangeParallelIdentical forces the parallel block path and
-// asserts bit-identical output with the serial arm.
+// TestFilterRangeParallelIdentical forces the parallel block path of a
+// range predicate and asserts bit-identical output with the serial arm.
 func TestFilterRangeParallelIdentical(t *testing.T) {
 	pc := randomTestCloud(300_000, 7)
-	lo, hi := -20000.0, 20000.0
+	preds := []ColumnPred{{Column: ColScanAngle, Op: CmpBetween, Value: -20000, Value2: 20000}}
 	ex := &Explain{}
-	serial, err := pc.FilterRangeIndexed(ColScanAngle, lo, hi, ex)
+	serial, err := pc.FilterRows(nil, preds, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pc.Parallel = true
-	par, err := pc.FilterRangeIndexed(ColScanAngle, lo, hi, ex)
+	par, err := pc.FilterRows(nil, preds, ex)
 	pc.Parallel = false
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +290,7 @@ func TestFilterRowsMatchesNaiveChains(t *testing.T) {
 
 // TestSelectRegionMatchesScan is the spatial property test: the pooled
 // imprints+grid pipeline must return exactly the rows of the exhaustive
-// no-index SelectRegionScan arm, over random boxes and polygons.
+// no-index reference, over random boxes and polygons.
 func TestSelectRegionMatchesScan(t *testing.T) {
 	pc, _ := buildCloud(t, 0.05)
 	rng := rand.New(rand.NewSource(11))
@@ -338,12 +307,12 @@ func TestSelectRegionMatchesScan(t *testing.T) {
 				{X: cx - r, Y: cy - r}, {X: cx + r, Y: cy - r/2}, {X: cx + r/2, Y: cy + r}, {X: cx - r/2, Y: cy + r/2},
 			}}}}
 		}
-		sel := pc.SelectRegion(region)
-		scan := pc.SelectRegionScan(region)
-		if !equalRows(sel.Rows, scan.Rows) {
-			t.Fatalf("trial %d: indexed %d rows, scan %d rows", trial, len(sel.Rows), len(scan.Rows))
+		sel := pc.SelectRegionRows(region)
+		scan := scanRegion(pc, region)
+		if !equalRows(sel, scan) {
+			t.Fatalf("trial %d: indexed %d rows, scan %d rows", trial, len(sel), len(scan))
 		}
-		sel.Release()
+		RecycleRows(sel)
 	}
 }
 
@@ -351,8 +320,8 @@ func TestSelectRegionMatchesScan(t *testing.T) {
 // vector with sufficient capacity comes back on the next query.
 func TestRecycledVectorsAreReused(t *testing.T) {
 	pc := randomTestCloud(1000, 12)
-	ex := &Explain{}
-	rows, err := pc.FilterRangeScan(ColIntensity, 0, 1<<16, ex)
+	preds := []ColumnPred{{Column: ColIntensity, Op: CmpBetween, Value: 0, Value2: 1 << 16}}
+	rows, err := pc.FilterRows(nil, preds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +329,7 @@ func TestRecycledVectorsAreReused(t *testing.T) {
 		t.Fatalf("full-range scan kept %d of %d rows", len(rows), pc.Len())
 	}
 	RecycleRows(rows)
-	again, err := pc.FilterRangeScan(ColIntensity, 0, 1<<16, ex)
+	again, err := pc.FilterRows(nil, preds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ func TestLoadBinary(t *testing.T) {
 		t.Fatal("throughput should be positive")
 	}
 	// The loaded table answers queries identically to direct row appends.
-	sel := pc.SelectBox(geom.NewEnvelope(50, 50, 300, 300))
-	if len(sel.Rows) == 0 {
+	sel := pc.SelectRegionRows(boxRegion(geom.NewEnvelope(50, 50, 300, 300)))
+	if len(sel) == 0 {
 		t.Fatal("loaded table should answer queries")
 	}
 }

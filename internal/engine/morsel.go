@@ -1,6 +1,7 @@
 // Morsel execution: every engine operator — block filter, fused
-// aggregate, dense and hash grouped aggregate, tile scatter — is ONE
-// partition body over a span [start, end) of its input plus one driver.
+// aggregate, dense and hash grouped aggregate, tile scatter, grid
+// refinement — is ONE partition body over a span [start, end) of its input
+// plus one driver.
 // The driver picks a degree, runs the body once per partition through
 // morsel.Pass (which executes a single partition inline on the caller, so
 // serial execution is simply degree 1 of the same code), and folds
@@ -40,9 +41,10 @@
 // layer's recovery. Partitions poll the run's cancel token at block
 // boundaries (scanChunk blocks in the filter and fused-aggregate loops,
 // foldBlock blocks in the grouped fold passes — one pass per value column,
-// every accumulator of that column in one loop; groupagg.go); a fired
-// token surfaces from the driver with every buffer back in its pool. The engine.morsel.worker and
-// engine.morsel.merge faultpoints prove both paths under -tags
+// every accumulator of that column in one loop; groupagg.go — and the grid
+// package's refineBlock blocks in refinement); a fired token surfaces from
+// the driver with every buffer back in its pool. The engine.morsel.worker
+// and engine.morsel.merge faultpoints prove both paths under -tags
 // faultinject; they fire only when a pass actually fans out (deg > 1).
 package engine
 
@@ -58,8 +60,8 @@ import (
 )
 
 // morselMinRows is the minimum row count per partition: below two
-// partitions' worth degree 1 wins (this reproduces the old 1<<17 parallel
-// crossover of the indexed range filter and of grid refinement).
+// partitions' worth degree 1 wins (a 1<<17-row crossover for every
+// operator, grid refinement included).
 const morselMinRows = 1 << 16
 
 // morselDegree picks the fan-out degree for an operator driving rows
@@ -153,43 +155,98 @@ func (p *passFree[T]) put(t *T) {
 	}
 }
 
-// --- block filter ---------------------------------------------------------------
+// --- row-producing passes: block filter, grid refinement -------------------------
 
-// filterPass is the pooled scaffolding of one block-filter pass: the
-// partition storage, the compiled kernel with its bound constant record,
-// the caller's output vector (partition 0) and the result slots of
-// partitions >= 1.
-type filterPass struct {
+// rowSplit is the state the two row-producing passes share: the candidate
+// ranges split into partitions, the caller's output vector (partition 0)
+// and the result slots of partitions >= 1.
+type rowSplit struct {
 	pass    morsel.Pass
 	partBuf []colstore.Range
 	cuts    []int
 	parts   [][]colstore.Range
 	results [][]int
-	k       *Kernel
-	a       KernelArgs
 	out     []int
+}
+
+// split cuts cand into at most deg partitions (grid.SplitRangesInto: at
+// degree 1 the sole partition is cand itself) and sizes the result slots.
+func (s *rowSplit) split(cand []colstore.Range, deg int, out []int) int {
+	s.out = out
+	s.partBuf, s.cuts, s.parts = grid.SplitRangesInto(cand, deg, s.partBuf, s.cuts, s.parts)
+	n := len(s.parts)
+	if cap(s.results) < n {
+		s.results = make([][]int, n)
+	}
+	s.results = s.results[:n]
+	return n
+}
+
+// buf is partition slot's output vector: the caller's for partition 0, a
+// pooled one sized for the partition's rows (an upper bound on its
+// matches) otherwise. Partitions >= 1 defer settle with it.
+func (s *rowSplit) buf(slot int) []int {
+	if slot == 0 {
+		return s.out
+	}
+	return getRowBuf(colstore.RangesLen(s.parts[slot]))
+}
+
+// settle hands a panicking partition's pooled vector back before the panic
+// re-raises into the morsel recovery.
+func (s *rowSplit) settle(slot int, buf []int) {
+	if p := recover(); p != nil {
+		s.results[slot] = nil
+		rowPool.Put(buf)
+		panic(p)
+	}
+}
+
+// merge folds a settled pass: unless a partition panicked (p) or the merge
+// faultpoint fired, partitions 1.. concatenate behind partition 0 in
+// ascending order — disjoint ascending row ranges, so that is row order at
+// every degree. Every partial goes back to its pool on every path; the
+// caller re-raises p once its pass is back on the free list.
+func (s *rowSplit) merge(p any) ([]int, error) {
+	n := len(s.parts)
+	var err error
+	if p == nil {
+		err = hitMorselMerge(n)
+	}
+	out := s.out
+	if n > 0 {
+		out = s.results[0]
+	}
+	for i := 1; i < n; i++ {
+		if p == nil && err == nil {
+			out = append(out, s.results[i]...)
+		}
+		rowPool.Put(s.results[i])
+	}
+	clear(s.results)
+	clear(s.parts) // a degree-1 partition is the caller's candidate list
+	s.out = nil
+	return out, err
+}
+
+// filterPass drives a compiled kernel with its bound constant record.
+type filterPass struct {
+	rowSplit
+	k   *Kernel
+	a   KernelArgs
+	all [1]colstore.Range // filterAll's candidate list
 }
 
 var filterPasses passFree[filterPass]
 
 // RunPartition drives the block kernel over one partition's ranges.
-// Partition 0 appends straight into the caller's vector; later partitions
-// fill a pooled vector of their own — that slot's release entry, which
-// goes back to its pool before a panic re-raises into the morsel recovery.
-// Cancellation is polled inside FilterBlock per scanChunk block (the
-// token rides in the bound args), so a fired token leaves a partial
-// vector the caller discards.
+// Cancellation is polled inside FilterBlock per scanChunk block (the token
+// rides in the bound args), so a fired token leaves a partial vector the
+// caller discards.
 func (fp *filterPass) RunPartition(slot int) {
-	buf := fp.out
+	buf := fp.buf(slot)
 	if slot > 0 {
-		buf = getRowBuf(colstore.RangesLen(fp.parts[slot]))
-		defer func() {
-			if p := recover(); p != nil {
-				fp.results[slot] = nil
-				rowPool.Put(buf)
-				panic(p)
-			}
-		}()
+		defer fp.settle(slot, buf)
 	}
 	hitMorselWorker(len(fp.parts))
 	for _, r := range fp.parts[slot] {
@@ -199,42 +256,94 @@ func (fp *filterPass) RunPartition(slot int) {
 }
 
 // filterRanges drives the block kernel over the candidate ranges in deg
-// partitions (split by the shared grid partitioner), appending matches to
-// out. Partitions are disjoint ascending row ranges, so concatenating
-// partitions 1.. behind partition 0 in ascending order is row order at
-// every degree. A partition panic re-raises here after all partitions
-// settle, with every surviving partial already recycled; the merge
-// faultpoint's error path proves the same accounting without a panic.
+// partitions, appending matches to out. A partition panic re-raises here
+// after all partitions settle, with every surviving partial already
+// recycled; the merge faultpoint's error path proves the same accounting
+// without a panic.
 func filterRanges(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
+	return filterPasses.get().run(k, a, cand, deg, out)
+}
+
+// filterAll is filterRanges over rows [0, n). The one-range candidate
+// list lives in the pooled pass: a degree-1 split hands its input on as
+// the partition, so a list on the caller's stack would escape to the heap
+// on every call.
+func filterAll(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
 	fp := filterPasses.get()
-	fp.k, fp.a, fp.out = k, a, out
-	fp.partBuf, fp.cuts, fp.parts = grid.SplitRangesInto(cand, deg, fp.partBuf, fp.cuts, fp.parts)
-	n := len(fp.parts)
-	if cap(fp.results) < n {
-		fp.results = make([][]int, n)
-	}
-	fp.results = fp.results[:n]
+	fp.all[0] = colstore.Range{End: n}
+	return fp.run(k, a, fp.all[:], deg, out)
+}
+
+func (fp *filterPass) run(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
+	fp.k, fp.a = k, a
+	n := fp.split(cand, deg, out)
 	p := fp.pass.Run(n, fp)
-	var err error
-	if p == nil {
-		err = hitMorselMerge(n)
-	}
-	if n > 0 {
-		out = fp.results[0]
-	}
-	for i := 1; i < n; i++ {
-		if p == nil && err == nil {
-			out = append(out, fp.results[i]...)
-		}
-		rowPool.Put(fp.results[i])
-	}
-	clear(fp.results)
-	fp.k, fp.a, fp.out = nil, KernelArgs{}, nil
+	out, err := fp.merge(p)
+	fp.k, fp.a = nil, KernelArgs{}
 	filterPasses.put(fp)
 	if p != nil {
 		panic(p)
 	}
 	return out, err
+}
+
+// refinePass drives grid refinement: the coordinate columns, the region
+// and the per-partition refinement statistics.
+type refinePass struct {
+	rowSplit
+	xs, ys []float64
+	region grid.Region
+	opts   grid.Options
+	stats  []grid.Stats
+}
+
+var refinePasses passFree[refinePass]
+
+// RunPartition refines one partition's ranges. Cancellation is polled
+// inside grid.RefineInto per candidate block (the token rides in opts).
+func (rp *refinePass) RunPartition(slot int) {
+	buf := rp.buf(slot)
+	if slot > 0 {
+		defer rp.settle(slot, buf)
+	}
+	hitMorselWorker(len(rp.parts))
+	rp.results[slot], rp.stats[slot] = grid.RefineInto(rp.xs, rp.ys, rp.parts[slot], rp.region, rp.opts, buf)
+}
+
+// refineRanges refines the candidate ranges against region in deg
+// partitions, appending matches to out, and sums the partitions' grid
+// statistics (CellsTouched counts a cell once per partition that touched
+// it; the grid dimensions are the largest any partition chose). Panic and
+// error accounting are filterRanges'.
+func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, opts grid.Options, deg int, out []int) ([]int, grid.Stats, error) {
+	rp := refinePasses.get()
+	rp.xs, rp.ys, rp.region, rp.opts = xs, ys, region, opts
+	n := rp.split(cand, deg, out)
+	if cap(rp.stats) < n {
+		rp.stats = make([]grid.Stats, n)
+	}
+	rp.stats = rp.stats[:n]
+	p := rp.pass.Run(n, rp)
+	var st grid.Stats
+	for _, s := range rp.stats {
+		st.CandidateRows += s.CandidateRows
+		st.GridCellsX = max(st.GridCellsX, s.GridCellsX)
+		st.GridCellsY = max(st.GridCellsY, s.GridCellsY)
+		st.CellsTouched += s.CellsTouched
+		st.InsideCells += s.InsideCells
+		st.BoundaryCells += s.BoundaryCells
+		st.OutsideCells += s.OutsideCells
+		st.BulkAccepted += s.BulkAccepted
+		st.ExactTests += s.ExactTests
+		st.Matches += s.Matches
+	}
+	out, err := rp.merge(p)
+	rp.xs, rp.ys, rp.region, rp.opts = nil, nil, nil, grid.Options{}
+	refinePasses.put(rp)
+	if p != nil {
+		panic(p)
+	}
+	return out, st, err
 }
 
 // --- fused sum/min/max aggregate ------------------------------------------------

@@ -4,6 +4,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -19,6 +20,31 @@ import (
 // the resident worker set must serve the next pass correctly.
 
 var errMorselInjected = errors.New("injected morsel fault")
+
+// wholeExtent covers every row of a groupTestCloud.
+var wholeExtent grid.Region = grid.GeometryRegion{G: geom.NewEnvelope(-1, -1, 1001, 1001).ToPolygon()}
+
+// selectAll is the refine path as a fault-test query. The selector has no
+// error return, so an injected merge error unwinds as a panic carrying the
+// error; it is recovered back into one here, and any other panic
+// propagates.
+func selectAll(pc *PointCloud, run *Run) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			e, ok := p.(error)
+			if !ok {
+				panic(p)
+			}
+			err = e
+		}
+	}()
+	rows := pc.SelectRegionRowsRun(run, wholeExtent, nil)
+	if len(rows) != pc.Len() {
+		return fmt.Errorf("selected %d of %d rows", len(rows), pc.Len())
+	}
+	run.RecycleRows(rows)
+	return nil
+}
 
 func TestFaultMorselWorkerPanicZeroDrift(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
@@ -53,46 +79,50 @@ func TestFaultMorselWorkerPanicZeroDrift(t *testing.T) {
 			var res GroupedResult
 			return pc.GroupedAggregateRun(run, nil, ColGPSTime, specs, &res, nil)
 		},
+		"refine": func(run *Run) error { return selectAll(pc, run) },
 	}
 	for name, query := range paths {
-		t.Run(name, func(t *testing.T) {
-			t.Cleanup(faultpoint.Reset)
-			run := parRun(4)
-			if err := query(run); err != nil { // warm: kernels cached, pools primed
-				t.Fatal(err)
-			}
+		// After: 1 lets one partition through, so later partitions —
+		// usually on resident workers — panic while siblings still hold
+		// partial buffers that must come home. After: 0 poisons every
+		// partition, the caller's partition 0 included.
+		for _, after := range []int{1, 0} {
+			t.Run(fmt.Sprintf("%s/after-%d", name, after), func(t *testing.T) {
+				t.Cleanup(faultpoint.Reset)
+				run := parRun(4)
+				if err := query(run); err != nil { // warm: kernels cached, pools primed
+					t.Fatal(err)
+				}
 
-			// After: 1 lets one partition through, so later partitions —
-			// usually on resident workers — panic while siblings still hold
-			// partial buffers that must come home.
-			faultpoint.Arm("engine.morsel.worker", faultpoint.Action{Panic: "morsel worker poisoned", After: 1})
-			before := morselPoolSnapshot()
-			func() {
-				defer func() {
-					p := recover()
-					if p == nil {
-						t.Fatal("armed worker partition did not re-raise in the caller")
-					}
-					if s, ok := p.(string); !ok || s != "morsel worker poisoned" {
-						t.Fatalf("re-raised %v, want the armed panic value", p)
-					}
-					run.Drain()
+				faultpoint.Arm("engine.morsel.worker", faultpoint.Action{Panic: "morsel worker poisoned", After: after})
+				before := morselPoolSnapshot()
+				func() {
+					defer func() {
+						p := recover()
+						if p == nil {
+							t.Fatal("armed worker partition did not re-raise in the caller")
+						}
+						if s, ok := p.(string); !ok || s != "morsel worker poisoned" {
+							t.Fatalf("re-raised %v, want the armed panic value", p)
+						}
+						run.Drain()
+					}()
+					_ = query(run)
 				}()
-				_ = query(run)
-			}()
-			if d := morselPoolSnapshot() - before; d != 0 {
-				t.Fatalf("worker panic in %s drifted pools by %d", name, d)
-			}
-			if faultpoint.HitCount("engine.morsel.worker") == 0 {
-				t.Fatal("worker point never hit — the path does not fan out")
-			}
+				if d := morselPoolSnapshot() - before; d != 0 {
+					t.Fatalf("worker panic in %s drifted pools by %d", name, d)
+				}
+				if faultpoint.HitCount("engine.morsel.worker") == 0 {
+					t.Fatal("worker point never hit — the path does not fan out")
+				}
 
-			// The worker set survives: disarmed, the next pass is correct.
-			faultpoint.Disarm("engine.morsel.worker")
-			if err := query(run); err != nil {
-				t.Fatalf("pass after recovery: %v", err)
-			}
-		})
+				// The worker set survives: disarmed, the next pass is correct.
+				faultpoint.Disarm("engine.morsel.worker")
+				if err := query(run); err != nil {
+					t.Fatalf("pass after recovery: %v", err)
+				}
+			})
+		}
 	}
 
 	// Spot-check post-recovery output against the serial truth.
@@ -140,6 +170,7 @@ func TestFaultMorselMergeErrorZeroDrift(t *testing.T) {
 			var res GroupedResult
 			return pc.GroupedAggregateRun(run, nil, ColGPSTime, specs, &res, nil)
 		},
+		"refine": func(run *Run) error { return selectAll(pc, run) },
 	}
 	for name, query := range paths {
 		t.Run(name, func(t *testing.T) {
@@ -170,24 +201,20 @@ func TestFaultMorselMergeErrorZeroDrift(t *testing.T) {
 
 // TestFaultRefineDegreeFollowsRunCap pins the one-place degree rule for
 // grid refinement: with the table opted into auto-parallel execution, a
-// run capped at 1 must never reach a refine partition (the cap used to be
-// ignored — refinement consulted pc.Parallel directly), while a cap of 2
-// over a large candidate set fans out like every other operator.
+// run capped at 1 must never fan a refine pass out (no worker partition
+// runs), while a cap of 2 over a large candidate set runs two partitions
+// like every other operator.
 func TestFaultRefineDegreeFollowsRunCap(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	pc := groupTestCloud(t, morselCloudRows)
 	pc.Parallel = true
-	everything := grid.GeometryRegion{G: geom.NewEnvelope(-1, -1, 1001, 1001).ToPolygon()}
 	for _, c := range []struct{ cap, hits int }{{1, 0}, {2, 2}} {
-		faultpoint.Arm("grid.refine.partition", faultpoint.Action{}) // count hits, do nothing
-		run := parRun(c.cap)
-		rows := pc.SelectRegionRowsRun(run, everything)
-		if len(rows) != pc.Len() {
-			t.Fatalf("cap %d: selected %d of %d rows", c.cap, len(rows), pc.Len())
+		faultpoint.Arm("engine.morsel.worker", faultpoint.Action{}) // count hits, do nothing
+		if err := selectAll(pc, parRun(c.cap)); err != nil {
+			t.Fatalf("cap %d: %v", c.cap, err)
 		}
-		run.RecycleRows(rows)
-		if got := faultpoint.HitCount("grid.refine.partition"); got != c.hits {
-			t.Fatalf("cap %d: %d refine partitions ran, want %d", c.cap, got, c.hits)
+		if got := faultpoint.HitCount("engine.morsel.worker"); got != c.hits {
+			t.Fatalf("cap %d: %d refine partitions ran as workers, want %d", c.cap, got, c.hits)
 		}
 	}
 }

@@ -145,28 +145,90 @@ func TestMorselFilterMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestWideSelectivitySkipsCandidates pins the satellite fix: a predicate
-// matching most of the table must produce the same rows as the narrow
-// path and as a plain scan, and the wide threshold itself must hold.
-func TestWideSelectivitySkipsCandidates(t *testing.T) {
-	pc := groupTestCloud(t, morselCloudRows)
-	if !wideSelectivity(1, 2) || wideSelectivity(0, 2) || wideSelectivity(0, 0) {
-		t.Fatal("wideSelectivity threshold is off")
+// TestMorselRefineEveryDegree pins grid refinement at every degree to
+// grid.RefineInto and to the exhaustive per-point reference: the driver at
+// driverDegrees over boxes, polygons, buffers, multi-regions and NaN/±Inf
+// envelopes (which grid sizing cannot use and must fall back from), across
+// full, fragmented, single-range, single-row and empty candidate lists;
+// then SelectRegionRowsRun at caps 1..4 on a table large enough to fan out.
+func TestMorselRefineEveryDegree(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: 200, Y: 300}, {X: 750, Y: 250}, {X: 900, Y: 700}, {X: 350, Y: 900},
+	}}}
+	road := geom.LineString{Points: []geom.Point{{X: 0, Y: 500}, {X: 1000, Y: 520}}}
+	spike := geom.NewEnvelope(700, 700, 950, 950).ToPolygon()
+	finite := map[string]grid.Region{
+		"box":          boxRegion(geom.NewEnvelope(100, 150, 820, 700)),
+		"polygon":      grid.GeometryRegion{G: poly},
+		"buffer":       grid.BufferRegion{G: road, D: 60},
+		"multi-region": grid.NewMultiRegion([]geom.Geometry{poly, spike}),
+		"multi-buffer": grid.NewMultiBuffer([]geom.Geometry{road, geom.Point{X: 200, Y: 800}}, 40),
 	}
-	for _, bounds := range [][2]float64{{-60, 160}, {0, 10}} {
-		indexed, err := pc.FilterRangeIndexed(ColZ, bounds[0], bounds[1], nil)
-		if err != nil {
-			t.Fatal(err)
+	regions := map[string]grid.Region{
+		"inf-envelope": boxRegion(geom.Envelope{MinX: math.Inf(-1), MinY: 100, MaxX: 400, MaxY: math.Inf(1)}),
+		"nan-envelope": boxRegion(geom.Envelope{MinX: math.NaN(), MinY: 0, MaxX: 500, MaxY: 500}),
+	}
+	for name, r := range finite {
+		regions[name] = r
+	}
+
+	pc := groupTestCloud(t, 20000)
+	xs, ys, n := pc.X(), pc.Y(), pc.Len()
+	var fragmented []colstore.Range
+	for at := rng.Intn(50); at < n; at += 1 + rng.Intn(700) {
+		end := min(at+1+rng.Intn(400), n)
+		fragmented = append(fragmented, colstore.Range{Start: at, End: end})
+		at = end
+	}
+	cands := map[string][]colstore.Range{
+		"full":       colstore.FullRange(n),
+		"fragmented": fragmented,
+		"single":     {{Start: n / 3, End: 2 * n / 3}},
+		"one-row":    {{Start: 17, End: 18}},
+		"empty":      nil,
+	}
+	before := morselPoolSnapshot()
+	for rname, region := range regions {
+		for cname, cand := range cands {
+			want, _ := grid.RefineExhaustiveInto(xs, ys, cand, region, nil)
+			serial, sst := grid.RefineInto(xs, ys, cand, region, pc.GridOpts, nil)
+			if !equalRows(serial, want) {
+				t.Fatalf("%s %s: RefineInto %d rows, exhaustive %d", rname, cname, len(serial), len(want))
+			}
+			for _, deg := range driverDegrees() {
+				got, st, err := refineRanges(xs, ys, cand, region, pc.GridOpts, deg, getRowBuf(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalRows(got, want) {
+					t.Fatalf("%s %s deg %d: %d rows, reference %d", rname, cname, deg, len(got), len(want))
+				}
+				if st.Matches != len(want) || st.CandidateRows != colstore.RangesLen(cand) || (deg == 1 && st != sst) {
+					t.Fatalf("%s %s deg %d: stats %+v, RefineInto %+v", rname, cname, deg, st, sst)
+				}
+				RecycleRows(got)
+			}
 		}
-		scanned, err := pc.FilterRangeScan(ColZ, bounds[0], bounds[1], nil)
-		if err != nil {
-			t.Fatal(err)
+	}
+	if d := morselPoolSnapshot() - before; d != 0 {
+		t.Fatalf("refine passes drifted pools by %d", d)
+	}
+
+	big := groupTestCloud(t, morselCloudRows)
+	for rname, region := range finite {
+		want := scanRegion(big, region)
+		for _, deg := range []int{1, 2, 3, 4} {
+			run := parRun(deg)
+			got := big.SelectRegionRowsRun(run, region, nil)
+			if !equalRows(got, want) {
+				t.Fatalf("%s cap %d: %d rows, reference %d", rname, deg, len(got), len(want))
+			}
+			run.RecycleRows(got)
+			if run.Live() != 0 {
+				t.Fatalf("%s cap %d: select run still owns %d buffers", rname, deg, run.Live())
+			}
 		}
-		if !equalRows(indexed, scanned) {
-			t.Fatalf("bounds %v: indexed %d rows, scan %d", bounds, len(indexed), len(scanned))
-		}
-		RecycleRows(indexed)
-		RecycleRows(scanned)
 	}
 }
 
@@ -897,6 +959,22 @@ func TestMorselSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state parallel AggregateRun allocates %.1f objects/op, want 0", allocs)
 	}
 
+	// A warm degree-2 refine: pooled pass, pooled partition vector,
+	// pooled cell states.
+	var everything grid.Region = boxRegion(geom.NewEnvelope(-1, -1, 1001, 1001))
+	run2 := parRun(2)
+	allocs = testing.AllocsPerRun(50, func() {
+		rows := pc.SelectRegionRowsRun(run2, everything, nil)
+		got = len(rows)
+		run2.RecycleRows(rows)
+	})
+	if got != pc.Len() {
+		t.Fatalf("whole-extent select matched %d of %d rows", got, pc.Len())
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state degree-2 SelectRegionRowsRun allocates %.1f objects/op, want 0", allocs)
+	}
+
 	var res GroupedResult
 	for _, key := range []string{ColClassification, ColGPSTime} {
 		specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
@@ -974,12 +1052,13 @@ func TestMorselExplainRecordsDegree(t *testing.T) {
 		want string
 	}{{1, ""}, {2, " [par 2]"}} {
 		run := parRun(c.cap)
-		sel := pc.SelectRegionRun(run, everything)
-		if len(sel.Rows) != pc.Len() {
-			t.Fatalf("cap %d: region over the whole extent selected %d of %d rows", c.cap, len(sel.Rows), pc.Len())
+		ex := &Explain{}
+		rows := pc.SelectRegionRowsRun(run, everything, ex)
+		if len(rows) != pc.Len() {
+			t.Fatalf("cap %d: region over the whole extent selected %d of %d rows", c.cap, len(rows), pc.Len())
 		}
-		run.RecycleRows(sel.Rows)
-		for _, s := range sel.Explain.Steps {
+		run.RecycleRows(rows)
+		for _, s := range ex.Steps {
 			if s.Op != opGridRefine {
 				continue
 			}

@@ -4,43 +4,26 @@ import (
 	"testing"
 
 	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 )
 
 func TestParallelSelectionMatchesSerial(t *testing.T) {
 	pc, _ := buildCloud(t, 0.2) // enough rows to cross the parallel threshold
-	serial := pc.SelectBox(geom.NewEnvelope(100, 100, 900, 900))
-
-	pc.Parallel = true
-	parallel := pc.SelectBox(geom.NewEnvelope(100, 100, 900, 900))
-	pc.Parallel = false
-
-	if len(serial.Rows) != len(parallel.Rows) {
-		t.Fatalf("serial %d rows, parallel %d rows", len(serial.Rows), len(parallel.Rows))
-	}
-	for i := range serial.Rows {
-		if serial.Rows[i] != parallel.Rows[i] {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-
-	// Polygon and buffer regions too.
 	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
 		{X: 100, Y: 200}, {X: 800, Y: 150}, {X: 900, Y: 800}, {X: 300, Y: 950},
 	}}}
-	s := pc.SelectGeometry(poly)
-	pc.Parallel = true
-	p := pc.SelectGeometry(poly)
-	pc.Parallel = false
-	if len(s.Rows) != len(p.Rows) {
-		t.Fatalf("polygon: serial %d vs parallel %d", len(s.Rows), len(p.Rows))
-	}
-
 	road := geom.LineString{Points: []geom.Point{{X: 0, Y: 480}, {X: 1000, Y: 520}}}
-	s2 := pc.SelectDWithin(road, 50)
-	pc.Parallel = true
-	p2 := pc.SelectDWithin(road, 50)
-	pc.Parallel = false
-	if len(s2.Rows) != len(p2.Rows) {
-		t.Fatalf("dwithin: serial %d vs parallel %d", len(s2.Rows), len(p2.Rows))
+	for _, region := range []grid.Region{
+		boxRegion(geom.NewEnvelope(100, 100, 900, 900)),
+		grid.GeometryRegion{G: poly},
+		grid.BufferRegion{G: road, D: 50},
+	} {
+		serial := pc.SelectRegionRows(region)
+		pc.Parallel = true
+		parallel := pc.SelectRegionRows(region)
+		pc.Parallel = false
+		if len(serial) == 0 || !equalRows(serial, parallel) {
+			t.Fatalf("%v: serial %d rows, parallel %d rows", region, len(serial), len(parallel))
+		}
 	}
 }

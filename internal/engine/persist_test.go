@@ -33,7 +33,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	// The reopened table answers queries identically.
 	box := geom.NewEnvelope(100, 100, 400, 400)
-	if len(got.SelectBox(box).Rows) != len(pc.SelectBox(box).Rows) {
+	if len(got.SelectRegionRows(boxRegion(box))) != len(pc.SelectRegionRows(boxRegion(box))) {
 		t.Fatal("reopened table disagrees on a query")
 	}
 	// Column file accounting works.

@@ -153,18 +153,13 @@ func TestPlanCacheConstantSweepSharesKernel(t *testing.T) {
 func TestSelectRegionRowsMatchesSelectRegion(t *testing.T) {
 	pc, _ := buildCloud(t, 0.05)
 	region := grid.GeometryRegion{G: geom.NewEnvelope(200, 200, 600, 650).ToPolygon()}
-	want := pc.SelectRegion(region)
+	want, _ := selectTraced(pc, region)
 	got := pc.SelectRegionRows(region)
-	if len(got) != len(want.Rows) {
-		t.Fatalf("SelectRegionRows found %d rows, SelectRegion %d", len(got), len(want.Rows))
-	}
-	for i := range got {
-		if got[i] != want.Rows[i] {
-			t.Fatalf("row %d: %d vs %d", i, got[i], want.Rows[i])
-		}
+	if len(got) == 0 || !equalRows(got, want) {
+		t.Fatalf("SelectRegionRows found %d rows, traced %d", len(got), len(want))
 	}
 	RecycleRows(got)
-	want.Release()
+	RecycleRows(want)
 
 	// Empty region: non-nil empty, not "all rows".
 	empty := pc.SelectRegionRows(grid.GeometryRegion{G: geom.MultiPolygon{}})

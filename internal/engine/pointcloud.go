@@ -36,10 +36,9 @@ type PointCloud struct {
 	// results are identical).
 	Parallel bool
 
-	mu          sync.Mutex
-	imprintX    *imprints.Imprints
-	imprintY    *imprints.Imprints
-	colImprints map[string]*imprints.Imprints
+	mu       sync.Mutex
+	imprintX *imprints.Imprints
+	imprintY *imprints.Imprints
 
 	// plans memoises compiled filter kernels per (column, op); dropped
 	// together with the imprints on InvalidateIndexes, because both bind to
@@ -126,7 +125,6 @@ func (pc *PointCloud) InvalidateIndexes() {
 	pc.epoch.Add(1)
 	pc.mu.Lock()
 	pc.imprintX, pc.imprintY = nil, nil
-	pc.colImprints = nil
 	pc.mu.Unlock()
 	pc.plans.Reset()
 }
@@ -215,91 +213,34 @@ func (pc *PointCloud) IndexBytes() int {
 	return n
 }
 
-// Selection is the result of a spatial selection: matching row ids in
-// ascending order plus the operator trace that produced them.
-type Selection struct {
-	Rows    []int
-	Explain *Explain
-	Refine  grid.Stats
-}
-
-// Release hands the selection vector back to the engine's pool. The caller
-// must not touch s.Rows afterwards. Releasing is optional — unreleased
-// vectors are garbage collected normally.
-func (s Selection) Release() { RecycleRows(s.Rows) }
-
-// SelectBox returns the rows inside env using filter–refine.
-func (pc *PointCloud) SelectBox(env geom.Envelope) Selection {
-	return pc.SelectRegion(grid.GeometryRegion{G: env.ToPolygon()})
-}
-
-// SelectGeometry returns the rows inside geometry g using filter–refine.
-func (pc *PointCloud) SelectGeometry(g geom.Geometry) Selection {
-	return pc.SelectRegion(grid.GeometryRegion{G: g})
-}
-
-// SelectDWithin returns the rows within distance d of geometry g — the
-// "LIDAR points near ..." predicate of scenario 2.
-func (pc *PointCloud) SelectDWithin(g geom.Geometry, d float64) Selection {
-	return pc.SelectRegion(grid.BufferRegion{G: g, D: d})
-}
-
-// SelectRegion runs the two-step query model over an arbitrary region:
-//  1. filter — one zone-skipping walk over the X and Y imprints flags the
-//     cache lines that may hold a point of the region's bounding box.
-//  2. refine — the regular grid classifies cells against the region and
-//     only boundary cells fall back to exact point tests.
-func (pc *PointCloud) SelectRegion(region grid.Region) Selection {
-	return pc.SelectRegionRun(nil, region)
-}
-
-// SelectRegionRun is SelectRegion under a query lifecycle: the selection
-// vector and candidate-range scratch register in run's release list, and
-// refinement polls the run's cancellation token per candidate block. A
-// fired token returns a partial selection — callers that passed a live
-// run must check run.Cancelled() and discard it.
-func (pc *PointCloud) SelectRegionRun(run *Run, region grid.Region) Selection {
-	ex := &Explain{}
-	rows, st := pc.selectRegionRows(run, region, ex)
-	return Selection{Rows: rows, Explain: ex, Refine: st}
-}
-
-// SelectRegionRows is the steady-state navigation entry point: SelectRegion
-// without the operator trace. With imprints built and the candidate-range,
-// selection-vector and grid-state buffers all pooled, a repeated query
-// through this path performs zero heap allocations at refinement degree
-// 1. (With Parallel set and a large candidate set, the fan-out still pays
-// O(workers) bookkeeping per query — partial match vectors are pooled,
-// goroutine scaffolding is not.) The returned vector is pooled; hand it
-// back with RecycleRows when done.
+// SelectRegionRows is SelectRegionRowsRun without a lifecycle or a trace:
+// the navigation entry point for callers outside the SQL layer.
 func (pc *PointCloud) SelectRegionRows(region grid.Region) []int {
-	rows, _ := pc.selectRegionRows(nil, region, nil)
-	return rows
+	return pc.SelectRegionRowsRun(nil, region, nil)
 }
 
-// SelectRegionRowsRun is SelectRegionRows under a query lifecycle (see
-// SelectRegionRun): pooled buffers register in run's release list and the
-// refinement loop honours the run's cancellation token. On cancellation
-// the returned vector is partial; check run.Cancelled().
-func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region) []int {
-	rows, _ := pc.selectRegionRows(run, region, nil)
-	return rows
-}
-
-// selectRegionRows is the shared filter–refine core; ex may be nil, in
-// which case no trace (and none of its formatting allocations) is produced.
-func (pc *PointCloud) selectRegionRows(run *Run, region grid.Region, ex *Explain) ([]int, grid.Stats) {
+// SelectRegionRowsRun is the spatial selector — the paper's two-step query
+// model over an arbitrary region:
+//  1. filter — one zone-skipping walk over the X and Y imprints flags the
+//     cache lines that may hold a point of the region's bounding box;
+//  2. refine — the regular grid classifies cells against the region and
+//     only boundary cells fall back to exact point tests, in morsel
+//     partitions at the degree morselDegree picks (refineRanges).
+//
+// The matching row ids come back ascending in a pooled vector, tracked by
+// run (hand it back with run.RecycleRows, or RecycleRows when run is nil);
+// an empty region or table yields an empty non-nil vector — nil means "all
+// rows" downstream. ex, when non-nil, receives the operator trace. A warm
+// query allocates nothing at any degree. A fired run token returns a
+// partial selection: callers that passed a live run must check
+// run.Cancelled() and discard it.
+func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, ex *Explain) []int {
 	env := region.Envelope()
 	if env.IsEmpty() || pc.Len() == 0 {
-		if ex != nil {
-			ex.Add(opSelectRegion, "empty region or table", pc.Len(), 0, 0)
-		}
-		// Empty but non-nil: downstream consumers (FilterRows, the SQL
-		// executor) read nil as "all rows", so an empty selection must
-		// stay distinguishable.
-		return []int{}, grid.Stats{}
+		ex.Add(opSelectRegion, "empty region or table", pc.Len(), 0, 0)
+		return []int{}
 	}
-	if d := pc.EnsureImprints(); d > 0 && ex != nil {
+	if d := pc.EnsureImprints(); d > 0 {
 		ex.Add(opImprintsBuild, "x+y coordinate imprints", pc.Len(), pc.Len(), d)
 	}
 	imX, imY := pc.imprintsXY()
@@ -321,25 +262,29 @@ func (pc *PointCloud) selectRegionRows(run *Run, region grid.Region, ex *Explain
 	// copy of the grid options; pc.GridOpts itself stays run-independent.
 	opts := pc.GridOpts
 	opts.Cancel = run.Token()
-	// Refinement takes its degree from the same rule as every other
-	// operator; at degree 1 RefineParallelInto is RefineInto, inline.
 	deg := pc.morselDegree(run, colstore.RangesLen(cand))
-	rows, st := grid.RefineParallelInto(pc.xs.Values(), pc.ys.Values(), cand, region, opts, deg, rows)
+	rows, st, err := refineRanges(pc.xs.Values(), pc.ys.Values(), cand, region, opts, deg, rows)
 	run.recycleRanges(cand)
+	if err != nil {
+		// Only the merge faultpoint errs. A select has no error return, so
+		// it unwinds like a worker fault, its buffers already home.
+		run.RecycleRows(rows)
+		panic(err)
+	}
 	if ex != nil {
 		detail := fmt.Sprintf("%dx%d cells, %d boundary", st.GridCellsX, st.GridCellsY, st.BoundaryCells)
 		ex.Add(opGridRefine, parDetail(detail, deg), st.CandidateRows, len(rows), time.Since(start))
 	}
-	return rows, st
+	return rows
 }
 
 // candidateRangesXY runs the imprint filter step for env's bounding box:
 // one zone-skipping walk over both coordinate imprints appends the lines
 // flagged on X and on Y straight into one pooled range list (~170KB/query
 // at small scale if it were allocated instead). The caller owns the list
-// and must hand it back with run.recycleRanges (or RecycleRanges when run
-// is nil); it registers in the release list only after the walk that grows
-// it returns (track-after-production).
+// and must hand it back with run.recycleRanges (nil-safe); it registers
+// in the release list only after the walk that grows it returns
+// (track-after-production).
 func candidateRangesXY(run *Run, imX, imY *imprints.Imprints, env geom.Envelope) ([]colstore.Range, imprints.ZoneStats) {
 	terms := [...]imprints.Term{
 		{Im: imX, Lo: env.MinX, Hi: env.MaxX},
@@ -361,37 +306,4 @@ func candidateRangesXY(run *Run, imX, imY *imprints.Imprints, env geom.Envelope)
 // the rendered table truncates long details.
 func xyFilterDetail(zones imprints.ZoneStats, env geom.Envelope) string {
 	return fmt.Sprintf("zones %d/%d, bbox %s", zones.Hit, zones.Total, env.String())
-}
-
-// SelectRegionScan is the no-index baseline: every row refines exhaustively.
-// Rows are pool-drawn like every other Selection producer, so Release keeps
-// the pool accounting balanced.
-func (pc *PointCloud) SelectRegionScan(region grid.Region) Selection {
-	ex := &Explain{}
-	start := time.Now()
-	rows, st := grid.RefineExhaustiveInto(pc.xs.Values(), pc.ys.Values(),
-		colstore.FullRange(pc.Len()), region, getRowBuf(pc.Len()))
-	ex.Add(opScanExhaustive, "full table scan + exact test", pc.Len(), len(rows), time.Since(start))
-	return Selection{Rows: rows, Explain: ex, Refine: st}
-}
-
-// SelectRegionImprintsOnly filters with imprints but refines exhaustively
-// (no grid) — the E10 ablation arm isolating the grid's contribution.
-func (pc *PointCloud) SelectRegionImprintsOnly(region grid.Region) Selection {
-	ex := &Explain{}
-	env := region.Envelope()
-	if env.IsEmpty() || pc.Len() == 0 {
-		return Selection{Rows: []int{}, Explain: ex}
-	}
-	pc.EnsureImprints()
-	imX, imY := pc.imprintsXY()
-	start := time.Now()
-	cand, zones := candidateRangesXY(nil, imX, imY, env)
-	ex.Add(opImprintsFilter, xyFilterDetail(zones, env), pc.Len(), colstore.RangesLen(cand), time.Since(start))
-	start = time.Now()
-	rows, st := grid.RefineExhaustiveInto(pc.xs.Values(), pc.ys.Values(), cand, region,
-		getRowBuf(colstore.RangesLen(cand)))
-	RecycleRanges(cand)
-	ex.Add(opRefineExhaustive, "exact test per candidate", st.CandidateRows, len(rows), time.Since(start))
-	return Selection{Rows: rows, Explain: ex, Refine: st}
 }

@@ -28,11 +28,12 @@ func getRowBuf(capHint int) []int { return rowPool.Get(capHint) }
 // with RecycleRows.
 func AcquireRows(capHint int) []int { return getRowBuf(capHint) }
 
-// RecycleRows returns a selection vector previously produced by FilterRows,
-// FilterRangeIndexed, FilterRangeScan, SelectRegionRows, or Selection.Rows
-// to the engine's pool. The caller must not touch rows afterwards. Recycling
-// is optional — vectors that are never returned are simply garbage
-// collected.
+// RecycleRows returns a selection vector produced by FilterRows{,Run} or
+// SelectRegionRows{,Run} (or drawn through AcquireRows) to the engine's
+// pool. The caller must not touch rows afterwards; under a run, recycle
+// through run.RecycleRows instead so the release list untracks it.
+// Recycling is optional — vectors that are never returned are simply
+// garbage collected.
 func RecycleRows(rows []int) { rowPool.Put(rows) }
 
 // getRangeBuf acquires a pooled candidate-range buffer.
@@ -60,12 +61,6 @@ func AcquireF64(capHint int) []float64 { return getF64Buf(capHint) }
 // the pool's Outstanding counter stays balanced across build/invalidate
 // cycles.
 func RecycleF64(b []float64) { f64Pool.Put(b) }
-
-// RecycleRanges returns a candidate-range buffer drawn from the engine's
-// pool: the one list per query an imprint walk (ConjunctiveRangesInto for a
-// region select, CandidateRangesInto for a thematic range) appends into.
-// The caller must not touch rs afterwards.
-func RecycleRanges(rs []colstore.Range) { rangePool.Put(rs) }
 
 // PoolStats is a snapshot of one buffer pool, for diagnostics and the
 // pool-accounting regression tests.

@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentPoolAndPlanCacheStress hammers the striped buffer pools and
 // the plan cache from many goroutines at once: repeated spatial selections
-// (pooled ranges + vectors + grid states), indexed thematic filters (cached
+// (pooled ranges + vectors + grid states), thematic range filters (cached
 // range kernels), predicate filters (cached compare kernels), and periodic
 // plan-cache invalidations racing the readers. Run under -race in CI; the
 // assertions here are correctness (row counts stay stable across
@@ -20,15 +20,13 @@ import (
 func TestConcurrentPoolAndPlanCacheStress(t *testing.T) {
 	pc, _ := buildCloud(t, 0.05)
 	pc.EnsureImprints()
-	if _, err := pc.EnsureColumnImprint(ColZ); err != nil {
-		t.Fatal(err)
-	}
 
 	var region grid.Region = grid.GeometryRegion{G: geom.NewEnvelope(120, 80, 740, 690).ToPolygon()}
 	spatial := pc.SelectRegionRows(region)
 	wantSpatial := len(spatial)
 	RecycleRows(spatial)
-	thematic, err := pc.FilterRangeIndexed(ColZ, 0, 15, nil)
+	band := []ColumnPred{{Column: ColZ, Op: CmpBetween, Value: 0, Value2: 15}}
+	thematic, err := pc.FilterRows(nil, band, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestConcurrentPoolAndPlanCacheStress(t *testing.T) {
 					}
 					RecycleRows(rows)
 				case 1:
-					rows, err := pc.FilterRangeIndexed(ColZ, 0, 15, nil)
+					rows, err := pc.FilterRows(nil, band, nil)
 					if err != nil || len(rows) != wantThematic {
 						errs <- "thematic count drifted"
 					}
@@ -84,11 +82,11 @@ func TestConcurrentPoolAndPlanCacheStress(t *testing.T) {
 					if i%8 == 0 {
 						pc.InvalidateIndexes()
 					}
-					sel := pc.SelectRegion(region)
-					if len(sel.Rows) != wantSpatial {
+					rows, _ := selectTraced(pc, region)
+					if len(rows) != wantSpatial {
 						errs <- "post-invalidate spatial count drifted"
 					}
-					sel.Release()
+					RecycleRows(rows)
 				}
 			}
 		}(g)

@@ -140,7 +140,7 @@ func TestSelectRegionRunCancelled(t *testing.T) {
 	close(done)
 	rs.Bind(done)
 	drift := selectionDrift(t, func() {
-		rows := pc.SelectRegionRowsRun(&rs, region)
+		rows := pc.SelectRegionRowsRun(&rs, region, nil)
 		if !rs.Cancelled() {
 			t.Fatal("run not cancelled")
 		}
@@ -179,13 +179,13 @@ func TestSelectRegionDrawsOneRangeList(t *testing.T) {
 	}
 	defer func() {
 		for _, b := range held {
-			RecycleRanges(b)
+			rangePool.Put(b)
 		}
 	}()
 	start := RangePoolStats().Outstanding
 
 	var rs Run
-	rows := pc.SelectRegionRowsRun(&rs, region)
+	rows := pc.SelectRegionRowsRun(&rs, region, nil)
 	if len(rows) == 0 {
 		t.Fatal("selection matched no rows; the measurement is vacuous")
 	}
@@ -198,7 +198,7 @@ func TestSelectRegionDrawsOneRangeList(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	rs.Bind(done)
-	pc.SelectRegionRowsRun(&rs, region)
+	pc.SelectRegionRowsRun(&rs, region, nil)
 	if !rs.Cancelled() {
 		t.Fatal("run not cancelled")
 	}

@@ -19,7 +19,7 @@ func TestFaultSelectRefinePanicZeroRangeDrift(t *testing.T) {
 	pc := testCloudForRun(t)
 	region := grid.GeometryRegion{G: geom.NewEnvelope(300, 300, 1500, 1400).ToPolygon()}
 	var run Run
-	run.RecycleRows(pc.SelectRegionRowsRun(&run, region)) // warm: imprints built, pools primed
+	run.RecycleRows(pc.SelectRegionRowsRun(&run, region, nil)) // warm: imprints built, pools primed
 
 	faultpoint.Arm("engine.select.refine", faultpoint.Action{Panic: "refine poisoned"})
 	start := RangePoolStats().Outstanding
@@ -33,14 +33,14 @@ func TestFaultSelectRefinePanicZeroRangeDrift(t *testing.T) {
 			}
 			run.Drain()
 		}()
-		pc.SelectRegionRowsRun(&run, region)
+		pc.SelectRegionRowsRun(&run, region, nil)
 	}()
 	if got := RangePoolStats().Outstanding - start; got != 0 {
 		t.Fatalf("select.refine fault drifted the range pool by %d", got)
 	}
 
 	faultpoint.Disarm("engine.select.refine")
-	rows := pc.SelectRegionRowsRun(&run, region)
+	rows := pc.SelectRegionRowsRun(&run, region, nil)
 	if len(rows) == 0 {
 		t.Fatal("select after recovery matched no rows")
 	}

@@ -50,7 +50,7 @@ func TestSteadyStateSpatialQueryRunZeroAllocs(t *testing.T) {
 	var run Run
 	var got int
 	allocs := testing.AllocsPerRun(50, func() {
-		rows := pc.SelectRegionRowsRun(&run, region)
+		rows := pc.SelectRegionRowsRun(&run, region, nil)
 		got = len(rows)
 		run.RecycleRows(rows)
 	})
@@ -62,31 +62,6 @@ func TestSteadyStateSpatialQueryRunZeroAllocs(t *testing.T) {
 	}
 	if run.Live() != 0 {
 		t.Fatalf("run still tracks %d buffers after recycling its result", run.Live())
-	}
-}
-
-// TestSteadyStateThematicQueryZeroAllocs covers the indexed range filter:
-// cached range kernel, pooled candidate ranges, pooled selection vector.
-func TestSteadyStateThematicQueryZeroAllocs(t *testing.T) {
-	pc, _ := buildCloud(t, 0.05)
-	if _, err := pc.EnsureColumnImprint(ColZ); err != nil {
-		t.Fatal(err)
-	}
-
-	var got int
-	allocs := testing.AllocsPerRun(50, func() {
-		rows, err := pc.FilterRangeIndexed(ColZ, 0, 10, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = len(rows)
-		RecycleRows(rows)
-	})
-	if got == 0 {
-		t.Fatal("query matched no rows; the measurement is vacuous")
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state FilterRangeIndexed allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

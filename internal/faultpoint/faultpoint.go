@@ -14,10 +14,10 @@
 //	engine.filter.block    — FilterRows, before each predicate kernel
 //	engine.kernel.chunk    — chunkKernel, once per scanChunk block
 //	engine.groupagg.pass   — grouped drivers, before the accumulate passes
-//	engine.morsel.worker   — morsel passes, top of each partition (deg > 1)
+//	engine.morsel.worker   — morsel passes (grid refinement included), top
+//	                         of each partition (deg > 1)
 //	engine.morsel.merge    — morsel drivers, before the ascending fold (deg > 1)
-//	engine.select.refine   — selectRegionRows, before grid refinement
-//	grid.refine.partition  — parallel refinement, per worker partition
+//	engine.select.refine   — SelectRegionRowsRun, before grid refinement
 //	sql.run.filter         — finishPointCloud, before the filter phases
 //	sql.run.output         — output, before projection/aggregation
 //	server.handler         — query handler entry, before request parsing

@@ -3,6 +3,12 @@
 // points produced by the imprint filter, every non-empty cell is classified
 // against the query region in a single step, and only points in cells that
 // straddle the region boundary are tested exhaustively.
+//
+// Refinement here is one serial pass over a candidate range list. Fan-out
+// is the engine's: its refine driver (engine/morsel.go) splits the list
+// with SplitRangesInto, runs RefineInto once per partition and
+// concatenates the partials in ascending order, at the degree the engine
+// picks for every operator.
 package grid
 
 import (
@@ -151,8 +157,8 @@ const (
 
 // statePool recycles cell-state arrays across refinement passes, so the
 // repeated-query steady state allocates nothing per pass. Same substrate
-// as the engine's selection-vector pool (colstore.Pool); RefineParallel
-// workers draw from it concurrently. The budget (16M cells = 16 MiB at one
+// as the engine's selection-vector pool (colstore.Pool); the engine's
+// refinement partitions draw from it concurrently. The budget (16M cells = 16 MiB at one
 // byte per cell) keeps a raised Options.MaxCellsPerSide from pinning
 // worst-case grids for the process lifetime.
 var statePool = colstore.Pool[cellState]{MaxElts: 1 << 24}
@@ -169,17 +175,11 @@ func getStates(n int) []cellState {
 // putStates hands a cell-state array back to the pool.
 func putStates(s []cellState) { statePool.Put(s) }
 
-// Refine evaluates the region over the candidate row ranges, reading point
-// coordinates from xs/ys, and returns the matching row indices in ascending
-// order. Cells are classified on first touch, so empty cells cost nothing.
-func Refine(xs, ys []float64, cand []colstore.Range, region Region, opts Options) ([]int, Stats) {
-	return RefineInto(xs, ys, cand, region, opts, nil)
-}
-
-// RefineInto is Refine appending into a caller-provided matches slice, so
-// callers with pooled selection vectors avoid re-allocating per query. The
-// slice is appended to (its existing elements are preserved) and the
-// extended slice is returned.
+// RefineInto evaluates the region over the candidate row ranges, reading
+// point coordinates from xs/ys, and appends the matching row indices in
+// ascending order to matches (its existing elements are preserved; callers
+// with pooled selection vectors pass one in). Cells are classified on
+// first touch, so empty cells cost nothing.
 func RefineInto(xs, ys []float64, cand []colstore.Range, region Region, opts Options, matches []int) ([]int, Stats) {
 	opts = opts.withDefaults()
 	var st Stats
@@ -290,15 +290,10 @@ func refineRange(xs, ys []float64, r colstore.Range, region Region, env geom.Env
 	return matches
 }
 
-// RefineExhaustive is the ablation baseline: every candidate point is tested
-// with the exact predicate, no grid (E10).
-func RefineExhaustive(xs, ys []float64, cand []colstore.Range, region Region) ([]int, Stats) {
-	return RefineExhaustiveInto(xs, ys, cand, region, nil)
-}
-
-// RefineExhaustiveInto is RefineExhaustive appending into a caller-provided
-// matches slice, so the engine's scan baselines can produce pool-drawn
-// selection vectors like the grid path does.
+// RefineExhaustiveInto is the ablation baseline and the test reference:
+// every candidate point inside the region's envelope is tested with the
+// exact predicate, no grid (E10). Matches append to matches as in
+// RefineInto.
 func RefineExhaustiveInto(xs, ys []float64, cand []colstore.Range, region Region, matches []int) ([]int, Stats) {
 	var st Stats
 	st.CandidateRows = colstore.RangesLen(cand)

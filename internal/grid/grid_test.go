@@ -52,7 +52,7 @@ func TestRefineMatchesNaiveOnPolygon(t *testing.T) {
 	}}}
 	region := GeometryRegion{G: poly}
 	cand := colstore.FullRange(len(xs))
-	got, st := Refine(xs, ys, cand, region, Options{})
+	got, st := RefineInto(xs, ys, cand, region, Options{}, nil)
 	want := naiveMatches(xs, ys, cand, region)
 	if !equalInts(got, want) {
 		t.Fatalf("refine found %d rows, naive %d", len(got), len(want))
@@ -77,7 +77,7 @@ func TestRefineMatchesNaiveOnBuffer(t *testing.T) {
 	}}
 	region := BufferRegion{G: road, D: 50}
 	cand := colstore.FullRange(len(xs))
-	got, st := Refine(xs, ys, cand, region, Options{})
+	got, st := RefineInto(xs, ys, cand, region, Options{}, nil)
 	want := naiveMatches(xs, ys, cand, region)
 	if !equalInts(got, want) {
 		t.Fatalf("refine found %d rows, naive %d", len(got), len(want))
@@ -92,7 +92,7 @@ func TestRefineWithPartialCandidates(t *testing.T) {
 	sq := geom.NewEnvelope(20, 20, 80, 80).ToPolygon()
 	region := GeometryRegion{G: sq}
 	cand := []colstore.Range{{Start: 0, End: 1000}, {Start: 3000, End: 3500}}
-	got, _ := Refine(xs, ys, cand, region, Options{})
+	got, _ := RefineInto(xs, ys, cand, region, Options{}, nil)
 	want := naiveMatches(xs, ys, cand, region)
 	if !equalInts(got, want) {
 		t.Fatalf("partial candidates: %d vs %d", len(got), len(want))
@@ -107,12 +107,12 @@ func TestRefineWithPartialCandidates(t *testing.T) {
 
 func TestRefineEmptyInputs(t *testing.T) {
 	region := GeometryRegion{G: geom.NewEnvelope(0, 0, 1, 1).ToPolygon()}
-	got, st := Refine(nil, nil, nil, region, Options{})
+	got, st := RefineInto(nil, nil, nil, region, Options{}, nil)
 	if got != nil || st.Matches != 0 {
 		t.Fatal("empty candidates should match nothing")
 	}
 	// Empty region envelope.
-	got, _ = Refine([]float64{1}, []float64{1}, colstore.FullRange(1), GeometryRegion{G: geom.Polygon{}}, Options{})
+	got, _ = RefineInto([]float64{1}, []float64{1}, colstore.FullRange(1), GeometryRegion{G: geom.Polygon{}}, Options{}, nil)
 	if got != nil {
 		t.Fatal("empty region should match nothing")
 	}
@@ -125,8 +125,8 @@ func TestRefineExhaustiveMatchesRefine(t *testing.T) {
 	}}}
 	region := GeometryRegion{G: poly}
 	cand := colstore.FullRange(len(xs))
-	gridRows, gst := Refine(xs, ys, cand, region, Options{})
-	exRows, est := RefineExhaustive(xs, ys, cand, region)
+	gridRows, gst := RefineInto(xs, ys, cand, region, Options{}, nil)
+	exRows, est := RefineExhaustiveInto(xs, ys, cand, region, nil)
 	if !equalInts(gridRows, exRows) {
 		t.Fatalf("grid %d rows vs exhaustive %d rows", len(gridRows), len(exRows))
 	}
@@ -140,7 +140,7 @@ func TestRefineDegenerateRegionExtent(t *testing.T) {
 	xs := []float64{5, 5, 6}
 	ys := []float64{1, 2, 3}
 	line := geom.LineString{Points: []geom.Point{{X: 5, Y: 0}, {X: 5, Y: 10}}}
-	got, _ := Refine(xs, ys, colstore.FullRange(3), GeometryRegion{G: line}, Options{})
+	got, _ := RefineInto(xs, ys, colstore.FullRange(3), GeometryRegion{G: line}, Options{}, nil)
 	want := []int{0, 1}
 	if !equalInts(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -218,7 +218,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestStatsCellAccounting(t *testing.T) {
 	xs, ys := randomCloud(4096, geom.NewEnvelope(0, 0, 100, 100), 10)
 	sq := geom.NewEnvelope(10, 10, 90, 90).ToPolygon()
-	_, st := Refine(xs, ys, colstore.FullRange(len(xs)), GeometryRegion{G: sq}, Options{})
+	_, st := RefineInto(xs, ys, colstore.FullRange(len(xs)), GeometryRegion{G: sq}, Options{}, nil)
 	if st.CellsTouched != st.InsideCells+st.BoundaryCells+st.OutsideCells {
 		t.Fatalf("cell accounting broken: %+v", st)
 	}

@@ -25,8 +25,8 @@ func TestMultiRegionMatchesCollection(t *testing.T) {
 	xs, ys := randomCloud(10_000, geom.NewEnvelope(-50, -50, 1100, 600), 21)
 	cand := colstore.FullRange(len(xs))
 
-	fast, _ := Refine(xs, ys, cand, mr, Options{})
-	slow, _ := Refine(xs, ys, cand, GeometryRegion{G: coll}, Options{})
+	fast, _ := RefineInto(xs, ys, cand, mr, Options{}, nil)
+	slow, _ := RefineInto(xs, ys, cand, GeometryRegion{G: coll}, Options{}, nil)
 	if !equalInts(fast, slow) {
 		t.Fatalf("multiregion %d rows, collection %d rows", len(fast), len(slow))
 	}
@@ -67,8 +67,8 @@ func TestMultiBufferMatchesBufferRegion(t *testing.T) {
 	xs, ys := randomCloud(10_000, geom.NewEnvelope(-100, -100, 1100, 700), 22)
 	cand := colstore.FullRange(len(xs))
 
-	fast, _ := Refine(xs, ys, cand, mb, Options{})
-	slow, _ := Refine(xs, ys, cand, BufferRegion{G: coll, D: d}, Options{})
+	fast, _ := RefineInto(xs, ys, cand, mb, Options{}, nil)
+	slow, _ := RefineInto(xs, ys, cand, BufferRegion{G: coll, D: d}, Options{}, nil)
 	if !equalInts(fast, slow) {
 		t.Fatalf("multibuffer %d rows, buffer %d rows", len(fast), len(slow))
 	}

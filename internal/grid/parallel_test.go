@@ -1,65 +1,17 @@
 package grid
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"gisnav/internal/colstore"
 	"gisnav/internal/geom"
 )
 
-func TestRefineParallelMatchesSerial(t *testing.T) {
-	xs, ys := randomCloud(60_000, geom.NewEnvelope(0, 0, 2000, 2000), 31)
-	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
-		{X: 200, Y: 300}, {X: 1500, Y: 250}, {X: 1800, Y: 1400}, {X: 700, Y: 1800},
-	}}}
-	region := GeometryRegion{G: poly}
-	cand := colstore.FullRange(len(xs))
-	serial, sst := Refine(xs, ys, cand, region, Options{})
-	for _, workers := range []int{0, 1, 2, 3, 8, 16} {
-		par, pst := RefineParallel(xs, ys, cand, region, Options{}, workers)
-		if !equalInts(serial, par) {
-			t.Fatalf("workers=%d: parallel %d rows, serial %d rows", workers, len(par), len(serial))
-		}
-		if pst.Matches != sst.Matches {
-			t.Fatalf("workers=%d: stats matches %d vs %d", workers, pst.Matches, sst.Matches)
-		}
-	}
-}
-
-func TestRefineParallelBufferRegion(t *testing.T) {
-	xs, ys := randomCloud(50_000, geom.NewEnvelope(0, 0, 1000, 1000), 32)
-	road := geom.LineString{Points: []geom.Point{{X: 0, Y: 500}, {X: 1000, Y: 520}}}
-	region := BufferRegion{G: road, D: 60}
-	cand := colstore.FullRange(len(xs))
-	serial, _ := Refine(xs, ys, cand, region, Options{})
-	par, _ := RefineParallel(xs, ys, cand, region, Options{}, 4)
-	if !equalInts(serial, par) {
-		t.Fatalf("parallel buffer refine differs: %d vs %d", len(par), len(serial))
-	}
-}
-
-func TestRefineParallelSparseCandidates(t *testing.T) {
-	xs, ys := randomCloud(30_000, geom.NewEnvelope(0, 0, 1000, 1000), 33)
-	region := GeometryRegion{G: geom.NewEnvelope(100, 100, 800, 800).ToPolygon()}
-	// Fragmented candidate list exercising the range splitter.
-	var cand []colstore.Range
-	for start := 0; start < len(xs); start += 700 {
-		end := start + 350
-		if end > len(xs) {
-			end = len(xs)
-		}
-		cand = append(cand, colstore.Range{Start: start, End: end})
-	}
-	serial, _ := Refine(xs, ys, cand, region, Options{})
-	par, _ := RefineParallel(xs, ys, cand, region, Options{}, 5)
-	if !equalInts(serial, par) {
-		t.Fatalf("sparse candidates: parallel %d vs serial %d", len(par), len(serial))
-	}
-}
-
 func TestSplitRanges(t *testing.T) {
 	cand := []colstore.Range{{Start: 0, End: 100}, {Start: 200, End: 250}, {Start: 300, End: 450}}
-	parts := SplitRanges(cand, 3)
+	_, _, parts := SplitRangesInto(cand, 3, nil, nil, nil)
 	if len(parts) < 2 {
 		t.Fatalf("expected multiple partitions, got %d", len(parts))
 	}
@@ -78,30 +30,112 @@ func TestSplitRanges(t *testing.T) {
 		}
 		prev = r.End
 	}
-	// Degenerate inputs.
-	if got := SplitRanges(nil, 4); len(got) != 1 {
+	// Degenerate inputs: nothing to split is no partition at all; n <= 1
+	// hands cand on as the sole partition, without copying.
+	if _, _, got := SplitRangesInto(nil, 4, nil, nil, nil); len(got) != 0 {
 		t.Fatalf("empty split = %v", got)
 	}
-	if got := SplitRanges(cand, 1); len(got) != 1 {
-		t.Fatal("n=1 should be one partition")
+	for _, n := range []int{1, 0} {
+		_, _, got := SplitRangesInto(cand, n, nil, nil, nil)
+		if len(got) != 1 || len(got[0]) != len(cand) || &got[0][0] != &cand[0] {
+			t.Fatalf("n=%d: want cand itself as one partition, got %v", n, got)
+		}
+	}
+}
+
+func TestRefineParallelMatchesSerial(t *testing.T) {
+	xs, ys := randomCloud(20_000, geom.NewEnvelope(0, 0, 1000, 1000), 31)
+	poly := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: 100, Y: 100}, {X: 600, Y: 150}, {X: 800, Y: 700}, {X: 400, Y: 900}, {X: 50, Y: 500},
+	}}}
+	checkPartitioned(t, "polygon", xs, ys, colstore.FullRange(len(xs)), GeometryRegion{G: poly})
+	spike := geom.NewEnvelope(700, 700, 950, 950).ToPolygon()
+	checkPartitioned(t, "multi-region", xs, ys, colstore.FullRange(len(xs)), NewMultiRegion([]geom.Geometry{poly, spike}))
+}
+
+func TestRefineParallelBufferRegion(t *testing.T) {
+	xs, ys := randomCloud(15_000, geom.NewEnvelope(0, 0, 1000, 1000), 32)
+	road := geom.LineString{Points: []geom.Point{
+		{X: 0, Y: 500}, {X: 400, Y: 480}, {X: 700, Y: 600}, {X: 1000, Y: 550},
+	}}
+	checkPartitioned(t, "buffer", xs, ys, colstore.FullRange(len(xs)), BufferRegion{G: road, D: 50})
+	multi := NewMultiBuffer([]geom.Geometry{road, geom.Point{X: 200, Y: 800}}, 40)
+	checkPartitioned(t, "multi-buffer", xs, ys, colstore.FullRange(len(xs)), multi)
+}
+
+func TestRefineParallelSparseCandidates(t *testing.T) {
+	xs, ys := randomCloud(10_000, geom.NewEnvelope(0, 0, 100, 100), 33)
+	region := GeometryRegion{G: geom.NewEnvelope(20, 20, 80, 80).ToPolygon()}
+	rng := rand.New(rand.NewSource(33))
+	var fragmented []colstore.Range
+	for at := rng.Intn(50); at < len(xs); at += 1 + rng.Intn(700) {
+		end := min(at+1+rng.Intn(400), len(xs))
+		fragmented = append(fragmented, colstore.Range{Start: at, End: end})
+		at = end
+	}
+	for name, cand := range map[string][]colstore.Range{
+		"fragmented": fragmented,
+		"single":     {{Start: 3000, End: 7000}},
+		"one-row":    {{Start: 17, End: 18}},
+		"empty":      nil,
+	} {
+		checkPartitioned(t, name, xs, ys, cand, region)
+	}
+}
+
+// refinePartitioned is the engine's parallel refinement in miniature: split
+// cand into n order-preserving partitions, refine each on its own goroutine
+// against the shared columns, and concatenate the partitions' rows in
+// partition order.
+func refinePartitioned(xs, ys []float64, cand []colstore.Range, region Region, n int) ([]int, Stats) {
+	_, _, parts := SplitRangesInto(cand, n, nil, nil, nil)
+	rows := make([][]int, len(parts))
+	stats := make([]Stats, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[i], stats[i] = RefineInto(xs, ys, p, region, Options{}, nil)
+		}()
+	}
+	wg.Wait()
+	var out []int
+	var st Stats
+	for i := range parts {
+		out = append(out, rows[i]...)
+		st.CandidateRows += stats[i].CandidateRows
+		st.Matches += stats[i].Matches
+	}
+	return out, st
+}
+
+// checkPartitioned holds refinePartitioned at n = 1..8 to RefineInto over
+// the whole candidate list and to the naive per-point reference.
+func checkPartitioned(t *testing.T, name string, xs, ys []float64, cand []colstore.Range, region Region) {
+	t.Helper()
+	want := naiveMatches(xs, ys, cand, region)
+	serial, _ := RefineInto(xs, ys, cand, region, Options{}, nil)
+	if !equalInts(serial, want) {
+		t.Fatalf("%s: RefineInto %d rows, naive %d", name, len(serial), len(want))
+	}
+	for n := 1; n <= 8; n++ {
+		got, st := refinePartitioned(xs, ys, cand, region, n)
+		if !equalInts(got, want) {
+			t.Fatalf("%s n=%d: partitioned %d rows, serial %d", name, n, len(got), len(want))
+		}
+		if st.Matches != len(want) || st.CandidateRows != colstore.RangesLen(cand) {
+			t.Fatalf("%s n=%d: stats %+v, want %d matches of %d candidates", name, n, st, len(want), colstore.RangesLen(cand))
+		}
 	}
 }
 
 func TestRefineAutoAgreesWithSerial(t *testing.T) {
-	// Small input stays serial, large goes parallel; both must agree.
-	xsSmall, ysSmall := randomCloud(1000, geom.NewEnvelope(0, 0, 100, 100), 34)
-	regionS := GeometryRegion{G: geom.NewEnvelope(10, 10, 90, 90).ToPolygon()}
-	a, _ := RefineAuto(xsSmall, ysSmall, colstore.FullRange(1000), regionS, Options{})
-	b, _ := Refine(xsSmall, ysSmall, colstore.FullRange(1000), regionS, Options{})
-	if !equalInts(a, b) {
-		t.Fatal("auto(small) differs from serial")
-	}
-
-	xsBig, ysBig := randomCloud(200_000, geom.NewEnvelope(0, 0, 2000, 2000), 35)
-	regionB := GeometryRegion{G: geom.NewEnvelope(100, 100, 1500, 1500).ToPolygon()}
-	c, _ := RefineAuto(xsBig, ysBig, colstore.FullRange(200_000), regionB, Options{})
-	d, _ := Refine(xsBig, ysBig, colstore.FullRange(200_000), regionB, Options{})
-	if !equalInts(c, d) {
-		t.Fatal("auto(large) differs from serial")
+	xs, ys := randomCloud(1000, geom.NewEnvelope(0, 0, 100, 100), 34)
+	region := GeometryRegion{G: geom.NewEnvelope(10, 10, 90, 90).ToPolygon()}
+	a, _ := RefineAutoInto(xs, ys, colstore.FullRange(1000), region, Options{}, nil)
+	b, _ := RefineInto(xs, ys, colstore.FullRange(1000), region, Options{}, nil)
+	if len(a) == 0 || !equalInts(a, b) {
+		t.Fatalf("RefineAutoInto %d rows, RefineInto %d", len(a), len(b))
 	}
 }

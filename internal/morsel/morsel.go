@@ -1,11 +1,12 @@
 // Package morsel is the engine's resident worker set: one pool of
 // GOMAXPROCS goroutines, started lazily on the first parallel pass, that
 // every morsel-at-a-time operator fans its partitions across. It was
-// promoted out of grid/parallel.go (PR 8) so the refinement pass, the
-// compiled filter kernels and the grouped-aggregate passes all share one
-// set of cores instead of competing goroutine fleets.
+// promoted out of the grid package so grid refinement, the compiled
+// filter kernels and the aggregate passes all share one set of cores
+// instead of competing goroutine fleets; every pass is driven from
+// engine/morsel.go.
 //
-// The contract mirrors the discipline grid.refine.partition established:
+// The contract:
 //
 //   - a Pass fans n partitions of a Runner across the set, running
 //     partition 0 on the calling goroutine (the caller never idles on the

@@ -164,8 +164,9 @@ type frontEntry struct {
 // lands here). Rebinds counts successful skeleton re-binds; ShapeHits
 // minus Rebinds is the (rare) classification-divergence replans.
 // Invalidations counts epoch-forced replans of this executor's prepared
-// statements (cached or standalone): each one is an append observed by the
-// SQL layer, the signal the invalidation tests assert on. FrontHits counts
+// statements (cached or standalone): each one is an append or a catalog
+// re-registration observed by the SQL layer, the signal the invalidation
+// tests assert on. FrontHits counts
 // exact-text front-cache hits — queries that skipped the lexer, unless
 // their statement had been evicted since.
 type StmtCacheStats struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 )
 
 func TestOrderByOnPointCloud(t *testing.T) {
@@ -36,7 +37,7 @@ func TestStarOnPointCloud(t *testing.T) {
 func TestSpatialPredicateVariants(t *testing.T) {
 	e, pc, _, _ := testDB(t)
 	box := geom.NewEnvelope(100, 100, 600, 600)
-	want := len(pc.SelectBox(box).Rows)
+	want := len(pc.SelectRegionRows(grid.GeometryRegion{G: box.ToPolygon()}))
 	variants := []string{
 		"SELECT count(*) FROM ahn2 WHERE ST_Contains(ST_MakeEnvelope(100,100,600,600), ST_Point(x, y))",
 		"SELECT count(*) FROM ahn2 WHERE ST_Within(ST_Point(x, y), ST_MakeEnvelope(100,100,600,600))",

@@ -18,8 +18,10 @@
 // table state; every run revalidates the captured epochs and replans on
 // mismatch. Appends bump the epoch (PointCloud.InvalidateIndexes,
 // VectorTable.Append), so a cached statement can never serve a plan bound
-// to moved arrays. Re-registering a different table under the same catalog
-// name is NOT covered — plans bind table pointers, not names.
+// to moved arrays. Plans bind table pointers, not names, so buildPlan also
+// captures the catalog generation (engine.DB.Generation, bumped by every
+// Register call) before bind resolves a name: a table re-registered under
+// a bound name replans too.
 //
 // Parameterisation contract (PR 4): plans are SKELETONS over a bound
 // literal vector. Everything literal-derived — the spatial region, the
@@ -98,8 +100,8 @@ type joinKind uint8
 
 const (
 	joinNone    joinKind = iota
-	joinDWithin          // ST_DWithin(vt.geom, pc point, d) → PointsNearFeatures
-	joinWithin           // containment variants → PointsInFeatures
+	joinDWithin          // ST_DWithin(vt.geom, pc point, d) → PointsNearFeaturesRun
+	joinWithin           // containment variants → PointsInFeaturesRun
 )
 
 // queryPlan is the immutable product of one planning pass. Everything in
@@ -109,10 +111,11 @@ type queryPlan struct {
 	b    *binding
 	mode planMode
 
-	// Epochs of the bound tables when planning started; see the package
-	// comment for the revalidation contract.
+	// Epochs of the bound tables and the catalog generation when planning
+	// started; see the package comment for the revalidation contract.
 	pcEpoch uint64
 	vtEpoch uint64
+	catGen  uint64
 
 	// The bound literal vector and its numeric mirror for compiled kernels.
 	// Both are rewritten IN PLACE by rebind (under the statement lock):
@@ -211,12 +214,16 @@ func (e *Executor) prepareBound(stmt *SelectStmt, params []Value) (*PreparedQuer
 // buildPlan runs one full planning pass over stmt with the literal vector
 // params bound.
 func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*queryPlan, error) {
+	// The generation is read before bind resolves any name: a registration
+	// racing the bind leaves the plan already stale — the safe direction.
+	catGen := e.db.Generation()
 	b, err := e.bind(stmt.From)
 	if err != nil {
 		return nil, err
 	}
 	p := &queryPlan{
 		b:      b,
+		catGen: catGen,
 		params: append([]Value(nil), params...),
 		slots:  newParamStore(params),
 		limit:  -1,
@@ -362,8 +369,12 @@ func (p *queryPlan) rebind(stmt *SelectStmt, params []Value) bool {
 	return true
 }
 
-// stale reports whether a bound table's epoch moved since planning.
-func (p *queryPlan) stale() bool {
+// stale reports whether a bound table's epoch or db's catalog generation
+// moved since planning.
+func (p *queryPlan) stale(db *engine.DB) bool {
+	if db.Generation() != p.catGen {
+		return true
+	}
 	if p.b.pc != nil && p.b.pc.Epoch() != p.pcEpoch {
 		return true
 	}

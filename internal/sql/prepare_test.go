@@ -152,6 +152,63 @@ func TestStmtCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
+// TestReRegistrationServesNewTable: plans bind table pointers, so a table
+// registered under a name a cached or prepared plan already resolved must
+// force a replan — through the statement cache and through a standalone
+// PreparedQuery alike — and answer from the new table. Both replacements
+// carry the epoch of the table they replace, so only the catalog
+// generation can tell them apart.
+func TestReRegistrationServesNewTable(t *testing.T) {
+	e, pc, _, ua := testDB(t)
+	const uaCount = "SELECT count(*) FROM ua"
+	prepared := map[string]*PreparedQuery{}
+	for _, q := range []string{countQuery, uaCount} {
+		pq, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared[q] = pq
+	}
+	count := func(q string) (viaCache, viaPrepared int) {
+		t.Helper()
+		res, err := prepared[q].RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(mustQuery(t, e, q).Rows()[0][0].Num), int(res.Rows()[0][0].Num)
+	}
+	if c, p := count(countQuery); c != pc.Len() || p != pc.Len() {
+		t.Fatalf("before: cache %d, prepared %d, want %d", c, p, pc.Len())
+	}
+	if c, p := count(uaCount); c != ua.Len() || p != ua.Len() {
+		t.Fatalf("before: cache %d, prepared %d, want %d", c, p, ua.Len())
+	}
+
+	region := geom.NewEnvelope(0, 0, 500, 500)
+	pts := synth.GenerateTile(synth.NewTerrain(7, region), synth.TileSpec{Env: region, Density: 0.01, Seed: 12})
+	pc2 := engine.NewPointCloud()
+	pc2.AppendLAS(pts)
+	ua2 := engine.NewVectorTable()
+	ua2.Append(1, "12210", "road", geom.NewEnvelope(0, 0, 10, 10).ToPolygon(), nil)
+	if pc2.Len() == pc.Len() || pc2.Epoch() != pc.Epoch() || ua2.Len() == ua.Len() {
+		t.Fatalf("replacements do not discriminate: %d/%d rows, epochs %d/%d, %d/%d features",
+			pc2.Len(), pc.Len(), pc2.Epoch(), pc.Epoch(), ua2.Len(), ua.Len())
+	}
+	inv := e.StmtCacheStats().Invalidations
+	e.db.RegisterPointCloud("ahn2", pc2)
+	e.db.RegisterVector("ua", ua2)
+
+	if c, p := count(countQuery); c != pc2.Len() || p != pc2.Len() {
+		t.Fatalf("after re-registration: cache %d, prepared %d, want %d (old table served)", c, p, pc2.Len())
+	}
+	if c, p := count(uaCount); c != ua2.Len() || p != ua2.Len() {
+		t.Fatalf("after re-registration: cache %d, prepared %d, want %d (old table served)", c, p, ua2.Len())
+	}
+	if got := e.StmtCacheStats().Invalidations; got != inv+4 {
+		t.Fatalf("re-registration forced %d replans, want 4 (two shapes, two paths)", got-inv)
+	}
+}
+
 // TestVectorEpochReplansStarExpansion: a vector-table append that
 // introduces a new numeric attribute must be visible to a cached SELECT *
 // — star expansion happens at plan time, so only the vt epoch replan can

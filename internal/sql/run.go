@@ -74,13 +74,13 @@ func (pq *PreparedQuery) run(rs *engine.Run, ex *engine.Explain, params []Value,
 		origin = originRebound
 	}
 	switch {
-	case pq.poisoned.Load() || pq.plan.stale():
+	case pq.poisoned.Load() || pq.plan.stale(pq.ex.db):
 		// Epoch mismatch always replans — rebinding cannot help, the plan
 		// is bound to moved arrays. A post-panic poison mark replans for a
 		// different reason: the old plan's scratch state is torn to an
 		// unknown degree. The mark clears only after the fresh plan is
 		// committed, so a failed replan keeps the statement poisoned.
-		stale := pq.plan.stale()
+		stale := pq.plan.stale(pq.ex.db)
 		plan, err := pq.ex.buildPlan(pq.stmt, params)
 		if err != nil {
 			return nil, err
@@ -138,13 +138,7 @@ func (pq *PreparedQuery) runPointCloud(rs *engine.Run, p *queryPlan, ex *engine.
 	}
 	var rows []int
 	if p.region != nil {
-		if ex != nil {
-			sel := p.b.pc.SelectRegionRun(rs, p.region)
-			ex.Steps = append(ex.Steps, sel.Explain.Steps...)
-			rows = sel.Rows
-		} else {
-			rows = p.b.pc.SelectRegionRowsRun(rs, p.region)
-		}
+		rows = p.b.pc.SelectRegionRowsRun(rs, p.region, ex)
 		if rs.Cancelled() {
 			// The refinement loop returns a partial selection when the
 			// token fires mid-pass; the release-list drain recycles it.
@@ -320,11 +314,11 @@ func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explai
 	}
 
 	// Phase 2: the spatial join operator resolved at prepare time.
-	var sel engine.Selection
+	var rows []int
 	if p.join == joinDWithin {
-		sel = pq.ex.db.PointsNearFeaturesRun(rs, p.b.pc, p.b.vt, vtRows, p.joinDist)
+		rows = pq.ex.db.PointsNearFeaturesRun(rs, p.b.pc, p.b.vt, vtRows, p.joinDist, ex)
 	} else {
-		sel = pq.ex.db.PointsInFeaturesRun(rs, p.b.pc, p.b.vt, vtRows)
+		rows = pq.ex.db.PointsInFeaturesRun(rs, p.b.pc, p.b.vt, vtRows, ex)
 	}
 	rs.RecycleRows(vtRows)
 	if rs.Cancelled() {
@@ -332,12 +326,9 @@ func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explai
 		// partial selection; the release-list drain recycles it.
 		return nil, cancel.ErrCancelled
 	}
-	if ex != nil {
-		ex.Steps = append(ex.Steps, sel.Explain.Steps...)
-	}
 
 	// Phase 3: point-side predicates.
-	return pq.finishPointCloud(rs, p, sel.Rows, ex)
+	return pq.finishPointCloud(rs, p, rows, ex)
 }
 
 // --- output phase ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 
 	"gisnav/internal/engine"
 	"gisnav/internal/geom"
+	"gisnav/internal/grid"
 	"gisnav/internal/synth"
 )
 
@@ -142,9 +143,9 @@ func TestSelectBoxSQLMatchesEngine(t *testing.T) {
 	e, pc, _, _ := testDB(t)
 	q := "SELECT x, y, z FROM ahn2 WHERE ST_Contains(ST_MakeEnvelope(200, 200, 700, 600), ST_Point(x, y))"
 	res := mustQuery(t, e, q)
-	sel := pc.SelectBox(geom.NewEnvelope(200, 200, 700, 600))
-	if res.Len() != len(sel.Rows) {
-		t.Fatalf("sql %d rows, engine %d rows", res.Len(), len(sel.Rows))
+	rows := pc.SelectRegionRows(grid.GeometryRegion{G: geom.NewEnvelope(200, 200, 700, 600).ToPolygon()})
+	if res.Len() != len(rows) {
+		t.Fatalf("sql %d rows, engine %d rows", res.Len(), len(rows))
 	}
 	if len(res.Columns) != 3 || res.Columns[0] != "x" {
 		t.Fatalf("columns = %v", res.Columns)
@@ -161,9 +162,9 @@ func TestSelectDWithinSQL(t *testing.T) {
 	q := "SELECT count(*) FROM ahn2 WHERE ST_DWithin(ST_GeomFromText('LINESTRING (0 1000, 2000 1000)'), ST_Point(x, y), 50)"
 	res := mustQuery(t, e, q)
 	road := geom.MustParseWKT("LINESTRING (0 1000, 2000 1000)")
-	sel := pc.SelectDWithin(road, 50)
-	if got := res.Rows()[0][0].Num; int(got) != len(sel.Rows) {
-		t.Fatalf("sql count %v, engine %d", got, len(sel.Rows))
+	rows := pc.SelectRegionRows(grid.BufferRegion{G: road, D: 50})
+	if got := res.Rows()[0][0].Num; int(got) != len(rows) {
+		t.Fatalf("sql count %v, engine %d", got, len(rows))
 	}
 }
 
