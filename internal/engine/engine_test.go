@@ -330,6 +330,40 @@ func TestStorageAndImprintOverhead(t *testing.T) {
 	}
 }
 
+// TestExplainRefineDetail pins the grid.refine step's detail: a rectangle
+// reads "rect, no grid"; the same box with an extra collinear vertex goes
+// through the cell grid and reports its dimensions.
+func TestExplainRefineDetail(t *testing.T) {
+	pc, _ := buildCloud(t, 0.02)
+	box5 := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: 0, Y: 0}, {X: 250, Y: 0}, {X: 500, Y: 0}, {X: 500, Y: 500}, {X: 0, Y: 500},
+	}}}
+	for _, c := range []struct {
+		name   string
+		region grid.Region
+		want   func(string) bool
+	}{
+		{"rect", boxRegion(geom.NewEnvelope(0, 0, 500, 500)), func(d string) bool { return d == "rect, no grid" }},
+		{"5-vertex", grid.GeometryRegion{G: box5}, func(d string) bool {
+			var nx, ny, nb int
+			_, err := fmt.Sscanf(d, "%dx%d cells, %d boundary", &nx, &ny, &nb)
+			return err == nil && nx > 0 && ny > 0
+		}},
+	} {
+		rows, ex := selectTraced(pc, c.region)
+		RecycleRows(rows)
+		var detail string
+		for _, s := range ex.Steps {
+			if s.Op == opGridRefine {
+				detail = s.Detail
+			}
+		}
+		if !c.want(detail) {
+			t.Fatalf("%s: grid.refine detail %q", c.name, detail)
+		}
+	}
+}
+
 func TestExplainString(t *testing.T) {
 	pc, _ := buildCloud(t, 0.02)
 	_, ex := selectTraced(pc, boxRegion(geom.NewEnvelope(0, 0, 500, 500)))

@@ -147,8 +147,10 @@ func TestMorselFilterMatchesNaive(t *testing.T) {
 
 // TestMorselRefineEveryDegree pins grid refinement at every degree to
 // grid.RefineInto and to the exhaustive per-point reference: the driver at
-// driverDegrees over boxes, polygons, buffers, multi-regions and NaN/±Inf
-// envelopes (which grid sizing cannot use and must fall back from), across
+// driverDegrees over boxes (the rectangle path, and the same box with an
+// extra collinear vertex, which takes the cell grid), polygons, buffers,
+// multi-regions and NaN/±Inf envelopes (which grid sizing cannot use and
+// must fall back from), across
 // full, fragmented, single-range, single-row and empty candidate lists;
 // then SelectRegionRowsRun at caps 1..4 on a table large enough to fan out.
 func TestMorselRefineEveryDegree(t *testing.T) {
@@ -158,8 +160,12 @@ func TestMorselRefineEveryDegree(t *testing.T) {
 	}}}
 	road := geom.LineString{Points: []geom.Point{{X: 0, Y: 500}, {X: 1000, Y: 520}}}
 	spike := geom.NewEnvelope(700, 700, 950, 950).ToPolygon()
+	box5 := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: 100, Y: 150}, {X: 460, Y: 150}, {X: 820, Y: 150}, {X: 820, Y: 700}, {X: 100, Y: 700},
+	}}}
 	finite := map[string]grid.Region{
 		"box":          boxRegion(geom.NewEnvelope(100, 150, 820, 700)),
+		"box-5-vertex": grid.GeometryRegion{G: box5},
 		"polygon":      grid.GeometryRegion{G: poly},
 		"buffer":       grid.BufferRegion{G: road, D: 60},
 		"multi-region": grid.NewMultiRegion([]geom.Geometry{poly, spike}),
@@ -171,6 +177,12 @@ func TestMorselRefineEveryDegree(t *testing.T) {
 	}
 	for name, r := range finite {
 		regions[name] = r
+	}
+	if _, ok := grid.RectOf(finite["box"]); !ok {
+		t.Fatal("box region does not take the rectangle path")
+	}
+	if _, ok := grid.RectOf(finite["box-5-vertex"]); ok {
+		t.Fatal("5-vertex box takes the rectangle path")
 	}
 
 	pc := groupTestCloud(t, 20000)

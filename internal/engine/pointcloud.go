@@ -272,7 +272,10 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, ex *Expl
 		panic(err)
 	}
 	if ex != nil {
-		detail := fmt.Sprintf("%dx%d cells, %d boundary", st.GridCellsX, st.GridCellsY, st.BoundaryCells)
+		detail := "rect, no grid"
+		if _, rect := grid.RectOf(region); !rect {
+			detail = fmt.Sprintf("%dx%d cells, %d boundary", st.GridCellsX, st.GridCellsY, st.BoundaryCells)
+		}
 		ex.Add(opGridRefine, parDetail(detail, deg), st.CandidateRows, len(rows), time.Since(start))
 	}
 	return rows

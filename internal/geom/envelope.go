@@ -153,6 +153,60 @@ func (e Envelope) ToPolygon() Polygon {
 	}}}
 }
 
+// RectOf reports whether g is exactly an axis-parallel rectangle and returns
+// its envelope: a hole-free Polygon whose shell is the four distinct
+// corners of a finite envelope of positive width and height, in cyclic
+// order (either orientation, any start vertex, closing vertex optional).
+// For such a g, ContainsPoint(g, x, y) is exactly env.ContainsPoint(x, y):
+// ringContains is boundary-inclusive, NaN compares false, and a finite
+// extent keeps the ray cast's edge arithmetic from overflowing. Everything
+// else reports false — degenerate or non-finite corners, holes, an extra
+// collinear vertex, a revisited corner.
+func RectOf(g Geometry) (Envelope, bool) {
+	p, ok := g.(Polygon)
+	if !ok || len(p.Holes) != 0 {
+		return Envelope{}, false
+	}
+	pts := p.Shell.Points
+	if len(pts) == 5 && pts[4].Equals(pts[0]) {
+		pts = pts[:4]
+	}
+	if len(pts) != 4 {
+		return Envelope{}, false
+	}
+	e := EmptyEnvelope()
+	for _, q := range pts {
+		e.ExpandToPoint(q.X, q.Y)
+	}
+	w, h := e.MaxX-e.MinX, e.MaxY-e.MinY
+	if !(w > 0 && h > 0) || math.IsInf(w, 0) || math.IsInf(h, 0) {
+		return Envelope{}, false
+	}
+	// Every vertex is a corner (NaN is none), the four are distinct, and
+	// every edge moves along exactly one axis — which, for four distinct
+	// corners, is the cyclic order.
+	seen := 0
+	for i, q := range pts {
+		onX, onY := q.X == e.MinX || q.X == e.MaxX, q.Y == e.MinY || q.Y == e.MaxY
+		next := pts[(i+1)%4]
+		if !onX || !onY || (q.X == next.X) == (q.Y == next.Y) {
+			return Envelope{}, false
+		}
+		corner := 0
+		if q.X == e.MaxX {
+			corner |= 1
+		}
+		if q.Y == e.MaxY {
+			corner |= 2
+		}
+		seen |= 1 << corner
+	}
+	if seen != 0xF {
+		return Envelope{}, false
+	}
+	return e, true
+}
+
 // String renders the envelope as "BOX(minx miny, maxx maxy)".
 func (e Envelope) String() string {
 	return fmt.Sprintf("BOX(%g %g, %g %g)", e.MinX, e.MinY, e.MaxX, e.MaxY)

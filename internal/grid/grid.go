@@ -4,6 +4,10 @@
 // against the query region in a single step, and only points in cells that
 // straddle the region boundary are tested exhaustively.
 //
+// A rectangle needs no grid. A region that is exactly its own envelope
+// (RectOf: an ST_MakeEnvelope viewport) decides every candidate with four
+// branch-free compares; the grid is for polygons, buffers and joins.
+//
 // Refinement here is one serial pass over a candidate range list. Fan-out
 // is the engine's: its refine driver (engine/morsel.go) splits the list
 // with SplitRangesInto, runs RefineInto once per partition and
@@ -13,6 +17,7 @@ package grid
 
 import (
 	"math"
+	"slices"
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/colstore"
@@ -131,7 +136,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats reports what a refinement pass did; the per-operator EXPLAIN view
-// of the demo's second scenario surfaces these numbers.
+// of the demo's second scenario surfaces these numbers. A rectangle
+// (RectOf) lays no grid: its dimensions and cell counts are zero and every
+// match is a bulk accept.
 type Stats struct {
 	CandidateRows int // rows received from the filter step
 	GridCellsX    int
@@ -197,6 +204,11 @@ func RefineInto(xs, ys []float64, cand []colstore.Range, region Region, opts Opt
 	if !envFinite(env) {
 		return RefineExhaustiveInto(xs, ys, cand, region, matches)
 	}
+	if rect, ok := RectOf(region); ok {
+		matches, st.Matches = refineRect(xs, ys, cand, rect, opts.Cancel, matches)
+		st.BulkAccepted = st.Matches
+		return matches, st
+	}
 
 	nx, ny := gridDims(st.CandidateRows, env, opts)
 	st.GridCellsX, st.GridCellsY = nx, ny
@@ -234,6 +246,86 @@ func RefineInto(xs, ys []float64, cand []colstore.Range, region Region, opts Opt
 // refineBlock is the cancellation poll granularity of the refinement
 // loops: one token check per this many candidate rows.
 const refineBlock = 4096
+
+// RectOf reports whether region is a GeometryRegion over an axis-parallel
+// rectangle (geom.RectOf) and returns the rectangle: membership in such a
+// region is exactly the closed envelope compare, so the refinement loops
+// decide it without a grid, a cell classification or a Contains call.
+func RectOf(region Region) (geom.Envelope, bool) {
+	r, ok := region.(GeometryRegion)
+	if !ok {
+		return geom.Envelope{}, false
+	}
+	return geom.RectOf(r.G)
+}
+
+// refineRect is RefineInto for a rectangle: the candidate ranges walked in
+// refineBlock slices (one cancellation poll each) through the branch-free
+// compare loop. It appends the matches in ascending order and returns how
+// many it appended.
+func refineRect(xs, ys []float64, cand []colstore.Range, env geom.Envelope, tok *cancel.Token, matches []int) ([]int, int) {
+	base := len(matches)
+	buf := slices.Grow(matches, colstore.RangesLen(cand))
+	buf = buf[:cap(buf)]
+	j := base
+	for _, r := range cand {
+		for b0 := r.Start; b0 < r.End; b0 += refineBlock {
+			if tok.Cancelled() {
+				return buf[:j], j - base
+			}
+			b1 := min(b0+refineBlock, r.End)
+			j += rectBlock(xs[b0:b1], ys[b0:b1], b0, env, buf[j:])
+		}
+	}
+	return buf[:j], j - base
+}
+
+// rectBlock writes to buf the rows b0+k whose point (xs[k], ys[k]) lies in
+// the closed envelope, and returns how many it wrote: the kernels' block
+// loop, buf[j] = row; j += in. buf must hold len(xs) rows.
+func rectBlock(xs, ys []float64, b0 int, env geom.Envelope, buf []int) int {
+	ys = ys[:len(xs)]
+	j := 0
+	for k, x := range xs {
+		buf[j] = b0 + k
+		j += inRect(env, x, ys[k])
+	}
+	return j
+}
+
+// RectRowsInto appends to out the rows of the list whose point lies in the
+// closed envelope env, in list order — the row-list twin of rectBlock, as
+// the kernels pair a selection loop with each block loop. The pyramid
+// refines a rectangle's boundary-tile postings through it.
+func RectRowsInto(xs, ys []float64, rows []int, env geom.Envelope, out []int) []int {
+	j := len(out)
+	out = slices.Grow(out, len(rows))
+	buf := out[:j+len(rows)]
+	for _, r := range rows {
+		buf[j] = r
+		j += inRect(env, xs[r], ys[r])
+	}
+	return buf[:j]
+}
+
+// inRect is the closed envelope compare as 0 or 1, without a branch: each
+// compare sets a flag and the four are ANDed. NaN compares false.
+func inRect(env geom.Envelope, x, y float64) int {
+	x0, x1, y0, y1 := 0, 0, 0, 0
+	if x >= env.MinX {
+		x0 = 1
+	}
+	if x <= env.MaxX {
+		x1 = 1
+	}
+	if y >= env.MinY {
+		y0 = 1
+	}
+	if y <= env.MaxY {
+		y1 = 1
+	}
+	return x0 & x1 & y0 & y1
+}
 
 // refineRange classifies and tests the candidate rows of one range slice
 // — the body of RefineInto's main loop, factored out per cancellation

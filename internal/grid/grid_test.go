@@ -33,6 +33,16 @@ func naiveMatches(xs, ys []float64, cand []colstore.Range, region Region) []int 
 	return out
 }
 
+// quad is a non-rectangular quadrilateral inscribed in the box (x0, y0)-(x1,
+// y1): each corner pulled inward along one axis by a tenth of the box, so
+// refinement over it exercises the cell grid (a rectangle would skip it).
+func quad(x0, y0, x1, y1 float64) geom.Polygon {
+	dx, dy := (x1-x0)/10, (y1-y0)/10
+	return geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: x0, Y: y0}, {X: x1 - dx, Y: y0}, {X: x1, Y: y1 - dy}, {X: x0 + dx, Y: y1}, {X: x0, Y: y0},
+	}}}
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -89,13 +99,15 @@ func TestRefineMatchesNaiveOnBuffer(t *testing.T) {
 
 func TestRefineWithPartialCandidates(t *testing.T) {
 	xs, ys := randomCloud(5000, geom.NewEnvelope(0, 0, 100, 100), 3)
-	sq := geom.NewEnvelope(20, 20, 80, 80).ToPolygon()
-	region := GeometryRegion{G: sq}
+	region := GeometryRegion{G: quad(20, 20, 80, 80)}
 	cand := []colstore.Range{{Start: 0, End: 1000}, {Start: 3000, End: 3500}}
-	got, _ := RefineInto(xs, ys, cand, region, Options{}, nil)
+	got, st := RefineInto(xs, ys, cand, region, Options{}, nil)
 	want := naiveMatches(xs, ys, cand, region)
 	if !equalInts(got, want) {
 		t.Fatalf("partial candidates: %d vs %d", len(got), len(want))
+	}
+	if st.CellsTouched == 0 {
+		t.Fatalf("partial candidates never reached the grid: %+v", st)
 	}
 	// Rows outside the candidate set must not appear.
 	for _, row := range got {
@@ -106,7 +118,7 @@ func TestRefineWithPartialCandidates(t *testing.T) {
 }
 
 func TestRefineEmptyInputs(t *testing.T) {
-	region := GeometryRegion{G: geom.NewEnvelope(0, 0, 1, 1).ToPolygon()}
+	region := GeometryRegion{G: quad(0, 0, 1, 1)}
 	got, st := RefineInto(nil, nil, nil, region, Options{}, nil)
 	if got != nil || st.Matches != 0 {
 		t.Fatal("empty candidates should match nothing")
@@ -217,8 +229,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestStatsCellAccounting(t *testing.T) {
 	xs, ys := randomCloud(4096, geom.NewEnvelope(0, 0, 100, 100), 10)
-	sq := geom.NewEnvelope(10, 10, 90, 90).ToPolygon()
-	_, st := RefineInto(xs, ys, colstore.FullRange(len(xs)), GeometryRegion{G: sq}, Options{}, nil)
+	_, st := RefineInto(xs, ys, colstore.FullRange(len(xs)), GeometryRegion{G: quad(10, 10, 90, 90)}, Options{}, nil)
 	if st.CellsTouched != st.InsideCells+st.BoundaryCells+st.OutsideCells {
 		t.Fatalf("cell accounting broken: %+v", st)
 	}

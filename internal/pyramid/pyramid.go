@@ -24,7 +24,8 @@
 // the serial scan); tiles fully outside are skipped; boundary tiles fall
 // back to the exact compiled kernels over just their rows
 // (engine.GroupedAccumulateRows after the same envelope check + per-point
-// Contains test the grid refiner applies). Classifying the data bbox
+// Contains test the grid refiner applies; a rectangle takes the grid's
+// four-compare row loop, grid.RectRowsInto, instead). Classifying the data bbox
 // rather than the geometric tile box keeps the interior/outside decisions
 // exact by construction — every row lies inside its tile's closed data
 // bbox — independent of quantisation rounding at tile edges.
@@ -533,9 +534,10 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	// Boundary refinement: gather the partial tiles' rows that pass the
 	// same envelope check + Contains test the grid refiner applies, in
 	// (tile, row) ascending order, then fold them through the exact dense
-	// kernels.
+	// kernels. A rectangle is decided by the grid's four-compare row loop.
 	if len(btiles) > 0 {
 		xs, ys := p.pc.X(), p.pc.Y()
+		rect, isRect := grid.RectOf(region)
 		d := p.base - order
 		rbuf := run.AcquireRows(boundRows)[:0]
 		for bi, t := range btiles {
@@ -550,6 +552,10 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 			for sy := int(cy) << d; sy < int(cy+1)<<d; sy++ {
 				for sx := int(cx) << d; sx < int(cx+1)<<d; sx++ {
 					st := sy<<p.base | sx
+					if isRect {
+						rbuf = grid.RectRowsInto(xs, ys, p.rows[p.offs[st]:p.offs[st+1]], rect, rbuf)
+						continue
+					}
 					for _, r := range p.rows[p.offs[st]:p.offs[st+1]] {
 						x, y := xs[r], ys[r]
 						if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {

@@ -97,24 +97,16 @@ func buildPyramid(t *testing.T, pc *engine.PointCloud, specs []engine.GroupedAgg
 	return p, run
 }
 
-// TestPyramidMatchesExact pins pyramid answers to the exact serial arm,
-// bit-for-bit, over random viewports (including viewports snapped to tile
-// edges, viewports larger than the extent, degenerate slivers and
-// viewports outside the data) with NaN values and ±Inf/-0 value columns.
-func TestPyramidMatchesExact(t *testing.T) {
-	pc := testCloud(200_000, 42)
-	specs := testSpecs()
-	p, run := buildPyramid(t, pc, specs)
-	defer p.Release()
-	defer run.Drain()
-
+// testViewports are the viewports pyramid answers are pinned over: random
+// viewports, viewports snapped to base-tile edges, viewports larger than
+// the extent, degenerate slivers and viewports outside the data.
+func testViewports(p *Pyramid, pc *engine.PointCloud) []geom.Envelope {
 	ext := pc.Extent()
 	bg := p.levels[p.base].grid
 	ntiles := float64(uint64(1) << bg.Order)
 	tw, th := ext.Width()/ntiles, ext.Height()/ntiles
 	rng := rand.New(rand.NewSource(7))
-
-	var res engine.GroupedResult
+	var out []geom.Envelope
 	for trial := 0; trial < 80; trial++ {
 		var env geom.Envelope
 		switch trial % 5 {
@@ -136,6 +128,23 @@ func TestPyramidMatchesExact(t *testing.T) {
 		default: // entirely outside the data
 			env = geom.NewEnvelope(ext.MaxX+10, ext.MaxY+10, ext.MaxX+100, ext.MaxY+100)
 		}
+		out = append(out, env)
+	}
+	return out
+}
+
+// TestPyramidMatchesExact pins pyramid answers to the exact serial arm,
+// bit-for-bit, over testViewports with NaN values and ±Inf/-0 value
+// columns.
+func TestPyramidMatchesExact(t *testing.T) {
+	pc := testCloud(200_000, 42)
+	specs := testSpecs()
+	p, run := buildPyramid(t, pc, specs)
+	defer p.Release()
+	defer run.Drain()
+
+	var res engine.GroupedResult
+	for trial, env := range testViewports(p, pc) {
 		region := grid.GeometryRegion{G: env.ToPolygon()}
 		qs, ok, err := p.QueryRegionRun(run, region, specs, &res)
 		if err != nil {
@@ -151,6 +160,48 @@ func TestPyramidMatchesExact(t *testing.T) {
 			// interior — O(visible tiles), whatever the row count.
 			t.Fatalf("containing viewport refined %d boundary tiles", qs.Boundary)
 		}
+	}
+}
+
+// TestPyramidRectMatchesGridTwin pins the rectangle boundary refinement
+// (grid.RectRowsInto) to the per-point Contains path it replaces: each
+// viewport as a 4-corner rectangle and as the same box with an extra
+// collinear vertex (which RectOf does not recognise) must give
+// bit-identical groups and identical QueryStats.
+func TestPyramidRectMatchesGridTwin(t *testing.T) {
+	pc := testCloud(200_000, 42)
+	specs := testSpecs()
+	p, run := buildPyramid(t, pc, specs)
+	defer p.Release()
+	defer run.Drain()
+
+	var rectRes, twinRes engine.GroupedResult
+	refined := 0
+	for trial, env := range testViewports(p, pc) {
+		rect := grid.GeometryRegion{G: env.ToPolygon()}
+		twin := grid.GeometryRegion{G: geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+			{X: env.MinX, Y: env.MinY}, {X: env.MaxX, Y: env.MinY}, {X: env.MaxX, Y: (env.MinY + env.MaxY) / 2},
+			{X: env.MaxX, Y: env.MaxY}, {X: env.MinX, Y: env.MaxY},
+		}}}}
+		if _, ok := grid.RectOf(rect); !ok {
+			t.Fatalf("trial %d: viewport %v not recognised as a rectangle", trial, env)
+		}
+		if _, ok := grid.RectOf(twin); ok {
+			t.Fatalf("trial %d: 5-vertex twin recognised as a rectangle", trial)
+		}
+		rqs, rok, rerr := p.QueryRegionRun(run, rect, specs, &rectRes)
+		tqs, tok, terr := p.QueryRegionRun(run, twin, specs, &twinRes)
+		if rerr != nil || terr != nil || !rok || !tok {
+			t.Fatalf("trial %d: rect ok=%v err=%v, twin ok=%v err=%v", trial, rok, rerr, tok, terr)
+		}
+		if rqs != tqs {
+			t.Fatalf("trial %d: rect stats %+v, twin %+v", trial, rqs, tqs)
+		}
+		sameGrouped(t, "rect vs twin", &rectRes, &twinRes)
+		refined += rqs.BoundaryRows
+	}
+	if refined == 0 {
+		t.Fatal("no viewport refined a boundary row")
 	}
 }
 

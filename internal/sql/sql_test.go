@@ -150,9 +150,11 @@ func TestSelectBoxSQLMatchesEngine(t *testing.T) {
 	if len(res.Columns) != 3 || res.Columns[0] != "x" {
 		t.Fatalf("columns = %v", res.Columns)
 	}
-	// The plan must contain the imprint filter operator.
+	// The plan must contain the imprint filter operator, and an
+	// ST_MakeEnvelope region refines as a rectangle, without the cell grid.
 	trace := res.Explain.String()
-	if !strings.Contains(trace, "imprints.filter") || !strings.Contains(trace, "grid.refine") {
+	if !strings.Contains(trace, "imprints.filter") || !strings.Contains(trace, "grid.refine") ||
+		!strings.Contains(trace, "rect, no grid") {
 		t.Fatalf("trace missing accelerated operators:\n%s", trace)
 	}
 }
