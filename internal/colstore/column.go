@@ -1,8 +1,13 @@
 // Package colstore implements the columnar storage substrate of the
-// spatially-enabled column store: typed in-memory columns with append,
-// min/max statistics, text (CSV) ingestion, and raw little-endian binary
-// dump/load — the equivalent of MonetDB's COPY BINARY bulk path that the
-// paper's loader targets (§3.2).
+// spatially-enabled column store: one generic numeric column, Num[T], over
+// the closed set of LAS attribute element types (float64 coordinates after
+// scale/offset application, small integers for most properties), with
+// append, min/max statistics, text (CSV) ingestion, and raw little-endian
+// binary dump/load — the equivalent of MonetDB's COPY BINARY bulk path that
+// the paper's loader targets (§3.2). Column is sealed: Num[T] is its only
+// implementation, so a type switch over the five instantiations is
+// exhaustive. StrColumn, the dictionary-encoded string column of the vector
+// tables, stands beside it and is not a Column.
 //
 // A flat table is simply a Schema plus one Column per field; rows are never
 // materialised. Row positions are addressed by dense indices, and query
@@ -27,11 +32,9 @@ const (
 	I32
 	U16
 	U8
-	Str // dictionary-encoded string
 )
 
-// Size returns the in-memory element width in bytes (dictionary columns
-// report the width of their code array).
+// Size returns the in-memory element width in bytes.
 func (t DType) Size() int {
 	switch t {
 	case F64, I64:
@@ -42,8 +45,6 @@ func (t DType) Size() int {
 		return 2
 	case U8:
 		return 1
-	case Str:
-		return 4 // uint32 dictionary codes
 	default:
 		return 0
 	}
@@ -62,22 +63,19 @@ func (t DType) String() string {
 		return "u16"
 	case U8:
 		return "u8"
-	case Str:
-		return "str"
 	default:
 		return fmt.Sprintf("dtype(%d)", uint8(t))
 	}
 }
 
-// Column is the common interface of all column implementations.
+// Column is the type-erased view of a Num[T]. It is sealed (format is
+// unexported), so the five Num instantiations are its only implementations.
 type Column interface {
-	// DType reports the element type.
-	DType() DType
 	// Len reports the number of stored values.
 	Len() int
-	// Value returns element i widened to float64 (dictionary columns return
-	// the code). It is the generic access path; hot loops should type-assert
-	// to the concrete column and use Values().
+	// Value returns element i widened to float64. It is the generic access
+	// path; hot loops should type-assert to the concrete column and use
+	// Values().
 	Value(i int) float64
 	// AppendValue appends a value given as float64 (narrowing as needed).
 	AppendValue(v float64)
@@ -93,8 +91,8 @@ type Column interface {
 	WriteBinary(w io.Writer) (int64, error)
 	// AppendBinary appends n values from a raw little-endian array.
 	AppendBinary(r io.Reader, n int) error
-	// Reset truncates the column to zero length, keeping capacity.
-	Reset()
+	// format appends element i as CSV text.
+	format(dst []byte, i int) []byte
 }
 
 // Field describes one attribute of a flat table.
@@ -140,8 +138,6 @@ func NewColumn(t DType) Column {
 		return &U16Column{}
 	case U8:
 		return &U8Column{}
-	case Str:
-		return NewStrColumn()
 	default:
 		panic(fmt.Sprintf("colstore: unknown dtype %v", t))
 	}
@@ -163,26 +159,6 @@ func RangesLen(rs []Range) int {
 		n += r.Len()
 	}
 	return n
-}
-
-// MergeRanges coalesces a sorted range list, joining adjacent and
-// overlapping entries.
-func MergeRanges(rs []Range) []Range {
-	if len(rs) == 0 {
-		return rs
-	}
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r.Start <= last.End {
-			if r.End > last.End {
-				last.End = r.End
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // FullRange returns the single range covering n rows.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -25,48 +24,25 @@ func WriteCSV(w io.Writer, cols []Column) error {
 		}
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
+	var line []byte
 	for row := 0; row < n; row++ {
+		line = line[:0]
 		for i, c := range cols {
 			if i > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
+				line = append(line, ',')
 			}
-			if err := writeCSVValue(bw, c, row); err != nil {
-				return err
-			}
+			line = c.format(line, row)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-func writeCSVValue(bw *bufio.Writer, c Column, row int) error {
-	var err error
-	switch t := c.(type) {
-	case *F64Column:
-		_, err = bw.WriteString(strconv.FormatFloat(t.Values()[row], 'g', -1, 64))
-	case *I64Column:
-		_, err = bw.WriteString(strconv.FormatInt(t.Values()[row], 10))
-	case *I32Column:
-		_, err = bw.WriteString(strconv.FormatInt(int64(t.Values()[row]), 10))
-	case *U16Column:
-		_, err = bw.WriteString(strconv.FormatUint(uint64(t.Values()[row]), 10))
-	case *U8Column:
-		_, err = bw.WriteString(strconv.FormatUint(uint64(t.Values()[row]), 10))
-	case *StrColumn:
-		_, err = bw.WriteString(t.String(row))
-	default:
-		_, err = bw.WriteString(strconv.FormatFloat(c.Value(row), 'g', -1, 64))
-	}
-	return err
-}
-
 // AppendCSV parses comma-separated rows from r and appends them to the
-// columns. String fields must not contain commas (the synthetic datasets
-// honour this; a full RFC 4180 reader is out of scope for the baseline).
+// columns.
 func AppendCSV(r io.Reader, cols []Column) (rows int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)

@@ -1,136 +1,106 @@
 package colstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
-// F64Column stores float64 values.
-type F64Column struct{ vals []float64 }
+// Number is the closed set of column element types.
+type Number interface {
+	float64 | int64 | int32 | uint16 | uint8
+}
 
-// NewF64Column wraps an existing slice (no copy).
-func NewF64Column(vals []float64) *F64Column { return &F64Column{vals: vals} }
+// Num is the column of one element type: a flat []T, widened to float64
+// only at the Column interface. Hot loops type-switch to the concrete
+// instantiation and scan Values() directly.
+type Num[T Number] struct{ vals []T }
 
-// DType implements Column.
-func (c *F64Column) DType() DType { return F64 }
+// The five instantiations under their element names.
+type (
+	F64Column = Num[float64]
+	I64Column = Num[int64]
+	I32Column = Num[int32]  // LAS raw coordinates, scan angles
+	U16Column = Num[uint16] // intensity, point source id, RGB
+	U8Column  = Num[uint8]  // classification, returns, flags
+)
+
+// NewNum wraps an existing slice (no copy).
+func NewNum[T Number](vals []T) *Num[T] { return &Num[T]{vals: vals} }
+
+// dtype maps the element type to its DType.
+func (*Num[T]) dtype() DType {
+	var z T
+	switch any(z).(type) {
+	case float64:
+		return F64
+	case int64:
+		return I64
+	case int32:
+		return I32
+	case uint16:
+		return U16
+	}
+	return U8
+}
 
 // Len implements Column.
-func (c *F64Column) Len() int { return len(c.vals) }
+func (c *Num[T]) Len() int { return len(c.vals) }
 
 // Value implements Column.
-func (c *F64Column) Value(i int) float64 { return c.vals[i] }
+func (c *Num[T]) Value(i int) float64 { return float64(c.vals[i]) }
 
 // Values exposes the backing slice for vectorised scans.
-func (c *F64Column) Values() []float64 { return c.vals }
+func (c *Num[T]) Values() []T { return c.vals }
 
 // Append adds values.
-func (c *F64Column) Append(vs ...float64) { c.vals = append(c.vals, vs...) }
+func (c *Num[T]) Append(vs ...T) { c.vals = append(c.vals, vs...) }
 
 // AppendValue implements Column.
-func (c *F64Column) AppendValue(v float64) { c.vals = append(c.vals, v) }
+func (c *Num[T]) AppendValue(v float64) { c.vals = append(c.vals, T(v)) }
 
-// AppendText implements Column.
-func (c *F64Column) AppendText(s string) error {
-	v, err := strconv.ParseFloat(s, 64)
+// AppendText implements Column: a float for f64, a base-10 integer that
+// fits the element type otherwise.
+func (c *Num[T]) AppendText(s string) error {
+	t := c.dtype()
+	var v T
+	var err error
+	switch t {
+	case F64:
+		var f float64
+		f, err = strconv.ParseFloat(s, 64)
+		v = T(f)
+	case I64, I32:
+		var i int64
+		i, err = strconv.ParseInt(s, 10, 8*t.Size())
+		v = T(i)
+	default:
+		var u uint64
+		u, err = strconv.ParseUint(s, 10, 8*t.Size())
+		v = T(u)
+	}
 	if err != nil {
-		return fmt.Errorf("f64 column: %w", err)
+		return fmt.Errorf("%s column: %w", t, err)
 	}
 	c.vals = append(c.vals, v)
 	return nil
 }
 
-// MinMax implements Column.
-func (c *F64Column) MinMax() (float64, float64, bool) {
-	if len(c.vals) == 0 {
-		return 0, 0, false
+// format implements Column.
+func (c *Num[T]) format(dst []byte, i int) []byte {
+	v := c.vals[i]
+	switch c.dtype() {
+	case F64:
+		return strconv.AppendFloat(dst, float64(v), 'g', -1, 64)
+	case I64, I32:
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	lo, hi := c.vals[0], c.vals[0]
-	for _, v := range c.vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi, true
-}
-
-// Bytes implements Column.
-func (c *F64Column) Bytes() int { return 8 * len(c.vals) }
-
-// Reset implements Column.
-func (c *F64Column) Reset() { c.vals = c.vals[:0] }
-
-// WriteBinary implements Column.
-func (c *F64Column) WriteBinary(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var buf [8]byte
-	var n int64
-	for _, v := range c.vals {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		m, err := bw.Write(buf[:])
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// AppendBinary implements Column.
-func (c *F64Column) AppendBinary(r io.Reader, n int) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var buf [8]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("f64 column: short read at %d/%d: %w", i, n, err)
-		}
-		c.vals = append(c.vals, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-	}
-	return nil
-}
-
-// I64Column stores int64 values.
-type I64Column struct{ vals []int64 }
-
-// NewI64Column wraps an existing slice (no copy).
-func NewI64Column(vals []int64) *I64Column { return &I64Column{vals: vals} }
-
-// DType implements Column.
-func (c *I64Column) DType() DType { return I64 }
-
-// Len implements Column.
-func (c *I64Column) Len() int { return len(c.vals) }
-
-// Value implements Column.
-func (c *I64Column) Value(i int) float64 { return float64(c.vals[i]) }
-
-// Values exposes the backing slice for vectorised scans.
-func (c *I64Column) Values() []int64 { return c.vals }
-
-// Append adds values.
-func (c *I64Column) Append(vs ...int64) { c.vals = append(c.vals, vs...) }
-
-// AppendValue implements Column.
-func (c *I64Column) AppendValue(v float64) { c.vals = append(c.vals, int64(v)) }
-
-// AppendText implements Column.
-func (c *I64Column) AppendText(s string) error {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return fmt.Errorf("i64 column: %w", err)
-	}
-	c.vals = append(c.vals, v)
-	return nil
+	return strconv.AppendUint(dst, uint64(v), 10)
 }
 
 // MinMax implements Column.
-func (c *I64Column) MinMax() (float64, float64, bool) {
+func (c *Num[T]) MinMax() (float64, float64, bool) {
 	if len(c.vals) == 0 {
 		return 0, 0, false
 	}
@@ -147,282 +117,53 @@ func (c *I64Column) MinMax() (float64, float64, bool) {
 }
 
 // Bytes implements Column.
-func (c *I64Column) Bytes() int { return 8 * len(c.vals) }
+func (c *Num[T]) Bytes() int { return c.dtype().Size() * len(c.vals) }
 
-// Reset implements Column.
-func (c *I64Column) Reset() { c.vals = c.vals[:0] }
+// binChunk is the byte size of one encode/decode step of the binary codec.
+const binChunk = 1 << 16
 
 // WriteBinary implements Column.
-func (c *I64Column) WriteBinary(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var buf [8]byte
+func (c *Num[T]) WriteBinary(w io.Writer) (int64, error) {
+	size := c.dtype().Size()
+	per := binChunk / size
+	buf := make([]byte, 0, min(len(c.vals), per)*size)
 	var n int64
-	for _, v := range c.vals {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		m, err := bw.Write(buf[:])
+	for vals := c.vals; len(vals) > 0; {
+		k := min(len(vals), per)
+		b, _ := binary.Append(buf, binary.LittleEndian, vals[:k]) // a fixed-size slice always encodes
+		m, err := w.Write(b)
 		n += int64(m)
 		if err != nil {
 			return n, err
 		}
+		vals = vals[k:]
 	}
-	return n, bw.Flush()
+	return n, nil
 }
 
-// AppendBinary implements Column.
-func (c *I64Column) AppendBinary(r io.Reader, n int) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var buf [8]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("i64 column: short read at %d/%d: %w", i, n, err)
-		}
-		c.vals = append(c.vals, int64(binary.LittleEndian.Uint64(buf[:])))
-	}
-	return nil
-}
-
-// I32Column stores int32 values (LAS raw coordinates, scan angles).
-type I32Column struct{ vals []int32 }
-
-// NewI32Column wraps an existing slice (no copy).
-func NewI32Column(vals []int32) *I32Column { return &I32Column{vals: vals} }
-
-// DType implements Column.
-func (c *I32Column) DType() DType { return I32 }
-
-// Len implements Column.
-func (c *I32Column) Len() int { return len(c.vals) }
-
-// Value implements Column.
-func (c *I32Column) Value(i int) float64 { return float64(c.vals[i]) }
-
-// Values exposes the backing slice for vectorised scans.
-func (c *I32Column) Values() []int32 { return c.vals }
-
-// Append adds values.
-func (c *I32Column) Append(vs ...int32) { c.vals = append(c.vals, vs...) }
-
-// AppendValue implements Column.
-func (c *I32Column) AppendValue(v float64) { c.vals = append(c.vals, int32(v)) }
-
-// AppendText implements Column.
-func (c *I32Column) AppendText(s string) error {
-	v, err := strconv.ParseInt(s, 10, 32)
-	if err != nil {
-		return fmt.Errorf("i32 column: %w", err)
-	}
-	c.vals = append(c.vals, int32(v))
-	return nil
-}
-
-// MinMax implements Column.
-func (c *I32Column) MinMax() (float64, float64, bool) {
-	if len(c.vals) == 0 {
-		return 0, 0, false
-	}
-	lo, hi := c.vals[0], c.vals[0]
-	for _, v := range c.vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return float64(lo), float64(hi), true
-}
-
-// Bytes implements Column.
-func (c *I32Column) Bytes() int { return 4 * len(c.vals) }
-
-// Reset implements Column.
-func (c *I32Column) Reset() { c.vals = c.vals[:0] }
-
-// WriteBinary implements Column.
-func (c *I32Column) WriteBinary(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var buf [4]byte
-	var n int64
-	for _, v := range c.vals {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		m, err := bw.Write(buf[:])
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// AppendBinary implements Column.
-func (c *I32Column) AppendBinary(r io.Reader, n int) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var buf [4]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("i32 column: short read at %d/%d: %w", i, n, err)
-		}
-		c.vals = append(c.vals, int32(binary.LittleEndian.Uint32(buf[:])))
-	}
-	return nil
-}
-
-// U16Column stores uint16 values (intensity, point source id, RGB).
-type U16Column struct{ vals []uint16 }
-
-// NewU16Column wraps an existing slice (no copy).
-func NewU16Column(vals []uint16) *U16Column { return &U16Column{vals: vals} }
-
-// DType implements Column.
-func (c *U16Column) DType() DType { return U16 }
-
-// Len implements Column.
-func (c *U16Column) Len() int { return len(c.vals) }
-
-// Value implements Column.
-func (c *U16Column) Value(i int) float64 { return float64(c.vals[i]) }
-
-// Values exposes the backing slice for vectorised scans.
-func (c *U16Column) Values() []uint16 { return c.vals }
-
-// Append adds values.
-func (c *U16Column) Append(vs ...uint16) { c.vals = append(c.vals, vs...) }
-
-// AppendValue implements Column.
-func (c *U16Column) AppendValue(v float64) { c.vals = append(c.vals, uint16(v)) }
-
-// AppendText implements Column.
-func (c *U16Column) AppendText(s string) error {
-	v, err := strconv.ParseUint(s, 10, 16)
-	if err != nil {
-		return fmt.Errorf("u16 column: %w", err)
-	}
-	c.vals = append(c.vals, uint16(v))
-	return nil
-}
-
-// MinMax implements Column.
-func (c *U16Column) MinMax() (float64, float64, bool) {
-	if len(c.vals) == 0 {
-		return 0, 0, false
-	}
-	lo, hi := c.vals[0], c.vals[0]
-	for _, v := range c.vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return float64(lo), float64(hi), true
-}
-
-// Bytes implements Column.
-func (c *U16Column) Bytes() int { return 2 * len(c.vals) }
-
-// Reset implements Column.
-func (c *U16Column) Reset() { c.vals = c.vals[:0] }
-
-// WriteBinary implements Column.
-func (c *U16Column) WriteBinary(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var buf [2]byte
-	var n int64
-	for _, v := range c.vals {
-		binary.LittleEndian.PutUint16(buf[:], v)
-		m, err := bw.Write(buf[:])
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// AppendBinary implements Column.
-func (c *U16Column) AppendBinary(r io.Reader, n int) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var buf [2]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("u16 column: short read at %d/%d: %w", i, n, err)
-		}
-		c.vals = append(c.vals, binary.LittleEndian.Uint16(buf[:]))
-	}
-	return nil
-}
-
-// U8Column stores uint8 values (classification, returns, flags).
-type U8Column struct{ vals []uint8 }
-
-// NewU8Column wraps an existing slice (no copy).
-func NewU8Column(vals []uint8) *U8Column { return &U8Column{vals: vals} }
-
-// DType implements Column.
-func (c *U8Column) DType() DType { return U8 }
-
-// Len implements Column.
-func (c *U8Column) Len() int { return len(c.vals) }
-
-// Value implements Column.
-func (c *U8Column) Value(i int) float64 { return float64(c.vals[i]) }
-
-// Values exposes the backing slice for vectorised scans.
-func (c *U8Column) Values() []uint8 { return c.vals }
-
-// Append adds values.
-func (c *U8Column) Append(vs ...uint8) { c.vals = append(c.vals, vs...) }
-
-// AppendValue implements Column.
-func (c *U8Column) AppendValue(v float64) { c.vals = append(c.vals, uint8(v)) }
-
-// AppendText implements Column.
-func (c *U8Column) AppendText(s string) error {
-	v, err := strconv.ParseUint(s, 10, 8)
-	if err != nil {
-		return fmt.Errorf("u8 column: %w", err)
-	}
-	c.vals = append(c.vals, uint8(v))
-	return nil
-}
-
-// MinMax implements Column.
-func (c *U8Column) MinMax() (float64, float64, bool) {
-	if len(c.vals) == 0 {
-		return 0, 0, false
-	}
-	lo, hi := c.vals[0], c.vals[0]
-	for _, v := range c.vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return float64(lo), float64(hi), true
-}
-
-// Bytes implements Column.
-func (c *U8Column) Bytes() int { return len(c.vals) }
-
-// Reset implements Column.
-func (c *U8Column) Reset() { c.vals = c.vals[:0] }
-
-// WriteBinary implements Column.
-func (c *U8Column) WriteBinary(w io.Writer) (int64, error) {
-	n, err := w.Write(c.vals)
-	return int64(n), err
-}
-
-// AppendBinary implements Column.
-func (c *U8Column) AppendBinary(r io.Reader, n int) error {
+// AppendBinary implements Column. The column grows one chunk at a time as
+// the bytes arrive, never by n up front: n may come from an untrusted
+// manifest. A short read leaves the column as it was.
+func (c *Num[T]) AppendBinary(r io.Reader, n int) error {
+	size := c.dtype().Size()
+	per := binChunk / size
+	buf := make([]byte, min(max(n, 0), per)*size)
 	start := len(c.vals)
-	c.vals = append(c.vals, make([]uint8, n)...)
-	if _, err := io.ReadFull(r, c.vals[start:]); err != nil {
-		c.vals = c.vals[:start]
-		return fmt.Errorf("u8 column: short read: %w", err)
+	for done := 0; done < n; {
+		k := min(n-done, per)
+		if m, err := io.ReadFull(r, buf[:k*size]); err != nil {
+			c.vals = c.vals[:start]
+			return fmt.Errorf("%s column: short read at %d/%d: %w", c.dtype(), done+m/size, n, err)
+		}
+		at := len(c.vals)
+		for cap(c.vals)-at < k {
+			// Grow as one-value appends would, so a loaded column keeps the
+			// capacity, and the resident heap, of an element-wise reader.
+			c.vals = append(c.vals[:cap(c.vals)], 0)[:at]
+		}
+		c.vals = c.vals[:at+k]
+		_, _ = binary.Decode(buf[:k*size], binary.LittleEndian, c.vals[at:]) // sizes match by construction
+		done += k
 	}
 	return nil
 }

@@ -1,17 +1,11 @@
 package colstore
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
-
 // StrColumn is a dictionary-encoded string column: a uint32 code per row plus
 // a shared dictionary of distinct strings. Thematic attributes such as OSM
 // road classes and Urban Atlas nomenclature labels are highly repetitive, so
 // dictionary encoding keeps them a few bytes per row — one of the columnar
 // compression advantages the paper cites for the flat-table model (§3.1).
+// It is not a Column: the vector tables read it by string or by code.
 type StrColumn struct {
 	codes []uint32
 	dict  []string
@@ -21,24 +15,6 @@ type StrColumn struct {
 // NewStrColumn returns an empty dictionary column.
 func NewStrColumn() *StrColumn {
 	return &StrColumn{index: make(map[string]uint32)}
-}
-
-// DType implements Column.
-func (c *StrColumn) DType() DType { return Str }
-
-// Len implements Column.
-func (c *StrColumn) Len() int { return len(c.codes) }
-
-// Value implements Column; it returns the dictionary code.
-func (c *StrColumn) Value(i int) float64 { return float64(c.codes[i]) }
-
-// AppendValue implements Column; v must be an existing dictionary code.
-func (c *StrColumn) AppendValue(v float64) { c.codes = append(c.codes, uint32(v)) }
-
-// AppendText implements Column.
-func (c *StrColumn) AppendText(s string) error {
-	c.AppendString(s)
-	return nil
 }
 
 // AppendString appends s, interning it in the dictionary.
@@ -69,108 +45,11 @@ func (c *StrColumn) Codes() []uint32 { return c.codes }
 // DictSize reports the number of distinct strings.
 func (c *StrColumn) DictSize() int { return len(c.dict) }
 
-// MinMax implements Column over the codes.
-func (c *StrColumn) MinMax() (float64, float64, bool) {
-	if len(c.codes) == 0 {
-		return 0, 0, false
-	}
-	lo, hi := c.codes[0], c.codes[0]
-	for _, v := range c.codes[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return float64(lo), float64(hi), true
-}
-
-// Bytes implements Column: code array plus dictionary payload.
+// Bytes reports the code array plus dictionary payload.
 func (c *StrColumn) Bytes() int {
 	n := 4 * len(c.codes)
 	for _, s := range c.dict {
 		n += len(s)
 	}
 	return n
-}
-
-// Reset implements Column. The dictionary is retained.
-func (c *StrColumn) Reset() { c.codes = c.codes[:0] }
-
-// WriteBinary implements Column. Layout: u32 dictionary size, then each
-// dictionary entry as u32 length + bytes, then the code array.
-func (c *StrColumn) WriteBinary(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(len(c.dict)))
-	m, err := bw.Write(buf[:])
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	for _, s := range c.dict {
-		binary.LittleEndian.PutUint32(buf[:], uint32(len(s)))
-		m, err = bw.Write(buf[:])
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-		m, err = bw.WriteString(s)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	for _, code := range c.codes {
-		binary.LittleEndian.PutUint32(buf[:], code)
-		m, err = bw.Write(buf[:])
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// AppendBinary implements Column. The incoming dictionary is remapped onto
-// the receiver's dictionary, so appends from multiple dumps stay consistent.
-func (c *StrColumn) AppendBinary(r io.Reader, n int) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var buf [4]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return fmt.Errorf("str column: dict size: %w", err)
-	}
-	dictLen := binary.LittleEndian.Uint32(buf[:])
-	remap := make([]uint32, dictLen)
-	for i := range remap {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("str column: dict entry %d: %w", i, err)
-		}
-		strLen := binary.LittleEndian.Uint32(buf[:])
-		sb := make([]byte, strLen)
-		if _, err := io.ReadFull(br, sb); err != nil {
-			return fmt.Errorf("str column: dict entry %d payload: %w", i, err)
-		}
-		s := string(sb)
-		code, ok := c.index[s]
-		if !ok {
-			code = uint32(len(c.dict))
-			c.dict = append(c.dict, s)
-			c.index[s] = code
-		}
-		remap[i] = code
-	}
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("str column: code %d/%d: %w", i, n, err)
-		}
-		code := binary.LittleEndian.Uint32(buf[:])
-		if int(code) >= len(remap) {
-			return fmt.Errorf("str column: code %d out of dictionary range %d", code, len(remap))
-		}
-		c.codes = append(c.codes, remap[code])
-	}
-	return nil
 }

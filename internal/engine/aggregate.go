@@ -133,28 +133,14 @@ func aggColumn(col colstore.Column, rows []int, all bool, start, end int, sum, l
 	case *colstore.U8Column:
 		return aggVals(colSpan(t.Values(), all, start, end), rows, all, sum, lo, hi)
 	default:
-		for i := start; i < end; i++ {
-			r := i
-			if !all {
-				r = rows[i-start]
-			}
-			v := col.Value(r)
-			sum += v
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		return sum, lo, hi
+		panic(fmt.Sprintf("engine: no aggregate loop for %T", col))
 	}
 }
 
 // aggVals is the monomorphic fused sum/min/max loop, continuing the
-// caller's accumulators. Values widen to float64 exactly as the generic
-// Value() path does.
-func aggVals[T number](vals []T, rows []int, all bool, sum, lo, hi float64) (float64, float64, float64) {
+// caller's accumulators. Values widen to float64 exactly as Column.Value
+// does.
+func aggVals[T colstore.Number](vals []T, rows []int, all bool, sum, lo, hi float64) (float64, float64, float64) {
 	if all {
 		for _, t := range vals {
 			v := float64(t)

@@ -94,14 +94,6 @@ func TestVectorTableBasics(t *testing.T) {
 	if len(hits) != 1 || hits[0] != 0 {
 		t.Fatalf("intersects = %v", hits)
 	}
-	// Numeric filter.
-	filtered, err := vt.FilterNumeric([]int{0, 1}, "flow", ColumnPred{Op: CmpGT, Value: 1}, ex)
-	if err != nil || len(filtered) != 1 || filtered[0] != 1 {
-		t.Fatalf("numeric filter = %v, %v", filtered, err)
-	}
-	if _, err := vt.FilterNumeric([]int{0}, "none", ColumnPred{}, ex); err == nil {
-		t.Fatal("unknown attribute should error")
-	}
 }
 
 func TestScenario2Queries(t *testing.T) {

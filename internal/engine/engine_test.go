@@ -160,6 +160,48 @@ func TestSelectGeometryAndDWithinMatchScan(t *testing.T) {
 	}
 }
 
+// TestSelectNaNCoordinateRows: AppendLAS does not check coordinates, so
+// a table can hold points with a NaN x or y. A polygon selection over it
+// (the cell-grid path, small and large enough to fan out) must return the
+// exhaustive rows — a NaN-coordinate row is never a match — not panic.
+func TestSelectNaNCoordinateRows(t *testing.T) {
+	nan := math.NaN()
+	tri := grid.GeometryRegion{G: geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 2, Y: 4},
+	}}}}
+	pc := NewPointCloud()
+	pc.AppendLAS([]las.Point{{X: 1, Y: 1}, {X: nan, Y: 1}, {X: 3, Y: 1}, {X: 2, Y: nan}, {X: nan, Y: nan}, {X: 2, Y: 3}})
+	if got := pc.SelectRegionRows(tri); !equalRows(got, []int{0, 2, 5}) {
+		t.Fatalf("small table: %v, want [0 2 5]", got)
+	}
+
+	big, _ := buildCloud(t, 0.05)
+	pts := make([]las.Point, 0, 300)
+	for i := range 300 {
+		x, y := float64(100+i*2), float64(200+i)
+		switch i % 3 {
+		case 0:
+			x = nan
+		case 1:
+			y = nan
+		default:
+			x, y = nan, nan
+		}
+		pts = append(pts, las.Point{X: x, Y: y})
+	}
+	big.AppendLAS(pts)
+	poly := grid.GeometryRegion{G: geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: 100, Y: 150}, {X: 700, Y: 100}, {X: 850, Y: 700}, {X: 300, Y: 880},
+	}}}}
+	want := scanRegion(big, poly)
+	for _, deg := range []int{1, 2, 4} {
+		run := parRun(deg)
+		if got := big.SelectRegionRowsRun(run, poly, nil); !equalRows(got, want) {
+			t.Fatalf("cap %d: %d rows, exhaustive %d", deg, len(got), len(want))
+		}
+	}
+}
+
 func TestSelectionOnEmptyTable(t *testing.T) {
 	pc := NewPointCloud()
 	if rows := pc.SelectRegionRows(boxRegion(geom.NewEnvelope(0, 0, 1, 1))); rows == nil || len(rows) != 0 {

@@ -354,6 +354,7 @@ func foldSpecs(src foldSrc, pc *PointCloud, specs []GroupedAggSpec, rows []int, 
 			if tok.Cancelled() {
 				return
 			}
+			_ = faultpoint.Hit("engine.groupagg.block")
 			foldColumn(src, col, rows, all, start, b, min(b+foldBlock, end), acc)
 		}
 		for k := j + 1; k < len(specs); k++ {
@@ -369,6 +370,7 @@ func foldSpecs(src foldSrc, pc *PointCloud, specs []GroupedAggSpec, rows []int, 
 			if tok.Cancelled() {
 				return
 			}
+			_ = faultpoint.Hit("engine.groupagg.block")
 			foldCount(src, rows, all, start, b, min(b+foldBlock, end), cnt)
 		}
 	}
@@ -417,8 +419,7 @@ func countKeys[K denseKey](keys []K, rows []int, all bool, b, e int, cnt []float
 }
 
 // foldColumn dispatches one block [b, e) of a value column's pass to the
-// column's concrete type; the default arm preserves Column.Value semantics
-// for types without a typed fast path.
+// column's concrete type.
 func foldColumn(src foldSrc, col colstore.Column, rows []int, all bool, start, b, e int, a foldAcc) {
 	switch c := col.(type) {
 	case *colstore.F64Column:
@@ -432,31 +433,7 @@ func foldColumn(src foldSrc, col colstore.Column, rows []int, all bool, start, b
 	case *colstore.U8Column:
 		foldVals(src, c.Values(), rows, all, start, b, e, a)
 	default:
-		cnt, sum, lo, hi := a.cnt, a.v[roleSum], a.v[roleMin], a.v[roleMax]
-		for i := b; i < e; i++ {
-			r := i
-			if !all {
-				r = rows[i]
-			}
-			var s int
-			switch {
-			case src.slots != nil:
-				s = src.slots[i-start]
-			case src.keys8 != nil:
-				s = int(src.keys8[r])
-			default:
-				s = int(src.keys16[r])
-			}
-			f := col.Value(r)
-			cnt[s]++
-			sum[s] += f
-			if f < lo[s] {
-				lo[s] = f
-			}
-			if f > hi[s] {
-				hi[s] = f
-			}
-		}
+		panic(fmt.Sprintf("engine: no fold loop for %T", col))
 	}
 }
 
@@ -464,7 +441,7 @@ func foldColumn(src foldSrc, col colstore.Column, rows []int, all bool, start, b
 // of the slot source. The loops it instantiates contain no calls, so they
 // compile to fully specialised bodies even from generic code (the closure
 // kernels CompileFilterKernel warns about do not).
-func foldVals[V number](src foldSrc, vals []V, rows []int, all bool, start, b, e int, a foldAcc) {
+func foldVals[V colstore.Number](src foldSrc, vals []V, rows []int, all bool, start, b, e int, a foldAcc) {
 	vals = colSpan(vals, all, b, e)
 	if !all {
 		rows = rows[b:e]
@@ -483,7 +460,7 @@ func foldVals[V number](src foldSrc, vals []V, rows []int, all bool, start, b, e
 // selected row reads its id, its key and its value once and updates all
 // four accumulators of the slot. Strict compares against ±Inf seeds keep
 // min/max bit-identical to their own single passes (NaN loses both).
-func foldKeys[K denseKey, V number](keys []K, vals []V, rows []int, all bool, a foldAcc) {
+func foldKeys[K denseKey, V colstore.Number](keys []K, vals []V, rows []int, all bool, a foldAcc) {
 	cnt, sum, lo, hi := a.cnt, a.v[roleSum], a.v[roleMin], a.v[roleMax]
 	if all {
 		keys = keys[:len(vals)]
@@ -514,7 +491,7 @@ func foldKeys[K denseKey, V number](keys []K, vals []V, rows []int, all bool, a 
 }
 
 // foldSlots is the same loop driven by a span-aligned slot vector.
-func foldSlots[V number](slots []int, vals []V, rows []int, all bool, a foldAcc) {
+func foldSlots[V colstore.Number](slots []int, vals []V, rows []int, all bool, a foldAcc) {
 	cnt, sum, lo, hi := a.cnt, a.v[roleSum], a.v[roleMin], a.v[roleMax]
 	if all {
 		vals = vals[:len(slots)]
@@ -673,20 +650,14 @@ func hashKeyCol(col colstore.Column, rows []int, all bool, start, end int, g *gr
 	case *colstore.U8Column:
 		hashKeys(colSpan(c.Values(), all, start, end), rows, all, g, slots)
 	default:
-		for i := range slots {
-			r := start + i
-			if !all {
-				r = rows[i]
-			}
-			slots[i] = g.slotOf(col.Value(r))
-		}
+		panic(fmt.Sprintf("engine: no hash loop for %T", col))
 	}
 }
 
 // hashKeys assigns slots for one key column: the float64 widening matches
 // Column.Value, so an i64 key groups exactly as the row-at-a-time path does
 // (lossy widening included).
-func hashKeys[K number](vals []K, rows []int, all bool, g *groupHash, slots []int) {
+func hashKeys[K colstore.Number](vals []K, rows []int, all bool, g *groupHash, slots []int) {
 	for i := range slots {
 		r := i
 		if !all {

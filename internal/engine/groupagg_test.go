@@ -193,35 +193,10 @@ func TestGroupedAggregateMatchesReference(t *testing.T) {
 	checkGrouped(t, pc, small, ColIntensity, specs, GroupHash)
 }
 
-// opaqueColumn hides a column's concrete type, so every typed dispatch
-// takes its generic Column.Value fallback arm; onValue, when set, observes
-// each access.
-type opaqueColumn struct {
-	colstore.Column
-	onValue func(i int)
-}
-
-func (c opaqueColumn) Value(i int) float64 {
-	if c.onValue != nil {
-		c.onValue(i)
-	}
-	return c.Column.Value(i)
-}
-
-// hideColumn swaps the named column for an opaque wrapper of itself.
-func hideColumn(pc *PointCloud, name string, onValue func(i int)) {
-	i := pc.schema.FieldIndex(name)
-	pc.cols[i] = opaqueColumn{Column: pc.cols[i], onValue: onValue}
-}
-
-// foldOpaque is the value column foldTestCloud hides behind opaqueColumn.
-const foldOpaque = ColWaveReturnPoint
-
 // foldTestCloud is the fold-plan property table: every column carries
 // random values of its type (f64 columns with NaN and ±Inf, z with -0
 // too), the u8 key has nine classes, the u16 key (point_source_id) a
-// thousand, the f64 key (gps_time) NaN, ±0 and +Inf, and one f64 value
-// column is reachable only through Column.Value.
+// thousand, and the f64 key (gps_time) NaN, ±0 and +Inf.
 func foldTestCloud(n int) *PointCloud {
 	pc := randomTestCloud(n, 77)
 	rng := rand.New(rand.NewSource(78))
@@ -238,7 +213,6 @@ func foldTestCloud(n int) *PointCloud {
 			z[i] = math.Copysign(0, -1)
 		}
 	}
-	hideColumn(pc, foldOpaque, nil)
 	return pc
 }
 
@@ -251,8 +225,8 @@ type foldPlanConfig struct {
 // foldPlanConfigs enumerates the plan shapes the fold compiles: several
 // distinct value columns, every function on one column, repeated specs
 // (each must still fill its own column), count-only and count-free lists,
-// the min/max pairs of the former fused pass, every value type including
-// the Column.Value fallback, and a list longer than 64 specs.
+// the min/max pairs of the former fused pass, every value type, and a list
+// longer than 64 specs.
 func foldPlanConfigs() []foldPlanConfig {
 	wide := []GroupedAggSpec{{Fn: AggCount}}
 	for i := 0; i < 35; i++ {
@@ -273,10 +247,10 @@ func foldPlanConfigs() []foldPlanConfig {
 			{Fn: AggMax, Column: ColIntensity}, {Fn: AggMin, Column: ColIntensity}, {Fn: AggMin, Column: ColZ}}},
 		{"every-type", []GroupedAggSpec{{Fn: AggSum, Column: ColUserData}, {Fn: AggMin, Column: ColIntensity},
 			{Fn: AggMax, Column: ColScanAngle}, {Fn: AggAvg, Column: ColWaveOffset}, {Fn: AggSum, Column: ColZ},
-			{Fn: AggMax, Column: foldOpaque}, {Fn: AggSum, Column: foldOpaque}, {Fn: AggMin, Column: foldOpaque},
+			{Fn: AggMax, Column: ColWaveReturnPoint}, {Fn: AggSum, Column: ColWaveReturnPoint}, {Fn: AggMin, Column: ColWaveReturnPoint},
 			{Fn: AggCount}}},
 		{"exact-types", []GroupedAggSpec{{Fn: AggMax, Column: ColUserData}, {Fn: AggMin, Column: ColWaveOffset},
-			{Fn: AggCount}, {Fn: AggMin, Column: foldOpaque}, {Fn: AggMax, Column: foldOpaque}}},
+			{Fn: AggCount}, {Fn: AggMin, Column: ColWaveReturnPoint}, {Fn: AggMax, Column: ColWaveReturnPoint}}},
 		{"wide", wide},
 	}
 }

@@ -35,6 +35,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 
 	"gisnav/internal/cancel"
@@ -58,11 +59,6 @@ type KernelArgs struct {
 	lo, hi float64 // inclusive bounds
 	inv    int     // 1: the predicate is the interval's complement (float kernels)
 	tok    *cancel.Token
-}
-
-// matches is the float kernels' interval test for one value.
-func (a KernelArgs) matches(f float64) bool {
-	return (f >= a.lo && f <= a.hi) != (a.inv == 1)
 }
 
 // bindInterval maps (op, v1, v2) to the closed interval [lo, hi] plus
@@ -133,8 +129,6 @@ type Kernel struct {
 
 // CompileFilterKernel compiles the (column, op) pair into a kernel
 // specialised for col's concrete type; the operator only selects the bind.
-// Columns without a typed fast path (dictionary strings) fall back to a
-// generic Value() loop with semantics identical to ColumnPred.Matches.
 // Each arm instantiates a generic kernel directly from this non-generic
 // function: nesting the instantiation inside another generic function would
 // leave the loops on the compiler's gcshape dictionary path, which costs ~4x
@@ -153,16 +147,11 @@ func CompileFilterKernel(col colstore.Column, op CmpOp) *Kernel {
 		// Lossy widening: keep float64-compare semantics, but monomorphic.
 		return floatKernel(t.Values(), op)
 	default:
-		return genericKernel(col, op)
+		panic(fmt.Sprintf("engine: no filter kernel for %T", col))
 	}
 }
 
 // --- scan machinery -----------------------------------------------------------
-
-// number covers the element types with typed kernel instantiations.
-type number interface {
-	~float64 | ~int64 | ~int32 | ~uint16 | ~uint8
-}
 
 // scanChunk is the block size of the branchless inner loops: small enough
 // to stay cache resident, large enough to amortise both the capacity
@@ -275,7 +264,7 @@ func bindFloat(op CmpOp) bindFn {
 
 // floatKernel is the float-compare kernel: one block loop, one selection
 // loop, every operator.
-func floatKernel[T number](vals []T, op CmpOp) *Kernel {
+func floatKernel[T colstore.Number](vals []T, op CmpOp) *Kernel {
 	return chunkKernel(len(vals), bindFloat(op), func(a KernelArgs, b0, b1 int, buf []int) int {
 		lo, hi, inv := a.lo, a.hi, a.inv
 		j := 0
@@ -376,42 +365,6 @@ func intKernel[T integer](vals []T, op CmpOp, tmin, tmax float64) *Kernel {
 			}
 			return j
 		})
-}
-
-// genericKernel is the interface-dispatch fallback for columns without a
-// typed fast path; it applies the bound interval to each Value(), which is
-// ColumnPred.Matches by construction of bindInterval.
-func genericKernel(col colstore.Column, op CmpOp) *Kernel {
-	return &Kernel{
-		Bind: bindFloat(op),
-		FilterBlock: func(a KernelArgs, lo, hi int, out []int) []int {
-			if n := col.Len(); hi > n {
-				hi = n
-			}
-			// Block-granular cancellation, like the typed chunk driver; the
-			// per-row interface dispatch dwarfs the masked counter check.
-			for i := lo; i < hi; i++ {
-				if (i-lo)%scanChunk == 0 && a.tok.Cancelled() {
-					return out
-				}
-				if a.matches(col.Value(i)) {
-					out = append(out, i)
-				}
-			}
-			return out
-		},
-		FilterSel: func(a KernelArgs, rows, out []int) []int {
-			for i, r := range rows {
-				if i%scanChunk == 0 && a.tok.Cancelled() {
-					return out
-				}
-				if a.matches(col.Value(r)) {
-					out = append(out, r)
-				}
-			}
-			return out
-		},
-	}
 }
 
 // Pooled selection vectors live in pool.go (getRowBuf / RecycleRows): a

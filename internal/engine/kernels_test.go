@@ -352,6 +352,10 @@ func TestBindInterval(t *testing.T) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64
 	const lo32, hi32 = math.MinInt32, math.MaxInt32
+	// inFloat is the float loops' test: the interval, complemented by inv.
+	inFloat := func(a KernelArgs, v float64) bool {
+		return (v >= a.lo && v <= a.hi) != (a.inv == 1)
+	}
 	// inInt is the integer loop's test: one 64-bit modular compare.
 	inInt := func(a KernelArgs, v float64) bool {
 		lo := uint64(int64(a.lo))
@@ -366,7 +370,7 @@ func TestBindInterval(t *testing.T) {
 		test   func(KernelArgs, float64) bool
 		probes []float64
 	}{
-		"f64": {bindFloat, KernelArgs.matches, []float64{nan, -inf, inf, 0, negZero, tiny, -tiny, huge, -huge, 1, 6, 6.5, math.Nextafter(6, 0), math.Nextafter(6, 7)}},
+		"f64": {bindFloat, inFloat, []float64{nan, -inf, inf, 0, negZero, tiny, -tiny, huge, -huge, 1, 6, 6.5, math.Nextafter(6, 0), math.Nextafter(6, 7)}},
 		"u8":  {func(op CmpOp) bindFn { return bindInt(op, 0, math.MaxUint8) }, inInt, every8},
 		"i32": {func(op CmpOp) bindFn { return bindInt(op, lo32, hi32) }, inInt, []float64{lo32, lo32 + 1, -1, 0, 1, hi32 - 1, hi32}},
 	}
@@ -460,7 +464,7 @@ func TestBindInterval(t *testing.T) {
 // ColumnPred.Matches over a fuzzed operator, two raw-bit constants (NaN
 // payloads and subnormals included) and a short value vector: each 8-byte
 // word is one row, read as float64 bits for f64 and truncated for the
-// integer and dictionary columns.
+// integer columns.
 func FuzzFilterKernel(f *testing.F) {
 	add := func(op CmpOp, v1, v2 float64, vals ...float64) {
 		var data []byte
@@ -481,7 +485,6 @@ func FuzzFilterKernel(f *testing.F) {
 		var i32 []int32
 		var u16 []uint16
 		var u8 []uint8
-		str := colstore.NewStrColumn()
 		for ; len(data) >= 8; data = data[8:] {
 			w := binary.LittleEndian.Uint64(data)
 			f64 = append(f64, math.Float64frombits(w))
@@ -489,10 +492,9 @@ func FuzzFilterKernel(f *testing.F) {
 			i32 = append(i32, int32(w))
 			u16 = append(u16, uint16(w))
 			u8 = append(u8, uint8(w))
-			str.AppendValue(float64(uint32(w)))
 		}
-		cols := []colstore.Column{colstore.NewF64Column(f64), colstore.NewI64Column(i64),
-			colstore.NewI32Column(i32), colstore.NewU16Column(u16), colstore.NewU8Column(u8), str}
+		cols := []colstore.Column{colstore.NewNum(f64), colstore.NewNum(i64),
+			colstore.NewNum(i32), colstore.NewNum(u16), colstore.NewNum(u8)}
 		for _, col := range cols {
 			k := CompileFilterKernel(col, pred.Op)
 			a := k.Bind(pred.Value, pred.Value2)
@@ -501,11 +503,11 @@ func FuzzFilterKernel(f *testing.F) {
 				even = append(even, i)
 			}
 			if got, want := k.FilterBlock(a, 0, col.Len(), nil), naiveFilterAll(col, pred); !equalRows(got, want) {
-				t.Fatalf("%v %s: block %v, Matches %v", col.DType(), pred, got, want)
+				t.Fatalf("%T %s: block %v, Matches %v", col, pred, got, want)
 			}
 			want := naiveFilterSel(col, even, pred)
 			if got := k.FilterSel(a, even, even[:0]); !equalRows(got, want) {
-				t.Fatalf("%v %s: selection %v, Matches %v", col.DType(), pred, got, want)
+				t.Fatalf("%T %s: selection %v, Matches %v", col, pred, got, want)
 			}
 		}
 	})

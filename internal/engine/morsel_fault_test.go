@@ -6,8 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"gisnav/internal/cancel"
 	"gisnav/internal/faultpoint"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
@@ -215,6 +219,56 @@ func TestFaultRefineDegreeFollowsRunCap(t *testing.T) {
 		}
 		if got := faultpoint.HitCount("engine.morsel.worker"); got != c.hits {
 			t.Fatalf("cap %d: %d refine partitions ran as workers, want %d", c.cap, got, c.hits)
+		}
+	}
+}
+
+// TestFaultGroupedCancelledAtBlockBoundary fires the token from inside the
+// first block of a fold pass: the block point stalls while a watcher
+// closes the run's done channel on its first hit. The dense and hash folds
+// must stop at the next block boundary — exactly one block started —
+// surface cancel.ErrCancelled and leave both pools balanced.
+func TestFaultGroupedCancelledAtBlockBoundary(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	const point = "engine.groupagg.block"
+	pc := groupTestCloud(t, 4*foldBlock)
+	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColRed}, {Fn: AggMax, Column: ColZ}}
+	sel := randomSelection(rand.New(rand.NewSource(13)), pc.Len(), 0.9)
+	var res GroupedResult
+	for _, key := range []string{ColClassification, ColGPSTime} {
+		for _, rows := range [][]int{nil, sel} {
+			faultpoint.Arm(point, faultpoint.Action{Delay: 50 * time.Millisecond})
+			done, stop, watched := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(watched)
+				for faultpoint.HitCount(point) == 0 {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+				close(done)
+			}()
+			run := new(Run)
+			run.Bind(done)
+			before := morselPoolSnapshot()
+			err := pc.GroupedAggregateRun(run, rows, key, specs, &res, nil)
+			close(stop)
+			<-watched
+			if err != cancel.ErrCancelled {
+				t.Fatalf("key %s: err = %v, want ErrCancelled", key, err)
+			}
+			if hits := faultpoint.HitCount(point); hits != 1 {
+				t.Fatalf("key %s: fold started %d blocks, want exactly the first", key, hits)
+			}
+			if run.Live() != 0 {
+				t.Fatalf("key %s: cancelled fold left %d buffers on the run", key, run.Live())
+			}
+			if d := morselPoolSnapshot() - before; d != 0 {
+				t.Fatalf("key %s: cancelled fold drifted pools by %d", key, d)
+			}
 		}
 	}
 }

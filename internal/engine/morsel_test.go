@@ -151,7 +151,8 @@ func TestMorselFilterMatchesNaive(t *testing.T) {
 // extra collinear vertex, which takes the cell grid), polygons, buffers,
 // multi-regions and NaN/±Inf envelopes (which grid sizing cannot use and
 // must fall back from), across
-// full, fragmented, single-range, single-row and empty candidate lists;
+// full, fragmented, single-range, single-row and empty candidate lists
+// over a table with NaN x and/or y rows;
 // then SelectRegionRowsRun at caps 1..4 on a table large enough to fan out.
 func TestMorselRefineEveryDegree(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
@@ -187,6 +188,19 @@ func TestMorselRefineEveryDegree(t *testing.T) {
 
 	pc := groupTestCloud(t, 20000)
 	xs, ys, n := pc.X(), pc.Y(), pc.Len()
+	// NaN coordinates (x, y or both, the one-row candidate included) must
+	// be rejected by every path exactly as the exhaustive test rejects them.
+	xs[17] = math.NaN()
+	for i := 5; i < n; i += 331 {
+		switch i % 3 {
+		case 0:
+			xs[i] = math.NaN()
+		case 1:
+			ys[i] = math.NaN()
+		default:
+			xs[i], ys[i] = math.NaN(), math.NaN()
+		}
+	}
 	var fragmented []colstore.Range
 	for at := rng.Intn(50); at < n; at += 1 + rng.Intn(700) {
 		end := min(at+1+rng.Intn(400), n)
@@ -449,43 +463,57 @@ func TestGroupedSumCarriesAcrossBlocks(t *testing.T) {
 	}
 }
 
-// TestGroupedCancelledAtBlockBoundary fires the token from inside the
-// first block of a fold pass — the value column is opaque and its first
-// access closes the run's done channel. The dense and hash folds must stop
-// at the next block boundary (no row past the first block is read),
-// surface cancel.ErrCancelled and leave both pools balanced.
+// TestGroupedCancelledAtBlockBoundary: a fold pass polls the token before
+// every block, the first included, so a fired token stops it at a block
+// boundary having read nothing further. A fold plan over a four-block span
+// with a fired token leaves the count bank and every accumulator untouched
+// (a live token fills them); the dense and hash drivers surface
+// cancel.ErrCancelled with both pools balanced. The armed build fires the
+// token inside the first block (TestFaultGroupedCancelledAtBlockBoundary).
 func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
 	pc := groupTestCloud(t, 4*foldBlock)
-	var done chan struct{}
-	reads, last := 0, 0
-	hideColumn(pc, ColRed, func(i int) {
-		if reads == 0 {
-			close(done)
-		}
-		reads++
-		last = max(last, i)
-	})
+	done := make(chan struct{})
+	close(done)
+	var fired cancel.Token
+	fired.Reset(done)
 	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColRed}, {Fn: AggMax, Column: ColZ}}
 	sel := randomSelection(rand.New(rand.NewSource(13)), pc.Len(), 0.9)
+	keys := pc.Column(ColClassification).(*colstore.U8Column).Values()
+	for _, rows := range [][]int{nil, sel} {
+		n := pc.Len()
+		if rows != nil {
+			n = len(rows)
+		}
+		for _, tok := range []*cancel.Token{&fired, nil} {
+			cnt := make([]float64, tileDom)
+			banks := make([]float64, len(specs)*tileDom)
+			foldSpecs(foldSrc{keys8: keys}, pc, specs, rows, rows == nil, 0, n, cnt, foldBanks{flat: banks, n: tileDom},
+				make([]float64, tileDom+1), false, tok)
+			counted, touched := 0.0, 0
+			for _, c := range cnt {
+				counted += c
+			}
+			for _, v := range banks {
+				if v != 0 {
+					touched++
+				}
+			}
+			if tok == &fired && (counted != 0 || touched != 0) {
+				t.Fatalf("fired token: fold counted %v rows and touched %d accumulators", counted, touched)
+			}
+			if tok == nil && (counted != float64(n) || touched == 0) {
+				t.Fatalf("live token: fold counted %v of %d rows", counted, n)
+			}
+		}
+	}
 	var res GroupedResult
 	for _, key := range []string{ColClassification, ColGPSTime} {
 		for _, rows := range [][]int{nil, sel} {
-			done = make(chan struct{})
-			reads, last = 0, 0
 			run := new(Run)
 			run.Bind(done)
 			before := morselPoolSnapshot()
-			err := pc.GroupedAggregateRun(run, rows, key, specs, &res, nil)
-			if err != cancel.ErrCancelled {
+			if err := pc.GroupedAggregateRun(run, rows, key, specs, &res, nil); err != cancel.ErrCancelled {
 				t.Fatalf("key %s: err = %v, want ErrCancelled", key, err)
-			}
-			lastOfBlock := foldBlock - 1
-			if rows != nil {
-				lastOfBlock = rows[foldBlock-1]
-			}
-			if reads != foldBlock || last != lastOfBlock {
-				t.Fatalf("key %s: fold read %d values up to row %d after the token fired, want exactly the first block (%d values up to row %d)",
-					key, reads, last, foldBlock, lastOfBlock)
 			}
 			if run.Live() != 0 {
 				t.Fatalf("key %s: cancelled fold left %d buffers on the run", key, run.Live())
@@ -787,7 +815,7 @@ func TestGroupedAccumulateRowsMatchesReference(t *testing.T) {
 	both := append(append([]int{}, first...), second...)
 	for _, specs := range [][]GroupedAggSpec{
 		{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ},
-			{Fn: AggMin, Column: ColZ}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: foldOpaque},
+			{Fn: AggMin, Column: ColZ}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColWaveReturnPoint},
 			{Fn: AggSum, Column: ColUserData}, {Fn: AggMin, Column: ColScanAngle}, {Fn: AggMax, Column: ColWaveOffset}},
 		{{Fn: AggCount}},
 		{{Fn: AggMax, Column: ColIntensity}},

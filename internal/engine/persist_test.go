@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"gisnav/internal/geom"
 )
@@ -122,6 +125,30 @@ func TestOpenErrors(t *testing.T) {
 	os.WriteFile(filepath.Join(dir5, manifestName), blob5, 0o644)
 	if _, err := OpenPointCloud(dir5); err == nil {
 		t.Fatal("negative rows should error")
+	}
+	// A row count far beyond the column files: the first short column
+	// fails the open, and nothing is sized from the claim (a 1<<40-row u8
+	// column alone would be a terabyte).
+	dir6 := filepath.Join(base, "hugerows")
+	if err := pc.Save(dir6); err != nil {
+		t.Fatal(err)
+	}
+	m.Columns[0].Name = ColX
+	m.Rows = 1 << 40
+	mb6, _ := json.Marshal(m)
+	os.WriteFile(filepath.Join(dir6, manifestName), mb6, 0o644)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	if _, err := OpenPointCloud(dir6); err == nil || !strings.Contains(err.Error(), "short read") {
+		t.Fatalf("huge row claim: err = %v, want a short read", err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+		t.Fatalf("huge row claim: failed open allocated %d MiB", d>>20)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("huge row claim: failed open took %v", el)
 	}
 }
 

@@ -219,25 +219,6 @@ func (vt *VectorTable) SelectIntersectsInto(g geom.Geometry, rows []int, ex *Exp
 	return rows
 }
 
-// FilterNumeric narrows rows by a numeric attribute predicate.
-func (vt *VectorTable) FilterNumeric(rows []int, attr string, pred ColumnPred, ex *Explain) ([]int, error) {
-	col, ok := vt.numeric[attr]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown vector attribute %q", attr)
-	}
-	start := time.Now()
-	in := len(rows)
-	out := rows[:0]
-	vals := col.Values()
-	for _, r := range rows {
-		if pred.Matches(vals[r]) {
-			out = append(out, r)
-		}
-	}
-	ex.Add("filter.numeric", pred.String(), in, len(out), time.Since(start))
-	return out, nil
-}
-
 // CollectGeometries assembles the geometries of a row set into a collection,
 // the shape the spatial-join region constructors consume.
 func (vt *VectorTable) CollectGeometries(rows []int) geom.Collection {

@@ -334,7 +334,9 @@ func refineRange(xs, ys []float64, r colstore.Range, region Region, env geom.Env
 	states []cellState, nx, ny int, cellW, cellH float64, st *Stats, matches []int) []int {
 	for row := r.Start; row < r.End; row++ {
 		x, y := xs[row], ys[row]
-		if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {
+		// The negated closed compare also rejects a NaN coordinate, which
+		// would otherwise reach the cell index below as int(NaN).
+		if !(x >= env.MinX && x <= env.MaxX && y >= env.MinY && y <= env.MaxY) {
 			continue
 		}
 		cx := int((x - env.MinX) / cellW)

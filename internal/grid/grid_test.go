@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -144,6 +145,45 @@ func TestRefineExhaustiveMatchesRefine(t *testing.T) {
 	}
 	if est.ExactTests <= gst.ExactTests {
 		t.Fatalf("exhaustive should test more points (%d vs %d)", est.ExactTests, gst.ExactTests)
+	}
+}
+
+// TestRefineNonFiniteCoordinates: a NaN or ±Inf point coordinate inside
+// the candidate ranges is rejected by the cell grid's envelope test — never
+// turned into a cell index — so RefineInto returns exactly the rows
+// RefineExhaustiveInto does, over the triangle, a buffer and a multi-region.
+func TestRefineNonFiniteCoordinates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tri := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 2, Y: 4}}}}
+	regions := map[string]Region{
+		"triangle": GeometryRegion{G: tri},
+		"buffer":   BufferRegion{G: geom.LineString{Points: []geom.Point{{X: 0, Y: 1}, {X: 4, Y: 1}}}, D: 1},
+		"multi":    NewMultiRegion([]geom.Geometry{tri, geom.NewEnvelope(3, 3, 5, 5).ToPolygon()}),
+	}
+	ys := []float64{1, 1, 1}
+	cases := map[string][2][]float64{
+		"nan-x":    {{1, nan, 3}, ys},
+		"nan-y":    {{1, 2, 3}, {1, nan, 1}},
+		"nan-both": {{1, nan, 3}, {1, nan, 1}},
+		"+inf-x":   {{1, inf, 3}, ys},
+		"-inf-x":   {{1, -inf, 3}, ys},
+		"+inf-y":   {{1, 2, 3}, {1, inf, 1}},
+		"-inf-y":   {{1, 2, 3}, {1, -inf, 1}},
+		"all-nan":  {{nan, nan, nan}, {nan, nan, nan}},
+	}
+	for rname, region := range regions {
+		for cname, c := range cases {
+			xs, ys := c[0], c[1]
+			want, _ := RefineExhaustiveInto(xs, ys, colstore.FullRange(len(xs)), region, nil)
+			got, _ := RefineInto(xs, ys, colstore.FullRange(len(xs)), region, Options{}, nil)
+			if !equalInts(got, want) {
+				t.Fatalf("%s %s: RefineInto %v, exhaustive %v", rname, cname, got, want)
+			}
+		}
+	}
+	want, _ := RefineExhaustiveInto(cases["nan-x"][0], ys, colstore.FullRange(3), regions["triangle"], nil)
+	if !equalInts(want, []int{0, 2}) {
+		t.Fatalf("exhaustive triangle over a NaN row = %v, want [0 2]", want)
 	}
 }
 

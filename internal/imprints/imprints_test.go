@@ -252,12 +252,12 @@ func TestFewDistinctValues(t *testing.T) {
 }
 
 func TestBuildColumnTypedPaths(t *testing.T) {
-	f := colstore.NewF64Column([]float64{5, 6, 7, 8})
+	f := colstore.NewNum([]float64{5, 6, 7, 8})
 	imF, err := BuildColumn(f, Options{})
 	if err != nil || imF.N() != 4 {
 		t.Fatalf("f64 path: %v", err)
 	}
-	u := colstore.NewU16Column([]uint16{5, 6, 7, 8})
+	u := colstore.NewNum([]uint16{5, 6, 7, 8})
 	imU, err := BuildColumn(u, Options{})
 	if err != nil || imU.N() != 4 {
 		t.Fatalf("u16 path: %v", err)

@@ -479,57 +479,31 @@ func constNonZero(e Expr) (float64, bool) {
 }
 
 // compileColumnGather builds the typed gather loop for one point-cloud
-// column: dst[i] = float64(col[rows[i]]), monomorphic per column type. The
-// generic Value() fallback covers dictionary string columns, which the
-// interpreter also reads as their numeric code.
+// column: dst[i] = float64(col[rows[i]]), monomorphic per column type.
 func compileColumnGather(col colstore.Column) numEval {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		vals := c.Values()
-		return func(rows []int, dst []float64) error {
-			for i, r := range rows {
-				dst[i] = vals[r]
-			}
-			return nil
-		}
+		return gatherVals(c.Values())
 	case *colstore.I64Column:
-		vals := c.Values()
-		return func(rows []int, dst []float64) error {
-			for i, r := range rows {
-				dst[i] = float64(vals[r])
-			}
-			return nil
-		}
+		return gatherVals(c.Values())
 	case *colstore.I32Column:
-		vals := c.Values()
-		return func(rows []int, dst []float64) error {
-			for i, r := range rows {
-				dst[i] = float64(vals[r])
-			}
-			return nil
-		}
+		return gatherVals(c.Values())
 	case *colstore.U16Column:
-		vals := c.Values()
-		return func(rows []int, dst []float64) error {
-			for i, r := range rows {
-				dst[i] = float64(vals[r])
-			}
-			return nil
-		}
+		return gatherVals(c.Values())
 	case *colstore.U8Column:
-		vals := c.Values()
-		return func(rows []int, dst []float64) error {
-			for i, r := range rows {
-				dst[i] = float64(vals[r])
-			}
-			return nil
-		}
+		return gatherVals(c.Values())
 	default:
-		return func(rows []int, dst []float64) error {
-			for i, r := range rows {
-				dst[i] = col.Value(r)
-			}
-			return nil
+		panic(fmt.Sprintf("sql: no gather loop for %T", col))
+	}
+}
+
+// gatherVals is the gather loop over one typed column, instantiated per
+// element type from the non-generic dispatch above.
+func gatherVals[T colstore.Number](vals []T) numEval {
+	return func(rows []int, dst []float64) error {
+		for i, r := range rows {
+			dst[i] = float64(vals[r])
 		}
+		return nil
 	}
 }
