@@ -11,11 +11,19 @@
 // strings, and strings are escaped as encoding/json escapes them (HTML-safe,
 // invalid UTF-8 replaced). The wire differential test holds the encoder to
 // that byte for byte.
+//
+// Numbers are spelled from integer digits wherever that is provably the
+// shortest spelling: integers below 2^53, and values on a 3-decimal lattice
+// (k/1000 with 0 < |k| < 1e15 — LAS coordinates on a centimetre or
+// millimetre scale). Only values off every such lattice pay for
+// strconv.AppendFloat's shortest-digit search.
 package server
 
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -70,7 +78,7 @@ func appendReply(b []byte, res *sql.Result, elapsedUs int64) []byte {
 		b = append(b, ']')
 	}
 	b = append(b, `],"elapsed_us":`...)
-	b = strconv.AppendInt(b, elapsedUs, 10)
+	b = appendInt(b, elapsedUs)
 	return append(b, '}', '\n')
 }
 
@@ -94,13 +102,28 @@ func appendValue(b []byte, v sql.Value) []byte {
 // values below 2^53 — ids, counts, classification codes — take the integer
 // formatter: every integer in that range is a float64, so the shortest
 // decimal that round-trips is the integer's own digits.
+//
+// A value on a 3-decimal lattice is spelled from its digits too. With
+// k = ⌊f·1000 + ½⌋ (f·1000 rounded; math.Floor is one instruction where
+// math.Round is not) an integer of 0 < |k| < 1e15, k/1000 == f holds
+// exactly when the decimal k·10⁻³ rounds to f (k and 1000 are exact doubles
+// and IEEE division rounds correctly). That decimal has at most 15 significant
+// digits, and two different decimals of at most 15 significant digits never
+// round to the same double (DBL_DIG), so it is the unique shortest
+// round-trip spelling: what 'f', -1 prints, and 10⁻³ ≤ |f| < 10¹² lies
+// inside encoding/json's 'f' range. Never widen the bound past 15
+// significant digits — at 16 two decimals can share a double and the
+// shortest one need not be k's. ±0 (k == 0) falls through, so -0 stays -0.
 func appendNumber(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	switch {
-	case abs < 1<<53:
+	if -(1<<53) < f && f < 1<<53 {
 		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
-			return strconv.AppendInt(b, i, 10)
+			return appendInt(b, i)
 		}
+		if k := math.Floor(f*1000 + 0.5); k != 0 && -1e15 < k && k < 1e15 && k/1000 == f {
+			return appendMilli(b, int64(k))
+		}
+	}
+	switch {
 	case math.IsNaN(f):
 		return append(b, `"NaN"`...)
 	case math.IsInf(f, 1):
@@ -108,6 +131,7 @@ func appendNumber(b []byte, f float64) []byte {
 	case math.IsInf(f, -1):
 		return append(b, `"-Infinity"`...)
 	}
+	abs := math.Abs(f)
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -121,6 +145,89 @@ func appendNumber(b []byte, f float64) []byte {
 		}
 	}
 	return b
+}
+
+// appendMilli appends the decimal k·10⁻³: the integer part, then a point
+// and the fraction digits with trailing zeros trimmed, or no point at all.
+func appendMilli(b []byte, k int64) []byte {
+	u := uint64(k)
+	if k < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	b = appendUint(b, u/1000)
+	switch frac := u % 1000; {
+	case frac == 0:
+		return b
+	case frac%100 == 0:
+		return append(b, '.', byte('0'+frac/100))
+	case frac%10 == 0:
+		frac /= 10
+		return append(b, '.', digitPairs[2*frac], digitPairs[2*frac+1])
+	default:
+		lo := frac % 100
+		return append(b, '.', byte('0'+frac/100), digitPairs[2*lo], digitPairs[2*lo+1])
+	}
+}
+
+// appendInt appends i in decimal, as strconv.AppendInt(b, i, 10) does.
+func appendInt(b []byte, i int64) []byte {
+	u := uint64(i)
+	if i < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	return appendUint(b, u)
+}
+
+// appendUint appends u in decimal, as strconv.AppendUint(b, u, 10) does,
+// but writes the digits in place, two per step from the last, after one
+// capacity check instead of formatting them into a scratch array and
+// copying that over.
+func appendUint(b []byte, u uint64) []byte {
+	n := decimalLen(u)
+	b = slices.Grow(b, n)
+	i := len(b) + n
+	b = b[:i]
+	for u >= 100 {
+		q := u / 100
+		r := (u - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
+}
+
+// digitPairs is "00" through "99": appendUint writes two digits per step.
+const digitPairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// decimalLen is the number of decimal digits of u (1 for 0).
+// bits.Len64·log10(2) estimates it from below by at most one and the
+// power-of-ten table settles it; u|1 makes 0 count as 1, and changes no
+// other answer because every power of ten above 1 is even.
+func decimalLen(u uint64) int {
+	v := u | 1
+	n := bits.Len64(v) * 1233 >> 12
+	if v >= pow10[n] {
+		n++
+	}
+	return n
+}
+
+// pow10[n] is 10ⁿ; pow10[19] is the largest that fits a uint64.
+var pow10 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
 }
 
 // appendString appends s as a JSON string. Printable ASCII that

@@ -313,26 +313,208 @@ func FuzzEncodeNumber(f *testing.F) {
 	})
 }
 
-// TestWarmEncodeZeroAllocs pins the encoder's allocation contract: into a
-// buffer that has already held a reply of this size — what the recycled
-// buffer is from the second navigation step on — encoding the pan.fetch
-// shape (2000 rows, five numeric columns) allocates nothing.
-func TestWarmEncodeZeroAllocs(t *testing.T) {
-	const rows = 2000
-	rng := rand.New(rand.NewSource(7))
+// assertJSONNumber fails t unless appendNumber spells the finite v exactly
+// as json.Marshal does and the spelling decodes back to v bit for bit.
+func assertJSONNumber(t *testing.T, v float64) {
+	t.Helper()
+	got := appendNumber(nil, v)
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendNumber(%x) = %s, json.Marshal = %s", math.Float64bits(v), got, want)
+	}
+	back, err := strconv.ParseFloat(string(got), 64)
+	if err != nil || math.Float64bits(back) != math.Float64bits(v) {
+		t.Fatalf("appendNumber(%x) = %s decodes to %x (%v)", math.Float64bits(v), got, math.Float64bits(back), err)
+	}
+}
+
+// assertLatticeValue asserts k·10⁻ᵖ (as float64 division rounds it), moved
+// ulps steps of one ulp, and its negation.
+func assertLatticeValue(t *testing.T, k int64, p uint8, ulps int) {
+	t.Helper()
+	v := float64(k) / math.Pow10(int(p))
+	for ; ulps > 0; ulps-- {
+		v = math.Nextafter(v, math.Inf(1))
+	}
+	for ; ulps < 0; ulps++ {
+		v = math.Nextafter(v, math.Inf(-1))
+	}
+	assertJSONNumber(t, v)
+	assertJSONNumber(t, -v)
+}
+
+// TestAppendNumberDecimalLattice holds the decimal path — and the fallback
+// beside it — to json.Marshal around every edge of its rule: lattice values
+// k·10⁻ᵖ at every magnitude for p up to 4 (p = 4 lies off the 3-decimal
+// lattice), their one-ulp neighbours, LAS-dequantised coordinates, |k| on
+// both sides of 1e15 and 16-digit k below 2^53, and the format edges.
+func TestAppendNumberDecimalLattice(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for digits := 1; digits <= 16; digits++ {
+		lo, hi := int64(math.Pow10(digits-1)), int64(math.Pow10(digits))
+		for i := 0; i < 200; i++ {
+			k := lo + rng.Int63n(hi-lo)
+			for p := uint8(0); p <= 4; p++ {
+				for ulps := -1; ulps <= 1; ulps++ {
+					assertLatticeValue(t, k, p, ulps)
+				}
+			}
+		}
+	}
+	// 9000000000000.029 rounds to a double whose shortest spelling is the
+	// 15-digit 9000000000000.03: a 16-digit k is not always the answer.
+	for _, k := range []int64{1e15 - 1, 1e15, 1e15 + 1, 1<<53 - 1, 1<<53 - 3, 9000000000000029, 4503599627370497} {
+		for ulps := -1; ulps <= 1; ulps++ {
+			assertLatticeValue(t, k, 3, ulps)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		k := 1e15 + rng.Int63n(1<<53-1e15)
+		assertLatticeValue(t, k, 3, 0)
+	}
+	for _, offset := range []float64{0, 85000, -1000, 4e5, 123.45} {
+		for i := 0; i < 2000; i++ {
+			raw := rng.Int63n(1<<32) - 1<<31
+			v := float64(raw)*0.01 + offset
+			assertJSONNumber(t, v)
+			assertJSONNumber(t, math.Nextafter(v, math.Inf(1)))
+			assertJSONNumber(t, math.Nextafter(v, math.Inf(-1)))
+		}
+	}
+	for _, v := range []float64{
+		0.001, -0.001, 0.0005, 0.0015, 999999999999.999, -999999999999.999, 999999999999.9995, 1e12, 1e12 + 0.001,
+		0, math.Copysign(0, -1), 0.1, 0.01, 0.5, 1.05, 2.675,
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), 1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)),
+	} {
+		assertJSONNumber(t, v)
+		assertJSONNumber(t, -v)
+	}
+}
+
+// FuzzEncodeDecimal: the lattice value k·10⁻ᵖ (p taken mod 5), moved ulps
+// ulps, is spelled as json.Marshal spells it and decodes back bit-exact.
+func FuzzEncodeDecimal(f *testing.F) {
+	for _, seed := range []struct {
+		k    int64
+		p    uint8
+		ulps int8
+	}{
+		{1, 3, 0}, {-1, 3, 0}, {164, 2, 0}, {164, 2, 1}, {8512307, 2, -1}, {999999999999999, 3, 0},
+		{1e15, 3, 0}, {1e15 - 1, 3, 1}, {9000000000000029, 3, 0}, {9457094085891197, 3, 0}, {1<<53 - 1, 3, 0}, {12345, 4, 0},
+		{0, 3, 0}, {0, 3, 1}, {1, 0, 0}, {-7, 1, -1}, {90, 3, 0}, {100, 3, 0},
+	} {
+		f.Add(seed.k, seed.p, seed.ulps)
+	}
+	f.Fuzz(func(t *testing.T, k int64, p uint8, ulps int8) {
+		assertLatticeValue(t, k, p%5, int(ulps))
+	})
+}
+
+// TestAppendIntMatchesStrconv holds the in-place digit writer to
+// strconv.AppendInt at every digit-count edge of int64 and across random
+// values, appending after existing bytes and into spare capacity.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	vals := []int64{0, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= 1e18; p *= 10 {
+		vals = append(vals, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rng.Int63()>>rng.Intn(63), -rng.Int63()>>rng.Intn(63))
+	}
+	for _, v := range vals {
+		for _, dst := range []func() []byte{
+			func() []byte { return nil },
+			func() []byte { return []byte("[1,") },
+			func() []byte { return make([]byte, 2, 40) },
+		} {
+			got, want := appendInt(dst(), v), strconv.AppendInt(dst(), v, 10)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("appendInt(%q, %d) = %q, want %q", dst(), v, got, want)
+			}
+		}
+	}
+}
+
+// panFetchResult builds the pan.fetch reply shape: rows of x, y, z from
+// coord(rng, j) for column j, then classification and intensity codes.
+func panFetchResult(rng *rand.Rand, rows int, coord func(rng *rand.Rand, j int) float64) *sql.Result {
 	res := &sql.Result{Columns: []string{"x", "y", "z", "classification", "intensity"}, Cols: make([]sql.Column, 5)}
 	for j := range res.Cols {
 		res.Cols[j].Nums = make([]float64, rows)
 		for i := range res.Cols[j].Nums {
 			if j < 3 {
-				res.Cols[j].Nums[i] = math.Round(rng.Float64()*3e7) / 100
+				res.Cols[j].Nums[i] = coord(rng, j)
 			} else {
 				res.Cols[j].Nums[i] = float64(rng.Intn(65536))
 			}
 		}
 	}
-	buf := appendReply(nil, res, 1)
-	if allocs := testing.AllocsPerRun(20, func() { buf = appendReply(buf[:0], res, 1) }); allocs != 0 {
-		t.Fatalf("warm encode of a %d-row reply allocates %.1f objects/op, want 0", rows, allocs)
+	return res
+}
+
+// latticeCoord is a coordinate on the centimetre lattice itself: the double
+// nearest a 2-decimal value, which the decimal path spells.
+func latticeCoord(rng *rand.Rand, _ int) float64 { return math.Round(rng.Float64()*3e7) / 100 }
+
+// lasCoord is a coordinate as the LAS reader loads it, float64(raw)·0.01:
+// about one in eight lands one ulp off its decimal and takes the
+// AppendFloat fallback. z (column 2) reaches below zero.
+func lasCoord(rng *rand.Rand, j int) float64 {
+	if j == 2 {
+		return float64(rng.Intn(10000)-2000) * 0.01
+	}
+	return float64(rng.Intn(300000)) * 0.01
+}
+
+// TestWarmEncodeZeroAllocs pins the encoder's allocation contract: into a
+// buffer that has already held a reply of this size — what the recycled
+// buffer is from the second navigation step on — encoding the pan.fetch
+// shape (2000 rows, five numeric columns) allocates nothing, on the decimal
+// path and on the AppendFloat fallback alike.
+func TestWarmEncodeZeroAllocs(t *testing.T) {
+	const rows = 2000
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name string
+		res  *sql.Result
+	}{
+		{"lattice", panFetchResult(rng, rows, latticeCoord)},
+		{"las-scaled", panFetchResult(rng, rows, lasCoord)},
+	} {
+		buf := appendReply(nil, tc.res, 1)
+		if allocs := testing.AllocsPerRun(20, func() { buf = appendReply(buf[:0], tc.res, 1) }); allocs != 0 {
+			t.Fatalf("%s: warm encode of a %d-row reply allocates %.1f objects/op, want 0", tc.name, rows, allocs)
+		}
+	}
+}
+
+// BenchmarkAppendReply encodes, into a warm buffer, the pan.fetch reply
+// (2000 rows × x, y, z, classification, intensity) with LAS-dequantised
+// and with on-lattice coordinates, and the one-row pan.bbox reply.
+func BenchmarkAppendReply(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	bbox := &sql.Result{Columns: []string{"count(*)", "avg(z)"}, Cols: []sql.Column{
+		{Nums: []float64{40515}}, {Nums: []float64{13.527318461043}},
+	}}
+	for _, arm := range []struct {
+		name string
+		res  *sql.Result
+	}{
+		{"fetch-las", panFetchResult(rng, 2000, lasCoord)},
+		{"fetch-lattice", panFetchResult(rng, 2000, latticeCoord)},
+		{"bbox", bbox},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			buf := appendReply(nil, arm.res, 412)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				buf = appendReply(buf[:0], arm.res, 412)
+			}
+		})
 	}
 }

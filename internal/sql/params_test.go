@@ -3,8 +3,12 @@ package sql
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	goparser "go/parser"
+	gotoken "go/token"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -369,4 +373,119 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sqlTestStatements returns every SELECT statement spelled as a string
+// literal in sql_test.go: the front-end fuzz target's seeds.
+func sqlTestStatements(f *testing.F) []string {
+	file, err := goparser.ParseFile(gotoken.NewFileSet(), "sql_test.go", nil, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var stmts []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == gotoken.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(s, "SELECT") {
+				stmts = append(stmts, s)
+			}
+		}
+		return true
+	})
+	return stmts
+}
+
+// FuzzParameterize holds the SQL front end to its contract on arbitrary
+// text: lex, Parse and parameterize never panic (nor does parsing the
+// parameterised stream); a successful parameterize is the lexed stream with
+// each WHERE/LIMIT literal moved, in order, into the literal vector — a
+// numeric placeholder restores to a number token whose text parses to its
+// slot, a string placeholder to a string token of its slot's text, and
+// every other token is unchanged; and two texts with equal shape keys have
+// equal normalised streams (kinds, texts, placeholder types), so the shape
+// key never merges statements that differ outside their literals.
+func FuzzParameterize(f *testing.F) {
+	navbench := func(x0, y0 float64) []string {
+		env := fmt.Sprintf("ST_Contains(ST_MakeEnvelope(%.3f, %.3f, %.3f, %.3f), ST_Point(x, y))", x0, y0, x0+160.5, y0+100.25)
+		return []string{
+			"SELECT count(*), avg(z) FROM ahn2 WHERE " + env + " AND classification = 2",
+			"SELECT classification, count(*), min(z), max(z) FROM ahn2 WHERE " + env + " GROUP BY classification",
+			"SELECT x, y, z, classification, intensity FROM ahn2 WHERE " + env + " LIMIT 2000",
+			fmt.Sprintf("SELECT classification, count(*), avg(z) FROM ahn2 WHERE z BETWEEN %.3f AND %.3f GROUP BY classification", x0/100, y0/10),
+		}
+	}
+	a, b := navbench(1200, 840.5), navbench(1287.125, 901)
+	for i := range a {
+		f.Add(a[i], b[i])
+	}
+	for _, s := range sqlTestStatements(f) {
+		f.Add(s, strings.ReplaceAll(s, " ", "  "))
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		keyA, toksA, okA := checkParameterize(t, a)
+		keyB, toksB, okB := checkParameterize(t, b)
+		if !okA || !okB || keyA != keyB {
+			return
+		}
+		if len(toksA) != len(toksB) {
+			t.Fatalf("shape key %q covers token streams of %d and %d tokens:\n%q\n%q", keyA, len(toksA), len(toksB), a, b)
+		}
+		for i := range toksA {
+			ta, tb := toksA[i], toksB[i]
+			if ta.kind != tb.kind || ta.text != tb.text || ta.idx != tb.idx || ta.vkind != tb.vkind {
+				t.Fatalf("shape key %q covers different tokens at %d (%+v vs %+v):\n%q\n%q", keyA, i, ta, tb, a, b)
+			}
+		}
+	})
+}
+
+// checkParameterize runs the front end over src, fails t if putting
+// parameterize's literal vector back into its placeholders does not give
+// lex's stream, and returns the shape key and the normalised stream.
+func checkParameterize(t *testing.T, src string) (string, []token, bool) {
+	t.Helper()
+	lexed, lexErr := lex(src)
+	_, _ = Parse(src)
+	key, toks, params, err := parameterize(src)
+	if err != nil {
+		return "", nil, false
+	}
+	if lexErr != nil {
+		t.Fatalf("parameterize accepts %q, which lex rejects: %v", src, lexErr)
+	}
+	_, _ = parseTokens(toks)
+	if len(toks) != len(lexed) {
+		t.Fatalf("%q: parameterize gives %d tokens, lex %d", src, len(toks), len(lexed))
+	}
+	slot := 0
+	for i, tok := range toks {
+		want := lexed[i]
+		if tok.kind != tokParam {
+			if tok.kind != want.kind || tok.text != want.text {
+				t.Fatalf("%q: token %d is %+v, lex gave %+v", src, i, tok, want)
+			}
+			continue
+		}
+		if tok.idx != slot || slot >= len(params) {
+			t.Fatalf("%q: placeholder %d takes slot %d of %d, want slot %d", src, i, tok.idx, len(params), slot)
+		}
+		p := params[slot]
+		slot++
+		switch {
+		case tok.vkind == KindNum && p.Kind == KindNum && want.kind == tokNumber:
+			v, err := strconv.ParseFloat(want.text, 64)
+			if err != nil || math.Float64bits(v) != math.Float64bits(p.Num) {
+				t.Fatalf("%q: numeric slot %d holds %v, the literal was %q", src, slot-1, p.Num, want.text)
+			}
+		case tok.vkind == KindStr && p.Kind == KindStr && want.kind == tokString:
+			if p.Str != want.text {
+				t.Fatalf("%q: string slot %d holds %q, the literal was %q", src, slot-1, p.Str, want.text)
+			}
+		default:
+			t.Fatalf("%q: placeholder %d (%+v, slot %+v) stands for %+v", src, i, tok, p, want)
+		}
+	}
+	if slot != len(params) {
+		t.Fatalf("%q: %d literals extracted, %d placeholders", src, len(params), slot)
+	}
+	return key, toks, true
 }
