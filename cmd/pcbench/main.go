@@ -414,7 +414,7 @@ func expSelect(env *benchEnv, out *output, repeats int) {
 	}{
 		{"column store: imprints+grid", func(b geom.Envelope) (int, int, error) {
 			var ex engine.Explain
-			rows := env.pc.SelectRegionRowsRun(nil, grid.GeometryRegion{G: b.ToPolygon()}, &ex)
+			rows := env.pc.SelectRegionRowsRun(nil, grid.GeometryRegion{G: b.ToPolygon()}, -1, &ex)
 			engine.RecycleRows(rows)
 			return len(rows), refinedRows(&ex), nil
 		}},

@@ -57,7 +57,7 @@ func main() {
 	}
 	box := geom.NewEnvelope(200, 200, 450, 400)
 	var ex engine.Explain
-	rows := pc.SelectRegionRowsRun(nil, grid.GeometryRegion{G: box.ToPolygon()}, &ex)
+	rows := pc.SelectRegionRowsRun(nil, grid.GeometryRegion{G: box.ToPolygon()}, -1, &ex)
 	fmt.Printf("\npoints in %s: %d\n", box, len(rows))
 	engine.RecycleRows(rows)
 	fmt.Println("operator trace of the first query (imprints build included):")

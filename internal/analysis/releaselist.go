@@ -9,12 +9,10 @@
 //
 //   - a raw pool acquisition (getRowBuf, getRangeBuf, getF64Buf, the
 //     exported engine.AcquireRows) must either be wrapped in a tracking
-//     call at the acquisition site (run.TrackRows(getRowBuf(n)),
-//     run.trackRanges(im.CandidateRangesInto(..., getRangeBuf(0)))), or —
-//     the track-after-production pattern for buffers a call may still
-//     grow, e.g. the region select's single candidate list
-//     (cand := getRangeBuf(0); cand, ... = imprints.ConjunctiveRangesInto(
-//     terms, cand); run.trackRanges(cand)) — be bound to a variable/field
+//     call at the acquisition site (run.TrackRows(getRowBuf(n)), or the
+//     region select's track-after-production candidate batches,
+//     run.trackRanges(cur.AppendRanges(getRangeBuf(0), budget))), or —
+//     for buffers a call may still grow — be bound to a variable/field
 //     that a later TrackRows/SwapRows/trackRanges/trackF64 call in the
 //     same function registers;
 //   - recycling must go through the run (run.RecycleRows), never the bare

@@ -117,7 +117,7 @@ func (db *DB) PointsNearFeaturesRun(run *Run, pc *PointCloud, vt *VectorTable, f
 		ex.Add(opJoinCollect, fmt.Sprintf("%d feature geometries, buffer %g", len(featRows), d),
 			len(featRows), len(coll.Geometries), time.Since(start))
 	}
-	return pc.SelectRegionRowsRun(run, grid.NewMultiBuffer(coll.Geometries, d), ex)
+	return pc.SelectRegionRowsRun(run, grid.NewMultiBuffer(coll.Geometries, d), -1, ex)
 }
 
 // PointsInFeaturesRun selects point-cloud rows inside any geometry of the
@@ -129,7 +129,7 @@ func (db *DB) PointsInFeaturesRun(run *Run, pc *PointCloud, vt *VectorTable, fea
 		ex.Add(opJoinCollect, fmt.Sprintf("%d feature geometries", len(featRows)),
 			len(featRows), len(coll.Geometries), time.Since(start))
 	}
-	return pc.SelectRegionRowsRun(run, grid.NewMultiRegion(coll.Geometries), ex)
+	return pc.SelectRegionRowsRun(run, grid.NewMultiRegion(coll.Geometries), -1, ex)
 }
 
 // StorageReport summarises the footprint of everything in the catalog.

@@ -36,7 +36,7 @@ func scanRegion(pc *PointCloud, region grid.Region) []int {
 // selectTraced runs the selector with an operator trace.
 func selectTraced(pc *PointCloud, region grid.Region) ([]int, *Explain) {
 	ex := &Explain{}
-	return pc.SelectRegionRowsRun(nil, region, ex), ex
+	return pc.SelectRegionRowsRun(nil, region, -1, ex), ex
 }
 
 func TestSchemaShape(t *testing.T) {
@@ -196,7 +196,7 @@ func TestSelectNaNCoordinateRows(t *testing.T) {
 	want := scanRegion(big, poly)
 	for _, deg := range []int{1, 2, 4} {
 		run := parRun(deg)
-		if got := big.SelectRegionRowsRun(run, poly, nil); !equalRows(got, want) {
+		if got := big.SelectRegionRowsRun(run, poly, -1, nil); !equalRows(got, want) {
 			t.Fatalf("cap %d: %d rows, exhaustive %d", deg, len(got), len(want))
 		}
 	}

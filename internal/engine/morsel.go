@@ -312,9 +312,8 @@ func (rp *refinePass) RunPartition(slot int) {
 
 // refineRanges refines the candidate ranges against region in deg
 // partitions, appending matches to out, and sums the partitions' grid
-// statistics (CellsTouched counts a cell once per partition that touched
-// it; the grid dimensions are the largest any partition chose). Panic and
-// error accounting are filterRanges'.
+// statistics (grid.Stats.Add). Panic and error accounting are
+// filterRanges'.
 func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, opts grid.Options, deg int, out []int) ([]int, grid.Stats, error) {
 	rp := refinePasses.get()
 	rp.xs, rp.ys, rp.region, rp.opts = xs, ys, region, opts
@@ -326,16 +325,7 @@ func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, o
 	p := rp.pass.Run(n, rp)
 	var st grid.Stats
 	for _, s := range rp.stats {
-		st.CandidateRows += s.CandidateRows
-		st.GridCellsX = max(st.GridCellsX, s.GridCellsX)
-		st.GridCellsY = max(st.GridCellsY, s.GridCellsY)
-		st.CellsTouched += s.CellsTouched
-		st.InsideCells += s.InsideCells
-		st.BoundaryCells += s.BoundaryCells
-		st.OutsideCells += s.OutsideCells
-		st.BulkAccepted += s.BulkAccepted
-		st.ExactTests += s.ExactTests
-		st.Matches += s.Matches
+		st.Add(s)
 	}
 	out, err := rp.merge(p)
 	rp.xs, rp.ys, rp.region, rp.opts = nil, nil, nil, grid.Options{}

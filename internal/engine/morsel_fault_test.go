@@ -42,7 +42,7 @@ func selectAll(pc *PointCloud, run *Run) (err error) {
 			err = e
 		}
 	}()
-	rows := pc.SelectRegionRowsRun(run, wholeExtent, nil)
+	rows := pc.SelectRegionRowsRun(run, wholeExtent, -1, nil)
 	if len(rows) != pc.Len() {
 		return fmt.Errorf("selected %d of %d rows", len(rows), pc.Len())
 	}

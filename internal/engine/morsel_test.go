@@ -246,7 +246,7 @@ func TestMorselRefineEveryDegree(t *testing.T) {
 		want := scanRegion(big, region)
 		for _, deg := range []int{1, 2, 3, 4} {
 			run := parRun(deg)
-			got := big.SelectRegionRowsRun(run, region, nil)
+			got := big.SelectRegionRowsRun(run, region, -1, nil)
 			if !equalRows(got, want) {
 				t.Fatalf("%s cap %d: %d rows, reference %d", rname, deg, len(got), len(want))
 			}
@@ -1004,7 +1004,7 @@ func TestMorselSteadyStateZeroAllocs(t *testing.T) {
 	var everything grid.Region = boxRegion(geom.NewEnvelope(-1, -1, 1001, 1001))
 	run2 := parRun(2)
 	allocs = testing.AllocsPerRun(50, func() {
-		rows := pc.SelectRegionRowsRun(run2, everything, nil)
+		rows := pc.SelectRegionRowsRun(run2, everything, -1, nil)
 		got = len(rows)
 		run2.RecycleRows(rows)
 	})
@@ -1093,7 +1093,7 @@ func TestMorselExplainRecordsDegree(t *testing.T) {
 	}{{1, ""}, {2, " [par 2]"}} {
 		run := parRun(c.cap)
 		ex := &Explain{}
-		rows := pc.SelectRegionRowsRun(run, everything, ex)
+		rows := pc.SelectRegionRowsRun(run, everything, -1, ex)
 		if len(rows) != pc.Len() {
 			t.Fatalf("cap %d: region over the whole extent selected %d of %d rows", c.cap, len(rows), pc.Len())
 		}

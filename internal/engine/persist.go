@@ -2,9 +2,14 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+
+	"gisnav/internal/colstore"
+	"gisnav/internal/faultpoint"
 )
 
 // On-disk layout of a persisted point-cloud table: one raw little-endian
@@ -34,25 +39,22 @@ type manifestField struct {
 const manifestVersion = 1
 
 // Save writes the point cloud to dir (created if needed). Existing column
-// files are overwritten; the manifest is written last so a partially
-// written directory never validates.
+// files are overwritten. The old manifest goes first and the new one comes
+// last, written aside and renamed into place, so a save that fails part-way
+// leaves a directory that does not validate rather than an old manifest
+// over a mix of old and new columns.
 func (pc *PointCloud) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}
+	manifestPath := filepath.Join(dir, manifestName)
+	if err := os.Remove(manifestPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("engine: save: %w", err)
+	}
 	m := manifest{FormatVersion: manifestVersion, Rows: pc.Len()}
 	for i, f := range pc.schema.Fields {
-		path := filepath.Join(dir, "col_"+f.Name+".bin")
-		file, err := os.Create(path)
-		if err != nil {
+		if err := writeColumn(filepath.Join(dir, "col_"+f.Name+".bin"), pc.cols[i]); err != nil {
 			return fmt.Errorf("engine: save %s: %w", f.Name, err)
-		}
-		if _, err := pc.cols[i].WriteBinary(file); err != nil {
-			file.Close()
-			return fmt.Errorf("engine: save %s: %w", f.Name, err)
-		}
-		if err := file.Close(); err != nil {
-			return err
 		}
 		m.Columns = append(m.Columns, manifestField{Name: f.Name, Type: f.Type.String()})
 	}
@@ -60,7 +62,27 @@ func (pc *PointCloud) Save(dir string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, manifestName), blob, 0o644)
+	tmp := manifestPath + ".tmp"
+	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+		return fmt.Errorf("engine: save: %w", err)
+	}
+	return os.Rename(tmp, manifestPath)
+}
+
+// writeColumn writes one column's dump to path.
+func writeColumn(path string, col colstore.Column) error {
+	if err := faultpoint.Hit("engine.save.column"); err != nil {
+		return err
+	}
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := col.WriteBinary(file); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }
 
 // OpenPointCloud loads a table persisted by Save. The manifest schema must

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,10 +214,10 @@ func (pc *PointCloud) IndexBytes() int {
 	return n
 }
 
-// SelectRegionRows is SelectRegionRowsRun without a lifecycle or a trace:
-// the navigation entry point for callers outside the SQL layer.
+// SelectRegionRows is SelectRegionRowsRun without a lifecycle, a limit or
+// a trace: the navigation entry point for callers outside the SQL layer.
 func (pc *PointCloud) SelectRegionRows(region grid.Region) []int {
-	return pc.SelectRegionRowsRun(nil, region, nil)
+	return pc.SelectRegionRowsRun(nil, region, -1, nil)
 }
 
 // SelectRegionRowsRun is the spatial selector — the paper's two-step query
@@ -230,11 +231,18 @@ func (pc *PointCloud) SelectRegionRows(region grid.Region) []int {
 // The matching row ids come back ascending in a pooled vector, tracked by
 // run (hand it back with run.RecycleRows, or RecycleRows when run is nil);
 // an empty region or table yields an empty non-nil vector — nil means "all
-// rows" downstream. ex, when non-nil, receives the operator trace. A warm
-// query allocates nothing at any degree. A fired run token returns a
-// partial selection: callers that passed a live run must check
-// run.Cancelled() and discard it.
-func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, ex *Explain) []int {
+// rows" downstream. A limit >= 0 keeps only the first limit matches, and
+// the walk and the refinement stop once they have them: the selection runs
+// in rounds, each walking on until its candidate-row budget is met and
+// refining that batch. Round k asks for need·2^(k-1) candidate rows, need
+// being the matches still missing (candidates are a superset of matches),
+// so a bounded selection takes O(log) rounds and refines at most about
+// twice the candidates it needs. A negative limit is one round over the
+// whole walk. ex, when non-nil, receives the operator trace. A warm query
+// allocates nothing at any degree. A fired run token returns a partial
+// selection: callers that passed a live run must check run.Cancelled() and
+// discard it.
+func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, limit int, ex *Explain) []int {
 	env := region.Envelope()
 	if env.IsEmpty() || pc.Len() == 0 {
 		ex.Add(opSelectRegion, "empty region or table", pc.Len(), 0, 0)
@@ -244,69 +252,99 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, ex *Expl
 		ex.Add(opImprintsBuild, "x+y coordinate imprints", pc.Len(), pc.Len(), d)
 	}
 	imX, imY := pc.imprintsXY()
-
-	start := time.Now()
-	cand, zones := candidateRangesXY(run, imX, imY, env)
-	if ex != nil {
-		ex.Add(opImprintsFilter, xyFilterDetail(zones, env),
-			pc.Len(), colstore.RangesLen(cand), time.Since(start))
-	}
-
-	_ = faultpoint.Hit("engine.select.refine")
-	start = time.Now()
-	// The refinement result lands in a pooled selection vector sized by the
-	// imprint filter's candidate count (an upper bound on matches, so the
-	// appends below never grow it — tracking at acquisition is safe).
-	rows := run.AcquireRows(colstore.RangesLen(cand))
+	cur := xyCursor(imX, imY, env)
 	// The per-run cancellation token rides into the refinement loops via a
 	// copy of the grid options; pc.GridOpts itself stays run-independent.
 	opts := pc.GridOpts
 	opts.Cancel = run.Token()
-	deg := pc.morselDegree(run, colstore.RangesLen(cand))
-	rows, st, err := refineRanges(pc.xs.Values(), pc.ys.Values(), cand, region, opts, deg, rows)
-	run.recycleRanges(cand)
-	if err != nil {
-		// Only the merge faultpoint errs. A select has no error return, so
-		// it unwinds like a worker fault, its buffers already home.
-		run.RecycleRows(rows)
-		panic(err)
+	xs, ys := pc.xs.Values(), pc.ys.Values()
+
+	var (
+		rows               []int
+		st, rst            grid.Stats
+		err                error
+		walked, refined    time.Duration
+		cands, rounds, deg int
+	)
+	budget := limit
+	if limit < 0 {
+		budget = math.MaxInt
+	}
+	for {
+		start := time.Now()
+		// The walk appends straight into a pooled range list (~170KB/query
+		// at small scale if it were allocated instead), which registers in
+		// the release list only after the walk that grows it returns
+		// (track-after-production).
+		cand := run.trackRanges(cur.AppendRanges(getRangeBuf(0), budget))
+		walked += time.Since(start)
+		n := colstore.RangesLen(cand)
+
+		_ = faultpoint.Hit("engine.select.refine")
+		start = time.Now()
+		held := rows
+		if rounds == 0 {
+			// The first round's candidate count bounds its matches, so the
+			// refinement never grows the vector; a later round may, and
+			// the release list follows the final slice.
+			held = run.AcquireRows(n)
+		}
+		d := pc.morselDegree(run, n)
+		rows, rst, err = refineRanges(xs, ys, cand, region, opts, d, held)
+		rows = run.SwapRows(held, rows)
+		run.recycleRanges(cand)
+		if err != nil {
+			// Only the merge faultpoint errs. A select has no error return,
+			// so it unwinds like a worker fault, its buffers already home.
+			run.RecycleRows(rows)
+			panic(err)
+		}
+		refined += time.Since(start)
+		st.Add(rst)
+		cands, rounds, deg = cands+n, rounds+1, max(deg, d)
+		if limit < 0 || len(rows) >= limit || cur.Done() || run.Cancelled() {
+			break
+		}
+		// Budgets stay below twice the table's length: a round that did not
+		// end the walk emitted at least its budget.
+		budget = (limit - len(rows)) << rounds
+	}
+	if limit >= 0 && len(rows) > limit {
+		rows = rows[:limit]
 	}
 	if ex != nil {
+		// Zones lead the filter's detail because the rendered table
+		// truncates long details.
+		zones := cur.Stats()
+		bound := ""
+		if limit >= 0 {
+			bound = fmt.Sprintf(", limit %d in %d round", limit, rounds)
+			if rounds > 1 {
+				bound += "s"
+			}
+		}
+		ex.Add(opImprintsFilter, fmt.Sprintf("zones %d/%d%s, bbox %s", zones.Hit, zones.Total, bound, env.String()),
+			pc.Len(), cands, walked)
 		detail := "rect, no grid"
 		if _, rect := grid.RectOf(region); !rect {
 			detail = fmt.Sprintf("%dx%d cells, %d boundary", st.GridCellsX, st.GridCellsY, st.BoundaryCells)
 		}
-		ex.Add(opGridRefine, parDetail(detail, deg), st.CandidateRows, len(rows), time.Since(start))
+		ex.Add(opGridRefine, parDetail(detail+bound, deg), st.CandidateRows, len(rows), refined)
 	}
 	return rows
 }
 
-// candidateRangesXY runs the imprint filter step for env's bounding box:
-// one zone-skipping walk over both coordinate imprints appends the lines
-// flagged on X and on Y straight into one pooled range list (~170KB/query
-// at small scale if it were allocated instead). The caller owns the list
-// and must hand it back with run.recycleRanges (nil-safe); it registers
-// in the release list only after the walk that grows it returns
-// (track-after-production).
-func candidateRangesXY(run *Run, imX, imY *imprints.Imprints, env geom.Envelope) ([]colstore.Range, imprints.ZoneStats) {
-	terms := [...]imprints.Term{
+// xyCursor starts the imprint filter step for env's bounding box: one
+// zone-skipping walk over both coordinate imprints, consumed in batches.
+func xyCursor(imX, imY *imprints.Imprints, env geom.Envelope) imprints.Cursor {
+	cur, err := imprints.NewCursor([]imprints.Term{
 		{Im: imX, Lo: env.MinX, Hi: env.MaxX},
 		{Im: imY, Lo: env.MinY, Hi: env.MaxY},
-	}
-	cand := getRangeBuf(0)
-	cand, zones, err := imprints.ConjunctiveRangesInto(terms[:], cand)
-	cand = run.trackRanges(cand)
+	})
 	if err != nil {
 		// Both imprints are built over one table under one lock with one
 		// set of options; a shape mismatch is a bug.
 		panic(fmt.Sprintf("engine: x/y imprint walk: %v", err))
 	}
-	return cand, zones
-}
-
-// xyFilterDetail is the imprints.filter step's EXPLAIN detail: how many of
-// the index's zones the walk had to open, then the box. Zones lead because
-// the rendered table truncates long details.
-func xyFilterDetail(zones imprints.ZoneStats, env geom.Envelope) string {
-	return fmt.Sprintf("zones %d/%d, bbox %s", zones.Hit, zones.Total, env.String())
+	return cur
 }

@@ -140,7 +140,7 @@ func TestSelectRegionRunCancelled(t *testing.T) {
 	close(done)
 	rs.Bind(done)
 	drift := selectionDrift(t, func() {
-		rows := pc.SelectRegionRowsRun(&rs, region, nil)
+		rows := pc.SelectRegionRowsRun(&rs, region, -1, nil)
 		if !rs.Cancelled() {
 			t.Fatal("run not cancelled")
 		}
@@ -185,7 +185,7 @@ func TestSelectRegionDrawsOneRangeList(t *testing.T) {
 	start := RangePoolStats().Outstanding
 
 	var rs Run
-	rows := pc.SelectRegionRowsRun(&rs, region, nil)
+	rows := pc.SelectRegionRowsRun(&rs, region, -1, nil)
 	if len(rows) == 0 {
 		t.Fatal("selection matched no rows; the measurement is vacuous")
 	}
@@ -198,7 +198,7 @@ func TestSelectRegionDrawsOneRangeList(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	rs.Bind(done)
-	pc.SelectRegionRowsRun(&rs, region, nil)
+	pc.SelectRegionRowsRun(&rs, region, -1, nil)
 	if !rs.Cancelled() {
 		t.Fatal("run not cancelled")
 	}

@@ -50,7 +50,7 @@ func TestSteadyStateSpatialQueryRunZeroAllocs(t *testing.T) {
 	var run Run
 	var got int
 	allocs := testing.AllocsPerRun(50, func() {
-		rows := pc.SelectRegionRowsRun(&run, region, nil)
+		rows := pc.SelectRegionRowsRun(&run, region, -1, nil)
 		got = len(rows)
 		run.RecycleRows(rows)
 	})

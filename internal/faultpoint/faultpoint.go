@@ -20,6 +20,7 @@
 //	                         of each partition (deg > 1)
 //	engine.morsel.merge    — morsel drivers, before the ascending fold (deg > 1)
 //	engine.select.refine   — SelectRegionRowsRun, before grid refinement
+//	engine.save.column     — PointCloud.Save, before each column file
 //	sql.run.filter         — finishPointCloud, before the filter phases
 //	sql.run.output         — output, before projection/aggregation
 //	server.handler         — query handler entry, before request parsing

@@ -152,6 +152,22 @@ type Stats struct {
 	Matches       int
 }
 
+// Add folds another pass's statistics into s: counts sum (CellsTouched
+// counts a cell once per pass that touched it), grid dimensions take the
+// larger of the two.
+func (s *Stats) Add(o Stats) {
+	s.CandidateRows += o.CandidateRows
+	s.GridCellsX = max(s.GridCellsX, o.GridCellsX)
+	s.GridCellsY = max(s.GridCellsY, o.GridCellsY)
+	s.CellsTouched += o.CellsTouched
+	s.InsideCells += o.InsideCells
+	s.BoundaryCells += o.BoundaryCells
+	s.OutsideCells += o.OutsideCells
+	s.BulkAccepted += o.BulkAccepted
+	s.ExactTests += o.ExactTests
+	s.Matches += o.Matches
+}
+
 // cellState is the lazily computed classification of one grid cell.
 type cellState uint8
 

@@ -350,7 +350,7 @@ func (im *Imprints) CandidateRanges(lo, hi float64) []colstore.Range {
 // of ConjunctiveRangesInto.
 func (im *Imprints) CandidateRangesInto(lo, hi float64, out []colstore.Range) []colstore.Range {
 	w := newZoneWalk(im.term(lo, hi))
-	return w.appendRanges(out)
+	return w.appendRanges(out, math.MaxInt)
 }
 
 // CandidateFraction returns the fraction of cache lines flagged for

@@ -2,6 +2,7 @@ package imprints
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"gisnav/internal/colstore"
@@ -90,22 +91,29 @@ func (im *Imprints) term(lo, hi float64) walkTerm {
 	return walkTerm{im: im, mask: im.queryMask(lo, hi)}
 }
 
+// maxTerms bounds a conjunctive walk. The terms live inline in the walk, so
+// a Cursor holds no pointer into itself and stays on its caller's stack.
+const maxTerms = 4
+
 // zoneWalk is the single dictionary walk every candidate query runs: it
 // yields, in ascending zone order, the non-zero hit words of the lines
 // flagged by every term. All terms index columns of one length at one
-// ValuesPerLine, so line i and zone z mean the same rows in each.
+// ValuesPerLine, so line i and zone z mean the same rows in each. It is
+// resumable: a walk stopped between two zones continues from the next.
 type zoneWalk struct {
-	terms []walkTerm
-	z     int // next zone to test
-	zones int
-	hit   int // zones that passed every term's OR test so far
+	terms  [maxTerms]walkTerm
+	nterms int
+	z      int // next zone to test
+	zones  int
+	hit    int // zones that passed every term's OR test so far
 }
 
-// newZoneWalk starts a walk over terms, which the caller orders cheapest
-// first. A term with an empty mask (inverted or unmatched interval) makes
-// the conjunction empty: the walk starts exhausted.
+// newZoneWalk starts a walk over at most maxTerms terms, which the caller
+// orders cheapest first. A term with an empty mask (inverted or unmatched
+// interval) makes the conjunction empty: the walk starts exhausted.
 func newZoneWalk(terms ...walkTerm) zoneWalk {
-	w := zoneWalk{terms: terms, zones: len(terms[0].im.zoneOr)}
+	w := zoneWalk{zones: len(terms[0].im.zoneOr)}
+	w.nterms = copy(w.terms[:], terms)
 	for _, t := range terms {
 		if t.mask == 0 {
 			w.z = w.zones
@@ -121,18 +129,19 @@ func newZoneWalk(terms ...walkTerm) zoneWalk {
 // empties. A full walk is a couple of thousand zone tests per million rows,
 // far below a cancellation block, so it polls nothing.
 func (w *zoneWalk) next() (z int, hits uint64, ok bool) {
+	terms := w.terms[:w.nterms]
 zones:
 	for w.z < w.zones {
 		z = w.z
 		w.z++
-		for _, t := range w.terms {
+		for _, t := range terms {
 			if t.im.zoneOr[z]&t.mask == 0 {
 				continue zones
 			}
 		}
 		w.hit++
 		hits = ^uint64(0)
-		for _, t := range w.terms {
+		for _, t := range terms {
 			if hits &= t.im.zoneHits(z, t.mask); hits == 0 {
 				continue zones
 			}
@@ -142,13 +151,19 @@ zones:
 	return 0, 0, false
 }
 
-// appendRanges drains the walk into merged, cacheline-aligned row ranges:
-// each run of set bits in a hit word is one range, a run reaching a zone's
-// last line merges with one starting the next zone, and the column's final
-// partial line is clipped to its length.
-func (w *zoneWalk) appendRanges(out []colstore.Range) []colstore.Range {
+// appendRanges walks on until at least budget candidate rows have been
+// appended to out, or the walk ends, whichever comes first; it stops
+// between zones, so a batch may overshoot budget by up to a zone's rows.
+// Each run of set bits in a hit word is one cacheline-aligned row range, a
+// run reaching a zone's last line merges with one starting the next zone,
+// and the column's final partial line is clipped to its length.
+func (w *zoneWalk) appendRanges(out []colstore.Range, budget int) []colstore.Range {
 	vpl, n := w.terms[0].im.vpl, w.terms[0].im.n
-	for z, hits, ok := w.next(); ok; z, hits, ok = w.next() {
+	for emitted := 0; emitted < budget; {
+		z, hits, ok := w.next()
+		if !ok {
+			break
+		}
 		for line := z * zoneLines; hits != 0; {
 			skip := bits.TrailingZeros64(hits)
 			run := bits.TrailingZeros64(^(hits >> uint(skip)))
@@ -159,6 +174,7 @@ func (w *zoneWalk) appendRanges(out []colstore.Range) []colstore.Range {
 			} else {
 				out = append(out, colstore.Range{Start: start, End: end})
 			}
+			emitted += end - start
 			line += run
 			hits >>= uint(skip + run) // a shift by 64 leaves 0
 		}
@@ -180,37 +196,67 @@ type ZoneStats struct {
 	Hit, Total int
 }
 
-// ConjunctiveRangesInto appends to out the rows whose cache line is flagged
-// by every term — exactly colstore.IntersectRangesInto over the terms'
-// CandidateRangesInto lists, without materialising them: one walk, one
-// list. Terms are evaluated most-compressed dictionary first, so a column
-// that clusters well (few entries, cheap hit words) prunes zones before a
-// fragmented one is read. The terms' imprints must index columns of one
-// length at one ValuesPerLine; otherwise, or with no terms, out is returned
-// unchanged with an error. out's existing elements are preserved and
-// assumed to end before the first candidate row.
-func ConjunctiveRangesInto(terms []Term, out []colstore.Range) ([]colstore.Range, ZoneStats, error) {
-	if len(terms) == 0 {
-		return out, ZoneStats{}, fmt.Errorf("imprints: conjunctive query needs at least one term")
+// Cursor is a resumable conjunctive candidate walk: each AppendRanges call
+// continues where the previous one stopped, so a caller that needs only the
+// first rows of a selection opens only the zones that hold them. A Cursor
+// is a plain value; it lives on its caller's stack.
+type Cursor struct {
+	walk zoneWalk
+}
+
+// NewCursor starts a walk over the rows whose cache line is flagged by
+// every term. Terms are evaluated most-compressed dictionary first, so a
+// column that clusters well (few entries, cheap hit words) prunes zones
+// before a fragmented one is read. The terms' imprints must index columns
+// of one length at one ValuesPerLine, and there must be between one and
+// four terms; otherwise NewCursor returns an error.
+func NewCursor(terms []Term) (Cursor, error) {
+	if len(terms) == 0 || len(terms) > maxTerms {
+		return Cursor{}, fmt.Errorf("imprints: conjunctive query needs 1 to %d terms, got %d", maxTerms, len(terms))
 	}
-	// Up to four terms order on the stack; the navigation query has two.
-	var buf [4]walkTerm
-	ordered := buf[:0]
-	for _, t := range terms {
+	var ordered [maxTerms]walkTerm
+	for i, t := range terms {
 		if first := terms[0].Im; t.Im.n != first.n || t.Im.vpl != first.vpl {
-			return out, ZoneStats{}, fmt.Errorf(
+			return Cursor{}, fmt.Errorf(
 				"imprints: conjunctive terms disagree on shape: %d values at %d per line vs %d at %d",
 				t.Im.n, t.Im.vpl, first.n, first.vpl)
 		}
 		// Stable insertion by dictionary size.
-		i := len(ordered)
-		ordered = append(ordered, walkTerm{})
 		for ; i > 0 && len(ordered[i-1].im.counts) > len(t.Im.counts); i-- {
 			ordered[i] = ordered[i-1]
 		}
 		ordered[i] = t.Im.term(t.Lo, t.Hi)
 	}
-	w := newZoneWalk(ordered...)
-	out = w.appendRanges(out)
-	return out, ZoneStats{Hit: w.hit, Total: w.zones}, nil
+	return Cursor{walk: newZoneWalk(ordered[:len(terms)]...)}, nil
+}
+
+// AppendRanges appends the walk's next merged, cacheline-aligned candidate
+// row ranges to out until at least budget rows have been appended or the
+// walk ends. A batch ends between zones, so it may overshoot budget by up
+// to one zone's rows, and a range that spans the boundary between two
+// batches arrives split in two. out's existing elements are preserved and
+// assumed to end before the batch's first candidate row.
+func (c *Cursor) AppendRanges(out []colstore.Range, budget int) []colstore.Range {
+	return c.walk.appendRanges(out, budget)
+}
+
+// Done reports whether the walk has passed its last zone.
+func (c *Cursor) Done() bool { return c.walk.z >= c.walk.zones }
+
+// Stats reports the zones the walk has opened so far, of the index's total.
+func (c *Cursor) Stats() ZoneStats { return ZoneStats{Hit: c.walk.hit, Total: c.walk.zones} }
+
+// ConjunctiveRangesInto appends to out the rows whose cache line is flagged
+// by every term — exactly colstore.IntersectRangesInto over the terms'
+// CandidateRangesInto lists, without materialising them: one unbounded
+// Cursor batch, one list. Terms are as NewCursor takes them; on an error
+// out is returned unchanged. out's existing elements are preserved and
+// assumed to end before the first candidate row.
+func ConjunctiveRangesInto(terms []Term, out []colstore.Range) ([]colstore.Range, ZoneStats, error) {
+	c, err := NewCursor(terms)
+	if err != nil {
+		return out, ZoneStats{}, err
+	}
+	out = c.AppendRanges(out, math.MaxInt)
+	return out, c.Stats(), nil
 }

@@ -45,11 +45,26 @@ func linesToRanges(lines []int, vpl, n int) []colstore.Range {
 	return out
 }
 
+// coalesce merges adjacent ranges: the list one unbounded batch yields from
+// the concatenation of bounded ones.
+func coalesce(rs []colstore.Range) []colstore.Range {
+	var out []colstore.Range
+	for _, r := range rs {
+		if k := len(out); k > 0 && out[k-1].End == r.Start {
+			out[k-1].End = r.End
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // checkWalks holds every consumer of the zone walk to its reference for one
 // column pair and one interval pair: the one-term walks to the brute-force
 // per-line scan, the conjunctive walk to the intersection of the one-term
-// range lists.
-func checkWalks(t *testing.T, xs, ys []float64, opts Options, xlo, xhi, ylo, yhi float64) {
+// range lists, and a Cursor drained in batches of at least budget rows to
+// the conjunctive walk.
+func checkWalks(t *testing.T, xs, ys []float64, opts Options, budget int, xlo, xhi, ylo, yhi float64) {
 	t.Helper()
 	imX, imY := mustBuild(t, xs, opts), mustBuild(t, ys, opts)
 	ctx := fmt.Sprintf("n=%d bits=%d vpl=%d x∈[%v,%v] y∈[%v,%v]",
@@ -88,6 +103,24 @@ func checkWalks(t *testing.T, xs, ys []float64, opts Options, xlo, xhi, ylo, yhi
 	}
 	if zones := (imX.lines + zoneLines - 1) / zoneLines; zs.Total != zones || zs.Hit < 0 || zs.Hit > zones {
 		t.Fatalf("%s: zone stats %+v over %d zones", ctx, zs, zones)
+	}
+	cur, err := NewCursor([]Term{{imX, xlo, xhi}, {imY, ylo, yhi}})
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	var batches []colstore.Range
+	for !cur.Done() {
+		batch := cur.AppendRanges(nil, budget)
+		if rows := colstore.RangesLen(batch); rows < budget && !cur.Done() {
+			t.Fatalf("%s: batch of %d rows under budget %d before the walk ended", ctx, rows, budget)
+		}
+		batches = append(batches, batch...)
+	}
+	if got := coalesce(batches); !slices.Equal(got, want) {
+		t.Fatalf("%s: cursor batches of %d = %v, one walk %v", ctx, budget, got, want)
+	}
+	if cur.Stats() != zs {
+		t.Fatalf("%s: cursor zone stats %+v, one walk %+v", ctx, cur.Stats(), zs)
 	}
 	// Term order is the walk's business, not the caller's.
 	if swapped, _, _ := ConjunctiveRangesInto([]Term{{imY, ylo, yhi}, {imX, xlo, xhi}}, nil); !slices.Equal(swapped, want) {
@@ -176,7 +209,8 @@ func TestZoneWalkMatchesReferences(t *testing.T) {
 				xiv, yiv := walkIntervals(rng, xs), walkIntervals(rng, ys)
 				for i, xi := range xiv {
 					yi := yiv[(i*7+3)%len(yiv)]
-					checkWalks(t, xs, ys, opts, xi[0], xi[1], yi[0], yi[1])
+					budget := []int{1, vpl, zoneLines * vpl, 3000}[rng.Intn(4)]
+					checkWalks(t, xs, ys, opts, budget, xi[0], xi[1], yi[0], yi[1])
 				}
 			}
 		}
@@ -247,6 +281,7 @@ func TestConjunctiveRejectsMismatchedTerms(t *testing.T) {
 		"no terms":         nil,
 		"different length": {{im, 0, 1}, {shorter, 0, 1}},
 		"different vpl":    {{im, 0, 1}, {wider, 0, 1}},
+		"five terms":       {{im, 0, 1}, {im, 0, 1}, {im, 0, 1}, {im, 0, 1}, {im, 0, 1}},
 	} {
 		out, zs, err := ConjunctiveRangesInto(terms, prefix)
 		if err == nil {
@@ -300,20 +335,21 @@ func fuzzColumn(data []byte, salt byte) []float64 {
 }
 
 // FuzzCandidateRanges drives checkWalks from fuzz input: column bytes, a
-// shape selector and raw float64 interval bounds (so NaN, ±Inf, −0 and
-// inverted intervals all arrive without being enumerated).
+// shape selector, a cursor batch budget and raw float64 interval bounds (so
+// NaN, ±Inf, −0 and inverted intervals all arrive without being
+// enumerated).
 func FuzzCandidateRanges(f *testing.F) {
-	f.Add([]byte{}, uint8(0), 0.0, 1.0, 0.0, 1.0)
-	f.Add([]byte{7}, uint8(1), 0.0, 100.0, -1.0, 1.0)
-	f.Add(make([]byte, 513), uint8(7), 0.0, 0.0, math.Inf(-1), math.Inf(1))
+	f.Add([]byte{}, uint8(0), uint16(1), 0.0, 1.0, 0.0, 1.0)
+	f.Add([]byte{7}, uint8(1), uint16(5), 0.0, 100.0, -1.0, 1.0)
+	f.Add(make([]byte, 513), uint8(7), uint16(512), 0.0, 0.0, math.Inf(-1), math.Inf(1))
 	long := make([]byte, 64*8*2+1)
 	for i := range long {
 		long[i] = byte(i / 40)
 	}
 	long[77], long[600], long[1024] = 255, 254, 253
-	f.Add(long, uint8(11), 3.0, 12.0, math.NaN(), 9.0)
-	f.Add(long, uint8(4), 12.0, 3.0, 0.0, 30.0)
-	f.Fuzz(func(t *testing.T, data []byte, shape uint8, xlo, xhi, ylo, yhi float64) {
+	f.Add(long, uint8(11), uint16(100), 3.0, 12.0, math.NaN(), 9.0)
+	f.Add(long, uint8(4), uint16(8), 12.0, 3.0, 0.0, 30.0)
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8, budget uint16, xlo, xhi, ylo, yhi float64) {
 		if len(data) > 1<<14 {
 			data = data[:1<<14]
 		}
@@ -322,7 +358,7 @@ func FuzzCandidateRanges(f *testing.F) {
 			ValuesPerLine: []int{1, 8, 64, 3}[shape>>2&3],
 			SampleSize:    64,
 		}
-		checkWalks(t, fuzzColumn(data, 0), fuzzColumn(data, shape), opts, xlo, xhi, ylo, yhi)
+		checkWalks(t, fuzzColumn(data, 0), fuzzColumn(data, shape), opts, max(int(budget), 1), xlo, xhi, ylo, yhi)
 	})
 }
 

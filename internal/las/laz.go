@@ -269,12 +269,7 @@ func ReadAnyFile(path string) (Header, []Point, error) {
 	if magic == lazMagic {
 		return ReadLAZ(f)
 	}
-	r, err := NewReader(f)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	pts, err := r.ReadAll()
-	return r.Header(), pts, err
+	return readFile(f)
 }
 
 // ReadAnyFileHeader reads only the header from a LAS or LAZ-sim file.

@@ -53,9 +53,19 @@ func (r *Reader) Read() (Point, error) {
 	return decodePoint(r.rec, r.header), nil
 }
 
-// ReadAll drains the remaining points.
+// preallocPoints caps the points ReadAll reserves room for on the header's
+// word alone: a corrupt or truncated stream may claim four billion.
+const preallocPoints = 1 << 12
+
+// ReadAll drains the remaining points. It reserves room for at most
+// preallocPoints of them up front and grows as records arrive.
 func (r *Reader) ReadAll() ([]Point, error) {
-	out := make([]Point, 0, r.header.PointCount-r.read)
+	return r.readAll(preallocPoints)
+}
+
+// readAll is ReadAll reserving room for at most capHint points.
+func (r *Reader) readAll(capHint int) ([]Point, error) {
+	out := make([]Point, 0, min(int(r.header.PointCount-r.read), capHint))
 	for {
 		p, err := r.Read()
 		if err == io.EOF {
@@ -125,11 +135,21 @@ func ReadFile(path string) (Header, []Point, error) {
 		return Header{}, nil, err
 	}
 	defer f.Close()
+	return readFile(f)
+}
+
+// readFile reads the LAS stream in f, reserving room for no more records
+// than the file's length can hold.
+func readFile(f *os.File) (Header, []Point, error) {
 	r, err := NewReader(f)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	pts, err := r.ReadAll()
+	capHint := preallocPoints
+	if fi, err := f.Stat(); err == nil {
+		capHint = int(fi.Size() / int64(r.header.RecordSize()))
+	}
+	pts, err := r.readAll(capHint)
 	return r.Header(), pts, err
 }
 

@@ -2,7 +2,9 @@ package las
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -93,4 +95,67 @@ func TestLAZMutatedValidStream(t *testing.T) {
 			t.Fatalf("decoded %d points, header says %d", len(got), h.PointCount)
 		}
 	}
+}
+
+// FuzzLASReader: whatever the bytes, NewReader plus ReadAll returns an
+// error or exactly the points the header claims — never a panic, never
+// success on a stream too short to hold the records, and never an
+// allocation out of proportion to the stream (a header may claim four
+// billion points over a few hundred bytes). Seeds are writer output in
+// every point format, truncations of it, and header corruptions.
+func FuzzLASReader(f *testing.F) {
+	for format := uint8(0); format <= 3; format++ {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, format, 0.01, 0.01, 0.01, 100000, 450000, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range samplePoints(5, int64(format)) {
+			w.Write(p)
+		}
+		w.Close()
+		valid := buf.Bytes()
+		f.Add(valid)
+		f.Add(valid[:len(valid)-1])
+		f.Add(valid[:HeaderSize])
+		f.Add(valid[:HeaderSize-1])
+		le := binary.LittleEndian
+		for _, corrupt := range []func(b []byte){
+			func(b []byte) { le.PutUint32(b[107:], 0xFFFFFFFF) }, // point count: four billion records
+			func(b []byte) { le.PutUint32(b[96:], 0xFFFFFFF0) },  // point data offset far past the stream
+			func(b []byte) { le.PutUint32(b[96:], 100) },         // point data offset inside the header
+			func(b []byte) { b[104] = 9 },                        // unsupported point format
+			func(b []byte) { le.PutUint16(b[105:], 1) },          // record length against the format
+			func(b []byte) { le.PutUint64(b[131:], 0) },          // zero X scale
+		} {
+			mut := append([]byte(nil), valid...)
+			corrupt(mut)
+			f.Add(mut)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := NewReader(bytes.NewReader(data))
+		var pts []Point
+		if err == nil {
+			pts, err = r.ReadAll()
+		}
+		runtime.ReadMemStats(&after)
+		// The bufio buffer and the header are fixed; points cost at most a
+		// few times their record bytes, doubling growth included.
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*len(data)); grew > bound {
+			t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(data), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		h := r.Header()
+		if len(pts) != int(h.PointCount) {
+			t.Fatalf("read %d points, header claims %d", len(pts), h.PointCount)
+		}
+		if need := HeaderSize + len(pts)*h.RecordSize(); len(data) < need {
+			t.Fatalf("read %d points of %d bytes from a %d-byte stream", len(pts), h.RecordSize(), len(data))
+		}
+	})
 }

@@ -244,8 +244,11 @@ func valueEq(a, b Value) bool {
 	}
 }
 
-func resultsEqual(a, b *Result) bool {
-	if a.Len() != b.Len() || len(a.Cols) != len(b.Cols) {
+func resultsEqual(a, b *Result) bool { return a.Len() == b.Len() && isPrefix(a, b) }
+
+// isPrefix reports whether a's rows are the first a.Len() rows of b.
+func isPrefix(a, b *Result) bool {
+	if a.Len() > b.Len() || len(a.Cols) != len(b.Cols) {
 		return false
 	}
 	for j := range a.Cols {

@@ -148,13 +148,15 @@ type queryPlan struct {
 	// (GROUP BY/SELECT-list literals stay inline by policy), so rebind
 	// leaves it untouched. proj parallels exprs: the compiled vector kernel
 	// of each projected item, nil where compileNum declined the shape and
-	// the interpreter evaluates the expression instead.
-	out     outMode
-	cols    []string
-	exprs   []Expr
-	proj    []numEval
-	limit   int
-	grouped *groupedPlan
+	// the interpreter evaluates the expression instead. limitSelect marks
+	// a shape whose LIMIT cuts the region selection itself (selectLimit).
+	out         outMode
+	cols        []string
+	exprs       []Expr
+	proj        []numEval
+	limit       int
+	limitSelect bool
+	grouped     *groupedPlan
 }
 
 // PreparedQuery is a statement prepared for repeated execution: parse,
@@ -264,7 +266,22 @@ func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*queryPlan, erro
 		return nil, err
 	}
 	p.limit = limit
+	// A plain projection of region rows, with nothing filtering after the
+	// selection and nothing reordering it, emits the selection's prefix:
+	// the selector may stop at the LIMIT-th match. The shape survives every
+	// rebind, so the decision is made once; the bound count is read per run.
+	p.limitSelect = p.mode == planPointCloud && p.region != nil &&
+		len(p.preds) == 0 && len(p.generic) == 0 && p.out == outProject && stmt.Order == nil
 	return p, nil
+}
+
+// selectLimit is the LIMIT the region selection may stop at: the bound
+// count on a limitSelect shape, -1 (every row) otherwise.
+func (p *queryPlan) selectLimit() int {
+	if p.limitSelect {
+		return p.limit
+	}
+	return -1
 }
 
 // resolveLimit returns the statement's LIMIT bound against the literal

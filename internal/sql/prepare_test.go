@@ -356,3 +356,52 @@ func TestPreparedJoinAndVectorReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestLimitRebindMatchesFreshPrepare: a LIMIT literal rebound into a cached
+// skeleton takes effect with no replan. On the shape whose LIMIT cuts the
+// selection itself (a plain projection of region rows) and on shapes that
+// filter or reorder after it, every count — 0, 1, 2000 and more than the
+// matches — must return what a fresh Prepare returns, and that is the
+// first rows of the statement without a LIMIT.
+func TestLimitRebindMatchesFreshPrepare(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	const where = `FROM ahn2 WHERE ST_Contains(ST_MakeEnvelope(300, 100, 1900, 1900), ST_Point(x, y))`
+	for _, c := range []struct {
+		shape       string
+		limitSelect bool
+	}{
+		{`SELECT x, y, z, classification, intensity ` + where, true},
+		{`SELECT x, z ` + where + ` AND classification = 2`, false},
+		{`SELECT x, z ` + where + ` AND z - intensity < 100000`, false},
+		{`SELECT x, z ` + where + ` ORDER BY z DESC`, false},
+	} {
+		all := mustQuery(t, e, c.shape)
+		if all.Len() < 4000 {
+			t.Fatalf("%s: %d rows; the limits below are vacuous", c.shape, all.Len())
+		}
+		for i, k := range []int{3, 0, 1, 2000, all.Len() + 7} {
+			q := fmt.Sprintf("%s LIMIT %d", c.shape, k)
+			got := mustQuery(t, e, q)
+			if origin := got.Explain.Steps[0].Detail; i > 0 && origin != originRebound {
+				t.Fatalf("%s: plan origin %q, want a rebind", q, origin)
+			}
+			fresh, err := e.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh.plan.limitSelect != c.limitSelect {
+				t.Fatalf("%s: limitSelect = %v, want %v", q, fresh.plan.limitSelect, c.limitSelect)
+			}
+			want, err := fresh.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(got, want) {
+				t.Fatalf("%s: rebound run returns %d rows, fresh Prepare %d", q, got.Len(), want.Len())
+			}
+			if n := min(k, all.Len()); want.Len() != n || !isPrefix(want, all) {
+				t.Fatalf("%s: %d rows, want the first %d rows of the unlimited statement", q, want.Len(), n)
+			}
+		}
+	}
+}

@@ -138,7 +138,7 @@ func (pq *PreparedQuery) runPointCloud(rs *engine.Run, p *queryPlan, ex *engine.
 	}
 	var rows []int
 	if p.region != nil {
-		rows = p.b.pc.SelectRegionRowsRun(rs, p.region, ex)
+		rows = p.b.pc.SelectRegionRowsRun(rs, p.region, p.selectLimit(), ex)
 		if rs.Cancelled() {
 			// The refinement loop returns a partial selection when the
 			// token fires mid-pass; the release-list drain recycles it.

@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"gisnav/internal/engine"
@@ -161,5 +162,31 @@ func TestPreparedProjectionSteadyStateAllocs(t *testing.T) {
 	if large > 3 || large != small {
 		t.Fatalf("prepared projection allocates %.1f objects/op for 2000 rows and %.1f for 20, want the same <= 3 (result header, column list, slab)",
 			large, small)
+	}
+}
+
+// TestPreparedLimitSelectSteadyStateAllocs pins the early-stopping
+// selection — a wide viewport whose LIMIT cuts the walk and the refinement
+// after a second round grew the row vector — to the same result-only
+// allocations as the projection above: the walk's cursor lives on the
+// stack and every round draws its buffers from the pools.
+func TestPreparedLimitSelectSteadyStateAllocs(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	q := `SELECT x, y, z, classification, intensity FROM ahn2
+		WHERE ST_Contains(ST_MakeEnvelope(300, 100, 1900, 1900), ST_Point(x, y)) LIMIT 2000`
+	res := mustQuery(t, e, q)
+	twoRounds := false
+	for _, s := range res.Explain.Steps {
+		twoRounds = twoRounds || s.Op == "grid.refine" && strings.Contains(s.Detail, "limit 2000 in 2 rounds")
+	}
+	if !twoRounds {
+		t.Fatalf("selection did not stop at its limit after two rounds: %+v", res.Explain.Steps)
+	}
+	allocs, rows := runSteady(t, e, q)
+	if rows != 2000 {
+		t.Fatalf("projection emitted %d rows, want 2000", rows)
+	}
+	if allocs > 3 {
+		t.Fatalf("prepared early-stopping projection allocates %.1f objects/op, want <= 3 (result header, column list, slab)", allocs)
 	}
 }
