@@ -111,10 +111,18 @@ func TestImprintsLazyBuild(t *testing.T) {
 			t.Fatal("second query must reuse imprints")
 		}
 	}
-	// Appends invalidate.
+	// Appends extend the imprints over the new rows; a rewrite drops them.
 	pc.AppendLAS([]las.Point{{X: 1, Y: 1, Z: 0}})
+	if !pc.HasImprints() {
+		t.Fatal("append must extend the imprints, not drop them")
+	}
+	rows := pc.SelectRegionRows(boxRegion(geom.NewEnvelope(0.5, 0.5, 1.5, 1.5)))
+	if len(rows) == 0 || rows[len(rows)-1] != pc.Len()-1 {
+		t.Fatalf("extended imprints miss the appended row: %v", rows)
+	}
+	pc.InvalidateIndexes()
 	if pc.HasImprints() {
-		t.Fatal("append must invalidate imprints")
+		t.Fatal("InvalidateIndexes must drop the imprints")
 	}
 }
 

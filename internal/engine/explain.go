@@ -14,7 +14,7 @@ const (
 	opImprintsFilter = "imprints.filter" // imprint candidate-range generation
 	opAggregate      = "aggregate"       // typed aggregate kernel
 	opGroupAgg       = "group.agg"       // grouped-aggregate kernel (dense/hash)
-	opTileAgg        = "tile.agg"        // pyramid tile pre-aggregation build
+	opTileAgg        = "tile.agg"        // pyramid tile pre-aggregation build or extension
 	opGridRefine     = "grid.refine"     // spatial refinement over candidates
 	opSelectRegion   = "select.region"   // spatial selection driver
 	opImprintsBuild  = "imprints.build"  // one-time index construction

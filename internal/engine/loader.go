@@ -58,9 +58,30 @@ func binaryDumps(pts []las.Point) ([]bytes.Buffer, int64, error) {
 	return dumps, total, nil
 }
 
+// finishLoad ends a bulk load under the epoch contract and returns its
+// error. A load that failed before its first column write leaves the table
+// as it was; a clean one is an append (PointCloud.appended); one that
+// failed after it — an unreadable later tile, a failed COPY — is a
+// rewrite: the columns hold rows no index covers and may disagree on
+// length, so nothing built over them may extend.
+func (pc *PointCloud) finishLoad(wrote bool, err error) error {
+	if err == nil {
+		err = validateSameLength(pc.cols)
+	} else if !wrote {
+		return err
+	}
+	if err != nil {
+		pc.InvalidateIndexes()
+		return err
+	}
+	pc.appended()
+	return nil
+}
+
 // LoadBinary loads every tile of a repository through the binary path.
-func LoadBinary(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
-	var st LoadStats
+func LoadBinary(pc *PointCloud, repo *lastools.Repository) (st LoadStats, err error) {
+	wrote := false
+	defer func() { err = pc.finishLoad(wrote, err) }()
 	for _, path := range repo.Files() {
 		start := time.Now()
 		_, pts, err := las.ReadAnyFile(path)
@@ -75,6 +96,7 @@ func LoadBinary(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 		st.StageBytes += bytesOut
 
 		start = time.Now()
+		wrote = true
 		for i, c := range pc.cols {
 			if err := c.AppendBinary(&dumps[i], len(pts)); err != nil {
 				return st, fmt.Errorf("engine: copy binary %s col %d: %w", path, i, err)
@@ -84,18 +106,15 @@ func LoadBinary(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 		st.Files++
 		st.Points += len(pts)
 	}
-	pc.InvalidateIndexes()
-	if err := validateSameLength(pc.cols); err != nil {
-		return st, err
-	}
 	return st, nil
 }
 
 // LoadCSV loads every tile through the conventional route: decode the tile,
 // render all attributes to CSV text, then tokenise and parse the text back
 // into the columns. This is the baseline the binary loader replaces.
-func LoadCSV(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
-	var st LoadStats
+func LoadCSV(pc *PointCloud, repo *lastools.Repository) (st LoadStats, err error) {
+	wrote := false
+	defer func() { err = pc.finishLoad(wrote, err) }()
 	for _, path := range repo.Files() {
 		start := time.Now()
 		_, pts, err := las.ReadAnyFile(path)
@@ -114,6 +133,7 @@ func LoadCSV(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 		st.StageBytes += int64(csv.Len())
 
 		start = time.Now()
+		wrote = true
 		rows, err := colstore.AppendCSV(&csv, pc.cols)
 		if err != nil {
 			return st, fmt.Errorf("engine: csv parse %s: %w", path, err)
@@ -124,10 +144,6 @@ func LoadCSV(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 		st.AppendTime += time.Since(start)
 		st.Files++
 		st.Points += len(pts)
-	}
-	pc.InvalidateIndexes()
-	if err := validateSameLength(pc.cols); err != nil {
-		return st, err
 	}
 	return st, nil
 }

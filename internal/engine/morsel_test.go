@@ -773,7 +773,7 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 		for _, deg := range []int{1, 2, 4} {
 			run := parRun(deg)
 			check("entry", big, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
-				return big.TileGroupedAggregateRun(run, tiler, ColClassification, specs, cnt, banks, nil)
+				return big.TileGroupedAggregateRun(run, tiler, ColClassification, specs, cnt, banks, 0, nil)
 			})
 			if run.Live() != 0 {
 				t.Fatalf("tile run still owns %d buffers", run.Live())
@@ -796,7 +796,7 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 					for j, s := range specs {
 						seedBank(banks[j], s.Fn)
 					}
-					return pc.runTilePass(nil, tiler, keys, specs, cnt, banks, nslots, pc.Len(), deg)
+					return pc.runTilePass(nil, tiler, keys, specs, cnt, banks, nslots, 0, pc.Len(), deg)
 				})
 			}
 		}

@@ -46,12 +46,20 @@ type PointCloud struct {
 	// column backing arrays that appends may move.
 	plans *bounded.Map[planKey, *Kernel]
 
-	// epoch counts index invalidations. Everything that binds to a column's
-	// backing array across calls — compiled kernels, the SQL layer's
-	// prepared plans — captures the epoch before binding and revalidates it
-	// before reuse, so an append (which may move backing arrays) can never
-	// serve state bound to the old arrays.
+	// epoch counts mutations: appends and index invalidations. Everything
+	// that binds to a column's backing array across calls — compiled
+	// kernels, the SQL layer's prepared plans — captures the epoch before
+	// binding and revalidates it before reuse, so an append (which may move
+	// backing arrays) can never serve state bound to the old arrays.
 	epoch atomic.Uint64
+	// rewrite is the epoch the last InvalidateIndexes produced. Bumps past
+	// it were appends only, which leave every earlier row where it was:
+	// indexes over those rows may extend instead of rebuilding
+	// (AppendOnlySince).
+	rewrite atomic.Uint64
+
+	// Index maintenance counters (IndexStats).
+	imprintBuilds, imprintExtensions atomic.Uint64
 }
 
 // NewPointCloud returns an empty flat table with the 26-attribute schema.
@@ -112,17 +120,44 @@ func (pc *PointCloud) AppendLAS(pts []las.Point) {
 	for _, p := range pts {
 		appendLASPoint(pc.cols, p)
 	}
-	pc.InvalidateIndexes()
+	pc.appended()
 }
 
-// InvalidateIndexes drops the imprints and the compiled-kernel plan cache;
-// both rebuild on the next query. Appends must call this (and do, on every
-// load path): they can move column backing arrays, so cached kernels and
-// imprints bound to the old arrays must not serve another query.
+// appended is the append arm of the epoch contract, run after rows were
+// added at the end of every column: it bumps the epoch and drops the
+// compiled-kernel plan cache like InvalidateIndexes, but extends built
+// coordinate imprints over the new rows (imprints.Extend) instead of
+// dropping them — unless the column has outgrown the bins a full build
+// sampled, when they drop and the next query rebuilds them.
+func (pc *PointCloud) appended() {
+	pc.epoch.Add(1)
+	pc.mu.Lock()
+	if pc.imprintX != nil && pc.imprintY != nil {
+		if n := pc.Len(); pc.imprintX.Outgrown(n) || pc.imprintY.Outgrown(n) {
+			pc.imprintX, pc.imprintY = nil, nil
+		} else {
+			pc.imprintX = imprints.Extend(pc.imprintX, pc.xs.Values())
+			pc.imprintY = imprints.Extend(pc.imprintY, pc.ys.Values())
+			pc.imprintExtensions.Add(1)
+		}
+	}
+	pc.mu.Unlock()
+	pc.plans.Reset()
+}
+
+// InvalidateIndexes is the rewrite arm of the epoch contract: it drops the
+// imprints and the compiled-kernel plan cache, both rebuilt on the next
+// query, and marks the epoch it produces as a rewrite, so indexes built
+// before it (the pyramid) rebuild rather than extend. Any mutation other
+// than a clean append must call this — a load that failed part-way, or a
+// change to existing rows.
 func (pc *PointCloud) InvalidateIndexes() {
-	// Bump first: a plan prepared concurrently that read the old epoch will
-	// observe the mismatch and replan, the safe direction (appends still
-	// require external exclusion from in-flight queries, as below).
+	// Mark, then bump: a reader that sees the new epoch also sees it was a
+	// rewrite. Bump before dropping: a plan prepared concurrently that read
+	// the old epoch will observe the mismatch and replan, the safe
+	// direction (mutations still require external exclusion from in-flight
+	// queries, as below).
+	pc.rewrite.Store(pc.epoch.Load() + 1)
 	pc.epoch.Add(1)
 	pc.mu.Lock()
 	pc.imprintX, pc.imprintY = nil, nil
@@ -130,11 +165,29 @@ func (pc *PointCloud) InvalidateIndexes() {
 	pc.plans.Reset()
 }
 
-// Epoch returns the table's invalidation epoch: a monotonic counter bumped
-// by every InvalidateIndexes call (and therefore by every append path).
-// Capture it before binding to column backing arrays; a later mismatch
-// means the arrays may have moved and the binding must be rebuilt.
+// Epoch returns the table's mutation epoch: a monotonic counter bumped by
+// every append and every InvalidateIndexes call. Capture it before binding
+// to column backing arrays; a later mismatch means the arrays may have
+// moved and the binding must be rebuilt.
 func (pc *PointCloud) Epoch() uint64 { return pc.epoch.Load() }
+
+// AppendOnlySince reports whether every epoch bump after epoch was an
+// append: rows [0, n) as of epoch are unchanged, so an index over them may
+// be extended over the rows added since instead of rebuilt.
+func (pc *PointCloud) AppendOnlySince(epoch uint64) bool { return pc.rewrite.Load() <= epoch }
+
+// IndexStats counts coordinate-imprint maintenance since the table was
+// created: full builds (the first range query, and the one after a
+// rewrite or after appends outgrew the bins) and append extensions.
+type IndexStats struct {
+	ImprintBuilds     uint64 `json:"imprint_builds"`
+	ImprintExtensions uint64 `json:"imprint_extensions"`
+}
+
+// IndexStats snapshots the table's index maintenance counters.
+func (pc *PointCloud) IndexStats() IndexStats {
+	return IndexStats{ImprintBuilds: pc.imprintBuilds.Load(), ImprintExtensions: pc.imprintExtensions.Load()}
+}
 
 // HasImprints reports whether the coordinate imprints are currently built.
 func (pc *PointCloud) HasImprints() bool {
@@ -168,6 +221,7 @@ func (pc *PointCloud) ensureImprintsLocked() time.Duration {
 		panic(fmt.Sprintf("engine: building y imprints: %v", err))
 	}
 	pc.imprintX, pc.imprintY = ix, iy
+	pc.imprintBuilds.Add(1)
 	return time.Since(start)
 }
 

@@ -47,21 +47,6 @@ func getF64Buf(capHint int) []float64 { return f64Pool.Get(capHint) }
 // recycleF64 returns a float64 scratch buffer to its pool.
 func recycleF64(b []float64) { f64Pool.Put(b) }
 
-// AcquireF64 draws a float64 scratch buffer from the engine's pool — the
-// exported counterpart of getF64Buf for layers above the engine (the
-// pyramid's pre-aggregate banks). Pooled buffers carry stale contents:
-// callers must initialise every element they read. Pair every acquire with
-// RecycleF64; on a query path, register through Run.TrackF64 instead.
-func AcquireF64(capHint int) []float64 { return getF64Buf(capHint) }
-
-// RecycleF64 returns a float64 buffer drawn through AcquireF64 to the
-// engine's pool. The caller must not touch b afterwards. Like RecycleRows,
-// recycling is optional — buffers never returned are garbage collected —
-// but owners of long-lived banks (the pyramid cache) recycle on drop so
-// the pool's Outstanding counter stays balanced across build/invalidate
-// cycles.
-func RecycleF64(b []float64) { f64Pool.Put(b) }
-
 // PoolStats is a snapshot of one buffer pool, for diagnostics and the
 // pool-accounting regression tests.
 type PoolStats struct {

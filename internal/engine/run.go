@@ -191,7 +191,7 @@ func (r *Run) TrackF64(b []float64) []float64 { return r.trackF64(b) }
 func (r *Run) AcquireF64(capHint int) []float64 { return r.trackF64(getF64Buf(capHint)) }
 
 // RecycleF64 returns a float64 buffer to the pool and removes it from the
-// release list. On a nil run this is plain RecycleF64.
+// release list. On a nil run it only returns the buffer to the pool.
 func (r *Run) RecycleF64(b []float64) { r.recycleF64(b) }
 
 // Live reports how many pooled buffers the run currently owns — zero

@@ -1,6 +1,7 @@
 // Tile-grouped pre-aggregation (PR 10): the engine entry points the
-// pyramid builds on. TileGroupedAggregateRun scatters the whole table
-// into per-(tile, class) banks — a grouped-aggregate pass whose composite
+// pyramid builds on. TileGroupedAggregateRun scatters the table — or,
+// on the append path, the rows past a given one — into per-(tile, class)
+// banks — a grouped-aggregate pass whose composite
 // slot is the row's quantised tile times the 256-class domain — run as a
 // morsel pass (tilePass below; see morsel.go) exactly like the dense grouped
 // strategy, through the same fold plan (one pass per value column, every
@@ -44,19 +45,23 @@ func validateTileSpecs(specs []GroupedAggSpec) error {
 	return nil
 }
 
-// TileGroupedAggregateRun scatters every row of the table into
+// TileGroupedAggregateRun scatters rows [from, Len()) of the table into
 // per-(tile, class) pre-aggregate banks. tiler assigns each row exactly
 // one tile (Cell clamps, so rows on the extent boundary land in the edge
 // tiles); keyCol must be a u8 column. Slot (t, k) of a bank lives at
 // index t*256+k with t = cy<<order | cx. cnt receives the group sizes;
 // banks[j] receives spec j's fold and may be nil for AggCount specs,
-// which are served from cnt. All banks are (re)seeded here: callers pass
-// pooled buffers with stale contents.
+// which are served from cnt. With from = 0 every bank is (re)seeded here:
+// callers may pass buffers with stale contents. With from > 0 the rows
+// fold on top of banks that already hold rows [0, from) — the append
+// path of a pre-aggregate.
 //
 // The degree follows the grouped kernels' merge contract: count/min/max
 // shapes fan across the morsel worker set at the run's degree, sum shapes
-// run at degree 1 so each tile's sum folds rows in ascending row order.
-func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64, ex *Explain) error {
+// run at degree 1 so each tile's sum folds rows in ascending row order —
+// across calls too, so folding [0, m) and then [m, n) leaves the banks
+// bit-identical to one call over [0, n).
+func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64, from int, ex *Explain) error {
 	start := time.Now()
 	if err := validateTileSpecs(specs); err != nil {
 		return err
@@ -70,8 +75,12 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 		return fmt.Errorf("engine: tile bank shape mismatch: %d slots, %d banks for %d specs",
 			len(cnt), len(banks), len(specs))
 	}
-	for i := range cnt[:nslots] {
-		cnt[i] = 0
+	n := pc.Len()
+	if from < 0 || from > n {
+		return fmt.Errorf("engine: tile aggregation from row %d of %d", from, n)
+	}
+	if from == 0 {
+		seedBank(cnt[:nslots], AggCount)
 	}
 	for j, s := range specs {
 		if s.Fn == AggCount {
@@ -83,23 +92,24 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 		if len(banks[j]) < nslots {
 			return fmt.Errorf("engine: tile bank %d holds %d slots, need %d", j, len(banks[j]), nslots)
 		}
-		seedBank(banks[j][:nslots], s.Fn)
+		if from == 0 {
+			seedBank(banks[j][:nslots], s.Fn)
+		}
 	}
 
-	n := pc.Len()
-	if n == 0 {
+	if from == n {
 		return nil
 	}
 	deg := 1
 	if specsMergeExact(specs) {
-		deg = pc.morselDegree(run, n)
+		deg = pc.morselDegree(run, n-from)
 	}
-	if err := pc.runTilePass(run, tiler, u8.Values(), specs, cnt, banks, nslots, n, deg); err != nil {
+	if err := pc.runTilePass(run, tiler, u8.Values(), specs, cnt, banks, nslots, from, n, deg); err != nil {
 		return err
 	}
 	if ex != nil {
 		ex.Add(opTileAgg, fmt.Sprintf("order %d, %d aggs [par %d]", tiler.Order, len(specs), deg),
-			n, nslots, time.Since(start))
+			n-from, nslots, time.Since(start))
 	}
 	return nil
 }
@@ -115,7 +125,8 @@ func tileSlots(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, s
 	}
 }
 
-// tilePass is the pooled scaffolding of one tile scatter. Partition 0
+// tilePass is the pooled scaffolding of one tile scatter over rows
+// [from, n), cut into deg partitions. Partition 0
 // scatters into the caller's banks; partitions >= 1 into disjoint slabs of
 // one run-tracked buffer in the dense grouped layout [count | spec 0 |
 // spec 1 | ...]; behind the slabs sits one fold sink per partition. The
@@ -127,6 +138,7 @@ type tilePass struct {
 	keys   []uint8
 	tiler  sfc.Grid
 	specs  []GroupedAggSpec
+	from   int
 	n, deg int
 	nslots int
 	stride int // slab length: nslots * (1 + specs)
@@ -142,7 +154,8 @@ var tilePasses passFree[tilePass]
 // class) slots, then runs the shared fold plan over the slot vector: one
 // pass per value column, the count riding the first.
 func (tp *tilePass) RunPartition(slot int) {
-	start, end := slot*tp.n/tp.deg, (slot+1)*tp.n/tp.deg
+	rows := tp.n - tp.from
+	start, end := tp.from+slot*rows/tp.deg, tp.from+(slot+1)*rows/tp.deg
 	slots := getRowBuf(end - start)[:end-start]
 	defer rowPool.Put(slots)
 	hitMorselWorker(tp.deg)
@@ -157,11 +170,11 @@ func (tp *tilePass) RunPartition(slot int) {
 	foldSpecs(foldSrc{slots: slots}, tp.pc, tp.specs, nil, true, start, end, cnt, fb, sink, slot > 0, tp.tok)
 }
 
-// runTilePass scatters the table into the caller's seeded banks in deg
-// partitions and folds the slabs of partitions 1.. into them in ascending
-// order — exact for count/min/max; a sum spec pins deg to 1, where every
-// tile's sum is the ascending row-order fold.
-func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, nslots, n, deg int) error {
+// runTilePass scatters rows [from, n) into the caller's seeded banks in
+// deg partitions and folds the slabs of partitions 1.. into them in
+// ascending order — exact for count/min/max; a sum spec pins deg to 1,
+// where every tile's sum is the ascending row-order fold.
+func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, nslots, from, n, deg int) error {
 	stride := nslots * (1 + len(specs))
 	size := (deg-1)*stride + deg*(nslots+1)
 	slabs := run.trackF64(getF64Buf(size))[:size]
@@ -171,7 +184,7 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 	}
 	tp := tilePasses.get()
 	tp.pc, tp.keys, tp.tiler, tp.specs = pc, keys, tiler, specs
-	tp.n, tp.deg, tp.nslots, tp.stride = n, deg, nslots, stride
+	tp.from, tp.n, tp.deg, tp.nslots, tp.stride = from, n, deg, nslots, stride
 	tp.cnt, tp.banks, tp.slabs = cnt, banks, slabs
 	tp.tok = run.Token()
 	p := tp.pass.Run(deg, tp)

@@ -24,6 +24,9 @@
 // the filter costs O(zones) + O(candidate zones) instead of O(lines); every
 // candidate query — one column or a conjunction of several (zone.go) — runs
 // through that one walk.
+//
+// Every level grows only at the tail, so an index over an append-only
+// column extends over new rows without a rebuild (Extend, extend.go).
 package imprints
 
 import (
@@ -112,6 +115,10 @@ type Imprints struct {
 	// size result vectors before scanning (every value matching a range
 	// predicate lies in a bin overlapping the range).
 	binCounts []uint32
+
+	// built is the row count the bounds were sampled from: Build sets it,
+	// Extend carries it, Outgrown compares against it.
+	built int
 }
 
 // Build constructs imprints over vals. The input is not retained.
@@ -121,16 +128,18 @@ func Build(vals []float64, opts Options) (*Imprints, error) {
 		return nil, err
 	}
 	im := &Imprints{
-		bits: opts.Bits,
-		vpl:  opts.ValuesPerLine,
-		n:    len(vals),
+		bits:  opts.Bits,
+		vpl:   opts.ValuesPerLine,
+		n:     len(vals),
+		built: len(vals),
 	}
 	if len(vals) == 0 {
 		return im, nil
 	}
 	im.bounds = sampleBounds(vals, opts.Bits, opts.SampleSize)
-	im.buildVectors(vals)
-	im.buildZones()
+	im.binCounts = make([]uint32, im.bits)
+	im.appendLines(vals, 0)
+	im.buildZones(0, zoneCursor{})
 	return im, nil
 }
 
@@ -206,15 +215,12 @@ func (im *Imprints) binOf(v float64) int {
 // lastBin returns the highest usable bin index.
 func (im *Imprints) lastBin() int { return len(im.bounds) }
 
-// buildVectors computes the per-cacheline vectors and compresses runs,
-// accumulating the per-bin value histogram along the way.
-func (im *Imprints) buildVectors(vals []float64) {
-	im.binCounts = make([]uint32, im.bits)
-	for start := 0; start < len(vals); start += im.vpl {
-		end := start + im.vpl
-		if end > len(vals) {
-			end = len(vals)
-		}
+// appendLines computes the vectors of the cache lines starting at row
+// start (a line boundary) and appends them to the dictionary, accumulating
+// the per-bin value histogram along the way.
+func (im *Imprints) appendLines(vals []float64, start int) {
+	for ; start < len(vals); start += im.vpl {
+		end := min(start+im.vpl, len(vals))
 		var vec uint64
 		for _, v := range vals[start:end] {
 			b := im.binOf(v)

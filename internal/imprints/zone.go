@@ -20,15 +20,19 @@ type zoneCursor struct {
 	entry, off, vec uint32
 }
 
-// buildZones derives the zone level from the finished dictionary in one
-// pass over it (appendLine rewrites the dictionary's tail as runs form, so
-// cursors cannot be taken while it grows).
-func (im *Imprints) buildZones() {
+// buildZones derives zones z0.. from the finished dictionary in one pass
+// over its tail, starting at c, the cursor of zone z0's first line; zones
+// before z0 are kept (appendLine rewrites the dictionary's tail as runs
+// form, so cursors cannot be taken while it grows). The zone arrays are
+// fresh: an Extend never writes into the arrays of the imprints it copies.
+func (im *Imprints) buildZones(z0 int, c zoneCursor) {
 	zones := (im.lines + zoneLines - 1) / zoneLines
-	im.zoneOr = make([]uint64, zones)
-	im.zoneCur = make([]zoneCursor, zones)
-	e, off, vec := 0, 0, 0
-	for z := range im.zoneOr {
+	zoneOr, zoneCur := make([]uint64, zones), make([]zoneCursor, zones)
+	copy(zoneOr, im.zoneOr[:z0])
+	copy(zoneCur, im.zoneCur[:z0])
+	im.zoneOr, im.zoneCur = zoneOr, zoneCur
+	e, off, vec := int(c.entry), int(c.off), int(c.vec)
+	for z := z0; z < zones; z++ {
 		im.zoneCur[z] = zoneCursor{uint32(e), uint32(off), uint32(vec)}
 		var or uint64
 		for left := min(zoneLines, im.lines-z*zoneLines); left > 0; {

@@ -12,19 +12,19 @@ import (
 
 // maxPyramids bounds the resident pyramid set: one pyramid per
 // (table, shape) up to this many. The set is not a bounded.Map: past the
-// bound it evicts one entry rather than dropping all, and every drop must
-// release the entry's banks once no pinned query still reads them.
+// bound it evicts one entry rather than dropping all.
 const maxPyramids = 8
 
-// refCount is the pyramid lifetime: the cache holds one reference while
-// the entry is resident, every pinned caller holds one. The holder that
-// drops the count to zero recycles the pooled banks — so an epoch drop or
-// eviction racing a concurrent query never frees banks out from under it.
+// refCount pins a pyramid: the cache holds one reference while the entry
+// is resident, every pinned caller holds one. Pins are taken only under
+// the cache mutex, so an entry whose count is 1 there is held by no query
+// and may be extended in place; a pinned one is never written.
 type refCount struct{ n atomic.Int64 }
 
 func (r *refCount) init(n int64) { r.n.Store(n) }
 func (r *refCount) inc()         { r.n.Add(1) }
-func (r *refCount) dec() bool    { return r.n.Add(-1) == 0 }
+func (r *refCount) dec()         { r.n.Add(-1) }
+func (r *refCount) sole() bool   { return r.n.Load() == 1 }
 
 // cacheKey identifies a pyramid: the table identity plus the shape
 // signature (key column + canonical bank set).
@@ -34,17 +34,19 @@ type cacheKey struct {
 }
 
 // pyramidCache is the bounded resident set. Stale entries (epoch moved
-// past atEpoch) are dropped lazily at lookup — the epoch contract's lazy
-// invalidation arm: InvalidateIndexes/Append bump the table epoch, and
-// the next pyramid lookup for that table discards the stale banks.
+// past atEpoch) are settled lazily at lookup — the epoch contract's lazy
+// invalidation arm: appends and InvalidateIndexes bump the table epoch,
+// and the next pyramid lookup for that table extends the entry over the
+// appended rows or discards it.
 type pyramidCache struct {
-	mu        sync.Mutex
-	pyramids  map[cacheKey]*Pyramid
-	hits      uint64
-	misses    uint64
-	builds    uint64
-	drops     uint64
-	evictions uint64
+	mu         sync.Mutex
+	pyramids   map[cacheKey]*Pyramid
+	hits       uint64
+	misses     uint64
+	builds     uint64
+	extensions uint64
+	drops      uint64
+	evictions  uint64
 }
 
 var shared = pyramidCache{pyramids: map[cacheKey]*Pyramid{}}
@@ -75,64 +77,75 @@ func SetEnabled(on bool) { disabled.Store(!on) }
 
 // lookup returns the resident pyramid for (pc, sig) pinned for the
 // caller, or nil on miss. A resident entry whose epoch is stale is
-// dropped here: the cache reference is released (recycling the banks
-// unless a concurrent query still holds a pin) and the lookup misses.
-func (c *pyramidCache) lookup(pc *engine.PointCloud, sig string, epoch uint64) *Pyramid {
+// extended in place when it can be (extendable) and served as a hit;
+// otherwise it is dropped here — the cache reference is released, a
+// query still pinning it finishes on it — and the lookup misses. The
+// extension runs under the cache mutex, under the caller's run; if it
+// fails the torn entry is dropped and the error returned.
+func (c *pyramidCache) lookup(run *engine.Run, pc *engine.PointCloud, sig string, epoch uint64, ex *engine.Explain) (*Pyramid, error) {
 	k := cacheKey{pc: pc, sig: sig}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	p, ok := c.pyramids[k]
 	if ok && p.atEpoch != epoch {
-		delete(c.pyramids, k)
-		c.drops++
-		ok = false
-		defer p.Release()
+		var err error
+		extended := false
+		if p.extendable() {
+			err = p.extend(run, epoch, ex)
+			extended = err == nil
+		}
+		if extended {
+			c.extensions++
+		} else {
+			delete(c.pyramids, k)
+			c.drops++
+			p.Release()
+			ok = false
+		}
+		if err != nil {
+			c.misses++
+			return nil, err
+		}
 	}
 	if !ok {
 		c.misses++
-		c.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	c.hits++
 	p.refs.inc()
-	c.mu.Unlock()
-	return p
+	return p, nil
 }
 
 // insert publishes a freshly built pyramid and returns the entry the
 // caller should use, pinned. Builds run outside the cache mutex, so two
 // queries can race to build the same pyramid: the loser's copy is
 // discarded here and the resident one returned. At the bound an
-// arbitrary resident entry is evicted (its banks recycle once unpinned).
+// arbitrary resident entry is evicted (a query pinning it finishes on it).
 func (c *pyramidCache) insert(k cacheKey, p *Pyramid) *Pyramid {
-	var released []*Pyramid
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if old, ok := c.pyramids[k]; ok {
 		if old.atEpoch == p.atEpoch {
 			// Lost the build race; adopt the resident pyramid.
 			old.refs.inc()
-			c.mu.Unlock()
 			p.Release()
 			return old
 		}
 		delete(c.pyramids, k)
 		c.drops++
-		released = append(released, old)
+		old.Release()
 	}
 	if len(c.pyramids) >= maxPyramids {
 		for ek, ep := range c.pyramids {
 			delete(c.pyramids, ek)
 			c.evictions++
-			released = append(released, ep)
+			ep.Release()
 			break
 		}
 	}
 	c.pyramids[k] = p
 	c.builds++
 	p.refs.inc() // the cache's reference
-	c.mu.Unlock()
-	for _, ep := range released {
-		ep.Release()
-	}
 	return p
 }
 
@@ -141,12 +154,13 @@ func (c *pyramidCache) stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Pyramids:  len(c.pyramids),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Builds:    c.builds,
-		Drops:     c.drops,
-		Evictions: c.evictions,
+		Pyramids:   len(c.pyramids),
+		Hits:       c.hits,
+		Misses:     c.misses,
+		Builds:     c.builds,
+		Extensions: c.extensions,
+		Drops:      c.drops,
+		Evictions:  c.evictions,
 	}
 }
 
@@ -157,6 +171,7 @@ type Stats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Builds        uint64 `json:"builds"`
+	Extensions    uint64 `json:"extensions"` // stale entries extended over appended rows
 	Drops         uint64 `json:"drops"`
 	Evictions     uint64 `json:"evictions"`
 	Queries       uint64 `json:"queries"`
@@ -244,17 +259,20 @@ func sigFor(key string, specs []engine.GroupedAggSpec) string {
 
 // For returns the pyramid for (pc, sig) pinned for the caller — the
 // caller must Release it when done — building and publishing one when
-// none is resident. A nil pyramid with nil error means the table declined
-// (empty, degenerate extent, or routing disabled); callers fall back to
-// the exact arm. The table epoch is captured before any other table state
-// is read, per the epoch contract.
+// none is resident. A resident entry the table has only been appended to
+// since is extended over the new rows instead of rebuilt when no query
+// holds it, the new rows fit its extent and the base tiling would not
+// change; otherwise it is rebuilt. A nil pyramid with nil error means the
+// table declined (empty, degenerate extent, or routing disabled); callers
+// fall back to the exact arm. The table epoch is captured before any
+// other table state is read, per the epoch contract.
 func For(run *engine.Run, pc *engine.PointCloud, key string, specs []engine.GroupedAggSpec, sig string, ex *engine.Explain) (*Pyramid, error) {
 	if pc == nil || sig == "" || !Enabled() {
 		return nil, nil
 	}
 	epoch := pc.Epoch()
-	if p := shared.lookup(pc, sig, epoch); p != nil {
-		return p, nil
+	if p, err := shared.lookup(run, pc, sig, epoch, ex); p != nil || err != nil {
+		return p, err
 	}
 	p := newPyramid(pc, epoch, key, specs)
 	if p == nil {

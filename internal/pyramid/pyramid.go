@@ -12,9 +12,21 @@
 // parent above it — plus per-tile metadata: the row count and the tight
 // bounding box of the rows that actually quantised into the tile. The
 // base level keeps per-tile row postings (rows ascending within a tile)
-// for boundary refinement. All banks are pooled column-shaped buffers
-// (engine.AcquireF64 / AcquireRows) owned by the cache entry, recycled
-// when the entry drops.
+// for boundary refinement. The banks and postings are the pyramid's own
+// exactly sized arrays (postings keep 1/8 headroom for appends), not
+// engine pool buffers: they live as long as the entry and go to the
+// garbage collector with it.
+//
+// Appends. A pyramid over a table that has only been appended to since
+// it was built extends in place instead of rebuilding (extend): the new
+// rows fold into the base banks through the same tile scatter, tile
+// totals and data bounding boxes widen, postings grow at each tile's tail
+// (new row ids are larger than every old one, so tiles stay ascending)
+// and only the ancestors of touched tiles refold. Count, min and max fold
+// exactly in any order and each tile's sum keeps folding in ascending row
+// order, so an extended pyramid is bit-identical to one built over the
+// grown table. The cache extends an entry only when no query holds it
+// pinned and the new rows fit the existing tiling (For).
 //
 // Query. A viewport-histogram lookup picks the coarsest level whose tiles
 // are still small against the viewport, walks the tile span of the
@@ -81,21 +93,21 @@ type level struct {
 	bmaxy []float64
 }
 
-// Pyramid is the pre-aggregate stack for one (table, epoch, shape). It is
-// immutable after build; concurrent queries share it read-only. Lifetime
-// is reference-counted: the cache holds one reference while the entry is
-// resident, every For caller holds one until Release — the last release
-// returns the pooled banks.
+// Pyramid is the pre-aggregate stack for one (table, epoch, shape).
+// Concurrent queries share it read-only; only the cache mutates it
+// (extend), under its mutex and while it holds the only reference. The
+// reference count is that pin: the cache holds one reference while the
+// entry is resident, every For caller holds one until Release.
 type Pyramid struct {
 	pc      *engine.PointCloud
-	atEpoch uint64 // epoch the banks describe; a bump invalidates
+	atEpoch uint64 // epoch the banks describe; a bump extends or drops them
 	key     string
 	specs   []engine.GroupedAggSpec // canonical non-count bank specs
 	ext     geom.Envelope
 	base    uint
 	levels  []level // indexed by order, 0..base
 	offs    []int   // base-tile postings: rows[offs[t]:offs[t+1]]
-	rows    []int   // row ids, ascending within each base tile
+	rows    []int   // row ids, ascending within each base tile; len = rows covered
 	refs    refCount
 }
 
@@ -119,11 +131,11 @@ func baseOrderFor(n int) uint {
 	return o
 }
 
-// newPyramid allocates the pooled bank storage for (pc, epoch, shape).
-// Owner-scoped: these buffers belong to the cache entry, not to the query
-// run that triggers the build — recycle (via the reference count) returns
-// them. Returns nil when the table cannot host a pyramid: no rows, or a
-// degenerate/non-finite extent the quantiser cannot split.
+// newPyramid allocates the bank storage for (pc, epoch, shape), seeded
+// for an empty table: counts and totals zero, min/max banks ±Inf, sums
+// zero, bounding boxes empty. Returns nil when the table cannot host a
+// pyramid: no rows, or a degenerate/non-finite extent the quantiser
+// cannot split.
 func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.GroupedAggSpec) *Pyramid {
 	n := pc.Len()
 	ext := pc.Extent()
@@ -143,107 +155,137 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 	p.levels = make([]level, p.base+1)
 	for o := uint(0); o <= p.base; o++ {
 		ntiles := 1 << (2 * o)
-		nslots := ntiles * tileDom
 		l := &p.levels[o]
 		l.grid = sfc.Grid{Extent: ext, Order: o}
-		l.cnt = engine.AcquireF64(nslots)[:nslots]
+		l.cnt = make([]float64, ntiles*tileDom)
 		l.banks = make([][]float64, len(p.specs))
-		for j := range p.specs {
-			l.banks[j] = engine.AcquireF64(nslots)[:nslots]
+		for j, s := range p.specs {
+			l.banks[j] = make([]float64, ntiles*tileDom)
+			seedBank(l.banks[j], s.Fn)
 		}
-		l.tot = engine.AcquireF64(ntiles)[:ntiles]
-		l.bminx = engine.AcquireF64(ntiles)[:ntiles]
-		l.bminy = engine.AcquireF64(ntiles)[:ntiles]
-		l.bmaxx = engine.AcquireF64(ntiles)[:ntiles]
-		l.bmaxy = engine.AcquireF64(ntiles)[:ntiles]
+		l.tot = make([]float64, ntiles)
+		l.bminx, l.bminy = filled(ntiles, math.Inf(1)), filled(ntiles, math.Inf(1))
+		l.bmaxx, l.bmaxy = filled(ntiles, math.Inf(-1)), filled(ntiles, math.Inf(-1))
 	}
-	baseTiles := 1 << (2 * p.base)
-	p.offs = engine.AcquireRows(baseTiles + 1)[:baseTiles+1]
-	p.rows = engine.AcquireRows(n)[:n]
+	p.offs = make([]int, 1<<(2*p.base)+1)
+	p.rows = make([]int, 0, n+n/postingsHeadroom)
 	return p
 }
 
-// recycle returns every pooled buffer. Called only by the reference count
-// when the last holder releases; no run is in scope — the buffers belong
-// to the pyramid, not to any query lifecycle.
-func (p *Pyramid) recycle() {
-	for i := range p.levels {
-		l := &p.levels[i]
-		engine.RecycleF64(l.cnt)
-		for _, b := range l.banks {
-			engine.RecycleF64(b)
-		}
-		engine.RecycleF64(l.tot)
-		engine.RecycleF64(l.bminx)
-		engine.RecycleF64(l.bminy)
-		engine.RecycleF64(l.bmaxx)
-		engine.RecycleF64(l.bmaxy)
+// postingsHeadroom sizes the postings' spare capacity: 1/postingsHeadroom
+// of the rows covered, so a run of appends regrows them only every few.
+const postingsHeadroom = 8
+
+// filled returns a fresh slice of n copies of v.
+func filled(n int, v float64) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = v
 	}
-	engine.RecycleRows(p.offs)
-	engine.RecycleRows(p.rows)
+	return b
 }
 
-// Release drops one reference (paired with the pin For returned). The
-// last release recycles the pooled banks. Nil-safe.
+// seedBank sets every slot of a bank to its fold's identity.
+func seedBank(b []float64, fn engine.AggFunc) {
+	seed := 0.0
+	switch fn {
+	case engine.AggMin:
+		seed = math.Inf(1)
+	case engine.AggMax:
+		seed = math.Inf(-1)
+	}
+	for i := range b {
+		b[i] = seed
+	}
+}
+
+// Release drops one reference (paired with the pin For returned).
+// Nil-safe.
 func (p *Pyramid) Release() {
 	if p == nil {
 		return
 	}
-	if p.refs.dec() {
-		p.recycle()
-	}
+	p.refs.dec()
 }
 
-// build fills the banks: the engine's parallel tile scatter at the base,
-// per-tile metadata and postings in one extra pass, then child-into-
-// parent folds up to the root. Runs under the triggering query's
-// lifecycle for cancellation; the banks themselves are owner-scoped.
+// build fills the freshly seeded banks with every row of the table. Runs
+// under the triggering query's lifecycle for cancellation.
 func (p *Pyramid) build(run *engine.Run, ex *engine.Explain) error {
+	return p.extend(run, p.atEpoch, ex)
+}
+
+// extendable reports whether the pyramid may extend in place to the
+// table's current rows: only appends since atEpoch, every new row inside
+// the extent the tiling quantises (so a build would pick the same
+// extent), the same base order for the grown row count, and no query
+// holding it pinned. Called under the cache mutex.
+func (p *Pyramid) extendable() bool {
+	n := p.pc.Len()
+	if !p.refs.sole() || !p.pc.AppendOnlySince(p.atEpoch) || n < len(p.rows) || baseOrderFor(n) != p.base {
+		return false
+	}
+	xs, ys := p.pc.X(), p.pc.Y()
+	for r := len(p.rows); r < n; r++ {
+		if !(xs[r] >= p.ext.MinX && xs[r] <= p.ext.MaxX && ys[r] >= p.ext.MinY && ys[r] <= p.ext.MaxY) {
+			return false
+		}
+	}
+	return true
+}
+
+// extend folds the table's rows past the ones the pyramid covers into it
+// and moves it to epoch: the engine's tile scatter on top of the base
+// banks, then per-tile totals, data bounding boxes and postings, then the
+// refold of every ancestor of a tile that gained rows. From an empty
+// pyramid that is the build. The caller guarantees the rows before
+// len(p.rows) are unchanged and every new row lies inside p.ext, so the
+// tiling holds; a cancelled or failed extend leaves the pyramid torn, and
+// the caller must drop it.
+func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) error {
 	bl := &p.levels[p.base]
-	if err := p.pc.TileGroupedAggregateRun(run, bl.grid, p.key, p.specs, bl.cnt, bl.banks, ex); err != nil {
+	from, n := len(p.rows), p.pc.Len()
+	if err := p.pc.TileGroupedAggregateRun(run, bl.grid, p.key, p.specs, bl.cnt, bl.banks, from, ex); err != nil {
 		return err
 	}
-	if err := p.buildMeta(run); err != nil {
+	touched := make([]bool, 1<<(2*p.base))
+	if err := p.extendMeta(run, from, n, touched); err != nil {
 		return err
 	}
 	for o := int(p.base) - 1; o >= 0; o-- {
 		if run.Cancelled() {
 			return cancel.ErrCancelled
 		}
-		foldLevel(&p.levels[o], &p.levels[o+1], p.specs)
+		touched = refoldLevel(&p.levels[o], &p.levels[o+1], p.specs, touched)
 	}
+	p.atEpoch = epoch
 	return nil
 }
 
-// buildMeta computes, in one quantisation pass plus a counting-sort
-// scatter, the base level's per-tile row counts, tight data bounding
-// boxes, and row postings (ascending row order within each tile — the
-// order boundary refinement folds in).
-func (p *Pyramid) buildMeta(run *engine.Run) error {
+// extendMeta takes rows [from, n) into the base level's per-tile row
+// counts, tight data bounding boxes and postings, in one quantisation pass
+// plus a merge: each tile's old postings move up by the rows the tiles
+// before it gained, and its new rows follow them in ascending order — the
+// order boundary refinement folds in. touched[t] is set for every base
+// tile that gained a row.
+func (p *Pyramid) extendMeta(run *engine.Run, from, n int, touched []bool) error {
 	bl := &p.levels[p.base]
 	order := bl.grid.Order
-	ntiles := 1 << (2 * order)
 	xs, ys := p.pc.X(), p.pc.Y()
-	n := len(xs)
-	for t := 0; t < ntiles; t++ {
-		bl.tot[t] = 0
-		bl.bminx[t] = math.Inf(1)
-		bl.bminy[t] = math.Inf(1)
-		bl.bmaxx[t] = math.Inf(-1)
-		bl.bmaxy[t] = math.Inf(-1)
-		p.offs[t+1] = 0
-	}
-	p.offs[0] = 0
-	tiles := run.AcquireRows(n)[:n]
-	for r := 0; r < n; r++ {
-		if r%(1<<16) == 0 && run.Cancelled() {
-			run.RecycleRows(tiles)
+	tiles := run.AcquireRows(n - from)[:n-from]
+	defer run.RecycleRows(tiles)
+	next := run.AcquireRows(len(touched))[:len(touched)] // rows gained per tile, then insert slots
+	defer run.RecycleRows(next)
+	clear(next)
+	for i := range tiles {
+		if i%(1<<16) == 0 && run.Cancelled() {
 			return cancel.ErrCancelled
 		}
-		x, y := xs[r], ys[r]
+		x, y := xs[from+i], ys[from+i]
 		cx, cy := bl.grid.Cell(x, y)
 		t := int(cy)<<order | int(cx)
-		tiles[r] = t
+		tiles[i] = t
+		next[t]++
+		touched[t] = true
 		bl.tot[t]++
 		if x < bl.bminx[t] {
 			bl.bminx[t] = x
@@ -257,96 +299,109 @@ func (p *Pyramid) buildMeta(run *engine.Run) error {
 		if y > bl.bmaxy[t] {
 			bl.bmaxy[t] = y
 		}
-		p.offs[t+1]++
 	}
-	for t := 0; t < ntiles; t++ {
-		p.offs[t+1] += p.offs[t]
+	if cap(p.rows) < n {
+		rows := make([]int, from, n+n/postingsHeadroom)
+		copy(rows, p.rows)
+		p.rows = rows
 	}
-	cur := run.AcquireRows(ntiles)[:ntiles]
-	copy(cur, p.offs[:ntiles])
-	for r := 0; r < n; r++ {
-		t := tiles[r]
-		p.rows[cur[t]] = r
-		cur[t]++
+	p.rows = p.rows[:n]
+	// Descending tiles: a tile's postings only move up, into space its
+	// successors have already vacated.
+	shift := n - from
+	for t := len(next) - 1; t >= 0; t-- {
+		gained := next[t]
+		shift -= gained
+		lo, hi := p.offs[t], p.offs[t+1]
+		copy(p.rows[lo+shift:], p.rows[lo:hi])
+		p.offs[t+1] = hi + shift + gained
+		next[t] = hi + shift
 	}
-	run.RecycleRows(cur)
-	run.RecycleRows(tiles)
+	for i, t := range tiles {
+		p.rows[next[t]] = from + i
+		next[t]++
+	}
 	return nil
 }
 
-// foldLevel folds the four children of every dst tile in fixed ascending
-// (dy, dx) order: counts and sums add, min/max fold strictly, bounding
-// boxes and totals union. The fixed order keeps sum folds deterministic;
-// count/min/max are order-exact regardless.
-func foldLevel(dst, src *level, specs []engine.GroupedAggSpec) {
+// refoldLevel refolds, from its four children, every dst tile with a
+// touched child (touched indexes src's tiles) and returns the dst tiles
+// it refolded.
+func refoldLevel(dst, src *level, specs []engine.GroupedAggSpec, touched []bool) []bool {
 	order := dst.grid.Order
 	nx := 1 << order
-	for j, s := range specs {
-		seed := 0.0
-		switch s.Fn {
-		case engine.AggMin:
-			seed = math.Inf(1)
-		case engine.AggMax:
-			seed = math.Inf(-1)
-		}
-		b := dst.banks[j]
-		for i := range b {
-			b[i] = seed
-		}
-	}
-	for i := range dst.cnt {
-		dst.cnt[i] = 0
-	}
+	out := make([]bool, nx*nx)
 	for cy := 0; cy < nx; cy++ {
 		for cx := 0; cx < nx; cx++ {
 			t := cy<<order | cx
-			dst.tot[t] = 0
-			dst.bminx[t] = math.Inf(1)
-			dst.bminy[t] = math.Inf(1)
-			dst.bmaxx[t] = math.Inf(-1)
-			dst.bmaxy[t] = math.Inf(-1)
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					st := (2*cy+dy)<<(order+1) | (2*cx + dx)
-					dst.tot[t] += src.tot[st]
-					if src.bminx[st] < dst.bminx[t] {
-						dst.bminx[t] = src.bminx[st]
-					}
-					if src.bminy[st] < dst.bminy[t] {
-						dst.bminy[t] = src.bminy[st]
-					}
-					if src.bmaxx[st] > dst.bmaxx[t] {
-						dst.bmaxx[t] = src.bmaxx[st]
-					}
-					if src.bmaxy[st] > dst.bmaxy[t] {
-						dst.bmaxy[t] = src.bmaxy[st]
-					}
-					db := dst.cnt[t*tileDom : (t+1)*tileDom]
-					sb := src.cnt[st*tileDom : (st+1)*tileDom]
-					for k := range db {
-						db[k] += sb[k]
-					}
-					for j, s := range specs {
-						dj := dst.banks[j][t*tileDom : (t+1)*tileDom]
-						sj := src.banks[j][st*tileDom : (st+1)*tileDom]
-						switch s.Fn {
-						case engine.AggMin:
-							for k := range dj {
-								if sj[k] < dj[k] {
-									dj[k] = sj[k]
-								}
-							}
-						case engine.AggMax:
-							for k := range dj {
-								if sj[k] > dj[k] {
-									dj[k] = sj[k]
-								}
-							}
-						default: // AggSum: children fold in fixed ascending order
-							for k := range dj {
-								dj[k] += sj[k]
-							}
+			for d := 0; d < 4 && !out[t]; d++ {
+				out[t] = touched[(2*cy+d>>1)<<(order+1)|(2*cx+d&1)]
+			}
+			if out[t] {
+				foldTile(dst, src, specs, cx, cy)
+			}
+		}
+	}
+	return out
+}
+
+// foldTile recomputes dst tile (cx, cy) from its four children in fixed
+// ascending (dy, dx) order: counts and sums add, min/max fold strictly,
+// bounding boxes and totals union. The fixed order keeps sum folds
+// deterministic — a refold after an append gives the bits a build does;
+// count/min/max are order-exact regardless.
+func foldTile(dst, src *level, specs []engine.GroupedAggSpec, cx, cy int) {
+	order := dst.grid.Order
+	t := cy<<order | cx
+	db := dst.cnt[t*tileDom : (t+1)*tileDom]
+	clear(db)
+	for j, s := range specs {
+		seedBank(dst.banks[j][t*tileDom:(t+1)*tileDom], s.Fn)
+	}
+	dst.tot[t] = 0
+	dst.bminx[t] = math.Inf(1)
+	dst.bminy[t] = math.Inf(1)
+	dst.bmaxx[t] = math.Inf(-1)
+	dst.bmaxy[t] = math.Inf(-1)
+	for dy := 0; dy < 2; dy++ {
+		for dx := 0; dx < 2; dx++ {
+			st := (2*cy+dy)<<(order+1) | (2*cx + dx)
+			dst.tot[t] += src.tot[st]
+			if src.bminx[st] < dst.bminx[t] {
+				dst.bminx[t] = src.bminx[st]
+			}
+			if src.bminy[st] < dst.bminy[t] {
+				dst.bminy[t] = src.bminy[st]
+			}
+			if src.bmaxx[st] > dst.bmaxx[t] {
+				dst.bmaxx[t] = src.bmaxx[st]
+			}
+			if src.bmaxy[st] > dst.bmaxy[t] {
+				dst.bmaxy[t] = src.bmaxy[st]
+			}
+			sb := src.cnt[st*tileDom : (st+1)*tileDom]
+			for k := range db {
+				db[k] += sb[k]
+			}
+			for j, s := range specs {
+				dj := dst.banks[j][t*tileDom : (t+1)*tileDom]
+				sj := src.banks[j][st*tileDom : (st+1)*tileDom]
+				switch s.Fn {
+				case engine.AggMin:
+					for k := range dj {
+						if sj[k] < dj[k] {
+							dj[k] = sj[k]
 						}
+					}
+				case engine.AggMax:
+					for k := range dj {
+						if sj[k] > dj[k] {
+							dj[k] = sj[k]
+						}
+					}
+				default: // AggSum: children fold in fixed ascending order
+					for k := range dj {
+						dj[k] += sj[k]
 					}
 				}
 			}
@@ -463,17 +518,7 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 		qcnt[i] = 0
 	}
 	for j, s := range specs {
-		qb := slab[(1+j)*tileDom : (2+j)*tileDom]
-		seed := 0.0
-		switch s.Fn {
-		case engine.AggMin:
-			seed = math.Inf(1)
-		case engine.AggMax:
-			seed = math.Inf(-1)
-		}
-		for i := range qb {
-			qb[i] = seed
-		}
+		seedBank(slab[(1+j)*tileDom:(2+j)*tileDom], s.Fn)
 	}
 
 	// Walk the span in ascending (cy, cx) order: interior tiles fold

@@ -359,13 +359,34 @@ func TestPyramidQueryZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestPyramidPoolBalance checks build + queries + release return every
-// pooled buffer: the cache entry's banks recycle on the final Release.
+// poolMark is the Outstanding count of every engine buffer pool:
+// selection vectors, candidate ranges and float64 scratch.
+type poolMark [3]int64
+
+func markPools() poolMark {
+	return poolMark{engine.SelectionPoolStats().Outstanding, engine.RangePoolStats().Outstanding,
+		engine.F64PoolStats().Outstanding}
+}
+
+// unmoved fails unless every pool's Outstanding is back where m recorded
+// it. A pyramid owns its banks outright, so building, extending, evicting
+// and dropping one leave no pooled buffer drawn.
+func (m poolMark) unmoved(t *testing.T) {
+	t.Helper()
+	if now := markPools(); now != m {
+		t.Fatalf("pool Outstanding (selection, range, f64) moved from %v to %v", m, now)
+	}
+}
+
+// TestPyramidPoolBalance checks that build, queries, an extension, an
+// epoch drop and release leave every engine pool exactly where it began,
+// with the pyramid resident between the steps.
 func TestPyramidPoolBalance(t *testing.T) {
+	dropResident()
+	defer dropResident()
 	pc := testCloud(80_000, 13)
 	specs := testSpecs()
-	rowsBefore := engine.SelectionPoolStats().Outstanding
-	f64Before := engine.F64PoolStats().Outstanding
+	mark := markPools()
 
 	p, run := buildPyramid(t, pc, specs)
 	region := grid.GeometryRegion{G: geom.NewEnvelope(100, 100, 900, 900).ToPolygon()}
@@ -377,19 +398,29 @@ func TestPyramidPoolBalance(t *testing.T) {
 	}
 	p.Release()
 	run.Drain()
+	mark.unmoved(t)
+
+	// An append inside the extent extends the resident entry.
+	before := Snapshot()
+	pc.AppendLAS(insideBatch(rand.New(rand.NewSource(3)), pc.Extent(), 3000))
+	p, run = buildPyramid(t, pc, specs)
+	if s := Snapshot(); s.Extensions != before.Extensions+1 || s.Builds != before.Builds {
+		t.Fatalf("extensions/builds moved by %d/%d, want 1/0", s.Extensions-before.Extensions, s.Builds-before.Builds)
+	}
+	if _, ok, err := p.QueryRegionRun(run, region, specs, &res); err != nil || !ok {
+		t.Fatalf("query after extension: ok=%v err=%v", ok, err)
+	}
+	p.Release()
+	run.Drain()
+	mark.unmoved(t)
+
 	// Drop the cache's own reference by bumping the epoch and looking up.
 	pc.InvalidateIndexes()
 	sig, _ := Shape(pc, engine.ColClassification, specs)
-	if got := shared.lookup(pc, sig, pc.Epoch()); got != nil {
-		t.Fatal("stale pyramid served after InvalidateIndexes")
+	if got, err := shared.lookup(nil, pc, sig, pc.Epoch(), nil); got != nil || err != nil {
+		t.Fatalf("stale pyramid served after InvalidateIndexes: %v, %v", got, err)
 	}
-
-	if d := engine.SelectionPoolStats().Outstanding - rowsBefore; d != 0 {
-		t.Fatalf("selection pool drifted by %d buffers", d)
-	}
-	if d := engine.F64PoolStats().Outstanding - f64Before; d != 0 {
-		t.Fatalf("f64 pool drifted by %d buffers", d)
-	}
+	mark.unmoved(t)
 }
 
 // dropResident empties the shared resident set, releasing the cache's own
@@ -414,8 +445,7 @@ func TestPyramidCacheEvictsAtBound(t *testing.T) {
 	dropResident()
 	defer dropResident()
 	pc := testCloud(20_000, 17)
-	rowsBefore := engine.SelectionPoolStats().Outstanding
-	f64Before := engine.F64PoolStats().Outstanding
+	mark := markPools()
 	before := Snapshot()
 
 	// Count alone, then count plus one min or max bank per value column:
@@ -475,10 +505,5 @@ func TestPyramidCacheEvictsAtBound(t *testing.T) {
 	}
 	run.Drain()
 	dropResident()
-	if d := engine.SelectionPoolStats().Outstanding - rowsBefore; d != 0 {
-		t.Fatalf("selection pool drifted by %d buffers", d)
-	}
-	if d := engine.F64PoolStats().Outstanding - f64Before; d != 0 {
-		t.Fatalf("f64 pool drifted by %d buffers", d)
-	}
+	mark.unmoved(t)
 }

@@ -467,8 +467,12 @@ type Stats struct {
 	Exec       sql.ExecStats                    `json:"exec"`
 	StmtCache  sql.StmtCacheStats               `json:"stmt_cache"`
 	PlanCaches map[string]engine.PlanCacheStats `json:"plan_caches"`
-	Pools      map[string]engine.PoolStats      `json:"pools"`
-	Pyramid    pyramid.Stats                    `json:"pyramid"`
+	// Indexes counts each point-cloud table's imprint builds and append
+	// extensions; Pyramid.Extensions is the pyramid's side of the append
+	// path.
+	Indexes map[string]engine.IndexStats `json:"indexes"`
+	Pools   map[string]engine.PoolStats  `json:"pools"`
+	Pyramid pyramid.Stats                `json:"pyramid"`
 }
 
 // Stats snapshots the server.
@@ -489,6 +493,7 @@ func (s *Server) Stats() Stats {
 		Exec:       s.exec.ExecStats(),
 		StmtCache:  s.exec.StmtCacheStats(),
 		PlanCaches: map[string]engine.PlanCacheStats{},
+		Indexes:    map[string]engine.IndexStats{},
 		Pools: map[string]engine.PoolStats{
 			"selection": engine.SelectionPoolStats(),
 			"range":     engine.RangePoolStats(),
@@ -499,6 +504,7 @@ func (s *Server) Stats() Stats {
 	for _, name := range s.db.Tables() {
 		if pc, err := s.db.PointCloud(name); err == nil {
 			st.PlanCaches[name] = pc.PlanCacheStats()
+			st.Indexes[name] = pc.IndexStats()
 		}
 	}
 	return st

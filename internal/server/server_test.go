@@ -14,6 +14,7 @@ import (
 
 	"gisnav/internal/engine"
 	"gisnav/internal/geom"
+	"gisnav/internal/las"
 	"gisnav/internal/sql"
 	"gisnav/internal/synth"
 )
@@ -354,6 +355,54 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if _, ok := st.PlanCaches["ahn2"]; !ok {
 		t.Fatal("plan cache stats missing for ahn2")
+	}
+}
+
+// TestStatsShowAppendExtensions appends to a hosted table between viewport
+// queries and watches /stats: the imprints extend instead of rebuilding,
+// and so does the pyramid behind the histogram shape.
+func TestStatsShowAppendExtensions(t *testing.T) {
+	srv, pc := newTestServer(t, Config{})
+	h := srv.Handler()
+	stats := func() Stats {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var st Stats
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	hist := `SELECT classification, count(*), min(z), max(z) FROM ahn2
+		WHERE ST_Contains(ST_MakeEnvelope(100, 100, 1500, 1400), ST_Point(x, y)) GROUP BY classification`
+	steps := func() {
+		t.Helper()
+		for _, q := range []string{testQuery, hist} {
+			if rec := doQuery(h, q); rec.Code != http.StatusOK {
+				t.Fatalf("query = %d: %s", rec.Code, rec.Body.String())
+			}
+		}
+	}
+	steps()
+	before := stats()
+	if before.Indexes["ahn2"].ImprintBuilds != 1 {
+		t.Fatalf("warm-up imprint builds = %+v, want 1", before.Indexes["ahn2"])
+	}
+	for i := 0; i < 3; i++ {
+		pts := make([]las.Point, 300)
+		for j := range pts {
+			pts[j] = las.Point{X: 200 + float64(j), Y: 300 + float64(i), Z: 5, Classification: 2}
+		}
+		pc.AppendLAS(pts)
+		steps()
+	}
+	after := stats()
+	if got := after.Indexes["ahn2"]; got.ImprintBuilds != 1 || got.ImprintExtensions != before.Indexes["ahn2"].ImprintExtensions+3 {
+		t.Fatalf("index stats after 3 appends: %+v, before %+v", got, before.Indexes["ahn2"])
+	}
+	if d := after.Pyramid.Extensions - before.Pyramid.Extensions; d != 3 || after.Pyramid.Builds != before.Pyramid.Builds {
+		t.Fatalf("pyramid: %d extensions, %d builds over 3 appends; want 3, 0", d, after.Pyramid.Builds-before.Pyramid.Builds)
 	}
 }
 

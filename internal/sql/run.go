@@ -162,11 +162,13 @@ func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []i
 		}
 		return nil, err
 	}
-	if rows == nil && len(p.preds) == 0 && len(p.generic) == 0 &&
-		p.out == outGrouped && p.grouped.keyCol != "" && p.mode != planVector {
-		// Nothing to filter ahead of a vectorized GROUP BY: nil reaches the
-		// engine's gather-free all-rows arm instead of an identity vector
-		// it would gather through.
+	if rows == nil && len(p.preds) == 0 && len(p.generic) == 0 && p.mode != planVector &&
+		(p.out == outGrouped && p.grouped.keyCol != "" ||
+			p.out == outAggregate && rowFreeAggregates(p.b, pq.stmt)) {
+		// Nothing to filter ahead of a vectorized GROUP BY or of aggregates
+		// the engine's kernels answer: nil reaches their gather-free
+		// all-rows arms (and count(*) the table length) instead of an
+		// identity vector they would gather through.
 		return pq.output(rs, p, nil, ex)
 	}
 	filtered, err := p.b.pc.FilterRowsRun(rs, rows, p.preds, ex)
@@ -471,9 +473,38 @@ func outputAggregates(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int
 		res.Cols[i].put(0, v)
 	}
 	if ex != nil {
-		ex.Add("aggregate", "select list", len(rows), 1, time.Since(start))
+		ex.Add("aggregate", "select list", selectedRows(p.b, rows), 1, time.Since(start))
 	}
 	return res, nil
+}
+
+// rowFreeAggregates reports whether every select item is an aggregate the
+// engine answers without a row list: count(*), or an aggregate of a bare
+// point-cloud column (kernelAggregate). Any other item takes the
+// interpreter, which walks the rows.
+func rowFreeAggregates(b *binding, stmt *SelectStmt) bool {
+	for _, item := range stmt.Items {
+		f, ok := isAggregate(item.Expr)
+		if !ok || len(f.Args) != 1 {
+			return false
+		}
+		if _, star := f.Args[0].(Star); star && f.Name == "count" {
+			continue
+		}
+		if _, ok := pcColumnName(b, f.Args[0]); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// selectedRows is the size of a point-cloud selection: nil rows mean every
+// row of the table (finishPointCloud's all-rows arm).
+func selectedRows(b *binding, rows []int) int {
+	if rows == nil && b.pc != nil {
+		return b.pc.Len()
+	}
+	return len(rows)
 }
 
 func computeAggregate(rs *engine.Run, b *binding, ps []Value, f FuncCall, rows []int, isVector bool) (Value, error) {
@@ -482,7 +513,7 @@ func computeAggregate(rs *engine.Run, b *binding, ps []Value, f FuncCall, rows [
 			return Value{}, fmt.Errorf("sql: count requires an argument (use count(*))")
 		}
 		if _, ok := f.Args[0].(Star); ok {
-			return numVal(float64(len(rows))), nil
+			return numVal(float64(selectedRows(b, rows))), nil
 		}
 	}
 	if len(f.Args) != 1 {
@@ -563,10 +594,11 @@ func kernelAggregate(rs *engine.Run, b *binding, f FuncCall, rows []int, isVecto
 		return Value{}, false, nil
 	}
 	var fn engine.AggFunc
+	n := selectedRows(b, rows)
 	switch f.Name {
 	case "count":
 		// count(col) over non-null numeric columns is the row count.
-		return numVal(float64(len(rows))), true, nil
+		return numVal(float64(n)), true, nil
 	case "sum":
 		fn = engine.AggSum
 	case "avg":
@@ -578,7 +610,7 @@ func kernelAggregate(rs *engine.Run, b *binding, f FuncCall, rows []int, isVecto
 	default:
 		return Value{}, false, nil
 	}
-	if len(rows) == 0 {
+	if n == 0 {
 		// SQL semantics over empty input: sum() is 0, the rest are NULL.
 		if fn == engine.AggSum {
 			return numVal(0), true, nil

@@ -143,6 +143,53 @@ func TestUnfilteredGroupedTakesAllRowsArm(t *testing.T) {
 	}
 }
 
+// TestUnfilteredAggregateTakesAllRowsArm pins the WHERE-less ungrouped
+// aggregate — the count(*) a client issues after every append — to the
+// engine's all-rows arms: count(*) reads the table length and the kernel
+// aggregates take a nil selection. Answers equal the identity-vector arm
+// (the same statements under an always-true predicate), a steady run
+// allocates only its result, and no selection vector is drawn; a select
+// list the interpreter evaluates still gets its identity vector.
+func TestUnfilteredAggregateTakesAllRowsArm(t *testing.T) {
+	e, pc, _, _ := testDB(t)
+	for _, items := range []string{
+		"count(*)",
+		"count(*), count(z), sum(z), avg(z), min(intensity), max(classification)",
+		"count(*), sum(z + 1)",
+	} {
+		got := mustQuery(t, e, "SELECT "+items+" FROM ahn2")
+		want := mustQuery(t, e, "SELECT "+items+" FROM ahn2 WHERE z > -1e300")
+		sameResultBits(t, items, got, want)
+		if got.Cols[0].Nums[0] != float64(pc.Len()) {
+			t.Fatalf("%s: count(*) = %v over %d rows", items, got.Cols[0].Nums[0], pc.Len())
+		}
+		if allocs, _ := runSteady(t, e, "SELECT "+items+" FROM ahn2"); allocs > 3 {
+			t.Fatalf("%s: unfiltered aggregate allocates %.1f objects/op, want <= 3 (result only)", items, allocs)
+		}
+	}
+
+	var held [][]int
+	for {
+		free := engine.SelectionPoolStats().FreeElts
+		held = append(held, engine.AcquireRows(pc.Len()))
+		if engine.SelectionPoolStats().FreeElts == free {
+			break // the pool had nothing that large left: this one was allocated
+		}
+	}
+	before := engine.SelectionPoolStats()
+	mustQuery(t, e, "SELECT count(*), avg(z), max(intensity) FROM ahn2")
+	if after := engine.SelectionPoolStats(); after != before {
+		t.Fatalf("unfiltered aggregate touched the selection pool: %+v -> %+v", before, after)
+	}
+	mustQuery(t, e, "SELECT count(*), sum(z + 1) FROM ahn2")
+	if after := engine.SelectionPoolStats(); after.Outstanding != before.Outstanding || after == before {
+		t.Fatalf("an interpreted aggregate must draw and return its identity vector: %+v -> %+v", before, after)
+	}
+	for _, b := range held {
+		engine.RecycleRows(b)
+	}
+}
+
 // TestPreparedProjectionSteadyStateAllocs pins the projection path — the
 // navigation session's big-reply step, five compiled columns — to its
 // column-shaped result: Result + column list + one slab, the same three
