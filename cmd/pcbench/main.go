@@ -301,7 +301,7 @@ func setup(dir, scale string, seed uint64) (*benchEnv, error) {
 // --- E1: loading --------------------------------------------------------------
 
 func expLoad(env *benchEnv, out *output, _ int) {
-	tbl := bench.NewTable("E1 load: binary COPY vs CSV vs baselines (§3.2)",
+	tbl := bench.NewTable("E1 load: binary (records straight into columns) vs CSV vs baselines (§3.2)",
 		"method", "points", "convert", "append", "total", "throughput")
 
 	stBin, err := engine.LoadBinary(engine.NewPointCloud(), env.repo)

@@ -1,8 +1,8 @@
 // Package engine implements the paper's primary contribution: a
 // "spatially-enabled" column store for massive point clouds (§3). Point
 // clouds live in a flat table with one column per LAS attribute (X, Y, Z and
-// 23 properties, §3.1); loading goes through per-attribute binary dumps
-// appended with the COPY BINARY fast path (§3.2); spatial selections run the
+// 23 properties, §3.1); loading decodes each tile's records straight into
+// the per-attribute column vectors (§3.2); spatial selections run the
 // two-step filter–refine model — column imprints for coarse filtering, a
 // regular grid plus exact tests for refinement (§3.3). Vector datasets
 // (roads, land use) live in geometry tables so ad-hoc multi-dataset queries

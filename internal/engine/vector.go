@@ -100,13 +100,6 @@ func (vt *VectorTable) ensureIndex() *rtree.Tree {
 	return vt.index
 }
 
-// HasSpatialIndex reports whether the R-tree is currently built.
-func (vt *VectorTable) HasSpatialIndex() bool {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	return vt.index != nil
-}
-
 // Len reports the feature count.
 func (vt *VectorTable) Len() int { return len(vt.geoms) }
 

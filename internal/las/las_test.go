@@ -107,13 +107,13 @@ func TestRoundTripAllFormats(t *testing.T) {
 				g.EdgeOfFlight != p.EdgeOfFlight {
 				t.Fatalf("format %d point %d: attrs %+v vs %+v", format, i, g, p)
 			}
-			if formatHasGPS(format) && g.GPSTime != p.GPSTime {
+			if FormatHasGPS(format) && g.GPSTime != p.GPSTime {
 				t.Fatalf("format %d point %d: gps %v vs %v", format, i, g.GPSTime, p.GPSTime)
 			}
-			if !formatHasGPS(format) && g.GPSTime != 0 {
+			if !FormatHasGPS(format) && g.GPSTime != 0 {
 				t.Fatalf("format %d should not carry gps", format)
 			}
-			if formatHasRGB(format) && (g.Red != p.Red || g.Green != p.Green || g.Blue != p.Blue) {
+			if FormatHasRGB(format) && (g.Red != p.Red || g.Green != p.Green || g.Blue != p.Blue) {
 				t.Fatalf("format %d point %d: rgb", format, i)
 			}
 		}
@@ -192,7 +192,7 @@ func TestReaderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Read(); err == nil {
+	if _, err := r.ReadAll(); err == nil {
 		t.Fatal("truncated body should error")
 	}
 }
@@ -225,7 +225,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if int(h.PointCount) != len(pts) || len(got) != len(pts) {
 		t.Fatal("file roundtrip count mismatch")
 	}
-	h2, err := ReadFileHeader(path)
+	h2, err := ReadAnyFileHeader(path)
 	if err != nil || h2.PointCount != h.PointCount {
 		t.Fatal("header-only read mismatch")
 	}
@@ -254,10 +254,10 @@ func TestLAZRoundTrip(t *testing.T) {
 				g.PointSourceID != p.PointSourceID {
 				t.Fatalf("format %d point %d: attrs", format, i)
 			}
-			if formatHasGPS(format) && g.GPSTime != p.GPSTime {
+			if FormatHasGPS(format) && g.GPSTime != p.GPSTime {
 				t.Fatalf("format %d point %d: gps %v vs %v", format, i, g.GPSTime, p.GPSTime)
 			}
-			if formatHasRGB(format) && (g.Red != p.Red || g.Green != p.Green || g.Blue != p.Blue) {
+			if FormatHasRGB(format) && (g.Red != p.Red || g.Green != p.Green || g.Blue != p.Blue) {
 				t.Fatalf("format %d point %d: rgb", format, i)
 			}
 		}

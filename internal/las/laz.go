@@ -47,83 +47,46 @@ func WriteLAZ(dst io.Writer, format uint8, scaleX, scaleY, scaleZ, offX, offY, o
 		return err
 	}
 	// Reuse the LAS writer solely for header bookkeeping (counts, extent).
+	// Its Write fails only after Close.
 	for _, p := range pts {
-		if err := w.Write(p); err != nil {
-			return err
-		}
+		w.Write(p)
 	}
-	w.body = nil // discard the uncompressed body; only the header matters
 	h := w.header
 	if h.PointCount == 0 {
 		h.MinX, h.MinY, h.MinZ = 0, 0, 0
 		h.MaxX, h.MaxY, h.MaxZ = 0, 0, 0
 	}
 
+	// A bufio.Writer keeps its first error and Flush returns it.
 	bw := bufio.NewWriterSize(dst, 1<<16)
-	if _, err := bw.Write(lazMagic[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(h.encode()); err != nil {
-		return err
-	}
-	var st lazState
+	bw.Write(lazMagic[:])
+	bw.Write(h.encode())
 	var varbuf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(varbuf[:], v)
-		_, err := bw.Write(varbuf[:n])
-		return err
-	}
+	uvarint := func(v uint64) { bw.Write(binary.AppendUvarint(varbuf[:0], v)) }
+	delta := func(v, prev int64) { uvarint(zigzag(v - prev)) }
+	var st lazState
 	for _, p := range pts {
 		xi := quantise(p.X, h.ScaleX, h.OffsetX)
 		yi := quantise(p.Y, h.ScaleY, h.OffsetY)
 		zi := quantise(p.Z, h.ScaleZ, h.OffsetZ)
-		if err := putUvarint(zigzag(int64(xi) - int64(st.x))); err != nil {
-			return err
-		}
-		if err := putUvarint(zigzag(int64(yi) - int64(st.y))); err != nil {
-			return err
-		}
-		if err := putUvarint(zigzag(int64(zi) - int64(st.z))); err != nil {
-			return err
-		}
-		if err := putUvarint(zigzag(int64(p.Intensity) - int64(st.intensity))); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(p.packFlags()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(p.Classification); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(uint8(p.ScanAngleRank)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(p.UserData); err != nil {
-			return err
-		}
-		if err := putUvarint(zigzag(int64(p.PointSourceID) - int64(st.srcID))); err != nil {
-			return err
-		}
+		delta(int64(xi), int64(st.x))
+		delta(int64(yi), int64(st.y))
+		delta(int64(zi), int64(st.z))
+		delta(int64(p.Intensity), int64(st.intensity))
+		bw.Write([]byte{p.packFlags(), p.Classification, uint8(p.ScanAngleRank), p.UserData})
+		delta(int64(p.PointSourceID), int64(st.srcID))
 		st.x, st.y, st.z = xi, yi, zi
 		st.intensity = p.Intensity
 		st.srcID = p.PointSourceID
-		if formatHasGPS(h.PointFormat) {
+		if FormatHasGPS(h.PointFormat) {
 			bits := math.Float64bits(p.GPSTime)
-			if err := putUvarint(bits ^ st.gpsBits); err != nil {
-				return err
-			}
+			uvarint(bits ^ st.gpsBits)
 			st.gpsBits = bits
 		}
-		if formatHasRGB(h.PointFormat) {
-			if err := putUvarint(zigzag(int64(p.Red) - int64(st.r))); err != nil {
-				return err
-			}
-			if err := putUvarint(zigzag(int64(p.Green) - int64(st.g))); err != nil {
-				return err
-			}
-			if err := putUvarint(zigzag(int64(p.Blue) - int64(st.b))); err != nil {
-				return err
-			}
+		if FormatHasRGB(h.PointFormat) {
+			delta(int64(p.Red), int64(st.r))
+			delta(int64(p.Green), int64(st.g))
+			delta(int64(p.Blue), int64(st.b))
 			st.r, st.g, st.b = p.Red, p.Green, p.Blue
 		}
 	}
@@ -132,124 +95,86 @@ func WriteLAZ(dst io.Writer, format uint8, scaleX, scaleY, scaleZ, offX, offY, o
 
 // ReadLAZ decodes a LAZ-sim stream.
 func ReadLAZ(src io.Reader) (Header, []Point, error) {
-	br := bufio.NewReaderSize(src, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return Header{}, nil, fmt.Errorf("las: laz magic: %w", err)
+	r, err := NewAnyReader(src)
+	if err == nil && r.laz == nil {
+		err = fmt.Errorf("las: not a LAZ-sim stream")
 	}
-	if magic != lazMagic {
-		return Header{}, nil, fmt.Errorf("las: not a LAZ-sim stream (magic %q)", magic)
+	return drain(r, err)
+}
+
+// lazDecoder is the LAZ-sim half of a Reader: it undoes each point's coding
+// against its predecessor and writes the raw LAS record the point stands
+// for. Its first error sticks.
+type lazDecoder struct {
+	br *bufio.Reader
+	lazState
+	err error
+}
+
+func (d *lazDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	hbuf := make([]byte, HeaderSize)
-	if _, err := io.ReadFull(br, hbuf); err != nil {
-		return Header{}, nil, fmt.Errorf("las: laz header: %w", err)
+	v, err := binary.ReadUvarint(d.br)
+	d.err = err
+	return v
+}
+
+func (d *lazDecoder) byte() byte {
+	if d.err != nil {
+		return 0
 	}
-	h, _, err := decodeHeader(hbuf)
-	if err != nil {
-		return Header{}, nil, err
+	b, err := d.br.ReadByte()
+	d.err = err
+	return b
+}
+
+// records decodes len(buf)/size points of the given format into buf and
+// returns how many it completed before an error.
+func (d *lazDecoder) records(buf []byte, size int, format uint8) (int, error) {
+	le := binary.LittleEndian
+	for i := 0; i < len(buf)/size; i++ {
+		rec := buf[i*size : (i+1)*size]
+		d.x = int32(int64(d.x) + unzigzag(d.uvarint()))
+		d.y = int32(int64(d.y) + unzigzag(d.uvarint()))
+		d.z = int32(int64(d.z) + unzigzag(d.uvarint()))
+		d.intensity = uint16(int64(d.intensity) + unzigzag(d.uvarint()))
+		le.PutUint32(rec[0:], uint32(d.x))
+		le.PutUint32(rec[4:], uint32(d.y))
+		le.PutUint32(rec[8:], uint32(d.z))
+		le.PutUint16(rec[12:], d.intensity)
+		rec[14] = d.byte() // flags
+		rec[15] = d.byte() // classification
+		rec[16] = d.byte() // scan angle rank
+		rec[17] = d.byte() // user data
+		d.srcID = uint16(int64(d.srcID) + unzigzag(d.uvarint()))
+		le.PutUint16(rec[18:], d.srcID)
+		off := 20
+		if FormatHasGPS(format) {
+			d.gpsBits ^= d.uvarint()
+			le.PutUint64(rec[off:], d.gpsBits)
+			off += 8
+		}
+		if FormatHasRGB(format) {
+			d.r = uint16(int64(d.r) + unzigzag(d.uvarint()))
+			d.g = uint16(int64(d.g) + unzigzag(d.uvarint()))
+			d.b = uint16(int64(d.b) + unzigzag(d.uvarint()))
+			le.PutUint16(rec[off:], d.r)
+			le.PutUint16(rec[off+2:], d.g)
+			le.PutUint16(rec[off+4:], d.b)
+		}
+		if d.err != nil {
+			return i, d.err
+		}
 	}
-	pts := make([]Point, 0, h.PointCount)
-	var st lazState
-	for i := uint32(0); i < h.PointCount; i++ {
-		var p Point
-		dx, err := binary.ReadUvarint(br)
-		if err != nil {
-			return h, pts, fmt.Errorf("las: laz point %d: %w", i, err)
-		}
-		dy, err := binary.ReadUvarint(br)
-		if err != nil {
-			return h, pts, err
-		}
-		dz, err := binary.ReadUvarint(br)
-		if err != nil {
-			return h, pts, err
-		}
-		di, err := binary.ReadUvarint(br)
-		if err != nil {
-			return h, pts, err
-		}
-		st.x = int32(int64(st.x) + unzigzag(dx))
-		st.y = int32(int64(st.y) + unzigzag(dy))
-		st.z = int32(int64(st.z) + unzigzag(dz))
-		st.intensity = uint16(int64(st.intensity) + unzigzag(di))
-		p.X = dequantise(st.x, h.ScaleX, h.OffsetX)
-		p.Y = dequantise(st.y, h.ScaleY, h.OffsetY)
-		p.Z = dequantise(st.z, h.ScaleZ, h.OffsetZ)
-		p.Intensity = st.intensity
-		flags, err := br.ReadByte()
-		if err != nil {
-			return h, pts, err
-		}
-		p.unpackFlags(flags)
-		if p.Classification, err = br.ReadByte(); err != nil {
-			return h, pts, err
-		}
-		angle, err := br.ReadByte()
-		if err != nil {
-			return h, pts, err
-		}
-		p.ScanAngleRank = int8(angle)
-		if p.UserData, err = br.ReadByte(); err != nil {
-			return h, pts, err
-		}
-		ds, err := binary.ReadUvarint(br)
-		if err != nil {
-			return h, pts, err
-		}
-		st.srcID = uint16(int64(st.srcID) + unzigzag(ds))
-		p.PointSourceID = st.srcID
-		if formatHasGPS(h.PointFormat) {
-			gx, err := binary.ReadUvarint(br)
-			if err != nil {
-				return h, pts, err
-			}
-			st.gpsBits ^= gx
-			p.GPSTime = math.Float64frombits(st.gpsBits)
-		}
-		if formatHasRGB(h.PointFormat) {
-			dr, err := binary.ReadUvarint(br)
-			if err != nil {
-				return h, pts, err
-			}
-			dg, err := binary.ReadUvarint(br)
-			if err != nil {
-				return h, pts, err
-			}
-			db, err := binary.ReadUvarint(br)
-			if err != nil {
-				return h, pts, err
-			}
-			st.r = uint16(int64(st.r) + unzigzag(dr))
-			st.g = uint16(int64(st.g) + unzigzag(dg))
-			st.b = uint16(int64(st.b) + unzigzag(db))
-			p.Red, p.Green, p.Blue = st.r, st.g, st.b
-		}
-		pts = append(pts, p)
-	}
-	return h, pts, nil
+	return len(buf) / size, nil
 }
 
 // WriteLAZFile writes points to path as LAZ-sim.
 func WriteLAZFile(path string, format uint8, scaleX, scaleY, scaleZ, offX, offY, offZ float64, pts []Point) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteLAZ(f, format, scaleX, scaleY, scaleZ, offX, offY, offZ, pts); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadLAZFile loads an entire LAZ-sim file.
-func ReadLAZFile(path string) (Header, []Point, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	defer f.Close()
-	return ReadLAZ(f)
+	return createFile(path, func(f io.Writer) error {
+		return WriteLAZ(f, format, scaleX, scaleY, scaleZ, offX, offY, offZ, pts)
+	})
 }
 
 // ReadAnyFile loads a LAS or LAZ-sim file, sniffing the magic bytes.
@@ -259,17 +184,7 @@ func ReadAnyFile(path string) (Header, []Point, error) {
 		return Header{}, nil, err
 	}
 	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return Header{}, nil, fmt.Errorf("las: sniffing %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return Header{}, nil, err
-	}
-	if magic == lazMagic {
-		return ReadLAZ(f)
-	}
-	return readFile(f)
+	return drain(NewAnyReader(f))
 }
 
 // ReadAnyFileHeader reads only the header from a LAS or LAZ-sim file.
@@ -283,16 +198,10 @@ func ReadAnyFileHeader(path string) (Header, error) {
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
 		return Header{}, fmt.Errorf("las: sniffing %s: %w", path, err)
 	}
-	if magic == lazMagic {
-		hbuf := make([]byte, HeaderSize)
-		if _, err := io.ReadFull(f, hbuf); err != nil {
+	if magic != lazMagic {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return Header{}, err
 		}
-		h, _, err := decodeHeader(hbuf)
-		return h, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return Header{}, err
 	}
 	return ReadHeader(f)
 }

@@ -69,11 +69,11 @@ func PointFormatSize(format uint8) int {
 	}
 }
 
-// formatHasGPS reports whether the format carries a GPS time field.
-func formatHasGPS(format uint8) bool { return format == 1 || format == 3 }
+// FormatHasGPS reports whether the format carries a GPS time field.
+func FormatHasGPS(format uint8) bool { return format == 1 || format == 3 }
 
-// formatHasRGB reports whether the format carries colour fields.
-func formatHasRGB(format uint8) bool { return format == 2 || format == 3 }
+// FormatHasRGB reports whether the format carries colour fields.
+func FormatHasRGB(format uint8) bool { return format == 2 || format == 3 }
 
 // quantise converts a real coordinate to its raw int32 grid value.
 func quantise(v, scale, offset float64) int32 {

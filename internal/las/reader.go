@@ -9,18 +9,40 @@ import (
 	"os"
 )
 
-// Reader streams point records from a LAS byte stream.
+// Reader streams point records from a LAS or LAZ-sim byte stream. Both
+// formats come out of ReadRecords in the LAS record layout, so every
+// consumer decodes one layout.
 type Reader struct {
 	br     *bufio.Reader
 	header Header
-	rec    []byte
+	laz    *lazDecoder // nil for a LAS stream
 	read   uint32
 }
 
-// NewReader consumes the header (and any inter-header gap) and positions the
-// stream at the first point record.
+// NewReader consumes the header of a LAS stream (and any inter-header gap)
+// and positions the stream at the first point record.
 func NewReader(r io.Reader) (*Reader, error) {
+	return newReader(bufio.NewReaderSize(r, 1<<16), false)
+}
+
+// NewAnyReader is NewReader for a LAS or a LAZ-sim stream, told apart by
+// their magic bytes.
+func NewAnyReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
+	magic, err := br.Peek(len(lazMagic))
+	if err != nil {
+		return nil, fmt.Errorf("las: sniffing: %w", err)
+	}
+	laz := [4]byte(magic) == lazMagic
+	if laz {
+		br.Discard(len(lazMagic)) // cannot fail: Peek buffered them
+	}
+	return newReader(br, laz)
+}
+
+// newReader reads the stream's header and, for LAS, skips to the point
+// data offset.
+func newReader(br *bufio.Reader, laz bool) (*Reader, error) {
 	buf := make([]byte, HeaderSize)
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, fmt.Errorf("las: reading header: %w", err)
@@ -29,53 +51,88 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if offset > HeaderSize {
+	r := &Reader{br: br, header: h}
+	if laz {
+		r.laz = &lazDecoder{br: br}
+	} else if offset > HeaderSize {
 		if _, err := io.CopyN(io.Discard, br, int64(offset-HeaderSize)); err != nil {
 			return nil, fmt.Errorf("las: skipping to point data: %w", err)
 		}
 	}
-	return &Reader{br: br, header: h, rec: make([]byte, h.RecordSize())}, nil
+	return r, nil
 }
 
 // Header returns the parsed public header block.
 func (r *Reader) Header() Header { return r.header }
 
-// Read returns the next point, or io.EOF after the last record.
-func (r *Reader) Read() (Point, error) {
-	var p Point
-	if r.read >= r.header.PointCount {
-		return p, io.EOF
+// ReadRecords fills buf with as many whole raw point records, in the LAS
+// layout of the header's format, as it holds and the header's count has
+// left, and returns how many it wrote. After the last record it returns
+// 0, io.EOF. A stream that ends early returns the whole records it held
+// and an error; so does a buf shorter than one record.
+func (r *Reader) ReadRecords(buf []byte) (int, error) {
+	left := r.header.PointCount - r.read
+	if left == 0 {
+		return 0, io.EOF
 	}
-	if _, err := io.ReadFull(r.br, r.rec); err != nil {
-		return p, fmt.Errorf("las: point %d: %w", r.read, err)
+	size := r.header.RecordSize()
+	n := len(buf) / size
+	if uint64(n) > uint64(left) {
+		n = int(left)
 	}
-	r.read++
-	return decodePoint(r.rec, r.header), nil
+	if n == 0 {
+		return 0, fmt.Errorf("las: %d-byte buffer for %d-byte records: %w", len(buf), size, io.ErrShortBuffer)
+	}
+	var err error
+	if r.laz != nil {
+		n, err = r.laz.records(buf[:n*size], size, r.header.PointFormat)
+	} else {
+		var m int
+		m, err = io.ReadFull(r.br, buf[:n*size])
+		n = m / size
+	}
+	r.read += uint32(n)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return n, fmt.Errorf("las: point %d: %w", r.read, err)
+	}
+	return n, nil
 }
 
-// preallocPoints caps the points ReadAll reserves room for on the header's
-// word alone: a corrupt or truncated stream may claim four billion.
-const preallocPoints = 1 << 12
+// readChunk is the records ReadAll reads per ReadRecords call; it also
+// caps the points reserved on the header's word alone, since a corrupt or
+// truncated stream may claim four billion.
+const readChunk = 1 << 12
 
-// ReadAll drains the remaining points. It reserves room for at most
-// preallocPoints of them up front and grows as records arrive.
+// ReadAll drains the remaining points, growing as records arrive.
 func (r *Reader) ReadAll() ([]Point, error) {
-	return r.readAll(preallocPoints)
-}
-
-// readAll is ReadAll reserving room for at most capHint points.
-func (r *Reader) readAll(capHint int) ([]Point, error) {
-	out := make([]Point, 0, min(int(r.header.PointCount-r.read), capHint))
+	left := min(r.header.PointCount-r.read, readChunk)
+	out := make([]Point, 0, left)
+	size := r.header.RecordSize()
+	buf := make([]byte, int(left)*size)
 	for {
-		p, err := r.Read()
+		n, err := r.ReadRecords(buf)
+		for i := range n {
+			out = append(out, decodePoint(buf[i*size:], r.header))
+		}
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, p)
 	}
+}
+
+// drain is ReadAll over a freshly opened reader.
+func drain(r *Reader, err error) (Header, []Point, error) {
+	if err != nil {
+		return Header{}, nil, err
+	}
+	pts, err := r.ReadAll()
+	return r.header, pts, err
 }
 
 // decodePoint parses one point record under the header's format/scales.
@@ -92,11 +149,11 @@ func decodePoint(rec []byte, h Header) Point {
 	p.UserData = rec[17]
 	p.PointSourceID = le.Uint16(rec[18:])
 	off := 20
-	if formatHasGPS(h.PointFormat) {
+	if FormatHasGPS(h.PointFormat) {
 		p.GPSTime = math.Float64frombits(le.Uint64(rec[off:]))
 		off += 8
 	}
-	if formatHasRGB(h.PointFormat) {
+	if FormatHasRGB(h.PointFormat) {
 		p.Red = le.Uint16(rec[off:])
 		p.Green = le.Uint16(rec[off+2:])
 		p.Blue = le.Uint16(rec[off+4:])
@@ -117,11 +174,11 @@ func encodePoint(rec []byte, p Point, h Header) {
 	rec[17] = p.UserData
 	le.PutUint16(rec[18:], p.PointSourceID)
 	off := 20
-	if formatHasGPS(h.PointFormat) {
+	if FormatHasGPS(h.PointFormat) {
 		le.PutUint64(rec[off:], math.Float64bits(p.GPSTime))
 		off += 8
 	}
-	if formatHasRGB(h.PointFormat) {
+	if FormatHasRGB(h.PointFormat) {
 		le.PutUint16(rec[off:], p.Red)
 		le.PutUint16(rec[off+2:], p.Green)
 		le.PutUint16(rec[off+4:], p.Blue)
@@ -135,31 +192,11 @@ func ReadFile(path string) (Header, []Point, error) {
 		return Header{}, nil, err
 	}
 	defer f.Close()
-	return readFile(f)
+	return drain(NewReader(f))
 }
 
-// readFile reads the LAS stream in f, reserving room for no more records
-// than the file's length can hold.
-func readFile(f *os.File) (Header, []Point, error) {
-	r, err := NewReader(f)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	capHint := preallocPoints
-	if fi, err := f.Stat(); err == nil {
-		capHint = int(fi.Size() / int64(r.header.RecordSize()))
-	}
-	pts, err := r.readAll(capHint)
-	return r.Header(), pts, err
-}
-
-// ReadFileHeader loads only the header of a LAS file — the cheap metadata
-// inspection a file-based repository performs to prune tiles by bbox.
-func ReadFileHeader(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, err
-	}
-	defer f.Close()
-	return ReadHeader(f)
-}
+// DecodeRecord parses one raw point record under the header's format and
+// quantisation. It is exported for consumers that perform partial file
+// reads (the lasindex-style sidecar path) and must decode records they
+// seeked to themselves.
+func DecodeRecord(rec []byte, h Header) Point { return decodePoint(rec, h) }

@@ -3,6 +3,8 @@ package las
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -25,11 +27,7 @@ func TestLASReaderRandomGarbage(t *testing.T) {
 			continue
 		}
 		// A reader that accepted a header must fail gracefully on points.
-		for {
-			if _, err := r.Read(); err != nil {
-				break
-			}
-		}
+		_, _ = r.ReadAll()
 	}
 }
 
@@ -54,11 +52,7 @@ func TestLASHeaderFieldCorruption(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		for {
-			if _, err := r.Read(); err != nil {
-				break
-			}
-		}
+		_, _ = r.ReadAll()
 	}
 }
 
@@ -97,28 +91,45 @@ func TestLAZMutatedValidStream(t *testing.T) {
 	}
 }
 
-// FuzzLASReader: whatever the bytes, NewReader plus ReadAll returns an
-// error or exactly the points the header claims — never a panic, never
-// success on a stream too short to hold the records, and never an
-// allocation out of proportion to the stream (a header may claim four
-// billion points over a few hundred bytes). Seeds are writer output in
-// every point format, truncations of it, and header corruptions.
-func FuzzLASReader(f *testing.F) {
+// allocated reports the bytes f allocated.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocBound is what reading an n-byte stream may allocate: the bufio
+// buffer, the header and a first chunk are fixed; points cost at most a few
+// times their record bytes, doubling growth included.
+func allocBound(n int) uint64 { return uint64(1<<20 + 32*n) }
+
+// readerSeeds is writer output in every point format — LAS, or LAZ-sim
+// when laz is set — truncations of it, and header corruptions.
+func readerSeeds(tb testing.TB, laz bool) [][]byte {
+	var seeds [][]byte
 	for format := uint8(0); format <= 3; format++ {
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf, format, 0.01, 0.01, 0.01, 100000, 450000, 0)
-		if err != nil {
-			f.Fatal(err)
+		pts := samplePoints(5, int64(format))
+		hdr := 0 // where the LAS header block starts
+		if laz {
+			if err := WriteLAZ(&buf, format, 0.01, 0.01, 0.01, 100000, 450000, 0, pts); err != nil {
+				tb.Fatal(err)
+			}
+			hdr = len(lazMagic)
+		} else {
+			w, err := NewWriter(&buf, format, 0.01, 0.01, 0.01, 100000, 450000, 0)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, p := range pts {
+				w.Write(p)
+			}
+			w.Close()
 		}
-		for _, p := range samplePoints(5, int64(format)) {
-			w.Write(p)
-		}
-		w.Close()
 		valid := buf.Bytes()
-		f.Add(valid)
-		f.Add(valid[:len(valid)-1])
-		f.Add(valid[:HeaderSize])
-		f.Add(valid[:HeaderSize-1])
+		seeds = append(seeds, valid, valid[:len(valid)-1], valid[:hdr+HeaderSize], valid[:hdr+HeaderSize-1])
 		le := binary.LittleEndian
 		for _, corrupt := range []func(b []byte){
 			func(b []byte) { le.PutUint32(b[107:], 0xFFFFFFFF) }, // point count: four billion records
@@ -129,33 +140,121 @@ func FuzzLASReader(f *testing.F) {
 			func(b []byte) { le.PutUint64(b[131:], 0) },          // zero X scale
 		} {
 			mut := append([]byte(nil), valid...)
-			corrupt(mut)
-			f.Add(mut)
+			corrupt(mut[hdr:])
+			seeds = append(seeds, mut)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r, err := NewReader(bytes.NewReader(data))
-		var pts []Point
-		if err == nil {
-			pts, err = r.ReadAll()
+	return seeds
+}
+
+// FuzzLASReader: whatever the bytes, NewReader plus ReadAll returns an
+// error or exactly the points the header claims — never a panic, never
+// success on a stream too short to hold the records, and never an
+// allocation out of proportion to the stream (a header may claim four
+// billion points over a few hundred bytes). ReadRecords, under a fuzzed
+// buffer size, hands out the stream's record bytes verbatim in whole
+// records and ends as ReadAll did. Seeds are readerSeeds.
+func FuzzLASReader(f *testing.F) {
+	bufSizes := []uint16{0, 1, 19, 20, 34, 35, 1000, 65535}
+	for i, seed := range readerSeeds(f, false) {
+		f.Add(seed, bufSizes[i%len(bufSizes)])
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bufSize uint16) {
+		var (
+			h   Header
+			pts []Point
+			err error
+		)
+		if grew, bound := allocated(func() {
+			var r *Reader
+			if r, err = NewReader(bytes.NewReader(data)); err == nil {
+				h = r.Header()
+				pts, err = r.ReadAll()
+			}
+		}), allocBound(len(data)); grew > bound {
+			t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(data), grew, bound)
 		}
-		runtime.ReadMemStats(&after)
-		// The bufio buffer and the header are fixed; points cost at most a
-		// few times their record bytes, doubling growth included.
-		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*len(data)); grew > bound {
+		if err == nil && len(pts) != int(h.PointCount) {
+			t.Fatalf("read %d points, header claims %d", len(pts), h.PointCount)
+		}
+		if need := HeaderSize + len(pts)*h.RecordSize(); err == nil && len(data) < need {
+			t.Fatalf("read %d points of %d bytes from a %d-byte stream", len(pts), h.RecordSize(), len(data))
+		}
+
+		r, rerr := NewReader(bytes.NewReader(data))
+		if rerr != nil {
+			return
+		}
+		size := r.Header().RecordSize()
+		buf := make([]byte, bufSize)
+		var recs []byte
+		for rerr == nil {
+			var n int
+			n, rerr = r.ReadRecords(buf)
+			if n > len(buf)/size {
+				t.Fatalf("%d records in a %d-byte buffer", n, len(buf))
+			}
+			recs = append(recs, buf[:n*size]...)
+		}
+		if len(buf) < size && r.Header().PointCount > 0 {
+			if !errors.Is(rerr, io.ErrShortBuffer) {
+				t.Fatalf("a %d-byte buffer for %d-byte records: %v", len(buf), size, rerr)
+			}
+		} else if (rerr == io.EOF) != (err == nil) || len(recs) != len(pts)*size {
+			t.Fatalf("ReadRecords(%d-byte buffer) gave %d records and %v; ReadAll %d points and %v",
+				len(buf), len(recs)/size, rerr, len(pts), err)
+		}
+		if off := int(binary.LittleEndian.Uint32(data[96:])); off+len(recs) > len(data) || !bytes.Equal(recs, data[off:off+len(recs)]) {
+			t.Fatalf("ReadRecords returned %d bytes that are not the stream's records at %d", len(recs), off)
+		}
+	})
+}
+
+// FuzzLAZReader: whatever the bytes, ReadLAZ returns an error or exactly
+// the points the header claims — never a panic, never success on fewer
+// bytes than the claimed points need, and never an allocation out of
+// proportion to the stream. Seeds are readerSeeds in LAZ-sim.
+func FuzzLAZReader(f *testing.F) {
+	for _, seed := range readerSeeds(f, true) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			h   Header
+			pts []Point
+			err error
+		)
+		if grew, bound := allocated(func() { h, pts, err = ReadLAZ(bytes.NewReader(data)) }), allocBound(len(data)); grew > bound {
 			t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(data), grew, bound)
 		}
 		if err != nil {
 			return
 		}
-		h := r.Header()
 		if len(pts) != int(h.PointCount) {
 			t.Fatalf("read %d points, header claims %d", len(pts), h.PointCount)
 		}
-		if need := HeaderSize + len(pts)*h.RecordSize(); len(data) < need {
-			t.Fatalf("read %d points of %d bytes from a %d-byte stream", len(pts), h.RecordSize(), len(data))
+		// A point is at least four one-byte varints, four raw bytes and one
+		// more varint.
+		if need := len(lazMagic) + HeaderSize + 9*len(pts); len(data) < need {
+			t.Fatalf("read %d points from a %d-byte stream", len(pts), len(data))
 		}
 	})
+}
+
+// A LAZ-sim stream whose header claims millions of points over a few
+// hundred bytes fails without reserving memory for the claim.
+func TestReadLAZClaimedCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteLAZ(&buf, 3, 0.01, 0.01, 0.01, 100000, 450000, 0, samplePoints(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[len(lazMagic)+107:], 1<<22)
+	var err error
+	if grew, bound := allocated(func() { _, _, err = ReadLAZ(bytes.NewReader(b)) }), allocBound(len(b)); grew > bound {
+		t.Fatalf("a %d-byte stream claiming %d points allocated %d bytes, bound %d", len(b), 1<<22, grew, bound)
+	}
+	if err == nil {
+		t.Fatal("a stream holding 5 of its claimed points decoded")
+	}
 }

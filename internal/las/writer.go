@@ -84,27 +84,27 @@ func (w *Writer) Close() error {
 	return bw.Flush()
 }
 
-// Header returns the header as it would be written now.
-func (w *Writer) Header() Header { return w.header }
-
 // WriteFile writes points to path as a LAS file.
 func WriteFile(path string, format uint8, scaleX, scaleY, scaleZ, offX, offY, offZ float64, pts []Point) error {
+	return createFile(path, func(f io.Writer) error {
+		w, err := NewWriter(f, format, scaleX, scaleY, scaleZ, offX, offY, offZ)
+		if err != nil {
+			return err
+		}
+		for _, p := range pts {
+			w.Write(p) // fails only after Close
+		}
+		return w.Close()
+	})
+}
+
+// createFile writes the file at path with write and closes it.
+func createFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w, err := NewWriter(f, format, scaleX, scaleY, scaleZ, offX, offY, offZ)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for _, p := range pts {
-		if err := w.Write(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -195,7 +195,7 @@ func TestIndexRoundTripAndClip(t *testing.T) {
 			t.Fatalf("index of %s has %d cells", path, len(idx.Cells))
 		}
 		// Every record appears in exactly one cell.
-		h, err := las.ReadFileHeader(path)
+		h, err := las.ReadAnyFileHeader(path)
 		if err != nil {
 			t.Fatal(err)
 		}
