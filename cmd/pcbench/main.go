@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -774,21 +775,23 @@ func expAblation(env *benchEnv, out *output, repeats int) {
 		{X: env.region.MinX + 50, Y: env.region.MaxY - 50},
 	}}}}
 	agree = out.group("E10f parallel refinement")
+	// Refinement fans out under an explicit run cap only, so each arm sets
+	// its own and the shared table's settings stay as they were.
 	for _, m := range []struct {
-		name     string
-		parallel bool
-	}{{"serial", false}, {"parallel (auto workers)", true}} {
-		env.pc.Parallel = m.parallel
+		name string
+		cap  int
+	}{{"serial", 1}, {"parallel (all cores)", runtime.GOMAXPROCS(0)}} {
+		run := new(engine.Run)
+		run.SetMaxParallel(m.cap)
 		var matches int
 		d := bench.MeasureN(repeats, func() {
-			rows := env.pc.SelectRegionRows(bigRegion)
+			rows := env.pc.SelectRegionRowsRun(run, bigRegion, -1, nil)
 			matches = len(rows)
-			engine.RecycleRows(rows)
+			run.RecycleRows(rows)
 		})
 		agree.arm(m.name, matches)
 		t6.AddRow(m.name, d, matches)
 	}
-	env.pc.Parallel = false
 	t6.WriteTo(out)
 
 	// Block-store curve sweep.

@@ -32,7 +32,7 @@ func main() {
 		explain  = flag.Bool("explain", false, "print per-operator execution traces")
 		maxRows  = flag.Int("maxrows", 20, "result rows to display")
 		timeout  = flag.Duration("timeout", 0, "per-query deadline, wired through QueryContext (0 = none)")
-		parallel = flag.Int("parallel", 0, "kernel worker cap per query (<=0 = default: GOMAXPROCS, max 8)")
+		parallel = flag.Int("parallel", 0, "per-query morsel fan-out cap: <= 0 fans large operators out across every core (the default), 1 forces serial execution")
 	)
 	flag.Parse()
 

@@ -35,7 +35,7 @@ func main() {
 		defTimeout  = flag.Duration("default-timeout", 10*time.Second, "query timeout when the client supplies none")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline before in-flight queries are cancelled")
 		maxInFlight = flag.Int("max-inflight", 0, "admission-gate bound on concurrent queries (<= 0 selects the default, 2x GOMAXPROCS)")
-		parallelism = flag.Int("parallel", 0, "per-query morsel fan-out cap (<= 0 selects the default, auto)")
+		parallelism = flag.Int("parallel", 0, "per-query morsel fan-out cap: <= 0 fans large operators out across every core (the default), 1 forces serial execution")
 	)
 	flag.Parse()
 

@@ -76,7 +76,7 @@ func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column stri
 	}
 	deg := 1
 	if fn == AggMin || fn == AggMax {
-		deg = pc.morselDegree(run, n)
+		deg = pc.morselDegree(run, n, true)
 	}
 	sum, lo, hi, err := runAggPass(run, col, rows, all, n, deg)
 	if err != nil {

@@ -117,19 +117,13 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 			}
 			return nil, cancel.ErrCancelled
 		}
-		col := pc.Column(pred.Column)
-		if col == nil {
+		k, a, err := pc.bindPred(run, pred)
+		if err != nil {
 			if owned {
 				run.RecycleRows(rows)
 			}
-			return nil, fmt.Errorf("engine: unknown column %q", pred.Column)
+			return nil, err
 		}
-		k := pc.compileFilterCached(col, pred.Column, pred.Op)
-		// Bind the run's constants into the per-run slot record; the cached
-		// kernel itself is constant-free (see kernels.go). The cancellation
-		// token rides in the args record so the chunk driver can poll it.
-		a := k.Bind(pred.Value, pred.Value2)
-		a.tok = run.Token()
 		start := time.Now()
 		switch {
 		case rows == nil:
@@ -138,11 +132,12 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 			// vector. The buffer is tracked before the call (a panic
 			// mid-kernel must not strand it) and swapped for the final
 			// slice after — the drive may grow (and so reallocate) what it
-			// was handed. Large tables fan across the resident worker set
-			// (morsel.go); the vector is sized for the whole table, so the
-			// ascending merge appends without growth.
+			// was handed. Large tables fan the filter across the resident
+			// worker set as the pipelined pass's compact consumer
+			// (morsel.go); the vector is sized for the whole table, the
+			// pass's slot vector.
 			buf := run.TrackRows(getRowBuf(pc.Len()))
-			deg := pc.morselDegree(run, pc.Len())
+			deg := pc.morselDegree(run, pc.Len(), true)
 			res, ferr := filterAll(k, a, pc.Len(), deg, buf)
 			rows = run.SwapRows(buf, res)
 			if ferr != nil {
@@ -192,4 +187,19 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 		}
 	}
 	return rows, nil
+}
+
+// bindPred compiles (or fetches) pred's cached kernel and binds the run's
+// constants into the per-run slot record; the cached kernel itself is
+// constant-free (see kernels.go). The cancellation token rides in the args
+// record so the chunk driver can poll it.
+func (pc *PointCloud) bindPred(run *Run, pred ColumnPred) (*Kernel, KernelArgs, error) {
+	col := pc.Column(pred.Column)
+	if col == nil {
+		return nil, KernelArgs{}, fmt.Errorf("engine: unknown column %q", pred.Column)
+	}
+	k := pc.compileFilterCached(col, pred.Column, pred.Op)
+	a := k.Bind(pred.Value, pred.Value2)
+	a.tok = run.Token()
+	return k, a, nil
 }

@@ -118,7 +118,7 @@ const denseMinRowsPerSlot = 4
 // engine's striped pools; with res reused across calls, a steady-state run
 // allocates nothing.
 func (pc *PointCloud) GroupedAggregate(rows []int, key string, specs []GroupedAggSpec, res *GroupedResult, ex *Explain) error {
-	return pc.GroupedAggregateRun(nil, rows, key, specs, res, ex)
+	return pc.GroupedAggregateRun(nil, rows, nil, key, specs, res, ex)
 }
 
 // groupPassCheckpoint is the checkpoint every grouped driver (dense, hash,
@@ -136,21 +136,36 @@ func groupPassCheckpoint(run *Run) error {
 	return nil
 }
 
-// GroupedAggregateRun is GroupedAggregate under a query lifecycle: the
+// denseKeys returns the dense slot source and domain of keyCol for a fold
+// over n rows, or a zero domain when the hash strategy takes it.
+func denseKeys(keyCol colstore.Column, n int) (foldSrc, int) {
+	switch k := keyCol.(type) {
+	case *colstore.U8Column:
+		return foldSrc{keys8: k.Values()}, 1 << 8
+	case *colstore.U16Column:
+		if n >= (1<<16)/denseMinRowsPerSlot {
+			return foldSrc{keys16: k.Values()}, 1 << 16
+		}
+	}
+	return foldSrc{}, 0
+}
+
+// GroupedAggregateRun is GroupedAggregate under a query lifecycle, over
+// the rows of the selection that match every predicate of preds: the
 // pooled accumulator banks and hash scratch register in run's release
 // list, and the fold passes poll the run's cancellation token per block — a
 // fired context stops the aggregation within one block with every buffer
 // back in its pool and res in an unspecified (but safe to reuse) state.
-func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, specs []GroupedAggSpec, res *GroupedResult, ex *Explain) error {
+//
+// Over the whole table (rows == nil) with a dense key, the predicates
+// feed the fold as the pipelined filter pass (morsel.go): the filter fans
+// out, the fold stays on the caller in ascending row order. Otherwise the
+// selection is filtered first (FilterRowsRun) and then folded.
+func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPred, key string, specs []GroupedAggSpec, res *GroupedResult, ex *Explain) error {
 	start := time.Now()
 	keyCol := pc.Column(key)
 	if keyCol == nil {
 		return fmt.Errorf("engine: unknown group key column %q", key)
-	}
-	n := len(rows)
-	all := rows == nil
-	if all {
-		n = pc.Len()
 	}
 	// Validate specs before touching any scratch: value columns must exist
 	// and the function must be known (count ignores its column).
@@ -165,30 +180,46 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, spec
 			return fmt.Errorf("engine: unknown aggregate %d", s.Fn)
 		}
 	}
+	n := len(rows)
+	all := rows == nil
+	if all {
+		n = pc.Len()
+	}
+	src, dom := denseKeys(keyCol, n)
+	if len(preds) > 0 && (!all || dom == 0) {
+		filtered, err := pc.FilterRowsRun(run, rows, preds, ex)
+		if err != nil {
+			return err
+		}
+		defer run.RecycleRows(filtered)
+		rows, all, n, preds = filtered, false, len(filtered), nil
+		src, dom = denseKeys(keyCol, n)
+		start = time.Now() // the filter steps carry their own time
+	}
 	res.reset(len(specs))
 
 	// Strategy choice is independent of the degree (so the recorded
 	// strategy and the output are the same at every degree); within a
 	// strategy, large inputs fan across the resident worker set when every
 	// spec merges exactly across partitions (specsMergeExact — sum/avg
-	// plans pin degree 1 to keep sums bit-identical to the ascending fold).
+	// plans pin degree 1 to keep sums bit-identical to the ascending fold)
+	// or when only the filter ahead of the fold fans out.
 	deg := 1
-	if specsMergeExact(specs) {
-		deg = pc.morselDegree(run, n)
+	if len(preds) > 0 || specsMergeExact(specs) {
+		deg = pc.morselDegree(run, n, true)
 	}
+	in := n
 	var err error
-	switch k := keyCol.(type) {
-	case *colstore.U8Column:
+	switch {
+	case len(preds) > 0:
 		res.Strategy = GroupDense
-		err = runDensePass(run, pc, foldSrc{keys8: k.Values()}, 1<<8, rows, all, n, specs, res, deg)
-	case *colstore.U16Column:
-		if n >= (1<<16)/denseMinRowsPerSlot {
-			res.Strategy = GroupDense
-			err = runDensePass(run, pc, foldSrc{keys16: k.Values()}, 1<<16, rows, all, n, specs, res, deg)
-			break
+		in, err = runPipeFold(run, pc, src, dom, preds, specs, res, deg)
+		if err == nil && ex != nil {
+			ex.Add(opFilterColumn, parDetail("piped: "+predsDetail(preds), deg), n, in, 0)
 		}
-		res.Strategy = GroupHash
-		err = runHashPass(run, pc, keyCol, rows, all, n, specs, res, deg)
+	case dom > 0:
+		res.Strategy = GroupDense
+		err = runDensePass(run, pc, src, dom, rows, all, n, specs, res, deg)
 	default:
 		res.Strategy = GroupHash
 		err = runHashPass(run, pc, keyCol, rows, all, n, specs, res, deg)
@@ -206,9 +237,19 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, key string, spec
 			plural = ""
 		}
 		detail := fmt.Sprintf("%s, %d pass%s, %d aggs, key %s", res.Strategy, passes, plural, len(specs), key)
-		ex.Add(opGroupAgg, parDetail(detail, deg), n, len(res.Keys), time.Since(start))
+		ex.Add(opGroupAgg, parDetail(detail, deg), in, len(res.Keys), time.Since(start))
 	}
 	return nil
+}
+
+// predsDetail renders a predicate chain for EXPLAIN. A piped chain's step
+// reports its rows but no time: that is in the group.agg step it feeds.
+func predsDetail(preds []ColumnPred) string {
+	s := preds[0].String()
+	for _, p := range preds[1:] {
+		s += " and " + p.String()
+	}
+	return s
 }
 
 // --- the fold kernel -----------------------------------------------------------
@@ -316,20 +357,22 @@ func foldPasses(specs []GroupedAggSpec) int {
 // later columns send theirs to the sink. A repeated spec (min(z) twice;
 // sum(z) beside avg(z)) folds once and its bank is copied, so every spec
 // position still owns a filled segment. seed initialises each bank to its
-// fold identity first; without it the fold lands on top of the banks'
-// contents (repeated specs must then start from equal contents).
+// fold identity and the sink to NaN first; without it the fold lands on top
+// of the banks' contents (repeated specs must then start from equal
+// contents) and the sink must already hold NaN (fillNaN).
 //
 // sink is n+1 floats of scratch for the unrequested accumulators. Its NaN
 // seed survives every update — NaN+v is NaN, and nothing compares below or
-// above NaN, so the min/max stores never fire — and a sunk count and a sunk
-// sum take views one slot apart, so a run of rows hitting one slot drives
-// two independent add chains instead of one chain through a shared address.
+// above NaN, so the min/max stores never fire — which is why a fold carried
+// across calls seeds it once; a sunk count and a sunk sum take views one
+// slot apart, so a run of rows hitting one slot drives two independent add
+// chains instead of one chain through a shared address.
 //
 // A fired token stops the pass at the next block boundary, leaving the
 // banks partial; the driver reports the cancellation.
 func foldSpecs(src foldSrc, pc *PointCloud, specs []GroupedAggSpec, rows []int, all bool, start, end int, cnt []float64, fb foldBanks, sink []float64, seed bool, tok *cancel.Token) {
-	for i := range sink {
-		sink[i] = math.NaN()
+	if seed {
+		fillNaN(sink)
 	}
 	sinkA, sinkB := sink[:len(sink)-1], sink[1:]
 	for j, s := range specs {
@@ -519,6 +562,13 @@ func foldSlots[V colstore.Number](slots []int, vals []V, rows []int, all bool, a
 		if f > hi[s] {
 			hi[s] = f
 		}
+	}
+}
+
+// fillNaN seeds a fold sink.
+func fillNaN(sink []float64) {
+	for i := range sink {
+		sink[i] = math.NaN()
 	}
 }
 

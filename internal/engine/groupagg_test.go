@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"gisnav/internal/colstore"
@@ -85,12 +86,10 @@ func refGrouped(pc *PointCloud, rows []int, key string, specs []GroupedAggSpec) 
 			}
 		}
 	}
-	// Emit in FloatOrderKey order (insertion-sorted; group counts are small).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && FloatOrderKey(groups[order[j]].key) < FloatOrderKey(groups[order[j-1]].key); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	// Emit in FloatOrderKey order (keys are unique, so any sort agrees).
+	sort.Slice(order, func(a, b int) bool {
+		return FloatOrderKey(groups[order[a]].key) < FloatOrderKey(groups[order[b]].key)
+	})
 	cols = make([][]float64, len(specs))
 	for _, kb := range order {
 		g := groups[kb]

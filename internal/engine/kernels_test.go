@@ -206,13 +206,13 @@ func TestFilterRangeParallelIdentical(t *testing.T) {
 	pc := randomTestCloud(300_000, 7)
 	preds := []ColumnPred{{Column: ColScanAngle, Op: CmpBetween, Value: -20000, Value2: 20000}}
 	ex := &Explain{}
+	pc.Parallel = false
 	serial, err := pc.FilterRows(nil, preds, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pc.Parallel = true
 	par, err := pc.FilterRows(nil, preds, ex)
-	pc.Parallel = false
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,23 @@
-// Morsel execution: every engine operator — block filter, fused
-// aggregate, dense and hash grouped aggregate, tile scatter, grid
-// refinement — is ONE partition body over a span [start, end) of its input
-// plus one driver.
+// Morsel execution: every engine operator — fused aggregate, dense and
+// hash grouped aggregate, tile scatter, grid refinement — is ONE partition
+// body over a span [start, end) of its input plus one driver.
 // The driver picks a degree, runs the body once per partition through
 // morsel.Pass (which executes a single partition inline on the caller, so
 // serial execution is simply degree 1 of the same code), and folds
 // partitions 1..deg-1 into partition 0 in ascending order — a loop of zero
 // iterations at degree 1.
 //
-// Partition 0 is the output: it appends into the caller's selection
-// vector, accumulates in the caller's tile banks, the dense base slab, the
-// hash table that becomes the global table and the result columns
-// themselves. Only partitions >= 1 draw scratch, so degree 1 pays no copy
-// and no merge.
+// Partition 0 is the output: it accumulates in the caller's tile banks,
+// the dense base slab, the hash table that becomes the global table and
+// the result columns themselves, and appends into the caller's selection
+// vector. Only partitions >= 1 draw scratch, so degree 1 pays no copy and
+// no merge.
+//
+// The whole-table filter is the one operator cut into morsels rather than
+// spans: the pipelined filter pass (pipePass) filters morsels on every
+// partition into the row-offset slots of one vector while partition 0
+// consumes them in row order — compacting them (FilterRowsRun) or folding
+// them into dense grouped banks (GroupedAggregateRun with predicates).
 //
 // Determinism contract: output is bit-identical at every degree. That is
 // cheap for filters (partitions are disjoint ascending row ranges;
@@ -25,13 +30,15 @@
 // and the aggregate-semantics invariant pins sums bit-identical to the
 // ascending row-at-a-time loop — so an operator carrying a sum or avg runs
 // at degree 1 (specsMergeExact), where one running accumulator crosses
-// every block boundary and nothing is ever reassociated.
+// every block boundary and nothing is ever reassociated. Behind the
+// pipelined filter pass a sum's fold stays on partition 0 in ascending row
+// order; only the filter feeding it fans out.
 //
 // Degree selection lives in morselDegree alone: SetMaxParallel on the run
 // caps the fan-out (the SQL layer sets it per run; 0 defers to
-// PointCloud.Parallel), clamped by the driving row count so each partition
-// carries at least morselMinRows rows — small inputs stay at degree 1,
-// where fan-out costs more than it saves.
+// PointCloud.Parallel, which grid refinement ignores), clamped by the
+// driving row count so each partition carries at least morselMinRows rows
+// — small inputs stay at degree 1, where fan-out costs more than it saves.
 //
 // Lifecycle contract (PR 6): partition scratch is pooled and owned by the
 // pass — a partition either recycles what it drew before letting a panic
@@ -39,7 +46,7 @@
 // panics until every partition settles, and the driver recycles every
 // surviving partial before re-raising the first panic for the query
 // layer's recovery. Partitions poll the run's cancel token at block
-// boundaries (scanChunk blocks in the filter and fused-aggregate loops,
+// boundaries (scanChunk blocks in the filter kernels and fused-aggregate loops,
 // foldBlock blocks in the grouped fold passes — one pass per value column,
 // every accumulator of that column in one loop; groupagg.go — and the grid
 // package's refineBlock blocks in refinement); a fired token surfaces from
@@ -50,7 +57,9 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/colstore"
@@ -65,14 +74,21 @@ import (
 const morselMinRows = 1 << 16
 
 // morselDegree picks the fan-out degree for an operator driving rows
-// rows: the run's explicit cap (SetMaxParallel), else the resident worker
-// count when the table opted into auto-parallel execution, clamped so
-// every partition carries at least morselMinRows rows. 1 means the whole
-// input is partition 0, executed on the caller.
-func (pc *PointCloud) morselDegree(run *Run, rows int) int {
+// rows: the run's explicit cap (SetMaxParallel), else — for an operator
+// whose fan-out pays (auto) — the resident worker count when the table
+// opted into auto-parallel execution, clamped so every partition carries
+// at least morselMinRows rows. 1 means the whole input is partition 0,
+// executed on the caller.
+//
+// Grid refinement passes auto = false: it fans out under an explicit cap
+// only. Fanned out by default it cost navbench's served pan.bbox 9 % of
+// step_p50_ms on a 2-vCPU Xeon (0 of 5 pairs better), although a hot
+// in-process loop over one 1 M-row table gains from it (a box selecting
+// 95 %: 5.1 ms at degree 1, 3.5 ms at degree 2).
+func (pc *PointCloud) morselDegree(run *Run, rows int, auto bool) int {
 	limit := run.MaxParallel()
 	if limit == 0 {
-		if !pc.Parallel {
+		if !pc.Parallel || !auto {
 			return 1
 		}
 		limit = morsel.Workers()
@@ -155,180 +171,328 @@ func (p *passFree[T]) put(t *T) {
 	}
 }
 
-// --- row-producing passes: block filter, grid refinement -------------------------
+// --- pipelined filter pass ------------------------------------------------------
 
-// rowSplit is the state the two row-producing passes share: the candidate
-// ranges split into partitions, the caller's output vector (partition 0)
-// and the result slots of partitions >= 1.
-type rowSplit struct {
+// pipeMorselRows is the morsel of the pipelined filter pass: two fold
+// blocks, so a morsel a worker filtered is still cache-warm when the
+// consumer takes it.
+const pipeMorselRows = 2 * foldBlock
+
+// pipeFailed is the state word of a morsel whose producer panicked.
+const pipeFailed = -1
+
+// pipePred is one bound predicate of a pipelined pass.
+type pipePred struct {
+	k *Kernel
+	a KernelArgs
+}
+
+// pipePass is the pooled scaffolding of the pipelined filter pass: a
+// predicate chain over rows [0, n) feeding one consumer. The table is cut
+// into morsels of pipeMorselRows rows that partitions claim from one
+// counter. Morsel i is filtered into its row-offset slot out[i·m:] of one
+// table-sized vector — no other morsel's matches reach it, so partitions
+// share the vector with no buffer of their own and no merge — and
+// published by one atomic store into its state word: 0 while unpublished,
+// 1+count once filtered, pipeFailed if its producer panicked.
+//
+// Partition 0, on the caller, is the consumer: it takes the morsels in
+// ascending order, and while the next one is unpublished it claims and
+// filters unclaimed morsels itself instead of waiting. At degree 1 it
+// claims every morsel in turn, so serial execution is the fused
+// filter→consume loop. Two consumers:
+//
+//   - fold: foldSpecs over each morsel's rows, the banks carried across
+//     morsels and seeded by the first, so every slot keeps one running
+//     accumulator over ascending rows and sums are bit-identical at every
+//     degree — only the filter fans out;
+//   - compact: each morsel's rows move down to the output's end; a morsel
+//     the consumer filters in turn is written there directly.
+type pipePass struct {
+	pass   morsel.Pass
+	preds  []pipePred
+	n, deg int
+	out    []int
+	claim  atomic.Int64
+	state  []atomic.Int64
+	w      int // matches taken: the compact output's end
+
+	// The fold consumer (fold set): the dense slot source, the plan and
+	// the banks of one dense partition slab.
+	fold   bool
+	seeded bool
+	src    foldSrc
+	pc     *PointCloud
+	specs  []GroupedAggSpec
+	cnt    []float64
+	fb     foldBanks
+	sink   []float64
+	tok    *cancel.Token
+}
+
+var pipePasses passFree[pipePass]
+
+// RunPartition runs the consumer on slot 0 and a producer elsewhere. A
+// producer that panics publishes the morsel it holds as failed on the way
+// out, so the consumer never waits on it.
+func (pp *pipePass) RunPartition(slot int) {
+	if slot == 0 {
+		pp.consume()
+		return
+	}
+	held := -1
+	defer func() {
+		if held >= 0 {
+			pp.state[held].Store(pipeFailed)
+		}
+	}()
+	hitMorselWorker(pp.deg)
+	for held = pp.claimMorsel(); held >= 0; held = pp.claimMorsel() {
+		pp.state[held].Store(int64(pp.filterMorsel(held, held*pipeMorselRows)) + 1)
+	}
+}
+
+// consume takes the morsels in ascending order. It stops at a failed
+// morsel (the producer's panic re-raises from the pass) and, on every
+// exit, exhausts the claim counter so producers stop claiming.
+func (pp *pipePass) consume() {
+	m := len(pp.state)
+	defer pp.claim.Store(int64(m))
+	hitMorselWorker(pp.deg)
+	for next := 0; next < m; {
+		if st := pp.state[next].Load(); st == pipeFailed {
+			return
+		} else if st > 0 {
+			pp.take(next*pipeMorselRows, int(st-1))
+			next++
+			continue
+		}
+		i := pp.claimMorsel()
+		if i < 0 {
+			runtime.Gosched() // morsel next is in a producer's hands
+			continue
+		}
+		at := i * pipeMorselRows
+		if i == next && !pp.fold {
+			at = pp.w
+		}
+		c := pp.filterMorsel(i, at)
+		if i == next {
+			pp.take(at, c)
+			next++
+		} else {
+			pp.state[i].Store(int64(c) + 1)
+		}
+	}
+}
+
+// claimMorsel claims the next unclaimed morsel, or returns -1 when every
+// morsel is claimed.
+func (pp *pipePass) claimMorsel() int {
+	if i := int(pp.claim.Add(1)) - 1; i < len(pp.state) {
+		return i
+	}
+	return -1
+}
+
+// filterMorsel writes the matches of morsel i to out[at:] and returns how
+// many there are: the first predicate's block kernel over the morsel's
+// rows, then each further predicate compacting that slice in place. at
+// never exceeds the morsel's first row, so the writes stay below the next
+// morsel's slot (and the vector never grows). Cancellation is polled per
+// scanChunk block inside the kernels.
+func (pp *pipePass) filterMorsel(i, at int) int {
+	lo := i * pipeMorselRows
+	p := pp.preds[0]
+	rows := p.k.FilterBlock(p.a, lo, min(lo+pipeMorselRows, pp.n), pp.out[at:at])
+	for _, p := range pp.preds[1:] {
+		rows = p.k.FilterSel(p.a, rows, rows[:0])
+	}
+	return len(rows)
+}
+
+// take consumes the c matches at out[at:]: the fold consumer folds them,
+// the compact one moves them to the output's end.
+func (pp *pipePass) take(at, c int) {
+	rows := pp.out[at : at+c]
+	if pp.fold {
+		foldSpecs(pp.src, pp.pc, pp.specs, rows, false, 0, c, pp.cnt, pp.fb, pp.sink, !pp.seeded, pp.tok)
+		pp.seeded = true
+	} else if at != pp.w {
+		copy(pp.out[pp.w:], rows)
+	}
+	pp.w += c
+}
+
+// bind compiles and binds preds into the pass.
+func (pp *pipePass) bind(run *Run, pc *PointCloud, preds []ColumnPred) error {
+	for _, pred := range preds {
+		k, a, err := pc.bindPred(run, pred)
+		if err != nil {
+			return err
+		}
+		pp.preds = append(pp.preds, pipePred{k, a})
+	}
+	return nil
+}
+
+// run drives the bound pass over rows [0, n) at degree deg, out (capacity
+// at least n) being the slot vector, and returns the match count. It
+// returns the pass to its free list on every path; a partition panic
+// re-raises here once every partition settled.
+func (pp *pipePass) run(n, deg int, out []int) (int, error) {
+	nm := (n + pipeMorselRows - 1) / pipeMorselRows
+	if cap(pp.state) < nm {
+		pp.state = make([]atomic.Int64, nm)
+	}
+	pp.state = pp.state[:nm]
+	for i := range pp.state {
+		pp.state[i].Store(0)
+	}
+	pp.claim.Store(0)
+	pp.n, pp.deg, pp.out, pp.w = n, deg, out[:n], 0
+	p := pp.pass.Run(deg, pp)
+	w := pp.w
+	pp.release()
+	if p != nil {
+		panic(p)
+	}
+	return w, hitMorselMerge(deg)
+}
+
+// release clears the pass's references and returns it to its free list.
+func (pp *pipePass) release() {
+	clear(pp.preds)
+	pp.preds, pp.out = pp.preds[:0], nil
+	pp.fold, pp.seeded, pp.src, pp.pc, pp.specs = false, false, foldSrc{}, nil, nil
+	pp.cnt, pp.fb, pp.sink, pp.tok = nil, foldBanks{}, nil, nil
+	pipePasses.put(pp)
+}
+
+// filterAll is the compact consumer: the rows of [0, n) matching the bound
+// kernel, in row order, in out (capacity at least n).
+func filterAll(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
+	pp := pipePasses.get()
+	pp.preds = append(pp.preds, pipePred{k, a})
+	w, err := pp.run(n, deg, out)
+	return out[:w], err
+}
+
+// runPipeFold is the dense strategy behind a whole-table predicate chain:
+// the fold consumer over the matches of preds into one dense slab, then
+// runDensePass's ascending domain scan. It returns the match count.
+func runPipeFold(run *Run, pc *PointCloud, src foldSrc, dom int, preds []ColumnPred, specs []GroupedAggSpec, res *GroupedResult, deg int) (int, error) {
+	n := pc.Len()
+	stride := denseStride(dom, len(specs))
+	slab := run.trackF64(getF64Buf(stride))[:stride]
+	defer run.recycleF64(slab)
+	out := run.TrackRows(getRowBuf(n))
+	defer run.RecycleRows(out)
+	if err := groupPassCheckpoint(run); err != nil {
+		return 0, err
+	}
+	pp := pipePasses.get()
+	if err := pp.bind(run, pc, preds); err != nil {
+		pp.release()
+		return 0, err
+	}
+	seedBank(slab[:dom], AggCount)
+	pp.fold, pp.src, pp.pc, pp.specs, pp.tok = true, src, pc, specs, run.Token()
+	pp.cnt, pp.fb, pp.sink = slab[:dom], foldBanks{flat: slab[dom:], n: dom}, slab[stride-dom-1:]
+	matched, err := pp.run(n, deg, out)
+	if err != nil {
+		return 0, err
+	}
+	if run.Cancelled() {
+		return 0, cancel.ErrCancelled
+	}
+	emitDense(slab, dom, specs, res)
+	return matched, nil
+}
+
+// --- refinement --------------------------------------------------------------------
+
+// refinePass drives grid refinement: the candidate ranges split into
+// partitions, the caller's output vector (partition 0), the result slots
+// and statistics of every partition, the coordinate columns and the region.
+type refinePass struct {
 	pass    morsel.Pass
 	partBuf []colstore.Range
 	cuts    []int
 	parts   [][]colstore.Range
 	results [][]int
+	stats   []grid.Stats
 	out     []int
-}
-
-// split cuts cand into at most deg partitions (grid.SplitRangesInto: at
-// degree 1 the sole partition is cand itself) and sizes the result slots.
-func (s *rowSplit) split(cand []colstore.Range, deg int, out []int) int {
-	s.out = out
-	s.partBuf, s.cuts, s.parts = grid.SplitRangesInto(cand, deg, s.partBuf, s.cuts, s.parts)
-	n := len(s.parts)
-	if cap(s.results) < n {
-		s.results = make([][]int, n)
-	}
-	s.results = s.results[:n]
-	return n
-}
-
-// buf is partition slot's output vector: the caller's for partition 0, a
-// pooled one sized for the partition's rows (an upper bound on its
-// matches) otherwise. Partitions >= 1 defer settle with it.
-func (s *rowSplit) buf(slot int) []int {
-	if slot == 0 {
-		return s.out
-	}
-	return getRowBuf(colstore.RangesLen(s.parts[slot]))
-}
-
-// settle hands a panicking partition's pooled vector back before the panic
-// re-raises into the morsel recovery.
-func (s *rowSplit) settle(slot int, buf []int) {
-	if p := recover(); p != nil {
-		s.results[slot] = nil
-		rowPool.Put(buf)
-		panic(p)
-	}
-}
-
-// merge folds a settled pass: unless a partition panicked (p) or the merge
-// faultpoint fired, partitions 1.. concatenate behind partition 0 in
-// ascending order — disjoint ascending row ranges, so that is row order at
-// every degree. Every partial goes back to its pool on every path; the
-// caller re-raises p once its pass is back on the free list.
-func (s *rowSplit) merge(p any) ([]int, error) {
-	n := len(s.parts)
-	var err error
-	if p == nil {
-		err = hitMorselMerge(n)
-	}
-	out := s.out
-	if n > 0 {
-		out = s.results[0]
-	}
-	for i := 1; i < n; i++ {
-		if p == nil && err == nil {
-			out = append(out, s.results[i]...)
-		}
-		rowPool.Put(s.results[i])
-	}
-	clear(s.results)
-	clear(s.parts) // a degree-1 partition is the caller's candidate list
-	s.out = nil
-	return out, err
-}
-
-// filterPass drives a compiled kernel with its bound constant record.
-type filterPass struct {
-	rowSplit
-	k   *Kernel
-	a   KernelArgs
-	all [1]colstore.Range // filterAll's candidate list
-}
-
-var filterPasses passFree[filterPass]
-
-// RunPartition drives the block kernel over one partition's ranges.
-// Cancellation is polled inside FilterBlock per scanChunk block (the token
-// rides in the bound args), so a fired token leaves a partial vector the
-// caller discards.
-func (fp *filterPass) RunPartition(slot int) {
-	buf := fp.buf(slot)
-	if slot > 0 {
-		defer fp.settle(slot, buf)
-	}
-	hitMorselWorker(len(fp.parts))
-	for _, r := range fp.parts[slot] {
-		buf = fp.k.FilterBlock(fp.a, r.Start, r.End, buf)
-	}
-	fp.results[slot] = buf
-}
-
-// filterRanges drives the block kernel over the candidate ranges in deg
-// partitions, appending matches to out. A partition panic re-raises here
-// after all partitions settle, with every surviving partial already
-// recycled; the merge faultpoint's error path proves the same accounting
-// without a panic.
-func filterRanges(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
-	return filterPasses.get().run(k, a, cand, deg, out)
-}
-
-// filterAll is filterRanges over rows [0, n). The one-range candidate
-// list lives in the pooled pass: a degree-1 split hands its input on as
-// the partition, so a list on the caller's stack would escape to the heap
-// on every call.
-func filterAll(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
-	fp := filterPasses.get()
-	fp.all[0] = colstore.Range{End: n}
-	return fp.run(k, a, fp.all[:], deg, out)
-}
-
-func (fp *filterPass) run(k *Kernel, a KernelArgs, cand []colstore.Range, deg int, out []int) ([]int, error) {
-	fp.k, fp.a = k, a
-	n := fp.split(cand, deg, out)
-	p := fp.pass.Run(n, fp)
-	out, err := fp.merge(p)
-	fp.k, fp.a = nil, KernelArgs{}
-	filterPasses.put(fp)
-	if p != nil {
-		panic(p)
-	}
-	return out, err
-}
-
-// refinePass drives grid refinement: the coordinate columns, the region
-// and the per-partition refinement statistics.
-type refinePass struct {
-	rowSplit
-	xs, ys []float64
-	region grid.Region
-	opts   grid.Options
-	stats  []grid.Stats
+	xs, ys  []float64
+	region  grid.Region
+	opts    grid.Options
 }
 
 var refinePasses passFree[refinePass]
 
-// RunPartition refines one partition's ranges. Cancellation is polled
-// inside grid.RefineInto per candidate block (the token rides in opts).
+// RunPartition refines one partition's ranges into the caller's vector
+// (partition 0) or a pooled one sized for the partition's rows, an upper
+// bound on its matches. Cancellation is polled inside grid.RefineInto per
+// candidate block (the token rides in opts).
 func (rp *refinePass) RunPartition(slot int) {
-	buf := rp.buf(slot)
+	buf := rp.out
 	if slot > 0 {
+		buf = getRowBuf(colstore.RangesLen(rp.parts[slot]))
 		defer rp.settle(slot, buf)
 	}
 	hitMorselWorker(len(rp.parts))
 	rp.results[slot], rp.stats[slot] = grid.RefineInto(rp.xs, rp.ys, rp.parts[slot], rp.region, rp.opts, buf)
 }
 
-// refineRanges refines the candidate ranges against region in deg
-// partitions, appending matches to out, and sums the partitions' grid
-// statistics (grid.Stats.Add). Panic and error accounting are
-// filterRanges'.
+// settle hands a panicking partition's pooled vector back before the panic
+// re-raises into the morsel recovery.
+func (rp *refinePass) settle(slot int, buf []int) {
+	if p := recover(); p != nil {
+		rp.results[slot] = nil
+		rowPool.Put(buf)
+		panic(p)
+	}
+}
+
+// refineRanges refines the candidate ranges against region in at most deg
+// partitions (grid.SplitRangesInto: at degree 1 the sole partition is cand
+// itself), appending matches to out, and sums the partitions' grid
+// statistics (grid.Stats.Add). Unless a partition panicked or the merge
+// faultpoint fired, partitions 1.. concatenate behind partition 0 in
+// ascending order — disjoint ascending row ranges, so that is row order at
+// every degree. Every partial goes back to its pool on every path; a
+// partition panic re-raises once the pass is back on its free list.
 func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, opts grid.Options, deg int, out []int) ([]int, grid.Stats, error) {
 	rp := refinePasses.get()
-	rp.xs, rp.ys, rp.region, rp.opts = xs, ys, region, opts
-	n := rp.split(cand, deg, out)
-	if cap(rp.stats) < n {
+	rp.xs, rp.ys, rp.region, rp.opts, rp.out = xs, ys, region, opts, out
+	rp.partBuf, rp.cuts, rp.parts = grid.SplitRangesInto(cand, deg, rp.partBuf, rp.cuts, rp.parts)
+	n := len(rp.parts)
+	if cap(rp.results) < n {
+		rp.results = make([][]int, n)
 		rp.stats = make([]grid.Stats, n)
 	}
-	rp.stats = rp.stats[:n]
+	rp.results, rp.stats = rp.results[:n], rp.stats[:n]
 	p := rp.pass.Run(n, rp)
 	var st grid.Stats
 	for _, s := range rp.stats {
 		st.Add(s)
 	}
-	out, err := rp.merge(p)
-	rp.xs, rp.ys, rp.region, rp.opts = nil, nil, nil, grid.Options{}
+	var err error
+	if p == nil {
+		err = hitMorselMerge(n)
+	}
+	if n > 0 {
+		out = rp.results[0]
+	}
+	for i := 1; i < n; i++ {
+		if p == nil && err == nil {
+			out = append(out, rp.results[i]...)
+		}
+		rowPool.Put(rp.results[i])
+	}
+	clear(rp.results)
+	clear(rp.parts) // a degree-1 partition is the caller's candidate list
+	rp.xs, rp.ys, rp.region, rp.opts, rp.out = nil, nil, nil, grid.Options{}, nil
 	refinePasses.put(rp)
 	if p != nil {
 		panic(p)
@@ -484,6 +648,13 @@ func runDensePass(run *Run, pc *PointCloud, src foldSrc, dom int, rows []int, al
 			}
 		}
 	}
+	emitDense(base, dom, specs, res)
+	return nil
+}
+
+// emitDense appends the non-empty groups of a folded dense slab to res in
+// ascending key order — already FloatOrderKey order.
+func emitDense(base []float64, dom int, specs []GroupedAggSpec, res *GroupedResult) {
 	for k, c := range base[:dom] {
 		if c == 0 {
 			continue
@@ -500,7 +671,6 @@ func runDensePass(run *Run, pc *PointCloud, src foldSrc, dom int, rows []int, al
 			res.Cols[j] = append(res.Cols[j], v)
 		}
 	}
-	return nil
 }
 
 // --- hash grouped aggregation ---------------------------------------------------

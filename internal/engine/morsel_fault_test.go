@@ -77,11 +77,11 @@ func TestFaultMorselWorkerPanicZeroDrift(t *testing.T) {
 		},
 		"grouped-dense": func(run *Run) error {
 			var res GroupedResult
-			return pc.GroupedAggregateRun(run, nil, ColClassification, specs, &res, nil)
+			return pc.GroupedAggregateRun(run, nil, nil, ColClassification, specs, &res, nil)
 		},
 		"grouped-hash": func(run *Run) error {
 			var res GroupedResult
-			return pc.GroupedAggregateRun(run, nil, ColGPSTime, specs, &res, nil)
+			return pc.GroupedAggregateRun(run, nil, nil, ColGPSTime, specs, &res, nil)
 		},
 		"refine": func(run *Run) error { return selectAll(pc, run) },
 	}
@@ -168,11 +168,11 @@ func TestFaultMorselMergeErrorZeroDrift(t *testing.T) {
 		},
 		"grouped-dense": func(run *Run) error {
 			var res GroupedResult
-			return pc.GroupedAggregateRun(run, nil, ColClassification, specs, &res, nil)
+			return pc.GroupedAggregateRun(run, nil, nil, ColClassification, specs, &res, nil)
 		},
 		"grouped-hash": func(run *Run) error {
 			var res GroupedResult
-			return pc.GroupedAggregateRun(run, nil, ColGPSTime, specs, &res, nil)
+			return pc.GroupedAggregateRun(run, nil, nil, ColGPSTime, specs, &res, nil)
 		},
 		"refine": func(run *Run) error { return selectAll(pc, run) },
 	}
@@ -254,7 +254,7 @@ func TestFaultGroupedCancelledAtBlockBoundary(t *testing.T) {
 			run := new(Run)
 			run.Bind(done)
 			before := morselPoolSnapshot()
-			err := pc.GroupedAggregateRun(run, rows, key, specs, &res, nil)
+			err := pc.GroupedAggregateRun(run, rows, nil, key, specs, &res, nil)
 			close(stop)
 			<-watched
 			if err != cancel.ErrCancelled {
@@ -268,6 +268,63 @@ func TestFaultGroupedCancelledAtBlockBoundary(t *testing.T) {
 			}
 			if d := morselPoolSnapshot() - before; d != 0 {
 				t.Fatalf("key %s: cancelled fold drifted pools by %d", key, d)
+			}
+		}
+	}
+}
+
+// TestFaultPipelineCancelledWithinBlocks fires the token from inside the
+// first filter block of a pipelined pass: the kernel's block point stalls
+// while a watcher closes the run's done channel on its first hit. Each
+// partition stops at its next block boundary — a block it had started, and
+// at most one it polled just before the token fired — so both consumers
+// surface cancel.ErrCancelled after at most two blocks per partition, with
+// both pools balanced.
+func TestFaultPipelineCancelledWithinBlocks(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	const point = "engine.kernel.chunk"
+	pc := groupTestCloud(t, morselCloudRows)
+	preds := []ColumnPred{{Column: ColZ, Op: CmpBetween, Value: 0, Value2: 80}}
+	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggAvg, Column: ColZ}}
+	var res GroupedResult
+	for _, deg := range []int{1, 2, 4} {
+		for _, grouped := range []bool{false, true} {
+			faultpoint.Arm(point, faultpoint.Action{Delay: 20 * time.Millisecond})
+			done, stop, watched := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(watched)
+				for faultpoint.HitCount(point) == 0 {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+				close(done)
+			}()
+			run := parRun(deg)
+			run.Bind(done)
+			before := morselPoolSnapshot()
+			var err error
+			if grouped {
+				err = pc.GroupedAggregateRun(run, nil, preds, ColClassification, specs, &res, nil)
+			} else {
+				_, err = pc.FilterRowsRun(run, nil, preds, nil)
+			}
+			close(stop)
+			<-watched
+			if err != cancel.ErrCancelled {
+				t.Fatalf("deg %d grouped %t: err = %v, want ErrCancelled", deg, grouped, err)
+			}
+			if hits := faultpoint.HitCount(point); hits > 2*deg {
+				t.Fatalf("deg %d grouped %t: %d blocks started after the token fired in the first", deg, grouped, hits)
+			}
+			if run.Live() != 0 {
+				t.Fatalf("deg %d grouped %t: cancelled pipeline left %d buffers on the run", deg, grouped, run.Live())
+			}
+			if d := morselPoolSnapshot() - before; d != 0 {
+				t.Fatalf("deg %d grouped %t: cancelled pipeline drifted pools by %d", deg, grouped, d)
 			}
 		}
 	}

@@ -69,8 +69,8 @@ func smallClouds(t *testing.T) map[string]*PointCloud {
 
 // TestMorselFilterMatchesNaive pins the block filter to the per-row
 // Matches loop: FilterRowsRun over random predicate chains (NaN-bearing z
-// included) at degrees 1..5, and the driver over random candidate ranges
-// of the small tables at driverDegrees.
+// included) at degrees 1..5. The pass behind its whole-table arm is pinned
+// at every degree over adversarial tables by TestPipelineMatchesReference.
 func TestMorselFilterMatchesNaive(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	rng := rand.New(rand.NewSource(8))
@@ -103,43 +103,6 @@ func TestMorselFilterMatchesNaive(t *testing.T) {
 			run.RecycleRows(got)
 			if run.Live() != 0 {
 				t.Fatalf("run still owns %d buffers after recycle", run.Live())
-			}
-		}
-	}
-
-	for name, pc := range smallClouds(t) {
-		n := pc.Len()
-		for trial := 0; trial < 30; trial++ {
-			col := cols[rng.Intn(len(cols))]
-			pred := randomPred(rng, pc.Column(col), col)
-			// Random ascending disjoint candidate ranges, possibly none.
-			var cand []colstore.Range
-			for at := 0; at < n; {
-				at += rng.Intn(200)
-				end := min(at+1+rng.Intn(300), n)
-				if at < end {
-					cand = append(cand, colstore.Range{Start: at, End: end})
-				}
-				at = end
-			}
-			var want []int
-			for _, r := range cand {
-				for i := r.Start; i < r.End; i++ {
-					if pred.Matches(pc.Column(col).Value(i)) {
-						want = append(want, i)
-					}
-				}
-			}
-			k := CompileFilterKernel(pc.Column(col), pred.Op)
-			for _, deg := range driverDegrees() {
-				got, err := filterRanges(k, k.Bind(pred.Value, pred.Value2), cand, deg, getRowBuf(0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalRows(got, want) {
-					t.Fatalf("%s deg %d pred %v: %d rows, naive %d", name, deg, pred, len(got), len(want))
-				}
-				RecycleRows(got)
 			}
 		}
 	}
@@ -487,8 +450,9 @@ func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
 		for _, tok := range []*cancel.Token{&fired, nil} {
 			cnt := make([]float64, tileDom)
 			banks := make([]float64, len(specs)*tileDom)
-			foldSpecs(foldSrc{keys8: keys}, pc, specs, rows, rows == nil, 0, n, cnt, foldBanks{flat: banks, n: tileDom},
-				make([]float64, tileDom+1), false, tok)
+			sink := make([]float64, tileDom+1)
+			fillNaN(sink)
+			foldSpecs(foldSrc{keys8: keys}, pc, specs, rows, rows == nil, 0, n, cnt, foldBanks{flat: banks, n: tileDom}, sink, false, tok)
 			counted, touched := 0.0, 0
 			for _, c := range cnt {
 				counted += c
@@ -512,7 +476,7 @@ func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
 			run := new(Run)
 			run.Bind(done)
 			before := morselPoolSnapshot()
-			if err := pc.GroupedAggregateRun(run, rows, key, specs, &res, nil); err != cancel.ErrCancelled {
+			if err := pc.GroupedAggregateRun(run, rows, nil, key, specs, &res, nil); err != cancel.ErrCancelled {
 				t.Fatalf("key %s: err = %v, want ErrCancelled", key, err)
 			}
 			if run.Live() != 0 {
@@ -526,8 +490,9 @@ func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
 }
 
 // sameGroupedRef asserts a grouped result is bit-identical to the
-// row-at-a-time reference (NaN keys and NaN sums compare as equal NaNs:
-// the reference keeps its first-seen payload, as the kernels must).
+// row-at-a-time reference, NaN payloads included: the reference keeps its
+// first-seen key payload and accumulates in ascending row order, as the
+// kernels must.
 func sameGroupedRef(t *testing.T, label string, got *GroupedResult, wantKeys []float64, wantCols [][]float64) {
 	t.Helper()
 	if len(got.Keys) != len(wantKeys) {
@@ -538,7 +503,7 @@ func sameGroupedRef(t *testing.T, label string, got *GroupedResult, wantKeys []f
 			t.Fatalf("%s: key[%d] = %v, reference %v", label, i, got.Keys[i], wantKeys[i])
 		}
 		for j := range wantCols {
-			if !sameBits(got.Cols[j][i], wantCols[j][i]) && !(got.Cols[j][i] != got.Cols[j][i] && wantCols[j][i] != wantCols[j][i]) {
+			if !sameBits(got.Cols[j][i], wantCols[j][i]) {
 				t.Fatalf("%s: col %d group %d = %v, reference %v", label, j, i, got.Cols[j][i], wantCols[j][i])
 			}
 		}
@@ -572,7 +537,7 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 				wantKeys, wantCols := refGrouped(pc, rows, key, specs)
 				for _, deg := range []int{1, 2, 3, 4} {
 					run := parRun(deg)
-					if err := pc.GroupedAggregateRun(run, rows, key, specs, &got, nil); err != nil {
+					if err := pc.GroupedAggregateRun(run, rows, nil, key, specs, &got, nil); err != nil {
 						t.Fatal(err)
 					}
 					if run.Live() != 0 {
@@ -631,7 +596,7 @@ func TestMorselFoldPlanEveryDegree(t *testing.T) {
 			wantKeys, wantCols := refGrouped(big, sel, key, cfg.specs)
 			for _, deg := range []int{1, 2, 3, 4} {
 				run := parRun(deg)
-				if err := big.GroupedAggregateRun(run, sel, key, cfg.specs, &got, nil); err != nil {
+				if err := big.GroupedAggregateRun(run, sel, nil, key, cfg.specs, &got, nil); err != nil {
 					t.Fatal(err)
 				}
 				if run.Live() != 0 {
@@ -882,7 +847,7 @@ func TestMorselCancelledMidPass(t *testing.T) {
 	run.Drain()
 	var res GroupedResult
 	for _, key := range []string{ColClassification, ColGPSTime} {
-		err := pc.GroupedAggregateRun(run, nil, key, []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}}, &res, nil)
+		err := pc.GroupedAggregateRun(run, nil, nil, key, []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}}, &res, nil)
 		if err != cancel.ErrCancelled {
 			t.Fatalf("grouped key %s err = %v, want ErrCancelled", key, err)
 		}
@@ -902,9 +867,9 @@ func TestMorselCancelledMidPass(t *testing.T) {
 }
 
 // TestMorselConcurrentParallelQueries is the engine-level -race stress:
-// many goroutines run filters, aggregates and grouped passes at mixed
-// degrees over one table; every result must equal the degree-1 answer
-// (itself pinned to the references above).
+// many goroutines run filters, aggregates, grouped passes and piped
+// grouped passes at mixed degrees over one table; every result must equal
+// the degree-1 answer (itself pinned to the references above).
 func TestMorselConcurrentParallelQueries(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	preds := []ColumnPred{{Column: ColZ, Op: CmpBetween, Value: 0, Value2: 80}}
@@ -916,9 +881,13 @@ func TestMorselConcurrentParallelQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantGrouped GroupedResult
+	var wantGrouped, wantPiped GroupedResult
 	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMax, Column: ColZ}}
 	if err := pc.GroupedAggregate(nil, ColClassification, specs, &wantGrouped, nil); err != nil {
+		t.Fatal(err)
+	}
+	pipedSpecs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggAvg, Column: ColZ}}
+	if err := pc.GroupedAggregate(wantRows, ColClassification, pipedSpecs, &wantPiped, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -948,12 +917,28 @@ func TestMorselConcurrentParallelQueries(t *testing.T) {
 				if !sameBits(lo, wantMin) {
 					errs <- "min diverged under concurrency"
 				}
-				if err := pc.GroupedAggregateRun(run, nil, ColClassification, specs, &res, nil); err != nil {
+				if err := pc.GroupedAggregateRun(run, nil, nil, ColClassification, specs, &res, nil); err != nil {
 					errs <- err.Error()
 					return
 				}
 				if len(res.Keys) != len(wantGrouped.Keys) {
 					errs <- "grouped key count diverged under concurrency"
+				}
+				if err := pc.GroupedAggregateRun(run, nil, preds, ColClassification, pipedSpecs, &res, nil); err != nil {
+					errs <- err.Error()
+					return
+				}
+				if len(res.Keys) != len(wantPiped.Keys) {
+					errs <- "piped grouped key count diverged under concurrency"
+					return
+				}
+				for j := range wantPiped.Cols {
+					for k := range wantPiped.Keys {
+						if !sameBits(res.Cols[j][k], wantPiped.Cols[j][k]) {
+							errs <- "piped grouped result diverged under concurrency"
+							return
+						}
+					}
 				}
 			}
 		}(g)
@@ -1019,7 +1004,7 @@ func TestMorselSteadyStateZeroAllocs(t *testing.T) {
 	for _, key := range []string{ColClassification, ColGPSTime} {
 		specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
 		allocs = testing.AllocsPerRun(50, func() {
-			if err := pc.GroupedAggregateRun(run, nil, key, specs, &res, nil); err != nil {
+			if err := pc.GroupedAggregateRun(run, nil, nil, key, specs, &res, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -1034,27 +1019,36 @@ func TestMorselSteadyStateZeroAllocs(t *testing.T) {
 
 // TestMorselDegreeHeuristic pins the degree rule: explicit caps are
 // honoured, small inputs stay at degree 1, 1 forces it, and the unset
-// default defers to the table's auto-parallel flag.
+// default defers to the table's auto-parallel flag — on by default, so a
+// new table fans out to the worker count, and off forces degree 1 — for
+// every operator but a cap-only one (grid refinement), which the default
+// leaves at degree 1.
 func TestMorselDegreeHeuristic(t *testing.T) {
 	pc := NewPointCloud()
-	if d := pc.morselDegree(parRun(8), 4*morselMinRows); d != 4 {
+	if d := pc.morselDegree(parRun(8), 4*morselMinRows, true); d != 4 {
 		t.Fatalf("degree(cap 8, 4 partitions of rows) = %d, want 4", d)
 	}
-	if d := pc.morselDegree(parRun(3), 16*morselMinRows); d != 3 {
+	if d := pc.morselDegree(parRun(3), 16*morselMinRows, true); d != 3 {
 		t.Fatalf("degree(cap 3, large) = %d, want 3", d)
 	}
-	if d := pc.morselDegree(parRun(8), 2*morselMinRows-1); d != 1 {
+	if d := pc.morselDegree(parRun(8), 2*morselMinRows-1, true); d != 1 {
 		t.Fatalf("degree just under two partitions = %d, want 1", d)
 	}
-	if d := pc.morselDegree(parRun(1), 64*morselMinRows); d != 1 {
+	if d := pc.morselDegree(parRun(1), 64*morselMinRows, true); d != 1 {
 		t.Fatalf("degree(cap 1) = %d, want 1", d)
 	}
-	if d := pc.morselDegree(nil, 64*morselMinRows); d != 1 {
-		t.Fatalf("degree(no run, Parallel off) = %d, want 1", d)
+	if d := pc.morselDegree(nil, 64*morselMinRows, true); d != morsel.Workers() {
+		t.Fatalf("degree(no run, default) = %d, want the worker count %d", d, morsel.Workers())
 	}
-	pc.Parallel = true
-	if d := pc.morselDegree(nil, 64*morselMinRows); d < 1 {
-		t.Fatalf("degree(no run, Parallel on) = %d, want >= 1", d)
+	if d := pc.morselDegree(nil, 64*morselMinRows, false); d != 1 {
+		t.Fatalf("degree(no run, default, cap-only operator) = %d, want 1", d)
+	}
+	if d := pc.morselDegree(parRun(4), 64*morselMinRows, false); d != 4 {
+		t.Fatalf("degree(cap 4, cap-only operator) = %d, want 4", d)
+	}
+	pc.Parallel = false
+	if d := pc.morselDegree(nil, 64*morselMinRows, true); d != 1 {
+		t.Fatalf("degree(no run, Parallel off) = %d, want 1", d)
 	}
 }
 

@@ -18,10 +18,9 @@ func TestParallelSelectionMatchesSerial(t *testing.T) {
 		grid.GeometryRegion{G: poly},
 		grid.BufferRegion{G: road, D: 50},
 	} {
-		serial := pc.SelectRegionRows(region)
-		pc.Parallel = true
-		parallel := pc.SelectRegionRows(region)
-		pc.Parallel = false
+		// Refinement fans out under an explicit cap only.
+		serial := pc.SelectRegionRowsRun(parRun(1), region, -1, nil)
+		parallel := pc.SelectRegionRowsRun(parRun(4), region, -1, nil)
 		if len(serial) == 0 || !equalRows(serial, parallel) {
 			t.Fatalf("%v: serial %d rows, parallel %d rows", region, len(serial), len(parallel))
 		}

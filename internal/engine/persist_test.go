@@ -157,3 +157,81 @@ func TestColumnFileBytesMissing(t *testing.T) {
 		t.Fatal("missing files should error")
 	}
 }
+
+// FuzzOpenPointCloud: whatever the manifest and column-file bytes,
+// OpenPointCloud returns an error or a table of exactly the manifest's
+// rows — never a panic, never success on column files shorter than those
+// rows need, and never an allocation out of proportion to the bytes on
+// disk (a manifest may claim 1<<40 rows over a few bytes of column). Every
+// column file holds the same fuzzed bytes, read at its own width.
+func FuzzOpenPointCloud(f *testing.F) {
+	dir := filepath.Join(f.TempDir(), "seed")
+	if err := randomTestCloud(3, 1).Save(dir); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	col, err := os.ReadFile(filepath.Join(dir, "col_"+ColX+".bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rows := func(n string) []byte {
+		if !strings.Contains(string(valid), `"rows": 3,`) {
+			f.Fatal("the saved manifest no longer spells its row count as the seeds expect")
+		}
+		return []byte(strings.Replace(string(valid), `"rows": 3,`, `"rows": `+n+`,`, 1))
+	}
+	f.Add(valid, col)
+	f.Add(valid, col[:len(col)-1])
+	f.Add(rows("0"), []byte{})
+	f.Add(rows("1099511627776"), col)
+	f.Add(rows("-1"), col)
+	f.Add(rows("1e3"), col)
+	f.Add([]byte(`{"format_version": 1, "rows": 2, "columns": []}`), col)
+	f.Add([]byte("{"), []byte{0})
+	f.Fuzz(func(t *testing.T, manifestBytes, colBytes []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), manifestBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fields := PointCloudSchema().Fields
+		for _, fd := range fields {
+			if err := os.WriteFile(filepath.Join(dir, "col_"+fd.Name+".bin"), colBytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var (
+			pc  *PointCloud
+			err error
+		)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pc, err = OpenPointCloud(dir)
+		runtime.ReadMemStats(&after)
+		// Fixed: the manifest decode, the empty table and one read chunk
+		// per column; then a few times the bytes on disk.
+		bound := uint64(4<<20 + 32*(len(manifestBytes)+len(fields)*len(colBytes)))
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+			t.Fatalf("opening %d manifest and %d column bytes allocated %d bytes, bound %d",
+				len(manifestBytes), len(colBytes), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		var m manifest
+		if err := json.Unmarshal(manifestBytes, &m); err != nil {
+			t.Fatalf("opened a table from a manifest that does not decode: %v", err)
+		}
+		if pc.Len() != m.Rows {
+			t.Fatalf("opened %d rows, manifest claims %d", pc.Len(), m.Rows)
+		}
+		for _, fd := range fields {
+			if need := m.Rows * fd.Type.Size(); need > len(colBytes) {
+				t.Fatalf("column %s: %d rows of %d bytes opened from a %d-byte file",
+					fd.Name, m.Rows, fd.Type.Size(), len(colBytes))
+			}
+		}
+	})
+}

@@ -32,9 +32,11 @@ type PointCloud struct {
 	ImprintOpts imprints.Options
 	GridOpts    grid.Options
 	// Parallel lets large operators (filter, min/max, grouped count/min/max,
-	// grid refinement) fan across the resident worker set when the run sets
-	// no degree cap of its own (MonetDB executes operators in parallel;
-	// results are identical).
+	// the filter ahead of a grouped fold) fan across the resident worker
+	// set when the run sets no degree cap of its own (MonetDB executes
+	// operators in parallel; results are identical). On by default; a run
+	// cap of 1 (Executor.SetParallelism(1)) forces serial execution. Grid
+	// refinement fans out under an explicit run cap only (morselDegree).
 	Parallel bool
 
 	mu       sync.Mutex
@@ -67,12 +69,13 @@ func NewPointCloud() *PointCloud {
 	schema := PointCloudSchema()
 	cols := schema.NewColumns()
 	return &PointCloud{
-		schema: schema,
-		cols:   cols,
-		xs:     cols[0].(*colstore.F64Column),
-		ys:     cols[1].(*colstore.F64Column),
-		zs:     cols[2].(*colstore.F64Column),
-		plans:  bounded.New[planKey, *Kernel](maxCachedPlans),
+		schema:   schema,
+		cols:     cols,
+		xs:       cols[0].(*colstore.F64Column),
+		ys:       cols[1].(*colstore.F64Column),
+		zs:       cols[2].(*colstore.F64Column),
+		plans:    bounded.New[planKey, *Kernel](maxCachedPlans),
+		Parallel: true,
 	}
 }
 
@@ -280,7 +283,8 @@ func (pc *PointCloud) SelectRegionRows(region grid.Region) []int {
 //     cache lines that may hold a point of the region's bounding box;
 //  2. refine — the regular grid classifies cells against the region and
 //     only boundary cells fall back to exact point tests, in morsel
-//     partitions at the degree morselDegree picks (refineRanges).
+//     partitions at the degree morselDegree picks (refineRanges) — more
+//     than one only under an explicit run cap.
 //
 // The matching row ids come back ascending in a pooled vector, tracked by
 // run (hand it back with run.RecycleRows, or RecycleRows when run is nil);
@@ -343,7 +347,7 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, limit in
 			// the release list follows the final slice.
 			held = run.AcquireRows(n)
 		}
-		d := pc.morselDegree(run, n)
+		d := pc.morselDegree(run, n, false)
 		rows, rst, err = refineRanges(xs, ys, cand, region, opts, d, held)
 		rows = run.SwapRows(held, rows)
 		run.recycleRanges(cand)

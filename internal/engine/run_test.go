@@ -226,7 +226,7 @@ func TestGroupedAggregateRunCancelled(t *testing.T) {
 	var res GroupedResult
 	f64Before := F64PoolStats().Outstanding
 	drift := selectionDrift(t, func() {
-		err := pc.GroupedAggregateRun(&rs, rows, "classification",
+		err := pc.GroupedAggregateRun(&rs, rows, nil, "classification",
 			[]GroupedAggSpec{{Fn: engineAggCountForTest()}}, &res, nil)
 		if err != cancel.ErrCancelled {
 			t.Fatalf("err = %v, want cancel.ErrCancelled", err)

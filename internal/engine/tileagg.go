@@ -102,7 +102,7 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 	}
 	deg := 1
 	if specsMergeExact(specs) {
-		deg = pc.morselDegree(run, n-from)
+		deg = pc.morselDegree(run, n-from, true)
 	}
 	if err := pc.runTilePass(run, tiler, u8.Values(), specs, cnt, banks, nslots, from, n, deg); err != nil {
 		return err
@@ -167,6 +167,9 @@ func (tp *tilePass) RunPartition(slot int) {
 		seedBank(cnt, AggCount)
 	}
 	sink := tp.slabs[(tp.deg-1)*tp.stride:][slot*(tp.nslots+1) : (slot+1)*(tp.nslots+1)]
+	if slot == 0 {
+		fillNaN(sink) // partition 0 folds onto the caller's banks unseeded
+	}
 	foldSpecs(foldSrc{slots: slots}, tp.pc, tp.specs, nil, true, start, end, cnt, fb, sink, slot > 0, tp.tok)
 }
 
@@ -241,6 +244,7 @@ func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []G
 		}
 	}
 	var sink [tileDom + 1]float64
+	fillNaN(sink[:])
 	fb := foldBanks{flat: bank[tileDom:], n: tileDom}
 	foldSpecs(foldSrc{keys8: u8.Values()}, pc, specs, rows, false, 0, len(rows), bank[:tileDom], fb, sink[:], false, nil)
 	return nil

@@ -1,17 +1,11 @@
-// Tile↔region coverage classification (PR 10): relates the tiles of an
-// sfc.Grid quantiser to a query region, the primitive behind the
-// pre-aggregation pyramid's interior/boundary split. A tile classified
-// BoxInside contributes its pre-aggregates wholesale; BoxBoundary tiles
-// fall back to exact per-row refinement; BoxOutside tiles are skipped.
-// The classification calls are the same Region.Classify the refiner's
-// bulk-accept path relies on, so the split is consistent with per-row
-// Contains membership.
+// Tile↔region span: relates the tiles of an sfc.Grid quantiser to
+// a query region, the primitive behind the pre-aggregation pyramid's
+// interior/boundary split. The pyramid classifies the tiles of the span
+// with the same Region.Classify the refiner's bulk-accept path relies on,
+// so the split is consistent with per-row Contains membership.
 package grid
 
-import (
-	"gisnav/internal/geom"
-	"gisnav/internal/sfc"
-)
+import "gisnav/internal/sfc"
 
 // TileSpan returns the inclusive cell-coordinate rectangle of quantiser g
 // tiles that can contain region points: the region's envelope clipped to
@@ -35,23 +29,4 @@ func TileSpan(g sfc.Grid, region Region) (x0, y0, x1, y1 uint32, ok bool) {
 	x0, y0 = g.Cell(clip.MinX, clip.MinY)
 	x1, y1 = g.Cell(clip.MaxX, clip.MaxY)
 	return x0, y0, x1, y1, true
-}
-
-// TileCover classifies every tile in region's TileSpan against the
-// region, visiting tiles in ascending (cy, cx) order — the deterministic
-// tile order the pyramid's fold contract is defined over. visit returns
-// false to stop the walk early. Nothing is visited when TileSpan reports
-// no overlap.
-func TileCover(g sfc.Grid, region Region, visit func(cx, cy uint32, rel geom.BoxRelation) bool) {
-	x0, y0, x1, y1, ok := TileSpan(g, region)
-	if !ok {
-		return
-	}
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			if !visit(cx, cy, region.Classify(g.CellBox(cx, cy))) {
-				return
-			}
-		}
-	}
 }

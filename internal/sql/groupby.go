@@ -232,9 +232,10 @@ func (gp *groupedPlan) vectorize(b *binding, mode planMode) {
 // the strategy fixed at Prepare: engine grouped kernels when the plan
 // vectorized, the row-at-a-time interpreter otherwise. Both arms emit
 // groups in the same canonical key order and share the ORDER BY/LIMIT tail.
-// A nil rows means all rows and reaches only the engine arm
-// (finishPointCloud hands it over when there is nothing to filter).
-func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
+// A nil rows means all rows and, like non-empty preds (the thematic
+// predicates the engine applies ahead of its fold), reaches only the
+// engine arm: finishPointCloud hands both over for a vectorized plan.
+func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, preds []engine.ColumnPred, isVector bool, ex *engine.Explain) (*Result, error) {
 	gp := p.grouped
 	start := time.Now()
 	var res *Result
@@ -242,7 +243,7 @@ func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isV
 	if gp.keyCol != "" && !isVector {
 		// ex lands the engine's group.agg step (kernel strategy + timing)
 		// ahead of the SQL-layer group step below; nil on untraced runs.
-		if err := p.b.pc.GroupedAggregateRun(rs, rows, gp.keyCol, gp.specs, &gp.scratch, ex); err != nil {
+		if err := p.b.pc.GroupedAggregateRun(rs, rows, preds, gp.keyCol, gp.specs, &gp.scratch, ex); err != nil {
 			return nil, err
 		}
 		strategy = gp.scratch.Strategy

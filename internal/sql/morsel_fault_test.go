@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"gisnav/internal/engine"
 	"gisnav/internal/faultpoint"
@@ -136,4 +137,55 @@ func TestFaultMorselSerialUnderCap(t *testing.T) {
 	if n := faultpoint.HitCount("engine.morsel.worker"); n != 0 {
 		t.Fatalf("serial cap still hit the worker point %d times", n)
 	}
+}
+
+// TestFaultPipelineProducerPanic arms the filter kernel's block point to
+// panic mid-way through the pipelined GROUP BY at degree 2. The consumer's
+// fold is slowed per block, so the producer runs ahead and is the one
+// filtering when the point fires; whichever partition it hits, the
+// consumer must not wait on a morsel that will never be published. The
+// run returns a *QueryError without hanging, with pool accounting at
+// pre-query values, and the poisoned statement's next run matches a
+// fresh Prepare.
+func TestFaultPipelineProducerPanic(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	e := morselTestDB(t)
+	e.SetParallelism(2)
+	q := morselQueries["piped"]
+	mustQuery(t, e, q) // warm: plan cached, pools primed
+
+	faultpoint.Arm("engine.groupagg.block", faultpoint.Action{Delay: 5 * time.Millisecond})
+	faultpoint.Arm("engine.kernel.chunk", faultpoint.Action{Panic: "producer fault", After: 40})
+	delta := morselDrift(t, func() {
+		var err error
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			_, err = e.QueryContext(context.Background(), q)
+		}()
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatal("pipelined query hung after a partition panic")
+		}
+		var qe *QueryError
+		if !errors.As(err, &qe) || qe.Panic != "producer fault" {
+			t.Fatalf("err = %v (%T), want a *QueryError carrying the armed panic", err, err)
+		}
+	})
+	if delta != 0 {
+		t.Fatalf("producer panic drifted pools by %d", delta)
+	}
+	faultpoint.Reset()
+
+	res := mustQuery(t, e, q)
+	fresh, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultRowsEqual(t, "post-panic run vs fresh Prepare", res, want)
 }

@@ -30,12 +30,15 @@ func morselTestDB(t *testing.T) *Executor {
 
 // morselQueries routes each parallel driver through a real statement: the
 // filter fan-out behind a thematic predicate, the min/max fused-aggregate
-// fan-out, and the grouped fan-out (count/min/max specs only — a sum in
-// the list keeps grouping serial by design).
+// fan-out, the grouped fan-out (count/min/max specs only — a sum in the
+// list keeps the fold serial by design) and the pipelined pass, where a
+// whole-table predicate feeds the grouped fold and only the filter fans
+// out, so its avg stays in row order.
 var morselQueries = map[string]string{
 	"filter":  "SELECT count(*) FROM big WHERE z > 5",
 	"agg":     "SELECT max(z) FROM big",
 	"grouped": "SELECT classification, count(*), min(z) FROM big GROUP BY classification",
+	"piped":   "SELECT classification, count(*), avg(z) FROM big WHERE z BETWEEN 5 AND 40 GROUP BY classification",
 }
 
 // TestParallelismCapMatchesSerial: the executor's degree cap changes no

@@ -162,14 +162,23 @@ func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []i
 		}
 		return nil, err
 	}
+	if len(p.generic) == 0 && p.mode != planVector && p.out == outGrouped && p.grouped.keyCol != "" {
+		// A vectorized GROUP BY takes the thematic predicates with it: the
+		// engine filters ahead of its fold — over the whole table, as one
+		// pipelined pass — and a nil rows reaches its gather-free all-rows
+		// arms instead of an identity vector.
+		res, err := pq.output(rs, p, rows, p.preds, ex)
+		if rows != nil {
+			rs.RecycleRows(rows)
+		}
+		return res, err
+	}
 	if rows == nil && len(p.preds) == 0 && len(p.generic) == 0 && p.mode != planVector &&
-		(p.out == outGrouped && p.grouped.keyCol != "" ||
-			p.out == outAggregate && rowFreeAggregates(p.b, pq.stmt)) {
-		// Nothing to filter ahead of a vectorized GROUP BY or of aggregates
-		// the engine's kernels answer: nil reaches their gather-free
-		// all-rows arms (and count(*) the table length) instead of an
-		// identity vector they would gather through.
-		return pq.output(rs, p, nil, ex)
+		p.out == outAggregate && rowFreeAggregates(p.b, pq.stmt) {
+		// Nothing to filter ahead of aggregates the engine's kernels
+		// answer: nil reaches their gather-free all-rows arms (and count(*)
+		// the table length) instead of an identity vector.
+		return pq.output(rs, p, nil, nil, ex)
 	}
 	filtered, err := p.b.pc.FilterRowsRun(rs, rows, p.preds, ex)
 	if err != nil {
@@ -192,7 +201,7 @@ func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []i
 		return nil, err
 	}
 	rows = narrowed
-	res, err := pq.output(rs, p, rows, ex)
+	res, err := pq.output(rs, p, rows, nil, ex)
 	rs.RecycleRows(rows)
 	return res, err
 }
@@ -250,7 +259,7 @@ func (pq *PreparedQuery) runVector(rs *engine.Run, p *queryPlan, ex *engine.Expl
 		rs.RecycleRows(rows)
 		return nil, err
 	}
-	res, err := pq.output(rs, p, rows, ex)
+	res, err := pq.output(rs, p, rows, nil, ex)
 	rs.RecycleRows(rows)
 	return res, err
 }
@@ -341,8 +350,10 @@ func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explai
 // column is an exactly-sized heap vector — never pool-tracked, it outlives
 // the run's drain — filled in exprChunk blocks with one cancellation poll
 // per block: compiled items gather straight into their float vector, the
-// rest evaluate through the interpreter into a Value vector.
-func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explain) (*Result, error) {
+// rest evaluate through the interpreter into a Value vector. preds are
+// thematic predicates still to apply to rows; only the vectorized GROUP BY
+// takes any (finishPointCloud).
+func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds []engine.ColumnPred, ex *engine.Explain) (*Result, error) {
 	if err := faultpoint.Hit("sql.run.output"); err != nil {
 		return nil, err
 	}
@@ -350,7 +361,7 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, ex *en
 	stmt := pq.stmt
 	switch p.out {
 	case outGrouped:
-		return execGrouped(rs, p, stmt, rows, isVector, ex)
+		return execGrouped(rs, p, stmt, rows, preds, isVector, ex)
 	case outAggregate:
 		return outputAggregates(rs, p, stmt, rows, isVector, ex)
 	}

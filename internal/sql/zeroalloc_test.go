@@ -100,6 +100,29 @@ func TestPreparedGroupedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPipedGroupedSteadyStateAllocs pins the whole-table GROUP BY behind a
+// thematic predicate — the engine filters ahead of its fold as one
+// pipelined pass — to the same result-only allocations, and to the piped
+// route in EXPLAIN.
+func TestPipedGroupedSteadyStateAllocs(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	q := `SELECT classification, count(*), avg(z) FROM ahn2 WHERE z BETWEEN 0 AND 20 GROUP BY classification`
+	piped := false
+	for _, s := range mustQuery(t, e, q).Explain.Steps {
+		piped = piped || s.Op == "filter.column" && strings.HasPrefix(s.Detail, "piped:")
+	}
+	if !piped {
+		t.Fatal("the predicate was not piped into the grouped fold")
+	}
+	allocs, rows := runSteady(t, e, q)
+	if rows == 0 {
+		t.Fatal("piped grouped query matched no groups; the measurement is vacuous")
+	}
+	if allocs > 3 {
+		t.Fatalf("piped grouped run allocates %.1f objects/op, want <= 3 (result only)", allocs)
+	}
+}
+
 // TestUnfilteredGroupedTakesAllRowsArm pins the no-region, no-predicate
 // GROUP BY to the engine's gather-free all-rows arm: same answer as the
 // filtered arm under an always-true predicate, result-only allocations, and
