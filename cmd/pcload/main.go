@@ -65,6 +65,8 @@ func main() {
 		lastPC = pc
 	}
 	tbl.WriteTo(os.Stdout)
+	fmt.Println("binary: convert = header pass + tile decode into the reserved rows, append = reserve + publish lengths")
+	fmt.Println("csv:    convert = tile decode + CSV rendering, append = CSV parsing into the table")
 
 	if *imprints && lastPC != nil {
 		d := lastPC.EnsureImprints()

@@ -91,6 +91,14 @@ type Column interface {
 	WriteBinary(w io.Writer) (int64, error)
 	// AppendBinary appends n values from a raw little-endian array.
 	AppendBinary(r io.Reader, n int) error
+	// Reserve makes room for n values past Len in at most one
+	// reallocation, which is how a bulk path sizes a column once from a
+	// count its bytes bound. The room reads zero and is the writable,
+	// still invisible tail of Values() up to its capacity.
+	Reserve(n int)
+	// Extend makes the next n values past Len visible, as their writers
+	// left them; n must fit the capacity.
+	Extend(n int)
 	// format appends element i as CSV text.
 	format(dst []byte, i int) []byte
 }

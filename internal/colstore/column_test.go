@@ -195,6 +195,37 @@ func TestBinaryShortRead(t *testing.T) {
 	}
 }
 
+// Reserve grows a column once, to need + need/16, and leaves its length
+// alone; the room reads zero even where an earlier value was rolled back;
+// Extend makes it visible; and a reserved AppendBinary never reallocates.
+func TestReserveExtend(t *testing.T) {
+	c := NewNum([]int32{1, 2, 3})
+	c.Reserve(157)
+	if c.Len() != 3 || cap(c.Values()) != 160+10 {
+		t.Fatalf("reserve 157 over 3: len %d cap %d, want 3 and 170", c.Len(), cap(c.Values()))
+	}
+	room := c.Values()[3:160]
+	for i := range room {
+		room[i] = int32(i)
+	}
+	c.Extend(157)
+	if c.Len() != 160 || c.Values()[159] != 156 || c.Values()[2] != 3 {
+		t.Fatalf("extend: len %d, last %d", c.Len(), c.Values()[159])
+	}
+	base := &c.Values()[0]
+	if err := c.AppendBinary(bytes.NewReader(make([]byte, 3)), 1); err == nil {
+		t.Fatal("short read should error")
+	}
+	c.Values()[:161][160] = 9 // a value past Len, as a rolled-back read leaves
+	c.Reserve(10)
+	if &c.Values()[0] != base || c.Values()[:170][160] != 0 {
+		t.Fatal("a reserve within capacity moved the column or kept a stale value")
+	}
+	if err := c.AppendBinary(bytes.NewReader(make([]byte, 40)), 10); err != nil || &c.Values()[0] != base || c.Len() != 170 {
+		t.Fatalf("reserved AppendBinary: err %v, len %d, moved %v", err, c.Len(), &c.Values()[0] != base)
+	}
+}
+
 func TestStrColumn(t *testing.T) {
 	c := NewStrColumn()
 	c.AppendString("motorway")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -56,6 +57,23 @@ func (c *Num[T]) Values() []T { return c.vals }
 
 // Append adds values.
 func (c *Num[T]) Append(vs ...T) { c.vals = append(c.vals, vs...) }
+
+// Reserve implements Column. Growth is one reallocation to need + need/16
+// for need = Len()+n: the sixteenth keeps the next small append from
+// reallocating a freshly sized column, and no more slack stays resident.
+func (c *Num[T]) Reserve(n int) {
+	need := len(c.vals) + n
+	if need <= cap(c.vals) {
+		clear(c.vals[len(c.vals):need])
+		return
+	}
+	vals := make([]T, len(c.vals), need+need/16)
+	copy(vals, c.vals)
+	c.vals = vals
+}
+
+// Extend implements Column.
+func (c *Num[T]) Extend(n int) { c.vals = c.vals[:len(c.vals)+n] }
 
 // AppendValue implements Column.
 func (c *Num[T]) AppendValue(v float64) { c.vals = append(c.vals, T(v)) }
@@ -141,9 +159,10 @@ func (c *Num[T]) WriteBinary(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// AppendBinary implements Column. The column grows one chunk at a time as
-// the bytes arrive, never by n up front: n may come from an untrusted
-// manifest. A short read leaves the column as it was.
+// AppendBinary implements Column. Unless Reserve made room for them, the
+// values arrive one chunk at a time and the column grows by each, never by
+// n up front: n may come from an untrusted manifest. A short read leaves
+// the column as it was.
 func (c *Num[T]) AppendBinary(r io.Reader, n int) error {
 	size := c.dtype().Size()
 	per := binChunk / size
@@ -156,12 +175,7 @@ func (c *Num[T]) AppendBinary(r io.Reader, n int) error {
 			return fmt.Errorf("%s column: short read at %d/%d: %w", c.dtype(), done+m/size, n, err)
 		}
 		at := len(c.vals)
-		for cap(c.vals)-at < k {
-			// Grow as one-value appends would, so a loaded column keeps the
-			// capacity, and the resident heap, of an element-wise reader.
-			c.vals = append(c.vals[:cap(c.vals)], 0)[:at]
-		}
-		c.vals = c.vals[:at+k]
+		c.vals = slices.Grow(c.vals, k)[:at+k]
 		_, _ = binary.Decode(buf[:k*size], binary.LittleEndian, c.vals[at:]) // sizes match by construction
 		done += k
 	}

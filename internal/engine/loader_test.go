@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"gisnav/internal/geom"
 	"gisnav/internal/las"
@@ -142,7 +146,7 @@ func randomPoints(n int, seed int64) []las.Point {
 }
 
 // writeTile writes pts to dir/name.las, or as LAZ-sim to dir/name.laz.
-func writeTile(t *testing.T, dir, name string, format uint8, compressed bool, pts []las.Point) string {
+func writeTile(t testing.TB, dir, name string, format uint8, compressed bool, pts []las.Point) string {
 	t.Helper()
 	write, path := las.WriteFile, filepath.Join(dir, name+".las")
 	if compressed {
@@ -152,6 +156,16 @@ func writeTile(t *testing.T, dir, name string, format uint8, compressed bool, pt
 		t.Fatal(err)
 	}
 	return path
+}
+
+// readTile reads back the points of the tile at path.
+func readTile(t *testing.T, path string) []las.Point {
+	t.Helper()
+	_, pts, err := las.ReadAnyFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }
 
 // rowWise loads repo point by point: las.ReadAnyFile into AppendLAS.
@@ -185,9 +199,14 @@ func sameColumnBits(t *testing.T, what string, got, want *PointCloud) {
 	}
 }
 
+// testDegrees are the decode degrees a load is checked at: serial, two
+// tiles at a time, an odd degree, and more partitions than any test
+// repository has tiles. morselDegree would keep a small repository at 1.
+var testDegrees = []int{1, 2, 3, 8}
+
 // Property: over LAS formats 0–3 and LAZ-sim, at tile sizes around the
 // decode chunk and over a repository of all of them, LoadBinary's table is
-// bit-identical to the row-wise load.
+// bit-identical to the row-wise load at every degree.
 func TestLoadBinaryBitIdentical(t *testing.T) {
 	sizes := []int{0, 1, loadChunk - 1, loadChunk, loadChunk + 1}
 	for _, compressed := range []bool{false, true} {
@@ -211,65 +230,280 @@ func checkBitIdentical(t *testing.T, what, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := NewPointCloud()
-	st, err := LoadBinary(pc, repo)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
 	want := rowWise(t, repo)
-	if st.Points != want.Len() || st.Files != len(repo.Files()) {
-		t.Fatalf("%s: stats %+v for %d rows", what, st, want.Len())
+	for _, deg := range testDegrees {
+		pc := NewPointCloud()
+		st, err := loadBinary(pc, repo, deg)
+		if err != nil {
+			t.Fatalf("%s, degree %d: %v", what, deg, err)
+		}
+		if st.Points != want.Len() || st.Files != len(repo.Files()) {
+			t.Fatalf("%s, degree %d: stats %+v for %d rows", what, deg, st, want.Len())
+		}
+		sameColumnBits(t, fmt.Sprintf("%s, degree %d", what, deg), pc, want)
 	}
-	sameColumnBits(t, what, pc, want)
+}
+
+// spoilers truncate or corrupt a tile file in place.
+var spoilers = map[string]func(path string) error{
+	"truncated": func(path string) error {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, b[:len(b)*2/3], 0o644)
+	},
+	"corrupt": func(path string) error { return os.WriteFile(path, []byte("not a LAS tile"), 0o644) },
+}
+
+// checkFailedLoad loads the tiles of dir, one of them bad, at every test
+// degree into a table holding 10 of pts with built imprints. Every load
+// must fail and leave what the serial one left — rows, bit for bit, epoch
+// and rewrite state — and that must be the tile-by-tile load's state: the
+// seed rows, the good tiles before the bad one (tiles, row-wise) and a
+// whole number of chunks of the bad tile's points (bad), with the columns
+// of one length, the epoch bumped as a rewrite and the imprints dropped.
+// tiles and bad are the points as written, read back before the spoiling.
+// It returns how many of bad's points landed.
+func checkFailedLoad(t *testing.T, what, dir string, pts []las.Point, tiles [][]las.Point, bad []las.Point) int {
+	t.Helper()
+	repo, err := lastools.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		pc           *PointCloud
+		epoch        uint64
+		appendOnly   bool
+		hasImprints  bool
+		files, cover int
+	}
+	var serial state
+	for _, deg := range testDegrees {
+		pc := NewPointCloud()
+		pc.AppendLAS(pts[:10])
+		pc.SelectRegionRows(boxRegion(geom.NewEnvelope(-1e12, -1e12, 1e12, 1e12)))
+		if !pc.HasImprints() {
+			t.Fatalf("%s: the selection built no imprints", what)
+		}
+		epoch := pc.Epoch()
+		st, err := loadBinary(pc, repo, deg)
+		if err == nil {
+			t.Fatalf("%s, degree %d: loading a bad tile succeeded", what, deg)
+		}
+		if err := validateSameLength(pc.Columns()); err != nil {
+			t.Fatalf("%s, degree %d: %v", what, deg, err)
+		}
+		got := state{pc, pc.Epoch(), pc.AppendOnlySince(epoch), pc.HasImprints(), st.Files, st.Points}
+		if deg == 1 {
+			serial = got
+			if got.epoch == epoch || got.appendOnly || got.hasImprints {
+				t.Fatalf("%s: failed load left epoch %d (was %d), append-only %v, imprints %v",
+					what, got.epoch, epoch, got.appendOnly, got.hasImprints)
+			}
+			continue
+		}
+		if got.epoch != serial.epoch || got.appendOnly != serial.appendOnly || got.hasImprints != serial.hasImprints ||
+			got.files != serial.files || got.cover != serial.cover {
+			t.Fatalf("%s, degree %d: left epoch %d, append-only %v, imprints %v, stats %d/%d; degree 1 left %d, %v, %v, %d/%d",
+				what, deg, got.epoch, got.appendOnly, got.hasImprints, got.files, got.cover,
+				serial.epoch, serial.appendOnly, serial.hasImprints, serial.files, serial.cover)
+		}
+		sameColumnBits(t, fmt.Sprintf("%s, degree %d", what, deg), pc, serial.pc)
+	}
+
+	want := NewPointCloud()
+	want.AppendLAS(pts[:10])
+	for _, tile := range tiles {
+		want.AppendLAS(tile)
+	}
+	k := serial.pc.Len() - want.Len()
+	if k < 0 || k > len(bad) || k%loadChunk != 0 {
+		t.Fatalf("%s: %d rows of the bad tile landed, want whole chunks of its %d", what, k, len(bad))
+	}
+	want.AppendLAS(bad[:k])
+	sameColumnBits(t, what, serial.pc, want)
+	return k
 }
 
 // A second tile that is truncated or corrupt fails the load after the
 // first tile's rows landed: the load is a rewrite (the imprints built over
 // the old rows drop and the epoch is not append-only), and the columns
-// stay of one length.
+// stay of one length. A truncated LAS tile keeps the whole chunks of its
+// records before the cut.
 func TestLoadBinaryBadSecondTile(t *testing.T) {
-	pts := randomPoints(2*loadChunk+5, 9)
-	for name, spoil := range map[string]func(path string) error{
-		"truncated": func(path string) error {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, b[:len(b)*2/3], 0o644)
-		},
-		"corrupt": func(path string) error { return os.WriteFile(path, []byte("not a LAS tile"), 0o644) },
-	} {
+	pts := randomPoints(3*loadChunk+5, 9)
+	for name, spoil := range spoilers {
 		for _, compressed := range []bool{false, true} {
 			what := fmt.Sprintf("%s laz %v", name, compressed)
 			dir := t.TempDir()
-			writeTile(t, dir, "a", 3, compressed, pts[:loadChunk])
-			if err := spoil(writeTile(t, dir, "b", 3, compressed, pts[loadChunk:])); err != nil {
+			first := readTile(t, writeTile(t, dir, "a", 3, compressed, pts[:loadChunk]))
+			path := writeTile(t, dir, "b", 3, compressed, pts[loadChunk:])
+			bad := readTile(t, path)
+			if err := spoil(path); err != nil {
 				t.Fatal(err)
 			}
-			repo, err := lastools.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc := NewPointCloud()
-			pc.AppendLAS(pts[:10])
-			pc.SelectRegionRows(boxRegion(geom.NewEnvelope(0, 0, 1e6, 1e6)))
-			if !pc.HasImprints() {
-				t.Fatalf("%s: the selection built no imprints", what)
-			}
-			epoch := pc.Epoch()
-			if _, err := LoadBinary(pc, repo); err == nil {
-				t.Fatalf("%s: loading a bad second tile succeeded", what)
-			}
-			if pc.Len() < 10+loadChunk {
-				t.Fatalf("%s: %d rows; the first tile did not land", what, pc.Len())
-			}
-			if err := validateSameLength(pc.Columns()); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if pc.Epoch() == epoch || pc.AppendOnlySince(epoch) || pc.HasImprints() {
-				t.Fatalf("%s: failed load left epoch %d (was %d), append-only %v, imprints %v",
-					what, pc.Epoch(), epoch, pc.AppendOnlySince(epoch), pc.HasImprints())
+			k := checkFailedLoad(t, what, dir, pts, [][]las.Point{first}, bad)
+			if name == "truncated" && !compressed {
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held := (int(fi.Size()) - las.HeaderSize) / las.PointFormatSize(3)
+				if want := held / loadChunk * loadChunk; k != want || k == 0 {
+					t.Fatalf("%s: %d rows of the cut tile landed, want the %d of its whole chunks", what, k, want)
+				}
 			}
 		}
 	}
+}
+
+// A bad tile in the middle of five: the tiles after it decode beside it at
+// every degree above 1, and their rows must not become visible.
+func TestLoadBinaryBadMiddleTile(t *testing.T) {
+	sizes := []int{loadChunk + 3, 2*loadChunk + 1, 3*loadChunk + 7, loadChunk, 5}
+	pts := randomPoints(8*loadChunk, 12)
+	var tiles [][]las.Point
+	for at, n := range sizes {
+		tiles = append(tiles, pts[at*loadChunk:at*loadChunk+n])
+	}
+	for name, spoil := range spoilers {
+		for _, compressed := range []bool{false, true} {
+			what := fmt.Sprintf("middle %s laz %v", name, compressed)
+			dir := t.TempDir()
+			var written [][]las.Point
+			for k, tile := range tiles {
+				path := writeTile(t, dir, fmt.Sprintf("tile%d", k), 2, compressed, tile)
+				written = append(written, readTile(t, path))
+				if k == 2 {
+					if err := spoil(path); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkFailedLoad(t, what, dir, pts, written[:2], written[2])
+		}
+	}
+}
+
+// A tile whose header claims 4,194,304 points over a few hundred bytes
+// fails the load without sizing anything from the claim: the columns are
+// reserved from what the bytes can hold.
+func TestLoadBinaryClaimedCount(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		dir := t.TempDir()
+		path := writeTile(t, dir, "liar", 3, compressed, randomPoints(5, 3))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := 107 // the point count's offset in the header
+		if compressed {
+			at += 4 // past the LAZ-sim magic
+		}
+		binary.LittleEndian.PutUint32(b[at:], 1<<22)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		repo, err := lastools.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := NewPointCloud()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = LoadBinary(pc, repo)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("laz %v: a tile holding 5 of its claimed points loaded", compressed)
+		}
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*len(b)); grew > bound {
+			t.Fatalf("laz %v: a %d-byte tile claiming %d points allocated %d bytes, bound %d",
+				compressed, len(b), 1<<22, grew, bound)
+		}
+	}
+}
+
+// A load reserves a sixteenth of headroom, so the first small append after
+// it does not move the columns.
+func TestLoadBinaryHeadroom(t *testing.T) {
+	dir := t.TempDir()
+	for k := range 3 {
+		writeTile(t, dir, fmt.Sprintf("tile%d", k), 1, false, randomPoints(15000, int64(k)))
+	}
+	repo, err := lastools.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := NewPointCloud()
+	if _, err := LoadBinary(pc, repo); err != nil {
+		t.Fatal(err)
+	}
+	x := unsafe.SliceData(pc.X())
+	pc.AppendLAS(randomPoints(2500, 7))
+	if unsafe.SliceData(pc.X()) != x || pc.Len() != 47500 {
+		t.Fatalf("a 2,500-point append after a %d-row load moved the x column", pc.Len()-2500)
+	}
+}
+
+// FuzzLoadBinary loads two arbitrary tile files: the load errors, or it
+// yields exactly the rows the headers claim, every column bit-identical to
+// the row-wise load of the same files. It never panics, and it allocates in
+// proportion to the bytes on disk whatever the headers claim.
+func FuzzLoadBinary(f *testing.F) {
+	dir := f.TempDir()
+	var seeds [][]byte
+	for k, compressed := range []bool{false, true} {
+		b, err := os.ReadFile(writeTile(f, dir, fmt.Sprint(k), uint8(2*k+1), compressed, randomPoints(7, int64(k))))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	lie := bytes.Clone(seeds[0])
+	binary.LittleEndian.PutUint32(lie[107:], 1<<22)
+	f.Add(seeds[0], seeds[1])
+	f.Add(seeds[1], seeds[0][:len(seeds[0])-3])
+	f.Add(lie, seeds[1])
+	f.Add(seeds[0], []byte("LAZS"))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		dir := t.TempDir()
+		for i, data := range [][]byte{a, b} {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("tile%d.las", i)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		repo, err := lastools.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := NewPointCloud()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = LoadBinary(pc, repo)
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+32*(len(a)+len(b))); grew > bound {
+			t.Fatalf("loading %d bytes of tiles allocated %d bytes, bound %d", len(a)+len(b), grew, bound)
+		}
+		if err != nil {
+			if err := validateSameLength(pc.Columns()); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		want := NewPointCloud()
+		claimed := 0
+		for _, path := range repo.Files() {
+			h, pts, err := las.ReadAnyFile(path)
+			if err != nil {
+				t.Fatalf("loaded a tile the row-wise reader rejects: %v", err)
+			}
+			claimed += int(h.PointCount)
+			want.AppendLAS(pts)
+		}
+		if pc.Len() != claimed {
+			t.Fatalf("loaded %d rows, the headers claim %d", pc.Len(), claimed)
+		}
+		sameColumnBits(t, "fuzzed tiles", pc, want)
+	})
 }

@@ -114,21 +114,34 @@ func OpenPointCloud(dir string) (*PointCloud, error) {
 			return nil, fmt.Errorf("engine: open: column %d is %s/%s, schema wants %s/%s",
 				i, mf.Name, mf.Type, f.Name, f.Type)
 		}
-		path := filepath.Join(dir, "col_"+f.Name+".bin")
-		file, err := os.Open(path)
-		if err != nil {
+		if err := openColumn(filepath.Join(dir, "col_"+f.Name+".bin"), pc.cols[i], f.Type, m.Rows); err != nil {
 			return nil, fmt.Errorf("engine: open %s: %w", f.Name, err)
 		}
-		if err := pc.cols[i].AppendBinary(file, m.Rows); err != nil {
-			file.Close()
-			return nil, fmt.Errorf("engine: open %s: %w", f.Name, err)
-		}
-		file.Close()
 	}
 	if err := validateSameLength(pc.cols); err != nil {
 		return nil, err
 	}
 	return pc, nil
+}
+
+// openColumn appends the rows values of the dump at path to col. A file
+// too short for them fails before anything is read; otherwise the column
+// is reserved once for them, since the file's size bounds the claim.
+func openColumn(path string, col colstore.Column, t colstore.DType, rows int) error {
+	file, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil {
+		return err
+	}
+	if fi.Size()/int64(t.Size()) < int64(rows) {
+		return fmt.Errorf("%s column: short read: %d bytes for %d values", t, fi.Size(), rows)
+	}
+	col.Reserve(rows)
+	return col.AppendBinary(file, rows)
 }
 
 // ColumnFileBytes reports the on-disk size of each persisted column, for

@@ -102,6 +102,20 @@ func ReadLAZ(src io.Reader) (Header, []Point, error) {
 	return drain(r, err)
 }
 
+// lazMinRecord is the shortest coding of one point in the format: a
+// one-byte varint for each of the X/Y/Z, intensity and point source deltas,
+// the four raw bytes, one for the GPS XOR and one for each RGB delta.
+func lazMinRecord(format uint8) int {
+	n := 9
+	if FormatHasGPS(format) {
+		n++
+	}
+	if FormatHasRGB(format) {
+		n += 3
+	}
+	return n
+}
+
 // lazDecoder is the LAZ-sim half of a Reader: it undoes each point's coding
 // against its predecessor and writes the raw LAS record the point stands
 // for. Its first error sticks.

@@ -17,6 +17,7 @@ type Reader struct {
 	header Header
 	laz    *lazDecoder // nil for a LAS stream
 	read   uint32
+	start  int64 // bytes ahead of the first record: header, gap or magic
 }
 
 // NewReader consumes the header of a LAS stream (and any inter-header gap)
@@ -51,9 +52,10 @@ func newReader(br *bufio.Reader, laz bool) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{br: br, header: h}
+	r := &Reader{br: br, header: h, start: int64(offset)}
 	if laz {
 		r.laz = &lazDecoder{br: br}
+		r.start = int64(len(lazMagic) + HeaderSize)
 	} else if offset > HeaderSize {
 		if _, err := io.CopyN(io.Discard, br, int64(offset-HeaderSize)); err != nil {
 			return nil, fmt.Errorf("las: skipping to point data: %w", err)
@@ -64,6 +66,20 @@ func newReader(br *bufio.Reader, laz bool) (*Reader, error) {
 
 // Header returns the parsed public header block.
 func (r *Reader) Header() Header { return r.header }
+
+// RecordBound returns the most point records a stream of streamBytes bytes,
+// header included, can deliver: the header's count, capped by the bytes
+// after the header over the format's shortest record — RecordSize for
+// LAS, the one-byte codes of an unchanged point for LAZ-sim. A corrupt or
+// truncated header may claim four billion points; storage sized from this
+// bound is never more than the bytes justify.
+func (r *Reader) RecordBound(streamBytes int64) int {
+	shortest := r.header.RecordSize()
+	if r.laz != nil {
+		shortest = lazMinRecord(r.header.PointFormat)
+	}
+	return int(min(int64(r.header.PointCount), max(streamBytes-r.start, 0)/int64(shortest)))
+}
 
 // ReadRecords fills buf with as many whole raw point records, in the LAS
 // layout of the header's format, as it holds and the header's count has

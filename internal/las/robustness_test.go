@@ -258,3 +258,50 @@ func TestReadLAZClaimedCount(t *testing.T) {
 		t.Fatal("a stream holding 5 of its claimed points decoded")
 	}
 }
+
+// RecordBound caps a header's count by what the stream's bytes can hold:
+// whole records for LAS, the shortest coding for LAZ-sim.
+func TestRecordBound(t *testing.T) {
+	for _, laz := range []bool{false, true} {
+		for format := uint8(0); format <= 3; format++ {
+			var buf bytes.Buffer
+			pts := samplePoints(5, 1)
+			start, shortest := HeaderSize, PointFormatSize(format)
+			if laz {
+				start, shortest = len(lazMagic)+HeaderSize, lazMinRecord(format)
+				if err := WriteLAZ(&buf, format, 0.01, 0.01, 0.01, 100000, 450000, 0, pts); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				w, err := NewWriter(&buf, format, 0.01, 0.01, 0.01, 100000, 450000, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range pts {
+					w.Write(p)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := buf.Bytes()
+			bound := func(data []byte, claim uint32) int {
+				binary.LittleEndian.PutUint32(data[start-HeaderSize+107:], claim)
+				r, err := NewAnyReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.RecordBound(int64(len(data)))
+			}
+			if got := bound(b, 5); got != 5 {
+				t.Fatalf("laz %v format %d: honest bound %d, want 5", laz, format, got)
+			}
+			if got, want := bound(b, 1<<22), (len(b)-start)/shortest; got != want || got < 5 {
+				t.Fatalf("laz %v format %d: lying bound %d, want %d", laz, format, got, want)
+			}
+			if got := bound(b[:start], 1<<22); got != 0 {
+				t.Fatalf("laz %v format %d: header-only bound %d", laz, format, got)
+			}
+		}
+	}
+}

@@ -246,6 +246,7 @@ func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, pre
 		if err := p.b.pc.GroupedAggregateRun(rs, rows, preds, gp.keyCol, gp.specs, &gp.scratch, ex); err != nil {
 			return nil, err
 		}
+		start = time.Now() // group.agg timed the engine's fold; group is the rest
 		strategy = gp.scratch.Strategy
 		// Engine results arrive already in FloatOrderKey order.
 		res = materialiseGrouped(gp, ex)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"gisnav/internal/engine"
 	"gisnav/internal/las"
@@ -154,6 +155,47 @@ func TestGroupedStrategyExplain(t *testing.T) {
 		return ""
 	}(); !strings.HasPrefix(d, "interpreter:") {
 		t.Fatalf("vector-table key reported %q, want interpreter", d)
+	}
+}
+
+// TestGroupedExplainCountsOnce: on the vectorized arm the engine's
+// group.agg step times the fold and the SQL-layer group step only what
+// follows it, so the trace sums to no more than the query's wall time and
+// group is the shorter step. Both fail when group re-counts the fold.
+func TestGroupedExplainCountsOnce(t *testing.T) {
+	e, _ := nanDB(t, 200000)
+	for _, q := range []string{
+		"SELECT classification, count(*), avg(z) FROM cloud GROUP BY classification",
+		"SELECT classification, count(*), avg(z) FROM cloud WHERE z > 10 GROUP BY classification",
+	} {
+		shorter := false
+		for range 5 {
+			start := time.Now()
+			res, err := e.QueryContext(context.Background(), q)
+			wall := time.Since(start)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if total := res.Explain.Total(); total > wall {
+				t.Fatalf("%s: trace sums to %v over a %v query:\n%s", q, total, wall, res.Explain)
+			}
+			var group, agg time.Duration
+			for _, s := range res.Explain.Steps {
+				switch s.Op {
+				case "group":
+					group = s.Duration
+				case "group.agg":
+					agg = s.Duration
+				}
+			}
+			if agg == 0 {
+				t.Fatalf("%s: no group.agg step:\n%s", q, res.Explain)
+			}
+			shorter = shorter || group < agg
+		}
+		if !shorter {
+			t.Fatalf("%s: the group step was never shorter than group.agg", q)
+		}
 	}
 }
 
