@@ -1,11 +1,9 @@
 // Package analysis is the repo's custom static-analysis suite: a minimal
 // AST/type-driven analyzer framework (stdlib only — go/parser, go/types and
 // the source importer; the module has no dependencies and must stay
-// offline-buildable) plus the four analyzers that mechanically enforce the
+// offline-buildable) plus the three analyzers that mechanically enforce the
 // ROADMAP's architecture invariants the type system cannot:
 //
-//	constslot    — kernel closures must not capture predicate constants;
-//	               constants flow through KernelArgs / paramStore slots.
 //	releaselist  — pooled acquisitions on a *engine.Run path register in the
 //	               run's release list and recycle through the run.
 //	cancelpoll   — block loops poll cancellation at block boundaries: never
@@ -14,10 +12,12 @@
 //	               epoch-bumping mutation paths, and plan constructors
 //	               capture epochs before reading table state.
 //
-// Two conventions need no analyzer because the code makes them impossible
+// Three conventions need no analyzer because the code makes them impossible
 // to break: every executor entry point takes a context (there is no
-// ctx-less variant to call), and every drop-and-rebuild cache is a
-// bounded.Map, which carries its bound and its counters.
+// ctx-less variant to call), every drop-and-rebuild cache is a bounded.Map,
+// which carries its bound and its counters, and no compiled kernel can hold
+// a predicate constant (engine loop structs and SQL expression nodes have
+// no field that could; reflect tests in engine and sql walk them).
 //
 // The analyzers are example-driven, not sound: each one encodes the shape
 // the invariant takes in THIS codebase (the golden tests under testdata pin
@@ -222,7 +222,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ConstSlotAnalyzer,
 		ReleaseListAnalyzer,
 		CancelPollAnalyzer,
 		EpochGuardAnalyzer,

@@ -67,30 +67,6 @@ func calleeName(call *ast.CallExpr) (name string, isSelector bool) {
 	return "", false
 }
 
-// namedTypeName returns the name of t's named type, looking through
-// pointers and aliases; "" when t has no name.
-func namedTypeName(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	switch n := types.Unalias(t).(type) {
-	case *types.Named:
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// funcName returns a readable name for a function declaration.
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		return namedFieldType(fd.Recv.List[0].Type) + "." + fd.Name.Name
-	}
-	return fd.Name.Name
-}
-
 // namedFieldType renders the bare type name of a receiver/field type
 // expression ("Run" for *Run, "Run[T]" collapses to "Run").
 func namedFieldType(e ast.Expr) string {

@@ -24,14 +24,18 @@
 //
 // Never re-add a per-operator loop without a navbench workload that needs it.
 //
-// Constant-slot invariant: compiled kernels do NOT close over predicate
-// constants. The constants live in a KernelArgs record the caller binds once
+// Constant-slot invariant, held by the types: a Kernel is an operator, a
+// length and one loop struct (floatLoops or intLoops) whose only field is
+// the column's backing array, so no compiled kernel can hold a predicate
+// constant. The constants live in a KernelArgs record the caller binds once
 // per run (Kernel.Bind) and passes by value into every FilterBlock/FilterSel
 // call. A kernel is therefore pure per (column backing array, operator) and
 // one compiled kernel serves every constant vector — the paper's pan/zoom
 // workload slides its bbox on every step, and with constants out of the
 // kernel the plan cache hits on every one of them (plancache.go keys on
 // (column, op) alone; NaN constants never reach a map key).
+// TestKernelsHoldNoConstant walks every column type × operator kernel with
+// reflect and fails on any float, 64-bit integer or func field.
 package engine
 
 import (
@@ -46,7 +50,7 @@ import (
 // KernelArgs is the per-run constant-slot record of one compiled kernel: the
 // predicate's bind-time interval [lo, hi] and complement flag. The integer
 // kernels' bounds are integers whose interval wraps (hi < lo) in place of
-// the flag (see bindInt). It is produced by Kernel.Bind and passed BY VALUE
+// the flag (see intLoops.bind). It is produced by Kernel.Bind and passed BY VALUE
 // through the filter entry points — no pointer, so per-query binding never
 // escapes to the heap and the zero-allocation steady state survives.
 //
@@ -98,76 +102,69 @@ func bindInterval(op CmpOp, v1, v2 float64) (lo, hi float64, inv bool) {
 	return inf, -inf, false
 }
 
-// blockFn appends the row ids in [lo, hi) that satisfy the compiled
-// predicate under args a to out and returns the extended slice.
-type blockFn func(a KernelArgs, lo, hi int, out []int) []int
-
-// selFn appends the row ids from rows that satisfy the compiled predicate
-// under args a to out. out may alias rows[:0]: the write index never
-// overtakes the read index, so in-place compaction is safe.
-type selFn func(a KernelArgs, rows, out []int) []int
-
-// bindFn normalises one predicate's constants into a KernelArgs record.
-type bindFn func(v1, v2 float64) KernelArgs
-
 // Kernel is a compiled (column, operator) pair bound to one column's backing
 // array. Constants are NOT part of the kernel: Bind turns them into the
 // KernelArgs every filter call takes, so one kernel serves every constant
 // vector until the backing array moves (see plancache.go).
 type Kernel struct {
-	// Bind normalises predicate constants (Value, Value2) into the args
-	// record subsequent FilterBlock/FilterSel calls read. Pure: safe for
-	// concurrent binds of the same kernel.
-	Bind bindFn
-	// FilterBlock scans rows [lo, hi) of the column and appends matches to
-	// out — the block-at-a-time entry point driven by imprint candidate
-	// ranges.
-	FilterBlock blockFn
-	// FilterSel narrows an existing selection vector.
-	FilterSel selFn
+	op    CmpOp
+	n     int // column length: block scans stop here
+	loops chunkLoops
+}
+
+// chunkLoops is one value domain's loop pair over one column, plus the bind
+// that maps an operator's constants onto the interval the loops test.
+// floatLoops and intLoops are its only implementations.
+//
+// block writes the row ids in [lo, hi) (at most scanChunk rows) matching
+// args a into buf and returns how many matched; sel writes the surviving
+// ids of rows (at most scanChunk of them). buf must have room for every
+// candidate: the loops write each one unconditionally and advance the write
+// index only on a match, so random selectivities pay no data-dependent
+// branches.
+type chunkLoops interface {
+	bind(op CmpOp, v1, v2 float64) KernelArgs
+	block(a KernelArgs, lo, hi int, buf []int) int
+	sel(a KernelArgs, rows, buf []int) int
 }
 
 // CompileFilterKernel compiles the (column, op) pair into a kernel
 // specialised for col's concrete type; the operator only selects the bind.
-// Each arm instantiates a generic kernel directly from this non-generic
+// Each arm instantiates a generic loop struct directly from this non-generic
 // function: nesting the instantiation inside another generic function would
 // leave the loops on the compiler's gcshape dictionary path, which costs ~4x
 // in the inner loop.
 func CompileFilterKernel(col colstore.Column, op CmpOp) *Kernel {
+	var loops chunkLoops
 	switch t := col.(type) {
 	case *colstore.F64Column:
-		return floatKernel(t.Values(), op)
+		loops = &floatLoops[float64]{t.Values()}
 	case *colstore.U8Column:
-		return intKernel[uint8](t.Values(), op, 0, math.MaxUint8)
+		loops = &intLoops[uint8]{t.Values()}
 	case *colstore.U16Column:
-		return intKernel[uint16](t.Values(), op, 0, math.MaxUint16)
+		loops = &intLoops[uint16]{t.Values()}
 	case *colstore.I32Column:
-		return intKernel[int32](t.Values(), op, math.MinInt32, math.MaxInt32)
+		loops = &intLoops[int32]{t.Values()}
 	case *colstore.I64Column:
 		// Lossy widening: keep float64-compare semantics, but monomorphic.
-		return floatKernel(t.Values(), op)
+		loops = &floatLoops[int64]{t.Values()}
 	default:
 		panic(fmt.Sprintf("engine: no filter kernel for %T", col))
 	}
+	return &Kernel{op: op, n: col.Len(), loops: loops}
 }
+
+// Bind normalises predicate constants (Value, Value2) into the args record
+// subsequent FilterBlock/FilterSel calls read. Pure: safe for concurrent
+// binds of the same kernel.
+func (k *Kernel) Bind(v1, v2 float64) KernelArgs { return k.loops.bind(k.op, v1, v2) }
 
 // --- scan machinery -----------------------------------------------------------
 
 // scanChunk is the block size of the branchless inner loops: small enough
 // to stay cache resident, large enough to amortise both the capacity
-// reserve and the per-chunk indirect dispatch.
+// reserve and the per-chunk method dispatch.
 const scanChunk = 1024
-
-// chunkBlockFn writes the row ids in [lo, hi) (at most scanChunk rows)
-// matching the compiled predicate under args a into buf and returns how many
-// matched. buf must have room for hi-lo ids: the inner loops write every
-// candidate unconditionally and advance the write index only on a match,
-// so random selectivities pay no data-dependent branches.
-type chunkBlockFn func(a KernelArgs, lo, hi int, buf []int) int
-
-// chunkSelFn is the selection-vector counterpart: it writes the surviving
-// ids of rows (at most scanChunk of them) into buf.
-type chunkSelFn func(a KernelArgs, rows, buf []int) int
 
 // The inner loops below materialise each comparison as a 0/1 increment
 // written out longhand (`inc := 0; if cond { inc = 1 }`) instead of through
@@ -194,177 +191,176 @@ func growRows(out []int, n int) []int {
 	return grown
 }
 
-// chunkKernel wraps a pair of chunk filters into a Kernel: it reserves output
-// capacity per chunk and drives the monomorphic inner loops. n bounds block
-// scans to the column length. The per-chunk indirect call amortises over
-// scanChunk rows; the row-level loops stay direct.
-//
-// The selection path may compact in place (out aliasing rows[:0]): the
-// chunk's unconditional writes land at indices never past the current read
-// position, because matches emitted so far can't exceed rows consumed.
-func chunkKernel(n int, bind bindFn, cb chunkBlockFn, cs chunkSelFn) *Kernel {
-	return &Kernel{
-		Bind: bind,
-		FilterBlock: func(a KernelArgs, lo, hi int, out []int) []int {
-			if hi > n {
-				hi = n
-			}
-			for lo < hi {
-				// Cancellation is polled per block, never per row; a fired
-				// token returns the partial vector and the caller maps the
-				// token state to the context error.
-				if a.tok.Cancelled() {
-					return out
-				}
-				_ = faultpoint.Hit("engine.kernel.chunk")
-				end := min(lo+scanChunk, hi)
-				cn := end - lo
-				if cap(out)-len(out) < cn {
-					out = growRows(out, cn)
-				}
-				j := cb(a, lo, end, out[len(out):len(out)+cn])
-				out = out[:len(out)+j]
-				lo = end
-			}
+// FilterBlock scans rows [lo, hi) of the column and appends the matches
+// under args a to out — the block-at-a-time entry point driven by imprint
+// candidate ranges. It reserves output capacity per chunk and drives the
+// monomorphic inner loops; the per-chunk method call amortises over
+// scanChunk rows.
+func (k *Kernel) FilterBlock(a KernelArgs, lo, hi int, out []int) []int {
+	hi = min(hi, k.n)
+	for lo < hi {
+		// Cancellation is polled per block, never per row; a fired token
+		// returns the partial vector and the caller maps the token state
+		// to the context error.
+		if a.tok.Cancelled() {
 			return out
-		},
-		FilterSel: func(a KernelArgs, rows, out []int) []int {
-			for base := 0; base < len(rows); base += scanChunk {
-				if a.tok.Cancelled() {
-					return out
-				}
-				_ = faultpoint.Hit("engine.kernel.chunk")
-				end := min(base+scanChunk, len(rows))
-				cn := end - base
-				if cap(out)-len(out) < cn {
-					out = growRows(out, cn)
-				}
-				j := cs(a, rows[base:end], out[len(out):len(out)+cn])
-				out = out[:len(out)+j]
-			}
-			return out
-		},
+		}
+		_ = faultpoint.Hit("engine.kernel.chunk")
+		end := min(lo+scanChunk, hi)
+		cn := end - lo
+		if cap(out)-len(out) < cn {
+			out = growRows(out, cn)
+		}
+		j := k.loops.block(a, lo, end, out[len(out):len(out)+cn])
+		out = out[:len(out)+j]
+		lo = end
 	}
+	return out
+}
+
+// FilterSel appends the row ids from rows that match under args a to out.
+// out may alias rows[:0]: a chunk's unconditional writes land at indices
+// never past the current read position, because matches emitted so far
+// cannot exceed rows consumed.
+func (k *Kernel) FilterSel(a KernelArgs, rows, out []int) []int {
+	for base := 0; base < len(rows); base += scanChunk {
+		if a.tok.Cancelled() {
+			return out
+		}
+		_ = faultpoint.Hit("engine.kernel.chunk")
+		end := min(base+scanChunk, len(rows))
+		cn := end - base
+		if cap(out)-len(out) < cn {
+			out = growRows(out, cn)
+		}
+		j := k.loops.sel(a, rows[base:end], out[len(out):len(out)+cn])
+		out = out[:len(out)+j]
+	}
+	return out
 }
 
 // --- float-compare domain (f64 and widened i64) -------------------------------
 
-// bindFloat binds op's interval as-is: the float loop compares
-// float64-widened values against it exactly as ColumnPred.Matches does.
-func bindFloat(op CmpOp) bindFn {
-	return func(v1, v2 float64) KernelArgs {
-		lo, hi, inv := bindInterval(op, v1, v2)
-		a := KernelArgs{lo: lo, hi: hi}
-		if inv {
-			a.inv = 1
-		}
-		return a
+// floatLoops is the float-compare loop pair: one block loop, one selection
+// loop, every operator.
+type floatLoops[T float64 | int64] struct{ vals []T }
+
+// bind binds op's interval as-is: the float loop compares float64-widened
+// values against it exactly as ColumnPred.Matches does.
+func (*floatLoops[T]) bind(op CmpOp, v1, v2 float64) KernelArgs {
+	lo, hi, inv := bindInterval(op, v1, v2)
+	a := KernelArgs{lo: lo, hi: hi}
+	if inv {
+		a.inv = 1
 	}
+	return a
 }
 
-// floatKernel is the float-compare kernel: one block loop, one selection
-// loop, every operator.
-func floatKernel[T colstore.Number](vals []T, op CmpOp) *Kernel {
-	return chunkKernel(len(vals), bindFloat(op), func(a KernelArgs, b0, b1 int, buf []int) int {
-		lo, hi, inv := a.lo, a.hi, a.inv
-		j := 0
-		for k, v := range vals[b0:b1] {
-			buf[j] = b0 + k
-			f := float64(v)
-			ge, le := 0, 0
-			if f >= lo {
-				ge = 1
-			}
-			if f <= hi {
-				le = 1
-			}
-			j += (ge & le) ^ inv
+func (l *floatLoops[T]) block(a KernelArgs, b0, b1 int, buf []int) int {
+	lo, hi, inv := a.lo, a.hi, a.inv
+	j := 0
+	for k, v := range l.vals[b0:b1] {
+		buf[j] = b0 + k
+		f := float64(v)
+		ge, le := 0, 0
+		if f >= lo {
+			ge = 1
 		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			lo, hi, inv := a.lo, a.hi, a.inv
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				f := float64(vals[r])
-				ge, le := 0, 0
-				if f >= lo {
-					ge = 1
-				}
-				if f <= hi {
-					le = 1
-				}
-				j += (ge & le) ^ inv
-			}
-			return j
-		})
+		if f <= hi {
+			le = 1
+		}
+		j += (ge & le) ^ inv
+	}
+	return j
+}
+
+func (l *floatLoops[T]) sel(a KernelArgs, rows, buf []int) int {
+	vals := l.vals
+	lo, hi, inv := a.lo, a.hi, a.inv
+	j := 0
+	for _, r := range rows {
+		buf[j] = r
+		f := float64(vals[r])
+		ge, le := 0, 0
+		if f >= lo {
+			ge = 1
+		}
+		if f <= hi {
+			le = 1
+		}
+		j += (ge & le) ^ inv
+	}
+	return j
 }
 
 // --- native-integer domain (u8, u16, i32) -------------------------------------
 
-// integer covers the exactly-representable integer column element types.
-type integer interface {
-	~int32 | ~uint16 | ~uint8
-}
+// intLoops is the native-integer-domain loop pair: one block loop, one
+// selection loop, every operator. lo <= v <= hi is one compare in modular
+// arithmetic: v ∈ [lo, hi] iff uint64(v-lo) <= uint64(hi-lo). Widening to 64
+// bits (sign-extending i32) lets the bound interval wrap past the type's
+// range, which is how bind expresses a complement without a flag.
+type intLoops[T uint8 | uint16 | int32] struct{ vals []T }
 
-// bindInt narrows op's float interval to the integers of the type domain
+// bind narrows op's float interval to the integers of T's range
 // [tmin, tmax] and folds its complement flag away, so the integer loop never
 // reads inv. An integer v lies in [lo, hi] iff it lies in
 // [ceil(lo), floor(hi)], which is exact because every value of these types
 // embeds in float64; an interval that empties (a non-integral `=`, crossed,
 // out-of-range or NaN bounds) is the complement of the whole domain. The
 // complement of [lo, hi] is the wrapped interval [hi+1, lo-1] of the 64-bit
-// ring the loop compares in (see intKernel) — for the whole domain,
-// [tmax+1, tmin-1], which holds no value of the type.
-func bindInt(op CmpOp, tmin, tmax float64) bindFn {
-	return func(v1, v2 float64) KernelArgs {
-		lo, hi, inv := bindInterval(op, v1, v2)
-		lo, hi = max(math.Ceil(lo), tmin), min(math.Floor(hi), tmax)
-		if !(lo <= hi) {
-			lo, hi, inv = tmin, tmax, !inv
-		}
-		if inv {
-			lo, hi = hi+1, lo-1
-		}
-		return KernelArgs{lo: lo, hi: hi}
+// ring the loop compares in — for the whole domain, [tmax+1, tmin-1], which
+// holds no value of the type.
+func (*intLoops[T]) bind(op CmpOp, v1, v2 float64) KernelArgs {
+	var tmin, tmax float64
+	switch any(T(0)).(type) {
+	case uint8:
+		tmin, tmax = 0, math.MaxUint8
+	case uint16:
+		tmin, tmax = 0, math.MaxUint16
+	default:
+		tmin, tmax = math.MinInt32, math.MaxInt32
 	}
+	lo, hi, inv := bindInterval(op, v1, v2)
+	lo, hi = max(math.Ceil(lo), tmin), min(math.Floor(hi), tmax)
+	if !(lo <= hi) {
+		lo, hi, inv = tmin, tmax, !inv
+	}
+	if inv {
+		lo, hi = hi+1, lo-1
+	}
+	return KernelArgs{lo: lo, hi: hi}
 }
 
-// intKernel is the native-integer-domain kernel: one block loop, one
-// selection loop, every operator. lo <= v <= hi is one compare in modular
-// arithmetic: v ∈ [lo, hi] iff uint64(v-lo) <= uint64(hi-lo). Widening to 64
-// bits (sign-extending i32) lets the bound interval wrap past the type's
-// range, which is how bindInt expresses a complement without a flag.
-func intKernel[T integer](vals []T, op CmpOp, tmin, tmax float64) *Kernel {
-	return chunkKernel(len(vals), bindInt(op, tmin, tmax), func(a KernelArgs, b0, b1 int, buf []int) int {
-		lo := uint64(int64(a.lo))
-		span := uint64(int64(a.hi)) - lo
-		j := 0
-		for k, v := range vals[b0:b1] {
-			buf[j] = b0 + k
-			inc := 0
-			if uint64(v)-lo <= span {
-				inc = 1
-			}
-			j += inc
+func (l *intLoops[T]) block(a KernelArgs, b0, b1 int, buf []int) int {
+	lo := uint64(int64(a.lo))
+	span := uint64(int64(a.hi)) - lo
+	j := 0
+	for k, v := range l.vals[b0:b1] {
+		buf[j] = b0 + k
+		inc := 0
+		if uint64(v)-lo <= span {
+			inc = 1
 		}
-		return j
-	},
-		func(a KernelArgs, rows, buf []int) int {
-			lo := uint64(int64(a.lo))
-			span := uint64(int64(a.hi)) - lo
-			j := 0
-			for _, r := range rows {
-				buf[j] = r
-				inc := 0
-				if uint64(vals[r])-lo <= span {
-					inc = 1
-				}
-				j += inc
-			}
-			return j
-		})
+		j += inc
+	}
+	return j
+}
+
+func (l *intLoops[T]) sel(a KernelArgs, rows, buf []int) int {
+	vals := l.vals
+	lo := uint64(int64(a.lo))
+	span := uint64(int64(a.hi)) - lo
+	j := 0
+	for _, r := range rows {
+		buf[j] = r
+		inc := 0
+		if uint64(vals[r])-lo <= span {
+			inc = 1
+		}
+		j += inc
+	}
+	return j
 }
 
 // Pooled selection vectors live in pool.go (getRowBuf / RecycleRows): a

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gisnav/internal/colstore"
@@ -366,13 +369,13 @@ func TestBindInterval(t *testing.T) {
 		every8 = append(every8, float64(v))
 	}
 	domains := map[string]struct {
-		bind   func(CmpOp) bindFn
+		bind   func(op CmpOp, v1, v2 float64) KernelArgs
 		test   func(KernelArgs, float64) bool
 		probes []float64
 	}{
-		"f64": {bindFloat, inFloat, []float64{nan, -inf, inf, 0, negZero, tiny, -tiny, huge, -huge, 1, 6, 6.5, math.Nextafter(6, 0), math.Nextafter(6, 7)}},
-		"u8":  {func(op CmpOp) bindFn { return bindInt(op, 0, math.MaxUint8) }, inInt, every8},
-		"i32": {func(op CmpOp) bindFn { return bindInt(op, lo32, hi32) }, inInt, []float64{lo32, lo32 + 1, -1, 0, 1, hi32 - 1, hi32}},
+		"f64": {(&floatLoops[float64]{}).bind, inFloat, []float64{nan, -inf, inf, 0, negZero, tiny, -tiny, huge, -huge, 1, 6, 6.5, math.Nextafter(6, 0), math.Nextafter(6, 7)}},
+		"u8":  {(&intLoops[uint8]{}).bind, inInt, every8},
+		"i32": {(&intLoops[int32]{}).bind, inInt, []float64{lo32, lo32 + 1, -1, 0, 1, hi32 - 1, hi32}},
 	}
 	args := func(lo, hi float64, inv int) KernelArgs { return KernelArgs{lo: lo, hi: hi, inv: inv} }
 	empty := args(inf, -inf, 0)
@@ -442,7 +445,7 @@ func TestBindInterval(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := domains[c.dom]
-		got := d.bind(c.pred.Op)(c.pred.Value, c.pred.Value2)
+		got := d.bind(c.pred.Op, c.pred.Value, c.pred.Value2)
 		if !sameFloat(got.lo, c.want.lo) || !sameFloat(got.hi, c.want.hi) || got.inv != c.want.inv {
 			t.Errorf("%s over %s: bound [%g, %g] inv %d, want [%g, %g] inv %d",
 				c.pred, c.dom, got.lo, got.hi, got.inv, c.want.lo, c.want.hi, c.want.inv)
@@ -511,4 +514,59 @@ func FuzzFilterKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// assertConstFree fails t if v, followed through pointers, interface
+// values, arrays, struct fields and the elements of slices of those, holds a
+// field that could carry a predicate constant: a float, a 64-bit integer, a
+// func, or an interface other than the allowed ones. Slices of scalars (the
+// column arrays), lengths, operators and flags are allowed.
+func assertConstFree(t *testing.T, v reflect.Value, path string, allowed ...reflect.Type) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64, reflect.Int64, reflect.Uint64, reflect.Func:
+		t.Errorf("%s: %s field can hold a predicate constant", path, v.Type())
+	case reflect.Interface:
+		if !slices.Contains(allowed, v.Type()) {
+			t.Errorf("%s: interface %s is not a kernel interface", path, v.Type())
+		} else if !v.IsNil() {
+			assertConstFree(t, v.Elem(), path+"."+v.Elem().Type().String(), allowed...)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			assertConstFree(t, v.Elem(), path, allowed...)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			assertConstFree(t, v.Field(i), path+"."+v.Type().Field(i).Name, allowed...)
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			assertConstFree(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), allowed...)
+		}
+	case reflect.Slice:
+		switch v.Type().Elem().Kind() {
+		case reflect.Interface, reflect.Pointer, reflect.Struct, reflect.Array, reflect.Func:
+			for i := range v.Len() {
+				assertConstFree(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), allowed...)
+			}
+		}
+	}
+}
+
+// TestKernelsHoldNoConstant is the kernel constant-slot invariant: every
+// column type × operator kernel reaches only its operator, its length and
+// its loop struct's column array, so none can embed a bound constant and
+// (column, op) stays a complete plan-cache key.
+func TestKernelsHoldNoConstant(t *testing.T) {
+	loops := reflect.TypeFor[chunkLoops]()
+	for _, col := range []colstore.Column{
+		colstore.NewNum([]float64{1}), colstore.NewNum([]int64{1}), colstore.NewNum([]int32{1}),
+		colstore.NewNum([]uint16{1}), colstore.NewNum([]uint8{1}),
+	} {
+		for op := CmpOp(0); op <= CmpBetween; op++ {
+			k := CompileFilterKernel(col, op)
+			assertConstFree(t, reflect.ValueOf(k), fmt.Sprintf("Kernel(%T, %v)", col, op), loops)
+		}
+	}
 }

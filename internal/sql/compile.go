@@ -1,12 +1,16 @@
-// Expression compiler for generic point-cloud WHERE conjuncts. Conjuncts
-// the planner cannot hand to the engine's predicate kernels — arithmetic
-// comparisons like `z - 2*intensity > 10` or `x + y BETWEEN 100 AND 900` —
-// used to fall back to the row-at-a-time expression interpreter (evalExpr:
-// one Value box, one tree walk and one interface dispatch per operator per
-// row). This file compiles those shapes into chunked vector kernels: each
-// numeric subexpression evaluates operator-at-a-time into a float64 block
-// buffer, then a monomorphic compare loop writes the surviving rows — the
-// same execution style the engine's ColumnPred kernels use (§2.1.1).
+// Expression compiler for generic point-cloud WHERE conjuncts and projected
+// items. Conjuncts the planner cannot hand to the engine's predicate
+// kernels — arithmetic comparisons like `z - 2*intensity > 10` or
+// `x + y BETWEEN 100 AND 900` — and numeric SELECT items compile into a tree
+// of nodes that runs chunk-at-a-time: each numeric node evaluates
+// operator-at-a-time into a float64 block buffer, then a monomorphic
+// compare loop writes the verdicts — the same execution style the engine's
+// ColumnPred kernels use (§2.1.1). The row-at-a-time interpreter (evalExpr)
+// stays the fallback for everything else.
+//
+// The node set is closed: constNode, gather, absNode and arithNode compute
+// numbers (numNode); cmpNode, betweenNode, logicNode, notNode, boolNode and
+// truthyNode compute verdicts (predNode).
 //
 // Semantics contract: a compiled conjunct must be indistinguishable from
 // the interpreter, including its quirks —
@@ -26,15 +30,16 @@
 // geometry operands, function calls other than abs(), vector-table columns.
 //
 // Constant-slot contract (the SQL-layer mirror of the engine kernels'
-// KernelArgs): a compiled filter does not bake ParamRef constants into its
-// closures — it reads them from the plan's paramStore, so a shape-cache
-// rebind updates the store in place and the compiled kernel serves the new
-// literal vector without recompiling. Literal AST nodes (NumberLit) read
-// through the store's literal slots too — rebinds never rewrite those, but
-// the kernel closures stay uniformly constant-free (the constslot invariant).
-// One deliberate exception: a ParamRef is never "provably non-zero", so a
-// parameterised division/modulo denominator always takes the runtime-checked
-// arm — a rebind could make it zero.
+// KernelArgs), held by the types: no node has a field that can hold a
+// constant. A ParamRef or NumberLit compiles to a constNode, which holds the
+// index of its slot in the plan's paramStore; every evaluation receives the
+// store as an argument. A shape-cache rebind refreshes the store's
+// parameter slots in place, so the compiled tree serves the new literal
+// vector without recompiling. TestCompiledNodesHoldNoConstant walks every
+// tree the compile tests build with reflect and fails on any float, 64-bit
+// integer or func field. A ParamRef is never "provably non-zero", so a
+// parameterised division/modulo denominator is fallible for the AND/OR
+// rule above — a rebind could make it zero.
 package sql
 
 import (
@@ -45,31 +50,26 @@ import (
 	"gisnav/internal/colstore"
 )
 
-// paramStore is the mutable constant-slot array a plan's compiled filters
-// read their ParamRef constants from. Rebinds overwrite nums in place under
-// the statement lock; the slice header never changes, so the compiled
-// closures (which capture the store pointer) always see the current vector.
-// Non-numeric parameters mirror as NaN — a compiled filter never reads them
-// (compileNum rejects non-numeric ParamRefs at compile time).
-//
-// lits holds literal (NumberLit) constants appended at compile time: a
-// rebind never touches them, but the compiled kernels still read every
-// constant through the store, so no closure embeds a value the plan cache
-// cannot see (the constslot invariant).
+// paramStore is the constant-slot array a plan's compiled nodes read their
+// constants from: the ParamRef slots first, refreshed in place by every
+// rebind (under the statement lock), then the NumberLit slots compile
+// appends, which no rebind touches. Non-numeric parameters mirror as NaN —
+// a compiled node never reads them (compileNum rejects non-numeric
+// ParamRefs at compile time).
 type paramStore struct {
-	nums []float64
-	lits []float64
+	nums   []float64
+	params int // parameter slots at the front of nums
 }
 
 // lit appends a literal constant and returns its slot index.
 func (s *paramStore) lit(v float64) int {
-	s.lits = append(s.lits, v)
-	return len(s.lits) - 1
+	s.nums = append(s.nums, v)
+	return len(s.nums) - 1
 }
 
 // newParamStore mirrors params into a fresh slot array.
 func newParamStore(params []Value) *paramStore {
-	s := &paramStore{nums: make([]float64, len(params))}
+	s := &paramStore{nums: make([]float64, len(params)), params: len(params)}
 	s.refresh(params)
 	return s
 }
@@ -89,27 +89,32 @@ func (s *paramStore) refresh(params []Value) {
 // cache-resident block the engine's scan kernels use.
 const exprChunk = 1024
 
-// numEval evaluates a compiled numeric expression for up to exprChunk rows,
-// writing the per-row values into dst[:len(rows)].
-type numEval func(rows []int, dst []float64) error
+// numNode is a compiled numeric expression: eval writes its value for each
+// of rows (at most exprChunk) into dst[:len(rows)].
+type numNode interface {
+	eval(ps *paramStore, rows []int, dst []float64) error
+}
 
-// chunkPred evaluates a compiled boolean conjunct for up to exprChunk rows,
-// writing per-row verdicts into keep[:len(rows)].
-type chunkPred func(rows []int, keep []bool) error
+// predNode is a compiled boolean conjunct: test writes its verdict for each
+// of rows (at most exprChunk) into keep[:len(rows)].
+type predNode interface {
+	test(ps *paramStore, rows []int, keep []bool) error
+}
 
 // compiledFilter is one compiled WHERE conjunct ready to narrow a selection
 // vector in place.
 type compiledFilter struct {
-	pred chunkPred
+	pred predNode
 	keep []bool
 }
 
-// apply narrows rows to the conjunct's survivors, compacting in place (the
-// write index never overtakes the read index). On error the selection's
-// backing array is untouched beyond already-surviving prefixes; callers
-// recycle their original slice. tok is polled once per chunk; a fired
-// token aborts with cancel.ErrCancelled (nil tok never fires).
-func (f *compiledFilter) apply(tok *cancel.Token, rows []int) ([]int, error) {
+// apply narrows rows to the conjunct's survivors under the constants in ps,
+// compacting in place (the write index never overtakes the read index). On
+// error the selection's backing array is untouched beyond already-surviving
+// prefixes; callers recycle their original slice. tok is polled once per
+// chunk; a fired token aborts with cancel.ErrCancelled (nil tok never
+// fires).
+func (f *compiledFilter) apply(tok *cancel.Token, ps *paramStore, rows []int) ([]int, error) {
 	out := rows[:0]
 	for base := 0; base < len(rows); base += exprChunk {
 		if tok.Cancelled() {
@@ -118,7 +123,7 @@ func (f *compiledFilter) apply(tok *cancel.Token, rows []int) ([]int, error) {
 		end := min(base+exprChunk, len(rows))
 		chunk := rows[base:end]
 		keep := f.keep[:len(chunk)]
-		if err := f.pred(chunk, keep); err != nil {
+		if err := f.pred.test(ps, chunk, keep); err != nil {
 			return nil, err
 		}
 		for i, row := range chunk {
@@ -132,22 +137,19 @@ func (f *compiledFilter) apply(tok *cancel.Token, rows []int) ([]int, error) {
 
 // compilePCFilter compiles conjunct e into a vector kernel over the bound
 // point cloud, reporting ok=false for shapes the interpreter must keep.
+// Its constants land in slots, the store every apply must be handed.
 func compilePCFilter(b *binding, slots *paramStore, e Expr) (*compiledFilter, bool) {
-	if slots == nil {
-		// Plans without parameters still need a store for literal slots.
-		slots = &paramStore{}
-	}
-	pred, _, ok := compileChunkPred(b, slots, e)
+	pred, _, ok := compilePred(b, slots, e)
 	if !ok {
 		return nil, false
 	}
 	return &compiledFilter{pred: pred, keep: make([]bool, exprChunk)}, true
 }
 
-// compileChunkPred compiles a boolean expression; mayErr reports whether
+// compilePred compiles a boolean expression; mayErr reports whether
 // evaluation can fail (division or modulo whose denominator is not a
 // provably non-zero constant), which gates compilation under AND/OR.
-func compileChunkPred(b *binding, slots *paramStore, e Expr) (pred chunkPred, mayErr bool, ok bool) {
+func compilePred(b *binding, slots *paramStore, e Expr) (pred predNode, mayErr bool, ok bool) {
 	switch t := e.(type) {
 	case BinaryExpr:
 		switch t.Op {
@@ -157,39 +159,19 @@ func compileChunkPred(b *binding, slots *paramStore, e Expr) (pred chunkPred, ma
 			if !lok || !rok {
 				return nil, false, false
 			}
-			return cmpChunkPred(l, r, t.Op), lerr || rerr, true
+			return newCmpNode(l, r, t.Op), lerr || rerr, true
 		case "AND", "OR":
-			l, lerr, lok := compileChunkPred(b, slots, t.L)
-			r, rerr, rok := compileChunkPred(b, slots, t.R)
+			l, lerr, lok := compilePred(b, slots, t.L)
+			r, rerr, rok := compilePred(b, slots, t.R)
 			// Short-circuiting may skip a fallible operand row-by-row; the
 			// vector kernel cannot, so such conjuncts stay interpreted.
 			if !lok || !rok || lerr || rerr {
 				return nil, false, false
 			}
-			isAnd := t.Op == "AND"
-			rkeep := make([]bool, exprChunk)
-			return func(rows []int, keep []bool) error {
-				if err := l(rows, keep); err != nil {
-					return err
-				}
-				rk := rkeep[:len(rows)]
-				if err := r(rows, rk); err != nil {
-					return err
-				}
-				if isAnd {
-					for i := range keep {
-						keep[i] = keep[i] && rk[i]
-					}
-				} else {
-					for i := range keep {
-						keep[i] = keep[i] || rk[i]
-					}
-				}
-				return nil
-			}, false, true
+			return &logicNode{l: l, r: r, or: t.Op == "OR", rkeep: make([]bool, exprChunk)}, false, true
 		default:
 			// Arithmetic result used as a bare boolean conjunct.
-			return truthyChunkPred(b, slots, e)
+			return compileTruthy(b, slots, e)
 		}
 	case BetweenExpr:
 		s, serr, sok := compileNum(b, slots, t.Subject)
@@ -198,150 +180,44 @@ func compileChunkPred(b *binding, slots *paramStore, e Expr) (pred chunkPred, ma
 		if !sok || !look || !hiok {
 			return nil, false, false
 		}
-		sbuf := make([]float64, exprChunk)
-		lobuf := make([]float64, exprChunk)
-		hibuf := make([]float64, exprChunk)
-		return func(rows []int, keep []bool) error {
-			n := len(rows)
-			sv, lov, hiv := sbuf[:n], lobuf[:n], hibuf[:n]
-			if err := s(rows, sv); err != nil {
-				return err
-			}
-			if err := lo(rows, lov); err != nil {
-				return err
-			}
-			if err := hi(rows, hiv); err != nil {
-				return err
-			}
-			for i := range keep[:n] {
-				// Interpreter BETWEEN: plain float comparisons (NaN fails).
-				keep[i] = sv[i] >= lov[i] && sv[i] <= hiv[i]
-			}
-			return nil
+		return &betweenNode{
+			s: s, lo: lo, hi: hi,
+			sbuf: make([]float64, exprChunk), lobuf: make([]float64, exprChunk), hibuf: make([]float64, exprChunk),
 		}, serr || loerr || hierr, true
 	case NotExpr:
-		inner, ierr, iok := compileChunkPred(b, slots, t.E)
+		inner, ierr, iok := compilePred(b, slots, t.E)
 		if !iok {
 			return nil, false, false
 		}
-		return func(rows []int, keep []bool) error {
-			if err := inner(rows, keep); err != nil {
-				return err
-			}
-			for i := range keep[:len(rows)] {
-				keep[i] = !keep[i]
-			}
-			return nil
-		}, ierr, true
+		return &notNode{inner}, ierr, true
 	case BoolLit:
-		v := t.Value
-		return func(rows []int, keep []bool) error {
-			for i := range keep[:len(rows)] {
-				keep[i] = v
-			}
-			return nil
-		}, false, true
+		return &boolNode{t.Value}, false, true
 	default:
-		return truthyChunkPred(b, slots, e)
+		return compileTruthy(b, slots, e)
 	}
 }
 
-// truthyChunkPred compiles a numeric expression used as a predicate: the
+// compileTruthy compiles a numeric expression used as a predicate: the
 // interpreter keeps rows where the value is non-zero (NaN included).
-func truthyChunkPred(b *binding, slots *paramStore, e Expr) (chunkPred, bool, bool) {
+func compileTruthy(b *binding, slots *paramStore, e Expr) (predNode, bool, bool) {
 	v, verr, ok := compileNum(b, slots, e)
 	if !ok {
 		return nil, false, false
 	}
-	buf := make([]float64, exprChunk)
-	return func(rows []int, keep []bool) error {
-		vals := buf[:len(rows)]
-		if err := v(rows, vals); err != nil {
-			return err
-		}
-		for i := range keep[:len(rows)] {
-			keep[i] = vals[i] != 0
-		}
-		return nil
-	}, verr, true
-}
-
-// cmpChunkPred builds the comparison kernel. It mirrors compareValues'
-// three-way compare exactly: the relation is decided by (<, >) probes, so
-// any NaN operand yields "equal" — `z = 0/0-style NaN` matches — and the
-// operator then tests the relation sign.
-func cmpChunkPred(l, r numEval, op string) chunkPred {
-	var allowNeg, allowZero, allowPos bool
-	switch op {
-	case "=":
-		allowZero = true
-	case "<>":
-		allowNeg, allowPos = true, true
-	case "<":
-		allowNeg = true
-	case "<=":
-		allowNeg, allowZero = true, true
-	case ">":
-		allowPos = true
-	case ">=":
-		allowPos, allowZero = true, true
-	}
-	lbuf := make([]float64, exprChunk)
-	rbuf := make([]float64, exprChunk)
-	return func(rows []int, keep []bool) error {
-		n := len(rows)
-		lv, rv := lbuf[:n], rbuf[:n]
-		if err := l(rows, lv); err != nil {
-			return err
-		}
-		if err := r(rows, rv); err != nil {
-			return err
-		}
-		for i := range keep[:n] {
-			switch {
-			case lv[i] < rv[i]:
-				keep[i] = allowNeg
-			case lv[i] > rv[i]:
-				keep[i] = allowPos
-			default:
-				keep[i] = allowZero
-			}
-		}
-		return nil
-	}
+	return &truthyNode{v: v, buf: make([]float64, exprChunk)}, verr, true
 }
 
 // compileNum compiles a numeric expression; mayErr reports whether
-// evaluation can fail at runtime (see compileChunkPred).
-func compileNum(b *binding, slots *paramStore, e Expr) (ev numEval, mayErr bool, ok bool) {
+// evaluation can fail at runtime (see compilePred).
+func compileNum(b *binding, slots *paramStore, e Expr) (ev numNode, mayErr bool, ok bool) {
 	switch t := e.(type) {
 	case NumberLit:
-		// Literal-slot read: the constant lives in the plan's store like a
-		// ParamRef (rebinds never rewrite it, but the kernel closure stays
-		// constant-free either way).
-		idx := slots.lit(t.Value)
-		return func(rows []int, dst []float64) error {
-			c := slots.lits[idx]
-			for i := range dst[:len(rows)] {
-				dst[i] = c
-			}
-			return nil
-		}, false, true
+		return &constNode{slots.lit(t.Value)}, false, true
 	case ParamRef:
-		// Constant-slot read: the value is fetched from the plan's store per
-		// chunk, so a rebound literal vector flows into the compiled kernel
-		// without recompilation.
-		if t.Kind != KindNum || slots == nil || t.Index < 0 || t.Index >= len(slots.nums) {
+		if t.Kind != KindNum || t.Index < 0 || t.Index >= slots.params {
 			return nil, false, false
 		}
-		idx := t.Index
-		return func(rows []int, dst []float64) error {
-			c := slots.nums[idx]
-			for i := range dst[:len(rows)] {
-				dst[i] = c
-			}
-			return nil
-		}, false, true
+		return &constNode{t.Index}, false, true
 	case ColumnRef:
 		name, nok := pcColumnName(b, t)
 		if !nok {
@@ -358,19 +234,7 @@ func compileNum(b *binding, slots *paramStore, e Expr) (ev numEval, mayErr bool,
 		if !iok {
 			return nil, false, false
 		}
-		return func(rows []int, dst []float64) error {
-			if err := inner(rows, dst); err != nil {
-				return err
-			}
-			for i := range dst[:len(rows)] {
-				// Interpreter abs: negate only strictly negative values, so
-				// -0.0 and NaN pass through unchanged.
-				if dst[i] < 0 {
-					dst[i] = -dst[i]
-				}
-			}
-			return nil
-		}, ierr, true
+		return &absNode{inner}, ierr, true
 	case BinaryExpr:
 		switch t.Op {
 		case "+", "-", "*", "/", "%":
@@ -383,93 +247,26 @@ func compileNum(b *binding, slots *paramStore, e Expr) (ev numEval, mayErr bool,
 			return nil, false, false
 		}
 		mayErr = lerr || rerr
-		rbuf := make([]float64, exprChunk)
-		combine := func(fn func(rows []int, lv, rv []float64) error) numEval {
-			return func(rows []int, dst []float64) error {
-				n := len(rows)
-				if err := l(rows, dst[:n]); err != nil {
-					return err
-				}
-				rv := rbuf[:n]
-				if err := r(rows, rv); err != nil {
-					return err
-				}
-				return fn(rows, dst[:n], rv)
-			}
-		}
 		switch t.Op {
-		case "+":
-			return combine(func(_ []int, lv, rv []float64) error {
-				for i := range lv {
-					lv[i] += rv[i]
-				}
-				return nil
-			}), mayErr, true
-		case "-":
-			return combine(func(_ []int, lv, rv []float64) error {
-				for i := range lv {
-					lv[i] -= rv[i]
-				}
-				return nil
-			}), mayErr, true
-		case "*":
-			return combine(func(_ []int, lv, rv []float64) error {
-				for i := range lv {
-					lv[i] *= rv[i]
-				}
-				return nil
-			}), mayErr, true
 		case "/":
-			if c, isConst := constNonZero(t.R); isConst {
-				return combine(func(_ []int, lv, _ []float64) error {
-					for i := range lv {
-						lv[i] /= c
-					}
-					return nil
-				}), mayErr, true
-			}
-			return combine(func(_ []int, lv, rv []float64) error {
-				for i := range lv {
-					if rv[i] == 0 {
-						return fmt.Errorf("sql: division by zero")
-					}
-					lv[i] /= rv[i]
-				}
-				return nil
-			}), true, true
-		default: // "%"
+			_, isConst := constNonZero(t.R)
+			mayErr = mayErr || !isConst
+		case "%":
 			// Modulo runs in the int64 domain, so "provably non-zero" must
 			// hold after truncation: a constant like 0.5 truncates to 0 and
-			// takes the runtime-checked arm, which raises the interpreter's
-			// modulo-by-zero error instead of a divide panic.
-			if c, isConst := constNonZero(t.R); isConst && int64(c) != 0 {
-				ci := int64(c)
-				return combine(func(_ []int, lv, _ []float64) error {
-					for i := range lv {
-						lv[i] = float64(int64(lv[i]) % ci)
-					}
-					return nil
-				}), mayErr, true
-			}
-			return combine(func(_ []int, lv, rv []float64) error {
-				for i := range lv {
-					if int64(rv[i]) == 0 {
-						return fmt.Errorf("sql: modulo by zero")
-					}
-					lv[i] = float64(int64(lv[i]) % int64(rv[i]))
-				}
-				return nil
-			}), true, true
+			// raises the interpreter's modulo-by-zero error.
+			c, isConst := constNonZero(t.R)
+			mayErr = mayErr || !isConst || int64(c) == 0
 		}
+		return &arithNode{op: t.Op[0], l: l, r: r, rbuf: make([]float64, exprChunk)}, mayErr, true
 	default:
 		return nil, false, false
 	}
 }
 
 // constNonZero reports whether e is a numeric literal other than zero —
-// the denominators whose division can be compiled error-free. ParamRef
-// denominators deliberately do NOT qualify: a shape-cache rebind can bind
-// them to zero, so they keep the runtime-checked arm.
+// the denominators whose division cannot fail. ParamRef denominators
+// deliberately do NOT qualify: a shape-cache rebind can bind them to zero.
 func constNonZero(e Expr) (float64, bool) {
 	n, ok := e.(NumberLit)
 	if !ok || n.Value == 0 {
@@ -478,32 +275,253 @@ func constNonZero(e Expr) (float64, bool) {
 	return n.Value, true
 }
 
-// compileColumnGather builds the typed gather loop for one point-cloud
-// column: dst[i] = float64(col[rows[i]]), monomorphic per column type.
-func compileColumnGather(col colstore.Column) numEval {
+// compileColumnGather builds the typed gather node for one point-cloud
+// column, instantiated per element type from this non-generic dispatch.
+func compileColumnGather(col colstore.Column) numNode {
 	switch c := col.(type) {
 	case *colstore.F64Column:
-		return gatherVals(c.Values())
+		return &gather[float64]{c.Values()}
 	case *colstore.I64Column:
-		return gatherVals(c.Values())
+		return &gather[int64]{c.Values()}
 	case *colstore.I32Column:
-		return gatherVals(c.Values())
+		return &gather[int32]{c.Values()}
 	case *colstore.U16Column:
-		return gatherVals(c.Values())
+		return &gather[uint16]{c.Values()}
 	case *colstore.U8Column:
-		return gatherVals(c.Values())
+		return &gather[uint8]{c.Values()}
 	default:
 		panic(fmt.Sprintf("sql: no gather loop for %T", col))
 	}
 }
 
-// gatherVals is the gather loop over one typed column, instantiated per
-// element type from the non-generic dispatch above.
-func gatherVals[T colstore.Number](vals []T) numEval {
-	return func(rows []int, dst []float64) error {
-		for i, r := range rows {
-			dst[i] = float64(vals[r])
-		}
-		return nil
+// --- numeric nodes ------------------------------------------------------------
+
+// constNode is a constant: the value in slot of the plan's paramStore.
+type constNode struct{ slot int }
+
+func (n *constNode) eval(ps *paramStore, rows []int, dst []float64) error {
+	c := ps.nums[n.slot]
+	for i := range dst[:len(rows)] {
+		dst[i] = c
 	}
+	return nil
+}
+
+// gather reads one typed column: dst[i] = float64(vals[rows[i]]).
+type gather[T colstore.Number] struct{ vals []T }
+
+func (n *gather[T]) eval(_ *paramStore, rows []int, dst []float64) error {
+	vals := n.vals
+	for i, r := range rows {
+		dst[i] = float64(vals[r])
+	}
+	return nil
+}
+
+// absNode is the interpreter's abs: it negates only strictly negative
+// values, so -0.0 and NaN pass through unchanged.
+type absNode struct{ inner numNode }
+
+func (n *absNode) eval(ps *paramStore, rows []int, dst []float64) error {
+	if err := n.inner.eval(ps, rows, dst); err != nil {
+		return err
+	}
+	for i := range dst[:len(rows)] {
+		if dst[i] < 0 {
+			dst[i] = -dst[i]
+		}
+	}
+	return nil
+}
+
+// arithNode is l op r for op one of + - * / %, evaluated into dst with r in
+// its own block; it switches on the operator once per chunk. A zero divisor
+// (for %, one that truncates to zero) aborts with the interpreter's error.
+type arithNode struct {
+	op   byte
+	l, r numNode
+	rbuf []float64
+}
+
+func (n *arithNode) eval(ps *paramStore, rows []int, dst []float64) error {
+	lv, rv := dst[:len(rows)], n.rbuf[:len(rows)]
+	if err := n.l.eval(ps, rows, lv); err != nil {
+		return err
+	}
+	if err := n.r.eval(ps, rows, rv); err != nil {
+		return err
+	}
+	switch n.op {
+	case '+':
+		for i := range lv {
+			lv[i] += rv[i]
+		}
+	case '-':
+		for i := range lv {
+			lv[i] -= rv[i]
+		}
+	case '*':
+		for i := range lv {
+			lv[i] *= rv[i]
+		}
+	case '/':
+		for i := range lv {
+			if rv[i] == 0 {
+				return fmt.Errorf("sql: division by zero")
+			}
+			lv[i] /= rv[i]
+		}
+	default: // '%'
+		for i := range lv {
+			if int64(rv[i]) == 0 {
+				return fmt.Errorf("sql: modulo by zero")
+			}
+			lv[i] = float64(int64(lv[i]) % int64(rv[i]))
+		}
+	}
+	return nil
+}
+
+// --- predicate nodes ----------------------------------------------------------
+
+// cmpNode is a comparison. It mirrors compareValues' three-way compare
+// exactly: the relation is decided by (<, >) probes, so any NaN operand
+// yields "equal", and the operator is the verdict for each relation sign.
+type cmpNode struct {
+	l, r         numNode
+	neg, eq, pos bool // verdict when l < r, neither, l > r
+	lbuf, rbuf   []float64
+}
+
+func newCmpNode(l, r numNode, op string) *cmpNode {
+	n := &cmpNode{l: l, r: r, lbuf: make([]float64, exprChunk), rbuf: make([]float64, exprChunk)}
+	switch op {
+	case "=":
+		n.eq = true
+	case "<>":
+		n.neg, n.pos = true, true
+	case "<":
+		n.neg = true
+	case "<=":
+		n.neg, n.eq = true, true
+	case ">":
+		n.pos = true
+	case ">=":
+		n.pos, n.eq = true, true
+	}
+	return n
+}
+
+func (n *cmpNode) test(ps *paramStore, rows []int, keep []bool) error {
+	lv, rv := n.lbuf[:len(rows)], n.rbuf[:len(rows)]
+	if err := n.l.eval(ps, rows, lv); err != nil {
+		return err
+	}
+	if err := n.r.eval(ps, rows, rv); err != nil {
+		return err
+	}
+	for i := range keep[:len(rows)] {
+		switch {
+		case lv[i] < rv[i]:
+			keep[i] = n.neg
+		case lv[i] > rv[i]:
+			keep[i] = n.pos
+		default:
+			keep[i] = n.eq
+		}
+	}
+	return nil
+}
+
+// betweenNode is the interpreter's BETWEEN: plain float comparisons, so a
+// NaN operand fails.
+type betweenNode struct {
+	s, lo, hi          numNode
+	sbuf, lobuf, hibuf []float64
+}
+
+func (n *betweenNode) test(ps *paramStore, rows []int, keep []bool) error {
+	sv, lov, hiv := n.sbuf[:len(rows)], n.lobuf[:len(rows)], n.hibuf[:len(rows)]
+	if err := n.s.eval(ps, rows, sv); err != nil {
+		return err
+	}
+	if err := n.lo.eval(ps, rows, lov); err != nil {
+		return err
+	}
+	if err := n.hi.eval(ps, rows, hiv); err != nil {
+		return err
+	}
+	for i := range keep[:len(rows)] {
+		keep[i] = sv[i] >= lov[i] && sv[i] <= hiv[i]
+	}
+	return nil
+}
+
+// logicNode is l AND r, or l OR r when or is set; neither side can fail
+// (see compilePred), so both evaluate over the whole chunk.
+type logicNode struct {
+	l, r  predNode
+	or    bool
+	rkeep []bool
+}
+
+func (n *logicNode) test(ps *paramStore, rows []int, keep []bool) error {
+	if err := n.l.test(ps, rows, keep); err != nil {
+		return err
+	}
+	rk := n.rkeep[:len(rows)]
+	if err := n.r.test(ps, rows, rk); err != nil {
+		return err
+	}
+	keep = keep[:len(rows)]
+	if n.or {
+		for i := range keep {
+			keep[i] = keep[i] || rk[i]
+		}
+	} else {
+		for i := range keep {
+			keep[i] = keep[i] && rk[i]
+		}
+	}
+	return nil
+}
+
+// notNode negates its operand's verdicts.
+type notNode struct{ inner predNode }
+
+func (n *notNode) test(ps *paramStore, rows []int, keep []bool) error {
+	if err := n.inner.test(ps, rows, keep); err != nil {
+		return err
+	}
+	for i := range keep[:len(rows)] {
+		keep[i] = !keep[i]
+	}
+	return nil
+}
+
+// boolNode is TRUE or FALSE, part of the statement's shape.
+type boolNode struct{ v bool }
+
+func (n *boolNode) test(_ *paramStore, rows []int, keep []bool) error {
+	for i := range keep[:len(rows)] {
+		keep[i] = n.v
+	}
+	return nil
+}
+
+// truthyNode keeps the rows where its operand is non-zero (NaN included).
+type truthyNode struct {
+	v   numNode
+	buf []float64
+}
+
+func (n *truthyNode) test(ps *paramStore, rows []int, keep []bool) error {
+	vals := n.buf[:len(rows)]
+	if err := n.v.eval(ps, rows, vals); err != nil {
+		return err
+	}
+	for i := range keep[:len(rows)] {
+		keep[i] = vals[i] != 0
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,12 +43,14 @@ func interpretFilter(b *binding, e Expr, rows []int) ([]int, error) {
 // runCompiled compiles e and applies it to a copy of rows.
 func runCompiled(t *testing.T, b *binding, e Expr, rows []int) ([]int, error, bool) {
 	t.Helper()
-	cf, ok := compilePCFilter(b, nil, e)
+	ps := &paramStore{}
+	cf, ok := compilePCFilter(b, ps, e)
 	if !ok {
 		return nil, nil, false
 	}
+	assertConstFree(t, cf)
 	cp := append([]int(nil), rows...)
-	got, err := cf.apply(nil, cp)
+	got, err := cf.apply(nil, ps, cp)
 	return got, err, true
 }
 
@@ -355,6 +358,94 @@ func TestCompiledProjectionMatchesInterpreter(t *testing.T) {
 					t.Fatalf("%s: row %d col %d: compiled %v, interpreter %v", q, i, j, g, w)
 				}
 			}
+		}
+	}
+}
+
+// walkConstFree fails t if v, followed through pointers, interface values,
+// arrays, struct fields and the elements of slices of those, holds a field
+// that could carry a constant: a float, a 64-bit integer, a func, or an
+// interface other than numNode and predNode. Slices of scalars (scratch
+// blocks, column arrays), slot indices, operators and flags are allowed.
+// Every node type it passes is recorded in seen.
+func walkConstFree(t *testing.T, v reflect.Value, path string, seen map[reflect.Type]bool) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64, reflect.Int64, reflect.Uint64, reflect.Func:
+		t.Errorf("%s: %s field can hold a constant", path, v.Type())
+	case reflect.Interface:
+		if v.Type() != reflect.TypeFor[numNode]() && v.Type() != reflect.TypeFor[predNode]() {
+			t.Errorf("%s: interface %s is not a node interface", path, v.Type())
+		} else if !v.IsNil() {
+			seen[v.Elem().Type()] = true
+			walkConstFree(t, v.Elem(), path+"."+v.Elem().Type().String(), seen)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			walkConstFree(t, v.Elem(), path, seen)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			walkConstFree(t, v.Field(i), path+"."+v.Type().Field(i).Name, seen)
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			walkConstFree(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen)
+		}
+	case reflect.Slice:
+		switch v.Type().Elem().Kind() {
+		case reflect.Interface, reflect.Pointer, reflect.Struct, reflect.Array, reflect.Func:
+			for i := range v.Len() {
+				walkConstFree(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen)
+			}
+		}
+	}
+}
+
+// assertConstFree walks one compiled tree (a *compiledFilter or a plan's
+// projection nodes) with walkConstFree.
+func assertConstFree(t *testing.T, tree any) {
+	t.Helper()
+	walkConstFree(t, reflect.ValueOf(tree), fmt.Sprintf("%T", tree), map[reflect.Type]bool{})
+}
+
+// TestCompiledNodesHoldNoConstant is the constant-slot invariant of the
+// compiled arm: trees using every node type, filters and projections,
+// literals and parameters, reach no field that can hold a constant, so a
+// rebind that refreshes the plan's paramStore reaches every constant the
+// tree reads. runCompiled and FuzzCompiledExpr walk their trees too.
+func TestCompiledNodesHoldNoConstant(t *testing.T) {
+	e, pc, _, _ := testDB(t)
+	b := pcBinding(pc)
+	seen := map[reflect.Type]bool{}
+	for _, src := range []string{
+		"z - 2*intensity > 10 AND NOT (x + y BETWEEN 500 AND 2500)",
+		"abs(scan_angle) % 7 / 2 = 3 OR TRUE",
+		"classification * gps_time - 2",
+	} {
+		cf, ok := compilePCFilter(b, &paramStore{}, whereExpr(t, src))
+		if !ok {
+			t.Fatalf("%q did not compile", src)
+		}
+		walkConstFree(t, reflect.ValueOf(cf), src, seen)
+	}
+	pq, err := e.Prepare("SELECT x, z - 2*intensity, abs(scan_angle) / 3, intensity % 7 FROM ahn2 WHERE z * 2 > 1 AND x + y <= 900")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkConstFree(t, reflect.ValueOf(pq.plan.proj), "proj", seen)
+	for _, g := range pq.plan.generic {
+		if g.cf == nil {
+			t.Fatalf("%s did not compile", g.expr.exprString())
+		}
+		walkConstFree(t, reflect.ValueOf(g.cf), g.expr.exprString(), seen)
+	}
+	for _, n := range []any{
+		&constNode{}, &gather[float64]{}, &gather[uint8]{}, &gather[uint16]{}, &gather[int32]{}, &absNode{}, &arithNode{},
+		&cmpNode{}, &betweenNode{}, &logicNode{}, &notNode{}, &boolNode{}, &truthyNode{},
+	} {
+		if !seen[reflect.TypeOf(n)] {
+			t.Errorf("no tree used %T; the walk does not cover the node set", n)
 		}
 	}
 }

@@ -268,6 +268,22 @@ func TestRunContextSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// cancelAtNode wraps a compiled projection item: it counts the chunks it
+// evaluates and calls cancel at chunk number at.
+type cancelAtNode struct {
+	numNode
+	blocks *int
+	at     int
+	cancel func()
+}
+
+func (n *cancelAtNode) eval(ps *paramStore, rows []int, dst []float64) error {
+	if *n.blocks++; *n.blocks == n.at {
+		n.cancel()
+	}
+	return n.numNode.eval(ps, rows, dst)
+}
+
 // TestCancelMidProjection fires the context from inside the projection's
 // second expression chunk: the compiled items poll the token once per
 // block, so the run must stop at the next block boundary — no further
@@ -301,12 +317,7 @@ func TestCancelMidProjection(t *testing.T) {
 	defer cancelCtx()
 	blocks := 0
 	gather := pq.plan.proj[0]
-	pq.plan.proj[0] = func(rows []int, dst []float64) error {
-		if blocks++; blocks == 2 {
-			cancelCtx()
-		}
-		return gather(rows, dst)
-	}
+	pq.plan.proj[0] = &cancelAtNode{numNode: gather, blocks: &blocks, at: 2, cancel: cancelCtx}
 	before := e.ExecStats().Cancelled
 	delta := outstandingDelta(t, func() {
 		res, err := pq.RunContext(ctx)

@@ -153,7 +153,7 @@ type queryPlan struct {
 	out         outMode
 	cols        []string
 	exprs       []Expr
-	proj        []numEval
+	proj        []numNode
 	limit       int
 	limitSelect bool
 	grouped     *groupedPlan
@@ -540,7 +540,7 @@ func (p *queryPlan) planOutput(stmt *SelectStmt) error {
 	}
 	p.out = outProject
 	p.cols, p.exprs = expandItems(stmt.Items, p.b, p.mode == planVector)
-	p.proj = make([]numEval, len(p.exprs))
+	p.proj = make([]numNode, len(p.exprs))
 	for i, e := range p.exprs {
 		// A projected item is evaluated for every output row, so a fallible
 		// kernel (runtime-checked division) is as good as the interpreter.

@@ -217,7 +217,7 @@ func genericFilterPC(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explai
 		start := time.Now()
 		in := len(rows)
 		if g.cf != nil {
-			narrowed, err := g.cf.apply(rs.Token(), rows)
+			narrowed, err := g.cf.apply(rs.Token(), p.slots, rows)
 			if err != nil {
 				return nil, err
 			}
@@ -429,7 +429,7 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds 
 		chunk := rows[base:end]
 		for i, ev := range p.proj {
 			if ev != nil {
-				if err := ev(chunk, res.Cols[i].Nums[base:end]); err != nil {
+				if err := ev.eval(p.slots, chunk, res.Cols[i].Nums[base:end]); err != nil {
 					return nil, err
 				}
 				continue
