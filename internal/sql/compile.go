@@ -111,7 +111,10 @@ type compiledFilter struct {
 // apply narrows rows to the conjunct's survivors under the constants in ps,
 // compacting in place (the write index never overtakes the read index). On
 // error the selection's backing array is untouched beyond already-surviving
-// prefixes; callers recycle their original slice. tok is polled once per
+// prefixes; callers recycle their original slice. An evaluation error also
+// returns the chunk it arose in: the nodes run operator-at-a-time, so they
+// find that a chunk fails but not always the interpreter's first failure in
+// row order, which firstError takes from those rows. tok is polled once per
 // chunk; a fired token aborts with cancel.ErrCancelled (nil tok never
 // fires).
 func (f *compiledFilter) apply(tok *cancel.Token, ps *paramStore, rows []int) ([]int, error) {
@@ -124,7 +127,7 @@ func (f *compiledFilter) apply(tok *cancel.Token, ps *paramStore, rows []int) ([
 		chunk := rows[base:end]
 		keep := f.keep[:len(chunk)]
 		if err := f.pred.test(ps, chunk, keep); err != nil {
-			return nil, err
+			return chunk, err
 		}
 		for i, row := range chunk {
 			if keep[i] {

@@ -17,7 +17,7 @@ import (
 // nanDB builds a database whose point cloud holds the adversarial grouped
 // inputs: NaN values in z, a float key column with NaN/-0/+Inf (gps_time),
 // a >256-value u16 key (intensity), and a u8 class key.
-func nanDB(t *testing.T, n int) (*Executor, *engine.PointCloud) {
+func nanDB(t testing.TB, n int) (*Executor, *engine.PointCloud) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	gpsPalette := []float64{math.NaN(), math.Copysign(0, -1), 0, -7.25, 42.5, math.Inf(1)}

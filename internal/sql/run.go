@@ -219,6 +219,9 @@ func genericFilterPC(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explai
 		if g.cf != nil {
 			narrowed, err := g.cf.apply(rs.Token(), p.slots, rows)
 			if err != nil {
+				if err != cancel.ErrCancelled {
+					err = firstError(&evalCtx{b: p.b, ps: p.params, vtRow: -1}, false, g.expr, narrowed, err)
+				}
 				return nil, err
 			}
 			rows = narrowed
@@ -430,7 +433,7 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds 
 		for i, ev := range p.proj {
 			if ev != nil {
 				if err := ev.eval(p.slots, chunk, res.Cols[i].Nums[base:end]); err != nil {
-					return nil, err
+					return nil, firstError(ctx, isVector, p.exprs[i], chunk, err)
 				}
 				continue
 			}
@@ -449,6 +452,19 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds 
 		ex.Add("project", strings.Join(p.cols, ","), n, n, time.Since(start))
 	}
 	return res, nil
+}
+
+// firstError is the error the interpreter raises first over rows, or
+// compiled when none does: the error a compiled node that failed on rows
+// must report in its place.
+func firstError(ctx *evalCtx, isVector bool, e Expr, rows []int, compiled error) error {
+	for _, r := range rows {
+		setRow(ctx, isVector, r)
+		if _, err := evalExpr(ctx, e); err != nil {
+			return err
+		}
+	}
+	return compiled
 }
 
 func setRow(ctx *evalCtx, isVector bool, r int) {
