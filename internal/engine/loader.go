@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -127,37 +128,20 @@ func decode(h las.Header, raw []byte, cols []colstore.Column, at, n int) {
 	}
 }
 
-// tileBound reads the header of the tile at path and returns the most
-// records the tile's bytes can hold (las.Reader.RecordBound).
-func tileBound(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	r, err := las.NewAnyReader(f)
-	if err != nil {
-		return 0, err
-	}
-	return r.RecordBound(fi.Size()), nil
-}
-
 // decodeTile streams the LAS or LAZ-sim tile at path into its slot, rows
-// [at, at+bound) of cols, a chunk at a time through raw. It returns the
-// rows it wrote and their record bytes — also on error, when they are the
-// chunks before the failure. A tile whose records do not fill its slot
-// exactly is an error; one that would overrun it never writes past it.
-func decodeTile(path string, cols []colstore.Column, at, bound int, raw []byte) (rows int, stage int64, err error) {
+// [at, at+bound) of cols, through br (reset onto the tile's file) and a
+// chunk at a time through raw. It returns the rows it wrote and their
+// record bytes — also on error, when they are the chunks before the
+// failure. A tile whose records do not fill its slot exactly is an error;
+// one that would overrun it never writes past it.
+func decodeTile(path string, cols []colstore.Column, at, bound int, br *bufio.Reader, raw []byte) (rows int, stage int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	r, err := las.NewAnyReader(f)
+	br.Reset(f)
+	r, err := las.NewAnyBufferedReader(br)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -196,8 +180,8 @@ type loadTile struct {
 }
 
 // loadPass decodes the tiles of one bulk load on the morsel workers:
-// partitions claim tiles from one counter, each with its own record
-// buffer, and decode every tile they claim into its slot. The slots are
+// partitions claim tiles from one counter, each with its own stream and
+// record buffers, and decode every tile they claim into its slot. The slots are
 // disjoint, so partitions share the columns' backing arrays with no lock,
 // and every tile's rows land at the same offsets at every degree.
 type loadPass struct {
@@ -210,10 +194,11 @@ type loadPass struct {
 // RunPartition decodes claimed tiles until none is left. A failed tile
 // exhausts the counter: the rows of the tiles after it would be cut off.
 func (lp *loadPass) RunPartition(int) {
+	br := bufio.NewReaderSize(nil, 1<<16)
 	raw := make([]byte, loadChunk*las.PointFormatSize(3)) // format 3 has the longest record
 	for k := int(lp.claim.Add(1)) - 1; k < len(lp.tiles); k = int(lp.claim.Add(1)) - 1 {
 		t := &lp.tiles[k]
-		t.rows, t.stage, t.err = decodeTile(t.path, lp.cols, t.at, t.bound, raw)
+		t.rows, t.stage, t.err = decodeTile(t.path, lp.cols, t.at, t.bound, br, raw)
 		if t.err != nil {
 			lp.claim.Store(int64(len(lp.tiles)))
 		}
@@ -263,7 +248,7 @@ func (pc *PointCloud) loadTiles(cols []colstore.Column, paths []string, deg int)
 	base := cols[0].Len()
 	at := base
 	for _, path := range paths {
-		bound, e := tileBound(path)
+		bound, e := las.FileRecordBound(path)
 		if e != nil {
 			err = fmt.Errorf("engine: %s: %w", path, e)
 			break

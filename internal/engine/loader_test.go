@@ -446,6 +446,43 @@ func TestLoadBinaryHeadroom(t *testing.T) {
 	}
 }
 
+// TestLoadBinaryTileAllocs: a tile costs the load no buffer of its own.
+// The header pass reads each header through a header-sized buffer and each
+// partition streams every tile it claims through one buffer, so six tiles
+// allocate under 16 KiB per tile more than one tile of the same rows,
+// whose column reservations are the same.
+func TestLoadBinaryTileAllocs(t *testing.T) {
+	const n, tiles = 2000, 6
+	one, six := t.TempDir(), t.TempDir()
+	writeTile(t, one, "all", 1, false, randomPoints(n*tiles, 1))
+	for k := range tiles {
+		writeTile(t, six, fmt.Sprintf("tile%d", k), 1, k%2 == 1, randomPoints(n, int64(k)))
+	}
+	loadBytes := func(dir string) uint64 {
+		repo, err := lastools.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			pc := NewPointCloud()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := loadBinary(pc, repo, 1); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	base, many := loadBytes(one), loadBytes(six)
+	if per := (int64(many) - int64(base)) / (tiles - 1); per >= 16<<10 {
+		t.Fatalf("a load of %d tiles allocates %d bytes, of one tile %d: %d bytes per extra tile, want < 16 KiB",
+			tiles, many, base, per)
+	}
+}
+
 // FuzzLoadBinary loads two arbitrary tile files: the load errors, or it
 // yields exactly the rows the headers claim, every column bit-identical to
 // the row-wise load of the same files. It never panics, and it allocates in

@@ -29,7 +29,12 @@ func NewReader(r io.Reader) (*Reader, error) {
 // NewAnyReader is NewReader for a LAS or a LAZ-sim stream, told apart by
 // their magic bytes.
 func NewAnyReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	return NewAnyBufferedReader(bufio.NewReaderSize(r, 1<<16))
+}
+
+// NewAnyBufferedReader is NewAnyReader reading through br, so a caller
+// that streams many files keeps one buffer (bufio.Reader.Reset).
+func NewAnyBufferedReader(br *bufio.Reader) (*Reader, error) {
 	magic, err := br.Peek(len(lazMagic))
 	if err != nil {
 		return nil, fmt.Errorf("las: sniffing: %w", err)
@@ -79,6 +84,26 @@ func (r *Reader) RecordBound(streamBytes int64) int {
 		shortest = lazMinRecord(r.header.PointFormat)
 	}
 	return int(min(int64(r.header.PointCount), max(streamBytes-r.start, 0)/int64(shortest)))
+}
+
+// FileRecordBound reads the header of the LAS or LAZ-sim file at path and
+// returns RecordBound for the file's size. It buffers no more than a
+// header's bytes, and reads no point record.
+func FileRecordBound(path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	r, err := NewAnyBufferedReader(bufio.NewReaderSize(f, len(lazMagic)+HeaderSize))
+	if err != nil {
+		return 0, err
+	}
+	return r.RecordBound(fi.Size()), nil
 }
 
 // ReadRecords fills buf with as many whole raw point records, in the LAS
