@@ -83,11 +83,11 @@ func TestVectorTableBasics(t *testing.T) {
 	}
 
 	ex := &Explain{}
-	rows := vt.SelectClass("motorway", ex)
+	rows := vt.SelectClassInto("motorway", nil, ex)
 	if len(rows) != 1 || rows[0] != 0 {
 		t.Fatalf("class select = %v", rows)
 	}
-	if rows := vt.SelectClass("park", ex); rows != nil {
+	if rows := vt.SelectClassInto("park", nil, ex); rows != nil {
 		t.Fatal("absent class should be empty")
 	}
 	hits := vt.SelectIntersects(geom.NewEnvelope(10, -5, 20, 5).ToPolygon(), ex)
@@ -99,7 +99,7 @@ func TestVectorTableBasics(t *testing.T) {
 func TestScenario2Queries(t *testing.T) {
 	db, pc, _, ua := buildDemoDB(t)
 	ex := &Explain{}
-	fast := ua.SelectClass(synth.UAFastTransit, ex)
+	fast := ua.SelectClassInto(synth.UAFastTransit, nil, ex)
 	if len(fast) == 0 {
 		t.Fatal("no fast transit zones in demo data")
 	}

@@ -136,15 +136,10 @@ func (vt *VectorTable) NumericAttrs() []string {
 	return out
 }
 
-// SelectClass returns the rows whose class equals class, resolving the
-// constant through the dictionary once (no string compares per row).
-func (vt *VectorTable) SelectClass(class string, ex *Explain) []int {
-	return vt.SelectClassInto(class, nil, ex)
-}
-
-// SelectClassInto is SelectClass appending into rows — callers on the
-// repeated-query path pass a pooled buffer (AcquireRows) so the class scan
-// allocates nothing steady-state. The first call builds the per-class
+// SelectClassInto appends to rows the rows whose class equals class,
+// resolving the constant through the dictionary once (no string compares
+// per row). Callers on the repeated-query path pass a pooled buffer
+// (AcquireRows) so the class scan allocates nothing steady-state. The first call builds the per-class
 // posting lists (one scan over the code column); every later call copies
 // the class's posting list, O(|result|) instead of O(n). ex may be nil to
 // skip the trace (and its formatting allocations).

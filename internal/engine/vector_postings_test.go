@@ -28,7 +28,7 @@ func TestClassPostingsMatchScan(t *testing.T) {
 		t.Fatal("postings should be lazy, not built by Append")
 	}
 	for _, class := range []string{"road", "park", "water", "absent"} {
-		got := vt.SelectClass(class, nil)
+		got := vt.SelectClassInto(class, nil, nil)
 		// Reference: scan the code column directly.
 		var want []int
 		if code, ok := vt.classes.Code(class); ok {
@@ -52,7 +52,7 @@ func TestClassPostingsMatchScan(t *testing.T) {
 // direction as the R-tree and the point cloud's imprints.
 func TestClassPostingsDroppedOnAppend(t *testing.T) {
 	vt := buildClassTable(30)
-	before := vt.SelectClass("road", nil)
+	before := vt.SelectClassInto("road", nil, nil)
 	epoch := vt.Epoch()
 
 	vt.Append(999, "road", "late road", geom.NewEnvelope(50, 0, 51, 1).ToPolygon(), nil)
@@ -63,7 +63,7 @@ func TestClassPostingsDroppedOnAppend(t *testing.T) {
 		t.Fatal("append did not bump the epoch")
 	}
 
-	after := vt.SelectClass("road", nil)
+	after := vt.SelectClassInto("road", nil, nil)
 	if len(after) != len(before)+1 || after[len(after)-1] != vt.Len()-1 {
 		t.Fatalf("post-append selection = %v, want %v + appended row %d", after, before, vt.Len()-1)
 	}

@@ -207,69 +207,3 @@ func Area(g Geometry) float64 {
 		return 0
 	}
 }
-
-// Simplify reduces the vertex count of a line string with the
-// Douglas–Peucker algorithm under tolerance tol, keeping endpoints. Useful
-// when rendering dense vector layers at low zoom (the QGIS substitute does
-// exactly this for large networks).
-func Simplify(l LineString, tol float64) LineString {
-	if len(l.Points) <= 2 || tol <= 0 {
-		return l
-	}
-	keep := make([]bool, len(l.Points))
-	keep[0] = true
-	keep[len(l.Points)-1] = true
-	simplifyRange(l.Points, 0, len(l.Points)-1, tol, keep)
-	out := make([]Point, 0, len(l.Points))
-	for i, k := range keep {
-		if k {
-			out = append(out, l.Points[i])
-		}
-	}
-	return LineString{Points: out}
-}
-
-func simplifyRange(pts []Point, first, last int, tol float64, keep []bool) {
-	if last <= first+1 {
-		return
-	}
-	maxDist := -1.0
-	maxIdx := -1
-	for i := first + 1; i < last; i++ {
-		d := pointSegmentDistance(pts[i], pts[first], pts[last])
-		if d > maxDist {
-			maxDist = d
-			maxIdx = i
-		}
-	}
-	if maxDist > tol {
-		keep[maxIdx] = true
-		simplifyRange(pts, first, maxIdx, tol, keep)
-		simplifyRange(pts, maxIdx, last, tol, keep)
-	}
-}
-
-// Interpolate returns the point at fraction t ∈ [0,1] along the line.
-func Interpolate(l LineString, t float64) Point {
-	if len(l.Points) == 0 {
-		return EmptyPoint()
-	}
-	if len(l.Points) == 1 || t <= 0 {
-		return l.Points[0]
-	}
-	if t >= 1 {
-		return l.Points[len(l.Points)-1]
-	}
-	target := l.Length() * t
-	var walked float64
-	for i := 1; i < len(l.Points); i++ {
-		a, b := l.Points[i-1], l.Points[i]
-		seg := a.DistanceTo(b)
-		if walked+seg >= target && seg > 0 {
-			f := (target - walked) / seg
-			return Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}
-		}
-		walked += seg
-	}
-	return l.Points[len(l.Points)-1]
-}

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -129,80 +128,5 @@ func TestLengthAndArea(t *testing.T) {
 	mp := MultiPolygon{Polygons: []Polygon{sq, sq}}
 	if Area(mp) != 200 || Length(mp) != 80 {
 		t.Fatal("multipolygon measures wrong")
-	}
-}
-
-func TestSimplify(t *testing.T) {
-	// Points on a line with tiny zigzag collapse to the endpoints.
-	var pts []Point
-	for i := 0; i <= 100; i++ {
-		y := 0.0
-		if i%2 == 1 {
-			y = 0.01
-		}
-		pts = append(pts, Point{float64(i), y})
-	}
-	l := LineString{Points: pts}
-	s := Simplify(l, 0.1)
-	if len(s.Points) != 2 {
-		t.Fatalf("zigzag should collapse to 2 points, got %d", len(s.Points))
-	}
-	// A sharp corner survives.
-	corner := LineString{Points: []Point{{0, 0}, {50, 0}, {50, 50}}}
-	s2 := Simplify(corner, 1)
-	if len(s2.Points) != 3 {
-		t.Fatalf("corner lost: %d points", len(s2.Points))
-	}
-	// Tolerance 0 and short lines are returned unchanged.
-	if got := Simplify(l, 0); len(got.Points) != len(l.Points) {
-		t.Fatal("tol=0 should be identity")
-	}
-	short := LineString{Points: []Point{{0, 0}, {1, 1}}}
-	if got := Simplify(short, 5); len(got.Points) != 2 {
-		t.Fatal("short line should be identity")
-	}
-	// Simplified line deviates at most tol from the original vertices.
-	rng := rand.New(rand.NewSource(3))
-	var wpts []Point
-	x := 0.0
-	y := 0.0
-	for i := 0; i < 200; i++ {
-		x += rng.Float64() * 5
-		y += rng.NormFloat64() * 3
-		wpts = append(wpts, Point{x, y})
-	}
-	walk := LineString{Points: wpts}
-	const tol = 10.0
-	sw := Simplify(walk, tol)
-	if len(sw.Points) >= len(walk.Points) {
-		t.Fatal("random walk should simplify")
-	}
-	for _, p := range walk.Points {
-		if d := DistancePointToGeometry(p.X, p.Y, sw); d > tol+1e-9 {
-			t.Fatalf("vertex deviates %v > tol", d)
-		}
-	}
-}
-
-func TestInterpolate(t *testing.T) {
-	l := LineString{Points: []Point{{0, 0}, {10, 0}, {10, 10}}}
-	if p := Interpolate(l, 0); p != (Point{0, 0}) {
-		t.Fatalf("t=0: %v", p)
-	}
-	if p := Interpolate(l, 1); p != (Point{10, 10}) {
-		t.Fatalf("t=1: %v", p)
-	}
-	if p := Interpolate(l, 0.5); p != (Point{10, 0}) {
-		t.Fatalf("t=0.5: %v", p)
-	}
-	if p := Interpolate(l, 0.25); p != (Point{5, 0}) {
-		t.Fatalf("t=0.25: %v", p)
-	}
-	if !Interpolate(LineString{}, 0.5).IsEmpty() {
-		t.Fatal("empty line interpolation should be empty")
-	}
-	single := LineString{Points: []Point{{7, 7}}}
-	if p := Interpolate(single, 0.9); p != (Point{7, 7}) {
-		t.Fatal("single point line")
 	}
 }

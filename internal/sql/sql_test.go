@@ -286,7 +286,7 @@ func TestScenario2JoinSQL(t *testing.T) {
 
 	// Reference: engine-level join.
 	ex := &engine.Explain{}
-	fast := ua.SelectClass(synth.UAFastTransit, ex)
+	fast := ua.SelectClassInto(synth.UAFastTransit, nil, ex)
 	region := ua.CollectGeometries(fast)
 	want := 0
 	var sum float64
