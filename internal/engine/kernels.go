@@ -50,9 +50,9 @@ import (
 // KernelArgs is the per-run constant-slot record of one compiled kernel: the
 // predicate's bind-time interval [lo, hi] and complement flag. The integer
 // kernels' bounds are integers whose interval wraps (hi < lo) in place of
-// the flag (see intLoops.bind). It is produced by Kernel.Bind and passed BY VALUE
-// through the filter entry points — no pointer, so per-query binding never
-// escapes to the heap and the zero-allocation steady state survives.
+// the flag (see intLoops.bind). It is produced by Kernel.Bind and passed BY
+// VALUE through the filter entry points — no pointer, so per-query binding
+// never escapes to the heap and the zero-allocation steady state survives.
 //
 // tok is the run's cooperative cancellation token, set by the filter entry
 // points after Bind (Bind itself stays a pure function of the constants).

@@ -181,9 +181,9 @@ type loadTile struct {
 
 // loadPass decodes the tiles of one bulk load on the morsel workers:
 // partitions claim tiles from one counter, each with its own stream and
-// record buffers, and decode every tile they claim into its slot. The slots are
-// disjoint, so partitions share the columns' backing arrays with no lock,
-// and every tile's rows land at the same offsets at every degree.
+// record buffers, and decode every tile they claim into its slot. The
+// slots are disjoint, so partitions share the columns' backing arrays with
+// no lock, and every tile's rows land at the same offsets at every degree.
 type loadPass struct {
 	pass  morsel.Pass
 	cols  []colstore.Column

@@ -5,8 +5,8 @@
 // of nodes that runs chunk-at-a-time: each numeric node evaluates
 // operator-at-a-time into a float64 block buffer, then a monomorphic
 // compare loop writes the verdicts — the same execution style the engine's
-// ColumnPred kernels use (§2.1.1). The row-at-a-time interpreter (evalExpr)
-// stays the fallback for everything else.
+// ColumnPred kernels use (§2.1.1), instead of the row-at-a-time
+// interpreter (evalExpr).
 //
 // The node set is closed: constNode, gather, absNode and arithNode compute
 // numbers (numNode); cmpNode, betweenNode, logicNode, notNode, boolNode and
@@ -26,7 +26,7 @@
 //     under a compiled AND/OR send the whole conjunct back to the
 //     interpreter.
 //
-// The interpreter remains the fallback for truly dynamic shapes: string or
+// The interpreter remains the arm for the shapes no node covers: string or
 // geometry operands, function calls other than abs(), vector-table columns.
 //
 // Constant-slot contract (the SQL-layer mirror of the engine kernels'
@@ -250,16 +250,12 @@ func compileNum(b *binding, slots *paramStore, e Expr) (ev numNode, mayErr bool,
 			return nil, false, false
 		}
 		mayErr = lerr || rerr
-		switch t.Op {
-		case "/":
-			_, isConst := constNonZero(t.R)
-			mayErr = mayErr || !isConst
-		case "%":
+		if t.Op == "/" || t.Op == "%" {
 			// Modulo runs in the int64 domain, so "provably non-zero" must
 			// hold after truncation: a constant like 0.5 truncates to 0 and
 			// raises the interpreter's modulo-by-zero error.
 			c, isConst := constNonZero(t.R)
-			mayErr = mayErr || !isConst || int64(c) == 0
+			mayErr = mayErr || !isConst || t.Op == "%" && int64(c) == 0
 		}
 		return &arithNode{op: t.Op[0], l: l, r: r, rbuf: make([]float64, exprChunk)}, mayErr, true
 	default:
@@ -397,22 +393,13 @@ type cmpNode struct {
 }
 
 func newCmpNode(l, r numNode, op string) *cmpNode {
-	n := &cmpNode{l: l, r: r, lbuf: make([]float64, exprChunk), rbuf: make([]float64, exprChunk)}
-	switch op {
-	case "=":
-		n.eq = true
-	case "<>":
-		n.neg, n.pos = true, true
-	case "<":
-		n.neg = true
-	case "<=":
-		n.neg, n.eq = true, true
-	case ">":
-		n.pos = true
-	case ">=":
-		n.pos, n.eq = true, true
+	return &cmpNode{
+		l: l, r: r,
+		neg:  op == "<" || op == "<=" || op == "<>",
+		eq:   op == "=" || op == "<=" || op == ">=",
+		pos:  op == ">" || op == ">=" || op == "<>",
+		lbuf: make([]float64, exprChunk), rbuf: make([]float64, exprChunk),
 	}
-	return n
 }
 
 func (n *cmpNode) test(ps *paramStore, rows []int, keep []bool) error {

@@ -119,8 +119,8 @@ type queryPlan struct {
 
 	// The bound literal vector and its numeric mirror for compiled kernels.
 	// Both are rewritten IN PLACE by rebind (under the statement lock):
-	// interpreter steps read params through evalCtx, compiled generic
-	// kernels read slots through their captured store pointer.
+	// interpreter steps read params through evalCtx, compiled nodes are
+	// handed slots on every evaluation.
 	params []Value
 	slots  *paramStore
 
