@@ -44,9 +44,6 @@ func getRangeBuf(capHint int) []colstore.Range { return rangePool.Get(capHint) }
 // contents: callers must initialise every element they read.
 func getF64Buf(capHint int) []float64 { return f64Pool.Get(capHint) }
 
-// recycleF64 returns a float64 scratch buffer to its pool.
-func recycleF64(b []float64) { f64Pool.Put(b) }
-
 // PoolStats is a snapshot of one buffer pool, for diagnostics and the
 // pool-accounting regression tests.
 type PoolStats struct {

@@ -179,11 +179,6 @@ func (r *Run) recycleF64(b []float64) {
 	f64Pool.Put(b)
 }
 
-// TrackF64 registers a float64 scratch buffer in the release list and
-// returns it — the exported form for layers above the engine (the
-// pyramid's per-query fold banks). Nil-safe.
-func (r *Run) TrackF64(b []float64) []float64 { return r.trackF64(b) }
-
 // AcquireF64 draws a tracked float64 scratch buffer from the engine's
 // pool. As with AcquireRows, the capacity hint must cover everything the
 // caller appends. Buffer contents are stale: initialise every element

@@ -200,22 +200,3 @@ func ReadAnyFile(path string) (Header, []Point, error) {
 	defer f.Close()
 	return drain(NewAnyReader(f))
 }
-
-// ReadAnyFileHeader reads only the header from a LAS or LAZ-sim file.
-func ReadAnyFileHeader(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, err
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return Header{}, fmt.Errorf("las: sniffing %s: %w", path, err)
-	}
-	if magic != lazMagic {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return Header{}, err
-		}
-	}
-	return ReadHeader(f)
-}

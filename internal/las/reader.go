@@ -90,20 +90,44 @@ func (r *Reader) RecordBound(streamBytes int64) int {
 // returns RecordBound for the file's size. It buffers no more than a
 // header's bytes, and reads no point record.
 func FileRecordBound(path string) (int, error) {
-	f, err := os.Open(path)
+	r, size, err := openHeader(path)
 	if err != nil {
 		return 0, err
+	}
+	return r.RecordBound(size), nil
+}
+
+// ReadAnyFileHeader reads only the header of the LAS or LAZ-sim file at
+// path. It accepts exactly the files FileRecordBound and the readers
+// accept: a LAS header whose point data offset lies past the end of the
+// file is an error here too.
+func ReadAnyFileHeader(path string) (Header, error) {
+	r, _, err := openHeader(path)
+	if err != nil {
+		return Header{}, err
+	}
+	return r.Header(), nil
+}
+
+// openHeader opens a Reader over the file at path through a header-sized
+// buffer — which consumes the header and, for LAS, skips to the point
+// data — and returns it with the file's size. The file is closed on
+// return; the Reader is good for its header only.
+func openHeader(path string) (*Reader, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	r, err := NewAnyBufferedReader(bufio.NewReaderSize(f, len(lazMagic)+HeaderSize))
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return r.RecordBound(fi.Size()), nil
+	return r, fi.Size(), nil
 }
 
 // ReadRecords fills buf with as many whole raw point records, in the LAS

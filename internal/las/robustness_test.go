@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -304,4 +306,54 @@ func TestRecordBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzHeaderViews: whatever a tile's bytes, the metadata read
+// (ReadAnyFileHeader, what lastools.ScanMetadata uses) and the loader's
+// header pass (FileRecordBound) both accept it or both reject it, and agree
+// with a reader over the same bytes on the header. Seeds are readerSeeds in
+// both formats and a two-point LAS tile whose point data offset lies 1,000
+// bytes past its end.
+func FuzzHeaderViews(f *testing.F) {
+	for _, laz := range []bool{false, true} {
+		for _, seed := range readerSeeds(f, laz) {
+			f.Add(seed)
+		}
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 1, 0.01, 0.01, 0.01, 100000, 450000, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range samplePoints(2, 1) {
+		w.Write(p)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	gap := buf.Bytes()
+	binary.LittleEndian.PutUint32(gap[96:], uint32(len(gap)+1000))
+	f.Add(gap)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "tile.las")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, herr := ReadAnyFileHeader(path)
+		n, berr := FileRecordBound(path)
+		if (herr == nil) != (berr == nil) {
+			t.Fatalf("metadata read err %v, record bound err %v", herr, berr)
+		}
+		r, rerr := NewAnyReader(bytes.NewReader(data))
+		if (herr == nil) != (rerr == nil) {
+			t.Fatalf("metadata read err %v, stream reader err %v", herr, rerr)
+		}
+		if herr != nil {
+			return
+		}
+		if !bytes.Equal(h.encode(), r.Header().encode()) || n != r.RecordBound(int64(len(data))) {
+			t.Fatalf("file views read %+v bound %d; the stream reader %+v bound %d",
+				h, n, r.Header(), r.RecordBound(int64(len(data))))
+		}
+	})
 }

@@ -10,9 +10,9 @@
 //	cancelled  — the client went away mid-query (connection closed).
 //	parse      — the statement failed to parse, bind, or evaluate; the
 //	             request is at fault. NOT retryable as-is.
-//	internal   — a panic isolated into *sql.QueryError. The statement is
-//	             poisoned and replans on its next run, so a retry is safe
-//	             and exercises a fresh plan.
+//	internal   — a panic isolated into *sql.QueryError. A run never
+//	             writes its plan, so a retry is safe and runs exactly
+//	             as a fresh Prepare would.
 package server
 
 import (

@@ -12,8 +12,8 @@
 //     503 with a jittered Retry-After hint derived from the gate's run
 //     latency estimate, and every failure carries a stable machine-
 //     readable code (errors.go) so clients can implement retry policies.
-//     Panics isolated into *sql.QueryError surface as 500 with the
-//     statement already poisoned for replan.
+//     Panics isolated into *sql.QueryError surface as 500; the statement
+//     is left as it was, since runs never write their plan.
 //   - Graceful shutdown: Shutdown flips /readyz, rejects new queries,
 //     drains in-flight requests up to the caller's deadline, then cancels
 //     stragglers through their run contexts — every request is answered,

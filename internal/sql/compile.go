@@ -31,31 +31,31 @@
 //
 // Constant-slot contract (the SQL-layer mirror of the engine kernels'
 // KernelArgs), held by the types: no node has a field that can hold a
-// constant. A ParamRef or NumberLit compiles to a constNode, which holds the
-// index of its slot in the plan's paramStore; every evaluation receives the
-// store as an argument. A shape-cache rebind refreshes the store's
-// parameter slots in place, so the compiled tree serves the new literal
-// vector without recompiling. TestCompiledNodesHoldNoConstant walks every
-// tree the compile tests build with reflect and fails on any float, 64-bit
-// integer or func field. A ParamRef is never "provably non-zero", so a
-// parameterised division/modulo denominator is fallible for the AND/OR
-// rule above — a rebind could make it zero.
+// constant or a buffer. A ParamRef or NumberLit compiles to a constNode,
+// which holds the index of its slot in a paramStore; a node that needs a
+// chunk-sized scratch block holds the index of its block in the run's
+// frame. Every evaluation receives both as arguments, so a compiled tree is
+// pure structure: one tree serves every literal vector and every concurrent
+// run of its plan. TestCompiledNodesHoldNoConstant walks every tree the
+// compile tests build with reflect and fails on any float, 64-bit integer,
+// func or slice field (gather's column array aside). A ParamRef is never
+// "provably non-zero", so a parameterised division/modulo denominator is
+// fallible for the AND/OR rule above — a rebind could make it zero.
 package sql
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/colstore"
+	"gisnav/internal/engine"
 )
 
-// paramStore is the constant-slot array a plan's compiled nodes read their
-// constants from: the ParamRef slots first, refreshed in place by every
-// rebind (under the statement lock), then the NumberLit slots compile
-// appends, which no rebind touches. Non-numeric parameters mirror as NaN —
-// a compiled node never reads them (compileNum rejects non-numeric
-// ParamRefs at compile time).
+// paramStore is the constant-slot array compiled nodes read their constants
+// from: the ParamRef slots first, then the NumberLit slots compile appends.
+// Each bound literal vector gets its own copy (bind). A non-numeric
+// parameter's slot is never read: compiler.num rejects its ParamRef.
 type paramStore struct {
 	nums   []float64
 	params int // parameter slots at the front of nums
@@ -67,23 +67,46 @@ func (s *paramStore) lit(v float64) int {
 	return len(s.nums) - 1
 }
 
-// newParamStore mirrors params into a fresh slot array.
-func newParamStore(params []Value) *paramStore {
-	s := &paramStore{nums: make([]float64, len(params)), params: len(params)}
-	s.refresh(params)
-	return s
+// bind returns s with its parameter slots set from params, appended to dst:
+// the store a run under params hands its nodes.
+func (s *paramStore) bind(params []Value, dst []float64) paramStore {
+	for _, v := range params {
+		dst = append(dst, v.Num)
+	}
+	return paramStore{nums: append(dst, s.nums[s.params:]...), params: s.params}
 }
 
-// refresh re-mirrors params into the existing slots (rebind path).
-func (s *paramStore) refresh(params []Value) {
-	for i, v := range params {
-		if v.Kind == KindNum {
-			s.nums[i] = v.Num
-		} else {
-			s.nums[i] = math.NaN()
-		}
-	}
+// frame is one run's scratch: the chunk-sized blocks compiled nodes
+// evaluate into, addressed by the block numbers compile handed out, and the
+// engine's grouped result record. Concurrent runs of a plan share nothing
+// they write. Frames are pooled with the run record (lifecycle.go) and keep
+// the capacity of the largest plan they served.
+type frame struct {
+	nums    []float64
+	keeps   []bool
+	grouped engine.GroupedResult
 }
+
+// fit sizes the frame to nums float blocks and keeps bool blocks.
+func (f *frame) fit(nums, keeps int) {
+	f.nums = slices.Grow(f.nums[:0], nums*exprChunk)[:nums*exprChunk]
+	f.keeps = slices.Grow(f.keeps[:0], keeps*exprChunk)[:keeps*exprChunk]
+}
+
+// num and keep return float and bool block i.
+func (f *frame) num(i int) []float64 { return f.nums[i*exprChunk : (i+1)*exprChunk] }
+func (f *frame) keep(i int) []bool   { return f.keeps[i*exprChunk : (i+1)*exprChunk] }
+
+// compiler is one plan's compile state: the binding, the store literals
+// land in, and the frame blocks handed out (one per node that needs one).
+type compiler struct {
+	b           *binding
+	slots       *paramStore
+	nums, keeps int
+}
+
+func (c *compiler) numBlock() int  { c.nums++; return c.nums - 1 }
+func (c *compiler) keepBlock() int { c.keeps++; return c.keeps - 1 }
 
 // exprChunk is the block size of the vectorized expression loops — the same
 // cache-resident block the engine's scan kernels use.
@@ -92,20 +115,20 @@ const exprChunk = 1024
 // numNode is a compiled numeric expression: eval writes its value for each
 // of rows (at most exprChunk) into dst[:len(rows)].
 type numNode interface {
-	eval(ps *paramStore, rows []int, dst []float64) error
+	eval(fr *frame, ps *paramStore, rows []int, dst []float64) error
 }
 
 // predNode is a compiled boolean conjunct: test writes its verdict for each
 // of rows (at most exprChunk) into keep[:len(rows)].
 type predNode interface {
-	test(ps *paramStore, rows []int, keep []bool) error
+	test(fr *frame, ps *paramStore, rows []int, keep []bool) error
 }
 
 // compiledFilter is one compiled WHERE conjunct ready to narrow a selection
 // vector in place.
 type compiledFilter struct {
 	pred predNode
-	keep []bool
+	keep int // frame block
 }
 
 // apply narrows rows to the conjunct's survivors under the constants in ps,
@@ -117,7 +140,7 @@ type compiledFilter struct {
 // row order, which firstError takes from those rows. tok is polled once per
 // chunk; a fired token aborts with cancel.ErrCancelled (nil tok never
 // fires).
-func (f *compiledFilter) apply(tok *cancel.Token, ps *paramStore, rows []int) ([]int, error) {
+func (f *compiledFilter) apply(tok *cancel.Token, fr *frame, ps *paramStore, rows []int) ([]int, error) {
 	out := rows[:0]
 	for base := 0; base < len(rows); base += exprChunk {
 		if tok.Cancelled() {
@@ -125,8 +148,8 @@ func (f *compiledFilter) apply(tok *cancel.Token, ps *paramStore, rows []int) ([
 		}
 		end := min(base+exprChunk, len(rows))
 		chunk := rows[base:end]
-		keep := f.keep[:len(chunk)]
-		if err := f.pred.test(ps, chunk, keep); err != nil {
+		keep := fr.keep(f.keep)[:len(chunk)]
+		if err := f.pred.test(fr, ps, chunk, keep); err != nil {
 			return chunk, err
 		}
 		for i, row := range chunk {
@@ -138,57 +161,57 @@ func (f *compiledFilter) apply(tok *cancel.Token, ps *paramStore, rows []int) ([
 	return out, nil
 }
 
-// compilePCFilter compiles conjunct e into a vector kernel over the bound
+// filter compiles conjunct e into a vector kernel over the bound
 // point cloud, reporting ok=false for shapes the interpreter must keep.
-// Its constants land in slots, the store every apply must be handed.
-func compilePCFilter(b *binding, slots *paramStore, e Expr) (*compiledFilter, bool) {
-	pred, _, ok := compilePred(b, slots, e)
+// Its constants land in c.slots, whose bound copy every apply is handed.
+func (c *compiler) filter(e Expr) (*compiledFilter, bool) {
+	pred, _, ok := c.pred(e)
 	if !ok {
 		return nil, false
 	}
-	return &compiledFilter{pred: pred, keep: make([]bool, exprChunk)}, true
+	return &compiledFilter{pred: pred, keep: c.keepBlock()}, true
 }
 
-// compilePred compiles a boolean expression; mayErr reports whether
+// pred compiles a boolean expression; mayErr reports whether
 // evaluation can fail (division or modulo whose denominator is not a
 // provably non-zero constant), which gates compilation under AND/OR.
-func compilePred(b *binding, slots *paramStore, e Expr) (pred predNode, mayErr bool, ok bool) {
+func (c *compiler) pred(e Expr) (pred predNode, mayErr bool, ok bool) {
 	switch t := e.(type) {
 	case BinaryExpr:
 		switch t.Op {
 		case "=", "<>", "<", "<=", ">", ">=":
-			l, lerr, lok := compileNum(b, slots, t.L)
-			r, rerr, rok := compileNum(b, slots, t.R)
+			l, lerr, lok := c.num(t.L)
+			r, rerr, rok := c.num(t.R)
 			if !lok || !rok {
 				return nil, false, false
 			}
-			return newCmpNode(l, r, t.Op), lerr || rerr, true
+			return newCmpNode(l, r, t.Op, c.numBlock(), c.numBlock()), lerr || rerr, true
 		case "AND", "OR":
-			l, lerr, lok := compilePred(b, slots, t.L)
-			r, rerr, rok := compilePred(b, slots, t.R)
+			l, lerr, lok := c.pred(t.L)
+			r, rerr, rok := c.pred(t.R)
 			// Short-circuiting may skip a fallible operand row-by-row; the
 			// vector kernel cannot, so such conjuncts stay interpreted.
 			if !lok || !rok || lerr || rerr {
 				return nil, false, false
 			}
-			return &logicNode{l: l, r: r, or: t.Op == "OR", rkeep: make([]bool, exprChunk)}, false, true
+			return &logicNode{l: l, r: r, or: t.Op == "OR", rkeep: c.keepBlock()}, false, true
 		default:
 			// Arithmetic result used as a bare boolean conjunct.
-			return compileTruthy(b, slots, e)
+			return c.truthy(e)
 		}
 	case BetweenExpr:
-		s, serr, sok := compileNum(b, slots, t.Subject)
-		lo, loerr, look := compileNum(b, slots, t.Lo)
-		hi, hierr, hiok := compileNum(b, slots, t.Hi)
+		s, serr, sok := c.num(t.Subject)
+		lo, loerr, look := c.num(t.Lo)
+		hi, hierr, hiok := c.num(t.Hi)
 		if !sok || !look || !hiok {
 			return nil, false, false
 		}
 		return &betweenNode{
 			s: s, lo: lo, hi: hi,
-			sbuf: make([]float64, exprChunk), lobuf: make([]float64, exprChunk), hibuf: make([]float64, exprChunk),
+			sbuf: c.numBlock(), lobuf: c.numBlock(), hibuf: c.numBlock(),
 		}, serr || loerr || hierr, true
 	case NotExpr:
-		inner, ierr, iok := compilePred(b, slots, t.E)
+		inner, ierr, iok := c.pred(t.E)
 		if !iok {
 			return nil, false, false
 		}
@@ -196,44 +219,44 @@ func compilePred(b *binding, slots *paramStore, e Expr) (pred predNode, mayErr b
 	case BoolLit:
 		return &boolNode{t.Value}, false, true
 	default:
-		return compileTruthy(b, slots, e)
+		return c.truthy(e)
 	}
 }
 
-// compileTruthy compiles a numeric expression used as a predicate: the
+// truthy compiles a numeric expression used as a predicate: the
 // interpreter keeps rows where the value is non-zero (NaN included).
-func compileTruthy(b *binding, slots *paramStore, e Expr) (predNode, bool, bool) {
-	v, verr, ok := compileNum(b, slots, e)
+func (c *compiler) truthy(e Expr) (predNode, bool, bool) {
+	v, verr, ok := c.num(e)
 	if !ok {
 		return nil, false, false
 	}
-	return &truthyNode{v: v, buf: make([]float64, exprChunk)}, verr, true
+	return &truthyNode{v: v, buf: c.numBlock()}, verr, true
 }
 
-// compileNum compiles a numeric expression; mayErr reports whether
-// evaluation can fail at runtime (see compilePred).
-func compileNum(b *binding, slots *paramStore, e Expr) (ev numNode, mayErr bool, ok bool) {
+// num compiles a numeric expression; mayErr reports whether
+// evaluation can fail at runtime (see pred).
+func (c *compiler) num(e Expr) (ev numNode, mayErr bool, ok bool) {
 	switch t := e.(type) {
 	case NumberLit:
-		return &constNode{slots.lit(t.Value)}, false, true
+		return &constNode{c.slots.lit(t.Value)}, false, true
 	case ParamRef:
-		if t.Kind != KindNum || t.Index < 0 || t.Index >= slots.params {
+		if t.Kind != KindNum || t.Index < 0 || t.Index >= c.slots.params {
 			return nil, false, false
 		}
 		return &constNode{t.Index}, false, true
 	case ColumnRef:
-		name, nok := pcColumnName(b, t)
+		name, nok := pcColumnName(c.b, t)
 		if !nok {
 			return nil, false, false
 		}
-		return compileColumnGather(b.pc.Column(name)), false, true
+		return compileColumnGather(c.b.pc.Column(name)), false, true
 	case FuncCall:
 		// abs is the one scalar function the interpreter defines over
 		// numbers; everything else stays interpreted.
 		if t.Name != "abs" || len(t.Args) != 1 {
 			return nil, false, false
 		}
-		inner, ierr, iok := compileNum(b, slots, t.Args[0])
+		inner, ierr, iok := c.num(t.Args[0])
 		if !iok {
 			return nil, false, false
 		}
@@ -244,8 +267,8 @@ func compileNum(b *binding, slots *paramStore, e Expr) (ev numNode, mayErr bool,
 		default:
 			return nil, false, false
 		}
-		l, lerr, lok := compileNum(b, slots, t.L)
-		r, rerr, rok := compileNum(b, slots, t.R)
+		l, lerr, lok := c.num(t.L)
+		r, rerr, rok := c.num(t.R)
 		if !lok || !rok {
 			return nil, false, false
 		}
@@ -254,10 +277,10 @@ func compileNum(b *binding, slots *paramStore, e Expr) (ev numNode, mayErr bool,
 			// Modulo runs in the int64 domain, so "provably non-zero" must
 			// hold after truncation: a constant like 0.5 truncates to 0 and
 			// raises the interpreter's modulo-by-zero error.
-			c, isConst := constNonZero(t.R)
-			mayErr = mayErr || !isConst || t.Op == "%" && int64(c) == 0
+			d, isConst := constNonZero(t.R)
+			mayErr = mayErr || !isConst || t.Op == "%" && int64(d) == 0
 		}
-		return &arithNode{op: t.Op[0], l: l, r: r, rbuf: make([]float64, exprChunk)}, mayErr, true
+		return &arithNode{op: t.Op[0], l: l, r: r, rbuf: c.numBlock()}, mayErr, true
 	default:
 		return nil, false, false
 	}
@@ -295,10 +318,10 @@ func compileColumnGather(col colstore.Column) numNode {
 
 // --- numeric nodes ------------------------------------------------------------
 
-// constNode is a constant: the value in slot of the plan's paramStore.
+// constNode is a constant: the value in slot of the run's paramStore.
 type constNode struct{ slot int }
 
-func (n *constNode) eval(ps *paramStore, rows []int, dst []float64) error {
+func (n *constNode) eval(_ *frame, ps *paramStore, rows []int, dst []float64) error {
 	c := ps.nums[n.slot]
 	for i := range dst[:len(rows)] {
 		dst[i] = c
@@ -309,7 +332,7 @@ func (n *constNode) eval(ps *paramStore, rows []int, dst []float64) error {
 // gather reads one typed column: dst[i] = float64(vals[rows[i]]).
 type gather[T colstore.Number] struct{ vals []T }
 
-func (n *gather[T]) eval(_ *paramStore, rows []int, dst []float64) error {
+func (n *gather[T]) eval(_ *frame, _ *paramStore, rows []int, dst []float64) error {
 	vals := n.vals
 	for i, r := range rows {
 		dst[i] = float64(vals[r])
@@ -321,8 +344,8 @@ func (n *gather[T]) eval(_ *paramStore, rows []int, dst []float64) error {
 // values, so -0.0 and NaN pass through unchanged.
 type absNode struct{ inner numNode }
 
-func (n *absNode) eval(ps *paramStore, rows []int, dst []float64) error {
-	if err := n.inner.eval(ps, rows, dst); err != nil {
+func (n *absNode) eval(fr *frame, ps *paramStore, rows []int, dst []float64) error {
+	if err := n.inner.eval(fr, ps, rows, dst); err != nil {
 		return err
 	}
 	for i := range dst[:len(rows)] {
@@ -334,20 +357,21 @@ func (n *absNode) eval(ps *paramStore, rows []int, dst []float64) error {
 }
 
 // arithNode is l op r for op one of + - * / %, evaluated into dst with r in
-// its own block; it switches on the operator once per chunk. A zero divisor
-// (for %, one that truncates to zero) aborts with the interpreter's error.
+// frame block rbuf; it switches on the operator once per chunk. A zero
+// divisor (for %, one that truncates to zero) aborts with the interpreter's
+// error.
 type arithNode struct {
 	op   byte
 	l, r numNode
-	rbuf []float64
+	rbuf int
 }
 
-func (n *arithNode) eval(ps *paramStore, rows []int, dst []float64) error {
-	lv, rv := dst[:len(rows)], n.rbuf[:len(rows)]
-	if err := n.l.eval(ps, rows, lv); err != nil {
+func (n *arithNode) eval(fr *frame, ps *paramStore, rows []int, dst []float64) error {
+	lv, rv := dst[:len(rows)], fr.num(n.rbuf)[:len(rows)]
+	if err := n.l.eval(fr, ps, rows, lv); err != nil {
 		return err
 	}
-	if err := n.r.eval(ps, rows, rv); err != nil {
+	if err := n.r.eval(fr, ps, rows, rv); err != nil {
 		return err
 	}
 	switch n.op {
@@ -386,28 +410,29 @@ func (n *arithNode) eval(ps *paramStore, rows []int, dst []float64) error {
 // cmpNode is a comparison. It mirrors compareValues' three-way compare
 // exactly: the relation is decided by (<, >) probes, so any NaN operand
 // yields "equal", and the operator is the verdict for each relation sign.
+// The operands evaluate into frame blocks lbuf and rbuf.
 type cmpNode struct {
 	l, r         numNode
 	neg, eq, pos bool // verdict when l < r, neither, l > r
-	lbuf, rbuf   []float64
+	lbuf, rbuf   int
 }
 
-func newCmpNode(l, r numNode, op string) *cmpNode {
+func newCmpNode(l, r numNode, op string, lbuf, rbuf int) *cmpNode {
 	return &cmpNode{
 		l: l, r: r,
 		neg:  op == "<" || op == "<=" || op == "<>",
 		eq:   op == "=" || op == "<=" || op == ">=",
 		pos:  op == ">" || op == ">=" || op == "<>",
-		lbuf: make([]float64, exprChunk), rbuf: make([]float64, exprChunk),
+		lbuf: lbuf, rbuf: rbuf,
 	}
 }
 
-func (n *cmpNode) test(ps *paramStore, rows []int, keep []bool) error {
-	lv, rv := n.lbuf[:len(rows)], n.rbuf[:len(rows)]
-	if err := n.l.eval(ps, rows, lv); err != nil {
+func (n *cmpNode) test(fr *frame, ps *paramStore, rows []int, keep []bool) error {
+	lv, rv := fr.num(n.lbuf)[:len(rows)], fr.num(n.rbuf)[:len(rows)]
+	if err := n.l.eval(fr, ps, rows, lv); err != nil {
 		return err
 	}
-	if err := n.r.eval(ps, rows, rv); err != nil {
+	if err := n.r.eval(fr, ps, rows, rv); err != nil {
 		return err
 	}
 	for i := range keep[:len(rows)] {
@@ -424,21 +449,21 @@ func (n *cmpNode) test(ps *paramStore, rows []int, keep []bool) error {
 }
 
 // betweenNode is the interpreter's BETWEEN: plain float comparisons, so a
-// NaN operand fails.
+// NaN operand fails. The operands evaluate into frame blocks.
 type betweenNode struct {
 	s, lo, hi          numNode
-	sbuf, lobuf, hibuf []float64
+	sbuf, lobuf, hibuf int
 }
 
-func (n *betweenNode) test(ps *paramStore, rows []int, keep []bool) error {
-	sv, lov, hiv := n.sbuf[:len(rows)], n.lobuf[:len(rows)], n.hibuf[:len(rows)]
-	if err := n.s.eval(ps, rows, sv); err != nil {
+func (n *betweenNode) test(fr *frame, ps *paramStore, rows []int, keep []bool) error {
+	sv, lov, hiv := fr.num(n.sbuf)[:len(rows)], fr.num(n.lobuf)[:len(rows)], fr.num(n.hibuf)[:len(rows)]
+	if err := n.s.eval(fr, ps, rows, sv); err != nil {
 		return err
 	}
-	if err := n.lo.eval(ps, rows, lov); err != nil {
+	if err := n.lo.eval(fr, ps, rows, lov); err != nil {
 		return err
 	}
-	if err := n.hi.eval(ps, rows, hiv); err != nil {
+	if err := n.hi.eval(fr, ps, rows, hiv); err != nil {
 		return err
 	}
 	for i := range keep[:len(rows)] {
@@ -448,19 +473,20 @@ func (n *betweenNode) test(ps *paramStore, rows []int, keep []bool) error {
 }
 
 // logicNode is l AND r, or l OR r when or is set; neither side can fail
-// (see compilePred), so both evaluate over the whole chunk.
+// (see compiler.pred), so both evaluate over the whole chunk, r into frame
+// block rkeep.
 type logicNode struct {
 	l, r  predNode
 	or    bool
-	rkeep []bool
+	rkeep int
 }
 
-func (n *logicNode) test(ps *paramStore, rows []int, keep []bool) error {
-	if err := n.l.test(ps, rows, keep); err != nil {
+func (n *logicNode) test(fr *frame, ps *paramStore, rows []int, keep []bool) error {
+	if err := n.l.test(fr, ps, rows, keep); err != nil {
 		return err
 	}
-	rk := n.rkeep[:len(rows)]
-	if err := n.r.test(ps, rows, rk); err != nil {
+	rk := fr.keep(n.rkeep)[:len(rows)]
+	if err := n.r.test(fr, ps, rows, rk); err != nil {
 		return err
 	}
 	keep = keep[:len(rows)]
@@ -479,8 +505,8 @@ func (n *logicNode) test(ps *paramStore, rows []int, keep []bool) error {
 // notNode negates its operand's verdicts.
 type notNode struct{ inner predNode }
 
-func (n *notNode) test(ps *paramStore, rows []int, keep []bool) error {
-	if err := n.inner.test(ps, rows, keep); err != nil {
+func (n *notNode) test(fr *frame, ps *paramStore, rows []int, keep []bool) error {
+	if err := n.inner.test(fr, ps, rows, keep); err != nil {
 		return err
 	}
 	for i := range keep[:len(rows)] {
@@ -492,22 +518,23 @@ func (n *notNode) test(ps *paramStore, rows []int, keep []bool) error {
 // boolNode is TRUE or FALSE, part of the statement's shape.
 type boolNode struct{ v bool }
 
-func (n *boolNode) test(_ *paramStore, rows []int, keep []bool) error {
+func (n *boolNode) test(_ *frame, _ *paramStore, rows []int, keep []bool) error {
 	for i := range keep[:len(rows)] {
 		keep[i] = n.v
 	}
 	return nil
 }
 
-// truthyNode keeps the rows where its operand is non-zero (NaN included).
+// truthyNode keeps the rows where its operand, evaluated into frame block
+// buf, is non-zero (NaN included).
 type truthyNode struct {
 	v   numNode
-	buf []float64
+	buf int
 }
 
-func (n *truthyNode) test(ps *paramStore, rows []int, keep []bool) error {
-	vals := n.buf[:len(rows)]
-	if err := n.v.eval(ps, rows, vals); err != nil {
+func (n *truthyNode) test(fr *frame, ps *paramStore, rows []int, keep []bool) error {
+	vals := fr.num(n.buf)[:len(rows)]
+	if err := n.v.eval(fr, ps, rows, vals); err != nil {
 		return err
 	}
 	for i := range keep[:len(rows)] {

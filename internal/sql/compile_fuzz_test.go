@@ -147,7 +147,7 @@ func FuzzCompiledExpr(f *testing.F) {
 			t.Fatalf("%s: %v", q1, err)
 		}
 		got, gerr := pq.lifecycleRun(ctx, nil, params2, originCached)
-		plan := pq.plan
+		plan := planOf(pq)
 		assertConstFree(t, plan.proj)
 		for i := range plan.generic {
 			assertConstFree(t, plan.generic[i].cf)
@@ -155,7 +155,7 @@ func FuzzCompiledExpr(f *testing.F) {
 		}
 		clear(plan.proj)
 		want, werr := pq.lifecycleRun(ctx, nil, params2, originCached)
-		if pq.plan != plan {
+		if planOf(pq) != plan {
 			t.Fatalf("%s: the interpreter run replanned", q2)
 		}
 		if (gerr != nil) != (werr != nil) || (gerr != nil && gerr.Error() != werr.Error()) {

@@ -43,14 +43,16 @@ func interpretFilter(b *binding, e Expr, rows []int) ([]int, error) {
 // runCompiled compiles e and applies it to a copy of rows.
 func runCompiled(t *testing.T, b *binding, e Expr, rows []int) ([]int, error, bool) {
 	t.Helper()
-	ps := &paramStore{}
-	cf, ok := compilePCFilter(b, ps, e)
+	c := &compiler{b: b, slots: &paramStore{}}
+	cf, ok := c.filter(e)
 	if !ok {
 		return nil, nil, false
 	}
 	assertConstFree(t, cf)
+	var fr frame
+	fr.fit(c.nums, c.keeps)
 	cp := append([]int(nil), rows...)
-	got, err := cf.apply(nil, ps, cp)
+	got, err := cf.apply(nil, &fr, c.slots, cp)
 	return got, err, true
 }
 
@@ -323,21 +325,21 @@ func TestCompiledProjectionMatchesInterpreter(t *testing.T) {
 		}
 		compiled := tc.compiled
 		if compiled == nil {
-			compiled = make([]bool, len(pq.plan.proj))
+			compiled = make([]bool, len(planOf(pq).proj))
 			for i := range compiled {
 				compiled[i] = true
 			}
 		}
-		if len(pq.plan.proj) != len(compiled) {
-			t.Fatalf("%s: %d projected items, want %d", q, len(pq.plan.proj), len(compiled))
+		if len(planOf(pq).proj) != len(compiled) {
+			t.Fatalf("%s: %d projected items, want %d", q, len(planOf(pq).proj), len(compiled))
 		}
 		for i, want := range compiled {
-			if (pq.plan.proj[i] != nil) != want {
+			if (planOf(pq).proj[i] != nil) != want {
 				t.Fatalf("%s: item %d compiled = %v, want %v", q, i, !want, want)
 			}
 		}
 		got, gerr := pq.RunContext(context.Background())
-		clear(pq.plan.proj) // every item through the interpreter
+		clear(planOf(pq).proj) // every item through the interpreter
 		want, werr := pq.RunContext(context.Background())
 		if (gerr != nil) != (werr != nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 			t.Fatalf("%s: compiled err %v, interpreter err %v", q, gerr, werr)
@@ -364,10 +366,10 @@ func TestCompiledProjectionMatchesInterpreter(t *testing.T) {
 
 // walkConstFree fails t if v, followed through pointers, interface values,
 // arrays, struct fields and the elements of slices of those, holds a field
-// that could carry a constant: a float, a 64-bit integer, a func, or an
-// interface other than numNode and predNode. Slices of scalars (scratch
-// blocks, column arrays), slot indices, operators and flags are allowed.
-// Every node type it passes is recorded in seen.
+// that could carry a constant or a buffer: a float, a 64-bit integer, a
+// func, an interface other than numNode and predNode, or a slice other
+// than gather's column array. Slot and block indices, operators and flags
+// are allowed. Every node type it passes is recorded in seen.
 func walkConstFree(t *testing.T, v reflect.Value, path string, seen map[reflect.Type]bool) {
 	t.Helper()
 	switch v.Kind() {
@@ -386,7 +388,12 @@ func walkConstFree(t *testing.T, v reflect.Value, path string, seen map[reflect.
 		}
 	case reflect.Struct:
 		for i := range v.NumField() {
-			walkConstFree(t, v.Field(i), path+"."+v.Type().Field(i).Name, seen)
+			f := v.Type().Field(i)
+			if f.Type.Kind() == reflect.Slice && !strings.HasPrefix(v.Type().Name(), "gather[") {
+				t.Errorf("%s.%s: %s field can hold a buffer", path, f.Name, f.Type)
+				continue
+			}
+			walkConstFree(t, v.Field(i), path+"."+f.Name, seen)
 		}
 	case reflect.Array:
 		for i := range v.Len() {
@@ -411,9 +418,10 @@ func assertConstFree(t *testing.T, tree any) {
 
 // TestCompiledNodesHoldNoConstant is the constant-slot invariant of the
 // compiled arm: trees using every node type, filters and projections,
-// literals and parameters, reach no field that can hold a constant, so a
-// rebind that refreshes the plan's paramStore reaches every constant the
-// tree reads. runCompiled and FuzzCompiledExpr walk their trees too.
+// literals and parameters, reach no field that can hold a constant or a
+// scratch buffer, so the paramStore a run is handed reaches every constant
+// the tree reads and the run's frame holds everything it writes.
+// runCompiled and FuzzCompiledExpr walk their trees too.
 func TestCompiledNodesHoldNoConstant(t *testing.T) {
 	e, pc, _, _ := testDB(t)
 	b := pcBinding(pc)
@@ -423,7 +431,7 @@ func TestCompiledNodesHoldNoConstant(t *testing.T) {
 		"abs(scan_angle) % 7 / 2 = 3 OR TRUE",
 		"classification * gps_time - 2",
 	} {
-		cf, ok := compilePCFilter(b, &paramStore{}, whereExpr(t, src))
+		cf, ok := (&compiler{b: b, slots: &paramStore{}}).filter(whereExpr(t, src))
 		if !ok {
 			t.Fatalf("%q did not compile", src)
 		}
@@ -433,8 +441,8 @@ func TestCompiledNodesHoldNoConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walkConstFree(t, reflect.ValueOf(pq.plan.proj), "proj", seen)
-	for _, g := range pq.plan.generic {
+	walkConstFree(t, reflect.ValueOf(planOf(pq).proj), "proj", seen)
+	for _, g := range planOf(pq).generic {
 		if g.cf == nil {
 			t.Fatalf("%s did not compile", g.expr.exprString())
 		}

@@ -7,8 +7,8 @@
 // the auto-parameterised text plus literal type signature (params.go) — so
 // the interactive workload's repeated statements skip parsing, binding,
 // conjunct classification and kernel compilation even when every step
-// changes the literal constants (the pan/zoom sweep). A shape hit re-binds
-// the cached plan skeleton to the incoming literal vector; a miss prepares
+// changes the literal constants (the pan/zoom sweep). A shape hit binds
+// the incoming literal vector to the cached plan skeleton; a miss prepares
 // and inserts. Table epochs (captured in the plan, revalidated per run)
 // keep cached plans from ever serving state bound to moved arrays.
 package sql
@@ -31,10 +31,12 @@ type Executor struct {
 	gate     gate
 	parallel atomic.Int32
 
-	// Statement-cache counters the two maps cannot see (StmtCacheStats).
+	// Statement-cache counters the two maps cannot see (StmtCacheStats),
+	// and the planning passes run (buildPlan), which tests read.
 	shapeHits     atomic.Uint64
 	rebinds       atomic.Uint64
 	invalidations atomic.Uint64
+	builds        atomic.Uint64
 }
 
 // New returns an executor over db.
@@ -92,7 +94,7 @@ func (e *Executor) QueryUntracedContext(ctx context.Context, src string) (*Resul
 // interned (shape key, literal vector) without re-lexing — the remaining
 // per-step overhead for very small viewports where the scan no longer
 // dominates. The interned vector is shared across calls and must therefore
-// never be mutated downstream (rebind copies out of it; plans copy it).
+// never be mutated downstream (bounds hold it as it is).
 // The two caches drop independently, so an interned text may name a
 // statement that was evicted: it is re-lexed for the parser, exactly like
 // a brand-new text, and counts one statement-cache miss.

@@ -13,8 +13,8 @@ import (
 
 // Armed-build tests for the query lifecycle: injected errors and panics at
 // real kernel boundaries must surface as typed errors with the pool
-// accounting at pre-query values, and a panicked statement must replan
-// from the AST on its next run.
+// accounting at pre-query values, and a panicked statement's next run must
+// answer exactly, from the plan it already had.
 
 // faultQueries routes a query shape through each error-capable fault
 // point. The filter query needs a thematic predicate (engine.filter.block
@@ -99,8 +99,9 @@ func TestFaultPanicIsolation(t *testing.T) {
 				t.Fatalf("Panicked = %d, want %d", got, before+1)
 			}
 
-			// The process survived; disarmed, the poisoned statement
-			// replans and the result matches the pre-panic run exactly.
+			// The process survived; disarmed, the statement runs its
+			// cached plan — a run writes nothing a panic could tear —
+			// and the result matches the pre-panic run exactly.
 			faultpoint.Disarm(point)
 			res, err := e.QueryContext(context.Background(), q)
 			if err != nil {
@@ -122,16 +123,16 @@ func TestFaultPanicIsolation(t *testing.T) {
 					origin = s.Detail
 				}
 			}
-			if origin != originPoisoned {
-				t.Fatalf("post-panic plan origin = %q, want %q", origin, originPoisoned)
+			if origin != originCached {
+				t.Fatalf("post-panic plan origin = %q, want %q", origin, originCached)
 			}
 		})
 	}
 }
 
-// TestFaultPostPanicEqualsFreshPrepare pins the replan-after-panic
-// contract at the PreparedQuery level: after a recovered panic, the next
-// run must behave exactly like a freshly prepared statement.
+// TestFaultPostPanicEqualsFreshPrepare pins the after-panic contract at the
+// PreparedQuery level: after a recovered panic, the next run must behave
+// exactly like a freshly prepared statement, without planning again.
 func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	e, _, _, _ := testDB(t)
@@ -155,9 +156,13 @@ func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	}
 	faultpoint.Disarm("sql.run.filter")
 
-	poisonedRes, err := runTraced(pq)
+	builds := e.builds.Load()
+	postRes, err := runTraced(pq)
 	if err != nil {
 		t.Fatalf("post-panic run: %v", err)
+	}
+	if got := e.builds.Load() - builds; got != 0 || postRes.Explain.Steps[0].Detail != originPrepared {
+		t.Fatalf("post-panic run planned %d times, origin %q; want its prepared plan", got, postRes.Explain.Steps[0].Detail)
 	}
 	fresh, err := e.Prepare(lcQuery)
 	if err != nil {
@@ -167,19 +172,8 @@ func TestFaultPostPanicEqualsFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if poisonedRes.Rows()[0][0].Num != freshRes.Rows()[0][0].Num {
-		t.Fatalf("post-panic run = %v, fresh prepare = %v", poisonedRes.Rows()[0][0].Num, freshRes.Rows()[0][0].Num)
-	}
-	// Poison is consumed by the successful replan: the run after it is a
-	// plain cached run again.
-	again, err := runTraced(pq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range again.Explain.Steps {
-		if s.Op == "plan" && s.Detail == originPoisoned {
-			t.Fatal("poison flag survived a successful replan")
-		}
+	if !resultsEqual(postRes, freshRes) {
+		t.Fatalf("post-panic run = %v, fresh prepare = %v", postRes.Rows(), freshRes.Rows())
 	}
 }
 

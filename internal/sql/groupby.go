@@ -24,22 +24,20 @@ import (
 // aggregate a count(*) or a bare-column count/sum/avg/min/max. Vectorized
 // statements execute through the engine's grouped-aggregate kernels
 // (engine/groupagg.go: dense array banks for u8/u16 keys, the hash table
-// otherwise), with the engine's reusable result record held in the plan as
-// per-statement scratch — the same one-run-at-a-time ownership as the
-// compiled kernels' chunk buffers. Everything else (vector tables, joins
+// otherwise), with the engine's reusable result record in the run's frame
+// beside the compiled nodes' chunk blocks. Everything else (vector tables, joins
 // grouped on vector columns, computed keys, expression aggregate
 // arguments) retains the row-at-a-time interpreter as the fallback arm.
 // The EXPLAIN "group" step reports which strategy ran: dense, hash, or
 // interpreter.
 //
-// Rebind contract (PR 4): GROUP BY and SELECT-list literals stay inline by
+// Rebind contract: GROUP BY and SELECT-list literals stay inline by
 // policy, so a groupedPlan derives nothing from the literal vector — the
 // key column, aggregate specs and item classification are shape-stable and
-// survive every rebind untouched. WHERE-derived constants reach a grouped
-// query only through the shared filter phases, which already route them
-// through ColumnPred staging and the paramStore slots; no grouped kernel
-// closes over a predicate constant. Epoch moves replan as usual
-// (classification reads the table schema).
+// serve every bound untouched. WHERE-derived constants reach a grouped
+// query only through the shared filter phases, which read them from the
+// bound; no grouped kernel holds a predicate constant. Epoch moves replan
+// as usual (classification reads the table schema).
 //
 // Semantics note: both arms share the engine's aggregate accumulation
 // contract (see computeAggregate): min/max seed at ±Inf with strict
@@ -118,11 +116,9 @@ type groupedPlan struct {
 
 	// Vectorized strategy: non-empty keyCol routes execution through the
 	// engine's grouped kernels with specs (parallel to aggs); empty keeps
-	// the interpreter. scratch is the engine's reusable result record —
-	// per-statement state guarded by the one-run-at-a-time plan ownership.
-	keyCol  string
-	specs   []engine.GroupedAggSpec
-	scratch engine.GroupedResult
+	// the interpreter.
+	keyCol string
+	specs  []engine.GroupedAggSpec
 
 	// Pyramid eligibility (PR 10): a non-empty pyrSig names the
 	// pre-aggregation pyramid shape (u8 key, count/min/max specs) this
@@ -235,7 +231,8 @@ func (gp *groupedPlan) vectorize(b *binding, mode planMode) {
 // A nil rows means all rows and, like non-empty preds (the thematic
 // predicates the engine applies ahead of its fold), reaches only the
 // engine arm: finishPointCloud hands both over for a vectorized plan.
-func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, preds []engine.ColumnPred, isVector bool, ex *engine.Explain) (*Result, error) {
+func execGrouped(rs *runState, bd *bound, stmt *SelectStmt, rows []int, preds []engine.ColumnPred, isVector bool, ex *engine.Explain) (*Result, error) {
+	p := bd.plan
 	gp := p.grouped
 	start := time.Now()
 	var res *Result
@@ -243,16 +240,16 @@ func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, pre
 	if gp.keyCol != "" && !isVector {
 		// ex lands the engine's group.agg step (kernel strategy + timing)
 		// ahead of the SQL-layer group step below; nil on untraced runs.
-		if err := p.b.pc.GroupedAggregateRun(rs, rows, preds, gp.keyCol, gp.specs, &gp.scratch, ex); err != nil {
+		if err := p.b.pc.GroupedAggregateRun(&rs.Run, rows, preds, gp.keyCol, gp.specs, &rs.grouped, ex); err != nil {
 			return nil, err
 		}
 		start = time.Now() // group.agg timed the engine's fold; group is the rest
-		strategy = gp.scratch.Strategy
+		strategy = rs.grouped.Strategy
 		// Engine results arrive already in FloatOrderKey order.
-		res = materialiseGrouped(gp, ex)
+		res = materialiseGrouped(gp, &rs.grouped, ex)
 	} else {
 		var err error
-		if res, err = interpretGrouped(rs, p, gp, rows, isVector, ex); err != nil {
+		if res, err = interpretGrouped(&rs.Run, bd, rows, isVector, ex); err != nil {
 			return nil, err
 		}
 	}
@@ -264,25 +261,24 @@ func execGrouped(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, pre
 		ex.Add("group", fmt.Sprintf("%s: %d groups over %d keys", strategy, res.Len(), len(gp.groupBy)),
 			in, res.Len(), time.Since(start))
 	}
-	if err := groupedTail(p, stmt, gp, res); err != nil {
+	if err := groupedTail(bd, stmt, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // materialiseGrouped copies the engine's column-shaped grouped result
-// (gp.scratch, which the statement's next run overwrites) into result
+// (gr, the frame's record, which the run's next fold overwrites) into result
 // columns in select-item order — shared by the exact vectorized arm and the
-// pyramid arm, so both emit identical columns for identical scratch
-// contents.
-func materialiseGrouped(gp *groupedPlan, ex *engine.Explain) *Result {
-	res := numericResult(gp.cols, len(gp.scratch.Keys), ex)
+// pyramid arm, so both emit identical columns for identical records.
+func materialiseGrouped(gp *groupedPlan, gr *engine.GroupedResult, ex *engine.Explain) *Result {
+	res := numericResult(gp.cols, len(gr.Keys), ex)
 	ai := 0
 	for j, ip := range gp.items {
 		if ip.keyIndex >= 0 {
-			copy(res.Cols[j].Nums, gp.scratch.Keys)
+			copy(res.Cols[j].Nums, gr.Keys)
 		} else {
-			copy(res.Cols[j].Nums, gp.scratch.Cols[ai])
+			copy(res.Cols[j].Nums, gr.Cols[ai])
 			ai++
 		}
 	}
@@ -293,7 +289,8 @@ func materialiseGrouped(gp *groupedPlan, ex *engine.Explain) *Result {
 // expression text) and LIMIT — the shared tail of every grouped arm. Both go
 // through one row permutation: the sort orders it by the key column, the
 // limit cuts it, and every column gathers what is left of it.
-func groupedTail(p *queryPlan, stmt *SelectStmt, gp *groupedPlan, res *Result) error {
+func groupedTail(bd *bound, stmt *SelectStmt, res *Result) error {
+	gp := bd.plan.grouped
 	var key *Column
 	if stmt.Order != nil {
 		want := stmt.Order.Expr.exprString()
@@ -308,8 +305,8 @@ func groupedTail(p *queryPlan, stmt *SelectStmt, gp *groupedPlan, res *Result) e
 		}
 	}
 	limit := res.Len()
-	if p.limit >= 0 && p.limit < limit {
-		limit = p.limit
+	if bd.limit >= 0 && bd.limit < limit {
+		limit = bd.limit
 	}
 	if key == nil && limit == res.Len() {
 		return nil
@@ -344,29 +341,30 @@ func groupedTail(p *queryPlan, stmt *SelectStmt, gp *groupedPlan, res *Result) e
 // regions whose envelopes it cannot span, and disabled routing. The
 // pyramid itself is cached per (table, epoch, shape); an epoch bump
 // (Append/InvalidateIndexes) drops it lazily on next lookup.
-func (pq *PreparedQuery) tryPyramid(rs *engine.Run, p *queryPlan, ex *engine.Explain) (res *Result, ok bool, err error) {
+func (pq *PreparedQuery) tryPyramid(rs *runState, bd *bound, ex *engine.Explain) (res *Result, ok bool, err error) {
+	p := bd.plan
 	gp := p.grouped
 	if p.out != outGrouped || gp == nil || gp.pyrSig == "" ||
-		p.region == nil || len(p.preds) > 0 || len(p.generic) > 0 {
+		bd.region == nil || len(bd.preds) > 0 || len(p.generic) > 0 {
 		return nil, false, nil
 	}
 	start := time.Now()
-	pyr, err := pyramid.For(rs, p.b.pc, gp.keyCol, gp.specs, gp.pyrSig, ex)
+	pyr, err := pyramid.For(&rs.Run, p.b.pc, gp.keyCol, gp.specs, gp.pyrSig, ex)
 	if err != nil || pyr == nil {
 		return nil, false, err
 	}
 	defer pyr.Release()
-	qs, served, err := pyr.QueryRegionRun(rs, p.region, gp.specs, &gp.scratch)
+	qs, served, err := pyr.QueryRegionRun(&rs.Run, bd.region, gp.specs, &rs.grouped)
 	if err != nil || !served {
 		return nil, false, err
 	}
-	res = materialiseGrouped(gp, ex)
+	res = materialiseGrouped(gp, &rs.grouped, ex)
 	if ex != nil { // Sprintf stays off the untraced steady-state path
 		ex.Add("group", fmt.Sprintf("pyramid(level %d, interior %d, boundary %d): %d groups over %d keys",
 			qs.Level, qs.Interior, qs.Boundary, res.Len(), len(gp.groupBy)),
 			qs.BoundaryRows, res.Len(), time.Since(start))
 	}
-	if err := groupedTail(p, pq.stmt, gp, res); err != nil {
+	if err := groupedTail(bd, pq.stmt, res); err != nil {
 		return nil, true, err
 	}
 	return res, true, nil
@@ -376,9 +374,10 @@ func (pq *PreparedQuery) tryPyramid(rs *engine.Run, p *queryPlan, ex *engine.Exp
 // expressions and aggregate arguments per row, accumulate into a map keyed
 // by the rendered key tuple, then emit groups sorted into the same
 // canonical key order the engine kernels produce.
-func interpretGrouped(rs *engine.Run, p *queryPlan, gp *groupedPlan, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
+func interpretGrouped(rs *engine.Run, bd *bound, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
+	gp := bd.plan.grouped
 	groups := map[string]*group{}
-	ctx := &evalCtx{b: p.b, ps: p.params, pcRow: -1, vtRow: -1}
+	ctx := &evalCtx{b: bd.plan.b, ps: bd.params, pcRow: -1, vtRow: -1}
 	var keyBuf strings.Builder
 	// The key tuple is evaluated into a reused scratch slice and cloned only
 	// when the row opens a new group — existing groups (the common case) cost

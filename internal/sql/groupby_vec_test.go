@@ -102,14 +102,14 @@ func TestGroupedVectorizedMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if pq.plan.grouped.keyCol == "" {
+		if planOf(pq).grouped.keyCol == "" {
 			t.Fatalf("%s: did not vectorize; the equivalence check is vacuous", q)
 		}
 		vec, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s (vectorized): %v", q, err)
 		}
-		pq.plan.grouped.keyCol = "" // disable the engine route on the same plan
+		planOf(pq).grouped.keyCol = "" // disable the engine route on the same plan
 		interp, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s (interpreter): %v", q, err)

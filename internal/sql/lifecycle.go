@@ -5,14 +5,16 @@
 //
 //  1. passes the executor's admission gate (bounded in-flight queries,
 //     deadline-aware shedding against an EWMA of recent run latency),
-//  2. binds a pooled engine.Run record to the context's done channel so
-//     every kernel loop below can poll cancellation at block boundaries
-//     and every pooled buffer acquisition lands in one release list,
+//  2. binds a pooled run record to the context's done channel so every
+//     kernel loop below can poll cancellation at block boundaries and every
+//     pooled buffer acquisition lands in one release list; the record also
+//     carries the run's frame, the scratch its compiled nodes and grouped
+//     fold write,
 //  3. recovers panics from anywhere in the execution stack into a typed
-//     *QueryError, drains the release list so the engine pools' accounting
-//     returns to its pre-query values, and poisons the prepared statement
-//     so its next run replans from the AST instead of trusting a plan
-//     whose scratch state a panic may have left torn.
+//     *QueryError and drains the release list so the engine pools'
+//     accounting returns to its pre-query values. Nothing else needs
+//     repair: a run writes only its own frame, never the plan or bound it
+//     ran, so the statement's next run is exactly a fresh Prepare's.
 //
 // The gate and run record are allocation-free on the steady path: the
 // slot semaphore is a buffered channel, the latency estimate an atomic,
@@ -43,8 +45,8 @@ var ErrOverloaded = errors.New("sql: executor overloaded")
 
 // QueryError wraps a panic recovered during query execution. The process
 // survives: the panicking run's pooled buffers are drained back to their
-// pools, the statement is marked for replan, and the panic surfaces as
-// this error instead of unwinding the caller.
+// pools, and the panic surfaces as this error instead of unwinding the
+// caller.
 type QueryError struct {
 	Panic any    // the recovered panic value
 	Stack []byte // stack of the panicking goroutine at recovery
@@ -212,23 +214,31 @@ func (e *Executor) ExecStats() ExecStats {
 
 // --- the lifecycle wrapper --------------------------------------------------
 
-// runStatePool recycles engine.Run records (release list + cancellation
-// token) across queries, keeping the lifecycle wrapper allocation-free in
-// steady state. A mutex-backed free list rather than a sync.Pool: the race
-// detector deliberately drops a fraction of sync.Pool puts, which would
-// fail the zero-alloc steady-state tests exactly in the -race CI job.
-// Contention is bounded by the admission gate's slot count.
+// runState is one run's record: the engine's release list and
+// cancellation token, and the frame of scratch the run writes.
+type runState struct {
+	engine.Run
+	frame
+}
+
+// runStatePool recycles run records across queries, keeping the lifecycle
+// wrapper allocation-free in steady state; a record's frame keeps the
+// blocks of the largest plan it served. A mutex-backed free list rather
+// than a sync.Pool: the race detector deliberately drops a fraction of
+// sync.Pool puts, which would fail the zero-alloc steady-state tests
+// exactly in the -race CI job. Contention is bounded by the admission
+// gate's slot count.
 var runStatePool = struct {
 	mu   sync.Mutex
-	free []*engine.Run
+	free []*runState
 }{}
 
 // maxFreeRunStates bounds the free list; records past the bound are left
-// to the garbage collector (a run record is small — the bound only
-// matters after a transient spike in SetMaxInFlight).
+// to the garbage collector (the bound only matters after a transient spike
+// in SetMaxInFlight).
 const maxFreeRunStates = 64
 
-func getRunState() *engine.Run {
+func getRunState() *runState {
 	p := &runStatePool
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
@@ -239,10 +249,10 @@ func getRunState() *engine.Run {
 		return rs
 	}
 	p.mu.Unlock()
-	return new(engine.Run)
+	return new(runState)
 }
 
-func putRunState(rs *engine.Run) {
+func putRunState(rs *runState) {
 	p := &runStatePool
 	p.mu.Lock()
 	if len(p.free) < maxFreeRunStates {
@@ -274,10 +284,8 @@ func (pq *PreparedQuery) lifecycleRun(ctx context.Context, ex *engine.Explain, p
 			// A panic anywhere below — kernel, interpreter, refinement
 			// worker (re-raised by the grid layer) — lands here. The
 			// release list returns every pooled buffer the run still
-			// owned, and the statement is poisoned so its next run
-			// replans instead of reusing scratch state of unknown
-			// integrity.
-			pq.poisoned.Store(true)
+			// owned; the frame it may have left torn is scratch every
+			// run writes before it reads.
 			g.panicked.Add(1)
 			res, err = nil, &QueryError{Panic: p, Stack: debug.Stack()}
 		}

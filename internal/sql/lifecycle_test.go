@@ -277,11 +277,11 @@ type cancelAtNode struct {
 	cancel func()
 }
 
-func (n *cancelAtNode) eval(ps *paramStore, rows []int, dst []float64) error {
+func (n *cancelAtNode) eval(fr *frame, ps *paramStore, rows []int, dst []float64) error {
 	if *n.blocks++; *n.blocks == n.at {
 		n.cancel()
 	}
-	return n.numNode.eval(ps, rows, dst)
+	return n.numNode.eval(fr, ps, rows, dst)
 }
 
 // TestCancelMidProjection fires the context from inside the projection's
@@ -307,7 +307,7 @@ func TestCancelMidProjection(t *testing.T) {
 	if full.Len() < 4*exprChunk {
 		t.Fatalf("projection selects %d rows; need over 4 chunks for a mid-run cancel", full.Len())
 	}
-	for i, ev := range pq.plan.proj {
+	for i, ev := range planOf(pq).proj {
 		if ev == nil {
 			t.Fatalf("item %d did not compile; the test would cancel the interpreter arm", i)
 		}
@@ -316,8 +316,8 @@ func TestCancelMidProjection(t *testing.T) {
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	defer cancelCtx()
 	blocks := 0
-	gather := pq.plan.proj[0]
-	pq.plan.proj[0] = &cancelAtNode{numNode: gather, blocks: &blocks, at: 2, cancel: cancelCtx}
+	gather := planOf(pq).proj[0]
+	planOf(pq).proj[0] = &cancelAtNode{numNode: gather, blocks: &blocks, at: 2, cancel: cancelCtx}
 	before := e.ExecStats().Cancelled
 	delta := outstandingDelta(t, func() {
 		res, err := pq.RunContext(ctx)
@@ -335,7 +335,7 @@ func TestCancelMidProjection(t *testing.T) {
 		t.Fatalf("Cancelled = %d, want %d", got, before+1)
 	}
 
-	pq.plan.proj[0] = gather
+	planOf(pq).proj[0] = gather
 	again, err := pq.RunContext(context.Background())
 	if err != nil || !resultsEqual(again, full) {
 		t.Fatalf("run after the cancelled one: err %v, equal to the first run: %v", err, err == nil && resultsEqual(again, full))

@@ -15,9 +15,9 @@ import (
 // Armed-build tests for the morsel fan-out behind the SQL layer: with a
 // table past the parallel crossover and an executor degree cap set
 // (morselTestDB, morsel_test.go), a worker panic must surface as a
-// *QueryError with the statement poisoned (next run replans), and a merge
-// error as a plain error — both with the pool accounting at pre-query
-// values.
+// *QueryError (the next run answers exactly from the same plan), and a
+// merge error as a plain error — both with the pool accounting at
+// pre-query values.
 
 // morselDrift runs fn and returns the summed drift of every pool the
 // parallel paths draw from (selection vectors, candidate ranges, f64
@@ -33,7 +33,7 @@ func morselDrift(t *testing.T, fn func()) int64 {
 		engine.F64PoolStats().Outstanding - before
 }
 
-func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
+func TestFaultMorselWorkerPanicRecovers(t *testing.T) {
 	e := morselTestDB(t)
 	for name, q := range morselQueries {
 		t.Run(name, func(t *testing.T) {
@@ -67,7 +67,7 @@ func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
 				t.Fatalf("Panicked = %d, want %d", got, before+1)
 			}
 
-			// Poisoned statement: the next run replans and matches the
+			// The next run serves the cached plan and matches the
 			// pre-panic truth exactly.
 			faultpoint.Disarm("engine.morsel.worker")
 			res, err := e.QueryContext(context.Background(), q)
@@ -90,8 +90,8 @@ func TestFaultMorselWorkerPanicPoisonsStatement(t *testing.T) {
 					origin = s.Detail
 				}
 			}
-			if origin != originPoisoned {
-				t.Fatalf("post-panic plan origin = %q, want %q", origin, originPoisoned)
+			if origin != originCached {
+				t.Fatalf("post-panic plan origin = %q, want %q", origin, originCached)
 			}
 		})
 	}
@@ -145,8 +145,8 @@ func TestFaultMorselSerialUnderCap(t *testing.T) {
 // filtering when the point fires; whichever partition it hits, the
 // consumer must not wait on a morsel that will never be published. The
 // run returns a *QueryError without hanging, with pool accounting at
-// pre-query values, and the poisoned statement's next run matches a
-// fresh Prepare.
+// pre-query values, and the statement's next run matches a fresh
+// Prepare.
 func TestFaultPipelineProducerPanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	e := morselTestDB(t)

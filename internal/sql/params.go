@@ -6,7 +6,7 @@
 // key: the token-normalised text with each extracted literal replaced by a
 // typed placeholder. The executor keys its statement cache on the shape,
 // so a new bbox re-uses the compiled plan skeleton of every earlier step —
-// it re-binds constants (plan.go rebind) instead of re-planning.
+// it binds the new constants (plan.go bind) instead of re-planning.
 //
 // Policy: literals are extracted from the WHERE clause and the LIMIT count
 // only. SELECT-list, GROUP BY and ORDER BY literals stay inline — they feed
@@ -104,9 +104,9 @@ func shapeKey(toks []token) string {
 }
 
 // equalParams reports whether two literal vectors are identical — the
-// same-text fast path: when a shape-cache hit carries the constants already
-// bound into the plan, the rebind pass is skipped entirely. NaN constants
-// compare unequal and therefore re-bind, the safe direction.
+// same-text fast path: when a shape-cache hit carries the constants of the
+// statement's last bound vector, that bound serves it and no bind runs. NaN
+// constants compare unequal and therefore re-bind, the safe direction.
 func equalParams(a, b []Value) bool {
 	if len(a) != len(b) {
 		return false

@@ -353,7 +353,7 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 			for i := range params {
 				params[i] = numVal(randLit())
 			}
-			rebound, rerr := pq.run(nil, nil, params, originCached)
+			rebound, rerr := pq.lifecycleRun(context.Background(), nil, params, originCached)
 			fresh, ferr := e.prepareBound(stmt, params)
 			var want *Result
 			var werr error

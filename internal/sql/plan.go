@@ -8,7 +8,9 @@
 // spatial join). The product is an immutable queryPlan that
 // PreparedQuery.RunContext executes with none of that per-call work; the
 // paper's navigation workload re-issues near-identical statements on every
-// pan and zoom, so everything above the scan layer is hoisted here.
+// pan and zoom, so everything above the scan layer is hoisted here. A plan
+// is written once, by buildPlan, and only read after: runs share it without
+// a lock, and a run that panics leaves nothing in it torn.
 //
 // Invalidation contract (the SQL-layer extension of the engine plan cache
 // contract in ROADMAP.md): compiled generic kernels close over column
@@ -23,25 +25,24 @@
 // Register call) before bind resolves a name: a table re-registered under
 // a bound name replans too.
 //
-// Parameterisation contract (PR 4): plans are SKELETONS over a bound
-// literal vector. Everything literal-derived — the spatial region, the
-// ColumnPred constants, the compiled generic kernels' constant slots, the
-// vt class/geometry constants, the join distance, LIMIT — can be re-bound
-// to a new vector of the same shape (rebind) without re-planning: no parse,
-// no classification, no kernel compile. Rebinding re-derives each
-// value-dependent ingredient from its source conjunct; if a new literal
+// Parameterisation contract: plans are SKELETONS over a literal vector.
+// Everything literal-derived — the spatial region, the ColumnPred
+// constants, the compiled nodes' constant slots, the vt class/geometry
+// constants, the join distance, LIMIT — lives in a bound, a value bind
+// derives from the plan's source conjuncts and a vector of the statement's
+// shape: no parse, no classification, no kernel compile. If a new literal
 // vector would change a conjunct's CLASSIFICATION (e.g. a constant
-// sub-expression that now errors), rebind reports failure and the caller
+// sub-expression that now errors), bind reports failure and the caller
 // replans from the AST — correctness never depends on the literals staying
 // classification-equivalent. Epoch mismatches still replan, never rebind.
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"gisnav/internal/engine"
@@ -87,12 +88,11 @@ const (
 	vtStepGeneric                      // row-wise interpreter
 )
 
-// vtStep is one planned vector-table conjunct.
+// vtStep is one planned vector-table conjunct; its constant, if it has
+// one, is in the bound (vtConst).
 type vtStep struct {
-	kind  vtStepKind
-	class string
-	g     geom.Geometry
-	expr  Expr
+	kind vtStepKind
+	expr Expr
 }
 
 // joinKind is the recognised spatial-join operator.
@@ -104,9 +104,9 @@ const (
 	joinWithin           // containment variants → PointsInFeaturesRun
 )
 
-// queryPlan is the immutable product of one planning pass. Everything in
-// it is either a constant (region geometries, predicate bounds, output
-// columns) or bound to table state no older than the captured epochs.
+// queryPlan is the product of one planning pass, read-only after buildPlan:
+// everything in it is fixed by the statement's shape or bound to table
+// state no older than the captured epochs; what literals supply is a bound.
 type queryPlan struct {
 	b    *binding
 	mode planMode
@@ -117,76 +117,81 @@ type queryPlan struct {
 	vtEpoch uint64
 	catGen  uint64
 
-	// The bound literal vector and its numeric mirror for compiled kernels.
-	// Both are rewritten IN PLACE by rebind (under the statement lock):
-	// interpreter steps read params through evalCtx, compiled nodes are
-	// handed slots on every evaluation.
-	params []Value
-	slots  *paramStore
+	// slots is the compile-time paramStore bind copies per vector; nums
+	// and keeps count the frame blocks the compiled nodes address.
+	slots       paramStore
+	nums, keeps int
 
 	// Point-cloud phase (planPointCloud and the join tail). regionConj and
-	// predConjs are the source conjuncts of the literal-derived region and
-	// predicate constants — rebind re-derives from them.
-	region     grid.Region
+	// predConjs are the source conjuncts of the bound's region and
+	// predicate constants.
 	regionConj Expr
-	preds      []engine.ColumnPred
 	predConjs  []Expr
 	generic    []genericStep
 
 	// Vector phase (planVector and the join head).
 	vtSteps []vtStep
 
-	// Join operator (joinConj is its source predicate, kept for rebind).
+	// Join operator (joinConj is its source predicate).
 	join     joinKind
-	joinDist float64
 	joinConj Expr
 
-	// Output phase. limit is the bound LIMIT (-1 when absent), resolved
-	// from the literal vector when the statement parameterised it. grouped
-	// is the prepare-time GROUP BY classification (groupby.go), present only
-	// for outGrouped plans; it derives nothing from the literal vector
-	// (GROUP BY/SELECT-list literals stay inline by policy), so rebind
-	// leaves it untouched. proj parallels exprs: the compiled vector kernel
-	// of each projected item, nil where compileNum declined the shape and
-	// the interpreter evaluates the expression instead. limitSelect marks
-	// a shape whose LIMIT cuts the region selection itself (selectLimit).
+	// Output phase. grouped is the GROUP BY classification (groupby.go),
+	// for outGrouped plans only. proj parallels exprs: the compiled kernel
+	// of each projected item, nil where the interpreter evaluates it.
+	// limitSelect marks a shape whose LIMIT cuts the region selection.
 	out         outMode
 	cols        []string
 	exprs       []Expr
 	proj        []numNode
-	limit       int
 	limitSelect bool
 	grouped     *groupedPlan
+}
+
+// bound is what one literal vector contributes to runs of a plan: the
+// vector, its paramStore and every constant derived from it. bind writes
+// it once; runs share it through PreparedQuery.last and only read it.
+type bound struct {
+	plan     *queryPlan
+	params   []Value // the caller's vector, read-only by contract
+	slots    paramStore
+	region   grid.Region         // nil when the plan has no regionConj
+	preds    []engine.ColumnPred // parallel to plan.predConjs
+	vt       []vtConst           // parallel to plan.vtSteps
+	joinDist float64
+	limit    int // -1 when absent
+
+	// A navigation statement's slots and predicates fit these, so binding
+	// its vector costs one allocation.
+	numBuf  [8]float64
+	predBuf [2]engine.ColumnPred
+}
+
+// vtConst is the constant of one vector-table step: the class of a
+// vtStepClass, the geometry of a vtStepIntersects.
+type vtConst struct {
+	class string
+	g     geom.Geometry
 }
 
 // PreparedQuery is a statement prepared for repeated execution: parse,
 // binding, conjunct classification, kernel compilation and strategy choice
 // all happened once, at Prepare time. RunContext executes the captured plan,
-// replanning transparently when a bound table's epoch moved.
-//
-// A PreparedQuery is safe for concurrent use: one run at a time executes
-// the cached plan (the compiled kernels carry per-statement chunk
-// scratch), and overlapping runs fall back to a transient plan of their
-// own, so concurrent identical statements scale instead of serialising.
+// replanning transparently when a bound table's epoch moved. It is safe for
+// concurrent use without a lock: runs never write a plan or a bound, and
+// each run's scratch is its own frame (lifecycle.go).
 type PreparedQuery struct {
 	ex   *Executor
 	stmt *SelectStmt
 
-	// init is the literal vector captured at Prepare time; immutable. The
-	// plan's bound vector may advance past it through shape-cache rebinds
-	// (Executor.QueryContext); RunContext always re-presents init, which is a
-	// no-op for a standalone prepared statement.
+	// init is the literal vector captured at Prepare time, which RunContext
+	// presents; shape-cache hits (Executor.QueryContext) present others.
 	init []Value
 
-	mu   sync.Mutex
-	plan *queryPlan
-
-	// poisoned marks the plan untrustworthy after a recovered panic: a
-	// panic can unwind out of the plan's per-statement scratch (compiled
-	// kernel chunk buffers, grouped-aggregate result record) in a torn
-	// state. The next run replans from the AST and clears the mark only
-	// once the fresh plan is committed (lifecycle.go / run.go).
-	poisoned atomic.Bool
+	// last is the most recently published bound, which names its plan: a
+	// run whose literals equal its vector runs it as is. Racing publishers
+	// each publish a valid bound.
+	last atomic.Pointer[bound]
 }
 
 // Prepare parses and plans src for repeated execution. The statement is
@@ -206,16 +211,20 @@ func (e *Executor) Prepare(src string) (*PreparedQuery, error) {
 
 // prepareBound plans stmt against the literal vector params.
 func (e *Executor) prepareBound(stmt *SelectStmt, params []Value) (*PreparedQuery, error) {
-	plan, err := e.buildPlan(stmt, params)
+	bd, err := e.buildPlan(stmt, params)
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{ex: e, stmt: stmt, init: append([]Value(nil), params...), plan: plan}, nil
+	pq := &PreparedQuery{ex: e, stmt: stmt, init: params}
+	pq.last.Store(bd)
+	return pq, nil
 }
 
-// buildPlan runs one full planning pass over stmt with the literal vector
-// params bound.
-func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*queryPlan, error) {
+// buildPlan runs one full planning pass over stmt, classifying its
+// conjuncts under the literal vector params, and returns the new plan's
+// bound of params.
+func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*bound, error) {
+	e.builds.Add(1)
 	// The generation is read before bind resolves any name: a registration
 	// racing the bind leaves the plan already stale — the safe direction.
 	catGen := e.db.Generation()
@@ -226,10 +235,9 @@ func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*queryPlan, erro
 	p := &queryPlan{
 		b:      b,
 		catGen: catGen,
-		params: append([]Value(nil), params...),
-		slots:  newParamStore(params),
-		limit:  -1,
+		slots:  paramStore{nums: make([]float64, len(params)), params: len(params)},
 	}
+	c := &compiler{b: b, slots: &p.slots}
 	// Capture epochs before reading any table state: if an append slips in
 	// between the epoch read and kernel compilation, the recorded epoch is
 	// already stale and the next Run replans — the safe direction.
@@ -242,46 +250,33 @@ func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*queryPlan, erro
 	switch {
 	case b.pc != nil && b.vt != nil:
 		p.mode = planJoin
-		if err := p.planJoinWhere(stmt.Where); err != nil {
+		if err := p.planJoinWhere(c, params, stmt.Where); err != nil {
 			return nil, err
 		}
 	case b.pc != nil:
 		p.mode = planPointCloud
-		for _, c := range splitConjuncts(stmt.Where) {
-			p.addPCConjunct(c, true)
+		for _, conj := range splitConjuncts(stmt.Where) {
+			p.addPCConjunct(c, params, conj, true)
 		}
 	case b.vt != nil:
 		p.mode = planVector
-		for _, c := range splitConjuncts(stmt.Where) {
-			p.addVTConjunct(c)
+		for _, conj := range splitConjuncts(stmt.Where) {
+			p.addVTConjunct(params, conj)
 		}
 	default:
 		return nil, fmt.Errorf("sql: no tables bound")
 	}
-	if err := p.planOutput(stmt); err != nil {
+	if err := p.planOutput(c, stmt); err != nil {
 		return nil, err
 	}
-	limit, err := resolveLimit(stmt, p.params)
-	if err != nil {
-		return nil, err
-	}
-	p.limit = limit
+	p.nums, p.keeps = c.nums, c.keeps
 	// A plain projection of region rows, with nothing filtering after the
 	// selection and nothing reordering it, emits the selection's prefix:
 	// the selector may stop at the LIMIT-th match. The shape survives every
 	// rebind, so the decision is made once; the bound count is read per run.
-	p.limitSelect = p.mode == planPointCloud && p.region != nil &&
-		len(p.preds) == 0 && len(p.generic) == 0 && p.out == outProject && stmt.Order == nil
-	return p, nil
-}
-
-// selectLimit is the LIMIT the region selection may stop at: the bound
-// count on a limitSelect shape, -1 (every row) otherwise.
-func (p *queryPlan) selectLimit() int {
-	if p.limitSelect {
-		return p.limit
-	}
-	return -1
+	p.limitSelect = p.mode == planPointCloud && p.regionConj != nil &&
+		len(p.predConjs) == 0 && len(p.generic) == 0 && p.out == outProject && stmt.Order == nil
+	return p.bind(stmt, params)
 }
 
 // resolveLimit returns the statement's LIMIT bound against the literal
@@ -302,88 +297,66 @@ func resolveLimit(stmt *SelectStmt, params []Value) (int, error) {
 	return int(v.Num), nil
 }
 
-// rebind re-binds the plan skeleton to a new literal vector of the same
-// shape: constants are re-derived from their source conjuncts, compiled
-// kernels see the refreshed slot store, interpreter steps see the refreshed
-// params — no parse, no classification, no kernel compile. It reports false
-// when the new literals change a conjunct's classification (a constant
-// sub-expression that stops evaluating, a region that stops being constant);
-// the caller then replans from the AST. Must run under the statement lock.
-//
-// Stage-then-commit: every re-derivation runs against the incoming vector
-// FIRST, and plan state is only written once all of them succeeded. A
-// rebind that fails therefore leaves the plan exactly as it was — still
-// consistently bound to its previous vector — which matters when the
-// caller's fallback replan also errors: the cached plan must not be left
-// half-mutated with the new params but the old constants.
-func (p *queryPlan) rebind(stmt *SelectStmt, params []Value) bool {
-	if len(params) != len(p.params) {
-		return false
+// errReclassified reports a literal vector that changes how the plan
+// classified one of its conjuncts.
+var errReclassified = errors.New("sql: new literals change the statement's plan")
+
+// bind derives the bound of params, a literal vector of the plan's shape:
+// every constant is re-derived from its source conjunct, the compiled nodes'
+// slots are set from params — no parse, no classification, no kernel
+// compile. It writes nothing but the new bound. An error means params
+// change a conjunct's classification (a constant sub-expression that stops
+// evaluating, a region that stops being constant) or bind no valid LIMIT;
+// the caller then replans from the AST, which reports the error the
+// statement has.
+func (p *queryPlan) bind(stmt *SelectStmt, params []Value) (*bound, error) {
+	if len(params) != p.slots.params {
+		return nil, errReclassified
 	}
 	limit, err := resolveLimit(stmt, params)
 	if err != nil {
-		return false
+		return nil, err
 	}
-	var region grid.Region
+	bd := &bound{plan: p, params: params, limit: limit}
+	bd.slots = p.slots.bind(params, bd.numBuf[:0])
 	if p.regionConj != nil {
 		var ok bool
-		region, ok = pcRegionFromConjunct(p.b, params, p.regionConj)
-		if !ok {
-			return false
+		if bd.region, ok = pcRegionFromConjunct(p.b, params, p.regionConj); !ok {
+			return nil, errReclassified
 		}
 	}
-	preds := make([]engine.ColumnPred, len(p.predConjs))
-	for i, conj := range p.predConjs {
+	bd.preds = bd.predBuf[:0]
+	for _, conj := range p.predConjs {
 		pred, ok := pcPredFromConjunct(p.b, params, conj)
-		if !ok || pred.Column != p.preds[i].Column || pred.Op != p.preds[i].Op {
-			return false
+		if !ok {
+			return nil, errReclassified
 		}
-		preds[i] = pred
+		bd.preds = append(bd.preds, pred)
 	}
-	classes := make([]string, len(p.vtSteps))
-	geoms := make([]geom.Geometry, len(p.vtSteps))
-	for i := range p.vtSteps {
-		st := &p.vtSteps[i]
+	bd.vt = make([]vtConst, len(p.vtSteps)) // no allocation when empty
+	for i, st := range p.vtSteps {
+		ok := true
 		switch st.kind {
 		case vtStepClass:
-			cls, ok := vtClassEquality(p.b, params, st.expr)
-			if !ok {
-				return false
-			}
-			classes[i] = cls
+			bd.vt[i].class, ok = vtClassEquality(p.b, params, st.expr)
 		case vtStepIntersects:
-			g, ok := vtIntersectsConst(p.b, params, st.expr)
-			if !ok {
-				return false
-			}
-			geoms[i] = g
+			bd.vt[i].g, ok = vtIntersectsConst(p.b, params, st.expr)
+		}
+		if !ok {
+			return nil, errReclassified
 		}
 	}
-	join, joinDist := p.join, p.joinDist
 	if p.joinConj != nil {
-		var err error
-		join, joinDist, err = classifyJoinPredicate(p.b, params, p.joinConj)
+		join, dist, err := classifyJoinPredicate(p.b, params, p.joinConj)
 		if err != nil {
-			return false
+			return nil, err
 		}
-	}
-
-	// Commit: everything staged successfully; bind the new vector.
-	copy(p.params, params)
-	p.slots.refresh(params)
-	p.limit = limit
-	p.region = region
-	copy(p.preds, preds)
-	for i := range p.vtSteps {
-		switch p.vtSteps[i].kind {
-		case vtStepClass:
-			p.vtSteps[i].class = classes[i]
-		case vtStepIntersects:
-			p.vtSteps[i].g = geoms[i]
+		if join != p.join {
+			return nil, errReclassified
 		}
+		bd.joinDist = dist
 	}
-	p.join, p.joinDist = join, joinDist
-	return true
+	return bd, nil
 }
 
 // stale reports whether a bound table's epoch or db's catalog generation
@@ -401,75 +374,66 @@ func (p *queryPlan) stale(db *engine.DB) bool {
 	return false
 }
 
-// addPCConjunct classifies one point-cloud conjunct. allowRegion gates the
-// single accelerable spatial region: plain point-cloud queries route their
-// first recognised spatial conjunct through the imprint+grid path, while
-// joins reach the point cloud through the join operator instead.
-func (p *queryPlan) addPCConjunct(c Expr, allowRegion bool) {
-	if allowRegion && p.region == nil {
-		if r, ok := pcRegionFromConjunct(p.b, p.params, c); ok {
-			p.region, p.regionConj = r, c
+// addPCConjunct classifies one point-cloud conjunct under the literal
+// vector params (bind derives its constants). allowRegion gates the single
+// accelerable spatial region: plain point-cloud queries route their first
+// recognised spatial conjunct through the imprint+grid path, while joins
+// reach the point cloud through the join operator instead.
+func (p *queryPlan) addPCConjunct(c *compiler, params []Value, conj Expr, allowRegion bool) {
+	if allowRegion && p.regionConj == nil {
+		if _, ok := pcRegionFromConjunct(p.b, params, conj); ok {
+			p.regionConj = conj
 			return
 		}
 	}
-	if pred, ok := pcPredFromConjunct(p.b, p.params, c); ok {
-		p.preds = append(p.preds, pred)
-		p.predConjs = append(p.predConjs, c)
+	if _, ok := pcPredFromConjunct(p.b, params, conj); ok {
+		p.predConjs = append(p.predConjs, conj)
 		return
 	}
-	if cf, ok := compilePCFilter(p.b, p.slots, c); ok {
-		p.generic = append(p.generic, genericStep{cf: cf, expr: c})
-		return
-	}
-	p.generic = append(p.generic, genericStep{expr: c})
+	cf, _ := c.filter(conj) // nil: the interpreter evaluates conj
+	p.generic = append(p.generic, genericStep{cf: cf, expr: conj})
 }
 
 // addVTConjunct classifies one vector-table conjunct into its fast path.
-func (p *queryPlan) addVTConjunct(c Expr) {
-	if cls, ok := vtClassEquality(p.b, p.params, c); ok {
-		p.vtSteps = append(p.vtSteps, vtStep{kind: vtStepClass, class: cls, expr: c})
-		return
+func (p *queryPlan) addVTConjunct(params []Value, conj Expr) {
+	kind := vtStepGeneric
+	if _, ok := vtClassEquality(p.b, params, conj); ok {
+		kind = vtStepClass
+	} else if _, ok := vtIntersectsConst(p.b, params, conj); ok {
+		kind = vtStepIntersects
 	}
-	if g, ok := vtIntersectsConst(p.b, p.params, c); ok {
-		p.vtSteps = append(p.vtSteps, vtStep{kind: vtStepIntersects, g: g, expr: c})
-		return
-	}
-	p.vtSteps = append(p.vtSteps, vtStep{kind: vtStepGeneric, expr: c})
+	p.vtSteps = append(p.vtSteps, vtStep{kind: kind, expr: conj})
 }
 
 // planJoinWhere splits join conjuncts by table usage and recognises the
 // single cross-table spatial predicate.
-func (p *queryPlan) planJoinWhere(where Expr) error {
+func (p *queryPlan) planJoinWhere(c *compiler, params []Value, where Expr) error {
 	var joinConj Expr
-	for _, c := range splitConjuncts(where) {
-		u := usage(p.b, c)
+	for _, conj := range splitConjuncts(where) {
+		u := usage(p.b, conj)
 		switch {
 		case u.pc && u.vt:
 			if joinConj != nil {
 				return fmt.Errorf("sql: at most one spatial join predicate supported")
 			}
-			joinConj = c
+			joinConj = conj
 		case u.vt:
-			p.addVTConjunct(c)
+			p.addVTConjunct(params, conj)
 		default:
-			p.addPCConjunct(c, false)
+			p.addPCConjunct(c, params, conj, false)
 		}
 	}
 	if joinConj == nil {
 		return fmt.Errorf("sql: joins require a spatial predicate linking the tables (e.g. ST_DWithin)")
 	}
 	p.joinConj = joinConj
-	join, dist, err := classifyJoinPredicate(p.b, p.params, joinConj)
-	if err != nil {
-		return err
-	}
-	p.join, p.joinDist = join, dist
-	return nil
+	join, _, err := classifyJoinPredicate(p.b, params, joinConj)
+	p.join = join
+	return err
 }
 
 // classifyJoinPredicate recognises the join predicate shape once, at
-// prepare (or rebind) time, so Run only dispatches on the resolved kind.
-// Pure: it never touches plan state, so rebind can stage its result.
+// prepare (or bind) time, so Run only dispatches on the resolved kind.
 func classifyJoinPredicate(b *binding, ps []Value, conj Expr) (joinKind, float64, error) {
 	f, ok := conj.(FuncCall)
 	if !ok {
@@ -507,7 +471,7 @@ func classifyJoinPredicate(b *binding, ps []Value, conj Expr) (joinKind, float64
 }
 
 // planOutput classifies the SELECT list and hoists the output columns.
-func (p *queryPlan) planOutput(stmt *SelectStmt) error {
+func (p *queryPlan) planOutput(c *compiler, stmt *SelectStmt) error {
 	if len(stmt.GroupBy) > 0 {
 		p.out = outGrouped
 		gp, err := planGrouped(p.b, stmt, p.mode)
@@ -544,9 +508,7 @@ func (p *queryPlan) planOutput(stmt *SelectStmt) error {
 	for i, e := range p.exprs {
 		// A projected item is evaluated for every output row, so a fallible
 		// kernel (runtime-checked division) is as good as the interpreter.
-		if ev, _, ok := compileNum(p.b, p.slots, e); ok {
-			p.proj[i] = ev
-		}
+		p.proj[i], _, _ = c.num(e)
 	}
 	return nil
 }

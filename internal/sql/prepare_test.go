@@ -45,6 +45,9 @@ func appendMorePoints(t *testing.T, e *Executor) int {
 	return len(pts)
 }
 
+// planOf is the plan pq's next run under its last bound vector executes.
+func planOf(pq *PreparedQuery) *queryPlan { return pq.last.Load().plan }
+
 // runTraced runs a prepared statement with the per-operator EXPLAIN trace
 // QueryContext carries, for tests that compare traces or need them.
 func runTraced(pq *PreparedQuery) (*Result, error) {
@@ -265,21 +268,56 @@ func TestVectorEpochObservesAppend(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameStatement: concurrent QueryContext calls with the identical
-// text share one cache entry but must not corrupt each other's results
-// (overlapping runs execute a transient plan instead of sharing the cached
-// plan's kernel scratch). Meaningful under -race.
+// TestConcurrentSameStatement: concurrent QueryContext calls share one
+// cached statement per shape and must not corrupt each other's results —
+// runs share the plan and bounds without a lock, each writing only its own
+// frame. Eight goroutines alternate two literal vectors on each of three
+// shapes: the navigation bbox aggregate with a compiled generic conjunct,
+// the fetch projection with an arithmetic item, and the dense grouped fold.
+// Every result must equal a fresh Prepare of its own text, and each shape
+// must have been planned exactly once. Meaningful under -race.
 func TestConcurrentSameStatement(t *testing.T) {
-	e, pc, _, _ := testDB(t)
-	want := float64(pc.Len())
+	e, _, _, _ := testDB(t)
+	const env = "ST_Contains(ST_MakeEnvelope(%d, 150, 1700, 1620), ST_Point(x, y))"
+	shapes := [][2]string{}
+	for _, c := range []struct {
+		shape string
+		lits  [2]int
+	}{
+		{"SELECT count(*), avg(z) FROM ahn2 WHERE " + env + " AND classification = 2 AND z - 2*intensity < 100000", [2]int{150, 400}},
+		{"SELECT x, y, z - 2*intensity, classification FROM ahn2 WHERE " + env + " LIMIT 2000", [2]int{150, 400}},
+		{"SELECT classification, count(*), avg(z) FROM ahn2 WHERE z BETWEEN %d AND 20 GROUP BY classification", [2]int{0, 5}},
+	} {
+		shapes = append(shapes, [2]string{fmt.Sprintf(c.shape, c.lits[0]), fmt.Sprintf(c.shape, c.lits[1])})
+	}
+	want := map[string]*Result{}
+	for _, texts := range shapes {
+		for _, q := range texts {
+			pq, err := e.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[q], err = pq.RunContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if resultsEqual(want[texts[0]], want[texts[1]]) {
+			t.Fatalf("%s: both literal vectors give one result; the check is vacuous", texts[0])
+		}
+	}
+	builds := e.builds.Load()
+	for _, texts := range shapes {
+		mustQuery(t, e, texts[0])
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				res, err := e.QueryContext(context.Background(), countQuery)
+			for i := 0; i < 30; i++ {
+				q := shapes[i%len(shapes)][(g+i/len(shapes))%2]
+				res, err := e.QueryContext(context.Background(), q)
 				if errors.Is(err, ErrOverloaded) {
 					// The admission gate (2×GOMAXPROCS slots) sheds the
 					// burst on small machines; this test is about result
@@ -292,8 +330,8 @@ func TestConcurrentSameStatement(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := res.Rows()[0][0].Num; got != want {
-					errs <- fmt.Errorf("concurrent count = %g, want %g", got, want)
+				if !resultsEqual(res, want[q]) {
+					errs <- fmt.Errorf("%s: concurrent run differs from a fresh Prepare", q)
 					return
 				}
 			}
@@ -303,6 +341,9 @@ func TestConcurrentSameStatement(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if got := e.builds.Load() - builds; got != uint64(len(shapes)) {
+		t.Fatalf("%d plans built for %d shapes, want one each", got, len(shapes))
 	}
 }
 
@@ -389,8 +430,8 @@ func TestLimitRebindMatchesFreshPrepare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fresh.plan.limitSelect != c.limitSelect {
-				t.Fatalf("%s: limitSelect = %v, want %v", q, fresh.plan.limitSelect, c.limitSelect)
+			if planOf(fresh).limitSelect != c.limitSelect {
+				t.Fatalf("%s: limitSelect = %v, want %v", q, planOf(fresh).limitSelect, c.limitSelect)
 			}
 			want, err := fresh.RunContext(context.Background())
 			if err != nil {

@@ -1,9 +1,11 @@
 // Query execution: the execute half of the prepare/execute split. Run
 // walks the queryPlan's phases — spatial selection, kernel predicates,
 // compiled/interpreted generic filters, output — against the tables'
-// current state. Planning work (binding, classification, compilation)
-// never happens here except through the epoch-replan path, and every
-// engine-owned selection vector returns to its pool on every exit path.
+// current state, reading the literal-derived constants from a bound and
+// writing scratch only into the run's own frame. Planning work (binding,
+// classification, compilation) never happens here except through the
+// replan path, and every engine-owned selection vector returns to its pool
+// on every exit path.
 package sql
 
 import (
@@ -31,7 +33,6 @@ const (
 	originRebound   = "rebound (shape-cache hit)"   // shape hit, new vector bound
 	originReplanned = "replanned (epoch moved)"     // table epoch invalidated the plan
 	originDiverged  = "replanned (literal reclass)" // new literals changed classification
-	originPoisoned  = "replanned (post-panic)"      // a recovered panic poisoned the plan
 )
 
 // RunContext executes the prepared statement against the current table
@@ -45,107 +46,102 @@ func (pq *PreparedQuery) RunContext(ctx context.Context) (*Result, error) {
 	return pq.lifecycleRun(ctx, nil, pq.init, originPrepared)
 }
 
-// run executes the statement with the literal vector params, re-binding or
-// re-planning the cached skeleton as needed. origin labels how the caller
-// reached this plan; the epoch/rebind decisions below refine it before it
-// lands in the trace. rs is the lifecycle record every pooled acquisition
-// below must route through (see lifecycle.go); callers own its drain.
-func (pq *PreparedQuery) run(rs *engine.Run, ex *engine.Explain, params []Value, origin string) (*Result, error) {
-	if !pq.mu.TryLock() {
-		// Another run of this statement is in flight. The plan's compiled
-		// kernels carry per-statement chunk scratch, so sharing it would
-		// mean serialising — instead concurrent callers pay one transient
-		// planning pass (a small fraction of a navigation query) and run
-		// fully parallel on their own plan, bound to their own literals.
-		plan, err := pq.ex.buildPlan(pq.stmt, params)
-		if err != nil {
-			return nil, err
-		}
-		tmp := &PreparedQuery{ex: pq.ex, stmt: pq.stmt, init: params, plan: plan}
-		return tmp.run(rs, ex, params, origin)
-	}
-	defer pq.mu.Unlock()
+// run executes the statement with the literal vector params: the last
+// published bound when its vector is params, else a bound derived for
+// params, else a fresh plan. origin labels how the caller reached this
+// statement; the decisions below refine it before it lands in the trace.
+// rs is the lifecycle record every pooled acquisition below must route
+// through (see lifecycle.go); callers own its drain.
+func (pq *PreparedQuery) run(rs *runState, ex *engine.Explain, params []Value, origin string) (*Result, error) {
+	bd := pq.last.Load()
 	// A shape hit carrying a new literal vector counts as a ShapeHit even
 	// when an epoch replan below supersedes the rebind — it is still a
 	// query the exact-text cache would have missed.
-	newLits := !equalParams(pq.plan.params, params)
+	newLits := !equalParams(bd.params, params)
 	if origin == originCached && newLits {
 		pq.ex.shapeHits.Add(1)
 		origin = originRebound
 	}
 	switch {
-	case pq.poisoned.Load() || pq.plan.stale(pq.ex.db):
+	case bd.plan.stale(pq.ex.db):
 		// Epoch mismatch always replans — rebinding cannot help, the plan
-		// is bound to moved arrays. A post-panic poison mark replans for a
-		// different reason: the old plan's scratch state is torn to an
-		// unknown degree. The mark clears only after the fresh plan is
-		// committed, so a failed replan keeps the statement poisoned.
-		stale := pq.plan.stale(pq.ex.db)
-		plan, err := pq.ex.buildPlan(pq.stmt, params)
-		if err != nil {
+		// is bound to moved arrays.
+		var err error
+		if bd, err = pq.replan(params); err != nil {
 			return nil, err
 		}
-		pq.plan = plan
-		if stale {
-			pq.ex.invalidations.Add(1)
-			origin = originReplanned
-		} else {
-			origin = originPoisoned
-		}
-		pq.poisoned.Store(false)
+		pq.ex.invalidations.Add(1)
+		origin = originReplanned
 	case newLits:
-		// Same shape, new literal vector: the shape-cache fast path. Bind
-		// the constants into the existing skeleton; fall back to a full
-		// replan only if the new values change conjunct classification.
-		// rebind stages before committing, so a failure here leaves the
-		// plan consistently bound to its previous vector even if the
-		// replan below errors too.
-		if pq.plan.rebind(pq.stmt, params) {
-			pq.ex.rebinds.Add(1)
-		} else {
-			plan, err := pq.ex.buildPlan(pq.stmt, params)
-			if err != nil {
+		// Same shape, new literal vector: the shape-cache fast path. Derive
+		// the vector's bound from the plan; fall back to a full replan only
+		// if the new values change conjunct classification. Nothing is
+		// published until it is whole, so a failure here leaves the
+		// statement bound to its previous vector even if the replan errors.
+		nb, err := bd.plan.bind(pq.stmt, params)
+		if err != nil {
+			if nb, err = pq.replan(params); err != nil {
 				return nil, err
 			}
-			pq.plan = plan
 			origin = originDiverged
+		} else {
+			pq.last.Store(nb)
+			pq.ex.rebinds.Add(1)
 		}
+		bd = nb
 	}
 	if ex != nil {
 		ex.Add("plan", origin, 0, 0, 0)
 	}
-	p := pq.plan
+	p := bd.plan
+	rs.fit(p.nums, p.keeps)
 	switch p.mode {
 	case planVector:
-		return pq.runVector(rs, p, ex)
+		return pq.runVector(rs, bd, ex)
 	case planJoin:
-		return pq.runJoin(rs, p, ex)
+		return pq.runJoin(rs, bd, ex)
 	default:
-		return pq.runPointCloud(rs, p, ex)
+		return pq.runPointCloud(rs, bd, ex)
 	}
+}
+
+// replan builds a fresh plan of the statement bound to params and
+// publishes it. Runs racing to replan may each build one; every one is
+// valid, and the last published serves the next run.
+func (pq *PreparedQuery) replan(params []Value) (*bound, error) {
+	bd, err := pq.ex.buildPlan(pq.stmt, params)
+	if err != nil {
+		return nil, err
+	}
+	pq.last.Store(bd)
+	return bd, nil
 }
 
 // --- point cloud execution ---------------------------------------------------
 
-func (pq *PreparedQuery) runPointCloud(rs *engine.Run, p *queryPlan, ex *engine.Explain) (*Result, error) {
+func (pq *PreparedQuery) runPointCloud(rs *runState, bd *bound, ex *engine.Explain) (*Result, error) {
 	// Viewport-histogram shapes route through the pre-aggregation pyramid
 	// before any row selection happens: the pyramid answers from O(visible
 	// tiles) of pre-aggregates plus exact boundary refinement, bypassing
 	// the O(selected rows) scan below. A decline (ok=false, err=nil) falls
 	// through to the exact arm untouched.
-	if res, ok, err := pq.tryPyramid(rs, p, ex); ok || err != nil {
+	if res, ok, err := pq.tryPyramid(rs, bd, ex); ok || err != nil {
 		return res, err
 	}
 	var rows []int
-	if p.region != nil {
-		rows = p.b.pc.SelectRegionRowsRun(rs, p.region, p.selectLimit(), ex)
+	if bd.region != nil {
+		limit := -1 // the selector may stop at the LIMIT only if nothing filters or reorders after it
+		if bd.plan.limitSelect {
+			limit = bd.limit
+		}
+		rows = bd.plan.b.pc.SelectRegionRowsRun(&rs.Run, bd.region, limit, ex)
 		if rs.Cancelled() {
 			// The refinement loop returns a partial selection when the
 			// token fires mid-pass; the release-list drain recycles it.
 			return nil, cancel.ErrCancelled
 		}
 	}
-	return pq.finishPointCloud(rs, p, rows, ex)
+	return pq.finishPointCloud(rs, bd, rows, ex)
 }
 
 // finishPointCloud runs the shared tail of point-cloud and join execution:
@@ -155,7 +151,8 @@ func (pq *PreparedQuery) runPointCloud(rs *engine.Run, p *queryPlan, ex *engine.
 // is recycled through rs on every exit path — including errors, where the
 // lifecycle drain would catch it anyway but eager recycling keeps the
 // pool's working set tight.
-func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explain) (*Result, error) {
+func (pq *PreparedQuery) finishPointCloud(rs *runState, bd *bound, rows []int, ex *engine.Explain) (*Result, error) {
+	p := bd.plan
 	if err := faultpoint.Hit("sql.run.filter"); err != nil {
 		if rows != nil {
 			rs.RecycleRows(rows)
@@ -167,20 +164,20 @@ func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []i
 		// engine filters ahead of its fold — over the whole table, as one
 		// pipelined pass — and a nil rows reaches its gather-free all-rows
 		// arms instead of an identity vector.
-		res, err := pq.output(rs, p, rows, p.preds, ex)
+		res, err := pq.output(rs, bd, rows, bd.preds, ex)
 		if rows != nil {
 			rs.RecycleRows(rows)
 		}
 		return res, err
 	}
-	if rows == nil && len(p.preds) == 0 && len(p.generic) == 0 && p.mode != planVector &&
+	if rows == nil && len(bd.preds) == 0 && len(p.generic) == 0 && p.mode != planVector &&
 		p.out == outAggregate && rowFreeAggregates(p.b, pq.stmt) {
 		// Nothing to filter ahead of aggregates the engine's kernels
 		// answer: nil reaches their gather-free all-rows arms (and count(*)
 		// the table length) instead of an identity vector.
-		return pq.output(rs, p, nil, nil, ex)
+		return pq.output(rs, bd, nil, nil, ex)
 	}
-	filtered, err := p.b.pc.FilterRowsRun(rs, rows, p.preds, ex)
+	filtered, err := p.b.pc.FilterRowsRun(&rs.Run, rows, bd.preds, ex)
 	if err != nil {
 		if rows != nil {
 			rs.RecycleRows(rows)
@@ -189,19 +186,19 @@ func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []i
 	}
 	// FilterRows copies on first write, so the incoming pooled vector can
 	// go back to the pool as soon as a predicate replaced it.
-	if rows != nil && len(p.preds) > 0 {
+	if rows != nil && len(bd.preds) > 0 {
 		rs.RecycleRows(rows)
 	}
 	rows = filtered
 	// Generic filters compact rows in place (the backing array never moves
 	// or grows), so on error the pre-call slice is still the one to recycle.
-	narrowed, err := genericFilterPC(rs, p, rows, ex)
+	narrowed, err := genericFilterPC(rs, bd, rows, ex)
 	if err != nil {
 		rs.RecycleRows(rows)
 		return nil, err
 	}
 	rows = narrowed
-	res, err := pq.output(rs, p, rows, nil, ex)
+	res, err := pq.output(rs, bd, rows, nil, ex)
 	rs.RecycleRows(rows)
 	return res, err
 }
@@ -211,58 +208,68 @@ func (pq *PreparedQuery) finishPointCloud(rs *engine.Run, p *queryPlan, rows []i
 // back to the row-at-a-time interpreter. Both paths compact rows in place
 // without moving its backing array, and both poll the run's cancellation
 // token once per expression chunk.
-func genericFilterPC(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explain) ([]int, error) {
-	for i := range p.generic {
-		g := &p.generic[i]
-		start := time.Now()
-		in := len(rows)
-		if g.cf != nil {
-			narrowed, err := g.cf.apply(rs.Token(), p.slots, rows)
-			if err != nil {
-				if err != cancel.ErrCancelled {
-					err = firstError(&evalCtx{b: p.b, ps: p.params, vtRow: -1}, false, g.expr, narrowed, err)
-				}
+func genericFilterPC(rs *runState, bd *bound, rows []int, ex *engine.Explain) ([]int, error) {
+	for _, g := range bd.plan.generic {
+		if g.cf == nil {
+			var err error
+			if rows, err = filterInterpreted(&rs.Run, bd, false, g.expr, rows, ex); err != nil {
 				return nil, err
-			}
-			rows = narrowed
-			if ex != nil {
-				ex.Add("filter.compiled", g.expr.exprString(), in, len(rows), time.Since(start))
 			}
 			continue
 		}
-		out := rows[:0]
-		ctx := &evalCtx{b: p.b, ps: p.params, vtRow: -1}
-		for n, r := range rows {
-			if n%exprChunk == 0 && rs.Cancelled() {
-				return nil, cancel.ErrCancelled
+		start := time.Now()
+		narrowed, err := g.cf.apply(rs.Token(), &rs.frame, &bd.slots, rows)
+		if err != nil {
+			if err != cancel.ErrCancelled {
+				err = firstError(&evalCtx{b: bd.plan.b, ps: bd.params, vtRow: -1}, false, g.expr, narrowed, err)
 			}
-			ctx.pcRow = r
-			v, err := evalExpr(ctx, g.expr)
-			if err != nil {
-				return nil, err
-			}
-			if v.truthy() {
-				out = append(out, r)
-			}
+			return nil, err
 		}
-		rows = out
 		if ex != nil {
-			ex.Add("filter.generic", g.expr.exprString(), in, len(rows), time.Since(start))
+			ex.Add("filter.compiled", g.expr.exprString(), len(rows), len(narrowed), time.Since(start))
 		}
+		rows = narrowed
 	}
 	return rows, nil
 }
 
+// filterInterpreted narrows rows in place to those e holds for, row at a
+// time through the interpreter, polling the run's cancellation once per
+// expression chunk. On error it returns rows, whose backing array has not
+// moved.
+func filterInterpreted(rs *engine.Run, bd *bound, isVector bool, e Expr, rows []int, ex *engine.Explain) ([]int, error) {
+	start := time.Now()
+	out := rows[:0]
+	ctx := &evalCtx{b: bd.plan.b, ps: bd.params}
+	for n, r := range rows {
+		if n%exprChunk == 0 && rs.Cancelled() {
+			return rows, cancel.ErrCancelled
+		}
+		setRow(ctx, isVector, r)
+		v, err := evalExpr(ctx, e)
+		if err != nil {
+			return rows, err
+		}
+		if v.truthy() {
+			out = append(out, r)
+		}
+	}
+	if ex != nil {
+		ex.Add("filter.generic", e.exprString(), len(rows), len(out), time.Since(start))
+	}
+	return out, nil
+}
+
 // --- vector execution ---------------------------------------------------------
 
-func (pq *PreparedQuery) runVector(rs *engine.Run, p *queryPlan, ex *engine.Explain) (*Result, error) {
-	rows := allRows(rs, p.b.vt.Len())
-	rows, err := runVTSteps(rs, p, rows, ex)
+func (pq *PreparedQuery) runVector(rs *runState, bd *bound, ex *engine.Explain) (*Result, error) {
+	rows := allRows(&rs.Run, bd.plan.b.vt.Len())
+	rows, err := runVTSteps(&rs.Run, bd, rows, ex)
 	if err != nil {
 		rs.RecycleRows(rows)
 		return nil, err
 	}
-	res, err := pq.output(rs, p, rows, nil, ex)
+	res, err := pq.output(rs, bd, rows, nil, ex)
 	rs.RecycleRows(rows)
 	return res, err
 }
@@ -275,40 +282,24 @@ func (pq *PreparedQuery) runVector(rs *engine.Run, p *queryPlan, ex *engine.Expl
 // recycles exactly one buffer on every path (the error return carries the
 // live slice for that reason). The index-backed side vectors are tracked
 // after production — Select*Into grow the buffer they are handed.
-func runVTSteps(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explain) ([]int, error) {
-	for i := range p.vtSteps {
-		st := &p.vtSteps[i]
+func runVTSteps(rs *engine.Run, bd *bound, rows []int, ex *engine.Explain) ([]int, error) {
+	p := bd.plan
+	for i, st := range p.vtSteps {
 		switch st.kind {
 		case vtStepClass:
-			fast := rs.TrackRows(p.b.vt.SelectClassInto(st.class, engine.AcquireRows(0), ex))
+			fast := rs.TrackRows(p.b.vt.SelectClassInto(bd.vt[i].class, engine.AcquireRows(0), ex))
 			rows = intersectSorted(rows, fast)
 			rs.RecycleRows(fast)
 		case vtStepIntersects:
-			fast := rs.TrackRows(p.b.vt.SelectIntersectsInto(st.g, engine.AcquireRows(0), ex))
+			fast := rs.TrackRows(p.b.vt.SelectIntersectsInto(bd.vt[i].g, engine.AcquireRows(0), ex))
 			rows = intersectSorted(rows, fast)
 			rs.RecycleRows(fast)
 		default:
-			start := time.Now()
-			in := len(rows)
-			out := rows[:0]
-			ctx := &evalCtx{b: p.b, ps: p.params, pcRow: -1}
-			for n, r := range rows {
-				if n%exprChunk == 0 && rs.Cancelled() {
-					return rows, cancel.ErrCancelled
-				}
-				ctx.vtRow = r
-				v, err := evalExpr(ctx, st.expr)
-				if err != nil {
-					return rows, err
-				}
-				if v.truthy() {
-					out = append(out, r)
-				}
+			narrowed, err := filterInterpreted(rs, bd, true, st.expr, rows, ex)
+			if err != nil {
+				return rows, err
 			}
-			rows = out
-			if ex != nil {
-				ex.Add("filter.generic", st.expr.exprString(), in, len(rows), time.Since(start))
-			}
+			rows = narrowed
 		}
 	}
 	return rows, nil
@@ -316,12 +307,13 @@ func runVTSteps(rs *engine.Run, p *queryPlan, rows []int, ex *engine.Explain) ([
 
 // --- join execution -----------------------------------------------------------
 
-func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explain) (*Result, error) {
+func (pq *PreparedQuery) runJoin(rs *runState, bd *bound, ex *engine.Explain) (*Result, error) {
+	p := bd.plan
 	// Phase 1: vector side, through the same steps as pure vector queries
 	// so spatial conjuncts (ST_Intersects with a constant geometry) hit the
 	// R-tree here too instead of falling to the row-wise interpreter.
-	vtRows := allRows(rs, p.b.vt.Len())
-	vtRows, err := runVTSteps(rs, p, vtRows, ex)
+	vtRows := allRows(&rs.Run, p.b.vt.Len())
+	vtRows, err := runVTSteps(&rs.Run, bd, vtRows, ex)
 	if err != nil {
 		rs.RecycleRows(vtRows)
 		return nil, err
@@ -330,9 +322,9 @@ func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explai
 	// Phase 2: the spatial join operator resolved at prepare time.
 	var rows []int
 	if p.join == joinDWithin {
-		rows = pq.ex.db.PointsNearFeaturesRun(rs, p.b.pc, p.b.vt, vtRows, p.joinDist, ex)
+		rows = pq.ex.db.PointsNearFeaturesRun(&rs.Run, p.b.pc, p.b.vt, vtRows, bd.joinDist, ex)
 	} else {
-		rows = pq.ex.db.PointsInFeaturesRun(rs, p.b.pc, p.b.vt, vtRows, ex)
+		rows = pq.ex.db.PointsInFeaturesRun(&rs.Run, p.b.pc, p.b.vt, vtRows, ex)
 	}
 	rs.RecycleRows(vtRows)
 	if rs.Cancelled() {
@@ -342,7 +334,7 @@ func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explai
 	}
 
 	// Phase 3: point-side predicates.
-	return pq.finishPointCloud(rs, p, rows, ex)
+	return pq.finishPointCloud(rs, bd, rows, ex)
 }
 
 // --- output phase ---------------------------------------------------------------
@@ -356,23 +348,24 @@ func (pq *PreparedQuery) runJoin(rs *engine.Run, p *queryPlan, ex *engine.Explai
 // rest evaluate through the interpreter into a Value vector. preds are
 // thematic predicates still to apply to rows; only the vectorized GROUP BY
 // takes any (finishPointCloud).
-func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds []engine.ColumnPred, ex *engine.Explain) (*Result, error) {
+func (pq *PreparedQuery) output(rs *runState, bd *bound, rows []int, preds []engine.ColumnPred, ex *engine.Explain) (*Result, error) {
 	if err := faultpoint.Hit("sql.run.output"); err != nil {
 		return nil, err
 	}
+	p := bd.plan
 	isVector := p.mode == planVector
 	stmt := pq.stmt
 	switch p.out {
 	case outGrouped:
-		return execGrouped(rs, p, stmt, rows, preds, isVector, ex)
+		return execGrouped(rs, bd, stmt, rows, preds, isVector, ex)
 	case outAggregate:
-		return outputAggregates(rs, p, stmt, rows, isVector, ex)
+		return outputAggregates(&rs.Run, bd, stmt, rows, isVector, ex)
 	}
 
 	// ORDER BY.
 	if stmt.Order != nil {
 		keys := make([]Value, len(rows))
-		ctx := &evalCtx{b: p.b, ps: p.params, pcRow: -1, vtRow: -1}
+		ctx := &evalCtx{b: p.b, ps: bd.params, pcRow: -1, vtRow: -1}
 		for i, r := range rows {
 			if i%exprChunk == 0 && rs.Cancelled() {
 				return nil, cancel.ErrCancelled
@@ -402,8 +395,8 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds 
 		}
 		rows = sorted
 	}
-	if p.limit >= 0 && len(rows) > p.limit {
-		rows = rows[:p.limit]
+	if bd.limit >= 0 && len(rows) > bd.limit {
+		rows = rows[:bd.limit]
 	}
 
 	start := time.Now()
@@ -423,7 +416,7 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds 
 			res.Cols[i].Vals = make([]Value, n)
 		}
 	}
-	ctx := &evalCtx{b: p.b, ps: p.params, pcRow: -1, vtRow: -1}
+	ctx := &evalCtx{b: p.b, ps: bd.params, pcRow: -1, vtRow: -1}
 	for base := 0; base < n; base += exprChunk {
 		if rs.Cancelled() {
 			return nil, cancel.ErrCancelled
@@ -432,7 +425,7 @@ func (pq *PreparedQuery) output(rs *engine.Run, p *queryPlan, rows []int, preds 
 		chunk := rows[base:end]
 		for i, ev := range p.proj {
 			if ev != nil {
-				if err := ev.eval(p.slots, chunk, res.Cols[i].Nums[base:end]); err != nil {
+				if err := ev.eval(&rs.frame, &bd.slots, chunk, res.Cols[i].Nums[base:end]); err != nil {
 					return nil, firstError(ctx, isVector, p.exprs[i], chunk, err)
 				}
 				continue
@@ -488,12 +481,13 @@ func valueLess(a, b Value) bool {
 }
 
 // outputAggregates computes one result row of aggregates.
-func outputAggregates(rs *engine.Run, p *queryPlan, stmt *SelectStmt, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
+func outputAggregates(rs *engine.Run, bd *bound, stmt *SelectStmt, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
+	p := bd.plan
 	start := time.Now()
 	res := numericResult(p.cols, 1, ex)
 	for i, item := range stmt.Items {
 		f, _ := isAggregate(item.Expr)
-		v, err := computeAggregate(rs, p.b, p.params, f, rows, isVector)
+		v, err := computeAggregate(rs, p.b, bd.params, f, rows, isVector)
 		if err != nil {
 			return nil, err
 		}

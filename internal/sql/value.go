@@ -334,13 +334,14 @@ func cmpHolds(c int, op string) bool {
 // evalFunc dispatches scalar and spatial functions. Aggregates are handled
 // by the executor before evaluation reaches here.
 func evalFunc(ctx *evalCtx, f FuncCall) (Value, error) {
-	argv := make([]Value, len(f.Args))
-	for i, a := range f.Args {
+	var small [4]Value // up to four arguments stay off the heap (every bind's ST_MakeEnvelope)
+	argv := small[:0]
+	for _, a := range f.Args {
 		v, err := evalExpr(ctx, a)
 		if err != nil {
 			return Value{}, err
 		}
-		argv[i] = v
+		argv = append(argv, v)
 	}
 	switch f.Name {
 	case "st_makeenvelope":

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -87,7 +88,7 @@ func TestPreparedGroupedSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.plan.grouped.keyCol == "" {
+	if planOf(pq).grouped.keyCol == "" {
 		t.Fatal("grouped statement did not vectorize; the guard is vacuous")
 	}
 	allocs, rows := runSteady(t, e, q)
@@ -258,5 +259,48 @@ func TestPreparedLimitSelectSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs > 3 {
 		t.Fatalf("prepared early-stopping projection allocates %.1f objects/op, want <= 3 (result header, column list, slab)", allocs)
+	}
+}
+
+// TestReboundSteadyStateAllocs pins what a rebound run allocates: two texts
+// of one navigation shape, alternated through QueryUntracedContext, so every
+// run binds a literal vector other than the one before it. Beside the
+// result's three objects, a rebind allocates its bound (slots and
+// predicates inline) and, on a region shape, the region: the envelope's
+// point slice, the boxed polygon and the boxed region.
+func TestReboundSteadyStateAllocs(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	const env = "ST_Contains(ST_MakeEnvelope(%d, 150, 1700, 1620), ST_Point(x, y))"
+	for _, c := range []struct {
+		name  string
+		shape string // one %d: the varying literal
+		lits  [2]int
+		bound float64
+	}{
+		{"pan.bbox", "SELECT count(*), avg(z) FROM ahn2 WHERE " + env + " AND classification = 2", [2]int{150, 160}, 7},
+		{"pan.hist", "SELECT classification, count(*), min(z), max(z) FROM ahn2 WHERE " + env + " GROUP BY classification", [2]int{150, 160}, 7},
+		{"pan.fetch", "SELECT x, y, z, classification, intensity FROM ahn2 WHERE " + env + " LIMIT 2000", [2]int{150, 160}, 7},
+		{"scan.thematic", "SELECT classification, count(*), avg(z) FROM ahn2 WHERE z BETWEEN %d AND 20 GROUP BY classification", [2]int{0, 1}, 4},
+	} {
+		texts := [2]string{fmt.Sprintf(c.shape, c.lits[0]), fmt.Sprintf(c.shape, c.lits[1])}
+		ctx := context.Background()
+		n := 0
+		run := func() {
+			n++
+			if _, err := e.QueryUntracedContext(ctx, texts[n%2]); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		run()
+		run()
+		before := e.StmtCacheStats().Rebinds
+		allocs := testing.AllocsPerRun(50, run)
+		if got := e.StmtCacheStats().Rebinds - before; got != 51 {
+			t.Fatalf("%s: %d of 51 runs rebound; the measurement is not of the rebound path", c.name, got)
+		}
+		t.Logf("%s: %.1f objects per rebound run", c.name, allocs)
+		if allocs > c.bound {
+			t.Fatalf("%s: a rebound run allocates %.1f objects, want <= %.0f", c.name, allocs, c.bound)
+		}
 	}
 }
