@@ -15,6 +15,7 @@ import (
 	"gisnav/internal/faultpoint"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
+	"gisnav/internal/morsel"
 )
 
 // Armed-build tests for the morsel drivers: a panic in any worker
@@ -326,6 +327,56 @@ func TestFaultPipelineCancelledWithinBlocks(t *testing.T) {
 			if d := morselPoolSnapshot() - before; d != 0 {
 				t.Fatalf("deg %d grouped %t: cancelled pipeline drifted pools by %d", deg, grouped, d)
 			}
+		}
+	}
+}
+
+// TestFaultImprintPassPublishesNeither poisons the coordinate imprint pass
+// on a table large enough to fan it out: a build, and an extension over an
+// append of more than two morsels' rows, must panic out of the query (or
+// the append) with neither imprint published and the maintenance counters
+// unmoved, and the next query must build both — with one partition let
+// through and with every partition poisoned.
+func TestFaultImprintPassPublishesNeither(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	if morsel.Workers() < 2 {
+		t.Skip("the imprint pass fans out only with two workers")
+	}
+	poisoned := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != "imprint pass poisoned" {
+				t.Fatalf("%s: recovered %v, want the armed panic", label, p)
+			}
+		}()
+		f()
+	}
+	for _, after := range []int{1, 0} {
+		pc := groupTestCloud(t, morselCloudRows)
+		faultpoint.Arm("engine.morsel.worker", faultpoint.Action{Panic: "imprint pass poisoned", After: after})
+		poisoned("build", func() { pc.EnsureImprints() })
+		faultpoint.Disarm("engine.morsel.worker")
+		if pc.HasImprints() || pc.IndexStats() != (IndexStats{}) {
+			t.Fatalf("after-%d: a poisoned build published imprints or counted: %+v", after, pc.IndexStats())
+		}
+		if err := selectAll(pc, parRun(1)); err != nil {
+			t.Fatal(err)
+		}
+		if !pc.HasImprints() || pc.IndexStats() != (IndexStats{ImprintBuilds: 1}) {
+			t.Fatalf("after-%d: the next query did not build both imprints: %+v", after, pc.IndexStats())
+		}
+
+		faultpoint.Arm("engine.morsel.worker", faultpoint.Action{Panic: "imprint pass poisoned", After: after})
+		poisoned("extension", func() { pc.AppendLAS(coordPoints(rand.New(rand.NewSource(7)), 2*morselMinRows)) })
+		faultpoint.Disarm("engine.morsel.worker")
+		if pc.HasImprints() || pc.IndexStats() != (IndexStats{ImprintBuilds: 1}) {
+			t.Fatalf("after-%d: a poisoned extension left imprints or counted: %+v", after, pc.IndexStats())
+		}
+		if err := selectAll(pc, parRun(1)); err != nil {
+			t.Fatal(err)
+		}
+		if !pc.HasImprints() || pc.IndexStats() != (IndexStats{ImprintBuilds: 2}) {
+			t.Fatalf("after-%d: the next query did not rebuild both imprints: %+v", after, pc.IndexStats())
 		}
 	}
 }

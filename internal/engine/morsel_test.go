@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -654,18 +655,38 @@ func TestMorselFoldPlanEveryDegree(t *testing.T) {
 }
 
 // refTileScatter is the row-at-a-time tile scatter: every row folds into
-// its (tile, class) slot in ascending row order.
-func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslots int) (cnt []float64, banks [][]float64) {
+// its (tile, class) slot in ascending row order, and into its tile's row
+// count and data box with strict compares from ±Inf.
+func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslots int) (cnt []float64, banks [][]float64, tiles []TileBox, slots []int) {
 	cnt = make([]float64, nslots)
 	banks = make([][]float64, len(specs))
 	for j, s := range specs {
 		banks[j] = make([]float64, nslots)
 		seedBank(banks[j], s.Fn)
 	}
+	tiles, slots = make([]TileBox, nslots/tileDom), make([]int, pc.Len())
+	seedTiles(tiles)
 	keys := pc.Column(ColClassification)
 	for r := 0; r < pc.Len(); r++ {
-		cx, cy := tiler.Cell(pc.X()[r], pc.Y()[r])
-		slot := (int(cy)<<tiler.Order|int(cx))*tileDom + int(keys.Value(r))
+		x, y := pc.X()[r], pc.Y()[r]
+		cx, cy := tiler.Cell(x, y)
+		t := int(cy)<<tiler.Order | int(cx)
+		slot := t*tileDom + int(keys.Value(r))
+		slots[r] = slot
+		b := &tiles[t]
+		b.Rows++
+		if x < b.Box.MinX {
+			b.Box.MinX = x
+		}
+		if x > b.Box.MaxX {
+			b.Box.MaxX = x
+		}
+		if y < b.Box.MinY {
+			b.Box.MinY = y
+		}
+		if y > b.Box.MaxY {
+			b.Box.MaxY = y
+		}
 		cnt[slot]++
 		for j, s := range specs {
 			if s.Fn == AggCount {
@@ -680,14 +701,34 @@ func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslo
 			}
 		}
 	}
-	return cnt, banks
+	return cnt, banks, tiles, slots
+}
+
+// signedZeroCloud returns n points whose coordinates are −0, +0 and a few
+// tile corners in random order: tile (0, 0) of the tile scatter's tests
+// holds only ±0, so its data box edges are ties the earliest row must win,
+// whichever partition it falls in.
+func signedZeroCloud(n int) *PointCloud {
+	rng := rand.New(rand.NewSource(61))
+	vals := []float64{math.Copysign(0, -1), 0, 0, math.Copysign(0, -1), 250, 1000}
+	pts := make([]las.Point, n)
+	for i := range pts {
+		pts[i] = las.Point{X: vals[rng.Intn(len(vals))], Y: vals[rng.Intn(len(vals))], Z: float64(i % 13),
+			Classification: uint8(rng.Intn(4))}
+	}
+	pc := NewPointCloud()
+	pc.AppendLAS(pts)
+	return pc
 }
 
 // TestMorselTileScatterMatchesNaive pins the tile scatter to the
 // row-at-a-time reference at every degree: TileGroupedAggregateRun at
 // caps 1..4 on the large table (the sum shape pins degree 1), and the
-// driver on the small tables at driverDegrees. Banks arrive stale, as
-// pooled buffers do.
+// driver on the small tables at driverDegrees. Banks and tile arrays
+// arrive stale, as pooled buffers do; the tile counts, the data boxes
+// (bit for bit: ties of −0 and +0 on signedZeroCloud, NaN and ±Inf
+// coordinates on the random table) and every row's slot must equal the
+// reference's too.
 func TestMorselTileScatterMatchesNaive(t *testing.T) {
 	exact := []GroupedAggSpec{{Fn: AggMin, Column: ColZ}, {Fn: AggCount}, {Fn: AggMax, Column: ColIntensity}}
 	withSum := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
@@ -705,10 +746,10 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 		{Fn: AggSum, Column: ColIntensity}, {Fn: AggMax, Column: ColClassification}}
 	const order = 3
 	nslots := (1 << (2 * order)) * tileDom
-	check := func(label string, pc *PointCloud, specs []GroupedAggSpec, scatter func(tiler sfc.Grid, cnt []float64, banks [][]float64) error) {
+	check := func(label string, pc *PointCloud, specs []GroupedAggSpec, scatter func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error) {
 		t.Helper()
 		tiler := sfc.NewGrid(geom.NewEnvelope(0, 0, 1000, 1000), order)
-		wantCnt, wantBanks := refTileScatter(pc, tiler, specs, nslots)
+		wantCnt, wantBanks, wantTiles, wantSlots := refTileScatter(pc, tiler, specs, nslots)
 		cnt := make([]float64, nslots)
 		banks := make([][]float64, len(specs))
 		for j := range banks {
@@ -717,7 +758,14 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 				banks[j][i], cnt[i] = -7, -7 // stale pooled contents
 			}
 		}
-		if err := scatter(tiler, cnt, banks); err != nil {
+		tiles, slots := make([]TileBox, nslots/tileDom), make([]int, pc.Len())
+		for i := range tiles {
+			tiles[i] = TileBox{Rows: -7, Box: geom.Envelope{MinX: -7, MinY: -7, MaxX: -7, MaxY: -7}}
+		}
+		for i := range slots {
+			slots[i] = -7
+		}
+		if err := scatter(tiler, cnt, banks, tiles, slots); err != nil {
 			t.Fatal(err)
 		}
 		for s := range wantCnt {
@@ -731,24 +779,33 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+		for i, w := range wantTiles {
+			g := tiles[i]
+			if g.Rows != w.Rows || !sameBits(g.Box.MinX, w.Box.MinX) || !sameBits(g.Box.MinY, w.Box.MinY) ||
+				!sameBits(g.Box.MaxX, w.Box.MaxX) || !sameBits(g.Box.MaxY, w.Box.MaxY) {
+				t.Fatalf("%s: tile %d = %d rows in %v, reference %d rows in %v", label, i, g.Rows, g.Box, w.Rows, w.Box)
+			}
+		}
+		if !slices.Equal(slots, wantSlots) {
+			t.Fatalf("%s: row slots differ from the reference", label)
+		}
 	}
 
 	big := groupTestCloud(t, morselCloudRows)
 	for _, specs := range append([][]GroupedAggSpec{withSum, sumPlan}, exactPlans...) {
 		for _, deg := range []int{1, 2, 4} {
 			run := parRun(deg)
-			check("entry", big, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
-				return big.TileGroupedAggregateRun(run, tiler, ColClassification, specs, cnt, banks, 0, nil)
+			check("entry", big, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error {
+				return big.TileGroupedAggregateRun(run, tiler, ColClassification, specs, cnt, banks, tiles, slots, 0, nil)
 			})
 			if run.Live() != 0 {
 				t.Fatalf("tile run still owns %d buffers", run.Live())
 			}
 		}
 	}
-	for cname, pc := range smallClouds(t) {
-		if cname == "random" {
-			continue // full-domain coordinates: nothing the tiler adds over the grouped clouds
-		}
+	clouds := smallClouds(t)
+	clouds["signed zeros"] = signedZeroCloud(3000)
+	for cname, pc := range clouds {
 		keys := pc.Column(ColClassification).(*colstore.U8Column).Values()
 		for _, specs := range append([][]GroupedAggSpec{sumPlan}, exactPlans...) {
 			degs := []int{1}
@@ -756,12 +813,13 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 				degs = driverDegrees()
 			}
 			for _, deg := range degs {
-				check(cname, pc, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64) error {
+				check(cname, pc, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error {
 					seedBank(cnt, AggCount)
 					for j, s := range specs {
 						seedBank(banks[j], s.Fn)
 					}
-					return pc.runTilePass(nil, tiler, keys, specs, cnt, banks, nslots, 0, pc.Len(), deg)
+					seedTiles(tiles)
+					return pc.runTilePass(nil, tiler, keys, specs, cnt, banks, tiles, slots, 0, pc.Len(), deg)
 				})
 			}
 		}

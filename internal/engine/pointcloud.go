@@ -14,6 +14,7 @@ import (
 	"gisnav/internal/grid"
 	"gisnav/internal/imprints"
 	"gisnav/internal/las"
+	"gisnav/internal/morsel"
 )
 
 // PointCloud is the flat-table point-cloud store: 26 parallel columns plus
@@ -129,23 +130,23 @@ func (pc *PointCloud) AppendLAS(pts []las.Point) {
 // appended is the append arm of the epoch contract, run after rows were
 // added at the end of every column: it bumps the epoch and drops the
 // compiled-kernel plan cache like InvalidateIndexes, but extends built
-// coordinate imprints over the new rows (imprints.Extend) instead of
-// dropping them — unless the column has outgrown the bins a full build
-// sampled, when they drop and the next query rebuilds them.
+// coordinate imprints over the new rows (imprints.Extend, both in one
+// imprintPass) instead of dropping them — unless the column has outgrown
+// the bins a full build sampled, when they drop and the next query
+// rebuilds them.
 func (pc *PointCloud) appended() {
 	pc.epoch.Add(1)
+	pc.plans.Reset()
 	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	if pc.imprintX != nil && pc.imprintY != nil {
 		if n := pc.Len(); pc.imprintX.Outgrown(n) || pc.imprintY.Outgrown(n) {
 			pc.imprintX, pc.imprintY = nil, nil
 		} else {
-			pc.imprintX = imprints.Extend(pc.imprintX, pc.xs.Values())
-			pc.imprintY = imprints.Extend(pc.imprintY, pc.ys.Values())
+			pc.coordImprintsLocked(nil, pc.imprintX, pc.imprintY)
 			pc.imprintExtensions.Add(1)
 		}
 	}
-	pc.mu.Unlock()
-	pc.plans.Reset()
 }
 
 // InvalidateIndexes is the rewrite arm of the epoch contract: it drops the
@@ -203,49 +204,87 @@ func (pc *PointCloud) HasImprints() bool {
 // time (zero when already present). Mirrors MonetDB's create-on-first-query
 // behaviour (§3.2).
 func (pc *PointCloud) EnsureImprints() time.Duration {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.ensureImprintsLocked()
+	_, _, d, _ := pc.imprintsXY(nil)
+	return d
 }
 
-// ensureImprintsLocked builds the coordinate imprints; pc.mu must be held.
-func (pc *PointCloud) ensureImprintsLocked() time.Duration {
-	if pc.imprintX != nil && pc.imprintY != nil {
-		return 0
-	}
-	start := time.Now()
-	ix, err := imprints.Build(pc.xs.Values(), pc.ImprintOpts)
-	if err != nil {
-		// Options are programmer-controlled; invalid ones are a bug.
-		panic(fmt.Sprintf("engine: building x imprints: %v", err))
-	}
-	iy, err := imprints.Build(pc.ys.Values(), pc.ImprintOpts)
-	if err != nil {
-		panic(fmt.Sprintf("engine: building y imprints: %v", err))
-	}
-	pc.imprintX, pc.imprintY = ix, iy
-	pc.imprintBuilds.Add(1)
-	return time.Since(start)
+// imprintPass builds or extends the X and Y imprints as one morsel pass of
+// at most two partitions: partition 0 takes X (and Y too at degree 1),
+// partition 1 takes Y. imprints.Build and imprints.Extend are pure
+// functions of one column, so the result is the two serial calls' at any
+// degree.
+type imprintPass struct {
+	pass morsel.Pass
+	deg  int
+	cols [2][]float64
+	ims  [2]*imprints.Imprints // in: the imprints to extend, nil to build; out: the result
+	opts imprints.Options
 }
 
-// imprintsXY returns stable references to the coordinate imprints, building
-// them if a concurrent invalidation raced the caller's EnsureImprints. The
-// returned values stay valid even if the table's indexes are invalidated
-// afterwards (imprints are immutable once built).
-func (pc *PointCloud) imprintsXY() (*imprints.Imprints, *imprints.Imprints) {
+func (ip *imprintPass) RunPartition(slot int) {
+	hitMorselWorker(ip.deg)
+	for c := slot; c < len(ip.cols); c += ip.deg {
+		if ip.ims[c] != nil {
+			ip.ims[c] = imprints.Extend(ip.ims[c], ip.cols[c])
+			continue
+		}
+		im, err := imprints.Build(ip.cols[c], ip.opts)
+		if err != nil {
+			// Options are programmer-controlled; invalid ones are a bug.
+			panic(fmt.Sprintf("engine: building %s imprints: %v", "xy"[c:c+1], err))
+		}
+		ip.ims[c] = im
+	}
+}
+
+// coordImprintsLocked builds the coordinate imprints (x and y nil) or
+// extends x and y over the rows appended since, in one imprintPass at the
+// degree morselDegree picks for run and the rows it indexes, and publishes
+// both; it returns the degree. pc.mu must be held — no partition takes it.
+// Both indexes are unpublished first, so a panicking partition leaves
+// neither behind and the next query builds both.
+func (pc *PointCloud) coordImprintsLocked(run *Run, x, y *imprints.Imprints) int {
+	pc.imprintX, pc.imprintY = nil, nil
+	n := pc.Len()
+	rows := n
+	if x != nil {
+		rows = n - x.N()
+	}
+	ip := &imprintPass{
+		deg:  min(2, pc.morselDegree(run, rows, true)),
+		cols: [2][]float64{pc.xs.Values(), pc.ys.Values()},
+		ims:  [2]*imprints.Imprints{x, y},
+		opts: pc.ImprintOpts,
+	}
+	if p := ip.pass.Run(ip.deg, ip); p != nil {
+		panic(p)
+	}
+	pc.imprintX, pc.imprintY = ip.ims[0], ip.ims[1]
+	return ip.deg
+}
+
+// imprintsXY returns stable references to the coordinate imprints,
+// building them under run's degree cap if absent, with the build time and
+// degree (zero time when they were already built). The returned values
+// stay valid even if the table's indexes are invalidated afterwards
+// (imprints are immutable once built).
+func (pc *PointCloud) imprintsXY(run *Run) (x, y *imprints.Imprints, built time.Duration, deg int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.ensureImprintsLocked()
-	return pc.imprintX, pc.imprintY
+	if pc.imprintX == nil || pc.imprintY == nil {
+		start := time.Now()
+		deg = pc.coordImprintsLocked(run, nil, nil)
+		pc.imprintBuilds.Add(1)
+		built = time.Since(start)
+	}
+	return pc.imprintX, pc.imprintY, built, deg
 }
 
 // ImprintStats returns the index statistics of both coordinate imprints
 // (building them if needed).
 func (pc *PointCloud) ImprintStats() (x, y imprints.Stats) {
-	pc.EnsureImprints()
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.imprintX.Stats(), pc.imprintY.Stats()
+	ix, iy, _, _ := pc.imprintsXY(nil)
+	return ix.Stats(), iy.Stats()
 }
 
 // Bytes reports the flat table payload size (columns only).
@@ -306,10 +345,10 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, limit in
 		ex.Add(opSelectRegion, "empty region or table", pc.Len(), 0, 0)
 		return []int{}
 	}
-	if d := pc.EnsureImprints(); d > 0 {
-		ex.Add(opImprintsBuild, "x+y coordinate imprints", pc.Len(), pc.Len(), d)
+	imX, imY, built, ideg := pc.imprintsXY(run)
+	if built > 0 && ex != nil {
+		ex.Add(opImprintsBuild, fmt.Sprintf("x+y coordinate imprints [par %d]", ideg), pc.Len(), pc.Len(), built)
 	}
-	imX, imY := pc.imprintsXY()
 	cur := xyCursor(imX, imY, env)
 	// The per-run cancellation token rides into the refinement loops via a
 	// copy of the grid options; pc.GridOpts itself stays run-independent.

@@ -14,8 +14,8 @@
 //	engine.filter.block    — FilterRows, before each predicate kernel
 //	engine.kernel.chunk    — chunkKernel, once per scanChunk block
 //	engine.groupagg.pass   — grouped drivers, before the accumulate passes
-//	engine.groupagg.block  — fold passes, once per foldBlock after the
-//	                         cancellation poll
+//	engine.groupagg.block  — fold passes and the tile scan, once per
+//	                         foldBlock after the cancellation poll
 //	engine.morsel.worker   — morsel passes (grid refinement included), top
 //	                         of each partition (deg > 1)
 //	engine.morsel.merge    — morsel drivers, before the ascending fold (deg > 1)

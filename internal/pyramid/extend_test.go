@@ -47,9 +47,27 @@ func sameBitsSlice(t *testing.T, label string, got, want []float64) {
 	}
 }
 
+// sameTiles requires got and want to hold the same row counts and the
+// same data bounding boxes bit for bit.
+func sameTiles(t *testing.T, label string, got, want []engine.TileBox) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tiles, want %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		gb, wb := [4]float64{g.Box.MinX, g.Box.MinY, g.Box.MaxX, g.Box.MaxY}, [4]float64{w.Box.MinX, w.Box.MinY, w.Box.MaxX, w.Box.MaxY}
+		for k := range wb {
+			if g.Rows != w.Rows || math.Float64bits(gb[k]) != math.Float64bits(wb[k]) {
+				t.Fatalf("%s: tile %d = %d rows in %v, want %d rows in %v", label, i, g.Rows, g.Box, w.Rows, w.Box)
+			}
+		}
+	}
+}
+
 // samePyramid requires got and want to be the same pyramid bit for bit:
-// every level's counts, banks, totals and data bounding boxes, and the
-// base postings.
+// every level's counts, banks, tile row counts and data bounding boxes,
+// and the base postings.
 func samePyramid(t *testing.T, label string, got, want *Pyramid) {
 	t.Helper()
 	if got.base != want.base || got.ext != want.ext || len(got.levels) != len(want.levels) {
@@ -61,11 +79,7 @@ func samePyramid(t *testing.T, label string, got, want *Pyramid) {
 		for j := range w.banks {
 			sameBitsSlice(t, label+": "+want.specs[j].Fn.String()+" bank", g.banks[j], w.banks[j])
 		}
-		sameBitsSlice(t, label+": tot", g.tot, w.tot)
-		sameBitsSlice(t, label+": bminx", g.bminx, w.bminx)
-		sameBitsSlice(t, label+": bminy", g.bminy, w.bminy)
-		sameBitsSlice(t, label+": bmaxx", g.bmaxx, w.bmaxx)
-		sameBitsSlice(t, label+": bmaxy", g.bmaxy, w.bmaxy)
+		sameTiles(t, label, g.tiles, w.tiles)
 	}
 	if !slices.Equal(got.offs, want.offs) || !slices.Equal(got.rows, want.rows) {
 		t.Fatalf("%s: postings differ", label)

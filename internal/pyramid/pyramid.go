@@ -6,27 +6,30 @@
 // Structure. Level o quantises the table extent into 2^o × 2^o tiles;
 // levels run from the base order (sized so base tiles hold a few thousand
 // rows) down to a single root tile. Every level stores, per (tile, class)
-// slot, the class count plus one bank per requested min/max/sum column —
-// built by the engine's grouped kernels fanned over the morsel worker set
-// (engine.TileGroupedAggregateRun) at the base and folded child-into-
-// parent above it — plus per-tile metadata: the row count and the tight
-// bounding box of the rows that actually quantised into the tile. The
-// base level keeps per-tile row postings (rows ascending within a tile)
-// for boundary refinement. The banks and postings are the pyramid's own
-// exactly sized arrays (postings keep 1/8 headroom for appends), not
-// engine pool buffers: they live as long as the entry and go to the
-// garbage collector with it.
+// slot, the class count plus one bank per requested min/max/sum column,
+// plus per-tile metadata: the row count and the tight bounding box of the
+// rows that actually quantised into the tile. The base level keeps
+// per-tile row postings (rows ascending within a tile) for boundary
+// refinement. One pass of the engine's tile scatter, fanned over the
+// morsel worker set (engine.TileGroupedAggregateRun), fills the base
+// level: it quantises each row once, folds it into its slot's banks and
+// its tile's count and box, and records its tile, from which the postings
+// are placed. The levels above fold child-into-parent. The banks and
+// postings are the pyramid's own exactly sized arrays (postings keep 1/8
+// headroom for appends), not engine pool buffers: they live as long as the
+// entry and go to the garbage collector with it.
 //
 // Appends. A pyramid over a table that has only been appended to since
 // it was built extends in place instead of rebuilding (extend): the new
-// rows fold into the base banks through the same tile scatter, tile
-// totals and data bounding boxes widen, postings grow at each tile's tail
-// (new row ids are larger than every old one, so tiles stay ascending)
-// and only the ancestors of touched tiles refold. Count, min and max fold
-// exactly in any order and each tile's sum keeps folding in ascending row
-// order, so an extended pyramid is bit-identical to one built over the
-// grown table. The cache extends an entry only when no query holds it
-// pinned and the new rows fit the existing tiling (For).
+// rows go through the same tile scatter on top of the base level, so the
+// banks fold them and the tile totals and data bounding boxes widen; the
+// postings grow at each tile's tail (new row ids are larger than every old
+// one, so tiles stay ascending), and only the ancestors of touched tiles
+// refold. A build is the extension of an empty pyramid. Count, min, max
+// and the boxes fold exactly in any order and each tile's sum keeps
+// folding in ascending row order, so an extended pyramid is bit-identical
+// to one built over the grown table. The cache extends an entry only when
+// no query holds it pinned and the new rows fit the existing tiling (For).
 //
 // Query. A viewport-histogram lookup picks the coarsest level whose tiles
 // are still small against the viewport, walks the tile span of the
@@ -84,13 +87,9 @@ const (
 // t = cy<<order | cx.
 type level struct {
 	grid  sfc.Grid
-	cnt   []float64   // per-slot class counts
-	banks [][]float64 // per canonical spec (p.specs), per-slot folds
-	tot   []float64   // per-tile row counts
-	bminx []float64   // per-tile data bounding boxes (±Inf when empty)
-	bminy []float64
-	bmaxx []float64
-	bmaxy []float64
+	cnt   []float64        // per-slot class counts
+	banks [][]float64      // per canonical spec (p.specs), per-slot folds
+	tiles []engine.TileBox // per-tile row counts and data bounding boxes
 }
 
 // Pyramid is the pre-aggregate stack for one (table, epoch, shape).
@@ -135,11 +134,12 @@ func baseOrderFor(n int) uint {
 // for an empty table: counts and totals zero, min/max banks ±Inf, sums
 // zero, bounding boxes empty. Returns nil when the table cannot host a
 // pyramid: no rows, or a degenerate/non-finite extent the quantiser
-// cannot split.
+// cannot split — NaN included, which Extent reports when the first row
+// has a NaN coordinate.
 func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.GroupedAggSpec) *Pyramid {
 	n := pc.Len()
 	ext := pc.Extent()
-	if n == 0 || ext.IsEmpty() || ext.Width() <= 0 || ext.Height() <= 0 ||
+	if n == 0 || ext.IsEmpty() || !(ext.Width() > 0) || !(ext.Height() > 0) ||
 		math.IsInf(ext.Width(), 0) || math.IsInf(ext.Height(), 0) {
 		return nil
 	}
@@ -163,9 +163,10 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 			l.banks[j] = make([]float64, ntiles*tileDom)
 			seedBank(l.banks[j], s.Fn)
 		}
-		l.tot = make([]float64, ntiles)
-		l.bminx, l.bminy = filled(ntiles, math.Inf(1)), filled(ntiles, math.Inf(1))
-		l.bmaxx, l.bmaxy = filled(ntiles, math.Inf(-1)), filled(ntiles, math.Inf(-1))
+		l.tiles = make([]engine.TileBox, ntiles)
+		for t := range l.tiles {
+			l.tiles[t] = engine.EmptyTileBox
+		}
 	}
 	p.offs = make([]int, 1<<(2*p.base)+1)
 	p.rows = make([]int, 0, n+n/postingsHeadroom)
@@ -175,15 +176,6 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 // postingsHeadroom sizes the postings' spare capacity: 1/postingsHeadroom
 // of the rows covered, so a run of appends regrows them only every few.
 const postingsHeadroom = 8
-
-// filled returns a fresh slice of n copies of v.
-func filled(n int, v float64) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = v
-	}
-	return b
-}
 
 // seedBank sets every slot of a bank to its fold's identity.
 func seedBank(b []float64, fn engine.AggFunc) {
@@ -235,22 +227,22 @@ func (p *Pyramid) extendable() bool {
 
 // extend folds the table's rows past the ones the pyramid covers into it
 // and moves it to epoch: the engine's tile scatter on top of the base
-// banks, then per-tile totals, data bounding boxes and postings, then the
-// refold of every ancestor of a tile that gained rows. From an empty
-// pyramid that is the build. The caller guarantees the rows before
-// len(p.rows) are unchanged and every new row lies inside p.ext, so the
-// tiling holds; a cancelled or failed extend leaves the pyramid torn, and
-// the caller must drop it.
+// banks, which also takes the rows into the base tiles' totals and data
+// bounding boxes and reports each row's tile, then the postings placed
+// from those, then the refold of every ancestor of a tile that gained
+// rows. From an empty pyramid that is the build. The caller guarantees the
+// rows before len(p.rows) are unchanged and every new row lies inside
+// p.ext, so the tiling holds; a cancelled or failed extend leaves the
+// pyramid torn, and the caller must drop it.
 func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) error {
 	bl := &p.levels[p.base]
 	from, n := len(p.rows), p.pc.Len()
-	if err := p.pc.TileGroupedAggregateRun(run, bl.grid, p.key, p.specs, bl.cnt, bl.banks, from, ex); err != nil {
+	slots := run.AcquireRows(n - from)[:n-from]
+	defer run.RecycleRows(slots)
+	if err := p.pc.TileGroupedAggregateRun(run, bl.grid, p.key, p.specs, bl.cnt, bl.banks, bl.tiles, slots, from, ex); err != nil {
 		return err
 	}
-	touched := make([]bool, 1<<(2*p.base))
-	if err := p.extendMeta(run, from, n, touched); err != nil {
-		return err
-	}
+	touched := p.place(slots, from)
 	for o := int(p.base) - 1; o >= 0; o-- {
 		if run.Cancelled() {
 			return cancel.ErrCancelled
@@ -261,67 +253,41 @@ func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) erro
 	return nil
 }
 
-// extendMeta takes rows [from, n) into the base level's per-tile row
-// counts, tight data bounding boxes and postings, in one quantisation pass
-// plus a merge: each tile's old postings move up by the rows the tiles
-// before it gained, and its new rows follow them in ascending order — the
-// order boundary refinement folds in. touched[t] is set for every base
-// tile that gained a row.
-func (p *Pyramid) extendMeta(run *engine.Run, from, n int, touched []bool) error {
-	bl := &p.levels[p.base]
-	order := bl.grid.Order
-	xs, ys := p.pc.X(), p.pc.Y()
-	tiles := run.AcquireRows(n - from)[:n-from]
-	defer run.RecycleRows(tiles)
-	next := run.AcquireRows(len(touched))[:len(touched)] // rows gained per tile, then insert slots
-	defer run.RecycleRows(next)
-	clear(next)
-	for i := range tiles {
-		if i%(1<<16) == 0 && run.Cancelled() {
-			return cancel.ErrCancelled
-		}
-		x, y := xs[from+i], ys[from+i]
-		cx, cy := bl.grid.Cell(x, y)
-		t := int(cy)<<order | int(cx)
-		tiles[i] = t
-		next[t]++
-		touched[t] = true
-		bl.tot[t]++
-		if x < bl.bminx[t] {
-			bl.bminx[t] = x
-		}
-		if x > bl.bmaxx[t] {
-			bl.bmaxx[t] = x
-		}
-		if y < bl.bminy[t] {
-			bl.bminy[t] = y
-		}
-		if y > bl.bmaxy[t] {
-			bl.bmaxy[t] = y
-		}
-	}
+// place merges rows [from, from+len(slots)) into the base postings, after
+// the scatter counted them into the base totals: a tile gained its total
+// less the postings it holds. Each tile's old postings move up by the rows
+// the tiles before it gained, and its new rows follow them in ascending
+// order — the order boundary refinement folds in. slots[i]/tileDom is
+// row from+i's tile. It returns the base tiles that gained a row.
+func (p *Pyramid) place(slots []int, from int) []bool {
+	tiles := p.levels[p.base].tiles
+	n := from + len(slots)
 	if cap(p.rows) < n {
 		rows := make([]int, from, n+n/postingsHeadroom)
 		copy(rows, p.rows)
 		p.rows = rows
 	}
 	p.rows = p.rows[:n]
+	touched := make([]bool, len(tiles))
+	next := make([]int, len(tiles)) // insert slot of each tile's first new row
 	// Descending tiles: a tile's postings only move up, into space its
 	// successors have already vacated.
 	shift := n - from
-	for t := len(next) - 1; t >= 0; t-- {
-		gained := next[t]
-		shift -= gained
+	for t := len(tiles) - 1; t >= 0; t-- {
 		lo, hi := p.offs[t], p.offs[t+1]
+		gained := tiles[t].Rows - (hi - lo)
+		shift -= gained
 		copy(p.rows[lo+shift:], p.rows[lo:hi])
 		p.offs[t+1] = hi + shift + gained
 		next[t] = hi + shift
+		touched[t] = gained > 0
 	}
-	for i, t := range tiles {
+	for i, s := range slots {
+		t := s / tileDom
 		p.rows[next[t]] = from + i
 		next[t]++
 	}
-	return nil
+	return touched
 }
 
 // refoldLevel refolds, from its four children, every dst tile with a
@@ -358,27 +324,11 @@ func foldTile(dst, src *level, specs []engine.GroupedAggSpec, cx, cy int) {
 	for j, s := range specs {
 		seedBank(dst.banks[j][t*tileDom:(t+1)*tileDom], s.Fn)
 	}
-	dst.tot[t] = 0
-	dst.bminx[t] = math.Inf(1)
-	dst.bminy[t] = math.Inf(1)
-	dst.bmaxx[t] = math.Inf(-1)
-	dst.bmaxy[t] = math.Inf(-1)
+	dst.tiles[t] = engine.EmptyTileBox
 	for dy := 0; dy < 2; dy++ {
 		for dx := 0; dx < 2; dx++ {
 			st := (2*cy+dy)<<(order+1) | (2*cx + dx)
-			dst.tot[t] += src.tot[st]
-			if src.bminx[st] < dst.bminx[t] {
-				dst.bminx[t] = src.bminx[st]
-			}
-			if src.bminy[st] < dst.bminy[t] {
-				dst.bminy[t] = src.bminy[st]
-			}
-			if src.bmaxx[st] > dst.bmaxx[t] {
-				dst.bmaxx[t] = src.bmaxx[st]
-			}
-			if src.bmaxy[st] > dst.bmaxy[t] {
-				dst.bmaxy[t] = src.bmaxy[st]
-			}
+			dst.tiles[t].Fold(src.tiles[st])
 			sb := src.cnt[st*tileDom : (st+1)*tileDom]
 			for k := range db {
 				db[k] += sb[k]
@@ -530,11 +480,11 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
 			t := int(cy)<<order | int(cx)
-			if l.tot[t] == 0 {
+			tb := &l.tiles[t]
+			if tb.Rows == 0 {
 				continue
 			}
-			box := geom.Envelope{MinX: l.bminx[t], MinY: l.bminy[t], MaxX: l.bmaxx[t], MaxY: l.bmaxy[t]}
-			switch region.Classify(box) {
+			switch region.Classify(tb.Box) {
 			case geom.BoxInside:
 				qs.Interior++
 				base := t * tileDom
@@ -570,7 +520,7 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 				}
 			case geom.BoxBoundary:
 				qs.Boundary++
-				boundRows += int(l.tot[t])
+				boundRows += tb.Rows
 				btiles = append(btiles, t)
 			}
 		}

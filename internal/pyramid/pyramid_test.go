@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gisnav/internal/cancel"
 	"gisnav/internal/engine"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
@@ -310,6 +311,14 @@ func TestPyramidDeclines(t *testing.T) {
 	if p := newPyramid(empty, 0, engine.ColClassification, specs); p != nil {
 		t.Fatal("empty table should decline")
 	}
+	// A NaN x in the first row makes the table's extent NaN: a tiling of
+	// it would quantise every row into one tile, and a viewport would
+	// intersect nothing.
+	nanFirst := engine.NewPointCloud()
+	nanFirst.AppendLAS(append([]las.Point{{X: math.NaN(), Y: 5}}, insideBatch(rand.New(rand.NewSource(4)), geom.NewEnvelope(0, 0, 100, 100), 2000)...))
+	if p := newPyramid(nanFirst, 0, engine.ColClassification, specs); p != nil {
+		t.Fatalf("a table with extent %v should decline", nanFirst.Extent())
+	}
 
 	sig, _ := Shape(pc, engine.ColClassification, specs)
 	SetEnabled(false)
@@ -378,15 +387,32 @@ func (m poolMark) unmoved(t *testing.T) {
 	}
 }
 
-// TestPyramidPoolBalance checks that build, queries, an extension, an
-// epoch drop and release leave every engine pool exactly where it began,
-// with the pyramid resident between the steps.
+// TestPyramidPoolBalance checks that a cancelled build, a build, queries,
+// an extension, an epoch drop and release leave every engine pool exactly
+// where it began, with the pyramid resident between the steps. The
+// cancelled build returns cancel.ErrCancelled and publishes nothing (a
+// build cancelled mid-pass is TestPyramidBuildCancelledMidPass, under
+// -tags faultinject).
 func TestPyramidPoolBalance(t *testing.T) {
 	dropResident()
 	defer dropResident()
 	pc := testCloud(80_000, 13)
 	specs := testSpecs()
 	mark := markPools()
+
+	done := make(chan struct{})
+	close(done)
+	cancelled := new(engine.Run)
+	cancelled.Bind(done)
+	before := Snapshot()
+	if p, err := For(cancelled, pc, engine.ColClassification, specs, sigFor(engine.ColClassification, specs), nil); p != nil || err != cancel.ErrCancelled {
+		t.Fatalf("cancelled build: For = %v, %v", p, err)
+	}
+	if s := Snapshot(); s.Pyramids != 0 || s.Builds != before.Builds {
+		t.Fatalf("a cancelled build was published: %+v", s)
+	}
+	cancelled.Drain()
+	mark.unmoved(t)
 
 	p, run := buildPyramid(t, pc, specs)
 	region := grid.GeometryRegion{G: geom.NewEnvelope(100, 100, 900, 900).ToPolygon()}
@@ -401,7 +427,7 @@ func TestPyramidPoolBalance(t *testing.T) {
 	mark.unmoved(t)
 
 	// An append inside the extent extends the resident entry.
-	before := Snapshot()
+	before = Snapshot()
 	pc.AppendLAS(insideBatch(rand.New(rand.NewSource(3)), pc.Extent(), 3000))
 	p, run = buildPyramid(t, pc, specs)
 	if s := Snapshot(); s.Extensions != before.Extensions+1 || s.Builds != before.Builds {
