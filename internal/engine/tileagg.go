@@ -173,7 +173,7 @@ func seedTiles(tiles []TileBox) {
 // tile, polling tok once per foldBlock like the fold passes. It reports
 // false when the token fired.
 func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, slots []int, tiles []TileBox, tok *cancel.Token) bool {
-	order := tiler.Order
+	order, q := tiler.Order, tiler.Quantizer()
 	for b := start; b < end; b += foldBlock {
 		if tok.Cancelled() {
 			return false
@@ -183,7 +183,7 @@ func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, sl
 		bys, bkeys, bslots := ys[b:e], keys[b:e], slots[b-start:e-start]
 		for i, x := range xs[b:e] {
 			y := bys[i]
-			cx, cy := tiler.Cell(x, y)
+			cx, cy := q.Cell(x, y)
 			t := int(cy)<<order | int(cx)
 			bslots[i] = t*tileDom + int(bkeys[i])
 			tiles[t].Fold(TileBox{Rows: 1, Box: geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}})

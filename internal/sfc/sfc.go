@@ -128,23 +128,37 @@ func NewGrid(extent geom.Envelope, order uint) Grid {
 
 // Cell returns the raster cell of (x, y), clamped to the extent.
 func (g Grid) Cell(x, y float64) (cx, cy uint32) {
-	n := float64(uint64(1) << g.Order)
-	fx := (x - g.Extent.MinX) / g.Extent.Width() * n
-	fy := (y - g.Extent.MinY) / g.Extent.Height() * n
-	cx = clampCell(fx, g.Order)
-	cy = clampCell(fy, g.Order)
-	return cx, cy
+	q := g.Quantizer()
+	return q.Cell(x, y)
 }
 
-func clampCell(f float64, order uint) uint32 {
-	max := uint32(1)<<order - 1
+// Quantizer is g's Cell with the grid's constants worked out once, for
+// loops that quantise many points: its Cell inlines, where Grid.Cell is a
+// call per point.
+type Quantizer struct {
+	minX, minY, w, h, n float64
+	max                 uint64 // the last cell's index
+}
+
+// Quantizer returns g's quantiser.
+func (g Grid) Quantizer() Quantizer {
+	return Quantizer{minX: g.Extent.MinX, minY: g.Extent.MinY, w: g.Extent.Width(), h: g.Extent.Height(),
+		n: float64(uint64(1) << g.Order), max: uint64(1)<<g.Order - 1}
+}
+
+// Cell returns the raster cell of (x, y), clamped to the extent.
+func (q *Quantizer) Cell(x, y float64) (cx, cy uint32) {
+	return q.clamp((x - q.minX) / q.w * q.n), q.clamp((y - q.minY) / q.h * q.n)
+}
+
+func (q *Quantizer) clamp(f float64) uint32 {
 	if f < 0 {
 		return 0
 	}
-	if v := uint64(f); v <= uint64(max) {
+	if v := uint64(f); v <= q.max {
 		return uint32(v)
 	}
-	return max
+	return uint32(q.max)
 }
 
 // CellBox returns the closed envelope of raster cell (cx, cy) — the

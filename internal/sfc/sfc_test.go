@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -160,6 +161,56 @@ func TestGridCellQuantisation(t *testing.T) {
 	cx, cy = g.Cell(-50, 500)
 	if cx != 0 || cy != 15 {
 		t.Fatalf("clamped cell = (%d,%d)", cx, cy)
+	}
+}
+
+// refCell is Cell as one expression per axis: the reference the hoisted
+// Quantizer must equal on every input.
+func refCell(g Grid, x, y float64) (uint32, uint32) {
+	n := float64(uint64(1) << g.Order)
+	clamp := func(f float64) uint32 {
+		max := uint32(1)<<g.Order - 1
+		if f < 0 {
+			return 0
+		}
+		if v := uint64(f); v <= uint64(max) {
+			return uint32(v)
+		}
+		return max
+	}
+	return clamp((x - g.Extent.MinX) / g.Extent.Width() * n), clamp((y - g.Extent.MinY) / g.Extent.Height() * n)
+}
+
+// TestQuantizerMatchesCell holds Grid.Cell and a hoisted Quantizer to the
+// reference over random points, points on and one ulp either side of
+// every cell edge, NaN, ±Inf, −0 and huge values, at orders 0 to 32.
+func TestQuantizerMatchesCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -3, 7, 7.5, 1e300, -1e300}
+	for _, order := range []uint{0, 1, 4, 5, 31, 32} {
+		g := Grid{Extent: geom.NewEnvelope(-3, 2, 7, 7.3), Order: order}
+		q := g.Quantizer()
+		var edges []float64 // x edges; y takes the same fractions of its side
+		for k := 0; k <= 1<<min(order, 8); k++ {
+			e := float64(k) / float64(uint64(1)<<min(order, 8))
+			edges = append(edges, e, math.Nextafter(e, -1), math.Nextafter(e, 2))
+		}
+		for i := 0; i < 2000+len(edges)*len(edges); i++ {
+			x, y := -4+rng.Float64()*12, 1+rng.Float64()*8
+			switch j := i - 2000; {
+			case i < len(odd)*len(odd):
+				x, y = odd[i%len(odd)], odd[i/len(odd)]
+			case j >= 0:
+				x, y = -3+edges[j%len(edges)]*10, 2+edges[j/len(edges)]*5.3
+			}
+			wx, wy := refCell(g, x, y)
+			if gx, gy := g.Cell(x, y); gx != wx || gy != wy {
+				t.Fatalf("order %d: Cell(%v, %v) = (%d, %d), reference (%d, %d)", order, x, y, gx, gy, wx, wy)
+			}
+			if qx, qy := q.Cell(x, y); qx != wx || qy != wy {
+				t.Fatalf("order %d: Quantizer.Cell(%v, %v) = (%d, %d), reference (%d, %d)", order, x, y, qx, qy, wx, wy)
+			}
+		}
 	}
 }
 
