@@ -273,9 +273,8 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 	tp.tileSlab = tp.tileSlab[:(deg-1)*ntiles]
 	tp.tok = run.Token()
 	p := tp.pass.Run(deg, tp)
-	tileSlab := tp.tileSlab
 	tp.pc, tp.keys, tp.specs, tp.cnt, tp.banks, tp.tiles, tp.slots, tp.slabs, tp.tok = nil, nil, nil, nil, nil, nil, nil, nil, nil
-	tilePasses.put(tp)
+	defer tilePasses.put(tp) // after the merge, which reads tp.tileSlab
 	if p != nil {
 		panic(p)
 	}
@@ -293,7 +292,7 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 				foldBank(banks[j][:nslots], slab[(1+j)*nslots:(2+j)*nslots], sp.Fn)
 			}
 		}
-		for t, tb := range tileSlab[(w-1)*ntiles : w*ntiles] {
+		for t, tb := range tp.tileSlab[(w-1)*ntiles : w*ntiles] {
 			tiles[t].Fold(tb)
 		}
 	}

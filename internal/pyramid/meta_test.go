@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"gisnav/internal/engine"
@@ -286,4 +288,40 @@ func FuzzPyramidBuild(f *testing.F) {
 			samePyramid(t, "extension against the build", prefix, whole)
 		}
 	})
+}
+
+// TestPyramidConcurrentBuilds builds pyramids over two tables from four
+// goroutines at once, each scatter fanned out to two partitions, and holds
+// every one to a build made alone: the passes share the engine's pooled
+// scaffolding, and each must merge only its own partitions. Run under
+// -race this also catches a pass reading scaffolding another has taken.
+func TestPyramidConcurrentBuilds(t *testing.T) {
+	specs := testSpecs()
+	clouds := []*engine.PointCloud{testCloud(2<<16+999, 71), testCloud(2<<16+17, 72)}
+	want := make([]*Pyramid, len(clouds))
+	for i, pc := range clouds {
+		want[i] = freshPyramid(t, pc, specs)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				i := (g + k) % len(clouds)
+				p := newPyramid(clouds[i], clouds[i].Epoch(), engine.ColClassification, specs)
+				run := new(engine.Run)
+				run.SetMaxParallel(2)
+				if err := p.build(run, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				run.Drain()
+				if !reflect.DeepEqual(p.levels, want[i].levels) || !slices.Equal(p.offs, want[i].offs) || !slices.Equal(p.rows, want[i].rows) {
+					t.Errorf("goroutine %d, table %d: a concurrent build differs from the one built alone", g, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
