@@ -82,7 +82,8 @@ type Column interface {
 	// AppendText parses and appends a text token (CSV ingestion path).
 	AppendText(s string) error
 	// MinMax returns the minimum and maximum stored values widened to
-	// float64; ok is false for empty columns.
+	// float64, ignoring NaN; ok is false when no value is a number (an
+	// empty or all-NaN column).
 	MinMax() (lo, hi float64, ok bool)
 	// Bytes reports the in-memory payload size in bytes.
 	Bytes() int

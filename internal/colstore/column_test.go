@@ -444,3 +444,59 @@ func FuzzColumnBinary(f *testing.F) {
 		}
 	})
 }
+
+// minMaxRef is MinMax's row-at-a-time reference over the non-NaN values.
+func minMaxRef[T Number](vals []T) (lo, hi float64, ok bool) {
+	for _, v := range vals {
+		f := float64(v)
+		if math.IsNaN(f) {
+			continue
+		}
+		if !ok || f < lo {
+			lo = f
+		}
+		if !ok || f > hi {
+			hi = f
+		}
+		ok = true
+	}
+	return lo, hi, ok
+}
+
+// sameMinMax requires c.MinMax to equal the reference over vals bit for bit.
+func sameMinMax[T Number](t *testing.T, label string, vals []T) {
+	t.Helper()
+	lo, hi, ok := NewNum(vals).MinMax()
+	wlo, whi, wok := minMaxRef(vals)
+	if ok != wok || (ok && (math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi))) {
+		t.Fatalf("%s: MinMax(%v) = %v, %v, %v; want %v, %v, %v", label, vals, lo, hi, ok, wlo, whi, wok)
+	}
+}
+
+// TestMinMaxIgnoresNaN holds MinMax to the reference for every column
+// type over each type's extreme values, and — for the one type that can
+// hold a NaN — with a NaN at every position of the column, which must give
+// the answer the column without it gives. A column of NaN alone is !ok.
+func TestMinMaxIgnoresNaN(t *testing.T) {
+	sameMinMax(t, "i64", []int64{3, math.MinInt64, math.MaxInt64, -1})
+	sameMinMax(t, "i32", []int32{0, math.MaxInt32, math.MinInt32})
+	sameMinMax(t, "u16", []uint16{7, math.MaxUint16, 0})
+	sameMinMax(t, "u8", []uint8{255, 1, 0, 9})
+	negz := math.Copysign(0, -1)
+	base := []float64{negz, 0, 2.5, -7, math.Inf(1), 1e300}
+	for n := 0; n <= len(base); n++ {
+		vals := base[:n]
+		lo, hi, ok := NewNum(vals).MinMax()
+		sameMinMax(t, "f64", vals)
+		for at := 0; at <= n; at++ {
+			with := append(append(append([]float64{}, vals[:at]...), math.NaN()), vals[at:]...)
+			glo, ghi, gok := NewNum(with).MinMax()
+			if gok != ok || math.Float64bits(glo) != math.Float64bits(lo) || math.Float64bits(ghi) != math.Float64bits(hi) {
+				t.Fatalf("MinMax(%v) = %v, %v, %v; without the NaN %v, %v, %v", with, glo, ghi, gok, lo, hi, ok)
+			}
+		}
+	}
+	if _, _, ok := NewNum([]float64{math.NaN(), math.NaN()}).MinMax(); ok {
+		t.Fatal("an all-NaN column should be !ok")
+	}
+}

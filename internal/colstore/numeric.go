@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 )
@@ -117,21 +118,24 @@ func (c *Num[T]) format(dst []byte, i int) []byte {
 	return strconv.AppendUint(dst, uint64(v), 10)
 }
 
-// MinMax implements Column.
+// MinMax implements Column. The folds start from ±Inf and move only on a
+// strict compare, so a NaN never enters, wherever it stands; widening is
+// monotone, so folding the widened values is exact for every element type.
 func (c *Num[T]) MinMax() (float64, float64, bool) {
-	if len(c.vals) == 0 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range c.vals {
+		f := float64(v)
+		if f < lo {
+			lo = f
+		}
+		if f > hi {
+			hi = f
+		}
+	}
+	if lo > hi {
 		return 0, 0, false
 	}
-	lo, hi := c.vals[0], c.vals[0]
-	for _, v := range c.vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return float64(lo), float64(hi), true
+	return lo, hi, true
 }
 
 // Bytes implements Column.

@@ -68,8 +68,8 @@ type GroupedResult struct {
 	Strategy string
 }
 
-// reset prepares the record for nspecs aggregates, retaining capacity.
-func (r *GroupedResult) reset(nspecs int) {
+// Reset prepares the record for nspecs aggregates, retaining capacity.
+func (r *GroupedResult) Reset(nspecs int) {
 	r.Keys = r.Keys[:0]
 	if cap(r.Cols) < nspecs {
 		r.Cols = make([][]float64, nspecs)
@@ -196,7 +196,7 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPr
 		src, dom = denseKeys(keyCol, n)
 		start = time.Now() // the filter steps carry their own time
 	}
-	res.reset(len(specs))
+	res.Reset(len(specs))
 
 	// Strategy choice is independent of the degree (so the recorded
 	// strategy and the output are the same at every degree); within a

@@ -557,7 +557,7 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 			all, cnt := rows == nil, selLen(pc, rows)
 			for _, deg := range driverDegrees() {
 				wantKeys, wantCols := refGrouped(pc, rows, ColClassification, exact)
-				got.reset(len(exact))
+				got.Reset(len(exact))
 				keys8 := pc.Column(ColClassification).(*colstore.U8Column).Values()
 				if err := runDensePass(nil, pc, foldSrc{keys8: keys8}, 1<<8, rows, all, cnt, exact, &got, deg); err != nil {
 					t.Fatal(err)
@@ -565,7 +565,7 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 				sameGroupedRef(t, cname+" dense", &got, wantKeys, wantCols)
 				for _, key := range []string{ColGPSTime, ColIntensity, ColScanAngle} {
 					wantKeys, wantCols = refGrouped(pc, rows, key, exact)
-					got.reset(len(exact))
+					got.Reset(len(exact))
 					if err := runHashPass(nil, pc, pc.Column(key), rows, all, cnt, exact, &got, deg); err != nil {
 						t.Fatal(err)
 					}
@@ -642,7 +642,7 @@ func TestMorselFoldPlanEveryDegree(t *testing.T) {
 					}
 					wantKeys, wantCols := refGrouped(pc, rows, arm.key, cfg.specs)
 					for _, deg := range degs {
-						got.reset(len(cfg.specs))
+						got.Reset(len(cfg.specs))
 						if err := arm.run(deg); err != nil {
 							t.Fatal(err)
 						}
@@ -656,7 +656,8 @@ func TestMorselFoldPlanEveryDegree(t *testing.T) {
 
 // refTileScatter is the row-at-a-time tile scatter: every row folds into
 // its (tile, class) slot in ascending row order, and into its tile's row
-// count and data box with strict compares from ±Inf.
+// count, its NaN-coordinate count and its data box with strict compares
+// from ±Inf.
 func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslots int) (cnt []float64, banks [][]float64, tiles []TileBox, slots []int) {
 	cnt = make([]float64, nslots)
 	banks = make([][]float64, len(specs))
@@ -675,6 +676,9 @@ func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslo
 		slots[r] = slot
 		b := &tiles[t]
 		b.Rows++
+		if math.IsNaN(x) || math.IsNaN(y) {
+			b.NaN++
+		}
 		if x < b.Box.MinX {
 			b.Box.MinX = x
 		}
@@ -760,7 +764,7 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 		}
 		tiles, slots := make([]TileBox, nslots/tileDom), make([]int, pc.Len())
 		for i := range tiles {
-			tiles[i] = TileBox{Rows: -7, Box: geom.Envelope{MinX: -7, MinY: -7, MaxX: -7, MaxY: -7}}
+			tiles[i] = TileBox{Rows: -7, NaN: -7, Box: geom.Envelope{MinX: -7, MinY: -7, MaxX: -7, MaxY: -7}}
 		}
 		for i := range slots {
 			slots[i] = -7
@@ -781,9 +785,9 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 		}
 		for i, w := range wantTiles {
 			g := tiles[i]
-			if g.Rows != w.Rows || !sameBits(g.Box.MinX, w.Box.MinX) || !sameBits(g.Box.MinY, w.Box.MinY) ||
+			if g.Rows != w.Rows || g.NaN != w.NaN || !sameBits(g.Box.MinX, w.Box.MinX) || !sameBits(g.Box.MinY, w.Box.MinY) ||
 				!sameBits(g.Box.MaxX, w.Box.MaxX) || !sameBits(g.Box.MaxY, w.Box.MaxY) {
-				t.Fatalf("%s: tile %d = %d rows in %v, reference %d rows in %v", label, i, g.Rows, g.Box, w.Rows, w.Box)
+				t.Fatalf("%s: tile %d = %d rows (%d NaN) in %v, reference %d rows (%d NaN) in %v", label, i, g.Rows, g.NaN, g.Box, w.Rows, w.NaN, w.Box)
 			}
 		}
 		if !slices.Equal(slots, wantSlots) {

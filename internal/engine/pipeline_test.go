@@ -97,7 +97,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 						dom = 1 << 16
 					}
 					var res GroupedResult
-					res.reset(len(specs))
+					res.Reset(len(specs))
 					run := new(Run)
 					matched, err := runPipeFold(run, pc, src, dom, preds, specs, &res, deg)
 					if err != nil {

@@ -107,14 +107,15 @@ func (pc *PointCloud) Y() []float64 { return pc.ys.Values() }
 // Z returns the Z coordinate slice.
 func (pc *PointCloud) Z() []float64 { return pc.zs.Values() }
 
-// Extent returns the 2-D bounding box of the cloud.
+// Extent returns the 2-D bounding box of the cloud's coordinates, NaN
+// ignored; it is empty when no row has a number for x or none for y.
 func (pc *PointCloud) Extent() geom.Envelope {
 	env := geom.EmptyEnvelope()
-	xlo, xhi, ok := pc.xs.MinMax()
-	if !ok {
+	xlo, xhi, okx := pc.xs.MinMax()
+	ylo, yhi, oky := pc.ys.MinMax()
+	if !okx || !oky {
 		return env
 	}
-	ylo, yhi, _ := pc.ys.MinMax()
 	return geom.NewEnvelope(xlo, ylo, xhi, yhi)
 }
 

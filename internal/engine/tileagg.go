@@ -50,10 +50,12 @@ func validateTileSpecs(specs []GroupedAggSpec) error {
 }
 
 // TileBox is one tile's metadata in a tile scatter: how many rows
-// quantised into the tile and the tight bounding box of their
-// coordinates.
+// quantised into the tile, how many of them have a NaN coordinate, and
+// the tight bounding box of their coordinates. A NaN never enters the box,
+// so a tile with NaN rows holds rows its box does not bound.
 type TileBox struct {
 	Rows int
+	NaN  int
 	Box  geom.Envelope
 }
 
@@ -68,6 +70,7 @@ var EmptyTileBox = TileBox{Box: geom.EmptyEnvelope()}
 // row-at-a-time fold.
 func (b *TileBox) Fold(o TileBox) {
 	b.Rows += o.Rows
+	b.NaN += o.NaN
 	if o.Box.MinX < b.Box.MinX {
 		b.Box.MinX = o.Box.MinX
 	}
@@ -186,7 +189,11 @@ func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, sl
 			cx, cy := q.Cell(x, y)
 			t := int(cy)<<order | int(cx)
 			bslots[i] = t*tileDom + int(bkeys[i])
-			tiles[t].Fold(TileBox{Rows: 1, Box: geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}})
+			nan := 0
+			if x != x || y != y {
+				nan = 1
+			}
+			tiles[t].Fold(TileBox{Rows: 1, NaN: nan, Box: geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}})
 		}
 	}
 	return true

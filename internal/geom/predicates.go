@@ -198,6 +198,12 @@ func ringIntersectsBox(r Ring, e Envelope) bool {
 	}
 	for i := 1; i < len(pts); i++ {
 		a, b := pts[i-1], pts[i]
+		// A NaN or infinite vertex defeats the crossing tests, so the box
+		// counts as crossed and each point goes to the exact test (c-c is
+		// 0 only when the sum is finite).
+		if c := a.X + a.Y + b.X + b.Y; c-c != 0 {
+			return true
+		}
 		// Quick reject on the segment's own bbox.
 		if math.Max(a.X, b.X) < e.MinX || math.Min(a.X, b.X) > e.MaxX ||
 			math.Max(a.Y, b.Y) < e.MinY || math.Min(a.Y, b.Y) > e.MaxY {

@@ -47,8 +47,8 @@ func sameBitsSlice(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// sameTiles requires got and want to hold the same row counts and the
-// same data bounding boxes bit for bit.
+// sameTiles requires got and want to hold the same row and NaN-coordinate
+// counts and the same data bounding boxes bit for bit.
 func sameTiles(t *testing.T, label string, got, want []engine.TileBox) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -58,8 +58,8 @@ func sameTiles(t *testing.T, label string, got, want []engine.TileBox) {
 		g := got[i]
 		gb, wb := [4]float64{g.Box.MinX, g.Box.MinY, g.Box.MaxX, g.Box.MaxY}, [4]float64{w.Box.MinX, w.Box.MinY, w.Box.MaxX, w.Box.MaxY}
 		for k := range wb {
-			if g.Rows != w.Rows || math.Float64bits(gb[k]) != math.Float64bits(wb[k]) {
-				t.Fatalf("%s: tile %d = %d rows in %v, want %d rows in %v", label, i, g.Rows, g.Box, w.Rows, w.Box)
+			if g.Rows != w.Rows || g.NaN != w.NaN || math.Float64bits(gb[k]) != math.Float64bits(wb[k]) {
+				t.Fatalf("%s: tile %d = %d rows (%d NaN) in %v, want %d rows (%d NaN) in %v", label, i, g.Rows, g.NaN, g.Box, w.Rows, w.NaN, w.Box)
 			}
 		}
 	}

@@ -19,10 +19,10 @@ import (
 
 // refExtendMeta is the row-at-a-time reference for the base level's tile
 // metadata: rows [from, n) quantise through the base grid one at a time
-// into per-tile row counts and tight data bounding boxes (strict compares
-// from the ±Inf seeds), then merge into the postings — each tile's old
-// postings move up by the rows the tiles before it gained, and its new rows
-// follow them in ascending order.
+// into per-tile row counts, NaN-coordinate counts and tight data bounding
+// boxes (strict compares from the ±Inf seeds), then merge into the
+// postings — each tile's old postings move up by the rows the tiles
+// before it gained, and its new rows follow them in ascending order.
 func refExtendMeta(p *Pyramid, from, n int) {
 	bl := &p.levels[p.base]
 	order := bl.grid.Order
@@ -37,6 +37,9 @@ func refExtendMeta(p *Pyramid, from, n int) {
 		next[t]++
 		b := &bl.tiles[t]
 		b.Rows++
+		if math.IsNaN(x) || math.IsNaN(y) {
+			b.NaN++
+		}
 		if x < b.Box.MinX {
 			b.Box.MinX = x
 		}

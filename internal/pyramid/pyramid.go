@@ -31,35 +31,40 @@
 // to one built over the grown table. The cache extends an entry only when
 // no query holds it pinned and the new rows fit the existing tiling (For).
 //
-// Query. A viewport-histogram lookup picks the coarsest level whose tiles
-// are still small against the viewport, walks the tile span of the
-// region's envelope, and classifies each tile's DATA bounding box against
-// the region: tiles fully inside fold their pre-aggregates (count adds
-// and min/max strict folds merge exactly, so the fold is bit-identical to
-// the serial scan); tiles fully outside are skipped; boundary tiles fall
-// back to the exact compiled kernels over just their rows
-// (engine.GroupedAccumulateRows after the same envelope check + per-point
-// Contains test the grid refiner applies; a rectangle takes the grid's
-// four-compare row loop, grid.RectRowsInto, instead). Classifying the data bbox
-// rather than the geometric tile box keeps the interior/outside decisions
-// exact by construction — every row lies inside its tile's closed data
-// bbox — independent of quantisation rounding at tile edges.
+// Query. A viewport-histogram lookup is a quadtree cover: it descends
+// from the root tile, classifying each tile's DATA bounding box against
+// the region. A tile fully inside folds its pre-aggregates at its own
+// level, the coarsest that holds it; empty tiles and tiles fully outside
+// are skipped; any other tile splits into its four children, and only base
+// tiles the region's edge still crosses fall back to the exact compiled
+// kernels over their rows (engine.GroupedAccumulateRows after the same
+// envelope check + per-point Contains test the grid refiner applies; a
+// rectangle takes the grid's four-compare row loop, grid.RectRowsInto).
+// Classifying the data bbox rather than the geometric tile box keeps the
+// decisions exact by construction — every row with finite coordinates
+// lies inside its tile's closed data bbox — independent of quantisation
+// rounding at tile edges. A row with a NaN coordinate lies in no box and
+// no region, so a tile holding one never folds whole: it splits, and its
+// base tile refines. Folds touch only the classes the root counts.
 //
-// Determinism. Count/min/max merge exactly in any fold order, so those
-// pyramid answers are bit-identical to the serial exact arm — the same
-// argument as specsMergeExact for the morsel merge. Per-tile sums are
-// built in ascending row order (the engine forces the serial scatter for
-// sum banks) and folded in ascending tile order at query time: that is
-// deterministic, but it is NOT the global ascending row-order fold the
-// SQL float-determinism invariant pins, so Shape excludes sum/avg from
-// SQL routing; sum banks exist for direct API users who accept tile-order
-// folding.
+// Determinism. Count/min/max merge exactly in any fold order but one: a
+// −0 and a +0 tie, and the serial exact arm keeps the first row's. Where
+// a bank's column holds both signs, a zero min or max is looked up in row
+// order; every other answer of those folds is bit-identical to the serial
+// exact arm — the argument of specsMergeExact for the morsel merge.
+// Per-tile sums are built in ascending row order (the engine forces the
+// serial scatter for sum banks) and folded in cover order at query time:
+// that is deterministic, but it is NOT the global ascending row-order
+// fold the SQL float-determinism invariant pins, so Shape excludes sum/avg
+// from SQL routing; sum banks exist for direct API users who accept
+// cover-order folding.
 package pyramid
 
 import (
 	"math"
 
 	"gisnav/internal/cancel"
+	"gisnav/internal/colstore"
 	"gisnav/internal/engine"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
@@ -74,10 +79,6 @@ const (
 	baseOrderMin      = 2
 	baseOrderMax      = 5
 	targetRowsPerTile = 1024
-	// tilesAcross is the level-selection rule: choose the coarsest level
-	// whose tile edge is at most 1/tilesAcross of the viewport edge, so
-	// the boundary ring stays thin relative to the interior.
-	tilesAcross = 4
 	// maxQuerySpecs bounds the per-query stack scratch (spec → bank map).
 	maxQuerySpecs = 16
 )
@@ -107,14 +108,15 @@ type Pyramid struct {
 	levels  []level // indexed by order, 0..base
 	offs    []int   // base-tile postings: rows[offs[t]:offs[t+1]]
 	rows    []int   // row ids, ascending within each base tile; len = rows covered
+	zeros   []uint8 // per bank: the zero signs its column's covered rows hold
 	refs    refCount
 }
 
 // QueryStats describes one pyramid lookup, for EXPLAIN and the bench
-// harness: the level served, how many tiles folded from pre-aggregates,
-// how many fell back to exact refinement and over how many rows.
+// harness: how many cover tiles, of any order, folded from pre-aggregates,
+// how many base tiles fell back to exact refinement, and how many of their
+// rows lay in the region.
 type QueryStats struct {
-	Level        int
 	Interior     int
 	Boundary     int
 	BoundaryRows int
@@ -134,8 +136,8 @@ func baseOrderFor(n int) uint {
 // for an empty table: counts and totals zero, min/max banks ±Inf, sums
 // zero, bounding boxes empty. Returns nil when the table cannot host a
 // pyramid: no rows, or a degenerate/non-finite extent the quantiser
-// cannot split — NaN included, which Extent reports when the first row
-// has a NaN coordinate.
+// cannot split — an empty one included, which Extent reports when a
+// coordinate column holds no number.
 func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.GroupedAggSpec) *Pyramid {
 	n := pc.Len()
 	ext := pc.Extent()
@@ -151,6 +153,7 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 		ext:     ext,
 		base:    baseOrderFor(n),
 	}
+	p.zeros = make([]uint8, len(p.specs))
 	p.refs.init(1)
 	p.levels = make([]level, p.base+1)
 	for o := uint(0); o <= p.base; o++ {
@@ -242,6 +245,9 @@ func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) erro
 	if err := p.pc.TileGroupedAggregateRun(run, bl.grid, p.key, p.specs, bl.cnt, bl.banks, bl.tiles, slots, from, ex); err != nil {
 		return err
 	}
+	for j, s := range p.specs {
+		p.zeros[j] |= zeroSigns(p.pc.Column(s.Column), from, n)
+	}
 	touched := p.place(slots, from)
 	for o := int(p.base) - 1; o >= 0; o-- {
 		if run.Cancelled() {
@@ -251,6 +257,23 @@ func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) erro
 	}
 	p.atEpoch = epoch
 	return nil
+}
+
+// bothZeros is zeroSigns' report of a column holding both a +0 and a −0,
+// which tie under the strict compares of a min or max fold.
+const bothZeros = 3
+
+// zeroSigns reports the zero signs rows [from, n) of col hold: bit 0 a
+// +0, bit 1 a −0. Only a float column can hold a −0.
+func zeroSigns(col colstore.Column, from, n int) (signs uint8) {
+	if f, ok := col.(*colstore.F64Column); ok {
+		for _, v := range f.Values()[from:n] {
+			if v == 0 {
+				signs |= 1 << (math.Float64bits(v) >> 63)
+			}
+		}
+	}
+	return signs
 }
 
 // place merges rows [from, from+len(slots)) into the base postings, after
@@ -359,24 +382,48 @@ func foldTile(dst, src *level, specs []engine.GroupedAggSpec, cx, cy int) {
 	}
 }
 
-// levelFor picks the coarsest level whose tiles are still fine against
-// the viewport: descend while a tile edge exceeds 1/tilesAcross of the
-// clipped viewport edge. Degenerate viewports get the base level.
-func (p *Pyramid) levelFor(env geom.Envelope) uint {
-	clip := env.Intersection(p.ext)
-	vw, vh := clip.Width(), clip.Height()
-	if !(vw > 0) || !(vh > 0) {
-		return p.base
-	}
-	o := uint(0)
-	for o < p.base {
-		scale := float64(uint64(1) << o)
-		if p.ext.Width()/scale <= vw/tilesAcross && p.ext.Height()/scale <= vh/tilesAcross {
-			break
+// Cover tiles travel packed in one int: the tile index above orderBits
+// bits of order.
+const (
+	orderBits = 3
+	orderMask = 1<<orderBits - 1
+)
+
+// cover descends the quadtree over region from the root tile and appends
+// the tiles that answer it. Empty tiles and tiles whose data box lies
+// outside the region are skipped. A tile whose data box lies inside joins
+// inside, packed, at the coarsest order that holds it — unless it has a
+// row with a NaN coordinate: its box leaves such rows out and Contains
+// rejects them, so it goes on like a tile the region's edge crosses. Such
+// a tile splits into its four children, and a base tile joins edge
+// instead. Tiles join in depth-first ascending (dy, dx) order, the fold
+// order. Every row lies in its tile's closed data box, so the rows of the
+// inside tiles are exactly the region's rows outside the edge tiles.
+func (p *Pyramid) cover(region grid.Region, inside, edge []int) ([]int, []int) {
+	var stack [1 + 3*baseOrderMax]int // the root; each split pops one tile and pushes four
+	for sp := 1; sp > 0; {
+		sp--
+		o, t := uint(stack[sp]&orderMask), stack[sp]>>orderBits
+		tb := &p.levels[o].tiles[t]
+		if tb.Rows == 0 {
+			continue
 		}
-		o++
+		switch rel := region.Classify(tb.Box); {
+		case rel == geom.BoxOutside:
+		case rel == geom.BoxInside && tb.NaN == 0:
+			inside = append(inside, stack[sp])
+		case o == p.base:
+			edge = append(edge, t)
+		default: // pushed last first, so the children pop in ascending order
+			cx, cy := t&(1<<o-1), t>>o
+			for d := 3; d >= 0; d-- {
+				c := (2*cy+d>>1)<<(o+1) | (2*cx + d&1)
+				stack[sp] = c<<orderBits | int(o+1)
+				sp++
+			}
+		}
 	}
-	return o
+	return inside, edge
 }
 
 // QueryRegionRun answers a grouped viewport histogram from the pyramid:
@@ -385,11 +432,11 @@ func (p *Pyramid) levelFor(env geom.Envelope) uint {
 // one value per spec — bit-identical to the exact serial grouped arm for
 // count/min/max shapes. ok reports whether the pyramid could serve the
 // query; on false the caller falls back to the exact arm (unknown spec
-// shape, or a region whose envelope the tiling cannot span). All query
-// scratch is pooled and registered in the run's release list; warm
+// shape, or a region whose clipped envelope has a non-finite bound). All
+// query scratch is pooled and registered in the run's release list; warm
 // lookups allocate nothing.
 func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []engine.GroupedAggSpec, res *engine.GroupedResult) (QueryStats, bool, error) {
-	qs := QueryStats{Level: -1}
+	var qs QueryStats
 	if region == nil || len(specs) > maxQuerySpecs {
 		return qs, false, nil
 	}
@@ -412,50 +459,19 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 			return qs, false, nil
 		}
 	}
-
-	res.Keys = res.Keys[:0]
-	for len(res.Cols) < len(specs) {
-		res.Cols = append(res.Cols, nil)
-	}
-	res.Cols = res.Cols[:len(specs)]
-	for j := range res.Cols {
-		res.Cols[j] = res.Cols[j][:0]
-	}
+	res.Reset(len(specs))
 	res.Strategy = "pyramid"
 
 	env := region.Envelope()
-	if env.IsEmpty() || env.Intersection(p.ext).IsEmpty() {
+	clip := env.Intersection(p.ext)
+	if env.IsEmpty() || clip.IsEmpty() {
 		// The region cannot reach any row: zero groups, exactly what the
 		// exact arm produces over an empty selection.
-		qs.Level = int(p.base)
 		countQuery(&qs)
 		return qs, true, nil
 	}
-	lo := p.levelFor(env)
-	l := &p.levels[lo]
-	order := l.grid.Order
-	qs.Level = int(order)
-	x0, y0, x1, y1, ok := grid.TileSpan(l.grid, region)
-	if !ok {
-		// Non-finite envelope bounds: the exact arm's scan semantics
-		// apply, not the tiling's.
-		return qs, false, nil
-	}
-	// One tile of margin: data bounding boxes, not geometric tile boxes,
-	// decide membership, and rounding at a tile edge can push a row's box
-	// one tile past the envelope span.
-	last := uint32(1)<<order - 1
-	if x0 > 0 {
-		x0--
-	}
-	if y0 > 0 {
-		y0--
-	}
-	if x1 < last {
-		x1++
-	}
-	if y1 < last {
-		y1++
+	if c := clip.MinX + clip.MinY + clip.MaxX + clip.MaxY; c-c != 0 {
+		return qs, false, nil // a non-finite bound: the exact arm's scan semantics apply
 	}
 
 	// The query accumulator is one flat pooled slab in GroupedAccumulateRows
@@ -470,115 +486,69 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	for j, s := range specs {
 		seedBank(slab[(1+j)*tileDom:(2+j)*tileDom], s.Fn)
 	}
+	// Only the classes the root counts occur in any tile. An absent class
+	// holds count 0, its min/max seed and a +0 sum everywhere, so folding
+	// the present ones alone changes no bit. The root refolds on every
+	// extension, so the list follows appends.
+	var presentArr [tileDom]uint8
+	present := presentArr[:0]
+	for k, c := range p.levels[0].cnt[:tileDom] {
+		if c > 0 {
+			present = append(present, uint8(k))
+		}
+	}
 
-	// Walk the span in ascending (cy, cx) order: interior tiles fold
-	// their pre-aggregates immediately (the deterministic tile order);
-	// boundary tiles queue for exact refinement.
-	span := int(x1-x0+1) * int(y1-y0+1)
-	btiles := run.AcquireRows(span)[:0]
-	boundRows := 0
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			t := int(cy)<<order | int(cx)
-			tb := &l.tiles[t]
-			if tb.Rows == 0 {
+	// Interior tiles fold their pre-aggregates in cover order; edge tiles
+	// refine their rows exactly. Every tile joins the cover at most once.
+	inside := run.AcquireRows((1<<(2*(p.base+1)) - 1) / 3)[:0]
+	edge := run.AcquireRows(len(p.levels[p.base].tiles))[:0]
+	inside, edge = p.cover(region, inside, edge)
+	qs.Interior, qs.Boundary = len(inside), len(edge)
+	for _, c := range inside {
+		l, base := &p.levels[c&orderMask], (c>>orderBits)*tileDom
+		cb := l.cnt[base : base+tileDom]
+		for _, k := range present {
+			qcnt[k] += cb[k]
+		}
+		for j := range specs {
+			bi := bmap[j]
+			if bi < 0 {
 				continue
 			}
-			switch region.Classify(tb.Box) {
-			case geom.BoxInside:
-				qs.Interior++
-				base := t * tileDom
-				cb := l.cnt[base : base+tileDom]
-				for k, c := range cb {
-					qcnt[k] += c
-				}
-				for j := range specs {
-					bi := bmap[j]
-					if bi < 0 {
-						continue
-					}
-					src := l.banks[bi][base : base+tileDom]
-					dst := slab[(1+j)*tileDom : (2+j)*tileDom]
-					switch specs[j].Fn {
-					case engine.AggMin:
-						for k, v := range src {
-							if v < dst[k] {
-								dst[k] = v
-							}
-						}
-					case engine.AggMax:
-						for k, v := range src {
-							if v > dst[k] {
-								dst[k] = v
-							}
-						}
-					default: // AggSum: ascending tile order
-						for k, v := range src {
-							dst[k] += v
-						}
+			src := l.banks[bi][base : base+tileDom]
+			dst := slab[(1+j)*tileDom : (2+j)*tileDom]
+			switch specs[j].Fn {
+			case engine.AggMin:
+				for _, k := range present {
+					if src[k] < dst[k] {
+						dst[k] = src[k]
 					}
 				}
-			case geom.BoxBoundary:
-				qs.Boundary++
-				boundRows += tb.Rows
-				btiles = append(btiles, t)
+			case engine.AggMax:
+				for _, k := range present {
+					if src[k] > dst[k] {
+						dst[k] = src[k]
+					}
+				}
+			default: // AggSum: cover order
+				for _, k := range present {
+					dst[k] += src[k]
+				}
 			}
 		}
 	}
-
-	// Boundary refinement: gather the partial tiles' rows that pass the
-	// same envelope check + Contains test the grid refiner applies, in
-	// (tile, row) ascending order, then fold them through the exact dense
-	// kernels. A rectangle is decided by the grid's four-compare row loop.
-	if len(btiles) > 0 {
-		xs, ys := p.pc.X(), p.pc.Y()
-		rect, isRect := grid.RectOf(region)
-		d := p.base - order
-		rbuf := run.AcquireRows(boundRows)[:0]
-		for bi, t := range btiles {
-			if bi%8 == 0 && run.Cancelled() {
-				run.RecycleRows(rbuf)
-				run.RecycleRows(btiles)
-				run.RecycleF64(slab)
-				return qs, false, cancel.ErrCancelled
-			}
-			cx := uint32(t) & last
-			cy := uint32(t) >> order
-			for sy := int(cy) << d; sy < int(cy+1)<<d; sy++ {
-				for sx := int(cx) << d; sx < int(cx+1)<<d; sx++ {
-					st := sy<<p.base | sx
-					if isRect {
-						rbuf = grid.RectRowsInto(xs, ys, p.rows[p.offs[st]:p.offs[st+1]], rect, rbuf)
-						continue
-					}
-					for _, r := range p.rows[p.offs[st]:p.offs[st+1]] {
-						x, y := xs[r], ys[r]
-						if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {
-							continue
-						}
-						if region.Contains(x, y) {
-							rbuf = append(rbuf, r)
-						}
-					}
-				}
-			}
-		}
-		qs.BoundaryRows = len(rbuf)
-		if len(rbuf) > 0 {
-			if err := p.pc.GroupedAccumulateRows(rbuf, p.key, specs, slab); err != nil {
-				run.RecycleRows(rbuf)
-				run.RecycleRows(btiles)
-				run.RecycleF64(slab)
-				return qs, false, err
-			}
-		}
-		run.RecycleRows(rbuf)
+	var err error
+	qs.BoundaryRows, err = p.refine(run, region, edge, specs, slab)
+	run.RecycleRows(edge)
+	run.RecycleRows(inside)
+	if err != nil {
+		run.RecycleF64(slab)
+		return qs, false, err
 	}
-	run.RecycleRows(btiles)
 
 	// Emit groups in ascending class order — FloatOrderKey order for u8
 	// keys, the same order the engine's dense strategy produces.
-	for k := 0; k < tileDom; k++ {
+	for _, k := range present {
 		c := qcnt[k]
 		if c == 0 {
 			continue
@@ -586,8 +556,11 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 		res.Keys = append(res.Keys, float64(k))
 		for j := range specs {
 			v := c
-			if specs[j].Fn != engine.AggCount {
-				v = slab[(1+j)*tileDom+k]
+			if bi := bmap[j]; bi >= 0 {
+				v = slab[(1+j)*tileDom+int(k)]
+				if v == 0 && p.zeros[bi] == bothZeros {
+					v = p.firstZero(region, k, specs[j].Column)
+				}
 			}
 			res.Cols[j] = append(res.Cols[j], v)
 		}
@@ -595,4 +568,63 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	run.RecycleF64(slab)
 	countQuery(&qs)
 	return qs, true, nil
+}
+
+// refine folds the region's rows in the edge base tiles into slab through
+// the exact dense kernels and returns how many there were. A row counts
+// when it passes the envelope check and Contains test the grid refiner
+// applies; a rectangle is decided by the grid's four-compare row loop.
+// Rows are gathered in cover order, ascending within each tile.
+func (p *Pyramid) refine(run *engine.Run, region grid.Region, edge []int, specs []engine.GroupedAggSpec, slab []float64) (int, error) {
+	n := 0
+	for _, t := range edge {
+		n += p.offs[t+1] - p.offs[t]
+	}
+	xs, ys := p.pc.X(), p.pc.Y()
+	env := region.Envelope()
+	rect, isRect := grid.RectOf(region)
+	rbuf := run.AcquireRows(n)[:0]
+	for i, t := range edge {
+		if i%8 == 0 && run.Cancelled() {
+			run.RecycleRows(rbuf)
+			return 0, cancel.ErrCancelled
+		}
+		rows := p.rows[p.offs[t]:p.offs[t+1]]
+		if isRect {
+			rbuf = grid.RectRowsInto(xs, ys, rows, rect, rbuf)
+			continue
+		}
+		for _, r := range rows {
+			x, y := xs[r], ys[r]
+			if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {
+				continue
+			}
+			if region.Contains(x, y) {
+				rbuf = append(rbuf, r)
+			}
+		}
+	}
+	var err error
+	if len(rbuf) > 0 {
+		err = p.pc.GroupedAccumulateRows(rbuf, p.key, specs, slab)
+	}
+	run.RecycleRows(rbuf)
+	return len(rbuf), err
+}
+
+// firstZero returns the value of the first row, in row order, that lies in
+// region, is of class k and holds a zero in column col. Of tied zeros the
+// exact arm keeps the first row's, which cover order cannot tell when the
+// column holds both signs: a zero min or max there is looked up here.
+func (p *Pyramid) firstZero(region grid.Region, k uint8, col string) float64 {
+	xs, ys := p.pc.X(), p.pc.Y()
+	keys := p.pc.Column(p.key).(*colstore.U8Column).Values()
+	env := region.Envelope()
+	for r, v := range p.pc.Column(col).(*colstore.F64Column).Values()[:len(p.rows)] {
+		x, y := xs[r], ys[r]
+		if v == 0 && keys[r] == k && x >= env.MinX && x <= env.MaxX && y >= env.MinY && y <= env.MaxY && region.Contains(x, y) {
+			return v
+		}
+	}
+	return 0
 }

@@ -287,9 +287,10 @@ func TestPyramidDropsOnEpochBump(t *testing.T) {
 	sameGrouped(t, "post-append", &res, exactGrouped(t, pc, region, specs))
 }
 
-// TestPyramidDeclines covers the decline paths: empty tables, unknown
-// bank shapes, sum/avg specs (excluded from SQL routing by the
-// determinism contract) and disabled routing.
+// TestPyramidDeclines covers the decline paths: empty tables, tables
+// with no number in a coordinate column, unknown bank shapes, sum/avg
+// specs (excluded from SQL routing by the determinism contract) and
+// disabled routing. A NaN coordinate in the first row is not a decline.
 func TestPyramidDeclines(t *testing.T) {
 	pc := testCloud(10_000, 3)
 	if _, ok := Shape(pc, engine.ColClassification, []engine.GroupedAggSpec{
@@ -311,13 +312,27 @@ func TestPyramidDeclines(t *testing.T) {
 	if p := newPyramid(empty, 0, engine.ColClassification, specs); p != nil {
 		t.Fatal("empty table should decline")
 	}
-	// A NaN x in the first row makes the table's extent NaN: a tiling of
-	// it would quantise every row into one tile, and a viewport would
-	// intersect nothing.
+	// A NaN x in the first row leaves the extent to the other rows: the
+	// pyramid builds, and the NaN row, which no region contains, is in no
+	// answer.
 	nanFirst := engine.NewPointCloud()
 	nanFirst.AppendLAS(append([]las.Point{{X: math.NaN(), Y: 5}}, insideBatch(rand.New(rand.NewSource(4)), geom.NewEnvelope(0, 0, 100, 100), 2000)...))
-	if p := newPyramid(nanFirst, 0, engine.ColClassification, specs); p != nil {
-		t.Fatalf("a table with extent %v should decline", nanFirst.Extent())
+	p := freshPyramid(t, nanFirst, specs)
+	var res engine.GroupedResult
+	for _, env := range append(testViewports(p, nanFirst), geom.NewEnvelope(-1e9, -1e9, 1e9, 1e9)) {
+		region := grid.GeometryRegion{G: env.ToPolygon()}
+		if _, ok, err := p.QueryRegionRun(run, region, specs, &res); err != nil || !ok {
+			t.Fatalf("NaN first row, viewport %v: ok=%v err=%v", env, ok, err)
+		}
+		sameGrouped(t, "NaN first row", &res, exactGrouped(t, nanFirst, region, specs))
+	}
+	// With no number in a coordinate column there is no extent to tile.
+	for _, pts := range [][]las.Point{{{X: math.NaN(), Y: 5}, {X: math.NaN(), Y: 6}}, {{X: 1, Y: math.NaN()}, {X: 2, Y: math.NaN()}}} {
+		nanCol := engine.NewPointCloud()
+		nanCol.AppendLAS(pts)
+		if p := newPyramid(nanCol, 0, engine.ColClassification, specs); p != nil {
+			t.Fatalf("a table with extent %v should decline", nanCol.Extent())
+		}
 	}
 
 	sig, _ := Shape(pc, engine.ColClassification, specs)
@@ -332,7 +347,6 @@ func TestPyramidDeclines(t *testing.T) {
 	p, run2 := buildPyramid(t, pc, specs)
 	defer p.Release()
 	defer run2.Drain()
-	var res engine.GroupedResult
 	region := grid.GeometryRegion{G: geom.NewEnvelope(0, 0, 500, 500).ToPolygon()}
 	other := []engine.GroupedAggSpec{{Fn: engine.AggMin, Column: engine.ColZ}}
 	if _, ok, err := p.QueryRegionRun(run2, region, other, &res); ok || err != nil {

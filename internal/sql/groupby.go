@@ -360,8 +360,8 @@ func (pq *PreparedQuery) tryPyramid(rs *runState, bd *bound, ex *engine.Explain)
 	}
 	res = materialiseGrouped(gp, &rs.grouped, ex)
 	if ex != nil { // Sprintf stays off the untraced steady-state path
-		ex.Add("group", fmt.Sprintf("pyramid(level %d, interior %d, boundary %d): %d groups over %d keys",
-			qs.Level, qs.Interior, qs.Boundary, res.Len(), len(gp.groupBy)),
+		ex.Add("group", fmt.Sprintf("pyramid(interior %d, boundary %d): %d groups over %d keys",
+			qs.Interior, qs.Boundary, res.Len(), len(gp.groupBy)),
 			qs.BoundaryRows, res.Len(), time.Since(start))
 	}
 	if err := groupedTail(bd, pq.stmt, res); err != nil {
