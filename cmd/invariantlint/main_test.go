@@ -68,7 +68,7 @@ func TestViolationPackages(t *testing.T) {
 func TestAnalyzerSubset(t *testing.T) {
 	var out, errb bytes.Buffer
 	dir := "../../internal/analysis/testdata/src/releaselist"
-	if code := run([]string{"-analyzers", "cancelpoll", dir}, &out, &errb); code != 0 {
+	if code := run([]string{"-analyzers", "epochguard", dir}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 }

@@ -1,23 +1,24 @@
 // Package analysis is the repo's custom static-analysis suite: a minimal
 // AST/type-driven analyzer framework (stdlib only — go/parser, go/types and
 // the source importer; the module has no dependencies and must stay
-// offline-buildable) plus the three analyzers that mechanically enforce the
+// offline-buildable) plus the two analyzers that mechanically enforce the
 // ROADMAP's architecture invariants the type system cannot:
 //
 //	releaselist  — pooled acquisitions on a *engine.Run path register in the
 //	               run's release list and recycle through the run.
-//	cancelpoll   — block loops poll cancellation at block boundaries: never
-//	               missing, never per row.
 //	epochguard   — table-owned backing slices mutate only inside the
 //	               epoch-bumping mutation paths, and plan constructors
 //	               capture epochs before reading table state.
 //
-// Three conventions need no analyzer because the code makes them impossible
+// Four conventions need no analyzer because the code makes them impossible
 // to break: every executor entry point takes a context (there is no
 // ctx-less variant to call), every drop-and-rebuild cache is a bounded.Map,
-// which carries its bound and its counters, and no compiled kernel can hold
+// which carries its bound and its counters, no compiled kernel can hold
 // a predicate constant (engine loop structs and SQL expression nodes have
-// no field that could; reflect tests in engine and sql walk them).
+// no field that could; reflect tests in engine and sql walk them), and
+// every block loop polls cancellation once per block because it ranges
+// over cancel.Token.Blocks (a go/ast test in internal/cancel rejects a
+// poll inside a per-element loop).
 //
 // The analyzers are example-driven, not sound: each one encodes the shape
 // the invariant takes in THIS codebase (the golden tests under testdata pin
@@ -223,7 +224,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 func All() []*Analyzer {
 	return []*Analyzer{
 		ReleaseListAnalyzer,
-		CancelPollAnalyzer,
 		EpochGuardAnalyzer,
 	}
 }

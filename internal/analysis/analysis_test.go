@@ -50,7 +50,7 @@ func TestAllAnalyzers(t *testing.T) {
 func TestParseIgnores(t *testing.T) {
 	src := `package p
 
-//lint:ignore cancelpoll standalone directives target the next line
+//lint:ignore epochguard standalone directives target the next line
 var a int
 
 var b int //lint:ignore releaselist trailing directives target their own line
@@ -70,8 +70,8 @@ var c int
 	if len(dirs) != 2 {
 		t.Fatalf("parseIgnores: %d well-formed directives, want 2", len(dirs))
 	}
-	if dirs[0].analyzer != "cancelpoll" || dirs[0].line != 4 {
-		t.Errorf("standalone directive: analyzer=%q line=%d, want cancelpoll line 4", dirs[0].analyzer, dirs[0].line)
+	if dirs[0].analyzer != "epochguard" || dirs[0].line != 4 {
+		t.Errorf("standalone directive: analyzer=%q line=%d, want epochguard line 4", dirs[0].analyzer, dirs[0].line)
 	}
 	if dirs[1].analyzer != "releaselist" || dirs[1].line != 6 {
 		t.Errorf("trailing directive: analyzer=%q line=%d, want releaselist line 6", dirs[1].analyzer, dirs[1].line)
@@ -87,7 +87,7 @@ var c int
 func TestApplyIgnoresExactlyOne(t *testing.T) {
 	src := `package p
 
-//lint:ignore cancelpoll reason
+//lint:ignore epochguard reason
 var a int
 `
 	fset := token.NewFileSet()
@@ -97,8 +97,8 @@ var a int
 	}
 	pos := fset.Position(f.Decls[0].Pos()) // line 4
 	diags := []Diagnostic{
-		{Analyzer: "cancelpoll", Pos: pos, Message: "first"},
-		{Analyzer: "cancelpoll", Pos: pos, Message: "second"},
+		{Analyzer: "epochguard", Pos: pos, Message: "first"},
+		{Analyzer: "epochguard", Pos: pos, Message: "second"},
 		{Analyzer: "releaselist", Pos: pos, Message: "other analyzer"},
 	}
 	kept := applyIgnores(fset, []*ast.File{f}, diags)

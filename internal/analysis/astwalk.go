@@ -4,7 +4,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // inspectWithStack walks every node under root, invoking fn with the node
@@ -85,13 +84,6 @@ func namedFieldType(e ast.Expr) string {
 	return ""
 }
 
-// isChunkConstName reports whether an identifier names a block/chunk size
-// constant (scanChunk, exprChunk, refineBlock, ...).
-func isChunkConstName(name string) bool {
-	lower := strings.ToLower(name)
-	return strings.HasSuffix(lower, "chunk") || strings.HasSuffix(lower, "block")
-}
-
 // typeIsSlice reports whether t's underlying type is a slice.
 func typeIsSlice(t types.Type) bool {
 	if t == nil {
@@ -108,16 +100,4 @@ func typeIsMap(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
-}
-
-// basicKind returns the basic kind of t's underlying type, or
-// types.Invalid when t is not basic.
-func basicKind(t types.Type) types.BasicKind {
-	if t == nil {
-		return types.Invalid
-	}
-	if b, ok := t.Underlying().(*types.Basic); ok {
-		return b.Kind()
-	}
-	return types.Invalid
 }

@@ -37,7 +37,7 @@ func exactlyOne(run *Run) {
 // wrongAnalyzer: a directive naming a different analyzer suppresses
 // nothing here.
 func wrongAnalyzer(run *Run) {
-	//lint:ignore cancelpoll fixture: wrong analyzer name
+	//lint:ignore epochguard fixture: wrong analyzer name
 	a := getRowBuf(7) // want `pooled acquisition getRowBuf\(...\) is not registered`
 	_ = a
 }

@@ -3,7 +3,9 @@
 // engine cannot import context plumbing from the SQL layer and the grid
 // package cannot import the engine; both only need the answer to one
 // question — "should this block of work still run?" — asked at block
-// boundaries, thousands of times per query.
+// boundaries, thousands of times per query. Every block loop asks it
+// through Blocks, which polls before each span it yields, so a loop
+// cannot forget the poll or pay it per row.
 //
 // The token is built for that read rate: Cancelled() first loads a cached
 // atomic flag (one relaxed load, no fence traffic after the first
@@ -17,6 +19,7 @@ package cancel
 
 import (
 	"errors"
+	"iter"
 	"sync/atomic"
 )
 
@@ -60,5 +63,21 @@ func (t *Token) Cancelled() bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// Blocks yields the spans [b, min(b+n, hi)) of [lo, hi) in ascending
+// order, polling the token before each one, and stops at the first poll
+// that reports cancelled. n must be positive. Safe on a nil token, which
+// yields every span. A loop over it cannot tell a finished range from a
+// cancelled one; a caller that must not return partial work checks
+// Cancelled once after the loop.
+func (t *Token) Blocks(lo, hi, n int) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for b := lo; b < hi; b += n {
+			if t.Cancelled() || !yield(b, min(b+n, hi)) {
+				return
+			}
+		}
 	}
 }

@@ -132,34 +132,6 @@ func (db *DB) PointsInFeaturesRun(run *Run, pc *PointCloud, vt *VectorTable, fea
 	return pc.SelectRegionRowsRun(run, grid.NewMultiRegion(coll.Geometries), -1, ex)
 }
 
-// StorageReport summarises the footprint of everything in the catalog.
-type StorageReport struct {
-	CloudRows      int
-	CloudBytes     int
-	ImprintBytes   int
-	VectorFeatures int
-	VectorBytes    int
-}
-
-// Storage builds a storage report; imprints are built if missing so the
-// report reflects a queried database.
-func (db *DB) Storage() StorageReport {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var r StorageReport
-	for _, pc := range db.clouds {
-		pc.EnsureImprints()
-		r.CloudRows += pc.Len()
-		r.CloudBytes += pc.Bytes()
-		r.ImprintBytes += pc.IndexBytes()
-	}
-	for _, vt := range db.vector {
-		r.VectorFeatures += vt.Len()
-		r.VectorBytes += vt.Bytes()
-	}
-	return r
-}
-
 // Extent returns the union of all registered extents.
 func (db *DB) Extent() geom.Envelope {
 	db.mu.RLock()

@@ -153,18 +153,8 @@ func TestScenario2Queries(t *testing.T) {
 	}
 }
 
-func TestStorageReport(t *testing.T) {
-	db, pc, _, _ := buildDemoDB(t)
-	r := db.Storage()
-	if r.CloudRows != pc.Len() || r.CloudBytes != pc.Bytes() {
-		t.Fatalf("report = %+v", r)
-	}
-	if r.ImprintBytes <= 0 {
-		t.Fatal("storage report must build imprints")
-	}
-	if r.VectorFeatures == 0 || r.VectorBytes == 0 {
-		t.Fatal("vector stats missing")
-	}
+func TestDBExtent(t *testing.T) {
+	db, _, _, _ := buildDemoDB(t)
 	ext := db.Extent()
 	if ext.IsEmpty() || !ext.ContainsPoint(1000, 1000) {
 		t.Fatalf("extent = %v", ext)

@@ -111,12 +111,6 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 			}
 			return nil, err
 		}
-		if run.Cancelled() {
-			if owned {
-				run.RecycleRows(rows)
-			}
-			return nil, cancel.ErrCancelled
-		}
 		k, a, err := pc.bindPred(run, pred)
 		if err != nil {
 			if owned {

@@ -80,9 +80,6 @@ func (r *GroupedResult) Reset(nspecs int) {
 	}
 }
 
-// Groups reports the number of groups in the result.
-func (r *GroupedResult) Groups() int { return len(r.Keys) }
-
 // FloatOrderKey maps a float64 to a uint64 whose unsigned order is a total
 // order over all float values: ascending numerically, -0 before +0, and
 // every NaN (canonicalised) after +Inf. Grouped results are emitted in this
@@ -393,12 +390,9 @@ func foldSpecs(src foldSrc, pc *PointCloud, specs []GroupedAggSpec, rows []int, 
 			}
 		}
 		col := pc.Column(s.Column)
-		for b := start; b < end; b += foldBlock {
-			if tok.Cancelled() {
-				return
-			}
+		for b0, b1 := range tok.Blocks(start, end, foldBlock) {
 			_ = faultpoint.Hit("engine.groupagg.block")
-			foldColumn(src, col, rows, all, start, b, min(b+foldBlock, end), acc)
+			foldColumn(src, col, rows, all, start, b0, b1, acc)
 		}
 		for k := j + 1; k < len(specs); k++ {
 			if t := specs[k]; t.Fn != AggCount && t.Column == s.Column {
@@ -409,12 +403,9 @@ func foldSpecs(src foldSrc, pc *PointCloud, specs []GroupedAggSpec, rows []int, 
 		}
 	}
 	if cnt != nil {
-		for b := start; b < end; b += foldBlock {
-			if tok.Cancelled() {
-				return
-			}
+		for b0, b1 := range tok.Blocks(start, end, foldBlock) {
 			_ = faultpoint.Hit("engine.groupagg.block")
-			foldCount(src, rows, all, start, b, min(b+foldBlock, end), cnt)
+			foldCount(src, rows, all, start, b0, b1, cnt)
 		}
 	}
 }

@@ -56,9 +56,9 @@ import (
 //
 // tok is the run's cooperative cancellation token, set by the filter entry
 // points after Bind (Bind itself stays a pure function of the constants).
-// The chunk driver polls it once per scanChunk block — a nil-check plus one
-// relaxed atomic load on the uncancellable paths — so a fired context stops
-// a scan within one block without per-row cost.
+// The chunk driver polls it once per scanChunk block through Blocks — a
+// nil-check plus one relaxed atomic load on the uncancellable paths — so a
+// fired context stops a scan within one block without per-row cost.
 type KernelArgs struct {
 	lo, hi float64 // inclusive bounds
 	inv    int     // 1: the predicate is the interval's complement (float kernels)
@@ -195,25 +195,17 @@ func growRows(out []int, n int) []int {
 // under args a to out — the block-at-a-time entry point driven by imprint
 // candidate ranges. It reserves output capacity per chunk and drives the
 // monomorphic inner loops; the per-chunk method call amortises over
-// scanChunk rows.
+// scanChunk rows. A fired token returns the partial vector, and the caller
+// maps the token state to the context error.
 func (k *Kernel) FilterBlock(a KernelArgs, lo, hi int, out []int) []int {
-	hi = min(hi, k.n)
-	for lo < hi {
-		// Cancellation is polled per block, never per row; a fired token
-		// returns the partial vector and the caller maps the token state
-		// to the context error.
-		if a.tok.Cancelled() {
-			return out
-		}
+	for b0, b1 := range a.tok.Blocks(lo, min(hi, k.n), scanChunk) {
 		_ = faultpoint.Hit("engine.kernel.chunk")
-		end := min(lo+scanChunk, hi)
-		cn := end - lo
+		cn := b1 - b0
 		if cap(out)-len(out) < cn {
 			out = growRows(out, cn)
 		}
-		j := k.loops.block(a, lo, end, out[len(out):len(out)+cn])
+		j := k.loops.block(a, b0, b1, out[len(out):len(out)+cn])
 		out = out[:len(out)+j]
-		lo = end
 	}
 	return out
 }
@@ -223,17 +215,13 @@ func (k *Kernel) FilterBlock(a KernelArgs, lo, hi int, out []int) []int {
 // never past the current read position, because matches emitted so far
 // cannot exceed rows consumed.
 func (k *Kernel) FilterSel(a KernelArgs, rows, out []int) []int {
-	for base := 0; base < len(rows); base += scanChunk {
-		if a.tok.Cancelled() {
-			return out
-		}
+	for b0, b1 := range a.tok.Blocks(0, len(rows), scanChunk) {
 		_ = faultpoint.Hit("engine.kernel.chunk")
-		end := min(base+scanChunk, len(rows))
-		cn := end - base
+		cn := b1 - b0
 		if cap(out)-len(out) < cn {
 			out = growRows(out, cn)
 		}
-		j := k.loops.sel(a, rows[base:end], out[len(out):len(out)+cn])
+		j := k.loops.sel(a, rows[b0:b1], out[len(out):len(out)+cn])
 		out = out[:len(out)+j]
 	}
 	return out

@@ -45,14 +45,17 @@
 // escape or parks it in its pass slot, the pass machinery holds per-slot
 // panics until every partition settles, and the driver recycles every
 // surviving partial before re-raising the first panic for the query
-// layer's recovery. Partitions poll the run's cancel token at block
-// boundaries (scanChunk blocks in the filter kernels and fused-aggregate loops,
-// foldBlock blocks in the grouped fold passes — one pass per value column,
-// every accumulator of that column in one loop; groupagg.go — and the grid
-// package's refineBlock blocks in refinement); a fired token surfaces from
-// the driver with every buffer back in its pool. The engine.morsel.worker
-// and engine.morsel.merge faultpoints prove both paths under -tags
-// faultinject; they fire only when a pass actually fans out (deg > 1).
+// layer's recovery. Every partition loop ranges over the run token's
+// cancel.Token.Blocks, which polls before each block: scanChunk blocks in
+// the filter kernels and the fused aggregate, foldBlock blocks in the tile
+// scatter and the grouped fold passes (one pass per value column, every
+// accumulator of that column in one loop; groupagg.go), and the grid
+// package's refineBlock blocks in refinement. A fired token ends the loop
+// at the next block boundary; the driver checks the token once after the
+// pass and surfaces the cancellation with every buffer back in its pool.
+// The engine.morsel.worker and engine.morsel.merge faultpoints prove both
+// paths under -tags faultinject; they fire only when a pass actually fans
+// out (deg > 1).
 package engine
 
 import (
@@ -530,11 +533,8 @@ func (ap *aggPass) RunPartition(slot int) {
 	hitMorselWorker(deg)
 	sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
 	end := (slot + 1) * ap.n / deg
-	for b := slot * ap.n / deg; b < end; b += scanChunk {
-		if ap.tok.Cancelled() {
-			break
-		}
-		sum, lo, hi = aggColumn(ap.col, ap.rows, ap.all, b, min(b+scanChunk, end), sum, lo, hi)
+	for b0, b1 := range ap.tok.Blocks(slot*ap.n/deg, end, scanChunk) {
+		sum, lo, hi = aggColumn(ap.col, ap.rows, ap.all, b0, b1, sum, lo, hi)
 	}
 	ap.folds[slot] = aggFold{sum, lo, hi}
 }

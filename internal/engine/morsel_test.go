@@ -360,6 +360,17 @@ func TestAggregateSumCancelledAtBlockBoundary(t *testing.T) {
 	if d := morselPoolSnapshot() - before; d != 0 {
 		t.Fatalf("cancelled aggregate drifted pools by %d", d)
 	}
+	// The pass polls before its first block: a fired token folds no row.
+	for _, rows := range [][]int{nil, sel} {
+		n := pc.Len()
+		if rows != nil {
+			n = len(rows)
+		}
+		sum, lo, hi, err := runAggPass(run, pc.Column(ColZ), rows, rows == nil, n, 1)
+		if err != nil || sum != 0 || !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
+			t.Fatalf("fired token: pass folded sum %v, min %v, max %v (err %v)", sum, lo, hi, err)
+		}
+	}
 }
 
 // TestGroupedSumCarriesAcrossBlocks is TestAggregateSumCarriesAcrossBlocks
@@ -443,32 +454,54 @@ func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
 	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColRed}, {Fn: AggMax, Column: ColZ}}
 	sel := randomSelection(rand.New(rand.NewSource(13)), pc.Len(), 0.9)
 	keys := pc.Column(ColClassification).(*colstore.U8Column).Values()
-	for _, rows := range [][]int{nil, sel} {
-		n := pc.Len()
-		if rows != nil {
-			n = len(rows)
-		}
-		for _, tok := range []*cancel.Token{&fired, nil} {
-			cnt := make([]float64, tileDom)
-			banks := make([]float64, len(specs)*tileDom)
-			sink := make([]float64, tileDom+1)
-			fillNaN(sink)
-			foldSpecs(foldSrc{keys8: keys}, pc, specs, rows, rows == nil, 0, n, cnt, foldBanks{flat: banks, n: tileDom}, sink, false, tok)
-			counted, touched := 0.0, 0
-			for _, c := range cnt {
-				counted += c
+	// The first plan counts in its value pass, the count-only plan in the
+	// count loop.
+	for _, plan := range [][]GroupedAggSpec{specs, specs[:1]} {
+		for _, rows := range [][]int{nil, sel} {
+			n := pc.Len()
+			if rows != nil {
+				n = len(rows)
 			}
-			for _, v := range banks {
-				if v != 0 {
-					touched++
+			for _, tok := range []*cancel.Token{&fired, nil} {
+				cnt := make([]float64, tileDom)
+				banks := make([]float64, len(plan)*tileDom)
+				sink := make([]float64, tileDom+1)
+				fillNaN(sink)
+				foldSpecs(foldSrc{keys8: keys}, pc, plan, rows, rows == nil, 0, n, cnt, foldBanks{flat: banks, n: tileDom}, sink, false, tok)
+				counted, touched := 0.0, 0
+				for _, c := range cnt {
+					counted += c
+				}
+				for _, v := range banks {
+					if v != 0 {
+						touched++
+					}
+				}
+				if tok == &fired && (counted != 0 || touched != 0) {
+					t.Fatalf("fired token: fold of %d specs counted %v rows and touched %d accumulators", len(plan), counted, touched)
+				}
+				if tok == nil && (counted != float64(n) || (touched == 0) != (len(plan) == 1)) {
+					t.Fatalf("live token: fold of %d specs counted %v of %d rows, touched %d accumulators", len(plan), counted, n, touched)
 				}
 			}
-			if tok == &fired && (counted != 0 || touched != 0) {
-				t.Fatalf("fired token: fold counted %v rows and touched %d accumulators", counted, touched)
-			}
-			if tok == nil && (counted != float64(n) || touched == 0) {
-				t.Fatalf("live token: fold counted %v of %d rows", counted, n)
-			}
+		}
+	}
+	// The tile scatter ahead of a pyramid's fold polls the same way: a
+	// fired token folds no row into any tile.
+	tiler := sfc.NewGrid(geom.NewEnvelope(0, 0, 1000, 1000), 3)
+	for _, tok := range []*cancel.Token{&fired, nil} {
+		tiles := make([]TileBox, 1<<(2*tiler.Order))
+		seedTiles(tiles)
+		tileScan(pc.X(), pc.Y(), keys, tiler, 0, pc.Len(), make([]int, pc.Len()), tiles, tok)
+		rows, want := 0, pc.Len()
+		for _, tb := range tiles {
+			rows += tb.Rows
+		}
+		if tok != nil {
+			want = 0
+		}
+		if rows != want {
+			t.Fatalf("tile scatter (fired %v) folded %d rows, want %d", tok != nil, rows, want)
 		}
 	}
 	var res GroupedResult

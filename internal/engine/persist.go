@@ -143,17 +143,3 @@ func openColumn(path string, col colstore.Column, t colstore.DType, rows int) er
 	col.Reserve(rows)
 	return col.AppendBinary(file, rows)
 }
-
-// ColumnFileBytes reports the on-disk size of each persisted column, for
-// storage accounting.
-func ColumnFileBytes(dir string) (map[string]int64, error) {
-	sizes := map[string]int64{}
-	for _, f := range PointCloudSchema().Fields {
-		fi, err := os.Stat(filepath.Join(dir, "col_"+f.Name+".bin"))
-		if err != nil {
-			return nil, err
-		}
-		sizes[f.Name] = fi.Size()
-	}
-	return sizes, nil
-}

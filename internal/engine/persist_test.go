@@ -39,16 +39,15 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if len(got.SelectRegionRows(boxRegion(box))) != len(pc.SelectRegionRows(boxRegion(box))) {
 		t.Fatal("reopened table disagrees on a query")
 	}
-	// Column file accounting works.
-	sizes, err := ColumnFileBytes(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sizes[ColX] != int64(8*pc.Len()) {
-		t.Fatalf("x column file = %d bytes", sizes[ColX])
-	}
-	if sizes[ColClassification] != int64(pc.Len()) {
-		t.Fatalf("classification file = %d bytes", sizes[ColClassification])
+	// Each column file holds exactly its values.
+	for col, width := range map[string]int{ColX: 8, ColClassification: 1} {
+		fi, err := os.Stat(filepath.Join(dir, "col_"+col+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != int64(width*pc.Len()) {
+			t.Fatalf("%s column file = %d bytes, want %d", col, fi.Size(), width*pc.Len())
+		}
 	}
 }
 
@@ -149,12 +148,6 @@ func TestOpenErrors(t *testing.T) {
 	}
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("huge row claim: failed open took %v", el)
-	}
-}
-
-func TestColumnFileBytesMissing(t *testing.T) {
-	if _, err := ColumnFileBytes(t.TempDir()); err == nil {
-		t.Fatal("missing files should error")
 	}
 }
 

@@ -129,6 +129,22 @@ func TestFilterRowsRunCancelled(t *testing.T) {
 	if drift != 0 {
 		t.Fatalf("cancelled filter drifted pool by %d", drift)
 	}
+	// Both kernel drivers poll before their first block: under the fired
+	// token they append nothing, where a live one keeps the matches.
+	all := make([]int, pc.Len())
+	for i := range all {
+		all[i] = i
+	}
+	for _, run := range []*Run{&rs, nil} {
+		k, a, err := pc.bindPred(run, ColumnPred{Column: "z", Op: CmpGT, Value: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		block, sel := len(k.FilterBlock(a, 0, pc.Len(), nil)), len(k.FilterSel(a, all, nil))
+		if (run != nil) != (block == 0) || block != sel {
+			t.Fatalf("cancelled %v: FilterBlock kept %d rows, FilterSel %d", run != nil, block, sel)
+		}
+	}
 }
 
 func TestSelectRegionRunCancelled(t *testing.T) {

@@ -173,16 +173,13 @@ func seedTiles(tiles []TileBox) {
 
 // tileScan quantises rows [start, end) into composite (tile, class)
 // slots — slots[i] belongs to row start+i — and folds each row into its
-// tile, polling tok once per foldBlock like the fold passes. It reports
-// false when the token fired.
-func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, slots []int, tiles []TileBox, tok *cancel.Token) bool {
+// tile, polling tok once per foldBlock like the fold passes. A fired token
+// leaves the later slots unwritten; the fold after it polls the same token
+// first, so it never reads them.
+func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, slots []int, tiles []TileBox, tok *cancel.Token) {
 	order, q := tiler.Order, tiler.Quantizer()
-	for b := start; b < end; b += foldBlock {
-		if tok.Cancelled() {
-			return false
-		}
+	for b, e := range tok.Blocks(start, end, foldBlock) {
 		_ = faultpoint.Hit("engine.groupagg.block")
-		e := min(b+foldBlock, end)
 		bys, bkeys, bslots := ys[b:e], keys[b:e], slots[b-start:e-start]
 		for i, x := range xs[b:e] {
 			y := bys[i]
@@ -196,7 +193,6 @@ func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, sl
 			tiles[t].Fold(TileBox{Rows: 1, NaN: nan, Box: geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}})
 		}
 	}
-	return true
 }
 
 // tilePass is the pooled scaffolding of one tile scatter over rows
@@ -246,9 +242,7 @@ func (tp *tilePass) RunPartition(slot int) {
 		seedBank(cnt, AggCount)
 		seedTiles(tiles)
 	}
-	if !tileScan(tp.pc.xs.Values(), tp.pc.ys.Values(), tp.keys, tp.tiler, start, end, slots, tiles, tp.tok) {
-		return
-	}
+	tileScan(tp.pc.xs.Values(), tp.pc.ys.Values(), tp.keys, tp.tiler, start, end, slots, tiles, tp.tok)
 	sink := tp.slabs[(tp.deg-1)*tp.stride:][slot*(tp.nslots+1) : (slot+1)*(tp.nslots+1)]
 	if slot == 0 {
 		fillNaN(sink) // partition 0 folds onto the caller's banks unseeded

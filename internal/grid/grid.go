@@ -216,9 +216,19 @@ func RefineInto(xs, ys []float64, cand []colstore.Range, region Region, opts Opt
 	// range. Such envelopes are reachable — constant folding can overflow
 	// to ±Inf, and parameterised statements can re-bind a viewport constant
 	// to a non-finite value — so fall back to the exact per-point test,
-	// which agrees with the row-at-a-time evaluator bit for bit.
+	// which agrees with the row-at-a-time evaluator bit for bit, one
+	// refineBlock span at a time.
+	base := len(matches)
 	if !envFinite(env) {
-		return RefineExhaustiveInto(xs, ys, cand, region, matches)
+		for _, r := range cand {
+			for b0, b1 := range opts.Cancel.Blocks(r.Start, r.End, refineBlock) {
+				var bst Stats
+				matches, bst = RefineExhaustiveInto(xs, ys, []colstore.Range{{Start: b0, End: b1}}, region, matches)
+				st.ExactTests += bst.ExactTests
+			}
+		}
+		st.Matches = len(matches) - base
+		return matches, st
 	}
 	if rect, ok := RectOf(region); ok {
 		matches, st.Matches = refineRect(xs, ys, cand, rect, opts.Cancel, matches)
@@ -240,19 +250,11 @@ func RefineInto(xs, ys []float64, cand []colstore.Range, region Region, opts Opt
 
 	states := getStates(nx * ny)
 	defer putStates(states)
-	base := len(matches)
 	for _, r := range cand {
-		// Cancellation is polled per block of candidate rows, never per
-		// row: ranges are walked in refineBlock-sized slices so a fired
-		// token stops the pass within one block with the work so far.
-		for blockStart := r.Start; blockStart < r.End; blockStart += refineBlock {
-			if opts.Cancel.Cancelled() {
-				st.Matches = len(matches) - base
-				return matches, st
-			}
-			blockEnd := min(blockStart+refineBlock, r.End)
-			r := colstore.Range{Start: blockStart, End: blockEnd}
-			matches = refineRange(xs, ys, r, region, env, states, nx, ny, cellW, cellH, &st, matches)
+		// Ranges are walked in refineBlock-sized slices, so a fired token
+		// stops the pass within one block with the work so far.
+		for b0, b1 := range opts.Cancel.Blocks(r.Start, r.End, refineBlock) {
+			matches = refineRange(xs, ys, colstore.Range{Start: b0, End: b1}, region, env, states, nx, ny, cellW, cellH, &st, matches)
 		}
 	}
 	st.Matches = len(matches) - base
@@ -285,11 +287,7 @@ func refineRect(xs, ys []float64, cand []colstore.Range, env geom.Envelope, tok 
 	buf = buf[:cap(buf)]
 	j := base
 	for _, r := range cand {
-		for b0 := r.Start; b0 < r.End; b0 += refineBlock {
-			if tok.Cancelled() {
-				return buf[:j], j - base
-			}
-			b1 := min(b0+refineBlock, r.End)
+		for b0, b1 := range tok.Blocks(r.Start, r.End, refineBlock) {
 			j += rectBlock(xs[b0:b1], ys[b0:b1], b0, env, buf[j:])
 		}
 	}

@@ -126,7 +126,8 @@ func TestRefineRectStats(t *testing.T) {
 // TestRefineRectCancelAtBlockBoundary: the token is polled once per
 // refineBlock slice, before the slice's first row, so a fired token stops
 // the pass on a block boundary having appended nothing — exactly as the
-// cell grid stops — and leaves the caller's matches intact.
+// cell grid and the exhaustive arm of a non-finite envelope stop — and
+// leaves the caller's matches intact.
 func TestRefineRectCancelAtBlockBoundary(t *testing.T) {
 	env := geom.NewEnvelope(-1, -1, 1001, 1001)
 	const n = 3*refineBlock + 500
@@ -136,17 +137,55 @@ func TestRefineRectCancelAtBlockBoundary(t *testing.T) {
 	var fired cancel.Token
 	fired.Reset(done)
 	region := GeometryRegion{G: env.ToPolygon()}
+	// A vertex at +Inf: the envelope cannot be gridded, so RefineInto takes
+	// the exhaustive per-point test.
+	nonFinite := GeometryRegion{G: geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
+		{X: -1, Y: -1}, {X: 1001, Y: -1}, {X: math.Inf(1), Y: 1001}, {X: -1, Y: -1},
+	}}}}
 	for cname, cand := range rectCands(n, rand.New(rand.NewSource(44))) {
 		prefix := []int{1, 2, 3}
 		got, st := RefineInto(xs, ys, cand, region, Options{Cancel: &fired}, slices.Clone(prefix))
 		viaGrid, gst := RefineInto(xs, ys, cand, gridTwin(env), Options{Cancel: &fired}, slices.Clone(prefix))
+		exh, est := RefineInto(xs, ys, cand, nonFinite, Options{Cancel: &fired}, slices.Clone(prefix))
 		if !slices.Equal(got, prefix) || !slices.Equal(viaGrid, prefix) || st.Matches != 0 || gst.Matches != 0 {
-			t.Fatalf("%s: cancelled rect %v (%+v), grid %v (%+v)", cname, got, st, viaGrid, gst)
+			t.Fatalf("%s: cancelled rect appended %d rows (%+v), grid %d (%+v)", cname, len(got)-len(prefix), st, len(viaGrid)-len(prefix), gst)
+		}
+		if !slices.Equal(exh, prefix) || est.Matches != 0 || est.ExactTests != 0 {
+			t.Fatalf("%s: cancelled non-finite region appended %d rows (%+v)", cname, len(exh)-len(prefix), est)
 		}
 		if full, _ := RefineInto(xs, ys, cand, region, Options{}, nil); len(full) != colstore.RangesLen(cand) {
 			t.Fatalf("%s: uncancelled pass over the whole extent kept %d of %d", cname, len(full), colstore.RangesLen(cand))
 		}
+		want, wst := RefineExhaustiveInto(xs, ys, cand, nonFinite, nil)
+		if full, fst := RefineInto(xs, ys, cand, nonFinite, Options{}, nil); !slices.Equal(full, want) || fst != wst || fst.ExactTests != colstore.RangesLen(cand) {
+			t.Fatalf("%s: uncancelled non-finite region %d rows (%+v), exhaustive %d (%+v)", cname, len(full), fst, len(want), wst)
+		}
 	}
+
+	// A token firing at the first exact test stops the exhaustive arm at
+	// the end of that block.
+	live := make(chan struct{})
+	var tok cancel.Token
+	tok.Reset(live)
+	firing := firingRegion{Region: nonFinite, fire: func() { close(live) }}
+	got, st := RefineInto(xs, ys, colstore.FullRange(n), &firing, Options{Cancel: &tok}, nil)
+	if st.ExactTests != refineBlock || len(got) > refineBlock {
+		t.Fatalf("token fired in the first block: %d matches, %+v; want one block of %d exact tests", len(got), st, refineBlock)
+	}
+}
+
+// firingRegion calls fire on its first Contains test.
+type firingRegion struct {
+	Region
+	fire func()
+}
+
+func (r *firingRegion) Contains(x, y float64) bool {
+	if r.fire != nil {
+		r.fire()
+		r.fire = nil
+	}
+	return r.Region.Contains(x, y)
 }
 
 // FuzzRectRegion drives the recogniser and both rectangle loops with

@@ -81,6 +81,9 @@ const (
 	targetRowsPerTile = 1024
 	// maxQuerySpecs bounds the per-query stack scratch (spec → bank map).
 	maxQuerySpecs = 16
+	// edgeBlock is how many edge tiles refine gathers per cancellation
+	// poll, about targetRowsPerTile rows each.
+	edgeBlock = 8
 )
 
 // level is one resolution of the pyramid: per-(tile, class) banks plus
@@ -250,9 +253,6 @@ func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) erro
 	}
 	touched := p.place(slots, from)
 	for o := int(p.base) - 1; o >= 0; o-- {
-		if run.Cancelled() {
-			return cancel.ErrCancelled
-		}
 		touched = refoldLevel(&p.levels[o], &p.levels[o+1], p.specs, touched)
 	}
 	p.atEpoch = epoch
@@ -584,25 +584,27 @@ func (p *Pyramid) refine(run *engine.Run, region grid.Region, edge []int, specs 
 	env := region.Envelope()
 	rect, isRect := grid.RectOf(region)
 	rbuf := run.AcquireRows(n)[:0]
-	for i, t := range edge {
-		if i%8 == 0 && run.Cancelled() {
-			run.RecycleRows(rbuf)
-			return 0, cancel.ErrCancelled
-		}
-		rows := p.rows[p.offs[t]:p.offs[t+1]]
-		if isRect {
-			rbuf = grid.RectRowsInto(xs, ys, rows, rect, rbuf)
-			continue
-		}
-		for _, r := range rows {
-			x, y := xs[r], ys[r]
-			if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {
+	for b0, b1 := range run.Token().Blocks(0, len(edge), edgeBlock) {
+		for _, t := range edge[b0:b1] {
+			rows := p.rows[p.offs[t]:p.offs[t+1]]
+			if isRect {
+				rbuf = grid.RectRowsInto(xs, ys, rows, rect, rbuf)
 				continue
 			}
-			if region.Contains(x, y) {
-				rbuf = append(rbuf, r)
+			for _, r := range rows {
+				x, y := xs[r], ys[r]
+				if x < env.MinX || x > env.MaxX || y < env.MinY || y > env.MaxY {
+					continue
+				}
+				if region.Contains(x, y) {
+					rbuf = append(rbuf, r)
+				}
 			}
 		}
+	}
+	if run.Cancelled() {
+		run.RecycleRows(rbuf)
+		return 0, cancel.ErrCancelled
 	}
 	var err error
 	if len(rbuf) > 0 {

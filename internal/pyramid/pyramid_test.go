@@ -475,6 +475,56 @@ func dropResident() {
 	}
 }
 
+// rejectingRegion counts the exact tests refinement asks of it and
+// rejects every point.
+type rejectingRegion struct {
+	grid.Region
+	tests *int
+}
+
+func (r rejectingRegion) Contains(x, y float64) bool {
+	*r.tests++
+	return false
+}
+
+// TestPyramidRefineStopsOnFiredToken: the edge-tile refinement polls
+// before each block of tiles, the first included, so a fired token ends it
+// with cancel.ErrCancelled having tested no row, where a live token tests
+// the rows of every tile, and neither leaves a pooled buffer drawn.
+func TestPyramidRefineStopsOnFiredToken(t *testing.T) {
+	dropResident()
+	defer dropResident()
+	pc := testCloud(80_000, 13)
+	specs := testSpecs()
+	p, build := buildPyramid(t, pc, specs)
+	defer p.Release()
+	build.Drain()
+	edge := make([]int, len(p.offs)-1)
+	for i := range edge {
+		edge[i] = i
+	}
+	done := make(chan struct{})
+	close(done)
+	mark := markPools()
+	for _, fired := range []bool{true, false} {
+		run := new(engine.Run)
+		if fired {
+			run.Bind(done)
+		}
+		tests := 0
+		tri := geom.Polygon{Shell: geom.Ring{Points: []geom.Point{{X: -1, Y: -1}, {X: 3000, Y: -1}, {X: -1, Y: 3000}, {X: -1, Y: -1}}}}
+		n, err := p.refine(run, rejectingRegion{Region: grid.GeometryRegion{G: tri}, tests: &tests}, edge, specs, nil)
+		run.Drain()
+		if fired && (n != 0 || err != cancel.ErrCancelled || tests != 0) {
+			t.Fatalf("fired token: refine = %d, %v after %d exact tests", n, err, tests)
+		}
+		if !fired && (n != 0 || err != nil || tests != pc.Len()) {
+			t.Fatalf("live token: refine = %d, %v after %d exact tests, want %d", n, err, tests, pc.Len())
+		}
+		mark.unmoved(t)
+	}
+}
+
 // TestPyramidCacheEvictsAtBound pins the bound of the resident set — the one
 // cache map that is not a bounded.Map, because eviction must release banks a
 // pinned query may still be reading. maxPyramids+1 distinct shapes on one

@@ -142,12 +142,8 @@ type compiledFilter struct {
 // fires).
 func (f *compiledFilter) apply(tok *cancel.Token, fr *frame, ps *paramStore, rows []int) ([]int, error) {
 	out := rows[:0]
-	for base := 0; base < len(rows); base += exprChunk {
-		if tok.Cancelled() {
-			return nil, cancel.ErrCancelled
-		}
-		end := min(base+exprChunk, len(rows))
-		chunk := rows[base:end]
+	for b0, b1 := range tok.Blocks(0, len(rows), exprChunk) {
+		chunk := rows[b0:b1]
 		keep := fr.keep(f.keep)[:len(chunk)]
 		if err := f.pred.test(fr, ps, chunk, keep); err != nil {
 			return chunk, err
@@ -157,6 +153,9 @@ func (f *compiledFilter) apply(tok *cancel.Token, fr *frame, ps *paramStore, row
 				out = append(out, row)
 			}
 		}
+	}
+	if tok.Cancelled() {
+		return nil, cancel.ErrCancelled
 	}
 	return out, nil
 }

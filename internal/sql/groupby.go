@@ -383,47 +383,49 @@ func interpretGrouped(rs *engine.Run, bd *bound, rows []int, isVector bool, ex *
 	// when the row opens a new group — existing groups (the common case) cost
 	// no per-row allocation.
 	keyScratch := make([]Value, len(gp.groupBy))
-	for n, r := range rows {
-		if n%exprChunk == 0 && rs.Cancelled() {
-			return nil, cancel.ErrCancelled
-		}
-		setRow(ctx, isVector, r)
-		keyBuf.Reset()
-		for k, gexpr := range gp.groupBy {
-			v, err := evalExpr(ctx, gexpr)
-			if err != nil {
-				return nil, err
-			}
-			keyScratch[k] = v
-			keyBuf.WriteString(v.String())
-			keyBuf.WriteByte(0)
-		}
-		key := keyBuf.String()
-		grp, ok := groups[key]
-		if !ok {
-			grp = newGroup(append([]Value(nil), keyScratch...), len(gp.aggs))
-			groups[key] = grp
-		}
-		for ai, f := range gp.aggs {
-			acc := &grp.accs[ai]
-			if f.Name == "count" && len(f.Args) == 1 {
-				if _, isStar := f.Args[0].(Star); isStar {
-					acc.n++
-					continue
+	for b0, b1 := range rs.Token().Blocks(0, len(rows), exprChunk) {
+		for _, r := range rows[b0:b1] {
+			setRow(ctx, isVector, r)
+			keyBuf.Reset()
+			for k, gexpr := range gp.groupBy {
+				v, err := evalExpr(ctx, gexpr)
+				if err != nil {
+					return nil, err
 				}
+				keyScratch[k] = v
+				keyBuf.WriteString(v.String())
+				keyBuf.WriteByte(0)
 			}
-			if len(f.Args) != 1 {
-				return nil, fmt.Errorf("sql: %s expects one argument", f.Name)
+			key := keyBuf.String()
+			grp, ok := groups[key]
+			if !ok {
+				grp = newGroup(append([]Value(nil), keyScratch...), len(gp.aggs))
+				groups[key] = grp
 			}
-			v, err := evalExpr(ctx, f.Args[0])
-			if err != nil {
-				return nil, err
+			for ai, f := range gp.aggs {
+				acc := &grp.accs[ai]
+				if f.Name == "count" && len(f.Args) == 1 {
+					if _, isStar := f.Args[0].(Star); isStar {
+						acc.n++
+						continue
+					}
+				}
+				if len(f.Args) != 1 {
+					return nil, fmt.Errorf("sql: %s expects one argument", f.Name)
+				}
+				v, err := evalExpr(ctx, f.Args[0])
+				if err != nil {
+					return nil, err
+				}
+				if v.Kind != KindNum {
+					return nil, fmt.Errorf("sql: %s needs numeric input", f.Name)
+				}
+				acc.add(v.Num)
 			}
-			if v.Kind != KindNum {
-				return nil, fmt.Errorf("sql: %s needs numeric input", f.Name)
-			}
-			acc.add(v.Num)
 		}
+	}
+	if rs.Cancelled() {
+		return nil, cancel.ErrCancelled
 	}
 
 	// Emit one row per group in canonical key order. Aggregates are numbers

@@ -241,18 +241,20 @@ func filterInterpreted(rs *engine.Run, bd *bound, isVector bool, e Expr, rows []
 	start := time.Now()
 	out := rows[:0]
 	ctx := &evalCtx{b: bd.plan.b, ps: bd.params}
-	for n, r := range rows {
-		if n%exprChunk == 0 && rs.Cancelled() {
-			return rows, cancel.ErrCancelled
+	for b0, b1 := range rs.Token().Blocks(0, len(rows), exprChunk) {
+		for _, r := range rows[b0:b1] {
+			setRow(ctx, isVector, r)
+			v, err := evalExpr(ctx, e)
+			if err != nil {
+				return rows, err
+			}
+			if v.truthy() {
+				out = append(out, r)
+			}
 		}
-		setRow(ctx, isVector, r)
-		v, err := evalExpr(ctx, e)
-		if err != nil {
-			return rows, err
-		}
-		if v.truthy() {
-			out = append(out, r)
-		}
+	}
+	if rs.Cancelled() {
+		return rows, cancel.ErrCancelled
 	}
 	if ex != nil {
 		ex.Add("filter.generic", e.exprString(), len(rows), len(out), time.Since(start))
@@ -366,16 +368,18 @@ func (pq *PreparedQuery) output(rs *runState, bd *bound, rows []int, preds []eng
 	if stmt.Order != nil {
 		keys := make([]Value, len(rows))
 		ctx := &evalCtx{b: p.b, ps: bd.params, pcRow: -1, vtRow: -1}
-		for i, r := range rows {
-			if i%exprChunk == 0 && rs.Cancelled() {
-				return nil, cancel.ErrCancelled
+		for b0, b1 := range rs.Token().Blocks(0, len(rows), exprChunk) {
+			for i := b0; i < b1; i++ {
+				setRow(ctx, isVector, rows[i])
+				v, err := evalExpr(ctx, stmt.Order.Expr)
+				if err != nil {
+					return nil, err
+				}
+				keys[i] = v
 			}
-			setRow(ctx, isVector, r)
-			v, err := evalExpr(ctx, stmt.Order.Expr)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
+		}
+		if rs.Cancelled() {
+			return nil, cancel.ErrCancelled
 		}
 		idx := make([]int, len(rows))
 		for i := range idx {
@@ -417,11 +421,7 @@ func (pq *PreparedQuery) output(rs *runState, bd *bound, rows []int, preds []eng
 		}
 	}
 	ctx := &evalCtx{b: p.b, ps: bd.params, pcRow: -1, vtRow: -1}
-	for base := 0; base < n; base += exprChunk {
-		if rs.Cancelled() {
-			return nil, cancel.ErrCancelled
-		}
-		end := min(base+exprChunk, n)
+	for base, end := range rs.Token().Blocks(0, n, exprChunk) {
 		chunk := rows[base:end]
 		for i, ev := range p.proj {
 			if ev != nil {
@@ -440,6 +440,9 @@ func (pq *PreparedQuery) output(rs *runState, bd *bound, rows []int, preds []eng
 				vals[j] = v
 			}
 		}
+	}
+	if rs.Cancelled() {
+		return nil, cancel.ErrCancelled
 	}
 	if ex != nil {
 		ex.Add("project", strings.Join(p.cols, ","), n, n, time.Since(start))
@@ -552,26 +555,28 @@ func computeAggregate(rs *engine.Run, b *binding, ps []Value, f FuncCall, rows [
 	var sum float64
 	lo, hi := math.Inf(1), math.Inf(-1)
 	n := 0
-	for i, r := range rows {
-		if i%exprChunk == 0 && rs.Cancelled() {
-			return Value{}, cancel.ErrCancelled
+	for b0, b1 := range rs.Token().Blocks(0, len(rows), exprChunk) {
+		for _, r := range rows[b0:b1] {
+			setRow(ctx, isVector, r)
+			v, err := evalExpr(ctx, f.Args[0])
+			if err != nil {
+				return Value{}, err
+			}
+			if v.Kind != KindNum {
+				return Value{}, fmt.Errorf("sql: %s needs numeric input", f.Name)
+			}
+			if v.Num < lo {
+				lo = v.Num
+			}
+			if v.Num > hi {
+				hi = v.Num
+			}
+			sum += v.Num
+			n++
 		}
-		setRow(ctx, isVector, r)
-		v, err := evalExpr(ctx, f.Args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Kind != KindNum {
-			return Value{}, fmt.Errorf("sql: %s needs numeric input", f.Name)
-		}
-		if v.Num < lo {
-			lo = v.Num
-		}
-		if v.Num > hi {
-			hi = v.Num
-		}
-		sum += v.Num
-		n++
+	}
+	if rs.Cancelled() {
+		return Value{}, cancel.ErrCancelled
 	}
 	switch f.Name {
 	case "count":
