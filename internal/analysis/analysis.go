@@ -1,24 +1,24 @@
 // Package analysis is the repo's custom static-analysis suite: a minimal
 // AST/type-driven analyzer framework (stdlib only — go/parser, go/types and
 // the source importer; the module has no dependencies and must stay
-// offline-buildable) plus the two analyzers that mechanically enforce the
-// ROADMAP's architecture invariants the type system cannot:
+// offline-buildable) plus the analyzer that mechanically enforces the one
+// ROADMAP architecture invariant the type system cannot:
 //
-//	releaselist  — pooled acquisitions on a *engine.Run path register in the
-//	               run's release list and recycle through the run.
 //	epochguard   — table-owned backing slices mutate only inside the
 //	               epoch-bumping mutation paths, and plan constructors
 //	               capture epochs before reading table state.
 //
-// Four conventions need no analyzer because the code makes them impossible
+// Five conventions need no analyzer because the code makes them impossible
 // to break: every executor entry point takes a context (there is no
 // ctx-less variant to call), every drop-and-rebuild cache is a bounded.Map,
 // which carries its bound and its counters, no compiled kernel can hold
 // a predicate constant (engine loop structs and SQL expression nodes have
-// no field that could; reflect tests in engine and sql walk them), and
-// every block loop polls cancellation once per block because it ranges
-// over cancel.Token.Blocks (a go/ast test in internal/cancel rejects a
-// poll inside a per-element loop).
+// no field that could; reflect tests in engine and sql walk them), every
+// block loop polls cancellation once per block because it ranges over
+// cancel.Token.Blocks (a go/ast test in internal/cancel rejects a poll
+// inside a per-element loop), and a pooled buffer leaves the engine's
+// pools only through a release list (a go/ast test in internal/engine
+// rejects a pool reference or a bare RecycleRows anywhere else).
 //
 // The analyzers are example-driven, not sound: each one encodes the shape
 // the invariant takes in THIS codebase (the golden tests under testdata pin
@@ -223,7 +223,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ReleaseListAnalyzer,
 		EpochGuardAnalyzer,
 	}
 }

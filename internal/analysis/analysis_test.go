@@ -53,7 +53,7 @@ func TestParseIgnores(t *testing.T) {
 //lint:ignore epochguard standalone directives target the next line
 var a int
 
-var b int //lint:ignore releaselist trailing directives target their own line
+var b int //lint:ignore otheranalyzer trailing directives target their own line
 
 //lint:ignore epochguard
 var c int
@@ -73,8 +73,8 @@ var c int
 	if dirs[0].analyzer != "epochguard" || dirs[0].line != 4 {
 		t.Errorf("standalone directive: analyzer=%q line=%d, want epochguard line 4", dirs[0].analyzer, dirs[0].line)
 	}
-	if dirs[1].analyzer != "releaselist" || dirs[1].line != 6 {
-		t.Errorf("trailing directive: analyzer=%q line=%d, want releaselist line 6", dirs[1].analyzer, dirs[1].line)
+	if dirs[1].analyzer != "otheranalyzer" || dirs[1].line != 6 {
+		t.Errorf("trailing directive: analyzer=%q line=%d, want otheranalyzer line 6", dirs[1].analyzer, dirs[1].line)
 	}
 	if len(malformed) != 1 || !strings.Contains(malformed[0], "malformed") {
 		t.Errorf("malformed directives = %v, want one malformed report", malformed)
@@ -99,7 +99,7 @@ var a int
 	diags := []Diagnostic{
 		{Analyzer: "epochguard", Pos: pos, Message: "first"},
 		{Analyzer: "epochguard", Pos: pos, Message: "second"},
-		{Analyzer: "releaselist", Pos: pos, Message: "other analyzer"},
+		{Analyzer: "otheranalyzer", Pos: pos, Message: "other analyzer"},
 	}
 	kept := applyIgnores(fset, []*ast.File{f}, diags)
 	if len(kept) != 2 {

@@ -92,7 +92,7 @@ func runGolden(t *testing.T, loader *Loader, dir string, analyzers []*Analyzer) 
 }
 
 // suppressFixture is the one fixture directory not named after an
-// analyzer: it pins the //lint:ignore directive, under releaselist — each
+// analyzer: it pins the //lint:ignore directive, under epochguard — each
 // directive must silence exactly one of its diagnostics.
 const suppressFixture = "suppress"
 
@@ -113,7 +113,7 @@ func TestGolden(t *testing.T) {
 	for _, a := range All() {
 		cases = append(cases, golden{a.Name, []*Analyzer{a}})
 	}
-	cases = append(cases, golden{suppressFixture, []*Analyzer{ReleaseListAnalyzer}})
+	cases = append(cases, golden{suppressFixture, []*Analyzer{EpochGuardAnalyzer}})
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			t.Parallel()

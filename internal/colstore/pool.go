@@ -70,6 +70,7 @@ func (p *Pool[T]) Get(capHint int) []T {
 				b := sh.free[i]
 				last := len(sh.free) - 1
 				sh.free[i] = sh.free[last]
+				sh.free[last] = nil // past len it would keep b reachable after the pool drops it
 				sh.free = sh.free[:last]
 				sh.mu.Unlock()
 				p.held.Add(-int64(cap(b)))

@@ -123,14 +123,14 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 		case rows == nil:
 			// First predicate over the whole table: drive the block kernel
 			// over the full column instead of materialising an identity
-			// vector. The buffer is tracked before the call (a panic
+			// vector. The buffer is acquired before the call (a panic
 			// mid-kernel must not strand it) and swapped for the final
 			// slice after — the drive may grow (and so reallocate) what it
 			// was handed. Large tables fan the filter across the resident
 			// worker set as the pipelined pass's compact consumer
 			// (morsel.go); the vector is sized for the whole table, the
 			// pass's slot vector.
-			buf := run.TrackRows(getRowBuf(pc.Len()))
+			buf := run.AcquireRows(pc.Len())
 			deg := pc.morselDegree(run, pc.Len(), true)
 			res, ferr := filterAll(k, a, pc.Len(), deg, buf)
 			rows = run.SwapRows(buf, res)
@@ -144,9 +144,9 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 			}
 		case !owned:
 			// Copy-on-first-write: the caller keeps its slice untouched.
-			// Same track-then-swap discipline as the block arm.
+			// Same acquire-then-swap discipline as the block arm.
 			in := len(rows)
-			buf := run.TrackRows(getRowBuf(in))
+			buf := run.AcquireRows(in)
 			rows = run.SwapRows(buf, k.FilterSel(a, rows, buf))
 			owned = true
 			if ex != nil {
@@ -173,8 +173,7 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 	}
 	if rows == nil {
 		// No predicates over a nil selection: all rows, as before. The
-		// capacity hint covers every append, so tracking at acquisition is
-		// safe.
+		// capacity hint covers every append.
 		rows = run.AcquireRows(pc.Len())
 		for i, n := 0, pc.Len(); i < n; i++ {
 			rows = append(rows, i)

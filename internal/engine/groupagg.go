@@ -609,14 +609,18 @@ func foldBank(dst, src []float64, fn AggFunc) {
 
 // --- hash path -----------------------------------------------------------------
 
-// groupHash is the open-addressed group table of the hash strategy. All
-// three buffers are pooled; the struct itself lives on the caller's stack.
-// table holds slot+1 (0 = empty) indexed by the canonical key bits' hash;
-// keys and cnt are indexed by slot in first-appearance order.
+// groupHash is the open-addressed group table of the hash strategy, one
+// per partition of a hash pass. table holds slot+1 (0 = empty) indexed by
+// the canonical key bits' hash; keys and cnt are indexed by slot in
+// first-appearance order. All three are drawn, grown and recycled through
+// the partition's release lists rows and f64, which its other scratch
+// draws through too.
 type groupHash struct {
 	table []int
 	keys  []float64
 	cnt   []float64
+	rows  relList[int]
+	f64   relList[float64]
 }
 
 // hashSeed is the multiplicative mixer of the canonical key bits
@@ -640,8 +644,8 @@ func (g *groupHash) slotOf(v float64) int {
 					i = (i + 1) & mask
 				}
 			}
-			g.keys = append(g.keys, v)
-			g.cnt = append(g.cnt, 0)
+			g.keys = g.f64.append(g.keys, v)
+			g.cnt = g.f64.append(g.cnt, 0)
 			g.table[i] = len(g.keys)
 			return len(g.keys) - 1
 		}
@@ -655,10 +659,8 @@ func (g *groupHash) slotOf(v float64) int {
 // grow rehashes into a table four times the size.
 func (g *groupHash) grow() {
 	old := g.table
-	next := getRowBuf(4 * len(old))[:4*len(old)]
-	for i := range next {
-		next[i] = 0
-	}
+	next := g.rows.acquire(4 * len(old))[:4*len(old)]
+	clear(next)
 	mask := len(next) - 1
 	for s, k := range g.keys {
 		i := int((canonicalBits(k)*hashSeed)>>33) & mask
@@ -668,7 +670,7 @@ func (g *groupHash) grow() {
 		next[i] = s + 1
 	}
 	g.table = next
-	RecycleRows(old)
+	g.rows.recycle(old)
 }
 
 // hashKeyCol dispatches pass 0 over the span [start, end) of the selection

@@ -351,5 +351,5 @@ func (l *intLoops[T]) sel(a KernelArgs, rows, buf []int) int {
 	return j
 }
 
-// Pooled selection vectors live in pool.go (getRowBuf / RecycleRows): a
-// striped mutex-backed free list shared with the candidate-range pool.
+// Pooled selection vectors live in pool.go, drawn and recycled through the
+// release lists of run.go.

@@ -152,13 +152,13 @@ func BenchmarkFilterKernel(b *testing.B) {
 			b.Run(c.typ+"/"+benchOpName(pred.Op)+"/block", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					RecycleRows(k.FilterBlock(a, 0, col.Len(), getRowBuf(col.Len())))
+					RecycleRows(k.FilterBlock(a, 0, col.Len(), rowPool.Get(col.Len())))
 				}
 			})
 			b.Run(c.typ+"/"+benchOpName(pred.Op)+"/sel", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					RecycleRows(k.FilterSel(a, benchScatter, getRowBuf(len(benchScatter))))
+					RecycleRows(k.FilterSel(a, benchScatter, rowPool.Get(len(benchScatter))))
 				}
 			})
 		}

@@ -40,17 +40,16 @@
 // driving row count so each partition carries at least morselMinRows rows
 // — small inputs stay at degree 1, where fan-out costs more than it saves.
 //
-// Lifecycle contract (PR 6): partition scratch is pooled and owned by the
-// pass — a partition either recycles what it drew before letting a panic
-// escape or parks it in its pass slot, the pass machinery holds per-slot
-// panics until every partition settles, and the driver recycles every
-// surviving partial before re-raising the first panic for the query
-// layer's recovery. Every partition loop ranges over the run token's
-// cancel.Token.Blocks, which polls before each block: scanChunk blocks in
-// the filter kernels and the fused aggregate, foldBlock blocks in the tile
-// scatter and the grouped fold passes (one pass per value column, every
-// accumulator of that column in one loop; groupagg.go), and the grid
-// package's refineBlock blocks in refinement. A fired token ends the loop
+// Lifecycle contract: partition scratch is pooled and owned by the pass —
+// a partition draws it through its slot's release list (run.go), the pass
+// machinery holds per-slot panics until every partition settles, and the
+// operator drains every slot's list after the merge, before re-raising the
+// first panic for the query layer's recovery. Every partition loop ranges
+// over the run token's cancel.Token.Blocks, which polls before each block:
+// scanChunk blocks in the filter kernels and the fused aggregate, foldBlock
+// blocks in the tile scatter and the grouped fold passes (one pass per
+// value column, every accumulator of that column in one loop;
+// groupagg.go), and the grid package's refineBlock blocks in refinement. A fired token ends the loop
 // at the next block boundary; the driver checks the token once after the
 // pass and surfaces the cancellation with every buffer back in its pool.
 // The engine.morsel.worker and engine.morsel.merge faultpoints prove both
@@ -387,9 +386,9 @@ func filterAll(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
 func runPipeFold(run *Run, pc *PointCloud, src foldSrc, dom int, preds []ColumnPred, specs []GroupedAggSpec, res *GroupedResult, deg int) (int, error) {
 	n := pc.Len()
 	stride := denseStride(dom, len(specs))
-	slab := run.trackF64(getF64Buf(stride))[:stride]
-	defer run.recycleF64(slab)
-	out := run.TrackRows(getRowBuf(n))
+	slab := run.AcquireF64(stride)[:stride]
+	defer run.RecycleF64(slab)
+	out := run.AcquireRows(n)
 	defer run.RecycleRows(out)
 	if err := groupPassCheckpoint(run); err != nil {
 		return 0, err
@@ -416,8 +415,9 @@ func runPipeFold(run *Run, pc *PointCloud, src foldSrc, dom int, preds []ColumnP
 // --- refinement --------------------------------------------------------------------
 
 // refinePass drives grid refinement: the candidate ranges split into
-// partitions, the caller's output vector (partition 0), the result slots
-// and statistics of every partition, the coordinate columns and the region.
+// partitions, the caller's output vector (partition 0), the result slots,
+// statistics and release lists of every partition, the coordinate columns
+// and the region.
 type refinePass struct {
 	pass    morsel.Pass
 	partBuf []colstore.Range
@@ -425,6 +425,7 @@ type refinePass struct {
 	parts   [][]colstore.Range
 	results [][]int
 	stats   []grid.Stats
+	rel     []relList[int]
 	out     []int
 	xs, ys  []float64
 	region  grid.Region
@@ -434,27 +435,17 @@ type refinePass struct {
 var refinePasses passFree[refinePass]
 
 // RunPartition refines one partition's ranges into the caller's vector
-// (partition 0) or a pooled one sized for the partition's rows, an upper
-// bound on its matches. Cancellation is polled inside grid.RefineInto per
-// candidate block (the token rides in opts).
+// (partition 0) or one drawn through the slot's release list, sized for
+// the partition's rows, an upper bound on its matches. Cancellation is
+// polled inside grid.RefineInto per candidate block (the token rides in
+// opts).
 func (rp *refinePass) RunPartition(slot int) {
 	buf := rp.out
 	if slot > 0 {
-		buf = getRowBuf(colstore.RangesLen(rp.parts[slot]))
-		defer rp.settle(slot, buf)
+		buf = rp.rel[slot].acquire(colstore.RangesLen(rp.parts[slot]))
 	}
 	hitMorselWorker(len(rp.parts))
 	rp.results[slot], rp.stats[slot] = grid.RefineInto(rp.xs, rp.ys, rp.parts[slot], rp.region, rp.opts, buf)
-}
-
-// settle hands a panicking partition's pooled vector back before the panic
-// re-raises into the morsel recovery.
-func (rp *refinePass) settle(slot int, buf []int) {
-	if p := recover(); p != nil {
-		rp.results[slot] = nil
-		rowPool.Put(buf)
-		panic(p)
-	}
 }
 
 // refineRanges refines the candidate ranges against region in at most deg
@@ -463,7 +454,7 @@ func (rp *refinePass) settle(slot int, buf []int) {
 // statistics (grid.Stats.Add). Unless a partition panicked or the merge
 // faultpoint fired, partitions 1.. concatenate behind partition 0 in
 // ascending order — disjoint ascending row ranges, so that is row order at
-// every degree. Every partial goes back to its pool on every path; a
+// every degree. Every slot's release list drains after the merge; a
 // partition panic re-raises once the pass is back on its free list.
 func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, opts grid.Options, deg int, out []int) ([]int, grid.Stats, error) {
 	rp := refinePasses.get()
@@ -473,8 +464,9 @@ func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, o
 	if cap(rp.results) < n {
 		rp.results = make([][]int, n)
 		rp.stats = make([]grid.Stats, n)
+		rp.rel = make([]relList[int], n)
 	}
-	rp.results, rp.stats = rp.results[:n], rp.stats[:n]
+	rp.results, rp.stats, rp.rel = rp.results[:n], rp.stats[:n], rp.rel[:n]
 	p := rp.pass.Run(n, rp)
 	var st grid.Stats
 	for _, s := range rp.stats {
@@ -487,11 +479,11 @@ func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, o
 	if n > 0 {
 		out = rp.results[0]
 	}
-	for i := 1; i < n; i++ {
-		if p == nil && err == nil {
-			out = append(out, rp.results[i]...)
-		}
-		rowPool.Put(rp.results[i])
+	for i := 1; i < n && p == nil && err == nil; i++ {
+		out = append(out, rp.results[i]...)
+	}
+	for i := range rp.rel {
+		rp.rel[i].drain()
 	}
 	clear(rp.results)
 	clear(rp.parts) // a degree-1 partition is the caller's candidate list
@@ -616,8 +608,8 @@ func (dp *densePass) RunPartition(slot int) {
 // in FloatOrderKey order. src carries the u8 or u16 key slice.
 func runDensePass(run *Run, pc *PointCloud, src foldSrc, dom int, rows []int, all bool, n int, specs []GroupedAggSpec, res *GroupedResult, deg int) error {
 	stride := denseStride(dom, len(specs))
-	banks := run.trackF64(getF64Buf(deg * stride))[:deg*stride]
-	defer run.recycleF64(banks)
+	banks := run.AcquireF64(deg * stride)[:deg*stride]
+	defer run.RecycleF64(banks)
 	if err := groupPassCheckpoint(run); err != nil {
 		return err
 	}
@@ -678,8 +670,8 @@ func emitDense(base []float64, dom int, specs []GroupedAggSpec, res *GroupedResu
 // hashPass is the pooled scaffolding of one hash grouped pass. Each
 // partition builds a local group table, a span-aligned slot vector and a
 // scratch bank (the fold sink; for partitions >= 1 the accumulators too),
-// published in its pass slot as they are drawn — so whichever way a partition ends, the driver's finish
-// recycles exactly what was acquired.
+// all drawn through the release lists of its group table — so whichever
+// way a partition ends, finish drains exactly what is still drawn.
 type hashPass struct {
 	pass   morsel.Pass
 	keyCol colstore.Column
@@ -713,14 +705,11 @@ func (hp *hashPass) RunPartition(slot int) {
 	for tabSize < 4*pn && tabSize < 1<<20 {
 		tabSize <<= 1
 	}
-	hp.gs[slot] = groupHash{
-		table: getRowBuf(tabSize)[:tabSize],
-		keys:  getF64Buf(64),
-		cnt:   getF64Buf(64),
-	}
 	g := &hp.gs[slot]
+	g.table = g.rows.acquire(tabSize)[:tabSize]
+	g.keys, g.cnt = g.f64.acquire(64), g.f64.acquire(64)
 	clear(g.table)
-	slots := getRowBuf(pn)[:pn]
+	slots := g.rows.acquire(pn)[:pn]
 	hp.slotsv[slot] = slots
 	hashKeyCol(hp.keyCol, hp.rows, hp.all, start, end, g, slots)
 	groups := len(g.keys)
@@ -728,7 +717,7 @@ func (hp *hashPass) RunPartition(slot int) {
 	if slot > 0 {
 		size += len(hp.specs) * groups
 	}
-	bank := getF64Buf(size)[:size]
+	bank := g.f64.acquire(size)[:size]
 	hp.banks[slot] = bank
 	fb := foldBanks{flat: bank[groups+1:], n: groups}
 	if slot == 0 {
@@ -746,18 +735,16 @@ func (hp *hashPass) RunPartition(slot int) {
 	foldSpecs(foldSrc{slots: slots}, hp.pc, hp.specs, hp.rows, hp.all, start, end, g.cnt, fb, bank[:groups+1], true, hp.tok)
 }
 
-// finish recycles every partition buffer and returns the pass to its free
-// list; deferred by the driver so it runs on every exit path, the
+// finish drains every partition's release lists and returns the pass to
+// its free list; deferred by runHashPass so it runs on every exit path, the
 // re-raised partition panic included.
 func (hp *hashPass) finish() {
 	for w := range hp.gs {
-		rowPool.Put(hp.gs[w].table)
-		f64Pool.Put(hp.gs[w].keys)
-		f64Pool.Put(hp.gs[w].cnt)
-		rowPool.Put(hp.slotsv[w])
-		f64Pool.Put(hp.banks[w])
+		g := &hp.gs[w]
+		g.rows.drain()
+		g.f64.drain()
+		g.table, g.keys, g.cnt = nil, nil, nil
 	}
-	clear(hp.gs)
 	clear(hp.slotsv)
 	clear(hp.banks)
 	hp.keyCol, hp.specs, hp.pc, hp.rows, hp.res, hp.tok = nil, nil, nil, nil, nil, nil

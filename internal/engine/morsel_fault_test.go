@@ -91,10 +91,11 @@ func TestFaultMorselWorkerPanicZeroDrift(t *testing.T) {
 		// usually on resident workers — panic while siblings still hold
 		// partial buffers that must come home. After: 0 poisons every
 		// partition, the caller's partition 0 included.
-		for _, after := range []int{1, 0} {
-			t.Run(fmt.Sprintf("%s/after-%d", name, after), func(t *testing.T) {
+		for _, c := range morselFaultCases() {
+			deg, after := c[0], c[1]
+			t.Run(fmt.Sprintf("%s/deg-%d/after-%d", name, deg, after), func(t *testing.T) {
 				t.Cleanup(faultpoint.Reset)
-				run := parRun(4)
+				run := parRun(deg)
 				if err := query(run); err != nil { // warm: kernels cached, pools primed
 					t.Fatal(err)
 				}
@@ -178,31 +179,38 @@ func TestFaultMorselMergeErrorZeroDrift(t *testing.T) {
 		"refine": func(run *Run) error { return selectAll(pc, run) },
 	}
 	for name, query := range paths {
-		t.Run(name, func(t *testing.T) {
-			t.Cleanup(faultpoint.Reset)
-			run := parRun(4)
-			if err := query(run); err != nil {
-				t.Fatal(err)
-			}
-			faultpoint.Arm("engine.morsel.merge", faultpoint.Action{Err: errMorselInjected})
-			before := morselPoolSnapshot()
-			if err := query(run); !errors.Is(err, errMorselInjected) {
-				t.Fatalf("err = %v, want the injected merge fault", err)
-			}
-			run.Drain()
-			if d := morselPoolSnapshot() - before; d != 0 {
-				t.Fatalf("merge error in %s drifted pools by %d", name, d)
-			}
-			if faultpoint.HitCount("engine.morsel.merge") == 0 {
-				t.Fatal("merge point never hit — the path does not fan out")
-			}
-			faultpoint.Disarm("engine.morsel.merge")
-			if err := query(run); err != nil {
-				t.Fatalf("pass after recovery: %v", err)
-			}
-		})
+		for _, deg := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/deg-%d", name, deg), func(t *testing.T) {
+				t.Cleanup(faultpoint.Reset)
+				run := parRun(deg)
+				if err := query(run); err != nil {
+					t.Fatal(err)
+				}
+				faultpoint.Arm("engine.morsel.merge", faultpoint.Action{Err: errMorselInjected})
+				before := morselPoolSnapshot()
+				if err := query(run); !errors.Is(err, errMorselInjected) {
+					t.Fatalf("err = %v, want the injected merge fault", err)
+				}
+				run.Drain()
+				if d := morselPoolSnapshot() - before; d != 0 {
+					t.Fatalf("merge error in %s drifted pools by %d", name, d)
+				}
+				if faultpoint.HitCount("engine.morsel.merge") == 0 {
+					t.Fatal("merge point never hit — the path does not fan out")
+				}
+				faultpoint.Disarm("engine.morsel.merge")
+				if err := query(run); err != nil {
+					t.Fatalf("pass after recovery: %v", err)
+				}
+			})
+		}
 	}
 }
+
+// morselFaultCases are the (degree, After) pairs of the worker-panic test:
+// at degree 2 After 1 poisons the one worker partition alone, so its
+// slot's release list holds the only partial buffer.
+func morselFaultCases() [][2]int { return [][2]int{{2, 1}, {2, 0}, {4, 1}, {4, 0}} }
 
 // TestFaultRefineDegreeFollowsRunCap pins the one-place degree rule for
 // grid refinement: with the table opted into auto-parallel execution, a

@@ -187,7 +187,7 @@ func TestMorselRefineEveryDegree(t *testing.T) {
 				t.Fatalf("%s %s: RefineInto %d rows, exhaustive %d", rname, cname, len(serial), len(want))
 			}
 			for _, deg := range driverDegrees() {
-				got, st, err := refineRanges(xs, ys, cand, region, pc.GridOpts, deg, getRowBuf(0))
+				got, st, err := refineRanges(xs, ys, cand, region, pc.GridOpts, deg, rowPool.Get(0))
 				if err != nil {
 					t.Fatal(err)
 				}

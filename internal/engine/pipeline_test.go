@@ -22,7 +22,7 @@ func pipeFilter(t *testing.T, pc *PointCloud, run *Run, preds []ColumnPred, deg 
 		pp.release()
 		t.Fatal(err)
 	}
-	out := getRowBuf(pc.Len())
+	out := rowPool.Get(pc.Len())
 	w, err := pp.run(pc.Len(), deg, out)
 	if err != nil {
 		t.Fatal(err)

@@ -356,6 +356,7 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, limit in
 	opts := pc.GridOpts
 	opts.Cancel = run.Token()
 	xs, ys := pc.xs.Values(), pc.ys.Values()
+	ranges := run.rangeList()
 
 	var (
 		rows               []int
@@ -371,10 +372,10 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, limit in
 	for {
 		start := time.Now()
 		// The walk appends straight into a pooled range list (~170KB/query
-		// at small scale if it were allocated instead), which registers in
-		// the release list only after the walk that grows it returns
-		// (track-after-production).
-		cand := run.trackRanges(cur.AppendRanges(getRangeBuf(0), budget))
+		// at small scale if it were allocated instead); the release list
+		// follows it to the slice the walk grew.
+		buf := ranges.acquire(0)
+		cand := ranges.swap(buf, cur.AppendRanges(buf, budget))
 		walked += time.Since(start)
 		n := colstore.RangesLen(cand)
 
@@ -390,7 +391,7 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, limit in
 		d := pc.morselDegree(run, n, false)
 		rows, rst, err = refineRanges(xs, ys, cand, region, opts, d, held)
 		rows = run.SwapRows(held, rows)
-		run.recycleRanges(cand)
+		ranges.recycle(cand)
 		if err != nil {
 			// Only the merge faultpoint errs. A select has no error return,
 			// so it unwinds like a worker fault, its buffers already home.

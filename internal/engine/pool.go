@@ -1,8 +1,10 @@
 // Pooled query buffers. The engine's steady-state query path — the paper's
-// repeated pan/zoom workload — must allocate nothing: selection vectors and
-// imprint candidate-range lists come from striped free-list pools
-// (colstore.Pool; the grid package pools its refinement scratch the same
-// way) and return to them when the query finishes.
+// repeated pan/zoom workload — must allocate nothing: selection vectors,
+// imprint candidate-range lists and float64 scratch come from striped
+// free-list pools (colstore.Pool; the grid package pools its refinement
+// scratch the same way) and return to them when the query finishes. Only
+// this file and run.go touch a pool: every buffer is drawn, recycled and
+// drained through a release list, a Run's or a morsel partition slot's.
 package engine
 
 import (
@@ -19,30 +21,16 @@ var (
 	f64Pool   = colstore.Pool[float64]{MaxElts: 1 << 24}
 )
 
-// getRowBuf acquires a pooled selection vector sized for capHint rows.
-func getRowBuf(capHint int) []int { return rowPool.Get(capHint) }
+// pools lists every engine pool; a release list picks its own by element
+// type (relList.pool).
+var pools = [...]any{&rowPool, &rangePool, &f64Pool}
 
-// AcquireRows draws an empty selection vector from the engine's pool — the
-// exported counterpart of the internal buffer getter for layers above the
-// engine (the SQL executor's vector-table row sets). Pair every acquire
-// with RecycleRows.
-func AcquireRows(capHint int) []int { return getRowBuf(capHint) }
-
-// RecycleRows returns a selection vector produced by FilterRows{,Run} or
-// SelectRegionRows{,Run} (or drawn through AcquireRows) to the engine's
-// pool. The caller must not touch rows afterwards; under a run, recycle
-// through run.RecycleRows instead so the release list untracks it.
-// Recycling is optional — vectors that are never returned are simply
-// garbage collected.
+// RecycleRows returns a selection vector an entry point produced under a
+// nil run (FilterRows, SelectRegionRows, …) to the engine's pool; under a
+// run, recycle through run.RecycleRows so the release list untracks it.
+// The caller must not touch rows afterwards. Recycling is optional —
+// vectors that are never returned are simply garbage collected.
 func RecycleRows(rows []int) { rowPool.Put(rows) }
-
-// getRangeBuf acquires a pooled candidate-range buffer.
-func getRangeBuf(capHint int) []colstore.Range { return rangePool.Get(capHint) }
-
-// getF64Buf acquires a pooled float64 scratch buffer (grouped-aggregate
-// accumulator banks and hash key stores). Pooled buffers carry stale
-// contents: callers must initialise every element they read.
-func getF64Buf(capHint int) []float64 { return f64Pool.Get(capHint) }
 
 // PoolStats is a snapshot of one buffer pool, for diagnostics and the
 // pool-accounting regression tests.

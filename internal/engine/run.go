@@ -1,19 +1,22 @@
 // Per-run query lifecycle state: the cancellation token and the release
-// list that makes pool accounting panic-safe. Every pooled buffer an
-// execution path acquires is registered here (track-after-production: a
-// buffer is tracked only once the call that could still grow it has
-// returned, because append growth reallocates the backing array and
-// tracking is by backing-array identity). Recycling through the Run
-// untracks; whatever is still tracked when a run unwinds — error or
-// panic — is drained back to its pool in one sweep, so the striped
-// pools' Outstanding counters return to their pre-query values on every
-// exit path. This is the generalisation of the PR 2 error-path recycling
-// audit: instead of auditing each return, the invariant is structural.
+// lists that make pool accounting panic-safe.
 //
-// A nil *Run degrades every method to the untracked behaviour (plain
-// pool put / no-op track / never cancelled), so engine entry points keep
-// working for callers outside the SQL lifecycle (benchmarks, tests,
-// ad-hoc tools) without a second code path.
+// A pooled buffer leaves the engine's pools (pool.go) only through a
+// release list: acquire draws and registers it, swap re-points the entry
+// at the final slice of a call that grew it, recycle untracks and returns
+// it, and drain returns whatever is still registered. A Run holds one list
+// per pooled element type and drains them when it unwinds — error, cancel
+// or panic — so the pools' Outstanding counters return to their pre-query
+// values on every exit path; a morsel pass gives each partition slot lists
+// of its own, which the operator drains after the merge. Tracking is by
+// backing-array identity, which in-place narrowing keeps and append growth
+// does not: a producer that hands a buffer to a call that may grow it
+// acquires first, so a panic inside the call cannot strand it, and swaps
+// in the call's result.
+//
+// A nil *Run, like a nil list, draws and recycles untracked and is never
+// cancelled, so engine entry points serve callers outside the SQL
+// lifecycle (benchmarks, tests, ad-hoc tools) without a second code path.
 package engine
 
 import (
@@ -23,16 +26,103 @@ import (
 	"gisnav/internal/colstore"
 )
 
+// relList is the release list of one engine pool: the buffers drawn from
+// it that are still owned. The zero value is an empty list; the pool
+// follows from the element type.
+type relList[T any] struct{ bufs [][]T }
+
+// pool is the engine pool of the list's element type.
+func (*relList[T]) pool() *colstore.Pool[T] {
+	for _, p := range pools {
+		if p, ok := p.(*colstore.Pool[T]); ok {
+			return p
+		}
+	}
+	panic("engine: no pool holds this element type")
+}
+
+// acquire draws an empty buffer of capacity at least capHint and
+// registers it. The hint must cover everything the caller appends, unless
+// the caller swaps in the grown slice. Buffer contents past len are
+// stale: initialise every element before reading. Nil-safe.
+func (l *relList[T]) acquire(capHint int) []T {
+	b := l.pool().Get(capHint)
+	if l != nil {
+		l.bufs = append(l.bufs, b)
+	}
+	return b
+}
+
+// swap re-points old's entry at new, the final slice of a call that may
+// have grown old, and returns new. When growth abandoned old, its pool Get
+// stays balanced by the eventual put of new: the pools account by count,
+// not identity. Nil-safe.
+func (l *relList[T]) swap(old, new []T) []T {
+	if l == nil || unsafe.SliceData(old) == unsafe.SliceData(new) {
+		return new
+	}
+	l.untrack(old)
+	if cap(new) > 0 { // the pool ignores such buffers, and their base pointer is unspecified
+		l.bufs = append(l.bufs, new)
+	}
+	return new
+}
+
+// append appends v to b, which the list owns, growing b through the list:
+// a full b is copied into a buffer of twice its capacity and recycled.
+func (l *relList[T]) append(b []T, v T) []T {
+	if len(b) == cap(b) {
+		next := append(l.acquire(2*cap(b)), b...)
+		l.recycle(b)
+		b = next
+	}
+	return append(b, v)
+}
+
+// recycle untracks b and returns it to the pool. Nil-safe: a nil list only
+// returns it.
+func (l *relList[T]) recycle(b []T) {
+	if l != nil {
+		l.untrack(b)
+	}
+	l.pool().Put(b)
+}
+
+// drain returns every registered buffer to the pool. Idempotent; nil-safe.
+func (l *relList[T]) drain() {
+	if l == nil {
+		return
+	}
+	p := l.pool()
+	for i := len(l.bufs) - 1; i >= 0; i-- {
+		p.Put(l.bufs[i])
+		l.bufs[i] = nil
+	}
+	l.bufs = l.bufs[:0]
+}
+
+// untrack removes the entry sharing b's backing array, scanning from the
+// end (LIFO: the buffer being recycled is usually the last acquired).
+func (l *relList[T]) untrack(b []T) {
+	for i := len(l.bufs) - 1; i >= 0; i-- {
+		if unsafe.SliceData(l.bufs[i]) == unsafe.SliceData(b) {
+			copy(l.bufs[i:], l.bufs[i+1:])
+			l.bufs[len(l.bufs)-1] = nil
+			l.bufs = l.bufs[:len(l.bufs)-1]
+			return
+		}
+	}
+}
+
 // Run is one query execution's lifecycle record: the cooperative
-// cancellation token kernel loops poll at block boundaries, plus the
-// release list of pooled buffers currently owned by the run. It is
-// reusable: Drain + Bind between runs, so a pooled Run record adds no
-// steady-state allocations.
+// cancellation token kernel loops poll at block boundaries, plus one
+// release list per pooled element type. It is reusable: Drain + Bind
+// between runs, so a pooled Run record adds no steady-state allocations.
 type Run struct {
 	tok    cancel.Token
-	rows   [][]int
-	ranges [][]colstore.Range
-	f64    [][]float64
+	rows   relList[int]
+	ranges relList[colstore.Range]
+	f64    relList[float64]
 	par    int
 }
 
@@ -78,116 +168,52 @@ func (r *Run) MaxParallel() int {
 	return r.par
 }
 
-// sameBase reports whether two slices share a backing array. Tracking
-// identity is the base pointer: in-place narrowing (rows[:0] compaction)
-// preserves it, growth does not — hence track-after-production.
-func sameBase[T any](a, b []T) bool {
-	return unsafe.SliceData(a) == unsafe.SliceData(b)
+// rowList, rangeList and f64List are the run's release lists, nil for a
+// nil run (whose lists draw and recycle untracked).
+func (r *Run) rowList() *relList[int] {
+	if r == nil {
+		return nil
+	}
+	return &r.rows
 }
 
-// track appends b to list unless it cannot be recycled anyway (cap 0 —
-// the pool ignores such buffers, and their base pointer is unspecified).
-func track[T any](list [][]T, b []T) [][]T {
-	if cap(b) == 0 {
-		return list
+func (r *Run) rangeList() *relList[colstore.Range] {
+	if r == nil {
+		return nil
 	}
-	return append(list, b)
+	return &r.ranges
 }
 
-// untrack removes the entry sharing b's backing array, scanning from the
-// end (LIFO: the buffer being recycled is usually the last acquired).
-func untrack[T any](list [][]T, b []T) [][]T {
-	for i := len(list) - 1; i >= 0; i-- {
-		if sameBase(list[i], b) {
-			copy(list[i:], list[i+1:])
-			list[len(list)-1] = nil
-			return list[:len(list)-1]
-		}
+func (r *Run) f64List() *relList[float64] {
+	if r == nil {
+		return nil
 	}
-	return list
-}
-
-// TrackRows registers a selection vector in the release list and returns
-// it, so producer calls wrap directly. Nil-safe (no-op on a nil run).
-func (r *Run) TrackRows(b []int) []int {
-	if r != nil {
-		r.rows = track(r.rows, b)
-	}
-	return b
+	return &r.f64
 }
 
 // AcquireRows draws a tracked selection vector from the engine's pool.
-// The capacity hint must cover everything the caller appends: growth
-// past it would reallocate the backing array out from under the release
-// list. Producers that cannot bound their output acquire untracked and
-// TrackRows the final slice instead.
-func (r *Run) AcquireRows(capHint int) []int { return r.TrackRows(getRowBuf(capHint)) }
+// The capacity hint must cover everything the caller appends, unless the
+// caller swaps in the grown slice (SwapRows).
+func (r *Run) AcquireRows(capHint int) []int { return r.rowList().acquire(capHint) }
 
-// SwapRows re-points old's release-list entry at new. Producers that hand
-// a pooled buffer to a call that may grow it track the buffer BEFORE the
-// call (so a panic inside the call cannot strand it between acquisition
-// and tracking) and swap in the call's final slice afterwards, whose
-// backing array may have moved. When growth abandoned the original, its
-// pool Get stays balanced by the eventual put of the final slice — the
-// striped pools account by count, not identity. Nil-safe.
-func (r *Run) SwapRows(old, new []int) []int {
-	if r == nil || sameBase(old, new) {
-		return new
-	}
-	r.rows = untrack(r.rows, old)
-	r.rows = track(r.rows, new)
-	return new
-}
+// SwapRows re-points old's release-list entry at new and returns new:
+// producers that hand an acquired buffer to a call that may grow it swap
+// in the call's final slice afterwards.
+func (r *Run) SwapRows(old, new []int) []int { return r.rowList().swap(old, new) }
 
 // RecycleRows returns a selection vector to the pool and removes it from
-// the release list. On a nil run this is plain RecycleRows.
-func (r *Run) RecycleRows(b []int) {
-	if r != nil {
-		r.rows = untrack(r.rows, b)
-	}
-	rowPool.Put(b)
-}
-
-// trackRanges / recycleRanges are the candidate-range counterparts.
-func (r *Run) trackRanges(b []colstore.Range) []colstore.Range {
-	if r != nil {
-		r.ranges = track(r.ranges, b)
-	}
-	return b
-}
-
-func (r *Run) recycleRanges(b []colstore.Range) {
-	if r != nil {
-		r.ranges = untrack(r.ranges, b)
-	}
-	rangePool.Put(b)
-}
-
-// trackF64 / recycleF64Run are the float64-scratch counterparts
-// (grouped-aggregate banks, hash key stores).
-func (r *Run) trackF64(b []float64) []float64 {
-	if r != nil {
-		r.f64 = track(r.f64, b)
-	}
-	return b
-}
-
-func (r *Run) recycleF64(b []float64) {
-	if r != nil {
-		r.f64 = untrack(r.f64, b)
-	}
-	f64Pool.Put(b)
-}
+// the release list. On a nil run it only returns the vector to the pool.
+func (r *Run) RecycleRows(b []int) { r.rowList().recycle(b) }
 
 // AcquireF64 draws a tracked float64 scratch buffer from the engine's
 // pool. As with AcquireRows, the capacity hint must cover everything the
 // caller appends. Buffer contents are stale: initialise every element
 // before reading.
-func (r *Run) AcquireF64(capHint int) []float64 { return r.trackF64(getF64Buf(capHint)) }
+func (r *Run) AcquireF64(capHint int) []float64 { return r.f64List().acquire(capHint) }
 
 // RecycleF64 returns a float64 buffer to the pool and removes it from the
 // release list. On a nil run it only returns the buffer to the pool.
-func (r *Run) RecycleF64(b []float64) { r.recycleF64(b) }
+func (r *Run) RecycleF64(b []float64) { r.f64List().recycle(b) }
 
 // Live reports how many pooled buffers the run currently owns — zero
 // after a clean run, and the quantity Drain returns to the pools after
@@ -196,7 +222,7 @@ func (r *Run) Live() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.rows) + len(r.ranges) + len(r.f64)
+	return len(r.rows.bufs) + len(r.ranges.bufs) + len(r.f64.bufs)
 }
 
 // Drain returns every still-tracked buffer to its pool — the unwind
@@ -205,19 +231,7 @@ func (r *Run) Drain() {
 	if r == nil {
 		return
 	}
-	for i := len(r.rows) - 1; i >= 0; i-- {
-		rowPool.Put(r.rows[i])
-		r.rows[i] = nil
-	}
-	r.rows = r.rows[:0]
-	for i := len(r.ranges) - 1; i >= 0; i-- {
-		rangePool.Put(r.ranges[i])
-		r.ranges[i] = nil
-	}
-	r.ranges = r.ranges[:0]
-	for i := len(r.f64) - 1; i >= 0; i-- {
-		f64Pool.Put(r.f64[i])
-		r.f64[i] = nil
-	}
-	r.f64 = r.f64[:0]
+	r.rows.drain()
+	r.ranges.drain()
+	r.f64.drain()
 }

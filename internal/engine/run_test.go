@@ -191,7 +191,7 @@ func TestSelectRegionDrawsOneRangeList(t *testing.T) {
 		if i > 1024 {
 			t.Fatal("range pool does not drain")
 		}
-		held = append(held, getRangeBuf(0))
+		held = append(held, rangePool.Get(0))
 	}
 	defer func() {
 		for _, b := range held {
@@ -271,6 +271,6 @@ func TestRunNilSafety(t *testing.T) {
 		t.Fatal("nil run has live buffers")
 	}
 	rs.Drain()
-	b := rs.TrackRows(getRowBuf(4))
-	rs.RecycleRows(b) // plain pool put
+	b := rs.AcquireRows(4) // plain pool get
+	rs.RecycleRows(b)      // plain pool put
 }

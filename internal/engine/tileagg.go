@@ -259,8 +259,8 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 	nslots := ntiles * tileDom
 	stride := nslots * (1 + len(specs))
 	size := (deg-1)*stride + deg*(nslots+1)
-	slabs := run.trackF64(getF64Buf(size))[:size]
-	defer run.recycleF64(slabs)
+	slabs := run.AcquireF64(size)[:size]
+	defer run.RecycleF64(slabs)
 	if err := groupPassCheckpoint(run); err != nil {
 		return err
 	}

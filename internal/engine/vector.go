@@ -139,7 +139,8 @@ func (vt *VectorTable) NumericAttrs() []string {
 // SelectClassInto appends to rows the rows whose class equals class,
 // resolving the constant through the dictionary once (no string compares
 // per row). Callers on the repeated-query path pass a pooled buffer
-// (AcquireRows) so the class scan allocates nothing steady-state. The first call builds the per-class
+// (Run.AcquireRows, then Run.SwapRows the result) so the class scan
+// allocates nothing steady-state. The first call builds the per-class
 // posting lists (one scan over the code column); every later call copies
 // the class's posting list, O(|result|) instead of O(n). ex may be nil to
 // skip the trace (and its formatting allocations).

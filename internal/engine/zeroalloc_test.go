@@ -73,7 +73,7 @@ func TestSteadyStateSpatialQueryRunZeroAllocs(t *testing.T) {
 func TestPoolRetainsOversizeBuffers(t *testing.T) {
 	const oversize = 5 << 20 // 5M rows ≈ 40 MiB, well past budget/poolShards
 	allocs := testing.AllocsPerRun(10, func() {
-		b := getRowBuf(oversize)
+		b := rowPool.Get(oversize)
 		RecycleRows(b)
 	})
 	if allocs != 0 {

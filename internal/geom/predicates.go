@@ -48,9 +48,10 @@ func SegmentsIntersect(a, b, c, d Point) bool {
 }
 
 // ringContains reports whether (x, y) is inside the ring using the even–odd
-// (ray casting) rule. Points exactly on the boundary are reported as inside,
-// which matches the closed-region semantics the refinement step needs.
-func ringContains(r Ring, x, y float64) bool {
+// (ray casting) rule. A point exactly on the boundary gets the verdict
+// onEdge: shells pass true, the closed-region semantics the refinement step
+// needs; holes pass false, since a hole's rim belongs to the polygon.
+func ringContains(r Ring, x, y float64, onEdge bool) bool {
 	pts := r.closedPoints()
 	if len(pts) < 4 {
 		return false
@@ -58,13 +59,17 @@ func ringContains(r Ring, x, y float64) bool {
 	inside := false
 	for i := 1; i < len(pts); i++ {
 		p1, p2 := pts[i-1], pts[i]
-		// Boundary check: point on segment p1p2.
 		if orientation(p1, p2, Point{x, y}) == 0 && onSegment(p1, p2, Point{x, y}) {
-			return true
+			return onEdge
 		}
-		// Cast a ray towards +X: count edges crossing the horizontal line at y.
+		// Cast a ray towards +X: count edges crossing the horizontal line
+		// at y. A vertical edge crosses at its own abscissa, which the
+		// interpolation would turn into Inf − Inf = NaN at ±Inf.
 		if (p1.Y > y) != (p2.Y > y) {
-			xCross := p1.X + (y-p1.Y)*(p2.X-p1.X)/(p2.Y-p1.Y)
+			xCross := p1.X
+			if p1.X != p2.X {
+				xCross += (y - p1.Y) * (p2.X - p1.X) / (p2.Y - p1.Y)
+			}
 			if x < xCross {
 				inside = !inside
 			}
@@ -76,39 +81,15 @@ func ringContains(r Ring, x, y float64) bool {
 // PolygonContainsPoint reports whether (x, y) lies inside the polygon
 // (boundary inclusive), honouring holes.
 func PolygonContainsPoint(p Polygon, x, y float64) bool {
-	if !ringContains(p.Shell, x, y) {
+	if !ringContains(p.Shell, x, y, true) {
 		return false
 	}
 	for _, h := range p.Holes {
-		if ringContainsExclusive(h, x, y) {
+		if ringContains(h, x, y, false) {
 			return false
 		}
 	}
 	return true
-}
-
-// ringContainsExclusive is ringContains with boundary points treated as
-// outside. Hole boundaries belong to the polygon, so a point on a hole's rim
-// is still contained in the polygon.
-func ringContainsExclusive(r Ring, x, y float64) bool {
-	pts := r.closedPoints()
-	if len(pts) < 4 {
-		return false
-	}
-	inside := false
-	for i := 1; i < len(pts); i++ {
-		p1, p2 := pts[i-1], pts[i]
-		if orientation(p1, p2, Point{x, y}) == 0 && onSegment(p1, p2, Point{x, y}) {
-			return false // on the hole rim: not strictly inside the hole
-		}
-		if (p1.Y > y) != (p2.Y > y) {
-			xCross := p1.X + (y-p1.Y)*(p2.X-p1.X)/(p2.Y-p1.Y)
-			if x < xCross {
-				inside = !inside
-			}
-		}
-	}
-	return inside
 }
 
 // MultiPolygonContainsPoint reports whether any member polygon contains (x, y).

@@ -131,3 +131,53 @@ func TestRectOfContainsPointIsCompare(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRectPolygonContains holds the ray cast over a rectangle's polygon
+// to the envelope's closed compare: for every envelope with non-NaN bounds
+// and positive width and height — ±Inf sides included, where a vertical
+// edge's interpolated crossing would be Inf − Inf — and every finite point.
+func FuzzRectPolygonContains(f *testing.F) {
+	inf := math.Inf(1)
+	f.Add(0.0, 0.0, inf, 2000.0, 5.0, 5.0)
+	f.Add(-inf, 0.0, 0.0, 2000.0, -5.0, 5.0)
+	f.Add(0.0, -inf, 2000.0, 0.0, 5.0, -5.0)
+	f.Add(-inf, -inf, inf, inf, 0.0, 0.0)
+	f.Add(-1e308, -1e308, 1e308, 1e308, 1.0, -1.0)
+	f.Add(0.0, 0.0, 1.0, 1.0, 1.0, 0.5)
+	f.Fuzz(func(t *testing.T, minX, minY, maxX, maxY, x, y float64) {
+		e := Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
+		if !(e.Width() > 0 && e.Height() > 0) || math.IsInf(x, 0) || math.IsNaN(x) || math.IsInf(y, 0) || math.IsNaN(y) {
+			t.Skip()
+		}
+		if got, want := PolygonContainsPoint(e.ToPolygon(), x, y), e.ContainsPoint(x, y); got != want {
+			t.Fatalf("%v: polygon contains (%v, %v) = %v, envelope %v", e, x, y, got, want)
+		}
+	})
+}
+
+// TestIntersectionWithFiniteExtent pins why a viewport clipped to a finite
+// extent never carries a non-finite bound: for envelopes with NaN or ±Inf
+// in any bound, the intersection with a finite extent is empty or has four
+// finite bounds.
+func TestIntersectionWithFiniteExtent(t *testing.T) {
+	extent := Envelope{MinX: -10, MinY: 5, MaxX: 1000, MaxY: 2000}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 500, -1e308, 1e308}
+	for _, minX := range specials {
+		for _, minY := range specials {
+			for _, maxX := range specials {
+				for _, maxY := range specials {
+					e := Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
+					c := e.Intersection(extent)
+					if c.IsEmpty() {
+						continue
+					}
+					for _, v := range []float64{c.MinX, c.MinY, c.MaxX, c.MaxY} {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("%v ∩ %v = %v: a non-finite bound", e, extent, c)
+						}
+					}
+				}
+			}
+		}
+	}
+}

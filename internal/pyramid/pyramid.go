@@ -462,6 +462,8 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	res.Reset(len(specs))
 	res.Strategy = "pyramid"
 
+	// p.ext is finite (newPyramid declines otherwise), so a clip that is
+	// not empty has four finite bounds, whatever NaN or ±Inf env holds.
 	env := region.Envelope()
 	clip := env.Intersection(p.ext)
 	if env.IsEmpty() || clip.IsEmpty() {
@@ -469,9 +471,6 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 		// exact arm produces over an empty selection.
 		countQuery(&qs)
 		return qs, true, nil
-	}
-	if c := clip.MinX + clip.MinY + clip.MaxX + clip.MaxY; c-c != 0 {
-		return qs, false, nil // a non-finite bound: the exact arm's scan semantics apply
 	}
 
 	// The query accumulator is one flat pooled slab in GroupedAccumulateRows

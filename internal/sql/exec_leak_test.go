@@ -155,3 +155,16 @@ func TestSQLDWithinBadDistances(t *testing.T) {
 		t.Fatalf("empty geometry DWithin matched %g rows, want 0", got)
 	}
 }
+
+// TestSQLInfiniteEnvelopeContains: an envelope with an infinite side
+// contains every point of the table, whichever side is infinite — the
+// ray cast's crossing of a vertical edge at ±Inf is that edge's abscissa.
+func TestSQLInfiniteEnvelopeContains(t *testing.T) {
+	e, pc, _, _ := testDB(t)
+	for _, box := range []string{"0, 0, 1e308 * 10, 2000", "0 - 1e308 * 10, 0, 2000, 2000"} {
+		res := mustQuery(t, e, "SELECT count(*) FROM ahn2 WHERE ST_Contains(ST_MakeEnvelope("+box+"), ST_Point(x, y))")
+		if got := res.Rows()[0][0].Num; got != float64(pc.Len()) || got != 46947 {
+			t.Fatalf("ST_MakeEnvelope(%s) contains %g rows, want all %d (46947)", box, got, pc.Len())
+		}
+	}
+}

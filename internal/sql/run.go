@@ -282,18 +282,21 @@ func (pq *PreparedQuery) runVector(rs *runState, bd *bound, ex *engine.Explain) 
 // row-wise interpreter. All narrowing is in place over the incoming pooled
 // vector; the returned slice shares its backing array, so the caller
 // recycles exactly one buffer on every path (the error return carries the
-// live slice for that reason). The index-backed side vectors are tracked
-// after production — Select*Into grow the buffer they are handed.
+// live slice for that reason). The index-backed side vectors are acquired
+// tracked and swapped for the final slice — Select*Into grow the buffer
+// they are handed.
 func runVTSteps(rs *engine.Run, bd *bound, rows []int, ex *engine.Explain) ([]int, error) {
 	p := bd.plan
 	for i, st := range p.vtSteps {
 		switch st.kind {
 		case vtStepClass:
-			fast := rs.TrackRows(p.b.vt.SelectClassInto(bd.vt[i].class, engine.AcquireRows(0), ex))
+			buf := rs.AcquireRows(0)
+			fast := rs.SwapRows(buf, p.b.vt.SelectClassInto(bd.vt[i].class, buf, ex))
 			rows = intersectSorted(rows, fast)
 			rs.RecycleRows(fast)
 		case vtStepIntersects:
-			fast := rs.TrackRows(p.b.vt.SelectIntersectsInto(bd.vt[i].g, engine.AcquireRows(0), ex))
+			buf := rs.AcquireRows(0)
+			fast := rs.SwapRows(buf, p.b.vt.SelectIntersectsInto(bd.vt[i].g, buf, ex))
 			rows = intersectSorted(rows, fast)
 			rs.RecycleRows(fast)
 		default:
@@ -653,8 +656,8 @@ func kernelAggregate(rs *engine.Run, b *binding, f FuncCall, rows []int, isVecto
 // --- helpers --------------------------------------------------------------------
 
 // allRows materialises the identity selection [0, n) in an rs-tracked
-// pooled vector (the capacity hint covers every append, so tracking at
-// acquisition is safe); hand it back with rs.RecycleRows.
+// pooled vector (the capacity hint covers every append); hand it back with
+// rs.RecycleRows.
 func allRows(rs *engine.Run, n int) []int {
 	rows := rs.AcquireRows(n)
 	for i := 0; i < n; i++ {

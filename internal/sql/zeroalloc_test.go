@@ -150,9 +150,10 @@ func TestUnfilteredGroupedTakesAllRowsArm(t *testing.T) {
 	}
 
 	var held [][]int
+	var untracked *engine.Run // a nil run draws untracked
 	for {
 		free := engine.SelectionPoolStats().FreeElts
-		held = append(held, engine.AcquireRows(pc.Len()))
+		held = append(held, untracked.AcquireRows(pc.Len()))
 		if engine.SelectionPoolStats().FreeElts == free {
 			break // the pool had nothing that large left: this one was allocated
 		}
@@ -193,9 +194,10 @@ func TestUnfilteredAggregateTakesAllRowsArm(t *testing.T) {
 	}
 
 	var held [][]int
+	var untracked *engine.Run // a nil run draws untracked
 	for {
 		free := engine.SelectionPoolStats().FreeElts
-		held = append(held, engine.AcquireRows(pc.Len()))
+		held = append(held, untracked.AcquireRows(pc.Len()))
 		if engine.SelectionPoolStats().FreeElts == free {
 			break // the pool had nothing that large left: this one was allocated
 		}
