@@ -305,12 +305,25 @@ func expLoad(env *benchEnv, out *output, _ int) {
 	tbl := bench.NewTable("E1 load: binary (records straight into columns) vs CSV vs baselines (§3.2)",
 		"method", "points", "convert", "append", "total", "throughput")
 
-	stBin, err := engine.LoadBinary(engine.NewPointCloud(), env.repo)
+	pc := engine.NewPointCloud()
+	stBin, err := engine.LoadBinary(pc, env.repo)
 	if !out.check("E1 binary loader", err) {
 		return
 	}
-	tbl.AddRow("flat table, binary loader", stBin.Points, stBin.ConvertTime, stBin.AppendTime,
+	tbl.AddRow("flat table, binary loader (x, y, z)", stBin.Points, stBin.ConvertTime, stBin.AppendTime,
 		stBin.Total(), bench.Throughput(stBin.Points, stBin.Total()))
+	// The paper's loader writes every attribute: time the first touch of
+	// the 23 deferred columns too, so the CSV comparison is like for like.
+	var names []string
+	for _, f := range pc.Schema().Fields {
+		names = append(names, f.Name)
+	}
+	touch := bench.Measure(func() { err = pc.EnsureColumns(nil, names...) })
+	if !out.check("E1 first touch", err) {
+		return
+	}
+	full := stBin.Total() + touch
+	tbl.AddRow("  + first touch of the other 23", stBin.Points, "-", "-", full, bench.Throughput(stBin.Points, full))
 
 	stCSV, err := engine.LoadCSV(engine.NewPointCloud(), env.repo)
 	if !out.check("E1 CSV loader", err) {
@@ -331,7 +344,7 @@ func expLoad(env *benchEnv, out *output, _ int) {
 
 	tbl.WriteTo(out)
 	fmt.Fprintf(out, "csv/binary slowdown: %.1fx (paper: ~7x — one day vs almost a week)\n",
-		float64(stCSV.Total())/float64(stBin.Total()))
+		float64(stCSV.Total())/float64(full))
 }
 
 // --- E2: storage ----------------------------------------------------------------
@@ -360,7 +373,7 @@ func expStorage(env *benchEnv, out *output, _ int) {
 	per := func(b int64) string { return fmt.Sprintf("%.1f B", float64(b)/float64(n)) }
 	tbl.AddRow("LAS tiles (on disk)", bench.HumanBytes(lasBytes), per(lasBytes), "format 3 records")
 	tbl.AddRow("LAZ-sim tiles", bench.HumanBytes(lazBytes), per(lazBytes), "delta+varint")
-	tbl.AddRow("flat table columns", bench.HumanBytes(flat), per(flat), "26 columns in memory")
+	tbl.AddRow("flat table columns", bench.HumanBytes(flat), per(flat), "26 columns, logical")
 	tbl.AddRow("column imprints (x+y)", bench.HumanBytes(idx), per(idx),
 		fmt.Sprintf("%.1f%% / %.1f%% of coord columns", sx.OverheadPercent, sy.OverheadPercent))
 	tbl.AddRow("block store patches", bench.HumanBytes(int64(env.store.Bytes())),

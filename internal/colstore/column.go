@@ -125,6 +125,15 @@ func (s Schema) FieldIndex(name string) int {
 	return -1
 }
 
+// TypeOf returns the type of the named field; ok is false when the schema
+// has no such field.
+func (s Schema) TypeOf(name string) (t DType, ok bool) {
+	if i := s.FieldIndex(name); i >= 0 {
+		return s.Fields[i].Type, true
+	}
+	return 0, false
+}
+
 // NewColumns allocates one empty column per schema field.
 func (s Schema) NewColumns() []Column {
 	cols := make([]Column, len(s.Fields))

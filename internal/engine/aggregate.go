@@ -70,9 +70,9 @@ func (pc *PointCloud) AggregateRun(run *Run, rows []int, fn AggFunc, column stri
 		}
 		return float64(n), nil
 	}
-	col := pc.Column(column)
-	if col == nil {
-		return 0, fmt.Errorf("engine: unknown column %q", column)
+	col, err := pc.column(ex, column)
+	if err != nil {
+		return 0, err
 	}
 	deg := 1
 	if fn == AggMin || fn == AggMax {

@@ -19,6 +19,7 @@ const (
 	opSelectRegion   = "select.region"   // spatial selection driver
 	opImprintsBuild  = "imprints.build"  // one-time index construction
 	opJoinCollect    = "join.collect"    // feature geometries of a spatial join
+	opColumnLoad     = "column.load"     // first touch: deferred columns' tile pass
 )
 
 // Step is one operator's entry in an EXPLAIN trace.

@@ -187,9 +187,9 @@ func (pc *PointCloud) FilterRowsRun(run *Run, rows []int, preds []ColumnPred, ex
 // constant-free (see kernels.go). The cancellation token rides in the args
 // record so the chunk driver can poll it.
 func (pc *PointCloud) bindPred(run *Run, pred ColumnPred) (*Kernel, KernelArgs, error) {
-	col := pc.Column(pred.Column)
-	if col == nil {
-		return nil, KernelArgs{}, fmt.Errorf("engine: unknown column %q", pred.Column)
+	col, err := pc.column(nil, pred.Column)
+	if err != nil {
+		return nil, KernelArgs{}, err
 	}
 	k := pc.compileFilterCached(col, pred.Column, pred.Op)
 	a := k.Bind(pred.Value, pred.Value2)

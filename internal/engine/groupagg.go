@@ -160,8 +160,7 @@ func denseKeys(keyCol colstore.Column, n int) (foldSrc, int) {
 // selection is filtered first (FilterRowsRun) and then folded.
 func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPred, key string, specs []GroupedAggSpec, res *GroupedResult, ex *Explain) error {
 	start := time.Now()
-	keyCol := pc.Column(key)
-	if keyCol == nil {
+	if pc.columnBit(key) == 0 {
 		return fmt.Errorf("engine: unknown group key column %q", key)
 	}
 	// Validate specs before touching any scratch: value columns must exist
@@ -170,13 +169,17 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPr
 		switch s.Fn {
 		case AggCount:
 		case AggSum, AggAvg, AggMin, AggMax:
-			if pc.Column(s.Column) == nil {
+			if pc.columnBit(s.Column) == 0 {
 				return fmt.Errorf("engine: unknown aggregate column %q", s.Column)
 			}
 		default:
 			return fmt.Errorf("engine: unknown aggregate %d", s.Fn)
 		}
 	}
+	if err := pc.ensureColumns(0, ex, pc.specColumns(key, specs)); err != nil {
+		return err
+	}
+	keyCol := pc.Column(key)
 	n := len(rows)
 	all := rows == nil
 	if all {

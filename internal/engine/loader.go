@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"gisnav/internal/colstore"
@@ -68,27 +67,36 @@ func slots[T colstore.Number](cols []colstore.Column, i, at, n int) []T {
 }
 
 // decode gathers the n records of raw, in h's point format, into rows
-// [at, at+n) of cols (PointCloudSchema order). It leaves the fields the
-// format lacks as Reserve made them, zero, and so the synthetic, key point,
-// withheld, overlap, scanner channel and wave columns, which no format 0–3
-// record carries.
+// [at, at+n) of the non-nil columns of cols (PointCloudSchema order): a
+// bulk load passes the resident columns, a first touch the ones it makes
+// resident. It leaves the fields the format lacks as Reserve made them,
+// zero, and so the synthetic, key point, withheld, overlap, scanner channel
+// and wave columns, which no format 0–3 record carries (formatColumns).
 func decode(h las.Header, raw []byte, cols []colstore.Column, at, n int) {
 	size := h.RecordSize()
 	le := binary.LittleEndian
 	coord := func(col, off int, scale, offset float64) {
+		if cols[col] == nil {
+			return
+		}
 		v := slots[float64](cols, col, at, n)
 		for i := range v {
 			v[i] = float64(int32(le.Uint32(raw[i*size+off:])))*scale + offset
 		}
 	}
-	word := func(col, off int) []uint16 {
+	word := func(col, off int) {
+		if cols[col] == nil {
+			return
+		}
 		v := slots[uint16](cols, col, at, n)
 		for i := range v {
 			v[i] = le.Uint16(raw[i*size+off:])
 		}
-		return v
 	}
 	bits := func(col, off int, shift, mask uint8) {
+		if cols[col] == nil {
+			return
+		}
 		v := slots[uint8](cols, col, at, n)
 		for i := range v {
 			v[i] = (raw[i*size+off] >> shift) & mask
@@ -103,106 +111,163 @@ func decode(h las.Header, raw []byte, cols []colstore.Column, at, n int) {
 	bits(6, 14, 6, 1)    // scan direction
 	bits(7, 14, 7, 1)    // edge of flight line
 	bits(8, 15, 0, 0xFF) // classification
-	angle := slots[int32](cols, 14, at, n)
-	for i := range angle {
-		angle[i] = int32(int8(raw[i*size+16]))
+	if cols[14] != nil {
+		angle := slots[int32](cols, 14, at, n)
+		for i := range angle {
+			angle[i] = int32(int8(raw[i*size+16]))
+		}
 	}
 	bits(15, 17, 0, 0xFF) // user data
 	word(16, 18)          // point source id
 	off := 20
 	if las.FormatHasGPS(h.PointFormat) {
-		gps := slots[float64](cols, 17, at, n)
-		for i := range gps {
-			gps[i] = math.Float64frombits(le.Uint64(raw[i*size+off:]))
+		if cols[17] != nil {
+			gps := slots[float64](cols, 17, at, n)
+			for i := range gps {
+				gps[i] = math.Float64frombits(le.Uint64(raw[i*size+off:]))
+			}
 		}
 		off += 8
 	}
 	if las.FormatHasRGB(h.PointFormat) {
 		word(18, off)
+		word(19, off+2)
 		word(20, off+4)
-		// NIR synthesised from the green channel, as AppendLAS does.
-		nir := slots[uint16](cols, 21, at, n)
-		for i, g := range word(19, off+2) {
-			nir[i] = uint16(float64(g) / 2)
+		if cols[21] != nil {
+			// NIR synthesised from the green channel, as AppendLAS does.
+			nir := slots[uint16](cols, 21, at, n)
+			for i := range nir {
+				nir[i] = uint16(float64(le.Uint16(raw[i*size+off+2:])) / 2)
+			}
 		}
 	}
 }
 
-// decodeTile streams the LAS or LAZ-sim tile at path into its slot, rows
-// [at, at+bound) of cols, through br (reset onto the tile's file) and a
-// chunk at a time through raw. It returns the rows it wrote and their
-// record bytes — also on error, when they are the chunks before the
-// failure. A tile whose records do not fill its slot exactly is an error;
-// one that would overrun it never writes past it.
-func decodeTile(path string, cols []colstore.Column, at, bound int, br *bufio.Reader, raw []byte) (rows int, stage int64, err error) {
-	f, err := os.Open(path)
+// formatColumns is the residency mask (bit i for schema column i) of the
+// columns decode fills from a record of point format f: all but the flag,
+// scanner channel and wave columns, with GPS time and colour only where f
+// carries them.
+func formatColumns(f uint8) uint64 {
+	m := uint64(1)<<9 - 1 | 1<<14 | 1<<15 | 1<<16
+	if las.FormatHasGPS(f) {
+		m |= 1 << 17
+	}
+	if las.FormatHasRGB(f) {
+		m |= 0xF << 18
+	}
+	return m
+}
+
+// loadTile is one tile of a bulk load or of a first touch: its slot of
+// rows [at, at+bound), the file as the load found it and what decoding it
+// left in the slot.
+type loadTile struct {
+	path      string
+	at, bound int
+	// size and mtime are the file's when the load opened it, format its
+	// point format; a first touch holds the file to them.
+	size   int64
+	mtime  time.Time
+	format uint8
+	rows   int
+	stage  int64
+	err    error
+}
+
+// decode streams the LAS or LAZ-sim tile into its slot of cols through br
+// (reset onto the tile's file) and a chunk at a time through raw, and
+// records its rows and their record bytes — also on error, when they are
+// the chunks before the failure. A load decodes the tile to its end: one
+// whose records do not fill the slot exactly is an error, and one that
+// would overrun it never writes past it. A first touch (touch set) decodes
+// exactly the bound records the load did, from a file of the size and
+// modification time the load saw.
+func (t *loadTile) decode(cols []colstore.Column, br *bufio.Reader, raw []byte, touch bool) error {
+	f, err := os.Open(t.path)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if touch && (fi.Size() != t.size || !fi.ModTime().Equal(t.mtime)) {
+		return fmt.Errorf("changed since the load: %d bytes modified %v, the load read %d bytes modified %v",
+			fi.Size(), fi.ModTime(), t.size, t.mtime)
+	}
+	t.size, t.mtime = fi.Size(), fi.ModTime()
 	br.Reset(f)
 	r, err := las.NewAnyBufferedReader(br)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	h := r.Header()
+	t.format = h.PointFormat
 	size := h.RecordSize()
-	buf := raw[:loadChunk*size]
-	for {
+	for !touch || t.rows < t.bound {
+		buf := raw[:loadChunk*size]
+		if touch {
+			buf = buf[:min(loadChunk, t.bound-t.rows)*size]
+		}
 		n, err := r.ReadRecords(buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return rows, stage, err
+			return err
 		}
-		if rows+n > bound {
-			return rows, stage, fmt.Errorf("more than the %d records the header pass bounded", bound)
+		if t.rows+n > t.bound {
+			return fmt.Errorf("more than the %d records the header pass bounded", t.bound)
 		}
-		decode(h, buf[:n*size], cols, at+rows, n)
-		rows += n
-		stage += int64(n * size)
+		decode(h, buf[:n*size], cols, t.at+t.rows, n)
+		t.rows += n
+		t.stage += int64(n * size)
 	}
-	if rows != bound {
-		return rows, stage, fmt.Errorf("%d records, the header pass bounded %d", rows, bound)
+	if t.rows != t.bound {
+		return fmt.Errorf("%d records, the header pass bounded %d", t.rows, t.bound)
 	}
-	return rows, stage, nil
+	return nil
 }
 
-// loadTile is one tile of a bulk load: its slot of rows [at, at+bound) and
-// what decoding it left there.
-type loadTile struct {
-	path      string
-	at, bound int
-	rows      int
-	stage     int64
-	err       error
-}
-
-// loadPass decodes the tiles of one bulk load on the morsel workers:
-// partitions claim tiles from one counter, each with its own stream and
-// record buffers, and decode every tile they claim into its slot. The
-// slots are disjoint, so partitions share the columns' backing arrays with
-// no lock, and every tile's rows land at the same offsets at every degree.
+// loadPass decodes the tiles of one bulk load or first touch on the morsel
+// workers: partitions claim tiles, each with its own stream and record
+// buffers, and decode every tile they claim into its slot. The slots are
+// disjoint, so partitions share the columns' backing arrays with no lock,
+// and every tile's rows land at the same offsets at every degree.
 type loadPass struct {
 	pass  morsel.Pass
+	deg   int
+	touch bool
 	cols  []colstore.Column
 	tiles []loadTile
-	claim atomic.Int64
+	claim morsel.Claim
 }
 
 // RunPartition decodes claimed tiles until none is left. A failed tile
-// exhausts the counter: the rows of the tiles after it would be cut off.
+// exhausts the claim: the rows of the tiles after it would be cut off.
 func (lp *loadPass) RunPartition(int) {
+	hitMorselWorker(lp.deg)
 	br := bufio.NewReaderSize(nil, 1<<16)
 	raw := make([]byte, loadChunk*las.PointFormatSize(3)) // format 3 has the longest record
-	for k := int(lp.claim.Add(1)) - 1; k < len(lp.tiles); k = int(lp.claim.Add(1)) - 1 {
+	for k := lp.claim.Next(); k >= 0; k = lp.claim.Next() {
 		t := &lp.tiles[k]
-		t.rows, t.stage, t.err = decodeTile(t.path, lp.cols, t.at, t.bound, br, raw)
-		if t.err != nil {
-			lp.claim.Store(int64(len(lp.tiles)))
+		if t.err = t.decode(lp.cols, br, raw, lp.touch); t.err != nil {
+			lp.claim.Exhaust()
 		}
 	}
+}
+
+// run decodes the tiles deg at a time and returns the degree it ran at, 0
+// for no tiles; a partition's panic comes back as an error, the tiles'
+// rows then unknown.
+func (lp *loadPass) run(deg int) (int, error) {
+	lp.deg = min(deg, len(lp.tiles))
+	lp.claim.Reset(len(lp.tiles))
+	if p := lp.pass.Run(lp.deg, lp); p != nil {
+		return lp.deg, fmt.Errorf("engine: tile decode: %v", p)
+	}
+	return lp.deg, nil
 }
 
 // finishLoad ends a bulk load under the epoch contract and returns its
@@ -213,7 +278,7 @@ func (lp *loadPass) RunPartition(int) {
 // length, so nothing built over them may extend.
 func (pc *PointCloud) finishLoad(wrote bool, err error) error {
 	if err == nil {
-		err = validateSameLength(pc.cols)
+		err = pc.validateSameLength()
 	} else if !wrote {
 		return err
 	}
@@ -226,6 +291,8 @@ func (pc *PointCloud) finishLoad(wrote bool, err error) error {
 }
 
 // LoadBinary loads every tile of a repository through the binary path.
+// Into an empty table it decodes only x, y and z; the other columns record
+// the tiles and decode them on their first touch (ensureColumns).
 func LoadBinary(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 	return loadBinary(pc, repo, 0)
 }
@@ -234,15 +301,22 @@ func LoadBinary(pc *PointCloud, repo *lastools.Repository) (LoadStats, error) {
 func loadBinary(pc *PointCloud, repo *lastools.Repository, deg int) (st LoadStats, err error) {
 	before := pc.Len()
 	defer func() { err = pc.finishLoad(pc.Len() > before, err) }()
-	return pc.loadTiles(pc.cols, repo.Files(), deg)
+	cols, err := pc.loadResident()
+	if err != nil {
+		return st, err
+	}
+	tiles, st, err := pc.loadTiles(cols, repo.Files(), deg)
+	pc.loadDeferred(tiles)
+	return st, err
 }
 
-// loadTiles decodes the tiles at paths into cols, deg tiles at a time, or
-// at the morsel degree of the rows the headers bound when deg is 0; the
-// columns are the same at every degree. Their lengths move once, after the
-// decode pass, over the tiles before the first failure and the whole
-// chunks that tile decoded — the state a tile-by-tile load stops in.
-func (pc *PointCloud) loadTiles(cols []colstore.Column, paths []string, deg int) (st LoadStats, err error) {
+// loadTiles decodes the tiles at paths into the non-nil columns of cols,
+// deg tiles at a time, or at the morsel degree of the rows the headers
+// bound when deg is 0; the columns are the same at every degree. Their
+// lengths move once, after the decode pass, over the tiles before the
+// first failure and the whole chunks that tile decoded — the state a
+// tile-by-tile load stops in. It returns those tiles, the failed one last.
+func (pc *PointCloud) loadTiles(cols []colstore.Column, paths []string, deg int) (landed []loadTile, st LoadStats, err error) {
 	start := time.Now()
 	var tiles []loadTile
 	base := cols[0].Len()
@@ -260,7 +334,9 @@ func (pc *PointCloud) loadTiles(cols []colstore.Column, paths []string, deg int)
 
 	start = time.Now()
 	for _, c := range cols {
-		c.Reserve(at - base)
+		if c != nil {
+			c.Reserve(at - base)
+		}
 	}
 	st.AppendTime = time.Since(start)
 
@@ -269,28 +345,31 @@ func (pc *PointCloud) loadTiles(cols []colstore.Column, paths []string, deg int)
 		deg = pc.morselDegree(nil, at-base, true)
 	}
 	lp := &loadPass{cols: cols, tiles: tiles}
-	if p := lp.pass.Run(min(deg, len(tiles)), lp); p != nil {
-		panic(p)
+	if _, e := lp.run(deg); e != nil {
+		return nil, st, e
 	}
 	st.ConvertTime += time.Since(start)
 
 	start = time.Now()
 	rows := 0
-	for _, t := range tiles {
+	for k, t := range tiles {
 		rows += t.rows
 		st.StageBytes += t.stage
 		if t.err != nil {
 			err = fmt.Errorf("engine: %s: %w", t.path, t.err)
+			tiles = tiles[:k+1]
 			break
 		}
 		st.Files++
 		st.Points += t.rows
 	}
 	for _, c := range cols {
-		c.Extend(rows)
+		if c != nil {
+			c.Extend(rows)
+		}
 	}
 	st.AppendTime += time.Since(start)
-	return st, err
+	return tiles, st, err
 }
 
 // LoadCSV loads every tile through the conventional route: decode the tile
@@ -303,7 +382,7 @@ func LoadCSV(pc *PointCloud, repo *lastools.Repository) (st LoadStats, err error
 	for _, path := range repo.Files() {
 		start := time.Now()
 		staging := PointCloudSchema().NewColumns()
-		tile, err := pc.loadTiles(staging, []string{path}, 1)
+		_, tile, err := pc.loadTiles(staging, []string{path}, 1)
 		if err != nil {
 			return st, err
 		}

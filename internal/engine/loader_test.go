@@ -72,11 +72,11 @@ func TestLoadCSVMatchesBinary(t *testing.T) {
 		t.Fatalf("csv rows %d != binary rows %d", csv.Len(), bin.Len())
 	}
 	// Row-for-row equality across all columns.
-	for i, col := range bin.Columns() {
-		other := csv.Columns()[i]
+	for _, f := range bin.Schema().Fields {
+		col, other := bin.Column(f.Name), csv.Column(f.Name)
 		for r := 0; r < bin.Len(); r += 97 { // stride to keep the test fast
 			if col.Value(r) != other.Value(r) {
-				t.Fatalf("column %d row %d: %v vs %v", i, r, col.Value(r), other.Value(r))
+				t.Fatalf("column %s row %d: %v vs %v", f.Name, r, col.Value(r), other.Value(r))
 			}
 		}
 	}
@@ -183,18 +183,25 @@ func rowWise(t *testing.T, repo *lastools.Repository) *PointCloud {
 }
 
 // sameColumnBits fails unless every column of got equals want's, length
-// and Float64bits of every value.
+// and Float64bits of every value, touching each column of got in turn.
 func sameColumnBits(t *testing.T, what string, got, want *PointCloud) {
 	t.Helper()
-	for i, w := range want.Columns() {
-		g := got.Columns()[i]
-		if g.Len() != w.Len() {
-			t.Fatalf("%s: column %d holds %d rows, want %d", what, i, g.Len(), w.Len())
-		}
-		for r := range w.Len() {
-			if math.Float64bits(g.Value(r)) != math.Float64bits(w.Value(r)) {
-				t.Fatalf("%s: column %d row %d: %v, want %v", what, i, r, g.Value(r), w.Value(r))
-			}
+	for _, f := range want.Schema().Fields {
+		sameColumn(t, what, f.Name, got, want)
+	}
+}
+
+// sameColumn fails unless column name of got equals want's, length and
+// Float64bits of every value.
+func sameColumn(t *testing.T, what, name string, got, want *PointCloud) {
+	t.Helper()
+	g, w := got.Column(name), want.Column(name)
+	if g.Len() != w.Len() {
+		t.Fatalf("%s: column %s holds %d rows, want %d", what, name, g.Len(), w.Len())
+	}
+	for r := range w.Len() {
+		if math.Float64bits(g.Value(r)) != math.Float64bits(w.Value(r)) {
+			t.Fatalf("%s: column %s row %d: %v, want %v", what, name, r, g.Value(r), w.Value(r))
 		}
 	}
 }
@@ -206,7 +213,9 @@ var testDegrees = []int{1, 2, 3, 8}
 
 // Property: over LAS formats 0–3 and LAZ-sim, at tile sizes around the
 // decode chunk and over a repository of all of them, LoadBinary's table is
-// bit-identical to the row-wise load at every degree.
+// bit-identical to the row-wise load at every degree, every deferred column
+// once touched: all at once, and over the repository of all sizes also one
+// at a time.
 func TestLoadBinaryBitIdentical(t *testing.T) {
 	sizes := []int{0, 1, loadChunk - 1, loadChunk, loadChunk + 1}
 	for _, compressed := range []bool{false, true} {
@@ -217,14 +226,14 @@ func TestLoadBinaryBitIdentical(t *testing.T) {
 				single := t.TempDir()
 				writeTile(t, single, "tile", format, compressed, pts)
 				writeTile(t, multi, fmt.Sprintf("tile%d", k), format, compressed, pts)
-				checkBitIdentical(t, fmt.Sprintf("format %d laz %v, %d points", format, compressed, n), single)
+				checkBitIdentical(t, fmt.Sprintf("format %d laz %v, %d points", format, compressed, n), single, false)
 			}
-			checkBitIdentical(t, fmt.Sprintf("format %d laz %v, %d tiles", format, compressed, len(sizes)), multi)
+			checkBitIdentical(t, fmt.Sprintf("format %d laz %v, %d tiles", format, compressed, len(sizes)), multi, true)
 		}
 	}
 }
 
-func checkBitIdentical(t *testing.T, what, dir string) {
+func checkBitIdentical(t *testing.T, what, dir string, oneAtATime bool) {
 	t.Helper()
 	repo, err := lastools.Open(dir)
 	if err != nil {
@@ -232,15 +241,31 @@ func checkBitIdentical(t *testing.T, what, dir string) {
 	}
 	want := rowWise(t, repo)
 	for _, deg := range testDegrees {
-		pc := NewPointCloud()
-		st, err := loadBinary(pc, repo, deg)
-		if err != nil {
-			t.Fatalf("%s, degree %d: %v", what, deg, err)
+		for _, together := range []bool{true, !oneAtATime} {
+			what := fmt.Sprintf("%s, degree %d, touched together %v", what, deg, together)
+			pc := NewPointCloud()
+			st, err := loadBinary(pc, repo, deg)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if st.Points != want.Len() || st.Files != len(repo.Files()) {
+				t.Fatalf("%s: stats %+v for %d rows", what, st, want.Len())
+			}
+			if res := pc.resident.Load(); res != coordColumns {
+				t.Fatalf("%s: resident mask %#x after the load, want x, y and z only", what, res)
+			}
+			if together {
+				if err := pc.ensureColumns(deg, nil, allColumns); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			for i, f := range pc.Schema().Fields {
+				if err := pc.ensureColumns(deg, nil, 1<<i); err != nil {
+					t.Fatalf("%s: touching %s: %v", what, f.Name, err)
+				}
+				sameColumn(t, what, f.Name, pc, want)
+			}
 		}
-		if st.Points != want.Len() || st.Files != len(repo.Files()) {
-			t.Fatalf("%s, degree %d: stats %+v for %d rows", what, deg, st, want.Len())
-		}
-		sameColumnBits(t, fmt.Sprintf("%s, degree %d", what, deg), pc, want)
 	}
 }
 
@@ -257,15 +282,16 @@ var spoilers = map[string]func(path string) error{
 }
 
 // checkFailedLoad loads the tiles of dir, one of them bad, at every test
-// degree into a table holding 10 of pts with built imprints. Every load
-// must fail and leave what the serial one left — rows, bit for bit, epoch
-// and rewrite state — and that must be the tile-by-tile load's state: the
-// seed rows, the good tiles before the bad one (tiles, row-wise) and a
-// whole number of chunks of the bad tile's points (bad), with the columns
-// of one length, the epoch bumped as a rewrite and the imprints dropped.
-// tiles and bad are the points as written, read back before the spoiling.
-// It returns how many of bad's points landed.
-func checkFailedLoad(t *testing.T, what, dir string, pts []las.Point, tiles [][]las.Point, bad []las.Point) int {
+// degree into a table holding seed of pts, with built imprints when seed
+// is not 0; an empty table takes the deferring load. Every load must fail
+// and leave what the serial one left — rows, bit for bit, epoch and
+// rewrite state — and that must be the tile-by-tile load's state: the seed
+// rows, the good tiles before the bad one (tiles, row-wise) and a whole
+// number of chunks of the bad tile's points (bad), with the columns of one
+// length, the epoch bumped as a rewrite and the imprints dropped. tiles
+// and bad are the points as written, read back before the spoiling. It
+// returns how many of bad's points landed.
+func checkFailedLoad(t *testing.T, what, dir string, pts []las.Point, seed int, tiles [][]las.Point, bad []las.Point) int {
 	t.Helper()
 	repo, err := lastools.Open(dir)
 	if err != nil {
@@ -281,9 +307,9 @@ func checkFailedLoad(t *testing.T, what, dir string, pts []las.Point, tiles [][]
 	var serial state
 	for _, deg := range testDegrees {
 		pc := NewPointCloud()
-		pc.AppendLAS(pts[:10])
+		pc.AppendLAS(pts[:seed])
 		pc.SelectRegionRows(boxRegion(geom.NewEnvelope(-1e12, -1e12, 1e12, 1e12)))
-		if !pc.HasImprints() {
+		if seed > 0 && !pc.HasImprints() {
 			t.Fatalf("%s: the selection built no imprints", what)
 		}
 		epoch := pc.Epoch()
@@ -291,7 +317,13 @@ func checkFailedLoad(t *testing.T, what, dir string, pts []las.Point, tiles [][]
 		if err == nil {
 			t.Fatalf("%s, degree %d: loading a bad tile succeeded", what, deg)
 		}
-		if err := validateSameLength(pc.Columns()); err != nil {
+		if err := pc.validateSameLength(); err != nil {
+			t.Fatalf("%s, degree %d: %v", what, deg, err)
+		}
+		if res := pc.resident.Load(); seed == 0 && res != coordColumns {
+			t.Fatalf("%s, degree %d: resident mask %#x after a load into an empty table", what, deg, res)
+		}
+		if err := pc.ensureColumns(deg, nil, allColumns); err != nil {
 			t.Fatalf("%s, degree %d: %v", what, deg, err)
 		}
 		got := state{pc, pc.Epoch(), pc.AppendOnlySince(epoch), pc.HasImprints(), st.Files, st.Points}
@@ -313,7 +345,7 @@ func checkFailedLoad(t *testing.T, what, dir string, pts []las.Point, tiles [][]
 	}
 
 	want := NewPointCloud()
-	want.AppendLAS(pts[:10])
+	want.AppendLAS(pts[:seed])
 	for _, tile := range tiles {
 		want.AppendLAS(tile)
 	}
@@ -326,16 +358,25 @@ func checkFailedLoad(t *testing.T, what, dir string, pts []las.Point, tiles [][]
 	return k
 }
 
+// failedLoadCases are the bad-tile loads: LAS and LAZ-sim, onto a table of
+// ten rows (every column decoded) and onto an empty one (x, y and z).
+var failedLoadCases = []struct {
+	compressed bool
+	seed       int
+}{{false, 10}, {true, 10}, {false, 0}, {true, 0}}
+
 // A second tile that is truncated or corrupt fails the load after the
 // first tile's rows landed: the load is a rewrite (the imprints built over
 // the old rows drop and the epoch is not append-only), and the columns
 // stay of one length. A truncated LAS tile keeps the whole chunks of its
-// records before the cut.
+// records before the cut. From an empty table the same holds of the
+// deferred columns once touched.
 func TestLoadBinaryBadSecondTile(t *testing.T) {
 	pts := randomPoints(3*loadChunk+5, 9)
 	for name, spoil := range spoilers {
-		for _, compressed := range []bool{false, true} {
-			what := fmt.Sprintf("%s laz %v", name, compressed)
+		for _, c := range failedLoadCases {
+			compressed, seed := c.compressed, c.seed
+			what := fmt.Sprintf("%s laz %v seed %d", name, compressed, seed)
 			dir := t.TempDir()
 			first := readTile(t, writeTile(t, dir, "a", 3, compressed, pts[:loadChunk]))
 			path := writeTile(t, dir, "b", 3, compressed, pts[loadChunk:])
@@ -343,7 +384,7 @@ func TestLoadBinaryBadSecondTile(t *testing.T) {
 			if err := spoil(path); err != nil {
 				t.Fatal(err)
 			}
-			k := checkFailedLoad(t, what, dir, pts, [][]las.Point{first}, bad)
+			k := checkFailedLoad(t, what, dir, pts, seed, [][]las.Point{first}, bad)
 			if name == "truncated" && !compressed {
 				fi, err := os.Stat(path)
 				if err != nil {
@@ -368,8 +409,9 @@ func TestLoadBinaryBadMiddleTile(t *testing.T) {
 		tiles = append(tiles, pts[at*loadChunk:at*loadChunk+n])
 	}
 	for name, spoil := range spoilers {
-		for _, compressed := range []bool{false, true} {
-			what := fmt.Sprintf("middle %s laz %v", name, compressed)
+		for _, c := range failedLoadCases {
+			compressed, seed := c.compressed, c.seed
+			what := fmt.Sprintf("middle %s laz %v seed %d", name, compressed, seed)
 			dir := t.TempDir()
 			var written [][]las.Point
 			for k, tile := range tiles {
@@ -381,7 +423,7 @@ func TestLoadBinaryBadMiddleTile(t *testing.T) {
 					}
 				}
 			}
-			checkFailedLoad(t, what, dir, pts, written[:2], written[2])
+			checkFailedLoad(t, what, dir, pts, seed, written[:2], written[2])
 		}
 	}
 }
@@ -486,7 +528,10 @@ func TestLoadBinaryTileAllocs(t *testing.T) {
 // FuzzLoadBinary loads two arbitrary tile files: the load errors, or it
 // yields exactly the rows the headers claim, every column bit-identical to
 // the row-wise load of the same files. It never panics, and it allocates in
-// proportion to the bytes on disk whatever the headers claim.
+// proportion to the bytes on disk whatever the headers claim. The deferred
+// columns are touched in a fuzzed order and grouping (order seeds it), with
+// a few appended rows (split of them) landing in the tails between the
+// first touches and the rest.
 func FuzzLoadBinary(f *testing.F) {
 	dir := f.TempDir()
 	var seeds [][]byte
@@ -499,11 +544,11 @@ func FuzzLoadBinary(f *testing.F) {
 	}
 	lie := bytes.Clone(seeds[0])
 	binary.LittleEndian.PutUint32(lie[107:], 1<<22)
-	f.Add(seeds[0], seeds[1])
-	f.Add(seeds[1], seeds[0][:len(seeds[0])-3])
-	f.Add(lie, seeds[1])
-	f.Add(seeds[0], []byte("LAZS"))
-	f.Fuzz(func(t *testing.T, a, b []byte) {
+	f.Add(seeds[0], seeds[1], int64(0), uint8(0))
+	f.Add(seeds[1], seeds[0][:len(seeds[0])-3], int64(1), uint8(13))
+	f.Add(lie, seeds[1], int64(2), uint8(26))
+	f.Add(seeds[0], []byte("LAZS"), int64(3), uint8(5))
+	f.Fuzz(func(t *testing.T, a, b []byte, order int64, split uint8) {
 		dir := t.TempDir()
 		for i, data := range [][]byte{a, b} {
 			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("tile%d.las", i)), data, 0o644); err != nil {
@@ -523,7 +568,7 @@ func FuzzLoadBinary(f *testing.F) {
 			t.Fatalf("loading %d bytes of tiles allocated %d bytes, bound %d", len(a)+len(b), grew, bound)
 		}
 		if err != nil {
-			if err := validateSameLength(pc.Columns()); err != nil {
+			if err := pc.validateSameLength(); err != nil {
 				t.Fatal(err)
 			}
 			return
@@ -541,6 +586,27 @@ func FuzzLoadBinary(f *testing.F) {
 		if pc.Len() != claimed {
 			t.Fatalf("loaded %d rows, the headers claim %d", pc.Len(), claimed)
 		}
+		rng := rand.New(rand.NewSource(order))
+		touch := func(cols []int) {
+			for len(cols) > 0 {
+				n := min(len(cols), 1+rng.Intn(4))
+				var mask uint64
+				for _, i := range cols[:n] {
+					mask |= 1 << i
+				}
+				if err := pc.ensureColumns(1+rng.Intn(3), nil, mask); err != nil {
+					t.Fatal(err)
+				}
+				cols = cols[n:]
+			}
+		}
+		perm := rng.Perm(len(pc.Schema().Fields))
+		at := int(split) % (len(perm) + 1)
+		touch(perm[:at])
+		extra := randomPoints(int(split)%5, order)
+		pc.AppendLAS(extra)
+		want.AppendLAS(extra)
+		touch(perm[at:])
 		sameColumnBits(t, "fuzzed tiles", pc, want)
 	})
 }

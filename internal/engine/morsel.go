@@ -215,7 +215,7 @@ type pipePass struct {
 	preds  []pipePred
 	n, deg int
 	out    []int
-	claim  atomic.Int64
+	claim  morsel.Claim
 	state  []atomic.Int64
 	w      int // matches taken: the compact output's end
 
@@ -249,7 +249,7 @@ func (pp *pipePass) RunPartition(slot int) {
 		}
 	}()
 	hitMorselWorker(pp.deg)
-	for held = pp.claimMorsel(); held >= 0; held = pp.claimMorsel() {
+	for held = pp.claim.Next(); held >= 0; held = pp.claim.Next() {
 		pp.state[held].Store(int64(pp.filterMorsel(held, held*pipeMorselRows)) + 1)
 	}
 }
@@ -259,7 +259,7 @@ func (pp *pipePass) RunPartition(slot int) {
 // exit, exhausts the claim counter so producers stop claiming.
 func (pp *pipePass) consume() {
 	m := len(pp.state)
-	defer pp.claim.Store(int64(m))
+	defer pp.claim.Exhaust()
 	hitMorselWorker(pp.deg)
 	for next := 0; next < m; {
 		if st := pp.state[next].Load(); st == pipeFailed {
@@ -269,7 +269,7 @@ func (pp *pipePass) consume() {
 			next++
 			continue
 		}
-		i := pp.claimMorsel()
+		i := pp.claim.Next()
 		if i < 0 {
 			runtime.Gosched() // morsel next is in a producer's hands
 			continue
@@ -286,15 +286,6 @@ func (pp *pipePass) consume() {
 			pp.state[i].Store(int64(c) + 1)
 		}
 	}
-}
-
-// claimMorsel claims the next unclaimed morsel, or returns -1 when every
-// morsel is claimed.
-func (pp *pipePass) claimMorsel() int {
-	if i := int(pp.claim.Add(1)) - 1; i < len(pp.state) {
-		return i
-	}
-	return -1
 }
 
 // filterMorsel writes the matches of morsel i to out[at:] and returns how
@@ -351,7 +342,7 @@ func (pp *pipePass) run(n, deg int, out []int) (int, error) {
 	for i := range pp.state {
 		pp.state[i].Store(0)
 	}
-	pp.claim.Store(0)
+	pp.claim.Reset(nm)
 	pp.n, pp.deg, pp.out, pp.w = n, deg, out[:n], 0
 	p := pp.pass.Run(deg, pp)
 	w := pp.w

@@ -38,12 +38,16 @@ type manifestField struct {
 // manifestVersion is bumped on incompatible layout changes.
 const manifestVersion = 1
 
-// Save writes the point cloud to dir (created if needed). Existing column
-// files are overwritten. The old manifest goes first and the new one comes
-// last, written aside and renamed into place, so a save that fails part-way
-// leaves a directory that does not validate rather than an old manifest
-// over a mix of old and new columns.
+// Save writes the point cloud to dir (created if needed), making every
+// column resident first. Existing column files are overwritten. The old
+// manifest goes first and the new one comes last, written aside and renamed
+// into place, so a save that fails part-way leaves a directory that does
+// not validate rather than an old manifest over a mix of old and new
+// columns.
 func (pc *PointCloud) Save(dir string) error {
+	if err := pc.ensureColumns(0, nil, allColumns); err != nil {
+		return fmt.Errorf("engine: save: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}
@@ -118,7 +122,7 @@ func OpenPointCloud(dir string) (*PointCloud, error) {
 			return nil, fmt.Errorf("engine: open %s: %w", f.Name, err)
 		}
 	}
-	if err := validateSameLength(pc.cols); err != nil {
+	if err := pc.validateSameLength(); err != nil {
 		return nil, err
 	}
 	return pc, nil

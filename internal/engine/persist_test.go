@@ -26,11 +26,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", got.Len(), len(pts))
 	}
 	// Every column round-trips value-exact.
-	for i, col := range pc.Columns() {
-		other := got.Columns()[i]
+	for _, f := range pc.Schema().Fields {
+		col, other := pc.Column(f.Name), got.Column(f.Name)
 		for r := 0; r < pc.Len(); r += 101 {
 			if col.Value(r) != other.Value(r) {
-				t.Fatalf("column %d row %d: %v vs %v", i, r, col.Value(r), other.Value(r))
+				t.Fatalf("column %s row %d: %v vs %v", f.Name, r, col.Value(r), other.Value(r))
 			}
 		}
 	}

@@ -17,13 +17,26 @@ import (
 	"gisnav/internal/morsel"
 )
 
-// PointCloud is the flat-table point-cloud store: 26 parallel columns plus
-// lazily built column imprints on the X and Y coordinates. It is safe for
-// concurrent readers; appends require external exclusion (the bulk loader is
-// single-writer, as in the paper's pipeline).
+// PointCloud is the flat-table point-cloud store: one column per schema
+// attribute, of which only the ones a query has bound need be in memory
+// (resident.go), plus lazily built column imprints on the X and Y
+// coordinates. It is safe for concurrent readers; appends require external
+// exclusion (the bulk loader is single-writer, as in the paper's pipeline).
 type PointCloud struct {
 	schema colstore.Schema
-	cols   []colstore.Column
+	// cols holds every column in schema order. A resident column holds all
+	// Len() rows; a column a bulk load deferred holds only its tail, the
+	// rows appended after the deferred tiles', until its first touch.
+	cols []colstore.Column
+	// resident has bit i set once cols[i] holds every row. It is written
+	// under mu after the column it publishes, so a reader that sees the bit
+	// reads cols[i] without the lock.
+	resident atomic.Uint64
+	// deferred lists, in row order, the tiles whose records the
+	// non-resident columns have not decoded; deferredRows is their rows,
+	// where the tails begin. Both are written under mu.
+	deferred     []loadTile
+	deferredRows int
 
 	// Typed fast paths into the coordinate columns.
 	xs, ys, zs *colstore.F64Column
@@ -69,7 +82,7 @@ type PointCloud struct {
 func NewPointCloud() *PointCloud {
 	schema := PointCloudSchema()
 	cols := schema.NewColumns()
-	return &PointCloud{
+	pc := &PointCloud{
 		schema:   schema,
 		cols:     cols,
 		xs:       cols[0].(*colstore.F64Column),
@@ -78,6 +91,8 @@ func NewPointCloud() *PointCloud {
 		plans:    bounded.New[planKey, *Kernel](maxCachedPlans),
 		Parallel: true,
 	}
+	pc.resident.Store(allColumns)
+	return pc
 }
 
 // Len reports the row count.
@@ -86,17 +101,24 @@ func (pc *PointCloud) Len() int { return pc.xs.Len() }
 // Schema returns the table schema.
 func (pc *PointCloud) Schema() colstore.Schema { return pc.schema }
 
-// Column returns the column with the given name, or nil.
+// HasColumn reports whether the schema has a column of that name; it never
+// makes the column resident.
+func (pc *PointCloud) HasColumn(name string) bool { return pc.schema.FieldIndex(name) >= 0 }
+
+// Column returns the column with the given name, or nil when the schema
+// has none, making it resident first. A first touch that fails — a tile
+// changed or vanished since the load — panics with its error; a warm call
+// takes no lock and allocates nothing.
 func (pc *PointCloud) Column(name string) colstore.Column {
 	i := pc.schema.FieldIndex(name)
 	if i < 0 {
 		return nil
 	}
+	if err := pc.ensureColumns(0, nil, 1<<i); err != nil {
+		panic(err)
+	}
 	return pc.cols[i]
 }
-
-// Columns returns all columns in schema order.
-func (pc *PointCloud) Columns() []colstore.Column { return pc.cols }
 
 // X, Y, Z expose the coordinate columns' backing slices.
 func (pc *PointCloud) X() []float64 { return pc.xs.Values() }
@@ -288,13 +310,14 @@ func (pc *PointCloud) ImprintStats() (x, y imprints.Stats) {
 	return ix.Stats(), iy.Stats()
 }
 
-// Bytes reports the flat table payload size (columns only).
+// Bytes reports the flat table's logical payload size: rows times the
+// schema's widths, whether or not a column is resident.
 func (pc *PointCloud) Bytes() int {
 	n := 0
-	for _, c := range pc.cols {
-		n += c.Bytes()
+	for _, f := range pc.schema.Fields {
+		n += f.Type.Size()
 	}
-	return n
+	return n * pc.Len()
 }
 
 // IndexBytes reports the imprint storage (0 when not built).

@@ -11,8 +11,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"gisnav/internal/colstore"
 	"gisnav/internal/las"
 )
@@ -120,18 +118,4 @@ func appendLASPoint(cols []colstore.Column, p las.Point) {
 	cols[23].AppendValue(0) // wave offset
 	cols[24].AppendValue(0) // wave packet size
 	cols[25].AppendValue(0) // wave return location
-}
-
-// validateSameLength checks the flat table invariant.
-func validateSameLength(cols []colstore.Column) error {
-	if len(cols) == 0 {
-		return nil
-	}
-	n := cols[0].Len()
-	for i, c := range cols[1:] {
-		if c.Len() != n {
-			return fmt.Errorf("engine: ragged flat table: column %d has %d rows, want %d", i+1, c.Len(), n)
-		}
-	}
-	return nil
 }

@@ -49,6 +49,27 @@ func validateTileSpecs(specs []GroupedAggSpec) error {
 	return nil
 }
 
+// tileKey validates a tile aggregation over the u8 column keyCol and makes
+// it and the columns specs fold resident in one first touch, traced into
+// ex, returning the key column.
+func (pc *PointCloud) tileKey(ex *Explain, keyCol string, specs []GroupedAggSpec) (*colstore.U8Column, error) {
+	if err := validateTileSpecs(specs); err != nil {
+		return nil, err
+	}
+	if t, ok := pc.schema.TypeOf(keyCol); !ok || t != colstore.U8 {
+		return nil, fmt.Errorf("engine: tile aggregation requires a u8 key column, got %q", keyCol)
+	}
+	for _, s := range specs {
+		if s.Fn != AggCount && pc.columnBit(s.Column) == 0 {
+			return nil, fmt.Errorf("engine: unknown column %q", s.Column)
+		}
+	}
+	if err := pc.ensureColumns(0, ex, pc.specColumns(keyCol, specs)); err != nil {
+		return nil, err
+	}
+	return pc.Column(keyCol).(*colstore.U8Column), nil
+}
+
 // TileBox is one tile's metadata in a tile scatter: how many rows
 // quantised into the tile, how many of them have a NaN coordinate, and
 // the tight bounding box of their coordinates. A NaN never enters the box,
@@ -107,12 +128,9 @@ func (b *TileBox) Fold(o TileBox) {
 // degree (TileBox.Fold).
 func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64, tiles []TileBox, slots []int, from int, ex *Explain) error {
 	start := time.Now()
-	if err := validateTileSpecs(specs); err != nil {
+	u8, err := pc.tileKey(ex, keyCol, specs)
+	if err != nil {
 		return err
-	}
-	u8, ok := pc.Column(keyCol).(*colstore.U8Column)
-	if !ok {
-		return fmt.Errorf("engine: tile aggregation requires a u8 key column, got %q", keyCol)
 	}
 	ntiles := 1 << (2 * tiler.Order)
 	nslots := ntiles * tileDom
@@ -135,9 +153,6 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 	for j, s := range specs {
 		if s.Fn == AggCount {
 			continue
-		}
-		if pc.Column(s.Column) == nil {
-			return fmt.Errorf("engine: unknown column %q", s.Column)
 		}
 		if len(banks[j]) < nslots {
 			return fmt.Errorf("engine: tile bank %d holds %d slots, need %d", j, len(banks[j]), nslots)
@@ -313,21 +328,13 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 // folded in slice order, so a deterministic rows order yields
 // deterministic sums.
 func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []GroupedAggSpec, bank []float64) error {
-	if err := validateTileSpecs(specs); err != nil {
+	u8, err := pc.tileKey(nil, keyCol, specs)
+	if err != nil {
 		return err
-	}
-	u8, ok := pc.Column(keyCol).(*colstore.U8Column)
-	if !ok {
-		return fmt.Errorf("engine: tile aggregation requires a u8 key column, got %q", keyCol)
 	}
 	if len(bank) < (1+len(specs))*tileDom {
 		return fmt.Errorf("engine: class bank slab too small: %d slots for %d specs",
 			len(bank), len(specs))
-	}
-	for _, s := range specs {
-		if s.Fn != AggCount && pc.Column(s.Column) == nil {
-			return fmt.Errorf("engine: unknown column %q", s.Column)
-		}
 	}
 	var sink [tileDom + 1]float64
 	fillNaN(sink[:])

@@ -106,3 +106,26 @@ func TestSteadyStatePredicateFilterZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state FilterRows allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestWarmColumnZeroAllocs: once a deferred column is resident, Column
+// takes no lock and allocates nothing, and neither does EnsureColumns
+// over resident columns.
+func TestWarmColumnZeroAllocs(t *testing.T) {
+	pc := NewPointCloud()
+	if _, err := LoadBinary(pc, writeRepo(t, false)); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		n = pc.Column(ColClassification).Len()
+		if err := pc.ensureColumns(0, nil, pc.columnBit(ColClassification)|coordColumns); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != pc.Len() || n == 0 {
+		t.Fatalf("classification holds %d of %d rows", n, pc.Len())
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm Column allocates %.1f objects/op, want 0", allocs)
+	}
+}

@@ -16,8 +16,9 @@
 //	engine.groupagg.pass   — grouped drivers, before the accumulate passes
 //	engine.groupagg.block  — fold passes and the tile scan, once per
 //	                         foldBlock after the cancellation poll
-//	engine.morsel.worker   — morsel passes (grid refinement included), top
-//	                         of each partition (deg > 1)
+//	engine.morsel.worker   — morsel passes (grid refinement, tile decode of
+//	                         a load or a first touch included), top of
+//	                         each partition (deg > 1)
 //	engine.morsel.merge    — morsel drivers, before the ascending fold (deg > 1)
 //	engine.select.refine   — SelectRegionRowsRun, before grid refinement
 //	engine.save.column     — PointCloud.Save, before each column file

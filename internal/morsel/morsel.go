@@ -33,6 +33,7 @@ package morsel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Runner executes one partition of a parallel pass. Implementations are
@@ -140,3 +141,30 @@ func (p *Pass) Run(n int, r Runner) any {
 	}
 	return nil
 }
+
+// Claim hands the items [0, n) of one pass to its partitions, each item
+// to whichever partition asks first. Embed it beside the Pass; Reset it
+// before each pass.
+type Claim struct {
+	next atomic.Int64
+	n    int
+}
+
+// Reset starts a claim over n items.
+func (c *Claim) Reset(n int) {
+	c.n = n
+	c.next.Store(0)
+}
+
+// Next claims the next unclaimed item, or returns -1 once every item is
+// claimed or the claim was exhausted.
+func (c *Claim) Next() int {
+	if i := int(c.next.Add(1)) - 1; i < c.n {
+		return i
+	}
+	return -1
+}
+
+// Exhaust ends the claim: every later Next returns -1. A partition that
+// fails calls it so the others stop taking items.
+func (c *Claim) Exhaust() { c.next.Store(int64(c.n)) }

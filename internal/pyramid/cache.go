@@ -202,14 +202,14 @@ func Shape(pc *engine.PointCloud, key string, specs []engine.GroupedAggSpec) (st
 	if pc == nil || key == "" || len(specs) == 0 || len(specs) > maxQuerySpecs {
 		return "", false
 	}
-	if _, ok := pc.Column(key).(*colstore.U8Column); !ok {
+	if t, ok := pc.Schema().TypeOf(key); !ok || t != colstore.U8 {
 		return "", false
 	}
 	for _, s := range specs {
 		switch s.Fn {
 		case engine.AggCount:
 		case engine.AggMin, engine.AggMax:
-			if s.Column == "" || pc.Column(s.Column) == nil {
+			if !pc.HasColumn(s.Column) {
 				return "", false
 			}
 		default:

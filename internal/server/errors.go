@@ -10,9 +10,11 @@
 //	cancelled  — the client went away mid-query (connection closed).
 //	parse      — the statement failed to parse, bind, or evaluate; the
 //	             request is at fault. NOT retryable as-is.
-//	internal   — a panic isolated into *sql.QueryError. A run never
+//	internal   — a panic isolated into *sql.QueryError (a run never
 //	             writes its plan, so a retry is safe and runs exactly
-//	             as a fresh Prepare would.
+//	             as a fresh Prepare would), or a column the table could
+//	             not load (engine.ErrColumnLoad: a tile changed or
+//	             vanished since the load).
 package server
 
 import (
@@ -20,6 +22,7 @@ import (
 	"errors"
 	"net/http"
 
+	"gisnav/internal/engine"
 	"gisnav/internal/sql"
 )
 
@@ -43,7 +46,7 @@ const StatusClientClosed = 499
 func Code(err error) string {
 	var qe *sql.QueryError
 	switch {
-	case errors.As(err, &qe):
+	case errors.As(err, &qe), errors.Is(err, engine.ErrColumnLoad):
 		return CodeInternal
 	case errors.Is(err, sql.ErrOverloaded):
 		return CodeOverloaded

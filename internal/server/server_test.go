@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -192,6 +193,8 @@ func TestCodeTaxonomy(t *testing.T) {
 		// still an internal failure, not a client cancellation.
 		{&sql.QueryError{Panic: context.Canceled}, CodeInternal, http.StatusInternalServerError},
 		{errors.New("sql: no such column"), CodeParse, http.StatusBadRequest},
+		// A tile that changed since the load is the table's fault.
+		{fmt.Errorf("engine: %w: classification: tile a.las: removed", engine.ErrColumnLoad), CodeInternal, http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
 		if got := Code(tc.err); got != tc.code {

@@ -123,7 +123,7 @@ func (e *Executor) query(ctx context.Context, src string, ex *engine.Explain) (*
 	if err != nil {
 		return nil, err
 	}
-	pq, err := e.prepareBound(stmt, fe.params)
+	pq, err := e.prepareBound(stmt, fe.params, ex)
 	if err != nil {
 		return nil, err
 	}

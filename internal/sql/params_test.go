@@ -341,7 +341,7 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		pq, err := e.prepareBound(stmt, seed)
+		pq, err := e.prepareBound(stmt, seed, nil)
 		if err != nil {
 			t.Fatalf("prepare %q: %v", src, err)
 		}
@@ -354,7 +354,7 @@ func TestRebindMatchesFreshPrepare(t *testing.T) {
 				params[i] = numVal(randLit())
 			}
 			rebound, rerr := pq.lifecycleRun(context.Background(), nil, params, originCached)
-			fresh, ferr := e.prepareBound(stmt, params)
+			fresh, ferr := e.prepareBound(stmt, params, nil)
 			var want *Result
 			var werr error
 			if ferr != nil {

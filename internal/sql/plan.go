@@ -206,12 +206,13 @@ func (e *Executor) Prepare(src string) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.prepareBound(stmt, params)
+	return e.prepareBound(stmt, params, nil)
 }
 
-// prepareBound plans stmt against the literal vector params.
-func (e *Executor) prepareBound(stmt *SelectStmt, params []Value) (*PreparedQuery, error) {
-	bd, err := e.buildPlan(stmt, params)
+// prepareBound plans stmt against the literal vector params, tracing into
+// ex.
+func (e *Executor) prepareBound(stmt *SelectStmt, params []Value, ex *engine.Explain) (*PreparedQuery, error) {
+	bd, err := e.buildPlan(stmt, params, ex)
 	if err != nil {
 		return nil, err
 	}
@@ -222,8 +223,10 @@ func (e *Executor) prepareBound(stmt *SelectStmt, params []Value) (*PreparedQuer
 
 // buildPlan runs one full planning pass over stmt, classifying its
 // conjuncts under the literal vector params, and returns the new plan's
-// bound of params.
-func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*bound, error) {
+// bound of params. Every point-cloud column the plan binds becomes
+// resident first, in one first touch traced into ex; a touch that fails
+// is a planning error.
+func (e *Executor) buildPlan(stmt *SelectStmt, params []Value, ex *engine.Explain) (*bound, error) {
 	e.builds.Add(1)
 	// The generation is read before bind resolves any name: a registration
 	// racing the bind leaves the plan already stale — the safe direction.
@@ -243,6 +246,10 @@ func (e *Executor) buildPlan(stmt *SelectStmt, params []Value) (*bound, error) {
 	// already stale and the next Run replans — the safe direction.
 	if b.pc != nil {
 		p.pcEpoch = b.pc.Epoch()
+		// Publishing a column bumps no epoch, so the capture stays valid.
+		if err := b.pc.EnsureColumns(ex, pcColumns(b, stmt)...); err != nil {
+			return nil, err
+		}
 	}
 	if b.vt != nil {
 		p.vtEpoch = b.vt.Epoch()
@@ -564,55 +571,94 @@ type refUse struct {
 // usage walks e and classifies its column references under b.
 func usage(b *binding, e Expr) refUse {
 	var u refUse
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch t := e.(type) {
-		case ColumnRef:
-			name := strings.ToLower(t.Name)
-			if t.Table != "" {
-				if b.isPCName(t.Table) && !b.isVTName(t.Table) {
-					u.pc = true
-					return
-				}
-				if b.isVTName(t.Table) && !b.isPCName(t.Table) {
-					u.vt = true
-					return
-				}
-			}
-			// Unqualified: resolve by column name.
-			if b.pc != nil && b.pc.Column(name) != nil {
+	walkExpr(e, func(e Expr) {
+		t, ok := e.(ColumnRef)
+		if !ok {
+			return
+		}
+		name := strings.ToLower(t.Name)
+		if t.Table != "" {
+			if b.isPCName(t.Table) && !b.isVTName(t.Table) {
 				u.pc = true
 				return
 			}
-			if b.vt != nil {
-				if name == vcID || name == vcClass || name == vcName || name == vcGeom {
+			if b.isVTName(t.Table) && !b.isPCName(t.Table) {
+				u.vt = true
+				return
+			}
+		}
+		// Unqualified: resolve by column name.
+		if b.pc != nil && b.pc.HasColumn(name) {
+			u.pc = true
+			return
+		}
+		if b.vt != nil {
+			if name == vcID || name == vcClass || name == vcName || name == vcGeom {
+				u.vt = true
+				return
+			}
+			for _, attr := range b.vt.NumericAttrs() {
+				if strings.EqualFold(attr, name) {
 					u.vt = true
 					return
 				}
-				for _, attr := range b.vt.NumericAttrs() {
-					if strings.EqualFold(attr, name) {
-						u.vt = true
-						return
-					}
-				}
 			}
-		case FuncCall:
-			for _, a := range t.Args {
-				walk(a)
+		}
+	})
+	return u
+}
+
+// walkExpr calls fn on e and on every expression below it, parents first.
+func walkExpr(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	switch t := e.(type) {
+	case FuncCall:
+		for _, a := range t.Args {
+			walkExpr(a, fn)
+		}
+	case BinaryExpr:
+		walkExpr(t.L, fn)
+		walkExpr(t.R, fn)
+	case NotExpr:
+		walkExpr(t.E, fn)
+	case BetweenExpr:
+		walkExpr(t.Subject, fn)
+		walkExpr(t.Lo, fn)
+		walkExpr(t.Hi, fn)
+	}
+}
+
+// pcColumns lists the point-cloud columns stmt can bind: every column a
+// star expands to and every reference the point cloud resolves. buildPlan
+// makes them resident in one first touch.
+func pcColumns(b *binding, stmt *SelectStmt) []string {
+	var names []string
+	add := func(e Expr) {
+		if t, ok := e.(ColumnRef); ok {
+			if name := strings.ToLower(t.Name); b.isPCName(t.Table) && b.pc.HasColumn(name) {
+				names = append(names, name)
 			}
-		case BinaryExpr:
-			walk(t.L)
-			walk(t.R)
-		case NotExpr:
-			walk(t.E)
-		case BetweenExpr:
-			walk(t.Subject)
-			walk(t.Lo)
-			walk(t.Hi)
 		}
 	}
-	walk(e)
-	return u
+	for _, item := range stmt.Items {
+		if _, star := item.Expr.(Star); star {
+			for _, f := range b.pc.Schema().Fields {
+				names = append(names, f.Name)
+			}
+		}
+		walkExpr(item.Expr, add)
+	}
+	walkExpr(stmt.Where, add)
+	for _, g := range stmt.GroupBy {
+		walkExpr(g, add)
+	}
+	if stmt.Order != nil {
+		walkExpr(stmt.Order.Expr, add)
+	}
+	return names
 }
 
 // constGeom evaluates e without row context against the literal vector,
@@ -751,7 +797,7 @@ func pcColumnName(b *binding, e Expr) (string, bool) {
 		return "", false
 	}
 	name := strings.ToLower(c.Name)
-	if b.pc.Column(name) == nil {
+	if !b.pc.HasColumn(name) {
 		return "", false
 	}
 	return name, true

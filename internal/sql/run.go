@@ -67,7 +67,7 @@ func (pq *PreparedQuery) run(rs *runState, ex *engine.Explain, params []Value, o
 		// Epoch mismatch always replans — rebinding cannot help, the plan
 		// is bound to moved arrays.
 		var err error
-		if bd, err = pq.replan(params); err != nil {
+		if bd, err = pq.replan(params, ex); err != nil {
 			return nil, err
 		}
 		pq.ex.invalidations.Add(1)
@@ -80,7 +80,7 @@ func (pq *PreparedQuery) run(rs *runState, ex *engine.Explain, params []Value, o
 		// statement bound to its previous vector even if the replan errors.
 		nb, err := bd.plan.bind(pq.stmt, params)
 		if err != nil {
-			if nb, err = pq.replan(params); err != nil {
+			if nb, err = pq.replan(params, ex); err != nil {
 				return nil, err
 			}
 			origin = originDiverged
@@ -105,11 +105,11 @@ func (pq *PreparedQuery) run(rs *runState, ex *engine.Explain, params []Value, o
 	}
 }
 
-// replan builds a fresh plan of the statement bound to params and
-// publishes it. Runs racing to replan may each build one; every one is
-// valid, and the last published serves the next run.
-func (pq *PreparedQuery) replan(params []Value) (*bound, error) {
-	bd, err := pq.ex.buildPlan(pq.stmt, params)
+// replan builds a fresh plan of the statement bound to params, tracing
+// into ex, and publishes it. Runs racing to replan may each build one;
+// every one is valid, and the last published serves the next run.
+func (pq *PreparedQuery) replan(params []Value, ex *engine.Explain) (*bound, error) {
+	bd, err := pq.ex.buildPlan(pq.stmt, params, ex)
 	if err != nil {
 		return nil, err
 	}
