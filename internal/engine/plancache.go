@@ -12,11 +12,14 @@
 //
 // Invalidation contract: appends may grow or MOVE a column's backing array,
 // so a cached kernel bound to the old array would silently serve stale (or
-// truncated) data. Every append path therefore ends in InvalidateIndexes,
-// which drops the kernel cache together with the imprints. As with imprints,
-// appends require external exclusion from queries; invalidation itself is
-// safe against concurrent readers (they finish on the kernel they already
-// fetched, which still sees the pre-append array).
+// truncated) data. Every mutation therefore resets the kernel cache in one
+// of the epoch contract's two arms: a clean append ends in
+// PointCloud.appended, which resets it and extends the built imprints;
+// anything else ends in InvalidateIndexes, which drops it together with
+// the imprints. As with imprints, appends require external exclusion from
+// queries; invalidation itself is safe against concurrent readers (they
+// finish on the kernel they already fetched, which still sees the
+// pre-append array).
 package engine
 
 import (

@@ -136,12 +136,6 @@ func (l LineString) Length() float64 {
 	return sum
 }
 
-// IsClosed reports whether the first and last points coincide.
-func (l LineString) IsClosed() bool {
-	n := len(l.Points)
-	return n >= 4 && l.Points[0].Equals(l.Points[n-1])
-}
-
 // MultiLineString is a collection of line strings.
 type MultiLineString struct {
 	Lines []LineString

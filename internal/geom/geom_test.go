@@ -50,13 +50,6 @@ func TestLineStringLength(t *testing.T) {
 	if got := l.Length(); got != 7 {
 		t.Fatalf("length = %v, want 7", got)
 	}
-	if l.IsClosed() {
-		t.Fatal("open line reported closed")
-	}
-	closed := LineString{Points: []Point{{0, 0}, {1, 0}, {1, 1}, {0, 0}}}
-	if !closed.IsClosed() {
-		t.Fatal("closed line reported open")
-	}
 }
 
 func TestRingSignedArea(t *testing.T) {

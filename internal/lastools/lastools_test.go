@@ -56,7 +56,7 @@ func TestOpenAndFiles(t *testing.T) {
 	if len(repo.Files()) != 4 {
 		t.Fatalf("files = %d, want 4", len(repo.Files()))
 	}
-	if repo.HasMetadata() {
+	if repo.meta != nil {
 		t.Fatal("fresh repo should have no metadata")
 	}
 	if _, err := Open(filepath.Join(dir, "missing")); err == nil {
@@ -97,7 +97,7 @@ func TestClipBoxWithMetadata(t *testing.T) {
 	if err := repo.ScanMetadata(); err != nil {
 		t.Fatal(err)
 	}
-	if !repo.HasMetadata() {
+	if repo.meta == nil {
 		t.Fatal("metadata should be cached")
 	}
 	q := geom.NewEnvelope(500, 500, 700, 700)

@@ -57,9 +57,6 @@ func Open(dir string) (*Repository, error) {
 // Files returns the tile paths.
 func (r *Repository) Files() []string { return r.files }
 
-// HasMetadata reports whether ScanMetadata has run.
-func (r *Repository) HasMetadata() bool { return r.meta != nil }
-
 // ScanMetadata inspects every tile header once and caches extent and count —
 // the ETL step [18] performs so later queries can prune without file opens.
 func (r *Repository) ScanMetadata() error {

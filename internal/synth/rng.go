@@ -9,8 +9,6 @@
 // reproducibility of the experiment suite.
 package synth
 
-import "math"
-
 // splitmix64 advances and mixes a 64-bit state (Steele et al.).
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
@@ -45,16 +43,6 @@ func (r *RNG) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
 
 // Range returns a uniform value in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 { return lo + r.Float64()*(hi-lo) }
-
-// Norm returns a standard-normal sample (Box–Muller, one value per call).
-func (r *RNG) Norm() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
 
 // hash2 mixes a seed with 2-D lattice coordinates into 64 bits; the
 // stateless primitive under value noise.
