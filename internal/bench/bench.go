@@ -87,9 +87,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows reports the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // WriteTo renders the table.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.headers))

@@ -55,8 +55,8 @@ func TestTable(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 1.5)
 	tb.AddRow("a-much-longer-name", time.Millisecond*1500)
-	if tb.Rows() != 2 {
-		t.Fatalf("rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	s := tb.String()
 	if !strings.Contains(s, "== demo ==") {

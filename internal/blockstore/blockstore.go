@@ -59,7 +59,6 @@ type Store struct {
 	opts   Options
 	blocks []Block
 	extent geom.Envelope
-	points int
 }
 
 // Build sorts pts along the configured curve, slices them into patches of
@@ -95,7 +94,6 @@ func Build(pts []las.Point, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.points = len(pts)
 	return s, nil
 }
 
@@ -119,12 +117,6 @@ func (s *Store) appendBlock(pts []las.Point) error {
 
 // Blocks reports the number of patches.
 func (s *Store) Blocks() int { return len(s.blocks) }
-
-// Points reports the stored point count.
-func (s *Store) Points() int { return s.points }
-
-// Extent returns the 2-D extent of the stored cloud.
-func (s *Store) Extent() geom.Envelope { return s.extent }
 
 // Bytes reports the compressed payload size plus per-patch metadata.
 func (s *Store) Bytes() int {

@@ -20,14 +20,23 @@ func testCloud(t *testing.T, n int) []las.Point {
 	return pts
 }
 
+// storedPoints sums the patches' point counts.
+func storedPoints(s *Store) int {
+	n := 0
+	for _, b := range s.blocks {
+		n += b.Count
+	}
+	return n
+}
+
 func TestBuildAndQueryBox(t *testing.T) {
 	pts := testCloud(t, 20000)
 	s, err := Build(pts, Options{BlockSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Points() != len(pts) {
-		t.Fatalf("points = %d, want %d", s.Points(), len(pts))
+	if n := storedPoints(s); n != len(pts) {
+		t.Fatalf("points = %d, want %d", n, len(pts))
 	}
 	wantBlocks := (len(pts) + 1023) / 1024
 	if s.Blocks() != wantBlocks {
@@ -74,7 +83,7 @@ func TestQueryGeometry(t *testing.T) {
 	// Compare against the store's own (quantised) coordinates: patches are
 	// stored on a 1 cm grid, so boundary points can legitimately differ
 	// from the pre-quantisation cloud.
-	stored, _, err := s.QueryBox(s.Extent())
+	stored, _, err := s.QueryBox(s.extent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestRoundTripPreservesAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.QueryBox(s.Extent())
+	got, _, err := s.QueryBox(s.extent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +172,7 @@ func TestEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Blocks() != 0 || s.Points() != 0 || s.Bytes() != 0 {
+	if s.Blocks() != 0 || storedPoints(s) != 0 || s.Bytes() != 0 {
 		t.Fatal("empty store should be empty")
 	}
 	got, st, err := s.QueryBox(geom.NewEnvelope(0, 0, 1, 1))

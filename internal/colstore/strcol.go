@@ -44,12 +44,3 @@ func (c *StrColumn) Codes() []uint32 { return c.codes }
 
 // DictSize reports the number of distinct strings.
 func (c *StrColumn) DictSize() int { return len(c.dict) }
-
-// Bytes reports the code array plus dictionary payload.
-func (c *StrColumn) Bytes() int {
-	n := 4 * len(c.codes)
-	for _, s := range c.dict {
-		n += len(s)
-	}
-	return n
-}

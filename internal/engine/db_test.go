@@ -78,9 +78,6 @@ func TestVectorTableBasics(t *testing.T) {
 	if len(vt.NumericAttrs()) != 1 {
 		t.Fatal("attr listing wrong")
 	}
-	if vt.Bytes() <= 0 {
-		t.Fatal("bytes should be positive")
-	}
 
 	ex := &Explain{}
 	rows := vt.SelectClassInto("motorway", nil, ex)

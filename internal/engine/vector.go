@@ -172,13 +172,6 @@ func (vt *VectorTable) ensurePostings() map[uint32][]int {
 	return vt.classPost
 }
 
-// HasClassPostings reports whether the posting lists are currently built.
-func (vt *VectorTable) HasClassPostings() bool {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	return vt.classPost != nil
-}
-
 // SelectIntersects returns the rows whose geometry intersects g. The STR
 // R-tree over feature envelopes prefilters; survivors get the exact test.
 func (vt *VectorTable) SelectIntersects(g geom.Geometry, ex *Explain) []int {
@@ -216,14 +209,4 @@ func (vt *VectorTable) CollectGeometries(rows []int) geom.Collection {
 		c.Geometries = append(c.Geometries, vt.geoms[r])
 	}
 	return c
-}
-
-// Bytes reports the in-memory footprint of the thematic columns (geometry
-// payloads excluded; they are shared structures).
-func (vt *VectorTable) Bytes() int {
-	n := vt.ids.Bytes() + vt.classes.Bytes() + vt.names.Bytes()
-	for _, col := range vt.numeric {
-		n += col.Bytes()
-	}
-	return n
 }

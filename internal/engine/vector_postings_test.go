@@ -19,12 +19,19 @@ func buildClassTable(n int) *VectorTable {
 	return vt
 }
 
+// hasClassPostings reports whether the posting lists are currently built.
+func hasClassPostings(vt *VectorTable) bool {
+	vt.mu.Lock()
+	defer vt.mu.Unlock()
+	return vt.classPost != nil
+}
+
 // TestClassPostingsMatchScan pins the posting-list fast path to the code
 // column layout: the first selection builds the postings, later selections
 // serve from them, and both agree with the raw code-column scan.
 func TestClassPostingsMatchScan(t *testing.T) {
 	vt := buildClassTable(300)
-	if vt.HasClassPostings() {
+	if hasClassPostings(vt) {
 		t.Fatal("postings should be lazy, not built by Append")
 	}
 	for _, class := range []string{"road", "park", "water", "absent"} {
@@ -42,7 +49,7 @@ func TestClassPostingsMatchScan(t *testing.T) {
 			t.Fatalf("class %q: postings %v, scan %v", class, got, want)
 		}
 	}
-	if !vt.HasClassPostings() {
+	if !hasClassPostings(vt) {
 		t.Fatal("first class selection should build the postings")
 	}
 }
@@ -56,7 +63,7 @@ func TestClassPostingsDroppedOnAppend(t *testing.T) {
 	epoch := vt.Epoch()
 
 	vt.Append(999, "road", "late road", geom.NewEnvelope(50, 0, 51, 1).ToPolygon(), nil)
-	if vt.HasClassPostings() {
+	if hasClassPostings(vt) {
 		t.Fatal("append left stale postings alive")
 	}
 	if vt.Epoch() == epoch {

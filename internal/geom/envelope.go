@@ -90,20 +90,6 @@ func (e Envelope) Intersection(o Envelope) Envelope {
 	}
 }
 
-// Union returns the smallest envelope covering both e and o.
-func (e Envelope) Union(o Envelope) Envelope {
-	if e.IsEmpty() {
-		return o
-	}
-	if o.IsEmpty() {
-		return e
-	}
-	return Envelope{
-		MinX: math.Min(e.MinX, o.MinX), MinY: math.Min(e.MinY, o.MinY),
-		MaxX: math.Max(e.MaxX, o.MaxX), MaxY: math.Max(e.MaxY, o.MaxY),
-	}
-}
-
 // ExpandToPoint grows the envelope in place to cover (x, y).
 func (e *Envelope) ExpandToPoint(x, y float64) {
 	if x < e.MinX {

@@ -9,51 +9,10 @@
 // stored in the Dutch national projection (RD New / EPSG:28992).
 package geom
 
-import (
-	"fmt"
-	"math"
-)
-
-// Type identifies the concrete type of a Geometry value.
-type Type uint8
-
-// Geometry type tags, matching OGC Simple Features type names.
-const (
-	TypePoint Type = iota + 1
-	TypeLineString
-	TypePolygon
-	TypeMultiPoint
-	TypeMultiLineString
-	TypeMultiPolygon
-	TypeGeometryCollection
-)
-
-// String returns the OGC name of the type, as it appears in WKT.
-func (t Type) String() string {
-	switch t {
-	case TypePoint:
-		return "POINT"
-	case TypeLineString:
-		return "LINESTRING"
-	case TypePolygon:
-		return "POLYGON"
-	case TypeMultiPoint:
-		return "MULTIPOINT"
-	case TypeMultiLineString:
-		return "MULTILINESTRING"
-	case TypeMultiPolygon:
-		return "MULTIPOLYGON"
-	case TypeGeometryCollection:
-		return "GEOMETRYCOLLECTION"
-	default:
-		return fmt.Sprintf("GEOMETRY(%d)", uint8(t))
-	}
-}
+import "math"
 
 // Geometry is the common interface of all geometry values.
 type Geometry interface {
-	// GeometryType reports the concrete type tag.
-	GeometryType() Type
 	// Envelope returns the minimal axis-aligned bounding box.
 	Envelope() Envelope
 	// IsEmpty reports whether the geometry has no coordinates.
@@ -66,9 +25,6 @@ type Geometry interface {
 type Point struct {
 	X, Y float64
 }
-
-// GeometryType implements Geometry.
-func (p Point) GeometryType() Type { return TypePoint }
 
 // Envelope implements Geometry; a point's envelope is degenerate.
 func (p Point) Envelope() Envelope { return Envelope{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y} }
@@ -91,9 +47,6 @@ type MultiPoint struct {
 	Points []Point
 }
 
-// GeometryType implements Geometry.
-func (m MultiPoint) GeometryType() Type { return TypeMultiPoint }
-
 // Envelope implements Geometry.
 func (m MultiPoint) Envelope() Envelope {
 	e := EmptyEnvelope()
@@ -111,9 +64,6 @@ func (m MultiPoint) IsEmpty() bool { return len(m.Points) == 0 }
 type LineString struct {
 	Points []Point
 }
-
-// GeometryType implements Geometry.
-func (l LineString) GeometryType() Type { return TypeLineString }
 
 // Envelope implements Geometry.
 func (l LineString) Envelope() Envelope {
@@ -140,9 +90,6 @@ func (l LineString) Length() float64 {
 type MultiLineString struct {
 	Lines []LineString
 }
-
-// GeometryType implements Geometry.
-func (m MultiLineString) GeometryType() Type { return TypeMultiLineString }
 
 // Envelope implements Geometry.
 func (m MultiLineString) Envelope() Envelope {
@@ -212,9 +159,6 @@ type Polygon struct {
 	Holes []Ring
 }
 
-// GeometryType implements Geometry.
-func (p Polygon) GeometryType() Type { return TypePolygon }
-
 // Envelope implements Geometry. Holes cannot extend the shell.
 func (p Polygon) Envelope() Envelope { return p.Shell.Envelope() }
 
@@ -234,9 +178,6 @@ func (p Polygon) Area() float64 {
 type MultiPolygon struct {
 	Polygons []Polygon
 }
-
-// GeometryType implements Geometry.
-func (m MultiPolygon) GeometryType() Type { return TypeMultiPolygon }
 
 // Envelope implements Geometry.
 func (m MultiPolygon) Envelope() Envelope {
@@ -263,9 +204,6 @@ func (m MultiPolygon) Area() float64 {
 type Collection struct {
 	Geometries []Geometry
 }
-
-// GeometryType implements Geometry.
-func (c Collection) GeometryType() Type { return TypeGeometryCollection }
 
 // Envelope implements Geometry.
 func (c Collection) Envelope() Envelope {

@@ -7,9 +7,6 @@ import (
 
 func TestPointBasics(t *testing.T) {
 	p := Point{3, 4}
-	if p.GeometryType() != TypePoint {
-		t.Fatalf("type = %v", p.GeometryType())
-	}
 	if p.IsEmpty() {
 		t.Fatal("point should not be empty")
 	}
@@ -22,26 +19,6 @@ func TestPointBasics(t *testing.T) {
 	}
 	if !EmptyPoint().IsEmpty() {
 		t.Fatal("EmptyPoint should be empty")
-	}
-}
-
-func TestTypeString(t *testing.T) {
-	cases := map[Type]string{
-		TypePoint:              "POINT",
-		TypeLineString:         "LINESTRING",
-		TypePolygon:            "POLYGON",
-		TypeMultiPoint:         "MULTIPOINT",
-		TypeMultiLineString:    "MULTILINESTRING",
-		TypeMultiPolygon:       "MULTIPOLYGON",
-		TypeGeometryCollection: "GEOMETRYCOLLECTION",
-	}
-	for typ, want := range cases {
-		if got := typ.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", typ, got, want)
-		}
-	}
-	if got := Type(99).String(); got != "GEOMETRY(99)" {
-		t.Errorf("unknown type string = %q", got)
 	}
 }
 
@@ -158,7 +135,8 @@ func TestEnvelopeSetOps(t *testing.T) {
 	if i.MinX != 5 || i.MinY != 5 || i.MaxX != 10 || i.MaxY != 10 {
 		t.Fatalf("intersection = %v", i)
 	}
-	u := a.Union(b)
+	u := a
+	u.ExpandToEnvelope(b)
 	if u.MinX != 0 || u.MaxX != 15 {
 		t.Fatalf("union = %v", u)
 	}
@@ -187,10 +165,12 @@ func TestEnvelopeSetOps(t *testing.T) {
 
 func TestEnvelopeUnionWithEmpty(t *testing.T) {
 	a := NewEnvelope(0, 0, 1, 1)
-	if got := a.Union(EmptyEnvelope()); got != a {
+	got := a
+	if got.ExpandToEnvelope(EmptyEnvelope()); got != a {
 		t.Fatalf("union with empty = %v", got)
 	}
-	if got := EmptyEnvelope().Union(a); got != a {
+	got = EmptyEnvelope()
+	if got.ExpandToEnvelope(a); got != a {
 		t.Fatalf("empty union a = %v", got)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Robustness: parsers must reject malformed input with an error, never
 // panic, whatever bytes arrive. These tests drive random and structured
-// garbage through WKT and WKB.
+// garbage through WKT.
 
 func TestWKTParserNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -45,41 +45,6 @@ func TestWKTParserTruncations(t *testing.T) {
 			if open != 0 {
 				t.Fatalf("unbalanced prefix %q parsed", full[:i])
 			}
-		}
-	}
-}
-
-func TestWKBDecoderNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	for iter := 0; iter < 5000; iter++ {
-		n := rng.Intn(64)
-		buf := make([]byte, n)
-		rng.Read(buf)
-		// Bias the first bytes towards plausible headers so the walk gets
-		// deeper than the byte-order check.
-		if n > 5 && iter%2 == 0 {
-			buf[0] = 1
-			buf[1] = byte(rng.Intn(9))
-			buf[2], buf[3], buf[4] = 0, 0, 0
-		}
-		_, _ = UnmarshalWKB(buf) // must not panic
-	}
-}
-
-func TestWKBMutatedValidPayloads(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	valid := MarshalWKB(MustParseWKT(
-		"GEOMETRYCOLLECTION (POINT (1 2), POLYGON ((0 0, 5 0, 5 5, 0 5, 0 0)), LINESTRING (0 0, 9 9))"))
-	for iter := 0; iter < 3000; iter++ {
-		mut := append([]byte(nil), valid...)
-		// Flip a few random bytes.
-		for k := 0; k < 1+rng.Intn(4); k++ {
-			mut[rng.Intn(len(mut))] = byte(rng.Intn(256))
-		}
-		if g, err := UnmarshalWKB(mut); err == nil {
-			// A surviving mutation must still yield a well-formed geometry.
-			_ = g.WKT()
-			_ = g.Envelope()
 		}
 	}
 }

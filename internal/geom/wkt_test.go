@@ -257,3 +257,37 @@ func TestQuickWKTLineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A random polygon shell survives a WKT round trip vertex for vertex (the
+// text closes the ring explicitly) and renders to the same text again.
+func TestQuickWKTPolygonRoundTrip(t *testing.T) {
+	f := func(xs, ys []uint16) bool {
+		n := min(len(xs), len(ys))
+		if n < 3 {
+			return true
+		}
+		var pts []Point
+		for i := 0; i < n; i++ {
+			pts = append(pts, Point{float64(xs[i]), float64(ys[i])})
+		}
+		p := Polygon{Shell: Ring{Points: pts}}
+		g, err := ParseWKT(p.WKT())
+		if err != nil {
+			return false
+		}
+		closed := p.Shell.closedPoints()
+		p2, ok := g.(Polygon)
+		if !ok || len(p2.Holes) != 0 || len(p2.Shell.Points) != len(closed) || p2.WKT() != p.WKT() {
+			return false
+		}
+		for i := range closed {
+			if !closed[i].Equals(p2.Shell.Points[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

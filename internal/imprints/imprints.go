@@ -271,14 +271,8 @@ func (im *Imprints) Lines() int { return im.lines }
 // Bits reports the configured number of bins.
 func (im *Imprints) Bits() int { return im.bits }
 
-// ValuesPerLine reports the cacheline width in values.
-func (im *Imprints) ValuesPerLine() int { return im.vpl }
-
 // VectorCount reports the number of stored (compressed) imprint vectors.
 func (im *Imprints) VectorCount() int { return len(im.vectors) }
-
-// DictEntries reports the number of cacheline dictionary entries.
-func (im *Imprints) DictEntries() int { return len(im.counts) }
 
 // Bytes reports the index storage footprint: stored vectors at the bin
 // width plus dictionary entries (count + repeat bit packed in 4 bytes), the

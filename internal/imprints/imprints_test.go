@@ -74,7 +74,7 @@ func TestCandidateSupersetExactness(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		lo := rng.Float64()*400 - 200
 		hi := lo + rng.Float64()*100
-		truth := naiveLines(vals, im.ValuesPerLine(), lo, hi)
+		truth := naiveLines(vals, im.vpl, lo, hi)
 		cand := map[int]bool{}
 		for _, l := range im.CandidateLines(lo, hi) {
 			cand[l] = true
@@ -148,8 +148,8 @@ func TestConstantColumnCompressesToOneVector(t *testing.T) {
 	if im.VectorCount() != 1 {
 		t.Fatalf("constant column stored %d vectors, want 1", im.VectorCount())
 	}
-	if im.DictEntries() != 1 {
-		t.Fatalf("dict entries = %d, want 1", im.DictEntries())
+	if len(im.counts) != 1 {
+		t.Fatalf("dict entries = %d, want 1", len(im.counts))
 	}
 	if got := im.CompressionRatio(); got != 1000 {
 		t.Fatalf("compression ratio = %v, want 1000", got)
@@ -181,7 +181,7 @@ func TestClusteredBeatsShuffledCompression(t *testing.T) {
 		t.Fatalf("clustered ratio %v should beat shuffled %v", imC.CompressionRatio(), imS.CompressionRatio())
 	}
 	// Shuffled imprints are still exact (superset invariant).
-	truth := naiveLines(shuffled, imS.ValuesPerLine(), 100, 120)
+	truth := naiveLines(shuffled, imS.vpl, 100, 120)
 	cand := map[int]bool{}
 	for _, l := range imS.CandidateLines(100, 120) {
 		cand[l] = true
@@ -217,7 +217,7 @@ func TestNaNValuesNeverLost(t *testing.T) {
 	// NaN sits in the last bin; a query touching that bin flags the line.
 	// More importantly: building must not panic and all real values remain
 	// findable.
-	truth := naiveLines(vals, im.ValuesPerLine(), 4, 6)
+	truth := naiveLines(vals, im.vpl, 4, 6)
 	cand := im.CandidateLines(4, 6)
 	if len(truth) > 0 && len(cand) == 0 {
 		t.Fatal("NaN in line hid real matches")
@@ -238,7 +238,7 @@ func TestFewDistinctValues(t *testing.T) {
 	}
 	im := mustBuild(t, vals, Options{})
 	for q := 0.0; q <= 2; q++ {
-		truth := naiveLines(vals, im.ValuesPerLine(), q, q)
+		truth := naiveLines(vals, im.vpl, q, q)
 		cand := map[int]bool{}
 		for _, l := range im.CandidateLines(q, q) {
 			cand[l] = true
@@ -281,7 +281,7 @@ func TestStatsSnapshot(t *testing.T) {
 	if s.Bytes != im.Bytes() || s.Bytes <= 0 {
 		t.Fatalf("bytes = %d", s.Bytes)
 	}
-	if s.Vectors != im.VectorCount() || s.DictEntries != im.DictEntries() {
+	if s.Vectors != im.VectorCount() || s.DictEntries != len(im.counts) {
 		t.Fatal("stats counters inconsistent")
 	}
 }
@@ -297,7 +297,7 @@ func TestBitsVariantsStaySound(t *testing.T) {
 		for iter := 0; iter < 50; iter++ {
 			lo := rng.Float64() * 1e6
 			hi := lo + rng.Float64()*1e5
-			truth := naiveLines(vals, im.ValuesPerLine(), lo, hi)
+			truth := naiveLines(vals, im.vpl, lo, hi)
 			cand := map[int]bool{}
 			for _, l := range im.CandidateLines(lo, hi) {
 				cand[l] = true

@@ -33,7 +33,6 @@ type node struct {
 type Tree struct {
 	root       *node
 	count      int
-	height     int
 	maxEntries int
 }
 
@@ -47,12 +46,9 @@ func BuildSTR(items []Item, maxEntries int) *Tree {
 	if len(items) == 0 {
 		return t
 	}
-	leaves := packLeaves(append([]Item(nil), items...), maxEntries)
-	t.height = 1
-	level := leaves
+	level := packLeaves(append([]Item(nil), items...), maxEntries)
 	for len(level) > 1 {
 		level = packNodes(level, maxEntries)
-		t.height++
 	}
 	t.root = level[0]
 	return t
@@ -130,17 +126,6 @@ func packNodes(level []*node, maxEntries int) []*node {
 
 // Len reports the number of indexed items.
 func (t *Tree) Len() int { return t.count }
-
-// Height reports the tree height in levels (0 for an empty tree).
-func (t *Tree) Height() int { return t.height }
-
-// Bounds returns the root envelope.
-func (t *Tree) Bounds() geom.Envelope {
-	if t.root == nil {
-		return geom.EmptyEnvelope()
-	}
-	return t.root.env
-}
 
 // Search visits every item whose envelope intersects q; fn returning false
 // stops the search early. Visit order is unspecified.

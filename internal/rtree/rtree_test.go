@@ -46,13 +46,23 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
+// height counts the tree's levels down its first branch (STR packing keeps
+// every leaf at the same depth).
+func height(t *Tree) int {
+	if t.root == nil {
+		return 0
+	}
+	h := 1
+	for n := t.root; len(n.children) > 0; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := BuildSTR(nil, 0)
-	if tr.Len() != 0 || tr.Height() != 0 {
+	if tr.Len() != 0 || tr.root != nil {
 		t.Fatal("empty tree should be empty")
-	}
-	if !tr.Bounds().IsEmpty() {
-		t.Fatal("empty tree bounds should be empty")
 	}
 	if ids := tr.SearchIDs(geom.NewEnvelope(0, 0, 1, 1)); ids != nil {
 		t.Fatal("empty tree search should be empty")
@@ -64,8 +74,8 @@ func TestEmptyTree(t *testing.T) {
 
 func TestSingleItem(t *testing.T) {
 	tr := BuildSTR([]Item{{ID: 7, Env: geom.NewEnvelope(1, 1, 2, 2)}}, 0)
-	if tr.Len() != 1 || tr.Height() != 1 {
-		t.Fatalf("len=%d height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 1 || height(tr) != 1 {
+		t.Fatalf("len=%d height=%d", tr.Len(), height(tr))
 	}
 	if ids := tr.SearchIDs(geom.NewEnvelope(0, 0, 3, 3)); len(ids) != 1 || ids[0] != 7 {
 		t.Fatalf("search = %v", ids)
@@ -118,9 +128,9 @@ func TestFanoutAndHeight(t *testing.T) {
 	items := randomItems(1000, 5)
 	small := BuildSTR(items, 4)
 	big := BuildSTR(items, 64)
-	if small.Height() <= big.Height() {
+	if height(small) <= height(big) {
 		t.Fatalf("fanout 4 height %d should exceed fanout 64 height %d",
-			small.Height(), big.Height())
+			height(small), height(big))
 	}
 	// Both stay correct.
 	q := geom.NewEnvelope(200, 200, 400, 400)
@@ -144,7 +154,7 @@ func TestPruningEffectiveness(t *testing.T) {
 func TestBoundsCoverAllItems(t *testing.T) {
 	items := randomItems(500, 7)
 	tr := BuildSTR(items, 0)
-	b := tr.Bounds()
+	b := tr.root.env
 	for _, it := range items {
 		if !b.ContainsEnvelope(it.Env) {
 			t.Fatalf("bounds %v does not cover %v", b, it.Env)

@@ -344,9 +344,11 @@ func (s *Server) parseQueryRequest(r *http.Request) (src string, timeout time.Du
 		if ms < 0 {
 			return "", 0, fmt.Errorf("server: negative timeout_ms %d", ms)
 		}
-		timeout = time.Duration(ms) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Clamp in milliseconds: converting first would wrap a huge ms
+		// count negative past MaxInt64 nanoseconds.
+		timeout = s.cfg.MaxTimeout
+		if ms <= timeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	return src, timeout, nil

@@ -160,12 +160,15 @@ func TestTimeoutClamp(t *testing.T) {
 		DefaultTimeout: 500 * time.Millisecond,
 	})
 
-	req := httptest.NewRequest(http.MethodGet, "/query?q=SELECT+1&timeout_ms=3600000", nil)
-	if _, timeout, err := srv.parseQueryRequest(req); err != nil || timeout != 2*time.Second {
-		t.Fatalf("huge timeout_ms: timeout = %v, err = %v; want clamp to 2s", timeout, err)
+	// The last two overflow int64 nanoseconds once converted.
+	for _, ms := range []string{"3600000", "10000000000000", "9223372036854775807"} {
+		req := httptest.NewRequest(http.MethodGet, "/query?q=SELECT+1&timeout_ms="+ms, nil)
+		if _, timeout, err := srv.parseQueryRequest(req); err != nil || timeout != 2*time.Second {
+			t.Fatalf("timeout_ms=%s: timeout = %v, err = %v; want clamp to 2s", ms, timeout, err)
+		}
 	}
 
-	req = httptest.NewRequest(http.MethodGet, "/query?q=SELECT+1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/query?q=SELECT+1", nil)
 	if _, timeout, err := srv.parseQueryRequest(req); err != nil || timeout != 500*time.Millisecond {
 		t.Fatalf("absent timeout: timeout = %v, err = %v; want default 500ms", timeout, err)
 	}

@@ -274,25 +274,46 @@ func TestModuloFractionalDenominator(t *testing.T) {
 	assertSameFilter(t, b, "intensity % 2.5 = 0", allPCRows(pc), true)
 }
 
-// TestAggregateNaNParityAcrossRoutes pins min/max semantics over
-// NaN-polluted data to be identical whether the aggregate routes through
-// the engine's typed kernels (bare column) or the interpreter fallback
-// (any other expression shape): NaN values are skipped by both.
+// TestAggregateNaNParityAcrossRoutes pins ungrouped aggregate semantics to
+// be identical whether the aggregate routes through the engine's typed
+// kernels (bare column) or the interpreter fallback (any other expression
+// shape): min/max skip NaN values, sum/avg propagate them, an all-NaN
+// selection reports the ±Inf identities and an empty one NULL (sum 0).
 func TestAggregateNaNParityAcrossRoutes(t *testing.T) {
 	e, pc, _, _ := testDB(t)
 	zs := pc.Z()
 	zs[0], zs[1] = math.NaN(), math.NaN()
 	pc.InvalidateIndexes()
 
-	for _, fn := range []string{"min", "max"} {
-		kernel := mustQuery(t, e, "SELECT "+fn+"(z) FROM ahn2")
-		interp := mustQuery(t, e, "SELECT "+fn+"(z + 0) FROM ahn2")
-		k, i := kernel.Rows()[0][0].Num, interp.Rows()[0][0].Num
-		if k != i && !(math.IsNaN(k) && math.IsNaN(i)) {
-			t.Fatalf("%s(z) = %v via kernel but %v via interpreter on NaN-polluted data", fn, k, i)
+	for _, tc := range []struct {
+		name, where string
+		allNaN      bool
+		want        []string // count, sum, avg, min, max; "" = finite
+	}{
+		{"NaN-polluted", "", false, []string{"", "NaN", "NaN", "", ""}},
+		{"empty", " WHERE z > 1e9", false, []string{"0", "0", "NULL", "NULL", "NULL"}},
+		{"all-NaN", "", true, []string{"", "NaN", "NaN", "+Inf", "-Inf"}},
+	} {
+		if tc.allNaN {
+			for i := range zs {
+				zs[i] = math.NaN()
+			}
+			pc.InvalidateIndexes()
 		}
-		if math.IsNaN(k) || math.IsInf(k, 0) {
-			t.Fatalf("%s(z) = %v; NaN rows should be skipped, not poison the result", fn, k)
+		kernel := mustQuery(t, e, "SELECT count(z), sum(z), avg(z), min(z), max(z) FROM ahn2"+tc.where)
+		interp := mustQuery(t, e, "SELECT count(z + 0), sum(z + 0), avg(z + 0), min(z + 0), max(z + 0) FROM ahn2"+tc.where)
+		for j, want := range tc.want {
+			k, i := kernel.Cols[j].Value(0), interp.Cols[j].Value(0)
+			if k.String() != i.String() {
+				t.Fatalf("%s: item %d = %v via kernel but %v via interpreter", tc.name, j, k, i)
+			}
+			if want == "" {
+				if k.Kind != KindNum || math.IsNaN(k.Num) || math.IsInf(k.Num, 0) {
+					t.Fatalf("%s: item %d = %v, want finite", tc.name, j, k)
+				}
+			} else if k.String() != want {
+				t.Fatalf("%s: item %d = %v, want %s", tc.name, j, k, want)
+			}
 		}
 	}
 }

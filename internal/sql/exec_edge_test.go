@@ -2,11 +2,14 @@ package sql
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
+	"gisnav/internal/engine"
 	"gisnav/internal/geom"
 	"gisnav/internal/grid"
+	"gisnav/internal/las"
 )
 
 func TestOrderByOnPointCloud(t *testing.T) {
@@ -19,6 +22,52 @@ func TestOrderByOnPointCloud(t *testing.T) {
 	for i := 1; i < res.Len(); i++ {
 		if res.Cols[0].Nums[i-1] < res.Cols[0].Nums[i] {
 			t.Fatal("descending order violated")
+		}
+	}
+}
+
+// TestOrderByNonFinite pins ORDER BY to one total order over NaN, ±0 and
+// ±Inf, in a projection and over a grouped key: −0 sorts before +0 and NaN
+// after +Inf, reversed under DESC.
+func TestOrderByNonFinite(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	zs := []float64{3, nan, 1, inf, 0, negZero, -inf, 2, nan}
+	pts := make([]las.Point, len(zs))
+	for i, z := range zs {
+		pts[i] = las.Point{X: float64(i), Y: float64(i), Z: z}
+	}
+	pc := engine.NewPointCloud()
+	pc.AppendLAS(pts)
+	db := engine.NewDB()
+	db.RegisterPointCloud("t", pc)
+	e := New(db)
+
+	asc := []float64{-inf, negZero, 0, 1, 2, 3, inf, nan, nan}
+	ascGroups := []float64{-inf, negZero, 0, 1, 2, 3, inf, nan}
+	reversed := func(v []float64) []float64 {
+		out := make([]float64, len(v))
+		for i, f := range v {
+			out[len(v)-1-i] = f
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		q    string
+		want []float64
+	}{
+		{"SELECT z FROM t ORDER BY z", asc},
+		{"SELECT z FROM t ORDER BY z DESC", reversed(asc)},
+		{"SELECT z, count(*) FROM t GROUP BY z ORDER BY z", ascGroups},
+		{"SELECT z, count(*) FROM t GROUP BY z ORDER BY z DESC", reversed(ascGroups)},
+	} {
+		got := mustQuery(t, e, tc.q).Cols[0].Nums
+		same := len(got) == len(tc.want)
+		for i := 0; same && i < len(got); i++ {
+			g, w := got[i], tc.want[i]
+			same = math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w)
+		}
+		if !same {
+			t.Errorf("%s = %v, want %v", tc.q, got, tc.want)
 		}
 	}
 }

@@ -47,15 +47,18 @@ import (
 // order per key (ascending numeric, -0 before +0, NaN last; strings sort
 // lexically).
 
-// aggAcc accumulates one aggregate over one group (interpreter arm).
+// aggAcc accumulates one aggregate over one group or one ungrouped
+// selection (interpreter arm).
 type aggAcc struct {
-	n        int
-	sum      float64
-	lo, hi   float64
-	starArgs bool // count(*)
+	n      int
+	sum    float64
+	lo, hi float64
 }
 
-// add folds one value; lo/hi start at ±Inf (newGroup) and use strict
+// newAggAcc seeds an accumulator: min/max start at ±Inf (see add).
+func newAggAcc() aggAcc { return aggAcc{lo: math.Inf(1), hi: math.Inf(-1)} }
+
+// add folds one value; lo/hi start at ±Inf (newAggAcc) and use strict
 // compares, matching the engine kernels' NaN behaviour exactly.
 func (a *aggAcc) add(v float64) {
 	if v < a.lo {
@@ -321,7 +324,7 @@ func groupedTail(bd *bound, stmt *SelectStmt, res *Result) error {
 			if desc {
 				a, c = c, a
 			}
-			return valueLess(key.Value(idx[a]), key.Value(idx[c]))
+			return valueCompare(key.Value(idx[a]), key.Value(idx[c])) < 0
 		})
 	}
 	for j := range res.Cols {
@@ -452,40 +455,21 @@ func interpretGrouped(rs *engine.Run, bd *bound, rows []int, isVector bool, ex *
 	return res, nil
 }
 
-// newGroup seeds a group's accumulators (±Inf min/max, see aggAcc.add).
+// newGroup seeds a group's accumulators.
 func newGroup(keyVals []Value, naggs int) *group {
 	g := &group{keyVals: keyVals, accs: make([]aggAcc, naggs)}
 	for i := range g.accs {
-		g.accs[i].lo = math.Inf(1)
-		g.accs[i].hi = math.Inf(-1)
+		g.accs[i] = newAggAcc()
 	}
 	return g
 }
 
 // groupKeyLess orders two key tuples in the canonical grouped-output order:
-// element-wise, numbers by the engine's FloatOrderKey total order (so both
-// execution arms agree on NaN and ±0 placement), strings lexically, other
-// kinds by their rendering.
+// element-wise by valueCompare.
 func groupKeyLess(a, b []Value) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		switch {
-		case a[i].Kind == KindNum && b[i].Kind == KindNum:
-			ka, kb := engine.FloatOrderKey(a[i].Num), engine.FloatOrderKey(b[i].Num)
-			if ka != kb {
-				return ka < kb
-			}
-		case a[i].Kind == KindStr && b[i].Kind == KindStr:
-			if a[i].Str != b[i].Str {
-				return a[i].Str < b[i].Str
-			}
-		default:
-			sa, sb := a[i].String(), b[i].String()
-			if sa != sb {
-				return sa < sb
-			}
+	for i := range min(len(a), len(b)) {
+		if c := valueCompare(a[i], b[i]); c != 0 {
+			return c < 0
 		}
 	}
 	return false

@@ -9,9 +9,9 @@
 package sql
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -390,11 +390,10 @@ func (pq *PreparedQuery) output(rs *runState, bd *bound, rows []int, preds []eng
 		}
 		desc := stmt.Order.Desc
 		sort.SliceStable(idx, func(a, c int) bool {
-			less := valueLess(keys[idx[a]], keys[idx[c]])
 			if desc {
-				return valueLess(keys[idx[c]], keys[idx[a]])
+				a, c = c, a
 			}
-			return less
+			return valueCompare(keys[idx[a]], keys[idx[c]]) < 0
 		})
 		sorted := make([]int, len(rows))
 		for i, j := range idx {
@@ -476,14 +475,18 @@ func setRow(ctx *evalCtx, isVector bool, r int) {
 	}
 }
 
-func valueLess(a, b Value) bool {
-	if a.Kind == KindNum && b.Kind == KindNum {
-		return a.Num < b.Num
+// valueCompare is the one value order of every sort in the interpreter
+// (ORDER BY, the grouped tail, grouped output keys): numbers by the
+// engine's FloatOrderKey total order (−0 before +0, NaN last, so both
+// execution arms agree), strings lexically, other kinds by their rendering.
+func valueCompare(a, b Value) int {
+	switch {
+	case a.Kind == KindNum && b.Kind == KindNum:
+		return cmp.Compare(engine.FloatOrderKey(a.Num), engine.FloatOrderKey(b.Num))
+	case a.Kind == KindStr && b.Kind == KindStr:
+		return strings.Compare(a.Str, b.Str)
 	}
-	if a.Kind == KindStr && b.Kind == KindStr {
-		return a.Str < b.Str
-	}
-	return false
+	return strings.Compare(a.String(), b.String())
 }
 
 // outputAggregates computes one result row of aggregates.
@@ -550,14 +553,12 @@ func computeAggregate(rs *engine.Run, b *binding, ps []Value, f FuncCall, rows [
 		return v, err
 	}
 	ctx := &evalCtx{b: b, ps: ps, pcRow: -1, vtRow: -1}
-	// Accumulation matches the engine's aggregate kernels exactly (±Inf
-	// seeds, strict compares), so the same aggregate gives the same answer
-	// whether it routes through kernelAggregate or this fallback: sum/avg
-	// propagate NaN, min/max skip NaN values (they fail every ordered
-	// comparison), and an all-NaN selection reports the ±Inf identities.
-	var sum float64
-	lo, hi := math.Inf(1), math.Inf(-1)
-	n := 0
+	// aggAcc matches the engine's aggregate kernels exactly (±Inf seeds,
+	// strict compares), so the same aggregate gives the same answer whether
+	// it routes through kernelAggregate or this fallback: sum/avg propagate
+	// NaN, min/max skip NaN values (they fail every ordered comparison), and
+	// an all-NaN selection reports the ±Inf identities.
+	acc := newAggAcc()
 	for b0, b1 := range rs.Token().Blocks(0, len(rows), exprChunk) {
 		for _, r := range rows[b0:b1] {
 			setRow(ctx, isVector, r)
@@ -568,42 +569,13 @@ func computeAggregate(rs *engine.Run, b *binding, ps []Value, f FuncCall, rows [
 			if v.Kind != KindNum {
 				return Value{}, fmt.Errorf("sql: %s needs numeric input", f.Name)
 			}
-			if v.Num < lo {
-				lo = v.Num
-			}
-			if v.Num > hi {
-				hi = v.Num
-			}
-			sum += v.Num
-			n++
+			acc.add(v.Num)
 		}
 	}
 	if rs.Cancelled() {
 		return Value{}, cancel.ErrCancelled
 	}
-	switch f.Name {
-	case "count":
-		return numVal(float64(n)), nil
-	case "sum":
-		return numVal(sum), nil
-	case "avg":
-		if n == 0 {
-			return Value{Kind: KindNull}, nil
-		}
-		return numVal(sum / float64(n)), nil
-	case "min":
-		if n == 0 {
-			return Value{Kind: KindNull}, nil
-		}
-		return numVal(lo), nil
-	case "max":
-		if n == 0 {
-			return Value{Kind: KindNull}, nil
-		}
-		return numVal(hi), nil
-	default:
-		return Value{}, fmt.Errorf("sql: unknown aggregate %q", f.Name)
-	}
+	return acc.result(f.Name), nil
 }
 
 // kernelAggregate routes aggregates over a bare point-cloud column through

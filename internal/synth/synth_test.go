@@ -309,7 +309,7 @@ func TestGenerateOSM(t *testing.T) {
 		if f.Name == "" || f.ID == 0 || f.Geom == nil {
 			t.Fatalf("incomplete feature %+v", f)
 		}
-		if f.Geom.GeometryType() != geom.TypePoint && f.Geom.IsEmpty() {
+		if _, isPoint := f.Geom.(geom.Point); !isPoint && f.Geom.IsEmpty() {
 			t.Fatalf("empty geometry on %s", f.Name)
 		}
 	}

@@ -45,9 +45,6 @@ func NewCanvas(w, h int, extent geom.Envelope, bg Color) *Canvas {
 	return c
 }
 
-// Extent returns the world extent of the canvas.
-func (c *Canvas) Extent() geom.Envelope { return c.extent }
-
 // ToPixel converts world coordinates to pixel coordinates.
 func (c *Canvas) ToPixel(x, y float64) (px, py int) {
 	px = int((x - c.extent.MinX) / c.extent.Width() * float64(c.W))
