@@ -463,11 +463,11 @@ func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
 				n = len(rows)
 			}
 			for _, tok := range []*cancel.Token{&fired, nil} {
-				cnt := make([]float64, tileDom)
-				banks := make([]float64, len(plan)*tileDom)
-				sink := make([]float64, tileDom+1)
+				cnt := make([]float64, classDom)
+				banks := make([]float64, len(plan)*classDom)
+				sink := make([]float64, classDom+1)
 				fillNaN(sink)
-				foldSpecs(foldSrc{keys8: keys}, pc, plan, rows, rows == nil, 0, n, cnt, foldBanks{flat: banks, n: tileDom}, sink, false, tok)
+				foldSpecs(foldSrc{keys8: keys}, pc, plan, rows, rows == nil, 0, n, cnt, foldBanks{flat: banks, n: classDom}, sink, false, tok)
 				counted, touched := 0.0, 0
 				for _, c := range cnt {
 					counted += c
@@ -492,7 +492,7 @@ func TestGroupedCancelledAtBlockBoundary(t *testing.T) {
 	for _, tok := range []*cancel.Token{&fired, nil} {
 		tiles := make([]TileBox, 1<<(2*tiler.Order))
 		seedTiles(tiles)
-		tileScan(pc.X(), pc.Y(), keys, tiler, 0, pc.Len(), make([]int, pc.Len()), tiles, tok)
+		tileScan(pc.X(), pc.Y(), keys, firstSeen(keys), tiler, 0, pc.Len(), make([]int, pc.Len()), tiles, tok)
 		rows, want := 0, pc.Len()
 		for _, tb := range tiles {
 			rows += tb.Rows
@@ -687,25 +687,55 @@ func TestMorselFoldPlanEveryDegree(t *testing.T) {
 	}
 }
 
+// firstSeen codes the classes keys hold in order of first appearance, at
+// the narrowest power-of-two width: the dictionary a pyramid build makes.
+func firstSeen(keys []uint8) *TileClasses {
+	var tc TileClasses
+	var seen [classDom]bool
+	for _, k := range keys {
+		if !seen[k] {
+			seen[k] = true
+			tc.Codes[k] = uint8(len(tc.Classes))
+			tc.Classes = append(tc.Classes, k)
+		}
+	}
+	for 1<<tc.Shift < len(tc.Classes) {
+		tc.Shift++
+	}
+	return &tc
+}
+
+// wholeDomain codes every class as itself at 256 slots per tile.
+func wholeDomain() *TileClasses {
+	tc := TileClasses{Shift: 8}
+	for k := range classDom {
+		tc.Codes[k] = uint8(k)
+		tc.Classes = append(tc.Classes, uint8(k))
+	}
+	return &tc
+}
+
 // refTileScatter is the row-at-a-time tile scatter: every row folds into
 // its (tile, class) slot in ascending row order, and into its tile's row
 // count, its NaN-coordinate count and its data box with strict compares
 // from ±Inf.
-func refTileScatter(pc *PointCloud, tiler sfc.Grid, specs []GroupedAggSpec, nslots int) (cnt []float64, banks [][]float64, tiles []TileBox, slots []int) {
+func refTileScatter(pc *PointCloud, tiler sfc.Grid, classes *TileClasses, specs []GroupedAggSpec) (cnt []float64, banks [][]float64, tiles []TileBox, slots []int) {
+	ntiles := 1 << (2 * tiler.Order)
+	nslots := ntiles << classes.Shift
 	cnt = make([]float64, nslots)
 	banks = make([][]float64, len(specs))
 	for j, s := range specs {
 		banks[j] = make([]float64, nslots)
 		seedBank(banks[j], s.Fn)
 	}
-	tiles, slots = make([]TileBox, nslots/tileDom), make([]int, pc.Len())
+	tiles, slots = make([]TileBox, ntiles), make([]int, pc.Len())
 	seedTiles(tiles)
 	keys := pc.Column(ColClassification)
 	for r := 0; r < pc.Len(); r++ {
 		x, y := pc.X()[r], pc.Y()[r]
 		cx, cy := tiler.Cell(x, y)
 		t := int(cy)<<tiler.Order | int(cx)
-		slot := t*tileDom + int(keys.Value(r))
+		slot := t<<classes.Shift | int(classes.Codes[int(keys.Value(r))])
 		slots[r] = slot
 		b := &tiles[t]
 		b.Rows++
@@ -761,11 +791,13 @@ func signedZeroCloud(n int) *PointCloud {
 // TestMorselTileScatterMatchesNaive pins the tile scatter to the
 // row-at-a-time reference at every degree: TileGroupedAggregateRun at
 // caps 1..4 on the large table (the sum shape pins degree 1), and the
-// driver on the small tables at driverDegrees. Banks and tile arrays
-// arrive stale, as pooled buffers do; the tile counts, the data boxes
-// (bit for bit: ties of −0 and +0 on signedZeroCloud, NaN and ±Inf
-// coordinates on the random table) and every row's slot must equal the
-// reference's too.
+// driver on the small tables at driverDegrees, each over two class
+// dictionaries — the classes present coded by first appearance at the
+// narrowest width, and the whole u8 domain coded as itself at 256 slots.
+// Banks and tile arrays arrive stale, as pooled buffers do; the tile
+// counts, the data boxes (bit for bit: ties of −0 and +0 on
+// signedZeroCloud, NaN and ±Inf coordinates on the random table) and
+// every row's slot must equal the reference's too.
 func TestMorselTileScatterMatchesNaive(t *testing.T) {
 	exact := []GroupedAggSpec{{Fn: AggMin, Column: ColZ}, {Fn: AggCount}, {Fn: AggMax, Column: ColIntensity}}
 	withSum := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggSum, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
@@ -782,11 +814,11 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 	sumPlan := []GroupedAggSpec{{Fn: AggSum, Column: ColZ}, {Fn: AggSum, Column: ColZ}, {Fn: AggMin, Column: ColZ},
 		{Fn: AggSum, Column: ColIntensity}, {Fn: AggMax, Column: ColClassification}}
 	const order = 3
-	nslots := (1 << (2 * order)) * tileDom
-	check := func(label string, pc *PointCloud, specs []GroupedAggSpec, scatter func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error) {
+	check := func(label string, pc *PointCloud, classes *TileClasses, specs []GroupedAggSpec, scatter func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error) {
 		t.Helper()
 		tiler := sfc.NewGrid(geom.NewEnvelope(0, 0, 1000, 1000), order)
-		wantCnt, wantBanks, wantTiles, wantSlots := refTileScatter(pc, tiler, specs, nslots)
+		wantCnt, wantBanks, wantTiles, wantSlots := refTileScatter(pc, tiler, classes, specs)
+		nslots := len(wantCnt)
 		cnt := make([]float64, nslots)
 		banks := make([][]float64, len(specs))
 		for j := range banks {
@@ -795,7 +827,7 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 				banks[j][i], cnt[i] = -7, -7 // stale pooled contents
 			}
 		}
-		tiles, slots := make([]TileBox, nslots/tileDom), make([]int, pc.Len())
+		tiles, slots := make([]TileBox, len(wantTiles)), make([]int, pc.Len())
 		for i := range tiles {
 			tiles[i] = TileBox{Rows: -7, NaN: -7, Box: geom.Envelope{MinX: -7, MinY: -7, MaxX: -7, MaxY: -7}}
 		}
@@ -829,14 +861,17 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 	}
 
 	big := groupTestCloud(t, morselCloudRows)
-	for _, specs := range append([][]GroupedAggSpec{withSum, sumPlan}, exactPlans...) {
-		for _, deg := range []int{1, 2, 4} {
-			run := parRun(deg)
-			check("entry", big, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error {
-				return big.TileGroupedAggregateRun(run, tiler, ColClassification, specs, cnt, banks, tiles, slots, 0, nil)
-			})
-			if run.Live() != 0 {
-				t.Fatalf("tile run still owns %d buffers", run.Live())
+	bigKeys := big.Column(ColClassification).(*colstore.U8Column).Values()
+	for _, classes := range []*TileClasses{firstSeen(bigKeys), wholeDomain()} {
+		for _, specs := range append([][]GroupedAggSpec{withSum, sumPlan}, exactPlans...) {
+			for _, deg := range []int{1, 2, 4} {
+				run := parRun(deg)
+				check("entry", big, classes, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error {
+					return big.TileGroupedAggregateRun(run, tiler, ColClassification, classes, specs, cnt, banks, tiles, slots, 0, nil)
+				})
+				if run.Live() != 0 {
+					t.Fatalf("tile run still owns %d buffers", run.Live())
+				}
 			}
 		}
 	}
@@ -844,20 +879,22 @@ func TestMorselTileScatterMatchesNaive(t *testing.T) {
 	clouds["signed zeros"] = signedZeroCloud(3000)
 	for cname, pc := range clouds {
 		keys := pc.Column(ColClassification).(*colstore.U8Column).Values()
-		for _, specs := range append([][]GroupedAggSpec{sumPlan}, exactPlans...) {
-			degs := []int{1}
-			if specsMergeExact(specs) {
-				degs = driverDegrees()
-			}
-			for _, deg := range degs {
-				check(cname, pc, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error {
-					seedBank(cnt, AggCount)
-					for j, s := range specs {
-						seedBank(banks[j], s.Fn)
-					}
-					seedTiles(tiles)
-					return pc.runTilePass(nil, tiler, keys, specs, cnt, banks, tiles, slots, 0, pc.Len(), deg)
-				})
+		for _, classes := range []*TileClasses{firstSeen(keys), wholeDomain()} {
+			for _, specs := range append([][]GroupedAggSpec{sumPlan}, exactPlans...) {
+				degs := []int{1}
+				if specsMergeExact(specs) {
+					degs = driverDegrees()
+				}
+				for _, deg := range degs {
+					check(cname, pc, classes, specs, func(tiler sfc.Grid, cnt []float64, banks [][]float64, tiles []TileBox, slots []int) error {
+						seedBank(cnt, AggCount)
+						for j, s := range specs {
+							seedBank(banks[j], s.Fn)
+						}
+						seedTiles(tiles)
+						return pc.runTilePass(nil, tiler, keys, classes, specs, cnt, banks, tiles, slots, 0, pc.Len(), deg)
+					})
+				}
 			}
 		}
 	}
@@ -880,9 +917,9 @@ func TestGroupedAccumulateRowsMatchesReference(t *testing.T) {
 		{{Fn: AggCount}},
 		{{Fn: AggMax, Column: ColIntensity}},
 	} {
-		slab := make([]float64, (1+len(specs))*tileDom)
+		slab := make([]float64, (1+len(specs))*classDom)
 		for j, s := range specs {
-			seedBank(slab[(1+j)*tileDom:(2+j)*tileDom], s.Fn)
+			seedBank(slab[(1+j)*classDom:(2+j)*classDom], s.Fn)
 		}
 		for _, rows := range [][]int{first, {}, second} {
 			if err := pc.GroupedAccumulateRows(rows, ColClassification, specs, slab); err != nil {
@@ -891,7 +928,7 @@ func TestGroupedAccumulateRowsMatchesReference(t *testing.T) {
 		}
 		wantKeys, wantCols := refGrouped(pc, both, ColClassification, specs)
 		groups := 0
-		for k, c := range slab[:tileDom] {
+		for k, c := range slab[:classDom] {
 			if c == 0 {
 				continue
 			}
@@ -899,7 +936,7 @@ func TestGroupedAccumulateRowsMatchesReference(t *testing.T) {
 				t.Fatalf("%d specs: unexpected class %d in the count bank", len(specs), k)
 			}
 			for j, s := range specs {
-				got, want := slab[(1+j)*tileDom+k], wantCols[j][groups]
+				got, want := slab[(1+j)*classDom+k], wantCols[j][groups]
 				if s.Fn == AggCount {
 					got = c
 				}

@@ -2,20 +2,20 @@
 // pyramid builds on. TileGroupedAggregateRun scatters the table — or, on
 // the append path, the rows past a given one — into per-(tile, class)
 // banks: a grouped-aggregate pass whose composite slot is the row's
-// quantised tile times the 256-class domain, run as a morsel pass
-// (tilePass below; see morsel.go). Each row is quantised once: the loop
-// that quantises it also records its slot and folds it into its tile's
-// row count and data bounding box, so the pyramid's tile metadata and
-// postings come out of the pass that fills its banks, through the dense
-// grouped strategy's fold plan. Partition 0 scatters into the caller's
-// banks and tile arrays, later partitions into slabs folded in ascending
-// order, which is exact for count/min/max and the boxes. Sum banks pin
-// degree 1: per-tile sums are pinned to the ascending row-order fold by
-// the float-determinism invariant, and partition merging would
-// reassociate them.
+// quantised tile shifted past the class codes the caller's dictionary
+// (TileClasses) assigns, run as a morsel pass (tilePass below; see
+// morsel.go). Each row is quantised once: the loop that quantises it also
+// records its slot and folds it into its tile's row count and data
+// bounding box, so the pyramid's tile metadata and postings come out of
+// the pass that fills its banks, through the dense grouped strategy's
+// fold plan. Partition 0 scatters into the caller's banks and tile
+// arrays, later partitions into slabs folded in ascending order, which is
+// exact for count/min/max and the boxes. Sum banks pin degree 1: per-tile
+// sums are pinned to the ascending row-order fold by the float-determinism
+// invariant, and partition merging would reassociate them.
 // GroupedAccumulateRows is the query-time counterpart: it runs the same
-// fold plan over an explicit row list into 256-slot class banks — the
-// boundary-tile refinement of a pyramid lookup.
+// fold plan over an explicit row list into 256-slot class-indexed banks —
+// the boundary-tile refinement of a pyramid lookup.
 package engine
 
 import (
@@ -30,10 +30,21 @@ import (
 	"gisnav/internal/sfc"
 )
 
-// tileDom is the class domain of one tile's bank: the pyramid keys on u8
-// columns only (the dense grouped strategy's u8 arm), so every tile owns
-// 256 slots regardless of how many classes actually occur.
-const tileDom = 256
+// classDom is the u8 key domain: tile aggregation keys on u8 columns only
+// (the dense grouped strategy's u8 arm), and GroupedAccumulateRows' banks
+// hold one slot per possible class.
+const classDom = 1 << 8
+
+// TileClasses is the class axis of a tile scatter's banks: a dictionary
+// over the u8 key. Classes lists the classes present, by code; Codes maps
+// a class to its code; every tile owns 1<<Shift slots, at least one per
+// code. Slot (t, k) of a bank, class k in tile t, lives at
+// t<<Shift | Codes[k].
+type TileClasses struct {
+	Classes []uint8
+	Codes   [classDom]uint8
+	Shift   uint
+}
 
 // validateTileSpecs rejects aggregate shapes the tile banks cannot hold:
 // avg derives from sum and count at emit time and is never materialised
@@ -110,11 +121,13 @@ func (b *TileBox) Fold(o TileBox) {
 // per-(tile, class) pre-aggregate banks and into per-tile metadata.
 // tiler assigns each row exactly one tile (Cell clamps, so rows on the
 // extent boundary and rows with a NaN coordinate land in the edge tiles);
-// keyCol must be a u8 column. Slot (t, k) of a bank lives at index
-// t*256+k with t = cy<<order | cx. cnt receives the group sizes;
+// keyCol must be a u8 column, and classes must code every key the rows
+// hold. Slot (t, k) of a bank lives at index t<<classes.Shift |
+// classes.Codes[k] with t = cy<<order | cx. cnt receives the group sizes;
 // banks[j] receives spec j's fold and may be nil for AggCount specs,
 // which are served from cnt; tiles[t] receives tile t's TileBox; slots[i]
-// receives row from+i's composite slot, so slots[i]/256 is its tile. With
+// receives row from+i's composite slot, so slots[i]>>classes.Shift is its
+// tile. With
 // from = 0 every bank and tile is (re)seeded here: callers may pass
 // buffers with stale contents. With from > 0 the rows fold on top of banks
 // and tiles that already hold rows [0, from) — the append path of a
@@ -126,14 +139,17 @@ func (b *TileBox) Fold(o TileBox) {
 // across calls too, so folding [0, m) and then [m, n) leaves the banks
 // bit-identical to one call over [0, n). Tiles merge exactly at any
 // degree (TileBox.Fold).
-func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, specs []GroupedAggSpec, cnt []float64, banks [][]float64, tiles []TileBox, slots []int, from int, ex *Explain) error {
+func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol string, classes *TileClasses, specs []GroupedAggSpec, cnt []float64, banks [][]float64, tiles []TileBox, slots []int, from int, ex *Explain) error {
 	start := time.Now()
 	u8, err := pc.tileKey(ex, keyCol, specs)
 	if err != nil {
 		return err
 	}
+	if len(classes.Classes) > 1<<classes.Shift {
+		return fmt.Errorf("engine: %d classes in %d slots per tile", len(classes.Classes), 1<<classes.Shift)
+	}
 	ntiles := 1 << (2 * tiler.Order)
-	nslots := ntiles * tileDom
+	nslots := ntiles << classes.Shift
 	if len(cnt) < nslots || len(banks) != len(specs) {
 		return fmt.Errorf("engine: tile bank shape mismatch: %d slots, %d banks for %d specs",
 			len(cnt), len(banks), len(specs))
@@ -169,11 +185,12 @@ func (pc *PointCloud) TileGroupedAggregateRun(run *Run, tiler sfc.Grid, keyCol s
 	if specsMergeExact(specs) {
 		deg = pc.morselDegree(run, n-from, true)
 	}
-	if err := pc.runTilePass(run, tiler, u8.Values(), specs, cnt, banks, tiles, slots, from, n, deg); err != nil {
+	if err := pc.runTilePass(run, tiler, u8.Values(), classes, specs, cnt, banks, tiles, slots, from, n, deg); err != nil {
 		return err
 	}
 	if ex != nil {
-		ex.Add(opTileAgg, fmt.Sprintf("order %d, %d aggs, tile meta [par %d]", tiler.Order, len(specs), deg),
+		ex.Add(opTileAgg, fmt.Sprintf("order %d, %d classes in %d slots, %d aggs, tile meta [par %d]",
+			tiler.Order, len(classes.Classes), 1<<classes.Shift, len(specs), deg),
 			n-from, nslots, time.Since(start))
 	}
 	return nil
@@ -191,8 +208,9 @@ func seedTiles(tiles []TileBox) {
 // tile, polling tok once per foldBlock like the fold passes. A fired token
 // leaves the later slots unwritten; the fold after it polls the same token
 // first, so it never reads them.
-func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, slots []int, tiles []TileBox, tok *cancel.Token) {
+func tileScan(xs, ys []float64, keys []uint8, classes *TileClasses, tiler sfc.Grid, start, end int, slots []int, tiles []TileBox, tok *cancel.Token) {
 	order, q := tiler.Order, tiler.Quantizer()
+	codes, shift := &classes.Codes, classes.Shift
 	for b, e := range tok.Blocks(start, end, foldBlock) {
 		_ = faultpoint.Hit("engine.groupagg.block")
 		bys, bkeys, bslots := ys[b:e], keys[b:e], slots[b-start:e-start]
@@ -200,7 +218,7 @@ func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, sl
 			y := bys[i]
 			cx, cy := q.Cell(x, y)
 			t := int(cy)<<order | int(cx)
-			bslots[i] = t*tileDom + int(bkeys[i])
+			bslots[i] = t<<shift | int(codes[bkeys[i]])
 			nan := 0
 			if x != x || y != y {
 				nan = 1
@@ -218,20 +236,21 @@ func tileScan(xs, ys []float64, keys []uint8, tiler sfc.Grid, start, end int, sl
 // slabs sits one fold sink per partition. Every partition writes its
 // rows' slots into its span of the caller's slot vector.
 type tilePass struct {
-	pass   morsel.Pass
-	pc     *PointCloud
-	keys   []uint8
-	tiler  sfc.Grid
-	specs  []GroupedAggSpec
-	from   int
-	n, deg int
-	nslots int
-	stride int // slab length: nslots * (1 + specs)
-	cnt    []float64
-	banks  [][]float64
-	tiles  []TileBox
-	slots  []int
-	slabs  []float64
+	pass    morsel.Pass
+	pc      *PointCloud
+	keys    []uint8
+	classes *TileClasses
+	tiler   sfc.Grid
+	specs   []GroupedAggSpec
+	from    int
+	n, deg  int
+	nslots  int
+	stride  int // slab length: nslots * (1 + specs)
+	cnt     []float64
+	banks   [][]float64
+	tiles   []TileBox
+	slots   []int
+	slabs   []float64
 	// tileSlab holds the tiles of partitions 1..deg-1. It stays with the
 	// pooled pass, so a warm scatter allocates none.
 	tileSlab []TileBox
@@ -257,7 +276,7 @@ func (tp *tilePass) RunPartition(slot int) {
 		seedBank(cnt, AggCount)
 		seedTiles(tiles)
 	}
-	tileScan(tp.pc.xs.Values(), tp.pc.ys.Values(), tp.keys, tp.tiler, start, end, slots, tiles, tp.tok)
+	tileScan(tp.pc.xs.Values(), tp.pc.ys.Values(), tp.keys, tp.classes, tp.tiler, start, end, slots, tiles, tp.tok)
 	sink := tp.slabs[(tp.deg-1)*tp.stride:][slot*(tp.nslots+1) : (slot+1)*(tp.nslots+1)]
 	if slot == 0 {
 		fillNaN(sink) // partition 0 folds onto the caller's banks unseeded
@@ -269,9 +288,9 @@ func (tp *tilePass) RunPartition(slot int) {
 // tiles in deg partitions and folds the slabs of partitions 1.. into them
 // in ascending order — exact for count/min/max and the tiles; a sum spec
 // pins deg to 1, where every tile's sum is the ascending row-order fold.
-func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs []GroupedAggSpec, cnt []float64, banks [][]float64, tiles []TileBox, slots []int, from, n, deg int) error {
+func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, classes *TileClasses, specs []GroupedAggSpec, cnt []float64, banks [][]float64, tiles []TileBox, slots []int, from, n, deg int) error {
 	ntiles := 1 << (2 * tiler.Order)
-	nslots := ntiles * tileDom
+	nslots := ntiles << classes.Shift
 	stride := nslots * (1 + len(specs))
 	size := (deg-1)*stride + deg*(nslots+1)
 	slabs := run.AcquireF64(size)[:size]
@@ -280,7 +299,7 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 		return err
 	}
 	tp := tilePasses.get()
-	tp.pc, tp.keys, tp.tiler, tp.specs = pc, keys, tiler, specs
+	tp.pc, tp.keys, tp.classes, tp.tiler, tp.specs = pc, keys, classes, tiler, specs
 	tp.from, tp.n, tp.deg, tp.nslots, tp.stride = from, n, deg, nslots, stride
 	tp.cnt, tp.banks, tp.tiles, tp.slots, tp.slabs = cnt, banks, tiles[:ntiles], slots, slabs
 	if cap(tp.tileSlab) < (deg-1)*ntiles {
@@ -289,7 +308,7 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 	tp.tileSlab = tp.tileSlab[:(deg-1)*ntiles]
 	tp.tok = run.Token()
 	p := tp.pass.Run(deg, tp)
-	tp.pc, tp.keys, tp.specs, tp.cnt, tp.banks, tp.tiles, tp.slots, tp.slabs, tp.tok = nil, nil, nil, nil, nil, nil, nil, nil, nil
+	tp.pc, tp.keys, tp.classes, tp.specs, tp.cnt, tp.banks, tp.tiles, tp.slots, tp.slabs, tp.tok = nil, nil, nil, nil, nil, nil, nil, nil, nil, nil
 	defer tilePasses.put(tp) // after the merge, which reads tp.tileSlab
 	if p != nil {
 		panic(p)
@@ -317,7 +336,8 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, specs 
 
 // GroupedAccumulateRows folds specs over an explicit row list into
 // 256-slot class-indexed banks, running the same fold plan as the exact
-// grouped arm — the pyramid's boundary-tile refinement entry point. bank is one flat slab laid out [count | spec 0 | spec 1 | ...]:
+// grouped arm — the pyramid's boundary-tile refinement entry point. bank
+// is one flat slab laid out [count | spec 0 | spec 1 | ...]:
 // 256 count slots followed by one 256-slot segment per spec (count specs'
 // segments are unused — the shared count slots serve them). The flat
 // layout keeps the warm query path free of per-call slice-header
@@ -332,13 +352,13 @@ func (pc *PointCloud) GroupedAccumulateRows(rows []int, keyCol string, specs []G
 	if err != nil {
 		return err
 	}
-	if len(bank) < (1+len(specs))*tileDom {
+	if len(bank) < (1+len(specs))*classDom {
 		return fmt.Errorf("engine: class bank slab too small: %d slots for %d specs",
 			len(bank), len(specs))
 	}
-	var sink [tileDom + 1]float64
+	var sink [classDom + 1]float64
 	fillNaN(sink[:])
-	fb := foldBanks{flat: bank[tileDom:], n: tileDom}
-	foldSpecs(foldSrc{keys8: u8.Values()}, pc, specs, rows, false, 0, len(rows), bank[:tileDom], fb, sink[:], false, nil)
+	fb := foldBanks{flat: bank[classDom:], n: classDom}
+	foldSpecs(foldSrc{keys8: u8.Values()}, pc, specs, rows, false, 0, len(rows), bank[:classDom], fb, sink[:], false, nil)
 	return nil
 }

@@ -310,13 +310,13 @@ func rectBlock(xs, ys []float64, b0 int, env geom.Envelope, buf []int) int {
 // RectRowsInto appends to out the rows of the list whose point lies in the
 // closed envelope env, in list order — the row-list twin of rectBlock, as
 // the kernels pair a selection loop with each block loop. The pyramid
-// refines a rectangle's boundary-tile postings through it.
-func RectRowsInto(xs, ys []float64, rows []int, env geom.Envelope, out []int) []int {
+// refines a rectangle's boundary-tile postings, int32 row ids, through it.
+func RectRowsInto[R int | int32](xs, ys []float64, rows []R, env geom.Envelope, out []int) []int {
 	j := len(out)
 	out = slices.Grow(out, len(rows))
 	buf := out[:j+len(rows)]
 	for _, r := range rows {
-		buf[j] = r
+		buf[j] = int(r)
 		j += inRect(env, xs[r], ys[r])
 	}
 	return buf[:j]

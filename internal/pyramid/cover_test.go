@@ -112,9 +112,14 @@ func TestPyramidCoverProperty(t *testing.T) {
 	}
 }
 
-// TestPyramidAppendNewClass appends rows of a class the build never saw:
-// the entry extends, and the class is answered, since the classes a fold
-// visits are read from the refolded root.
+// TestPyramidAppendNewClass appends rows of classes the build never saw:
+// the entry extends, the new classes take the next codes, and they are
+// answered, since a fold reads every coded class. The first append brings
+// class 200 (10 classes, still 16 slots per tile), the second six more
+// between and above the built ones (16 classes, still 16 slots), the third
+// one more, so 17 codes outgrow 16 slots and every level re-strides to 32.
+// After each the entry must equal a build over the grown table,
+// dictionary included.
 func TestPyramidAppendNewClass(t *testing.T) {
 	dropResident()
 	defer dropResident()
@@ -124,29 +129,41 @@ func TestPyramidAppendNewClass(t *testing.T) {
 	p.Release()
 	run.Drain()
 
-	extra := insideBatch(rand.New(rand.NewSource(24)), pc.Extent(), 500)
-	for i := range extra {
-		extra[i].Classification = 200
-	}
-	before := Snapshot()
-	pc.AppendLAS(extra)
-	p, run = buildPyramid(t, pc, specs)
-	defer p.Release()
-	defer run.Drain()
-	if s := Snapshot(); s.Extensions != before.Extensions+1 {
-		t.Fatalf("the append rebuilt the pyramid (%d extensions)", s.Extensions-before.Extensions)
-	}
-	var res engine.GroupedResult
-	ext := pc.Extent()
-	for _, env := range []geom.Envelope{geom.NewEnvelope(ext.MinX-1, ext.MinY-1, ext.MaxX+1, ext.MaxY+1), geom.NewEnvelope(100, 150, 700, 820)} {
-		region := grid.GeometryRegion{G: env.ToPolygon()}
-		if _, ok, err := p.QueryRegionRun(run, region, specs, &res); err != nil || !ok {
-			t.Fatalf("viewport %v: ok=%v err=%v", env, ok, err)
+	rng := rand.New(rand.NewSource(24))
+	for _, step := range []struct {
+		classes []uint8
+		slots   int
+	}{{[]uint8{200}, 16}, {[]uint8{250, 9, 100, 30, 11, 60}, 16}, {[]uint8{10}, 32}} {
+		extra := insideBatch(rng, pc.Extent(), 500)
+		for i := range extra {
+			extra[i].Classification = step.classes[i%len(step.classes)]
 		}
-		if !slices.Contains(res.Keys, 200) {
-			t.Fatalf("viewport %v: class 200 missing from %v", env, res.Keys)
+		before := Snapshot()
+		pc.AppendLAS(extra)
+		p, run = buildPyramid(t, pc, specs)
+		if s := Snapshot(); s.Extensions != before.Extensions+1 {
+			t.Fatalf("the append of %v rebuilt the pyramid (%d extensions)", step.classes, s.Extensions-before.Extensions)
 		}
-		sameGrouped(t, "new class", &res, exactGrouped(t, pc, region, specs))
+		if got := 1 << p.dict.Shift; got != step.slots || !slices.Equal(p.dict.Classes[len(p.dict.Classes)-len(step.classes):], step.classes) {
+			t.Fatalf("after %v: classes %v in %d slots per tile, want them last in %d", step.classes, p.dict.Classes, got, step.slots)
+		}
+		samePyramid(t, "extended by new classes", p, freshPyramid(t, pc, specs))
+		var res engine.GroupedResult
+		ext := pc.Extent()
+		for _, env := range []geom.Envelope{geom.NewEnvelope(ext.MinX-1, ext.MinY-1, ext.MaxX+1, ext.MaxY+1), geom.NewEnvelope(100, 150, 700, 820)} {
+			region := grid.GeometryRegion{G: env.ToPolygon()}
+			if _, ok, err := p.QueryRegionRun(run, region, specs, &res); err != nil || !ok {
+				t.Fatalf("viewport %v: ok=%v err=%v", env, ok, err)
+			}
+			for _, k := range step.classes {
+				if !slices.Contains(res.Keys, float64(k)) {
+					t.Fatalf("viewport %v: class %d missing from %v", env, k, res.Keys)
+				}
+			}
+			sameGrouped(t, "new class", &res, exactGrouped(t, pc, region, specs))
+		}
+		p.Release()
+		run.Drain()
 	}
 }
 
@@ -209,14 +226,67 @@ func TestPyramidSignedZeroTies(t *testing.T) {
 	}
 }
 
+// fuzzClass is the class of row i of a fuzzed table whose rows [0, m) are
+// built and the rest appended: built rows cycle through the first half of
+// keys and appended rows through the second, so an append brings classes
+// below, between and above the built ones, and as many new ones as the
+// fuzzer picks. With fewer than two keys, row i's class is i % 11.
+func fuzzClass(keys []byte, i, m int) uint8 {
+	h := len(keys) / 2
+	switch {
+	case h == 0:
+		return uint8(i % 11)
+	case i < m:
+		return keys[i%h]
+	default:
+		return keys[h+i%(len(keys)-h)]
+	}
+}
+
+// fuzzClassSeeds are class sets for fuzzClass: sparse keys with 0 and 255
+// on both sides of the append; appended classes below, between and above
+// the built ones; an append that takes 4 classes to 5 and one that takes
+// 16 to 17, each past a power of two, so the banks re-stride.
+func fuzzClassSeeds() [][]byte {
+	past16 := make([]byte, 32)
+	for i := range 16 {
+		past16[i] = byte(16 * i)
+		past16[16+i] = byte(16*i + 7*(i&1)) // 8 new classes among the built ones
+	}
+	return [][]byte{
+		{0, 255, 17, 0, 255, 128},
+		{50, 100, 150, 10, 75, 200},
+		{1, 2, 3, 4, 5, 5, 5, 5},
+		past16,
+	}
+}
+
+// fuzzField is the coordinates of 40 rows in [0, 10]², corners first, in
+// the fuzz targets' encoding: with the split at 30000 of 65535, the first
+// 18 rows are built and the rest appended inside their extent.
+func fuzzField() []byte {
+	var b []byte
+	for i := range 40 {
+		x, y := float64(i*7%10)+0.5, float64(i*3%10)+0.25
+		if i < 2 {
+			x, y = float64(10*i), float64(10*i)
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(y))
+	}
+	return b
+}
+
 // FuzzPyramidQuery answers a fuzzed viewport from pyramids over fuzzed
-// coordinate bits (NaN, ±Inf and −0 included, row 0 too): one built over
-// rows [0, m), then the same after the rest are appended — extended in
-// place when the append allows it, rebuilt otherwise. Every answer must
-// either decline or equal the exact arm bit for bit. The low bit of shape
-// picks a rectangle or its 5-vertex twin (the per-point Contains path);
-// when bit 1 is set the fuzzed rows repeat past 2^16, so the base order is
-// 3 rather than 2.
+// coordinate bits (NaN, ±Inf and −0 included, row 0 too) and a fuzzed
+// class set (fuzzClass): one built over rows [0, m), then the same after
+// the rest are appended — extended in place when the append allows it,
+// rebuilt otherwise. Every answer must either decline or equal the exact
+// arm bit for bit, and an extended pyramid must equal a build over the
+// grown table (samePyramid, the class dictionary included). The low bit of
+// shape picks a rectangle or its 5-vertex twin (the per-point Contains
+// path); when bit 1 is set the fuzzed rows repeat past 2^16, so the base
+// order is 3 rather than 2.
 func FuzzPyramidQuery(f *testing.F) {
 	coords := func(v ...float64) []byte {
 		var b []byte
@@ -226,12 +296,16 @@ func FuzzPyramidQuery(f *testing.F) {
 		return b
 	}
 	negz := math.Copysign(0, -1)
-	f.Add(coords(0, 0, 10, 10, 5, 5, negz, 3, 0, 3, 10, 1), 0.0, 0.0, 10.0, 10.0, uint16(30000), uint8(0))
-	f.Add(coords(math.NaN(), 4, 0, 0, 10, 10, 4, math.NaN(), 7, 7), -1.0, -1.0, 11.0, 11.0, uint16(0), uint8(1))
-	f.Add(coords(0, 0, 8, 8, 3, 3, 5, 5, math.NaN(), math.NaN(), 2, 6), 2.5, 0.0, 8.0, 4.0, uint16(50000), uint8(2))
-	f.Add(coords(-1, -1, 1, 1, math.Inf(1), 0, 0, negz), -0.5, -0.5, 0.5, 0.5, uint16(65535), uint8(3))
-	f.Add(coords(0, 0, 1, 1, 0.5, 0.5), math.Inf(-1), math.NaN(), math.Inf(1), 0.5, uint16(20000), uint8(0))
-	f.Fuzz(func(t *testing.T, raw []byte, x0, y0, x1, y1 float64, split uint16, shape uint8) {
+	f.Add(coords(0, 0, 10, 10, 5, 5, negz, 3, 0, 3, 10, 1), []byte(nil), 0.0, 0.0, 10.0, 10.0, uint16(30000), uint8(0))
+	f.Add(coords(math.NaN(), 4, 0, 0, 10, 10, 4, math.NaN(), 7, 7), []byte(nil), -1.0, -1.0, 11.0, 11.0, uint16(0), uint8(1))
+	f.Add(coords(0, 0, 8, 8, 3, 3, 5, 5, math.NaN(), math.NaN(), 2, 6), []byte(nil), 2.5, 0.0, 8.0, 4.0, uint16(50000), uint8(2))
+	f.Add(coords(-1, -1, 1, 1, math.Inf(1), 0, 0, negz), []byte(nil), -0.5, -0.5, 0.5, 0.5, uint16(65535), uint8(3))
+	f.Add(coords(0, 0, 1, 1, 0.5, 0.5), []byte(nil), math.Inf(-1), math.NaN(), math.Inf(1), 0.5, uint16(20000), uint8(0))
+	field := fuzzField()
+	for i, keys := range fuzzClassSeeds() {
+		f.Add(field, keys, 1.5, 0.5, 8.5, 9.5, uint16(30000), uint8(i&1))
+	}
+	f.Fuzz(func(t *testing.T, raw, keys []byte, x0, y0, x1, y1 float64, split uint16, shape uint8) {
 		k := min(len(raw)/16, 256)
 		if k == 0 {
 			return
@@ -240,6 +314,7 @@ func FuzzPyramidQuery(f *testing.F) {
 		if shape&2 != 0 {
 			n = 1<<16 + k
 		}
+		m := int(split) * n / math.MaxUint16
 		pts := make([]las.Point, n)
 		for i := range pts {
 			j := i % k
@@ -248,7 +323,7 @@ func FuzzPyramidQuery(f *testing.F) {
 				Y:              math.Float64frombits(binary.LittleEndian.Uint64(raw[16*j+8:])),
 				Z:              float64(i % 97),
 				Intensity:      uint16(i % 13),
-				Classification: uint8(i % 11),
+				Classification: fuzzClass(keys, i, m),
 			}
 		}
 		var region grid.Region = grid.GeometryRegion{G: geom.Polygon{Shell: geom.Ring{Points: []geom.Point{
@@ -271,7 +346,6 @@ func FuzzPyramidQuery(f *testing.F) {
 			}
 		}
 
-		m := int(split) * n / math.MaxUint16
 		pc := engine.NewPointCloud()
 		pc.AppendLAS(pts[:m])
 		prefix := newPyramid(pc, pc.Epoch(), engine.ColClassification, specs)
@@ -282,7 +356,8 @@ func FuzzPyramidQuery(f *testing.F) {
 			check("prefix", pc, prefix)
 		}
 		pc.AppendLAS(pts[m:])
-		if prefix != nil && prefix.extendable() {
+		extended := prefix != nil && prefix.extendable()
+		if extended {
 			if err := prefix.extend(run, pc.Epoch(), nil); err != nil {
 				t.Fatal(err)
 			}
@@ -293,6 +368,9 @@ func FuzzPyramidQuery(f *testing.F) {
 				t.Fatal(err)
 			}
 			check("build", pc, whole)
+			if extended {
+				samePyramid(t, "extension against the build", prefix, whole)
+			}
 		}
 	})
 }

@@ -66,12 +66,16 @@ func sameTiles(t *testing.T, label string, got, want []engine.TileBox) {
 }
 
 // samePyramid requires got and want to be the same pyramid bit for bit:
-// every level's counts, banks, tile row counts and data bounding boxes,
-// and the base postings.
+// the class dictionary (codes and slots per tile), every level's counts,
+// banks, tile row counts and data bounding boxes, and the base postings.
 func samePyramid(t *testing.T, label string, got, want *Pyramid) {
 	t.Helper()
 	if got.base != want.base || got.ext != want.ext || len(got.levels) != len(want.levels) {
 		t.Fatalf("%s: base %d ext %v, want base %d ext %v", label, got.base, got.ext, want.base, want.ext)
+	}
+	if !slices.Equal(got.dict.Classes, want.dict.Classes) || got.dict.Codes != want.dict.Codes || got.dict.Shift != want.dict.Shift {
+		t.Fatalf("%s: classes %v at %d slots per tile, want %v at %d", label, got.dict.Classes, 1<<got.dict.Shift,
+			want.dict.Classes, 1<<want.dict.Shift)
 	}
 	for o := range want.levels {
 		g, w := &got.levels[o], &want.levels[o]

@@ -53,7 +53,7 @@ func refExtendMeta(p *Pyramid, from, n int) {
 			b.Box.MaxY = y
 		}
 	}
-	rows := make([]int, n)
+	rows := make([]int32, n)
 	copy(rows, p.rows)
 	p.rows = rows
 	shift := n - from
@@ -66,7 +66,7 @@ func refExtendMeta(p *Pyramid, from, n int) {
 		next[t] = hi + shift
 	}
 	for i, t := range tiles {
-		p.rows[next[t]] = from + i
+		p.rows[next[t]] = int32(from + i)
 		next[t]++
 	}
 }
@@ -213,11 +213,12 @@ func TestPyramidMetaMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzPyramidBuild builds pyramids over fuzzed coordinate bits: over rows
-// [0, m) and then extended to n when the append may extend (extendable),
-// and in one build over n, at a fuzzed run cap. The extension must equal
-// the one-shot build in everything samePyramid compares, and both must
-// match the row-at-a-time reference metadata. The low three bits of
+// FuzzPyramidBuild builds pyramids over fuzzed coordinate bits and a
+// fuzzed class set (fuzzClass): over rows [0, m) and then extended to n
+// when the append may extend (extendable), and in one build over n, at a
+// fuzzed run cap. The extension must equal the one-shot build in
+// everything samePyramid compares, the class dictionary included, and both
+// must match the row-at-a-time reference metadata. The low three bits of
 // shape are the run cap (0: the table's default); when its top four bits
 // are all set, the fuzzed rows repeat past two morsels' worth, so the cap
 // is the degree the scatter runs at. A wide table is rare by design: it
@@ -231,11 +232,16 @@ func FuzzPyramidBuild(f *testing.F) {
 		return b
 	}
 	negz := math.Copysign(0, -1)
-	f.Add(coords(0, 0, 10, 10, 5, 5, negz, 3, 0, 3, 10, 1), uint16(3), uint8(2))
-	f.Add(coords(0, 0, 10, 10, math.NaN(), 4, 4, math.NaN(), 0, 7, negz, 7, 10, 10), uint16(20000), uint8(0xf3))
-	f.Add(coords(-1, -1, 1, 1, 1, -1, -1, 1, 0, 0), uint16(65535), uint8(0xf0))
-	f.Add(coords(1, 1, 1, 2), uint16(1), uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, split uint16, shape uint8) {
+	field := fuzzField()
+	f.Add(coords(0, 0, 10, 10, 5, 5, negz, 3, 0, 3, 10, 1), []byte(nil), uint16(3), uint8(2))
+	f.Add(coords(0, 0, 10, 10, math.NaN(), 4, 4, math.NaN(), 0, 7, negz, 7, 10, 10), []byte(nil), uint16(20000), uint8(0xf3))
+	f.Add(coords(-1, -1, 1, 1, 1, -1, -1, 1, 0, 0), []byte(nil), uint16(65535), uint8(0xf0))
+	f.Add(coords(1, 1, 1, 2), []byte(nil), uint16(1), uint8(1))
+	for _, keys := range fuzzClassSeeds() {
+		f.Add(field, keys, uint16(30000), uint8(2))
+	}
+	f.Add(field, fuzzClassSeeds()[2], uint16(20000), uint8(0xf2))
+	f.Fuzz(func(t *testing.T, raw, keys []byte, split uint16, shape uint8) {
 		k := min(len(raw)/16, 256)
 		if k == 0 {
 			return
@@ -244,6 +250,7 @@ func FuzzPyramidBuild(f *testing.F) {
 		if shape&0xf0 == 0xf0 {
 			n = 2<<16 + k
 		}
+		m := int(split) * n / math.MaxUint16
 		pts := make([]las.Point, n)
 		for i := range pts {
 			j := i % k
@@ -251,10 +258,9 @@ func FuzzPyramidBuild(f *testing.F) {
 				X:              math.Float64frombits(binary.LittleEndian.Uint64(raw[16*j:])),
 				Y:              math.Float64frombits(binary.LittleEndian.Uint64(raw[16*j+8:])),
 				Z:              float64(i % 97),
-				Classification: uint8(i % 11),
+				Classification: fuzzClass(keys, i, m),
 			}
 		}
-		m := int(split) * n / math.MaxUint16
 		specs := testSpecs()
 		newRun := func() *engine.Run {
 			run := new(engine.Run)
@@ -320,7 +326,8 @@ func TestPyramidConcurrentBuilds(t *testing.T) {
 					return
 				}
 				run.Drain()
-				if !reflect.DeepEqual(p.levels, want[i].levels) || !slices.Equal(p.offs, want[i].offs) || !slices.Equal(p.rows, want[i].rows) {
+				if !reflect.DeepEqual(p.dict, want[i].dict) || !reflect.DeepEqual(p.levels, want[i].levels) ||
+					!slices.Equal(p.offs, want[i].offs) || !slices.Equal(p.rows, want[i].rows) {
 					t.Errorf("goroutine %d, table %d: a concurrent build differs from the one built alone", g, i)
 				}
 			}

@@ -8,16 +8,21 @@
 // rows) down to a single root tile. Every level stores, per (tile, class)
 // slot, the class count plus one bank per requested min/max/sum column,
 // plus per-tile metadata: the row count and the tight bounding box of the
-// rows that actually quantised into the tile. The base level keeps
-// per-tile row postings (rows ascending within a tile) for boundary
-// refinement. One pass of the engine's tile scatter, fanned over the
-// morsel worker set (engine.TileGroupedAggregateRun), fills the base
-// level: it quantises each row once, folds it into its slot's banks and
-// its tile's count and box, and records its tile, from which the postings
-// are placed. The levels above fold child-into-parent. The banks and
-// postings are the pyramid's own exactly sized arrays (postings keep 1/8
-// headroom for appends), not engine pool buffers: they live as long as the
-// entry and go to the garbage collector with it.
+// rows that actually quantised into the tile. The class axis is a
+// dictionary (engine.TileClasses): each class present has a code, in
+// order of first appearance by row, and every tile owns W slots, W the
+// power of two at or above the number of classes — 16 for 9 classes,
+// where the u8 key's whole domain would take 256. The base level keeps
+// per-tile postings, int32 row ids ascending within a tile, for boundary
+// refinement; a table of 2^31 rows or more has no pyramid. One pass of
+// the engine's tile scatter, fanned over the morsel worker set
+// (engine.TileGroupedAggregateRun), fills the base level: it quantises
+// each row once, folds it into its slot's banks and its tile's count and
+// box, and records its tile, from which the postings are placed. The
+// levels above fold child-into-parent. The banks and postings are the
+// pyramid's own exactly sized arrays (postings keep 1/8 headroom for
+// appends), not engine pool buffers: they live as long as the entry and
+// go to the garbage collector with it.
 //
 // Appends. A pyramid over a table that has only been appended to since
 // it was built extends in place instead of rebuilding (extend): the new
@@ -25,11 +30,14 @@
 // banks fold them and the tile totals and data bounding boxes widen; the
 // postings grow at each tile's tail (new row ids are larger than every old
 // one, so tiles stay ascending), and only the ancestors of touched tiles
-// refold. A build is the extension of an empty pyramid. Count, min, max
-// and the boxes fold exactly in any order and each tile's sum keeps
-// folding in ascending row order, so an extended pyramid is bit-identical
-// to one built over the grown table. The cache extends an entry only when
-// no query holds it pinned and the new rows fit the existing tiling (For).
+// refold. Classes the new rows bring take the next codes first; only when
+// the codes outgrow W does every level re-stride to the next power of
+// two. A build is the extension of an empty pyramid, so an extended
+// pyramid's dictionary is the one a build codes. Count, min, max and the
+// boxes fold exactly in any order and each tile's sum keeps folding in
+// ascending row order, so an extended pyramid is bit-identical to one
+// built over the grown table. The cache extends an entry only when no
+// query holds it pinned and the new rows fit the existing tiling (For).
 //
 // Query. A viewport-histogram lookup is a quadtree cover: it descends
 // from the root tile, classifying each tile's DATA bounding box against
@@ -45,7 +53,9 @@
 // lies inside its tile's closed data bbox — independent of quantisation
 // rounding at tile edges. A row with a NaN coordinate lies in no box and
 // no region, so a tile holding one never folds whole: it splits, and its
-// base tile refines. Folds touch only the classes the root counts.
+// base tile refines. A fold reads only the coded slots of an inside tile
+// and adds them, through the dictionary, into the class-indexed query
+// accumulator.
 //
 // Determinism. Count/min/max merge exactly in any fold order but one: a
 // −0 and a +0 tie, and the serial exact arm keeps the first row's. Where
@@ -61,7 +71,9 @@
 package pyramid
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/colstore"
@@ -72,9 +84,10 @@ import (
 )
 
 const (
-	// tileDom is the per-tile class domain: pyramids key on u8 columns
-	// only (the dense grouped strategy's u8 arm).
-	tileDom = 256
+	// classDom is the u8 key domain, the width of a lookup's class-indexed
+	// accumulator (GroupedAccumulateRows' layout): pyramids key on u8
+	// columns only (the dense grouped strategy's u8 arm).
+	classDom = 256
 	// baseOrderMin/Max bound the base tiling; targetRowsPerTile sizes it.
 	baseOrderMin      = 2
 	baseOrderMax      = 5
@@ -87,8 +100,8 @@ const (
 )
 
 // level is one resolution of the pyramid: per-(tile, class) banks plus
-// per-tile metadata. Slot (t, k) of a bank lives at t*256+k with
-// t = cy<<order | cx.
+// per-tile metadata. Slot (t, k) of a bank, class k in tile t, lives at
+// t<<dict.Shift | dict.Codes[k] with t = cy<<order | cx.
 type level struct {
 	grid  sfc.Grid
 	cnt   []float64        // per-slot class counts
@@ -108,10 +121,11 @@ type Pyramid struct {
 	specs   []engine.GroupedAggSpec // canonical non-count bank specs
 	ext     geom.Envelope
 	base    uint
-	levels  []level // indexed by order, 0..base
-	offs    []int   // base-tile postings: rows[offs[t]:offs[t+1]]
-	rows    []int   // row ids, ascending within each base tile; len = rows covered
-	zeros   []uint8 // per bank: the zero signs its column's covered rows hold
+	dict    engine.TileClasses // the class axis of every level's banks
+	levels  []level            // indexed by order, 0..base
+	offs    []int              // base-tile postings: rows[offs[t]:offs[t+1]]
+	rows    []int32            // row ids, ascending within each base tile; len = rows covered
+	zeros   []uint8            // per bank: the zero signs its column's covered rows hold
 	refs    refCount
 }
 
@@ -135,16 +149,21 @@ func baseOrderFor(n int) uint {
 	return o
 }
 
-// newPyramid allocates the bank storage for (pc, epoch, shape), seeded
-// for an empty table: counts and totals zero, min/max banks ±Inf, sums
-// zero, bounding boxes empty. Returns nil when the table cannot host a
-// pyramid: no rows, or a degenerate/non-finite extent the quantiser
+// rowsFit reports whether a pyramid may cover n rows: its postings are
+// int32 row ids. newPyramid declines a larger table and extendable an
+// append that grows the table past it; the exact arm answers instead.
+func rowsFit(n int) bool { return n <= math.MaxInt32 }
+
+// newPyramid allocates the tiling for (pc, epoch, shape), seeded for an
+// empty table: no class coded, so no bank slot yet, totals zero, bounding
+// boxes empty. Returns nil when the table cannot host a pyramid: no rows,
+// 2^31 rows or more, or a degenerate/non-finite extent the quantiser
 // cannot split — an empty one included, which Extent reports when a
 // coordinate column holds no number.
 func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.GroupedAggSpec) *Pyramid {
 	n := pc.Len()
 	ext := pc.Extent()
-	if n == 0 || ext.IsEmpty() || !(ext.Width() > 0) || !(ext.Height() > 0) ||
+	if n == 0 || !rowsFit(n) || ext.IsEmpty() || !(ext.Width() > 0) || !(ext.Height() > 0) ||
 		math.IsInf(ext.Width(), 0) || math.IsInf(ext.Height(), 0) {
 		return nil
 	}
@@ -163,19 +182,14 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 		ntiles := 1 << (2 * o)
 		l := &p.levels[o]
 		l.grid = sfc.Grid{Extent: ext, Order: o}
-		l.cnt = make([]float64, ntiles*tileDom)
 		l.banks = make([][]float64, len(p.specs))
-		for j, s := range p.specs {
-			l.banks[j] = make([]float64, ntiles*tileDom)
-			seedBank(l.banks[j], s.Fn)
-		}
 		l.tiles = make([]engine.TileBox, ntiles)
 		for t := range l.tiles {
 			l.tiles[t] = engine.EmptyTileBox
 		}
 	}
 	p.offs = make([]int, 1<<(2*p.base)+1)
-	p.rows = make([]int, 0, n+n/postingsHeadroom)
+	p.rows = make([]int32, 0, n+n/postingsHeadroom)
 	return p
 }
 
@@ -215,11 +229,12 @@ func (p *Pyramid) build(run *engine.Run, ex *engine.Explain) error {
 // extendable reports whether the pyramid may extend in place to the
 // table's current rows: only appends since atEpoch, every new row inside
 // the extent the tiling quantises (so a build would pick the same
-// extent), the same base order for the grown row count, and no query
-// holding it pinned. Called under the cache mutex.
+// extent), the same base order for the grown row count, rows that still
+// fit int32 postings, and no query holding it pinned. Called under the
+// cache mutex.
 func (p *Pyramid) extendable() bool {
 	n := p.pc.Len()
-	if !p.refs.sole() || !p.pc.AppendOnlySince(p.atEpoch) || n < len(p.rows) || baseOrderFor(n) != p.base {
+	if !p.refs.sole() || !p.pc.AppendOnlySince(p.atEpoch) || n < len(p.rows) || !rowsFit(n) || baseOrderFor(n) != p.base {
 		return false
 	}
 	xs, ys := p.pc.X(), p.pc.Y()
@@ -232,20 +247,23 @@ func (p *Pyramid) extendable() bool {
 }
 
 // extend folds the table's rows past the ones the pyramid covers into it
-// and moves it to epoch: the engine's tile scatter on top of the base
-// banks, which also takes the rows into the base tiles' totals and data
-// bounding boxes and reports each row's tile, then the postings placed
-// from those, then the refold of every ancestor of a tile that gained
-// rows. From an empty pyramid that is the build. The caller guarantees the
-// rows before len(p.rows) are unchanged and every new row lies inside
-// p.ext, so the tiling holds; a cancelled or failed extend leaves the
-// pyramid torn, and the caller must drop it.
+// and moves it to epoch: the new rows' classes coded (code), the engine's
+// tile scatter on top of the base banks, which also takes the rows into
+// the base tiles' totals and data bounding boxes and reports each row's
+// tile, then the postings placed from those, then the refold of every
+// ancestor of a tile that gained rows. From an empty pyramid that is the
+// build. The caller guarantees the rows before len(p.rows) are unchanged
+// and every new row lies inside p.ext, so the tiling holds; a cancelled or
+// failed extend leaves the pyramid torn, and the caller must drop it.
 func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) error {
 	bl := &p.levels[p.base]
 	from, n := len(p.rows), p.pc.Len()
+	if err := p.code(ex, from, n); err != nil {
+		return err
+	}
 	slots := run.AcquireRows(n - from)[:n-from]
 	defer run.RecycleRows(slots)
-	if err := p.pc.TileGroupedAggregateRun(run, bl.grid, p.key, p.specs, bl.cnt, bl.banks, bl.tiles, slots, from, ex); err != nil {
+	if err := p.pc.TileGroupedAggregateRun(run, bl.grid, p.key, &p.dict, p.specs, bl.cnt, bl.banks, bl.tiles, slots, from, ex); err != nil {
 		return err
 	}
 	for j, s := range p.specs {
@@ -253,10 +271,73 @@ func (p *Pyramid) extend(run *engine.Run, epoch uint64, ex *engine.Explain) erro
 	}
 	touched := p.place(slots, from)
 	for o := int(p.base) - 1; o >= 0; o-- {
-		touched = refoldLevel(&p.levels[o], &p.levels[o+1], p.specs, touched)
+		touched = refoldLevel(&p.levels[o], &p.levels[o+1], p.specs, p.dict.Shift, touched)
 	}
 	p.atEpoch = epoch
 	return nil
+}
+
+// code gives each class that first occurs in rows [from, n) the next
+// code, in row order, after making the key and bank columns resident in
+// one first touch traced into ex. When the codes outgrow the slots per
+// tile, every level re-strides to the next power of two at or above their
+// number. Codes follow first appearance by row and the width follows
+// their number, so coding [0, m) and then [m, n) leaves the dictionary
+// and the layout of coding [0, n) at once.
+func (p *Pyramid) code(ex *engine.Explain, from, n int) error {
+	cols := []string{p.key}
+	for _, s := range p.specs {
+		cols = append(cols, s.Column)
+	}
+	if err := p.pc.EnsureColumns(ex, cols...); err != nil {
+		return err
+	}
+	keys, ok := p.pc.Column(p.key).(*colstore.U8Column)
+	if !ok {
+		return fmt.Errorf("pyramid: key column %q is not u8", p.key)
+	}
+	var seen [classDom]bool
+	for _, k := range p.dict.Classes {
+		seen[k] = true
+	}
+	for _, k := range keys.Values()[from:n] {
+		if !seen[k] {
+			seen[k] = true
+			p.dict.Codes[k] = uint8(len(p.dict.Classes))
+			p.dict.Classes = append(p.dict.Classes, k)
+		}
+	}
+	if c := len(p.dict.Classes); c > len(p.levels[0].cnt) { // the root's one tile is as wide as every tile
+		p.restride(uint(bits.Len(uint(c - 1))))
+	}
+	return nil
+}
+
+// restride lays every level's banks out again at 1<<shift slots per tile:
+// each tile's coded slots keep their place at the head of its span, and
+// the slots past them take their fold's identity. The root owns one tile,
+// so its count bank's length is the width the banks have.
+func (p *Pyramid) restride(shift uint) {
+	for o := range p.levels {
+		l := &p.levels[o]
+		l.cnt = restrideBank(l.cnt, len(l.tiles), shift, engine.AggCount)
+		for j, s := range p.specs {
+			l.banks[j] = restrideBank(l.banks[j], len(l.tiles), shift, s.Fn)
+		}
+	}
+	p.dict.Shift = shift
+}
+
+// restrideBank returns bank b, equal spans of ntiles tiles (none before
+// the first class is coded), laid out at 1<<shift slots per tile.
+func restrideBank(b []float64, ntiles int, shift uint, fn engine.AggFunc) []float64 {
+	out := make([]float64, ntiles<<shift)
+	seedBank(out, fn)
+	w := len(b) / ntiles
+	for t := 0; t < ntiles; t++ {
+		copy(out[t<<shift:], b[t*w:(t+1)*w])
+	}
+	return out
 }
 
 // bothZeros is zeroSigns' report of a column holding both a +0 and a −0,
@@ -280,13 +361,13 @@ func zeroSigns(col colstore.Column, from, n int) (signs uint8) {
 // the scatter counted them into the base totals: a tile gained its total
 // less the postings it holds. Each tile's old postings move up by the rows
 // the tiles before it gained, and its new rows follow them in ascending
-// order — the order boundary refinement folds in. slots[i]/tileDom is
-// row from+i's tile. It returns the base tiles that gained a row.
+// order — the order boundary refinement folds in. slots[i]>>dict.Shift
+// is row from+i's tile. It returns the base tiles that gained a row.
 func (p *Pyramid) place(slots []int, from int) []bool {
 	tiles := p.levels[p.base].tiles
 	n := from + len(slots)
 	if cap(p.rows) < n {
-		rows := make([]int, from, n+n/postingsHeadroom)
+		rows := make([]int32, from, n+n/postingsHeadroom)
 		copy(rows, p.rows)
 		p.rows = rows
 	}
@@ -306,8 +387,8 @@ func (p *Pyramid) place(slots []int, from int) []bool {
 		touched[t] = gained > 0
 	}
 	for i, s := range slots {
-		t := s / tileDom
-		p.rows[next[t]] = from + i
+		t := s >> p.dict.Shift
+		p.rows[next[t]] = int32(from + i)
 		next[t]++
 	}
 	return touched
@@ -315,8 +396,8 @@ func (p *Pyramid) place(slots []int, from int) []bool {
 
 // refoldLevel refolds, from its four children, every dst tile with a
 // touched child (touched indexes src's tiles) and returns the dst tiles
-// it refolded.
-func refoldLevel(dst, src *level, specs []engine.GroupedAggSpec, touched []bool) []bool {
+// it refolded. Tiles own 1<<shift slots.
+func refoldLevel(dst, src *level, specs []engine.GroupedAggSpec, shift uint, touched []bool) []bool {
 	order := dst.grid.Order
 	nx := 1 << order
 	out := make([]bool, nx*nx)
@@ -327,7 +408,7 @@ func refoldLevel(dst, src *level, specs []engine.GroupedAggSpec, touched []bool)
 				out[t] = touched[(2*cy+d>>1)<<(order+1)|(2*cx+d&1)]
 			}
 			if out[t] {
-				foldTile(dst, src, specs, cx, cy)
+				foldTile(dst, src, specs, shift, cx, cy)
 			}
 		}
 	}
@@ -339,26 +420,26 @@ func refoldLevel(dst, src *level, specs []engine.GroupedAggSpec, touched []bool)
 // bounding boxes and totals union. The fixed order keeps sum folds
 // deterministic — a refold after an append gives the bits a build does;
 // count/min/max are order-exact regardless.
-func foldTile(dst, src *level, specs []engine.GroupedAggSpec, cx, cy int) {
-	order := dst.grid.Order
+func foldTile(dst, src *level, specs []engine.GroupedAggSpec, shift uint, cx, cy int) {
+	order, w := dst.grid.Order, 1<<shift
 	t := cy<<order | cx
-	db := dst.cnt[t*tileDom : (t+1)*tileDom]
+	db := dst.cnt[t*w : (t+1)*w]
 	clear(db)
 	for j, s := range specs {
-		seedBank(dst.banks[j][t*tileDom:(t+1)*tileDom], s.Fn)
+		seedBank(dst.banks[j][t*w:(t+1)*w], s.Fn)
 	}
 	dst.tiles[t] = engine.EmptyTileBox
 	for dy := 0; dy < 2; dy++ {
 		for dx := 0; dx < 2; dx++ {
 			st := (2*cy+dy)<<(order+1) | (2*cx + dx)
 			dst.tiles[t].Fold(src.tiles[st])
-			sb := src.cnt[st*tileDom : (st+1)*tileDom]
+			sb := src.cnt[st*w : (st+1)*w]
 			for k := range db {
 				db[k] += sb[k]
 			}
 			for j, s := range specs {
-				dj := dst.banks[j][t*tileDom : (t+1)*tileDom]
-				sj := src.banks[j][st*tileDom : (st+1)*tileDom]
+				dj := dst.banks[j][t*w : (t+1)*w]
+				sj := src.banks[j][st*w : (st+1)*w]
 				switch s.Fn {
 				case engine.AggMin:
 					for k := range dj {
@@ -474,64 +555,54 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 	}
 
 	// The query accumulator is one flat pooled slab in GroupedAccumulateRows
-	// layout — [count | spec 0 | spec 1 | ...], 256 slots each — so the warm
-	// path builds no per-call slice headers.
+	// layout — [count | spec 0 | spec 1 | ...], 256 class-indexed slots
+	// each — so the warm path builds no per-call slice headers.
 	nspecs := len(specs)
-	slab := run.AcquireF64((1 + nspecs) * tileDom)[:(1+nspecs)*tileDom]
-	qcnt := slab[:tileDom]
-	for i := range qcnt {
-		qcnt[i] = 0
-	}
+	slab := run.AcquireF64((1 + nspecs) * classDom)[:(1+nspecs)*classDom]
+	qcnt := (*[classDom]float64)(slab)
+	clear(qcnt[:])
 	for j, s := range specs {
-		seedBank(slab[(1+j)*tileDom:(2+j)*tileDom], s.Fn)
-	}
-	// Only the classes the root counts occur in any tile. An absent class
-	// holds count 0, its min/max seed and a +0 sum everywhere, so folding
-	// the present ones alone changes no bit. The root refolds on every
-	// extension, so the list follows appends.
-	var presentArr [tileDom]uint8
-	present := presentArr[:0]
-	for k, c := range p.levels[0].cnt[:tileDom] {
-		if c > 0 {
-			present = append(present, uint8(k))
-		}
+		seedBank(slab[(1+j)*classDom:(2+j)*classDom], s.Fn)
 	}
 
 	// Interior tiles fold their pre-aggregates in cover order; edge tiles
 	// refine their rows exactly. Every tile joins the cover at most once.
+	// A fold reads an inside tile's coded slots only, and adds slot c into
+	// class classes[c] of the accumulator.
+	classes := p.dict.Classes
 	inside := run.AcquireRows((1<<(2*(p.base+1)) - 1) / 3)[:0]
 	edge := run.AcquireRows(len(p.levels[p.base].tiles))[:0]
 	inside, edge = p.cover(region, inside, edge)
 	qs.Interior, qs.Boundary = len(inside), len(edge)
 	for _, c := range inside {
-		l, base := &p.levels[c&orderMask], (c>>orderBits)*tileDom
-		cb := l.cnt[base : base+tileDom]
-		for _, k := range present {
-			qcnt[k] += cb[k]
+		l, base := &p.levels[c&orderMask], (c>>orderBits)<<p.dict.Shift
+		cb := l.cnt[base : base+len(classes)]
+		for i, k := range classes {
+			qcnt[k] += cb[i]
 		}
 		for j := range specs {
 			bi := bmap[j]
 			if bi < 0 {
 				continue
 			}
-			src := l.banks[bi][base : base+tileDom]
-			dst := slab[(1+j)*tileDom : (2+j)*tileDom]
+			src := l.banks[bi][base : base+len(classes)]
+			dst := (*[classDom]float64)(slab[(1+j)*classDom:])
 			switch specs[j].Fn {
 			case engine.AggMin:
-				for _, k := range present {
-					if src[k] < dst[k] {
-						dst[k] = src[k]
+				for i, k := range classes {
+					if src[i] < dst[k] {
+						dst[k] = src[i]
 					}
 				}
 			case engine.AggMax:
-				for _, k := range present {
-					if src[k] > dst[k] {
-						dst[k] = src[k]
+				for i, k := range classes {
+					if src[i] > dst[k] {
+						dst[k] = src[i]
 					}
 				}
 			default: // AggSum: cover order
-				for _, k := range present {
-					dst[k] += src[k]
+				for i, k := range classes {
+					dst[k] += src[i]
 				}
 			}
 		}
@@ -547,8 +618,7 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 
 	// Emit groups in ascending class order — FloatOrderKey order for u8
 	// keys, the same order the engine's dense strategy produces.
-	for _, k := range present {
-		c := qcnt[k]
+	for k, c := range qcnt {
 		if c == 0 {
 			continue
 		}
@@ -556,9 +626,9 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 		for j := range specs {
 			v := c
 			if bi := bmap[j]; bi >= 0 {
-				v = slab[(1+j)*tileDom+int(k)]
+				v = slab[(1+j)*classDom+k]
 				if v == 0 && p.zeros[bi] == bothZeros {
-					v = p.firstZero(region, k, specs[j].Column)
+					v = p.firstZero(region, uint8(k), specs[j].Column)
 				}
 			}
 			res.Cols[j] = append(res.Cols[j], v)
@@ -596,7 +666,7 @@ func (p *Pyramid) refine(run *engine.Run, region grid.Region, edge []int, specs 
 					continue
 				}
 				if region.Contains(x, y) {
-					rbuf = append(rbuf, r)
+					rbuf = append(rbuf, int(r))
 				}
 			}
 		}

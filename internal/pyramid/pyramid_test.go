@@ -1,8 +1,12 @@
 package pyramid
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gisnav/internal/cancel"
@@ -596,4 +600,78 @@ func TestPyramidCacheEvictsAtBound(t *testing.T) {
 	run.Drain()
 	dropResident()
 	mark.unmoved(t)
+}
+
+// TestPyramidFootprint holds the pyramid to its information content. Over
+// testCloud's 9 classes every level's banks hold 16 slots per tile, the
+// postings are int32 row ids, one per row, and EXPLAIN names the width.
+// The 2^31-row decline is held through rowsFit at its edge, and the source
+// must route newPyramid and extendable through it.
+func TestPyramidFootprint(t *testing.T) {
+	pc := testCloud(70_000, 5)
+	p := newPyramid(pc, pc.Epoch(), engine.ColClassification, testSpecs())
+	run := new(engine.Run)
+	defer run.Drain()
+	var ex engine.Explain
+	if err := p.build(run, &ex); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.dict.Classes) != 9 || p.dict.Shift != 4 {
+		t.Fatalf("classes %v in %d slots per tile, want 9 in 16", p.dict.Classes, 1<<p.dict.Shift)
+	}
+	for o, l := range p.levels {
+		want := len(l.tiles) * 16
+		if len(l.cnt) != want || cap(l.cnt) != want {
+			t.Fatalf("level %d: count bank of %d slots (cap %d), want %d", o, len(l.cnt), cap(l.cnt), want)
+		}
+		for j, b := range l.banks {
+			if len(b) != want || cap(b) != want {
+				t.Fatalf("level %d: bank %d of %d slots (cap %d), want %d", o, j, len(b), cap(b), want)
+			}
+		}
+	}
+	var postings []int32 = p.rows
+	if len(postings) != pc.Len() || p.offs[len(p.offs)-1] != pc.Len() {
+		t.Fatalf("%d postings, offsets end at %d, for %d rows", len(postings), p.offs[len(p.offs)-1], pc.Len())
+	}
+	detail := ""
+	for _, s := range ex.Steps {
+		if s.Op == "tile.agg" {
+			detail = s.Detail
+		}
+	}
+	if !strings.HasPrefix(detail, "order 3, 9 classes in 16 slots, 5 aggs, tile meta [par ") {
+		t.Fatalf("tile.agg detail %q", detail)
+	}
+
+	if !rowsFit(math.MaxInt32) || rowsFit(math.MaxInt32+1) {
+		t.Fatal("rowsFit must admit 2^31-1 rows and decline 2^31")
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "pyramid.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded := 0
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || (fn.Name.Name != "newPyramid" && fn.Name.Name != "extendable") {
+			continue
+		}
+		guarded++
+		calls := false
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "rowsFit" {
+					calls = true
+				}
+			}
+			return true
+		})
+		if !calls {
+			t.Errorf("%s does not check rowsFit", fn.Name.Name)
+		}
+	}
+	if guarded != 2 {
+		t.Fatalf("found %d of newPyramid and extendable in pyramid.go", guarded)
+	}
 }
