@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gisnav/internal/colstore"
@@ -429,4 +430,15 @@ func TestExplainString(t *testing.T) {
 		t.Fatal("nil explain should be inert")
 	}
 	empty.Add("x", "y", 0, 0, 0) // must not panic
+}
+
+// TestExplainStringKeepsLongDetail: the rendered table carries every
+// detail whole, however long, so a degree or a count at its end shows.
+func TestExplainStringKeepsLongDetail(t *testing.T) {
+	detail := "order 3, 7 classes in 8 slots, 2 aggs, tile meta [par 2]"
+	ex := &Explain{}
+	ex.Add(opTileAgg, detail, 10, 10, 0)
+	if len(detail) <= 34 || !strings.Contains(ex.String(), detail) {
+		t.Fatalf("detail %q cut from the rendered trace:\n%s", detail, ex.String())
+	}
 }

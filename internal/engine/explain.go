@@ -12,7 +12,6 @@ import (
 const (
 	opFilterColumn   = "filter.column"   // thematic predicate kernel over a selection
 	opImprintsFilter = "imprints.filter" // imprint candidate-range generation
-	opAggregate      = "aggregate"       // typed aggregate kernel
 	opGroupAgg       = "group.agg"       // grouped-aggregate kernel (dense/hash)
 	opTileAgg        = "tile.agg"        // pyramid tile pre-aggregation build or extension
 	opGridRefine     = "grid.refine"     // spatial refinement over candidates
@@ -67,24 +66,18 @@ func (e *Explain) Total() time.Duration {
 	return t
 }
 
-// String renders the trace as an aligned table.
+// String renders the trace as an aligned table, the detail whole in the
+// last column.
 func (e *Explain) String() string {
 	if e == nil || len(e.Steps) == 0 {
 		return "(empty plan)"
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s %-34s %12s %12s %12s\n", "operator", "detail", "rows in", "rows out", "time")
+	fmt.Fprintf(&sb, "%-22s %12s %12s %12s  %s\n", "operator", "rows in", "rows out", "time", "detail")
 	for _, s := range e.Steps {
-		fmt.Fprintf(&sb, "%-22s %-34s %12d %12d %12s\n",
-			s.Op, truncateDetail(s.Detail, 34), s.InRows, s.OutRows, s.Duration.Round(time.Microsecond))
+		fmt.Fprintf(&sb, "%-22s %12d %12d %12s  %s\n",
+			s.Op, s.InRows, s.OutRows, s.Duration.Round(time.Microsecond), s.Detail)
 	}
-	fmt.Fprintf(&sb, "%-22s %-34s %12s %12s %12s\n", "total", "", "", "", e.Total().Round(time.Microsecond))
+	fmt.Fprintf(&sb, "%-22s %12s %12s %12s\n", "total", "", "", e.Total().Round(time.Microsecond))
 	return sb.String()
-}
-
-func truncateDetail(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-3] + "..."
 }

@@ -1,9 +1,11 @@
-// Grouped-aggregation kernels: GROUP BY over one key column with typed
+// Grouped-aggregation kernels: GROUP BY over one key column — or none: an
+// ungrouped aggregate is the one-group fold of an empty key — with typed
 // accumulate passes over the value columns, executed column-at-a-time in the
 // MonetDB style the paper's performance case rests on (§2.1.1) — one pass
 // per value column, every accumulator of that column in one loop. The paper's
 // navigation workload re-aggregates the viewport on every pan/zoom step
-// (class histograms, per-class elevation stats), so this layer is built for
+// (class histograms, per-class elevation stats, the viewport's count and
+// mean elevation), so this layer is built for
 // the repeated case: accumulator scratch comes from the striped pools and
 // the result lands in a caller-owned reusable record, leaving a steady-state
 // dense-path run with zero heap allocations.
@@ -134,9 +136,12 @@ func groupPassCheckpoint(run *Run) error {
 }
 
 // denseKeys returns the dense slot source and domain of keyCol for a fold
-// over n rows, or a zero domain when the hash strategy takes it.
+// over n rows, or a zero domain when the hash strategy takes it. A nil
+// keyCol is the key-less fold: one group, domain 1.
 func denseKeys(keyCol colstore.Column, n int) (foldSrc, int) {
 	switch k := keyCol.(type) {
+	case nil:
+		return foldSrc{keyless: true}, 1
 	case *colstore.U8Column:
 		return foldSrc{keys8: k.Values()}, 1 << 8
 	case *colstore.U16Column:
@@ -154,13 +159,17 @@ func denseKeys(keyCol colstore.Column, n int) (foldSrc, int) {
 // fired context stops the aggregation within one block with every buffer
 // back in its pool and res in an unspecified (but safe to reuse) state.
 //
+// An empty key is the ungrouped aggregate: the whole selection folds into
+// one group (domain 1) through the dense strategy, and res holds that group
+// or, over an empty selection, none.
+//
 // Over the whole table (rows == nil) with a dense key, the predicates
 // feed the fold as the pipelined filter pass (morsel.go): the filter fans
 // out, the fold stays on the caller in ascending row order. Otherwise the
 // selection is filtered first (FilterRowsRun) and then folded.
 func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPred, key string, specs []GroupedAggSpec, res *GroupedResult, ex *Explain) error {
 	start := time.Now()
-	if pc.columnBit(key) == 0 {
+	if key != "" && pc.columnBit(key) == 0 {
 		return fmt.Errorf("engine: unknown group key column %q", key)
 	}
 	// Validate specs before touching any scratch: value columns must exist
@@ -179,7 +188,7 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPr
 	if err := pc.ensureColumns(0, ex, pc.specColumns(key, specs)); err != nil {
 		return err
 	}
-	keyCol := pc.Column(key)
+	keyCol := pc.Column(key) // nil for the empty key
 	n := len(rows)
 	all := rows == nil
 	if all {
@@ -230,13 +239,15 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPr
 	if ex != nil {
 		// The pass count makes a regression to one pass per aggregate
 		// visible from EXPLAIN (the hash strategy's slot-assignment pass
-		// is not an accumulate pass and is not counted); it leads the
-		// detail because the rendered table truncates at 34 characters.
+		// is not an accumulate pass and is not counted).
 		passes, plural := foldPasses(specs), "es"
 		if passes == 1 {
 			plural = ""
 		}
-		detail := fmt.Sprintf("%s, %d pass%s, %d aggs, key %s", res.Strategy, passes, plural, len(specs), key)
+		detail := fmt.Sprintf("%s, %d pass%s, %d aggs", res.Strategy, passes, plural, len(specs))
+		if key != "" {
+			detail += ", key " + key
+		}
 		ex.Add(opGroupAgg, parDetail(detail, deg), in, len(res.Keys), time.Since(start))
 	}
 	return nil
@@ -276,11 +287,12 @@ type denseKey interface {
 // foldSrc is the slot source of a fold pass; exactly one field is set.
 // Dense keys are gathered by row id (the key value IS the slot); a slot
 // vector is aligned with the partition span (slots[i] belongs to the
-// span's i-th row).
+// span's i-th row); keyless folds every row into slot 0.
 type foldSrc struct {
-	keys8  []uint8
-	keys16 []uint16
-	slots  []int
+	keys8   []uint8
+	keys16  []uint16
+	slots   []int
+	keyless bool
 }
 
 // Accumulator roles of one value column (sum and avg share the sum bank;
@@ -427,6 +439,8 @@ func colSpan[V any](vals []V, all bool, start, end int) []V {
 // starts at start.
 func foldCount(src foldSrc, rows []int, all bool, start, b, e int, cnt []float64) {
 	switch {
+	case src.keyless:
+		cnt[0] += float64(e - b)
 	case src.slots != nil:
 		for _, s := range src.slots[b-start : e-start] {
 			cnt[s]++
@@ -484,6 +498,8 @@ func foldVals[V colstore.Number](src foldSrc, vals []V, rows []int, all bool, st
 		rows = rows[b:e]
 	}
 	switch {
+	case src.keyless:
+		foldKeyless(vals, rows, all, a)
 	case src.slots != nil:
 		foldSlots(src.slots[b-start:e-start], vals, rows, all, a)
 	case src.keys8 != nil:
@@ -525,6 +541,41 @@ func foldKeys[K denseKey, V colstore.Number](keys []K, vals []V, rows []int, all
 			hi[s] = f
 		}
 	}
+}
+
+// foldKeyless is the loop of the key-less fold: every row lands in slot 0,
+// so the four accumulators ride in locals across the block and reach the
+// banks once, with no per-row store. Unrequested accumulators load and
+// store the sink's NaN, which the loop keeps NaN.
+func foldKeyless[V colstore.Number](vals []V, rows []int, all bool, a foldAcc) {
+	sum, lo, hi := a.v[roleSum][0], a.v[roleMin][0], a.v[roleMax][0]
+	n := len(rows)
+	if all {
+		n = len(vals)
+		for _, v := range vals {
+			f := float64(v)
+			sum += f
+			if f < lo {
+				lo = f
+			}
+			if f > hi {
+				hi = f
+			}
+		}
+	} else {
+		for _, r := range rows {
+			f := float64(vals[r])
+			sum += f
+			if f < lo {
+				lo = f
+			}
+			if f > hi {
+				hi = f
+			}
+		}
+	}
+	a.cnt[0] += float64(n)
+	a.v[roleSum][0], a.v[roleMin][0], a.v[roleMax][0] = sum, lo, hi
 }
 
 // foldSlots is the same loop driven by a span-aligned slot vector.

@@ -41,7 +41,8 @@ func groupTestCloud(t *testing.T, n int) *PointCloud {
 
 // refGrouped is the row-at-a-time reference: same widening, same ascending
 // accumulation order, same ±Inf min/max seeds, same canonical-NaN key
-// identity, same FloatOrderKey output order.
+// identity, same FloatOrderKey output order. An empty key is the key-less
+// fold: one group, key 0, absent over an empty selection.
 func refGrouped(pc *PointCloud, rows []int, key string, specs []GroupedAggSpec) (keys []float64, cols [][]float64) {
 	type acc struct {
 		key  float64
@@ -60,7 +61,10 @@ func refGrouped(pc *PointCloud, rows []int, key string, specs []GroupedAggSpec) 
 		if rows != nil {
 			r = rows[i]
 		}
-		kv := keyCol.Value(r)
+		var kv float64 // an empty key: every row in group 0
+		if keyCol != nil {
+			kv = keyCol.Value(r)
+		}
 		kb := canonicalBits(kv)
 		g, ok := groups[kb]
 		if !ok {

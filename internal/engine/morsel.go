@@ -1,4 +1,4 @@
-// Morsel execution: every engine operator — fused aggregate, dense and
+// Morsel execution: every engine operator — dense (key-less included) and
 // hash grouped aggregate, tile scatter, grid refinement — is ONE partition
 // body over a span [start, end) of its input plus one driver.
 // The driver picks a degree, runs the body once per partition through
@@ -46,10 +46,10 @@
 // operator drains every slot's list after the merge, before re-raising the
 // first panic for the query layer's recovery. Every partition loop ranges
 // over the run token's cancel.Token.Blocks, which polls before each block:
-// scanChunk blocks in the filter kernels and the fused aggregate, foldBlock
-// blocks in the tile scatter and the grouped fold passes (one pass per
-// value column, every accumulator of that column in one loop;
-// groupagg.go), and the grid package's refineBlock blocks in refinement. A fired token ends the loop
+// scanChunk blocks in the filter kernels, foldBlock blocks in the tile
+// scatter and the grouped fold passes (one pass per value column, every
+// accumulator of that column in one loop; groupagg.go), and the grid
+// package's refineBlock blocks in refinement. A fired token ends the loop
 // at the next block boundary; the driver checks the token once after the
 // pass and surfaces the cancellation with every buffer back in its pool.
 // The engine.morsel.worker and engine.morsel.merge faultpoints prove both
@@ -58,9 +58,7 @@
 package engine
 
 import (
-	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"gisnav/internal/cancel"
@@ -144,35 +142,6 @@ func hitMorselMerge(deg int) error {
 	return nil
 }
 
-// passFree is the mutex-backed free list behind the pooled operator pass
-// scratch. A sync.Pool would be idiomatic, but the race detector drops
-// sync.Pool puts, which would fail the AllocsPerRun == 0 steady-state
-// tests under the -race CI job (the SQL layer's runStatePool documents
-// the same trade-off).
-type passFree[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-func (p *passFree[T]) get() *T {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		t := p.free[n-1]
-		p.free = p.free[:n-1]
-		return t
-	}
-	return new(T)
-}
-
-func (p *passFree[T]) put(t *T) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) < 16 {
-		p.free = append(p.free, t)
-	}
-}
-
 // --- pipelined filter pass ------------------------------------------------------
 
 // pipeMorselRows is the morsel of the pipelined filter pass: two fold
@@ -232,7 +201,7 @@ type pipePass struct {
 	tok    *cancel.Token
 }
 
-var pipePasses passFree[pipePass]
+var pipePasses morsel.FreeList[pipePass]
 
 // RunPartition runs the consumer on slot 0 and a producer elsewhere. A
 // producer that panics publishes the morsel it holds as failed on the way
@@ -317,9 +286,13 @@ func (pp *pipePass) take(at, c int) {
 	pp.w += c
 }
 
-// bind compiles and binds preds into the pass.
+// bind compiles and binds preds into the pass, crossing the filter's
+// per-predicate fault point as FilterRowsRun does.
 func (pp *pipePass) bind(run *Run, pc *PointCloud, preds []ColumnPred) error {
 	for _, pred := range preds {
+		if err := faultpoint.Hit("engine.filter.block"); err != nil {
+			return err
+		}
 		k, a, err := pc.bindPred(run, pred)
 		if err != nil {
 			return err
@@ -359,13 +332,13 @@ func (pp *pipePass) release() {
 	pp.preds, pp.out = pp.preds[:0], nil
 	pp.fold, pp.seeded, pp.src, pp.pc, pp.specs = false, false, foldSrc{}, nil, nil
 	pp.cnt, pp.fb, pp.sink, pp.tok = nil, foldBanks{}, nil, nil
-	pipePasses.put(pp)
+	pipePasses.Put(pp)
 }
 
 // filterAll is the compact consumer: the rows of [0, n) matching the bound
 // kernel, in row order, in out (capacity at least n).
 func filterAll(k *Kernel, a KernelArgs, n, deg int, out []int) ([]int, error) {
-	pp := pipePasses.get()
+	pp := pipePasses.Get()
 	pp.preds = append(pp.preds, pipePred{k, a})
 	w, err := pp.run(n, deg, out)
 	return out[:w], err
@@ -384,7 +357,7 @@ func runPipeFold(run *Run, pc *PointCloud, src foldSrc, dom int, preds []ColumnP
 	if err := groupPassCheckpoint(run); err != nil {
 		return 0, err
 	}
-	pp := pipePasses.get()
+	pp := pipePasses.Get()
 	if err := pp.bind(run, pc, preds); err != nil {
 		pp.release()
 		return 0, err
@@ -423,7 +396,7 @@ type refinePass struct {
 	opts    grid.Options
 }
 
-var refinePasses passFree[refinePass]
+var refinePasses morsel.FreeList[refinePass]
 
 // RunPartition refines one partition's ranges into the caller's vector
 // (partition 0) or one drawn through the slot's release list, sized for
@@ -448,7 +421,7 @@ func (rp *refinePass) RunPartition(slot int) {
 // every degree. Every slot's release list drains after the merge; a
 // partition panic re-raises once the pass is back on its free list.
 func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, opts grid.Options, deg int, out []int) ([]int, grid.Stats, error) {
-	rp := refinePasses.get()
+	rp := refinePasses.Get()
 	rp.xs, rp.ys, rp.region, rp.opts, rp.out = xs, ys, region, opts, out
 	rp.partBuf, rp.cuts, rp.parts = grid.SplitRangesInto(cand, deg, rp.partBuf, rp.cuts, rp.parts)
 	n := len(rp.parts)
@@ -479,78 +452,11 @@ func refineRanges(xs, ys []float64, cand []colstore.Range, region grid.Region, o
 	clear(rp.results)
 	clear(rp.parts) // a degree-1 partition is the caller's candidate list
 	rp.xs, rp.ys, rp.region, rp.opts, rp.out = nil, nil, nil, grid.Options{}, nil
-	refinePasses.put(rp)
+	refinePasses.Put(rp)
 	if p != nil {
 		panic(p)
 	}
 	return out, st, err
-}
-
-// --- fused sum/min/max aggregate ------------------------------------------------
-
-// aggFold is one partition's fused fold result.
-type aggFold struct{ sum, lo, hi float64 }
-
-// aggPass is the pooled scaffolding of one fused aggregate pass. Partition
-// bounds derive from (n, len(folds)) per slot and the folds land in
-// preallocated slots — partitions own no pooled buffers, so a partition
-// panic has nothing to drain.
-type aggPass struct {
-	pass  morsel.Pass
-	col   colstore.Column
-	rows  []int
-	all   bool
-	n     int
-	folds []aggFold
-	tok   *cancel.Token
-}
-
-var aggPasses passFree[aggPass]
-
-// RunPartition folds one partition's sum/min/max in scanChunk blocks,
-// polling the run's token at every block boundary. The accumulators are
-// carried ACROSS blocks (never sum += blockSum, which would reassociate),
-// so the fold is the ascending row-at-a-time fold whatever the block size.
-func (ap *aggPass) RunPartition(slot int) {
-	deg := len(ap.folds)
-	hitMorselWorker(deg)
-	sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
-	end := (slot + 1) * ap.n / deg
-	for b0, b1 := range ap.tok.Blocks(slot*ap.n/deg, end, scanChunk) {
-		sum, lo, hi = aggColumn(ap.col, ap.rows, ap.all, b0, b1, sum, lo, hi)
-	}
-	ap.folds[slot] = aggFold{sum, lo, hi}
-}
-
-// runAggPass computes the fused sum/min/max over the selection in deg
-// partitions and folds min/max of partitions 1.. into partition 0 in
-// ascending order. The sum is partition 0's alone: callers that read it
-// pass deg == 1 (sum/avg pin the degree), where partition 0 is the whole
-// selection.
-func runAggPass(run *Run, col colstore.Column, rows []int, all bool, n, deg int) (sum, lo, hi float64, err error) {
-	ap := aggPasses.get()
-	ap.col, ap.rows, ap.all, ap.n = col, rows, all, n
-	ap.tok = run.Token()
-	if cap(ap.folds) < deg {
-		ap.folds = make([]aggFold, deg)
-	}
-	ap.folds = ap.folds[:deg]
-	p := ap.pass.Run(deg, ap)
-	f := ap.folds[0]
-	for _, w := range ap.folds[1:] {
-		if w.lo < f.lo {
-			f.lo = w.lo
-		}
-		if w.hi > f.hi {
-			f.hi = w.hi
-		}
-	}
-	ap.col, ap.rows, ap.tok = nil, nil, nil
-	aggPasses.put(ap)
-	if p != nil {
-		panic(p)
-	}
-	return f.sum, f.lo, f.hi, hitMorselMerge(deg)
 }
 
 // --- dense grouped aggregation --------------------------------------------------
@@ -572,7 +478,7 @@ type densePass struct {
 	tok         *cancel.Token
 }
 
-var densePasses passFree[densePass]
+var densePasses morsel.FreeList[densePass]
 
 // denseStride is the slab length of one dense partition: the count bank,
 // one bank per spec, and the fold sink.
@@ -604,14 +510,14 @@ func runDensePass(run *Run, pc *PointCloud, src foldSrc, dom int, rows []int, al
 	if err := groupPassCheckpoint(run); err != nil {
 		return err
 	}
-	dp := densePasses.get()
+	dp := densePasses.Get()
 	dp.src, dp.pc, dp.rows, dp.all = src, pc, rows, all
 	dp.n, dp.deg, dp.dom = n, deg, dom
 	dp.specs, dp.banks = specs, banks
 	dp.tok = run.Token()
 	p := dp.pass.Run(deg, dp)
 	dp.src, dp.pc, dp.rows, dp.specs, dp.banks, dp.tok = foldSrc{}, nil, nil, nil, nil, nil
-	densePasses.put(dp)
+	densePasses.Put(dp)
 	if p != nil {
 		panic(p)
 	}
@@ -678,7 +584,7 @@ type hashPass struct {
 	tok    *cancel.Token
 }
 
-var hashPasses passFree[hashPass]
+var hashPasses morsel.FreeList[hashPass]
 
 // RunPartition builds this partition's groups: pass 0 assigns a local
 // group slot to every row of the span (recorded in the slot vector); the
@@ -739,7 +645,7 @@ func (hp *hashPass) finish() {
 	clear(hp.slotsv)
 	clear(hp.banks)
 	hp.keyCol, hp.specs, hp.pc, hp.rows, hp.res, hp.tok = nil, nil, nil, nil, nil, nil
-	hashPasses.put(hp)
+	hashPasses.Put(hp)
 }
 
 // runHashPass is the general-key strategy: per-partition group tables
@@ -753,7 +659,7 @@ func runHashPass(run *Run, pc *PointCloud, keyCol colstore.Column, rows []int, a
 	if err := groupPassCheckpoint(run); err != nil {
 		return err
 	}
-	hp := hashPasses.get()
+	hp := hashPasses.Get()
 	hp.keyCol, hp.specs, hp.pc = keyCol, specs, pc
 	hp.rows, hp.all, hp.n, hp.res = rows, all, n, res
 	hp.tok = run.Token()

@@ -73,7 +73,7 @@ func TestFaultMorselWorkerPanicZeroDrift(t *testing.T) {
 			return err
 		},
 		"aggregate": func(run *Run) error {
-			_, err := pc.AggregateRun(run, nil, AggMax, ColZ, nil)
+			_, err := keylessRun(pc, run, nil, AggMax, ColZ)
 			return err
 		},
 		"grouped-dense": func(run *Run) error {
@@ -141,7 +141,7 @@ func TestFaultMorselWorkerPanicZeroDrift(t *testing.T) {
 		t.Fatalf("recovered filter: %d rows, serial %d", len(rows), len(want))
 	}
 	run.RecycleRows(rows)
-	got, err := pc.AggregateRun(run, nil, AggMax, ColZ, nil)
+	got, err := keylessRun(pc, run, nil, AggMax, ColZ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFaultMorselMergeErrorZeroDrift(t *testing.T) {
 			return err
 		},
 		"aggregate": func(run *Run) error {
-			_, err := pc.AggregateRun(run, nil, AggMin, ColZ, nil)
+			_, err := keylessRun(pc, run, nil, AggMin, ColZ)
 			return err
 		},
 		"grouped-dense": func(run *Run) error {

@@ -225,11 +225,25 @@ func TestMorselRefineEveryDegree(t *testing.T) {
 // sameBits reports bit identity, the contract every degree is held to.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestMorselAggregateMatchesNaive pins the fused aggregate to the naive
-// closure bit-for-bit: AggregateRun at degrees 1..5 over all-rows and
-// selection inputs (sum/avg pin degree 1 whatever the cap), and the
-// driver on the small tables at driverDegrees — min/max at every degree,
-// the sum at degree 1, where partition 0 is the whole selection.
+// keylessRun is Aggregate under run: fn over column through the key-less
+// GroupedAggregateRun, for selections it finds non-empty.
+func keylessRun(pc *PointCloud, run *Run, rows []int, fn AggFunc, column string) (float64, error) {
+	var res GroupedResult
+	if err := pc.GroupedAggregateRun(run, rows, nil, "", []GroupedAggSpec{{Fn: fn, Column: column}}, &res, nil); err != nil {
+		return 0, err
+	}
+	if len(res.Keys) != 1 {
+		return 0, fmt.Errorf("key-less fold emitted %d groups", len(res.Keys))
+	}
+	return res.Cols[0][0], nil
+}
+
+// TestMorselAggregateMatchesNaive pins the key-less fold to the naive
+// closure bit-for-bit: GroupedAggregateRun with an empty key at degrees
+// 1..5 over all-rows and selection inputs (sum/avg pin degree 1 whatever
+// the cap), and the dense driver on the small tables at driverDegrees —
+// min/max at every degree, the sum at degree 1, where partition 0 is the
+// whole selection.
 func TestMorselAggregateMatchesNaive(t *testing.T) {
 	pc := groupTestCloud(t, morselCloudRows)
 	rng := rand.New(rand.NewSource(17))
@@ -240,7 +254,7 @@ func TestMorselAggregateMatchesNaive(t *testing.T) {
 			for _, fn := range []AggFunc{AggMin, AggMax, AggSum, AggAvg} {
 				want, _ := naiveAggregate(pc.Column(name), rows, rows == nil, fn, n)
 				for _, deg := range []int{1, 2, 4, 5} {
-					got, err := pc.AggregateRun(parRun(deg), rows, fn, name, nil)
+					got, err := keylessRun(pc, parRun(deg), rows, fn, name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -252,23 +266,29 @@ func TestMorselAggregateMatchesNaive(t *testing.T) {
 		}
 	}
 
+	var res GroupedResult
 	for cname, pc := range smallClouds(t) {
 		sel := randomSelection(rng, pc.Len(), 0.5)
 		for _, name := range []string{ColZ, ColGPSTime, ColIntensity, ColClassification, ColScanAngle, ColWaveOffset} {
 			col := pc.Column(name)
+			specs := []GroupedAggSpec{{Fn: AggSum, Column: name}, {Fn: AggMin, Column: name}, {Fn: AggMax, Column: name}}
 			for _, rows := range [][]int{nil, sel} {
 				all, n := rows == nil, selLen(pc, rows)
 				wantSum, _ := naiveAggregate(col, rows, all, AggSum, n)
 				for _, deg := range driverDegrees() {
-					sum, lo, hi, err := runAggPass(nil, col, rows, all, n, deg)
-					if err != nil {
+					res.Reset(len(specs))
+					if err := runDensePass(nil, pc, foldSrc{keyless: true}, 1, rows, all, n, specs, &res, deg); err != nil {
 						t.Fatal(err)
 					}
-					wantLo, wantHi := math.Inf(1), math.Inf(-1)
-					if n > 0 {
-						wantLo, _ = naiveAggregate(col, rows, all, AggMin, n)
-						wantHi, _ = naiveAggregate(col, rows, all, AggMax, n)
+					if n == 0 {
+						if len(res.Keys) != 0 {
+							t.Fatalf("%s %s deg %d: empty selection emitted %d groups", cname, name, deg, len(res.Keys))
+						}
+						continue
 					}
+					sum, lo, hi := res.Cols[0][0], res.Cols[1][0], res.Cols[2][0]
+					wantLo, _ := naiveAggregate(col, rows, all, AggMin, n)
+					wantHi, _ := naiveAggregate(col, rows, all, AggMax, n)
 					if !sameBits(lo, wantLo) || !sameBits(hi, wantHi) {
 						t.Fatalf("%s %s deg %d: min/max = %v/%v, naive %v/%v", cname, name, deg, lo, hi, wantLo, wantHi)
 					}
@@ -286,12 +306,12 @@ func TestMorselAggregateMatchesNaive(t *testing.T) {
 // and -1e16 heading block 1, the row-at-a-time fold absorbs block 0's
 // ones into 1e16 and keeps block 1's, while per-block sums absorb both.
 func TestAggregateSumCarriesAcrossBlocks(t *testing.T) {
-	n := 2*scanChunk + 100
+	n := 2*foldBlock + 100
 	pts := make([]las.Point, n)
 	for i := range pts {
 		pts[i].Z = 1
 	}
-	pts[0].Z, pts[scanChunk].Z = 1e16, -1e16
+	pts[0].Z, pts[foldBlock].Z = 1e16, -1e16
 	pc := NewPointCloud()
 	pc.AppendLAS(pts)
 
@@ -301,7 +321,7 @@ func TestAggregateSumCarriesAcrossBlocks(t *testing.T) {
 	}
 	var thinned []int // drops two ones of block 1: a true gather, blocks cut by selection index
 	for i := 0; i < n; i++ {
-		if i != scanChunk+1 && i != scanChunk+2 {
+		if i != foldBlock+1 && i != foldBlock+2 {
 			thinned = append(thinned, i)
 		}
 	}
@@ -309,9 +329,9 @@ func TestAggregateSumCarriesAcrossBlocks(t *testing.T) {
 		all, cnt := rows == nil, selLen(pc, rows)
 		// The reassociated fold this test exists to catch.
 		var blocked float64
-		for b := 0; b < cnt; b += scanChunk {
+		for b := 0; b < cnt; b += foldBlock {
 			var bs float64
-			for i := b; i < min(b+scanChunk, cnt); i++ {
+			for i := b; i < min(b+foldBlock, cnt); i++ {
 				r := i
 				if !all {
 					r = rows[i]
@@ -349,7 +369,7 @@ func TestAggregateSumCancelledAtBlockBoundary(t *testing.T) {
 	sel := randomSelection(rand.New(rand.NewSource(5)), pc.Len(), 0.5)
 	for _, rows := range [][]int{nil, sel} {
 		for _, fn := range []AggFunc{AggSum, AggAvg} {
-			if _, err := pc.AggregateRun(run, rows, fn, ColZ, nil); err != cancel.ErrCancelled {
+			if _, err := keylessRun(pc, run, rows, fn, ColZ); err != cancel.ErrCancelled {
 				t.Fatalf("%s err = %v, want ErrCancelled", fn, err)
 			}
 		}
@@ -361,14 +381,12 @@ func TestAggregateSumCancelledAtBlockBoundary(t *testing.T) {
 		t.Fatalf("cancelled aggregate drifted pools by %d", d)
 	}
 	// The pass polls before its first block: a fired token folds no row.
+	specs := []GroupedAggSpec{{Fn: AggSum, Column: ColZ}, {Fn: AggMin, Column: ColZ}, {Fn: AggMax, Column: ColZ}}
 	for _, rows := range [][]int{nil, sel} {
-		n := pc.Len()
-		if rows != nil {
-			n = len(rows)
-		}
-		sum, lo, hi, err := runAggPass(run, pc.Column(ColZ), rows, rows == nil, n, 1)
-		if err != nil || sum != 0 || !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
-			t.Fatalf("fired token: pass folded sum %v, min %v, max %v (err %v)", sum, lo, hi, err)
+		cnt, banks := []float64{0}, make([]float64, len(specs))
+		foldSpecs(foldSrc{keyless: true}, pc, specs, rows, rows == nil, 0, selLen(pc, rows), cnt, foldBanks{flat: banks, n: 1}, make([]float64, 2), true, run.Token())
+		if sum, lo, hi := banks[0], banks[1], banks[2]; cnt[0] != 0 || sum != 0 || !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
+			t.Fatalf("fired token: pass folded count %v, sum %v, min %v, max %v", cnt[0], sum, lo, hi)
 		}
 	}
 }
@@ -425,7 +443,7 @@ func TestGroupedSumCarriesAcrossBlocks(t *testing.T) {
 			}
 			blocked += bs
 		}
-		for _, key := range []string{ColClassification, ColGPSTime} {
+		for _, key := range []string{ColClassification, ColGPSTime, ""} {
 			wantKeys, wantCols := refGrouped(pc, rows, key, specs)
 			if err := pc.GroupedAggregate(rows, key, specs, &got, nil); err != nil {
 				t.Fatal(err)
@@ -544,8 +562,8 @@ func sameGroupedRef(t *testing.T, label string, got *GroupedResult, wantKeys []f
 	}
 }
 
-// TestMorselGroupedMatchesReference pins the dense (u8, u16) and hash
-// (f64 keys with NaN/±0/+Inf) strategies to refGrouped at every degree,
+// TestMorselGroupedMatchesReference pins the dense (u8, u16, key-less) and
+// hash (f64 keys with NaN/±0/+Inf) strategies to refGrouped at every degree,
 // over all-rows and selection inputs: GroupedAggregateRun at caps 1..4
 // (plans with sum/avg pin degree 1), and the drivers on the small tables
 // at driverDegrees.
@@ -565,7 +583,7 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 		{Fn: AggAvg, Column: ColIntensity},
 	}
 	var got GroupedResult
-	for _, key := range []string{ColClassification, ColIntensity, ColGPSTime} {
+	for _, key := range []string{ColClassification, ColIntensity, ColGPSTime, ""} {
 		for _, rows := range [][]int{nil, sel} {
 			for _, specs := range [][]GroupedAggSpec{exact, withSum} {
 				wantKeys, wantCols := refGrouped(pc, rows, key, specs)
@@ -611,8 +629,8 @@ func TestMorselGroupedMatchesReference(t *testing.T) {
 
 // TestMorselFoldPlanEveryDegree runs the fold-plan property table
 // (foldPlanConfigs) at every degree: through GroupedAggregateRun on a
-// table large enough to fan out, and through the dense-u8, dense-u16 and
-// hash drivers directly on empty, single-row and small tables at
+// table large enough to fan out, and through the dense-u8, dense-u16,
+// hash and key-less drivers directly on empty, single-row and small tables at
 // driverDegrees. Plans carrying a sum or avg are driven at degree 1 only —
 // the public entry point pins them there whatever the cap.
 func TestMorselFoldPlanEveryDegree(t *testing.T) {
@@ -626,7 +644,7 @@ func TestMorselFoldPlanEveryDegree(t *testing.T) {
 		default:
 			continue // the small tables below cover every configuration
 		}
-		for _, key := range []string{ColClassification, ColPointSourceID, ColGPSTime} {
+		for _, key := range []string{ColClassification, ColPointSourceID, ColGPSTime, ""} {
 			wantKeys, wantCols := refGrouped(big, sel, key, cfg.specs)
 			for _, deg := range []int{1, 2, 3, 4} {
 				run := parRun(deg)
@@ -667,6 +685,9 @@ func TestMorselFoldPlanEveryDegree(t *testing.T) {
 					}},
 					{"hash", ColGPSTime, func(deg int) error {
 						return runHashPass(nil, pc, pc.Column(ColGPSTime), rows, all, cnt, cfg.specs, &got, deg)
+					}},
+					{"key-less", "", func(deg int) error {
+						return runDensePass(nil, pc, foldSrc{keyless: true}, 1, rows, all, cnt, cfg.specs, &got, deg)
 					}},
 				}
 				for _, arm := range arms {
@@ -985,7 +1006,7 @@ func TestMorselCancelledMidPass(t *testing.T) {
 		}
 		run.Drain()
 	}
-	if _, err := pc.AggregateRun(run, nil, AggMin, ColZ, nil); err != cancel.ErrCancelled {
+	if _, err := keylessRun(pc, run, nil, AggMin, ColZ); err != cancel.ErrCancelled {
 		t.Fatalf("aggregate err = %v, want ErrCancelled", err)
 	}
 	run.Drain()
@@ -1041,7 +1062,7 @@ func TestMorselConcurrentParallelQueries(t *testing.T) {
 					errs <- "filter row count diverged under concurrency"
 				}
 				run.RecycleRows(rows)
-				lo, err := pc.AggregateRun(run, nil, AggMin, ColGPSTime, nil)
+				lo, err := keylessRun(pc, run, nil, AggMin, ColGPSTime)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -1107,13 +1128,22 @@ func TestMorselSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state parallel FilterRowsRun allocates %.1f objects/op, want 0", allocs)
 	}
 
+	maxZ := []GroupedAggSpec{{Fn: AggMax, Column: ColZ}}
+	var one GroupedResult
+	ex := &Explain{}
+	if err := pc.GroupedAggregateRun(run, nil, nil, "", maxZ, &one, ex); err != nil {
+		t.Fatal(err)
+	}
+	if d := ex.Steps[len(ex.Steps)-1].Detail; !strings.HasSuffix(d, "[par 4]") {
+		t.Fatalf("key-less fold ran %q, want degree 4; the measurement is vacuous", d)
+	}
 	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := pc.AggregateRun(run, nil, AggMax, ColZ, nil); err != nil {
+		if err := pc.GroupedAggregateRun(run, nil, nil, "", maxZ, &one, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state parallel AggregateRun allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state parallel key-less fold allocates %.1f objects/op, want 0", allocs)
 	}
 
 	// A warm degree-2 refine: pooled pass, pooled partition vector,

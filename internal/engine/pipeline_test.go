@@ -17,7 +17,7 @@ import (
 // pipeFilter drives the compact consumer over the whole chain of preds.
 func pipeFilter(t *testing.T, pc *PointCloud, run *Run, preds []ColumnPred, deg int) []int {
 	t.Helper()
-	pp := pipePasses.get()
+	pp := pipePasses.Get()
 	if err := pp.bind(run, pc, preds); err != nil {
 		pp.release()
 		t.Fatal(err)
@@ -69,10 +69,11 @@ func TestPipelineMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, m - 1, m, m + 1, 5*m + 77} {
 		pc := randomTestCloud(n, int64(n)+5)
 		keys := map[string]foldSrc{
-			"u8":  {keys8: pc.Column(ColClassification).(*colstore.U8Column).Values()},
-			"u16": {keys16: pc.Column(ColIntensity).(*colstore.U16Column).Values()},
+			"u8":   {keys8: pc.Column(ColClassification).(*colstore.U8Column).Values()},
+			"u16":  {keys16: pc.Column(ColIntensity).(*colstore.U16Column).Values()},
+			"none": {keyless: true},
 		}
-		keyCol := map[string]string{"u8": ColClassification, "u16": ColIntensity}
+		keyCol := map[string]string{"u8": ColClassification, "u16": ColIntensity, "none": ""}
 		for trial := 0; trial < 4; trial++ {
 			var preds []ColumnPred
 			for np := 1 + trial%2; np > 0; np-- {
@@ -92,10 +93,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 					RecycleRows(got)
 				}
 				for kname, src := range keys {
-					dom := 1 << 8
-					if kname == "u16" {
-						dom = 1 << 16
-					}
+					dom := map[string]int{"u8": 1 << 8, "u16": 1 << 16, "none": 1}[kname]
 					var res GroupedResult
 					res.Reset(len(specs))
 					run := new(Run)
@@ -117,7 +115,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 }
 
 // TestPipelineRoutesWholeTableGroupBy pins the routing: a whole-table
-// GROUP BY with predicates over a dense key takes the pipeline at the
+// GROUP BY with predicates over a dense key (or none) takes the pipeline at the
 // table's degree — a sum in the plan included, since only the filter fans
 // out — and answers as filter-then-group does; a selection or a hash key
 // filters first.
@@ -126,7 +124,7 @@ func TestPipelineRoutesWholeTableGroupBy(t *testing.T) {
 	preds := []ColumnPred{{Column: ColZ, Op: CmpBetween, Value: 0, Value2: 80}}
 	specs := []GroupedAggSpec{{Fn: AggCount}, {Fn: AggAvg, Column: ColZ}}
 	want := naiveChain(pc, preds)
-	for _, key := range []string{ColClassification, ColPointSourceID, ColGPSTime} {
+	for _, key := range []string{ColClassification, ColPointSourceID, ColGPSTime, ""} {
 		wantKeys, wantCols := refGrouped(pc, want, key, specs)
 		for _, deg := range []int{1, 2, 4} {
 			for _, rows := range [][]int{nil, randomSelection(rand.New(rand.NewSource(3)), pc.Len(), 0.6)} {

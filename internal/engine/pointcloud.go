@@ -435,8 +435,6 @@ func (pc *PointCloud) SelectRegionRowsRun(run *Run, region grid.Region, limit in
 		rows = rows[:limit]
 	}
 	if ex != nil {
-		// Zones lead the filter's detail because the rendered table
-		// truncates long details.
 		zones := cur.Stats()
 		bound := ""
 		if limit >= 0 {

@@ -257,7 +257,7 @@ type tilePass struct {
 	tok      *cancel.Token
 }
 
-var tilePasses passFree[tilePass]
+var tilePasses morsel.FreeList[tilePass]
 
 // RunPartition quantises one partition's rows into composite (tile,
 // class) slots and its tile counts and boxes, then runs the shared fold
@@ -298,7 +298,7 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, classe
 	if err := groupPassCheckpoint(run); err != nil {
 		return err
 	}
-	tp := tilePasses.get()
+	tp := tilePasses.Get()
 	tp.pc, tp.keys, tp.classes, tp.tiler, tp.specs = pc, keys, classes, tiler, specs
 	tp.from, tp.n, tp.deg, tp.nslots, tp.stride = from, n, deg, nslots, stride
 	tp.cnt, tp.banks, tp.tiles, tp.slots, tp.slabs = cnt, banks, tiles[:ntiles], slots, slabs
@@ -309,7 +309,7 @@ func (pc *PointCloud) runTilePass(run *Run, tiler sfc.Grid, keys []uint8, classe
 	tp.tok = run.Token()
 	p := tp.pass.Run(deg, tp)
 	tp.pc, tp.keys, tp.classes, tp.specs, tp.cnt, tp.banks, tp.tiles, tp.slots, tp.slabs, tp.tok = nil, nil, nil, nil, nil, nil, nil, nil, nil, nil
-	defer tilePasses.put(tp) // after the merge, which reads tp.tileSlab
+	defer tilePasses.Put(tp) // after the merge, which reads tp.tileSlab
 	if p != nil {
 		panic(p)
 	}

@@ -168,3 +168,38 @@ func (c *Claim) Next() int {
 // Exhaust ends the claim: every later Next returns -1. A partition that
 // fails calls it so the others stop taking items.
 func (c *Claim) Exhaust() { c.next.Store(int64(c.n)) }
+
+// FreeList recycles pointers to pooled pass scratch and run records. A
+// sync.Pool would be idiomatic, but the race detector drops a fraction of
+// sync.Pool puts, which would fail the AllocsPerRun == 0 steady-state
+// tests under -race. The list keeps at most freeListCap entries; past that
+// the garbage collector takes them (the bound only matters after a
+// transient spike in concurrent runs).
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+const freeListCap = 64
+
+// Get returns a recycled T, or a new zero one when the list is empty.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		t := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return t
+	}
+	return new(T)
+}
+
+// Put hands t back for a later Get.
+func (l *FreeList[T]) Put(t *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < freeListCap {
+		l.free = append(l.free, t)
+	}
+}

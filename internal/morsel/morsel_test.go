@@ -65,3 +65,24 @@ func TestWorkersStable(t *testing.T) {
 		t.Fatalf("Workers() = %d then %d, want one stable positive count", a, b)
 	}
 }
+
+// TestFreeListRecyclesUpToCap pins the free list: a put pointer comes back
+// from the next get, an empty list makes a new one, and puts past the cap
+// are dropped.
+func TestFreeListRecyclesUpToCap(t *testing.T) {
+	var l FreeList[int]
+	a := l.Get()
+	l.Put(a)
+	if b := l.Get(); b != a {
+		t.Fatal("get after put did not return the recycled pointer")
+	}
+	if c := l.Get(); c == a {
+		t.Fatal("get on an empty list returned a pointer still in use")
+	}
+	for i := 0; i < freeListCap+5; i++ {
+		l.Put(new(int))
+	}
+	if len(l.free) != freeListCap {
+		t.Fatalf("list holds %d entries, cap %d", len(l.free), freeListCap)
+	}
+}

@@ -86,13 +86,13 @@ func TestLoopsStopOnFiredToken(t *testing.T) {
 					if fired {
 						close(done)
 					}
-					rs := getRunState()
+					rs := runStates.Get()
 					rs.Bind(done)
 					rs.fit(bd.plan.nums, bd.plan.keeps)
 					err = c.loop(t, pq, rs, bd, allRows(&rs.Run, bd.plan.b.pc.Len()))
 					rs.Drain()
 					rs.Bind(nil)
-					putRunState(rs)
+					runStates.Put(rs)
 				})
 				switch {
 				case fired && !errors.Is(err, cancel.ErrCancelled):

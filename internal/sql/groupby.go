@@ -15,12 +15,14 @@ import (
 // GROUP BY: planning and execution. Each select item must be either an
 // aggregate or an expression appearing in the GROUP BY list; one output row
 // emerges per distinct key, ordered by key value (or by ORDER BY over an
-// output column).
+// output column). A select list of aggregates without GROUP BY is the same
+// statement over an empty key list: one group, the whole selection, and
+// one output row even when the selection is empty.
 //
 // Classification happens ONCE, at Prepare (planGrouped): aliases in the
 // GROUP BY list resolve to their select-item expressions, every select item
 // is classified as key or aggregate, and the plan records whether the whole
-// statement vectorizes — a single point-cloud key column with every
+// statement vectorizes — at most one key, a point-cloud column, with every
 // aggregate a count(*) or a bare-column count/sum/avg/min/max. Vectorized
 // statements execute through the engine's grouped-aggregate kernels
 // (engine/groupagg.go: dense array banks for u8/u16 keys, the hash table
@@ -40,7 +42,7 @@ import (
 // as usual (classification reads the table schema).
 //
 // Semantics note: both arms share the engine's aggregate accumulation
-// contract (see computeAggregate): min/max seed at ±Inf with strict
+// contract (see aggAcc): min/max seed at ±Inf with strict
 // compares so NaN values never win them, sum/avg propagate NaN, and sums
 // accumulate in ascending row order per group. Key identity collapses every
 // NaN into one group; output order is the engine's FloatOrderKey total
@@ -117,16 +119,17 @@ type groupedPlan struct {
 	cols    []string   // output column names
 	aggs    []FuncCall // aggregate items, in select order
 
-	// Vectorized strategy: non-empty keyCol routes execution through the
-	// engine's grouped kernels with specs (parallel to aggs); empty keeps
-	// the interpreter.
+	// Vectorized strategy: vec routes execution through the engine's
+	// grouped kernels, grouping by keyCol (empty: no key) with specs
+	// (parallel to aggs); false keeps the interpreter.
+	vec    bool
 	keyCol string
 	specs  []engine.GroupedAggSpec
 
-	// Pyramid eligibility (PR 10): a non-empty pyrSig names the
-	// pre-aggregation pyramid shape (u8 key, count/min/max specs) this
-	// statement can route through when its only filter is a spatial
-	// region. Shape-derived only, like keyCol/specs — rebinds keep it.
+	// Pyramid eligibility: a non-empty pyrSig names the pre-aggregation
+	// pyramid shape (u8 key, count/min/max specs) this statement can route
+	// through when its only filter is a spatial region. Shape-derived
+	// only, like keyCol/specs — rebinds keep it.
 	pyrSig string
 }
 
@@ -188,18 +191,21 @@ func planGrouped(b *binding, stmt *SelectStmt, mode planMode) (*groupedPlan, err
 }
 
 // vectorize marks the plan for the engine's grouped kernels when the whole
-// statement fits their shape: point-cloud rows, exactly one key that is a
-// bare point-cloud column, and every aggregate either count(*)/count(col)
+// statement fits their shape: point-cloud rows, no key or one key that is
+// a bare point-cloud column, and every aggregate either count(*)/count(col)
 // or sum/avg/min/max over a bare point-cloud column. Anything else — vector
 // tables, computed keys, multi-key grouping, expression arguments — keeps
 // the interpreter arm.
 func (gp *groupedPlan) vectorize(b *binding, mode planMode) {
-	if mode == planVector || b.pc == nil || len(gp.groupBy) != 1 {
+	if mode == planVector || b.pc == nil || len(gp.groupBy) > 1 {
 		return
 	}
-	key, ok := pcColumnName(b, gp.groupBy[0])
-	if !ok {
-		return
+	var key string
+	if len(gp.groupBy) == 1 {
+		var ok bool
+		if key, ok = pcColumnName(b, gp.groupBy[0]); !ok {
+			return
+		}
 	}
 	specs := make([]engine.GroupedAggSpec, 0, len(gp.aggs))
 	for _, f := range gp.aggs {
@@ -224,7 +230,7 @@ func (gp *groupedPlan) vectorize(b *binding, mode planMode) {
 		}
 		specs = append(specs, engine.GroupedAggSpec{Fn: fn, Column: col})
 	}
-	gp.keyCol, gp.specs = key, specs
+	gp.vec, gp.keyCol, gp.specs = true, key, specs
 }
 
 // execGrouped materialises a GROUP BY query over the selected rows through
@@ -240,7 +246,7 @@ func execGrouped(rs *runState, bd *bound, stmt *SelectStmt, rows []int, preds []
 	start := time.Now()
 	var res *Result
 	strategy := "interpreter"
-	if gp.keyCol != "" && !isVector {
+	if gp.vec {
 		// ex lands the engine's group.agg step (kernel strategy + timing)
 		// ahead of the SQL-layer group step below; nil on untraced runs.
 		if err := p.b.pc.GroupedAggregateRun(&rs.Run, rows, preds, gp.keyCol, gp.specs, &rs.grouped, ex); err != nil {
@@ -273,8 +279,18 @@ func execGrouped(rs *runState, bd *bound, stmt *SelectStmt, rows []int, preds []
 // materialiseGrouped copies the engine's column-shaped grouped result
 // (gr, the frame's record, which the run's next fold overwrites) into result
 // columns in select-item order — shared by the exact vectorized arm and the
-// pyramid arm, so both emit identical columns for identical records.
+// pyramid arm, so both emit identical columns for identical records. With
+// no key and no group (an empty selection) the one row is what empty
+// accumulators report: count 0, sum 0, NULL for the rest.
 func materialiseGrouped(gp *groupedPlan, gr *engine.GroupedResult, ex *engine.Explain) *Result {
+	if len(gp.groupBy) == 0 && len(gr.Keys) == 0 {
+		res := numericResult(gp.cols, 1, ex)
+		empty := newAggAcc()
+		for i, f := range gp.aggs {
+			res.Cols[i].put(0, empty.result(f.Name))
+		}
+		return res
+	}
 	res := numericResult(gp.cols, len(gr.Keys), ex)
 	ai := 0
 	for j, ip := range gp.items {
@@ -347,7 +363,7 @@ func groupedTail(bd *bound, stmt *SelectStmt, res *Result) error {
 func (pq *PreparedQuery) tryPyramid(rs *runState, bd *bound, ex *engine.Explain) (res *Result, ok bool, err error) {
 	p := bd.plan
 	gp := p.grouped
-	if p.out != outGrouped || gp == nil || gp.pyrSig == "" ||
+	if gp == nil || gp.pyrSig == "" ||
 		bd.region == nil || len(bd.preds) > 0 || len(p.generic) > 0 {
 		return nil, false, nil
 	}
@@ -376,9 +392,13 @@ func (pq *PreparedQuery) tryPyramid(rs *runState, bd *bound, ex *engine.Explain)
 // interpretGrouped is the row-at-a-time fallback arm: evaluate the key
 // expressions and aggregate arguments per row, accumulate into a map keyed
 // by the rendered key tuple, then emit groups sorted into the same
-// canonical key order the engine kernels produce.
+// canonical key order the engine kernels produce. Without a key it is
+// interpretAggregates.
 func interpretGrouped(rs *engine.Run, bd *bound, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
 	gp := bd.plan.grouped
+	if len(gp.groupBy) == 0 {
+		return interpretAggregates(rs, bd, rows, isVector, ex)
+	}
 	groups := map[string]*group{}
 	ctx := &evalCtx{b: bd.plan.b, ps: bd.params, pcRow: -1, vtRow: -1}
 	var keyBuf strings.Builder
@@ -473,4 +493,57 @@ func groupKeyLess(a, b []Value) bool {
 		}
 	}
 	return false
+}
+
+// interpretAggregates is the interpreter arm without a key: one output row,
+// each aggregate folded by its own pass over rows into an aggAcc.
+func interpretAggregates(rs *engine.Run, bd *bound, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
+	gp := bd.plan.grouped
+	res := numericResult(gp.cols, 1, ex)
+	for i, f := range gp.aggs {
+		v, err := computeAggregate(rs, bd, f, rows, isVector)
+		if err != nil {
+			return nil, err
+		}
+		res.Cols[i].put(0, v)
+	}
+	return res, nil
+}
+
+// computeAggregate folds one aggregate over rows, row at a time. aggAcc
+// matches the engine's fold exactly (±Inf seeds, strict compares), so an
+// aggregate gives the same answer on either arm: sum/avg propagate NaN,
+// min/max skip NaN values (they fail every ordered comparison), and an
+// all-NaN selection reports the ±Inf identities.
+func computeAggregate(rs *engine.Run, bd *bound, f FuncCall, rows []int, isVector bool) (Value, error) {
+	if f.Name == "count" {
+		if len(f.Args) == 0 {
+			return Value{}, fmt.Errorf("sql: count requires an argument (use count(*))")
+		}
+		if _, ok := f.Args[0].(Star); ok {
+			return numVal(float64(len(rows))), nil
+		}
+	}
+	if len(f.Args) != 1 {
+		return Value{}, fmt.Errorf("sql: %s expects one argument", f.Name)
+	}
+	ctx := &evalCtx{b: bd.plan.b, ps: bd.params, pcRow: -1, vtRow: -1}
+	acc := newAggAcc()
+	for b0, b1 := range rs.Token().Blocks(0, len(rows), exprChunk) {
+		for _, r := range rows[b0:b1] {
+			setRow(ctx, isVector, r)
+			v, err := evalExpr(ctx, f.Args[0])
+			if err != nil {
+				return Value{}, err
+			}
+			if v.Kind != KindNum {
+				return Value{}, fmt.Errorf("sql: %s needs numeric input", f.Name)
+			}
+			acc.add(v.Num)
+		}
+	}
+	if rs.Cancelled() {
+		return Value{}, cancel.ErrCancelled
+	}
+	return acc.result(f.Name), nil
 }

@@ -88,33 +88,143 @@ func TestGroupedVectorizedMatchesInterpreter(t *testing.T) {
 		// No aggregates at all: DISTINCT-style key emission on both paths.
 		"SELECT classification FROM cloud GROUP BY classification",
 		"SELECT gps_time FROM cloud GROUP BY gps_time",
+		// No key: the one-group fold, over the whole table, under a WHERE
+		// that empties the selection, and behind a whole-table BETWEEN (the
+		// piped arm).
+		"SELECT count(*), count(z), sum(z), avg(z), min(z), max(intensity) FROM cloud",
+		"SELECT count(*), count(z), sum(z), avg(z), min(z), max(intensity) FROM cloud WHERE intensity > 5000",
+		"SELECT count(*), sum(z), min(z), max(gps_time) FROM cloud WHERE z BETWEEN 0 AND 50",
 	}
 	// Random spatial selections drive random selection vectors through both
 	// arms (grid region → pooled row sets).
 	for i := 0; i < 4; i++ {
 		x0, y0 := rng.Float64()*800, rng.Float64()*800
-		queries = append(queries, fmt.Sprintf(
-			"SELECT classification, count(*), avg(z) FROM cloud WHERE ST_Contains(ST_MakeEnvelope(%g, %g, %g, %g), ST_Point(x, y)) GROUP BY classification",
-			x0, y0, x0+rng.Float64()*200, y0+rng.Float64()*200))
+		env := fmt.Sprintf("ST_Contains(ST_MakeEnvelope(%g, %g, %g, %g), ST_Point(x, y))",
+			x0, y0, x0+rng.Float64()*200, y0+rng.Float64()*200)
+		queries = append(queries,
+			"SELECT classification, count(*), avg(z) FROM cloud WHERE "+env+" GROUP BY classification",
+			"SELECT count(*), sum(z), avg(z), min(z), max(z) FROM cloud WHERE "+env)
 	}
 	for _, q := range queries {
 		pq, err := e.Prepare(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if planOf(pq).grouped.keyCol == "" {
+		if !planOf(pq).grouped.vec {
 			t.Fatalf("%s: did not vectorize; the equivalence check is vacuous", q)
 		}
 		vec, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s (vectorized): %v", q, err)
 		}
-		planOf(pq).grouped.keyCol = "" // disable the engine route on the same plan
+		planOf(pq).grouped.vec = false // disable the engine route on the same plan
 		interp, err := pq.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s (interpreter): %v", q, err)
 		}
 		resultRowsEqual(t, q, vec, interp)
+	}
+}
+
+// TestUngroupedEmptySelectionEveryArm: an ungrouped select list over an
+// empty selection is one row — count 0, sum 0, NULL avg/min/max — on every
+// arm: the vectorized fold over nil rows (an empty table, and a piped
+// predicate matching nothing), a region and a region with predicates, the
+// interpreter, the vector table and the join.
+func TestUngroupedEmptySelectionEveryArm(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	db := engine.NewDB()
+	db.RegisterPointCloud("void", engine.NewPointCloud())
+	void := New(db)
+	const nowhere = "ST_Contains(ST_MakeEnvelope(-50, -50, -10, -10), ST_Point(x, y))"
+	const everywhere = "ST_Contains(ST_MakeEnvelope(-1, -1, 2001, 2001), ST_Point(x, y))"
+	const pcAggs = "count(*), sum(z), avg(z), min(z), max(z)"
+	for _, c := range []struct {
+		e   *Executor
+		q   string
+		vec bool
+	}{
+		{void, "SELECT " + pcAggs + " FROM void", true},
+		{e, "SELECT " + pcAggs + " FROM ahn2 WHERE classification = 200", true},
+		{e, "SELECT " + pcAggs + " FROM ahn2 WHERE " + nowhere, true},
+		{e, "SELECT " + pcAggs + " FROM ahn2 WHERE " + everywhere + " AND classification = 200", true},
+		{e, "SELECT count(*), sum(z * 1), avg(z * 1), min(z * 1), max(z * 1) FROM ahn2 WHERE classification = 200", false},
+		{e, "SELECT count(*), sum(pop_density), avg(pop_density), min(pop_density), max(pop_density) FROM ua WHERE class = 'none'", false},
+		{e, `SELECT count(*), sum(ahn2.z), avg(ahn2.z), min(ahn2.z), max(ahn2.z) FROM ahn2, ua
+			WHERE ua.class = 'none' AND ST_DWithin(ua.geom, ST_Point(ahn2.x, ahn2.y), 25)`, true},
+	} {
+		pq, err := c.e.Prepare(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if got := planOf(pq).grouped.vec; got != c.vec {
+			t.Fatalf("%s: vectorized %t, want %t", c.q, got, c.vec)
+		}
+		res, err := pq.RunContext(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if res.Len() != 1 {
+			t.Fatalf("%s: %d rows, want 1", c.q, res.Len())
+		}
+		for j, want := range []string{"0", "0", "NULL", "NULL", "NULL"} {
+			if got := res.Cols[j].Value(0).String(); got != want {
+				t.Fatalf("%s: column %s = %s, want %s", c.q, res.Columns[j], got, want)
+			}
+		}
+	}
+}
+
+// TestUngroupedAggregateHonoursLimitAndOrder: an ungrouped select list
+// shares the grouped tail, so LIMIT cuts its one row and ORDER BY must
+// name a select item, on the vectorized and the interpreted arm alike.
+func TestUngroupedAggregateHonoursLimitAndOrder(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	for q, want := range map[string]int{
+		"SELECT count(*) FROM ahn2 LIMIT 0":                                  0,
+		"SELECT count(*), avg(z) FROM ahn2 WHERE classification = 2 LIMIT 0": 0,
+		"SELECT count(*) FROM osm LIMIT 0":                                   0,
+		"SELECT count(*) FROM ahn2 LIMIT 1":                                  1,
+		"SELECT count(*) AS n, max(z) FROM ahn2 ORDER BY n DESC":             1,
+	} {
+		if got := mustQuery(t, e, q).Len(); got != want {
+			t.Fatalf("%s: %d rows, want %d", q, got, want)
+		}
+	}
+	for _, q := range []string{
+		"SELECT count(*) FROM ahn2 ORDER BY z",
+		"SELECT count(*) FROM osm ORDER BY class",
+	} {
+		_, err := e.QueryContext(context.Background(), q)
+		if err == nil || !strings.Contains(err.Error(), "must name a select item") {
+			t.Fatalf("%s: err = %v, want the ORDER BY rejected", q, err)
+		}
+	}
+}
+
+// TestUngroupedAggregateIsOneFold: every aggregate of an ungrouped select
+// list over one value column folds in one pass — a single group.agg step —
+// and a whole-table predicate pipes into it.
+func TestUngroupedAggregateIsOneFold(t *testing.T) {
+	e, _, _, _ := testDB(t)
+	for q, piped := range map[string]bool{
+		"SELECT count(*), sum(z), avg(z), min(z), max(z) FROM ahn2 WHERE classification = 2":                                                                        true,
+		"SELECT count(*), sum(z), avg(z), min(z), max(z) FROM ahn2 WHERE ST_Contains(ST_MakeEnvelope(150, 150, 1700, 1620), ST_Point(x, y)) AND classification = 2": false,
+	} {
+		var folds []string
+		pipedStep := false
+		for _, s := range mustQuery(t, e, q).Explain.Steps {
+			if s.Op == "group.agg" {
+				folds = append(folds, s.Detail)
+			}
+			pipedStep = pipedStep || s.Op == "filter.column" && strings.HasPrefix(s.Detail, "piped:")
+		}
+		if len(folds) != 1 || !strings.HasPrefix(folds[0], "dense, 1 pass, 5 aggs") {
+			t.Fatalf("%s: group.agg steps %q, want one dense 1-pass fold", q, folds)
+		}
+		if pipedStep != piped {
+			t.Fatalf("%s: piped %t, want %t", q, pipedStep, piped)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 
 	"gisnav/internal/cancel"
 	"gisnav/internal/engine"
+	"gisnav/internal/morsel"
 )
 
 // ErrOverloaded reports an admission-gate rejection: either every
@@ -221,45 +222,11 @@ type runState struct {
 	frame
 }
 
-// runStatePool recycles run records across queries, keeping the lifecycle
+// runStates recycles run records across queries, keeping the lifecycle
 // wrapper allocation-free in steady state; a record's frame keeps the
-// blocks of the largest plan it served. A mutex-backed free list rather
-// than a sync.Pool: the race detector deliberately drops a fraction of
-// sync.Pool puts, which would fail the zero-alloc steady-state tests
-// exactly in the -race CI job. Contention is bounded by the admission
-// gate's slot count.
-var runStatePool = struct {
-	mu   sync.Mutex
-	free []*runState
-}{}
-
-// maxFreeRunStates bounds the free list; records past the bound are left
-// to the garbage collector (the bound only matters after a transient spike
-// in SetMaxInFlight).
-const maxFreeRunStates = 64
-
-func getRunState() *runState {
-	p := &runStatePool
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		rs := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return rs
-	}
-	p.mu.Unlock()
-	return new(runState)
-}
-
-func putRunState(rs *runState) {
-	p := &runStatePool
-	p.mu.Lock()
-	if len(p.free) < maxFreeRunStates {
-		p.free = append(p.free, rs)
-	}
-	p.mu.Unlock()
-}
+// blocks of the largest plan it served. Contention is bounded by the
+// admission gate's slot count.
+var runStates morsel.FreeList[runState]
 
 // lifecycleRun is the single execution funnel: admission, run-state
 // binding, panic isolation, pool drain, cancellation mapping, slot
@@ -274,7 +241,7 @@ func (pq *PreparedQuery) lifecycleRun(ctx context.Context, ex *engine.Explain, p
 		return nil, aerr
 	}
 	start := time.Now()
-	rs := getRunState()
+	rs := runStates.Get()
 	rs.Bind(ctx.Done())
 	// Run records recycle across queries (and executors), so the degree
 	// cap is stamped on every run, never inherited from the previous one.
@@ -291,7 +258,7 @@ func (pq *PreparedQuery) lifecycleRun(ctx context.Context, ex *engine.Explain, p
 		}
 		rs.Drain()
 		rs.Bind(nil)
-		putRunState(rs)
+		runStates.Put(rs)
 		g.release(slots, time.Since(start))
 	}()
 	res, err = pq.run(rs, ex, params, origin)

@@ -59,15 +59,6 @@ const (
 	planJoin
 )
 
-// outMode classifies the SELECT list.
-type outMode uint8
-
-const (
-	outProject outMode = iota
-	outAggregate
-	outGrouped
-)
-
 // genericStep is one WHERE conjunct the planner could not hand to the
 // engine's predicate kernels, in original conjunct order (order matters
 // for error semantics: an earlier conjunct may narrow away the rows on
@@ -136,11 +127,11 @@ type queryPlan struct {
 	join     joinKind
 	joinConj Expr
 
-	// Output phase. grouped is the GROUP BY classification (groupby.go),
-	// for outGrouped plans only. proj parallels exprs: the compiled kernel
-	// of each projected item, nil where the interpreter evaluates it.
-	// limitSelect marks a shape whose LIMIT cuts the region selection.
-	out         outMode
+	// Output phase. grouped is the aggregate classification (groupby.go)
+	// of a select list with a GROUP BY or an aggregate, nil for a
+	// projection. proj parallels exprs: the compiled kernel of each
+	// projected item, nil where the interpreter evaluates it. limitSelect
+	// marks a shape whose LIMIT cuts the region selection.
 	cols        []string
 	exprs       []Expr
 	proj        []numNode
@@ -282,7 +273,7 @@ func (e *Executor) buildPlan(stmt *SelectStmt, params []Value, ex *engine.Explai
 	// the selector may stop at the LIMIT-th match. The shape survives every
 	// rebind, so the decision is made once; the bound count is read per run.
 	p.limitSelect = p.mode == planPointCloud && p.regionConj != nil &&
-		len(p.predConjs) == 0 && len(p.generic) == 0 && p.out == outProject && stmt.Order == nil
+		len(p.predConjs) == 0 && len(p.generic) == 0 && p.grouped == nil && stmt.Order == nil
 	return p.bind(stmt, params)
 }
 
@@ -477,10 +468,16 @@ func classifyJoinPredicate(b *binding, ps []Value, conj Expr) (joinKind, float64
 	return joinNone, 0, fmt.Errorf("sql: unsupported join predicate %q", conj.exprString())
 }
 
-// planOutput classifies the SELECT list and hoists the output columns.
+// planOutput classifies the SELECT list and hoists the output columns. A
+// select list with aggregates and no GROUP BY is grouped by no key: one
+// group over the whole selection.
 func (p *queryPlan) planOutput(c *compiler, stmt *SelectStmt) error {
-	if len(stmt.GroupBy) > 0 {
-		p.out = outGrouped
+	grouped := len(stmt.GroupBy) > 0
+	for _, item := range stmt.Items {
+		_, agg := isAggregate(item.Expr)
+		grouped = grouped || agg
+	}
+	if grouped {
 		gp, err := planGrouped(p.b, stmt, p.mode)
 		if err != nil {
 			return err
@@ -489,27 +486,6 @@ func (p *queryPlan) planOutput(c *compiler, stmt *SelectStmt) error {
 		p.cols = gp.cols
 		return nil
 	}
-	aggCount := 0
-	for _, item := range stmt.Items {
-		if _, ok := isAggregate(item.Expr); ok {
-			aggCount++
-		}
-	}
-	if aggCount > 0 {
-		if aggCount != len(stmt.Items) {
-			return fmt.Errorf("sql: cannot mix aggregates and plain columns without GROUP BY")
-		}
-		p.out = outAggregate
-		for _, item := range stmt.Items {
-			name := item.Alias
-			if name == "" {
-				name = item.Expr.exprString()
-			}
-			p.cols = append(p.cols, name)
-		}
-		return nil
-	}
-	p.out = outProject
 	p.cols, p.exprs = expandItems(stmt.Items, p.b, p.mode == planVector)
 	p.proj = make([]numNode, len(p.exprs))
 	for i, e := range p.exprs {

@@ -11,7 +11,6 @@ package sql
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -159,23 +158,16 @@ func (pq *PreparedQuery) finishPointCloud(rs *runState, bd *bound, rows []int, e
 		}
 		return nil, err
 	}
-	if len(p.generic) == 0 && p.mode != planVector && p.out == outGrouped && p.grouped.keyCol != "" {
-		// A vectorized GROUP BY takes the thematic predicates with it: the
-		// engine filters ahead of its fold — over the whole table, as one
-		// pipelined pass — and a nil rows reaches its gather-free all-rows
-		// arms instead of an identity vector.
-		res, err := pq.output(rs, bd, rows, bd.preds, ex)
-		if rows != nil {
-			rs.RecycleRows(rows)
-		}
-		return res, err
-	}
-	if rows == nil && len(bd.preds) == 0 && len(p.generic) == 0 && p.mode != planVector &&
-		p.out == outAggregate && rowFreeAggregates(p.b, pq.stmt) {
-		// Nothing to filter ahead of aggregates the engine's kernels
-		// answer: nil reaches their gather-free all-rows arms (and count(*)
-		// the table length) instead of an identity vector.
-		return pq.output(rs, bd, nil, nil, ex)
+	if rows == nil && len(p.generic) == 0 && p.grouped != nil && p.grouped.vec {
+		// A vectorized aggregate over the whole table, grouped or not,
+		// takes the thematic predicates with it: the engine filters ahead
+		// of its fold as one pipelined pass, and a nil rows reaches its
+		// gather-free all-rows arms instead of an identity vector. A
+		// selection is filtered below, so its vector is back in the pool
+		// before the fold draws anything: held across the fold, it made
+		// the pool hand out fresh selection-sized vectors and doubled the
+		// GC cycles of navbench's pan.bbox.
+		return pq.output(rs, bd, nil, bd.preds, ex)
 	}
 	filtered, err := p.b.pc.FilterRowsRun(&rs.Run, rows, bd.preds, ex)
 	if err != nil {
@@ -351,7 +343,7 @@ func (pq *PreparedQuery) runJoin(rs *runState, bd *bound, ex *engine.Explain) (*
 // the run's drain — filled in exprChunk blocks with one cancellation poll
 // per block: compiled items gather straight into their float vector, the
 // rest evaluate through the interpreter into a Value vector. preds are
-// thematic predicates still to apply to rows; only the vectorized GROUP BY
+// thematic predicates still to apply to rows; only a vectorized aggregate
 // takes any (finishPointCloud).
 func (pq *PreparedQuery) output(rs *runState, bd *bound, rows []int, preds []engine.ColumnPred, ex *engine.Explain) (*Result, error) {
 	if err := faultpoint.Hit("sql.run.output"); err != nil {
@@ -360,11 +352,8 @@ func (pq *PreparedQuery) output(rs *runState, bd *bound, rows []int, preds []eng
 	p := bd.plan
 	isVector := p.mode == planVector
 	stmt := pq.stmt
-	switch p.out {
-	case outGrouped:
+	if p.grouped != nil {
 		return execGrouped(rs, bd, stmt, rows, preds, isVector, ex)
-	case outAggregate:
-		return outputAggregates(&rs.Run, bd, stmt, rows, isVector, ex)
 	}
 
 	// ORDER BY.
@@ -487,142 +476,6 @@ func valueCompare(a, b Value) int {
 		return strings.Compare(a.Str, b.Str)
 	}
 	return strings.Compare(a.String(), b.String())
-}
-
-// outputAggregates computes one result row of aggregates.
-func outputAggregates(rs *engine.Run, bd *bound, stmt *SelectStmt, rows []int, isVector bool, ex *engine.Explain) (*Result, error) {
-	p := bd.plan
-	start := time.Now()
-	res := numericResult(p.cols, 1, ex)
-	for i, item := range stmt.Items {
-		f, _ := isAggregate(item.Expr)
-		v, err := computeAggregate(rs, p.b, bd.params, f, rows, isVector)
-		if err != nil {
-			return nil, err
-		}
-		res.Cols[i].put(0, v)
-	}
-	if ex != nil {
-		ex.Add("aggregate", "select list", selectedRows(p.b, rows), 1, time.Since(start))
-	}
-	return res, nil
-}
-
-// rowFreeAggregates reports whether every select item is an aggregate the
-// engine answers without a row list: count(*), or an aggregate of a bare
-// point-cloud column (kernelAggregate). Any other item takes the
-// interpreter, which walks the rows.
-func rowFreeAggregates(b *binding, stmt *SelectStmt) bool {
-	for _, item := range stmt.Items {
-		f, ok := isAggregate(item.Expr)
-		if !ok || len(f.Args) != 1 {
-			return false
-		}
-		if _, star := f.Args[0].(Star); star && f.Name == "count" {
-			continue
-		}
-		if _, ok := pcColumnName(b, f.Args[0]); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// selectedRows is the size of a point-cloud selection: nil rows mean every
-// row of the table (finishPointCloud's all-rows arm).
-func selectedRows(b *binding, rows []int) int {
-	if rows == nil && b.pc != nil {
-		return b.pc.Len()
-	}
-	return len(rows)
-}
-
-func computeAggregate(rs *engine.Run, b *binding, ps []Value, f FuncCall, rows []int, isVector bool) (Value, error) {
-	if f.Name == "count" {
-		if len(f.Args) == 0 {
-			return Value{}, fmt.Errorf("sql: count requires an argument (use count(*))")
-		}
-		if _, ok := f.Args[0].(Star); ok {
-			return numVal(float64(selectedRows(b, rows))), nil
-		}
-	}
-	if len(f.Args) != 1 {
-		return Value{}, fmt.Errorf("sql: %s expects one argument", f.Name)
-	}
-	if v, ok, err := kernelAggregate(rs, b, f, rows, isVector); ok {
-		return v, err
-	}
-	ctx := &evalCtx{b: b, ps: ps, pcRow: -1, vtRow: -1}
-	// aggAcc matches the engine's aggregate kernels exactly (±Inf seeds,
-	// strict compares), so the same aggregate gives the same answer whether
-	// it routes through kernelAggregate or this fallback: sum/avg propagate
-	// NaN, min/max skip NaN values (they fail every ordered comparison), and
-	// an all-NaN selection reports the ±Inf identities.
-	acc := newAggAcc()
-	for b0, b1 := range rs.Token().Blocks(0, len(rows), exprChunk) {
-		for _, r := range rows[b0:b1] {
-			setRow(ctx, isVector, r)
-			v, err := evalExpr(ctx, f.Args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			if v.Kind != KindNum {
-				return Value{}, fmt.Errorf("sql: %s needs numeric input", f.Name)
-			}
-			acc.add(v.Num)
-		}
-	}
-	if rs.Cancelled() {
-		return Value{}, cancel.ErrCancelled
-	}
-	return acc.result(f.Name), nil
-}
-
-// kernelAggregate routes aggregates over a bare point-cloud column through
-// the engine's typed aggregate kernels instead of per-row expression
-// evaluation. ok reports whether the shape was recognised; when false, the
-// caller falls back to the generic path. Results are identical: column
-// references evaluate to the same float64 widening the kernels use, and
-// accumulation order is unchanged (ascending rows) — min/max over large
-// selections may fan across the worker set, whose ascending-partition
-// merge is bit-identical to the serial fold.
-func kernelAggregate(rs *engine.Run, b *binding, f FuncCall, rows []int, isVector bool) (Value, bool, error) {
-	if isVector || b.pc == nil {
-		return Value{}, false, nil
-	}
-	col, ok := pcColumnName(b, f.Args[0])
-	if !ok {
-		return Value{}, false, nil
-	}
-	var fn engine.AggFunc
-	n := selectedRows(b, rows)
-	switch f.Name {
-	case "count":
-		// count(col) over non-null numeric columns is the row count.
-		return numVal(float64(n)), true, nil
-	case "sum":
-		fn = engine.AggSum
-	case "avg":
-		fn = engine.AggAvg
-	case "min":
-		fn = engine.AggMin
-	case "max":
-		fn = engine.AggMax
-	default:
-		return Value{}, false, nil
-	}
-	if n == 0 {
-		// SQL semantics over empty input: sum() is 0, the rest are NULL.
-		if fn == engine.AggSum {
-			return numVal(0), true, nil
-		}
-		return Value{Kind: KindNull}, true, nil
-	}
-	v, err := b.pc.AggregateRun(rs, rows, fn, col, nil)
-	if err != nil {
-		return Value{}, true, err
-	}
-	return numVal(v), true, nil
 }
 
 // --- helpers --------------------------------------------------------------------

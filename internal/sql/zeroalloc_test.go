@@ -88,7 +88,7 @@ func TestPreparedGroupedSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planOf(pq).grouped.keyCol == "" {
+	if !planOf(pq).grouped.vec {
 		t.Fatal("grouped statement did not vectorize; the guard is vacuous")
 	}
 	allocs, rows := runSteady(t, e, q)
