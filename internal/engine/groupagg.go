@@ -226,6 +226,7 @@ func (pc *PointCloud) GroupedAggregateRun(run *Run, rows []int, preds []ColumnPr
 		if err == nil && ex != nil {
 			ex.Add(opFilterColumn, parDetail("piped: "+predsDetail(preds), deg), n, in, 0)
 		}
+		deg = 1 // only the filter fanned out; the fold ran on the caller
 	case dom > 0:
 		res.Strategy = GroupDense
 		err = runDensePass(run, pc, src, dom, rows, all, n, specs, res, deg)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gisnav/internal/cancel"
@@ -157,6 +158,32 @@ func TestPipelineRoutesWholeTableGroupBy(t *testing.T) {
 					t.Fatalf("%s: piped filter step %q ran below the cap", label, piped)
 				}
 			}
+		}
+	}
+}
+
+// TestPipelineFoldStepIsSerial: a piped fold fans out its filter and
+// folds on the caller, so EXPLAIN tags the filter step with the degree and
+// the group.agg step with none (degree 1) — with a sum, whose fold is
+// pinned to one goroutine anyway, and with count alone.
+func TestPipelineFoldStepIsSerial(t *testing.T) {
+	pc := groupTestCloud(t, morselCloudRows)
+	preds := []ColumnPred{{Column: ColZ, Op: CmpBetween, Value: -1e9, Value2: 1e9}}
+	for _, specs := range [][]GroupedAggSpec{{{Fn: AggSum, Column: ColZ}}, {{Fn: AggCount}}} {
+		ex := &Explain{}
+		var res GroupedResult
+		if err := pc.GroupedAggregateRun(parRun(2), nil, preds, "", specs, &res, ex); err != nil {
+			t.Fatal(err)
+		}
+		steps := map[string]string{}
+		for _, s := range ex.Steps {
+			steps[s.Op] = s.Detail
+		}
+		if f := steps[opFilterColumn]; !strings.HasPrefix(f, "piped:") || !strings.HasSuffix(f, " [par 2]") {
+			t.Fatalf("%v: filter step %q, want a piped step at degree 2", specs, f)
+		}
+		if g, ok := steps[opGroupAgg]; !ok || strings.Contains(g, "[par") {
+			t.Fatalf("%v: group.agg step %q (present %t), want one at degree 1", specs, g, ok)
 		}
 	}
 }

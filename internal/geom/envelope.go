@@ -32,6 +32,16 @@ func NewEnvelope(x1, y1, x2, y2 float64) Envelope {
 // IsEmpty reports whether the envelope contains no points.
 func (e Envelope) IsEmpty() bool { return e.MinX > e.MaxX || e.MinY > e.MaxY }
 
+// Finite reports whether every bound is a finite number.
+func (e Envelope) Finite() bool {
+	for _, v := range [4]float64{e.MinX, e.MinY, e.MaxX, e.MaxY} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // Width returns the X extent (0 for empty envelopes).
 func (e Envelope) Width() float64 {
 	if e.IsEmpty() {

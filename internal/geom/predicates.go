@@ -208,8 +208,19 @@ func ClassifyBoxPolygon(p Polygon, e Envelope) BoxRelation {
 	if e.IsEmpty() || p.IsEmpty() {
 		return BoxOutside
 	}
-	if !e.Intersects(p.Envelope()) {
+	pe := p.Envelope()
+	if !e.Intersects(pe) {
 		return BoxOutside
+	}
+	// A box with a ±Inf bound reaches past a finite polygon's envelope, so
+	// it is not inside, and its part beyond holds no polygon point: its
+	// part within decides outside or boundary. The edge and centre tests
+	// run on that part's finite bounds, where Inf − Inf would be NaN.
+	if !e.Finite() && pe.Finite() {
+		if ClassifyBoxPolygon(p, e.Intersection(pe)) == BoxOutside {
+			return BoxOutside
+		}
+		return BoxBoundary
 	}
 	// Any boundary edge (shell or hole) crossing the box makes it a
 	// boundary cell.
@@ -228,6 +239,22 @@ func ClassifyBoxPolygon(p Polygon, e Envelope) BoxRelation {
 		return BoxInside
 	}
 	return BoxOutside
+}
+
+// ClassifyBoxRect classifies box e against the rectangle r (finite, of
+// positive width and height, as RectOf returns it) with compares, and
+// returns what ClassifyBoxPolygon returns for r's polygon: a box strictly
+// inside r on both axes is inside; a box sharing a point with r
+// otherwise, one touching r's edge included, is boundary; an empty box,
+// one disjoint from r and one with a NaN bound are outside.
+func ClassifyBoxRect(r, e Envelope) BoxRelation {
+	switch {
+	case e.IsEmpty() || !(e.MinX <= r.MaxX && r.MinX <= e.MaxX && e.MinY <= r.MaxY && r.MinY <= e.MaxY):
+		return BoxOutside
+	case e.MinX > r.MinX && e.MaxX < r.MaxX && e.MinY > r.MinY && e.MaxY < r.MaxY:
+		return BoxInside
+	}
+	return BoxBoundary
 }
 
 // ClassifyBoxMultiPolygon classifies e against a multipolygon. The box is

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -178,6 +179,97 @@ func TestIntersectionWithFiniteExtent(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestClassifyBoxRectMatchesPolygon holds the rectangle classifier to the
+// polygon classifier over the rectangle's polygon, in every vertex order:
+// boxes built from each axis's probes (shared edges and corners, one-ulp
+// neighbours, zero-width and zero-height boxes, ±0, NaN and ±Inf bounds),
+// the empty envelope, and random boxes around the rectangle. Two of
+// acceptedRects are left out: at the largest and the subnormal magnitudes
+// the polygon classifier's orientation products overflow or underflow
+// and misjudge a box the compares get right.
+func TestClassifyBoxRectMatchesPolygon(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var rects []Envelope
+	for name, r := range acceptedRects {
+		if name != "max magnitude" && name != "subnormal" {
+			rects = append(rects, r)
+		}
+	}
+	for range 4 {
+		x, y := rng.Float64()*2000-1000, rng.Float64()*2000-1000
+		rects = append(rects, Envelope{x, y, x + rng.Float64()*300 + 1e-3, y + rng.Float64()*300 + 1e-3})
+	}
+	for _, r := range rects {
+		xs, ys := rectProbes(r.MinX, r.MaxX), rectProbes(r.MinY, r.MaxY)
+		boxes := []Envelope{EmptyEnvelope()}
+		for _, x0 := range xs {
+			for _, x1 := range xs {
+				for _, y0 := range ys {
+					for _, y1 := range ys {
+						boxes = append(boxes, Envelope{x0, y0, x1, y1})
+					}
+				}
+			}
+		}
+		// A coordinate within a quarter of the rectangle's size of it, as a
+		// blend of two finite ends, so huge rectangles keep finite boxes.
+		near := func(lo, hi float64) float64 {
+			a, b, t := lo-(hi-lo)/4, hi+(hi-lo)/4, rng.Float64()
+			return (1-t)*a + t*b
+		}
+		for range 2000 {
+			boxes = append(boxes, NewEnvelope(near(r.MinX, r.MaxX), near(r.MinY, r.MaxY), near(r.MinX, r.MaxX), near(r.MinY, r.MaxY)))
+		}
+		for start := range 4 {
+			for _, cw := range []bool{false, true} {
+				for _, closed := range []bool{false, true} {
+					g := Polygon{Shell: Ring{Points: rectShell(r, start, cw, closed)}}
+					if got, ok := RectOf(g); !ok || got != r {
+						t.Fatalf("%v: RectOf = %v, %v", r, got, ok)
+					}
+					for _, e := range boxes {
+						if got, want := ClassifyBoxRect(r, e), ClassifyBoxPolygon(g, e); got != want {
+							t.Fatalf("%v start %d cw %v closed %v: box %v: ClassifyBoxRect %v, ClassifyBoxPolygon %v",
+								r, start, cw, closed, e, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClassifyBoxPolygonInfiniteBox: a box spanning a whole axis crosses
+// any polygon it meets, so it is a boundary box where it meets the
+// polygon and an outside box where it passes by. Its centre is NaN and
+// its edges run through ±Inf, so the edge and centre tests decide it on
+// its part within the polygon's envelope.
+func TestClassifyBoxPolygonInfiniteBox(t *testing.T) {
+	inf := math.Inf(1)
+	sq := Polygon{Shell: Ring{Points: []Point{{0, 0}, {10, 0}, {10, 10}, {0, 10}}}}
+	tri := Polygon{Shell: Ring{Points: []Point{{0, 0}, {10, 0}, {0, 10}}}}
+	cases := []struct {
+		p    Polygon
+		e    Envelope
+		want BoxRelation
+	}{
+		{sq, Envelope{-inf, 3, inf, 7}, BoxBoundary},
+		{sq, Envelope{3, -inf, 7, inf}, BoxBoundary},
+		{sq, Envelope{-inf, 5, inf, 5}, BoxBoundary},
+		{sq, Envelope{-inf, -inf, inf, inf}, BoxBoundary},
+		{sq, Envelope{2, -inf, 8, 5}, BoxBoundary},
+		{sq, Envelope{-inf, 11, inf, 12}, BoxOutside},
+		{tri, Envelope{8, 8, inf, inf}, BoxOutside},
+		{tri, Envelope{4, 4, inf, inf}, BoxBoundary},
+		{tri, Envelope{6, -inf, 9, inf}, BoxBoundary},
+	}
+	for i, c := range cases {
+		if got := ClassifyBoxPolygon(c.p, c.e); got != c.want {
+			t.Errorf("case %d: ClassifyBoxPolygon(%v) = %v, want %v", i, c.e, got, c.want)
 		}
 	}
 }

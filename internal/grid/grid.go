@@ -219,7 +219,7 @@ func RefineInto(xs, ys []float64, cand []colstore.Range, region Region, opts Opt
 	// which agrees with the row-at-a-time evaluator bit for bit, one
 	// refineBlock span at a time.
 	base := len(matches)
-	if !envFinite(env) {
+	if !env.Finite() {
 		for _, r := range cand {
 			for b0, b1 := range opts.Cancel.Blocks(r.Start, r.End, refineBlock) {
 				var bst Stats
@@ -320,6 +320,34 @@ func RectRowsInto[R int | int32](xs, ys []float64, rows []R, env geom.Envelope, 
 		j += inRect(env, xs[r], ys[r])
 	}
 	return buf[:j]
+}
+
+// AxisRowsInto appends to out the rows of the list whose value in vs lies
+// in the closed interval [lo, hi], in list order: RectRowsInto on one
+// axis, for rows known to lie inside the rectangle on the other. The
+// pyramid refines an edge tile whose data box lies inside the rectangle
+// on one axis through it. NaN compares false.
+func AxisRowsInto(vs []float64, rows []int32, lo, hi float64, out []int) []int {
+	j := len(out)
+	out = slices.Grow(out, len(rows))
+	buf := out[:j+len(rows)]
+	for _, r := range rows {
+		buf[j] = int(r)
+		j += inRange(vs[r], lo, hi)
+	}
+	return buf[:j]
+}
+
+// inRange is the closed interval compare as 0 or 1, without a branch.
+func inRange(v, lo, hi float64) int {
+	a, b := 0, 0
+	if v >= lo {
+		a = 1
+	}
+	if v <= hi {
+		b = 1
+	}
+	return a & b
 }
 
 // inRect is the closed envelope compare as 0 or 1, without a branch: each
@@ -424,17 +452,6 @@ func RefineExhaustiveInto(xs, ys []float64, cand []colstore.Range, region Region
 	}
 	st.Matches = len(matches) - base
 	return matches, st
-}
-
-// envFinite reports whether every envelope bound is a finite number — the
-// precondition of the grid's cell arithmetic.
-func envFinite(env geom.Envelope) bool {
-	for _, v := range [4]float64{env.MinX, env.MinY, env.MaxX, env.MaxY} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // gridDims sizes the grid to hold roughly TargetPointsPerCell candidates per

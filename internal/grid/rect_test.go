@@ -281,6 +281,63 @@ func FuzzRectRegion(f *testing.F) {
 	})
 }
 
+// TestAxisRowsIntoMatchesRectRows holds the one-axis row loop to the
+// four-compare loop on rows whose other coordinate lies inside the
+// rectangle (its bounds, ±0 at a zero bound, the midpoint): the compared
+// coordinate runs over the bounds, their one-ulp neighbours, ±0 at a zero
+// bound, NaN and ±Inf. Both axes are compared in turn, in a scrambled row
+// order, appending after rows already in out.
+func TestAxisRowsIntoMatchesRectRows(t *testing.T) {
+	negz := math.Copysign(0, -1)
+	probes := func(lo, hi float64) []float64 {
+		return []float64{lo, hi, (lo + hi) / 2, 0, negz,
+			math.Nextafter(lo, math.Inf(-1)), math.Nextafter(lo, math.Inf(1)),
+			math.Nextafter(hi, math.Inf(-1)), math.Nextafter(hi, math.Inf(1)),
+			math.NaN(), math.Inf(1), math.Inf(-1)}
+	}
+	inside := func(lo, hi float64) []float64 {
+		vs := []float64{lo, hi, (lo + hi) / 2}
+		if lo == 0 || hi == 0 {
+			vs = append(vs, 0, negz)
+		}
+		return vs
+	}
+	rng := rand.New(rand.NewSource(46))
+	for _, rect := range []geom.Envelope{{MinX: 0, MinY: 0, MaxX: 10, MaxY: 5}, {MinX: -3, MinY: negz, MaxX: negz, MaxY: 7}, {MinX: 85000.25, MinY: 446000.5, MaxX: 85093.75, MaxY: 446062.5}} {
+		for _, alongX := range []bool{true, false} {
+			// x inside, y compared; or the other way round.
+			lo, hi, olo, ohi := rect.MinY, rect.MaxY, rect.MinX, rect.MaxX
+			if !alongX {
+				lo, hi, olo, ohi = olo, ohi, lo, hi
+			}
+			var xs, ys []float64
+			for _, in := range inside(olo, ohi) {
+				for _, v := range probes(lo, hi) {
+					if alongX {
+						xs, ys = append(xs, in), append(ys, v)
+					} else {
+						xs, ys = append(xs, v), append(ys, in)
+					}
+				}
+			}
+			rows := make([]int32, len(xs))
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			vs := xs
+			if alongX {
+				vs = ys
+			}
+			got := AxisRowsInto(vs, rows, lo, hi, []int{-1})
+			want := RectRowsInto(xs, ys, rows, rect, []int{-1})
+			if !slices.Equal(got, want) || len(want) < 2 {
+				t.Fatalf("%v (x inside: %v): AxisRowsInto %v, RectRowsInto %v", rect, alongX, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkRefine times refinement per candidate row over 1M tile-ordered
 // rows (32x32 tiles, each tile's rows contiguous, as a LAS tile sort lays
 // them out), with the candidates being the rows of every tile the viewport

@@ -286,7 +286,7 @@ func fuzzField() []byte {
 // grown table (samePyramid, the class dictionary included). The low bit of
 // shape picks a rectangle or its 5-vertex twin (the per-point Contains
 // path); when bit 1 is set the fuzzed rows repeat past 2^16, so the base
-// order is 3 rather than 2.
+// order is 4 rather than 2.
 func FuzzPyramidQuery(f *testing.F) {
 	coords := func(v ...float64) []byte {
 		var b []byte
@@ -305,6 +305,18 @@ func FuzzPyramidQuery(f *testing.F) {
 	for i, keys := range fuzzClassSeeds() {
 		f.Add(field, keys, 1.5, 0.5, 8.5, 9.5, uint16(30000), uint8(i&1))
 	}
+	// Viewports spanning a 9×9 lattice on one axis: every edge tile's box
+	// lies inside on that axis, so its rows compare the other alone. A row
+	// with a NaN coordinate quantises into the last tile on that axis, one
+	// whose box lies inside on it: the NaN must still keep the row out.
+	var lattice []float64
+	for i := range 81 {
+		lattice = append(lattice, float64(i%9)*1.25, float64(i/9)*1.25)
+	}
+	f.Add(coords(lattice...), []byte(nil), 3.3, -1.0, 6.6, 11.0, uint16(30000), uint8(0))
+	f.Add(coords(lattice...), []byte(nil), -1.0, 3.3, 11.0, 6.6, uint16(65535), uint8(0))
+	f.Add(coords(append([]float64{math.NaN(), 8}, lattice...)...), []byte(nil), -1.0, 3.3, 11.0, 9.0, uint16(30000), uint8(0))
+	f.Add(coords(append(lattice, 8, math.NaN())...), []byte(nil), 3.3, -1.0, 9.0, 11.0, uint16(65535), uint8(0))
 	f.Fuzz(func(t *testing.T, raw, keys []byte, x0, y0, x1, y1 float64, split uint16, shape uint8) {
 		k := min(len(raw)/16, 256)
 		if k == 0 {

@@ -4,11 +4,12 @@
 // O(visible tiles) of pre-aggregates instead of O(points in region).
 //
 // Structure. Level o quantises the table extent into 2^o × 2^o tiles;
-// levels run from the base order (sized so base tiles hold a few thousand
-// rows) down to a single root tile. Every level stores, per (tile, class)
-// slot, the class count plus one bank per requested min/max/sum column,
-// plus per-tile metadata: the row count and the tight bounding box of the
-// rows that actually quantised into the tile. The class axis is a
+// levels run from the base order (the finest, up to 6, whose tiles
+// average at least 256 rows) down to a single root tile. Every level
+// stores, per (tile, class) slot, the class count plus one bank per
+// requested min/max/sum column, plus per-tile metadata: the row count and
+// the tight bounding box of the rows that actually quantised into the
+// tile. The class axis is a
 // dictionary (engine.TileClasses): each class present has a code, in
 // order of first appearance by row, and every tile owns W slots, W the
 // power of two at or above the number of classes — 16 for 9 classes,
@@ -46,8 +47,14 @@
 // are skipped; any other tile splits into its four children, and only base
 // tiles the region's edge still crosses fall back to the exact compiled
 // kernels over their rows (engine.GroupedAccumulateRows after the same
-// envelope check + per-point Contains test the grid refiner applies; a
-// rectangle takes the grid's four-compare row loop, grid.RectRowsInto).
+// envelope check + per-point Contains test the grid refiner applies).
+// A rectangle (grid.RectOf, an ST_MakeEnvelope viewport) needs neither
+// the polygon classifier nor Contains: the cover classifies each data box
+// with compares (geom.ClassifyBoxRect), and an edge tile's rows take the
+// grid's four-compare row loop (grid.RectRowsInto) — or, when the tile's
+// data box lies inside the rectangle on one axis and the tile holds no
+// NaN coordinate, a one-column compare on the other (grid.AxisRowsInto),
+// which is every edge tile but the corners' of a viewport.
 // Classifying the data bbox rather than the geometric tile box keeps the
 // decisions exact by construction — every row with finite coordinates
 // lies inside its tile's closed data bbox — independent of quantisation
@@ -89,14 +96,17 @@ const (
 	// columns only (the dense grouped strategy's u8 arm).
 	classDom = 256
 	// baseOrderMin/Max bound the base tiling; targetRowsPerTile sizes it.
+	// Only edge tiles refine row by row, so the smaller the base tiles, the
+	// fewer rows a viewport's edge costs, until the cover's extra tiles
+	// outweigh them (BenchmarkPyramidQuery's sweep).
 	baseOrderMin      = 2
-	baseOrderMax      = 5
-	targetRowsPerTile = 1024
+	baseOrderMax      = 6
+	targetRowsPerTile = 256
 	// maxQuerySpecs bounds the per-query stack scratch (spec → bank map).
 	maxQuerySpecs = 16
-	// edgeBlock is how many edge tiles refine gathers per cancellation
-	// poll, about targetRowsPerTile rows each.
-	edgeBlock = 8
+	// edgeBlock is how many edge-tile rows refine gathers per
+	// cancellation poll.
+	edgeBlock = 8 << 10
 )
 
 // level is one resolution of the pyramid: per-(tile, class) banks plus
@@ -167,13 +177,20 @@ func newPyramid(pc *engine.PointCloud, epoch uint64, key string, specs []engine.
 		math.IsInf(ext.Width(), 0) || math.IsInf(ext.Height(), 0) {
 		return nil
 	}
+	return newTiling(pc, epoch, key, specs, ext, baseOrderFor(n))
+}
+
+// newTiling allocates newPyramid's tiling of ext at base order base, at
+// most orderMask.
+func newTiling(pc *engine.PointCloud, epoch uint64, key string, specs []engine.GroupedAggSpec, ext geom.Envelope, base uint) *Pyramid {
+	n := pc.Len()
 	p := &Pyramid{
 		pc:      pc,
 		atEpoch: epoch,
 		key:     key,
 		specs:   canonicalBanks(specs),
 		ext:     ext,
-		base:    baseOrderFor(n),
+		base:    base,
 	}
 	p.zeros = make([]uint8, len(p.specs))
 	p.refs.init(1)
@@ -481,7 +498,8 @@ const (
 // order. Every row lies in its tile's closed data box, so the rows of the
 // inside tiles are exactly the region's rows outside the edge tiles.
 func (p *Pyramid) cover(region grid.Region, inside, edge []int) ([]int, []int) {
-	var stack [1 + 3*baseOrderMax]int // the root; each split pops one tile and pushes four
+	rect, isRect := grid.RectOf(region)
+	var stack [1 + 3*orderMask]int // the root; each split pops one tile and pushes four
 	for sp := 1; sp > 0; {
 		sp--
 		o, t := uint(stack[sp]&orderMask), stack[sp]>>orderBits
@@ -489,7 +507,13 @@ func (p *Pyramid) cover(region grid.Region, inside, edge []int) ([]int, []int) {
 		if tb.Rows == 0 {
 			continue
 		}
-		switch rel := region.Classify(tb.Box); {
+		var rel geom.BoxRelation
+		if isRect {
+			rel = geom.ClassifyBoxRect(rect, tb.Box)
+		} else {
+			rel = region.Classify(tb.Box)
+		}
+		switch {
 		case rel == geom.BoxOutside:
 		case rel == geom.BoxInside && tb.NaN == 0:
 			inside = append(inside, stack[sp])
@@ -642,8 +666,9 @@ func (p *Pyramid) QueryRegionRun(run *engine.Run, region grid.Region, specs []en
 // refine folds the region's rows in the edge base tiles into slab through
 // the exact dense kernels and returns how many there were. A row counts
 // when it passes the envelope check and Contains test the grid refiner
-// applies; a rectangle is decided by the grid's four-compare row loop.
-// Rows are gathered in cover order, ascending within each tile.
+// applies; a rectangle is decided by compares (rectRows). Rows are
+// gathered in cover order, ascending within each tile, edgeBlock rows per
+// cancellation poll.
 func (p *Pyramid) refine(run *engine.Run, region grid.Region, edge []int, specs []engine.GroupedAggSpec, slab []float64) (int, error) {
 	n := 0
 	for _, t := range edge {
@@ -652,12 +677,21 @@ func (p *Pyramid) refine(run *engine.Run, region grid.Region, edge []int, specs 
 	xs, ys := p.pc.X(), p.pc.Y()
 	env := region.Envelope()
 	rect, isRect := grid.RectOf(region)
+	tiles := p.levels[p.base].tiles
 	rbuf := run.AcquireRows(n)[:0]
-	for b0, b1 := range run.Token().Blocks(0, len(edge), edgeBlock) {
-		for _, t := range edge[b0:b1] {
-			rows := p.rows[p.offs[t]:p.offs[t+1]]
+	i, lo := 0, 0 // the edge tile being gathered and its first row not yet gathered
+	for b0, b1 := range run.Token().Blocks(0, n, edgeBlock) {
+		for left := b1 - b0; left > 0; {
+			t := edge[i]
+			rows := p.rows[p.offs[t]+lo : p.offs[t+1]]
+			if len(rows) > left {
+				rows, lo = rows[:left], lo+left
+			} else {
+				i, lo = i+1, 0
+			}
+			left -= len(rows)
 			if isRect {
-				rbuf = grid.RectRowsInto(xs, ys, rows, rect, rbuf)
+				rbuf = rectRows(xs, ys, rows, rect, &tiles[t], rbuf)
 				continue
 			}
 			for _, r := range rows {
@@ -681,6 +715,22 @@ func (p *Pyramid) refine(run *engine.Run, region grid.Region, edge []int, specs 
 	}
 	run.RecycleRows(rbuf)
 	return len(rbuf), err
+}
+
+// rectRows appends the rows of an edge tile's postings that lie in rect.
+// Every row of a tile without a NaN coordinate lies in its closed data
+// box, so where that box lies inside rect on one axis only the other axis
+// is compared (grid.AxisRowsInto); a box with a ±Inf bound lies inside on
+// neither. Any other tile takes the four compares (grid.RectRowsInto).
+func rectRows(xs, ys []float64, rows []int32, rect geom.Envelope, tb *engine.TileBox, out []int) []int {
+	b := tb.Box
+	switch {
+	case tb.NaN == 0 && b.MinX >= rect.MinX && b.MaxX <= rect.MaxX:
+		return grid.AxisRowsInto(ys, rows, rect.MinY, rect.MaxY, out)
+	case tb.NaN == 0 && b.MinY >= rect.MinY && b.MaxY <= rect.MaxY:
+		return grid.AxisRowsInto(xs, rows, rect.MinX, rect.MaxX, out)
+	}
+	return grid.RectRowsInto(xs, ys, rows, rect, out)
 }
 
 // firstZero returns the value of the first row, in row order, that lies in

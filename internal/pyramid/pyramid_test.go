@@ -492,7 +492,7 @@ func (r rejectingRegion) Contains(x, y float64) bool {
 }
 
 // TestPyramidRefineStopsOnFiredToken: the edge-tile refinement polls
-// before each block of tiles, the first included, so a fired token ends it
+// before each block of rows, the first included, so a fired token ends it
 // with cancel.ErrCancelled having tested no row, where a live token tests
 // the rows of every tile, and neither leaves a pooled buffer drawn.
 func TestPyramidRefineStopsOnFiredToken(t *testing.T) {
@@ -640,7 +640,7 @@ func TestPyramidFootprint(t *testing.T) {
 			detail = s.Detail
 		}
 	}
-	if !strings.HasPrefix(detail, "order 3, 9 classes in 16 slots, 5 aggs, tile meta [par ") {
+	if !strings.HasPrefix(detail, "order 4, 9 classes in 16 slots, 5 aggs, tile meta [par ") {
 		t.Fatalf("tile.agg detail %q", detail)
 	}
 
